@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check quick vet build test race bench-smoke chaos-smoke trace-smoke dst-smoke fed-smoke wire-smoke slo-smoke scale-smoke cover bench-snapshot bench-check
+.PHONY: check quick vet build test race bench bench-smoke chaos-smoke trace-smoke dst-smoke fed-smoke wire-smoke slo-smoke scale-smoke cover bench-snapshot bench-check
 
 # The full verification gate (vet, build, test, race test).
 check:
@@ -21,6 +21,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): five
+# workloads on two clocks, every metric by name with its unit, non-zero
+# exit if a correctness gate fails. About 90 s.
+bench:
+	$(GO) run ./bench
 
 # A seconds-scale broker load study on the tiny seed configuration —
 # a fast end-to-end smoke of the broker service and its reporting.
@@ -84,7 +90,8 @@ bench-snapshot:
 	$(GO) run ./cmd/perfgrid -out BENCH_grid.json -scale
 
 # Fast perf regression check against the committed baseline: smoke-length
-# benches, report-only unless STRICT_BENCH=1 (then >20% ns/op fails).
+# benches. allocs/op above the baseline fails; ns/op is report-only unless
+# STRICT_BENCH=1 (then >20% fails).
 bench-check:
 	$(GO) run ./cmd/perfgrid -smoke -compare BENCH_grid.json
 

@@ -18,7 +18,9 @@
 //   - -compare diffs the run against a baseline snapshot, printing a
 //     benchstat-style table. Regressions beyond -threshold (default 20%
 //     ns/op) are reported; with -strict or STRICT_BENCH=1 they are fatal.
-//     Wall-clock noise makes the gate advisory by default.
+//     Wall-clock noise makes that gate advisory by default. allocs/op is
+//     a count, so a series that allocates more than its baseline (beyond
+//     the smoke-run tolerance) is always fatal.
 //   - -prom writes the scenario's Prometheus text exposition ("-" for
 //     stdout) — byte-stable for a fixed -seed.
 //   - -cpuprofile / -memprofile capture pprof profiles of the whole run.
@@ -161,6 +163,11 @@ func main() {
 		fmt.Print(res.Report(*threshold))
 		if len(res.Regressions()) > 0 && (*strict || os.Getenv("STRICT_BENCH") == "1") {
 			os.Exit(1)
+		}
+		for _, d := range res.Deltas {
+			if d.AllocsGrown {
+				os.Exit(1)
+			}
 		}
 	}
 }

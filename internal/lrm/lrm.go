@@ -556,7 +556,9 @@ func (m *Machine) launch(job *Job) {
 			Count:   job.spec.Count,
 			Env:     job.spec.Env,
 		}
-		m.sim.GoDaemon(fmt.Sprintf("proc:%s/%d", job.id, rank), func() {
+		// Named by the job id alone: a per-rank name would be formatted for
+		// every process and read only if the run deadlocks.
+		m.sim.GoDaemon(job.id, func() {
 			// Process load/init time; interruptible by kill.
 			if job.kill.WaitTimeout(startup) {
 				m.procExit(job, ErrKilled)

@@ -174,8 +174,8 @@ func TestCompare(t *testing.T) {
 		{Name: "scenario.broker.load", Kind: "scenario", Values: map[string]float64{"completed": 8}},
 	}}
 	cur := Snapshot{Schema: SchemaVersion, Series: []Series{
-		{Name: "rpc_call", Kind: "bench", NsPerOp: 1300, AllocsPerOp: 12},  // +30%: regression
-		{Name: "lrm_submit", Kind: "bench", NsPerOp: 2100, AllocsPerOp: 5}, // +5%: fine
+		{Name: "rpc_call", Kind: "bench", NsPerOp: 1300, AllocsPerOp: 11},  // +30% ns: regression; +10% allocs: within tolerance
+		{Name: "lrm_submit", Kind: "bench", NsPerOp: 2100, AllocsPerOp: 7}, // +5% ns: fine; +40% allocs: grown
 		{Name: "fresh", Kind: "bench", NsPerOp: 10},
 		{Name: "scenario.broker.load", Kind: "scenario", Values: map[string]float64{"completed": 4}},
 	}}
@@ -186,6 +186,9 @@ func TestCompare(t *testing.T) {
 	if reg := res.Regressions(); len(reg) != 1 || reg[0] != "rpc_call" {
 		t.Fatalf("Regressions = %v, want [rpc_call]", reg)
 	}
+	if grown := res.allocRegressions(); len(grown) != 1 || grown[0] != "lrm_submit" {
+		t.Fatalf("allocRegressions = %v, want [lrm_submit]", grown)
+	}
 	if len(res.Missing) != 1 || res.Missing[0] != "gone" {
 		t.Fatalf("Missing = %v, want [gone]", res.Missing)
 	}
@@ -195,6 +198,9 @@ func TestCompare(t *testing.T) {
 	report := res.Report(0.20)
 	if !strings.Contains(report, "REGRESSION") || !strings.Contains(report, "rpc_call") {
 		t.Fatalf("report missing regression marker:\n%s", report)
+	}
+	if !strings.Contains(report, "FAIL: allocs/op grew beyond 10% on 1 series: lrm_submit") {
+		t.Fatalf("report missing the allocs failure:\n%s", report)
 	}
 
 	// Scenario series never gate.

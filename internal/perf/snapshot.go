@@ -187,17 +187,37 @@ type CompareResult struct {
 // Regressions lists the names of series whose ns/op regressed beyond the
 // compare threshold.
 func (r CompareResult) Regressions() []string {
+	return r.names(func(d Delta) bool { return d.Regressed })
+}
+
+// allocRegressions lists the names of series whose allocs/op grew beyond
+// allocTolerance (Delta.AllocsGrown). Unlike ns/op this is a count, not a
+// timing, so it gates on any machine.
+func (r CompareResult) allocRegressions() []string {
+	return r.names(func(d Delta) bool { return d.AllocsGrown })
+}
+
+func (r CompareResult) names(pick func(Delta) bool) []string {
 	var out []string
 	for _, d := range r.Deltas {
-		if d.Regressed {
+		if pick(d) {
 			out = append(out, d.Name)
 		}
 	}
 	return out
 }
 
+// allocTolerance is how far allocs/op may exceed the baseline before the
+// series counts as grown: a smoke-length run amortises each bench's set-up
+// over far fewer iterations than the 1 s baseline did, which alone is worth
+// up to 7 % on the end-to-end rows (broker_submit, lrm_submit). The half
+// alloc on top keeps a 0-alloc series failing on its first allocation.
+const allocTolerance = 0.10
+
 // Compare diffs the wall-clock ("bench") series of two snapshots. A series
-// regresses when its ns/op grows by more than threshold (0.20 = 20%).
+// regresses when its ns/op grows by more than threshold (0.20 = 20%), and
+// its allocations have grown when allocs/op exceeds the baseline by more
+// than allocTolerance.
 // Scenario series are deterministic virtual-time quantities and are not
 // gated here. Schemas must match.
 func Compare(base, cur Snapshot, threshold float64) (CompareResult, error) {
@@ -234,7 +254,7 @@ func Compare(base, cur Snapshot, threshold float64) (CompareResult, error) {
 			d.Change = (s.NsPerOp - b.NsPerOp) / b.NsPerOp
 			d.Regressed = d.Change > threshold
 		}
-		d.AllocsGrown = s.AllocsPerOp > b.AllocsPerOp
+		d.AllocsGrown = s.AllocsPerOp > b.AllocsPerOp*(1+allocTolerance)+0.5
 		res.Deltas = append(res.Deltas, d)
 	}
 	for name := range baseBench {
@@ -259,8 +279,9 @@ func (r CompareResult) Report(threshold float64) string {
 		mark := ""
 		if d.Regressed {
 			mark = "  << REGRESSION"
-		} else if d.AllocsGrown {
-			mark = "  (allocs grew)"
+		}
+		if d.AllocsGrown {
+			mark += "  << ALLOCS GREW"
 		}
 		fmt.Fprintf(&sb, "%-22s %14.1f %14.1f %+8.1f%% %7.0f→%-6.0f%s\n",
 			d.Name, d.BaseNs, d.CurNs, d.Change*100, d.BaseAllocs, d.CurAllocs, mark)
@@ -276,6 +297,10 @@ func (r CompareResult) Report(threshold float64) string {
 			len(reg), threshold*100, strings.Join(reg, ", "))
 	} else {
 		fmt.Fprintf(&sb, "ok: no ns/op regression beyond %.0f%%\n", threshold*100)
+	}
+	if grown := r.allocRegressions(); len(grown) > 0 {
+		fmt.Fprintf(&sb, "FAIL: allocs/op grew beyond %.0f%% on %d series: %s\n",
+			allocTolerance*100, len(grown), strings.Join(grown, ", "))
 	}
 	return sb.String()
 }

@@ -46,14 +46,19 @@ const jsonlFlushAt = 48 * 1024
 // Encoding appends into a pooled buffer — no per-event allocation — and the
 // output is parseable by ReadJSONL; field order matches jsonlEvent.
 func WriteJSONL(w io.Writer, events []Event) error {
+	return writeJSONL(w, len(events), func(i int) *Event { return &events[i] })
+}
+
+// writeJSONL encodes the n events at(0..n-1) in that order.
+func writeJSONL(w io.Writer, n int, at func(i int) *Event) error {
 	bp := jsonlBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	defer func() {
 		*bp = buf[:0]
 		jsonlBufPool.Put(bp)
 	}()
-	for i := range events {
-		buf = appendJSONLEvent(buf, &events[i])
+	for i := 0; i < n; i++ {
+		buf = appendJSONLEvent(buf, at(i))
 		if len(buf) >= jsonlFlushAt {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -208,8 +213,17 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// WriteJSONL writes the tracer's events as JSONL in deterministic order.
-func (t *Tracer) WriteJSONL(w io.Writer) error { return WriteJSONL(w, t.Events()) }
+// WriteJSONL writes the tracer's events as JSONL in deterministic order,
+// straight from the event store: the sorted copy Events makes is not built.
+// Nil-safe.
+func (t *Tracer) WriteJSONL(w io.Writer) error {
+	if t == nil {
+		return nil
+	}
+	n, at := t.snapshot()
+	order := exportOrder(n, at)
+	return writeJSONL(w, n, func(i int) *Event { return at(order[i]) })
+}
 
 // chromeEvent is one entry of the Chrome trace_event format (the JSON Array
 // Format of the Trace Event specification), loadable in chrome://tracing

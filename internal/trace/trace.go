@@ -17,7 +17,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,11 +124,20 @@ type Tap interface {
 // Tracer records events in virtual time. The zero value is not usable;
 // create with New. A nil *Tracer is a valid no-op tracer.
 type Tracer struct {
-	sim    *vtime.Sim
-	tap    atomic.Pointer[Tap]
-	mu     sync.Mutex
-	events []Event
+	sim *vtime.Sim
+	tap atomic.Pointer[Tap]
+	mu  sync.Mutex
+	// Events are kept in fixed-size chunks: a trace only grows, and one
+	// slice regrown by append would copy (and leave for the collector)
+	// several times the final trace along the way.
+	chunks [][]Event
 }
+
+// chunkSize is the capacity of one chunk of a tracer's event store.
+const (
+	chunkShift = 10
+	chunkSize  = 1 << chunkShift
+)
 
 // New creates a tracer stamping events with sim's virtual clock.
 func New(sim *vtime.Sim) *Tracer { return &Tracer{sim: sim} }
@@ -164,7 +174,12 @@ func (t *Tracer) Emit(ev Event) {
 		return
 	}
 	t.mu.Lock()
-	t.events = append(t.events, ev)
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == chunkSize {
+		t.chunks = append(t.chunks, make([]Event, 0, chunkSize))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], ev)
 	t.mu.Unlock()
 	if tap := t.tap.Load(); tap != nil {
 		(*tap).Record(ev)
@@ -250,7 +265,24 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.lenLocked()
+}
+
+func (t *Tracer) lenLocked() int {
+	if len(t.chunks) == 0 {
+		return 0
+	}
+	return (len(t.chunks)-1)*chunkSize + len(t.chunks[len(t.chunks)-1])
+}
+
+// snapshot returns the events recorded so far, in emission order, as an
+// accessor that stays valid while the tracer keeps recording.
+func (t *Tracer) snapshot() (n int, at func(i uint32) *Event) {
+	t.mu.Lock()
+	n = t.lenLocked()
+	chunks := append([][]Event(nil), t.chunks...)
+	t.mu.Unlock()
+	return n, func(i uint32) *Event { return &chunks[i>>chunkShift][i&(chunkSize-1)] }
 }
 
 // Events returns a copy of the recorded events in the deterministic export
@@ -259,10 +291,11 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	out := append([]Event(nil), t.events...)
-	t.mu.Unlock()
-	Sort(out)
+	n, at := t.snapshot()
+	out := make([]Event, n)
+	for i, j := range exportOrder(n, at) {
+		out[i] = *at(j)
+	}
 	return out
 }
 
@@ -273,49 +306,70 @@ func (t *Tracer) Events() []Event {
 // content restores a unique order because each event's content is itself
 // deterministic.
 func Sort(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return less(events[i], events[j]) })
+	order := exportOrder(len(events), func(i uint32) *Event { return &events[i] })
+	if slices.IsSorted(order) {
+		return // the identity: already in order
+	}
+	sorted := make([]Event, len(events))
+	for i, j := range order {
+		sorted[i] = events[j]
+	}
+	copy(events, sorted)
+}
+
+// exportOrder returns the permutation that puts the n events at(0..n-1)
+// into export order, equal events keeping their relative position. Sorting
+// indices instead of the events moves 4 bytes per step where an Event is
+// 152 with pointers in it.
+func exportOrder(n int, at func(i uint32) *Event) []uint32 {
+	order := make([]uint32, n)
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortStableFunc(order, func(i, j uint32) int { return compare(at(i), at(j)) })
+	return order
 }
 
 // Less reports whether a sorts strictly before b in the deterministic
 // export order — the comparator behind Sort, exported so dump validators
 // can verify an event stream is already in trace order.
-func Less(a, b Event) bool { return less(a, b) }
+func Less(a, b Event) bool { return compare(&a, &b) < 0 }
 
-func less(a, b Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func compare(a, b *Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
 	}
-	if a.Proc != b.Proc {
-		return a.Proc < b.Proc
+	if c := strings.Compare(a.Proc, b.Proc); c != 0 {
+		return c
 	}
-	if a.Thr != b.Thr {
-		return a.Thr < b.Thr
+	if c := strings.Compare(a.Thr, b.Thr); c != 0 {
+		return c
 	}
-	if a.Cat != b.Cat {
-		return a.Cat < b.Cat
+	if c := strings.Compare(a.Cat, b.Cat); c != 0 {
+		return c
 	}
-	if a.Name != b.Name {
-		return a.Name < b.Name
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
 	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
+	if c := strings.Compare(a.ID, b.ID); c != 0 {
+		return c
 	}
-	if a.Req != b.Req {
-		return a.Req < b.Req
+	if c := strings.Compare(a.Req, b.Req); c != 0 {
+		return c
 	}
-	if a.Span != b.Span {
-		return a.Span < b.Span
+	if c := strings.Compare(a.Span, b.Span); c != 0 {
+		return c
 	}
-	if a.Dur != b.Dur {
-		return a.Dur < b.Dur
+	if c := cmp.Compare(a.Dur, b.Dur); c != 0 {
+		return c
 	}
 	for k := 0; k < len(a.Args) && k < len(b.Args); k++ {
-		if a.Args[k].Key != b.Args[k].Key {
-			return a.Args[k].Key < b.Args[k].Key
+		if c := strings.Compare(a.Args[k].Key, b.Args[k].Key); c != 0 {
+			return c
 		}
-		if a.Args[k].Val != b.Args[k].Val {
-			return a.Args[k].Val < b.Args[k].Val
+		if c := strings.Compare(a.Args[k].Val, b.Args[k].Val); c != 0 {
+			return c
 		}
 	}
-	return len(a.Args) < len(b.Args)
+	return cmp.Compare(len(a.Args), len(b.Args))
 }

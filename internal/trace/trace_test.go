@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -94,8 +95,61 @@ func TestSortIsTotalAndDeterministic(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(fwd); i++ {
-		if less(fwd[i], fwd[i-1]) {
+		if Less(fwd[i], fwd[i-1]) {
 			t.Fatalf("not sorted at %d", i)
+		}
+	}
+}
+
+// The event store is chunked; a trace spanning several chunks, emitted out
+// of order and with equal events in it, exports exactly what a stable sort
+// of the emission sequence gives, by every route out of the tracer.
+func TestChunkedStoreExportsInSortOrder(t *testing.T) {
+	tr := New(vtime.New())
+	var flat []Event
+	for i := 0; i < 3*chunkSize+17; i++ {
+		ev := Event{At: time.Duration((i * 7919) % 101), Cat: "c", Name: "n", Proc: "p", Thr: "t"}
+		if i%3 == 0 {
+			ev.ID = itoa(i) // two thirds of the events tie with others at their instant
+		}
+		tr.Emit(ev)
+		flat = append(flat, ev)
+	}
+	if tr.Len() != len(flat) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(flat))
+	}
+	sort.SliceStable(flat, func(i, j int) bool { return Less(flat[i], flat[j]) })
+	got := tr.Events()
+	if len(got) != len(flat) {
+		t.Fatalf("Events returned %d events, want %d", len(got), len(flat))
+	}
+	for i := range flat {
+		if got[i].At != flat[i].At || got[i].ID != flat[i].ID {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], flat[i])
+		}
+	}
+	got[0].Name = "mutated" // Events is a copy
+	if tr.Events()[0].Name != "n" {
+		t.Fatal("Events aliases the tracer's store")
+	}
+	var direct, viaEvents bytes.Buffer
+	if err := tr.WriteJSONL(&direct); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&viaEvents, tr.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.Bytes(), viaEvents.Bytes()) {
+		t.Fatal("Tracer.WriteJSONL differs from WriteJSONL(Events())")
+	}
+	shuffled := tr.Events()
+	for i, j := 0, len(shuffled)-1; i < j; i, j = i+1, j-1 {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	Sort(shuffled)
+	for i := 1; i < len(shuffled); i++ {
+		if Less(shuffled[i], shuffled[i-1]) {
+			t.Fatalf("Sort left events %d and %d out of order", i-1, i)
 		}
 	}
 }

@@ -583,6 +583,9 @@ type Conn struct {
 	ctx trace.Ctx
 	// Per-connection counter handles, nil when no registry is attached.
 	cSend, cSendBytes, cRecv, cRecvBytes, cDrop *trace.Counter
+	// Per-host message/byte counters this end feeds: sends count against
+	// the local host, deliveries against the remote one.
+	hostSent, hostRecv hostCounters
 	// Cached histogram handles (shared network-wide, not per-connection, to
 	// bound cardinality), nil when no registry is attached.
 	hBytes, hDelay, hBatch *metrics.Histogram
@@ -596,6 +599,27 @@ type Conn struct {
 	closed    bool
 	pend      []pendingMsg
 	pendBytes int
+}
+
+// hostCounters caches one host's transport.msgs.<verb>@host and
+// transport.bytes.<verb>@host handles, so the names are built once per
+// connection instead of once per message. Resolution waits for the first
+// message: a counter must not exist (and print as 0) before it has counted.
+type hostCounters struct {
+	once        sync.Once
+	msgs, bytes *trace.Counter
+}
+
+func (h *hostCounters) add(ctrs *trace.Counters, verb, host string, size int) {
+	if ctrs == nil {
+		return
+	}
+	h.once.Do(func() {
+		h.msgs = ctrs.C(trace.Key("transport", "msgs", verb, host))
+		h.bytes = ctrs.C(trace.Key("transport", "bytes", verb, host))
+	})
+	h.msgs.Add(1)
+	h.bytes.Add(int64(size))
 }
 
 // Flow returns the connection-pair identifier shared by both ends: the
@@ -720,12 +744,11 @@ func (c *Conn) deliver(payload []byte, sentAt time.Duration, ctx trace.Ctx, deli
 	c.hDelay.Record(int64(c.net.sim.Now() - sentAt))
 	c.peer.cRecv.Add(1)
 	c.peer.cRecvBytes.Add(int64(len(payload)))
-	if ctrs := c.net.Counters(); ctrs != nil {
-		ctrs.Add(trace.Key("transport", "msgs", "recv", c.remote.Host), 1)
-		ctrs.Add(trace.Key("transport", "bytes", "recv", c.remote.Host), int64(len(payload)))
+	c.hostRecv.add(c.net.Counters(), "recv", c.remote.Host, len(payload))
+	if tr := c.net.Tracer(); tr.Enabled() {
+		tr.InstantCtx(ctx, "transport", "recv", c.remote.Host, c.peer.dirFlow, c.flow,
+			trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))})
 	}
-	c.net.Tracer().InstantCtx(ctx, "transport", "recv", c.remote.Host, c.peer.dirFlow, c.flow,
-		trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))})
 }
 
 // dropped accounts for a message lost on this end's send path: the
@@ -743,9 +766,11 @@ func (c *Conn) dropped(size int, reason string, ctx trace.Ctx) {
 	if reason != "conn-closed" {
 		c.net.Gauges().G("transport.drops").Add(1)
 	}
-	c.net.Tracer().InstantCtx(ctx, "transport", "drop", c.local.Host, c.dirFlow, c.flow,
-		trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
-		trace.Arg{Key: "reason", Val: reason})
+	if tr := c.net.Tracer(); tr.Enabled() {
+		tr.InstantCtx(ctx, "transport", "drop", c.local.Host, c.dirFlow, c.flow,
+			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
+			trace.Arg{Key: "reason", Val: reason})
+	}
 }
 
 // LocalAddr returns this end's address.
@@ -789,10 +814,7 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	n.bytes.Add(int64(len(payload)))
 	c.cSend.Add(1)
 	c.cSendBytes.Add(int64(len(payload)))
-	if ctrs := n.Counters(); ctrs != nil {
-		ctrs.Add(trace.Key("transport", "msgs", "send", c.local.Host), 1)
-		ctrs.Add(trace.Key("transport", "bytes", "send", c.local.Host), int64(len(payload)))
-	}
+	c.hostSent.add(n.Counters(), "send", c.local.Host, len(payload))
 	c.hBytes.Record(int64(len(payload)))
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
@@ -803,9 +825,7 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 		return nil
 	}
 	// One hop span per send, covering the wire time to the peer.
-	c.net.Tracer().SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, now, now+oneWay,
-		trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))},
-		trace.Arg{Key: "to", Val: c.remote.String()})
+	c.traceHop(ctx, len(payload), now, now+oneWay)
 	if !c.enqueue(outMsg{payload: buf, sentAt: now, deliverAt: now + oneWay, ctx: ctx}) {
 		// The delivery queue is saturated (extreme overload) or the send
 		// raced with a close. Either way the message is lost here, and the
@@ -882,8 +902,16 @@ func (c *Conn) flushLocked() {
 	// batch's delivery time: the span length includes the coalescing wait,
 	// so traces show the latency cost of batching, not just the wire time.
 	for _, p := range batch {
-		c.net.Tracer().SpanAtCtx(p.ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, p.sentAt, now+oneWay,
-			trace.Arg{Key: "bytes", Val: strconv.Itoa(len(p.payload))},
+		c.traceHop(p.ctx, len(p.payload), p.sentAt, now+oneWay)
+	}
+}
+
+// traceHop records one message's hop span; its context, arguments and
+// strings are built only if a tracer is there to take them.
+func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
+	if tr := c.net.Tracer(); tr.Enabled() {
+		tr.SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, start, end,
+			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
 			trace.Arg{Key: "to", Val: c.remote.String()})
 	}
 }

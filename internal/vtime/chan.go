@@ -26,26 +26,43 @@ func (r RecvResult) String() string {
 	return "invalid"
 }
 
-const (
-	wsWaiting = iota
-	wsDelivered
-	wsClosed
-	wsTimedOut
-)
-
-type recvWaiter[T any] struct {
-	park  chan struct{}
-	val   T
-	state int
-	wid   uint64
-	timer *timerEntry
+// ring is a FIFO of values on a circular buffer whose size is a power of
+// two and grows by doubling, so steady-state push and pop neither allocate
+// nor move anything.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
 }
 
-type sendWaiter[T any] struct {
-	park  chan struct{}
-	val   T
-	state int
-	wid   uint64
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*r.n))
+		for i := range r.buf {
+			grown[i] = *r.at(i)
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.n++
+	*r.at(r.n - 1) = v
+}
+
+func (r *ring[T]) pop() T {
+	slot := r.at(0)
+	v := *slot
+	*slot = *new(T)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// truncate drops the newest values until at most n remain.
+func (r *ring[T]) truncate(n int) {
+	for ; r.n > n; r.n-- {
+		*r.at(r.n - 1) = *new(T)
+	}
 }
 
 // Chan is a simulated channel. Operations have Go channel semantics
@@ -53,12 +70,19 @@ type sendWaiter[T any] struct {
 // receivers), but blocking is accounted by the kernel so that virtual time
 // can advance while processes wait.
 type Chan[T any] struct {
-	s      *Sim
-	name   string
-	buf    []T
-	cap    int
-	recvq  []*recvWaiter[T]
-	sendq  []*sendWaiter[T]
+	s    *Sim
+	name string
+	cap  int
+	// buf holds the buffered values and, beyond cap, the value of each
+	// blocked sender in sendq order: the receive that frees a slot wakes the
+	// first sender, whose value is by then already inside the buffer.
+	buf ring[T]
+	// handed holds the values given to woken receivers that have not
+	// resumed yet. Receivers resume in wake order (the run queue is FIFO),
+	// so each takes the oldest; no other receive can reach these values.
+	handed ring[T]
+	recvq  procQueue
+	sendq  procQueue
 	closed bool
 }
 
@@ -85,55 +109,41 @@ func (c *Chan[T]) Send(v T) {
 		s.mu.Unlock()
 		panic("vtime: send on closed channel " + c.name)
 	}
-	if w := c.popRecvLocked(); w != nil {
-		w.val = v
-		w.state = wsDelivered
-		if w.timer != nil {
-			s.cancelTimerLocked(w.timer)
-		}
-		s.wakeLocked(w.wid, w.park)
+	if c.offerLocked(v) {
 		s.mu.Unlock()
 		return
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
-		s.mu.Unlock()
-		return
-	}
-	sw := &sendWaiter[T]{park: make(chan struct{}, 1), val: v}
-	sw.wid = s.addWaitLocked(waitSend, c.name, 0)
-	c.sendq = append(c.sendq, sw)
-	s.blockLocked()
+	p := s.curLocked("Chan.Send")
+	c.buf.push(v)
+	s.blockLocked(p, &c.sendq, waitSend, c.name, -1)
 	s.mu.Unlock()
-	<-sw.park
-	if sw.state == wsClosed {
+	<-p.grant
+	if p.state == wsClosed {
 		panic("vtime: send on closed channel " + c.name)
 	}
+}
+
+// offerLocked hands v to the longest-waiting receiver or, failing that,
+// buffers it; it reports false if the channel can take v neither way.
+func (c *Chan[T]) offerLocked(v T) bool {
+	if w := c.recvq.head; w != nil {
+		c.handed.push(v)
+		c.s.wakeLocked(w, wsDelivered)
+		return true
+	}
+	if c.buf.n < c.cap {
+		c.buf.push(v)
+		return true
+	}
+	return false
 }
 
 // TrySend delivers v without blocking; it reports whether the value was
 // accepted. TrySend on a closed channel returns false.
 func (c *Chan[T]) TrySend(v T) bool {
-	s := c.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	if w := c.popRecvLocked(); w != nil {
-		w.val = v
-		w.state = wsDelivered
-		if w.timer != nil {
-			s.cancelTimerLocked(w.timer)
-		}
-		s.wakeLocked(w.wid, w.park)
-		return true
-	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
-		return true
-	}
-	return false
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	return !c.closed && c.offerLocked(v)
 }
 
 // Recv receives a value, blocking in virtual time until one is available.
@@ -159,23 +169,13 @@ func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 		s.mu.Unlock()
 		parkForever()
 	}
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		c.buf[0] = *new(T)
-		c.buf = c.buf[1:]
-		if w := c.popSendLocked(); w != nil {
-			c.buf = append(c.buf, w.val)
-			w.state = wsDelivered
-			s.wakeLocked(w.wid, w.park)
+	if c.buf.n > 0 {
+		// Buffered, or (rendezvous) straight from a blocked sender. Either
+		// way the first blocked sender's value is now within cap.
+		v = c.buf.pop()
+		if w := c.sendq.head; w != nil {
+			s.wakeLocked(w, wsDelivered)
 		}
-		s.mu.Unlock()
-		return v, RecvOK
-	}
-	if w := c.popSendLocked(); w != nil {
-		// Unbuffered rendezvous: take the value directly from the sender.
-		v = w.val
-		w.state = wsDelivered
-		s.wakeLocked(w.wid, w.park)
 		s.mu.Unlock()
 		return v, RecvOK
 	}
@@ -187,24 +187,16 @@ func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 		s.mu.Unlock()
 		return v, RecvTimedOut
 	}
-	rw := &recvWaiter[T]{park: make(chan struct{}, 1)}
-	rw.wid = s.addWaitLocked(waitRecv, c.name, 0)
-	if d > 0 {
-		rw.timer = s.pushTimerLocked(s.now+d, func() {
-			if rw.state != wsWaiting {
-				return
-			}
-			rw.state = wsTimedOut
-			s.wakeLocked(rw.wid, rw.park)
-		})
-	}
-	c.recvq = append(c.recvq, rw)
-	s.blockLocked()
+	p := s.curLocked("Chan.Recv")
+	s.blockLocked(p, &c.recvq, waitRecv, c.name, d)
 	s.mu.Unlock()
-	<-rw.park
-	switch rw.state {
+	<-p.grant
+	switch p.state {
 	case wsDelivered:
-		return rw.val, RecvOK
+		s.mu.Lock()
+		v = c.handed.pop()
+		s.mu.Unlock()
+		return v, RecvOK
 	case wsClosed:
 		return v, RecvClosed
 	default:
@@ -229,25 +221,9 @@ func (c *Chan[T]) Close() {
 		panic("vtime: close of closed channel " + c.name)
 	}
 	c.closed = true
-	for _, w := range c.recvq {
-		if w.state != wsWaiting {
-			continue
-		}
-		w.state = wsClosed
-		if w.timer != nil {
-			s.cancelTimerLocked(w.timer)
-		}
-		s.wakeLocked(w.wid, w.park)
-	}
-	c.recvq = nil
-	for _, w := range c.sendq {
-		if w.state != wsWaiting {
-			continue
-		}
-		w.state = wsClosed
-		s.wakeLocked(w.wid, w.park)
-	}
-	c.sendq = nil
+	s.wakeAllLocked(&c.recvq, wsClosed)
+	s.wakeAllLocked(&c.sendq, wsClosed)
+	c.buf.truncate(c.cap) // the blocked senders' values go with them
 	s.mu.Unlock()
 }
 
@@ -262,32 +238,8 @@ func (c *Chan[T]) IsClosed() bool {
 func (c *Chan[T]) Len() int {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	return len(c.buf)
+	return min(c.buf.n, c.cap)
 }
 
 // Cap returns the buffer capacity.
 func (c *Chan[T]) Cap() int { return c.cap }
-
-// popRecvLocked removes and returns the first receiver still waiting.
-func (c *Chan[T]) popRecvLocked() *recvWaiter[T] {
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		if w.state == wsWaiting {
-			return w
-		}
-	}
-	return nil
-}
-
-// popSendLocked removes and returns the first sender still waiting.
-func (c *Chan[T]) popSendLocked() *sendWaiter[T] {
-	for len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		if w.state == wsWaiting {
-			return w
-		}
-	}
-	return nil
-}

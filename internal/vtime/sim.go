@@ -105,23 +105,28 @@ type Sim struct {
 
 	// Deterministic cooperative scheduling: at most one simulated process
 	// executes at a time, selected in FIFO wake order. running marks the
-	// run token as held; runq holds the grant channels of processes that
-	// are ready but waiting their turn (runqHead is the pop index, reset
-	// when the queue drains). Without this serialization two processes
-	// woken at the same virtual instant race, and the winner — hence the
-	// entire downstream run — is decided by the Go scheduler instead of
-	// the seed.
+	// run token as held and cur is the process holding it (nil while a
+	// passive batch holds it); runq holds the processes that are ready but
+	// waiting their turn (runqHead is the pop index, reset when the queue
+	// drains). Without this serialization two processes woken at the same
+	// virtual instant race, and the winner — hence the entire downstream
+	// run — is decided by the Go scheduler instead of the seed. With it,
+	// "the calling process" of any blocking primitive is cur, so a process
+	// blocks on its own descriptor and allocates nothing.
 	running  bool
-	runq     []chan struct{}
+	cur      *proc
+	runq     []*proc
 	runqHead int
 
 	timers     timerQueue
 	liveTimers int // pending timers that are neither cancelled nor fired
 	engine     TimerEngine
 
-	waits    waitRegistry
-	done     chan struct{}
-	deadlock *DeadlockError
+	blocked    procQueue     // every blocked process in block order, for deadlock reports
+	freeProcs  []*proc       // descriptors of exited processes
+	freeTimers []*timerEntry // popped sleep/timeout entries
+	done       chan struct{}
+	deadlock   *DeadlockError
 
 	// nowA mirrors now so that Now() never takes the kernel lock: the
 	// clock is frozen whenever the reader is runnable, so a relaxed
@@ -210,9 +215,10 @@ func NewWithConfig(cfg Config) *Sim {
 		seed = 1
 	}
 	s := &Sim{
-		done:   make(chan struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
-		engine: cfg.Engine,
+		done:    make(chan struct{}),
+		rng:     rand.New(rand.NewSource(seed)),
+		engine:  cfg.Engine,
+		blocked: procQueue{link: blockedLink},
 	}
 	switch cfg.Engine {
 	case EngineHeap:
@@ -248,42 +254,93 @@ func (s *Sim) GoDaemon(name string, fn func()) { s.spawn(name, fn, true) }
 
 func (s *Sim) spawn(name string, fn func(), daemon bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.completed {
-		s.mu.Unlock()
 		return
 	}
-	s.runnable++
 	if !daemon {
 		s.alive++
 		s.started = true
 	}
-	start := make(chan struct{}, 1)
-	s.readyLocked(start)
-	s.mu.Unlock()
-	go func() {
-		<-start
-		defer s.procExit(daemon)
-		fn()
-	}()
+	s.spawnLocked(name, fn, daemon)
 }
 
-func (s *Sim) procExit(daemon bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.runnable--
-	s.yieldLocked()
-	if !daemon {
-		s.alive--
-		if s.alive == 0 && !s.completed {
-			s.flushBatchLocked()
-			s.completed = true
-			close(s.done)
+// spawnLocked starts fn as a process on a recycled or fresh descriptor and
+// queues it for the run token. A recycled descriptor brings its goroutine,
+// parked in procLoop with the stack the previous process grew. Must be
+// called with s.mu held.
+func (s *Sim) spawnLocked(name string, fn func(), daemon bool) {
+	p := popFree(&s.freeProcs)
+	if p == nil {
+		p = &proc{grant: make(chan struct{}, 1)}
+		go s.procLoop(p)
+	}
+	p.name, p.daemon, p.fn = name, daemon, fn
+	s.runnable++
+	s.readyLocked(p)
+}
+
+// procLoop is the goroutine behind descriptor p: it runs the processes
+// spawned on p one after another, each when granted the run token, until
+// completion closes the channel or a process takes the goroutine with it.
+func (s *Sim) procLoop(p *proc) {
+	for range p.grant {
+		if !s.runProc(p) {
 			return
 		}
 	}
-	if s.runnable == 0 && !s.completed {
+}
+
+// runProc runs the process spawned on p and reports whether it returned.
+// One that leaves by runtime.Goexit or a panic unwinds procLoop too, so its
+// descriptor is dropped instead of recycled.
+func (s *Sim) runProc(p *proc) (returned bool) {
+	defer func() { s.procExit(p, returned) }()
+	p.fn()
+	return true
+}
+
+func (s *Sim) procExit(p *proc, recycle bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p.fn = nil
+	s.runnable--
+	s.yieldLocked()
+	// Nothing refers to an exited process but cancelled timer entries, and
+	// those are never dereferenced: the descriptor can serve the next spawn.
+	if recycle {
+		s.freeProcs = append(s.freeProcs, p)
+	}
+	if !p.daemon {
+		s.alive--
+		if s.alive == 0 && !s.completed {
+			s.flushBatchLocked()
+			s.completeLocked()
+			return
+		}
+	}
+	if s.completed {
+		s.releaseFreeLocked() // a daemon that outlived the run
+	} else if s.runnable == 0 {
 		s.advanceLocked()
 	}
+}
+
+// completeLocked ends the simulation: Wait returns. Must be called with
+// s.mu held.
+func (s *Sim) completeLocked() {
+	s.completed = true
+	close(s.done)
+	s.releaseFreeLocked()
+}
+
+// releaseFreeLocked lets the goroutines parked behind free descriptors
+// exit; nothing spawns once the simulation has completed.
+func (s *Sim) releaseFreeLocked() {
+	for _, p := range s.freeProcs {
+		close(p.grant)
+	}
+	s.freeProcs = nil
 }
 
 // Wait blocks the calling (real) goroutine until the simulation completes:
@@ -316,34 +373,19 @@ func (s *Sim) Run(name string, fn func()) error {
 // Sleep suspends the calling process for d of virtual time. A non-positive
 // d returns immediately.
 func (s *Sim) Sleep(d time.Duration) {
-	// The wait registration happens before the kernel lock: the caller is
-	// runnable, so the clock is frozen and the lock-free Now() is exact.
-	// This keeps registry writes (a sharded map) off the kernel hot path.
-	var wid uint64
-	var park chan struct{}
-	if d > 0 {
-		now := s.Now()
-		wid = s.waits.add(waitSleep, "", now+d, now)
-		park = make(chan struct{}, 1)
-	}
 	s.mu.Lock()
 	if s.completed {
 		s.mu.Unlock()
-		if d > 0 {
-			s.waits.drop(wid)
-		}
 		parkForever()
 	}
 	if d <= 0 {
 		s.mu.Unlock()
 		return
 	}
-	s.pushTimerLocked(s.now+d, func() {
-		s.wakeLocked(wid, park)
-	})
-	s.blockLocked()
+	p := s.curLocked("Sleep")
+	s.blockLocked(p, nil, waitSleep, "", d)
 	s.mu.Unlock()
-	<-park
+	<-p.grant
 }
 
 // SleepUntil suspends the calling process until virtual time t. If t is not
@@ -376,9 +418,7 @@ func (t *Timer) Reset(d time.Duration) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	was := s.cancelTimerLocked(t.t)
-	entry := s.pushTimerLocked(s.now+d, t.t.fn)
-	entry.passive = t.t.passive
-	t.t = entry
+	t.t = s.pushTimerLocked(&timerEntry{fn: t.t.fn, passive: t.t.passive}, s.now+d)
 	return was
 }
 
@@ -387,18 +427,7 @@ func (t *Timer) Reset(d time.Duration) bool {
 func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entry := s.pushTimerLocked(s.now+d, func() {
-		// Runs under s.mu from advanceLocked: spawn without re-locking.
-		s.runnable++
-		start := make(chan struct{}, 1)
-		s.readyLocked(start)
-		go func() {
-			<-start
-			defer s.procExit(true)
-			fn()
-		}()
-	})
-	return &Timer{s: s, t: entry}
+	return &Timer{s: s, t: s.pushTimerLocked(&timerEntry{fn: fn}, s.now+d)}
 }
 
 // AfterFuncPassive schedules fn to run after d of virtual time on the
@@ -407,15 +436,13 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
 // which makes passive timers dramatically cheaper at scale.
 //
 // fn MUST NOT block on kernel primitives (Sleep, Chan Send/Recv, WaitGroup
-// or Event waits): a blocked passive callback corrupts runnable accounting.
+// or Event waits): it is not a process, so a call that would block panics.
 // Non-blocking kernel calls (TrySend, TryRecv, Set, Go, GoDaemon,
 // AfterFunc) are allowed. Use AfterFunc for callbacks that may block.
 func (s *Sim) AfterFuncPassive(d time.Duration, fn func()) *Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entry := s.pushTimerLocked(s.now+d, fn)
-	entry.passive = true
-	return &Timer{s: s, t: entry}
+	return &Timer{s: s, t: s.pushTimerLocked(&timerEntry{fn: fn, passive: true}, s.now+d)}
 }
 
 // --- random helpers (safe for concurrent use by processes) ---
@@ -451,10 +478,39 @@ func (s *Sim) RandExp() float64 {
 
 // --- kernel internals ---
 
-// blockLocked marks the calling process blocked. Must be called with s.mu
-// held; the caller must subsequently release s.mu and park on its wake
-// channel.
-func (s *Sim) blockLocked() {
+// curLocked returns the descriptor of the calling process: the holder of
+// the run token. A call that would block from anywhere else — a passive
+// callback, or a goroutine the kernel never spawned — has no descriptor to
+// block on. Must be called with s.mu held.
+func (s *Sim) curLocked(op string) *proc {
+	if s.cur == nil {
+		s.mu.Unlock()
+		panic("vtime: " + op + " would block outside a simulated process (passive callback or foreign goroutine)")
+	}
+	return s.cur
+}
+
+// blockLocked marks p, the calling process, blocked: on wait queue q if
+// there is one, with a timeout timer if d >= 0. It then passes the run
+// token on, which may advance the clock as far as p's own timeout. Must be
+// called with s.mu held; the caller must subsequently release s.mu and
+// park on p.grant, after which p.state holds the outcome.
+func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, name string, d time.Duration) {
+	p.wait = waitInfo{kind: kind, name: name, since: s.now}
+	p.state = wsWaiting
+	if d >= 0 {
+		p.wait.deadline = s.now + d
+		e := popFree(&s.freeTimers)
+		if e == nil {
+			e = new(timerEntry)
+		}
+		e.proc = p
+		p.timer = s.pushTimerLocked(e, s.now+d)
+	}
+	if p.waitq = q; q != nil {
+		q.push(p)
+	}
+	s.blocked.push(p)
 	s.runnable--
 	s.yieldLocked()
 	if s.runnable == 0 && !s.completed {
@@ -462,19 +518,19 @@ func (s *Sim) blockLocked() {
 	}
 }
 
-// readyLocked makes a process runnable: its grant channel is signalled
-// immediately if the run token is free, otherwise queued FIFO behind the
-// current holder. The grant channel is the process's park channel — a
-// parked process resumes only when it is actually its turn, which is what
-// makes wake order (and therefore the whole run) deterministic. Must be
-// called with s.mu held.
-func (s *Sim) readyLocked(grant chan struct{}) {
+// readyLocked makes a process runnable: it is granted the run token
+// immediately if the token is free, otherwise queued FIFO behind the
+// current holder. A parked process resumes only when it is actually its
+// turn, which is what makes wake order (and therefore the whole run)
+// deterministic. Must be called with s.mu held.
+func (s *Sim) readyLocked(p *proc) {
 	if s.running {
-		s.runq = append(s.runq, grant)
+		s.runq = append(s.runq, p)
 		return
 	}
 	s.running = true
-	grant <- struct{}{}
+	s.cur = p
+	p.grant <- struct{}{}
 }
 
 // yieldLocked releases the run token and hands it to the next queued
@@ -489,35 +545,70 @@ func (s *Sim) yieldLocked() {
 			s.runq = s.runq[:0]
 			s.runqHead = 0
 		}
-		next <- struct{}{}
+		s.cur = next
+		next.grant <- struct{}{}
 		return
 	}
 	s.running = false
+	s.cur = nil
 }
 
-// wakeLocked makes one blocked process runnable and queues its parker for
-// the run token. Must be called with s.mu held.
-func (s *Sim) wakeLocked(wid uint64, park chan struct{}) {
-	s.waits.drop(wid)
+// wakeLocked ends blocked process p's wait with outcome state: it leaves
+// its wait queue and the blocked list, its timeout is cancelled, and it
+// queues for the run token. Must be called with s.mu held.
+func (s *Sim) wakeLocked(p *proc, state int) {
+	p.state = state
+	if p.timer != nil {
+		s.cancelTimerLocked(p.timer)
+		p.timer = nil
+	}
+	if p.waitq != nil {
+		p.waitq.remove(p)
+		p.waitq = nil
+	}
+	s.blocked.remove(p)
 	s.runnable++
-	s.readyLocked(park)
+	s.readyLocked(p)
 }
 
-// addWaitLocked registers a blocked-process record for deadlock reports.
-// Must be called with s.mu held (callers that can register before locking,
-// like Sleep, use s.waits.add directly).
-func (s *Sim) addWaitLocked(kind waitKind, name string, deadline time.Duration) uint64 {
-	return s.waits.add(kind, name, deadline, s.now)
+// wakeAllLocked wakes every process on q, longest-waiting first.
+func (s *Sim) wakeAllLocked(q *procQueue, state int) {
+	for q.head != nil {
+		s.wakeLocked(q.head, state)
+	}
 }
 
-// pushTimerLocked schedules fn at virtual time when. Must be called with
+// popFree takes the most recently freed item off a free list, or nil.
+func popFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
+}
+
+// pushTimerLocked schedules entry at virtual time when. Must be called with
 // s.mu held.
-func (s *Sim) pushTimerLocked(when time.Duration, fn func()) *timerEntry {
+func (s *Sim) pushTimerLocked(entry *timerEntry, when time.Duration) *timerEntry {
 	s.seq++
-	entry := &timerEntry{when: when, born: s.now, seq: s.seq, fn: fn}
+	entry.when, entry.born, entry.seq = when, s.now, s.seq
 	s.timers.push(entry)
 	s.liveTimers++
 	return entry
+}
+
+// recycleLocked returns a popped sleep or timeout entry to the free list.
+// Popping is the only moment that is safe: until then a lazily-cancelled
+// entry is still filed in the queue, and handing it to a new wait would let
+// the old filing fire the new one. Entries behind a Timer handle are never
+// reused. Must be called with s.mu held.
+func (s *Sim) recycleLocked(entry *timerEntry) {
+	if entry.proc != nil {
+		*entry = timerEntry{}
+		s.freeTimers = append(s.freeTimers, entry)
+	}
 }
 
 // cancelTimerLocked marks entry cancelled, keeping the live-timer count
@@ -553,6 +644,7 @@ func (s *Sim) advanceLocked() {
 			panic("vtime: timer queue empty with live timers pending")
 		}
 		if entry.cancelled {
+			s.recycleLocked(entry)
 			continue
 		}
 		if entry.when > s.now {
@@ -574,8 +666,8 @@ func (s *Sim) advanceLocked() {
 	}
 }
 
-// fireLocked dispatches one timer inline under the kernel lock.
-func (s *Sim) fireLocked(entry *timerEntry) {
+// markFiredLocked does the accounting for one dispatched timer.
+func (s *Sim) markFiredLocked(entry *timerEntry) {
 	entry.fired = true
 	s.liveTimers--
 	s.batchCount++
@@ -583,7 +675,22 @@ func (s *Sim) fireLocked(entry *timerEntry) {
 	if s.stats.TimerLead != nil {
 		s.stats.TimerLead.Record(int64(entry.when - entry.born))
 	}
-	entry.fn()
+}
+
+// fireLocked dispatches one non-passive timer under the kernel lock: a
+// sleep or timeout entry wakes its process (a live entry means the process
+// is still in the wait that pushed it, since every other wake cancels it),
+// an AfterFunc entry spawns its callback as a daemon.
+func (s *Sim) fireLocked(entry *timerEntry) {
+	s.markFiredLocked(entry)
+	p := entry.proc
+	if p == nil {
+		s.spawnLocked("afterfunc", entry.fn, true)
+		return
+	}
+	s.recycleLocked(entry)
+	p.timer = nil
+	s.wakeLocked(p, wsTimedOut)
 }
 
 // dispatchPassiveLocked collects first plus every consecutive same-instant
@@ -592,39 +699,31 @@ func (s *Sim) fireLocked(entry *timerEntry) {
 // completes, so the clock cannot move past it. Must be called with s.mu
 // held.
 func (s *Sim) dispatchPassiveLocked(first *timerEntry) {
-	batch := s.passiveBuf[:0]
-	mark := func(e *timerEntry) {
-		e.fired = true
-		s.liveTimers--
-		s.batchCount++
-		s.timersFired.Add(1)
-		if s.stats.TimerLead != nil {
-			s.stats.TimerLead.Record(int64(e.when - e.born))
-		}
-		batch = append(batch, e)
-	}
-	mark(first)
+	s.markFiredLocked(first)
+	batch := append(s.passiveBuf[:0], first)
 	for len(batch) < maxPassiveBatch {
 		next := s.timers.peek()
 		if next == nil || next.when != s.now {
 			break
 		}
 		if next.cancelled {
-			s.timers.pop()
+			s.recycleLocked(s.timers.pop())
 			continue
 		}
 		if !next.passive {
 			break
 		}
 		s.timers.pop()
-		mark(next)
+		s.markFiredLocked(next)
+		batch = append(batch, next)
 	}
 	s.passiveBuf = batch
 	s.runnable++
 	// The batch holds the run token while in flight: processes its
 	// callbacks wake queue behind it and start, in FIFO order, only after
 	// batchFinished — otherwise a woken process would race the remaining
-	// callbacks.
+	// callbacks. No process holds it, so cur stays nil and a callback that
+	// tries to block panics.
 	s.running = true
 	s.pool.dispatch(batch)
 }
@@ -652,14 +751,12 @@ func (s *Sim) flushBatchLocked() {
 
 func (s *Sim) reportDeadlockLocked() {
 	s.flushBatchLocked()
-	infos := s.waits.snapshot()
-	blocked := make([]string, len(infos))
-	for i, w := range infos {
-		blocked[i] = w.describe()
+	var blocked []string
+	for p := s.blocked.head; p != nil; p = p.links[blockedLink].next {
+		blocked = append(blocked, p.name+": "+p.wait.describe())
 	}
 	s.deadlock = &DeadlockError{Now: s.now, Blocked: blocked}
-	s.completed = true
-	close(s.done)
+	s.completeLocked()
 }
 
 // parkForever parks the calling goroutine permanently. Used for daemons
@@ -668,13 +765,118 @@ func parkForever() {
 	select {}
 }
 
+// --- processes ---
+
+// proc is the kernel's descriptor of one simulated process. Whatever the
+// process blocks on, it blocks on this: its wait record, the outcome, its
+// timeout timer and its place in a wait queue all live here, and grant is
+// the channel it parks on. That is sound because every field is written
+// under s.mu by whoever holds the run token, and between blocking and being
+// granted the token again the process itself runs no code.
+type proc struct {
+	name   string
+	daemon bool
+	fn     func()        // the process body, until it exits
+	grant  chan struct{} // capacity 1, made once: receiving from it is holding the run token
+
+	wait  waitInfo
+	state int         // ws*: set to wsWaiting on block, to the outcome by the waker
+	timer *timerEntry // live sleep/timeout entry, nil if none
+	waitq *procQueue  // wait queue p is blocked on, nil if none (Sleep, or not blocked)
+	links [2]struct{ next, prev *proc }
+}
+
+const (
+	waitLink    = iota // a Chan, Event or WaitGroup wait queue
+	blockedLink        // Sim.blocked
+)
+
+const (
+	wsWaiting = iota
+	wsDelivered
+	wsClosed
+	wsTimedOut
+)
+
+// procQueue is an intrusive FIFO of process descriptors threaded through
+// links[link]; the zero value is an empty wait queue. A process waits on
+// one thing at a time, so one pair of links serves every wait queue, and
+// removal from the middle (a timeout) is O(1) and leaves nothing behind.
+type procQueue struct {
+	head, tail *proc
+	link       int
+}
+
+func (q *procQueue) push(p *proc) {
+	l := &p.links[q.link]
+	l.prev, l.next = q.tail, nil
+	if q.tail != nil {
+		q.tail.links[q.link].next = p
+	} else {
+		q.head = p
+	}
+	q.tail = p
+}
+
+func (q *procQueue) remove(p *proc) {
+	l := &p.links[q.link]
+	if l.prev != nil {
+		l.prev.links[q.link].next = l.next
+	} else {
+		q.head = l.next
+	}
+	if l.next != nil {
+		l.next.links[q.link].prev = l.prev
+	} else {
+		q.tail = l.prev
+	}
+	l.next, l.prev = nil, nil
+}
+
+type waitKind uint8
+
+const (
+	waitSleep waitKind = iota
+	waitSend
+	waitRecv
+	waitWaitGroup
+	waitEvent
+)
+
+// waitInfo describes what a blocked process waits for; it is formatted
+// only if a deadlock is actually reported.
+type waitInfo struct {
+	kind     waitKind
+	name     string
+	deadline time.Duration
+	since    time.Duration
+}
+
+func (w *waitInfo) describe() string {
+	switch w.kind {
+	case waitSleep:
+		return fmt.Sprintf("sleep until t=%v (since t=%v)", w.deadline, w.since)
+	case waitSend:
+		return fmt.Sprintf("send on %s (since t=%v)", w.name, w.since)
+	case waitRecv:
+		return fmt.Sprintf("recv on %s (since t=%v)", w.name, w.since)
+	case waitWaitGroup:
+		return fmt.Sprintf("waitgroup wait (since t=%v)", w.since)
+	default:
+		return fmt.Sprintf("event %s (since t=%v)", w.name, w.since)
+	}
+}
+
 // --- timer entries ---
 
+// timerEntry is one pending timer: a sleep or timeout that wakes proc, or
+// (proc nil) a callback fn to run on the passive pool or as a new daemon.
 type timerEntry struct {
 	when      time.Duration
 	born      time.Duration // clock value when the timer was scheduled
 	seq       uint64
-	fn        func() // under s.mu unless passive; on a pool worker if passive
+	proc      *proc
+	fn        func()
 	passive   bool
 	cancelled bool
 	fired     bool

@@ -7,14 +7,7 @@ import "time"
 type WaitGroup struct {
 	s       *Sim
 	count   int
-	waiters []*wgWaiter
-}
-
-type wgWaiter struct {
-	park  chan struct{}
-	state int
-	wid   uint64
-	timer *timerEntry
+	waiters procQueue
 }
 
 // NewWaitGroup creates a WaitGroup bound to s.
@@ -32,7 +25,7 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("vtime: negative WaitGroup counter")
 	}
 	if wg.count == 0 {
-		wg.releaseLocked()
+		s.wakeAllLocked(&wg.waiters, wsDelivered)
 	}
 	s.mu.Unlock()
 }
@@ -66,44 +59,22 @@ func (wg *WaitGroup) wait(d time.Duration) bool {
 		s.mu.Unlock()
 		parkForever()
 	}
-	if wg.count == 0 {
+	if done := wg.count == 0; done || d == 0 {
 		s.mu.Unlock()
-		return true
+		return done
 	}
-	if d == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	w := &wgWaiter{park: make(chan struct{}, 1)}
-	w.wid = s.addWaitLocked(waitWaitGroup, "", 0)
-	if d > 0 {
-		w.timer = s.pushTimerLocked(s.now+d, func() {
-			if w.state != wsWaiting {
-				return
-			}
-			w.state = wsTimedOut
-			s.wakeLocked(w.wid, w.park)
-		})
-	}
-	wg.waiters = append(wg.waiters, w)
-	s.blockLocked()
-	s.mu.Unlock()
-	<-w.park
-	return w.state == wsDelivered
+	return s.waitLocked(&wg.waiters, "WaitGroup.Wait", waitWaitGroup, "", d)
 }
 
-func (wg *WaitGroup) releaseLocked() {
-	for _, w := range wg.waiters {
-		if w.state != wsWaiting {
-			continue
-		}
-		w.state = wsDelivered
-		if w.timer != nil {
-			wg.s.cancelTimerLocked(w.timer)
-		}
-		wg.s.wakeLocked(w.wid, w.park)
-	}
-	wg.waiters = nil
+// waitLocked blocks the calling process on q until a release wakes it
+// (true) or, if d >= 0, d elapses (false). Called with s.mu held; returns
+// with it released.
+func (s *Sim) waitLocked(q *procQueue, op string, kind waitKind, name string, d time.Duration) bool {
+	p := s.curLocked(op)
+	s.blockLocked(p, q, kind, name, d)
+	s.mu.Unlock()
+	<-p.grant
+	return p.state == wsDelivered
 }
 
 // Event is a one-shot broadcast flag: Wait blocks in virtual time until Set
@@ -113,7 +84,7 @@ type Event struct {
 	s       *Sim
 	name    string
 	set     bool
-	waiters []*wgWaiter
+	waiters procQueue
 }
 
 // NewEvent creates an unset Event. The name appears in deadlock reports.
@@ -129,17 +100,7 @@ func (e *Event) Set() {
 		return
 	}
 	e.set = true
-	for _, w := range e.waiters {
-		if w.state != wsWaiting {
-			continue
-		}
-		w.state = wsDelivered
-		if w.timer != nil {
-			s.cancelTimerLocked(w.timer)
-		}
-		s.wakeLocked(w.wid, w.park)
-	}
-	e.waiters = nil
+	s.wakeAllLocked(&e.waiters, wsDelivered)
 }
 
 // IsSet reports whether the event has been set.
@@ -168,28 +129,9 @@ func (e *Event) wait(d time.Duration) bool {
 		s.mu.Unlock()
 		parkForever()
 	}
-	if e.set {
+	if set := e.set; set || d == 0 {
 		s.mu.Unlock()
-		return true
+		return set
 	}
-	if d == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	w := &wgWaiter{park: make(chan struct{}, 1)}
-	w.wid = s.addWaitLocked(waitEvent, e.name, 0)
-	if d > 0 {
-		w.timer = s.pushTimerLocked(s.now+d, func() {
-			if w.state != wsWaiting {
-				return
-			}
-			w.state = wsTimedOut
-			s.wakeLocked(w.wid, w.park)
-		})
-	}
-	e.waiters = append(e.waiters, w)
-	s.blockLocked()
-	s.mu.Unlock()
-	<-w.park
-	return w.state == wsDelivered
+	return s.waitLocked(&e.waiters, "Event.Wait", waitEvent, e.name, d)
 }

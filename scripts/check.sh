@@ -76,10 +76,11 @@ done
 if [ "${QUICK:-0}" != "1" ]; then
     # Perf observatory: validate the snapshot shape (>= 8 series, 0
     # allocs/op on the histogram hot path) and compare a short measuring
-    # run against the committed BENCH_grid.json baseline. The compare is
-    # report-only — wall-clock benches are noisy on shared machines —
-    # unless STRICT_BENCH=1 promotes >20% ns/op regressions to failures.
-    echo "== perf smoke + bench compare (report-only; STRICT_BENCH=1 to gate)"
+    # run against the committed BENCH_grid.json baseline. allocs/op is a
+    # count and gates: a series allocating more than its baseline fails.
+    # ns/op is report-only — wall-clock benches are noisy on shared
+    # machines — unless STRICT_BENCH=1 promotes >20% regressions to failures.
+    echo "== perf smoke + bench compare (allocs/op gates; ns/op report-only, STRICT_BENCH=1 to gate)"
     go run ./cmd/perfgrid -smoke -compare BENCH_grid.json
 
     # Report-only coverage floor: warn when total statement coverage
