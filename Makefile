@@ -60,12 +60,13 @@ fed-smoke:
 	$(GO) run ./cmd/dstgrid -fed-seeds 40 -smoke
 	$(GO) run ./cmd/benchgrid -fig none -app federation -smoke
 
-# Wire smoke: replays the binary codec's fuzz seed corpus, then runs the
-# B3 codec/batching study on a seconds-long configuration — exits
-# non-zero unless the binary codec beats JSON on both messages/sec and
-# allocs/op with zero drops.
+# Wire smoke: replays the fuzz seed corpora of the binary envelope codec
+# and of the typed check-in bodies, then runs the B3 codec/batching study
+# on a seconds-long configuration — exits non-zero unless the binary
+# codec beats JSON on both messages/sec and allocs/op with zero drops.
 wire-smoke:
 	$(GO) test -run FuzzWireEnvelope ./internal/wire
+	$(GO) test -run FuzzCheckinBody ./internal/core
 	$(GO) run ./cmd/benchgrid -fig none -app wire -smoke
 
 # SLO smoke: the B7 detection-latency study on the seconds-long chaos

@@ -244,21 +244,6 @@ func (c *Controller) SubmitRSL(src string) (*Job, error) {
 
 // --- barrier service ---
 
-type checkinArgs struct {
-	Job    string `json:"job"`
-	Subjob string `json:"subjob"`
-	Rank   int    `json:"rank"`
-	OK     bool   `json:"ok"`
-	Msg    string `json:"msg,omitempty"`
-	Addr   string `json:"addr,omitempty"`
-}
-
-type checkinReply struct {
-	Proceed bool   `json:"proceed"`
-	Reason  string `json:"reason,omitempty"`
-	Config  Config `json:"config"`
-}
-
 // HandleCall implements rpc.Handler for the barrier service. The checkin
 // call blocks until the commit decision — this is the application-visible
 // barrier of the two-phase commit.
@@ -266,7 +251,7 @@ func (c *Controller) HandleCall(sc *rpc.ServerConn, method string, body json.Raw
 	if method != "checkin" {
 		return nil, fmt.Errorf("duroc: unknown method %s", method)
 	}
-	var args checkinArgs
+	var args CheckinArgs
 	if err := rpc.Decode(body, &args); err != nil {
 		return nil, err
 	}
@@ -274,7 +259,7 @@ func (c *Controller) HandleCall(sc *rpc.ServerConn, method string, body json.Raw
 	j := c.jobs[args.Job]
 	c.mu.Unlock()
 	if j == nil {
-		return checkinReply{Proceed: false, Reason: "unknown co-allocation " + args.Job}, nil
+		return CheckinReply{Proceed: false, Reason: "unknown co-allocation " + args.Job}, nil
 	}
 	return j.checkin(args, sc.Ctx), nil
 }
@@ -290,7 +275,7 @@ func (c *Controller) orphaned(o Orphan) {
 	c.tracer().InstantCtx(o.Ctx, "duroc", "orphan", c.host.Name(), o.Job+"/"+o.Subjob, "",
 		trace.Arg{Key: "rm", Val: o.RM.String()},
 		trace.Arg{Key: "reason", Val: o.Reason})
-	c.counters().Add(trace.Key("duroc", "orphan", "record", c.host.Name()), 1)
+	c.counters().AddKey("duroc", "orphan", "record", c.host.Name(), 1)
 	if c.cfg.OnOrphan != nil {
 		c.cfg.OnOrphan(o)
 	}
@@ -306,7 +291,9 @@ func (c *Controller) record(ctx trace.Ctx, actor, phase string, start, end time.
 	// Per-phase 2PC leg latency distribution (submit, startup-wait,
 	// barrier): the histogram counterpart of the Figure 5 timeline spans.
 	c.hists().H("core.2pc." + phase).Record(int64(end - start))
-	c.host.Network().Tracer().SpanAtCtx(ctx.Child(trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
+	if tr := c.tracer(); tr.Enabled() {
+		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
+	}
 }
 
 // tracer returns the network's tracer (nil-safe no-op when tracing is off).

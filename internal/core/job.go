@@ -24,11 +24,29 @@ type subjob struct {
 	// ctx is the subjob's causal span context, a child of the job's.
 	ctx trace.Ctx
 
+	// checkins holds the processes waiting in the barrier, by local rank,
+	// until they are answered (release or discard): a released job stays
+	// in Controller.Jobs for the audit, its waiters must not.
 	checkins map[int]*procCheckin
+	// relName names the waiters' reply channels for the deadlock reporter.
+	relName string
 
 	queuedAt    time.Duration
 	submittedAt time.Duration
 	checkedInAt time.Duration
+}
+
+// takeWaiters removes and returns the subjob's barrier waiters in
+// local-rank order: whoever answers them does so in an order that does not
+// depend on map iteration. Caller holds the job's mu.
+func (sj *subjob) takeWaiters() []*procCheckin {
+	ranks := make([]*procCheckin, 0, len(sj.checkins))
+	for _, ci := range sj.checkins {
+		ranks = append(ranks, ci)
+	}
+	sort.Slice(ranks, func(a, b int) bool { return ranks[a].rank < ranks[b].rank })
+	clear(sj.checkins)
+	return ranks
 }
 
 // procCheckin records one process waiting in the barrier.
@@ -36,7 +54,22 @@ type procCheckin struct {
 	rank  int
 	addr  string
 	at    time.Duration
-	reply *vtime.Chan[checkinReply]
+	reply *vtime.Chan[verdict]
+}
+
+// verdict is what wakes a barrier waiter: the release all ranks share plus
+// this rank's place in it, or the abort reason when rel is nil.
+type verdict struct {
+	rel              *Release
+	mySubjob, myRank int
+	reason           string
+}
+
+func (v verdict) reply() CheckinReply {
+	if v.rel == nil {
+		return CheckinReply{Proceed: false, Reason: v.reason}
+	}
+	return v.rel.Reply(v.mySubjob, v.myRank)
 }
 
 // Job is a co-allocation in progress: the single abstraction through which
@@ -57,7 +90,7 @@ type Job struct {
 	released   bool
 	terminated bool
 	termReason string
-	config     Config
+	release    *Release // set with released
 	releaseAt  time.Duration
 	waits      []time.Duration
 
@@ -125,19 +158,21 @@ func (j *Job) emit(kind EventKind, sj *subjob, reason string) {
 	j.mu.Lock()
 	j.history = append(j.history, ev)
 	j.mu.Unlock()
-	var args []trace.Arg
-	if ev.Label != "" {
-		args = append(args, trace.Arg{Key: "label", Val: ev.Label}, trace.Arg{Key: "type", Val: ev.Type.String()})
+	if tr := j.c.tracer(); tr.Enabled() {
+		var args []trace.Arg
+		if ev.Label != "" {
+			args = append(args, trace.Arg{Key: "label", Val: ev.Label}, trace.Arg{Key: "type", Val: ev.Type.String()})
+		}
+		if reason != "" {
+			args = append(args, trace.Arg{Key: "reason", Val: reason})
+		}
+		ctx := j.ctx
+		if sj != nil {
+			ctx = sj.ctx
+		}
+		tr.InstantCtx(ctx, "duroc", kind.String(), j.c.host.Name(), j.id, "", args...)
 	}
-	if reason != "" {
-		args = append(args, trace.Arg{Key: "reason", Val: reason})
-	}
-	ctx := j.ctx
-	if sj != nil {
-		ctx = sj.ctx
-	}
-	j.c.tracer().InstantCtx(ctx, "duroc", kind.String(), j.c.host.Name(), j.id, "", args...)
-	j.c.counters().Add(trace.Key("duroc", "event", kind.String(), j.c.host.Name()), 1)
+	j.c.counters().AddKey("duroc", "event", kind.String(), j.c.host.Name(), 1)
 	j.events.TrySend(ev)
 }
 
@@ -178,6 +213,7 @@ func (j *Job) addLocked(spec SubjobSpec) (*subjob, error) {
 		status:   SJQueued,
 		ctx:      j.ctx.Child("sj:" + trace.Seg(spec.Label)),
 		checkins: make(map[int]*procCheckin),
+		relName:  "duroc-release:" + j.id + "/" + spec.Label,
 		queuedAt: j.c.sim.Now(),
 	}
 	j.subjobs = append(j.subjobs, sj)
@@ -272,8 +308,8 @@ func (j *Job) discardLocked(sj *subjob, status SubjobStatus, reason string) {
 	}
 	sj.status = status
 	sj.reason = reason
-	for _, ci := range sj.checkins {
-		ci.reply.TrySend(checkinReply{Proceed: false, Reason: reason})
+	for _, ci := range sj.takeWaiters() {
+		ci.reply.TrySend(verdict{reason: reason})
 	}
 	client, contact := sj.client, sj.contact
 	sj.client = nil
@@ -298,7 +334,7 @@ func (j *Job) cancelRemote(client *gram.Client, spec SubjobSpec, contact string,
 	if err == nil {
 		return
 	}
-	j.c.counters().Add(trace.Key("duroc", "cancel", "fail", j.c.host.Name()), 1)
+	j.c.counters().AddKey("duroc", "cancel", "fail", j.c.host.Name(), 1)
 	j.c.orphaned(Orphan{
 		Job:        j.id,
 		Subjob:     spec.Label,
@@ -596,7 +632,7 @@ func (j *Job) pollReleased(sj *subjob) {
 		retry()
 		return
 	}
-	j.c.counters().Add(trace.Key("duroc", "completion", "poll", j.c.host.Name()), 1)
+	j.c.counters().AddKey("duroc", "completion", "poll", j.c.host.Name(), 1)
 	switch state {
 	case lrm.StateDone:
 		j.subjobDone(sj)
@@ -716,12 +752,12 @@ func (j *Job) signalAll(op func(*gram.Client, string) error) error {
 // blocks until the commit decision (or returns immediately for late
 // joiners and failures). ctx is the caller's propagated span context (zero
 // when the process attached without one); barrier instants land under it.
-func (j *Job) checkin(args checkinArgs, ctx trace.Ctx) checkinReply {
+func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx) CheckinReply {
 	j.mu.Lock()
 	sj, ok := j.byLabel[args.Subjob]
 	if !ok {
 		j.mu.Unlock()
-		return checkinReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}
+		return CheckinReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}
 	}
 	if j.terminated || sj.status.terminal() {
 		reason := j.termReason
@@ -729,35 +765,35 @@ func (j *Job) checkin(args checkinArgs, ctx trace.Ctx) checkinReply {
 			reason = sj.reason
 		}
 		j.mu.Unlock()
-		return checkinReply{Proceed: false, Reason: reason}
+		return CheckinReply{Proceed: false, Reason: reason}
 	}
 	if !args.OK {
 		j.mu.Unlock()
 		j.subjobFailed(sj, fmt.Sprintf("process %d reported unsuccessful startup: %s", args.Rank, args.Msg))
-		return checkinReply{Proceed: false, Reason: "startup rejected: " + args.Msg}
+		return CheckinReply{Proceed: false, Reason: "startup rejected: " + args.Msg}
 	}
 	if j.released {
 		// Late joiner from an optional subjob: proceed immediately with
 		// the committed configuration.
-		cfg := j.config
-		cfg.MySubjob = j.committedIndexLocked(sj)
-		cfg.MyRank = -1
+		reply := j.release.Reply(j.committedIndexLocked(sj), -1)
 		j.mu.Unlock()
-		return checkinReply{Proceed: true, Config: cfg}
+		return reply
 	}
 	ci := &procCheckin{
 		rank:  args.Rank,
 		addr:  args.Addr,
 		at:    j.c.sim.Now(),
-		reply: vtime.NewChan[checkinReply](j.c.sim, "duroc-release:"+j.id+"/"+args.Subjob+"/"+strconv.Itoa(args.Rank), 1),
+		reply: vtime.NewChan[verdict](j.c.sim, sj.relName, 1),
 	}
 	sj.checkins[args.Rank] = ci
-	if !ctx.Valid() {
-		ctx = sj.ctx
+	if tr := j.c.tracer(); tr.Enabled() {
+		if !ctx.Valid() {
+			ctx = sj.ctx
+		}
+		tr.InstantCtx(ctx, "duroc", "barrier-enter", j.c.host.Name(), j.id+"/"+args.Subjob, "",
+			trace.Arg{Key: "rank", Val: strconv.Itoa(args.Rank)})
 	}
-	j.c.tracer().InstantCtx(ctx, "duroc", "barrier-enter", j.c.host.Name(), j.id+"/"+args.Subjob, "",
-		trace.Arg{Key: "rank", Val: strconv.Itoa(args.Rank)})
-	j.c.counters().Add(trace.Key("duroc", "barrier", "enter", j.c.host.Name()), 1)
+	j.c.counters().AddKey("duroc", "barrier", "enter", j.c.host.Name(), 1)
 	full := len(sj.checkins) == sj.spec.Count
 	if full && (sj.status == SJActive || sj.status == SJSubmitted) {
 		sj.status = SJCheckedIn
@@ -769,14 +805,14 @@ func (j *Job) checkin(args checkinArgs, ctx trace.Ctx) checkinReply {
 		j.emit(EvCheckedIn, sj, "")
 		j.poke()
 	}
-	reply, _ := ci.reply.Recv()
-	return reply
+	v, _ := ci.reply.Recv()
+	return v.reply()
 }
 
 // committedIndexLocked returns sj's index within the committed
 // configuration, or -1. Caller holds j.mu.
 func (j *Job) committedIndexLocked(sj *subjob) int {
-	for i, label := range j.config.SubjobLabels {
+	for i, label := range j.release.cfg.SubjobLabels {
 		if label == sj.spec.Label {
 			return i
 		}
@@ -840,7 +876,7 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 	finish := func(outcome string) {
 		j.c.tracer().SpanCtx(j.ctx.Child("commit"), "duroc", "commit", j.c.host.Name(), j.id, "", commitStart,
 			trace.Arg{Key: "outcome", Val: outcome})
-		j.c.counters().Add(trace.Key("duroc", "commit", outcome, j.c.host.Name()), 1)
+		j.c.counters().AddKey("duroc", "commit", outcome, j.c.host.Name(), 1)
 	}
 	j.mu.Lock()
 	j.committing = true
@@ -854,7 +890,7 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 			return Config{}, fmt.Errorf("%w: %s", ErrAborted, reason)
 		}
 		if j.released {
-			cfg := j.config
+			cfg := j.release.cfg
 			j.mu.Unlock()
 			finish("ok")
 			return cfg, nil
@@ -907,30 +943,31 @@ func (j *Job) releaseLocked() Config {
 		cfg.WorldSize += sj.spec.Count
 	}
 	cfg.AddressBook = make([]string, 0, cfg.WorldSize)
-	for _, sj := range committed {
-		ranks := make([]*procCheckin, 0, len(sj.checkins))
-		for _, ci := range sj.checkins {
-			ranks = append(ranks, ci)
-		}
-		sort.Slice(ranks, func(a, b int) bool { return ranks[a].rank < ranks[b].rank })
-		for _, ci := range ranks {
+	// ranked[i] is committed[i]'s waiters in local-rank order: the order of
+	// the address book, of the replies and of j.waits.
+	ranked := make([][]*procCheckin, len(committed))
+	for i, sj := range committed {
+		ranked[i] = sj.takeWaiters()
+		for _, ci := range ranked[i] {
 			cfg.AddressBook = append(cfg.AddressBook, ci.addr)
 		}
 	}
-	j.config = cfg
+	// One encoding of the configuration serves every reply below and every
+	// late joiner after.
+	rel := NewRelease(cfg)
+	j.release = rel
 	j.released = true
 	j.releaseAt = now
-	j.c.tracer().InstantCtx(j.ctx, "duroc", "release", j.c.host.Name(), j.id, "",
-		trace.Arg{Key: "world", Val: strconv.Itoa(cfg.WorldSize)},
-		trace.Arg{Key: "subjobs", Val: strconv.Itoa(cfg.NSubjobs)})
-	j.c.counters().Add(trace.Key("duroc", "barrier", "release", j.c.host.Name()), 1)
+	if tr := j.c.tracer(); tr.Enabled() {
+		tr.InstantCtx(j.ctx, "duroc", "release", j.c.host.Name(), j.id, "",
+			trace.Arg{Key: "world", Val: strconv.Itoa(cfg.WorldSize)},
+			trace.Arg{Key: "subjobs", Val: strconv.Itoa(cfg.NSubjobs)})
+	}
+	j.c.counters().AddKey("duroc", "barrier", "release", j.c.host.Name(), 1)
 
 	for idx, sj := range committed {
-		for _, ci := range sj.checkins {
-			reply := checkinReply{Proceed: true, Config: cfg}
-			reply.Config.MySubjob = idx
-			reply.Config.MyRank = cfg.RankOf(idx, ci.rank)
-			ci.reply.TrySend(reply)
+		for _, ci := range ranked[idx] {
+			ci.reply.TrySend(verdict{rel: rel, mySubjob: idx, myRank: cfg.RankOf(idx, ci.rank)})
 			j.waits = append(j.waits, now-ci.at)
 		}
 		sj.status = SJReleased
@@ -939,11 +976,8 @@ func (j *Job) releaseLocked() Config {
 	// Optional subjobs with partial check-ins become late joiners.
 	for _, sj := range j.subjobs {
 		if sj.spec.Type == Optional && !sj.status.terminal() && sj.status != SJReleased {
-			for _, ci := range sj.checkins {
-				reply := checkinReply{Proceed: true, Config: cfg}
-				reply.Config.MySubjob = -1
-				reply.Config.MyRank = -1
-				ci.reply.TrySend(reply)
+			for _, ci := range sj.takeWaiters() {
+				ci.reply.TrySend(verdict{rel: rel, mySubjob: -1, myRank: -1})
 			}
 		}
 	}

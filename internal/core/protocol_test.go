@@ -9,7 +9,8 @@ import (
 )
 
 // checkinRaw drives the barrier wire protocol directly, as a foreign or
-// buggy process would.
+// buggy process would: the call body is JSON from a bare map, the reply
+// arrives in the typed form the controller sends.
 func checkinRaw(t *testing.T, rig *testRig, job, subjob string, rank int, ok bool) (proceed bool, reason string) {
 	t.Helper()
 	conn, err := rig.g.Workstation.Dial(rig.ctrl.Contact())
@@ -18,10 +19,7 @@ func checkinRaw(t *testing.T, rig *testRig, job, subjob string, rank int, ok boo
 	}
 	client := rpc.NewClient(rig.g.Sim, conn)
 	defer client.Close()
-	var reply struct {
-		Proceed bool   `json:"proceed"`
-		Reason  string `json:"reason"`
-	}
+	var reply core.CheckinReply
 	err = client.Call("checkin", map[string]any{
 		"job": job, "subjob": subjob, "rank": rank, "ok": ok, "addr": "workstation:fake",
 	}, &reply, time.Minute)

@@ -114,8 +114,8 @@ func (rt *Runtime) Barrier(ok bool, msg string, timeout time.Duration) (*Config,
 	}
 	client := rpc.NewClient(rt.proc.Sim(), conn)
 	defer client.Close()
-	var reply checkinReply
-	err = client.CallCtx(rt.ctx, "checkin", checkinArgs{
+	var reply CheckinReply
+	err = client.CallCtx(rt.ctx, "checkin", CheckinArgs{
 		Job:    rt.jobID,
 		Subjob: rt.subjob,
 		Rank:   rt.proc.Rank,

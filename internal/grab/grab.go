@@ -79,23 +79,7 @@ type allocation struct {
 type waiter struct {
 	addr  string
 	at    time.Duration
-	reply *vtime.Chan[barrierReply]
-}
-
-// Wire format; compatible with the DUROC runtime's checkin call.
-type barrierArgs struct {
-	Job    string `json:"job"`
-	Subjob string `json:"subjob"`
-	Rank   int    `json:"rank"`
-	OK     bool   `json:"ok"`
-	Msg    string `json:"msg,omitempty"`
-	Addr   string `json:"addr,omitempty"`
-}
-
-type barrierReply struct {
-	Proceed bool        `json:"proceed"`
-	Reason  string      `json:"reason,omitempty"`
-	Config  core.Config `json:"config"`
+	reply *vtime.Chan[core.CheckinReply]
 }
 
 // NewBroker starts a broker on host.
@@ -201,7 +185,7 @@ func (b *Broker) Allocate(req core.Request) (*Allocation, error) {
 		}
 		b.mu.Unlock()
 		for _, w := range replies {
-			w.reply.TrySend(barrierReply{Proceed: false, Reason: reason})
+			w.reply.TrySend(core.CheckinReply{Proceed: false, Reason: reason})
 		}
 		for i, c := range result.clients {
 			c.Cancel(result.jobs[i])
@@ -337,13 +321,10 @@ func (b *Broker) release(alloc *allocation) core.Config {
 	}
 	alloc.config = cfg
 	alloc.released = true
+	rel := core.NewRelease(cfg)
 	for idx, spec := range alloc.specs {
 		for r := 0; r < spec.Count; r++ {
-			w := alloc.checkins[spec.Label][r]
-			reply := barrierReply{Proceed: true, Config: cfg}
-			reply.Config.MySubjob = idx
-			reply.Config.MyRank = cfg.RankOf(idx, r)
-			w.reply.TrySend(reply)
+			alloc.checkins[spec.Label][r].reply.TrySend(rel.Reply(idx, cfg.RankOf(idx, r)))
 		}
 	}
 	b.mu.Unlock()
@@ -355,7 +336,7 @@ func (b *Broker) HandleCall(sc *rpc.ServerConn, method string, body json.RawMess
 	if method != "checkin" {
 		return nil, fmt.Errorf("grab: unknown method %s", method)
 	}
-	var args barrierArgs
+	var args core.CheckinArgs
 	if err := rpc.Decode(body, &args); err != nil {
 		return nil, err
 	}
@@ -363,27 +344,27 @@ func (b *Broker) HandleCall(sc *rpc.ServerConn, method string, body json.RawMess
 	alloc := b.current[args.Job]
 	if alloc == nil {
 		b.mu.Unlock()
-		return barrierReply{Proceed: false, Reason: "unknown allocation " + args.Job}, nil
+		return core.CheckinReply{Proceed: false, Reason: "unknown allocation " + args.Job}, nil
 	}
 	if alloc.failed {
 		reason := alloc.reason
 		b.mu.Unlock()
-		return barrierReply{Proceed: false, Reason: reason}, nil
+		return core.CheckinReply{Proceed: false, Reason: reason}, nil
 	}
 	ranks, ok := alloc.checkins[args.Subjob]
 	if !ok {
 		b.mu.Unlock()
-		return barrierReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}, nil
+		return core.CheckinReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}, nil
 	}
 	if !args.OK {
 		b.mu.Unlock()
 		b.fail(alloc, args.Subjob, "process reported unsuccessful startup: "+args.Msg)
-		return barrierReply{Proceed: false, Reason: "startup rejected"}, nil
+		return core.CheckinReply{Proceed: false, Reason: "startup rejected"}, nil
 	}
 	w := &waiter{
 		addr:  args.Addr,
 		at:    b.sim.Now(),
-		reply: vtime.NewChan[barrierReply](b.sim, "grab-release:"+args.Job+"/"+args.Subjob+"/"+strconv.Itoa(args.Rank), 1),
+		reply: vtime.NewChan[core.CheckinReply](b.sim, "grab-release:"+args.Job+"/"+args.Subjob+"/"+strconv.Itoa(args.Rank), 1),
 	}
 	if _, dup := ranks[args.Rank]; !dup {
 		alloc.arrived++

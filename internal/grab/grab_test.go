@@ -2,6 +2,8 @@ package grab_test
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -241,5 +243,63 @@ func TestKillCancelsSubjobs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestGoldenConfig pins what the six processes of one fixed 2 × 3 request
+// are told under GRAB, field for field: the broker answers check-ins with
+// core's reply type and release, and applications must not see the
+// difference.
+func TestGoldenConfig(t *testing.T) {
+	r := newRig(t, "m1", "m2")
+	var mu sync.Mutex
+	var got []core.Config
+	r.g.RegisterEverywhere("record", func(p *lrm.Proc) error {
+		rt, err := core.Attach(p)
+		if err != nil {
+			return err
+		}
+		defer rt.Close()
+		cfg, err := rt.Barrier(true, "", 0)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		got = append(got, *cfg)
+		mu.Unlock()
+		return nil
+	})
+	err := r.g.Sim.Run("agent", func() {
+		m1, m2 := r.spec("m1", 3), r.spec("m2", 3)
+		m1.Executable, m2.Executable = "record", "record"
+		alloc, err := r.broker.Allocate(core.Request{Subjobs: []core.SubjobSpec{m1, m2}})
+		if err != nil {
+			t.Errorf("Allocate: %v", err)
+			return
+		}
+		defer alloc.Close()
+		r.g.Sim.Sleep(5 * time.Second)
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	sort.Slice(got, func(a, b int) bool { return got[a].MyRank < got[b].MyRank })
+	var want []core.Config
+	for rank := 0; rank < 6; rank++ {
+		want = append(want, core.Config{
+			NSubjobs:     2,
+			SubjobSizes:  []int{3, 3},
+			SubjobLabels: []string{"m1", "m2"},
+			WorldSize:    6,
+			AddressBook: []string{
+				"m1:app.workstation_grab1.m1.0", "m1:app.workstation_grab1.m1.1", "m1:app.workstation_grab1.m1.2",
+				"m2:app.workstation_grab1.m2.0", "m2:app.workstation_grab1.m2.1", "m2:app.workstation_grab1.m2.2",
+			},
+			MySubjob: rank / 3,
+			MyRank:   rank,
+		})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("configs seen by the processes:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -7,6 +7,10 @@
 // matching reply; notifications are one-way and may flow in either
 // direction, which is how GRAM delivers asynchronous job-state callbacks
 // to a connected client.
+//
+// Bodies are JSON unless the message type opts into the typed binary form
+// of internal/wire by implementing AppendWire (on the value sent) and
+// ParseWire (on the pointer received into); see marshalBody and Decode.
 package rpc
 
 import (
@@ -62,29 +66,24 @@ type Notification struct {
 }
 
 // Decode unmarshals the notification body into v.
-func (n Notification) Decode(v any) error {
-	if len(n.Body) == 0 {
-		return nil
-	}
-	return json.Unmarshal(n.Body, v)
-}
+func (n Notification) Decode(v any) error { return Decode(n.Body, v) }
 
 // Client issues calls and notifications over a connection and surfaces
 // remote-initiated notifications. Create with NewClient; a demux daemon
 // owns the receive side of the connection.
 type Client struct {
-	sim   *vtime.Sim
-	conn  *transport.Conn
-	codec Codec
+	sim  *vtime.Sim
+	conn *transport.Conn
+	out  sender
+	// replyName names every call's reply channel; only the deadlock
+	// reporter reads it, beside the name of the process that is blocked.
+	replyName string
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*vtime.Chan[wire.Envelope]
 	closed  bool
-	// enc is this direction's frame encoder; guarded by mu so the
-	// handshake prologue rides the first frame actually sent.
-	enc wire.Encoder
-	dec wire.Decoder
+	dec     wire.Decoder
 
 	// hCall receives every call's virtual round-trip latency (all
 	// outcomes, so timeouts shape the tail). Nil without a registry.
@@ -101,32 +100,18 @@ func NewClient(sim *vtime.Sim, conn *transport.Conn) *Client {
 
 // NewClientCodec is NewClient with an explicit send codec.
 func NewClientCodec(sim *vtime.Sim, conn *transport.Conn, codec Codec) *Client {
+	local := conn.LocalAddr().String()
 	c := &Client{
 		sim:           sim,
 		conn:          conn,
-		codec:         codec,
+		replyName:     "rpc-reply:" + local,
 		pending:       make(map[uint64]*vtime.Chan[wire.Envelope]),
 		hCall:         conn.Network().Hists().H("rpc.call.latency"),
-		notifications: vtime.NewChan[Notification](sim, "rpc-notify:"+conn.LocalAddr().String(), 256),
+		notifications: vtime.NewChan[Notification](sim, "rpc-notify:"+local, 256),
 	}
-	if codec == Binary {
-		sendPrologue(&c.enc, conn)
-	}
-	sim.GoDaemon("rpc-demux:"+conn.LocalAddr().String(), c.demux)
+	c.out.bind(conn, codec)
+	sim.GoDaemon("rpc-demux:"+local, c.demux)
 	return c
-}
-
-// sendPrologue ships the binary handshake prologue as its own frame at
-// connection setup. Setup is a deterministic point; piggybacking the
-// prologue on the first data frame instead would let goroutine scheduling
-// within one virtual instant decide which message grows by its bytes,
-// making per-message wire sizes nondeterministic.
-func sendPrologue(enc *wire.Encoder, conn *transport.Conn) {
-	buf := wire.GetBuf()
-	frame := enc.EncodePrologue((*buf)[:0])
-	_ = conn.SendCtx(frame, trace.Ctx{})
-	*buf = frame
-	wire.PutBuf(buf)
 }
 
 // Notifications returns the stream of remote-initiated notifications. The
@@ -154,9 +139,11 @@ func (c *Client) demux() {
 		if c.dec.Decode(raw, &env) != nil {
 			// Malformed frame (truncated, corrupted, bad CRC): drop, but
 			// count the drop so codec trouble is visible.
-			c.conn.Network().Counters().Add(trace.Key("rpc", "frame", "decode-error", c.conn.LocalAddr().Host), 1)
+			c.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", c.conn.LocalAddr().Host, 1)
 			continue
 		}
+		tr := c.conn.Network().Tracer()
+		host := c.conn.LocalAddr().Host
 		switch env.Kind {
 		case wire.KindReply:
 			c.mu.Lock()
@@ -170,15 +157,17 @@ func (c *Client) demux() {
 				// entry is gone (Call removed it), so the reply is dropped —
 				// but it still appears in the trace, correlated with the
 				// timed-out call by ID.
-				host := c.conn.LocalAddr().Host
-				c.conn.Network().Tracer().InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
-				c.conn.Network().Counters().Add(trace.Key("rpc", "reply", "drop", host), 1)
+				if tr.Enabled() {
+					tr.InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
+				}
+				c.conn.Network().Counters().AddKey("rpc", "reply", "drop", host, 1)
 			}
 		case wire.KindNotify:
 			c.notifications.TrySend(Notification{Method: env.Method, Body: env.Body, Ctx: envCtx(&env)})
-			host := c.conn.LocalAddr().Host
-			c.conn.Network().Tracer().InstantCtx(envCtx(&env), "rpc", "notify:"+env.Method, host, c.conn.Flow(), "")
-			c.conn.Network().Counters().Add(trace.Key("rpc", "notify", "recv", host), 1)
+			if tr.Enabled() {
+				tr.InstantCtx(envCtx(&env), "rpc", "notify:"+env.Method, host, c.conn.Flow(), "")
+			}
+			c.conn.Network().Counters().AddKey("rpc", "notify", "recv", host, 1)
 		}
 	}
 }
@@ -225,26 +214,32 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	}
 	c.nextID++
 	id := c.nextID
-	ch := vtime.NewChan[wire.Envelope](c.sim, fmt.Sprintf("rpc-reply:%d", id), 1)
+	ch := vtime.NewChan[wire.Envelope](c.sim, c.replyName, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
 	if !ctx.Valid() {
 		ctx = c.conn.Ctx()
 	}
-	callCtx := ctx.Child("call:" + method + "#" + strconv.FormatUint(id, 10))
+	var callCtx trace.Ctx
+	if ctx.Valid() {
+		callCtx = ctx.Child("call:" + method + "#" + strconv.FormatUint(id, 10))
+	}
 	tr := c.conn.Network().Tracer()
 	host := c.conn.LocalAddr().Host
 	start := tr.Now()
 	startV := c.sim.Now()
 	finish := func(outcome string) {
 		c.hCall.Record(int64(c.sim.Now() - startV))
-		tr.SpanCtx(callCtx, "rpc", "call:"+method, host, c.conn.Flow(), corrID(c.conn, id), start,
-			trace.Arg{Key: "outcome", Val: outcome})
-		c.conn.Network().Counters().Add(trace.Key("rpc", "call", outcome, host), 1)
+		if tr.Enabled() {
+			tr.SpanCtx(callCtx, "rpc", "call:"+method, host, c.conn.Flow(), corrID(c.conn, id), start,
+				trace.Arg{Key: "outcome", Val: outcome})
+		}
+		c.conn.Network().Counters().AddKey("rpc", "call", outcome, host, 1)
 	}
 
-	if err := c.send(wire.Envelope{ID: id, Kind: wire.KindCall, Method: method, Req: callCtx.Req, Span: callCtx.Span}, arg); err != nil {
+	env := wire.Envelope{ID: id, Kind: wire.KindCall, Method: method, Req: callCtx.Req, Span: callCtx.Span}
+	if err := c.out.send(&env, arg); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -268,10 +263,10 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 		return RemoteError(env.Error)
 	}
 	finish("ok")
-	if reply != nil && len(env.Body) > 0 {
-		return json.Unmarshal(env.Body, reply)
+	if reply == nil {
+		return nil
 	}
-	return nil
+	return Decode(env.Body, reply)
 }
 
 // Notify sends a one-way message under the connection's base context.
@@ -284,38 +279,120 @@ func (c *Client) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 	if !ctx.Valid() {
 		ctx = c.conn.Ctx()
 	}
-	return c.send(wire.Envelope{Kind: wire.KindNotify, Method: method, Req: ctx.Req, Span: ctx.Span}, arg)
+	return c.out.send(&wire.Envelope{Kind: wire.KindNotify, Method: method, Req: ctx.Req, Span: ctx.Span}, arg)
 }
 
-func (c *Client) send(env wire.Envelope, arg any) error {
-	if arg != nil {
-		body, err := json.Marshal(arg)
-		if err != nil {
-			return fmt.Errorf("rpc: marshal %s: %w", env.Method, err)
-		}
-		env.Body = body
+// sender is one end's send half: the codec it speaks and the frame encoder
+// of its direction. Client and ServerConn each own one.
+type sender struct {
+	conn  *transport.Conn
+	codec Codec
+	// mu guards enc: concurrent senders (callers of one Client; a
+	// ServerConn's serve loop and its handlers' notification daemons) share
+	// the direction's encoder.
+	mu  sync.Mutex
+	enc wire.Encoder
+}
+
+// bind attaches the sender to conn and, for the binary codec, ships the
+// handshake prologue as its own frame. Setup is a deterministic point;
+// piggybacking the prologue on the first data frame instead would let
+// goroutine scheduling within one virtual instant decide which message
+// grows by its bytes, making per-message wire sizes nondeterministic.
+func (s *sender) bind(conn *transport.Conn, codec Codec) {
+	s.conn, s.codec = conn, codec
+	if codec != Binary {
+		return
 	}
-	ctx := envCtx(&env)
-	if c.codec == JSON {
-		raw, err := wire.EncodeJSON(&env)
+	buf := wire.GetBuf()
+	*buf = s.enc.EncodePrologue((*buf)[:0])
+	// A connection that is already closed fails the first real send too.
+	_ = conn.SendCtx(*buf, trace.Ctx{})
+	wire.PutBuf(buf)
+}
+
+// wireAppender and wireParser are how a message type opts into the typed
+// body form: AppendWire on the value sent, ParseWire on the pointer
+// received into (the marker byte is not theirs to write or read). A type
+// implements both or neither; nothing is registered anywhere.
+type wireAppender interface {
+	AppendWire(dst []byte) []byte
+}
+
+type wireParser interface {
+	ParseWire(src []byte) error
+}
+
+// marshalBody appends the body encoding of v to dst: the typed form behind
+// wire.BodyMarker when v has one and the envelope will be binary, JSON
+// otherwise — a JSON envelope embeds its body as a JSON value, so a
+// JSON-codec connection stays JSON all the way down. The choice depends on
+// v's type and the sender's codec alone.
+func marshalBody(dst []byte, codec Codec, v any) ([]byte, error) {
+	if v == nil {
+		return dst, nil
+	}
+	if w, ok := v.(wireAppender); ok && codec == Binary {
+		return w.AppendWire(append(dst, wire.BodyMarker)), nil
+	}
+	js, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, js...), nil
+}
+
+// Decode unmarshals a received body into v, tolerating an empty body. The
+// first byte says which form arrived, whatever the sender's type or codec
+// was: a typed receiver still decodes the JSON a foreign client sent it.
+func Decode(body json.RawMessage, v any) error {
+	if len(body) == 0 {
+		return nil
+	}
+	if body[0] != wire.BodyMarker {
+		return json.Unmarshal(body, v)
+	}
+	p, ok := v.(wireParser)
+	if !ok {
+		return fmt.Errorf("rpc: typed body received for %T, which has no ParseWire", v)
+	}
+	return p.ParseWire(body[1:])
+}
+
+// send marshals arg as env's body and puts the envelope on the wire.
+func (s *sender) send(env *wire.Envelope, arg any) error {
+	buf := wire.GetBuf()
+	body, err := marshalBody(*buf, s.codec, arg)
+	if err != nil {
+		wire.PutBuf(buf)
+		return fmt.Errorf("rpc: marshal %s: %w", env.Method, err)
+	}
+	*buf = body
+	return s.sendFrame(env, buf)
+}
+
+// sendFrame sends env with the contents of the pooled buffer buf as its
+// body, and recycles buf. The binary frame is encoded behind the body in
+// the same buffer and the transport copies what it sends, so the
+// steady-state send path allocates nothing of its own.
+func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte) error {
+	defer wire.PutBuf(buf)
+	env.Body = *buf
+	ctx := envCtx(env)
+	if s.codec == JSON {
+		raw, err := wire.EncodeJSON(env)
 		if err != nil {
 			return fmt.Errorf("rpc: marshal envelope: %w", err)
 		}
-		if err := c.conn.SendCtx(raw, ctx); err != nil {
+		if s.conn.SendCtx(raw, ctx) != nil {
 			return ErrClosed
 		}
 		return nil
 	}
-	// Binary: encode into a pooled buffer under mu (callers share the
-	// encoder); SendCtx copies the frame, so the buffer recycles
-	// immediately. The prologue went out at setup (sendPrologue).
-	buf := wire.GetBuf()
-	c.mu.Lock()
-	frame := c.enc.Encode((*buf)[:0], &env)
-	err := c.conn.SendCtx(frame, ctx)
-	c.mu.Unlock()
-	*buf = frame
-	wire.PutBuf(buf)
+	s.mu.Lock()
+	*buf = s.enc.Encode(*buf, env)
+	err := s.conn.SendCtx((*buf)[len(env.Body):], ctx)
+	s.mu.Unlock()
 	if err != nil {
 		return ErrClosed
 	}
@@ -326,13 +403,9 @@ func (c *Client) send(env wire.Envelope, arg any) error {
 // use it to push notifications back to the client (e.g. GRAM state
 // callbacks) and to close the connection.
 type ServerConn struct {
-	sim   *vtime.Sim
-	conn  *transport.Conn
-	codec Codec
-	// mu guards enc: replies (serve loop) and notifications (handler
-	// daemons) share this direction's encoder.
-	mu  sync.Mutex
-	enc wire.Encoder
+	sim  *vtime.Sim
+	conn *transport.Conn
+	out  sender
 	// Meta carries the preamble's result, e.g. the authenticated identity
 	// established by a GSI handshake.
 	Meta any
@@ -362,44 +435,14 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 		ctx = sc.conn.Ctx()
 	}
 	env := wire.Envelope{Kind: wire.KindNotify, Method: method, Req: ctx.Req, Span: ctx.Span}
-	if arg != nil {
-		body, err := json.Marshal(arg)
-		if err != nil {
-			return fmt.Errorf("rpc: marshal %s: %w", method, err)
-		}
-		env.Body = body
-	}
-	if err := sc.sendEnv(&env, ctx); err != nil {
+	if err := sc.out.send(&env, arg); err != nil {
 		return err
 	}
 	host := sc.conn.LocalAddr().Host
-	sc.conn.Network().Tracer().InstantCtx(ctx, "rpc", "notify:"+method, host, sc.conn.Flow(), "")
-	sc.conn.Network().Counters().Add(trace.Key("rpc", "notify", "send", host), 1)
-	return nil
-}
-
-// sendEnv encodes env in the connection's codec and sends it under ctx.
-func (sc *ServerConn) sendEnv(env *wire.Envelope, ctx trace.Ctx) error {
-	if sc.codec == JSON {
-		raw, err := wire.EncodeJSON(env)
-		if err != nil {
-			return err
-		}
-		if sc.conn.SendCtx(raw, ctx) != nil {
-			return ErrClosed
-		}
-		return nil
+	if tr := sc.conn.Network().Tracer(); tr.Enabled() {
+		tr.InstantCtx(ctx, "rpc", "notify:"+method, host, sc.conn.Flow(), "")
 	}
-	buf := wire.GetBuf()
-	sc.mu.Lock()
-	frame := sc.enc.Encode((*buf)[:0], env)
-	err := sc.conn.SendCtx(frame, ctx)
-	sc.mu.Unlock()
-	*buf = frame
-	wire.PutBuf(buf)
-	if err != nil {
-		return ErrClosed
-	}
+	sc.conn.Network().Counters().AddKey("rpc", "notify", "send", host, 1)
 	return nil
 }
 
@@ -472,10 +515,8 @@ func (s *Server) serveConn(conn *transport.Conn) {
 		}
 		meta = m
 	}
-	sc := &ServerConn{sim: s.sim, conn: conn, codec: s.codec, Meta: meta, Ctx: conn.Ctx()}
-	if s.codec == Binary {
-		sendPrologue(&sc.enc, conn)
-	}
+	sc := &ServerConn{sim: s.sim, conn: conn, Meta: meta, Ctx: conn.Ctx()}
+	sc.out.bind(conn, s.codec)
 	tr := conn.Network().Tracer()
 	host := conn.LocalAddr().Host
 	hServe := conn.Network().Hists().H("rpc.serve.latency")
@@ -487,7 +528,7 @@ func (s *Server) serveConn(conn *transport.Conn) {
 		}
 		var env wire.Envelope
 		if dec.Decode(raw, &env) != nil {
-			conn.Network().Counters().Add(trace.Key("rpc", "frame", "decode-error", host), 1)
+			conn.Network().Counters().AddKey("rpc", "frame", "decode-error", host, 1)
 			continue
 		}
 		switch env.Kind {
@@ -509,22 +550,22 @@ func (s *Server) serveConn(conn *transport.Conn) {
 			sc.Ctx = conn.Ctx()
 			reply := wire.Envelope{ID: env.ID, Kind: wire.KindReply, Req: serveCtx.Req, Span: serveCtx.Span}
 			outcome := "ok"
+			buf := wire.GetBuf()
 			if err != nil {
 				reply.Error = err.Error()
 				outcome = "error"
-			} else if result != nil {
-				body, merr := json.Marshal(result)
-				if merr != nil {
-					reply.Error = "rpc: marshal reply: " + merr.Error()
-					outcome = "error"
-				} else {
-					reply.Body = body
-				}
+			} else if body, merr := marshalBody(*buf, s.codec, result); merr != nil {
+				reply.Error = "rpc: marshal reply: " + merr.Error()
+				outcome = "error"
+			} else {
+				*buf = body
 			}
-			tr.SpanCtx(serveCtx, "rpc", "serve:"+env.Method, host, conn.Flow(), corrID(conn, env.ID), serveStart,
-				trace.Arg{Key: "outcome", Val: outcome})
-			conn.Network().Counters().Add(trace.Key("rpc", "serve", outcome, host), 1)
-			if sc.sendEnv(&reply, serveCtx) == ErrClosed {
+			if tr.Enabled() {
+				tr.SpanCtx(serveCtx, "rpc", "serve:"+env.Method, host, conn.Flow(), corrID(conn, env.ID), serveStart,
+					trace.Arg{Key: "outcome", Val: outcome})
+			}
+			conn.Network().Counters().AddKey("rpc", "serve", outcome, host, 1)
+			if sc.out.sendFrame(&reply, buf) == ErrClosed {
 				return
 			}
 		case wire.KindNotify:
@@ -553,12 +594,4 @@ func (h HandlerFuncs) HandleNotify(sc *ServerConn, method string, body json.RawM
 	if h.NotifyFunc != nil {
 		h.NotifyFunc(sc, method, body)
 	}
-}
-
-// Decode unmarshals a call body into v, tolerating an empty body.
-func Decode(body json.RawMessage, v any) error {
-	if len(body) == 0 {
-		return nil
-	}
-	return json.Unmarshal(body, v)
 }

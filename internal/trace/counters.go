@@ -39,10 +39,17 @@ func (c *Counter) Load() int64 {
 type Counters struct {
 	mu sync.RWMutex
 	m  map[string]*Counter
+	// byKey indexes the same handles by the parts of their Key name, for
+	// AddKey.
+	byKey map[keyParts]*Counter
 }
 
+type keyParts struct{ layer, object, verb, scope string }
+
 // NewCounters creates an empty registry.
-func NewCounters() *Counters { return &Counters{m: make(map[string]*Counter)} }
+func NewCounters() *Counters {
+	return &Counters{m: make(map[string]*Counter), byKey: make(map[keyParts]*Counter)}
+}
 
 // Key builds a counter name: layer.object.verb, plus "@scope" when scope is
 // non-empty. Example: Key("transport", "msgs", "send", "m1") is
@@ -83,6 +90,29 @@ func (c *Counters) Add(name string, delta int64) {
 		return
 	}
 	c.C(name).Add(delta)
+}
+
+// AddKey is Add(Key(layer, object, verb, scope), delta) without building
+// the name: per-message call sites whose scope is a host name count
+// through it, so the name is concatenated once per counter rather than
+// once per count. Like Add, it creates the counter on first use and no
+// earlier — a counter must not exist, and print as 0, before it has
+// counted. Nil-safe.
+func (c *Counters) AddKey(layer, object, verb, scope string, delta int64) {
+	if c == nil {
+		return
+	}
+	k := keyParts{layer, object, verb, scope}
+	c.mu.RLock()
+	h := c.byKey[k]
+	c.mu.RUnlock()
+	if h == nil {
+		h = c.C(Key(layer, object, verb, scope))
+		c.mu.Lock()
+		c.byKey[k] = h
+		c.mu.Unlock()
+	}
+	h.Add(delta)
 }
 
 // Get returns the named counter's value, or 0 if it was never incremented.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -43,6 +44,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 func TestNilCountersAreNoOp(t *testing.T) {
 	var cs *Counters
 	cs.Add("x", 1)
+	cs.AddKey("rpc", "call", "ok", "m1", 1)
 	if cs.C("x") != nil {
 		t.Error("nil Counters.C != nil")
 	}
@@ -165,10 +167,14 @@ func TestCountersConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				h.Add(1)
 				cs.Add("registry", 1)
+				cs.AddKey("rpc", "call", "ok", "m1", 1)
 			}
 		}()
 	}
 	wg.Wait()
+	if got := cs.Get("rpc.call.ok@m1"); got != 8000 {
+		t.Errorf("rpc.call.ok@m1 = %d, want 8000", got)
+	}
 	if got := cs.Get("shared"); got != 8000 {
 		t.Errorf("shared = %d, want 8000", got)
 	}
@@ -183,6 +189,26 @@ func TestKeyConvention(t *testing.T) {
 	}
 	if got := Key("rpc", "call", "ok", ""); got != "rpc.call.ok" {
 		t.Errorf("Key without scope = %q", got)
+	}
+}
+
+// TestAddKeyIsAddOfKey: the two spellings feed one counter, the counter
+// appears with its first count and not before, and counting through the
+// parts builds no name once the counter exists.
+func TestAddKeyIsAddOfKey(t *testing.T) {
+	cs := NewCounters()
+	if len(cs.Snapshot()) != 0 {
+		t.Fatal("fresh registry is not empty")
+	}
+	cs.AddKey("rpc", "call", "ok", "m1", 2)
+	cs.Add(Key("rpc", "call", "ok", "m1"), 3)
+	cs.AddKey("rpc", "call", "ok", "", 1)
+	want := []CounterValue{{"rpc.call.ok", 1}, {"rpc.call.ok@m1", 5}}
+	if got := cs.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cs.AddKey("rpc", "call", "ok", "m1", 1) }); allocs != 0 {
+		t.Errorf("AddKey on an existing counter allocated %v times", allocs)
 	}
 }
 

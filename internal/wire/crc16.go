@@ -8,10 +8,15 @@ package wire
 
 const crcPoly = 0x1021
 
-var crcTable = buildCRCTable()
+// crcTables drives slicing-by-8: crcTables[k][b] is the checksum
+// contribution of byte b followed by k zero bytes, so eight input bytes
+// fold into the register with eight independent lookups instead of a chain
+// of eight dependent ones. crcTables[0] is the classic bytewise table; the
+// other seven are derived from it.
+var crcTables = buildCRCTables()
 
-func buildCRCTable() [256]uint16 {
-	var t [256]uint16
+func buildCRCTables() *[8][256]uint16 {
+	var t [8][256]uint16
 	for i := 0; i < 256; i++ {
 		crc := uint16(i) << 8
 		for bit := 0; bit < 8; bit++ {
@@ -21,16 +26,30 @@ func buildCRCTable() [256]uint16 {
 				crc <<= 1
 			}
 		}
-		t[i] = crc
+		t[0][i] = crc
 	}
-	return t
+	for k := 1; k < 8; k++ {
+		for i := 0; i < 256; i++ {
+			prev := t[k-1][i]
+			t[k][i] = prev<<8 ^ t[0][prev>>8]
+		}
+	}
+	return &t
 }
 
 // CRC16 returns the CCITT-FALSE checksum of data.
 func CRC16(data []byte) uint16 {
+	t := crcTables
 	crc := uint16(0xFFFF)
+	for len(data) >= 8 {
+		// The 16-bit register only reaches the first two of the eight bytes.
+		crc = t[7][data[0]^byte(crc>>8)] ^ t[6][data[1]^byte(crc)] ^
+			t[5][data[2]] ^ t[4][data[3]] ^ t[3][data[4]] ^ t[2][data[5]] ^
+			t[1][data[6]] ^ t[0][data[7]]
+		data = data[8:]
+	}
 	for _, b := range data {
-		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		crc = crc<<8 ^ t[0][byte(crc>>8)^b]
 	}
 	return crc
 }

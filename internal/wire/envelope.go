@@ -44,8 +44,8 @@ var (
 )
 
 // Envelope is one RPC message in codec-independent form. Body holds the
-// already-encoded (JSON) application payload; the envelope codec treats it
-// as opaque bytes.
+// already-encoded application payload (JSON, or a typed body behind
+// BodyMarker); the envelope codec treats it as opaque bytes.
 type Envelope struct {
 	Kind   byte
 	ID     uint64
@@ -103,14 +103,14 @@ func (e *Encoder) Encode(dst []byte, env *Envelope) []byte {
 	if inDict {
 		dst = AppendUvarint(dst, uint64(dictID))
 	} else if flags&flagInlineMethod != 0 {
-		dst = appendString(dst, env.Method)
+		dst = AppendString(dst, env.Method)
 	}
 	if flags&flagError != 0 {
-		dst = appendString(dst, env.Error)
+		dst = AppendString(dst, env.Error)
 	}
 	if flags&flagCtx != 0 {
-		dst = appendString(dst, env.Req)
-		dst = appendString(dst, env.Span)
+		dst = AppendString(dst, env.Req)
+		dst = AppendString(dst, env.Span)
 	}
 	if flags&flagBody != 0 {
 		dst = appendBytes(dst, env.Body)

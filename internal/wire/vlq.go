@@ -54,12 +54,6 @@ func Uvarint(buf []byte) (x uint64, n int) {
 	return 0, 0 // truncated
 }
 
-// appendString appends a length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // appendBytes appends a length-prefixed byte slice.
 func appendBytes(dst []byte, b []byte) []byte {
 	dst = AppendUvarint(dst, uint64(len(b)))

@@ -48,6 +48,7 @@ go run ./cmd/benchgrid -fig none -app federation -smoke >/dev/null
 
 echo "== wire smoke (codec fuzz seeds + B3 binary-beats-JSON gate)"
 go test -run FuzzWireEnvelope ./internal/wire >/dev/null
+go test -run FuzzCheckinBody ./internal/core >/dev/null
 go run ./cmd/benchgrid -fig none -app wire -smoke >/dev/null
 
 echo "== slo smoke (zero false positives + bounded detection lag gate)"
