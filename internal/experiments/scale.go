@@ -85,6 +85,11 @@ type ScaleRow struct {
 	Done        int64  `json:"done"`
 	Failed      int64  `json:"failed"`
 	TimersFired int64  `json:"timers_fired"`
+	// What the run cost the kernel besides timers: processes started,
+	// goroutine switches, task steps. Deterministic like TimersFired.
+	Spawned  int64 `json:"spawned"`
+	Handoffs int64 `json:"handoffs"`
+	TasksRun int64 `json:"tasks_run"`
 	// VirtualEnd is the drain time: the first poll tick at which every
 	// job had reached a terminal state.
 	VirtualEnd time.Duration `json:"virtual_end_ns"`
@@ -204,6 +209,7 @@ func ScaleRun(cfg ScaleConfig, engine vtime.TimerEngine) ScaleRow {
 		panic(fmt.Sprintf("scale: sim: %v", err))
 	}
 	row.TimersFired = sim.TimersFired()
+	row.Spawned, row.Handoffs, row.TasksRun = sim.Spawned(), sim.Handoffs(), sim.TasksRun()
 	if h := hists.H("lrm.queue.wait"); h.Count() > 0 {
 		row.MeanWait = time.Duration(h.Mean())
 		row.P99Wait = time.Duration(h.Quantile(0.99))
@@ -221,7 +227,8 @@ func ScaleRun(cfg ScaleConfig, engine vtime.TimerEngine) ScaleRow {
 // virtual-time column — the engine-equivalence bar for the smoke run.
 func (r ScaleRow) VirtualEqual(o ScaleRow) bool {
 	return r.Done == o.Done && r.Failed == o.Failed &&
-		r.TimersFired == o.TimersFired && r.VirtualEnd == o.VirtualEnd &&
+		r.TimersFired == o.TimersFired && r.Spawned == o.Spawned &&
+		r.Handoffs == o.Handoffs && r.TasksRun == o.TasksRun && r.VirtualEnd == o.VirtualEnd &&
 		r.MeanWait == o.MeanWait && r.P99Wait == o.P99Wait
 }
 

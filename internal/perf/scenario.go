@@ -71,6 +71,9 @@ func RunScenario(seed int64) ([]Series, *grid.Grid, experiments.BrokerLoadRow) {
 			N:    1,
 			Values: map[string]float64{
 				"timers_fired":     float64(g.Sim.TimersFired()),
+				"spawned":          float64(g.Sim.Spawned()),
+				"handoffs":         float64(g.Sim.Handoffs()),
+				"tasks_run":        float64(g.Sim.TasksRun()),
 				"net_messages":     float64(g.Net.Messages()),
 				"net_bytes":        float64(g.Net.Bytes()),
 				"final_virtual_ms": float64(g.Sim.Now()) / float64(time.Millisecond),
@@ -246,6 +249,9 @@ func RunScaleScenario(seed int64) []Series {
 			"done":            float64(row.Done),
 			"failed":          float64(row.Failed),
 			"timers_fired":    float64(row.TimersFired),
+			"spawned":         float64(row.Spawned),
+			"handoffs":        float64(row.Handoffs),
+			"tasks_run":       float64(row.TasksRun),
 			"virtual_end_ms":  float64(row.VirtualEnd) / float64(time.Millisecond),
 			"mean_wait_ms":    float64(row.MeanWait) / float64(time.Millisecond),
 			"p99_wait_ms":     float64(row.P99Wait) / float64(time.Millisecond),

@@ -499,8 +499,10 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 			trace.Arg{Key: "outcome", Val: "backlog-full"})
 		return nil, ErrRefused
 	}
-	n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), client.flow, dialStart,
-		trace.Arg{Key: "outcome", Val: "ok"})
+	if tr := n.Tracer(); tr.Enabled() {
+		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), client.Flow(), dialStart,
+			trace.Arg{Key: "outcome", Val: "ok"})
+	}
 	return client, nil
 }
 
@@ -555,29 +557,41 @@ type pendingMsg struct {
 // outMsg is an entry in a connection's delivery pipeline: a single
 // payload, a coalesced batch, or a FIN.
 type outMsg struct {
-	payload   []byte
+	pendingMsg
 	batch     []pendingMsg
-	sentAt    time.Duration
 	deliverAt time.Duration
 	fin       bool
-	ctx       trace.Ctx
 }
 
+// maxInFlight bounds a connection end's delivery pipeline: the message
+// whose delivery time the end is waiting for plus 4 095 behind it. The FIN
+// is exempt, which is what keeps a close detectable under overload.
+const maxInFlight = 4096
+
 // Conn is one end of a reliable, in-order, message-oriented connection.
+//
+// An end owns no process. Messages it has sent wait in out, in send order,
+// and one kernel task (deliver) walks them: readied by the send that finds
+// the pipeline idle, it arms itself for the head's delivery time, and when
+// that fires delivers the head and everything behind it that is also due,
+// then re-arms for the next head or goes idle. That is the schedule of a
+// process looping over "receive from out; sleep until deliverAt; deliver" —
+// the same timers, pushed and fired at the same points — without the
+// process.
 type Conn struct {
 	net    *Network
 	estSeq uint64 // establishment order; failure sweeps close in this order
 	local  Addr
 	remote Addr
-	in     *vtime.Chan[[]byte]
-	out    *vtime.Chan[outMsg]
+	in     vtime.Chan[[]byte]
 	peer   *Conn
 
-	// flow identifies the connection pair (client=>server@establish-time);
-	// both ends share it, so it correlates trace events across the two
-	// hosts. dirFlow is this end's directional name (local->remote@t).
-	flow    string
-	dirFlow string
+	// est is the establishment time and server marks the accepting end;
+	// with ctx they determine the connection's names (see names), which are
+	// built when something first asks for them.
+	est    time.Duration
+	server bool
+	named  atomic.Pointer[connNames]
 	// ctx is the base causal context the connection was dialed under;
 	// both ends share it. Context-less sends inherit it.
 	ctx trace.Ctx
@@ -590,15 +604,31 @@ type Conn struct {
 	// bound cardinality), nil when no registry is attached.
 	hBytes, hDelay, hBatch *metrics.Histogram
 
-	// batch is the coalescing policy this connection was created under;
-	// flushSig wakes the flusher daemon when a batch opens.
-	batch    BatchOptions
-	flushSig *vtime.Chan[struct{}]
+	// batch is the coalescing policy this connection was created under.
+	batch BatchOptions
 
 	mu        sync.Mutex
 	closed    bool
 	pend      []pendingMsg
 	pendBytes int
+
+	// The delivery pipeline, guarded by mu: out[outHead:] is in flight,
+	// delivering says the deliver task is armed or queued (so a send only
+	// appends), sealed that the FIN is in (or the peer's has arrived) and
+	// nothing more may enter.
+	out        []outMsg
+	outHead    int
+	delivering bool
+	sealed     bool
+	deliver    vtime.Task
+
+	// The batch-flush tick, guarded by mu. flushing says the flush task is
+	// queued or armed; a batch that opens meanwhile sets flushAgain, which
+	// buys one more tick after the armed one (the tick a flusher process
+	// would take on finding a second signal waiting). flushArmed tells the
+	// step whether it was entered from the run queue or by its timer.
+	flush                            vtime.Task
+	flushing, flushArmed, flushAgain bool
 }
 
 // hostCounters caches one host's transport.msgs.<verb>@host and
@@ -622,10 +652,55 @@ func (h *hostCounters) add(ctrs *trace.Counters, verb, host string, size int) {
 	h.bytes.Add(int64(size))
 }
 
+// connNames are the strings that identify a connection end to tracing,
+// counters and deadlock reports. flow identifies the pair
+// (client=>server@establish-time); both ends share it, so it correlates
+// trace events across the two hosts. dir is this end's directional name
+// (local->remote@t).
+type connNames struct{ flow, dir string }
+
+// names builds the end's names on first use. Two dials between the same
+// host pair in the same microsecond would collide on the flow, so when a
+// dial carries a causal context a short hash of it is appended — the
+// contexts of simultaneous dials differ, keeping flows (and the correlation
+// IDs layered on them) unique per connection.
+func (c *Conn) names() *connNames {
+	if n := c.named.Load(); n != nil {
+		return n
+	}
+	client, server := c.local, c.remote
+	if c.server {
+		client, server = server, client
+	}
+	ts := strconv.FormatInt(int64(c.est/time.Microsecond), 10)
+	flow := client.String() + "=>" + server.String() + "@" + ts
+	if c.ctx.Valid() {
+		h := fnv.New32a()
+		h.Write([]byte(c.ctx.Req))
+		h.Write([]byte{0})
+		h.Write([]byte(c.ctx.Span))
+		flow += "~" + strconv.FormatUint(uint64(h.Sum32()), 16)
+	}
+	n := &connNames{flow: flow, dir: c.String() + "@" + ts}
+	c.named.Store(n) // a racing builder stores an equal value
+	return n
+}
+
+// String returns the end's directional tag, local->remote.
+func (c *Conn) String() string { return c.local.String() + "->" + c.remote.String() }
+
+// inbox names a connection's receive channel for deadlock reports.
+type inbox Conn
+
+func (i *inbox) String() string { return "in:" + (*Conn)(i).String() }
+
+// flusher is a connection's batch-flush tick as a task body.
+type flusher Conn
+
 // Flow returns the connection-pair identifier shared by both ends: the
 // client and server addresses plus the establishment time in microseconds.
 // Layers above use it to build correlation IDs that match across hosts.
-func (c *Conn) Flow() string { return c.flow }
+func (c *Conn) Flow() string { return c.names().flow }
 
 // Network returns the network the connection runs on. Layers above use it
 // to reach the attached Tracer and Counters.
@@ -635,118 +710,99 @@ func (c *Conn) Network() *Network { return c.net }
 // (zero for context-less dials). Both ends share it.
 func (c *Conn) Ctx() trace.Ctx { return c.ctx }
 
-// newConnPair builds both ends of a connection along with their delivery
-// daemons. Caller holds n.mu.
-//
-// The flow identifier is client=>server@establish-time; two dials between
-// the same host pair in the same microsecond would collide, so when a dial
-// carries a causal context a short hash of it is appended — the contexts
-// of simultaneous dials differ, keeping flows (and the correlation IDs
-// layered on them) unique per connection.
+// newConnPair builds both ends of a connection in one allocation. Caller
+// holds n.mu.
 func newConnPair(n *Network, clientAddr, serverAddr Addr, ctx trace.Ctx) (client, server *Conn) {
-	ts := strconv.FormatInt(int64(n.sim.Now()/time.Microsecond), 10)
-	flow := clientAddr.String() + "=>" + serverAddr.String() + "@" + ts
-	if ctx.Valid() {
-		h := fnv.New32a()
-		h.Write([]byte(ctx.Req))
-		h.Write([]byte{0})
-		h.Write([]byte(ctx.Span))
-		flow += "~" + strconv.FormatUint(uint64(h.Sum32()), 16)
-	}
-	ctrs := n.Counters()
-	mk := func(local, remote Addr) *Conn {
-		tag := local.String() + "->" + remote.String()
+	pair := new([2]Conn)
+	client, server = &pair[0], &pair[1]
+	client.local, client.remote = clientAddr, serverAddr
+	server.local, server.remote, server.server = serverAddr, clientAddr, true
+	ctrs, hs := n.Counters(), n.Hists()
+	for _, c := range []*Conn{client, server} {
 		n.connSeq++
-		c := &Conn{
-			net:     n,
-			estSeq:  n.connSeq,
-			local:   local,
-			remote:  remote,
-			flow:    flow,
-			ctx:     ctx,
-			dirFlow: tag + "@" + ts,
-			in:      vtime.NewChan[[]byte](n.sim, "in:"+tag, 4096),
-			out:     vtime.NewChan[outMsg](n.sim, "out:"+tag, 4096),
-			batch:   n.batch,
-		}
-		if c.batch.enabled() {
-			c.flushSig = vtime.NewChan[struct{}](n.sim, "flush:"+tag, 1)
-		}
+		c.net, c.estSeq, c.est, c.ctx, c.batch = n, n.connSeq, n.sim.Now(), ctx, n.batch
+		c.in.Init(n.sim, (*inbox)(c), 4096)
+		c.deliver.Init(n.sim, c)
+		c.flush.Init(n.sim, (*flusher)(c))
 		if ctrs != nil {
-			c.cSend = ctrs.C(trace.Key("transport", "conn", "send", c.dirFlow))
-			c.cSendBytes = ctrs.C(trace.Key("transport", "conn", "sendbytes", c.dirFlow))
-			c.cRecv = ctrs.C(trace.Key("transport", "conn", "recv", c.dirFlow))
-			c.cRecvBytes = ctrs.C(trace.Key("transport", "conn", "recvbytes", c.dirFlow))
-			c.cDrop = ctrs.C(trace.Key("transport", "conn", "drop", c.dirFlow))
+			dir := c.names().dir
+			c.cSend = ctrs.C(trace.Key("transport", "conn", "send", dir))
+			c.cSendBytes = ctrs.C(trace.Key("transport", "conn", "sendbytes", dir))
+			c.cRecv = ctrs.C(trace.Key("transport", "conn", "recv", dir))
+			c.cRecvBytes = ctrs.C(trace.Key("transport", "conn", "recvbytes", dir))
+			c.cDrop = ctrs.C(trace.Key("transport", "conn", "drop", dir))
 		}
-		if hs := n.Hists(); hs != nil {
+		if hs != nil {
 			c.hBytes = hs.H("transport.msg.bytes")
 			c.hDelay = hs.H("transport.msg.delay")
 			if c.batch.enabled() {
 				c.hBatch = hs.H("transport.batch.msgs")
 			}
 		}
-		return c
 	}
-	client = mk(clientAddr, serverAddr)
-	server = mk(serverAddr, clientAddr)
-	client.peer = server
-	server.peer = client
-	n.sim.GoDaemon("deliver:"+clientAddr.String(), client.deliverLoop)
-	n.sim.GoDaemon("deliver:"+serverAddr.String(), server.deliverLoop)
-	if client.batch.enabled() {
-		n.sim.GoDaemon("flush:"+clientAddr.String(), client.flushLoop)
-		n.sim.GoDaemon("flush:"+serverAddr.String(), server.flushLoop)
-	}
+	client.peer, server.peer = server, client
 	return client, server
 }
 
-// deliverLoop moves messages from this end's out queue into the peer's
-// inbox after the appropriate latency, preserving FIFO order.
-func (c *Conn) deliverLoop() {
+// RunTask is one step of the delivery pipeline: it moves every message that
+// is due from this end's out queue into the peer's inbox, preserving FIFO
+// order — the head's delivery time gates everything behind it, whatever
+// the latency model says now — and arms itself for the next head.
+func (c *Conn) RunTask() {
+	now := c.net.sim.Now()
 	for {
-		m, ok := c.out.Recv()
-		if !ok {
+		c.mu.Lock()
+		if c.outHead == len(c.out) {
+			c.out, c.outHead, c.delivering = c.out[:0], 0, false
+			c.mu.Unlock()
 			return
 		}
-		c.net.sim.SleepUntil(m.deliverAt)
+		if at := c.out[c.outHead].deliverAt; at > now {
+			c.mu.Unlock()
+			c.deliver.At(at)
+			return
+		}
+		m := c.out[c.outHead]
+		c.out[c.outHead] = outMsg{}
+		c.outHead++
+		c.mu.Unlock()
 		if m.fin {
 			c.peer.markClosed()
-			return
+			continue // nothing is behind a FIN
 		}
 		// Reachability is evaluated once per delivery (per batch): a batch
 		// crosses the wire as one unit.
 		deliverable := c.net.deliverable(c.local.Host, c.remote.Host)
-		if m.batch != nil {
-			for _, p := range m.batch {
-				c.deliver(p.payload, p.sentAt, p.ctx, deliverable)
-			}
-			continue
+		for _, p := range m.batch {
+			c.deliverOne(p, deliverable)
 		}
-		c.deliver(m.payload, m.sentAt, m.ctx, deliverable)
+		if m.batch == nil {
+			c.deliverOne(m.pendingMsg, deliverable)
+		}
 	}
 }
 
-// deliver lands one payload in the peer's inbox (or accounts for its
+// deliverOne lands one payload in the peer's inbox (or accounts for its
 // loss), recording per-message delay, counters, and the recv trace event.
-func (c *Conn) deliver(payload []byte, sentAt time.Duration, ctx trace.Ctx, deliverable bool) {
+func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
+	payload := m.payload
 	if !deliverable {
-		c.dropped(len(payload), "in-flight", ctx)
+		c.dropped(len(payload), "in-flight", m.ctx)
 		return
 	}
 	if !c.peer.in.TrySend(payload) { // inbox overflow drops, like UDP under DoS
-		c.dropped(len(payload), "overflow", ctx)
+		c.dropped(len(payload), "overflow", m.ctx)
 		return
 	}
 	// Enqueue-to-delivery virtual delay: wire latency plus any FIFO
 	// backlog (and batch coalescing time) behind earlier messages on this
 	// connection.
-	c.hDelay.Record(int64(c.net.sim.Now() - sentAt))
+	c.hDelay.Record(int64(c.net.sim.Now() - m.sentAt))
 	c.peer.cRecv.Add(1)
 	c.peer.cRecvBytes.Add(int64(len(payload)))
 	c.hostRecv.add(c.net.Counters(), "recv", c.remote.Host, len(payload))
 	if tr := c.net.Tracer(); tr.Enabled() {
-		tr.InstantCtx(ctx, "transport", "recv", c.remote.Host, c.peer.dirFlow, c.flow,
+		tr.InstantCtx(m.ctx, "transport", "recv", c.remote.Host, c.peer.names().dir, c.Flow(),
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))})
 	}
 }
@@ -767,7 +823,7 @@ func (c *Conn) dropped(size int, reason string, ctx trace.Ctx) {
 		c.net.Gauges().G("transport.drops").Add(1)
 	}
 	if tr := c.net.Tracer(); tr.Enabled() {
-		tr.InstantCtx(ctx, "transport", "drop", c.local.Host, c.dirFlow, c.flow,
+		tr.InstantCtx(ctx, "transport", "drop", c.local.Host, c.names().dir, c.Flow(),
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
 			trace.Arg{Key: "reason", Val: reason})
 	}
@@ -826,7 +882,10 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	}
 	// One hop span per send, covering the wire time to the peer.
 	c.traceHop(ctx, len(payload), now, now+oneWay)
-	if !c.enqueue(outMsg{payload: buf, sentAt: now, deliverAt: now + oneWay, ctx: ctx}) {
+	c.mu.Lock()
+	ok := c.enqueueLocked(outMsg{pendingMsg: pendingMsg{buf, now, ctx}, deliverAt: now + oneWay})
+	c.mu.Unlock()
+	if !ok {
 		// The delivery queue is saturated (extreme overload) or the send
 		// raced with a close. Either way the message is lost here, and the
 		// loss must be accounted: everything above already counted it as
@@ -836,21 +895,20 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	return nil
 }
 
-// enqueue places m in the delivery pipeline. Data and batch entries leave
-// one slot of slack so the FIN enqueued by Close always has room — that
-// slack is what keeps close detectable under overload. Returns false when
-// the pipeline is saturated or the connection raced with a close.
-func (c *Conn) enqueue(m outMsg) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enqueueLocked(m)
-}
-
+// enqueueLocked places m in the delivery pipeline and, if the pipeline was
+// idle, readies the deliver task: it runs when the sender next blocks,
+// never inside the send. Returns false when the pipeline is saturated or
+// sealed. Caller holds c.mu.
 func (c *Conn) enqueueLocked(m outMsg) bool {
-	if !m.fin && c.out.Len() >= c.out.Cap()-1 {
+	if c.sealed || !m.fin && len(c.out)-c.outHead >= maxInFlight {
 		return false
 	}
-	return c.out.TrySend(m)
+	c.out = append(c.out, m)
+	if !c.delivering {
+		c.delivering = true
+		c.deliver.Ready()
+	}
+	return true
 }
 
 // appendBatch coalesces one send into the connection's pending batch,
@@ -866,16 +924,15 @@ func (c *Conn) appendBatch(payload []byte, ctx trace.Ctx, now time.Duration) {
 	first := len(c.pend) == 0
 	c.pend = append(c.pend, pendingMsg{payload: payload, sentAt: now, ctx: ctx})
 	c.pendBytes += len(payload)
-	full := len(c.pend) >= c.batch.MaxMsgs || c.pendBytes >= c.batch.MaxBytes
-	if full {
+	if len(c.pend) >= c.batch.MaxMsgs || c.pendBytes >= c.batch.MaxBytes {
 		c.flushLocked()
+	} else if first && c.flushing {
+		c.flushAgain = true
+	} else if first {
+		c.flushing = true
+		c.flush.Ready()
 	}
 	c.mu.Unlock()
-	if first && !full {
-		// Capacity 1: if the timer is already armed the signal is
-		// redundant, and if the connection just closed TrySend is a no-op.
-		c.flushSig.TrySend(struct{}{})
-	}
 }
 
 // flushLocked moves the pending batch into the delivery pipeline as one
@@ -891,7 +948,7 @@ func (c *Conn) flushLocked() {
 	n := c.net
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
-	if !c.enqueueLocked(outMsg{batch: batch, sentAt: now, deliverAt: now + oneWay}) {
+	if !c.enqueueLocked(outMsg{batch: batch, deliverAt: now + oneWay}) {
 		for _, p := range batch {
 			c.dropped(len(p.payload), "sendq-full", p.ctx)
 		}
@@ -910,24 +967,30 @@ func (c *Conn) flushLocked() {
 // strings are built only if a tracer is there to take them.
 func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 	if tr := c.net.Tracer(); tr.Enabled() {
-		tr.SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, start, end,
+		tr.SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.names().dir, c.Flow(), start, end,
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
 			trace.Arg{Key: "to", Val: c.remote.String()})
 	}
 }
 
-// flushLoop is the connection's batch-flush daemon: each time a batch
-// opens it sleeps the batch delay, then flushes whatever is pending.
-func (c *Conn) flushLoop() {
-	for {
-		if _, ok := c.flushSig.Recv(); !ok {
+// RunTask is the batch-flush tick: entered from the run queue when a batch
+// opens, it arms itself one batch delay ahead; entered by that timer, it
+// flushes whatever is pending.
+func (f *flusher) RunTask() {
+	c := (*Conn)(f)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.flushArmed {
+		c.flushArmed = false
+		c.flushLocked()
+		if !c.flushAgain {
+			c.flushing = false
 			return
 		}
-		c.net.sim.Sleep(c.batch.Delay)
-		c.mu.Lock()
-		c.flushLocked()
-		c.mu.Unlock()
+		c.flushAgain = false
 	}
+	c.flushArmed = true
+	c.flush.At(c.net.sim.Now() + c.batch.Delay)
 }
 
 // Recv blocks until a message arrives. It returns ErrClosed once the
@@ -955,52 +1018,24 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 
 // Close closes this end immediately and, after one-way latency, the peer's
 // end (the peer drains buffered messages first). Closing twice is a no-op.
-func (c *Conn) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.flushLocked() // the last pending batch rides out ahead of the FIN
-	c.mu.Unlock()
-
-	n := c.net
-	n.mu.Lock()
-	if h := n.hosts[c.local.Host]; h != nil {
-		delete(h.conns, c)
-	}
-	n.mu.Unlock()
-
-	c.in.Close()
-	deliverAt := n.sim.Now() + n.latency.Latency(c.local.Host, c.remote.Host)
-	// The FIN must not be lost under overload: data sends leave one slot of
-	// slack in the delivery queue (see enqueue), so this TrySend has room
-	// even when the pipeline is saturated. If the slot is somehow gone, a
-	// fallback daemon closes the peer directly after the wire latency — the
-	// peer must observe ErrClosed, never hang until its receive timeout.
-	if !c.out.TrySend(outMsg{deliverAt: deliverAt, fin: true}) {
-		peer := c.peer
-		n.sim.GoDaemon("fin:"+c.local.String(), func() {
-			n.sim.SleepUntil(deliverAt)
-			peer.markClosed()
-		})
-	}
-	if c.flushSig != nil {
-		c.flushSig.Close()
-	}
-	c.out.Close()
-}
+func (c *Conn) Close() { c.shut(true) }
 
 // markClosed closes the receive side in response to a peer FIN.
-func (c *Conn) markClosed() {
+func (c *Conn) markClosed() { c.shut(false) }
+
+// shut closes this end, once. A close of the end's own making (fin) lets
+// what it has sent drain to the peer, the last pending batch included,
+// and sends a FIN after it.
+func (c *Conn) shut(fin bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	c.mu.Unlock()
+	if fin {
+		c.flushLocked()
+	}
 	n := c.net
 	n.mu.Lock()
 	if h := n.hosts[c.local.Host]; h != nil {
@@ -1008,8 +1043,11 @@ func (c *Conn) markClosed() {
 	}
 	n.mu.Unlock()
 	c.in.Close()
-	if c.flushSig != nil {
-		c.flushSig.Close()
+	if fin {
+		// The FIN is exempt from the pipeline's bound, so the peer observes
+		// ErrClosed even when the close finds the pipeline saturated — never
+		// a hang until its receive timeout.
+		c.enqueueLocked(outMsg{deliverAt: n.sim.Now() + n.latency.Latency(c.local.Host, c.remote.Host), fin: true})
 	}
-	c.out.Close()
+	c.sealed = true
 }

@@ -1,6 +1,9 @@
 package vtime
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // RecvResult classifies the outcome of a channel receive with timeout.
 type RecvResult int
@@ -70,9 +73,10 @@ func (r *ring[T]) truncate(n int) {
 // receivers), but blocking is accounted by the kernel so that virtual time
 // can advance while processes wait.
 type Chan[T any] struct {
-	s    *Sim
-	name string
-	cap  int
+	s     *Sim
+	name  string
+	owner fmt.Stringer // names the channel on demand when name is empty
+	cap   int
 	// buf holds the buffered values and, beyond cap, the value of each
 	// blocked sender in sendq order: the receive that frees a slot wakes the
 	// first sender, whose value is by then already inside the buffer.
@@ -95,6 +99,22 @@ func NewChan[T any](s *Sim, name string, capacity int) *Chan[T] {
 	return &Chan[T]{s: s, name: name, cap: capacity}
 }
 
+// Init makes the zero Chan embedded in a larger struct usable, with the
+// given buffer capacity. Channels made by the thousand are named only if
+// someone asks: owner's String is called when a deadlock report or a panic
+// needs the name, and not before.
+func (c *Chan[T]) Init(s *Sim, owner fmt.Stringer, capacity int) {
+	c.s, c.owner, c.cap = s, owner, capacity
+}
+
+// String returns the channel's name.
+func (c *Chan[T]) String() string {
+	if c.owner != nil {
+		return c.owner.String()
+	}
+	return c.name
+}
+
 // Send delivers v, blocking in virtual time until a receiver or buffer
 // space is available. Sending on a closed channel panics, as with Go
 // channels.
@@ -107,7 +127,7 @@ func (c *Chan[T]) Send(v T) {
 	}
 	if c.closed {
 		s.mu.Unlock()
-		panic("vtime: send on closed channel " + c.name)
+		panic("vtime: send on closed channel " + c.String())
 	}
 	if c.offerLocked(v) {
 		s.mu.Unlock()
@@ -115,11 +135,11 @@ func (c *Chan[T]) Send(v T) {
 	}
 	p := s.curLocked("Chan.Send")
 	c.buf.push(v)
-	s.blockLocked(p, &c.sendq, waitSend, c.name, -1)
+	s.blockLocked(p, &c.sendq, waitSend, c, -1)
 	s.mu.Unlock()
 	<-p.grant
 	if p.state == wsClosed {
-		panic("vtime: send on closed channel " + c.name)
+		panic("vtime: send on closed channel " + c.String())
 	}
 }
 
@@ -188,7 +208,7 @@ func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 		return v, RecvTimedOut
 	}
 	p := s.curLocked("Chan.Recv")
-	s.blockLocked(p, &c.recvq, waitRecv, c.name, d)
+	s.blockLocked(p, &c.recvq, waitRecv, c, d)
 	s.mu.Unlock()
 	<-p.grant
 	switch p.state {
@@ -218,7 +238,7 @@ func (c *Chan[T]) Close() {
 	s.mu.Lock()
 	if c.closed {
 		s.mu.Unlock()
-		panic("vtime: close of closed channel " + c.name)
+		panic("vtime: close of closed channel " + c.String())
 	}
 	c.closed = true
 	s.wakeAllLocked(&c.recvq, wsClosed)

@@ -22,13 +22,6 @@ func (q *heapQueue) pop() *timerEntry {
 	return heap.Pop(&q.h).(*timerEntry)
 }
 
-func (q *heapQueue) peek() *timerEntry {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
 func (q *heapQueue) len() int { return len(q.h) }
 
 type timerHeap []*timerEntry

@@ -1,14 +1,30 @@
 // Package vtime implements a deterministic discrete-event virtual-time
 // kernel for simulating distributed systems.
 //
-// Simulated processes are ordinary goroutines registered with a Sim via
-// [Sim.Go] or [Sim.GoDaemon]. All blocking inside the simulation must go
-// through kernel primitives — [Sim.Sleep], [Chan] operations, [WaitGroup],
-// [Event] — so the kernel can account for runnable processes. Virtual time
-// advances only when every registered process is blocked: the kernel then
-// jumps the clock to the earliest pending timer and fires it. This makes
-// timing exact (no wall-clock jitter) and fast (simulated seconds cost
-// microseconds of real time).
+// Simulated work comes in two shapes. A process ([Sim.Go], [Sim.GoDaemon])
+// is code that blocks in the middle of a function — on [Sim.Sleep], [Chan]
+// operations, [WaitGroup], [Event] — and so needs a stack: it runs on a
+// goroutine the kernel owns and recycles. A [Task] is a state machine whose
+// every wait is a timer or an arrival: a struct embedded in its owner,
+// armed at a virtual instant ([Task.At]) or made ready now ([Task.Ready]),
+// whose step runs to completion and must not block. [Sim.AfterFuncPassive]
+// is a task made from a closure. All blocking inside the simulation must
+// go through kernel primitives so the kernel can tell when nothing is
+// runnable; virtual time advances only then, by a jump to the earliest
+// pending timer. This makes timing exact (no wall-clock jitter) and fast
+// (simulated seconds cost microseconds of real time).
+//
+// Execution is serialized by a run token: one process at a time, in FIFO
+// wake order, so two processes woken at the same virtual instant never
+// race — the same seed replays the same interleaving even under the race
+// detector. There is no scheduler thread. A process that blocks or exits
+// gives up the token and is itself the dispatcher until something else can
+// run: on its own stack it runs the tasks queued ahead of the next
+// process, advances the clock and fires timers one at a time — a sleep or
+// timeout wakes its process, a task runs there and then, and whatever it
+// woke runs before the next timer is popped — and stops at the first
+// process it can grant the token to, which may be itself. A parked
+// goroutine resumes only when granted the token.
 //
 // Timers are kept in one of two interchangeable engines selected at
 // construction ([Config.Engine]): a hierarchical timer wheel with a
@@ -17,16 +33,10 @@
 // reference scheduler for differential testing. Both fire timers in
 // identical (time, insertion) order.
 //
-// Execution is serialized: the kernel grants a run token to one process at
-// a time, in FIFO wake order, so two processes woken at the same virtual
-// instant never race — the same seed replays the same interleaving even
-// under the race detector. Parked goroutines resume only when granted the
-// token, and passive timer batches hold it until their last callback
-// returns.
-//
 // Processes may use plain sync.Mutex for instantaneous critical sections,
 // but must never block on ordinary Go channels or hold a mutex across a
-// kernel blocking call; doing so breaks runnable accounting.
+// kernel blocking call; doing so breaks runnable accounting, and a task
+// that needs the mutex would be running on the stack that holds it.
 //
 // If every live non-daemon process is blocked and no timers are pending,
 // the simulation has deadlocked: the kernel records a *DeadlockError
@@ -83,13 +93,6 @@ type Config struct {
 	Seed int64
 	// Engine selects the timer queue implementation (default EngineWheel).
 	Engine TimerEngine
-	// PassiveWorkers bounds the worker pool that executes passive timer
-	// callbacks (see AfterFuncPassive). 0 means 1: batches execute
-	// sequentially in (when, seq) order, which preserves byte-for-byte run
-	// determinism. Values > 1 run same-instant callbacks concurrently —
-	// a multicore throughput option that forfeits determinism unless the
-	// callbacks commute.
-	PassiveWorkers int
 }
 
 // Sim is a discrete-event simulation kernel. Create one with New, NewSeeded
@@ -98,7 +101,6 @@ type Sim struct {
 	mu        sync.Mutex
 	now       time.Duration
 	seq       uint64 // tiebreaker for timers scheduled at the same instant
-	runnable  int    // processes ready to run: the token holder, the run queue, an in-flight passive batch
 	alive     int    // non-daemon processes that have not exited
 	started   bool   // at least one non-daemon process was spawned
 	completed bool   // all non-daemon processes exited, or deadlock detected
@@ -106,16 +108,17 @@ type Sim struct {
 	// Deterministic cooperative scheduling: at most one simulated process
 	// executes at a time, selected in FIFO wake order. running marks the
 	// run token as held and cur is the process holding it (nil while a
-	// passive batch holds it); runq holds the processes that are ready but
-	// waiting their turn (runqHead is the pop index, reset when the queue
-	// drains). Without this serialization two processes woken at the same
-	// virtual instant race, and the winner — hence the entire downstream
-	// run — is decided by the Go scheduler instead of the seed. With it,
-	// "the calling process" of any blocking primitive is cur, so a process
-	// blocks on its own descriptor and allocates nothing.
+	// dispatcher holds it, see passLocked); runq holds the processes and
+	// tasks that are ready but waiting their turn (runqHead is the pop
+	// index, reset when the queue drains). Without this serialization two
+	// processes woken at the same virtual instant race, and the winner —
+	// hence the entire downstream run — is decided by the Go scheduler
+	// instead of the seed. With it, "the calling process" of any blocking
+	// primitive is cur, so a process blocks on its own descriptor and
+	// allocates nothing.
 	running  bool
 	cur      *proc
-	runq     []*proc
+	runq     []runnable
 	runqHead int
 
 	timers     timerQueue
@@ -141,8 +144,7 @@ type Sim struct {
 	batchWhen   time.Duration // virtual instant of the open dispatch batch
 	batchCount  int64         // timers dispatched at batchWhen so far
 
-	pool       passivePool
-	passiveBuf []*timerEntry // reusable batch buffer (one batch in flight at a time)
+	spawned, handoffs, tasksRun int64
 }
 
 // Recorder consumes one non-negative int64 sample. It is the kernel's view
@@ -186,6 +188,25 @@ func (s *Sim) SetStats(ks KernelStats) {
 // far — the kernel's event throughput counter.
 func (s *Sim) TimersFired() int64 { return s.timersFired.Load() }
 
+// Spawned returns how many processes have been started (Go, GoDaemon and
+// fired AfterFunc callbacks).
+func (s *Sim) Spawned() int64 { return s.counter(&s.spawned) }
+
+// Handoffs returns how many times the run token was granted to a process on
+// another goroutine than the one giving it up — the goroutine switches the
+// run has cost. A process that dispatches its own wake-up is not one.
+func (s *Sim) Handoffs() int64 { return s.counter(&s.handoffs) }
+
+// TasksRun returns how many task steps have run (AfterFuncPassive callbacks
+// included).
+func (s *Sim) TasksRun() int64 { return s.counter(&s.tasksRun) }
+
+func (s *Sim) counter(c *int64) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return *c
+}
+
 // Engine returns the timer engine this kernel was constructed with.
 func (s *Sim) Engine() TimerEngine { return s.engine }
 
@@ -226,7 +247,6 @@ func NewWithConfig(cfg Config) *Sim {
 	default:
 		s.timers = newTimerWheel()
 	}
-	s.pool.init(s, cfg.PassiveWorkers)
 	return s
 }
 
@@ -276,8 +296,8 @@ func (s *Sim) spawnLocked(name string, fn func(), daemon bool) {
 		go s.procLoop(p)
 	}
 	p.name, p.daemon, p.fn = name, daemon, fn
-	s.runnable++
-	s.readyLocked(p)
+	s.spawned++
+	s.readyLocked(runnable{p: p})
 }
 
 // procLoop is the goroutine behind descriptor p: it runs the processes
@@ -304,10 +324,10 @@ func (s *Sim) procExit(p *proc, recycle bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.fn = nil
-	s.runnable--
-	s.yieldLocked()
 	// Nothing refers to an exited process but cancelled timer entries, and
-	// those are never dereferenced: the descriptor can serve the next spawn.
+	// those are never dereferenced: the descriptor can serve the next spawn
+	// — even one made by a task this goroutine is about to run as the
+	// dispatcher, whose grant then waits in the channel for procLoop.
 	if recycle {
 		s.freeProcs = append(s.freeProcs, p)
 	}
@@ -316,13 +336,11 @@ func (s *Sim) procExit(p *proc, recycle bool) {
 		if s.alive == 0 && !s.completed {
 			s.flushBatchLocked()
 			s.completeLocked()
-			return
 		}
 	}
+	s.passLocked(p)
 	if s.completed {
 		s.releaseFreeLocked() // a daemon that outlived the run
-	} else if s.runnable == 0 {
-		s.advanceLocked()
 	}
 }
 
@@ -383,7 +401,7 @@ func (s *Sim) Sleep(d time.Duration) {
 		return
 	}
 	p := s.curLocked("Sleep")
-	s.blockLocked(p, nil, waitSleep, "", d)
+	s.blockLocked(p, nil, waitSleep, nil, d)
 	s.mu.Unlock()
 	<-p.grant
 }
@@ -397,8 +415,10 @@ func (s *Sim) SleepUntil(t time.Duration) {
 // Timer is a handle to a callback scheduled with AfterFunc or
 // AfterFuncPassive.
 type Timer struct {
-	s *Sim
-	t *timerEntry
+	s       *Sim
+	t       *timerEntry
+	fn      func()
+	passive bool
 }
 
 // Stop cancels the timer. It reports whether the callback was prevented
@@ -414,35 +434,106 @@ func (t *Timer) Stop() bool {
 // whether the timer was still pending (and was therefore cancelled) at the
 // time of the call, with the same meaning as Stop's return value.
 func (t *Timer) Reset(d time.Duration) bool {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	was := s.cancelTimerLocked(t.t)
-	t.t = s.pushTimerLocked(&timerEntry{fn: t.t.fn, passive: t.t.passive}, s.now+d)
+	was := t.Stop()
+	*t = *t.s.afterFunc(d, t.fn, t.passive)
 	return was
 }
 
 // AfterFunc schedules fn to run as a new daemon process after d of virtual
 // time. fn may use all kernel primitives, including blocking ones.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Timer{s: s, t: s.pushTimerLocked(&timerEntry{fn: fn}, s.now+d)}
+	return s.afterFunc(d, fn, false)
 }
 
-// AfterFuncPassive schedules fn to run after d of virtual time on the
-// kernel's bounded passive-dispatch worker pool instead of a dedicated
-// goroutine. Same-instant passive callbacks are batched onto the pool,
-// which makes passive timers dramatically cheaper at scale.
+// AfterFuncPassive schedules fn to run after d of virtual time as a task
+// step (see Task) instead of a process: on the stack of whichever process
+// is dispatching when the timer fires, with no goroutine of its own, which
+// makes passive timers dramatically cheaper at scale.
 //
 // fn MUST NOT block on kernel primitives (Sleep, Chan Send/Recv, WaitGroup
 // or Event waits): it is not a process, so a call that would block panics.
 // Non-blocking kernel calls (TrySend, TryRecv, Set, Go, GoDaemon,
 // AfterFunc) are allowed. Use AfterFunc for callbacks that may block.
 func (s *Sim) AfterFuncPassive(d time.Duration, fn func()) *Timer {
+	return s.afterFunc(d, fn, true)
+}
+
+func (s *Sim) afterFunc(d time.Duration, fn func(), passive bool) *Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &Timer{s: s, t: s.pushTimerLocked(&timerEntry{fn: fn, passive: true}, s.now+d)}
+	var entry *timerEntry
+	if passive {
+		t := new(funcTask) // fired, its step runs fn
+		t.Init(s, t)
+		entry = &t.entry
+	} else {
+		entry = new(timerEntry) // fired, it spawns fn
+	}
+	entry.fn = fn
+	return &Timer{s: s, t: s.pushTimerLocked(entry, s.now+d), fn: fn, passive: passive}
+}
+
+// funcTask is the task behind AfterFuncPassive. Its step is the fn of its
+// own timer entry, so that a Stop leaves nothing filed that holds fn.
+type funcTask struct{ Task }
+
+func (f *funcTask) RunTask() { f.entry.fn() }
+
+// Runner is the body of a Task.
+type Runner interface {
+	// RunTask runs one step to completion. It must not block: a kernel
+	// call that would block panics, as in a passive callback.
+	RunTask()
+}
+
+// Task is a unit of simulated work that needs no stack of its own: each
+// step runs to completion on the stack of the process that is dispatching
+// (see passLocked), in exactly the place a process woken at the same moment
+// would have run. It is meant to be embedded in its owner, which implements
+// Runner; arming and running it allocate nothing. A task is armed or ready
+// at most once at a time: its step may re-arm it, nothing else may until
+// the step has started.
+type Task struct {
+	s       *Sim
+	run     Runner
+	pending bool // armed or queued; cleared as the step starts
+	entry   timerEntry
+}
+
+// Init binds the task to its kernel and its body. Call it once, before the
+// first At or Ready.
+func (t *Task) Init(s *Sim, run Runner) {
+	t.s, t.run = s, run
+	t.entry.task = t
+}
+
+// At arms the task to run at virtual time when, in (time, insertion) order
+// with every other timer; a when that has passed means now.
+func (t *Task) At(when time.Duration) {
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t.claimLocked()
+	t.entry.fired = false
+	s.pushTimerLocked(&t.entry, max(when, s.now))
+}
+
+// Ready queues the task to run at the current instant, behind everything
+// already runnable — the run-queue slot a process woken now would take. It
+// never runs the step inside the call.
+func (t *Task) Ready() {
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t.claimLocked()
+	s.readyLocked(runnable{t: t})
+}
+
+func (t *Task) claimLocked() {
+	if t.pending {
+		panic("vtime: task armed while already armed or queued") // At and Ready unlock on the way out
+	}
+	t.pending = true
 }
 
 // --- random helpers (safe for concurrent use by processes) ---
@@ -479,9 +570,10 @@ func (s *Sim) RandExp() float64 {
 // --- kernel internals ---
 
 // curLocked returns the descriptor of the calling process: the holder of
-// the run token. A call that would block from anywhere else — a passive
-// callback, or a goroutine the kernel never spawned — has no descriptor to
-// block on. Must be called with s.mu held.
+// the run token. A call that would block from anywhere else — a task step
+// (cur is nil while a dispatcher holds the token), or a goroutine the kernel
+// never spawned — has no descriptor to block on. Must be called with s.mu
+// held.
 func (s *Sim) curLocked(op string) *proc {
 	if s.cur == nil {
 		s.mu.Unlock()
@@ -492,11 +584,12 @@ func (s *Sim) curLocked(op string) *proc {
 
 // blockLocked marks p, the calling process, blocked: on wait queue q if
 // there is one, with a timeout timer if d >= 0. It then passes the run
-// token on, which may advance the clock as far as p's own timeout. Must be
-// called with s.mu held; the caller must subsequently release s.mu and
-// park on p.grant, after which p.state holds the outcome.
-func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, name string, d time.Duration) {
-	p.wait = waitInfo{kind: kind, name: name, since: s.now}
+// token on, which may run tasks, advance the clock as far as p's own timeout
+// and release s.mu in between. Must be called with s.mu held; the caller
+// must subsequently release s.mu and park on p.grant, after which p.state
+// holds the outcome.
+func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, on fmt.Stringer, d time.Duration) {
+	p.wait = waitInfo{kind: kind, on: on, since: s.now}
 	p.state = wsWaiting
 	if d >= 0 {
 		p.wait.deadline = s.now + d
@@ -511,46 +604,69 @@ func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, name string, d t
 		q.push(p)
 	}
 	s.blocked.push(p)
-	s.runnable--
-	s.yieldLocked()
-	if s.runnable == 0 && !s.completed {
-		s.advanceLocked()
+	s.passLocked(p)
+}
+
+// runnable is one entry of the run queue: a process or a task.
+type runnable struct {
+	p *proc
+	t *Task
+}
+
+// readyLocked queues r for the run token, FIFO behind whatever is already
+// runnable. A parked process resumes only when it is actually its turn,
+// which is what makes wake order (and therefore the whole run)
+// deterministic. The token is free only before the first process exists;
+// a process readied then takes it at once, a task waits for that process.
+// Must be called with s.mu held.
+func (s *Sim) readyLocked(r runnable) {
+	s.runq = append(s.runq, r)
+	if !s.running && r.p != nil {
+		s.passLocked(nil)
 	}
 }
 
-// readyLocked makes a process runnable: it is granted the run token
-// immediately if the token is free, otherwise queued FIFO behind the
-// current holder. A parked process resumes only when it is actually its
-// turn, which is what makes wake order (and therefore the whole run)
-// deterministic. Must be called with s.mu held.
-func (s *Sim) readyLocked(p *proc) {
-	if s.running {
-		s.runq = append(s.runq, p)
-		return
-	}
-	s.running = true
-	s.cur = p
-	p.grant <- struct{}{}
-}
-
-// yieldLocked releases the run token and hands it to the next queued
-// process, if any. Must be called with s.mu held by the current holder
-// (or on its behalf, for passive batches).
-func (s *Sim) yieldLocked() {
-	if s.runqHead < len(s.runq) {
-		next := s.runq[s.runqHead]
-		s.runq[s.runqHead] = nil
-		s.runqHead++
-		if s.runqHead == len(s.runq) {
-			s.runq = s.runq[:0]
-			s.runqHead = 0
+// passLocked gives up the run token on behalf of self — the process that
+// just blocked or exited, nil for a goroutine the kernel does not own — and
+// makes the caller the dispatcher: it runs queued tasks on its own stack,
+// and while nothing is queued advances the clock and fires the next timer,
+// until it has granted the token to a process (possibly self: the grant
+// waits in the channel) or there is nothing left to do. Each timer fires
+// alone: what it made runnable runs before the next one is popped. Must be
+// called with s.mu held, which it releases around each task step.
+func (s *Sim) passLocked(self *proc) {
+	s.running, s.cur = true, nil
+	for {
+		for s.runqHead == len(s.runq) {
+			// Before the first non-daemon process (alive == 0) daemons
+			// parking is idle setup, not deadlock: the clock stays at zero.
+			if s.completed || s.alive == 0 || !s.fireNextLocked() {
+				s.running = false
+				return
+			}
 		}
-		s.cur = next
-		next.grant <- struct{}{}
-		return
+		next := s.runq[s.runqHead]
+		s.runq[s.runqHead] = runnable{}
+		if s.runqHead++; s.runqHead == len(s.runq) {
+			s.runq, s.runqHead = s.runq[:0], 0
+		}
+		if p := next.p; p != nil {
+			if p != self {
+				s.handoffs++
+			}
+			s.cur = p
+			p.grant <- struct{}{}
+			return
+		}
+		if s.completed {
+			continue // only processes outlive the run
+		}
+		next.t.pending = false
+		s.tasksRun++
+		s.mu.Unlock()
+		next.t.run.RunTask()
+		s.mu.Lock()
 	}
-	s.running = false
-	s.cur = nil
 }
 
 // wakeLocked ends blocked process p's wait with outcome state: it leaves
@@ -567,8 +683,7 @@ func (s *Sim) wakeLocked(p *proc, state int) {
 		p.waitq = nil
 	}
 	s.blocked.remove(p)
-	s.runnable++
-	s.readyLocked(p)
+	s.readyLocked(runnable{p: p})
 }
 
 // wakeAllLocked wakes every process on q, longest-waiting first.
@@ -613,31 +728,27 @@ func (s *Sim) recycleLocked(entry *timerEntry) {
 
 // cancelTimerLocked marks entry cancelled, keeping the live-timer count
 // exact for deadlock detection. The entry itself is discarded lazily when
-// the queue pops it. Reports whether the entry was still pending. Must be
-// called with s.mu held.
+// the queue pops it — which may be long after, so it lets go of its
+// callback now. Reports whether the entry was still pending. Must be called
+// with s.mu held.
 func (s *Sim) cancelTimerLocked(entry *timerEntry) bool {
 	if entry.cancelled || entry.fired {
 		return false
 	}
 	entry.cancelled = true
+	entry.fn = nil
 	s.liveTimers--
 	return true
 }
 
-// advanceLocked advances virtual time while no process is runnable, firing
-// timers in (time, insertion) order. Must be called with s.mu held and
-// s.runnable == 0.
-func (s *Sim) advanceLocked() {
-	if s.alive == 0 {
-		// No non-daemon process exists yet: the simulation has not
-		// started. Daemons (servers) parking before the first Go call is
-		// idle setup, not deadlock, and the clock stays at zero.
-		return
-	}
-	for s.runnable == 0 && !s.completed {
+// fireNextLocked advances virtual time to the earliest pending timer and
+// fires it; it reports false, having ended the run, if there is none. Must
+// be called with s.mu held and nothing runnable.
+func (s *Sim) fireNextLocked() bool {
+	for {
 		if s.liveTimers == 0 {
 			s.reportDeadlockLocked()
-			return
+			return false
 		}
 		entry := s.timers.pop()
 		if entry == nil {
@@ -658,16 +769,16 @@ func (s *Sim) advanceLocked() {
 			s.flushBatchLocked()
 		}
 		s.batchWhen = s.now
-		if entry.passive {
-			s.dispatchPassiveLocked(entry)
-			return
-		}
 		s.fireLocked(entry)
+		return true
 	}
 }
 
-// markFiredLocked does the accounting for one dispatched timer.
-func (s *Sim) markFiredLocked(entry *timerEntry) {
+// fireLocked dispatches one timer under the kernel lock: a sleep or timeout
+// entry wakes its process (a live entry means the process is still in the
+// wait that pushed it, since every other wake cancels it), a task's entry
+// readies the task, an AfterFunc entry spawns its callback as a daemon.
+func (s *Sim) fireLocked(entry *timerEntry) {
 	entry.fired = true
 	s.liveTimers--
 	s.batchCount++
@@ -675,69 +786,16 @@ func (s *Sim) markFiredLocked(entry *timerEntry) {
 	if s.stats.TimerLead != nil {
 		s.stats.TimerLead.Record(int64(entry.when - entry.born))
 	}
-}
-
-// fireLocked dispatches one non-passive timer under the kernel lock: a
-// sleep or timeout entry wakes its process (a live entry means the process
-// is still in the wait that pushed it, since every other wake cancels it),
-// an AfterFunc entry spawns its callback as a daemon.
-func (s *Sim) fireLocked(entry *timerEntry) {
-	s.markFiredLocked(entry)
-	p := entry.proc
-	if p == nil {
+	switch p := entry.proc; {
+	case p != nil:
+		s.recycleLocked(entry)
+		p.timer = nil
+		s.wakeLocked(p, wsTimedOut)
+	case entry.task != nil:
+		s.readyLocked(runnable{t: entry.task})
+	default:
 		s.spawnLocked("afterfunc", entry.fn, true)
-		return
 	}
-	s.recycleLocked(entry)
-	p.timer = nil
-	s.wakeLocked(p, wsTimedOut)
-}
-
-// dispatchPassiveLocked collects first plus every consecutive same-instant
-// passive timer (up to maxPassiveBatch) and hands the batch to the worker
-// pool. The batch counts as one runnable unit until the last callback
-// completes, so the clock cannot move past it. Must be called with s.mu
-// held.
-func (s *Sim) dispatchPassiveLocked(first *timerEntry) {
-	s.markFiredLocked(first)
-	batch := append(s.passiveBuf[:0], first)
-	for len(batch) < maxPassiveBatch {
-		next := s.timers.peek()
-		if next == nil || next.when != s.now {
-			break
-		}
-		if next.cancelled {
-			s.recycleLocked(s.timers.pop())
-			continue
-		}
-		if !next.passive {
-			break
-		}
-		s.timers.pop()
-		s.markFiredLocked(next)
-		batch = append(batch, next)
-	}
-	s.passiveBuf = batch
-	s.runnable++
-	// The batch holds the run token while in flight: processes its
-	// callbacks wake queue behind it and start, in FIFO order, only after
-	// batchFinished — otherwise a woken process would race the remaining
-	// callbacks. No process holds it, so cur stays nil and a callback that
-	// tries to block panics.
-	s.running = true
-	s.pool.dispatch(batch)
-}
-
-// batchFinished is called by the worker pool when the last callback of a
-// passive batch has returned.
-func (s *Sim) batchFinished() {
-	s.mu.Lock()
-	s.runnable--
-	s.yieldLocked()
-	if s.runnable == 0 && !s.completed {
-		s.advanceLocked()
-	}
-	s.mu.Unlock()
 }
 
 // flushBatchLocked records and resets the open dispatch batch. Must be
@@ -847,7 +905,7 @@ const (
 // only if a deadlock is actually reported.
 type waitInfo struct {
 	kind     waitKind
-	name     string
+	on       fmt.Stringer // the Chan or Event waited on, if any
 	deadline time.Duration
 	since    time.Duration
 }
@@ -857,27 +915,27 @@ func (w *waitInfo) describe() string {
 	case waitSleep:
 		return fmt.Sprintf("sleep until t=%v (since t=%v)", w.deadline, w.since)
 	case waitSend:
-		return fmt.Sprintf("send on %s (since t=%v)", w.name, w.since)
+		return fmt.Sprintf("send on %s (since t=%v)", w.on, w.since)
 	case waitRecv:
-		return fmt.Sprintf("recv on %s (since t=%v)", w.name, w.since)
+		return fmt.Sprintf("recv on %s (since t=%v)", w.on, w.since)
 	case waitWaitGroup:
 		return fmt.Sprintf("waitgroup wait (since t=%v)", w.since)
 	default:
-		return fmt.Sprintf("event %s (since t=%v)", w.name, w.since)
+		return fmt.Sprintf("event %s (since t=%v)", w.on, w.since)
 	}
 }
 
 // --- timer entries ---
 
-// timerEntry is one pending timer: a sleep or timeout that wakes proc, or
-// (proc nil) a callback fn to run on the passive pool or as a new daemon.
+// timerEntry is one pending timer: a sleep or timeout that wakes proc, the
+// entry embedded in task, or (both nil) a callback fn to spawn as a daemon.
 type timerEntry struct {
 	when      time.Duration
 	born      time.Duration // clock value when the timer was scheduled
 	seq       uint64
 	proc      *proc
+	task      *Task
 	fn        func()
-	passive   bool
 	cancelled bool
 	fired     bool
 	index     int // heap engine bookkeeping
@@ -889,6 +947,5 @@ type timerEntry struct {
 type timerQueue interface {
 	push(e *timerEntry)
 	pop() *timerEntry
-	peek() *timerEntry
 	len() int
 }

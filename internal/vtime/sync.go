@@ -1,6 +1,9 @@
 package vtime
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // WaitGroup is a simulated analogue of sync.WaitGroup: Wait blocks in
 // virtual time until the counter reaches zero.
@@ -63,15 +66,15 @@ func (wg *WaitGroup) wait(d time.Duration) bool {
 		s.mu.Unlock()
 		return done
 	}
-	return s.waitLocked(&wg.waiters, "WaitGroup.Wait", waitWaitGroup, "", d)
+	return s.waitLocked(&wg.waiters, "WaitGroup.Wait", waitWaitGroup, nil, d)
 }
 
 // waitLocked blocks the calling process on q until a release wakes it
 // (true) or, if d >= 0, d elapses (false). Called with s.mu held; returns
 // with it released.
-func (s *Sim) waitLocked(q *procQueue, op string, kind waitKind, name string, d time.Duration) bool {
+func (s *Sim) waitLocked(q *procQueue, op string, kind waitKind, on fmt.Stringer, d time.Duration) bool {
 	p := s.curLocked(op)
-	s.blockLocked(p, q, kind, name, d)
+	s.blockLocked(p, q, kind, on, d)
 	s.mu.Unlock()
 	<-p.grant
 	return p.state == wsDelivered
@@ -89,6 +92,9 @@ type Event struct {
 
 // NewEvent creates an unset Event. The name appears in deadlock reports.
 func NewEvent(s *Sim, name string) *Event { return &Event{s: s, name: name} }
+
+// String returns the event's name.
+func (e *Event) String() string { return e.name }
 
 // Set sets the event, releasing all current and future Wait calls. Setting
 // an already-set event is a no-op.
@@ -133,5 +139,5 @@ func (e *Event) wait(d time.Duration) bool {
 		s.mu.Unlock()
 		return set
 	}
-	return s.waitLocked(&e.waiters, "Event.Wait", waitEvent, e.name, d)
+	return s.waitLocked(&e.waiters, "Event.Wait", waitEvent, e, d)
 }

@@ -66,17 +66,6 @@ func (w *timerWheel) pop() *timerEntry {
 	}
 }
 
-func (w *timerWheel) peek() *timerEntry {
-	for {
-		if len(w.due.h) > 0 {
-			return w.due.h[0]
-		}
-		if !w.advance() {
-			return nil
-		}
-	}
-}
-
 func (w *timerWheel) len() int { return w.count }
 
 // place files e by its distance from the cursor: due heap (at or before the

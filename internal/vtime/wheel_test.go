@@ -83,38 +83,6 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-// TestWheelPeekAgreesWithPop checks that peek is a pure read of the next
-// pop on both engines, including across lazy cascades.
-func TestWheelPeekAgreesWithPop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	wheel := newTimerWheel()
-	heapq := newHeapQueue()
-	var seq uint64
-	for i := 0; i < 500; i++ {
-		seq++
-		when := time.Duration(rng.Intn(1 << 40))
-		wheel.push(&timerEntry{when: when, seq: seq})
-		heapq.push(&timerEntry{when: when, seq: seq})
-	}
-	for {
-		wp, hp := wheel.peek(), heapq.peek()
-		if (wp == nil) != (hp == nil) {
-			t.Fatalf("peek mismatch: wheel %v heap %v", wp, hp)
-		}
-		if wp == nil {
-			break
-		}
-		if wp.when != hp.when || wp.seq != hp.seq {
-			t.Fatalf("peek: wheel (when=%v seq=%d) heap (when=%v seq=%d)", wp.when, wp.seq, hp.when, hp.seq)
-		}
-		we := wheel.pop()
-		if we != wp {
-			t.Fatalf("pop %v is not the peeked entry %v", we, wp)
-		}
-		heapq.pop()
-	}
-}
-
 // engineScript runs a deterministic random program of AfterFunc, Stop,
 // Reset, and Sleep against one engine and returns the multiset of fired
 // callbacks (label@instant), the Stop/Reset result sequence, and the
