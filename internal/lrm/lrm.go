@@ -326,6 +326,7 @@ type Job struct {
 	queuedAt time.Duration // when the job was accepted by Submit
 	startAt  time.Duration // when the job became active
 	resumeEv *vtime.Event  // non-nil while suspended
+	limit    *vtime.Timer  // wall-limit timer while the job runs, nil if none
 }
 
 // ID returns the machine-unique job identifier.
@@ -527,6 +528,15 @@ func (m *Machine) launch(job *Job) {
 	job.liveProcs = job.spec.Count
 	job.startAt = m.sim.Now()
 	queuedAt := job.queuedAt
+	if job.spec.TimeLimit > 0 {
+		// finishJob never blocks on kernel primitives, so wall-limit
+		// enforcement is a passive timer instead of a goroutine per running
+		// job; finishJob stops it, so a job that ends early leaves nothing
+		// in the timer queue that holds it.
+		job.limit = m.sim.AfterFuncPassive(job.spec.TimeLimit, func() {
+			m.finishJob(job, StateFailed, "wall-time limit exceeded")
+		})
+	}
 	job.mu.Unlock()
 	m.metricHandles()
 	// Queue service wait: accept-to-launch latency. In fork mode this is
@@ -537,14 +547,6 @@ func (m *Machine) launch(job *Job) {
 	m.busy.Add(float64(job.spec.Count))
 	job.setState(StateActive, "")
 
-	if job.spec.TimeLimit > 0 {
-		// finishJob never blocks on kernel primitives, so wall-limit
-		// enforcement rides the passive dispatch pool instead of paying a
-		// goroutine per running job.
-		m.sim.AfterFuncPassive(job.spec.TimeLimit, func() {
-			m.finishJob(job, StateFailed, "wall-time limit exceeded")
-		})
-	}
 	startup := time.Duration(float64(m.costs.ProcStartup) * slow)
 	for rank := 0; rank < job.spec.Count; rank++ {
 		p := &Proc{
@@ -609,6 +611,10 @@ func (m *Machine) finishJob(job *Job, state JobState, reason string) {
 	release := !job.released && !wasPending
 	job.released = true
 	startAt := job.startAt
+	if job.limit != nil {
+		job.limit.Stop()
+		job.limit = nil
+	}
 	job.mu.Unlock()
 
 	if release {

@@ -3,6 +3,7 @@ package lrm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -410,5 +411,69 @@ func TestJobLookup(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+}
+
+// The wall-limit timer belongs to the running job: a job that finishes
+// early stops it, so nothing stays filed in the kernel's timer queue that
+// holds the job (under RetireTerminal the machine has let go of it too) and
+// nothing fires at the instant the limit would have struck; a job that
+// does overrun is still killed there.
+func TestWallLimitTimerDiesWithItsJob(t *testing.T) {
+	sim := vtime.New()
+	host := transport.New(sim, transport.UniformLatency(time.Millisecond)).AddHost("origin")
+	m := NewMachine(host, 8, Config{Mode: Fork, RetireTerminal: true})
+	registerWork(m, 10*time.Second)
+	m.RegisterExecutable("overrun", func(p *Proc) error { return p.Work(time.Hour, time.Second) })
+	collected := make(chan struct{})
+	err := sim.Run("main", func() {
+		func() {
+			job, err := m.Submit(JobSpec{Executable: "work", Count: 2, TimeLimit: time.Minute})
+			if err != nil {
+				t.Errorf("Submit: %v", err)
+				return
+			}
+			runtime.SetFinalizer(job, func(*Job) { close(collected) })
+			job.Done().Wait()
+			if job.State() != StateDone {
+				t.Errorf("state = %v (%s), want DONE", job.State(), job.Reason())
+			}
+		}()
+		sim.Sleep(time.Second) // its processes have exited
+		finished := false
+		for i := 0; i < 50 && !finished; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				finished = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !finished {
+			t.Error("a finished, retired job is still reachable: its wall-limit timer holds it")
+		}
+		fired := sim.TimersFired()
+		sim.Sleep(2 * time.Minute) // across the instant the limit would have struck
+		if got := sim.TimersFired() - fired; got != 1 {
+			t.Errorf("%d timers fired across the dead job's limit instant, want 1 (this sleep)", got)
+		}
+
+		start := sim.Now()
+		job, err := m.Submit(JobSpec{Executable: "overrun", Count: 2, TimeLimit: 5 * time.Second})
+		if err != nil {
+			t.Errorf("Submit: %v", err)
+			return
+		}
+		job.Done().Wait()
+		ran := sim.Now() - start // the limit runs from launch, a fork after Submit
+		if job.State() != StateFailed || job.Reason() != "wall-time limit exceeded" || ran < 5*time.Second || ran > 5*time.Second+10*time.Millisecond {
+			t.Errorf("overrunning job: %v (%s) at +%v, want FAILED at its 5s limit", job.State(), job.Reason(), ran)
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if st := m.Stats(); st.Done != 1 || st.Failed != 1 {
+		t.Errorf("stats = %+v, want 1 done, 1 failed", st)
 	}
 }
