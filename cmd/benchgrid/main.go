@@ -642,8 +642,8 @@ func scaleStudy(seed int64, smoke bool) {
 	section("B4 — kernel throughput at scale: timer wheel vs reference heap")
 	res := experiments.ScaleStudy(scaleConfig(seed, smoke))
 	fmt.Print(res.Table())
-	fmt.Println("(internal/vtime + internal/lrm: the timing wheel, passive dispatch")
-	fmt.Println(" pool, and release index carry the whole job stream; dual-engine")
+	fmt.Println("(internal/vtime + internal/lrm: the timing wheel, passive timers")
+	fmt.Println(" and release index carry the whole job stream; dual-engine")
 	fmt.Println(" rows must agree on every virtual-time column, byte for byte)")
 	if err := scaleCheck(res); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgrid:", err)

@@ -29,7 +29,8 @@ type ScaleConfig struct {
 	MaxProcs int
 	// MinRuntime/MaxRuntime bound the per-process work time (drawn
 	// uniformly). The wall-time limit is 2× the drawn runtime, so every
-	// running job also carries a passive limit timer that outlives it.
+	// running job also carries a passive limit timer, stopped when the
+	// job finishes.
 	MinRuntime time.Duration
 	MaxRuntime time.Duration
 	// MeanInterarrival is the Poisson arrival spacing. The default keeps

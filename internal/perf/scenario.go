@@ -220,7 +220,7 @@ func RunWireScenario(seed int64) []Series {
 // scaleScenarioConfig is the fixed sub-second slice of the B4 scale study
 // the "scenario.scale" series measure: a Poisson batch-job stream over a
 // small fleet, raw on the kernel, deep enough that the timing wheel,
-// passive dispatch pool, and release index all carry real load.
+// passive timers, and release index all carry real load.
 func scaleScenarioConfig(seed int64) experiments.ScaleConfig {
 	return experiments.ScaleConfig{
 		Jobs:             2000,

@@ -694,8 +694,12 @@ type inbox Conn
 
 func (i *inbox) String() string { return "in:" + (*Conn)(i).String() }
 
-// flusher is a connection's batch-flush tick as a task body.
-type flusher Conn
+// deliverer and flusher are a connection end's two task bodies: the
+// delivery pipeline's step and the batch-flush tick.
+type (
+	deliverer Conn
+	flusher   Conn
+)
 
 // Flow returns the connection-pair identifier shared by both ends: the
 // client and server addresses plus the establishment time in microseconds.
@@ -718,11 +722,12 @@ func newConnPair(n *Network, clientAddr, serverAddr Addr, ctx trace.Ctx) (client
 	client.local, client.remote = clientAddr, serverAddr
 	server.local, server.remote, server.server = serverAddr, clientAddr, true
 	ctrs, hs := n.Counters(), n.Hists()
-	for _, c := range []*Conn{client, server} {
+	for i := range pair {
+		c := &pair[i]
 		n.connSeq++
 		c.net, c.estSeq, c.est, c.ctx, c.batch = n, n.connSeq, n.sim.Now(), ctx, n.batch
 		c.in.Init(n.sim, (*inbox)(c), 4096)
-		c.deliver.Init(n.sim, c)
+		c.deliver.Init(n.sim, (*deliverer)(c))
 		c.flush.Init(n.sim, (*flusher)(c))
 		if ctrs != nil {
 			dir := c.names().dir
@@ -748,7 +753,8 @@ func newConnPair(n *Network, clientAddr, serverAddr Addr, ctx trace.Ctx) (client
 // is due from this end's out queue into the peer's inbox, preserving FIFO
 // order — the head's delivery time gates everything behind it, whatever
 // the latency model says now — and arms itself for the next head.
-func (c *Conn) RunTask() {
+func (d *deliverer) RunTask() {
+	c := (*Conn)(d)
 	now := c.net.sim.Now()
 	for {
 		c.mu.Lock()

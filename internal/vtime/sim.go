@@ -8,7 +8,7 @@
 // every wait is a timer or an arrival: a struct embedded in its owner,
 // armed at a virtual instant ([Task.At]) or made ready now ([Task.Ready]),
 // whose step runs to completion and must not block. [Sim.AfterFuncPassive]
-// is a task made from a closure. All blocking inside the simulation must
+// runs a closure the same way. All blocking inside the simulation must
 // go through kernel primitives so the kernel can tell when nothing is
 // runnable; virtual time advances only then, by a jump to the earliest
 // pending timer. This makes timing exact (no wall-clock jitter) and fast
@@ -415,10 +415,9 @@ func (s *Sim) SleepUntil(t time.Duration) {
 // Timer is a handle to a callback scheduled with AfterFunc or
 // AfterFuncPassive.
 type Timer struct {
-	s       *Sim
-	t       *timerEntry
-	fn      func()
-	passive bool
+	s  *Sim
+	t  *timerEntry
+	fn func() // a stopped entry has let go of its own copy
 }
 
 // Stop cancels the timer. It reports whether the callback was prevented
@@ -435,7 +434,7 @@ func (t *Timer) Stop() bool {
 // time of the call, with the same meaning as Stop's return value.
 func (t *Timer) Reset(d time.Duration) bool {
 	was := t.Stop()
-	*t = *t.s.afterFunc(d, t.fn, t.passive)
+	*t = *t.s.afterFunc(d, t.fn, t.t.passive)
 	return was
 }
 
@@ -445,10 +444,10 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
 	return s.afterFunc(d, fn, false)
 }
 
-// AfterFuncPassive schedules fn to run after d of virtual time as a task
-// step (see Task) instead of a process: on the stack of whichever process
-// is dispatching when the timer fires, with no goroutine of its own, which
-// makes passive timers dramatically cheaper at scale.
+// AfterFuncPassive schedules fn to run after d of virtual time the way a
+// task step runs (see Task) instead of as a process: on the stack of
+// whichever process is dispatching when the timer fires, with no goroutine
+// of its own, which makes passive timers dramatically cheaper at scale.
 //
 // fn MUST NOT block on kernel primitives (Sleep, Chan Send/Recv, WaitGroup
 // or Event waits): it is not a process, so a call that would block panics.
@@ -461,23 +460,9 @@ func (s *Sim) AfterFuncPassive(d time.Duration, fn func()) *Timer {
 func (s *Sim) afterFunc(d time.Duration, fn func(), passive bool) *Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var entry *timerEntry
-	if passive {
-		t := new(funcTask) // fired, its step runs fn
-		t.Init(s, t)
-		entry = &t.entry
-	} else {
-		entry = new(timerEntry) // fired, it spawns fn
-	}
-	entry.fn = fn
-	return &Timer{s: s, t: s.pushTimerLocked(entry, s.now+d), fn: fn, passive: passive}
+	entry := &timerEntry{fn: fn, passive: passive}
+	return &Timer{s: s, t: s.pushTimerLocked(entry, s.now+d), fn: fn}
 }
-
-// funcTask is the task behind AfterFuncPassive. Its step is the fn of its
-// own timer entry, so that a Stop leaves nothing filed that holds fn.
-type funcTask struct{ Task }
-
-func (f *funcTask) RunTask() { f.entry.fn() }
 
 // Runner is the body of a Task.
 type Runner interface {
@@ -526,7 +511,7 @@ func (t *Task) Ready() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t.claimLocked()
-	s.readyLocked(runnable{t: t})
+	s.readyLocked(runnable{e: &t.entry})
 }
 
 func (t *Task) claimLocked() {
@@ -607,10 +592,11 @@ func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, on fmt.Stringer,
 	s.passLocked(p)
 }
 
-// runnable is one entry of the run queue: a process or a task.
+// runnable is one entry of the run queue: a process, or the timer entry of
+// a task or passive callback whose step is due.
 type runnable struct {
 	p *proc
-	t *Task
+	e *timerEntry
 }
 
 // readyLocked queues r for the run token, FIFO behind whatever is already
@@ -661,10 +647,17 @@ func (s *Sim) passLocked(self *proc) {
 		if s.completed {
 			continue // only processes outlive the run
 		}
-		next.t.pending = false
 		s.tasksRun++
+		t := next.e.task
+		if t != nil {
+			t.pending = false
+		}
 		s.mu.Unlock()
-		next.t.run.RunTask()
+		if t != nil {
+			t.run.RunTask()
+		} else {
+			next.e.fn() // a passive callback
+		}
 		s.mu.Lock()
 	}
 }
@@ -791,8 +784,8 @@ func (s *Sim) fireLocked(entry *timerEntry) {
 		s.recycleLocked(entry)
 		p.timer = nil
 		s.wakeLocked(p, wsTimedOut)
-	case entry.task != nil:
-		s.readyLocked(runnable{t: entry.task})
+	case entry.task != nil || entry.passive:
+		s.readyLocked(runnable{e: entry})
 	default:
 		s.spawnLocked("afterfunc", entry.fn, true)
 	}
@@ -928,7 +921,8 @@ func (w *waitInfo) describe() string {
 // --- timer entries ---
 
 // timerEntry is one pending timer: a sleep or timeout that wakes proc, the
-// entry embedded in task, or (both nil) a callback fn to spawn as a daemon.
+// entry embedded in task, or (both nil) a callback fn to run as a step
+// (passive) or to spawn as a daemon.
 type timerEntry struct {
 	when      time.Duration
 	born      time.Duration // clock value when the timer was scheduled
@@ -936,6 +930,7 @@ type timerEntry struct {
 	proc      *proc
 	task      *Task
 	fn        func()
+	passive   bool
 	cancelled bool
 	fired     bool
 	index     int // heap engine bookkeeping

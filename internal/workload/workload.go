@@ -161,9 +161,9 @@ func RegisterExecutable(m *lrm.Machine, name string) {
 // scheduler like any other work.
 //
 // Batch-mode submission never blocks on kernel primitives, so those
-// arrivals ride the kernel's passive dispatch pool rather than paying one
-// goroutine per arrival — at 10⁶ arrivals that is the difference between a
-// bounded worker set and a million short-lived goroutines. Fork-mode
+// arrivals are passive timers, run on the stack of whichever process is
+// dispatching, rather than paying one goroutine per arrival — at 10⁶
+// arrivals that is a million short-lived goroutines saved. Fork-mode
 // Submit sleeps for the fork cost and keeps the goroutine-per-timer path.
 func Drive(sim *vtime.Sim, m *lrm.Machine, executable string, jobs []Job) {
 	after := sim.AfterFunc

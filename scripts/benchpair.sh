@@ -4,7 +4,8 @@
 # two commits, run them in alternating order, and print, per workload and
 # end-to-end metric, each side's median and quartiles, how many pairs the
 # change won, and whether the gap between the medians is larger than the
-# spread between the parent's own runs.
+# spread between the parent's own runs ("better" / "WORSE"; "unresolved"
+# when it is not, "tied" when every pair tied).
 #
 # Usage:
 #   scripts/benchpair.sh <parent> <change> [pairs=10] [seed=7]
@@ -97,15 +98,15 @@ function fmtnum(x) { return (x >= 1000) ? sprintf("%.0f", x) : (x >= 10) ? sprin
 /^== / { tag = ($2 == "rerun") ? "rerun" : $3; side = $NF; next }
 /^GATE FAILED|GATE FAILED:/ { gates = gates "  " tag " " side ": " $0 "\n"; next }
 /^[a-z_]+: [0-9]+ rounds/ { w = $1; sub(/:$/, "", w); if (!(w in seenw)) { seenw[w] = 1; ws[++nw] = w }; next }
-/^  [a-z_.]+ +[-0-9.e+]+ / {
+/^  [a-z0-9_.]+ +[-0-9.e+]+ / {
     m = $1
     if (!(m in seenm)) { seenm[m] = 1; ms[++nm] = m }
-    val[side, w, m, tag] = $2
+    val[side, w, m, tag] = $2 + 0
     next
 }
 END {
     printf "%d pairs on seed %d, alternating first side; IQR = the parent'"'"'s own runs; rerun = one pair on seed %d\n", pairs, seed, rerun
-    printf "%-16s %-19s %28s %28s %8s %9s %-11s %s\n", "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "delta", "W/T/L", "gap vs IQR", "rerun"
+    printf "%-16s %-19s %28s %28s %8s %9s %-11s %s\n", "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "delta", "W/T/L", "gap > IQR?", "rerun"
     for (a = 1; a <= nw; a++) for (b = 1; b <= nm; b++) {
         w = ws[a]; m = ms[b]
         if (!(("parent", w, m, 1) in val)) continue
@@ -123,7 +124,8 @@ END {
         cm = quantile(sc, pairs, 0.5); c1 = quantile(sc, pairs, 0.25); c3 = quantile(sc, pairs, 0.75)
         gap = cm - pm; if (gap < 0) gap = -gap
         iqr = p3 - p1
-        verdict = (tie == pairs) ? "tied" : (gap > iqr) ? "gap > IQR" : "unresolved"
+        better = ((cm < pm) != higher)
+        verdict = (tie == pairs) ? "tied" : (gap <= iqr) ? "unresolved" : better ? "better" : "WORSE"
         delta = (pm != 0) ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "n/a"
         rr = sprintf("%s -> %s", fmtnum(val["parent", w, m, "rerun"]), fmtnum(val["change", w, m, "rerun"]))
         printf "%-16s %-19s %10s [%8s,%8s] %10s [%8s,%8s] %8s %3d/%d/%d %-11s %s\n", w, m,
