@@ -348,3 +348,67 @@ func TestRoundTripCosts(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 }
+
+// A connection that always has a message in flight never drains its
+// pipeline, so the storage behind it must be bounded by what is in flight,
+// not by how much has ever been sent.
+func TestPipelineStorageBoundedWhenNeverIdle(t *testing.T) {
+	for _, inFlight := range []int{4, 3000} {
+		t.Run(fmt.Sprint(inFlight, " in flight"), func(t *testing.T) {
+			sim, _, a, b := testNet(t) // 1 ms one way
+			l, err := b.Listen("sink")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			const sends = 20 * maxInFlight
+			received := 0
+			sim.GoDaemon("server", func() {
+				conn, ok := l.Accept()
+				if !ok {
+					return
+				}
+				for {
+					msg, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					if want := byte(received); msg[0] != want {
+						t.Errorf("message %d carries %d, want %d: out of order", received, msg[0], want)
+					}
+					received++
+				}
+			})
+			err = sim.Run("client", func() {
+				conn, err := a.Dial(Addr{"b", "sink"})
+				if err != nil {
+					t.Errorf("Dial: %v", err)
+					return
+				}
+				gap := ms / time.Duration(inFlight)
+				peak, storage := 0, 0
+				for i := 0; i < sends; i++ {
+					conn.Send([]byte{byte(i)})
+					conn.mu.Lock()
+					peak = max(peak, len(conn.out)-conn.outHead)
+					storage = max(storage, cap(conn.out))
+					conn.mu.Unlock()
+					sim.Sleep(gap)
+				}
+				if peak < inFlight || peak >= maxInFlight {
+					t.Errorf("peak %d in flight, want about %d: the pipeline was not kept busy", peak, inFlight)
+				}
+				if storage > 4*peak+8 {
+					t.Errorf("pipeline storage reached %d slots for a peak of %d in flight", storage, peak)
+				}
+				sim.Sleep(2 * ms)
+				conn.Close()
+			})
+			if err != nil {
+				t.Fatalf("sim: %v", err)
+			}
+			if received != sends {
+				t.Errorf("received %d of %d", received, sends)
+			}
+		})
+	}
+}

@@ -574,10 +574,8 @@ const maxInFlight = 4096
 // and one kernel task (deliver) walks them: readied by the send that finds
 // the pipeline idle, it arms itself for the head's delivery time, and when
 // that fires delivers the head and everything behind it that is also due,
-// then re-arms for the next head or goes idle. That is the schedule of a
-// process looping over "receive from out; sleep until deliverAt; deliver" —
-// the same timers, pushed and fired at the same points — without the
-// process.
+// then re-arms for the next head or goes idle: timer for timer the schedule
+// of a process looping over "receive from out; sleep until deliverAt; deliver".
 type Conn struct {
 	net    *Network
 	estSeq uint64 // establishment order; failure sweeps close in this order
@@ -624,9 +622,8 @@ type Conn struct {
 
 	// The batch-flush tick, guarded by mu. flushing says the flush task is
 	// queued or armed; a batch that opens meanwhile sets flushAgain, which
-	// buys one more tick after the armed one (the tick a flusher process
-	// would take on finding a second signal waiting). flushArmed tells the
-	// step whether it was entered from the run queue or by its timer.
+	// buys one more tick after the armed one (a second signal waiting).
+	// flushArmed: the step was entered by its timer, not from the run queue.
 	flush                            vtime.Task
 	flushing, flushArmed, flushAgain bool
 }
@@ -694,8 +691,7 @@ type inbox Conn
 
 func (i *inbox) String() string { return "in:" + (*Conn)(i).String() }
 
-// deliverer and flusher are a connection end's two task bodies: the
-// delivery pipeline's step and the batch-flush tick.
+// deliverer and flusher are a connection end's two task bodies.
 type (
 	deliverer Conn
 	flusher   Conn
@@ -773,8 +769,8 @@ func (d *deliverer) RunTask() {
 		c.outHead++
 		c.mu.Unlock()
 		if m.fin {
-			c.peer.markClosed()
-			continue // nothing is behind a FIN
+			c.peer.shut(false) // the peer's receive side closes
+			continue           // nothing is behind a FIN
 		}
 		// Reachability is evaluated once per delivery (per batch): a batch
 		// crosses the wire as one unit.
@@ -909,6 +905,13 @@ func (c *Conn) enqueueLocked(m outMsg) bool {
 	if c.sealed || !m.fin && len(c.out)-c.outHead >= maxInFlight {
 		return false
 	}
+	// A pipeline that never drains is never rewound: rather than regrow, slide
+	// the tail over a consumed prefix at least as long (storage stays O(in flight)).
+	if h := c.outHead; len(c.out) == cap(c.out) && h >= len(c.out)-h && h > 0 {
+		n := copy(c.out, c.out[h:])
+		clear(c.out[n:])
+		c.out, c.outHead = c.out[:n], 0
+	}
 	c.out = append(c.out, m)
 	if !c.delivering {
 		c.delivering = true
@@ -1026,9 +1029,6 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 // end (the peer drains buffered messages first). Closing twice is a no-op.
 func (c *Conn) Close() { c.shut(true) }
 
-// markClosed closes the receive side in response to a peer FIN.
-func (c *Conn) markClosed() { c.shut(false) }
-
 // shut closes this end, once. A close of the end's own making (fin) lets
 // what it has sent drain to the peer, the last pending batch included,
 // and sends a FIN after it.
@@ -1050,9 +1050,8 @@ func (c *Conn) shut(fin bool) {
 	n.mu.Unlock()
 	c.in.Close()
 	if fin {
-		// The FIN is exempt from the pipeline's bound, so the peer observes
-		// ErrClosed even when the close finds the pipeline saturated — never
-		// a hang until its receive timeout.
+		// Exempt from the pipeline's bound: the peer observes ErrClosed even
+		// when the close finds the pipeline saturated, never a hang.
 		c.enqueueLocked(outMsg{deliverAt: n.sim.Now() + n.latency.Latency(c.local.Host, c.remote.Host), fin: true})
 	}
 	c.sealed = true

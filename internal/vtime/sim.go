@@ -433,8 +433,10 @@ func (t *Timer) Stop() bool {
 // whether the timer was still pending (and was therefore cancelled) at the
 // time of the call, with the same meaning as Stop's return value.
 func (t *Timer) Reset(d time.Duration) bool {
-	was := t.Stop()
-	*t = *t.s.afterFunc(d, t.fn, t.t.passive)
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	was := t.s.cancelTimerLocked(t.t)
+	t.t = t.s.pushTimerLocked(&timerEntry{fn: t.fn, passive: t.t.passive}, t.s.now+d)
 	return was
 }
 
@@ -452,7 +454,8 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
 // fn MUST NOT block on kernel primitives (Sleep, Chan Send/Recv, WaitGroup
 // or Event waits): it is not a process, so a call that would block panics.
 // Non-blocking kernel calls (TrySend, TryRecv, Set, Go, GoDaemon,
-// AfterFunc) are allowed. Use AfterFunc for callbacks that may block.
+// AfterFunc) are allowed. Use AfterFunc for callbacks that may block. A
+// panic in fn unwinds through the dispatching process (see Task).
 func (s *Sim) AfterFuncPassive(d time.Duration, fn func()) *Timer {
 	return s.afterFunc(d, fn, true)
 }
@@ -478,6 +481,10 @@ type Runner interface {
 // Runner; arming and running it allocate nothing. A task is armed or ready
 // at most once at a time: its step may re-arm it, nothing else may until
 // the step has started.
+//
+// A step that panics unwinds through that process — an unrelated one, already
+// marked blocked or exited — with the run token held for nobody. It must end
+// the program: a process body that recovers it leaves the simulation wedged.
 type Task struct {
 	s       *Sim
 	run     Runner

@@ -154,6 +154,41 @@ func TestAfterFuncStopPreventsRun(t *testing.T) {
 	}
 }
 
+// A cancelled entry lets go of its callback at once, so Reset must bring it
+// back from the handle: a stopped or fired timer that is reset runs again,
+// at the new instant, for both kinds of callback.
+func TestTimerResetRearmsStoppedAndFiredTimers(t *testing.T) {
+	for _, passive := range []bool{false, true} {
+		s := New()
+		var ran []time.Duration
+		after := s.AfterFunc
+		if passive {
+			after = s.AfterFuncPassive
+		}
+		timer := after(5*time.Second, func() { ran = append(ran, s.Now()) })
+		err := s.Run("main", func() {
+			if !timer.Reset(2 * time.Second) {
+				t.Error("Reset returned false for a pending timer")
+			}
+			timer.Stop()
+			if timer.Reset(3 * time.Second) {
+				t.Error("Reset returned true for a stopped timer")
+			}
+			s.Sleep(4 * time.Second) // fires at 3 s, once
+			if timer.Reset(time.Second) {
+				t.Error("Reset returned true for a fired timer")
+			}
+			s.Sleep(4 * time.Second) // and again at 5 s
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if len(ran) != 2 || ran[0] != 3*time.Second || ran[1] != 5*time.Second {
+			t.Errorf("passive=%t: callback ran at %v, want [3s 5s]", passive, ran)
+		}
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "never", 0)

@@ -14,24 +14,21 @@
 # Each is checked out into its own git worktree under a temporary
 # directory, so the working tree is not touched and uncommitted changes are
 # not measured. After the pairs, one more pair runs on a seed the pairs did
-# not use (RERUN_SEED, default seed+12): a claim has to hold there too.
-# SECONDS_PER_WORKLOAD (default 15, the benchmark's own default) and
-# WORKLOAD (default: all five) are passed through to ./bench.
+# not use (seed+12): a claim has to hold there too. Every invocation runs
+# all five workloads at the benchmark's own length.
 #
 # A full run is 2 × (pairs+1) benchmark invocations of about 90 s each.
 set -eu
 
 if [ $# -lt 2 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 parent=$1
 change=$2
 pairs=${3:-10}
 seed=${4:-7}
-rerun_seed=${RERUN_SEED:-$((seed + 12))}
-seconds=${SECONDS_PER_WORKLOAD:-15}
-workload=${WORKLOAD:-}
+rerun_seed=$((seed + 12))
 
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -55,10 +52,8 @@ done
 # checkout (the benchmark reads BENCHMARK.json and writes bench/out there).
 # A failed correctness gate is kept in the log and reported, not fatal.
 run() {
-    args="--seed $2 --seconds $seconds"
-    [ -n "$workload" ] && args="$args --workload $workload"
     echo "== $3 $1" >>"$tmp/log"
-    (cd "$tmp/$1" && "$tmp/bench-$1" $args) >>"$tmp/log" 2>/dev/null ||
+    (cd "$tmp/$1" && "$tmp/bench-$1" --seed "$2") >>"$tmp/log" 2>/dev/null ||
         echo "GATE FAILED: $1 exited non-zero ($3)" >>"$tmp/log"
 }
 
@@ -134,7 +129,3 @@ END {
     if (gates != "") printf "correctness gates that failed:\n%s", gates
     else print "every correctness gate held on all " 2 * (pairs + 1) " invocations"
 }' "$tmp/log"
-
-if [ -n "${KEEP_LOG:-}" ]; then
-    cp "$tmp/log" "$KEEP_LOG"
-fi
