@@ -2,18 +2,15 @@ package core_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"cogrid/internal/core"
 	"cogrid/internal/lrm"
-	"cogrid/internal/rpc"
 	"cogrid/internal/wire"
 )
 
@@ -153,16 +150,15 @@ func TestCheckinReplyParseAllocs(t *testing.T) {
 }
 
 // TestReleaseEncodesOnce answers the sixteen check-ins of a 4 × 4 job at
-// the controller's handler and requires every reply to append the very
-// same bytes — one backing array, so the commit encoded its address book
-// once, not sixteen times.
+// the controller's barrier service and requires every reply to append the
+// very same bytes — one backing array, so the commit encoded its address
+// book once, not sixteen times.
 func TestReleaseEncodesOnce(t *testing.T) {
 	machines := []string{"m1", "m2", "m3", "m4"}
 	rig := newRig(t, machines...)
 	// The real processes only hold their processors; the test plays their
 	// check-ins, so it sees the replies before they are encoded.
 	rig.g.RegisterEverywhere("idle", func(p *lrm.Proc) error { return p.Sleep(time.Hour) })
-	var mu sync.Mutex
 	var replies []core.CheckinReply
 	err := rig.g.Sim.Run("agent", func() {
 		var req core.Request
@@ -179,17 +175,8 @@ func TestReleaseEncodesOnce(t *testing.T) {
 		rig.g.Sim.Sleep(time.Minute) // every subjob submitted and active
 		for _, m := range machines {
 			for r := 0; r < 4; r++ {
-				body, _ := json.Marshal(core.CheckinArgs{Job: job.ID(), Subjob: m, Rank: r, OK: true, Addr: fmt.Sprintf("%s:fake.%d", m, r)})
-				rig.g.Sim.Go("checkin", func() {
-					res, err := rig.ctrl.HandleCall(&rpc.ServerConn{}, "checkin", body)
-					if err != nil {
-						t.Errorf("HandleCall: %v", err)
-						return
-					}
-					mu.Lock()
-					replies = append(replies, res.(core.CheckinReply))
-					mu.Unlock()
-				})
+				args := core.CheckinArgs{Job: job.ID(), Subjob: m, Rank: r, OK: true, Addr: fmt.Sprintf("%s:fake.%d", m, r)}
+				rig.ctrl.Checkin(args, func(p core.CheckinReply) { replies = append(replies, p) })
 			}
 		}
 		if _, err := job.Commit(time.Minute); err != nil {

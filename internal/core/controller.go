@@ -139,7 +139,7 @@ func NewController(host *transport.Host, cfg ControllerConfig) (*Controller, err
 	if err != nil {
 		return nil, err
 	}
-	c.server = rpc.Serve(c.sim, l, c, nil)
+	c.server = rpc.ServeTasks(c.sim, l, c)
 	return c, nil
 }
 
@@ -244,27 +244,43 @@ func (c *Controller) SubmitRSL(src string) (*Job, error) {
 
 // --- barrier service ---
 
-// HandleCall implements rpc.Handler for the barrier service. The checkin
-// call blocks until the commit decision — this is the application-visible
-// barrier of the two-phase commit.
-func (c *Controller) HandleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
+// ServeCall implements rpc.TaskHandler for the barrier service. The checkin
+// call is answered at the commit decision — this is the application-visible
+// barrier of the two-phase commit — and until then it waits as a record in
+// its subjob, not as a process.
+func (c *Controller) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
 	if method != "checkin" {
-		return nil, fmt.Errorf("duroc: unknown method %s", method)
+		call.Reply(nil, fmt.Errorf("duroc: unknown method %s", method))
+		return
 	}
 	var args CheckinArgs
 	if err := rpc.Decode(body, &args); err != nil {
-		return nil, err
+		call.Reply(nil, err)
+		return
 	}
+	c.checkin(args, call.Ctx, call)
+}
+
+// replier is the part of an *rpc.Call the barrier keeps: where the answer
+// to a check-in goes, whenever it is decided.
+type replier interface {
+	Reply(result any, err error)
+}
+
+// checkin routes one process's arrival to its co-allocation. ctx is the
+// call's span context.
+func (c *Controller) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 	c.mu.Lock()
 	j := c.jobs[args.Job]
 	c.mu.Unlock()
 	if j == nil {
-		return CheckinReply{Proceed: false, Reason: "unknown co-allocation " + args.Job}, nil
+		call.Reply(CheckinReply{Proceed: false, Reason: "unknown co-allocation " + args.Job}, nil)
+		return
 	}
-	return j.checkin(args, sc.Ctx), nil
+	j.checkin(args, ctx, call)
 }
 
-// HandleNotify implements rpc.Handler; the barrier service has no
+// HandleNotify implements rpc.TaskHandler; the barrier service has no
 // notifications.
 func (c *Controller) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
 

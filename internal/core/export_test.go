@@ -1,5 +1,7 @@
 package core
 
+import "cogrid/internal/trace"
+
 // SharedWire exposes the release-encoded region a reply appends.
 func SharedWire(r CheckinReply) []byte { return r.shared }
 
@@ -13,3 +15,14 @@ func (j *Job) Waiters() int {
 	}
 	return n
 }
+
+// Checkin plays one process's check-in at the controller's barrier service,
+// past the connection: answer receives the reply when it is decided, as the
+// value the service hands the rpc layer to encode.
+func (c *Controller) Checkin(args CheckinArgs, answer func(CheckinReply)) {
+	c.checkin(args, trace.Ctx{}, answerFunc(answer))
+}
+
+type answerFunc func(CheckinReply)
+
+func (f answerFunc) Reply(result any, err error) { f(result.(CheckinReply)) }

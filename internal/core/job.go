@@ -28,8 +28,6 @@ type subjob struct {
 	// until they are answered (release or discard): a released job stays
 	// in Controller.Jobs for the audit, its waiters must not.
 	checkins map[int]*procCheckin
-	// relName names the waiters' reply channels for the deadlock reporter.
-	relName string
 
 	queuedAt    time.Duration
 	submittedAt time.Duration
@@ -49,15 +47,18 @@ func (sj *subjob) takeWaiters() []*procCheckin {
 	return ranks
 }
 
-// procCheckin records one process waiting in the barrier.
+// procCheckin records one process waiting in the barrier: the call to
+// answer, and the task that answers it once a verdict is in.
 type procCheckin struct {
-	rank  int
-	addr  string
-	at    time.Duration
-	reply *vtime.Chan[verdict]
+	rank int
+	addr string
+	at   time.Duration
+	call replier
+	verdict
+	answer vtime.Task
 }
 
-// verdict is what wakes a barrier waiter: the release all ranks share plus
+// verdict is what ends a barrier wait: the release all ranks share plus
 // this rank's place in it, or the abort reason when rel is nil.
 type verdict struct {
 	rel              *Release
@@ -65,11 +66,22 @@ type verdict struct {
 	reason           string
 }
 
-func (v verdict) reply() CheckinReply {
-	if v.rel == nil {
-		return CheckinReply{Proceed: false, Reason: v.reason}
+// decide records the verdict and readies the waiter's answer — in the
+// run-queue slot where a process parked in the barrier would have been
+// woken, so the replies leave in the order the verdicts were given and
+// behind whatever was already runnable, never from inside the caller.
+func (ci *procCheckin) decide(v verdict) {
+	ci.verdict = v
+	ci.answer.Ready()
+}
+
+// RunTask sends the waiter's reply.
+func (ci *procCheckin) RunTask() {
+	if ci.rel == nil {
+		ci.call.Reply(CheckinReply{Proceed: false, Reason: ci.reason}, nil)
+		return
 	}
-	return v.rel.Reply(v.mySubjob, v.myRank)
+	ci.call.Reply(ci.rel.Reply(ci.mySubjob, ci.myRank), nil)
 }
 
 // Job is a co-allocation in progress: the single abstraction through which
@@ -213,7 +225,6 @@ func (j *Job) addLocked(spec SubjobSpec) (*subjob, error) {
 		status:   SJQueued,
 		ctx:      j.ctx.Child("sj:" + trace.Seg(spec.Label)),
 		checkins: make(map[int]*procCheckin),
-		relName:  "duroc-release:" + j.id + "/" + spec.Label,
 		queuedAt: j.c.sim.Now(),
 	}
 	j.subjobs = append(j.subjobs, sj)
@@ -309,7 +320,7 @@ func (j *Job) discardLocked(sj *subjob, status SubjobStatus, reason string) {
 	sj.status = status
 	sj.reason = reason
 	for _, ci := range sj.takeWaiters() {
-		ci.reply.TrySend(verdict{reason: reason})
+		ci.decide(verdict{reason: reason})
 	}
 	client, contact := sj.client, sj.contact
 	sj.client = nil
@@ -748,16 +759,18 @@ func (j *Job) signalAll(op func(*gram.Client, string) error) error {
 
 // --- barrier and commit ---
 
-// checkin handles one process's arrival at the co-allocation barrier. It
-// blocks until the commit decision (or returns immediately for late
-// joiners and failures). ctx is the caller's propagated span context (zero
-// when the process attached without one); barrier instants land under it.
-func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx) CheckinReply {
+// checkin handles one process's arrival at the co-allocation barrier: the
+// call is answered at the commit decision (or immediately for late joiners
+// and failures). It never blocks. ctx is the caller's propagated span
+// context (zero when the process attached without one); barrier instants
+// land under it.
+func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 	j.mu.Lock()
 	sj, ok := j.byLabel[args.Subjob]
 	if !ok {
 		j.mu.Unlock()
-		return CheckinReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}
+		call.Reply(CheckinReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}, nil)
+		return
 	}
 	if j.terminated || sj.status.terminal() {
 		reason := j.termReason
@@ -765,26 +778,25 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx) CheckinReply {
 			reason = sj.reason
 		}
 		j.mu.Unlock()
-		return CheckinReply{Proceed: false, Reason: reason}
+		call.Reply(CheckinReply{Proceed: false, Reason: reason}, nil)
+		return
 	}
 	if !args.OK {
 		j.mu.Unlock()
 		j.subjobFailed(sj, fmt.Sprintf("process %d reported unsuccessful startup: %s", args.Rank, args.Msg))
-		return CheckinReply{Proceed: false, Reason: "startup rejected: " + args.Msg}
+		call.Reply(CheckinReply{Proceed: false, Reason: "startup rejected: " + args.Msg}, nil)
+		return
 	}
 	if j.released {
 		// Late joiner from an optional subjob: proceed immediately with
 		// the committed configuration.
 		reply := j.release.Reply(j.committedIndexLocked(sj), -1)
 		j.mu.Unlock()
-		return reply
+		call.Reply(reply, nil)
+		return
 	}
-	ci := &procCheckin{
-		rank:  args.Rank,
-		addr:  args.Addr,
-		at:    j.c.sim.Now(),
-		reply: vtime.NewChan[verdict](j.c.sim, sj.relName, 1),
-	}
+	ci := &procCheckin{rank: args.Rank, addr: args.Addr, at: j.c.sim.Now(), call: call}
+	ci.answer.Init(j.c.sim, ci)
 	sj.checkins[args.Rank] = ci
 	if tr := j.c.tracer(); tr.Enabled() {
 		if !ctx.Valid() {
@@ -805,8 +817,6 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx) CheckinReply {
 		j.emit(EvCheckedIn, sj, "")
 		j.poke()
 	}
-	v, _ := ci.reply.Recv()
-	return v.reply()
 }
 
 // committedIndexLocked returns sj's index within the committed
@@ -967,7 +977,7 @@ func (j *Job) releaseLocked() Config {
 
 	for idx, sj := range committed {
 		for _, ci := range ranked[idx] {
-			ci.reply.TrySend(verdict{rel: rel, mySubjob: idx, myRank: cfg.RankOf(idx, ci.rank)})
+			ci.decide(verdict{rel: rel, mySubjob: idx, myRank: cfg.RankOf(idx, ci.rank)})
 			j.waits = append(j.waits, now-ci.at)
 		}
 		sj.status = SJReleased
@@ -977,7 +987,7 @@ func (j *Job) releaseLocked() Config {
 	for _, sj := range j.subjobs {
 		if sj.spec.Type == Optional && !sj.status.terminal() && sj.status != SJReleased {
 			for _, ci := range sj.takeWaiters() {
-				ci.reply.TrySend(verdict{rel: rel, mySubjob: -1, myRank: -1})
+				ci.decide(verdict{rel: rel, mySubjob: -1, myRank: -1})
 			}
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -76,11 +77,25 @@ type allocation struct {
 	progress *vtime.Chan[struct{}]
 }
 
+// waiter is one process waiting in the barrier: the call to answer, and the
+// task that answers it once the transaction is decided.
 type waiter struct {
-	addr  string
-	at    time.Duration
-	reply *vtime.Chan[core.CheckinReply]
+	addr   string
+	call   *rpc.Call
+	reply  core.CheckinReply
+	answer vtime.Task
 }
+
+// decide records the waiter's answer and readies its sending — in the
+// run-queue slot where a process parked in the barrier would have been
+// woken, never from inside the caller.
+func (w *waiter) decide(reply core.CheckinReply) {
+	w.reply = reply
+	w.answer.Ready()
+}
+
+// RunTask sends the waiter's reply.
+func (w *waiter) RunTask() { w.call.Reply(w.reply, nil) }
 
 // NewBroker starts a broker on host.
 func NewBroker(host *transport.Host, cfg Config) (*Broker, error) {
@@ -100,7 +115,7 @@ func NewBroker(host *transport.Host, cfg Config) (*Broker, error) {
 	if err != nil {
 		return nil, err
 	}
-	rpc.Serve(b.sim, l, b, nil)
+	rpc.ServeTasks(b.sim, l, b)
 	return b, nil
 }
 
@@ -177,16 +192,21 @@ func (b *Broker) Allocate(req core.Request) (*Allocation, error) {
 		if alloc.reason == "" {
 			alloc.reason = reason
 		}
-		var replies []*waiter
-		for _, ranks := range alloc.checkins {
-			for _, w := range ranks {
-				replies = append(replies, w)
+		// Request order, then rank order: the answers must not leave in map
+		// order. A waiter is answered once, so it leaves the table.
+		for _, spec := range alloc.specs {
+			waiting := alloc.checkins[spec.Label]
+			ranks := make([]int, 0, len(waiting))
+			for r := range waiting {
+				ranks = append(ranks, r)
 			}
+			sort.Ints(ranks)
+			for _, r := range ranks {
+				waiting[r].decide(core.CheckinReply{Proceed: false, Reason: reason})
+			}
+			clear(waiting)
 		}
 		b.mu.Unlock()
-		for _, w := range replies {
-			w.reply.TrySend(core.CheckinReply{Proceed: false, Reason: reason})
-		}
 		for i, c := range result.clients {
 			c.Cancel(result.jobs[i])
 			c.Close()
@@ -324,57 +344,61 @@ func (b *Broker) release(alloc *allocation) core.Config {
 	rel := core.NewRelease(cfg)
 	for idx, spec := range alloc.specs {
 		for r := 0; r < spec.Count; r++ {
-			alloc.checkins[spec.Label][r].reply.TrySend(rel.Reply(idx, cfg.RankOf(idx, r)))
+			alloc.checkins[spec.Label][r].decide(rel.Reply(idx, cfg.RankOf(idx, r)))
 		}
 	}
 	b.mu.Unlock()
 	return cfg
 }
 
-// HandleCall implements rpc.Handler for the barrier service.
-func (b *Broker) HandleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
+// ServeCall implements rpc.TaskHandler for the barrier service: a check-in
+// is answered at once when there is nothing to wait for, and otherwise waits
+// for the transaction's outcome as a record in the allocation.
+func (b *Broker) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
 	if method != "checkin" {
-		return nil, fmt.Errorf("grab: unknown method %s", method)
+		call.Reply(nil, fmt.Errorf("grab: unknown method %s", method))
+		return
 	}
 	var args core.CheckinArgs
 	if err := rpc.Decode(body, &args); err != nil {
-		return nil, err
+		call.Reply(nil, err)
+		return
 	}
+	abort := func(reason string) { call.Reply(core.CheckinReply{Proceed: false, Reason: reason}, nil) }
 	b.mu.Lock()
 	alloc := b.current[args.Job]
 	if alloc == nil {
 		b.mu.Unlock()
-		return core.CheckinReply{Proceed: false, Reason: "unknown allocation " + args.Job}, nil
+		abort("unknown allocation " + args.Job)
+		return
 	}
 	if alloc.failed {
 		reason := alloc.reason
 		b.mu.Unlock()
-		return core.CheckinReply{Proceed: false, Reason: reason}, nil
+		abort(reason)
+		return
 	}
 	ranks, ok := alloc.checkins[args.Subjob]
 	if !ok {
 		b.mu.Unlock()
-		return core.CheckinReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}, nil
+		abort("unknown subjob " + args.Subjob)
+		return
 	}
 	if !args.OK {
 		b.mu.Unlock()
 		b.fail(alloc, args.Subjob, "process reported unsuccessful startup: "+args.Msg)
-		return core.CheckinReply{Proceed: false, Reason: "startup rejected"}, nil
+		abort("startup rejected")
+		return
 	}
-	w := &waiter{
-		addr:  args.Addr,
-		at:    b.sim.Now(),
-		reply: vtime.NewChan[core.CheckinReply](b.sim, "grab-release:"+args.Job+"/"+args.Subjob+"/"+strconv.Itoa(args.Rank), 1),
-	}
+	w := &waiter{addr: args.Addr, call: call}
+	w.answer.Init(b.sim, w)
 	if _, dup := ranks[args.Rank]; !dup {
 		alloc.arrived++
 	}
 	ranks[args.Rank] = w
 	b.mu.Unlock()
 	alloc.progress.TrySend(struct{}{})
-	reply, _ := w.reply.Recv()
-	return reply, nil
 }
 
-// HandleNotify implements rpc.Handler; the barrier has no notifications.
+// HandleNotify implements rpc.TaskHandler; the barrier has no notifications.
 func (b *Broker) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}

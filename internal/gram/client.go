@@ -18,10 +18,13 @@ const CallTimeout = 5 * time.Minute
 
 // Client is an authenticated connection to one gatekeeper.
 type Client struct {
-	sim    *vtime.Sim
+	from   *transport.Host
 	rpcc   *rpc.Client
 	peer   string
 	events *vtime.Chan[StateEvent]
+	// pump turns the notifications that have arrived into typed state events
+	// (see pumper).
+	pump vtime.Task
 }
 
 // ClientConfig configures dialing a gatekeeper.
@@ -52,31 +55,56 @@ func Dial(from *transport.Host, contact transport.Addr, cfg ClientConfig) (*Clie
 		return nil, fmt.Errorf("gram: authenticate to %s: %w", contact, err)
 	}
 	c := &Client{
-		sim:    sim,
+		from:   from,
 		rpcc:   rpc.NewClient(sim, conn),
 		peer:   peer,
 		events: vtime.NewChan[StateEvent](sim, "gram-events:"+contact.String(), 64),
 	}
-	sim.GoDaemon("gram-client-events:"+contact.String(), c.pump)
+	c.pump.Init(sim, (*pumper)(c))
+	c.pump.Ready()
 	return c, nil
 }
 
-// pump converts raw notifications into typed state events.
-func (c *Client) pump() {
+// pumper is the Client's callback pump as a task body: readied whenever a
+// notification arrives, it converts every one that has into a typed state
+// event, and closes the event stream when the connection has.
+type pumper Client
+
+func (p *pumper) RunTask() {
+	c := (*Client)(p)
+	notes := c.rpcc.Notifications()
 	for {
-		n, ok := c.rpcc.Notifications().Recv()
-		if !ok {
+		n, res := notes.RecvTimeout(0)
+		switch res {
+		case vtime.RecvOK:
+			c.callback(n)
+		case vtime.RecvClosed:
 			c.events.Close()
 			return
-		}
-		if n.Method != "job-state" {
-			continue
-		}
-		var ev StateEvent
-		if n.Decode(&ev) == nil {
-			c.events.TrySend(ev)
+		default:
+			notes.ReadyOnArrival(&c.pump)
+			return
 		}
 	}
+}
+
+// callback queues one job-state notification as a typed event. A callback
+// that finds the queue full — nobody is consuming Events — is lost, and the
+// loss is on the record.
+func (c *Client) callback(n rpc.Notification) {
+	if n.Method != "job-state" {
+		return
+	}
+	var ev StateEvent
+	if n.Decode(&ev) != nil || c.events.TrySend(ev) {
+		return
+	}
+	net := c.from.Network()
+	if tr := net.Tracer(); tr.Enabled() {
+		tr.InstantCtx(n.Ctx, "gram", "dropped-event", c.from.Name(), ev.Contact, "",
+			trace.Arg{Key: "state", Val: ev.State.String()})
+	}
+	net.Counters().AddKey("gram", "event", "drop", c.from.Name(), 1)
 }
 
 // Peer returns the authenticated gatekeeper identity.

@@ -93,11 +93,21 @@ func NewServer(host *transport.Host, ttl time.Duration) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	rpc.Serve(s.sim, l, rpc.HandlerFuncs{Call: s.handleCall}, nil)
+	rpc.ServeTasks(s.sim, l, (*handler)(s))
 	return s, nil
 }
 
-func (s *Server) handleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
+// handler is the directory as an rpc.TaskHandler: no method waits for
+// anything, so every call is answered in the step that reads it.
+type handler Server
+
+func (h *handler) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
+	call.Reply((*Server)(h).handleCall(method, body))
+}
+
+func (h *handler) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
+
+func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 	switch method {
 	case "register":
 		var rec Record

@@ -63,7 +63,7 @@ func NewServer(host *transport.Host, serviceTime time.Duration) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	rpc.Serve(s.sim, l, rpc.HandlerFuncs{Call: s.handleCall}, nil)
+	rpc.ServeTasks(s.sim, l, (*handler)(s))
 	return s, nil
 }
 
@@ -74,22 +74,46 @@ func (s *Server) AddUser(user string, groups ...string) {
 	s.groups[user] = append([]string(nil), groups...)
 }
 
-func (s *Server) handleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
+// handler is the daemon as an rpc.TaskHandler.
+type handler Server
+
+// ServeCall starts one lookup: its only wait is the service time, so the
+// call becomes a record with a task armed for when that has passed.
+func (h *handler) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
 	if method != "initgroups" {
-		return nil, fmt.Errorf("nis: unknown method %s", method)
+		call.Reply(nil, fmt.Errorf("nis: unknown method %s", method))
+		return
 	}
-	var args lookupArgs
-	if err := rpc.Decode(body, &args); err != nil {
-		return nil, err
+	l := &lookup{server: (*Server)(h), call: call}
+	if err := rpc.Decode(body, &l.args); err != nil {
+		call.Reply(nil, err)
+		return
 	}
-	s.sim.Sleep(s.serviceTime)
+	l.done.Init(l.server.sim, l)
+	l.done.At(l.server.sim.Now() + l.server.serviceTime)
+}
+
+func (h *handler) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
+
+// lookup is one initgroups call being served.
+type lookup struct {
+	server *Server
+	call   *rpc.Call
+	args   lookupArgs
+	done   vtime.Task
+}
+
+// RunTask answers the lookup, its service time over.
+func (l *lookup) RunTask() {
+	s := l.server
 	s.mu.Lock()
-	groups, ok := s.groups[args.User]
+	groups, ok := s.groups[l.args.User]
 	s.mu.Unlock()
 	if !ok {
-		return nil, ErrNoSuchUser
+		l.call.Reply(nil, ErrNoSuchUser)
+		return
 	}
-	return lookupReply{Groups: groups}, nil
+	l.call.Reply(lookupReply{Groups: groups}, nil)
 }
 
 // Initgroups performs a group lookup for user from the given host,

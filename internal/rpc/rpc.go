@@ -11,6 +11,23 @@
 // Bodies are JSON unless the message type opts into the typed binary form
 // of internal/wire by implementing AppendWire (on the value sent) and
 // ParseWire (on the pointer received into); see marshalBody and Decode.
+//
+// Nothing here owns a process unless something blocks. The receive side of
+// a Client and a Server's listener each belong to a kernel task embedded in
+// their owner (vtime.Task): readied by an arrival exactly where a process
+// parked in Recv or Accept would have been woken, its step handles every
+// frame (or connection) that has arrived and registers for the next. What a
+// server's connections get depends on the shape of its handler. A Handler
+// (Serve) may block in the middle of a call — a handshake, a sleep, a call
+// of its own — so each of its connections is a process ("rpc-conn:…"),
+// which also serialises that connection's calls: the next frame is read
+// when the reply has been sent. A TaskHandler (ServeTasks) never blocks: it
+// is handed each call as a *Call, a value it answers now or keeps and
+// answers later, from any process or task, with Call.Reply; its connections
+// are served by a task each, which reads the next frame without waiting for
+// the previous call's reply. Decoding, the serve span, the latency
+// histogram and the reply frame are one code path (ServerConn.handle,
+// Call.Reply) under both.
 package rpc
 
 import (
@@ -69,7 +86,7 @@ type Notification struct {
 func (n Notification) Decode(v any) error { return Decode(n.Body, v) }
 
 // Client issues calls and notifications over a connection and surfaces
-// remote-initiated notifications. Create with NewClient; a demux daemon
+// remote-initiated notifications. Create with NewClient; the demux task
 // owns the receive side of the connection.
 type Client struct {
 	sim  *vtime.Sim
@@ -90,6 +107,10 @@ type Client struct {
 	hCall *metrics.Histogram
 
 	notifications *vtime.Chan[Notification]
+
+	// demux routes what arrives — replies to their callers, notifications to
+	// the queue — whenever something has (see demuxer).
+	demux vtime.Task
 }
 
 // NewClient wraps conn with the default binary codec. The caller must not
@@ -109,8 +130,9 @@ func NewClientCodec(sim *vtime.Sim, conn *transport.Conn, codec Codec) *Client {
 		hCall:         conn.Network().Hists().H("rpc.call.latency"),
 		notifications: vtime.NewChan[Notification](sim, "rpc-notify:"+local, 256),
 	}
+	c.demux.Init(sim, (*demuxer)(c))
 	c.out.bind(conn, codec)
-	sim.GoDaemon("rpc-demux:"+local, c.demux)
+	c.demux.Ready() // the peer's prologue may already be there
 	return c
 }
 
@@ -128,47 +150,79 @@ func corrID(conn *transport.Conn, id uint64) string {
 	return conn.Flow() + "#" + strconv.FormatUint(id, 10)
 }
 
-func (c *Client) demux() {
+// drain hands frame every message that has arrived on conn and then
+// registers waiter for the next arrival: the step of a task that owns a
+// connection's receive side. It reports true once the connection is closed
+// and drained, when there is nothing left to wait for.
+func drain(conn *transport.Conn, waiter *vtime.Task, frame func(raw []byte)) (closed bool) {
 	for {
-		raw, err := c.conn.Recv()
-		if err != nil {
-			c.shutdown()
+		raw, err := conn.TryRecv()
+		switch err {
+		case nil:
+			frame(raw)
+		case transport.ErrWouldBlock:
+			conn.ReadyOnArrival(waiter)
+			return false
+		default:
+			return true
+		}
+	}
+}
+
+// demuxer is the Client's receive side as a task body.
+type demuxer Client
+
+func (d *demuxer) RunTask() {
+	c := (*Client)(d)
+	if drain(c.conn, &c.demux, c.dispatch) {
+		c.shutdown()
+	}
+}
+
+// dispatch routes one received frame.
+func (c *Client) dispatch(raw []byte) {
+	var env wire.Envelope
+	if c.dec.Decode(raw, &env) != nil {
+		// Malformed frame (truncated, corrupted, bad CRC): drop, but
+		// count the drop so codec trouble is visible.
+		c.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", c.conn.LocalAddr().Host, 1)
+		return
+	}
+	tr := c.conn.Network().Tracer()
+	host := c.conn.LocalAddr().Host
+	switch env.Kind {
+	case wire.KindReply:
+		c.mu.Lock()
+		ch := c.pending[env.ID]
+		delete(c.pending, env.ID)
+		c.mu.Unlock()
+		if ch != nil {
+			ch.TrySend(env)
+		} else {
+			// Late reply to a call that already timed out: the pending
+			// entry is gone (Call removed it), so the reply is dropped —
+			// but it still appears in the trace, correlated with the
+			// timed-out call by ID.
+			if tr.Enabled() {
+				tr.InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
+			}
+			c.conn.Network().Counters().AddKey("rpc", "reply", "drop", host, 1)
+		}
+	case wire.KindNotify:
+		if !c.notifications.TrySend(Notification{Method: env.Method, Body: env.Body, Ctx: envCtx(&env)}) {
+			// Nobody is draining the queue, or the client has shut down: the
+			// notification is lost here, and the loss is on the record.
+			if tr.Enabled() {
+				tr.InstantCtx(envCtx(&env), "rpc", "dropped-notify", host, c.conn.Flow(), "",
+					trace.Arg{Key: "method", Val: env.Method})
+			}
+			c.conn.Network().Counters().AddKey("rpc", "notify", "drop", host, 1)
 			return
 		}
-		var env wire.Envelope
-		if c.dec.Decode(raw, &env) != nil {
-			// Malformed frame (truncated, corrupted, bad CRC): drop, but
-			// count the drop so codec trouble is visible.
-			c.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", c.conn.LocalAddr().Host, 1)
-			continue
+		if tr.Enabled() {
+			tr.InstantCtx(envCtx(&env), "rpc", "notify:"+env.Method, host, c.conn.Flow(), "")
 		}
-		tr := c.conn.Network().Tracer()
-		host := c.conn.LocalAddr().Host
-		switch env.Kind {
-		case wire.KindReply:
-			c.mu.Lock()
-			ch := c.pending[env.ID]
-			delete(c.pending, env.ID)
-			c.mu.Unlock()
-			if ch != nil {
-				ch.TrySend(env)
-			} else {
-				// Late reply to a call that already timed out: the pending
-				// entry is gone (Call removed it), so the reply is dropped —
-				// but it still appears in the trace, correlated with the
-				// timed-out call by ID.
-				if tr.Enabled() {
-					tr.InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
-				}
-				c.conn.Network().Counters().AddKey("rpc", "reply", "drop", host, 1)
-			}
-		case wire.KindNotify:
-			c.notifications.TrySend(Notification{Method: env.Method, Body: env.Body, Ctx: envCtx(&env)})
-			if tr.Enabled() {
-				tr.InstantCtx(envCtx(&env), "rpc", "notify:"+env.Method, host, c.conn.Flow(), "")
-			}
-			c.conn.Network().Counters().AddKey("rpc", "notify", "recv", host, 1)
-		}
+		c.conn.Network().Counters().AddKey("rpc", "notify", "recv", host, 1)
 	}
 }
 
@@ -404,17 +458,29 @@ func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte) error {
 // callbacks) and to close the connection.
 type ServerConn struct {
 	sim  *vtime.Sim
+	srv  *Server
 	conn *transport.Conn
 	out  sender
+	dec  wire.Decoder
+	// hServe receives every call's virtual handler time. Nil without a
+	// registry.
+	hServe *metrics.Histogram
+	// gone is set when a Handler's reply could not be sent: the client has
+	// closed, and the connection's process stops reading.
+	gone bool
+	// task serves the connection when the handler is a TaskHandler.
+	task vtime.Task
+
 	// Meta carries the preamble's result, e.g. the authenticated identity
 	// established by a GSI handshake.
 	Meta any
-	// Ctx is the causal span context of the call currently being handled
-	// (the caller's context extended with a "serve" segment). It is set by
-	// the per-connection loop immediately before each HandleCall, which
-	// runs synchronously in that loop, so handlers may read it to parent
-	// their own spans. Outside a call it holds the connection's base
-	// context.
+	// Ctx is the causal span context of the call a Handler is currently
+	// handling (the caller's context extended with a "serve" segment). It is
+	// set by the connection's process immediately before each HandleCall,
+	// which runs synchronously there, so handlers may read it to parent
+	// their own spans. Outside a call it holds the connection's base context
+	// — and so it does throughout on a connection a TaskHandler serves,
+	// whose calls overlap: there the context travels in the Call.
 	Ctx trace.Ctx
 }
 
@@ -449,32 +515,102 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 // Close closes the connection.
 func (sc *ServerConn) Close() { sc.conn.Close() }
 
-// Handler processes inbound calls and notifications. HandleCall runs
-// synchronously in the per-connection loop: its execution time (e.g. a
-// simulated initgroups lookup) delays only that connection.
+// Handler processes inbound calls and notifications and may block while it
+// does. HandleCall runs synchronously in the connection's process: its
+// execution time (e.g. a simulated initgroups lookup) delays only that
+// connection, and the connection's next frame waits for it.
 type Handler interface {
 	HandleCall(sc *ServerConn, method string, body json.RawMessage) (any, error)
 	HandleNotify(sc *ServerConn, method string, body json.RawMessage)
 }
 
+// TaskHandler processes inbound calls and notifications without ever
+// blocking: both methods run as part of a kernel task step, where a kernel
+// call that would block panics ("would block outside a simulated process").
+// ServeCall answers through the Call — before it returns, or by keeping the
+// Call and replying when whatever the answer waits for (a barrier's release,
+// a timer) has happened. body is valid after ServeCall returns.
+type TaskHandler interface {
+	ServeCall(call *Call, method string, body json.RawMessage)
+	HandleNotify(sc *ServerConn, method string, body json.RawMessage)
+}
+
+// Call is one inbound call between its arrival and its reply.
+type Call struct {
+	// Ctx is the call's causal span context: the caller's, extended with a
+	// "serve" segment. Handlers parent their own spans under it.
+	Ctx trace.Ctx
+
+	sc      *ServerConn
+	id      uint64 // with the connection's flow, the correlation id the caller's span carries
+	method  string
+	start   time.Duration // handler entry: where the serve span and rpc.serve.latency start
+	replied bool
+}
+
+// Reply answers the call: with result, or — err non-nil — with the
+// RemoteError the caller's Call returns. Anyone may send it, at any later
+// virtual time; the serve span and latency end here. If the client has gone
+// meanwhile the reply goes nowhere and nothing fails. A call has one reply:
+// a second is a bug in the handler, and panics.
+func (c *Call) Reply(result any, err error) { c.reply(result, err) }
+
+// reply is Reply, reporting whether the client is still there to send to.
+func (c *Call) reply(result any, err error) bool {
+	if c.replied {
+		panic("rpc: second Reply to one " + c.method + " call")
+	}
+	c.replied = true
+	sc := c.sc
+	conn := sc.conn
+	sc.hServe.Record(int64(sc.sim.Now() - c.start))
+	reply := wire.Envelope{ID: c.id, Kind: wire.KindReply, Req: c.Ctx.Req, Span: c.Ctx.Span}
+	outcome := "ok"
+	buf := wire.GetBuf()
+	if err != nil {
+		reply.Error = err.Error()
+		outcome = "error"
+	} else if body, merr := marshalBody(*buf, sc.out.codec, result); merr != nil {
+		reply.Error = "rpc: marshal reply: " + merr.Error()
+		outcome = "error"
+	} else {
+		*buf = body
+	}
+	host := conn.LocalAddr().Host
+	// The serve span covers handler execution and shares the call's
+	// correlation ID, so client and server sides of one RPC line up in the
+	// trace.
+	if tr := conn.Network().Tracer(); tr.Enabled() {
+		tr.SpanCtx(c.Ctx, "rpc", "serve:"+c.method, host, conn.Flow(), corrID(conn, c.id), c.start,
+			trace.Arg{Key: "outcome", Val: outcome})
+	}
+	conn.Network().Counters().AddKey("rpc", "serve", outcome, host, 1)
+	return sc.out.sendFrame(&reply, buf) != ErrClosed
+}
+
 // Preamble runs on each new server connection before any envelope is
 // processed (e.g. the server side of a GSI handshake). Returning an error
 // rejects the connection; the returned value is stored in ServerConn.Meta.
+// It blocks, so only a Handler's connections — processes — can have one.
 type Preamble func(conn *transport.Conn) (any, error)
 
 // Server accepts connections on a listener and dispatches envelopes to a
-// Handler.
+// Handler or a TaskHandler.
 type Server struct {
 	sim      *vtime.Sim
 	listener *transport.Listener
-	handler  Handler
+	handler  Handler     // nil when tasks is set
+	tasks    TaskHandler // nil when handler is set
 	preamble Preamble
 	codec    Codec
+	// accept starts whatever serves a connection — a process or a task — for
+	// every connection that has arrived (see acceptor).
+	accept vtime.Task
 }
 
 // Serve starts accepting on l, running preamble (optional) then the
-// envelope loop for each connection, replying in the default binary codec.
-// It returns immediately; daemons do the work.
+// envelope loop for each connection in a process of its own, replying in
+// the default binary codec. It returns immediately.
 func Serve(sim *vtime.Sim, l *transport.Listener, handler Handler, preamble Preamble) *Server {
 	return ServeCodec(sim, l, handler, preamble, Binary)
 }
@@ -482,9 +618,21 @@ func Serve(sim *vtime.Sim, l *transport.Listener, handler Handler, preamble Prea
 // ServeCodec is Serve with an explicit send codec for replies and
 // notifications. Inbound frames are auto-detected regardless.
 func ServeCodec(sim *vtime.Sim, l *transport.Listener, handler Handler, preamble Preamble, codec Codec) *Server {
-	srv := &Server{sim: sim, listener: l, handler: handler, preamble: preamble, codec: codec}
-	sim.GoDaemon("rpc-accept:"+l.Addr().String(), srv.acceptLoop)
-	return srv
+	return (&Server{sim: sim, listener: l, handler: handler, preamble: preamble, codec: codec}).start()
+}
+
+// ServeTasks starts accepting on l for a handler that never blocks: no
+// connection gets a process. There is no preamble to pass — a preamble
+// blocks — so a service that authenticates its connections first is a
+// Handler's.
+func ServeTasks(sim *vtime.Sim, l *transport.Listener, handler TaskHandler) *Server {
+	return (&Server{sim: sim, listener: l, tasks: handler, codec: Binary}).start()
+}
+
+func (s *Server) start() *Server {
+	s.accept.Init(s.sim, (*acceptor)(s))
+	s.accept.Ready()
+	return s
 }
 
 // Addr returns the served address.
@@ -493,82 +641,101 @@ func (s *Server) Addr() transport.Addr { return s.listener.Addr() }
 // Close stops accepting new connections.
 func (s *Server) Close() { s.listener.Close() }
 
-func (s *Server) acceptLoop() {
+// acceptor is the Server's listener side as a task body.
+type acceptor Server
+
+func (a *acceptor) RunTask() {
+	s := (*Server)(a)
 	for {
-		conn, ok := s.listener.Accept()
-		if !ok {
+		conn, err := s.listener.TryAccept()
+		switch err {
+		case nil:
+			sc := &ServerConn{sim: s.sim, srv: s, conn: conn, Ctx: conn.Ctx()}
+			if s.tasks != nil {
+				sc.task.Init(s.sim, (*connTask)(sc))
+				sc.task.Ready()
+			} else {
+				s.sim.GoDaemon("rpc-conn:"+conn.RemoteAddr().String(), sc.serve)
+			}
+		case transport.ErrWouldBlock:
+			s.listener.ReadyOnArrival(&s.accept)
 			return
+		default:
+			return // the listener is closed
 		}
-		s.sim.GoDaemon("rpc-conn:"+conn.RemoteAddr().String(), func() {
-			s.serveConn(conn)
-		})
 	}
 }
 
-func (s *Server) serveConn(conn *transport.Conn) {
-	var meta any
-	if s.preamble != nil {
-		m, err := s.preamble(conn)
+// open starts the envelope exchange: this direction's prologue goes out.
+func (sc *ServerConn) open() {
+	sc.out.bind(sc.conn, sc.srv.codec)
+	sc.hServe = sc.conn.Network().Hists().H("rpc.serve.latency")
+}
+
+// serve is a Handler's connection: a process that runs the preamble, then
+// reads a frame, handles it to the reply, and reads the next.
+func (sc *ServerConn) serve() {
+	if preamble := sc.srv.preamble; preamble != nil {
+		meta, err := preamble(sc.conn)
 		if err != nil {
-			conn.Close()
+			sc.conn.Close()
 			return
 		}
-		meta = m
+		sc.Meta = meta
 	}
-	sc := &ServerConn{sim: s.sim, conn: conn, Meta: meta, Ctx: conn.Ctx()}
-	sc.out.bind(conn, s.codec)
-	tr := conn.Network().Tracer()
-	host := conn.LocalAddr().Host
-	hServe := conn.Network().Hists().H("rpc.serve.latency")
-	var dec wire.Decoder
-	for {
-		raw, err := conn.Recv()
+	sc.open()
+	for !sc.gone {
+		raw, err := sc.conn.Recv()
 		if err != nil {
 			return
 		}
-		var env wire.Envelope
-		if dec.Decode(raw, &env) != nil {
-			conn.Network().Counters().AddKey("rpc", "frame", "decode-error", host, 1)
-			continue
+		sc.handle(raw)
+	}
+}
+
+// connTask is a TaskHandler's connection as a task body. Its first step
+// opens the exchange — where the connection's process would have, not in
+// the accept step that readied it.
+type connTask ServerConn
+
+func (t *connTask) RunTask() {
+	sc := (*ServerConn)(t)
+	if sc.out.conn == nil {
+		sc.open()
+	}
+	drain(sc.conn, &sc.task, sc.handle)
+}
+
+// handle dispatches one received frame.
+func (sc *ServerConn) handle(raw []byte) {
+	var env wire.Envelope
+	if sc.dec.Decode(raw, &env) != nil {
+		sc.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", sc.conn.LocalAddr().Host, 1)
+		return
+	}
+	s := sc.srv
+	switch env.Kind {
+	case wire.KindCall:
+		// The envelope's span context parents the serve span under the
+		// caller's call span.
+		ctx := envCtx(&env)
+		if !ctx.Valid() {
+			ctx = sc.conn.Ctx()
 		}
-		switch env.Kind {
-		case wire.KindCall:
-			// The serve span covers handler execution and shares the call's
-			// correlation ID, so client and server sides of one RPC line up
-			// in the trace. The envelope's span context parents the serve
-			// span under the caller's call span.
-			serveCtx := envCtx(&env)
-			if !serveCtx.Valid() {
-				serveCtx = conn.Ctx()
-			}
-			serveCtx = serveCtx.Child("serve")
-			sc.Ctx = serveCtx
-			serveStart := tr.Now()
-			serveStartV := s.sim.Now()
-			result, err := s.handler.HandleCall(sc, env.Method, env.Body)
-			hServe.Record(int64(s.sim.Now() - serveStartV))
-			sc.Ctx = conn.Ctx()
-			reply := wire.Envelope{ID: env.ID, Kind: wire.KindReply, Req: serveCtx.Req, Span: serveCtx.Span}
-			outcome := "ok"
-			buf := wire.GetBuf()
-			if err != nil {
-				reply.Error = err.Error()
-				outcome = "error"
-			} else if body, merr := marshalBody(*buf, s.codec, result); merr != nil {
-				reply.Error = "rpc: marshal reply: " + merr.Error()
-				outcome = "error"
-			} else {
-				*buf = body
-			}
-			if tr.Enabled() {
-				tr.SpanCtx(serveCtx, "rpc", "serve:"+env.Method, host, conn.Flow(), corrID(conn, env.ID), serveStart,
-					trace.Arg{Key: "outcome", Val: outcome})
-			}
-			conn.Network().Counters().AddKey("rpc", "serve", outcome, host, 1)
-			if sc.out.sendFrame(&reply, buf) == ErrClosed {
-				return
-			}
-		case wire.KindNotify:
+		call := Call{Ctx: ctx.Child("serve"), sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
+		if s.tasks != nil {
+			kept := call // the handler may keep it; a Handler's call stays on the stack
+			s.tasks.ServeCall(&kept, env.Method, env.Body)
+			return
+		}
+		sc.Ctx = call.Ctx
+		result, err := s.handler.HandleCall(sc, env.Method, env.Body)
+		sc.Ctx = sc.conn.Ctx()
+		sc.gone = !call.reply(result, err)
+	case wire.KindNotify:
+		if s.tasks != nil {
+			s.tasks.HandleNotify(sc, env.Method, env.Body)
+		} else {
 			s.handler.HandleNotify(sc, env.Method, env.Body)
 		}
 	}

@@ -32,6 +32,9 @@ var (
 	ErrDialTimeout = errors.New("transport: dial timed out")
 	ErrClosed      = errors.New("transport: connection closed")
 	ErrRecvTimeout = errors.New("transport: receive timed out")
+	// ErrWouldBlock is what TryRecv and TryAccept return when nothing has
+	// arrived yet.
+	ErrWouldBlock = errors.New("transport: nothing has arrived")
 )
 
 // Addr names a service endpoint as host:service.
@@ -522,6 +525,30 @@ func (l *Listener) Addr() Addr { return Addr{Host: l.host.name, Service: l.servi
 // is closed.
 func (l *Listener) Accept() (*Conn, bool) {
 	return l.accept.Recv()
+}
+
+// TryAccept is Accept for a task step, which cannot wait: it returns
+// ErrWouldBlock when no connection has arrived and ErrClosed once the
+// listener is closed.
+func (l *Listener) TryAccept() (*Conn, error) {
+	conn, res := l.accept.RecvTimeout(0)
+	return conn, tryResult(res)
+}
+
+// ReadyOnArrival readies t once, when the next connection arrives or the
+// listener closes (see vtime.Chan.ReadyOnArrival).
+func (l *Listener) ReadyOnArrival(t *vtime.Task) { l.accept.ReadyOnArrival(t) }
+
+// tryResult names the outcome of a receive that did not wait.
+func tryResult(res vtime.RecvResult) error {
+	switch res {
+	case vtime.RecvOK:
+		return nil
+	case vtime.RecvClosed:
+		return ErrClosed
+	default:
+		return ErrWouldBlock
+	}
 }
 
 // Close stops the listener and deregisters the service.
@@ -1024,6 +1051,20 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 		return nil, ErrRecvTimeout
 	}
 }
+
+// TryRecv is Recv for a task step, which cannot wait: it returns
+// ErrWouldBlock when no message has arrived and ErrClosed once the
+// connection is closed and drained.
+func (c *Conn) TryRecv() ([]byte, error) {
+	b, res := c.in.RecvTimeout(0)
+	return b, tryResult(res)
+}
+
+// ReadyOnArrival readies t once, when the next message arrives or the
+// connection closes (see vtime.Chan.ReadyOnArrival): the owner of the
+// receive side is then a task whose step drains what has arrived with
+// TryRecv and registers again, instead of a process parked in Recv.
+func (c *Conn) ReadyOnArrival(t *vtime.Task) { c.in.ReadyOnArrival(t) }
 
 // Close closes this end immediately and, after one-way latency, the peer's
 // end (the peer drains buffered messages first). Closing twice is a no-op.

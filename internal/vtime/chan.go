@@ -87,7 +87,10 @@ type Chan[T any] struct {
 	handed ring[T]
 	recvq  procQueue
 	sendq  procQueue
-	closed bool
+	// arrival is the task waiting for the channel's next value or its close
+	// (ReadyOnArrival), nil if none.
+	arrival *Task
+	closed  bool
 }
 
 // NewChan creates a simulated channel with the given buffer capacity
@@ -135,6 +138,7 @@ func (c *Chan[T]) Send(v T) {
 	}
 	p := s.curLocked("Chan.Send")
 	c.buf.push(v)
+	c.arrivedLocked()
 	s.blockLocked(p, &c.sendq, waitSend, c, -1)
 	s.mu.Unlock()
 	<-p.grant
@@ -153,9 +157,42 @@ func (c *Chan[T]) offerLocked(v T) bool {
 	}
 	if c.buf.n < c.cap {
 		c.buf.push(v)
+		c.arrivedLocked()
 		return true
 	}
 	return false
+}
+
+// ReadyOnArrival registers t as the channel's task waiter — the
+// run-to-completion analogue of a blocked receiver. t is readied once, when
+// the channel next holds a value or is closed, in the run-queue slot a
+// receiver woken at that moment would take; at once if it already holds one
+// or is closed. Its step then receives without blocking (TryRecv, or
+// RecvTimeout(0) to tell empty from closed) until the channel is empty, and
+// registers again. A value sent while a process is also blocked receiving
+// goes to the process. The channel has one such slot, and from registration
+// until its step starts t counts as armed: a second registration panics.
+func (c *Chan[T]) ReadyOnArrival(t *Task) {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c.arrival != nil {
+		panic("vtime: a task is already waiting for an arrival on channel " + c.String())
+	}
+	t.claimLocked()
+	c.arrival = t
+	if c.buf.n > 0 || c.closed {
+		c.arrivedLocked()
+	}
+}
+
+// arrivedLocked readies the task waiter, if any: the channel has just gained
+// a value or been closed.
+func (c *Chan[T]) arrivedLocked() {
+	if t := c.arrival; t != nil {
+		c.arrival = nil
+		c.s.readyLocked(runnable{e: &t.entry})
+	}
 }
 
 // TrySend delivers v without blocking; it reports whether the value was
@@ -243,6 +280,7 @@ func (c *Chan[T]) Close() {
 	c.closed = true
 	s.wakeAllLocked(&c.recvq, wsClosed)
 	s.wakeAllLocked(&c.sendq, wsClosed)
+	c.arrivedLocked()
 	c.buf.truncate(c.cap) // the blocked senders' values go with them
 	s.mu.Unlock()
 }

@@ -478,9 +478,9 @@ type Runner interface {
 // step runs to completion on the stack of the process that is dispatching
 // (see passLocked), in exactly the place a process woken at the same moment
 // would have run. It is meant to be embedded in its owner, which implements
-// Runner; arming and running it allocate nothing. A task is armed or ready
-// at most once at a time: its step may re-arm it, nothing else may until
-// the step has started.
+// Runner; arming and running it allocate nothing. A task is armed, ready or
+// waiting for an arrival ([Chan.ReadyOnArrival]) at most once at a time:
+// its step may re-arm it, nothing else may until the step has started.
 //
 // A step that panics unwinds through that process — an unrelated one, already
 // marked blocked or exited — with the run token held for nobody. It must end
@@ -523,7 +523,7 @@ func (t *Task) Ready() {
 
 func (t *Task) claimLocked() {
 	if t.pending {
-		panic("vtime: task armed while already armed or queued") // At and Ready unlock on the way out
+		panic("vtime: task armed while already armed or queued") // every caller unlocks on the way out
 	}
 	t.pending = true
 }
