@@ -50,12 +50,12 @@ func (sj *subjob) takeWaiters() []*procCheckin {
 // procCheckin records one process waiting in the barrier: the call to
 // answer, and the task that answers it once a verdict is in.
 type procCheckin struct {
-	rank int
-	addr string
-	at   time.Duration
-	call replier
-	verdict
-	answer vtime.Task
+	rank    int
+	addr    string
+	at      time.Duration
+	call    replier
+	verdict verdict
+	answer  vtime.Task
 }
 
 // verdict is what ends a barrier wait: the release all ranks share plus
@@ -64,6 +64,13 @@ type verdict struct {
 	rel              *Release
 	mySubjob, myRank int
 	reason           string
+}
+
+func (v verdict) reply() CheckinReply {
+	if v.rel == nil {
+		return CheckinReply{Proceed: false, Reason: v.reason}
+	}
+	return v.rel.Reply(v.mySubjob, v.myRank)
 }
 
 // decide records the verdict and readies the waiter's answer — in the
@@ -76,13 +83,7 @@ func (ci *procCheckin) decide(v verdict) {
 }
 
 // RunTask sends the waiter's reply.
-func (ci *procCheckin) RunTask() {
-	if ci.rel == nil {
-		ci.call.Reply(CheckinReply{Proceed: false, Reason: ci.reason}, nil)
-		return
-	}
-	ci.call.Reply(ci.rel.Reply(ci.mySubjob, ci.myRank), nil)
-}
+func (ci *procCheckin) RunTask() { ci.call.Reply(ci.verdict.reply(), nil) }
 
 // Job is a co-allocation in progress: the single abstraction through which
 // the agent monitors and controls the whole resource ensemble.

@@ -364,30 +364,30 @@ func (b *Broker) ServeCall(call *rpc.Call, method string, body json.RawMessage) 
 		call.Reply(nil, err)
 		return
 	}
-	abort := func(reason string) { call.Reply(core.CheckinReply{Proceed: false, Reason: reason}, nil) }
+	refuse := func(reason string) { call.Reply(core.CheckinReply{Proceed: false, Reason: reason}, nil) }
 	b.mu.Lock()
 	alloc := b.current[args.Job]
 	if alloc == nil {
 		b.mu.Unlock()
-		abort("unknown allocation " + args.Job)
+		refuse("unknown allocation " + args.Job)
 		return
 	}
 	if alloc.failed {
 		reason := alloc.reason
 		b.mu.Unlock()
-		abort(reason)
+		refuse(reason)
 		return
 	}
 	ranks, ok := alloc.checkins[args.Subjob]
 	if !ok {
 		b.mu.Unlock()
-		abort("unknown subjob " + args.Subjob)
+		refuse("unknown subjob " + args.Subjob)
 		return
 	}
 	if !args.OK {
 		b.mu.Unlock()
 		b.fail(alloc, args.Subjob, "process reported unsuccessful startup: "+args.Msg)
-		abort("startup rejected")
+		refuse("startup rejected")
 		return
 	}
 	w := &waiter{addr: args.Addr, call: call}

@@ -10,6 +10,7 @@ import (
 	"cogrid/internal/metrics"
 	"cogrid/internal/nis"
 	"cogrid/internal/rpc"
+	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
 )
@@ -363,5 +364,56 @@ func TestParseJobRSLEnvironmentAndMaxTime(t *testing.T) {
 func TestParseJobRSLRejectsOddEnvironment(t *testing.T) {
 	if _, err := ParseJobRSL(`&(executable=w)(count=1)(environment=(A))`); err == nil {
 		t.Error("odd environment sequence accepted")
+	}
+}
+
+// A client that does not consume its job-state callbacks loses the ones that
+// do not fit its event queue — it is never blocked by them — and every loss
+// is on the record: what the gatekeeper pushed is what the client queued
+// plus what it counted dropped, and each drop has its trace instant.
+func TestEventQueueOverflowIsCounted(t *testing.T) {
+	tb := newTestbed(t, lrm.Fork)
+	net := tb.client.Network()
+	tr, ctrs := trace.New(tb.sim), trace.NewCounters()
+	net.SetTracer(tr)
+	net.SetCounters(ctrs)
+	const jobs = 40 // ACTIVE and DONE each: 80 callbacks for a queue of 64
+	err := tb.sim.Run("main", func() {
+		c := tb.dial(t)
+		defer c.Close()
+		for i := 0; i < jobs; i++ {
+			if _, err := c.Submit(`&(executable=work)(count=1)`); err != nil {
+				t.Errorf("Submit %d: %v", i, err)
+				return
+			}
+		}
+		tb.sim.Sleep(time.Minute) // every job has run out
+		queued := int64(0)
+		for {
+			if _, ok := c.Events().TryRecv(); !ok {
+				break
+			}
+			queued++
+		}
+		pushed := ctrs.Get(trace.Key("rpc", "notify", "send", "origin"))
+		dropped := ctrs.Get(trace.Key("gram", "event", "drop", "workstation"))
+		if pushed != 2*jobs || queued != 64 || pushed != queued+dropped {
+			t.Errorf("pushed %d, queued %d, dropped %d: a callback is unaccounted for", pushed, queued, dropped)
+		}
+		if lost := ctrs.Get(trace.Key("rpc", "notify", "drop", "workstation")); lost != 0 {
+			t.Errorf("rpc dropped %d notification(s) the pump should have taken in time", lost)
+		}
+		instants := int64(0)
+		for _, ev := range tr.Events() {
+			if ev.Cat == "gram" && ev.Name == "dropped-event" {
+				instants++
+			}
+		}
+		if instants != dropped {
+			t.Errorf("%d dropped-event instants for %d drops", instants, dropped)
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
 )
@@ -122,15 +123,20 @@ func TestServerPushAfterClientGoneIsHarmless(t *testing.T) {
 	}
 }
 
+// A client that does not drain its notifications loses the ones that do not
+// fit — it is never blocked by them — and every loss is on the record: what
+// the server sent is what the client queued plus what it counted dropped,
+// and each drop has its trace instant.
 func TestNotificationBufferOverflowDropsNotBlocks(t *testing.T) {
-	sim, a, b := newPair(t)
+	sim, tr, ctrs, a, b := newTracedPair(t)
 	l, err := b.Listen("flood")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
+	const flood = 1000 // past the client's 256 buffer
 	Serve(sim, l, HandlerFuncs{
 		NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
-			for i := 0; i < 1000; i++ { // past the client's 256 buffer
+			for i := 0; i < flood; i++ {
 				sc.Notify("spam", nil)
 			}
 		},
@@ -155,6 +161,21 @@ func TestNotificationBufferOverflowDropsNotBlocks(t *testing.T) {
 		}
 		if kept == 0 || kept > 256 {
 			t.Errorf("kept %d notifications, want (0,256]", kept)
+		}
+		sent := ctrs.Get(trace.Key("rpc", "notify", "send", "b"))
+		recvd := ctrs.Get(trace.Key("rpc", "notify", "recv", "a"))
+		dropped := ctrs.Get(trace.Key("rpc", "notify", "drop", "a"))
+		if sent != flood || recvd != int64(kept) || sent != recvd+dropped {
+			t.Errorf("sent %d, received %d (drained %d), dropped %d: a notification is unaccounted for", sent, recvd, kept, dropped)
+		}
+		instants := int64(0)
+		for _, ev := range tr.Events() {
+			if ev.Cat == "rpc" && ev.Name == "dropped-notify" {
+				instants++
+			}
+		}
+		if instants != dropped {
+			t.Errorf("%d dropped-notify instants for %d drops", instants, dropped)
 		}
 	})
 	if err != nil {

@@ -412,3 +412,106 @@ func TestPipelineStorageBoundedWhenNeverIdle(t *testing.T) {
 		})
 	}
 }
+
+// taskServer accepts and echoes without a process: one task on the
+// listener, one per connection, each readied by an arrival and draining
+// what has arrived without waiting.
+type taskServer struct {
+	sim    *vtime.Sim
+	l      *Listener
+	accept vtime.Task
+	conns  []*taskEcho
+	closed bool // the listener's close has been seen
+}
+
+func (s *taskServer) RunTask() {
+	for {
+		conn, err := s.l.TryAccept()
+		switch err {
+		case nil:
+			e := &taskEcho{conn: conn}
+			e.task.Init(s.sim, e)
+			e.task.Ready()
+			s.conns = append(s.conns, e)
+		case ErrWouldBlock:
+			s.l.ReadyOnArrival(&s.accept)
+			return
+		default:
+			s.closed = true
+			return
+		}
+	}
+}
+
+type taskEcho struct {
+	conn   *Conn
+	task   vtime.Task
+	closed bool // the connection's close has been seen
+}
+
+func (e *taskEcho) RunTask() {
+	for {
+		msg, err := e.conn.TryRecv()
+		switch err {
+		case nil:
+			e.conn.Send(msg)
+		case ErrWouldBlock:
+			e.conn.ReadyOnArrival(&e.task)
+			return
+		default:
+			e.closed = true
+			return
+		}
+	}
+}
+
+// The receive side of a connection, and of a listener, can belong to a task
+// instead of a process: TryAccept and TryRecv tell "nothing yet" from
+// "closed", ReadyOnArrival readies the task for the next arrival or the
+// close, and a lone client then dispatches a whole echo itself.
+func TestTaskOwnsReceiveSide(t *testing.T) {
+	sim, _, a, b := testNet(t)
+	l, err := b.Listen("echo")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	srv := &taskServer{sim: sim, l: l}
+	srv.accept.Init(sim, srv)
+	srv.accept.Ready()
+	err = sim.Run("client", func() {
+		spawned := sim.Spawned()
+		conn, err := a.Dial(Addr{"b", "echo"})
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		if _, err := conn.TryRecv(); err != ErrWouldBlock {
+			t.Errorf("TryRecv on an idle connection = %v, want ErrWouldBlock", err)
+		}
+		handoffs := sim.Handoffs()
+		for _, m := range []string{"one", "two"} {
+			conn.Send([]byte(m))
+			if reply, err := conn.Recv(); err != nil || string(reply) != m {
+				t.Errorf("echo of %q = %q, %v", m, reply, err)
+			}
+		}
+		if h, s := sim.Handoffs()-handoffs, sim.Spawned()-spawned; h != 0 || s != 0 {
+			t.Errorf("dial and two echoes: %d hand-offs, %d spawns; want 0, 0", h, s)
+		}
+		conn.Close()
+		l.Close()
+		sim.Sleep(5 * ms)
+		if len(srv.conns) != 1 || !srv.conns[0].closed || !srv.closed {
+			t.Errorf("after both closes: %d connection(s), server saw the listener close: %v", len(srv.conns), srv.closed)
+		}
+		if _, err := conn.TryRecv(); err != ErrClosed {
+			t.Errorf("TryRecv on a closed connection = %v, want ErrClosed", err)
+		}
+		if _, err := l.TryAccept(); err != ErrClosed {
+			t.Errorf("TryAccept on a closed listener = %v, want ErrClosed", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}

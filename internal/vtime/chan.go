@@ -125,8 +125,7 @@ func (c *Chan[T]) Send(v T) {
 	s := c.s
 	s.mu.Lock()
 	if s.completed {
-		s.mu.Unlock()
-		parkForever()
+		s.abandonLocked()
 	}
 	if c.closed {
 		s.mu.Unlock()
@@ -210,7 +209,9 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 	return v, res == RecvOK
 }
 
-// RecvTimeout receives a value, giving up after d of virtual time.
+// RecvTimeout receives a value, giving up after d of virtual time. A zero d
+// never blocks — a task step may call it — and, unlike TryRecv, tells an
+// empty channel (RecvTimedOut) from a closed one.
 func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, res RecvResult) {
 	if d < 0 {
 		panic("vtime: negative receive timeout")
@@ -223,8 +224,7 @@ func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 	s := c.s
 	s.mu.Lock()
 	if s.completed {
-		s.mu.Unlock()
-		parkForever()
+		s.abandonLocked()
 	}
 	if c.buf.n > 0 {
 		// Buffered, or (rendezvous) straight from a blocked sender. Either

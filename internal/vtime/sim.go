@@ -5,14 +5,19 @@
 // is code that blocks in the middle of a function — on [Sim.Sleep], [Chan]
 // operations, [WaitGroup], [Event] — and so needs a stack: it runs on a
 // goroutine the kernel owns and recycles. A [Task] is a state machine whose
-// every wait is a timer or an arrival: a struct embedded in its owner,
-// armed at a virtual instant ([Task.At]) or made ready now ([Task.Ready]),
-// whose step runs to completion and must not block. [Sim.AfterFuncPassive]
-// runs a closure the same way. All blocking inside the simulation must
-// go through kernel primitives so the kernel can tell when nothing is
-// runnable; virtual time advances only then, by a jump to the earliest
-// pending timer. This makes timing exact (no wall-clock jitter) and fast
-// (simulated seconds cost microseconds of real time).
+// every wait is a timer or an arrival: a struct embedded in its owner, whose
+// step runs to completion and must not block. For a timer it is armed at a
+// virtual instant ([Task.At]) or made ready now ([Task.Ready]); for an
+// arrival it is registered as a channel's task waiter
+// ([Chan.ReadyOnArrival]) and readied when the channel next has a value or
+// closes, where a blocked receiver would have been woken — its step then
+// receives without blocking ([Chan.TryRecv], or a zero [Chan.RecvTimeout])
+// and registers again. [Sim.AfterFuncPassive] runs a closure the same way.
+// All blocking inside the simulation must go through kernel primitives so
+// the kernel can tell when nothing is runnable; virtual time advances only
+// then, by a jump to the earliest pending timer. This makes timing exact (no
+// wall-clock jitter) and fast (simulated seconds cost microseconds of real
+// time).
 //
 // Execution is serialized by a run token: one process at a time, in FIFO
 // wake order, so two processes woken at the same virtual instant never
@@ -104,6 +109,7 @@ type Sim struct {
 	alive     int    // non-daemon processes that have not exited
 	started   bool   // at least one non-daemon process was spawned
 	completed bool   // all non-daemon processes exited, or deadlock detected
+	over      bool   // completed, and the last daemon that was still runnable has had its turn: done is closed
 
 	// Deterministic cooperative scheduling: at most one simulated process
 	// executes at a time, selected in FIFO wake order. running marks the
@@ -269,7 +275,8 @@ func (s *Sim) Go(name string, fn func()) { s.spawn(name, fn, false) }
 // GoDaemon spawns fn as a daemon process. Daemons (servers, background
 // monitors) do not keep the simulation alive: once every non-daemon process
 // has exited, the simulation completes and any still-blocked daemons are
-// abandoned.
+// abandoned. One that was runnable at that moment still gets its turn, and
+// is abandoned when it next tries to wait (see Wait).
 func (s *Sim) GoDaemon(name string, fn func()) { s.spawn(name, fn, true) }
 
 func (s *Sim) spawn(name string, fn func(), daemon bool) {
@@ -344,12 +351,34 @@ func (s *Sim) procExit(p *proc, recycle bool) {
 	}
 }
 
-// completeLocked ends the simulation: Wait returns. Must be called with
-// s.mu held.
+// completeLocked ends the simulation: from here on a daemon that tries to
+// wait is abandoned instead, timers stay unfired and queued steps unrun.
+// Daemons already queued for the run token still get their turn, one after
+// another, for as long as each exits instead of waiting; Wait returns when
+// that is over (endLocked). Must be called with s.mu held.
 func (s *Sim) completeLocked() {
 	s.completed = true
-	close(s.done)
 	s.releaseFreeLocked()
+}
+
+// endLocked lets Wait return: the run has completed and the run token has
+// nowhere left to go, so nothing it emits is still to come. Must be called
+// with s.mu held.
+func (s *Sim) endLocked() {
+	if !s.over {
+		s.over = true
+		close(s.done)
+	}
+}
+
+// abandonLocked parks the calling daemon for good: it outlived the run and
+// has just tried to wait. The run token stays with it — nothing queued behind
+// it is granted — so this is also where the run is over. Called with s.mu
+// held; does not return.
+func (s *Sim) abandonLocked() {
+	s.endLocked()
+	s.mu.Unlock()
+	parkForever()
 }
 
 // releaseFreeLocked lets the goroutines parked behind free descriptors
@@ -363,8 +392,11 @@ func (s *Sim) releaseFreeLocked() {
 
 // Wait blocks the calling (real) goroutine until the simulation completes:
 // every non-daemon process has exited, or a deadlock was detected. It
-// returns the *DeadlockError in the latter case. At least one non-daemon
-// process must have been spawned before calling Wait.
+// returns the *DeadlockError in the latter case. Daemons that were queued
+// for the run token at that moment run first, one after another, each until
+// it exits or tries to wait — the first that waits keeps the token for good
+// — so whatever a run emits has been emitted when Wait returns. At least one
+// non-daemon process must have been spawned before calling Wait.
 func (s *Sim) Wait() error {
 	s.mu.Lock()
 	if !s.started {
@@ -393,8 +425,7 @@ func (s *Sim) Run(name string, fn func()) error {
 func (s *Sim) Sleep(d time.Duration) {
 	s.mu.Lock()
 	if s.completed {
-		s.mu.Unlock()
-		parkForever()
+		s.abandonLocked()
 	}
 	if d <= 0 {
 		s.mu.Unlock()
@@ -635,6 +666,9 @@ func (s *Sim) passLocked(self *proc) {
 			// parking is idle setup, not deadlock: the clock stays at zero.
 			if s.completed || s.alive == 0 || !s.fireNextLocked() {
 				s.running = false
+				if s.completed {
+					s.endLocked()
+				}
 				return
 			}
 		}

@@ -59,8 +59,7 @@ func (wg *WaitGroup) wait(d time.Duration) bool {
 	s := wg.s
 	s.mu.Lock()
 	if s.completed {
-		s.mu.Unlock()
-		parkForever()
+		s.abandonLocked()
 	}
 	if done := wg.count == 0; done || d == 0 {
 		s.mu.Unlock()
@@ -132,8 +131,7 @@ func (e *Event) wait(d time.Duration) bool {
 	s := e.s
 	s.mu.Lock()
 	if s.completed {
-		s.mu.Unlock()
-		parkForever()
+		s.abandonLocked()
 	}
 	if set := e.set; set || d == 0 {
 		s.mu.Unlock()

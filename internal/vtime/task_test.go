@@ -248,3 +248,188 @@ func TestTaskReadiedBeforeTheFirstProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A task registered on a channel is the run-to-completion analogue of a
+// blocked receiver: readied once per registration — by the send that gives
+// the channel a value, by its close, or at once if there is already
+// something to find — and never for a send it did not register for. The
+// channel has one slot for it.
+func TestChanReadiesATaskOnArrival(t *testing.T) {
+	for _, engine := range bothEngines {
+		t.Run(engine.String(), func(t *testing.T) {
+			s := NewWithConfig(Config{Engine: engine})
+			ch := NewChan[int](s, "inbox", 4)
+			var got []string
+			var drain *stepTask
+			drain = newStepTask(s, func() {
+				for {
+					v, res := ch.RecvTimeout(0)
+					if res != RecvOK {
+						got = append(got, res.String())
+						if res == RecvTimedOut {
+							ch.ReadyOnArrival(&drain.Task)
+						}
+						return
+					}
+					got = append(got, string(rune('0'+v)))
+				}
+			})
+			expectPanic := func(what, want string, f func()) {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Errorf("%s: recovered %q, want it to mention %q", what, msg, want)
+					}
+				}()
+				f()
+			}
+			err := s.Run("main", func() {
+				ch.ReadyOnArrival(&drain.Task) // empty: nothing happens yet
+				s.Sleep(time.Millisecond)
+				if len(got) != 0 || s.TasksRun() != 0 {
+					t.Errorf("a task registered on an empty channel ran: %v", got)
+				}
+				expectPanic("a second task on one channel", "already waiting", func() {
+					ch.ReadyOnArrival(&newStepTask(s, func() {}).Task)
+				})
+				expectPanic("one task registered twice", "already armed", func() {
+					NewChan[int](s, "other", 1).ReadyOnArrival(&drain.Task)
+				})
+				expectPanic("a registered task armed", "already armed", func() { drain.At(time.Hour) })
+
+				ch.TrySend(1) // readies it, once
+				ch.TrySend(2) // nobody is registered for this one
+				if len(got) != 0 {
+					t.Errorf("the step ran inside TrySend: %v", got)
+				}
+				s.Sleep(time.Millisecond) // one step: drains both, registers again
+				if want := []string{"1", "2", "timeout"}; !reflect.DeepEqual(got, want) || s.TasksRun() != 1 {
+					t.Errorf("after two sends: %v in %d step(s), want %v in 1", got, s.TasksRun(), want)
+				}
+
+				got = nil
+				ch.Close() // readies it, once; it does not register again
+				s.Sleep(time.Millisecond)
+				if want := []string{"closed"}; !reflect.DeepEqual(got, want) || s.TasksRun() != 2 {
+					t.Errorf("after Close: %v in %d step(s), want %v in 2", got, s.TasksRun(), want)
+				}
+
+				// Something is already there: readied at once, run when main blocks.
+				waiting := NewChan[int](s, "waiting", 1)
+				waiting.TrySend(7)
+				ran := false
+				late := newStepTask(s, func() { ran = true })
+				waiting.ReadyOnArrival(&late.Task)
+				if ran {
+					t.Error("the step ran inside ReadyOnArrival")
+				}
+				closed := NewChan[int](s, "closed", 0)
+				closed.Close()
+				onClosed := newStepTask(s, func() {})
+				closed.ReadyOnArrival(&onClosed.Task)
+				s.Sleep(time.Millisecond)
+				if !ran || s.TasksRun() != 4 {
+					t.Errorf("tasks registered on a full and on a closed channel: %d steps in all, want 4", s.TasksRun())
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Spawned() != 1 || s.Handoffs() != 1 {
+				t.Errorf("spawned %d, hand-offs %d; want 1 and 1: main and its first grant", s.Spawned(), s.Handoffs())
+			}
+		})
+	}
+}
+
+// The arrival readies the task in the run-queue slot a receiver woken by
+// the same send would take: behind a process woken earlier in the instant,
+// ahead of one woken later. A blocked sender's value counts as an arrival
+// on a rendezvous channel, and a process blocked receiving takes a value
+// ahead of the task.
+func TestArrivalTakesTheReceiversRunQueueSlot(t *testing.T) {
+	for _, engine := range bothEngines {
+		t.Run(engine.String(), func(t *testing.T) {
+			s := NewWithConfig(Config{Engine: engine})
+			var order []string
+			before, after := NewEvent(s, "before"), NewEvent(s, "after")
+			ch := NewChan[string](s, "ch", 1)
+			task := newStepTask(s, func() {
+				v, _ := ch.TryRecv()
+				order = append(order, "task:"+v)
+			})
+			s.Go("p-before", func() { before.Wait(); order = append(order, "p-before") })
+			s.Go("p-after", func() { after.Wait(); order = append(order, "p-after") })
+			err := s.Run("main", func() {
+				ch.ReadyOnArrival(&task.Task)
+				s.Sleep(time.Millisecond)
+				before.Set()
+				ch.TrySend("x")
+				after.Set()
+				order = append(order, "main")
+				s.Sleep(time.Millisecond)
+				if want := []string{"main", "p-before", "task:x", "p-after"}; !reflect.DeepEqual(order, want) {
+					t.Errorf("ran in order %v, want %v", order, want)
+				}
+
+				// Rendezvous: the sender blocks, its value is there for the step,
+				// and taking it wakes the sender — which is the dispatcher.
+				order = nil
+				rv := NewChan[string](s, "rendezvous", 0)
+				taker := newStepTask(s, func() {
+					v, _ := rv.TryRecv()
+					order = append(order, "task:"+v)
+				})
+				rv.ReadyOnArrival(&taker.Task)
+				handoffs := s.Handoffs()
+				rv.Send("y")
+				if want := []string{"task:y"}; !reflect.DeepEqual(order, want) || s.Handoffs() != handoffs {
+					t.Errorf("rendezvous send: %v with %d hand-offs, want %v with 0", order, s.Handoffs()-handoffs, want)
+				}
+
+				// A process in Recv is ahead of the task: the value goes to it.
+				order = nil
+				both := NewChan[string](s, "both", 1)
+				idle := newStepTask(s, func() { order = append(order, "task") })
+				both.ReadyOnArrival(&idle.Task)
+				s.Go("receiver", func() {
+					v, _ := both.Recv()
+					order = append(order, "receiver:"+v)
+				})
+				s.Sleep(time.Millisecond)
+				both.TrySend("z")
+				s.Sleep(time.Millisecond)
+				if want := []string{"receiver:z"}; !reflect.DeepEqual(order, want) {
+					t.Errorf("send with a receiver and a task waiting: %v, want %v", order, want)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// Wait returns when the run is over for good: a daemon that was queued for
+// the run token when the last process exited still gets its turn, and what
+// it does in it has happened before Wait returns — not while the caller is
+// already reading the results. The first daemon that waits instead of
+// exiting keeps the token, and what was queued behind it never runs.
+func TestWaitReturnsAfterQueuedDaemonsHadTheirTurn(t *testing.T) {
+	s := New()
+	var ran []string
+	err := s.Run("main", func() {
+		s.GoDaemon("exits", func() { ran = append(ran, "exits") })
+		s.GoDaemon("waits", func() {
+			ran = append(ran, "waits")
+			s.Sleep(time.Second)
+			ran = append(ran, "woke")
+		})
+		s.GoDaemon("behind", func() { ran = append(ran, "behind") })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"exits", "waits"}; !reflect.DeepEqual(ran, want) { // unsynchronised on purpose: -race checks the claim
+		t.Errorf("after Wait: %v, want %v", ran, want)
+	}
+}
