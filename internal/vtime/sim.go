@@ -378,7 +378,7 @@ func (s *Sim) endLocked() {
 func (s *Sim) abandonLocked() {
 	s.endLocked()
 	s.mu.Unlock()
-	parkForever()
+	select {}
 }
 
 // releaseFreeLocked lets the goroutines parked behind free descriptors
@@ -849,12 +849,6 @@ func (s *Sim) reportDeadlockLocked() {
 	}
 	s.deadlock = &DeadlockError{Now: s.now, Blocked: blocked}
 	s.completeLocked()
-}
-
-// parkForever parks the calling goroutine permanently. Used for daemons
-// that block after the simulation has completed.
-func parkForever() {
-	select {}
 }
 
 // --- processes ---
