@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check quick vet build test race bench bench-smoke chaos-smoke trace-smoke dst-smoke fed-smoke wire-smoke slo-smoke scale-smoke cover bench-snapshot bench-check
+.PHONY: check quick vet build test race bench bench-smoke chaos-smoke trace-smoke dst-smoke fed-smoke wire-smoke slo-smoke scale-smoke cover
 
 # The full verification gate (vet, build, test, race test).
 check:
@@ -82,19 +82,6 @@ slo-smoke:
 # differs between the engines or any job fails or goes missing.
 scale-smoke:
 	$(GO) run ./cmd/benchgrid -fig none -app scale -smoke
-
-# Re-measure the performance baseline: full 1s-per-bench suite, the
-# deterministic scenarios, and the full-size B4 scale run (minutes of
-# wall clock), written to BENCH_grid.json. Commit the result when a perf
-# change is intentional.
-bench-snapshot:
-	$(GO) run ./cmd/perfgrid -out BENCH_grid.json -scale
-
-# Fast perf regression check against the committed baseline: smoke-length
-# benches. allocs/op above the baseline fails; ns/op is report-only unless
-# STRICT_BENCH=1 (then >20% fails).
-bench-check:
-	$(GO) run ./cmd/perfgrid -smoke -compare BENCH_grid.json
 
 # Total statement coverage across all packages. check.sh warns (but
 # does not fail) when the total drops below its floor.

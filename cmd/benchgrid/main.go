@@ -3,29 +3,25 @@
 //
 // Usage:
 //
-//	benchgrid [-fig 2|3|4|5|all]
-//	          [-app atomic|bigrun|overprov|staleness|reserve|load|broker|chaos|federation|wire|slo|scale|ablation|all]
-//	          [-seed N] [-trials N] [-json] [-smoke] [-analyze trace.jsonl]
+//	benchgrid [-fig N|all|none] [-app NAME|all|none] [-seed N] [-trials N]
+//	          [-json] [-smoke] [-analyze trace.jsonl] [-metrics-out file]
 //
-// With no flags everything runs. Timings are virtual (simulated) seconds;
-// see EXPERIMENTS.md for the paper-versus-measured comparison. With -json
-// the selected results are emitted as one JSON document (durations in
-// nanoseconds) for plotting pipelines. -smoke shrinks the broker load and
-// chaos studies to seconds-long configurations for CI gates. -analyze
-// reads a JSONL trace (exported by `gridsim -trace-jsonl`), rebuilds the
-// per-request causal trees, and prints the critical-path attribution
-// report instead of running any experiment — the same analysis
-// `cmd/tracegrid` performs.
+// With no flags everything runs; -h lists the figure and study names.
+// Timings are virtual (simulated) seconds; see EXPERIMENTS.md for the
+// paper-versus-measured comparison. With -json the selected results are
+// emitted as one JSON document (durations in nanoseconds): the
+// repository's virtual-time record, which scripts/identical.sh compares
+// across commits. -smoke shrinks the broker, chaos, federation, wire, slo
+// and scale studies to seconds-long configurations for CI gates. -analyze
+// prints the causal critical-path report of a JSONL trace (exported by
+// `gridsim -trace-jsonl`) instead of running any experiment, as
+// `cmd/tracegrid` does; -metrics-out instead runs one small fixed
+// broker-load row and writes its grid's Prometheus exposition.
 //
-// The chaos study doubles as a leak check: benchgrid exits non-zero if
-// any row leaves a non-terminal job on a machine after quiescence or
-// records an orphan that was never reaped. The wire study (B3) likewise
-// enforces its acceptance bar: the binary codec must beat JSON on both
-// messages/sec and allocs/op, with zero drops in the deterministic rows.
-// The scale study (B4) smoke configuration runs the same job stream on
-// the reference heap and the production timing wheel and exits non-zero
-// if any deterministic virtual-time column differs between the engines,
-// or if any job fails or goes missing.
+// Five studies carry an acceptance gate (chaos, federation, wire, slo and
+// scale; the *Check functions say what each enforces). In text mode
+// a study whose gate fails is still printed and benchgrid exits 1; with
+// -json it prints nothing and exits 2, as for any unusable command line.
 package main
 
 import (
@@ -34,129 +30,52 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"cogrid/internal/experiments"
-	"cogrid/internal/perf"
+	"cogrid/internal/metrics"
 	"cogrid/internal/trace"
 	"cogrid/internal/vtime"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2, 3, 4, 5, or all")
-	app := flag.String("app", "all", "application study: atomic, bigrun, overprov, staleness, reserve, load, broker, chaos, federation, wire, slo, scale, ablation, all, or none")
+	fig := flag.String("fig", "all", "figure to regenerate: "+names("fig"))
+	app := flag.String("app", "all", "application study: "+names("app"))
 	seed := flag.Int64("seed", 1, "random seed for stochastic studies")
 	trials := flag.Int("trials", 5, "trials per setting in stochastic studies")
 	jsonOut := flag.Bool("json", false, "emit one JSON document instead of text tables (durations in nanoseconds)")
-	smoke := flag.Bool("smoke", false, "shrink the broker study to a tiny smoke-test configuration")
+	smoke := flag.Bool("smoke", false, "shrink the broker, chaos, federation, wire, slo and scale studies to seconds-long configurations")
 	analyze := flag.String("analyze", "", "read a JSONL trace and print the causal critical-path report instead of running experiments")
-	metricsPath := flag.String("metrics-out", "", "run the deterministic perf scenario and write its full metric registry (counters, gauges, histograms) in Prometheus text format")
+	metricsPath := flag.String("metrics-out", "", "run one fixed broker-load row and write its full metric registry (counters, gauges, histograms) in Prometheus text format")
 	flag.Parse()
 
-	if *metricsPath != "" {
-		if err := metricsOut(*metricsPath, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgrid:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
-	if *analyze != "" {
-		if err := analyzeTrace(*analyze); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgrid:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
-	if *jsonOut {
-		if err := emitJSON(os.Stdout, *fig, *app, *seed, *trials, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgrid:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
-	ran := false
-	switch *fig {
-	case "2":
-		figure2()
-	case "3":
-		figure3()
-	case "4":
-		figure4()
-	case "5":
-		figure5()
-	case "all":
-		figure2()
-		figure3()
-		figure4()
-		figure5()
-	case "none":
+	var err error
+	switch {
+	case *metricsPath != "":
+		err = metricsOut(*metricsPath, *seed)
+	case *analyze != "":
+		err = analyzeTrace(*analyze)
+	case *jsonOut:
+		err = emitJSON(os.Stdout, *fig, *app, *seed, *trials, *smoke)
 	default:
-		fmt.Fprintf(os.Stderr, "benchgrid: unknown figure %q\n", *fig)
-		os.Exit(2)
+		err = printText(*fig, *app, *seed, *trials, *smoke)
 	}
-	ran = *fig != "none"
-
-	switch *app {
-	case "atomic":
-		atomicStudy(*seed, *trials)
-	case "bigrun":
-		bigRun(*seed)
-	case "overprov":
-		overProvision(*seed, *trials)
-	case "staleness":
-		staleness(*seed, *trials)
-	case "reserve":
-		reserve(*seed)
-	case "load":
-		loadStudy(*seed, *trials)
-	case "broker":
-		brokerStudy(*seed, *smoke)
-	case "chaos":
-		chaosStudy(*seed, *smoke)
-	case "federation":
-		federationStudy(*seed, *smoke)
-	case "wire":
-		wireStudy(*seed, *smoke)
-	case "slo":
-		sloStudy(*seed, *smoke)
-	case "scale":
-		scaleStudy(*seed, *smoke)
-	case "ablation":
-		ablation()
-	case "all":
-		atomicStudy(*seed, *trials)
-		bigRun(*seed)
-		overProvision(*seed, *trials)
-		staleness(*seed, *trials)
-		reserve(*seed)
-		loadStudy(*seed, *trials)
-		brokerStudy(*seed, *smoke)
-		chaosStudy(*seed, *smoke)
-		federationStudy(*seed, *smoke)
-		wireStudy(*seed, *smoke)
-		sloStudy(*seed, *smoke)
-		scaleStudy(*seed, *smoke)
-		ablation()
-	case "none":
-	default:
-		fmt.Fprintf(os.Stderr, "benchgrid: unknown study %q\n", *app)
-		os.Exit(2)
-	}
-	if !ran && *app == "none" {
-		fmt.Fprintln(os.Stderr, "benchgrid: nothing to do")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgrid:", err)
 		os.Exit(2)
 	}
 }
 
-// metricsOut runs the perf package's deterministic broker-load scenario
-// and writes the resulting grid's Prometheus exposition — the same series
-// cmd/perfgrid snapshots into BENCH_grid.json. "-" writes to stdout.
+// metricsOut runs one open-loop row on the smoke broker grid — 30-second
+// jobs, 8 requests at 6/min against an 8-deep admission queue: well under
+// a second of real time, yet every instrumented layer is touched — and
+// writes the grid's Prometheus exposition ("-": to standard output).
 func metricsOut(path string, seed int64) error {
-	_, g, row := perf.RunScenario(seed)
-	w := io.Writer(os.Stdout)
+	cfg := brokerConfig(seed, true)
+	cfg.WorkTime = 30 * time.Second
+	row, g := experiments.BrokerLoadRun(cfg, 6, 8)
+	w := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
@@ -173,93 +92,243 @@ func metricsOut(path string, seed int64) error {
 	return nil
 }
 
-// emitJSON runs the selected experiments and marshals their structured
-// results as one JSON object keyed by experiment id.
+// study is one row of the catalogue: one result, declared once. Flag
+// validation, the text report and the -json document all derive from it.
+type study struct {
+	flag  string // "fig" or "app": the flag that selects it
+	name  string // the flag value
+	key   string // the result's key in the -json document
+	title string // section heading; empty continues the section above
+	// run returns the result and its acceptance gate: nil if held or none.
+	run  func(seed int64, trials int, smoke bool) (res any, gate error)
+	note string // printed under the result's text
+}
+
+var catalogue = []study{
+	{flag: "fig", name: "2", key: "figure2",
+		title: "Figure 2 — GRAM submission latency vs process count",
+		run:   func(int64, int, bool) (any, error) { return experiments.Figure2([]int{1, 8, 16, 32, 64}), nil },
+		note:  "(paper: latency is largely insensitive to the number of processes)"},
+	{flag: "fig", name: "3", key: "figure3",
+		title: "Figure 3 — breakdown of a single-process GRAM request",
+		run:   func(int64, int, bool) (any, error) { return experiments.Figure3(), nil },
+		note:  "(paper: initgroups 0.7s, authentication 0.5s, misc 0.01s, fork 0.001s)"},
+	{flag: "fig", name: "4", key: "figure4",
+		title: "Figure 4 — DUROC submission time vs subjob count (64 processes)",
+		run: func(int64, int, bool) (any, error) {
+			return experiments.Figure4(64, []int{1, 2, 4, 8, 12, 16, 20, 25}), nil
+		}},
+	{flag: "fig", name: "4", key: "figure4_flat",
+		run: func(int64, int, bool) (any, error) { return experiments.Figure4Flat(4, []int{8, 16, 32, 64}), nil }},
+	{flag: "fig", name: "5", key: "figure5_timeline",
+		title: "Figure 5 — timeline of a DUROC submission (4 subjobs, 16 processes)",
+		run:   func(int64, int, bool) (any, error) { return experiments.Figure5(4, 16), nil }},
+	{flag: "app", name: "atomic", key: "a1_atomic_vs_interactive",
+		title: "A1 — atomic (GRAB) restarts vs interactive (DUROC) transactions",
+		run: func(seed int64, trials int, _ bool) (any, error) {
+			return experiments.AtomicVsInteractive(5, 15*time.Minute, []float64{0, 0.1, 0.2, 0.3}, trials, seed), nil
+		},
+		note: "(paper: restarts of 15-minute startups made atomic transactions untenable)"},
+	{flag: "app", name: "bigrun", key: "a2_bigrun",
+		title: "A2 — 1386 processors, 13 machines, 9 sites, with failures",
+		run:   func(seed int64, _ int, _ bool) (any, error) { return experiments.BigRun(seed), nil }},
+	{flag: "app", name: "overprov", key: "s1_overprovision",
+		title: "S1 — over-provisioning and forecast quality",
+		run: func(seed int64, trials int, _ bool) (any, error) {
+			return experiments.OverProvisionSweep(3, 9,
+				[]float64{1, 1.33, 2, 3}, []float64{0, 1, 8}, trials, seed), nil
+		},
+		note: "(Section 2.2: forecasts and over-provisioning improve co-allocation)"},
+	{flag: "app", name: "staleness", key: "s2_staleness",
+		title: "S2 — co-allocation time vs load-information age",
+		run: func(seed int64, trials int, _ bool) (any, error) {
+			return experiments.StalenessSweep(3, 10,
+				[]time.Duration{0, 15 * time.Minute, time.Hour, 2 * time.Hour}, trials, seed), nil
+		},
+		note: "([14]: load information helps only while it remains valid)"},
+	{flag: "app", name: "reserve", key: "r1_coreservation",
+		title: "R1 — co-reservation (Section 5 future work)",
+		run:   func(seed int64, _ int, _ bool) (any, error) { return experiments.CoReservationStudy(seed), nil }},
+	{flag: "app", name: "load", key: "r2_load_crossover",
+		title: "R2 — best-effort co-allocation vs co-reservation under load",
+		run: func(seed int64, trials int, _ bool) (any, error) {
+			return experiments.BestEffortVsReservation(3, []float64{0.3, 0.5, 0.7, 0.85}, trials, seed), nil
+		},
+		note: "(Section 5: ensuring a co-allocation request succeeds ultimately\n" +
+			" requires advance reservation; the crossover falls at moderate load)"},
+	{flag: "app", name: "broker", key: "b1_broker_load",
+		title: "B1 — broker throughput and latency vs offered load and queue bound",
+		run: func(seed int64, _ int, smoke bool) (any, error) {
+			return experiments.BrokerLoadStudy(brokerConfig(seed, smoke)), nil
+		},
+		note: "(internal/broker: bounded admission pushes back when offered load\n" +
+			" exceeds what the machines drain; rejects are admission rejections)"},
+	{flag: "app", name: "chaos", key: "b2_chaos",
+		title: "B2 — broker resilience under injected faults (chaos study)",
+		run: func(seed int64, _ int, smoke bool) (any, error) {
+			res := experiments.ChaosStudy(chaosConfig(seed, smoke))
+			return res, chaosLeakCheck(res)
+		},
+		note: "(internal/failure through internal/broker: every fault heals in-run,\n" +
+			" so the acceptance bar is zero leaked jobs and orphans rec == reaped)"},
+	{flag: "app", name: "federation", key: "b6_federation",
+		title: "B6 — federated broker scaling vs replica count (with a leader crash)",
+		run: func(seed int64, _ int, smoke bool) (any, error) {
+			res := experiments.FederationLoadStudy(federationConfig(seed, smoke))
+			return res, federationScalingCheck(res)
+		},
+		note: "(internal/federation: replicas split the admission load; rows with\n" +
+			" two or more replicas crash and restart the leader mid-run, so the\n" +
+			" gains are earned under election, hand-off, and client failover)"},
+	{flag: "app", name: "wire", key: "b3_wire",
+		title: "B3 — wire throughput: JSON vs binary codec, with and without batching",
+		run: func(seed int64, _ int, smoke bool) (any, error) {
+			res := experiments.WireStudy(wireConfig(seed, smoke))
+			return res, wireCheck(res)
+		},
+		note: "(internal/wire through internal/rpc: the binary envelope codec must\n" +
+			" beat JSON on both messages/sec and allocs/op; batching coalesces\n" +
+			" same-destination sends at the cost of up to its flush delay)"},
+	{flag: "app", name: "slo", key: "b7_slo",
+		title: "B7 — SLO detection latency and flight-recorder coverage",
+		run: func(seed int64, _ int, smoke bool) (any, error) {
+			res := experiments.SLOStudy(experiments.SLOConfig{Chaos: chaosConfig(seed, smoke)})
+			if bad := res.Check(); len(bad) > 0 {
+				return res, fmt.Errorf("slo: %s", bad[0])
+			}
+			return res, nil
+		},
+		note: "(internal/slo over internal/flightrec: fault-free rows must stay\n" +
+			" silent; every faulted row must page within the detection budget,\n" +
+			" and each fire freezes one validated black-box dump)"},
+	{flag: "app", name: "scale", key: "b4_scale",
+		title: "B4 — kernel throughput at scale: timer wheel vs reference heap",
+		run: func(seed int64, _ int, smoke bool) (any, error) {
+			res := experiments.ScaleStudy(scaleConfig(seed, smoke))
+			return res, scaleCheck(res)
+		},
+		note: "(internal/vtime + internal/lrm: the timing wheel, passive timers\n" +
+			" and release index carry the whole job stream; dual-engine\n" +
+			" rows must agree on every virtual-time column, byte for byte)"},
+	{flag: "app", name: "ablation", key: "ab1_submission_ablation",
+		title: "Ablation — sequential vs parallel subjob submission",
+		run: func(int64, int, bool) (any, error) {
+			return experiments.SubmissionAblation(64, []int{1, 5, 10, 25}), nil
+		},
+		note: "(the paper's DUROC submitted sequentially — Figure 5 — leaving\n" +
+			" pipelining as the only overlap; parallel submission is flat)"},
+	{flag: "app", name: "ablation", key: "wide_area",
+		run: func(int64, int, bool) (any, error) {
+			return experiments.WideAreaStudy(8, 64, []time.Duration{
+				time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond,
+			}), nil
+		},
+		note: "(Section 4.2: wide-area barrier costs are negligible next to startup delays)"},
+}
+
+// render is a result's text form: its table, and for the results that
+// have none, or more than one part, what the report prints instead.
+func render(res any) string {
+	switch r := res.(type) {
+	case experiments.Figure4Result:
+		return fmt.Sprint(r.Table(), "\n", r.Summary())
+	case []experiments.Figure4FlatRow:
+		text := "Companion: DUROC time vs process count at 4 subjobs (paper: flat)\n"
+		for _, row := range r {
+			text += fmt.Sprintf("  %3d processes: %.3fs\n", row.Processes, row.Measured.Seconds())
+		}
+		return text
+	case experiments.BigRunResult:
+		text := fmt.Sprint(r.Table(), "\nfailures configured around:\n")
+		for _, line := range r.Narrative {
+			text += "  " + line + "\n"
+		}
+		return text
+	case []experiments.AblationRow:
+		return experiments.AblationTable(r).String()
+	case []experiments.WideAreaRow:
+		return experiments.WideAreaTable(r).String()
+	case interface{ Table() *metrics.Table }:
+		return r.Table().String()
+	case interface{ Table() string }:
+		return r.Table()
+	}
+	return fmt.Sprint(res) // Figure 5 is its own text
+}
+
+// names lists the values the given flag accepts, in catalogue order.
+func names(flag string) string {
+	var list []string
+	for _, s := range catalogue {
+		if s.flag == flag && s.title != "" {
+			list = append(list, s.name)
+		}
+	}
+	return strings.Join(list, ", ") + ", all, or none"
+}
+
+// selected returns the catalogue rows -fig and -app select between them,
+// or an error naming the valid values of the flag that matched nothing.
+func selected(fig, app string) ([]study, error) {
+	var sel []study
+	for _, f := range [2]struct{ flag, value string }{{"fig", fig}, {"app", app}} {
+		n := len(sel)
+		for _, s := range catalogue {
+			if s.flag == f.flag && (f.value == "all" || f.value == s.name) {
+				sel = append(sel, s)
+			}
+		}
+		if len(sel) == n && f.value != "none" {
+			return nil, fmt.Errorf("unknown -%s %q (valid: %s)", f.flag, f.value, names(f.flag))
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("nothing selected (fig=%q, app=%q)", fig, app)
+	}
+	return sel, nil
+}
+
+// printText runs the selected studies, printing each as a titled section
+// as soon as it finishes; a failed gate exits 1 once its study is printed.
+func printText(fig, app string, seed int64, trials int, smoke bool) error {
+	sel, err := selected(fig, app)
+	if err != nil {
+		return err
+	}
+	for _, s := range sel {
+		fmt.Println()
+		if s.title != "" {
+			fmt.Println("==============================================================")
+			fmt.Println(s.title)
+			fmt.Println("==============================================================")
+		}
+		res, gate := s.run(seed, trials, smoke)
+		fmt.Print(render(res))
+		if s.note != "" {
+			fmt.Println(s.note)
+		}
+		if gate != nil {
+			fmt.Fprintln(os.Stderr, "benchgrid:", gate)
+			os.Exit(1)
+		}
+	}
+	return nil
+}
+
+// emitJSON runs the selected studies and marshals their structured results
+// as one JSON object keyed by result id. A failed gate emits nothing.
 func emitJSON(w io.Writer, fig, app string, seed int64, trials int, smoke bool) error {
+	sel, err := selected(fig, app)
+	if err != nil {
+		return err
+	}
 	out := make(map[string]any)
-	figOn := func(want string) bool { return fig == "all" || fig == want }
-	appOn := func(want string) bool { return app == "all" || app == want }
-	if figOn("2") {
-		out["figure2"] = experiments.Figure2([]int{1, 8, 16, 32, 64})
-	}
-	if figOn("3") {
-		out["figure3"] = experiments.Figure3()
-	}
-	if figOn("4") {
-		out["figure4"] = experiments.Figure4(64, []int{1, 2, 4, 8, 12, 16, 20, 25})
-		out["figure4_flat"] = experiments.Figure4Flat(4, []int{8, 16, 32, 64})
-	}
-	if figOn("5") {
-		out["figure5_timeline"] = experiments.Figure5(4, 16)
-	}
-	if appOn("atomic") {
-		out["a1_atomic_vs_interactive"] = experiments.AtomicVsInteractive(
-			5, 15*time.Minute, []float64{0, 0.1, 0.2, 0.3}, trials, seed)
-	}
-	if appOn("bigrun") {
-		out["a2_bigrun"] = experiments.BigRun(seed)
-	}
-	if appOn("overprov") {
-		out["s1_overprovision"] = experiments.OverProvisionSweep(3, 9,
-			[]float64{1, 1.33, 2, 3}, []float64{0, 1, 8}, trials, seed)
-	}
-	if appOn("staleness") {
-		out["s2_staleness"] = experiments.StalenessSweep(3, 10,
-			[]time.Duration{0, 15 * time.Minute, time.Hour, 2 * time.Hour}, trials, seed)
-	}
-	if appOn("reserve") {
-		out["r1_coreservation"] = experiments.CoReservationStudy(seed)
-	}
-	if appOn("load") {
-		out["r2_load_crossover"] = experiments.BestEffortVsReservation(3,
-			[]float64{0.3, 0.5, 0.7, 0.85}, trials, seed)
-	}
-	if appOn("broker") {
-		out["b1_broker_load"] = experiments.BrokerLoadStudy(brokerConfig(seed, smoke))
-	}
-	if appOn("chaos") {
-		res := experiments.ChaosStudy(chaosConfig(seed, smoke))
-		if err := chaosLeakCheck(res); err != nil {
-			return err
+	for _, s := range sel {
+		res, gate := s.run(seed, trials, smoke)
+		if gate != nil {
+			return gate
 		}
-		out["b2_chaos"] = res
-	}
-	if appOn("federation") {
-		res := experiments.FederationLoadStudy(federationConfig(seed, smoke))
-		if err := federationScalingCheck(res); err != nil {
-			return err
-		}
-		out["b6_federation"] = res
-	}
-	if appOn("wire") {
-		res := experiments.WireStudy(wireConfig(seed, smoke))
-		if err := wireCheck(res); err != nil {
-			return err
-		}
-		out["b3_wire"] = res
-	}
-	if appOn("slo") {
-		res := experiments.SLOStudy(sloConfig(seed, smoke))
-		if err := sloCheck(res); err != nil {
-			return err
-		}
-		out["b7_slo"] = res
-	}
-	if appOn("scale") {
-		res := experiments.ScaleStudy(scaleConfig(seed, smoke))
-		if err := scaleCheck(res); err != nil {
-			return err
-		}
-		out["b4_scale"] = res
-	}
-	if appOn("ablation") {
-		out["ab1_submission_ablation"] = experiments.SubmissionAblation(64, []int{1, 5, 10, 25})
-		out["wide_area"] = experiments.WideAreaStudy(8, 64, []time.Duration{
-			time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond,
-		})
-	}
-	if len(out) == 0 {
-		return fmt.Errorf("nothing selected (fig=%q, app=%q)", fig, app)
+		out[s.key] = res
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -280,92 +349,6 @@ func analyzeTrace(path string) error {
 	}
 	fmt.Print(trace.Analyze(events).Report())
 	return nil
-}
-
-func section(title string) {
-	fmt.Println()
-	fmt.Println("==============================================================")
-	fmt.Println(title)
-	fmt.Println("==============================================================")
-}
-
-func figure2() {
-	section("Figure 2 — GRAM submission latency vs process count")
-	res := experiments.Figure2([]int{1, 8, 16, 32, 64})
-	fmt.Print(res.Table())
-	fmt.Println("(paper: latency is largely insensitive to the number of processes)")
-}
-
-func figure3() {
-	section("Figure 3 — breakdown of a single-process GRAM request")
-	res := experiments.Figure3()
-	fmt.Print(res.Table())
-	fmt.Println("(paper: initgroups 0.7s, authentication 0.5s, misc 0.01s, fork 0.001s)")
-}
-
-func figure4() {
-	section("Figure 4 — DUROC submission time vs subjob count (64 processes)")
-	res := experiments.Figure4(64, []int{1, 2, 4, 8, 12, 16, 20, 25})
-	fmt.Print(res.Table())
-	fmt.Println()
-	fmt.Print(res.Summary())
-	fmt.Println()
-	fmt.Println("Companion: DUROC time vs process count at 4 subjobs (paper: flat)")
-	for _, row := range experiments.Figure4Flat(4, []int{8, 16, 32, 64}) {
-		fmt.Printf("  %3d processes: %.3fs\n", row.Processes, row.Measured.Seconds())
-	}
-}
-
-func figure5() {
-	section("Figure 5 — timeline of a DUROC submission (4 subjobs, 16 processes)")
-	fmt.Print(experiments.Figure5(4, 16))
-}
-
-func atomicStudy(seed int64, trials int) {
-	section("A1 — atomic (GRAB) restarts vs interactive (DUROC) transactions")
-	res := experiments.AtomicVsInteractive(5, 15*time.Minute, []float64{0, 0.1, 0.2, 0.3}, trials, seed)
-	fmt.Print(res.Table())
-	fmt.Println("(paper: restarts of 15-minute startups made atomic transactions untenable)")
-}
-
-func bigRun(seed int64) {
-	section("A2 — 1386 processors, 13 machines, 9 sites, with failures")
-	res := experiments.BigRun(seed)
-	fmt.Print(res.Table())
-	fmt.Println("\nfailures configured around:")
-	for _, line := range res.Narrative {
-		fmt.Println("  " + line)
-	}
-}
-
-func overProvision(seed int64, trials int) {
-	section("S1 — over-provisioning and forecast quality")
-	res := experiments.OverProvisionSweep(3, 9,
-		[]float64{1, 1.33, 2, 3}, []float64{0, 1, 8}, trials, seed)
-	fmt.Print(res.Table())
-	fmt.Println("(Section 2.2: forecasts and over-provisioning improve co-allocation)")
-}
-
-func staleness(seed int64, trials int) {
-	section("S2 — co-allocation time vs load-information age")
-	res := experiments.StalenessSweep(3, 10,
-		[]time.Duration{0, 15 * time.Minute, time.Hour, 2 * time.Hour}, trials, seed)
-	fmt.Print(res.Table())
-	fmt.Println("([14]: load information helps only while it remains valid)")
-}
-
-func reserve(seed int64) {
-	section("R1 — co-reservation (Section 5 future work)")
-	res := experiments.CoReservationStudy(seed)
-	fmt.Print(res.Table())
-}
-
-func loadStudy(seed int64, trials int) {
-	section("R2 — best-effort co-allocation vs co-reservation under load")
-	res := experiments.BestEffortVsReservation(3, []float64{0.3, 0.5, 0.7, 0.85}, trials, seed)
-	fmt.Print(res.Table())
-	fmt.Println("(Section 5: ensuring a co-allocation request succeeds ultimately")
-	fmt.Println(" requires advance reservation; the crossover falls at moderate load)")
 }
 
 // brokerConfig selects the broker study size: the stock configuration, or
@@ -390,43 +373,14 @@ func brokerConfig(seed int64, smoke bool) experiments.BrokerLoadConfig {
 	}
 }
 
-func brokerStudy(seed int64, smoke bool) {
-	section("B1 — broker throughput and latency vs offered load and queue bound")
-	res := experiments.BrokerLoadStudy(brokerConfig(seed, smoke))
-	fmt.Print(res.Table())
-	fmt.Println("(internal/broker: bounded admission pushes back when offered load")
-	fmt.Println(" exceeds what the machines drain; rejects are admission rejections)")
-}
-
-// chaosConfig selects the chaos study size: the stock configuration, or a
-// seconds-long smoke setting for CI (make chaos-smoke). The smoke run
-// shifts the default seed to 3, where the high-fault row exercises the
-// full orphan pipeline — a host crash strands committed subjobs, a
-// machine restart brings the gatekeeper back, and the reaper drains them.
+// chaosConfig selects the chaos workload B2 and B7 share: the stock
+// configuration, or the seconds-long CI setting (make chaos-smoke, make
+// slo-smoke) that experiments.SLOSmokeConfig documents.
 func chaosConfig(seed int64, smoke bool) experiments.ChaosConfig {
-	if !smoke {
-		return experiments.ChaosConfig{Seed: seed}
+	if smoke {
+		return experiments.SLOSmokeConfig(seed).Chaos
 	}
-	if seed == 1 {
-		seed = 3
-	}
-	return experiments.ChaosConfig{
-		Machines:     4,
-		MachineSize:  16,
-		Sites:        2,
-		ProcsPerSite: 4,
-		Spares:       1,
-		Workers:      2,
-		WorkTime:     45 * time.Second,
-		Requests:     6,
-		Tenants:      2,
-		RatePerMin:   4,
-		FaultRates:   []float64{0, 0.75},
-		Window:       2 * time.Minute,
-		MaxTime:      4 * time.Minute,
-		SubmitBudget: 6 * time.Minute,
-		Seed:         seed,
-	}
+	return experiments.ChaosConfig{Seed: seed}
 }
 
 // chaosLeakCheck enforces the chaos study's resilience criterion: no row
@@ -444,18 +398,6 @@ func chaosLeakCheck(res experiments.ChaosResult) error {
 		}
 	}
 	return nil
-}
-
-func chaosStudy(seed int64, smoke bool) {
-	section("B2 — broker resilience under injected faults (chaos study)")
-	res := experiments.ChaosStudy(chaosConfig(seed, smoke))
-	fmt.Print(res.Table())
-	fmt.Println("(internal/failure through internal/broker: every fault heals in-run,")
-	fmt.Println(" so the acceptance bar is zero leaked jobs and orphans rec == reaped)")
-	if err := chaosLeakCheck(res); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgrid:", err)
-		os.Exit(1)
-	}
 }
 
 // federationConfig selects the federation study size: the stock
@@ -489,19 +431,6 @@ func federationScalingCheck(res experiments.FederationLoadResult) error {
 	}
 	return fmt.Errorf("federation: no multi-replica row beat the single-replica baseline (%.2f/min, p99 %v)",
 		base.ThroughputPerMin, base.P99)
-}
-
-func federationStudy(seed int64, smoke bool) {
-	section("B6 — federated broker scaling vs replica count (with a leader crash)")
-	res := experiments.FederationLoadStudy(federationConfig(seed, smoke))
-	fmt.Print(res.Table())
-	fmt.Println("(internal/federation: replicas split the admission load; rows with")
-	fmt.Println(" two or more replicas crash and restart the leader mid-run, so the")
-	fmt.Println(" gains are earned under election, hand-off, and client failover)")
-	if err := federationScalingCheck(res); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgrid:", err)
-		os.Exit(1)
-	}
 }
 
 // wireConfig selects the wire study size: the stock configuration, or a
@@ -550,54 +479,6 @@ func wireCheck(res experiments.WireResult) error {
 	return nil
 }
 
-func wireStudy(seed int64, smoke bool) {
-	section("B3 — wire throughput: JSON vs binary codec, with and without batching")
-	res := experiments.WireStudy(wireConfig(seed, smoke))
-	fmt.Print(res.Table())
-	fmt.Println("(internal/wire through internal/rpc: the binary envelope codec must")
-	fmt.Println(" beat JSON on both messages/sec and allocs/op; batching coalesces")
-	fmt.Println(" same-destination sends at the cost of up to its flush delay)")
-	if err := wireCheck(res); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgrid:", err)
-		os.Exit(1)
-	}
-}
-
-// sloConfig selects the SLO study size: the stock configuration over the
-// full chaos workload, or a seconds-long smoke setting for CI
-// (make slo-smoke). Both reuse the chaos workload so the detection-lag
-// numbers describe the same faults B2 already characterizes.
-func sloConfig(seed int64, smoke bool) experiments.SLOConfig {
-	if smoke {
-		return experiments.SLOSmokeConfig(seed)
-	}
-	return experiments.SLOConfig{Chaos: experiments.ChaosConfig{Seed: seed}}
-}
-
-// sloCheck enforces the B7 acceptance bar: fault-free rows are silent
-// (zero alerts, zero dumps), every faulted row fires at least one alert
-// within the detection budget, each fire freezes exactly one black box,
-// and every retained dump validates.
-func sloCheck(res experiments.SLOResult) error {
-	if bad := res.Check(); len(bad) > 0 {
-		return fmt.Errorf("slo: %s", bad[0])
-	}
-	return nil
-}
-
-func sloStudy(seed int64, smoke bool) {
-	section("B7 — SLO detection latency and flight-recorder coverage")
-	res := experiments.SLOStudy(sloConfig(seed, smoke))
-	fmt.Print(res.Table())
-	fmt.Println("(internal/slo over internal/flightrec: fault-free rows must stay")
-	fmt.Println(" silent; every faulted row must page within the detection budget,")
-	fmt.Println(" and each fire freezes one validated black-box dump)")
-	if err := sloCheck(res); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgrid:", err)
-		os.Exit(1)
-	}
-}
-
 // scaleConfig selects the scale study size: the stock 10⁶-job run on the
 // production wheel alone, or a seconds-long dual-engine smoke setting for
 // CI (make scale-smoke) whose rows benchgrid diffs column by column.
@@ -636,31 +517,4 @@ func scaleCheck(res experiments.ScaleResult) error {
 		}
 	}
 	return nil
-}
-
-func scaleStudy(seed int64, smoke bool) {
-	section("B4 — kernel throughput at scale: timer wheel vs reference heap")
-	res := experiments.ScaleStudy(scaleConfig(seed, smoke))
-	fmt.Print(res.Table())
-	fmt.Println("(internal/vtime + internal/lrm: the timing wheel, passive timers")
-	fmt.Println(" and release index carry the whole job stream; dual-engine")
-	fmt.Println(" rows must agree on every virtual-time column, byte for byte)")
-	if err := scaleCheck(res); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgrid:", err)
-		os.Exit(1)
-	}
-}
-
-func ablation() {
-	section("Ablation — sequential vs parallel subjob submission")
-	rows := experiments.SubmissionAblation(64, []int{1, 5, 10, 25})
-	fmt.Print(experiments.AblationTable(rows))
-	fmt.Println("(the paper's DUROC submitted sequentially — Figure 5 — leaving")
-	fmt.Println(" pipelining as the only overlap; parallel submission is flat)")
-	fmt.Println()
-	wide := experiments.WideAreaStudy(8, 64, []time.Duration{
-		time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond,
-	})
-	fmt.Print(experiments.WideAreaTable(wide))
-	fmt.Println("(Section 4.2: wide-area barrier costs are negligible next to startup delays)")
 }

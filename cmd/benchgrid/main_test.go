@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -83,5 +86,47 @@ func TestEmitJSONAblationOnly(t *testing.T) {
 		if _, ok := out[key]; !ok {
 			t.Errorf("missing %s", key)
 		}
+	}
+}
+
+// TestEmitJSONUnknownStudy: a misspelt -app or -fig is refused, naming the
+// valid values, instead of being dropped from the document in silence.
+func TestEmitJSONUnknownStudy(t *testing.T) {
+	for _, c := range []struct{ fig, app, want string }{
+		{"3", "chaoss", "atomic, bigrun, overprov, staleness, reserve, load, broker, chaos, federation, wire, slo, scale, ablation, all, or none"},
+		{"nosuch", "none", "2, 3, 4, 5, all, or none"},
+	} {
+		var buf bytes.Buffer
+		err := emitJSON(&buf, c.fig, c.app, 1, 1, true)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-fig %s -app %s: err = %v, want one listing %q", c.fig, c.app, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-fig %s -app %s: wrote %d bytes before refusing", c.fig, c.app, buf.Len())
+		}
+	}
+}
+
+// TestMetricsOutDeterministic: the -metrics-out exposition is a function
+// of the seed alone — every quantity in it is virtual-time, so goroutine
+// interleaving must not leak into it.
+func TestMetricsOutDeterministic(t *testing.T) {
+	var runs [2][]byte
+	for i := range runs {
+		path := filepath.Join(t.TempDir(), "metrics.prom")
+		if err := metricsOut(path, 1); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = raw
+	}
+	if len(runs[0]) == 0 {
+		t.Fatal("exposition empty: the grid lost its registries")
+	}
+	if !bytes.Equal(runs[0], runs[1]) {
+		t.Fatalf("exposition not byte-identical across runs:\n--- run1\n%s\n--- run2\n%s", runs[0], runs[1])
 	}
 }

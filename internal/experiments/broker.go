@@ -155,21 +155,28 @@ func BrokerLoadStudy(cfg BrokerLoadConfig) BrokerLoadResult {
 	return res
 }
 
-// brokerTestbed assembles one run: a grid with tracing on, a directory,
-// publishing batch machines, the instrumented application, and a broker.
-func brokerTestbed(cfg BrokerLoadConfig, queueBound int, seed int64) (*grid.Grid, *broker.Broker) {
+// publishingGrid assembles what every brokered study runs on: a traced
+// grid, a directory on mds0, batch machines publishing their load to it
+// every 31 s, and the instrumented barrier application.
+func publishingGrid(seed int64, machines, machineSize, procsPerSite int, workTime time.Duration) (*grid.Grid, transport.Addr) {
 	g := grid.New(grid.Options{Seed: seed, Trace: true})
 	dirHost := g.Net.AddHost("mds0")
 	if _, err := mds.NewServer(dirHost, 0); err != nil {
 		panic(err) // fresh host: cannot fail
 	}
 	dir := transport.Addr{Host: "mds0", Service: mds.ServiceName}
-	for i := 0; i < cfg.Machines; i++ {
+	for i := 0; i < machines; i++ {
 		name := fmt.Sprintf("site%02d", i)
-		m := g.AddMachine(name, cfg.MachineSize, lrm.Batch)
-		mds.Publish(m, dir, g.Contact(name), 31*time.Second, cfg.ProcsPerSite, cfg.MachineSize)
+		m := g.AddMachine(name, machineSize, lrm.Batch)
+		mds.Publish(m, dir, g.Contact(name), 31*time.Second, procsPerSite, machineSize)
 	}
-	g.RegisterEverywhere("app", barrierApp(cfg.WorkTime))
+	g.RegisterEverywhere("app", barrierApp(workTime))
+	return g, dir
+}
+
+// brokerTestbed assembles one run: publishingGrid plus a broker.
+func brokerTestbed(cfg BrokerLoadConfig, queueBound int, seed int64) (*grid.Grid, *broker.Broker) {
+	g, dir := publishingGrid(seed, cfg.Machines, cfg.MachineSize, cfg.ProcsPerSite, cfg.WorkTime)
 	b, err := broker.New(g.Net.AddHost("broker0"), core.ControllerConfig{
 		Credential: g.UserCred,
 		Registry:   g.Registry,
@@ -187,6 +194,93 @@ func brokerTestbed(cfg BrokerLoadConfig, queueBound int, seed int64) (*grid.Grid
 	return g, b
 }
 
+// tally folds client-observed outcomes as requests finish.
+type tally struct {
+	mu        sync.Mutex
+	completed int
+	failed    int
+	latencies []float64     // seconds, completed requests only
+	lastDone  time.Duration // when the last completed request finished
+}
+
+// record counts one request issued at issued and answered at done.
+func (t *tally) record(ok bool, issued, done time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !ok {
+		t.failed++
+		return
+	}
+	t.completed++
+	t.latencies = append(t.latencies, (done - issued).Seconds())
+	if done > t.lastDone {
+		t.lastDone = done
+	}
+}
+
+// quantiles returns the median and 99th-percentile completed latency.
+func (t *tally) quantiles() (p50, p99 time.Duration) {
+	s := metrics.Summarize(t.latencies)
+	return time.Duration(s.P50 * float64(time.Second)), time.Duration(s.P99 * float64(time.Second))
+}
+
+// openLoop is the open-loop load every brokered study offers: Poisson
+// arrivals from 10 s on, one client host per request, outcomes in the
+// embedded tally.
+type openLoop struct {
+	g        *grid.Grid
+	arrivals []time.Duration
+	hosts    []*transport.Host
+	tally
+}
+
+// newOpenLoop pre-draws the arrival schedule from rng, so the run itself
+// is RNG-free, and creates the client hosts.
+func newOpenLoop(g *grid.Grid, rng *rand.Rand, requests int, ratePerMin float64) *openLoop {
+	l := &openLoop{g: g, arrivals: make([]time.Duration, requests), hosts: make([]*transport.Host, requests)}
+	at := 10 * time.Second
+	for i := range l.arrivals {
+		at += time.Duration(rng.ExpFloat64() / ratePerMin * float64(time.Minute))
+		l.arrivals[i] = at
+	}
+	for i := range l.hosts {
+		l.hosts[i] = g.Net.AddHost(fmt.Sprintf("client%03d", i))
+	}
+	return l
+}
+
+// run plays the schedule to the end of the simulation. Inside the driver
+// process, before (if any) goes first — fault plans, crash daemons — then
+// one daemon per request sleeps until its arrival and calls submit, which
+// reports whether the request committed. Once every client has its answer
+// quiesce must let the grid settle: ending the run at the very instant the
+// last reply arrives would race shutdown against in-flight callback
+// delivery, making counter totals depend on goroutine interleaving.
+func (l *openLoop) run(before func(), submit func(i int, host *transport.Host) bool, quiesce func()) {
+	sim := l.g.Sim
+	err := sim.Run("driver", func() {
+		if before != nil {
+			before()
+		}
+		wg := vtime.NewWaitGroup(sim)
+		wg.Add(len(l.arrivals))
+		for i := range l.arrivals {
+			i := i
+			sim.GoDaemon(fmt.Sprintf("client%03d", i), func() {
+				defer wg.Done()
+				sim.SleepUntil(l.arrivals[i])
+				ok := submit(i, l.hosts[i])
+				l.record(ok, l.arrivals[i], sim.Now())
+			})
+		}
+		wg.Wait()
+		quiesce()
+	})
+	if err != nil {
+		panic(err)
+	}
+}
+
 // BrokerLoadRun executes one open-loop row: Requests Poisson arrivals at
 // ratePerMin against a broker with the given admission bound. The returned
 // grid carries the run's Tracer and Counters — two runs with the same
@@ -196,70 +290,27 @@ func BrokerLoadRun(cfg BrokerLoadConfig, ratePerMin float64, queueBound int) (Br
 	cfg.fill()
 	seed := cfg.Seed + int64(ratePerMin*1000)*31 + int64(queueBound)*7
 	g, b := brokerTestbed(cfg, queueBound, seed)
-
-	// Pre-draw the arrival schedule so the run itself is RNG-free.
-	rng := rand.New(rand.NewSource(seed))
-	arrivals := make([]time.Duration, cfg.Requests)
-	at := 10 * time.Second
-	for i := range arrivals {
-		at += time.Duration(rng.ExpFloat64() / ratePerMin * float64(time.Minute))
-		arrivals[i] = at
-	}
-	hosts := make([]*transport.Host, cfg.Requests)
-	for i := range hosts {
-		hosts[i] = g.Net.AddHost(fmt.Sprintf("client%03d", i))
-	}
-
+	l := newOpenLoop(g, rand.New(rand.NewSource(seed)), cfg.Requests, ratePerMin)
+	l.run(nil, func(i int, host *transport.Host) bool {
+		reply, ok := brokerSubmit(g, host, b, host.Name(), broker.Request{
+			Tenant:       fmt.Sprintf("tenant%d", i%cfg.Tenants),
+			Sites:        cfg.Sites,
+			ProcsPerSite: cfg.ProcsPerSite,
+			Executable:   "app",
+			Spares:       cfg.Spares,
+		})
+		return ok && reply.OK()
+	}, func() {
+		// Let the committed jobs run out and their final state callbacks land.
+		g.Sim.Sleep(cfg.WorkTime + time.Minute)
+	})
 	row := BrokerLoadRow{
 		Mode:          "open",
 		OfferedPerMin: ratePerMin,
 		QueueBound:    queueBound,
 		Requests:      cfg.Requests,
 	}
-	var mu sync.Mutex
-	var latencies []float64
-	var lastDone time.Duration
-	err := g.Sim.Run("driver", func() {
-		wg := vtime.NewWaitGroup(g.Sim)
-		wg.Add(cfg.Requests)
-		for i := range arrivals {
-			i := i
-			g.Sim.GoDaemon(fmt.Sprintf("client%03d", i), func() {
-				defer wg.Done()
-				g.Sim.SleepUntil(arrivals[i])
-				reply, ok := brokerSubmit(g, hosts[i], b, hosts[i].Name(), broker.Request{
-					Tenant:       fmt.Sprintf("tenant%d", i%cfg.Tenants),
-					Sites:        cfg.Sites,
-					ProcsPerSite: cfg.ProcsPerSite,
-					Executable:   "app",
-					Spares:       cfg.Spares,
-				})
-				done := g.Sim.Now()
-				mu.Lock()
-				if ok && reply.OK() {
-					row.Completed++
-					latencies = append(latencies, (done - arrivals[i]).Seconds())
-					if done > lastDone {
-						lastDone = done
-					}
-				} else {
-					row.Failed++
-				}
-				mu.Unlock()
-			})
-		}
-		wg.Wait()
-		// Quiesce: let the committed jobs run out and their final state
-		// callbacks land before the sim stops. Ending the run at the very
-		// instant the last reply arrives would race shutdown against
-		// in-flight callback delivery, making counter totals depend on
-		// goroutine interleaving.
-		g.Sim.Sleep(cfg.WorkTime + time.Minute)
-	})
-	if err != nil {
-		panic(err)
-	}
-	finishRow(&row, g, latencies, lastDone-arrivals[0])
+	finishRow(&row, g, &l.tally, l.lastDone-l.arrivals[0])
 	return row, g
 }
 
@@ -279,16 +330,8 @@ func brokerClosedRun(cfg BrokerLoadConfig, clients, queueBound int) (BrokerLoadR
 	for i := range hosts {
 		hosts[i] = g.Net.AddHost(fmt.Sprintf("client%03d", i))
 	}
-	row := BrokerLoadRow{
-		Mode:       "closed",
-		Clients:    clients,
-		QueueBound: queueBound,
-		Requests:   perClient * clients,
-	}
 	start := 10 * time.Second
-	var mu sync.Mutex
-	var latencies []float64
-	var lastDone time.Duration
+	var t tally
 	err := g.Sim.Run("driver", func() {
 		wg := vtime.NewWaitGroup(g.Sim)
 		wg.Add(clients)
@@ -307,30 +350,24 @@ func brokerClosedRun(cfg BrokerLoadConfig, clients, queueBound int) (BrokerLoadR
 						Executable:   "app",
 						Spares:       cfg.Spares,
 					})
-					done := g.Sim.Now()
-					mu.Lock()
-					if ok && reply.OK() {
-						row.Completed++
-						latencies = append(latencies, (done - issued).Seconds())
-						if done > lastDone {
-							lastDone = done
-						}
-					} else {
-						row.Failed++
-					}
-					mu.Unlock()
+					t.record(ok && reply.OK(), issued, g.Sim.Now())
 				}
 			})
 		}
 		wg.Wait()
-		// Quiesce as in BrokerLoadRun: drain the last jobs' callbacks so
-		// the counter totals are scheduling-independent.
+		// Quiesce as openLoop.run requires: drain the last jobs' callbacks.
 		g.Sim.Sleep(cfg.WorkTime + time.Minute)
 	})
 	if err != nil {
 		panic(err)
 	}
-	finishRow(&row, g, latencies, lastDone-start)
+	row := BrokerLoadRow{
+		Mode:       "closed",
+		Clients:    clients,
+		QueueBound: queueBound,
+		Requests:   perClient * clients,
+	}
+	finishRow(&row, g, &t, t.lastDone-start)
 	return row, g
 }
 
@@ -353,11 +390,10 @@ func brokerSubmit(g *grid.Grid, host *transport.Host, b *broker.Broker, id strin
 	return reply, err == nil
 }
 
-// finishRow folds the run's latency sample and counter registry into row.
-func finishRow(row *BrokerLoadRow, g *grid.Grid, latencies []float64, makespan time.Duration) {
-	s := metrics.Summarize(latencies)
-	row.P50 = time.Duration(s.P50 * float64(time.Second))
-	row.P99 = time.Duration(s.P99 * float64(time.Second))
+// finishRow folds the run's tally and counter registry into row.
+func finishRow(row *BrokerLoadRow, g *grid.Grid, t *tally, makespan time.Duration) {
+	row.Completed, row.Failed = t.completed, t.failed
+	row.P50, row.P99 = t.quantiles()
 	if makespan > 0 {
 		row.ThroughputPerMin = float64(row.Completed) / makespan.Minutes()
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/broker"
@@ -14,7 +13,6 @@ import (
 	"cogrid/internal/metrics"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
-	"cogrid/internal/vtime"
 )
 
 // --- B2: broker resilience under injected faults (chaos study) ---
@@ -236,24 +234,41 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 	blc.fill()
 	g, b := brokerTestbed(blc, 16, seed)
 
+	// The fault plan comes from the same stream as, and after, the arrivals.
 	rng := rand.New(rand.NewSource(seed))
-	arrivals := make([]time.Duration, cfg.Requests)
-	at := 10 * time.Second
-	for i := range arrivals {
-		at += time.Duration(rng.ExpFloat64() / cfg.RatePerMin * float64(time.Minute))
-		arrivals[i] = at
-	}
-	plan := drawPlan(cfg, faultRate, rng, arrivals[0])
+	l := newOpenLoop(g, rng, cfg.Requests, cfg.RatePerMin)
+	plan := drawPlan(cfg, faultRate, rng, l.arrivals[0])
 	var healBy time.Duration
 	for _, a := range plan {
 		if a.At > healBy {
 			healBy = a.At
 		}
 	}
-	hosts := make([]*transport.Host, cfg.Requests)
-	for i := range hosts {
-		hosts[i] = g.Net.AddHost(fmt.Sprintf("client%03d", i))
+	if onGrid != nil {
+		onGrid(g)
 	}
+	l.run(func() { plan.Apply(g) }, func(i int, host *transport.Host) bool {
+		reply, ok := chaosSubmit(host, b, broker.Request{
+			Tenant:         fmt.Sprintf("tenant%d", i%cfg.Tenants),
+			Sites:          cfg.Sites,
+			ProcsPerSite:   cfg.ProcsPerSite,
+			Executable:     "app",
+			Spares:         cfg.Spares,
+			CommitTimeout:  3 * time.Minute,
+			StartupTimeout: 2 * time.Minute,
+			MaxTime:        cfg.MaxTime,
+		}, cfg.SubmitBudget)
+		return ok && reply.OK()
+	}, func() {
+		// Every fault must have healed and every committed or leaked job
+		// must have run out (WorkTime for healthy ones, the MaxTime wall
+		// limit for any the faults detached), plus two reap intervals so
+		// the reaper observes the healed grid.
+		if now := g.Sim.Now(); now < healBy {
+			g.Sim.SleepUntil(healBy)
+		}
+		g.Sim.Sleep(cfg.MaxTime + cfg.WorkTime + 2*time.Minute)
+	})
 
 	row := ChaosRow{
 		FaultRate:  faultRate,
@@ -261,59 +276,10 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 		Faults:     countFaultOnsets(plan),
 		FaultKinds: faultKindSummary(plan),
 		FirstFault: firstFaultOnset(plan),
+		Completed:  l.completed,
+		Failed:     l.failed,
 	}
-	if onGrid != nil {
-		onGrid(g)
-	}
-	var mu sync.Mutex
-	var latencies []float64
-	err := g.Sim.Run("driver", func() {
-		plan.Apply(g)
-		wg := vtime.NewWaitGroup(g.Sim)
-		wg.Add(cfg.Requests)
-		for i := range arrivals {
-			i := i
-			g.Sim.GoDaemon(fmt.Sprintf("client%03d", i), func() {
-				defer wg.Done()
-				g.Sim.SleepUntil(arrivals[i])
-				reply, ok := chaosSubmit(hosts[i], b, broker.Request{
-					Tenant:         fmt.Sprintf("tenant%d", i%cfg.Tenants),
-					Sites:          cfg.Sites,
-					ProcsPerSite:   cfg.ProcsPerSite,
-					Executable:     "app",
-					Spares:         cfg.Spares,
-					CommitTimeout:  3 * time.Minute,
-					StartupTimeout: 2 * time.Minute,
-					MaxTime:        cfg.MaxTime,
-				}, cfg.SubmitBudget)
-				done := g.Sim.Now()
-				mu.Lock()
-				if ok && reply.OK() {
-					row.Completed++
-					latencies = append(latencies, (done - arrivals[i]).Seconds())
-				} else {
-					row.Failed++
-				}
-				mu.Unlock()
-			})
-		}
-		wg.Wait()
-		// Quiesce: every fault must have healed and every committed or
-		// leaked job must have run out (WorkTime for healthy ones, the
-		// MaxTime wall limit for any the faults detached), plus two reap
-		// intervals so the reaper observes the healed grid.
-		if now := g.Sim.Now(); now < healBy {
-			g.Sim.SleepUntil(healBy)
-		}
-		g.Sim.Sleep(cfg.MaxTime + cfg.WorkTime + 2*time.Minute)
-	})
-	if err != nil {
-		panic(err)
-	}
-
-	s := metrics.Summarize(latencies)
-	row.P50 = time.Duration(s.P50 * float64(time.Second))
-	row.P99 = time.Duration(s.P99 * float64(time.Second))
+	row.P50, row.P99 = l.quantiles()
 	if row.Requests > 0 {
 		row.SuccessRate = float64(row.Completed) / float64(row.Requests)
 	}

@@ -4,19 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/broker"
 	"cogrid/internal/core"
 	"cogrid/internal/federation"
 	"cogrid/internal/grid"
-	"cogrid/internal/lrm"
-	"cogrid/internal/mds"
 	"cogrid/internal/metrics"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
-	"cogrid/internal/vtime"
 )
 
 // --- B6: federated broker scaling — throughput and tail latency vs
@@ -168,18 +164,7 @@ func FederationLoadStudy(cfg FederationLoadConfig) FederationLoadResult {
 // batch machines, the instrumented application, and an n-replica
 // federation whose per-replica brokers share one configuration.
 func fedTestbed(cfg FederationLoadConfig, n int, seed int64) (*grid.Grid, *federation.Federation) {
-	g := grid.New(grid.Options{Seed: seed, Trace: true})
-	dirHost := g.Net.AddHost("mds0")
-	if _, err := mds.NewServer(dirHost, 0); err != nil {
-		panic(err) // fresh host: cannot fail
-	}
-	dir := transport.Addr{Host: "mds0", Service: mds.ServiceName}
-	for i := 0; i < cfg.Machines; i++ {
-		name := fmt.Sprintf("site%02d", i)
-		m := g.AddMachine(name, cfg.MachineSize, lrm.Batch)
-		mds.Publish(m, dir, g.Contact(name), 31*time.Second, cfg.ProcsPerSite, cfg.MachineSize)
-	}
-	g.RegisterEverywhere("app", barrierApp(cfg.WorkTime))
+	g, dir := publishingGrid(seed, cfg.Machines, cfg.MachineSize, cfg.ProcsPerSite, cfg.WorkTime)
 	fed, err := federation.New(g.Net, core.ControllerConfig{
 		Credential: g.UserCred,
 		Registry:   g.Registry,
@@ -210,87 +195,51 @@ func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *gri
 	cfg.fill()
 	seed := cfg.Seed + int64(n)*1009
 	g, fed := fedTestbed(cfg, n, seed)
-
-	// Pre-draw the arrival schedule so the run itself is RNG-free.
-	rng := rand.New(rand.NewSource(seed))
-	arrivals := make([]time.Duration, cfg.Requests)
-	at := 10 * time.Second
-	for i := range arrivals {
-		at += time.Duration(rng.ExpFloat64() / cfg.RatePerMin * float64(time.Minute))
-		arrivals[i] = at
-	}
-	hosts := make([]*transport.Host, cfg.Requests)
-	for i := range hosts {
-		hosts[i] = g.Net.AddHost(fmt.Sprintf("client%03d", i))
-	}
+	l := newOpenLoop(g, rand.New(rand.NewSource(seed)), cfg.Requests, cfg.RatePerMin)
 
 	row := FederationLoadRow{Replicas: n, Requests: cfg.Requests}
-	var mu sync.Mutex
-	var latencies []float64
-	var lastDone time.Duration
-	err := g.Sim.Run("driver", func() {
-		if n >= 2 {
-			// Kill the initial leader (the highest id wins the first
-			// election) a third of the way into the arrival schedule: the
-			// survivors elect a new leader, the dead replica's shard hands
-			// off, its journal entries are adopted, and its clients fail
-			// over — the full failure mode the federation exists to mask.
-			crashAt := arrivals[len(arrivals)/3]
-			leader := fed.Replica(n - 1)
-			g.Sim.GoDaemon("b6-crash", func() {
-				g.Sim.SleepUntil(crashAt)
-				leader.Crash()
-				g.Sim.Sleep(cfg.Outage)
-				if err := leader.Restart(); err != nil {
-					panic(fmt.Sprintf("experiments: restart %s: %v", leader.Name(), err))
-				}
-			})
+	l.run(func() {
+		if n < 2 {
+			return
 		}
-		wg := vtime.NewWaitGroup(g.Sim)
-		wg.Add(cfg.Requests)
-		for i := range arrivals {
-			i := i
-			g.Sim.GoDaemon(fmt.Sprintf("client%03d", i), func() {
-				defer wg.Done()
-				g.Sim.SleepUntil(arrivals[i])
-				reply, ok, failovers := fedSubmit(g, hosts[i], fed, i%n, hosts[i].Name(), broker.Request{
-					Tenant:       fmt.Sprintf("tenant%d", i%cfg.Tenants),
-					Sites:        cfg.Sites,
-					ProcsPerSite: cfg.ProcsPerSite,
-					Executable:   "app",
-					Spares:       cfg.Spares,
-					Key:          fmt.Sprintf("req%03d", i),
-				})
-				done := g.Sim.Now()
-				mu.Lock()
-				row.Failovers += failovers
-				if ok && reply.OK() {
-					row.Completed++
-					latencies = append(latencies, (done - arrivals[i]).Seconds())
-					if done > lastDone {
-						lastDone = done
-					}
-				} else {
-					row.Failed++
-				}
-				mu.Unlock()
-			})
-		}
-		wg.Wait()
-		// Quiesce: let committed jobs run out, then give the peer reaper
-		// time to drain any journal entries the crash handed off, so the
-		// counter totals are scheduling-independent.
+		// Kill the initial leader (the highest id wins the first
+		// election) a third of the way into the arrival schedule: the
+		// survivors elect a new leader, the dead replica's shard hands
+		// off, its journal entries are adopted, and its clients fail
+		// over — the full failure mode the federation exists to mask.
+		crashAt := l.arrivals[len(l.arrivals)/3]
+		leader := fed.Replica(n - 1)
+		g.Sim.GoDaemon("b6-crash", func() {
+			g.Sim.SleepUntil(crashAt)
+			leader.Crash()
+			g.Sim.Sleep(cfg.Outage)
+			if err := leader.Restart(); err != nil {
+				panic(fmt.Sprintf("experiments: restart %s: %v", leader.Name(), err))
+			}
+		})
+	}, func(i int, host *transport.Host) bool {
+		reply, ok, failovers := fedSubmit(g, host, fed, i%n, host.Name(), broker.Request{
+			Tenant:       fmt.Sprintf("tenant%d", i%cfg.Tenants),
+			Sites:        cfg.Sites,
+			ProcsPerSite: cfg.ProcsPerSite,
+			Executable:   "app",
+			Spares:       cfg.Spares,
+			Key:          fmt.Sprintf("req%03d", i),
+		})
+		l.mu.Lock()
+		row.Failovers += failovers
+		l.mu.Unlock()
+		return ok && reply.OK()
+	}, func() {
+		// Let committed jobs run out, then give the peer reaper time to
+		// drain any journal entries the crash handed off.
 		g.Sim.Sleep(cfg.WorkTime + time.Minute)
 		g.Sim.Sleep(3 * fed.Options().PeerReapInterval)
 	})
-	if err != nil {
-		panic(err)
-	}
 
-	s := metrics.Summarize(latencies)
-	row.P50 = time.Duration(s.P50 * float64(time.Second))
-	row.P99 = time.Duration(s.P99 * float64(time.Second))
-	if makespan := lastDone - arrivals[0]; makespan > 0 {
+	row.Completed, row.Failed = l.completed, l.failed
+	row.P50, row.P99 = l.quantiles()
+	if makespan := l.lastDone - l.arrivals[0]; makespan > 0 {
 		row.ThroughputPerMin = float64(row.Completed) / makespan.Minutes()
 	}
 	for _, cv := range g.Counters.Snapshot() {

@@ -120,17 +120,17 @@ func ScaleStudy(cfg ScaleConfig) ScaleResult {
 	cfg.fill()
 	res := ScaleResult{Jobs: cfg.Jobs, Machines: cfg.Machines}
 	for _, engine := range cfg.Engines {
-		res.Rows = append(res.Rows, ScaleRun(cfg, engine))
+		res.Rows = append(res.Rows, scaleRun(cfg, engine))
 	}
 	return res
 }
 
-// ScaleRun pushes cfg.Jobs batch jobs through the fleet on one timer
+// scaleRun pushes cfg.Jobs batch jobs through the fleet on one timer
 // engine. Arrivals are a chained passive timer — each firing submits one
 // job and schedules the next — so the stream itself rides the engine under
 // test, alongside every wall-limit timer, process-startup wait, and work
 // sleep the jobs generate.
-func ScaleRun(cfg ScaleConfig, engine vtime.TimerEngine) ScaleRow {
+func scaleRun(cfg ScaleConfig, engine vtime.TimerEngine) ScaleRow {
 	cfg.fill()
 	row := ScaleRow{
 		Engine:      engine.String(),

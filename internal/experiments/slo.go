@@ -40,8 +40,8 @@ func (c *SLOConfig) fill() {
 }
 
 // SLOSmokeConfig is the seconds-long CI configuration shared by
-// `benchgrid -app slo -smoke`, the perf scenario series, and
-// `gridtop -smoke`. It mirrors the B2 chaos smoke setting: seeds 0 and 1
+// `benchgrid -app slo -smoke`, the exposition-completeness test of
+// internal/grid, and `gridtop -smoke`. It mirrors the B2 chaos smoke setting: seeds 0 and 1
 // shift to 3, where the high-fault row exercises the full orphan
 // pipeline (a crash strands committed subjobs and the reaper drains
 // them), so the orphan rule has something real to page about.

@@ -114,7 +114,7 @@ func WireStudy(cfg WireConfig) WireResult {
 			if batched {
 				batch = cfg.Batch
 			}
-			row := WireNetRun(c.codec, batch, cfg.Messages, cfg.Body)
+			row := wireNetRun(c.codec, batch, cfg.Messages, cfg.Body)
 			r := testing.Benchmark(wireBenchFunc(c.codec, batch, cfg.Body))
 			if r.N > 0 && r.T > 0 {
 				row.MsgsPerSec = float64(r.N) / r.T.Seconds()
@@ -128,11 +128,11 @@ func WireStudy(cfg WireConfig) WireResult {
 	return res
 }
 
-// WireNetRun is the deterministic half of a B3 row: it streams a fixed
+// wireNetRun is the deterministic half of a B3 row: it streams a fixed
 // message count through the simulated wire and reads back delivery, drop,
 // size, and batch statistics. Every value is a virtual-time quantity, so
 // the row is byte-stable run to run.
-func WireNetRun(codec rpc.Codec, batch transport.BatchOptions, messages, bodyLen int) WireRow {
+func wireNetRun(codec rpc.Codec, batch transport.BatchOptions, messages, bodyLen int) WireRow {
 	sim := vtime.New()
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
 	ctrs := trace.NewCounters()

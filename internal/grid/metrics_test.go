@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"cogrid/internal/perf"
+	"cogrid/internal/experiments"
 )
 
 // promSample is one parsed exposition line: sanitized family name plus
@@ -86,11 +86,11 @@ func parseExposition(t *testing.T, text string) (plain, histograms map[string]in
 // TestWriteMetricsExposesEveryRegistry pins exposition completeness:
 // every registered counter, gauge, and histogram appears exactly once in
 // the Prometheus output, and nothing appears that is not registered. The
-// grid comes from the SLO scenario so all of this PR's new series —
-// per-reason drop counters, alert counters, the active-alert and drop
-// gauges, flight-recorder dump counters — are live in the registries.
+// grid comes from the faulted row of the SLO smoke study, so per-reason
+// drop counters, alert counters, the active-alert and drop gauges and the
+// flight-recorder dump counters are all live in the registries.
 func TestWriteMetricsExposesEveryRegistry(t *testing.T) {
-	_, g := perf.RunSLOScenario(1)
+	_, g, _ := experiments.SLORun(experiments.SLOSmokeConfig(1), 0.75)
 	var buf bytes.Buffer
 	if err := g.WriteMetrics(&buf); err != nil {
 		t.Fatalf("write metrics: %v", err)

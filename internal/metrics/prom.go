@@ -13,8 +13,8 @@ import (
 // families: monotonic counters, virtual-time gauges, and HDR histograms.
 // The writer is deterministic — families sorted by name, scopes sorted
 // within a family, float formatting via strconv 'g' — so a fixed-seed run
-// produces byte-identical exposition text, which the perf determinism test
-// locks in. This is the single exposition path shared by simulated runs
+// produces byte-identical exposition text, which the determinism tests of
+// cmd/benchgrid and internal/experiments lock in. This is the single exposition path shared by simulated runs
 // today and (per ROADMAP) real-clock runs later.
 
 // NamedValue is one counter sample handed to WritePrometheus. The metrics

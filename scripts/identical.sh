@@ -1,8 +1,8 @@
 #!/bin/sh
 # identical.sh — the byte-identical-artifact oracle behind every "same
-# behaviour" claim in CHANGES.md: build gridsim, dstgrid and bench at two
-# commits, produce the same set of deterministic artifacts from each, and
-# compare them byte for byte.
+# behaviour" claim in CHANGES.md: build gridsim, dstgrid, benchgrid and bench
+# at two commits, produce the same set of deterministic artifacts from each,
+# and compare them byte for byte.
 #
 # Usage:
 #   scripts/identical.sh <parent> <change>
@@ -19,6 +19,10 @@
 #             the -gauges CSV and the -metrics-out exposition
 #   dstgrid   -smoke -seeds 200, -smoke -fed-seeds 40 and the
 #             internal/dst/testdata corpus, each as -json lines
+#   benchgrid -fig all -app all -smoke -json, the repository's virtual-time
+#             record (all 19 results), without its wall-clock lines
+#             (msgs_per_sec, ns_per_op, allocs_per_op, bytes_per_op, wall_ns,
+#             ns_per_job, jobs_per_sec); and the -metrics-out exposition
 #   bench     one -child round per workload on seeds 7, 19 and 35: its
 #             vt_* results and its timers, msgs, bytes and events counts
 #
@@ -27,7 +31,7 @@
 set -eu
 
 if [ $# -ne 2 ]; then
-    sed -n '2,25p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
 parent=$1
@@ -47,7 +51,7 @@ for side in parent change; do
     eval "rev=\$$side"
     git worktree add --detach "$tmp/$side" "$rev" >/dev/null 2>&1 ||
         { echo "identical: cannot check out $rev" >&2; exit 2; }
-    for bin in gridsim dstgrid; do
+    for bin in gridsim dstgrid benchgrid; do
         (cd "$tmp/$side" && go build -o "$tmp/$side-$bin" "./cmd/$bin")
     done
     (cd "$tmp/$side" && go build -o "$tmp/$side-bench" ./bench)
@@ -72,6 +76,16 @@ dst() {
     (cd "$from" && "$from-dstgrid" "$@" -json) >"$to" 2>&1 || echo "exit status $?" >>"$to"
 }
 
+# studies <side>: every benchgrid result at smoke size, and the exposition.
+studies() {
+    from=$tmp/$1 to=$tmp/out-$1/benchgrid
+    (cd "$from" && "$from-benchgrid" -fig all -app all -smoke -json) 2>&1 |
+        grep -vE '"(msgs_per_sec|ns_per_op|allocs_per_op|bytes_per_op|wall_ns|ns_per_job|jobs_per_sec)":' \
+            >"$to.smoke.json" || true
+    (cd "$from" && "$from-benchgrid" -metrics-out -) >"$to.metrics.prom" 2>&1 ||
+        echo "exit status $?" >>"$to.metrics.prom"
+}
+
 # round <side> <workload> <seed>: one benchmark round in a fresh process,
 # reduced to the fields that are a function of the seed alone.
 round() {
@@ -91,6 +105,7 @@ for side in parent change; do
     dst "$side" dst-seeds200 -smoke -seeds 200
     dst "$side" dst-fedseeds40 -smoke -fed-seeds 40
     dst "$side" dst-corpus -corpus internal/dst/testdata
+    studies "$side"
     for workload in duroc_wide broker_open broker_open_obs fed_chaos kernel_scale; do
         for seed in 7 19 35; do
             round "$side" "$workload" "$seed"
