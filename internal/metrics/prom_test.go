@@ -155,3 +155,30 @@ func TestSampleMatchesSummarize(t *testing.T) {
 		t.Fatal("NewSample mutated its input")
 	}
 }
+
+// countingWriter counts Write calls: gridsim -metrics-out and benchgrid
+// -metrics-out hand WritePrometheus a bare *os.File, so every call is a
+// write(2).
+type countingWriter struct {
+	calls, bytes, lines int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	w.bytes += len(p)
+	w.lines += bytes.Count(p, []byte{'\n'})
+	return len(p), nil
+}
+
+func TestWritePrometheusWriteCalls(t *testing.T) {
+	snap := promFixture(vtime.New())
+	snap.Counters = goldenCounters()
+	var w countingWriter
+	if err := WritePrometheus(&w, snap); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d lines, %d bytes in %d Write calls", w.lines, w.bytes, w.calls)
+	if w.calls < 1 || w.calls > w.lines {
+		t.Errorf("%d Write calls for %d lines", w.calls, w.lines)
+	}
+}

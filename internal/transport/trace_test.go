@@ -119,3 +119,89 @@ func TestPerConnCountersUnderDrops(t *testing.T) {
 		t.Errorf("drop reasons = %v, want one unreachable and one in-flight", reasons)
 	}
 }
+
+// A per-connection counter line is per (direction, dial µs), not per
+// connection: two dials between one host pair that establish in the same
+// virtual microsecond render the same name, so the snapshot holds ONE line
+// per verb with the sum — while the two connections stay distinguishable to
+// tracing, because a dial's causal context is hashed into its flow.
+func TestSameInstantDialsShareCounterLines(t *testing.T) {
+	sim, net, a, b := testNet(t)
+	ctrs := trace.NewCounters()
+	net.SetCounters(ctrs)
+	l, err := b.Listen("svc")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	sim.GoDaemon("server", func() {
+		for {
+			conn, ok := l.Accept()
+			if !ok {
+				return
+			}
+			sim.GoDaemon("serve", func() {
+				for {
+					if _, err := conn.Recv(); err != nil {
+						return
+					}
+				}
+			})
+		}
+	})
+	flows := make([]string, 2)
+	dial := func(i int, payload string) func() {
+		return func() {
+			conn, err := a.DialCtx(Addr{"b", "svc"}, trace.NewRequest("r"+string(rune('0'+i))))
+			if err != nil {
+				t.Errorf("Dial %d: %v", i, err)
+				return
+			}
+			flows[i] = conn.Flow()
+			conn.Send([]byte(payload))
+			sim.Sleep(10 * time.Millisecond)
+			conn.Close()
+		}
+	}
+	err = sim.Run("client", func() {
+		sim.Go("dial0", dial(0, "four"))
+		sim.Go("dial1", dial(1, "sixsix"))
+		sim.Sleep(time.Second)
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if flows[0] == flows[1] || flows[0] == "" {
+		t.Errorf("the two connections' flows are %q and %q, want distinct", flows[0], flows[1])
+	}
+
+	// Both pairs established 1 ms (one SYN) after t=0.
+	const out, in = "a:client->b:svc@1000", "b:svc->a:client@1000"
+	want := map[string]int64{
+		"transport.conn.send@" + out:      2,
+		"transport.conn.sendbytes@" + out: 10,
+		"transport.conn.recv@" + out:      0,
+		"transport.conn.recvbytes@" + out: 0,
+		"transport.conn.drop@" + out:      0,
+		"transport.conn.send@" + in:       0,
+		"transport.conn.sendbytes@" + in:  0,
+		"transport.conn.recv@" + in:       2,
+		"transport.conn.recvbytes@" + in:  10,
+		"transport.conn.drop@" + in:       0,
+	}
+	lines := 0
+	for _, cv := range ctrs.Snapshot() {
+		if !strings.HasPrefix(cv.Name, "transport.conn.") {
+			continue
+		}
+		lines++
+		if w, ok := want[cv.Name]; !ok || cv.Value != w {
+			t.Errorf("snapshot line %s = %d, want %d (expected: %t)", cv.Name, cv.Value, w, ok)
+		}
+		if got := ctrs.Get(cv.Name); got != cv.Value {
+			t.Errorf("Get(%s) = %d, snapshot says %d", cv.Name, got, cv.Value)
+		}
+	}
+	if lines != len(want) {
+		t.Errorf("%d per-connection lines for two same-instant connections, want %d:\n%s", lines, len(want), ctrs)
+	}
+}
