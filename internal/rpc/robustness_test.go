@@ -182,3 +182,48 @@ func TestNotificationBufferOverflowDropsNotBlocks(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 }
+
+// When a client loses its connection with several calls in flight, the
+// callers resume in the order they called — a function of the seed — not in
+// the order a Go map happens to yield their reply channels.
+func TestShutdownWakesCallersInCallOrder(t *testing.T) {
+	const callers = 8
+	for run := 0; run < 20; run++ {
+		sim, a, b := newPair(t)
+		startEcho(t, sim, b)
+		var resumed []int
+		err := sim.Run("client", func() {
+			conn, err := a.Dial(transport.Addr{Host: "b", Service: "echo"})
+			if err != nil {
+				t.Errorf("Dial: %v", err)
+				return
+			}
+			c := NewClient(sim, conn)
+			for i := 0; i < callers; i++ {
+				sim.Go("caller", func() {
+					sim.Sleep(time.Duration(i) * time.Microsecond) // call ids ascend with i
+					// The server sits on the first call for an hour; nothing is answered.
+					err := c.Call("echo", echoArgs{Text: "x", Delay: 3_600_000}, nil, 2*time.Hour)
+					if err != ErrClosed {
+						t.Errorf("caller %d: Call = %v, want ErrClosed", i, err)
+					}
+					resumed = append(resumed, i)
+				})
+			}
+			sim.Sleep(time.Second)
+			b.Crash()
+			sim.Sleep(time.Second)
+		})
+		if err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		for i, got := range resumed {
+			if got != i || len(resumed) != callers {
+				t.Fatalf("run %d: callers resumed in order %v, want call order", run, resumed)
+			}
+		}
+		if len(resumed) != callers {
+			t.Fatalf("run %d: %d of %d callers resumed", run, len(resumed), callers)
+		}
+	}
+}

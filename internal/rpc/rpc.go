@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -233,11 +234,19 @@ func (c *Client) shutdown() {
 		return
 	}
 	c.closed = true
+	// A closed client registers no further call, and a late reply or timeout
+	// may delete from a nil map: no replacement is needed.
 	pending := c.pending
-	c.pending = make(map[uint64]*vtime.Chan[wire.Envelope])
+	c.pending = nil
 	c.mu.Unlock()
-	for _, ch := range pending {
-		ch.Close()
+	// Every Close wakes a caller: wake them in call order, not map order.
+	ids := make([]uint64, 0, len(pending))
+	for id := range pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		pending[id].Close()
 	}
 	c.notifications.Close()
 }
