@@ -240,13 +240,10 @@ func (g *Grid) Dial(machine string) (*gram.Client, error) {
 // virtual time. The output is deterministic for a fixed seed; without
 // Options.Trace all registries are empty and the exposition is too.
 func (g *Grid) WriteMetrics(w io.Writer) error {
-	snap := metrics.PromSnapshot{
-		Gauges:  g.Gauges,
-		GaugeAt: g.Sim.Now(),
-		Hists:   g.Hists,
-	}
-	for _, cv := range g.Counters.Snapshot() {
-		snap.Counters = append(snap.Counters, metrics.NamedValue{Name: cv.Name, Value: cv.Value})
-	}
-	return metrics.WritePrometheus(w, snap)
+	return metrics.WritePrometheus(w, metrics.PromSnapshot{
+		Counters: g.Counters.Snapshot(),
+		Gauges:   g.Gauges,
+		GaugeAt:  g.Sim.Now(),
+		Hists:    g.Hists,
+	})
 }

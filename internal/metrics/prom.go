@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -18,9 +17,9 @@ import (
 // today and (per ROADMAP) real-clock runs later.
 
 // NamedValue is one counter sample handed to WritePrometheus. The metrics
-// package cannot import trace (trace imports metrics), so callers convert
-// trace.Counters.Snapshot() into this neutral pair form — grid.WriteMetrics
-// does it for every embedded registry.
+// package cannot import trace (trace imports metrics), so trace declares its
+// snapshot entry, trace.CounterValue, as this type: a
+// trace.Counters.Snapshot() is handed over as it is.
 type NamedValue struct {
 	Name  string
 	Value int64
@@ -31,8 +30,9 @@ type NamedValue struct {
 type PromSnapshot struct {
 	// Prefix is prepended to every metric name; defaults to "cogrid_".
 	Prefix string
-	// Counters are monotonic counter samples, typically converted from a
-	// trace.Counters snapshot.
+	// Counters are monotonic counter samples, typically a trace.Counters
+	// snapshot (sorted by name, so samples with one base name are adjacent
+	// and the base is sanitized once for all of them).
 	Counters []NamedValue
 	// Gauges are sampled at virtual time GaugeAt (normally Sim.Now() at
 	// end of run).
@@ -41,6 +41,72 @@ type PromSnapshot struct {
 	// Hists are exposed as native Prometheus histograms with cumulative
 	// le-buckets derived from the non-empty HDR buckets.
 	Hists *HistogramSet
+}
+
+// promFlushAt bounds the bytes WritePrometheus buffers before it writes
+// them: an exposition reaches its writer — often a bare *os.File — in
+// pieces of about this size, not line by line.
+const promFlushAt = 48 << 10
+
+// promWriter is the exposition's append buffer and the writer behind it.
+type promWriter struct {
+	w   io.Writer
+	buf []byte
+	err error // the first write error; nothing is written after it
+}
+
+// endLine ends a line and writes the buffer out if it has grown full.
+func (p *promWriter) endLine() {
+	p.buf = append(p.buf, '\n')
+	if len(p.buf) >= promFlushAt {
+		p.flush()
+	}
+}
+
+func (p *promWriter) flush() error {
+	if p.err == nil && len(p.buf) > 0 {
+		_, p.err = p.w.Write(p.buf)
+	}
+	p.buf = p.buf[:0]
+	return p.err
+}
+
+func (p *promWriter) str(parts ...string) {
+	for _, s := range parts {
+		p.buf = append(p.buf, s...)
+	}
+}
+
+func (p *promWriter) int(v int64) { p.buf = strconv.AppendInt(p.buf, v, 10) }
+
+// labels writes the label set {scope="...",le="..."}, each label only if
+// its value is non-empty, and nothing at all if both are empty.
+func (p *promWriter) labels(scope, le string) {
+	if scope == "" && le == "" {
+		return
+	}
+	p.buf = append(p.buf, '{')
+	if scope != "" {
+		p.str(`scope="`)
+		for i := 0; i < len(scope); i++ {
+			switch b := scope[i]; b {
+			case '\\', '"':
+				p.buf = append(p.buf, '\\', b)
+			case '\n':
+				p.buf = append(p.buf, '\\', 'n')
+			default:
+				p.buf = append(p.buf, b)
+			}
+		}
+		p.buf = append(p.buf, '"')
+		if le != "" {
+			p.buf = append(p.buf, ',')
+		}
+	}
+	if le != "" {
+		p.str(`le="`, le, `"`)
+	}
+	p.buf = append(p.buf, '}')
 }
 
 // WritePrometheus writes snap in Prometheus text format. Dotted metric
@@ -52,22 +118,23 @@ func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 	if prefix == "" {
 		prefix = "cogrid_"
 	}
+	p := promWriter{w: w, buf: make([]byte, 0, promFlushAt+4<<10)}
 
 	// Counters: group rows by sanitized family name so each # TYPE header
 	// is emitted once with its scoped samples contiguous beneath it.
 	type promRow struct {
 		family string
 		scope  string
-		value  string
+		value  int64
 	}
-	rows := make([]promRow, 0, len(snap.Counters))
-	for _, cv := range snap.Counters {
+	rows := make([]promRow, len(snap.Counters))
+	var lastBase, family string
+	for i, cv := range snap.Counters {
 		base, scope := splitScope(cv.Name)
-		rows = append(rows, promRow{
-			family: prefix + promName(base),
-			scope:  scope,
-			value:  strconv.FormatInt(cv.Value, 10),
-		})
+		if i == 0 || base != lastBase {
+			lastBase, family = base, promName(prefix, base)
+		}
+		rows[i] = promRow{family: family, scope: scope, value: cv.Value}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].family != rows[j].family {
@@ -77,24 +144,27 @@ func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 	})
 	for i, r := range rows {
 		if i == 0 || rows[i-1].family != r.family {
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", r.family); err != nil {
-				return err
-			}
+			p.str("# TYPE ", r.family, " counter")
+			p.endLine()
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", r.family, promLabels(r.scope), r.value); err != nil {
-			return err
-		}
+		p.str(r.family)
+		p.labels(r.scope, "")
+		p.str(" ")
+		p.int(r.value)
+		p.endLine()
 	}
 
 	// Gauges, sampled at one fixed virtual instant.
 	for _, name := range snap.Gauges.Names() {
 		base, scope := splitScope(name)
-		family := prefix + promName(base)
-		v := snap.Gauges.G(name).Value(snap.GaugeAt)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %s\n",
-			family, family, promLabels(scope), formatPromFloat(v)); err != nil {
-			return err
-		}
+		family := promName(prefix, base)
+		p.str("# TYPE ", family, " gauge")
+		p.endLine()
+		p.str(family)
+		p.labels(scope, "")
+		p.str(" ")
+		p.buf = strconv.AppendFloat(p.buf, snap.Gauges.G(name).Value(snap.GaugeAt), 'g', -1, 64)
+		p.endLine()
 	}
 
 	// Histograms: cumulative le-buckets over the non-empty HDR buckets,
@@ -102,29 +172,32 @@ func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 	for _, name := range snap.Hists.Names() {
 		h := snap.Hists.H(name)
 		base, scope := splitScope(name)
-		family := prefix + promName(base)
-		labels := scope
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", family); err != nil {
-			return err
-		}
+		family := promName(prefix, base)
+		p.str("# TYPE ", family, " histogram")
+		p.endLine()
 		var cum uint64
+		var le [20]byte
 		for _, b := range h.Buckets() {
 			cum += b.Count
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				family, promBucketLabels(labels, strconv.FormatInt(b.High, 10)), cum); err != nil {
-				return err
-			}
+			p.str(family, "_bucket")
+			p.labels(scope, string(strconv.AppendInt(le[:0], b.High, 10)))
+			p.str(" ")
+			p.buf = strconv.AppendUint(p.buf, cum, 10)
+			p.endLine()
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			family, promBucketLabels(labels, "+Inf"), h.Count()); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n",
-			family, h.Sum(), family, h.Count()); err != nil {
-			return err
-		}
+		p.str(family, "_bucket")
+		p.labels(scope, "+Inf")
+		p.str(" ")
+		p.int(h.Count())
+		p.endLine()
+		p.str(family, "_sum ")
+		p.int(h.Sum())
+		p.endLine()
+		p.str(family, "_count ")
+		p.int(h.Count())
+		p.endLine()
 	}
-	return nil
+	return p.flush()
 }
 
 // splitScope separates a trace.Key-style name into its base and @scope.
@@ -135,10 +208,12 @@ func splitScope(name string) (base, scope string) {
 	return name, ""
 }
 
-// promName sanitizes a dotted metric base name into [a-zA-Z0-9_:]+.
-func promName(s string) string {
+// promName sanitizes a dotted metric base name into [a-zA-Z0-9_:]+ behind
+// prefix.
+func promName(prefix, s string) string {
 	var sb strings.Builder
-	sb.Grow(len(s))
+	sb.Grow(len(prefix) + len(s))
+	sb.WriteString(prefix)
 	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
@@ -148,29 +223,4 @@ func promName(s string) string {
 		}
 	}
 	return sb.String()
-}
-
-func promLabels(scope string) string {
-	if scope == "" {
-		return ""
-	}
-	return `{scope="` + escapeLabel(scope) + `"}`
-}
-
-func promBucketLabels(scope, le string) string {
-	if scope == "" {
-		return `{le="` + le + `"}`
-	}
-	return `{scope="` + escapeLabel(scope) + `",le="` + le + `"}`
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return s
-}
-
-func formatPromFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -131,12 +131,19 @@ type Tracer struct {
 	// slice regrown by append would copy (and leave for the collector)
 	// several times the final trace along the way.
 	chunks [][]Event
+	// args is the unused rest of the current chunk of argument storage.
+	// Every recorded event's Args is a slice of such a chunk, copied from
+	// what the emitter passed: an emitter's variadic slice then never
+	// outlives the call and can stay on its stack.
+	args []Arg
 }
 
-// chunkSize is the capacity of one chunk of a tracer's event store.
+// chunkSize is the capacity of one chunk of a tracer's event store, and
+// argChunkSize that of one chunk of its argument storage.
 const (
-	chunkShift = 10
-	chunkSize  = 1 << chunkShift
+	chunkShift   = 10
+	chunkSize    = 1 << chunkShift
+	argChunkSize = 1 << 10
 )
 
 // New creates a tracer stamping events with sim's virtual clock.
@@ -168,12 +175,28 @@ func (t *Tracer) SetTap(tap Tap) {
 	t.tap.Store(&tap)
 }
 
-// Emit records ev as given. Nil-safe.
+// Emit records ev as given, except that the recorded event carries its own
+// copy of ev.Args. Nil-safe.
 func (t *Tracer) Emit(ev Event) {
-	if t == nil {
-		return
+	if t != nil {
+		t.emit(ev, ev.Args)
 	}
+}
+
+// emit records ev with a copy of args as its Args. The helpers below pass
+// their variadic slice here beside the event, not inside it, so that the
+// slice itself does not escape: only what it holds is copied.
+func (t *Tracer) emit(ev Event, args []Arg) {
 	t.mu.Lock()
+	ev.Args = nil
+	if n := len(args); n > 0 {
+		if n > len(t.args) {
+			t.args = make([]Arg, max(n, argChunkSize))
+		}
+		ev.Args = t.args[:n:n]
+		copy(ev.Args, args)
+		t.args = t.args[n:]
+	}
 	last := len(t.chunks) - 1
 	if last < 0 || len(t.chunks[last]) == chunkSize {
 		t.chunks = append(t.chunks, make([]Event, 0, chunkSize))
@@ -191,7 +214,7 @@ func (t *Tracer) Instant(cat, name, proc, thr, id string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.Emit(Event{At: t.sim.Now(), Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id, Args: args})
+	t.emit(Event{At: t.sim.Now(), Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id}, args)
 }
 
 // Span records a complete span from start to now. Nil-safe.
@@ -212,7 +235,7 @@ func (t *Tracer) SpanAt(cat, name, proc, thr, id string, start, end time.Duratio
 	if dur < 0 {
 		dur = 0
 	}
-	t.Emit(Event{At: start, Dur: dur, Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id, Args: args})
+	t.emit(Event{At: start, Dur: dur, Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id}, args)
 }
 
 // InstantCtx records an instant event stamped now, tagged with the span
@@ -221,8 +244,8 @@ func (t *Tracer) InstantCtx(ctx Ctx, cat, name, proc, thr, id string, args ...Ar
 	if t == nil {
 		return
 	}
-	t.Emit(Event{At: t.sim.Now(), Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id,
-		Req: ctx.Req, Span: ctx.Span, Args: args})
+	t.emit(Event{At: t.sim.Now(), Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id,
+		Req: ctx.Req, Span: ctx.Span}, args)
 }
 
 // SpanCtx records a complete span from start to now, tagged with the span
@@ -245,8 +268,8 @@ func (t *Tracer) SpanAtCtx(ctx Ctx, cat, name, proc, thr, id string, start, end 
 	if dur < 0 {
 		dur = 0
 	}
-	t.Emit(Event{At: start, Dur: dur, Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id,
-		Req: ctx.Req, Span: ctx.Span, Args: args})
+	t.emit(Event{At: start, Dur: dur, Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id,
+		Req: ctx.Req, Span: ctx.Span}, args)
 }
 
 // Add records a phase span under category "phase", satisfying the

@@ -203,7 +203,7 @@ func TestAddKeyIsAddOfKey(t *testing.T) {
 	cs.AddKey("rpc", "call", "ok", "m1", 2)
 	cs.Add(Key("rpc", "call", "ok", "m1"), 3)
 	cs.AddKey("rpc", "call", "ok", "", 1)
-	want := []CounterValue{{"rpc.call.ok", 1}, {"rpc.call.ok@m1", 5}}
+	want := []CounterValue{{Name: "rpc.call.ok", Value: 1}, {Name: "rpc.call.ok@m1", Value: 5}}
 	if got := cs.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot = %v, want %v", got, want)
 	}

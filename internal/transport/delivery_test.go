@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/metrics"
 	"cogrid/internal/trace"
 	"cogrid/internal/vtime"
 )
@@ -297,55 +298,90 @@ func repeatArrivals(at time.Duration, n int) []arrival {
 // so dialing spawns none, and one request/reply on an established
 // connection is two timers (one per direction) and two goroutine switches
 // (into the server and back) — the delivery steps in between run on the
-// stacks of the two processes that block.
+// stacks of the two processes that block. Observing the connection — a
+// tracer, counters and histograms attached — adds events and counts and
+// not one timer, step or switch.
 func TestRoundTripCosts(t *testing.T) {
-	sim, _, a, b := testNet(t)
-	l, err := b.Listen("echo")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	sim.GoDaemon("server", func() {
-		conn, ok := l.Accept()
-		if !ok {
-			return
-		}
-		for {
-			msg, err := conn.Recv()
+	for _, observed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("observed=%t", observed), func(t *testing.T) {
+			sim, net, a, b := testNet(t)
+			tr, ctrs := trace.New(sim), trace.NewCounters()
+			if observed {
+				net.SetTracer(tr)
+				net.SetCounters(ctrs)
+				net.SetHists(metrics.NewHistogramSet())
+			}
+			l, err := b.Listen("echo")
 			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			sim.GoDaemon("server", func() {
+				conn, ok := l.Accept()
+				if !ok {
+					return
+				}
+				for {
+					msg, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					conn.Send(msg)
+				}
+			})
+			err = sim.Run("client", func() {
+				spawned := sim.Spawned()
+				conn, err := a.Dial(Addr{"b", "echo"})
+				if err != nil {
+					t.Errorf("Dial: %v", err)
+					return
+				}
+				if got := sim.Spawned() - spawned; got != 0 {
+					t.Errorf("Dial spawned %d process(es), want 0", got)
+				}
+				conn.Send([]byte("warm")) // the server is in Recv on this connection from here on
+				conn.Recv()
+				handoffs, timers, tasks, events := sim.Handoffs(), sim.TimersFired(), sim.TasksRun(), tr.Len()
+				conn.Send([]byte("ping"))
+				if reply, err := conn.Recv(); err != nil || string(reply) != "ping" {
+					t.Errorf("echo = %q, %v", reply, err)
+				}
+				if h, s, f := sim.Handoffs()-handoffs, sim.Spawned()-spawned, sim.TimersFired()-timers; h != 2 || s != 0 || f != 2 {
+					t.Errorf("one round trip: %d hand-offs, %d spawns, %d timers; want 2, 0, 2", h, s, f)
+				}
+				// Each direction's pipeline steps twice: readied by the send to arm
+				// its timer, fired to deliver.
+				if got := sim.TasksRun() - tasks; got != 4 {
+					t.Errorf("one round trip ran %d task steps, want 4", got)
+				}
+				// A hop span and a recv instant each way.
+				if got := tr.Len() - events; observed && got != 4 {
+					t.Errorf("one observed round trip recorded %d events, want 4", got)
+				}
+				conn.Close()
+			})
+			if err != nil {
+				t.Fatalf("sim: %v", err)
+			}
+			if !observed {
 				return
 			}
-			conn.Send(msg)
-		}
-	})
-	err = sim.Run("client", func() {
-		spawned := sim.Spawned()
-		conn, err := a.Dial(Addr{"b", "echo"})
-		if err != nil {
-			t.Errorf("Dial: %v", err)
-			return
-		}
-		if got := sim.Spawned() - spawned; got != 0 {
-			t.Errorf("Dial spawned %d process(es), want 0", got)
-		}
-		conn.Send([]byte("warm")) // the server is in Recv on this connection from here on
-		conn.Recv()
-		handoffs, timers, tasks := sim.Handoffs(), sim.TimersFired(), sim.TasksRun()
-		conn.Send([]byte("ping"))
-		if reply, err := conn.Recv(); err != nil || string(reply) != "ping" {
-			t.Errorf("echo = %q, %v", reply, err)
-		}
-		if h, s, f := sim.Handoffs()-handoffs, sim.Spawned()-spawned, sim.TimersFired()-timers; h != 2 || s != 0 || f != 2 {
-			t.Errorf("one round trip: %d hand-offs, %d spawns, %d timers; want 2, 0, 2", h, s, f)
-		}
-		// Each direction's pipeline steps twice: readied by the send to arm
-		// its timer, fired to deliver.
-		if got := sim.TasksRun() - tasks; got != 4 {
-			t.Errorf("one round trip ran %d task steps, want 4", got)
-		}
-		conn.Close()
-	})
-	if err != nil {
-		t.Fatalf("sim: %v", err)
+			// Sends count against the sender's host, deliveries against the
+			// receiver's, each direction against its own end.
+			for name, want := range map[string]int64{
+				"transport.msgs.send@a":                          2,
+				"transport.msgs.recv@b":                          2,
+				"transport.bytes.send@b":                         8,
+				"transport.bytes.recv@a":                         8,
+				"transport.conn.send@a:client->b:echo@1000":      2,
+				"transport.conn.recv@b:echo->a:client@1000":      2,
+				"transport.conn.recvbytes@a:client->b:echo@1000": 8,
+				"transport.conn.drop@a:client->b:echo@1000":      0,
+			} {
+				if got := ctrs.Get(name); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -12,9 +12,9 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,10 +178,13 @@ type Network struct {
 
 	tracer   atomic.Pointer[trace.Tracer]
 	counters atomic.Pointer[trace.Counters]
-	gauges   atomic.Pointer[metrics.GaugeSet]
-	hists    atomic.Pointer[metrics.HistogramSet]
-	samples  atomic.Pointer[metrics.SampleLogSet]
-	flight   atomic.Pointer[flightrec.Recorder]
+	// connFamily is the attached registry's family of per-connection
+	// counters, which every new connection end joins.
+	connFamily atomic.Pointer[trace.Family]
+	gauges     atomic.Pointer[metrics.GaugeSet]
+	hists      atomic.Pointer[metrics.HistogramSet]
+	samples    atomic.Pointer[metrics.SampleLogSet]
+	flight     atomic.Pointer[flightrec.Recorder]
 }
 
 // New creates a network on sim with the given latency model.
@@ -215,7 +218,10 @@ func (n *Network) Tracer() *trace.Tracer { return n.tracer.Load() }
 // SetCounters attaches a counter registry. With a registry attached the
 // network maintains per-host and per-connection message, byte, and drop
 // counters; without one those paths cost nothing.
-func (n *Network) SetCounters(c *trace.Counters) { n.counters.Store(c) }
+func (n *Network) SetCounters(c *trace.Counters) {
+	n.connFamily.Store(c.Family("transport", "conn", connVerbs[:]...))
+	n.counters.Store(c)
+}
 
 // Counters returns the attached registry, or nil.
 func (n *Network) Counters() *trace.Counters { return n.counters.Load() }
@@ -325,6 +331,41 @@ type Host struct {
 
 	listeners map[string]*Listener
 	conns     map[*Conn]struct{}
+
+	// sent and recvd cache the handles of the host's message and byte
+	// counters, each pair resolved by the host's first message that way.
+	sent, recvd atomic.Pointer[hostCounters]
+}
+
+// hostCounters are one host's transport.msgs.<verb>@host and
+// transport.bytes.<verb>@host handles for one verb, in the registry they
+// were resolved in.
+type hostCounters struct {
+	reg         *trace.Counters
+	msgs, bytes *trace.Counter
+}
+
+// count adds one message of size bytes to the host's counters for verb,
+// whose handles cache holds. The names are built once per host: at its
+// first message and no earlier — a counter must not exist (and print as 0)
+// before it has counted — and again if another registry has been attached
+// since.
+func (h *Host) count(cache *atomic.Pointer[hostCounters], verb string, size int) {
+	ctrs := h.net.Counters()
+	if ctrs == nil {
+		return
+	}
+	hc := cache.Load()
+	if hc == nil || hc.reg != ctrs {
+		hc = &hostCounters{
+			reg:   ctrs,
+			msgs:  ctrs.C(trace.Key("transport", "msgs", verb, h.name)),
+			bytes: ctrs.C(trace.Key("transport", "bytes", verb, h.name)),
+		}
+		cache.Store(hc) // a racing resolver stores equal handles
+	}
+	hc.msgs.Add(1)
+	hc.bytes.Add(int64(size))
 }
 
 // Name returns the host's name.
@@ -483,7 +524,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	refused := l == nil
 	var client, server *Conn
 	if !refused {
-		client, server = newConnPair(n, Addr{h.name, "client"}, to, ctx)
+		client, server = newConnPair(h, remote, to.Service, ctx)
 		h.conns[client] = struct{}{}
 		remote.conns[server] = struct{}{}
 	}
@@ -503,7 +544,8 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 		return nil, ErrRefused
 	}
 	if tr := n.Tracer(); tr.Enabled() {
-		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), client.Flow(), dialStart,
+		names := client.names()
+		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, names.to, names.flow, dialStart,
 			trace.Arg{Key: "outcome", Val: "ok"})
 	}
 	return client, nil
@@ -605,6 +647,7 @@ const maxInFlight = 4096
 // of a process looping over "receive from out; sleep until deliverAt; deliver".
 type Conn struct {
 	net    *Network
+	host   *Host  // the local end's host
 	estSeq uint64 // establishment order; failure sweeps close in this order
 	local  Addr
 	remote Addr
@@ -620,11 +663,8 @@ type Conn struct {
 	// ctx is the base causal context the connection was dialed under;
 	// both ends share it. Context-less sends inherit it.
 	ctx trace.Ctx
-	// Per-connection counter handles, nil when no registry is attached.
-	cSend, cSendBytes, cRecv, cRecvBytes, cDrop *trace.Counter
-	// Per-host message/byte counters this end feeds: sends count against
-	// the local host, deliveries against the remote one.
-	hostSent, hostRecv hostCounters
+	// stats holds the end's own counters, nil when no registry is attached.
+	stats *connStats
 	// Cached histogram handles (shared network-wide, not per-connection, to
 	// bound cardinality), nil when no registry is attached.
 	hBytes, hDelay, hBatch *metrics.Histogram
@@ -655,39 +695,78 @@ type Conn struct {
 	flushing, flushArmed, flushAgain bool
 }
 
-// hostCounters caches one host's transport.msgs.<verb>@host and
-// transport.bytes.<verb>@host handles, so the names are built once per
-// connection instead of once per message. Resolution waits for the first
-// message: a counter must not exist (and print as 0) before it has counted.
-type hostCounters struct {
-	once        sync.Once
-	msgs, bytes *trace.Counter
+// The per-connection counters, transport.conn.<verb>@<dir>: connVerbs[i]
+// names connStats.ctr[i].
+const (
+	ctrSend = iota
+	ctrSendBytes
+	ctrRecv
+	ctrRecvBytes
+	ctrDrop
+	numConnCtrs
+)
+
+var connVerbs = [numConnCtrs]string{"send", "sendbytes", "recv", "recvbytes", "drop"}
+
+// connStats is the part of a connection end the counter registry keeps: its
+// counters, and the facts its directional name is rendered from on the day
+// somebody reads the registry (see trace.Family). Two ends whose names
+// render equal — same direction, same dial microsecond — share one line per
+// verb there.
+type connStats struct {
+	local, remote Addr
+	est           time.Duration
+	ctr           [numConnCtrs]trace.Counter
 }
 
-func (h *hostCounters) add(ctrs *trace.Counters, verb, host string, size int) {
-	if ctrs == nil {
-		return
+// add counts delta under verb. A nil *connStats is a valid no-op.
+func (s *connStats) add(verb int, delta int64) {
+	if s != nil {
+		s.ctr[verb].Add(delta)
 	}
-	h.once.Do(func() {
-		h.msgs = ctrs.C(trace.Key("transport", "msgs", verb, host))
-		h.bytes = ctrs.C(trace.Key("transport", "bytes", verb, host))
-	})
-	h.msgs.Add(1)
-	h.bytes.Add(int64(size))
 }
 
-// connNames are the strings that identify a connection end to tracing,
-// counters and deadlock reports. flow identifies the pair
-// (client=>server@establish-time); both ends share it, so it correlates
-// trace events across the two hosts. dir is this end's directional name
-// (local->remote@t).
-type connNames struct{ flow, dir string }
+// String renders the end's directional name, connNames.dir.
+func (s *connStats) String() string {
+	var sb strings.Builder
+	var ts [20]byte
+	t := strconv.AppendInt(ts[:0], int64(s.est/time.Microsecond), 10)
+	sb.Grow(dirLen(s.local, s.remote, t))
+	writeDir(&sb, s.local, "->", s.remote, t)
+	return sb.String()
+}
 
-// names builds the end's names on first use. Two dials between the same
-// host pair in the same microsecond would collide on the flow, so when a
-// dial carries a causal context a short hash of it is appended — the
-// contexts of simultaneous dials differ, keeping flows (and the correlation
-// IDs layered on them) unique per connection.
+// dirLen is the length of what writeDir writes with a two-byte arrow.
+func dirLen(from, to Addr, ts []byte) int {
+	return len(from.Host) + len(from.Service) + len(to.Host) + len(to.Service) + len(ts) + 5
+}
+
+// writeDir writes from<arrow>to@ts.
+func writeDir(sb *strings.Builder, from Addr, arrow string, to Addr, ts []byte) {
+	sb.WriteString(from.Host)
+	sb.WriteByte(':')
+	sb.WriteString(from.Service)
+	sb.WriteString(arrow)
+	sb.WriteString(to.Host)
+	sb.WriteByte(':')
+	sb.WriteString(to.Service)
+	sb.WriteByte('@')
+	sb.Write(ts)
+}
+
+// connNames are the strings that identify a connection end to tracing and
+// deadlock reports. flow identifies the pair (client=>server@establish-time);
+// both ends share it, so it correlates trace events across the two hosts.
+// dir is this end's directional name (local->remote@t), the scope of its
+// counters; to is the remote address, a hop span's "to" argument.
+type connNames struct{ flow, dir, to string }
+
+// names builds the end's names on first use, all three in one string. Two
+// dials between the same host pair in the same microsecond would collide on
+// the flow, so when a dial carries a causal context a short hash of it
+// (FNV-1a over request, NUL, span) is appended — the contexts of
+// simultaneous dials differ, keeping flows (and the correlation IDs layered
+// on them) unique per connection.
 func (c *Conn) names() *connNames {
 	if n := c.named.Load(); n != nil {
 		return n
@@ -696,19 +775,40 @@ func (c *Conn) names() *connNames {
 	if c.server {
 		client, server = server, client
 	}
-	ts := strconv.FormatInt(int64(c.est/time.Microsecond), 10)
-	flow := client.String() + "=>" + server.String() + "@" + ts
+	var ts [20]byte
+	t := strconv.AppendInt(ts[:0], int64(c.est/time.Microsecond), 10)
+	var sb strings.Builder
+	dl := dirLen(c.local, c.remote, t)
+	sb.Grow(2*dl + 9) // dir, flow, "~" and eight hex digits
+	writeDir(&sb, c.local, "->", c.remote, t)
+	writeDir(&sb, client, "=>", server, t)
 	if c.ctx.Valid() {
-		h := fnv.New32a()
-		h.Write([]byte(c.ctx.Req))
-		h.Write([]byte{0})
-		h.Write([]byte(c.ctx.Span))
-		flow += "~" + strconv.FormatUint(uint64(h.Sum32()), 16)
+		h := fnv1a(fnv1a(fnv1a(fnvOffset32, c.ctx.Req), "\x00"), c.ctx.Span)
+		var hex [8]byte
+		sb.WriteByte('~')
+		sb.Write(strconv.AppendUint(hex[:0], uint64(h), 16))
 	}
-	n := &connNames{flow: flow, dir: c.String() + "@" + ts}
+	all := sb.String()
+	toAt := len(c.local.Host) + len(c.local.Service) + 3
+	n := &connNames{
+		flow: all[dl:],
+		dir:  all[:dl],
+		to:   all[toAt : dl-len(t)-1],
+	}
 	c.named.Store(n) // a racing builder stores an equal value
 	return n
 }
+
+// fnv1a folds s into the 32-bit FNV-1a hash h (hash/fnv's New32a, without
+// the hasher).
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+const fnvOffset32 = 2166136261
 
 // String returns the end's directional tag, local->remote.
 func (c *Conn) String() string { return c.local.String() + "->" + c.remote.String() }
@@ -737,14 +837,21 @@ func (c *Conn) Network() *Network { return c.net }
 // (zero for context-less dials). Both ends share it.
 func (c *Conn) Ctx() trace.Ctx { return c.ctx }
 
-// newConnPair builds both ends of a connection in one allocation. Caller
-// holds n.mu.
-func newConnPair(n *Network, clientAddr, serverAddr Addr, ctx trace.Ctx) (client, server *Conn) {
+// newConnPair builds both ends of a connection from a client on host from
+// to service on host to in one allocation, and both ends' counters, if a
+// registry is attached, in another. Caller holds n.mu.
+func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server *Conn) {
+	n := from.net
 	pair := new([2]Conn)
 	client, server = &pair[0], &pair[1]
-	client.local, client.remote = clientAddr, serverAddr
-	server.local, server.remote, server.server = serverAddr, clientAddr, true
-	ctrs, hs := n.Counters(), n.Hists()
+	client.host, client.local = from, Addr{from.name, "client"}
+	server.host, server.local, server.server = to, Addr{to.name, service}, true
+	client.remote, server.remote = server.local, client.local
+	fam, hs := n.connFamily.Load(), n.Hists()
+	var stats *[2]connStats
+	if fam != nil {
+		stats = new([2]connStats)
+	}
 	for i := range pair {
 		c := &pair[i]
 		n.connSeq++
@@ -752,13 +859,10 @@ func newConnPair(n *Network, clientAddr, serverAddr Addr, ctx trace.Ctx) (client
 		c.in.Init(n.sim, (*inbox)(c), 4096)
 		c.deliver.Init(n.sim, (*deliverer)(c))
 		c.flush.Init(n.sim, (*flusher)(c))
-		if ctrs != nil {
-			dir := c.names().dir
-			c.cSend = ctrs.C(trace.Key("transport", "conn", "send", dir))
-			c.cSendBytes = ctrs.C(trace.Key("transport", "conn", "sendbytes", dir))
-			c.cRecv = ctrs.C(trace.Key("transport", "conn", "recv", dir))
-			c.cRecvBytes = ctrs.C(trace.Key("transport", "conn", "recvbytes", dir))
-			c.cDrop = ctrs.C(trace.Key("transport", "conn", "drop", dir))
+		if stats != nil {
+			c.stats = &stats[i]
+			c.stats.local, c.stats.remote, c.stats.est = c.local, c.remote, c.est
+			fam.Member(c.stats, c.stats.ctr[:])
 		}
 		if hs != nil {
 			c.hBytes = hs.H("transport.msg.bytes")
@@ -827,9 +931,9 @@ func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
 	// backlog (and batch coalescing time) behind earlier messages on this
 	// connection.
 	c.hDelay.Record(int64(c.net.sim.Now() - m.sentAt))
-	c.peer.cRecv.Add(1)
-	c.peer.cRecvBytes.Add(int64(len(payload)))
-	c.hostRecv.add(c.net.Counters(), "recv", c.remote.Host, len(payload))
+	c.peer.stats.add(ctrRecv, 1)
+	c.peer.stats.add(ctrRecvBytes, int64(len(payload)))
+	c.peer.host.count(&c.peer.host.recvd, "recv", len(payload))
 	if tr := c.net.Tracer(); tr.Enabled() {
 		tr.InstantCtx(m.ctx, "transport", "recv", c.remote.Host, c.peer.names().dir, c.Flow(),
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))})
@@ -843,7 +947,7 @@ func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
 // gauge — losing a message to a connection the application itself is
 // tearing down is a normal shutdown race, not wire loss.
 func (c *Conn) dropped(size int, reason string, ctx trace.Ctx) {
-	c.cDrop.Add(1)
+	c.stats.add(ctrDrop, 1)
 	if ctrs := c.net.Counters(); ctrs != nil {
 		ctrs.Add(trace.Key("transport", "msgs", "drop", c.local.Host), 1)
 		ctrs.Add(trace.Key("transport", "drop", reason, c.local.Host), 1)
@@ -897,9 +1001,9 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	}
 	n.msgs.Add(1)
 	n.bytes.Add(int64(len(payload)))
-	c.cSend.Add(1)
-	c.cSendBytes.Add(int64(len(payload)))
-	c.hostSent.add(n.Counters(), "send", c.local.Host, len(payload))
+	c.stats.add(ctrSend, 1)
+	c.stats.add(ctrSendBytes, int64(len(payload)))
+	c.host.count(&c.host.sent, "send", len(payload))
 	c.hBytes.Record(int64(len(payload)))
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
@@ -1005,7 +1109,7 @@ func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 	if tr := c.net.Tracer(); tr.Enabled() {
 		tr.SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.names().dir, c.Flow(), start, end,
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
-			trace.Arg{Key: "to", Val: c.remote.String()})
+			trace.Arg{Key: "to", Val: c.names().to})
 	}
 }
 
