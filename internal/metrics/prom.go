@@ -79,6 +79,14 @@ func (p *promWriter) str(parts ...string) {
 
 func (p *promWriter) int(v int64) { p.buf = strconv.AppendInt(p.buf, v, 10) }
 
+// sample starts a sample line: the metric name, its label set and the space
+// before the value.
+func (p *promWriter) sample(family, suffix, scope, le string) {
+	p.str(family, suffix)
+	p.labels(scope, le)
+	p.buf = append(p.buf, ' ')
+}
+
 // labels writes the label set {scope="...",le="..."}, each label only if
 // its value is non-empty, and nothing at all if both are empty.
 func (p *promWriter) labels(scope, le string) {
@@ -118,7 +126,7 @@ func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 	if prefix == "" {
 		prefix = "cogrid_"
 	}
-	p := promWriter{w: w, buf: make([]byte, 0, promFlushAt+4<<10)}
+	p := promWriter{w: w, buf: make([]byte, 0, promFlushAt+4096)} // room for the line that crosses the mark
 
 	// Counters: group rows by sanitized family name so each # TYPE header
 	// is emitted once with its scoped samples contiguous beneath it.
@@ -147,9 +155,7 @@ func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 			p.str("# TYPE ", r.family, " counter")
 			p.endLine()
 		}
-		p.str(r.family)
-		p.labels(r.scope, "")
-		p.str(" ")
+		p.sample(r.family, "", r.scope, "")
 		p.int(r.value)
 		p.endLine()
 	}
@@ -160,9 +166,7 @@ func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 		family := promName(prefix, base)
 		p.str("# TYPE ", family, " gauge")
 		p.endLine()
-		p.str(family)
-		p.labels(scope, "")
-		p.str(" ")
+		p.sample(family, "", scope, "")
 		p.buf = strconv.AppendFloat(p.buf, snap.Gauges.G(name).Value(snap.GaugeAt), 'g', -1, 64)
 		p.endLine()
 	}
@@ -179,15 +183,11 @@ func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 		var le [20]byte
 		for _, b := range h.Buckets() {
 			cum += b.Count
-			p.str(family, "_bucket")
-			p.labels(scope, string(strconv.AppendInt(le[:0], b.High, 10)))
-			p.str(" ")
+			p.sample(family, "_bucket", scope, string(strconv.AppendInt(le[:0], b.High, 10)))
 			p.buf = strconv.AppendUint(p.buf, cum, 10)
 			p.endLine()
 		}
-		p.str(family, "_bucket")
-		p.labels(scope, "+Inf")
-		p.str(" ")
+		p.sample(family, "_bucket", scope, "+Inf")
 		p.int(h.Count())
 		p.endLine()
 		p.str(family, "_sum ")

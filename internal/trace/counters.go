@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,7 +168,7 @@ func (c *Counters) Family(layer, object string, verbs ...string) *Family {
 		}
 		f.byName[i] = i
 	}
-	sort.Slice(f.byName, func(i, j int) bool { return verbs[f.byName[i]]+"@" < verbs[f.byName[j]]+"@" })
+	slices.SortFunc(f.byName, func(a, b int) int { return strings.Compare(verbs[a]+"@", verbs[b]+"@") })
 	c.families = append(c.families, f)
 	return f
 }

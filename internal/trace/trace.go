@@ -188,7 +188,6 @@ func (t *Tracer) Emit(ev Event) {
 // slice itself does not escape: only what it holds is copied.
 func (t *Tracer) emit(ev Event, args []Arg) {
 	t.mu.Lock()
-	ev.Args = nil
 	if n := len(args); n > 0 {
 		if n > len(t.args) {
 			t.args = make([]Arg, max(n, argChunkSize))

@@ -332,10 +332,19 @@ type Host struct {
 	listeners map[string]*Listener
 	conns     map[*Conn]struct{}
 
-	// sent and recvd cache the handles of the host's message and byte
-	// counters, each pair resolved by the host's first message that way.
-	sent, recvd atomic.Pointer[hostCounters]
+	// counted caches the handles of the host's message and byte counters,
+	// the pair for each verb resolved by the host's first message that way.
+	counted [len(hostVerbs)]atomic.Pointer[hostCounters]
 }
+
+// The per-host counters' verbs: a send counts against the sender's host, a
+// delivery against the receiver's.
+const (
+	hostSend = iota
+	hostRecv
+)
+
+var hostVerbs = [...]string{hostSend: "send", hostRecv: "recv"}
 
 // hostCounters are one host's transport.msgs.<verb>@host and
 // transport.bytes.<verb>@host handles for one verb, in the registry they
@@ -345,24 +354,23 @@ type hostCounters struct {
 	msgs, bytes *trace.Counter
 }
 
-// count adds one message of size bytes to the host's counters for verb,
-// whose handles cache holds. The names are built once per host: at its
-// first message and no earlier — a counter must not exist (and print as 0)
-// before it has counted — and again if another registry has been attached
-// since.
-func (h *Host) count(cache *atomic.Pointer[hostCounters], verb string, size int) {
+// count adds one message of size bytes to the host's counters for verb.
+// Their names are built once per host: at its first message that way and no
+// earlier — a counter must not exist (and print as 0) before it has counted
+// — and again if another registry has been attached since.
+func (h *Host) count(verb, size int) {
 	ctrs := h.net.Counters()
 	if ctrs == nil {
 		return
 	}
-	hc := cache.Load()
+	hc := h.counted[verb].Load()
 	if hc == nil || hc.reg != ctrs {
 		hc = &hostCounters{
 			reg:   ctrs,
-			msgs:  ctrs.C(trace.Key("transport", "msgs", verb, h.name)),
-			bytes: ctrs.C(trace.Key("transport", "bytes", verb, h.name)),
+			msgs:  ctrs.C(trace.Key("transport", "msgs", hostVerbs[verb], h.name)),
+			bytes: ctrs.C(trace.Key("transport", "bytes", hostVerbs[verb], h.name)),
 		}
-		cache.Store(hc) // a racing resolver stores equal handles
+		h.counted[verb].Store(hc) // a racing resolver stores equal handles
 	}
 	hc.msgs.Add(1)
 	hc.bytes.Add(int64(size))
@@ -933,7 +941,7 @@ func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
 	c.hDelay.Record(int64(c.net.sim.Now() - m.sentAt))
 	c.peer.stats.add(ctrRecv, 1)
 	c.peer.stats.add(ctrRecvBytes, int64(len(payload)))
-	c.peer.host.count(&c.peer.host.recvd, "recv", len(payload))
+	c.peer.host.count(hostRecv, len(payload))
 	if tr := c.net.Tracer(); tr.Enabled() {
 		tr.InstantCtx(m.ctx, "transport", "recv", c.remote.Host, c.peer.names().dir, c.Flow(),
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))})
@@ -1003,7 +1011,7 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	n.bytes.Add(int64(len(payload)))
 	c.stats.add(ctrSend, 1)
 	c.stats.add(ctrSendBytes, int64(len(payload)))
-	c.host.count(&c.host.sent, "send", len(payload))
+	c.host.count(hostSend, len(payload))
 	c.hBytes.Record(int64(len(payload)))
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
