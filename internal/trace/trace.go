@@ -10,9 +10,10 @@
 //
 // All Tracer and Counters methods are nil-safe: a nil *Tracer (the default
 // everywhere) records nothing and costs nothing, so untraced paths stay
-// zero-cost. Because simulated processes may run concurrently within one
-// virtual instant, events are kept unordered internally and sorted by a
-// total deterministic order on export: two runs with the same seed produce
+// zero-cost. Events are kept in emission order and sorted on export by a
+// total order over their content, one that does not depend on which process
+// the kernel ran first within a virtual instant and that a flight-recorder
+// dump can be checked against (Less): two runs with the same seed produce
 // byte-identical traces.
 package trace
 
@@ -323,10 +324,10 @@ func (t *Tracer) Events() []Event {
 
 // Sort orders events by the total deterministic order used for export:
 // time, then process, thread, category, name, correlation ID, duration, and
-// finally argument content. Processes that run concurrently within one
-// virtual instant may append events in any real-time order; sorting by
-// content restores a unique order because each event's content is itself
-// deterministic.
+// finally argument content. Emission order is itself a function of the seed
+// (one run token serialises the simulated processes); the sort gives events
+// from any source — a tracer, a merged set of flight-recorder rings, a file
+// — one defined order, because each event's content is deterministic.
 func Sort(events []Event) {
 	order := exportOrder(len(events), func(i uint32) *Event { return &events[i] })
 	if slices.IsSorted(order) {
