@@ -39,8 +39,8 @@ func (m *Machine) schedule() {
 	if m.mode != Batch {
 		return
 	}
-	var toLaunch []*Job
 	m.mu.Lock()
+	toLaunch := m.launchScratch[:0]
 	// FCFS: start head jobs while they fit.
 	for len(m.queue) > 0 && m.queue[0].spec.Count <= m.availableLocked() {
 		job := m.queue[0]
@@ -49,17 +49,19 @@ func (m *Machine) schedule() {
 		m.runningAdd(job)
 		toLaunch = append(toLaunch, job)
 	}
-	// Backfill behind a blocked head. The scan is bounded: past
-	// m.backfill candidates the pass gives up and leaves the tail queued,
-	// keeping each pass O(depth) instead of O(queue) — across a draining
-	// backlog that is the difference between linear and quadratic work.
-	if len(m.queue) > 1 {
+	// Backfill behind a blocked head, if there is a processor to backfill
+	// onto: on a full machine, the state most passes of a backlogged one find,
+	// neither the shadow time nor the walk can start anything. The scan is
+	// bounded: past m.backfill candidates the pass gives up and leaves the
+	// tail queued, keeping each pass O(depth) instead of O(queue) — across a
+	// draining backlog that is the difference between linear and quadratic
+	// work — and it ends with the last processor.
+	if avail := m.availableLocked(); len(m.queue) > 1 && avail > 0 {
 		now := m.sim.Now()
 		shadow := m.shadowTimeLocked(m.queue[0])
-		avail := m.availableLocked()
 		kept := m.queue[:1]
 		for i, job := range m.queue[1:] {
-			if m.backfill >= 0 && i >= m.backfill {
+			if avail == 0 || m.backfill >= 0 && i >= m.backfill {
 				kept = append(kept, m.queue[1+i:]...)
 				break
 			}
@@ -74,10 +76,19 @@ func (m *Machine) schedule() {
 		}
 		m.queue = kept
 	}
+	if len(toLaunch) == 0 {
+		m.mu.Unlock()
+		return
+	}
+	m.launchScratch = nil // off the machine while m.mu is released around the launches
 	m.mu.Unlock()
 	for _, job := range toLaunch {
 		m.launch(job)
 	}
+	clear(toLaunch)
+	m.mu.Lock()
+	m.launchScratch = toLaunch
+	m.mu.Unlock()
 }
 
 // runningAdd records a batch job's expected end for shadow-time

@@ -8,11 +8,23 @@
 // with EASY backfill and wall-time limits, used by the application-scale
 // experiments. Machines also keep an advance-reservation table for the
 // co-reservation extension (the paper's §5 future work).
+//
+// An application's compute time is one kernel event, not a tick per step.
+// [Proc.Work] waits once, for the whole of its total, on the interrupt event
+// its [Job] sets when the job's processes must look up: when the job is
+// suspended, or reaches a terminal state — cancelled, killed at its wall
+// limit, failed by a sibling. Killed, the process returns at the kill
+// instant. Suspended, it finishes the step it is in — progress is accounted
+// at step boundaries, as if it had slept step by step — then pauses, and on
+// resume waits out the remainder on a fresh interrupt event. A job's signals
+// (kill, done, the state stream, the first interrupt event) are embedded in
+// it, so a job that is never suspended is one allocation and its id.
 package lrm
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -127,20 +139,21 @@ type Machine struct {
 	service     *metrics.Histogram
 	busy        *metrics.Gauge
 
-	mu         sync.Mutex
-	execs      map[string]ExecFunc
-	jobs       map[string]*Job
-	nextJobID  int
-	freeProcs  int
-	queue      []*Job                 // batch: pending jobs, FCFS order
-	running    map[*Job]time.Duration // batch: active job -> expected end
-	releases   releaseIndex           // batch: running releases, ascending
-	relScratch []releaseEntry
-	estScratch []relPoint
-	slowFactor float64
-	down       bool
-	doneJobs   int64
-	failedJobs int64
+	mu            sync.Mutex
+	execs         map[string]ExecFunc
+	jobs          map[string]*Job
+	nextJobID     int
+	freeProcs     int
+	queue         []*Job                 // batch: pending jobs, FCFS order
+	running       map[*Job]time.Duration // batch: active job -> expected end
+	releases      releaseIndex           // batch: running releases, ascending
+	relScratch    []releaseEntry
+	estScratch    []relPoint
+	launchScratch []*Job // batch: what one scheduling pass starts
+	slowFactor    float64
+	down          bool
+	doneJobs      int64
+	failedJobs    int64
 
 	reservations map[string]*Reservation
 	nextResID    int
@@ -306,7 +319,9 @@ type JobSpec struct {
 	ReservationID string
 }
 
-// Job is a submitted job.
+// Job is a submitted job. It owns its signals by value — Submit makes them
+// usable in place, so they cost no allocation of their own — and must not be
+// copied.
 type Job struct {
 	machine *Machine
 	id      string
@@ -319,15 +334,27 @@ type Job struct {
 	failed    bool
 	released  bool
 
-	kill     *vtime.Event
-	done     *vtime.Event
-	events   *vtime.Chan[JobState]
+	kill     vtime.Event
+	done     vtime.Event
+	events   vtime.Chan[JobState]
 	startRes *Reservation
 	queuedAt time.Duration // when the job was accepted by Submit
 	startAt  time.Duration // when the job became active
-	resumeEv *vtime.Event  // non-nil while suspended
 	limit    *vtime.Timer  // wall-limit timer while the job runs, nil if none
+
+	// interrupt is what the job's processes wait on while all they do is let
+	// time pass, computing in Work or paused by a suspension: it is set when
+	// they must look up, which is when the job is suspended, resumed or
+	// reaches a terminal state. Suspend and Resume leave a fresh one behind;
+	// the first is firstInterrupt, so only a suspension allocates.
+	interrupt      *vtime.Event
+	firstInterrupt vtime.Event
 }
+
+// jobEvents names a job's event stream, when a deadlock report asks.
+type jobEvents Job
+
+func (j *jobEvents) String() string { return "job-events:" + j.id }
 
 // ID returns the machine-unique job identifier.
 func (j *Job) ID() string { return j.id }
@@ -352,16 +379,16 @@ func (j *Job) Reason() string {
 // Events returns the job's state-transition stream. It carries every
 // transition in order and is closed after the terminal state is delivered.
 // There must be at most one consumer.
-func (j *Job) Events() *vtime.Chan[JobState] { return j.events }
+func (j *Job) Events() *vtime.Chan[JobState] { return &j.events }
 
 // Done returns an event set when the job reaches a terminal state.
-func (j *Job) Done() *vtime.Event { return j.done }
+func (j *Job) Done() *vtime.Event { return &j.done }
 
 // KillEvent returns the event processes watch for cancellation.
-func (j *Job) KillEvent() *vtime.Event { return j.kill }
+func (j *Job) KillEvent() *vtime.Event { return &j.kill }
 
 // setState transitions the job, delivering the event. Terminal states
-// close the event stream and set done.
+// close the event stream, interrupt the job's processes and set done.
 func (j *Job) setState(s JobState, reason string) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -372,20 +399,13 @@ func (j *Job) setState(s JobState, reason string) {
 	if reason != "" {
 		j.reason = reason
 	}
-	terminal := s.Terminal()
-	var release *vtime.Event
-	if terminal && j.resumeEv != nil {
-		// Wake suspended processes so they can observe the kill.
-		release = j.resumeEv
-		j.resumeEv = nil
-	}
+	interrupt := j.interrupt
 	j.mu.Unlock()
-	if release != nil {
-		release.Set()
-	}
 	j.events.TrySend(s)
-	if terminal {
+	if s.Terminal() {
 		j.events.Close()
+		// Processes computing or paused wake here and find the kill.
+		interrupt.Set()
 		j.kill.Set()
 		j.done.Set()
 	}
@@ -394,42 +414,39 @@ func (j *Job) setState(s JobState, reason string) {
 // Suspend pauses the job's processes: interruptible work stops consuming
 // progress until Resume. Only an active job can be suspended.
 func (j *Job) Suspend() error {
-	j.mu.Lock()
-	if j.state != StateActive {
-		state := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("lrm: cannot suspend job in state %v", state)
-	}
-	j.resumeEv = vtime.NewEvent(j.machine.sim, "resume:"+j.id)
-	j.mu.Unlock()
-	j.setState(StateSuspended, "")
-	return nil
+	return j.turn(StateActive, StateSuspended, "suspend", "resume")
 }
 
 // Resume continues a suspended job.
 func (j *Job) Resume() error {
+	return j.turn(StateSuspended, StateActive, "resume", "interrupt")
+}
+
+// turn moves the job between running and suspended and interrupts its
+// processes, which from then on wait on a new event, named by what will set
+// it next.
+func (j *Job) turn(from, to JobState, verb, next string) error {
 	j.mu.Lock()
-	if j.state != StateSuspended {
+	if j.state != from {
 		state := j.state
 		j.mu.Unlock()
-		return fmt.Errorf("lrm: cannot resume job in state %v", state)
+		return fmt.Errorf("lrm: cannot %s job in state %v", verb, state)
 	}
-	release := j.resumeEv
-	j.resumeEv = nil
+	interrupt := j.interrupt
+	j.interrupt = vtime.NewEvent(j.machine.sim, next)
 	j.mu.Unlock()
-	j.setState(StateActive, "")
-	if release != nil {
-		release.Set()
-	}
+	j.setState(to, "")
+	interrupt.Set()
 	return nil
 }
 
-// suspension returns the event processes must wait on, or nil when
-// running.
-func (j *Job) suspension() *vtime.Event {
+// phase returns the event that interrupts the job's processes next and
+// whether the job is suspended: whether that event will mean resume or kill,
+// or suspend or kill.
+func (j *Job) phase() (interrupt *vtime.Event, suspended bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.resumeEv
+	return j.interrupt, j.state == StateSuspended
 }
 
 // Cancel kills the job. It is the collective "kill" control operation of
@@ -472,17 +489,20 @@ func (m *Machine) Submit(spec JobSpec) (*Job, error) {
 		}
 	}
 	m.nextJobID++
+	var digits [20]byte // on the stack: the id is the one allocation
 	job := &Job{
 		machine:  m,
-		id:       fmt.Sprintf("%s/job%d", m.name, m.nextJobID),
+		id:       m.name + "/job" + string(strconv.AppendInt(digits[:0], int64(m.nextJobID), 10)),
 		spec:     spec,
 		state:    StatePending,
-		kill:     vtime.NewEvent(m.sim, "kill"),
-		done:     vtime.NewEvent(m.sim, "done"),
 		startRes: res,
 		queuedAt: m.sim.Now(),
 	}
-	job.events = vtime.NewChan[JobState](m.sim, "job-events:"+job.id, 16)
+	job.kill.Init(m.sim, "kill")
+	job.done.Init(m.sim, "done")
+	job.events.Init(m.sim, (*jobEvents)(job), 16)
+	job.firstInterrupt.Init(m.sim, "interrupt")
+	job.interrupt = &job.firstInterrupt
 	m.jobs[job.id] = job
 	m.mu.Unlock()
 

@@ -45,7 +45,7 @@ func (p *Proc) Getenv(key string) string {
 func (p *Proc) Killed() bool { return p.job.kill.IsSet() }
 
 // KillEvent returns the job's kill event for custom waits.
-func (p *Proc) KillEvent() *vtime.Event { return p.job.kill }
+func (p *Proc) KillEvent() *vtime.Event { return &p.job.kill }
 
 // Sleep blocks for d of virtual time, returning ErrKilled early if the job
 // is killed.
@@ -57,43 +57,68 @@ func (p *Proc) Sleep(d time.Duration) error {
 }
 
 // Suspended reports whether the job is currently suspended.
-func (p *Proc) Suspended() bool { return p.job.suspension() != nil }
+func (p *Proc) Suspended() bool {
+	_, suspended := p.job.phase()
+	return suspended
+}
 
 // PauseWhileSuspended blocks while the job is suspended, returning
 // ErrKilled if it is killed in the meantime.
 func (p *Proc) PauseWhileSuspended() error {
+	_, err := p.running()
+	return err
+}
+
+// running blocks while the job is suspended and returns the event that will
+// interrupt the running job next, or ErrKilled if there is nothing left to
+// interrupt.
+func (p *Proc) running() (*vtime.Event, error) {
 	for {
-		ev := p.job.suspension()
-		if ev == nil {
+		interrupt, suspended := p.job.phase()
+		if !suspended {
 			if p.Killed() {
-				return ErrKilled
+				return nil, ErrKilled
 			}
-			return nil
+			return interrupt, nil
 		}
-		ev.Wait()
+		interrupt.Wait()
 	}
 }
 
-// Work simulates computation in interruptible steps: it sleeps for total,
-// checking for cancellation every step and pausing while the job is
-// suspended (suspended wall time does not count as progress, at step
-// granularity).
+// Work simulates total of computation that can be interrupted. It returns
+// ErrKilled at the instant the job is killed, and pauses while the job is
+// suspended: suspended time does not count as progress. Progress is
+// accounted in steps — a process notices a suspension at the end of the step
+// it is in, not in the middle (one that falls exactly on a step boundary
+// takes effect there), so a suspension lifted within the step costs nothing.
+// A step of zero or less means one step of total.
+//
+// The steps are accounting, not events: an undisturbed process waits once,
+// for the whole of total, on the event its job sets when it is suspended or
+// reaches a terminal state. Only a suspension makes it wake in between, to
+// finish its step and pause.
 func (p *Proc) Work(total, step time.Duration) error {
 	if step <= 0 {
 		step = total
 	}
 	for total > 0 {
-		if err := p.PauseWhileSuspended(); err != nil {
+		interrupt, err := p.running()
+		if err != nil {
 			return err
 		}
-		d := step
-		if d > total {
-			d = total
+		start := p.sim.Now()
+		if !interrupt.WaitTimeout(total) {
+			return nil
 		}
-		if err := p.Sleep(d); err != nil {
+		// Interrupted. By a kill, and the Sleep below says so at once; by a
+		// suspension, lifted since or not, and the process first finishes the
+		// step it is in, of which the last may be short.
+		done := p.sim.Now() - start
+		rest := min((step-done%step)%step, total-done)
+		if err := p.Sleep(rest); err != nil {
 			return err
 		}
-		total -= d
+		total -= done + rest
 	}
 	return nil
 }

@@ -239,3 +239,38 @@ func TestBatchStress(t *testing.T) {
 		t.Fatalf("release index holds %d live entries after quiescence", idxLen-stale)
 	}
 }
+
+// A submission to a full batch machine with a backlog — most of what a
+// saturated machine is asked to do — costs the job and its id: no signal or
+// channel of its own, no formatted name, and a scheduling pass that finds no
+// processor free computes no shadow time, walks no queue and allocates
+// nothing.
+func TestFullMachineSubmitAllocations(t *testing.T) {
+	sim, m := newMachine(4, Batch)
+	registerWork(m, time.Hour)
+	err := sim.Run("driver", func() {
+		spec := JobSpec{Executable: "work", Count: 2, TimeLimit: 2 * time.Hour}
+		for i := 0; i < 600; i++ { // two run, the rest queue; room for the measured ones in queue and table
+			if _, err := m.Submit(spec); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+		}
+		m.mu.Lock()
+		m.queue = append(make([]*Job, 0, 2048), m.queue...)
+		m.mu.Unlock()
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := m.Submit(spec); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%v allocations per submission to a full machine, want 2: the job and its id", allocs)
+		}
+		if free, queued := m.FreeProcessors(), len(m.QueueInfo().QueuedJobs); free != 0 || queued != 799 {
+			t.Errorf("%d processors free and %d jobs queued, want 0 and 799", free, queued)
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}

@@ -9,18 +9,20 @@ import (
 func TestChanRendezvousTransfersValue(t *testing.T) {
 	s := New()
 	ch := NewChan[string](s, "rv", 0)
-	s.Go("sender", func() {
-		s.Sleep(2 * time.Second)
-		ch.Send("hello")
-	})
 	var got string
 	var at time.Duration
-	s.Go("receiver", func() {
-		got, _ = ch.Recv()
-		at = s.Now()
+	err := s.Run("main", func() {
+		s.Go("sender", func() {
+			s.Sleep(2 * time.Second)
+			ch.Send("hello")
+		})
+		s.Go("receiver", func() {
+			got, _ = ch.Recv()
+			at = s.Now()
+		})
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if got != "hello" {
 		t.Fatalf("received %q, want hello", got)
@@ -34,16 +36,18 @@ func TestChanSenderBlocksUntilReceiver(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "rv", 0)
 	var sendDone time.Duration
-	s.Go("sender", func() {
-		ch.Send(1)
-		sendDone = s.Now()
+	err := s.Run("main", func() {
+		s.Go("sender", func() {
+			ch.Send(1)
+			sendDone = s.Now()
+		})
+		s.Go("receiver", func() {
+			s.Sleep(3 * time.Second)
+			ch.Recv()
+		})
 	})
-	s.Go("receiver", func() {
-		s.Sleep(3 * time.Second)
-		ch.Recv()
-	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if sendDone != 3*time.Second {
 		t.Fatalf("send completed at %v, want 3s", sendDone)
@@ -78,18 +82,20 @@ func TestChanBufferFullBlocksSender(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "buf", 1)
 	var thirdAt time.Duration
-	s.Go("sender", func() {
-		ch.Send(1)
-		ch.Send(2) // fills after receiver takes 1? no: cap 1, second blocks
-		thirdAt = s.Now()
+	err := s.Run("main", func() {
+		s.Go("sender", func() {
+			ch.Send(1)
+			ch.Send(2) // fills after receiver takes 1? no: cap 1, second blocks
+			thirdAt = s.Now()
+		})
+		s.Go("receiver", func() {
+			s.Sleep(5 * time.Second)
+			ch.Recv()
+			ch.Recv()
+		})
 	})
-	s.Go("receiver", func() {
-		s.Sleep(5 * time.Second)
-		ch.Recv()
-		ch.Recv()
-	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if thirdAt != 5*time.Second {
 		t.Fatalf("blocked send completed at %v, want 5s", thirdAt)
@@ -100,23 +106,25 @@ func TestChanFIFOOrder(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "fifo", 4)
 	var got []int
-	s.Go("sender", func() {
-		for i := 0; i < 100; i++ {
-			ch.Send(i)
-		}
-		ch.Close()
-	})
-	s.Go("receiver", func() {
-		for {
-			v, ok := ch.Recv()
-			if !ok {
-				return
+	err := s.Run("main", func() {
+		s.Go("sender", func() {
+			for i := 0; i < 100; i++ {
+				ch.Send(i)
 			}
-			got = append(got, v)
-		}
+			ch.Close()
+		})
+		s.Go("receiver", func() {
+			for {
+				v, ok := ch.Recv()
+				if !ok {
+					return
+				}
+				got = append(got, v)
+			}
+		})
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if len(got) != 100 {
 		t.Fatalf("received %d values, want 100", len(got))
@@ -145,24 +153,31 @@ func TestChanRecvTimeoutExpires(t *testing.T) {
 	}
 }
 
+// Both processes are spawned by one driver, as in every test here that
+// needs more than one: spawned one by one from the test's own goroutine, the
+// first runs at once, alone — this sender would sleep, reach its rendezvous
+// and, once in some thousand runs, be declared deadlocked before the
+// receiver existed.
 func TestChanRecvTimeoutValueArrivesFirst(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "race", 0)
-	s.Go("sender", func() {
-		s.Sleep(time.Second)
-		ch.Send(7)
+	err := s.Run("main", func() {
+		s.Go("sender", func() {
+			s.Sleep(time.Second)
+			ch.Send(7)
+		})
+		s.Go("receiver", func() {
+			v, res := ch.RecvTimeout(10 * time.Second)
+			if res != RecvOK || v != 7 {
+				t.Errorf("got %d,%v want 7,ok", v, res)
+			}
+			if s.Now() != time.Second {
+				t.Errorf("received at %v, want 1s", s.Now())
+			}
+		})
 	})
-	s.Go("receiver", func() {
-		v, res := ch.RecvTimeout(10 * time.Second)
-		if res != RecvOK || v != 7 {
-			t.Errorf("got %d,%v want 7,ok", v, res)
-		}
-		if s.Now() != time.Second {
-			t.Errorf("received at %v, want 1s", s.Now())
-		}
-	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 
@@ -187,17 +202,17 @@ func TestChanCloseWakesReceivers(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "closing", 0)
 	results := NewChan[RecvResult](s, "results", 3)
-	for i := 0; i < 3; i++ {
-		s.Go("receiver", func() {
-			_, res := ch.RecvTimeout(time.Hour)
-			results.Send(res)
+	err := s.Run("main", func() {
+		for i := 0; i < 3; i++ {
+			s.Go("receiver", func() {
+				_, res := ch.RecvTimeout(time.Hour)
+				results.Send(res)
+			})
+		}
+		s.Go("closer", func() {
+			s.Sleep(time.Second)
+			ch.Close()
 		})
-	}
-	s.Go("closer", func() {
-		s.Sleep(time.Second)
-		ch.Close()
-	})
-	s.Go("main", func() {
 		for i := 0; i < 3; i++ {
 			res, _ := results.Recv()
 			if res != RecvClosed {
@@ -205,8 +220,8 @@ func TestChanCloseWakesReceivers(t *testing.T) {
 			}
 		}
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 
@@ -296,15 +311,15 @@ func TestChanTrySendToWaitingReceiver(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "handoff", 0)
 	var got int
-	s.Go("receiver", func() { got, _ = ch.Recv() })
-	s.Go("sender", func() {
+	err := s.Run("sender", func() {
+		s.Go("receiver", func() { got, _ = ch.Recv() })
 		s.Sleep(time.Millisecond) // let the receiver block first
 		if !ch.TrySend(9) {
 			t.Error("TrySend with waiting receiver failed")
 		}
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if got != 9 {
 		t.Fatalf("receiver got %d, want 9", got)
@@ -315,16 +330,16 @@ func TestChanManyProducersOneConsumer(t *testing.T) {
 	s := New()
 	ch := NewChan[int](s, "mpsc", 8)
 	const producers, each = 10, 50
-	for p := 0; p < producers; p++ {
-		s.Go("producer", func() {
-			for i := 0; i < each; i++ {
-				s.Sleep(time.Millisecond)
-				ch.Send(1)
-			}
-		})
-	}
 	total := 0
-	s.Go("consumer", func() {
+	err := s.Run("consumer", func() {
+		for p := 0; p < producers; p++ {
+			s.Go("producer", func() {
+				for i := 0; i < each; i++ {
+					s.Sleep(time.Millisecond)
+					ch.Send(1)
+				}
+			})
+		}
 		for i := 0; i < producers*each; i++ {
 			v, ok := ch.Recv()
 			if !ok {
@@ -334,8 +349,8 @@ func TestChanManyProducersOneConsumer(t *testing.T) {
 			total += v
 		}
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if total != producers*each {
 		t.Fatalf("consumed %d, want %d", total, producers*each)

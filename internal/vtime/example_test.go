@@ -13,15 +13,18 @@ func Example() {
 	sim := vtime.New()
 	ch := vtime.NewChan[string](sim, "mailbox", 0)
 
-	sim.Go("producer", func() {
-		sim.Sleep(10 * time.Minute)
-		ch.Send("results ready")
+	// One process starts the others, so both exist before either runs.
+	err := sim.Run("main", func() {
+		sim.Go("producer", func() {
+			sim.Sleep(10 * time.Minute)
+			ch.Send("results ready")
+		})
+		sim.Go("consumer", func() {
+			msg, _ := ch.Recv()
+			fmt.Printf("t=%v: received %q\n", sim.Now(), msg)
+		})
 	})
-	sim.Go("consumer", func() {
-		msg, _ := ch.Recv()
-		fmt.Printf("t=%v: received %q\n", sim.Now(), msg)
-	})
-	if err := sim.Wait(); err != nil {
+	if err != nil {
 		fmt.Println("deadlock:", err)
 	}
 	// Output:

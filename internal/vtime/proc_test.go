@@ -291,15 +291,16 @@ func TestDeadlockReportOrderAndContent(t *testing.T) {
 	gate := NewEvent(s, "gate")
 	wg := NewWaitGroup(s)
 	wg.Add(1)
-	s.Go("receiver", func() { s.Sleep(3 * time.Second); a.Recv() })
-	s.Go("gated", func() { s.Sleep(time.Second); gate.Wait() })
-	s.GoDaemon("joiner", func() { wg.Wait() })
-	s.Go("sender", func() {
-		b.RecvTimeout(2 * time.Second) // blocks first, wakes, and blocks again later
-		b.Send(1)
-	})
-	s.AfterFunc(4*time.Second, func() { a.Recv() })
-	err, _ := s.Wait().(*DeadlockError)
+	err, _ := s.Run("main", func() {
+		s.Go("receiver", func() { s.Sleep(3 * time.Second); a.Recv() })
+		s.Go("gated", func() { s.Sleep(time.Second); gate.Wait() })
+		s.GoDaemon("joiner", func() { wg.Wait() })
+		s.Go("sender", func() {
+			b.RecvTimeout(2 * time.Second) // blocks first, wakes, and blocks again later
+			b.Send(1)
+		})
+		s.AfterFunc(4*time.Second, func() { a.Recv() })
+	}).(*DeadlockError)
 	if err == nil {
 		t.Fatal("no deadlock reported")
 	}
@@ -364,5 +365,57 @@ func TestProcessGoroutinesAreReusedAndReleased(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines outlive the simulation, baseline %d", n, before)
+	}
+}
+
+// A descriptor on the free list holds nothing of the process that left it:
+// what that process last waited on — an Event or Chan embedded in something
+// larger, a job or a connection — is collectable while the descriptor sits
+// idle, not only once the next process to take it waits on something else.
+func TestIdleDescriptorLetsGoOfWhatItWaitedOn(t *testing.T) {
+	type owner struct {
+		ev    Event
+		inbox Chan[int]
+		pad   [1 << 10]byte
+	}
+	for name, wait := range map[string]func(o *owner){
+		"Event": func(o *owner) { o.ev.Wait() },
+		"Chan":  func(o *owner) { o.inbox.Recv() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New()
+			collected := make(chan struct{})
+			err := s.Run("main", func() {
+				func() {
+					o := new(owner)
+					o.ev.Init(s, "embedded")
+					o.inbox.Init(s, &o.ev, 0)
+					runtime.SetFinalizer(o, func(*owner) { close(collected) })
+					s.Go("waiter", func() { wait(o) })
+					s.Sleep(time.Millisecond) // it waits
+					o.ev.Set()
+					o.inbox.Close()
+				}()
+				s.Sleep(time.Millisecond) // it has exited: its descriptor is free, and kept
+				s.mu.Lock()
+				idle := len(s.freeProcs)
+				s.mu.Unlock()
+				if idle != 1 {
+					t.Errorf("%d descriptors on the free list, want the waiter's", idle)
+				}
+				for i := 0; i < 50; i++ {
+					runtime.GC()
+					select {
+					case <-collected:
+						return
+					case <-time.After(10 * time.Millisecond):
+					}
+				}
+				t.Error("what an exited process waited on is still reachable from its idle descriptor")
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -242,10 +242,9 @@ func NewWithConfig(cfg Config) *Sim {
 		seed = 1
 	}
 	s := &Sim{
-		done:    make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-		engine:  cfg.Engine,
-		blocked: procQueue{link: blockedLink},
+		done:   make(chan struct{}),
+		rng:    rand.New(rand.NewSource(seed)),
+		engine: cfg.Engine,
 	}
 	switch cfg.Engine {
 	case EngineHeap:
@@ -624,9 +623,9 @@ func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, on fmt.Stringer,
 		p.timer = s.pushTimerLocked(e, s.now+d)
 	}
 	if p.waitq = q; q != nil {
-		q.push(p)
+		q.push(p, waitLink)
 	}
-	s.blocked.push(p)
+	s.blocked.push(p, blockedLink)
 	s.passLocked(p)
 }
 
@@ -705,18 +704,22 @@ func (s *Sim) passLocked(self *proc) {
 
 // wakeLocked ends blocked process p's wait with outcome state: it leaves
 // its wait queue and the blocked list, its timeout is cancelled, and it
-// queues for the run token. Must be called with s.mu held.
+// queues for the run token. It also lets go of what it waited on: a
+// descriptor outlives its process on the free list, and would keep that
+// object — and whatever embeds it — reachable until its next wait. Must be
+// called with s.mu held.
 func (s *Sim) wakeLocked(p *proc, state int) {
 	p.state = state
+	p.wait.on = nil
 	if p.timer != nil {
 		s.cancelTimerLocked(p.timer)
 		p.timer = nil
 	}
 	if p.waitq != nil {
-		p.waitq.remove(p)
+		p.waitq.remove(p, waitLink)
 		p.waitq = nil
 	}
-	s.blocked.remove(p)
+	s.blocked.remove(p, blockedLink)
 	s.readyLocked(runnable{p: p})
 }
 
@@ -885,34 +888,35 @@ const (
 )
 
 // procQueue is an intrusive FIFO of process descriptors threaded through
-// links[link]; the zero value is an empty wait queue. A process waits on
-// one thing at a time, so one pair of links serves every wait queue, and
+// links[link], where link says which kind of queue it is and is passed in by
+// its user: a queue is embedded in every Event, Chan and WaitGroup, so it is
+// two words and no more. The zero value is an empty queue. A process waits
+// on one thing at a time, so one pair of links serves every wait queue, and
 // removal from the middle (a timeout) is O(1) and leaves nothing behind.
 type procQueue struct {
 	head, tail *proc
-	link       int
 }
 
-func (q *procQueue) push(p *proc) {
-	l := &p.links[q.link]
+func (q *procQueue) push(p *proc, link int) {
+	l := &p.links[link]
 	l.prev, l.next = q.tail, nil
 	if q.tail != nil {
-		q.tail.links[q.link].next = p
+		q.tail.links[link].next = p
 	} else {
 		q.head = p
 	}
 	q.tail = p
 }
 
-func (q *procQueue) remove(p *proc) {
-	l := &p.links[q.link]
+func (q *procQueue) remove(p *proc, link int) {
+	l := &p.links[link]
 	if l.prev != nil {
-		l.prev.links[q.link].next = l.next
+		l.prev.links[link].next = l.next
 	} else {
 		q.head = l.next
 	}
 	if l.next != nil {
-		l.next.links[q.link].prev = l.prev
+		l.next.links[link].prev = l.prev
 	} else {
 		q.tail = l.prev
 	}

@@ -41,19 +41,19 @@ func TestConcurrentSleepsOverlap(t *testing.T) {
 	s := New()
 	wg := NewWaitGroup(s)
 	wg.Add(3)
-	for i := 0; i < 3; i++ {
-		s.Go("sleeper", func() {
-			s.Sleep(5 * time.Second)
-			wg.Done()
-		})
-	}
 	var end time.Duration
-	s.Go("main", func() {
+	err := s.Run("main", func() {
+		for i := 0; i < 3; i++ {
+			s.Go("sleeper", func() {
+				s.Sleep(5 * time.Second)
+				wg.Done()
+			})
+		}
 		wg.Wait()
 		end = s.Now()
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if end != 5*time.Second {
 		t.Fatalf("three parallel 5s sleeps ended at %v, want 5s", end)
@@ -207,9 +207,10 @@ func TestDeadlockReportsMultipleWaiters(t *testing.T) {
 	s := New()
 	a := NewChan[int](s, "chan-a", 0)
 	b := NewChan[int](s, "chan-b", 0)
-	s.Go("p1", func() { a.Recv() })
-	s.Go("p2", func() { b.Recv() })
-	err := s.Wait()
+	err := s.Run("main", func() {
+		s.Go("p1", func() { a.Recv() })
+		s.Go("p2", func() { b.Recv() })
+	})
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("Wait error = %v, want *DeadlockError", err)

@@ -73,20 +73,20 @@ func TestWaitGroupConcurrentAddDone(t *testing.T) {
 	wg := NewWaitGroup(s)
 	const spawners, each = 8, 25
 	wg.Add(spawners)
-	for i := 0; i < spawners; i++ {
-		s.Go("spawner", func() {
-			for j := 0; j < each; j++ {
-				wg.Add(1)
-				s.Go("worker", func() {
-					s.Sleep(time.Duration(1+j%7) * time.Millisecond)
-					wg.Done()
-				})
-			}
-			wg.Done()
-		})
-	}
 	released := false
 	err := s.Run("main", func() {
+		for i := 0; i < spawners; i++ {
+			s.Go("spawner", func() {
+				for j := 0; j < each; j++ {
+					wg.Add(1)
+					s.Go("worker", func() {
+						s.Sleep(time.Duration(1+j%7) * time.Millisecond)
+						wg.Done()
+					})
+				}
+				wg.Done()
+			})
+		}
 		wg.Wait()
 		released = true
 	})
@@ -113,33 +113,33 @@ func TestMessageConservationUnderLoad(t *testing.T) {
 	var sent, received atomic.Int64
 	prodWG := NewWaitGroup(s)
 	prodWG.Add(producers)
-	for p := 0; p < producers; p++ {
-		s.Go("producer", func() {
-			defer prodWG.Done()
-			for i := 0; i < perProducer; i++ {
-				s.Sleep(time.Duration(s.RandIntn(5)) * time.Millisecond)
-				ch.Send(1)
-				sent.Add(1)
-			}
-		})
-	}
-	for c := 0; c < consumers; c++ {
-		s.Go("consumer", func() {
-			for {
-				_, ok := ch.Recv()
-				if !ok {
-					return
+	err := s.Run("closer", func() {
+		for p := 0; p < producers; p++ {
+			s.Go("producer", func() {
+				defer prodWG.Done()
+				for i := 0; i < perProducer; i++ {
+					s.Sleep(time.Duration(s.RandIntn(5)) * time.Millisecond)
+					ch.Send(1)
+					sent.Add(1)
 				}
-				received.Add(1)
-				s.Sleep(time.Duration(s.RandIntn(3)) * time.Millisecond)
-			}
-		})
-	}
-	s.Go("closer", func() {
+			})
+		}
+		for c := 0; c < consumers; c++ {
+			s.Go("consumer", func() {
+				for {
+					_, ok := ch.Recv()
+					if !ok {
+						return
+					}
+					received.Add(1)
+					s.Sleep(time.Duration(s.RandIntn(3)) * time.Millisecond)
+				}
+			})
+		}
 		prodWG.Wait()
 		ch.Close()
 	})
-	if err := s.Wait(); err != nil {
+	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	if sent.Load() != producers*perProducer {

@@ -92,6 +92,9 @@ type Event struct {
 // NewEvent creates an unset Event. The name appears in deadlock reports.
 func NewEvent(s *Sim, name string) *Event { return &Event{s: s, name: name} }
 
+// Init makes the zero Event embedded in a larger struct usable, unset.
+func (e *Event) Init(s *Sim, name string) { e.s, e.name = s, name }
+
 // String returns the event's name.
 func (e *Event) String() string { return e.name }
 

@@ -9,20 +9,20 @@ func TestWaitGroupReleasesAtZero(t *testing.T) {
 	s := New()
 	wg := NewWaitGroup(s)
 	wg.Add(3)
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i) * time.Second
-		s.Go("worker", func() {
-			s.Sleep(d)
-			wg.Done()
-		})
-	}
 	var end time.Duration
-	s.Go("main", func() {
+	err := s.Run("main", func() {
+		for i := 1; i <= 3; i++ {
+			d := time.Duration(i) * time.Second
+			s.Go("worker", func() {
+				s.Sleep(d)
+				wg.Done()
+			})
+		}
 		wg.Wait()
 		end = s.Now()
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if end != 3*time.Second {
 		t.Fatalf("WaitGroup released at %v, want 3s (slowest worker)", end)
@@ -47,11 +47,11 @@ func TestWaitGroupWaitTimeout(t *testing.T) {
 	s := New()
 	wg := NewWaitGroup(s)
 	wg.Add(1)
-	s.Go("slow", func() {
-		s.Sleep(10 * time.Second)
-		wg.Done()
-	})
 	err := s.Run("main", func() {
+		s.Go("slow", func() {
+			s.Sleep(10 * time.Second)
+			wg.Done()
+		})
 		if wg.WaitTimeout(2 * time.Second) {
 			t.Error("WaitTimeout(2s) reported success with a 10s worker")
 		}
@@ -109,17 +109,17 @@ func TestEventBroadcastsToAllWaiters(t *testing.T) {
 	ev := NewEvent(s, "go-signal")
 	const n = 5
 	released := NewChan[time.Duration](s, "released", n)
-	for i := 0; i < n; i++ {
-		s.Go("waiter", func() {
-			ev.Wait()
-			released.Send(s.Now())
+	err := s.Run("main", func() {
+		for i := 0; i < n; i++ {
+			s.Go("waiter", func() {
+				ev.Wait()
+				released.Send(s.Now())
+			})
+		}
+		s.Go("setter", func() {
+			s.Sleep(4 * time.Second)
+			ev.Set()
 		})
-	}
-	s.Go("setter", func() {
-		s.Sleep(4 * time.Second)
-		ev.Set()
-	})
-	s.Go("main", func() {
 		for i := 0; i < n; i++ {
 			at, _ := released.Recv()
 			if at != 4*time.Second {
@@ -127,8 +127,8 @@ func TestEventBroadcastsToAllWaiters(t *testing.T) {
 			}
 		}
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 
@@ -175,18 +175,18 @@ func TestEventAsKillSignalInterruptsSleepLoop(t *testing.T) {
 	s := New()
 	kill := NewEvent(s, "kill")
 	var stoppedAt time.Duration
-	s.Go("worker", func() {
-		for !kill.WaitTimeout(time.Second) {
-			// one "work step" per second until killed
-		}
-		stoppedAt = s.Now()
-	})
-	s.Go("killer", func() {
+	err := s.Run("killer", func() {
+		s.Go("worker", func() {
+			for !kill.WaitTimeout(time.Second) {
+				// one "work step" per second until killed
+			}
+			stoppedAt = s.Now()
+		})
 		s.Sleep(3500 * time.Millisecond)
 		kill.Set()
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if stoppedAt != 3500*time.Millisecond {
 		t.Fatalf("worker stopped at %v, want 3.5s", stoppedAt)

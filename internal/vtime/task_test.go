@@ -71,9 +71,9 @@ func TestTaskReadyTakesARunQueueSlot(t *testing.T) {
 	var order []string
 	before, after := NewEvent(s, "before"), NewEvent(s, "after")
 	task := newStepTask(s, func() { order = append(order, "task") })
-	s.Go("p-before", func() { before.Wait(); order = append(order, "p-before") })
-	s.Go("p-after", func() { after.Wait(); order = append(order, "p-after") })
 	err := s.Run("main", func() {
+		s.Go("p-before", func() { before.Wait(); order = append(order, "p-before") })
+		s.Go("p-after", func() { after.Wait(); order = append(order, "p-after") })
 		s.Sleep(time.Millisecond) // both are waiting
 		before.Set()
 		task.Ready()
@@ -183,8 +183,8 @@ func TestDeadlockWithIdleTasks(t *testing.T) {
 	idle := newStepTask(s, func() { t.Error("a task nobody armed ran") })
 	_ = idle
 	s.GoDaemon("daemon", func() { never.Recv() })
+	armed.At(time.Hour) // before the worker exists: alone, it could sleep, block and be the deadlock
 	s.Go("worker", func() { s.Sleep(time.Minute); never.Recv() })
-	armed.At(time.Hour)
 	err, _ := s.Wait().(*DeadlockError)
 	if err == nil {
 		t.Fatal("no deadlock reported")
@@ -357,9 +357,9 @@ func TestArrivalTakesTheReceiversRunQueueSlot(t *testing.T) {
 				v, _ := ch.TryRecv()
 				order = append(order, "task:"+v)
 			})
-			s.Go("p-before", func() { before.Wait(); order = append(order, "p-before") })
-			s.Go("p-after", func() { after.Wait(); order = append(order, "p-after") })
 			err := s.Run("main", func() {
+				s.Go("p-before", func() { before.Wait(); order = append(order, "p-before") })
+				s.Go("p-after", func() { after.Wait(); order = append(order, "p-after") })
 				ch.ReadyOnArrival(&task.Task)
 				s.Sleep(time.Millisecond)
 				before.Set()

@@ -26,12 +26,15 @@
 #   bench     one -child round per workload on seeds 7, 19 and 35: its
 #             vt_* results and its timers, msgs, bytes and events counts
 #
-# One line per file: "same" or "DIFF". Exit status 1 if any file differs —
-# whoever made the change then explains the difference or removes it.
+# One line per file: "same" or "DIFF", and under a DIFF the first line that
+# differs on each side, the parent's ("<") and the change's (">"), then how
+# many do if there are more — enough to read "only the timers count moved"
+# off the log. Exit status 1 if any file differs — whoever made the change
+# then explains the difference or removes it.
 set -eu
 
 if [ $# -ne 2 ]; then
-    sed -n '2,29p' "$0" >&2
+    sed -n '2,32p' "$0" >&2
     exit 2
 fi
 parent=$1
@@ -123,6 +126,10 @@ for f in "$tmp/out-parent"/*; do
         echo "same  $name"
     else
         echo "DIFF  $name ($(cmp "$f" "$tmp/out-change/$name" 2>&1 | sed 's/.* differ: //'))"
+        diff "$f" "$tmp/out-change/$name" | cut -c1-160 | awk '
+            /^</ { if (!l++) print "      " $0 }
+            /^>/ { if (!r++) print "      " $0 }
+            END { if (l > 1 || r > 1) printf "      (%d lines of the parent, %d of the change differ)\n", l, r }'
         status=1
     fi
 done
