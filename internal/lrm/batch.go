@@ -50,12 +50,12 @@ func (m *Machine) schedule() {
 		toLaunch = append(toLaunch, job)
 	}
 	// Backfill behind a blocked head, if there is a processor to backfill
-	// onto: on a full machine, the state most passes of a backlogged one find,
-	// neither the shadow time nor the walk can start anything. The scan is
-	// bounded: past m.backfill candidates the pass gives up and leaves the
-	// tail queued, keeping each pass O(depth) instead of O(queue) — across a
-	// draining backlog that is the difference between linear and quadratic
-	// work — and it ends with the last processor.
+	// onto: a backlogged machine is full on most passes, and then nothing can
+	// start, whatever the shadow time. The scan is bounded: past m.backfill
+	// candidates the pass gives up and leaves the tail queued, keeping each
+	// pass O(depth) instead of O(queue) — across a draining backlog that is
+	// the difference between linear and quadratic work — and it ends when
+	// the last processor is taken.
 	if avail := m.availableLocked(); len(m.queue) > 1 && avail > 0 {
 		now := m.sim.Now()
 		shadow := m.shadowTimeLocked(m.queue[0])
