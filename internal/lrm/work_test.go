@@ -85,19 +85,13 @@ func runWorkSchedule(seed int64, work func(p *Proc, total, step time.Duration) e
 	}
 	type op struct {
 		after time.Duration
-		verb  int // 0 suspend, 1 resume, 2 cancel
+		verb  byte
 	}
+	const verbs = "SSSSSRRRRRC" // suspend, resume, and now and then cancel
 	ops := make([]op, rng.Intn(12))
 	for i := range ops {
 		ops[i].after = time.Duration(rng.Int63n(int64(3*total/ms)/int64(len(ops))+2))*ms + time.Duration(i+1)*7919
-		switch k := rng.Intn(11); {
-		case k < 5:
-			ops[i].verb = 0
-		case k < 10:
-			ops[i].verb = 1
-		default:
-			ops[i].verb = 2
-		}
+		ops[i].verb = verbs[rng.Intn(len(verbs))]
 	}
 
 	sim := vtime.NewSeeded(seed)
@@ -137,14 +131,14 @@ func runWorkSchedule(seed int64, work func(p *Proc, total, step time.Duration) e
 			sim.Sleep(o.after)
 			var err error
 			switch o.verb {
-			case 0:
+			case 'S':
 				err = job.Suspend()
-			case 1:
+			case 'R':
 				err = job.Resume()
 			default:
 				job.Cancel()
 			}
-			out.Ops = append(out.Ops, fmt.Sprintf("%d: %v at %v", o.verb, err, sim.Now()))
+			out.Ops = append(out.Ops, fmt.Sprintf("%c: %v at %v", o.verb, err, sim.Now()))
 		}
 		if job.State() == StateSuspended {
 			if err := job.Resume(); err != nil {
