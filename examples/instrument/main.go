@@ -287,11 +287,7 @@ func display(p *lrm.Proc) error {
 	if cfg.MyRank != -1 {
 		fmt.Println("[display] unexpectedly part of the static world")
 	}
-	addr, err := transport.ParseAddr(cfg.AddressBook[0])
-	if err != nil {
-		return err
-	}
-	conn, err := p.Host().Dial(addr)
+	conn, err := rt.DialRank(0)
 	if err != nil {
 		return err
 	}

@@ -213,7 +213,7 @@ func TestOverProvisionCommitsFirstK(t *testing.T) {
 		if res.Deleted != 2 {
 			t.Errorf("deleted = %d, want 2", res.Deleted)
 		}
-		for _, label := range res.Config.SubjobLabels {
+		for _, label := range res.Config.SubjobLabels() {
 			if label == "w4" || label == "w5" {
 				t.Errorf("slow machine %s committed", label)
 			}
@@ -274,7 +274,7 @@ func TestOverProvisionCancelsSurplusAtLRM(t *testing.T) {
 			t.Errorf("deleted = %d, want 2", res.Deleted)
 		}
 		committed := make(map[string]bool)
-		for _, label := range res.Config.SubjobLabels {
+		for _, label := range res.Config.SubjobLabels() {
 			committed[label] = true
 		}
 		// The winners are mid-barrier-release right now: still holding

@@ -124,7 +124,7 @@ func TestBarrierContract(t *testing.T) {
 				for i, a := range p.answers {
 					cfg := a.Reply.Config
 					if a.Err != nil || !a.Reply.Proceed || cfg.MyRank != i || cfg.MySubjob != i/3 || cfg.WorldSize != 9 ||
-						!reflect.DeepEqual(cfg.AddressBook, book) || a.At != p.answers[0].At {
+						!reflect.DeepEqual(cfg.AddressBook(), book) || a.At != p.answers[0].At {
 						t.Errorf("answer %d (%s) = %+v, %v at %v", i, a.Who, a.Reply, a.Err, a.At)
 					}
 				}
@@ -211,7 +211,7 @@ func TestBarrierContract(t *testing.T) {
 						wantRank, wantSubjob = -1, -1
 					}
 					if a.Err != nil || !a.Reply.Proceed || cfg.MyRank != wantRank || cfg.MySubjob != wantSubjob || cfg.WorldSize != 2 ||
-						!reflect.DeepEqual(cfg.AddressBook, []string{"ranks:m1/0", "ranks:m1/1"}) {
+						!reflect.DeepEqual(cfg.AddressBook(), []string{"ranks:m1/0", "ranks:m1/1"}) {
 						t.Errorf("answer %d (%s) = %+v, %v", i, a.Who, a.Reply, a.Err)
 					}
 				}
@@ -252,7 +252,7 @@ func TestBarrierContract(t *testing.T) {
 				for _, a := range p.answers[1:] {
 					cfg := a.Reply.Config
 					if a.Err != nil || !a.Reply.Proceed || cfg.WorldSize != 3 ||
-						!reflect.DeepEqual(cfg.AddressBook, []string{"ranks:m1/0", "ranks:m1/1", "ranks:m1/2"}) {
+						!reflect.DeepEqual(cfg.AddressBook(), []string{"ranks:m1/0", "ranks:m1/1", "ranks:m1/2"}) {
 						t.Errorf("answer to %s = %+v, %v", a.Who, a.Reply, a.Err)
 					}
 				}

@@ -69,7 +69,8 @@ func (a *CheckinArgs) ParseWire(src []byte) error {
 
 // AppendWire appends the typed body: proceed, reason, the receiver's own
 // MySubjob and MyRank, then the fields every rank of a release shares
-// (appendShared).
+// (appendShared). A reply that was itself parsed appends its lists as the
+// bytes it kept.
 func (p CheckinReply) AppendWire(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, bit(p.Proceed))
 	dst = wire.AppendString(dst, p.Reason)
@@ -89,14 +90,20 @@ func appendShared(dst []byte, cfg *Config) []byte {
 	for _, n := range cfg.SubjobSizes {
 		dst = wire.AppendVarint(dst, int64(n))
 	}
-	dst = wire.AppendStrings(dst, cfg.SubjobLabels)
+	dst = cfg.labels.appendWire(dst)
 	dst = wire.AppendVarint(dst, int64(cfg.WorldSize))
-	return wire.AppendStrings(dst, cfg.AddressBook)
+	return cfg.book.appendWire(dst)
 }
 
-// ParseWire decodes a body written by AppendWire. Labels and addresses are
-// substrings of one copy of the body (wire.Reader), so a reply costs four
-// allocations however long its address book is.
+// ParseWire decodes a body written by AppendWire, and validates all of it:
+// every length prefix of the labels and of the address book is walked, so
+// a truncated or over-long body fails here, before anything is used. The
+// two lists themselves are not decoded. Config keeps them as sub-slices of
+// src and decodes on demand, which is sound because src is a delivered
+// message: the transport gives each one its own buffer (Conn.SendCtx copies
+// the payload) and nothing writes to it afterwards. A caller that parses a
+// buffer it goes on to reuse must hand in a copy. A proceed reply costs one
+// allocation, the subjob sizes, however long its address book is.
 func (p *CheckinReply) ParseWire(src []byte) error {
 	r := wire.NewReader(src)
 	*p = CheckinReply{Proceed: r.Uvarint() != 0, Reason: r.String()}
@@ -110,9 +117,9 @@ func (p *CheckinReply) ParseWire(src []byte) error {
 			cfg.SubjobSizes[i] = r.Int()
 		}
 	}
-	cfg.SubjobLabels = r.Strings()
+	cfg.labels.recv = r.StringList()
 	cfg.WorldSize = r.Int()
-	cfg.AddressBook = r.Strings()
+	cfg.book.recv = r.StringList()
 	if err := r.Done(); err != nil {
 		*p = CheckinReply{}
 		return err

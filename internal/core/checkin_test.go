@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -17,14 +19,55 @@ import (
 // wideConfig is a committed configuration of n subjobs × m processes.
 func wideConfig(n, m int) core.Config {
 	cfg := core.Config{NSubjobs: n, WorldSize: n * m}
+	var labels, book []string
 	for s := 0; s < n; s++ {
 		cfg.SubjobSizes = append(cfg.SubjobSizes, m)
-		cfg.SubjobLabels = append(cfg.SubjobLabels, fmt.Sprintf("site%d", s))
+		labels = append(labels, fmt.Sprintf("site%d", s))
 		for r := 0; r < m; r++ {
-			cfg.AddressBook = append(cfg.AddressBook, fmt.Sprintf("machine%02d:app.client0_coalloc12.site%d.%d", s, s, r))
+			book = append(book, fmt.Sprintf("machine%02d:app.client0_coalloc12.site%d.%d", s, s, r))
 		}
 	}
+	cfg.SetSubjobLabels(labels)
+	cfg.SetAddressBook(book)
 	return cfg
+}
+
+// eagerParse is CheckinReply.ParseWire as it was while Config's lists were
+// fields: everything decoded on arrival, every label and address a
+// substring of one copy of the body. It is the oracle the parser that
+// validates now and decodes on demand is compared with.
+func eagerParse(p *core.CheckinReply, src []byte) error {
+	r := wire.NewReader(src)
+	strs := func() []string {
+		n := r.Len()
+		if n == 0 {
+			return nil
+		}
+		list := make([]string, n)
+		for i := range list {
+			list[i] = r.String()
+		}
+		return list
+	}
+	*p = core.CheckinReply{Proceed: r.Uvarint() != 0, Reason: r.String()}
+	cfg := &p.Config
+	cfg.MySubjob = r.Int()
+	cfg.MyRank = r.Int()
+	cfg.NSubjobs = r.Int()
+	if n := r.Len(); n > 0 {
+		cfg.SubjobSizes = make([]int, n)
+		for i := range cfg.SubjobSizes {
+			cfg.SubjobSizes[i] = r.Int()
+		}
+	}
+	cfg.SetSubjobLabels(strs())
+	cfg.WorldSize = r.Int()
+	cfg.SetAddressBook(strs())
+	if err := r.Done(); err != nil {
+		*p = core.CheckinReply{}
+		return err
+	}
+	return nil
 }
 
 func sampleArgs() []core.CheckinArgs {
@@ -46,9 +89,33 @@ func sampleReplies() []core.CheckinReply {
 	}
 }
 
+// sameConfig compares what a reader can see of two configurations, in
+// whichever form each holds its lists, through every accessor.
+func sameConfig(a, b core.Config) bool {
+	if a.NSubjobs != b.NSubjobs || a.WorldSize != b.WorldSize || a.MySubjob != b.MySubjob || a.MyRank != b.MyRank ||
+		!reflect.DeepEqual(a.SubjobSizes, b.SubjobSizes) ||
+		!reflect.DeepEqual(a.SubjobLabels(), b.SubjobLabels()) || !reflect.DeepEqual(a.AddressBook(), b.AddressBook()) {
+		return false
+	}
+	labels, book := b.SubjobLabels(), b.AddressBook()
+	for i := -1; i <= len(labels); i++ {
+		got, ok := a.SubjobLabel(i)
+		if inside := i >= 0 && i < len(labels); ok != inside || inside && got != labels[i] || !inside && got != "" {
+			return false
+		}
+	}
+	for i := -1; i <= len(book); i++ {
+		got, ok := a.Address(i)
+		if inside := i >= 0 && i < len(book); ok != inside || inside && got != book[i] || !inside && got != "" {
+			return false
+		}
+	}
+	return true
+}
+
 // sameReply compares what a receiver can see of two replies.
 func sameReply(a, b core.CheckinReply) bool {
-	return a.Proceed == b.Proceed && a.Reason == b.Reason && reflect.DeepEqual(a.Config, b.Config)
+	return a.Proceed == b.Proceed && a.Reason == b.Reason && sameConfig(a.Config, b.Config)
 }
 
 func TestCheckinBodyRoundTrip(t *testing.T) {
@@ -87,7 +154,10 @@ func TestCheckinBodyRoundTrip(t *testing.T) {
 }
 
 // FuzzCheckinBody feeds arbitrary bytes to both parsers: they never panic,
-// and whatever parses survives Append then Parse unchanged.
+// and whatever parses survives Append then Parse unchanged. The reply's
+// parser is also held against eagerParse: both accept or both reject, and
+// what the accessors of an accepted reply answer is what eager decoding
+// found.
 func FuzzCheckinBody(f *testing.F) {
 	for _, a := range sampleArgs() {
 		f.Add(a.AppendWire(nil))
@@ -101,19 +171,35 @@ func FuzzCheckinBody(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x80}, 32))
 	f.Add(wire.AppendUvarint([]byte{1, 0, 0, 0, 0}, 1<<40))
 	f.Add(wire.AppendUvarint([]byte{1}, 1<<62))
+	// proceed, reason "", MySubjob, MyRank, NSubjobs, no sizes, then: a label
+	// count of 2⁴⁰; and no labels, WorldSize, a book of two whose second
+	// length overruns what is left.
+	f.Add(wire.AppendUvarint([]byte{1, 0, 0, 0, 0, 0}, 1<<40))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 4, 2, 1, 'a', 9, 'b', 'c'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p core.CheckinReply
-		if err := p.ParseWire(data); err != nil {
+		var p, eager core.CheckinReply
+		err, eagerErr := p.ParseWire(data), eagerParse(&eager, data)
+		if (err == nil) != (eagerErr == nil) {
+			t.Fatalf("reply parse: %v, eager parse: %v", err, eagerErr)
+		}
+		if err != nil {
 			if !errors.Is(err, wire.ErrFrame) {
 				t.Fatalf("reply parse error %v is not ErrFrame", err)
 			}
-			if !sameReply(p, core.CheckinReply{}) {
+			if !reflect.DeepEqual(p, core.CheckinReply{}) {
 				t.Fatalf("failed parse left the reply populated: %+v", p)
 			}
 		} else {
+			if !sameReply(p, eager) {
+				t.Fatalf("reply reads as %+v, eager decoding found %+v", p, eager)
+			}
+			body := p.AppendWire(nil)
 			var again core.CheckinReply
-			if err := again.ParseWire(p.AppendWire(nil)); err != nil || !sameReply(again, p) {
+			if err := again.ParseWire(body); err != nil || !sameReply(again, p) {
 				t.Fatalf("reply not a round-trip fixpoint: %+v then %+v, %v", p, again, err)
+			}
+			if !bytes.Equal(again.AppendWire(nil), body) {
+				t.Fatalf("reply %+v: a second Append of what the first one wrote differs", p)
 			}
 		}
 		var a core.CheckinArgs
@@ -130,24 +216,95 @@ func FuzzCheckinBody(f *testing.F) {
 	})
 }
 
-// TestCheckinReplyParseAllocs holds the receive side of a 64-process
-// release to a constant: one string for every label and address, and the
-// three slices. Sixty-four of these run per co-allocation.
+// allocated reports what one call of f allocates, as counts and bytes
+// averaged over runs.
+func allocated(runs int, f func()) (allocs, bytes float64) {
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestCheckinReplyParseAllocs holds the receive side of a release to a
+// constant: validating a reply allocates its subjob sizes and nothing that
+// grows with the address book, one address costs its string, and the whole
+// book one copy and one slice. Sixty-four of these parses run per
+// co-allocation, and none of its processes reads more than a few addresses.
 func TestCheckinReplyParseAllocs(t *testing.T) {
 	body := core.NewRelease(wideConfig(8, 8)).Reply(3, 27).AppendWire(nil)
+	long := core.NewRelease(wideConfig(8, 128)).Reply(3, 27).AppendWire(nil)
 	var p core.CheckinReply
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.ParseWire(body); err != nil {
-			t.Fatal(err)
+	parse := func(body []byte) func() {
+		return func() {
+			if err := p.ParseWire(body); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 4 {
-		t.Errorf("parsing a 64-entry reply allocated %v times, want at most 4", allocs)
 	}
-	if len(p.Config.AddressBook) != 64 || p.Config.MyRank != 27 {
-		t.Errorf("parsed config = %+v", p.Config)
+	allocs, size := allocated(200, parse(body))
+	if allocs > 1 {
+		t.Errorf("parsing a 64-entry reply allocated %v times, want at most 1", allocs)
+	}
+	if longAllocs, longSize := allocated(200, parse(long)); longAllocs != allocs || longSize != size {
+		t.Errorf("a 1024-entry reply costs %v allocations and %v bytes to parse, a 64-entry reply %v and %v: want the same",
+			longAllocs, longSize, allocs, size)
+	}
+	parse(body)()
+	cfg := p.Config
+	if got := testing.AllocsPerRun(100, func() {
+		if addr, ok := cfg.Address(27); !ok || addr != "machine03:app.client0_coalloc12.site3.3" {
+			t.Fatalf("Address(27) = %q, %v", addr, ok)
+		}
+	}); got > 1 {
+		t.Errorf("one address allocated %v times, want at most 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if len(cfg.AddressBook()) != 64 {
+			t.Fatal("short address book")
+		}
+	}); got > 2 {
+		t.Errorf("the whole address book allocated %v times, want at most 2", got)
+	}
+	if cfg.MyRank != 27 || !sameConfig(cfg, core.NewRelease(wideConfig(8, 8)).Reply(3, 27).Config) {
+		t.Errorf("parsed config = %+v", cfg)
 	}
 }
+
+// BenchmarkReleaseEveryRankReadsAll is the workload on the other side of
+// decoding on demand: all 64 ranks of a release parse their reply and then
+// read the whole address book, which eager decoding had ready. The two
+// sub-benchmarks must stay level, in time and in bytes.
+func BenchmarkReleaseEveryRankReadsAll(b *testing.B) {
+	rel := core.NewRelease(wideConfig(8, 8))
+	var bodies [][]byte
+	for rank := 0; rank < 64; rank++ {
+		bodies = append(bodies, rel.Reply(rank/8, rank).AppendWire(nil))
+	}
+	run := func(parse func(*core.CheckinReply, []byte) error) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, body := range bodies {
+					var p core.CheckinReply
+					if err := parse(&p, body); err != nil {
+						b.Fatal(err)
+					}
+					for _, addr := range p.Config.AddressBook() {
+						benchSink += len(addr)
+					}
+				}
+			}
+		}
+	}
+	b.Run("eager", run(eagerParse))
+	b.Run("on-demand", run((*core.CheckinReply).ParseWire))
+}
+
+var benchSink int
 
 // TestReleaseEncodesOnce answers the sixteen check-ins of a 4 × 4 job at
 // the controller's barrier service and requires every reply to append the
@@ -235,23 +392,158 @@ func TestGoldenConfig(t *testing.T) {
 	}
 	got := rig.proceeded
 	sort.Slice(got, func(a, b int) bool { return got[a].MyRank < got[b].MyRank })
-	var want []core.Config
-	for rank := 0; rank < 6; rank++ {
-		want = append(want, core.Config{
-			NSubjobs:     2,
-			SubjobSizes:  []int{3, 3},
-			SubjobLabels: []string{"m1", "m2"},
-			WorldSize:    6,
-			AddressBook: []string{
-				"m1:app.workstation_coalloc1.m1.0", "m1:app.workstation_coalloc1.m1.1", "m1:app.workstation_coalloc1.m1.2",
-				"m2:app.workstation_coalloc1.m2.0", "m2:app.workstation_coalloc1.m2.1", "m2:app.workstation_coalloc1.m2.2",
-			},
-			MySubjob: rank / 3,
-			MyRank:   rank,
-		})
+	if len(got) != 6 {
+		t.Fatalf("%d processes proceeded, want 6", len(got))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("configs seen by the processes:\n got %+v\nwant %+v", got, want)
+	labels := []string{"m1", "m2"}
+	book := []string{
+		"m1:app.workstation_coalloc1.m1.0", "m1:app.workstation_coalloc1.m1.1", "m1:app.workstation_coalloc1.m1.2",
+		"m2:app.workstation_coalloc1.m2.0", "m2:app.workstation_coalloc1.m2.1", "m2:app.workstation_coalloc1.m2.2",
+	}
+	for rank, cfg := range got {
+		want := core.Config{NSubjobs: 2, SubjobSizes: []int{3, 3}, WorldSize: 6, MySubjob: rank / 3, MyRank: rank}
+		want.SetSubjobLabels(labels)
+		want.SetAddressBook(book)
+		if !sameConfig(cfg, want) {
+			t.Errorf("rank %d was told %+v, want %+v", rank, cfg, want)
+		}
+		// The JSON form, which a JSON-codec peer is sent and a foreign client
+		// reads, is what it was when the lists were fields — from a Config
+		// that arrived in the typed form and holds no []string at all.
+		wantJSON := fmt.Sprintf(`{"n_subjobs":2,"subjob_sizes":[3,3],"subjob_labels":["m1","m2"],"world_size":6,`+
+			`"address_book":["m1:app.workstation_coalloc1.m1.0","m1:app.workstation_coalloc1.m1.1","m1:app.workstation_coalloc1.m1.2",`+
+			`"m2:app.workstation_coalloc1.m2.0","m2:app.workstation_coalloc1.m2.1","m2:app.workstation_coalloc1.m2.2"],`+
+			`"my_subjob":%d,"my_rank":%d}`, rank/3, rank)
+		js, err := json.Marshal(cfg)
+		if err != nil || string(js) != wantJSON {
+			t.Errorf("rank %d's config as JSON: %s, %v\nwant %s", rank, js, err, wantJSON)
+		}
+		var back core.Config
+		if err := json.Unmarshal(js, &back); err != nil || !sameConfig(back, want) {
+			t.Errorf("rank %d's config back from JSON: %+v, %v", rank, back, err)
+		}
+	}
+}
+
+// TestConfigJSONForm pins the corners of the JSON form: empty lists are
+// null, as nil slices always were; decoding merges into what is there, as
+// the decoding of a struct does; and the reply around a Config carries it
+// under "config" in both directions.
+func TestConfigJSONForm(t *testing.T) {
+	js, err := json.Marshal(core.CheckinReply{Proceed: true})
+	want := `{"proceed":true,"config":{"n_subjobs":0,"subjob_sizes":null,"subjob_labels":null,"world_size":0,"address_book":null,"my_subjob":0,"my_rank":0}}`
+	if err != nil || string(js) != want {
+		t.Errorf("empty proceed reply as JSON: %s, %v\nwant %s", js, err, want)
+	}
+	var parsed core.CheckinReply
+	if err := parsed.ParseWire(core.CheckinReply{Proceed: true}.AppendWire(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if js, err := json.Marshal(parsed); err != nil || string(js) != want {
+		t.Errorf("empty proceed reply, received, as JSON: %s, %v\nwant %s", js, err, want)
+	}
+	cfg := wideConfig(2, 2)
+	cfg.MyRank = 3
+	if err := json.Unmarshal([]byte(`{"world_size":5,"address_book":["a:b"]}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.WorldSize != 5 || cfg.MyRank != 3 || cfg.NSubjobs != 2 ||
+		!reflect.DeepEqual(cfg.AddressBook(), []string{"a:b"}) || !reflect.DeepEqual(cfg.SubjobLabels(), []string{"site0", "site1"}) {
+		t.Errorf("partial JSON merged into %+v", cfg)
+	}
+	var reply core.CheckinReply
+	full := core.NewRelease(wideConfig(2, 3)).Reply(1, 4)
+	js, err = json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(js, &reply); err != nil || !sameReply(reply, full) {
+		t.Errorf("reply through JSON: %+v, %v", reply, err)
+	}
+}
+
+// TestConfigOutlivesItsConnection: a received Config decodes its lists out
+// of the reply's frame whenever it is asked, so the frame must stay what it
+// was after the connection that delivered it has closed, after the same two
+// hosts have exchanged a thousand further messages, and across a
+// collection.
+func TestConfigOutlivesItsConnection(t *testing.T) {
+	rig := newRig(t, "m1", "m2")
+	var kept []*core.Config
+	rig.g.RegisterEverywhere("keeper", func(p *lrm.Proc) error {
+		rt, err := core.Attach(p)
+		if err != nil {
+			return err
+		}
+		defer rt.Close()
+		cfg, err := rt.Barrier(true, "", 0) // dials, checks in, closes
+		if err != nil {
+			return err
+		}
+		rig.mu.Lock()
+		kept = append(kept, cfg)
+		rig.mu.Unlock()
+		if cfg.MyRank != 0 {
+			// Every other rank tells rank 0 a thousand things, over the host pair
+			// (and, from m1, the very host) the release arrived on.
+			conn, err := rt.DialRank(0)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			for i := 0; i < 1000; i++ {
+				if err := conn.Send(bytes.Repeat([]byte{0xAA}, 2600)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for peers := 0; peers < cfg.WorldSize-1; peers++ {
+			conn, ok := rt.Listener().Accept()
+			if !ok {
+				return errors.New("listener closed")
+			}
+			for {
+				if _, err := conn.Recv(); err != nil {
+					break
+				}
+			}
+		}
+		return nil
+	})
+	err := rig.g.Sim.Run("agent", func() {
+		m1, m2 := rig.spec("m1", 2, core.Required), rig.spec("m2", 2, core.Required)
+		m1.Executable, m2.Executable = "keeper", "keeper"
+		job, err := rig.ctrl.Submit(core.Request{Subjobs: []core.SubjobSpec{m1, m2}})
+		if err != nil {
+			t.Errorf("Submit: %v", err)
+			return
+		}
+		if _, err := job.Commit(0); err != nil {
+			t.Errorf("Commit: %v", err)
+		}
+		job.Done().Wait()
+		if job.Err() != "" {
+			t.Errorf("job error: %s", job.Err())
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	runtime.GC()
+	if len(kept) != 4 {
+		t.Fatalf("%d configs kept, want 4", len(kept))
+	}
+	want := []string{"m1:app.workstation_coalloc1.m1.0", "m1:app.workstation_coalloc1.m1.1", "m2:app.workstation_coalloc1.m2.0", "m2:app.workstation_coalloc1.m2.1"}
+	for _, cfg := range kept {
+		if !reflect.DeepEqual(cfg.AddressBook(), want) || !reflect.DeepEqual(cfg.SubjobLabels(), []string{"m1", "m2"}) {
+			t.Errorf("rank %d's config reads %q, %q after its connection", cfg.MyRank, cfg.SubjobLabels(), cfg.AddressBook())
+		}
+		for rank, addr := range want {
+			if got, ok := cfg.Address(rank); !ok || got != addr {
+				t.Errorf("rank %d's Address(%d) = %q, %v", cfg.MyRank, rank, got, ok)
+			}
+		}
 	}
 }
 

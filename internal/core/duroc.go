@@ -21,6 +21,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -29,6 +30,7 @@ import (
 
 	"cogrid/internal/rsl"
 	"cogrid/internal/transport"
+	"cogrid/internal/wire"
 )
 
 // SubjobType classifies a subjob's failure semantics (Section 3.2).
@@ -309,25 +311,127 @@ func (e Event) String() string {
 }
 
 // Config is the configuration information delivered to each process when
-// the barrier releases (Section 3.3).
+// the barrier releases (Section 3.3). Its two lists, the subjob labels and
+// the address book, are read through methods, because a Config holds them
+// in the form it got them. One built here (the controller's at commit,
+// GRAB's) or decoded from JSON holds []string. One received in the typed
+// check-in reply holds the lists' encoding where the reply's frame left it
+// and decodes what is asked for, when it is asked: each of the 64 processes
+// of an 8 × 8 co-allocation is sent all 64 addresses and reads one, or
+// none. Such a Config keeps its frame alive (about 2.5 KB for 64 processes)
+// for as long as it is kept, and needs nothing else: the connection it came
+// over may close.
 type Config struct {
 	// NSubjobs is the number of subjobs in the committed configuration.
-	NSubjobs int `json:"n_subjobs"`
+	NSubjobs int
 	// SubjobSizes gives the process count of each committed subjob.
-	SubjobSizes []int `json:"subjob_sizes"`
-	// SubjobLabels gives each committed subjob's label.
-	SubjobLabels []string `json:"subjob_labels"`
+	SubjobSizes []int
 	// WorldSize is the total number of processes in the configuration.
-	WorldSize int `json:"world_size"`
-	// AddressBook holds each process's listener address, indexed by
-	// global rank: ranks are assigned subjob-major in committed order.
-	AddressBook []string `json:"address_book"`
+	WorldSize int
 	// MySubjob is the receiving process's subjob index, or -1 for a late
 	// joiner from an optional subjob.
-	MySubjob int `json:"my_subjob"`
+	MySubjob int
 	// MyRank is the receiving process's global rank, or -1 for a late
 	// joiner.
-	MyRank int `json:"my_rank"`
+	MyRank int
+
+	labels, book stringList
+}
+
+// stringList is one of a Config's lists in whichever form it arrived; at
+// most one of the two is set.
+type stringList struct {
+	built []string
+	// recv is the list as CheckinReply.ParseWire validated it: a read-only
+	// sub-slice of the reply's frame.
+	recv wire.StringList
+}
+
+func (l *stringList) all() []string {
+	if l.recv != nil {
+		return l.recv.All()
+	}
+	return l.built
+}
+
+func (l *stringList) at(i int) (string, bool) {
+	if l.recv != nil {
+		return l.recv.At(i)
+	}
+	if i < 0 || i >= len(l.built) {
+		return "", false
+	}
+	return l.built[i], true
+}
+
+// appendWire appends the list as wire.AppendStrings would: a received list
+// is those bytes already.
+func (l *stringList) appendWire(dst []byte) []byte {
+	if l.recv != nil {
+		return append(dst, l.recv...)
+	}
+	return wire.AppendStrings(dst, l.built)
+}
+
+// SubjobLabels gives each committed subjob's label. The caller must not
+// modify the list. On a received Config every call decodes it afresh (two
+// allocations); SubjobLabel reads one.
+func (c Config) SubjobLabels() []string { return c.labels.all() }
+
+// SubjobLabel returns the label of the i-th committed subjob; ok is false
+// when there is none.
+func (c Config) SubjobLabel(i int) (label string, ok bool) { return c.labels.at(i) }
+
+// AddressBook holds each process's listener address, indexed by global
+// rank: ranks are assigned subjob-major in committed order. The caller
+// must not modify the list. On a received Config every call decodes it
+// afresh (two allocations, however long the book); a process that wants
+// one peer's address asks Address.
+func (c Config) AddressBook() []string { return c.book.all() }
+
+// Address returns the listener address of the process with the given
+// global rank: on a received Config one walk to it and one string. ok is
+// false when the address book has no such rank.
+func (c Config) Address(rank int) (addr string, ok bool) { return c.book.at(rank) }
+
+// SetSubjobLabels makes labels the Config's subjob labels; the Config keeps
+// the slice, which must not change afterwards.
+func (c *Config) SetSubjobLabels(labels []string) { c.labels = stringList{built: labels} }
+
+// SetAddressBook makes book the Config's address book; the Config keeps the
+// slice, which must not change afterwards.
+func (c *Config) SetAddressBook(book []string) { c.book = stringList{built: book} }
+
+// configJSON is Config as a JSON-codec peer or a foreign client sees it,
+// field for field what it was when the lists were fields.
+type configJSON struct {
+	NSubjobs     int      `json:"n_subjobs"`
+	SubjobSizes  []int    `json:"subjob_sizes"`
+	SubjobLabels []string `json:"subjob_labels"`
+	WorldSize    int      `json:"world_size"`
+	AddressBook  []string `json:"address_book"`
+	MySubjob     int      `json:"my_subjob"`
+	MyRank       int      `json:"my_rank"`
+}
+
+func (c Config) asJSON() configJSON {
+	return configJSON{c.NSubjobs, c.SubjobSizes, c.SubjobLabels(), c.WorldSize, c.AddressBook(), c.MySubjob, c.MyRank}
+}
+
+// MarshalJSON implements json.Marshaler.
+func (c Config) MarshalJSON() ([]byte, error) { return json.Marshal(c.asJSON()) }
+
+// UnmarshalJSON implements json.Unmarshaler. Like the decoding of any
+// struct, it leaves a field the input does not name as it was.
+func (c *Config) UnmarshalJSON(data []byte) error {
+	j := c.asJSON()
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	*c = Config{NSubjobs: j.NSubjobs, SubjobSizes: j.SubjobSizes, WorldSize: j.WorldSize, MySubjob: j.MySubjob, MyRank: j.MyRank}
+	c.SetSubjobLabels(j.SubjobLabels)
+	c.SetAddressBook(j.AddressBook)
+	return nil
 }
 
 // RankOf returns the global rank of (subjob, localRank) in the committed

@@ -110,8 +110,8 @@ func TestAtomicStyleCoallocationSucceeds(t *testing.T) {
 		if cfg.NSubjobs != 3 || cfg.WorldSize != 14 {
 			t.Errorf("config = %+v", cfg)
 		}
-		if len(cfg.AddressBook) != 14 {
-			t.Errorf("address book has %d entries, want 14", len(cfg.AddressBook))
+		if len(cfg.AddressBook()) != 14 {
+			t.Errorf("address book has %d entries, want 14", len(cfg.AddressBook()))
 		}
 		job.Done().Wait()
 		if job.Err() != "" {
@@ -181,8 +181,8 @@ func TestConfigRanksAndAddressBook(t *testing.T) {
 		if rank >= 3 {
 			wantHost = "m2"
 		}
-		if !strings.HasPrefix(cfg.AddressBook[rank], wantHost+":") {
-			t.Errorf("address book[%d] = %q, want host %s", rank, cfg.AddressBook[rank], wantHost)
+		if !strings.HasPrefix(cfg.AddressBook()[rank], wantHost+":") {
+			t.Errorf("address book[%d] = %q, want host %s", rank, cfg.AddressBook()[rank], wantHost)
 		}
 	}
 }
@@ -280,7 +280,7 @@ func TestInteractiveFailureCallbackAndSubstitute(t *testing.T) {
 		if cfg.WorldSize != 8 {
 			t.Errorf("world size = %d, want 8", cfg.WorldSize)
 		}
-		for i, l := range cfg.SubjobLabels {
+		for i, l := range cfg.SubjobLabels() {
 			if l == "broken" {
 				t.Errorf("committed labels[%d] = broken", i)
 			}

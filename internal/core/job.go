@@ -823,7 +823,7 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 // committedIndexLocked returns sj's index within the committed
 // configuration, or -1. Caller holds j.mu.
 func (j *Job) committedIndexLocked(sj *subjob) int {
-	for i, label := range j.release.cfg.SubjobLabels {
+	for i, label := range j.release.cfg.SubjobLabels() {
 		if label == sj.spec.Label {
 			return i
 		}
@@ -947,22 +947,25 @@ func (j *Job) releaseLocked() Config {
 			committed = append(committed, sj)
 		}
 	}
+	var labels []string
 	for _, sj := range committed {
 		cfg.NSubjobs++
 		cfg.SubjobSizes = append(cfg.SubjobSizes, sj.spec.Count)
-		cfg.SubjobLabels = append(cfg.SubjobLabels, sj.spec.Label)
+		labels = append(labels, sj.spec.Label)
 		cfg.WorldSize += sj.spec.Count
 	}
-	cfg.AddressBook = make([]string, 0, cfg.WorldSize)
+	book := make([]string, 0, cfg.WorldSize)
 	// ranked[i] is committed[i]'s waiters in local-rank order: the order of
 	// the address book, of the replies and of j.waits.
 	ranked := make([][]*procCheckin, len(committed))
 	for i, sj := range committed {
 		ranked[i] = sj.takeWaiters()
 		for _, ci := range ranked[i] {
-			cfg.AddressBook = append(cfg.AddressBook, ci.addr)
+			book = append(book, ci.addr)
 		}
 	}
+	cfg.SetSubjobLabels(labels)
+	cfg.SetAddressBook(book)
 	// One encoding of the configuration serves every reply below and every
 	// late joiner after.
 	rel := NewRelease(cfg)

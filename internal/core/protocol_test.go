@@ -163,7 +163,7 @@ func TestDuplicateRankCheckinIsIdempotentForCounting(t *testing.T) {
 			t.Errorf("Commit: %v", err)
 			return
 		}
-		if cfg.WorldSize != 3 || len(cfg.AddressBook) != 3 {
+		if cfg.WorldSize != 3 || len(cfg.AddressBook()) != 3 {
 			t.Errorf("config = %+v", cfg)
 		}
 		job.Done().Wait()

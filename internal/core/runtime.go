@@ -140,15 +140,18 @@ func (rt *Runtime) Barrier(ok bool, msg string, timeout time.Duration) (*Config,
 func (rt *Runtime) Config() *Config { return rt.config }
 
 // DialRank opens a connection to the process with the given global rank —
-// the inter- and intra-subjob communication primitive of Section 3.3.
+// the inter- and intra-subjob communication primitive of Section 3.3. It
+// reads that one address out of the committed address book
+// (Config.Address): the other WorldSize-1 are never decoded.
 func (rt *Runtime) DialRank(rank int) (*transport.Conn, error) {
 	if rt.config == nil {
 		return nil, ErrNotCommitted
 	}
-	if rank < 0 || rank >= len(rt.config.AddressBook) {
+	book, ok := rt.config.Address(rank)
+	if !ok {
 		return nil, fmt.Errorf("duroc: rank %d out of range (world size %d)", rank, rt.config.WorldSize)
 	}
-	addr, err := transport.ParseAddr(rt.config.AddressBook[rank])
+	addr, err := transport.ParseAddr(book)
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,7 @@ func TestBarrierContract(t *testing.T) {
 				for i, a := range p.answers {
 					cfg := a.Reply.Config
 					if a.Err != nil || !a.Reply.Proceed || cfg.MyRank != i || cfg.MySubjob != i/3 ||
-						!reflect.DeepEqual(cfg.AddressBook, book) {
+						!reflect.DeepEqual(cfg.AddressBook(), book) {
 						t.Errorf("answer %d (%s) = %+v, %v", i, a.Who, a.Reply, a.Err)
 					}
 				}
@@ -148,7 +148,7 @@ func TestBarrierContract(t *testing.T) {
 				for _, a := range p.answers[1:] {
 					cfg := a.Reply.Config
 					if a.Err != nil || !a.Reply.Proceed || cfg.WorldSize != 4 ||
-						!reflect.DeepEqual(cfg.AddressBook, []string{"ranks:m1/0", "ranks:m1/1", "ranks:m1/2", "ranks:m1/3"}) {
+						!reflect.DeepEqual(cfg.AddressBook(), []string{"ranks:m1/0", "ranks:m1/1", "ranks:m1/2", "ranks:m1/3"}) {
 						t.Errorf("answer to %s = %+v, %v", a.Who, a.Reply, a.Err)
 					}
 				}

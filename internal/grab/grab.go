@@ -327,18 +327,21 @@ func (b *Broker) fail(alloc *allocation, label, reason string) {
 func (b *Broker) release(alloc *allocation) core.Config {
 	b.mu.Lock()
 	cfg := core.Config{}
+	var labels, book []string
 	for _, spec := range alloc.specs {
 		cfg.NSubjobs++
 		cfg.SubjobSizes = append(cfg.SubjobSizes, spec.Count)
-		cfg.SubjobLabels = append(cfg.SubjobLabels, spec.Label)
+		labels = append(labels, spec.Label)
 		cfg.WorldSize += spec.Count
 	}
 	for _, spec := range alloc.specs {
 		ranks := alloc.checkins[spec.Label]
 		for r := 0; r < spec.Count; r++ {
-			cfg.AddressBook = append(cfg.AddressBook, ranks[r].addr)
+			book = append(book, ranks[r].addr)
 		}
 	}
+	cfg.SetSubjobLabels(labels)
+	cfg.SetAddressBook(book)
 	alloc.config = cfg
 	alloc.released = true
 	rel := core.NewRelease(cfg)

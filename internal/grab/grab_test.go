@@ -1,8 +1,9 @@
 package grab_test
 
 import (
+	"encoding/json"
 	"errors"
-	"reflect"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -85,8 +86,8 @@ func TestAtomicAllocationSucceeds(t *testing.T) {
 		if alloc.Config.WorldSize != 16 || alloc.Config.NSubjobs != 3 {
 			t.Errorf("config = %+v", alloc.Config)
 		}
-		if len(alloc.Config.AddressBook) != 16 {
-			t.Errorf("address book size = %d", len(alloc.Config.AddressBook))
+		if len(alloc.Config.AddressBook()) != 16 {
+			t.Errorf("address book size = %d", len(alloc.Config.AddressBook()))
 		}
 		r.g.Sim.Sleep(5 * time.Second) // let the app run
 	})
@@ -284,22 +285,19 @@ func TestGoldenConfig(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 	sort.Slice(got, func(a, b int) bool { return got[a].MyRank < got[b].MyRank })
-	var want []core.Config
-	for rank := 0; rank < 6; rank++ {
-		want = append(want, core.Config{
-			NSubjobs:     2,
-			SubjobSizes:  []int{3, 3},
-			SubjobLabels: []string{"m1", "m2"},
-			WorldSize:    6,
-			AddressBook: []string{
-				"m1:app.workstation_grab1.m1.0", "m1:app.workstation_grab1.m1.1", "m1:app.workstation_grab1.m1.2",
-				"m2:app.workstation_grab1.m2.0", "m2:app.workstation_grab1.m2.1", "m2:app.workstation_grab1.m2.2",
-			},
-			MySubjob: rank / 3,
-			MyRank:   rank,
-		})
+	if len(got) != 6 {
+		t.Fatalf("%d processes proceeded, want 6", len(got))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("configs seen by the processes:\n got %+v\nwant %+v", got, want)
+	for rank, cfg := range got {
+		want := fmt.Sprintf(`{"n_subjobs":2,"subjob_sizes":[3,3],"subjob_labels":["m1","m2"],"world_size":6,`+
+			`"address_book":["m1:app.workstation_grab1.m1.0","m1:app.workstation_grab1.m1.1","m1:app.workstation_grab1.m1.2",`+
+			`"m2:app.workstation_grab1.m2.0","m2:app.workstation_grab1.m2.1","m2:app.workstation_grab1.m2.2"],`+
+			`"my_subjob":%d,"my_rank":%d}`, rank/3, rank)
+		if js, err := json.Marshal(cfg); err != nil || string(js) != want {
+			t.Errorf("rank %d was told %s, %v\nwant %s", rank, js, err, want)
+		}
+		if addr, ok := cfg.Address(rank); !ok || addr != cfg.AddressBook()[rank] {
+			t.Errorf("rank %d: Address = %q, %v, the book says %q", rank, addr, ok, cfg.AddressBook()[rank])
+		}
 	}
 }

@@ -41,9 +41,9 @@ func AppendStrings(dst []byte, list []string) []byte {
 // once.
 //
 // Every string a Reader returns is a substring of one copy of the body,
-// made at the first non-empty string read: a message with a 64-entry
-// address book costs one string allocation, not 64. The price is that any
-// one of those strings keeps the whole copy alive.
+// made at the first non-empty string read, so any one of them keeps the
+// whole copy alive. A list is not copied at all: StringList hands back its
+// encoding where it lies.
 type Reader struct {
 	src []byte
 	off int
@@ -106,18 +106,104 @@ func (r *Reader) String() string {
 	return s
 }
 
-// Strings reads a list written by AppendStrings; an empty list is nil.
-func (r *Reader) Strings() []string {
-	n := r.Len()
-	if n == 0 {
-		return nil
-	}
-	list := make([]string, n)
-	for i := range list {
-		list[i] = r.String()
+// StringList validates a list written by AppendStrings without decoding it:
+// it walks the count and every length prefix, so a truncated or over-long
+// list fails here, and returns the list's encoding as a sub-slice of the
+// body (nil once the Reader has failed). It allocates nothing.
+func (r *Reader) StringList() StringList {
+	start := r.off
+	src := StringList(r.src)
+	for n := r.Len(); n > 0 && !r.bad; n-- {
+		_, to, ok := src.next(r.off)
+		if !ok {
+			r.bad = true
+			return nil
+		}
+		r.off = to
 	}
 	if r.bad {
 		return nil
+	}
+	return src[start:r.off:r.off]
+}
+
+// StringList is a list in the encoding AppendStrings gave it, the count
+// and every length-prefixed string, decoded when somebody asks: a reader
+// that wants one string of a 64-entry address book pays for one. The one
+// Reader.StringList returns aliases the body it was read from and has been
+// walked end to end; the methods check their bounds all the same, and read
+// a list that is not well formed as far as it is.
+type StringList []byte
+
+// Len returns the number of strings in the list.
+func (l StringList) Len() int {
+	n, w := Uvarint(l)
+	if w == 0 || n > uint64(len(l)-w) {
+		return 0
+	}
+	return int(n)
+}
+
+// next cuts the length-prefixed string at l[off:]: its bounds, or ok false
+// if the bytes do not hold one. A length below 128 is one byte, which is
+// every label and address there is; the rest goes the long way.
+func (l StringList) next(off int) (from, to int, ok bool) {
+	if off < len(l) && l[off] < 0x80 {
+		from = off + 1
+		to = from + int(l[off])
+		return from, to, to <= len(l)
+	}
+	return l.nextLong(off)
+}
+
+func (l StringList) nextLong(off int) (from, to int, ok bool) {
+	if off > len(l) {
+		return 0, 0, false
+	}
+	n, w := Uvarint(l[off:])
+	if w == 0 || n > uint64(len(l)-off-w) {
+		return 0, 0, false
+	}
+	return off + w, off + w + int(n), true
+}
+
+// At returns the i-th string: one walk over the i length prefixes before
+// it, one string. ok is false when the list has no i-th string.
+func (l StringList) At(i int) (s string, ok bool) {
+	if i < 0 || i >= l.Len() {
+		return "", false
+	}
+	_, off := Uvarint(l)
+	for ; ; i-- {
+		from, to, ok := l.next(off)
+		if !ok {
+			return "", false
+		}
+		if i == 0 {
+			return string(l[from:to]), true
+		}
+		off = to
+	}
+}
+
+// All decodes the whole list; an empty list is nil. Every string is a
+// substring of one copy of the encoding, so n strings cost that copy and
+// the slice, and any one of them keeps the copy alive.
+func (l StringList) All() []string {
+	n := l.Len()
+	if n == 0 {
+		return nil
+	}
+	all := string(l)
+	list := make([]string, n)
+	_, off := Uvarint(l)
+	for i := range list {
+		from, to, ok := l.next(off)
+		if !ok {
+			return list[:i]
+		}
+		list[i] = all[from:to]
+		off = to
 	}
 	return list
 }

@@ -49,8 +49,19 @@ func TestBodyPrimitivesRoundTrip(t *testing.T) {
 		}
 	}
 	for _, l := range lists {
-		if got := r.Strings(); !reflect.DeepEqual(got, l) {
-			t.Errorf("Strings = %q, want %q", got, l)
+		enc := r.StringList()
+		if got := enc.All(); !reflect.DeepEqual(got, l) || enc.Len() != len(l) {
+			t.Errorf("StringList = %q (%d), want %q", got, enc.Len(), l)
+		}
+		for i, want := range l {
+			if got, ok := enc.At(i); !ok || got != want {
+				t.Errorf("At(%d) of %q = %q, %v", i, l, got, ok)
+			}
+		}
+		for _, i := range []int{-1, len(l)} {
+			if got, ok := enc.At(i); ok || got != "" {
+				t.Errorf("At(%d) of %q = %q, %v, want nothing", i, l, got, ok)
+			}
 		}
 	}
 	if got := r.String(); got != "tail" {
@@ -71,31 +82,38 @@ func TestReaderRejectsMalformed(t *testing.T) {
 	good := AppendStrings(AppendString(nil, "reason"), []string{"a", "bc"})
 	for n := 0; n < len(good); n++ {
 		r := NewReader(good[:n])
-		_, _ = r.String(), r.Strings()
-		if r.Done() != ErrFrame {
+		if _, list := r.String(), r.StringList(); list != nil || r.Done() != ErrFrame {
 			t.Errorf("truncation to %d of %d bytes accepted", n, len(good))
 		}
 	}
 	r := NewReader(append(append([]byte(nil), good...), 0))
-	_, _ = r.String(), r.Strings()
+	_, _ = r.String(), r.StringList()
 	if r.Done() != ErrFrame {
 		t.Error("trailing byte accepted")
 	}
-	// A count that the remaining bytes cannot hold must fail before the
-	// list is allocated: a hostile 2³⁰ would otherwise cost 16 GB.
-	huge := AppendUvarint(nil, 1<<30)
-	r = NewReader(append(huge, make([]byte, 64)...))
-	if allocs := testing.AllocsPerRun(10, func() {
-		rr := r
-		if rr.Strings() != nil {
-			t.Error("over-long count produced a list")
-		}
-	}); allocs != 0 {
-		t.Errorf("over-long count allocated %v times before failing", allocs)
-	}
-	r.Strings()
-	if r.Done() != ErrFrame {
+	// A count that the remaining bytes cannot hold fails at the count: a
+	// hostile 2³⁰ is not walked, and a list cut from it by hand decodes to
+	// nothing instead of sizing a 16 GB slice.
+	huge := append(AppendUvarint(nil, 1<<30), make([]byte, 64)...)
+	r = NewReader(huge)
+	if r.StringList() != nil || r.Done() != ErrFrame {
 		t.Error("over-long count accepted")
+	}
+	if l := StringList(huge); l.Len() != 0 || l.All() != nil {
+		t.Error("over-long count produced a list")
+	}
+	// A length that overruns inside the list: the second string claims nine
+	// bytes of the three that remain.
+	overrun := StringList{2, 1, 'a', 9, 'b', 'c', 'd'}
+	rr := NewReader(overrun)
+	if rr.StringList() != nil || rr.Done() != ErrFrame {
+		t.Error("overrunning length accepted")
+	}
+	if s, ok := overrun.At(1); ok || s != "" {
+		t.Errorf("At past an overrunning length = %q, %v", s, ok)
+	}
+	if s, ok := overrun.At(0); !ok || s != "a" || !reflect.DeepEqual(overrun.All(), []string{"a"}) {
+		t.Errorf("a malformed list is read as far as it is well formed: At(0) = %q, %v, All = %q", s, ok, overrun.All())
 	}
 	// Once failed, a Reader stays failed and returns zero values.
 	if r.Int() != 0 || r.String() != "" || r.Uvarint() != 0 || r.Done() != ErrFrame {
@@ -103,8 +121,9 @@ func TestReaderRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestReaderStringsShareOneCopy pins the allocation shape ParseWire
-// implementations rely on: n strings cost one string and one slice.
+// TestReaderStringsShareOneCopy pins the allocation shape of a list: walking
+// it costs nothing, one string of it costs that string, and all n cost one
+// string and one slice.
 func TestReaderStringsShareOneCopy(t *testing.T) {
 	book := make([]string, 64)
 	for i := range book {
@@ -113,11 +132,30 @@ func TestReaderStringsShareOneCopy(t *testing.T) {
 	body := AppendStrings(nil, book)
 	if allocs := testing.AllocsPerRun(100, func() {
 		r := NewReader(body)
-		if len(r.Strings()) != len(book) || r.Done() != nil {
+		if len(r.StringList().All()) != len(book) || r.Done() != nil {
 			t.Fatal("parse failed")
 		}
 	}); allocs > 2 {
 		t.Errorf("64 strings cost %v allocations, want at most 2", allocs)
+	}
+	var list StringList
+	if allocs := testing.AllocsPerRun(100, func() {
+		r := NewReader(body)
+		if list = r.StringList(); list.Len() != len(book) || r.Done() != nil {
+			t.Fatal("walk failed")
+		}
+	}); allocs != 0 {
+		t.Errorf("walking 64 strings cost %v allocations, want none", allocs)
+	}
+	if &list[0] != &body[0] {
+		t.Error("the list is a copy of the body, not a sub-slice of it")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if s, ok := list.At(63); !ok || s != book[63] {
+			t.Fatal("At(63) failed")
+		}
+	}); allocs > 1 {
+		t.Errorf("one string of 64 cost %v allocations, want at most 1", allocs)
 	}
 }
 
