@@ -351,6 +351,12 @@ type Job struct {
 	firstInterrupt vtime.Event
 }
 
+// signalName names one of a job's embedded events. A constant of this type
+// is an interface value without an allocation.
+type signalName string
+
+func (n signalName) String() string { return string(n) }
+
 // jobEvents names a job's event stream, when a deadlock report asks.
 type jobEvents Job
 
@@ -498,10 +504,10 @@ func (m *Machine) Submit(spec JobSpec) (*Job, error) {
 		startRes: res,
 		queuedAt: m.sim.Now(),
 	}
-	job.kill.Init(m.sim, "kill")
-	job.done.Init(m.sim, "done")
+	job.kill.Init(m.sim, signalName("kill"))
+	job.done.Init(m.sim, signalName("done"))
 	job.events.Init(m.sim, (*jobEvents)(job), 16)
-	job.firstInterrupt.Init(m.sim, "interrupt")
+	job.firstInterrupt.Init(m.sim, signalName("interrupt"))
 	job.interrupt = &job.firstInterrupt
 	m.jobs[job.id] = job
 	m.mu.Unlock()

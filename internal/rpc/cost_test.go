@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,82 @@ func TestCallCosts(t *testing.T) {
 				t.Fatalf("sim: %v", err)
 			}
 		})
+	}
+}
+
+// allocated reports what one call of f allocates, as counts and bytes
+// averaged over runs; AllocsPerRun has no bytes and rounds.
+func allocated(runs int, f func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestOneShotExchangeCosts prices the unit the barrier repeats 64 times per
+// co-allocation, and every layer above rpc about as often: dial, NewClient,
+// one call, Close — both ends of the connection, the frames and the reply's
+// decoding included — against a TaskHandler on an unobserved network; and
+// one more call on a connection that is already there. The client is one
+// allocation (it was seven: the reply map, the notification queue and three
+// name strings were the rest), the wait for the reply none (a channel and
+// its ring were two, 592 bytes), and an end of the pair 512 bytes (672).
+// What the kernel is asked to do has not changed with any of that.
+func TestOneShotExchangeCosts(t *testing.T) {
+	sim, a, b := newPair(t)
+	e := &contractEnv{t: t, sim: sim, a: a, b: b}
+	err := sim.Run("client", func() {
+		l, err := b.Listen("svc")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		ServeTasks(sim, l, echoTasks{})
+		var reply string
+		call := func(c *Client) {
+			if err := c.Call("status", "ping", &reply, time.Minute); err != nil || reply != "ping" {
+				t.Fatalf("Call = %q, %v", reply, err)
+			}
+		}
+		exchange := func() {
+			c := e.dial()
+			call(c)
+			c.Close()
+			sim.Sleep(5 * ms) // the FIN has landed; the server's end is closed
+		}
+		warm := e.dial()
+		for i := 0; i < 10; i++ { // buffer pools, timer entries, run queue
+			exchange()
+			call(warm)
+		}
+
+		handoffs, spawned, timers, steps := sim.Handoffs(), sim.Spawned(), sim.TimersFired(), sim.TasksRun()
+		exchange()
+		// Timers: SYN and SYN-ACK; the client's prologue and call (one instant);
+		// the server's prologue; the reply; the FIN; the test's sleep. Steps: the
+		// accept step, 8 of the two delivery pipelines (arm and deliver for each
+		// of those four instants), 3 of the server connection's task (open,
+		// the call, the close) and 3 of the demux (NewClient's, the prologue,
+		// the reply).
+		if h, s, f, r := sim.Handoffs()-handoffs, sim.Spawned()-spawned, sim.TimersFired()-timers, sim.TasksRun()-steps; h != 0 || s != 0 || f != 7 || r != 15 {
+			t.Errorf("one exchange: %d hand-offs, %d spawns, %d timers, %d task steps; want 0, 0, 7, 15", h, s, f, r)
+		}
+		allocs, bytes := allocated(200, exchange)
+		t.Logf("dial + NewClient + call + Close: %.3f allocations, %.0f bytes", allocs, bytes)
+		if (allocs > 21 || bytes > 3300) && !raceEnabled { // 27.6 and 4 102 before
+			t.Errorf("dial + NewClient + call + Close: %.1f allocations and %.0f bytes, want <= 21 and <= 3300", allocs, bytes)
+		}
+		allocs, bytes = allocated(200, func() { call(warm) })
+		t.Logf("a call on a warm connection: %.3f allocations, %.0f bytes", allocs, bytes)
+		if (allocs > 9.5 || bytes > 400) && !raceEnabled { // 11 and 982 before
+			t.Errorf("a call on a warm connection: %.1f allocations and %.0f bytes, want 9 and <= 400", allocs, bytes)
+		}
+		warm.Close()
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
 	}
 }
 

@@ -31,6 +31,7 @@
 package rpc
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -89,30 +90,65 @@ func (n Notification) Decode(v any) error { return Decode(n.Body, v) }
 // Client issues calls and notifications over a connection and surfaces
 // remote-initiated notifications. Create with NewClient; the demux task
 // owns the receive side of the connection.
+//
+// A Client is one allocation and a call on it adds none for the waiting: the
+// caller waits on a reply slot (pendingCall), the demux step stores the
+// reply envelope there and sets the slot's event. The first outstanding call
+// uses the slot in the Client itself, which is every call of a connection
+// used by one process at a time; a call made while that slot is taken gets a
+// slot of its own in a map made then. The notification queue is embedded,
+// and it and the slots are named for a deadlock report only when one is
+// written ("rpc-notify:<host>:client", "rpc-reply:<host>:client").
 type Client struct {
 	sim  *vtime.Sim
 	conn *transport.Conn
 	out  sender
-	// replyName names every call's reply channel; only the deadlock
-	// reporter reads it, beside the name of the process that is blocked.
-	replyName string
 
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]*vtime.Chan[wire.Envelope]
-	closed  bool
-	dec     wire.Decoder
+	mu     sync.Mutex
+	nextID uint64
+	// first is the slot of the first outstanding call, and firstTaken says a
+	// caller holds it: from its call to its return, so past the reply, which
+	// it still has to read there. overflow holds the slots of calls made
+	// meanwhile, by call id; it is nil until there has been one.
+	first      pendingCall
+	firstTaken bool
+	overflow   map[uint64]*pendingCall
+	closed     bool
+	dec        wire.Decoder
 
 	// hCall receives every call's virtual round-trip latency (all
 	// outcomes, so timeouts shape the tail). Nil without a registry.
 	hCall *metrics.Histogram
 
-	notifications *vtime.Chan[Notification]
+	notifications vtime.Chan[Notification]
 
 	// demux routes what arrives — replies to their callers, notifications to
 	// the queue — whenever something has (see demuxer).
 	demux vtime.Task
 }
+
+// pendingCall is one call's reply slot. Whoever ends the wait — the demux
+// step with the reply, shutdown with closed — first takes the slot out of
+// the pending set under Client.mu (take), so exactly one of them writes it,
+// and then sets done; the caller reads it once done is set. A caller whose
+// wait times out takes the slot itself, and a reply that finds no slot is
+// late.
+type pendingCall struct {
+	id     uint64 // the call waited for; 0 once taken
+	done   vtime.Event
+	env    wire.Envelope // the reply, unless closed
+	closed bool          // the connection closed before a reply came
+}
+
+// replySlots and notifyQueue name a Client's reply events and notification
+// queue, when a deadlock report asks.
+type (
+	replySlots  Client
+	notifyQueue Client
+)
+
+func (c *replySlots) String() string  { return "rpc-reply:" + c.conn.LocalAddr().String() }
+func (c *notifyQueue) String() string { return "rpc-notify:" + c.conn.LocalAddr().String() }
 
 // NewClient wraps conn with the default binary codec. The caller must not
 // use conn directly afterwards.
@@ -122,24 +158,65 @@ func NewClient(sim *vtime.Sim, conn *transport.Conn) *Client {
 
 // NewClientCodec is NewClient with an explicit send codec.
 func NewClientCodec(sim *vtime.Sim, conn *transport.Conn, codec Codec) *Client {
-	local := conn.LocalAddr().String()
 	c := &Client{
-		sim:           sim,
-		conn:          conn,
-		replyName:     "rpc-reply:" + local,
-		pending:       make(map[uint64]*vtime.Chan[wire.Envelope]),
-		hCall:         conn.Network().Hists().H("rpc.call.latency"),
-		notifications: vtime.NewChan[Notification](sim, "rpc-notify:"+local, 256),
+		sim:   sim,
+		conn:  conn,
+		hCall: conn.Network().Hists().H("rpc.call.latency"),
 	}
+	c.notifications.Init(sim, (*notifyQueue)(c), 256)
 	c.demux.Init(sim, (*demuxer)(c))
 	c.out.bind(conn, codec)
 	c.demux.Ready() // the peer's prologue may already be there
 	return c
 }
 
+// await registers a reply slot for call id. Caller holds c.mu.
+func (c *Client) await(id uint64) *pendingCall {
+	p := &c.first
+	if c.firstTaken {
+		p = new(pendingCall)
+		if c.overflow == nil {
+			c.overflow = make(map[uint64]*pendingCall)
+		}
+		c.overflow[id] = p
+	} else {
+		c.firstTaken = true
+		*p = pendingCall{}
+	}
+	p.id = id
+	p.done.Init(c.sim, (*replySlots)(c))
+	return p
+}
+
+// take removes call id's slot from the pending set and returns it, or nil if
+// the call is no longer waited for: it was answered, it timed out, or the
+// client shut down. Caller holds c.mu.
+func (c *Client) take(id uint64) *pendingCall {
+	p := &c.first
+	if p.id != id || id == 0 { // no call has id 0, which a free slot holds
+		if p = c.overflow[id]; p == nil {
+			return nil
+		}
+		delete(c.overflow, id)
+	}
+	p.id = 0
+	return p
+}
+
+// release ends a caller's hold on its slot: the one in the Client is free
+// for the next call, and lets go of the reply's frame.
+func (c *Client) release(p *pendingCall) {
+	if p == &c.first {
+		c.mu.Lock()
+		p.env = wire.Envelope{}
+		c.firstTaken = false
+		c.mu.Unlock()
+	}
+}
+
 // Notifications returns the stream of remote-initiated notifications. The
 // channel closes when the connection closes.
-func (c *Client) Notifications() *vtime.Chan[Notification] { return c.notifications }
+func (c *Client) Notifications() *vtime.Chan[Notification] { return &c.notifications }
 
 // Conn returns the underlying connection's remote address.
 func (c *Client) RemoteAddr() transport.Addr { return c.conn.RemoteAddr() }
@@ -194,16 +271,16 @@ func (c *Client) dispatch(raw []byte) {
 	switch env.Kind {
 	case wire.KindReply:
 		c.mu.Lock()
-		ch := c.pending[env.ID]
-		delete(c.pending, env.ID)
+		p := c.take(env.ID)
 		c.mu.Unlock()
-		if ch != nil {
-			ch.TrySend(env)
+		if p != nil {
+			p.env = env
+			p.done.Set()
 		} else {
-			// Late reply to a call that already timed out: the pending
-			// entry is gone (Call removed it), so the reply is dropped —
-			// but it still appears in the trace, correlated with the
-			// timed-out call by ID.
+			// Late reply to a call that already timed out: its slot is no
+			// longer pending (the caller took it back), so the reply is
+			// dropped — but it still appears in the trace, correlated with
+			// the timed-out call by ID.
 			if tr.Enabled() {
 				tr.InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
 			}
@@ -233,20 +310,28 @@ func (c *Client) shutdown() {
 		c.mu.Unlock()
 		return
 	}
+	// A closed client registers no further call.
 	c.closed = true
-	// A closed client registers no further call, and a late reply or timeout
-	// may delete from a nil map: no replacement is needed.
-	pending := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	// Every Close wakes a caller: wake them in call order, not map order.
-	ids := make([]uint64, 0, len(pending))
-	for id := range pending {
-		ids = append(ids, id)
+	// Every Close wakes a caller: wake them in call order, not map order. The
+	// slot in the Client may hold a later call than the map does, and is the
+	// only one there can be on a connection one process uses: no allocation.
+	var one [1]*pendingCall
+	waiting := one[:0]
+	if c.first.id != 0 {
+		waiting = append(waiting, &c.first)
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		pending[id].Close()
+	for _, p := range c.overflow {
+		waiting = append(waiting, p)
+	}
+	slices.SortFunc(waiting, func(a, b *pendingCall) int { return cmp.Compare(a.id, b.id) })
+	for _, p := range waiting {
+		p.id = 0
+	}
+	c.overflow = nil
+	c.mu.Unlock()
+	for _, p := range waiting {
+		p.closed = true
+		p.done.Set()
 	}
 	c.notifications.Close()
 }
@@ -277,9 +362,9 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	}
 	c.nextID++
 	id := c.nextID
-	ch := vtime.NewChan[wire.Envelope](c.sim, c.replyName, 1)
-	c.pending[id] = ch
+	slot := c.await(id)
 	c.mu.Unlock()
+	defer c.release(slot)
 
 	if !ctx.Valid() {
 		ctx = c.conn.Ctx()
@@ -304,32 +389,31 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	env := wire.Envelope{ID: id, Kind: wire.KindCall, Method: method, Req: callCtx.Req, Span: callCtx.Span}
 	if err := c.out.send(&env, arg); err != nil {
 		c.mu.Lock()
-		delete(c.pending, id)
+		c.take(id)
 		c.mu.Unlock()
 		finish("closed")
 		return err
 	}
-	env, res := ch.RecvTimeout(timeout)
-	switch res {
-	case vtime.RecvClosed:
-		finish("closed")
-		return ErrClosed
-	case vtime.RecvTimedOut:
+	if !slot.done.WaitTimeout(timeout) {
 		c.mu.Lock()
-		delete(c.pending, id)
+		c.take(id)
 		c.mu.Unlock()
 		finish("timeout")
 		return ErrTimeout
 	}
-	if env.Error != "" {
+	if slot.closed {
+		finish("closed")
+		return ErrClosed
+	}
+	if slot.env.Error != "" {
 		finish("error")
-		return RemoteError(env.Error)
+		return RemoteError(slot.env.Error)
 	}
 	finish("ok")
 	if reply == nil {
 		return nil
 	}
-	return Decode(env.Body, reply)
+	return Decode(slot.env.Body, reply)
 }
 
 // Notify sends a one-way message under the connection's base context.
@@ -358,10 +442,15 @@ type sender struct {
 }
 
 // bind attaches the sender to conn and, for the binary codec, ships the
-// handshake prologue as its own frame. Setup is a deterministic point;
-// piggybacking the prologue on the first data frame instead would let
-// goroutine scheduling within one virtual instant decide which message
-// grows by its bytes, making per-message wire sizes nondeterministic.
+// handshake prologue as its own frame, at setup. Letting it ride on the
+// first data frame (which wire.Encoder.Encode does for a sender that never
+// called EncodePrologue) would be as deterministic — the run token makes
+// the order of sends within a virtual instant a function of the seed — and
+// would save a message each way, two of a one-shot connection's 4.6. It
+// stays because message, byte and timer counts are pinned by every trace
+// and counter table the repository compares across commits: removing the
+// frame is a change of its own, with its own census (DESIGN.md, "Wire
+// format").
 func (s *sender) bind(conn *transport.Conn, codec Codec) {
 	s.conn, s.codec = conn, codec
 	if codec != Binary {

@@ -42,10 +42,10 @@ func TestTimedOutCallCorrelatesLateReplyAsDropped(t *testing.T) {
 		}
 		sim.Sleep(10 * time.Second) // let the late reply arrive and be dropped
 		c.mu.Lock()
-		leaked := len(c.pending)
+		leaked, held := len(c.overflow), c.firstTaken || c.first.id != 0
 		c.mu.Unlock()
-		if leaked != 0 {
-			t.Errorf("pending table has %d entries after timeout, want 0", leaked)
+		if leaked != 0 || held {
+			t.Errorf("after the timeout %d reply slots are pending and the client's own is held: %v; want none", leaked, held)
 		}
 	})
 	if err != nil {

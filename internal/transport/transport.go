@@ -677,28 +677,36 @@ type Conn struct {
 	// bound cardinality), nil when no registry is attached.
 	hBytes, hDelay, hBatch *metrics.Histogram
 
-	// batch is the coalescing policy this connection was created under.
-	batch BatchOptions
+	// batch is the end's coalescing state, nil unless the network's policy
+	// was enabled when the connection was created.
+	batch *batching
 
-	mu        sync.Mutex
-	closed    bool
-	pend      []pendingMsg
-	pendBytes int
+	mu sync.Mutex
 
 	// The delivery pipeline, guarded by mu: out[outHead:] is in flight,
 	// delivering says the deliver task is armed or queued (so a send only
 	// appends), sealed that the FIN is in (or the peer's has arrived) and
-	// nothing more may enter.
+	// nothing more may enter. closed, the end's own, shares their word.
 	out        []outMsg
 	outHead    int
+	closed     bool
 	delivering bool
 	sealed     bool
 	deliver    vtime.Task
+}
 
-	// The batch-flush tick, guarded by mu. flushing says the flush task is
-	// queued or armed; a batch that opens meanwhile sets flushAgain, which
-	// buys one more tick after the armed one (a second signal waiting).
-	// flushArmed: the step was entered by its timer, not from the run queue.
+// batching is what a connection end carries only under a batching policy
+// (Network.SetBatching, which one study calls): the policy it was created
+// with, the batch that is open, and the flush tick. Guarded by Conn.mu.
+type batching struct {
+	BatchOptions
+	pend      []pendingMsg
+	pendBytes int
+
+	// flushing says the flush task is queued or armed; a batch that opens
+	// meanwhile sets flushAgain, which buys one more tick after the armed one
+	// (a second signal waiting). flushArmed: the step was entered by its
+	// timer, not from the run queue.
 	flush                            vtime.Task
 	flushing, flushArmed, flushAgain bool
 }
@@ -826,7 +834,8 @@ type inbox Conn
 
 func (i *inbox) String() string { return "in:" + (*Conn)(i).String() }
 
-// deliverer and flusher are a connection end's two task bodies.
+// deliverer and flusher are a connection end's two task bodies; the second
+// exists under a batching policy only.
 type (
 	deliverer Conn
 	flusher   Conn
@@ -846,8 +855,9 @@ func (c *Conn) Network() *Network { return c.net }
 func (c *Conn) Ctx() trace.Ctx { return c.ctx }
 
 // newConnPair builds both ends of a connection from a client on host from
-// to service on host to in one allocation, and both ends' counters, if a
-// registry is attached, in another. Caller holds n.mu.
+// to service on host to in one allocation; both ends' counters, if a
+// registry is attached, in another; and their batching state, if the
+// network's policy is enabled now, in a third. Caller holds n.mu.
 func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server *Conn) {
 	n := from.net
 	pair := new([2]Conn)
@@ -860,13 +870,21 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 	if fam != nil {
 		stats = new([2]connStats)
 	}
+	var batch *[2]batching
+	if n.batch.enabled() {
+		batch = new([2]batching)
+	}
 	for i := range pair {
 		c := &pair[i]
 		n.connSeq++
-		c.net, c.estSeq, c.est, c.ctx, c.batch = n, n.connSeq, n.sim.Now(), ctx, n.batch
+		c.net, c.estSeq, c.est, c.ctx = n, n.connSeq, n.sim.Now(), ctx
 		c.in.Init(n.sim, (*inbox)(c), 4096)
 		c.deliver.Init(n.sim, (*deliverer)(c))
-		c.flush.Init(n.sim, (*flusher)(c))
+		if batch != nil {
+			c.batch = &batch[i]
+			c.batch.BatchOptions = n.batch
+			c.batch.flush.Init(n.sim, (*flusher)(c))
+		}
 		if stats != nil {
 			c.stats = &stats[i]
 			c.stats.local, c.stats.remote, c.stats.est = c.local, c.remote, c.est
@@ -875,7 +893,7 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 		if hs != nil {
 			c.hBytes = hs.H("transport.msg.bytes")
 			c.hDelay = hs.H("transport.msg.delay")
-			if c.batch.enabled() {
+			if c.batch != nil {
 				c.hBatch = hs.H("transport.batch.msgs")
 			}
 		}
@@ -1017,7 +1035,7 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	if c.batch.enabled() {
+	if c.batch != nil {
 		c.appendBatch(buf, ctx, now)
 		return nil
 	}
@@ -1069,16 +1087,17 @@ func (c *Conn) appendBatch(payload []byte, ctx trace.Ctx, now time.Duration) {
 		c.dropped(len(payload), "conn-closed", ctx)
 		return
 	}
-	first := len(c.pend) == 0
-	c.pend = append(c.pend, pendingMsg{payload: payload, sentAt: now, ctx: ctx})
-	c.pendBytes += len(payload)
-	if len(c.pend) >= c.batch.MaxMsgs || c.pendBytes >= c.batch.MaxBytes {
+	b := c.batch
+	first := len(b.pend) == 0
+	b.pend = append(b.pend, pendingMsg{payload: payload, sentAt: now, ctx: ctx})
+	b.pendBytes += len(payload)
+	if len(b.pend) >= b.MaxMsgs || b.pendBytes >= b.MaxBytes {
 		c.flushLocked()
-	} else if first && c.flushing {
-		c.flushAgain = true
+	} else if first && b.flushing {
+		b.flushAgain = true
 	} else if first {
-		c.flushing = true
-		c.flush.Ready()
+		b.flushing = true
+		b.flush.Ready()
 	}
 	c.mu.Unlock()
 }
@@ -1087,12 +1106,13 @@ func (c *Conn) appendBatch(payload []byte, ctx trace.Ctx, now time.Duration) {
 // unit. Caller holds c.mu; the swap-and-enqueue is atomic under it, which
 // is what keeps batches in per-connection FIFO order.
 func (c *Conn) flushLocked() {
-	if len(c.pend) == 0 {
+	b := c.batch
+	if b == nil || len(b.pend) == 0 {
 		return
 	}
-	batch := c.pend
-	c.pend = nil
-	c.pendBytes = 0
+	batch := b.pend
+	b.pend = nil
+	b.pendBytes = 0
 	n := c.net
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
@@ -1128,17 +1148,18 @@ func (f *flusher) RunTask() {
 	c := (*Conn)(f)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.flushArmed {
-		c.flushArmed = false
+	b := c.batch
+	if b.flushArmed {
+		b.flushArmed = false
 		c.flushLocked()
-		if !c.flushAgain {
-			c.flushing = false
+		if !b.flushAgain {
+			b.flushing = false
 			return
 		}
-		c.flushAgain = false
+		b.flushAgain = false
 	}
-	c.flushArmed = true
-	c.flush.At(c.net.sim.Now() + c.batch.Delay)
+	b.flushArmed = true
+	b.flush.At(c.net.sim.Now() + b.Delay)
 }
 
 // Recv blocks until a message arrives. It returns ErrClosed once the

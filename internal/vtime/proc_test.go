@@ -368,6 +368,11 @@ func TestProcessGoroutinesAreReusedAndReleased(t *testing.T) {
 	}
 }
 
+// label names an embedded Event or Chan.
+type label string
+
+func (l label) String() string { return string(l) }
+
 // A descriptor on the free list holds nothing of the process that left it:
 // what that process last waited on — an Event or Chan embedded in something
 // larger, a job or a connection — is collectable while the descriptor sits
@@ -388,7 +393,7 @@ func TestIdleDescriptorLetsGoOfWhatItWaitedOn(t *testing.T) {
 			err := s.Run("main", func() {
 				func() {
 					o := new(owner)
-					o.ev.Init(s, "embedded")
+					o.ev.Init(s, label("embedded"))
 					o.inbox.Init(s, &o.ev, 0)
 					runtime.SetFinalizer(o, func(*owner) { close(collected) })
 					s.Go("waiter", func() { wait(o) })

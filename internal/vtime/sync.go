@@ -83,20 +83,47 @@ func (s *Sim) waitLocked(q *procQueue, op string, kind waitKind, on fmt.Stringer
 // is called. Once set, an Event stays set. It is useful for cancellation
 // and shutdown signals.
 type Event struct {
-	s       *Sim
-	name    string
+	s *Sim
+	// name renders the event's name when a deadlock report asks for it. It
+	// is the one word pair an Event spends on being named: a plain name and
+	// an owner side by side would make every Event 64 bytes, and lrm.Job,
+	// which embeds three, outgrow its size class.
+	name    fmt.Stringer
 	set     bool
 	waiters procQueue
 }
 
-// NewEvent creates an unset Event. The name appears in deadlock reports.
-func NewEvent(s *Sim, name string) *Event { return &Event{s: s, name: name} }
+// namedEvent is what NewEvent allocates: an Event and, in the same object,
+// the name it points at.
+type namedEvent struct {
+	Event
+	label eventLabel
+}
 
-// Init makes the zero Event embedded in a larger struct usable, unset.
-func (e *Event) Init(s *Sim, name string) { e.s, e.name = s, name }
+type eventLabel string
+
+func (l *eventLabel) String() string { return string(*l) }
+
+// NewEvent creates an unset Event. The name appears in deadlock reports.
+func NewEvent(s *Sim, name string) *Event {
+	e := &namedEvent{label: eventLabel(name)}
+	e.Init(s, &e.label)
+	return &e.Event
+}
+
+// Init makes the zero Event embedded in a larger struct usable, unset. As
+// with a Chan made by Init, an event made by the thousand is named only if
+// someone asks: owner's String is called when a deadlock report needs the
+// name, and not before.
+func (e *Event) Init(s *Sim, owner fmt.Stringer) { e.s, e.name = s, owner }
 
 // String returns the event's name.
-func (e *Event) String() string { return e.name }
+func (e *Event) String() string {
+	if e.name == nil {
+		return ""
+	}
+	return e.name.String()
+}
 
 // Set sets the event, releasing all current and future Wait calls. Setting
 // an already-set event is a no-op.

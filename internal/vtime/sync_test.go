@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -192,3 +194,49 @@ func TestEventAsKillSignalInterruptsSleepLoop(t *testing.T) {
 		t.Fatalf("worker stopped at %v, want 3.5s", stoppedAt)
 	}
 }
+
+// countingName renders a name and counts how often it was asked to.
+type countingName struct {
+	name  string
+	asked int
+}
+
+func (n *countingName) String() string { n.asked++; return n.name }
+
+// An Event is named by a Stringer: NewEvent wraps a plain name, in the
+// Event's own allocation, and an embedded Event names its owner, whose
+// String runs when a deadlock report is written and not before.
+func TestEventIsNamedOnDemand(t *testing.T) {
+	s := New()
+	owner := &countingName{name: "reply-slot:a:client"}
+	var embedded struct{ ev Event }
+	embedded.ev.Init(s, owner)
+	plain := NewEvent(s, "plain-name")
+	if got := plain.String(); got != "plain-name" {
+		t.Errorf("NewEvent's name reads %q", got)
+	}
+	if got := new(Event).String(); got != "" {
+		t.Errorf("the zero Event's name reads %q", got)
+	}
+	err := s.Run("main", func() {
+		if embedded.ev.WaitTimeout(time.Second) {
+			t.Error("unset event reported set")
+		}
+		if owner.asked != 0 {
+			t.Errorf("a wait that ended asked the owner for its name %d time(s)", owner.asked)
+		}
+		embedded.ev.Wait() // never set: the run deadlocks here
+	})
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || len(dl.Blocked) != 1 || !strings.Contains(dl.Blocked[0], "event reply-slot:a:client") {
+		t.Fatalf("Run = %v, want a deadlock naming the owner", err)
+	}
+	if owner.asked != 1 {
+		t.Errorf("the deadlock report asked the owner %d time(s), want 1", owner.asked)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { eventSink = NewEvent(s, owner.name) }); allocs != 1 {
+		t.Errorf("NewEvent allocated %v times, want 1: the event and its name are one object", allocs)
+	}
+}
+
+var eventSink *Event

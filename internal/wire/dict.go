@@ -53,15 +53,18 @@ func DictLen() int { return len(builtin) }
 
 // DictHash returns the FNV-32a hash of the builtin dictionary, the value
 // the handshake prologue carries so both ends can verify they compiled
-// the same table.
-func DictHash() uint32 {
+// the same table. Every prologue encoded and every one decoded asks, four
+// times a connection, so it is computed once.
+func DictHash() uint32 { return builtinHash }
+
+var builtinHash = func() uint32 {
 	h := fnv.New32a()
 	for _, name := range builtin {
 		h.Write([]byte(name))
 		h.Write([]byte{0})
 	}
 	return h.Sum32()
-}
+}()
 
 // methodID returns the dictionary ID for a method name.
 func methodID(name string) (uint32, bool) {

@@ -121,10 +121,8 @@ func (e *Encoder) Encode(dst []byte, env *Envelope) []byte {
 
 // EncodePrologue appends the handshake prologue as a standalone
 // CRC-framed message and marks it sent, so subsequent Encode calls emit
-// bare frames. Connection-oriented senders use this at setup: which data
-// frame goes out first can depend on goroutine scheduling within a
-// virtual instant, so piggybacking the prologue there would make
-// per-message sizes nondeterministic.
+// bare frames. Connection-oriented senders use this at setup (rpc's
+// sender.bind says why it has stayed its own message).
 func (e *Encoder) EncodePrologue(dst []byte) []byte {
 	start := len(dst)
 	e.wrotePrologue = true

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"testing"
 )
 
@@ -231,5 +233,38 @@ func TestStandalonePrologue(t *testing.T) {
 	}
 	if err := dec.Decode(frame, &env); err != nil || env.Method != "status" {
 		t.Fatalf("bare frame after prologue: env %+v, err %v", env, err)
+	}
+}
+
+// TestDictHashMatchesTable recomputes the FNV-32a over the builtin table,
+// every name followed by a NUL, and requires the value the package computed
+// once at initialisation to be it — and a prologue to carry it, and to cost
+// nothing to build or to check.
+func TestDictHashMatchesTable(t *testing.T) {
+	h := fnv.New32a()
+	for _, name := range builtin {
+		h.Write([]byte(name))
+		h.Write([]byte{0})
+	}
+	want := h.Sum32()
+	if got := DictHash(); got != want {
+		t.Fatalf("DictHash() = %#08x, the table hashes to %#08x", got, want)
+	}
+	var enc Encoder
+	prologue := enc.EncodePrologue(nil)
+	// magic, 'g', version, dictionary length (one byte each), hash, CRC16.
+	if got := binary.BigEndian.Uint32(prologue[4:8]); got != want || DictLen() != len(builtin) || int(prologue[3]) != len(builtin) {
+		t.Errorf("prologue % x carries hash %#08x and length %d, want %#08x and %d", prologue, got, prologue[3], want, len(builtin))
+	}
+	buf := make([]byte, 0, 64)
+	var dec Decoder
+	var env Envelope
+	if allocs := testing.AllocsPerRun(100, func() {
+		var enc Encoder
+		if err := dec.Decode(enc.EncodePrologue(buf), &env); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a prologue encoded and decoded allocates %v times, want 0", allocs)
 	}
 }
