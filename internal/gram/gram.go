@@ -151,7 +151,9 @@ func (s *Server) record(ctx trace.Ctx, actor, phase string, start, end time.Dura
 	}
 	// The same phase also lands in the trace stream, so the Figure 3
 	// breakdown is derivable from a trace without a dedicated Timeline.
-	s.host.Network().Tracer().SpanAtCtx(ctx.Child(trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
+	if tr := s.host.Network().Tracer(); tr.Enabled() {
+		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
+	}
 }
 
 // HandleCall implements rpc.Handler.
@@ -343,9 +345,11 @@ func (s *Server) handleSubmit(sc *rpc.ServerConn, body json.RawMessage) (any, er
 				return
 			}
 			reason := job.Reason()
-			net.Tracer().InstantCtx(jobCtx, "gram", "state:"+state.String(), s.host.Name(), contact, "",
-				trace.Arg{Key: "reason", Val: reason})
-			net.Counters().Add(trace.Key("gram", "state", state.String(), s.host.Name()), 1)
+			if tr := net.Tracer(); tr.Enabled() {
+				tr.InstantCtx(jobCtx, "gram", "state:"+state.String(), s.host.Name(), contact, "",
+					trace.Arg{Key: "reason", Val: reason})
+			}
+			net.Counters().AddKey("gram", "state", state.String(), s.host.Name(), 1)
 			sc.NotifyCtx(jobCtx, "job-state", StateEvent{
 				Contact: contact,
 				State:   state,

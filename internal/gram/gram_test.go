@@ -417,3 +417,33 @@ func TestEventQueueOverflowIsCounted(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 }
+
+// TestUntracedPhaseRecordBuildsNothing: a submit records four phases, and
+// with no tracer attached and no Timeline configured each used to build its
+// span context — a sanitised segment and a path concatenation — for a
+// nil-safe call to throw away.
+func TestUntracedPhaseRecordBuildsNothing(t *testing.T) {
+	sim := vtime.New()
+	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
+	origin := net.AddHost("origin")
+	registry := gsi.NewRegistry()
+	server, err := StartServer(lrm.NewMachine(origin, 4, lrm.Config{}), ServerConfig{
+		Credential: registry.Issue("host/origin"),
+		Registry:   registry,
+	})
+	if err != nil {
+		t.Fatalf("StartServer: %v", err)
+	}
+	ctx := trace.NewRequest("r1").Child("submit")
+	if allocs := testing.AllocsPerRun(100, func() {
+		server.record(ctx, "origin/job1", "initgroups", time.Second, 2*time.Second)
+	}); allocs != 0 {
+		t.Errorf("one phase record on an untraced network allocated %v times, want 0", allocs)
+	}
+	tr := trace.New(sim)
+	net.SetTracer(tr)
+	server.record(ctx, "origin/job1", "initgroups", time.Second, 2*time.Second)
+	if evs := tr.Events(); len(evs) != 1 || evs[0].Name != "initgroups" || evs[0].Span != "req/submit/initgroups" {
+		t.Errorf("the same record with a tracer attached emitted %+v", evs)
+	}
+}

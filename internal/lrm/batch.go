@@ -101,6 +101,7 @@ func (m *Machine) runningAdd(job *Job) {
 	end := m.sim.Now() + limitOf(job)
 	m.running[job] = end
 	m.releases.note(job, end)
+	m.compactReleasesLocked()
 }
 
 // shadowTimeLocked computes the earliest time the given head job could

@@ -14,8 +14,11 @@ import "time"
 //
 // Deletion is lazy. m.running stays the ground truth; an index entry is
 // live only while its job is still in m.running with the same expected
-// end. Entries for finished jobs surface at the heap top eventually and
-// are dropped there. The property test in scale_test.go drives random
+// end. Entries for finished jobs are dropped where an ascent passes them,
+// and — since a machine whose queue never backs up, or one exactly full
+// after every pass, never ascends, while every entry pins its job — in one
+// sweep whenever they have come to outnumber the live ones
+// (compactReleasesLocked). The property test in scale_test.go drives random
 // start/finish interleavings and checks every consultation against a naive
 // recompute from m.running.
 
@@ -65,7 +68,13 @@ func (ri *releaseIndex) pop() (releaseEntry, bool) {
 	ri.h[0] = ri.h[n]
 	ri.h[n] = releaseEntry{}
 	ri.h = ri.h[:n]
-	i := 0
+	ri.down(0)
+	return top, true
+}
+
+// down sifts the entry at i down to its place.
+func (ri *releaseIndex) down(i int) {
+	n := len(ri.h)
 	for {
 		left := 2*i + 1
 		if left >= n {
@@ -81,7 +90,6 @@ func (ri *releaseIndex) pop() (releaseEntry, bool) {
 		ri.h[i], ri.h[least] = ri.h[least], ri.h[i]
 		i = least
 	}
-	return top, true
 }
 
 func releaseLess(a, b releaseEntry) bool {
@@ -89,6 +97,38 @@ func releaseLess(a, b releaseEntry) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// liveLocked reports whether e still stands for a running job's expected
+// end. Caller holds m.mu.
+func (m *Machine) liveLocked(e releaseEntry) bool {
+	end, running := m.running[e.job]
+	return running && end == e.at
+}
+
+// compactReleasesLocked bounds the index by the running set: once the
+// entries number more than twice the running jobs and 16, it drops every
+// stale one — the entries an ascent would drop — in place, and restores the
+// heap over the rest. (at, seq) orders entries totally, so what an ascent
+// visits, and in what order, does not depend on how the heap is laid out.
+// Each sweep removes more entries than it keeps, so a start still costs
+// O(log R) amortised; nothing is allocated. Caller holds m.mu.
+func (m *Machine) compactReleasesLocked() {
+	h := m.releases.h
+	if len(h) <= 2*len(m.running)+16 {
+		return
+	}
+	live := h[:0]
+	for _, e := range h {
+		if m.liveLocked(e) {
+			live = append(live, e)
+		}
+	}
+	clear(h[len(live):]) // the dropped entries' jobs
+	m.releases.h = live
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		m.releases.down(i)
+	}
 }
 
 // ascendReleasesLocked visits live releases in ascending (end, push) order
@@ -103,7 +143,7 @@ func (m *Machine) ascendReleasesLocked(fn func(at time.Duration, procs int) bool
 		if !ok {
 			break
 		}
-		if end, running := m.running[e.job]; !running || end != e.at {
+		if !m.liveLocked(e) {
 			continue
 		}
 		visited = append(visited, e)

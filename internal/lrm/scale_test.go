@@ -3,6 +3,7 @@ package lrm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -269,5 +270,57 @@ func TestFullMachineSubmitAllocations(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestReleaseIndexStaysBounded runs 10 000 one-processor jobs, one after
+// another, through a batch machine that retires what has finished. Its queue
+// never holds a job when a scheduling pass looks, so no pass ever ascends
+// the release index, which is the only place a finished job's entry used to
+// be dropped: the index grew by an entry, and the whole retired job the
+// entry points at, for every job the machine had ever run.
+func TestReleaseIndexStaysBounded(t *testing.T) {
+	sim := vtime.New()
+	host := transport.New(sim, transport.UniformLatency(time.Millisecond)).AddHost("origin")
+	m := NewMachine(host, 4, Config{Mode: Batch, RetireTerminal: true})
+	registerWork(m, time.Second)
+	collected := make(chan struct{})
+	peak := 0
+	err := sim.Run("driver", func() {
+		for i := 0; i < 10000; i++ {
+			job, err := m.Submit(JobSpec{Executable: "work", Count: 1, TimeLimit: time.Minute})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if i == 0 {
+				runtime.SetFinalizer(job, func(*Job) { close(collected) })
+			}
+			job.Done().Wait()
+			m.mu.Lock()
+			peak = max(peak, m.releases.len())
+			m.mu.Unlock()
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if stats := m.Stats(); stats.Done != 10000 {
+		t.Fatalf("%d jobs done, want 10000", stats.Done)
+	}
+	// One job runs at a time: the sweep starts above 2·1 + 16 entries.
+	if peak > 19 {
+		t.Errorf("the release index peaked at %d entries over 10 000 jobs run one at a time, want <= 19", peak)
+	}
+	finished := false
+	for i := 0; i < 50 && !finished; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			finished = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !finished {
+		t.Error("the first of 10 000 retired jobs is still reachable: a release entry holds it")
 	}
 }

@@ -110,20 +110,23 @@ func TestLookupsServeConcurrently(t *testing.T) {
 	wg := vtime.NewWaitGroup(sim)
 	const n = 4
 	wg.Add(n)
-	for i := 0; i < n; i++ {
-		sim.Go("lookup", func() {
-			defer wg.Done()
-			if _, err := Initgroups(gram, transport.Addr{Host: "nis-server", Service: ServiceName}, "grid-user", time.Minute); err != nil {
-				t.Errorf("Initgroups: %v", err)
-			}
-		})
-	}
 	var end time.Duration
-	sim.Go("main", func() {
+	// One driver spawns the lookups: spawned from the test goroutine, the
+	// first runs at once and alone, and can be the whole run before the next
+	// process exists.
+	err := sim.Run("main", func() {
+		for i := 0; i < n; i++ {
+			sim.Go("lookup", func() {
+				defer wg.Done()
+				if _, err := Initgroups(gram, transport.Addr{Host: "nis-server", Service: ServiceName}, "grid-user", time.Minute); err != nil {
+					t.Errorf("Initgroups: %v", err)
+				}
+			})
+		}
 		wg.Wait()
 		end = sim.Now()
 	})
-	if err := sim.Wait(); err != nil {
+	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	// Each lookup uses its own connection, so service times overlap.

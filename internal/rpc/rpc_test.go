@@ -251,34 +251,36 @@ func TestConcurrentCallsOverSeparateConnections(t *testing.T) {
 	wg := vtime.NewWaitGroup(sim)
 	const n = 8
 	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		sim.Go("caller", func() {
-			defer wg.Done()
-			conn, err := a.Dial(transport.Addr{Host: "b", Service: "echo"})
-			if err != nil {
-				t.Errorf("Dial: %v", err)
-				return
-			}
-			c := NewClient(sim, conn)
-			defer c.Close()
-			var reply echoReply
-			msg := fmt.Sprintf("m%d", i)
-			if err := c.Call("echo", echoArgs{Text: msg, Delay: 100}, &reply, time.Minute); err != nil {
-				t.Errorf("Call: %v", err)
-				return
-			}
-			if reply.Text != msg {
-				t.Errorf("reply %q, want %q", reply.Text, msg)
-			}
-		})
-	}
 	var end time.Duration
-	sim.Go("main", func() {
+	// One driver spawns the callers: spawned from the test goroutine, the
+	// first runs at once and alone, and can be the whole run before the next
+	// process exists.
+	err := sim.Run("main", func() {
+		for i := 0; i < n; i++ {
+			sim.Go("caller", func() {
+				defer wg.Done()
+				conn, err := a.Dial(transport.Addr{Host: "b", Service: "echo"})
+				if err != nil {
+					t.Errorf("Dial: %v", err)
+					return
+				}
+				c := NewClient(sim, conn)
+				defer c.Close()
+				var reply echoReply
+				msg := fmt.Sprintf("m%d", i)
+				if err := c.Call("echo", echoArgs{Text: msg, Delay: 100}, &reply, time.Minute); err != nil {
+					t.Errorf("Call: %v", err)
+					return
+				}
+				if reply.Text != msg {
+					t.Errorf("reply %q, want %q", reply.Text, msg)
+				}
+			})
+		}
 		wg.Wait()
 		end = sim.Now()
 	})
-	if err := sim.Wait(); err != nil {
+	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	// All calls run in parallel on separate connections: total time is one

@@ -99,6 +99,39 @@ func TestObservedConnectionAllocs(t *testing.T) {
 	}
 }
 
+// TestUntracedFailedDialBuildsNothing: a dial that makes no connection used
+// to build its span's context and render the address it dialed before the
+// nil-safe tracer call that threw them away; a refused dial on a network
+// nobody observes allocates nothing now, and the traced one says what it did.
+func TestUntracedFailedDialBuildsNothing(t *testing.T) {
+	sim, net, a, _ := testNet(t)
+	ctx := trace.NewRequest("r1").Child("submit")
+	err := sim.Run("main", func() {
+		refused := func() {
+			if _, err := a.DialCtx(Addr{"b", "nobody-listens"}, ctx); err != ErrRefused {
+				t.Fatalf("Dial = %v, want ErrRefused", err)
+			}
+		}
+		for i := 0; i < 1000; i++ { // the kernel's timer entries exist, and the wheel's slots the clock passes
+			refused()
+		}
+		if allocs := testing.AllocsPerRun(100, refused); allocs != 0 {
+			t.Errorf("a refused dial on an untraced network allocated %v times, want 0", allocs)
+		}
+		tr := trace.New(sim)
+		net.SetTracer(tr)
+		refused()
+		evs := tr.Events()
+		if len(evs) != 1 || evs[0].Name != "dial" || evs[0].Thr != "b:nobody-listens" || evs[0].Span != "req/submit/dial" ||
+			len(evs[0].Args) != 1 || evs[0].Args[0].Val != "refused" {
+			t.Errorf("the same dial with a tracer attached emitted %+v", evs)
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
 // TestConnSize pins what every connection end costs before it has sent
 // anything: a pair is one allocation of two of these. The batching state
 // (the policy, the open batch, the flush task: 160 bytes an end) is behind a

@@ -138,28 +138,32 @@ func TestManyConnectionsBetweenSameHosts(t *testing.T) {
 	const n = 32
 	wg := vtime.NewWaitGroup(sim)
 	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		sim.Go("client", func() {
-			defer wg.Done()
-			conn, err := a.Dial(Addr{Host: "b", Service: "svc"})
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			defer conn.Close()
-			if err := conn.Send([]byte{byte(i)}); err != nil {
-				t.Errorf("client %d send: %v", i, err)
-				return
-			}
-			msg, err := conn.Recv()
-			if err != nil || msg[0] != byte(i) {
-				t.Errorf("client %d echo = %v, %v", i, msg, err)
-			}
-		})
-	}
-	sim.Go("main", func() { wg.Wait() })
-	if err := sim.Wait(); err != nil {
+	// One driver spawns the clients: spawned from the test goroutine, the
+	// first runs at once and alone, and can be the whole run before the next
+	// process exists.
+	err = sim.Run("main", func() {
+		for i := 0; i < n; i++ {
+			sim.Go("client", func() {
+				defer wg.Done()
+				conn, err := a.Dial(Addr{Host: "b", Service: "svc"})
+				if err != nil {
+					t.Errorf("client %d: %v", i, err)
+					return
+				}
+				defer conn.Close()
+				if err := conn.Send([]byte{byte(i)}); err != nil {
+					t.Errorf("client %d send: %v", i, err)
+					return
+				}
+				msg, err := conn.Recv()
+				if err != nil || msg[0] != byte(i) {
+					t.Errorf("client %d echo = %v, %v", i, msg, err)
+				}
+			})
+		}
+		wg.Wait()
+	})
+	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 }

@@ -501,8 +501,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	for !n.deliverable(h.name, to.Host) {
 		remaining := deadline - n.sim.Now()
 		if remaining <= 0 {
-			n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
-				trace.Arg{Key: "outcome", Val: "timeout"})
+			h.traceFailedDial(to, ctx, dialStart, "timeout")
 			return nil, ErrDialTimeout
 		}
 		if remaining < synRetry {
@@ -520,8 +519,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	// swept host — they would never be closed by a later failure.
 	if h.state != hostUp {
 		n.mu.Unlock()
-		n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
-			trace.Arg{Key: "outcome", Val: "local-down"})
+		h.traceFailedDial(to, ctx, dialStart, "local-down")
 		return nil, ErrHostDown
 	}
 	remote, ok := n.hosts[to.Host]
@@ -540,15 +538,13 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 
 	n.sim.Sleep(oneWay) // SYN-ACK
 	if refused {
-		n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
-			trace.Arg{Key: "outcome", Val: "refused"})
+		h.traceFailedDial(to, ctx, dialStart, "refused")
 		return nil, ErrRefused
 	}
 	if !l.accept.TrySend(server) {
 		// Accept backlog full: refuse.
 		client.Close()
-		n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
-			trace.Arg{Key: "outcome", Val: "backlog-full"})
+		h.traceFailedDial(to, ctx, dialStart, "backlog-full")
 		return nil, ErrRefused
 	}
 	if tr := n.Tracer(); tr.Enabled() {
@@ -557,6 +553,16 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 			trace.Arg{Key: "outcome", Val: "ok"})
 	}
 	return client, nil
+}
+
+// traceFailedDial records the span of a dial that made no connection; its
+// context and the address string are built only if a tracer is there to
+// take them.
+func (h *Host) traceFailedDial(to Addr, ctx trace.Ctx, start time.Duration, outcome string) {
+	if tr := h.net.Tracer(); tr.Enabled() {
+		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", start,
+			trace.Arg{Key: "outcome", Val: outcome})
+	}
 }
 
 // Listener accepts inbound connections for one service.
