@@ -5,8 +5,8 @@ import "hash/fnv"
 // The builtin method dictionary: every RPC method name the stack's
 // services use in production. Both ends of a connection compile the same
 // table into the binary, so a dictionary method costs one VLQ byte on the
-// wire instead of its name. The handshake prologue each direction sends
-// with its first frame carries the table's length and hash; a decoder
+// wire instead of its name. The handshake prologue each direction starts
+// with carries the table's length and hash; a decoder
 // rejects a prologue whose dictionary disagrees with its own, which is
 // what "exchanging" the dictionary means for co-compiled endpoints.
 //
