@@ -147,11 +147,11 @@ func (rt *Runtime) DialRank(rank int) (*transport.Conn, error) {
 	if rt.config == nil {
 		return nil, ErrNotCommitted
 	}
-	book, ok := rt.config.Address(rank)
+	listed, ok := rt.config.Address(rank)
 	if !ok {
 		return nil, fmt.Errorf("duroc: rank %d out of range (world size %d)", rank, rt.config.WorldSize)
 	}
-	addr, err := transport.ParseAddr(book)
+	addr, err := transport.ParseAddr(listed)
 	if err != nil {
 		return nil, err
 	}

@@ -179,10 +179,8 @@ func (c *Client) await(id uint64) *pendingCall {
 			c.overflow = make(map[uint64]*pendingCall)
 		}
 		c.overflow[id] = p
-	} else {
-		c.firstTaken = true
-		*p = pendingCall{}
 	}
+	c.firstTaken = true
 	p.id = id
 	p.done.Init(c.sim, (*replySlots)(c))
 	return p
@@ -203,12 +201,12 @@ func (c *Client) take(id uint64) *pendingCall {
 	return p
 }
 
-// release ends a caller's hold on its slot: the one in the Client is free
-// for the next call, and lets go of the reply's frame.
+// release ends a caller's hold on its slot: the one in the Client is as new
+// for the next call, and has let go of the reply's frame.
 func (c *Client) release(p *pendingCall) {
 	if p == &c.first {
 		c.mu.Lock()
-		p.env = wire.Envelope{}
+		*p = pendingCall{}
 		c.firstTaken = false
 		c.mu.Unlock()
 	}

@@ -366,16 +366,19 @@ func TestReplySlotContract(t *testing.T) {
 func TestClientNamesAreRenderedOnDemand(t *testing.T) {
 	sim, a, b := newPair(t)
 	e := &contractEnv{t: t, sim: sim, a: a, b: b}
-	e.script(func(s *scripted) { s.expect(1); s.answer(0, nil); s.expect(2) })
+	e.script(func(s *scripted) { s.expect(2) })
 	err := sim.Run("client", func() {
 		c := e.dial()
-		if err := c.Call("once", nil, nil, time.Second); err != nil {
-			t.Errorf("Call: %v", err)
-		}
+		sim.Go("caller", func() {
+			if err := c.Call("once", nil, nil, time.Second); err != ErrTimeout {
+				t.Errorf("Call = %v, want ErrTimeout", err)
+			}
+		})
+		sim.Sleep(10 * ms) // the call is waiting
 		if got := c.first.done.String(); got != "rpc-reply:a:client" {
 			t.Errorf("the reply slot's event is named %q", got)
 		}
-		c.Notifications().Recv() // nothing will come: the run deadlocks here
+		c.Notifications().Recv() // nothing will come: once the call has timed out the run deadlocks here
 	})
 	var dl *vtime.DeadlockError
 	if !errors.As(err, &dl) || !strings.Contains(strings.Join(dl.Blocked, "; "), "client: recv on rpc-notify:a:client") {

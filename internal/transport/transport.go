@@ -681,7 +681,7 @@ type Conn struct {
 	stats *connStats
 	// Cached histogram handles (shared network-wide, not per-connection, to
 	// bound cardinality), nil when no registry is attached.
-	hBytes, hDelay, hBatch *metrics.Histogram
+	hBytes, hDelay *metrics.Histogram
 
 	// batch is the end's coalescing state, nil unless the network's policy
 	// was enabled when the connection was created.
@@ -708,6 +708,7 @@ type batching struct {
 	BatchOptions
 	pend      []pendingMsg
 	pendBytes int
+	sizes     *metrics.Histogram // transport.batch.msgs, nil when no registry is attached
 
 	// flushing says the flush task is queued or armed; a batch that opens
 	// meanwhile sets flushAgain, which buys one more tick after the armed one
@@ -900,7 +901,7 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 			c.hBytes = hs.H("transport.msg.bytes")
 			c.hDelay = hs.H("transport.msg.delay")
 			if c.batch != nil {
-				c.hBatch = hs.H("transport.batch.msgs")
+				c.batch.sizes = hs.H("transport.batch.msgs")
 			}
 		}
 	}
@@ -1128,7 +1129,7 @@ func (c *Conn) flushLocked() {
 		}
 		return
 	}
-	c.hBatch.Record(int64(len(batch)))
+	b.sizes.Record(int64(len(batch)))
 	// One hop span per coalesced message, from its send time to the
 	// batch's delivery time: the span length includes the coalescing wait,
 	// so traces show the latency cost of batching, not just the wire time.

@@ -113,7 +113,7 @@ func (r *Reader) String() string {
 func (r *Reader) StringList() StringList {
 	start := r.off
 	src := StringList(r.src)
-	for n := r.Len(); n > 0 && !r.bad; n-- {
+	for n := r.Len(); n > 0; n-- {
 		_, to, ok := src.next(r.off)
 		if !ok {
 			r.bad = true
@@ -137,11 +137,19 @@ type StringList []byte
 
 // Len returns the number of strings in the list.
 func (l StringList) Len() int {
-	n, w := Uvarint(l)
-	if w == 0 || n > uint64(len(l)-w) {
-		return 0
+	n, _ := l.count()
+	return n
+}
+
+// count reads the list's count and where its first string starts. A count
+// the bytes that follow cannot hold (every string takes at least one) is
+// none.
+func (l StringList) count() (n, first int) {
+	c, w := Uvarint(l)
+	if w == 0 || c > uint64(len(l)-w) {
+		return 0, 0
 	}
-	return int(n)
+	return int(c), w
 }
 
 // next cuts the length-prefixed string at l[off:]: its bounds, or ok false
@@ -170,10 +178,10 @@ func (l StringList) nextLong(off int) (from, to int, ok bool) {
 // At returns the i-th string: one walk over the i length prefixes before
 // it, one string. ok is false when the list has no i-th string.
 func (l StringList) At(i int) (s string, ok bool) {
-	if i < 0 || i >= l.Len() {
+	n, off := l.count()
+	if i < 0 || i >= n {
 		return "", false
 	}
-	_, off := Uvarint(l)
 	for ; ; i-- {
 		from, to, ok := l.next(off)
 		if !ok {
@@ -190,13 +198,12 @@ func (l StringList) At(i int) (s string, ok bool) {
 // substring of one copy of the encoding, so n strings cost that copy and
 // the slice, and any one of them keeps the copy alive.
 func (l StringList) All() []string {
-	n := l.Len()
+	n, off := l.count()
 	if n == 0 {
 		return nil
 	}
 	all := string(l)
 	list := make([]string, n)
-	_, off := Uvarint(l)
 	for i := range list {
 		from, to, ok := l.next(off)
 		if !ok {
