@@ -112,7 +112,7 @@ func allocated(runs int, f func()) (allocs, bytes float64) {
 // one more call on a connection that is already there. The client is one
 // allocation (it was seven: the reply map, the notification queue and three
 // name strings were the rest), the wait for the reply none (a channel and
-// its ring were two, 592 bytes), and an end of the pair 512 bytes (672).
+// its ring were two, 592 bytes), and an end of the pair 504 bytes (672).
 // What the kernel is asked to do has not changed with any of that.
 func TestOneShotExchangeCosts(t *testing.T) {
 	sim, a, b := newPair(t)
