@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check quick vet build test race bench bench-smoke chaos-smoke trace-smoke dst-smoke fed-smoke wire-smoke slo-smoke scale-smoke cover
+.PHONY: check quick vet build test race bench bench-smoke chaos-smoke trace-smoke dst-smoke fed-smoke slo-smoke scale-smoke cover
 
 # The full verification gate (vet, build, test, race test).
 check:
@@ -60,15 +60,6 @@ fed-smoke:
 	$(GO) run ./cmd/dstgrid -fed-seeds 40 -smoke
 	$(GO) run ./cmd/benchgrid -fig none -app federation -smoke
 
-# Wire smoke: replays the fuzz seed corpora of the binary envelope codec
-# and of the typed check-in bodies, then runs the B3 codec/batching study
-# on a seconds-long configuration — exits non-zero unless the binary
-# codec beats JSON on both messages/sec and allocs/op with zero drops.
-wire-smoke:
-	$(GO) test -run FuzzWireEnvelope ./internal/wire
-	$(GO) test -run FuzzCheckinBody ./internal/core
-	$(GO) run ./cmd/benchgrid -fig none -app wire -smoke
-
 # SLO smoke: the B7 detection-latency study on the seconds-long chaos
 # configuration — exits non-zero unless the fault-free row is completely
 # silent (zero alerts, zero flight-recorder dumps) and the faulted row
@@ -76,10 +67,10 @@ wire-smoke:
 slo-smoke:
 	$(GO) run ./cmd/benchgrid -fig none -app slo -smoke
 
-# Scale smoke: the B4 job stream on a seconds-long configuration, run
-# twice — once on the reference heap timer engine, once on the production
-# timing wheel — exits non-zero if any deterministic virtual-time column
-# differs between the engines or any job fails or goes missing.
+# Scale smoke: the B4 job stream on a seconds-long configuration — exits
+# non-zero if any job fails or goes missing. (The same run on the reference
+# heap timer engine, compared column by column, is
+# `go test ./internal/vtime -run TestKernelEquivalenceScaleSmoke`.)
 scale-smoke:
 	$(GO) run ./cmd/benchgrid -fig none -app scale -smoke
 

@@ -11,14 +11,14 @@
 // paper-versus-measured comparison. With -json the selected results are
 // emitted as one JSON document (durations in nanoseconds): the
 // repository's virtual-time record, which scripts/identical.sh compares
-// across commits. -smoke shrinks the broker, chaos, federation, wire, slo
-// and scale studies to seconds-long configurations for CI gates. -analyze
+// across commits. -smoke shrinks the broker, chaos, federation, slo and
+// scale studies to seconds-long configurations for CI gates. -analyze
 // prints the causal critical-path report of a JSONL trace (exported by
 // `gridsim -trace-jsonl`) instead of running any experiment, as
 // `cmd/tracegrid` does; -metrics-out instead runs one small fixed
 // broker-load row and writes its grid's Prometheus exposition.
 //
-// Five studies carry an acceptance gate (chaos, federation, wire, slo and
+// Four studies carry an acceptance gate (chaos, federation, slo and
 // scale; the *Check functions say what each enforces). In text mode
 // a study whose gate fails is still printed and benchgrid exits 1; with
 // -json it prints nothing and exits 2, as for any unusable command line.
@@ -36,7 +36,6 @@ import (
 	"cogrid/internal/experiments"
 	"cogrid/internal/metrics"
 	"cogrid/internal/trace"
-	"cogrid/internal/vtime"
 )
 
 func main() {
@@ -45,7 +44,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for stochastic studies")
 	trials := flag.Int("trials", 5, "trials per setting in stochastic studies")
 	jsonOut := flag.Bool("json", false, "emit one JSON document instead of text tables (durations in nanoseconds)")
-	smoke := flag.Bool("smoke", false, "shrink the broker, chaos, federation, wire, slo and scale studies to seconds-long configurations")
+	smoke := flag.Bool("smoke", false, "shrink the broker, chaos, federation, slo and scale studies to seconds-long configurations")
 	analyze := flag.String("analyze", "", "read a JSONL trace and print the causal critical-path report instead of running experiments")
 	metricsPath := flag.String("metrics-out", "", "run one fixed broker-load row and write its full metric registry (counters, gauges, histograms) in Prometheus text format")
 	flag.Parse()
@@ -180,15 +179,6 @@ var catalogue = []study{
 		note: "(internal/federation: replicas split the admission load; rows with\n" +
 			" two or more replicas crash and restart the leader mid-run, so the\n" +
 			" gains are earned under election, hand-off, and client failover)"},
-	{flag: "app", name: "wire", key: "b3_wire",
-		title: "B3 — wire throughput: JSON vs binary codec, with and without batching",
-		run: func(seed int64, _ int, smoke bool) (any, error) {
-			res := experiments.WireStudy(wireConfig(seed, smoke))
-			return res, wireCheck(res)
-		},
-		note: "(internal/wire through internal/rpc: the binary envelope codec must\n" +
-			" beat JSON on both messages/sec and allocs/op; batching coalesces\n" +
-			" same-destination sends at the cost of up to its flush delay)"},
 	{flag: "app", name: "slo", key: "b7_slo",
 		title: "B7 — SLO detection latency and flight-recorder coverage",
 		run: func(seed int64, _ int, smoke bool) (any, error) {
@@ -202,14 +192,14 @@ var catalogue = []study{
 			" silent; every faulted row must page within the detection budget,\n" +
 			" and each fire freezes one validated black-box dump)"},
 	{flag: "app", name: "scale", key: "b4_scale",
-		title: "B4 — kernel throughput at scale: timer wheel vs reference heap",
+		title: "B4 — kernel throughput at scale",
 		run: func(seed int64, _ int, smoke bool) (any, error) {
 			res := experiments.ScaleStudy(scaleConfig(seed, smoke))
 			return res, scaleCheck(res)
 		},
 		note: "(internal/vtime + internal/lrm: the timing wheel, passive timers\n" +
-			" and release index carry the whole job stream; dual-engine\n" +
-			" rows must agree on every virtual-time column, byte for byte)"},
+			" and release index carry the whole job stream; every job must be\n" +
+			" accounted for, none failed)"},
 	{flag: "app", name: "ablation", key: "ab1_submission_ablation",
 		title: "Ablation — sequential vs parallel subjob submission",
 		run: func(int64, int, bool) (any, error) {
@@ -433,87 +423,25 @@ func federationScalingCheck(res experiments.FederationLoadResult) error {
 		base.ThroughputPerMin, base.P99)
 }
 
-// wireConfig selects the wire study size: the stock configuration, or a
-// seconds-long smoke setting for CI (make wire-smoke).
-func wireConfig(seed int64, smoke bool) experiments.WireConfig {
-	cfg := experiments.WireConfig{Seed: seed}
-	if smoke {
-		cfg.Messages = 2000
-		cfg.BenchTime = "30ms"
-	}
-	return cfg
-}
-
-// wireCheck enforces the B3 acceptance bar: the binary codec's unbatched
-// row must beat JSON's on both messages/sec and allocs/op, and no study
-// row may drop a message — the flow-controlled stream fits the queue, so
-// any drop means the wire lost something it accounted as sent.
-func wireCheck(res experiments.WireResult) error {
-	var jsonRow, binRow *experiments.WireRow
-	for i := range res.Rows {
-		row := &res.Rows[i]
-		if row.Dropped != 0 {
-			return fmt.Errorf("wire: codec %s (batched=%t) dropped %d messages",
-				row.Codec, row.Batched, row.Dropped)
-		}
-		if !row.Batched {
-			switch row.Codec {
-			case "json":
-				jsonRow = row
-			case "binary":
-				binRow = row
-			}
-		}
-	}
-	if jsonRow == nil || binRow == nil {
-		return fmt.Errorf("wire: study missing the unbatched json/binary rows")
-	}
-	if binRow.MsgsPerSec <= jsonRow.MsgsPerSec {
-		return fmt.Errorf("wire: binary %.0f msgs/sec does not beat JSON %.0f",
-			binRow.MsgsPerSec, jsonRow.MsgsPerSec)
-	}
-	if binRow.AllocsPerOp >= jsonRow.AllocsPerOp {
-		return fmt.Errorf("wire: binary %.1f allocs/op not below JSON %.1f",
-			binRow.AllocsPerOp, jsonRow.AllocsPerOp)
-	}
-	return nil
-}
-
-// scaleConfig selects the scale study size: the stock 10⁶-job run on the
-// production wheel alone, or a seconds-long dual-engine smoke setting for
-// CI (make scale-smoke) whose rows benchgrid diffs column by column.
+// scaleConfig selects the scale study size: the stock 10⁶-job run, or the
+// seconds-long smoke setting for CI (make scale-smoke).
 func scaleConfig(seed int64, smoke bool) experiments.ScaleConfig {
-	if !smoke {
-		return experiments.ScaleConfig{Seed: seed}
+	if smoke {
+		return experiments.ScaleSmokeConfig(seed)
 	}
-	return experiments.ScaleConfig{
-		Jobs:             10_000,
-		Machines:         100,
-		MachineSize:      32,
-		MeanInterarrival: 200 * time.Millisecond,
-		Engines:          []vtime.TimerEngine{vtime.EngineHeap, vtime.EngineWheel},
-		Seed:             seed,
-	}
+	return experiments.ScaleConfig{Seed: seed}
 }
 
-// scaleCheck enforces the B4 acceptance bar: every row accounts for every
-// job with zero failures (wall limits are sized so a correctly scheduled
-// job cannot hit one), and when the sweep runs more than one timer engine,
-// every deterministic virtual-time column must agree across the rows —
-// the smoke-sized kernel-equivalence differential.
+// scaleCheck enforces the B4 acceptance bar: every job is accounted for,
+// with zero failures (wall limits are sized so a correctly scheduled job
+// cannot hit one).
 func scaleCheck(res experiments.ScaleResult) error {
 	for _, row := range res.Rows {
 		if got := row.Done + row.Failed; got != int64(res.Jobs) {
-			return fmt.Errorf("scale: engine %s accounted for %d of %d jobs", row.Engine, got, res.Jobs)
+			return fmt.Errorf("scale: accounted for %d of %d jobs", got, res.Jobs)
 		}
 		if row.Failed != 0 {
-			return fmt.Errorf("scale: engine %s failed %d jobs", row.Engine, row.Failed)
-		}
-	}
-	for i := 1; i < len(res.Rows); i++ {
-		if !res.Rows[0].VirtualEqual(res.Rows[i]) {
-			return fmt.Errorf("scale: engines %s and %s diverge on virtual-time columns:\n  %+v\n  %+v",
-				res.Rows[0].Engine, res.Rows[i].Engine, res.Rows[0], res.Rows[i])
+			return fmt.Errorf("scale: %d jobs failed", row.Failed)
 		}
 	}
 	return nil

@@ -93,8 +93,9 @@ func TestEmitJSONAblationOnly(t *testing.T) {
 // valid values, instead of being dropped from the document in silence.
 func TestEmitJSONUnknownStudy(t *testing.T) {
 	for _, c := range []struct{ fig, app, want string }{
-		{"3", "chaoss", "atomic, bigrun, overprov, staleness, reserve, load, broker, chaos, federation, wire, slo, scale, ablation, all, or none"},
+		{"3", "chaoss", "atomic, bigrun, overprov, staleness, reserve, load, broker, chaos, federation, slo, scale, ablation, all, or none"},
 		{"nosuch", "none", "2, 3, 4, 5, all, or none"},
+		{"none", "wire", "federation, slo, scale"}, // B3 is a closed record, not a study
 	} {
 		var buf bytes.Buffer
 		err := emitJSON(&buf, c.fig, c.app, 1, 1, true)

@@ -10,12 +10,12 @@
 //	dstgrid -seed 42                   # one seed, full profile
 //	dstgrid -scenario '<json>'         # replay an exact scenario
 //	dstgrid -corpus internal/dst/testdata  # re-run the regression corpus
-//	dstgrid -seeds 200 -kernel heap    # same sweep on the reference timer engine
 //
 // The process exits non-zero if any run violates an invariant. Output is
-// deterministic: the same seeds produce byte-identical reports — on
-// either timer engine (-kernel wheel|heap), which is the property the
-// kernel-equivalence suite in internal/vtime locks down byte for byte.
+// deterministic: the same seeds produce byte-identical reports. (That they
+// are also the reports of the reference heap timer engine is what the
+// kernel-equivalence suite in internal/vtime locks down byte for byte; a
+// scenario file dropped into internal/dst/testdata joins it.)
 package main
 
 import (
@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"cogrid/internal/dst"
-	"cogrid/internal/vtime"
 )
 
 func main() {
@@ -38,17 +37,10 @@ func main() {
 		scenario = flag.String("scenario", "", "replay an exact scenario (JSON, or @file)")
 		corpus   = flag.String("corpus", "", "re-run every .json scenario in a directory")
 		smoke    = flag.Bool("smoke", false, "use the small smoke profile")
-		kernel   = flag.String("kernel", "wheel", "kernel timer engine: wheel (production) or heap (reference)")
 		jsonOut  = flag.Bool("json", false, "emit one JSON line per run")
 		shrink   = flag.Bool("shrink", true, "shrink violating scenarios to minimal reproductions")
 	)
 	flag.Parse()
-
-	engine, err := vtime.ParseTimerEngine(*kernel)
-	if err != nil {
-		fatalf("dstgrid: %v", err)
-	}
-	opts := dst.RunOptions{Engine: engine}
 
 	profile := dst.DefaultProfile
 	if *smoke {
@@ -76,7 +68,7 @@ func main() {
 	ran := false
 	if *scenario != "" {
 		ran = true
-		runScenario(*scenario, opts, budget, *jsonOut, &violated)
+		runScenario(*scenario, budget, *jsonOut, &violated)
 	}
 	if *corpus != "" {
 		ran = true
@@ -86,17 +78,17 @@ func main() {
 		}
 		sort.Strings(files)
 		for _, f := range files {
-			runScenario("@"+f, opts, budget, *jsonOut, &violated)
+			runScenario("@"+f, budget, *jsonOut, &violated)
 		}
 	}
 	if *seed != 0 {
 		ran = true
-		emit(dst.RunSeed(*seed, profile, opts, budget))
+		emit(dst.RunSeed(*seed, profile, dst.RunOptions{}, budget))
 	}
 	if *seeds > 0 {
 		ran = true
 		for s := int64(1); s <= int64(*seeds); s++ {
-			emit(dst.RunSeed(s, profile, opts, budget))
+			emit(dst.RunSeed(s, profile, dst.RunOptions{}, budget))
 		}
 	}
 	if *fedSeeds > 0 {
@@ -104,7 +96,7 @@ func main() {
 		fp := profile
 		fp.BrokerProb, fp.FedProb = 1, 1
 		for s := int64(1); s <= int64(*fedSeeds); s++ {
-			emit(dst.RunSeed(s, fp, opts, budget))
+			emit(dst.RunSeed(s, fp, dst.RunOptions{}, budget))
 		}
 	}
 	if !ran {
@@ -120,7 +112,7 @@ func main() {
 }
 
 // runScenario replays one explicit scenario (inline JSON or @file).
-func runScenario(src string, opts dst.RunOptions, budget int, jsonOut bool, violated *bool) {
+func runScenario(src string, budget int, jsonOut bool, violated *bool) {
 	data := []byte(src)
 	name := "scenario"
 	if strings.HasPrefix(src, "@") {
@@ -134,13 +126,13 @@ func runScenario(src string, opts dst.RunOptions, budget int, jsonOut bool, viol
 	if err != nil {
 		fatalf("dstgrid: %v", err)
 	}
-	res, err := dst.Run(sc, opts)
+	res, err := dst.Run(sc, dst.RunOptions{})
 	if err != nil {
 		fatalf("dstgrid: %v", err)
 	}
 	rep := dst.SeedReport{Seed: sc.Seed, Result: res}
 	if len(res.Violations) > 0 && budget != 0 {
-		sr := dst.Shrink(sc, opts, budget)
+		sr := dst.Shrink(sc, dst.RunOptions{}, budget)
 		rep.Shrunk = &sr
 	}
 	if jsonOut {

@@ -29,10 +29,6 @@ type RunOptions struct {
 	// Bugs is forwarded to the controller: the harness's self-test
 	// injects a broken 2PC here and asserts the invariants catch it.
 	Bugs core.Bugs
-	// Engine selects the kernel's timer queue for the run's simulation.
-	// The zero value is the production wheel; the kernel-equivalence
-	// suite runs every scenario on both engines and diffs the artifacts.
-	Engine vtime.TimerEngine
 	// Artifacts, when non-nil, is filled with the run's observable byte
 	// outputs after quiescence — the streams equivalence runs compare.
 	Artifacts *Artifacts
@@ -172,7 +168,7 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	}
 	res := RunResult{Scenario: sc, Jobs: len(sc.Jobs)}
 
-	g := grid.New(grid.Options{Seed: sc.Seed, Trace: true, TimerEngine: opts.Engine})
+	g := grid.New(grid.Options{Seed: sc.Seed, Trace: true})
 	for _, ms := range sc.Machines {
 		mode := lrm.Fork
 		if ms.Batch {

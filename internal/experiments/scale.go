@@ -37,11 +37,22 @@ type ScaleConfig struct {
 	// offered load slightly above fleet capacity, so queues form and the
 	// backfill/release-index paths stay hot for the whole run.
 	MeanInterarrival time.Duration
-	// Engines lists the timer engines to run, one row each. Empty means
-	// the production wheel only; the smoke configuration runs both and
-	// benchgrid diffs the rows' virtual-time columns.
-	Engines []vtime.TimerEngine
-	Seed    int64
+	Seed             int64
+}
+
+// ScaleSmokeConfig is the seconds-long slice of B4 that CI runs (make
+// scale-smoke) and that the kernel-equivalence suite of internal/vtime
+// runs once on the reference heap and once on the wheel: 10⁴ jobs over 10²
+// machines, the scale-path differential the protocol-heavy DST scenarios
+// are too small to reach.
+func ScaleSmokeConfig(seed int64) ScaleConfig {
+	return ScaleConfig{
+		Jobs:             10_000,
+		Machines:         100,
+		MachineSize:      32,
+		MeanInterarrival: 200 * time.Millisecond,
+		Seed:             seed,
+	}
 }
 
 func (c *ScaleConfig) fill() {
@@ -66,26 +77,22 @@ func (c *ScaleConfig) fill() {
 	if c.MeanInterarrival <= 0 {
 		c.MeanInterarrival = 2 * time.Millisecond
 	}
-	if len(c.Engines) == 0 {
-		c.Engines = []vtime.TimerEngine{vtime.EngineWheel}
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
 
-// ScaleRow is one engine's outcome. The virtual-time columns (everything
+// ScaleRow is one run's outcome. The virtual-time columns (everything
 // except the wall-clock trio at the end) are deterministic for a fixed
-// config, identical across engines, and form the smoke differential
-// benchgrid -app scale enforces.
+// config and identical whichever timer store the kernel runs on
+// (VirtualEqual; internal/vtime's equivalence suite checks it).
 type ScaleRow struct {
-	Engine      string `json:"engine"`
-	Jobs        int    `json:"jobs"`
-	Machines    int    `json:"machines"`
-	MachineSize int    `json:"machine_size"`
-	Done        int64  `json:"done"`
-	Failed      int64  `json:"failed"`
-	TimersFired int64  `json:"timers_fired"`
+	Jobs        int   `json:"jobs"`
+	Machines    int   `json:"machines"`
+	MachineSize int   `json:"machine_size"`
+	Done        int64 `json:"done"`
+	Failed      int64 `json:"failed"`
+	TimersFired int64 `json:"timers_fired"`
 	// What the run cost the kernel besides timers: processes started,
 	// goroutine switches, task steps. Deterministic like TimersFired.
 	Spawned  int64 `json:"spawned"`
@@ -115,30 +122,23 @@ type ScaleResult struct {
 // virtual time.
 const scalePollInterval = 10 * time.Second
 
-// ScaleStudy runs the config once per engine.
+// ScaleStudy runs the config: one row.
 func ScaleStudy(cfg ScaleConfig) ScaleResult {
 	cfg.fill()
-	res := ScaleResult{Jobs: cfg.Jobs, Machines: cfg.Machines}
-	for _, engine := range cfg.Engines {
-		res.Rows = append(res.Rows, scaleRun(cfg, engine))
-	}
-	return res
+	return ScaleResult{Jobs: cfg.Jobs, Machines: cfg.Machines, Rows: []ScaleRow{scaleRun(cfg)}}
 }
 
-// scaleRun pushes cfg.Jobs batch jobs through the fleet on one timer
-// engine. Arrivals are a chained passive timer — each firing submits one
-// job and schedules the next — so the stream itself rides the engine under
-// test, alongside every wall-limit timer, process-startup wait, and work
-// sleep the jobs generate.
-func scaleRun(cfg ScaleConfig, engine vtime.TimerEngine) ScaleRow {
-	cfg.fill()
+// scaleRun pushes cfg.Jobs batch jobs through the fleet. Arrivals are a
+// chained passive timer — each firing submits one job and schedules the
+// next — so the stream itself rides the timer engine, alongside every
+// wall-limit timer, process-startup wait, and work sleep the jobs generate.
+func scaleRun(cfg ScaleConfig) ScaleRow {
 	row := ScaleRow{
-		Engine:      engine.String(),
 		Jobs:        cfg.Jobs,
 		Machines:    cfg.Machines,
 		MachineSize: cfg.MachineSize,
 	}
-	sim := vtime.NewWithConfig(vtime.Config{Seed: cfg.Seed, Engine: engine})
+	sim := vtime.NewSeeded(cfg.Seed)
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
 	hists := metrics.NewHistogramSet()
 	net.SetHists(hists)
@@ -237,12 +237,12 @@ func (r ScaleRow) VirtualEqual(o ScaleRow) bool {
 func (r ScaleResult) Table() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d jobs over %d machines\n", r.Jobs, r.Machines)
-	fmt.Fprintf(&sb, "%-6s %9s %7s %12s %12s %10s %10s %9s %9s %10s\n",
-		"engine", "done", "failed", "timers", "virt end", "mean wait", "p99 wait",
+	fmt.Fprintf(&sb, "%9s %7s %12s %12s %10s %10s %9s %9s %10s\n",
+		"done", "failed", "timers", "virt end", "mean wait", "p99 wait",
 		"wall", "ns/job", "jobs/sec")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%-6s %9d %7d %12d %12s %10s %10s %9s %9.0f %10.0f\n",
-			row.Engine, row.Done, row.Failed, row.TimersFired,
+		fmt.Fprintf(&sb, "%9d %7d %12d %12s %10s %10s %9s %9.0f %10.0f\n",
+			row.Done, row.Failed, row.TimersFired,
 			row.VirtualEnd.Truncate(time.Second), row.MeanWait.Truncate(time.Millisecond),
 			row.P99Wait.Truncate(time.Millisecond), row.Wall.Truncate(time.Millisecond),
 			row.NsPerJob, row.JobsPerSec)

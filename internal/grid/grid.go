@@ -43,11 +43,6 @@ type Options struct {
 	// capturing structured events from every layer (transport hops, RPC
 	// calls, GRAM state transitions, DUROC commit and barrier phases).
 	Trace bool
-	// TimerEngine selects the kernel's timer queue implementation. The
-	// zero value is the production default (hierarchical timing wheel);
-	// the kernel-equivalence suite sets this to run identical scenarios on
-	// the reference heap and diff every artifact byte.
-	TimerEngine vtime.TimerEngine
 }
 
 // Grid is an assembled testbed.
@@ -83,7 +78,7 @@ func New(opts Options) *Grid {
 	if opts.User == "" {
 		opts.User = DefaultUser
 	}
-	sim := vtime.NewWithConfig(vtime.Config{Seed: opts.Seed, Engine: opts.TimerEngine})
+	sim := vtime.NewSeeded(opts.Seed)
 	lm := opts.LatencyModel
 	if lm == nil {
 		lm = transport.UniformLatency(opts.Latency)

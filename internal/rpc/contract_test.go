@@ -113,8 +113,7 @@ func TestClientServerContract(t *testing.T) {
 						}
 					}
 					for i := len(calls) - 1; i >= 0; i-- {
-						reply, _ := wire.EncodeJSON(&wire.Envelope{Kind: wire.KindReply, ID: calls[i].ID, Body: calls[i].Body})
-						conn.Send(reply)
+						conn.Send(frame(wire.Envelope{Kind: wire.KindReply, ID: calls[i].ID, Body: calls[i].Body}))
 					}
 				})
 				c := e.dial()
@@ -217,6 +216,7 @@ func TestClientServerContract(t *testing.T) {
 					Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) { return "fine", nil },
 					NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
 						sc.conn.Send([]byte("\xc7garbage from the server"))
+						sc.conn.Send([]byte(`{"kind":"notify","method":"json"}`))
 						sc.Notify("after", nil)
 					},
 				})
@@ -225,7 +225,7 @@ func TestClientServerContract(t *testing.T) {
 					e.t.Fatalf("Dial: %v", err)
 				}
 				conn.Send([]byte("not a frame at all"))
-				conn.Send([]byte(`{"kind": 42}`))
+				conn.Send([]byte(`{"kind":"call","id":9,"method":"json"}`))
 				c := NewClient(e.sim, conn)
 				var reply string
 				if err := c.Call("anything", nil, &reply, time.Minute); err != nil || reply != "fine" {
@@ -235,8 +235,8 @@ func TestClientServerContract(t *testing.T) {
 				if n, res := c.Notifications().RecvTimeout(time.Second); res != vtime.RecvOK || n.Method != "after" {
 					e.t.Errorf("notification behind the server's garbage = %+v, %v", n, res)
 				}
-				if a, b := e.counter("frame", "decode-error", "a"), e.counter("frame", "decode-error", "b"); a != 1 || b != 2 {
-					e.t.Errorf("decode errors: %d at a, %d at b; want 1 and 2", a, b)
+				if a, b := e.counter("frame", "decode-error", "a"), e.counter("frame", "decode-error", "b"); a != 2 || b != 2 {
+					e.t.Errorf("decode errors: %d at a, %d at b; want 2 and 2", a, b)
 				}
 				c.Close()
 				e.sim.Sleep(5 * ms)

@@ -8,10 +8,15 @@ import (
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
+	"cogrid/internal/wire"
 )
 
+// Garbage on the wire — a frame that starts with '{' is garbage like any
+// other — is counted and skipped; a well-formed call with no method or id
+// reaches the handler, which refuses it, and the reply without an id is
+// dropped by the client. The connection serves on through all of it.
 func TestMalformedFramesIgnored(t *testing.T) {
-	sim, a, b := newPair(t)
+	sim, _, ctrs, a, b := newTracedPair(t)
 	startEcho(t, sim, b)
 	err := sim.Run("client", func() {
 		conn, err := a.Dial(transport.Addr{Host: "b", Service: "echo"})
@@ -20,9 +25,9 @@ func TestMalformedFramesIgnored(t *testing.T) {
 			return
 		}
 		// Splice garbage onto the wire before real traffic.
-		conn.Send([]byte("not json at all"))
-		conn.Send([]byte(`{"kind": 42}`))
-		conn.Send([]byte(`{"kind":"call"}`)) // no method: handler errors, reply dropped by client (no id)
+		conn.Send([]byte("not a frame at all"))
+		conn.Send([]byte(`{"kind":"call","id":9,"method":"echo"}`))
+		conn.Send(frame(wire.Envelope{Kind: wire.KindCall}))
 		c := NewClient(sim, conn)
 		var reply echoReply
 		if err := c.Call("echo", echoArgs{Text: "still works"}, &reply, time.Minute); err != nil {
@@ -36,6 +41,20 @@ func TestMalformedFramesIgnored(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+	for _, want := range []struct {
+		verb, outcome, host string
+		n                   int64
+	}{
+		{"frame", "decode-error", "b", 2},
+		{"serve", "error", "b", 1}, // the call with no method
+		{"reply", "drop", "a", 1},  // its reply, which has no id
+		{"serve", "ok", "b", 1},
+		{"call", "ok", "a", 1},
+	} {
+		if got := ctrs.Get(trace.Key("rpc", want.verb, want.outcome, want.host)); got != want.n {
+			t.Errorf("rpc.%s.%s@%s = %d, want %d", want.verb, want.outcome, want.host, got, want.n)
+		}
 	}
 }
 

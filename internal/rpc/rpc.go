@@ -1,12 +1,10 @@
 // Package rpc provides a small request/reply and notification protocol
 // over simulated transport connections.
 //
-// A connection carries envelopes in either the compact binary frame format
-// of internal/wire (the default) or the legacy JSON format; receivers
-// auto-detect per frame, so mixed-codec peers interoperate. Calls expect a
-// matching reply; notifications are one-way and may flow in either
-// direction, which is how GRAM delivers asynchronous job-state callbacks
-// to a connected client.
+// A connection carries envelopes in the compact binary frame format of
+// internal/wire. Calls expect a matching reply; notifications are one-way
+// and may flow in either direction, which is how GRAM delivers asynchronous
+// job-state callbacks to a connected client.
 //
 // Bodies are JSON unless the message type opts into the typed binary form
 // of internal/wire by implementing AppendWire (on the value sent) and
@@ -58,19 +56,6 @@ var (
 type RemoteError string
 
 func (e RemoteError) Error() string { return string(e) }
-
-// Codec selects the envelope encoding for one side's sends. The receive
-// side always auto-detects by first byte, so the two ends of a connection
-// may use different codecs.
-type Codec int
-
-const (
-	// Binary is the compact CRC-framed format of internal/wire (default).
-	Binary Codec = iota
-	// JSON is the legacy text envelope, kept for the codec comparison and
-	// for wire-level debuggability.
-	JSON
-)
 
 // envCtx returns an envelope's causal span context.
 func envCtx(env *wire.Envelope) trace.Ctx { return trace.Ctx{Req: env.Req, Span: env.Span} }
@@ -150,14 +135,8 @@ type (
 func (c *replySlots) String() string  { return "rpc-reply:" + c.conn.LocalAddr().String() }
 func (c *notifyQueue) String() string { return "rpc-notify:" + c.conn.LocalAddr().String() }
 
-// NewClient wraps conn with the default binary codec. The caller must not
-// use conn directly afterwards.
+// NewClient wraps conn. The caller must not use conn directly afterwards.
 func NewClient(sim *vtime.Sim, conn *transport.Conn) *Client {
-	return NewClientCodec(sim, conn, Binary)
-}
-
-// NewClientCodec is NewClient with an explicit send codec.
-func NewClientCodec(sim *vtime.Sim, conn *transport.Conn, codec Codec) *Client {
 	c := &Client{
 		sim:   sim,
 		conn:  conn,
@@ -165,7 +144,7 @@ func NewClientCodec(sim *vtime.Sim, conn *transport.Conn, codec Codec) *Client {
 	}
 	c.notifications.Init(sim, (*notifyQueue)(c), 256)
 	c.demux.Init(sim, (*demuxer)(c))
-	c.out.bind(conn, codec)
+	c.out.bind(conn)
 	c.demux.Ready() // the peer's prologue may already be there
 	return c
 }
@@ -427,11 +406,10 @@ func (c *Client) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 	return c.out.send(&wire.Envelope{Kind: wire.KindNotify, Method: method, Req: ctx.Req, Span: ctx.Span}, arg)
 }
 
-// sender is one end's send half: the codec it speaks and the frame encoder
-// of its direction. Client and ServerConn each own one.
+// sender is one end's send half: the frame encoder of its direction. Client
+// and ServerConn each own one.
 type sender struct {
-	conn  *transport.Conn
-	codec Codec
+	conn *transport.Conn
 	// mu guards enc: concurrent senders (callers of one Client; a
 	// ServerConn's serve loop and its handlers' notification daemons) share
 	// the direction's encoder.
@@ -439,8 +417,8 @@ type sender struct {
 	enc wire.Encoder
 }
 
-// bind attaches the sender to conn and, for the binary codec, ships the
-// handshake prologue as its own frame, at setup. Letting it ride on the
+// bind attaches the sender to conn and ships the handshake prologue as its
+// own frame, at setup. Letting it ride on the
 // first data frame (which wire.Encoder.Encode does for a sender that never
 // called EncodePrologue) would be as deterministic — the run token makes
 // the order of sends within a virtual instant a function of the seed — and
@@ -449,11 +427,8 @@ type sender struct {
 // and counter table the repository compares across commits: removing the
 // frame is a change of its own, with its own census (DESIGN.md, "Wire
 // format").
-func (s *sender) bind(conn *transport.Conn, codec Codec) {
-	s.conn, s.codec = conn, codec
-	if codec != Binary {
-		return
-	}
+func (s *sender) bind(conn *transport.Conn) {
+	s.conn = conn
 	buf := wire.GetBuf()
 	*buf = s.enc.EncodePrologue((*buf)[:0])
 	// A connection that is already closed fails the first real send too.
@@ -474,15 +449,13 @@ type wireParser interface {
 }
 
 // marshalBody appends the body encoding of v to dst: the typed form behind
-// wire.BodyMarker when v has one and the envelope will be binary, JSON
-// otherwise — a JSON envelope embeds its body as a JSON value, so a
-// JSON-codec connection stays JSON all the way down. The choice depends on
-// v's type and the sender's codec alone.
-func marshalBody(dst []byte, codec Codec, v any) ([]byte, error) {
+// wire.BodyMarker when v has one, JSON otherwise. The choice depends on v's
+// type alone.
+func marshalBody(dst []byte, v any) ([]byte, error) {
 	if v == nil {
 		return dst, nil
 	}
-	if w, ok := v.(wireAppender); ok && codec == Binary {
+	if w, ok := v.(wireAppender); ok {
 		return w.AppendWire(append(dst, wire.BodyMarker)), nil
 	}
 	js, err := json.Marshal(v)
@@ -493,8 +466,8 @@ func marshalBody(dst []byte, codec Codec, v any) ([]byte, error) {
 }
 
 // Decode unmarshals a received body into v, tolerating an empty body. The
-// first byte says which form arrived, whatever the sender's type or codec
-// was: a typed receiver still decodes the JSON a foreign client sent it.
+// first byte says which form arrived, whatever the sender's type was: a
+// typed receiver still decodes the JSON a foreign client sent it.
 func Decode(body json.RawMessage, v any) error {
 	if len(body) == 0 {
 		return nil
@@ -512,7 +485,7 @@ func Decode(body json.RawMessage, v any) error {
 // send marshals arg as env's body and puts the envelope on the wire.
 func (s *sender) send(env *wire.Envelope, arg any) error {
 	buf := wire.GetBuf()
-	body, err := marshalBody(*buf, s.codec, arg)
+	body, err := marshalBody(*buf, arg)
 	if err != nil {
 		wire.PutBuf(buf)
 		return fmt.Errorf("rpc: marshal %s: %w", env.Method, err)
@@ -522,23 +495,13 @@ func (s *sender) send(env *wire.Envelope, arg any) error {
 }
 
 // sendFrame sends env with the contents of the pooled buffer buf as its
-// body, and recycles buf. The binary frame is encoded behind the body in
+// body, and recycles buf. The frame is encoded behind the body in
 // the same buffer and the transport copies what it sends, so the
 // steady-state send path allocates nothing of its own.
 func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte) error {
 	defer wire.PutBuf(buf)
 	env.Body = *buf
 	ctx := envCtx(env)
-	if s.codec == JSON {
-		raw, err := wire.EncodeJSON(env)
-		if err != nil {
-			return fmt.Errorf("rpc: marshal envelope: %w", err)
-		}
-		if s.conn.SendCtx(raw, ctx) != nil {
-			return ErrClosed
-		}
-		return nil
-	}
 	s.mu.Lock()
 	*buf = s.enc.Encode(*buf, env)
 	err := s.conn.SendCtx((*buf)[len(env.Body):], ctx)
@@ -666,7 +629,7 @@ func (c *Call) reply(result any, err error) bool {
 	if err != nil {
 		reply.Error = err.Error()
 		outcome = "error"
-	} else if body, merr := marshalBody(*buf, sc.out.codec, result); merr != nil {
+	} else if body, merr := marshalBody(*buf, result); merr != nil {
 		reply.Error = "rpc: marshal reply: " + merr.Error()
 		outcome = "error"
 	} else {
@@ -698,23 +661,16 @@ type Server struct {
 	handler  Handler     // nil when tasks is set
 	tasks    TaskHandler // nil when handler is set
 	preamble Preamble
-	codec    Codec
 	// accept starts whatever serves a connection — a process or a task — for
 	// every connection that has arrived (see acceptor).
 	accept vtime.Task
 }
 
 // Serve starts accepting on l, running preamble (optional) then the
-// envelope loop for each connection in a process of its own, replying in
-// the default binary codec. It returns immediately.
+// envelope loop for each connection in a process of its own. It returns
+// immediately.
 func Serve(sim *vtime.Sim, l *transport.Listener, handler Handler, preamble Preamble) *Server {
-	return ServeCodec(sim, l, handler, preamble, Binary)
-}
-
-// ServeCodec is Serve with an explicit send codec for replies and
-// notifications. Inbound frames are auto-detected regardless.
-func ServeCodec(sim *vtime.Sim, l *transport.Listener, handler Handler, preamble Preamble, codec Codec) *Server {
-	return (&Server{sim: sim, listener: l, handler: handler, preamble: preamble, codec: codec}).start()
+	return (&Server{sim: sim, listener: l, handler: handler, preamble: preamble}).start()
 }
 
 // ServeTasks starts accepting on l for a handler that never blocks: no
@@ -722,7 +678,7 @@ func ServeCodec(sim *vtime.Sim, l *transport.Listener, handler Handler, preamble
 // blocks — so a service that authenticates its connections first is a
 // Handler's.
 func ServeTasks(sim *vtime.Sim, l *transport.Listener, handler TaskHandler) *Server {
-	return (&Server{sim: sim, listener: l, tasks: handler, codec: Binary}).start()
+	return (&Server{sim: sim, listener: l, tasks: handler}).start()
 }
 
 func (s *Server) start() *Server {
@@ -764,7 +720,7 @@ func (a *acceptor) RunTask() {
 
 // open starts the envelope exchange: this direction's prologue goes out.
 func (sc *ServerConn) open() {
-	sc.out.bind(sc.conn, sc.srv.codec)
+	sc.out.bind(sc.conn)
 	sc.hServe = sc.conn.Network().Hists().H("rpc.serve.latency")
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
+	"cogrid/internal/wire"
 )
 
 type echoArgs struct {
@@ -52,6 +53,14 @@ func startEcho(t *testing.T, sim *vtime.Sim, host *transport.Host) *Server {
 		},
 	}
 	return Serve(sim, l, h, nil)
+}
+
+// frame encodes env the way a test puts an envelope on the wire by hand.
+// Every frame comes from a fresh Encoder and so carries the prologue, which
+// a Decoder validates wherever it appears.
+func frame(env wire.Envelope) []byte {
+	var enc wire.Encoder
+	return enc.Encode(nil, &env)
 }
 
 func newPair(t *testing.T) (*vtime.Sim, *transport.Host, *transport.Host) {

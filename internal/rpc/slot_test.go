@@ -41,13 +41,7 @@ func (s *scripted) expect(n int) {
 }
 
 // send puts one envelope on the wire.
-func (s *scripted) send(env wire.Envelope) {
-	raw, err := wire.EncodeJSON(&env)
-	if err != nil {
-		s.e.t.Fatalf("EncodeJSON: %v", err)
-	}
-	s.conn.Send(raw)
-}
+func (s *scripted) send(env wire.Envelope) { s.conn.Send(frame(env)) }
 
 // answer replies to the i-th call that arrived with v.
 func (s *scripted) answer(i int, v any) {

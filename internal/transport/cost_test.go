@@ -133,54 +133,10 @@ func TestUntracedFailedDialBuildsNothing(t *testing.T) {
 }
 
 // TestConnSize pins what every connection end costs before it has sent
-// anything: a pair is one allocation of two of these. The batching state
-// (the policy, the open batch, the flush task: 160 bytes an end) is behind a
-// pointer that only a connection made under Network.SetBatching fills, and a
-// connection keeps what it was made with whatever the policy becomes.
+// anything: a pair is one allocation of two of these.
 func TestConnSize(t *testing.T) {
 	if size := unsafe.Sizeof(Conn{}); size > 512 {
 		t.Errorf("Conn is %d bytes, want <= 512", size)
-	}
-	sim := vtime.New()
-	net := New(sim, UniformLatency(time.Millisecond))
-	a, b := net.AddHost("a"), net.AddHost("b")
-	err := sim.Run("main", func() {
-		l, err := b.Listen("svc")
-		if err != nil {
-			t.Fatalf("Listen: %v", err)
-		}
-		dial := func() (client, server *Conn) {
-			client, err := a.Dial(Addr{"b", "svc"})
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			server, _ = l.Accept()
-			return client, server
-		}
-		plainC, plainS := dial()
-		net.SetBatching(BatchOptions{Delay: time.Millisecond})
-		batchC, batchS := dial()
-		net.SetBatching(BatchOptions{})
-		if plainC.batch != nil || plainS.batch != nil {
-			t.Error("a connection made with batching off carries batching state")
-		}
-		if batchC.batch == nil || batchS.batch == nil || batchC.batch.Delay != time.Millisecond || batchC.batch.MaxMsgs != 32 {
-			t.Errorf("a connection made with batching on carries %+v", batchC.batch)
-		}
-		// Each keeps the policy it was made under: the plain end's message takes
-		// the wire's millisecond, the batched end's a flush tick more.
-		sent := sim.Now()
-		plainC.Send([]byte("x"))
-		batchC.Send([]byte("x"))
-		if _, err := plainS.Recv(); err != nil || sim.Now()-sent != time.Millisecond {
-			t.Errorf("unbatched message: %v after %v, want 1ms", err, sim.Now()-sent)
-		}
-		if _, err := batchS.Recv(); err != nil || sim.Now()-sent != 2*time.Millisecond {
-			t.Errorf("batched message: %v after %v, want 2ms", err, sim.Now()-sent)
-		}
-	})
-	if err != nil {
-		t.Fatalf("sim: %v", err)
 	}
 }
 

@@ -42,7 +42,6 @@ type deliveryEnv struct {
 func TestDeliveryContract(t *testing.T) {
 	cases := []struct {
 		name   string
-		batch  BatchOptions
 		client func(e *deliveryEnv)
 		// want is each server end's observations, in dial order.
 		want [][]arrival
@@ -160,29 +159,6 @@ func TestDeliveryContract(t *testing.T) {
 			},
 			timers: 8*2 + 9 + 8,
 		},
-		{
-			// Four fill a batch and leave at once; two wait out the flush
-			// delay; each is still its own message to the counters.
-			name:  "batched sends",
-			batch: BatchOptions{MaxMsgs: 4, Delay: ms / 2},
-			client: func(e *deliveryEnv) {
-				c := e.dial("b")
-				for i := 0; i < 6; i++ {
-					c.Send([]byte(fmt.Sprintf("b%d", i)))
-				}
-				e.sim.Sleep(5 * ms)
-				c.Close()
-				e.sim.Sleep(5 * ms)
-			},
-			want: [][]arrival{{
-				{4 * ms, "b0"}, {4 * ms, "b1"}, {4 * ms, "b2"}, {4 * ms, "b3"},
-				{4500 * time.Microsecond, "b4"}, {4500 * time.Microsecond, "b5"},
-				{9 * ms, "closed"},
-			}},
-			// The second batch opens while the flush timer is armed, which
-			// buys a second tick after the first.
-			timers: 2 + 2 + 2 + 3, // dial; sleeps; flush ticks; two batches and the FIN
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -192,7 +168,6 @@ func TestDeliveryContract(t *testing.T) {
 			tr, ctrs := trace.New(sim), trace.NewCounters()
 			net.SetTracer(tr)
 			net.SetCounters(ctrs)
-			net.SetBatching(tc.batch)
 			e := &deliveryEnv{t: t, sim: sim, net: net, lat: lat, a: net.AddHost("a"), b: net.AddHost("b")}
 
 			var got [][]arrival
@@ -265,8 +240,7 @@ func TestDeliveryContract(t *testing.T) {
 					t.Errorf("transport.drop.%s@a = %d, want %d", reason, got, want)
 				}
 			}
-			// Accounting is per message even when the wire carried batches:
-			// every send has a hop span, and a recv or a drop.
+			// Every send has a hop span, and a recv or a drop.
 			sent := ctrs.Get(trace.Key("transport", "msgs", "send", "a"))
 			recvd := ctrs.Get(trace.Key("transport", "msgs", "recv", "a")) + ctrs.Get(trace.Key("transport", "msgs", "recv", "b"))
 			lost := ctrs.Get(trace.Key("transport", "msgs", "drop", "a"))

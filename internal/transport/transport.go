@@ -115,44 +115,6 @@ func pairKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// BatchOptions configures same-destination send coalescing. When enabled
-// (Delay > 0), a connection's sends are gathered into a pending batch that
-// is flushed onto the wire as one delivery either when it reaches MaxMsgs
-// messages or MaxBytes payload bytes, or Delay of virtual time after its
-// first message — whichever comes first. Batching preserves per-connection
-// FIFO order and per-message drop/recv accounting; it reduces the number
-// of delivery-pipeline operations (and so the simulator's per-message
-// cost) at the price of up to Delay of added latency on lightly loaded
-// connections.
-type BatchOptions struct {
-	// MaxMsgs flushes a batch when it holds this many messages
-	// (default 32).
-	MaxMsgs int
-	// MaxBytes flushes a batch when it holds this many payload bytes
-	// (default 64 KiB).
-	MaxBytes int
-	// Delay is the virtual-time flush tick: a batch never waits longer
-	// than this after its first message. Zero disables batching.
-	Delay time.Duration
-}
-
-func (o BatchOptions) enabled() bool { return o.Delay > 0 }
-
-// SetBatching installs batch as the coalescing policy for connections
-// created from now on; existing connections keep the policy they were
-// created with. A zero Delay disables batching (the default).
-func (n *Network) SetBatching(batch BatchOptions) {
-	if batch.MaxMsgs <= 0 {
-		batch.MaxMsgs = 32
-	}
-	if batch.MaxBytes <= 0 {
-		batch.MaxBytes = 64 << 10
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.batch = batch
-}
-
 // hostState models the failure condition of a host.
 type hostState int
 
@@ -170,7 +132,6 @@ type Network struct {
 	mu         sync.Mutex
 	hosts      map[string]*Host
 	partitions map[[2]string]bool
-	batch      BatchOptions
 	connSeq    uint64 // establishment order, for deterministic failure sweeps
 
 	msgs  atomic.Int64
@@ -628,7 +589,7 @@ func (l *Listener) close(deregister bool) {
 	l.accept.Close()
 }
 
-// pendingMsg is one coalesced send awaiting batch flush.
+// pendingMsg is one sent payload on its way to the peer.
 type pendingMsg struct {
 	payload []byte
 	sentAt  time.Duration
@@ -637,11 +598,10 @@ type pendingMsg struct {
 	ctx trace.Ctx
 }
 
-// outMsg is an entry in a connection's delivery pipeline: a single
-// payload, a coalesced batch, or a FIN.
+// outMsg is an entry in a connection's delivery pipeline: a payload or a
+// FIN.
 type outMsg struct {
 	pendingMsg
-	batch     []pendingMsg
 	deliverAt time.Duration
 	fin       bool
 }
@@ -683,10 +643,6 @@ type Conn struct {
 	// bound cardinality), nil when no registry is attached.
 	hBytes, hDelay *metrics.Histogram
 
-	// batch is the end's coalescing state, nil unless the network's policy
-	// was enabled when the connection was created.
-	batch *batching
-
 	mu sync.Mutex
 
 	// The delivery pipeline, guarded by mu: out[outHead:] is in flight,
@@ -699,23 +655,6 @@ type Conn struct {
 	delivering bool
 	sealed     bool
 	deliver    vtime.Task
-}
-
-// batching is what a connection end carries only under a batching policy
-// (Network.SetBatching, which one study calls): the policy it was created
-// with, the batch that is open, and the flush tick. Guarded by Conn.mu.
-type batching struct {
-	BatchOptions
-	pend      []pendingMsg
-	pendBytes int
-	sizes     *metrics.Histogram // transport.batch.msgs, nil when no registry is attached
-
-	// flushing says the flush task is queued or armed; a batch that opens
-	// meanwhile sets flushAgain, which buys one more tick after the armed one
-	// (a second signal waiting). flushArmed: the step was entered by its
-	// timer, not from the run queue.
-	flush                            vtime.Task
-	flushing, flushArmed, flushAgain bool
 }
 
 // The per-connection counters, transport.conn.<verb>@<dir>: connVerbs[i]
@@ -841,12 +780,8 @@ type inbox Conn
 
 func (i *inbox) String() string { return "in:" + (*Conn)(i).String() }
 
-// deliverer and flusher are a connection end's two task bodies; the second
-// exists under a batching policy only.
-type (
-	deliverer Conn
-	flusher   Conn
-)
+// deliverer is a connection end's task body.
+type deliverer Conn
 
 // Flow returns the connection-pair identifier shared by both ends: the
 // client and server addresses plus the establishment time in microseconds.
@@ -862,9 +797,8 @@ func (c *Conn) Network() *Network { return c.net }
 func (c *Conn) Ctx() trace.Ctx { return c.ctx }
 
 // newConnPair builds both ends of a connection from a client on host from
-// to service on host to in one allocation; both ends' counters, if a
-// registry is attached, in another; and their batching state, if the
-// network's policy is enabled now, in a third. Caller holds n.mu.
+// to service on host to in one allocation, and both ends' counters, if a
+// registry is attached, in another. Caller holds n.mu.
 func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server *Conn) {
 	n := from.net
 	pair := new([2]Conn)
@@ -877,21 +811,12 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 	if fam != nil {
 		stats = new([2]connStats)
 	}
-	var batch *[2]batching
-	if n.batch.enabled() {
-		batch = new([2]batching)
-	}
 	for i := range pair {
 		c := &pair[i]
 		n.connSeq++
 		c.net, c.estSeq, c.est, c.ctx = n, n.connSeq, n.sim.Now(), ctx
 		c.in.Init(n.sim, (*inbox)(c), 4096)
 		c.deliver.Init(n.sim, (*deliverer)(c))
-		if batch != nil {
-			c.batch = &batch[i]
-			c.batch.BatchOptions = n.batch
-			c.batch.flush.Init(n.sim, (*flusher)(c))
-		}
 		if stats != nil {
 			c.stats = &stats[i]
 			c.stats.local, c.stats.remote, c.stats.est = c.local, c.remote, c.est
@@ -900,9 +825,6 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 		if hs != nil {
 			c.hBytes = hs.H("transport.msg.bytes")
 			c.hDelay = hs.H("transport.msg.delay")
-			if c.batch != nil {
-				c.batch.sizes = hs.H("transport.batch.msgs")
-			}
 		}
 	}
 	client.peer, server.peer = server, client
@@ -936,15 +858,7 @@ func (d *deliverer) RunTask() {
 			c.peer.shut(false) // the peer's receive side closes
 			continue           // nothing is behind a FIN
 		}
-		// Reachability is evaluated once per delivery (per batch): a batch
-		// crosses the wire as one unit.
-		deliverable := c.net.deliverable(c.local.Host, c.remote.Host)
-		for _, p := range m.batch {
-			c.deliverOne(p, deliverable)
-		}
-		if m.batch == nil {
-			c.deliverOne(m.pendingMsg, deliverable)
-		}
+		c.deliverOne(m.pendingMsg, c.net.deliverable(c.local.Host, c.remote.Host))
 	}
 }
 
@@ -961,8 +875,7 @@ func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
 		return
 	}
 	// Enqueue-to-delivery virtual delay: wire latency plus any FIFO
-	// backlog (and batch coalescing time) behind earlier messages on this
-	// connection.
+	// backlog behind earlier messages on this connection.
 	c.hDelay.Record(int64(c.net.sim.Now() - m.sentAt))
 	c.peer.stats.add(ctrRecv, 1)
 	c.peer.stats.add(ctrRecvBytes, int64(len(payload)))
@@ -1042,10 +955,6 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	if c.batch != nil {
-		c.appendBatch(buf, ctx, now)
-		return nil
-	}
 	// One hop span per send, covering the wire time to the peer.
 	c.traceHop(ctx, len(payload), now, now+oneWay)
 	c.mu.Lock()
@@ -1084,60 +993,6 @@ func (c *Conn) enqueueLocked(m outMsg) bool {
 	return true
 }
 
-// appendBatch coalesces one send into the connection's pending batch,
-// flushing inline when the batch reaches a size threshold and arming the
-// flush timer when a batch opens.
-func (c *Conn) appendBatch(payload []byte, ctx trace.Ctx, now time.Duration) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.dropped(len(payload), "conn-closed", ctx)
-		return
-	}
-	b := c.batch
-	first := len(b.pend) == 0
-	b.pend = append(b.pend, pendingMsg{payload: payload, sentAt: now, ctx: ctx})
-	b.pendBytes += len(payload)
-	if len(b.pend) >= b.MaxMsgs || b.pendBytes >= b.MaxBytes {
-		c.flushLocked()
-	} else if first && b.flushing {
-		b.flushAgain = true
-	} else if first {
-		b.flushing = true
-		b.flush.Ready()
-	}
-	c.mu.Unlock()
-}
-
-// flushLocked moves the pending batch into the delivery pipeline as one
-// unit. Caller holds c.mu; the swap-and-enqueue is atomic under it, which
-// is what keeps batches in per-connection FIFO order.
-func (c *Conn) flushLocked() {
-	b := c.batch
-	if b == nil || len(b.pend) == 0 {
-		return
-	}
-	batch := b.pend
-	b.pend = nil
-	b.pendBytes = 0
-	n := c.net
-	now := n.sim.Now()
-	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
-	if !c.enqueueLocked(outMsg{batch: batch, deliverAt: now + oneWay}) {
-		for _, p := range batch {
-			c.dropped(len(p.payload), "sendq-full", p.ctx)
-		}
-		return
-	}
-	b.sizes.Record(int64(len(batch)))
-	// One hop span per coalesced message, from its send time to the
-	// batch's delivery time: the span length includes the coalescing wait,
-	// so traces show the latency cost of batching, not just the wire time.
-	for _, p := range batch {
-		c.traceHop(p.ctx, len(p.payload), p.sentAt, now+oneWay)
-	}
-}
-
 // traceHop records one message's hop span; its context, arguments and
 // strings are built only if a tracer is there to take them.
 func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
@@ -1146,27 +1001,6 @@ func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
 			trace.Arg{Key: "to", Val: c.names().to})
 	}
-}
-
-// RunTask is the batch-flush tick: entered from the run queue when a batch
-// opens, it arms itself one batch delay ahead; entered by that timer, it
-// flushes whatever is pending.
-func (f *flusher) RunTask() {
-	c := (*Conn)(f)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.batch
-	if b.flushArmed {
-		b.flushArmed = false
-		c.flushLocked()
-		if !b.flushAgain {
-			b.flushing = false
-			return
-		}
-		b.flushAgain = false
-	}
-	b.flushArmed = true
-	b.flush.At(c.net.sim.Now() + b.Delay)
 }
 
 // Recv blocks until a message arrives. It returns ErrClosed once the
@@ -1211,8 +1045,7 @@ func (c *Conn) ReadyOnArrival(t *vtime.Task) { c.in.ReadyOnArrival(t) }
 func (c *Conn) Close() { c.shut(true) }
 
 // shut closes this end, once. A close of the end's own making (fin) lets
-// what it has sent drain to the peer, the last pending batch included,
-// and sends a FIN after it.
+// what it has sent drain to the peer and sends a FIN after it.
 func (c *Conn) shut(fin bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1220,9 +1053,6 @@ func (c *Conn) shut(fin bool) {
 		return
 	}
 	c.closed = true
-	if fin {
-		c.flushLocked()
-	}
 	n := c.net
 	n.mu.Lock()
 	if h := n.hosts[c.local.Host]; h != nil {

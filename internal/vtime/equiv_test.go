@@ -6,6 +6,13 @@
 // replaced under the harshest workloads the repo can generate —
 // co-allocations, broker federations, injected faults, background load.
 //
+// The heap is not reachable from production code: it lives in this
+// package's test files, and a run gets it through vtime.UseHeapTimers
+// (export_test.go), which swaps the store every kernel is built with until
+// it is restored. That is package state, so nothing here is parallel: each
+// run installs the heap, builds and runs its grid, and restores before the
+// next kernel — the wheel's — is constructed.
+//
 // This lives in an external test package because the dst harness imports
 // vtime; the suite still runs under `go test ./internal/vtime/...`, where
 // the engine it locks down lives.
@@ -18,6 +25,7 @@ import (
 	"testing"
 
 	"cogrid/internal/dst"
+	"cogrid/internal/experiments"
 	"cogrid/internal/vtime"
 )
 
@@ -26,12 +34,28 @@ import (
 // schedule, and background workload.
 const equivSeeds = 16
 
+// The two engines a run is made on.
+const (
+	heap  = "heap"
+	wheel = "wheel"
+)
+
+// onEngine runs fn with kernels built on the given engine.
+func onEngine(engine string, fn func()) {
+	if engine == heap {
+		defer vtime.UseHeapTimers()()
+	}
+	fn()
+}
+
 // runEngine executes one scenario on the given engine, returning the
 // invariant verdict (as canonical JSON) and the byte artifacts.
-func runEngine(t *testing.T, sc dst.Scenario, engine vtime.TimerEngine) ([]byte, dst.Artifacts) {
+func runEngine(t *testing.T, sc dst.Scenario, engine string) ([]byte, dst.Artifacts) {
 	t.Helper()
 	var arts dst.Artifacts
-	res, err := dst.Run(sc, dst.RunOptions{Engine: engine, Artifacts: &arts})
+	var res dst.RunResult
+	var err error
+	onEngine(engine, func() { res, err = dst.Run(sc, dst.RunOptions{Artifacts: &arts}) })
 	if err != nil {
 		t.Fatalf("engine %v: %v", engine, err)
 	}
@@ -72,12 +96,10 @@ func diffByteArtifact(t *testing.T, name string, heap, wheel []byte) {
 // differently — fails with the first differing line.
 func TestKernelEquivalenceDST(t *testing.T) {
 	for seed := int64(1); seed <= equivSeeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
 			sc := dst.Generate(seed, dst.SmokeProfile)
-			heapVerdict, heapArts := runEngine(t, sc, vtime.EngineHeap)
-			wheelVerdict, wheelArts := runEngine(t, sc, vtime.EngineWheel)
+			heapVerdict, heapArts := runEngine(t, sc, heap)
+			wheelVerdict, wheelArts := runEngine(t, sc, wheel)
 			diffByteArtifact(t, "invariant verdict", heapVerdict, wheelVerdict)
 			diffByteArtifact(t, "trace JSONL", heapArts.TraceJSONL, wheelArts.TraceJSONL)
 			diffByteArtifact(t, "gauge CSV", heapArts.GaugeCSV, wheelArts.GaugeCSV)
@@ -98,10 +120,8 @@ func TestKernelEquivalenceDST(t *testing.T) {
 // race. Cross-engine equivalence (the tests below) would be vacuous if a
 // single engine could not even agree with itself.
 func TestKernelSelfDeterminism(t *testing.T) {
-	for _, engine := range []vtime.TimerEngine{vtime.EngineHeap, vtime.EngineWheel} {
-		engine := engine
-		t.Run(engine.String(), func(t *testing.T) {
-			t.Parallel()
+	for _, engine := range []string{heap, wheel} {
+		t.Run(engine, func(t *testing.T) {
 			sc := dst.Generate(3, dst.SmokeProfile)
 			aVerdict, aArts := runEngine(t, sc, engine)
 			bVerdict, bArts := runEngine(t, sc, engine)
@@ -127,15 +147,35 @@ func TestKernelEquivalenceReplaysRegressionScenarios(t *testing.T) {
 		t.Fatal("no regression scenarios found")
 	}
 	for _, named := range scenarios {
-		named := named
 		t.Run(named.Name, func(t *testing.T) {
-			t.Parallel()
-			heapVerdict, heapArts := runEngine(t, named.Scenario, vtime.EngineHeap)
-			wheelVerdict, wheelArts := runEngine(t, named.Scenario, vtime.EngineWheel)
+			heapVerdict, heapArts := runEngine(t, named.Scenario, heap)
+			wheelVerdict, wheelArts := runEngine(t, named.Scenario, wheel)
 			diffByteArtifact(t, "invariant verdict", heapVerdict, wheelVerdict)
 			diffByteArtifact(t, "trace JSONL", heapArts.TraceJSONL, wheelArts.TraceJSONL)
 			diffByteArtifact(t, "gauge CSV", heapArts.GaugeCSV, wheelArts.GaugeCSV)
 			diffByteArtifact(t, "metrics exposition", heapArts.Metrics, wheelArts.Metrics)
 		})
+	}
+}
+
+// TestKernelEquivalenceScaleSmoke is the scale-path differential: B4 at its
+// smoke size — 10⁴ batch jobs over 10² machines, raw on the kernel, deep
+// into the wheel's upper levels and the release index, where the
+// protocol-heavy DST scenarios are too small to reach — once on each
+// engine. Every job must be accounted for on both, and the rows must agree
+// on every virtual-time column.
+func TestKernelEquivalenceScaleSmoke(t *testing.T) {
+	rows := make(map[string]experiments.ScaleRow)
+	for _, engine := range []string{heap, wheel} {
+		onEngine(engine, func() {
+			res := experiments.ScaleStudy(experiments.ScaleSmokeConfig(1))
+			rows[engine] = res.Rows[0]
+		})
+		if row := rows[engine]; row.Done != int64(row.Jobs) || row.Failed != 0 {
+			t.Errorf("%s: done=%d failed=%d of %d jobs", engine, row.Done, row.Failed, row.Jobs)
+		}
+	}
+	if !rows[heap].VirtualEqual(rows[wheel]) {
+		t.Errorf("engines diverge on virtual-time columns:\n  heap:  %+v\n  wheel: %+v", rows[heap], rows[wheel])
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"time"
 )
 
-var bothEngines = []TimerEngine{EngineWheel, EngineHeap}
-
 // A timeout takes the process off the queue it waited on. Before the
 // descriptor queues, every expired WaitTimeout left a dead waiter on its
 // Event until Set — and a job's kill event is never set on normal
@@ -123,8 +121,8 @@ func TestBlockingDoesNotAllocate(t *testing.T) {
 	}
 	for _, engine := range bothEngines {
 		for _, tc := range cases {
-			t.Run(engine.String()+"/"+tc.name, func(t *testing.T) {
-				s := NewWithConfig(Config{Engine: engine})
+			t.Run(engine+"/"+tc.name, func(t *testing.T) {
+				s := newSimOn(engine, 1)
 				f := &fixture{s: s, ping: NewChan[int](s, "ping", 0), pong: NewChan[int](s, "pong", 0),
 					never: NewEvent(s, "never"), gate: NewEvent(s, "gate"), wg: NewWaitGroup(s)}
 				f.child = f.wg.Done
@@ -163,8 +161,8 @@ func TestBlockingDoesNotAllocate(t *testing.T) {
 func TestDescriptorReuseNoSpuriousWake(t *testing.T) {
 	const ms = time.Millisecond
 	for _, engine := range bothEngines {
-		t.Run(engine.String(), func(t *testing.T) {
-			s := NewWithConfig(Config{Engine: engine})
+		t.Run(engine, func(t *testing.T) {
+			s := newSimOn(engine, 1)
 			done := NewWaitGroup(s)
 			worker := func(id int) {
 				defer done.Done()

@@ -31,12 +31,11 @@
 // process it can grant the token to, which may be itself. A parked
 // goroutine resumes only when granted the token.
 //
-// Timers are kept in one of two interchangeable engines selected at
-// construction ([Config.Engine]): a hierarchical timer wheel with a
-// calendar-queue overflow level (the default; O(1) amortized push/pop at
-// million-timer scale) and the original binary heap, retained as the
-// reference scheduler for differential testing. Both fire timers in
-// identical (time, insertion) order.
+// Timers are kept in a hierarchical timer wheel with a calendar-queue
+// overflow level (O(1) amortized push/pop at million-timer scale) and fire
+// in exact (time, insertion) order. The original binary heap lives on in
+// this package's test files as the reference scheduler: the kernel
+// equivalence suite runs every scenario on both and compares the bytes.
 //
 // Processes may use plain sync.Mutex for instantaneous critical sections,
 // but must never block on ordinary Go channels or hold a mutex across a
@@ -58,50 +57,8 @@ import (
 	"time"
 )
 
-// TimerEngine selects the data structure behind the kernel's timer queue.
-type TimerEngine uint8
-
-const (
-	// EngineWheel is the default: a hierarchical timing wheel with a
-	// calendar-queue overflow level. O(1) amortized push/pop.
-	EngineWheel TimerEngine = iota
-	// EngineHeap is the original container/heap scheduler, retained as the
-	// reference implementation for differential kernel-equivalence tests.
-	EngineHeap
-)
-
-func (e TimerEngine) String() string {
-	switch e {
-	case EngineWheel:
-		return "wheel"
-	case EngineHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("TimerEngine(%d)", uint8(e))
-}
-
-// ParseTimerEngine converts an engine name ("wheel" or "heap") to its
-// TimerEngine value.
-func ParseTimerEngine(name string) (TimerEngine, error) {
-	switch name {
-	case "wheel", "":
-		return EngineWheel, nil
-	case "heap":
-		return EngineHeap, nil
-	}
-	return EngineWheel, fmt.Errorf("vtime: unknown timer engine %q", name)
-}
-
-// Config parameterizes kernel construction.
-type Config struct {
-	// Seed seeds the kernel's random source (0 means seed 1).
-	Seed int64
-	// Engine selects the timer queue implementation (default EngineWheel).
-	Engine TimerEngine
-}
-
-// Sim is a discrete-event simulation kernel. Create one with New, NewSeeded
-// or NewWithConfig; a zero Sim is not usable.
+// Sim is a discrete-event simulation kernel. Create one with New or
+// NewSeeded; a zero Sim is not usable.
 type Sim struct {
 	mu        sync.Mutex
 	now       time.Duration
@@ -129,7 +86,6 @@ type Sim struct {
 
 	timers     timerQueue
 	liveTimers int // pending timers that are neither cancelled nor fired
-	engine     TimerEngine
 
 	blocked    procQueue     // every blocked process in block order, for deadlock reports
 	freeProcs  []*proc       // descriptors of exited processes
@@ -213,9 +169,6 @@ func (s *Sim) counter(c *int64) int64 {
 	return *c
 }
 
-// Engine returns the timer engine this kernel was constructed with.
-func (s *Sim) Engine() TimerEngine { return s.engine }
-
 // DeadlockError reports that every live process was blocked with no pending
 // timers. Blocked lists a human-readable description of each blocked
 // process at the moment of detection.
@@ -232,28 +185,23 @@ func (e *DeadlockError) Error() string {
 // New returns a kernel seeded deterministically (seed 1).
 func New() *Sim { return NewSeeded(1) }
 
-// NewSeeded returns a kernel whose random source is seeded with seed.
-func NewSeeded(seed int64) *Sim { return NewWithConfig(Config{Seed: seed}) }
-
-// NewWithConfig returns a kernel built per cfg.
-func NewWithConfig(cfg Config) *Sim {
-	seed := cfg.Seed
+// NewSeeded returns a kernel whose random source is seeded with seed (0
+// means seed 1).
+func NewSeeded(seed int64) *Sim {
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Sim{
+	return &Sim{
 		done:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
-		engine: cfg.Engine,
+		timers: newTimerQueue(),
 	}
-	switch cfg.Engine {
-	case EngineHeap:
-		s.timers = newHeapQueue()
-	default:
-		s.timers = newTimerWheel()
-	}
-	return s
 }
+
+// newTimerQueue builds a kernel's timer store. Nothing outside this
+// package's test files assigns it: the equivalence suite swaps in the
+// reference heap (export_test.go) to run whole grids on it.
+var newTimerQueue = func() timerQueue { return newTimerWheel() }
 
 // Now returns the current virtual time, measured from the start of the
 // simulation. It is lock-free: for a simulated process the clock cannot
@@ -972,12 +920,12 @@ type timerEntry struct {
 	passive   bool
 	cancelled bool
 	fired     bool
-	index     int // heap engine bookkeeping
 }
 
-// timerQueue is the kernel's timer store. Both engines return entries in
-// exact (when, seq) order, including cancelled entries (the kernel skips
-// those lazily). len counts every stored entry, cancelled included.
+// timerQueue is the kernel's timer store: the wheel, or in tests the
+// reference heap. It returns entries in exact (when, seq) order, including
+// cancelled entries (the kernel skips those lazily). len counts every
+// stored entry, cancelled included.
 type timerQueue interface {
 	push(e *timerEntry)
 	pop() *timerEntry

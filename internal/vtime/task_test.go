@@ -26,8 +26,8 @@ func newStepTask(s *Sim, step func()) *stepTask {
 // time while it is armed is a bug the kernel names.
 func TestTaskRearmsFromOwnStep(t *testing.T) {
 	for _, engine := range bothEngines {
-		t.Run(engine.String(), func(t *testing.T) {
-			s := NewWithConfig(Config{Engine: engine})
+		t.Run(engine, func(t *testing.T) {
+			s := newSimOn(engine, 1)
 			var at []time.Duration
 			var tick *stepTask
 			tick = newStepTask(s, func() {
@@ -256,8 +256,8 @@ func TestTaskReadiedBeforeTheFirstProcess(t *testing.T) {
 // channel has one slot for it.
 func TestChanReadiesATaskOnArrival(t *testing.T) {
 	for _, engine := range bothEngines {
-		t.Run(engine.String(), func(t *testing.T) {
-			s := NewWithConfig(Config{Engine: engine})
+		t.Run(engine, func(t *testing.T) {
+			s := newSimOn(engine, 1)
 			ch := NewChan[int](s, "inbox", 4)
 			var got []string
 			var drain *stepTask
@@ -348,8 +348,8 @@ func TestChanReadiesATaskOnArrival(t *testing.T) {
 // ahead of the task.
 func TestArrivalTakesTheReceiversRunQueueSlot(t *testing.T) {
 	for _, engine := range bothEngines {
-		t.Run(engine.String(), func(t *testing.T) {
-			s := NewWithConfig(Config{Engine: engine})
+		t.Run(engine, func(t *testing.T) {
+			s := newSimOn(engine, 1)
 			var order []string
 			before, after := NewEvent(s, "before"), NewEvent(s, "after")
 			ch := NewChan[string](s, "ch", 1)

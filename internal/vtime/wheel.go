@@ -2,7 +2,7 @@ package vtime
 
 import "math/bits"
 
-// timerWheel is the default timer engine: a hierarchical timing wheel with
+// timerWheel is the kernel's timer engine: a hierarchical timing wheel with
 // a calendar-queue overflow level. It delivers entries in exactly the same
 // (when, seq) order as the reference heap, but push and pop are O(1)
 // amortized, which is what keeps a 10⁶-job simulation inside single-digit
@@ -25,8 +25,8 @@ import "math/bits"
 // the old level's slot span), so each entry is touched at most
 // wheelLevels+1 times over its life: O(1) amortized.
 //
-// Cancelled entries are discarded lazily when popped, exactly like the
-// heap engine; the kernel tracks the live count separately.
+// Cancelled entries are discarded lazily when popped, exactly as the
+// reference heap does; the kernel tracks the live count separately.
 type timerWheel struct {
 	cursor   int64 // current tick; only advances
 	due      dueHeap

@@ -87,9 +87,9 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 // Reset, and Sleep against one engine and returns the multiset of fired
 // callbacks (label@instant), the Stop/Reset result sequence, and the
 // kernel's TimersFired counter.
-func engineScript(t *testing.T, engine TimerEngine, seed int64) (fired []string, results []bool, count int64) {
+func engineScript(t *testing.T, engine string, seed int64) (fired []string, results []bool, count int64) {
 	t.Helper()
-	s := NewWithConfig(Config{Seed: seed, Engine: engine})
+	s := newSimOn(engine, seed)
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(seed*31 + 7))
 	randDur := func() time.Duration {
@@ -149,8 +149,8 @@ func engineScript(t *testing.T, engine TimerEngine, seed int64) (fired []string,
 // identical TimersFired counts.
 func TestKernelEnginesEquivalentRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		hFired, hResults, hCount := engineScript(t, EngineHeap, seed)
-		wFired, wResults, wCount := engineScript(t, EngineWheel, seed)
+		hFired, hResults, hCount := engineScript(t, "heap", seed)
+		wFired, wResults, wCount := engineScript(t, "wheel", seed)
 		if hCount != wCount {
 			t.Fatalf("seed %d: TimersFired heap=%d wheel=%d", seed, hCount, wCount)
 		}
@@ -177,7 +177,7 @@ func TestKernelEnginesEquivalentRandomOps(t *testing.T) {
 // regression: a cancelled far-future timer (deep in an overflow epoch)
 // must neither fire nor hold the clock back.
 func TestWheelFarFutureCancelDoesNotStallClock(t *testing.T) {
-	s := NewWithConfig(Config{Seed: 1, Engine: EngineWheel})
+	s := New()
 	firedFar := false
 	err := s.Run("main", func() {
 		tm := s.AfterFunc(1000*time.Hour, func() { firedFar = true })

@@ -6,8 +6,7 @@ import "math"
 // by default the RPC layer fills it with JSON. A message type whose traffic
 // justifies it can instead append its fields with the primitives below and
 // read them back with a Reader. Such a body starts with BodyMarker, so a
-// receiver tells the two forms apart by first byte — the rule the frame
-// decoder uses to tell binary frames from JSON envelopes.
+// receiver tells the two forms apart by first byte.
 
 // BodyMarker is the first byte of a typed body. No JSON value starts with
 // it (or with any byte above 0x7F).

@@ -1,7 +1,7 @@
 package wire
 
 // CRC16 (CCITT-FALSE: polynomial 0x1021, initial value 0xFFFF) frames
-// every binary envelope. The simulated transport never corrupts bytes, but
+// every envelope. The simulated transport never corrupts bytes, but
 // the checksum is what lets the decoder reject garbage cheaply — a frame
 // that is not a frame (fuzzed input, a stray JSON or handshake fragment)
 // fails the CRC before any field is parsed.

@@ -1,13 +1,11 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 )
 
-// Envelope kinds, carried in the low two flag bits of a binary frame and
-// as strings ("call", "reply", "notify") in the JSON format.
+// Envelope kinds, carried in the low two flag bits of a frame.
 const (
 	KindCall   byte = 1
 	KindReply  byte = 2
@@ -17,14 +15,13 @@ const (
 // Version is the wire protocol version the handshake prologue announces.
 const Version = 1
 
-// Frame markers. Neither collides with '{', so the decoder distinguishes
-// binary frames from JSON envelopes by first byte.
+// Frame markers.
 const (
-	magicFrame    = 0xC7 // every binary envelope frame
+	magicFrame    = 0xC7 // every envelope frame
 	magicPrologue = 0xC0 // handshake prologue, prefixed to a direction's first frame
 )
 
-// Flag bits of a binary frame.
+// Flag bits of a frame.
 const (
 	flagKindMask     = 0x03
 	flagID           = 1 << 2 // envelope carries a call/reply ID
@@ -43,9 +40,9 @@ var (
 	ErrDict    = errors.New("wire: dictionary mismatch in handshake prologue")
 )
 
-// Envelope is one RPC message in codec-independent form. Body holds the
-// already-encoded application payload (JSON, or a typed body behind
-// BodyMarker); the envelope codec treats it as opaque bytes.
+// Envelope is one RPC message. Body holds the already-encoded application
+// payload (JSON, or a typed body behind BodyMarker); the envelope codec
+// treats it as opaque bytes.
 type Envelope struct {
 	Kind   byte
 	ID     uint64
@@ -56,7 +53,7 @@ type Envelope struct {
 	Body   []byte
 }
 
-// Encoder encodes binary envelope frames for one direction of one
+// Encoder encodes envelope frames for one direction of one
 // connection. Its only state is whether the handshake prologue has been
 // sent; frames themselves are stateless and independently decodable, so a
 // frame lost in flight never desynchronizes the peer.
@@ -64,7 +61,7 @@ type Encoder struct {
 	wrotePrologue bool
 }
 
-// Encode appends env as a binary frame to dst and returns the extended
+// Encode appends env as a frame to dst and returns the extended
 // slice. The first frame an Encoder produces is prefixed with the
 // handshake prologue (version, dictionary length, dictionary hash); the
 // trailing CRC16 covers prologue and frame alike.
@@ -141,23 +138,29 @@ func appendPrologue(dst []byte) []byte {
 	return append(dst, byte(h>>24), byte(h>>16), byte(h>>8), byte(h))
 }
 
-// Decoder decodes envelope frames from one direction of one connection,
-// accepting both binary frames and JSON envelopes (detected by first
-// byte). It is stateless across frames: a prologue is validated wherever
-// it appears, and its loss costs nothing but the validation.
+// Decoder decodes envelope frames from one direction of one connection.
+// It is stateless across frames: a prologue is validated wherever it
+// appears, and its loss costs nothing but the validation.
 type Decoder struct{}
 
-// Decode parses one received frame into env. On the binary path,
-// env.Body aliases frame's storage — valid for as long as the caller
-// keeps frame alive, which the receive path does (each delivered message
-// owns its buffer). Any error leaves env zeroed.
+// Decode parses one received frame into env. env.Body aliases frame's
+// storage — valid for as long as the caller keeps frame alive, which the
+// receive path does (each delivered message owns its buffer). Any error
+// leaves env zeroed.
 func (d *Decoder) Decode(frame []byte, env *Envelope) error {
 	*env = Envelope{}
+	if err := decode(frame, env); err != nil {
+		*env = Envelope{}
+		return err
+	}
+	return nil
+}
+
+// decode is Decode into a zeroed env, which an error exit may leave partly
+// filled.
+func decode(frame []byte, env *Envelope) error {
 	if len(frame) == 0 {
 		return ErrFrame
-	}
-	if frame[0] == '{' {
-		return decodeJSON(frame, env)
 	}
 	buf, ok := checkCRC(frame)
 	if !ok {
@@ -217,14 +220,12 @@ func (d *Decoder) Decode(frame []byte, env *Envelope) error {
 		buf = buf[n:]
 		name, ok := methodName(id)
 		if !ok {
-			*env = Envelope{}
 			return ErrFrame
 		}
 		env.Method = name
 	} else if flags&flagInlineMethod != 0 {
 		f, rest, ok := cutBytes(buf)
 		if !ok {
-			*env = Envelope{}
 			return ErrFrame
 		}
 		env.Method = string(f)
@@ -233,7 +234,6 @@ func (d *Decoder) Decode(frame []byte, env *Envelope) error {
 	if flags&flagError != 0 {
 		f, rest, ok := cutBytes(buf)
 		if !ok {
-			*env = Envelope{}
 			return ErrFrame
 		}
 		env.Error = string(f)
@@ -242,12 +242,10 @@ func (d *Decoder) Decode(frame []byte, env *Envelope) error {
 	if flags&flagCtx != 0 {
 		req, rest, ok := cutBytes(buf)
 		if !ok {
-			*env = Envelope{}
 			return ErrFrame
 		}
 		span, rest2, ok := cutBytes(rest)
 		if !ok {
-			*env = Envelope{}
 			return ErrFrame
 		}
 		env.Req, env.Span = string(req), string(span)
@@ -256,72 +254,15 @@ func (d *Decoder) Decode(frame []byte, env *Envelope) error {
 	if flags&flagBody != 0 {
 		f, rest, ok := cutBytes(buf)
 		if !ok {
-			*env = Envelope{}
 			return ErrFrame
 		}
 		env.Body = f
 		buf = rest
 	}
-	env.Kind = kind
 	if len(buf) != 0 {
-		*env = Envelope{}
 		return ErrFrame
 	}
-	return nil
-}
-
-// jsonEnvelope is the legacy JSON wire layout, preserved field for field
-// so binary and JSON peers interoperate during the codec comparison.
-type jsonEnvelope struct {
-	ID     uint64          `json:"id,omitempty"`
-	Kind   string          `json:"kind"`
-	Method string          `json:"method,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Req    string          `json:"req,omitempty"`
-	Span   string          `json:"span,omitempty"`
-	Body   json.RawMessage `json:"body,omitempty"`
-}
-
-var kindNames = [...]string{KindCall: "call", KindReply: "reply", KindNotify: "notify"}
-
-// EncodeJSON encodes env in the legacy JSON envelope format.
-func EncodeJSON(env *Envelope) ([]byte, error) {
-	je := jsonEnvelope{
-		ID:     env.ID,
-		Method: env.Method,
-		Error:  env.Error,
-		Req:    env.Req,
-		Span:   env.Span,
-		Body:   env.Body,
-	}
-	if int(env.Kind) < len(kindNames) {
-		je.Kind = kindNames[env.Kind]
-	}
-	return json.Marshal(je)
-}
-
-func decodeJSON(raw []byte, env *Envelope) error {
-	var je jsonEnvelope
-	if err := json.Unmarshal(raw, &je); err != nil {
-		return ErrFrame
-	}
-	switch je.Kind {
-	case "call":
-		env.Kind = KindCall
-	case "reply":
-		env.Kind = KindReply
-	case "notify":
-		env.Kind = KindNotify
-	default:
-		// Unknown kinds decode to Kind 0; dispatch loops ignore them, as
-		// the JSON-only protocol always did.
-	}
-	env.ID = je.ID
-	env.Method = je.Method
-	env.Error = je.Error
-	env.Req = je.Req
-	env.Span = je.Span
-	env.Body = je.Body
+	env.Kind = kind
 	return nil
 }
 

@@ -3,15 +3,11 @@
 // method-name dictionary verified at connection handshake, CRC16-framed
 // messages, and pooled encode buffers.
 //
-// The codec replaces the double json.Marshal the JSON envelope path paid
-// per send (body, then envelope around it): the binary envelope is a few
-// flag-driven length-prefixed fields followed by a memcpy of the
-// already-encoded body. Frames are self-describing enough to survive a
-// lossy transport — every frame carries its own method (dictionary ID or
-// inline name) and a trailing CRC, so a dropped frame never desynchronizes
-// the decoder. The JSON envelope format remains available (EncodeJSON) and
-// the decoder distinguishes the two by first byte, so mixed-codec peers
-// interoperate.
+// An envelope is a few flag-driven length-prefixed fields followed by a
+// memcpy of the already-encoded body. Frames are self-describing enough to
+// survive a lossy transport — every frame carries its own method
+// (dictionary ID or inline name) and a trailing CRC, so a dropped frame
+// never desynchronizes the decoder.
 package wire
 
 // VLQ integers: 7 value bits per byte, least-significant group first, high

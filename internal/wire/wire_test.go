@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"hash/fnv"
 	"testing"
 )
@@ -47,52 +46,12 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("envelope %d: non-first frame carries a prologue (got 0x%02x)", i, frame[0])
 		}
 	}
-	// The binary path is payload-agnostic: bodies need not be JSON.
+	// The codec is payload-agnostic: bodies need not be JSON.
 	raw := Envelope{Kind: KindNotify, Method: "blob", Body: bytes.Repeat([]byte{magicFrame, magicPrologue, '{'}, 100)}
 	frame := enc.Encode(nil, &raw)
 	var got Envelope
 	if err := dec.Decode(frame, &got); err != nil || !envEqual(raw, got) {
 		t.Errorf("arbitrary-bytes body round trip failed: err=%v", err)
-	}
-}
-
-func TestWireJSONRoundTrip(t *testing.T) {
-	var dec Decoder
-	for i, want := range sampleEnvelopes() {
-		raw, err := EncodeJSON(&want)
-		if err != nil {
-			t.Fatalf("envelope %d: encode json: %v", i, err)
-		}
-		if raw[0] != '{' {
-			t.Fatalf("envelope %d: json envelope does not start with '{'", i)
-		}
-		var got Envelope
-		if err := dec.Decode(raw, &got); err != nil {
-			t.Fatalf("envelope %d: decode json: %v", i, err)
-		}
-		if !envEqual(want, got) {
-			t.Errorf("envelope %d: json round trip mismatch:\nwant %+v\ngot  %+v", i, want, got)
-		}
-	}
-}
-
-// TestWireBinarySmallerThanJSON pins the point of the codec: a typical
-// call envelope must be substantially smaller in binary form.
-func TestWireBinarySmallerThanJSON(t *testing.T) {
-	env := Envelope{Kind: KindCall, ID: 42, Method: "submit",
-		Req: "req-17", Span: "/submit/attempt-1/call:submit#42",
-		Body: []byte(`{"rsl":"+(&(executable=app)(count=16))"}`)}
-	var enc Encoder
-	enc.wrotePrologue = true // steady state: no prologue
-	bin := enc.Encode(nil, &env)
-	js, err := EncodeJSON(&env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overhead := len(bin) - len(env.Body)
-	jsOverhead := len(js) - len(env.Body)
-	if overhead*2 > jsOverhead {
-		t.Errorf("binary envelope overhead %dB not < half of JSON's %dB", overhead, jsOverhead)
 	}
 }
 
@@ -146,24 +105,43 @@ func TestWireDictHit(t *testing.T) {
 	}
 }
 
-func TestWireJSONFormatUnchanged(t *testing.T) {
-	// The JSON side of the codec must keep the legacy field layout.
-	env := Envelope{Kind: KindCall, ID: 3, Method: "submit", Req: "r1", Span: "/s", Body: []byte(`{"x":1}`)}
-	raw, err := EncodeJSON(&env)
-	if err != nil {
-		t.Fatal(err)
+// sealed appends the CRC16 of body, making it a frame that passes the
+// checksum whatever it holds.
+func sealed(body ...byte) []byte {
+	crc := CRC16(body)
+	return append(body, byte(crc>>8), byte(crc))
+}
+
+// TestDecodeErrorLeavesEnvelopeZeroed: every error exit, including the ones
+// behind fields already parsed, hands back a zero envelope — and a frame
+// that starts with '{' is checksummed like any other.
+func TestDecodeErrorLeavesEnvelopeZeroed(t *testing.T) {
+	call := KindCall | flagID
+	cases := []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"empty", nil, ErrFrame},
+		{"json envelope", []byte(`{"kind":"call","id":5,"method":"submit"}`), ErrCRC},
+		{"sealed json envelope", sealed([]byte(`{"kind":"call","id":5}`)...), ErrFrame},
+		{"id, then dictionary method id missing", sealed(magicFrame, call|flagDictMethod, 5), ErrFrame},
+		{"id, then dictionary method id unknown", sealed(magicFrame, call|flagDictMethod, 5, 0xFF, 0x7F), ErrFrame},
+		{"id, then inline method cut short", sealed(magicFrame, call|flagInlineMethod, 5, 9, 'x'), ErrFrame},
+		{"id and method, then error cut short", sealed(magicFrame, call|flagInlineMethod|flagError, 5, 1, 'm', 9), ErrFrame},
+		{"id and method, then context cut short", sealed(magicFrame, call|flagInlineMethod|flagCtx, 5, 1, 'm', 1, 'r', 9), ErrFrame},
+		{"id and method, then body cut short", sealed(magicFrame, call|flagInlineMethod|flagBody, 5, 1, 'm', 9, 'b'), ErrFrame},
+		{"whole envelope, then a trailing byte", sealed(magicFrame, call|flagInlineMethod|flagBody, 5, 1, 'm', 1, 'b', 0), ErrFrame},
 	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"id", "kind", "method", "req", "span", "body"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("json envelope missing legacy field %q (got %s)", key, raw)
+	var dec Decoder
+	for _, tc := range cases {
+		env := Envelope{Kind: KindReply, ID: 99, Method: "stale", Error: "stale", Req: "stale", Span: "stale", Body: []byte("stale")}
+		if err := dec.Decode(tc.frame, &env); err != tc.want {
+			t.Errorf("%s: Decode(% x) = %v, want %v", tc.name, tc.frame, err, tc.want)
 		}
-	}
-	if string(m["kind"]) != `"call"` {
-		t.Errorf("kind = %s, want \"call\"", m["kind"])
+		if !envEqual(env, Envelope{}) || env.Body != nil {
+			t.Errorf("%s: decode error left the envelope populated: %+v", tc.name, env)
+		}
 	}
 }
 

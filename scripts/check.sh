@@ -46,15 +46,13 @@ echo "== fed smoke (federated invariants + replica scaling check)"
 go run ./cmd/dstgrid -fed-seeds 40 -smoke >/dev/null
 go run ./cmd/benchgrid -fig none -app federation -smoke >/dev/null
 
-echo "== wire smoke (codec fuzz seeds + B3 binary-beats-JSON gate)"
-go test -run FuzzWireEnvelope ./internal/wire >/dev/null
-go test -run FuzzCheckinBody ./internal/core >/dev/null
-go run ./cmd/benchgrid -fig none -app wire -smoke >/dev/null
+echo "== fuzz seeds (envelope codec and typed check-in bodies)"
+go test -run Fuzz ./internal/wire ./internal/core >/dev/null
 
 echo "== slo smoke (zero false positives + bounded detection lag gate)"
 go run ./cmd/benchgrid -fig none -app slo -smoke >/dev/null
 
-echo "== scale smoke (heap-vs-wheel dual-engine differential gate)"
+echo "== scale smoke (every job done, none failed)"
 go run ./cmd/benchgrid -fig none -app scale -smoke >/dev/null
 
 # Enforced per-package coverage floor for the kernel and the LRM — the
