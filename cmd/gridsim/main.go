@@ -59,8 +59,10 @@ import (
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
 	"cogrid/internal/failure"
+	"cogrid/internal/gram"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
+	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 )
 
@@ -296,9 +298,9 @@ func run(sc Scenario) error { return runWith(sc, runOptions{}) }
 
 func runWith(sc Scenario, opts runOptions) error {
 	g := grid.New(grid.Options{
-		Seed:           sc.Seed,
-		RecordTimeline: sc.Timeline,
-		Trace:          opts.TraceW != nil || opts.JSONLW != nil || opts.CountersW != nil || opts.GaugesW != nil || opts.MetricsW != nil,
+		Seed: sc.Seed,
+		// The timeline is a projection of the trace.
+		Trace: sc.Timeline || opts.TraceW != nil || opts.JSONLW != nil || opts.CountersW != nil || opts.GaugesW != nil || opts.MetricsW != nil,
 	})
 	for _, m := range sc.Machines {
 		mode := lrm.Fork
@@ -354,9 +356,6 @@ func runWith(sc Scenario, opts runOptions) error {
 	ctrlCfg := core.ControllerConfig{
 		Credential: g.UserCred,
 		Registry:   g.Registry,
-	}
-	if g.Timeline != nil {
-		ctrlCfg.Timeline = g.Timeline
 	}
 	ctrl, err := core.NewController(g.Workstation, ctrlCfg)
 	if err != nil {
@@ -415,7 +414,7 @@ func runWith(sc Scenario, opts runOptions) error {
 				fmt.Println("  " + ev.String())
 			}
 			fmt.Println("\nsubmission timeline:")
-			fmt.Print(g.Timeline.Render(96))
+			fmt.Print(trace.DeriveTimeline(g.Sim, g.Tracer.Events(), gram.IsPhase, core.IsPhase).Render(96))
 		}
 	})
 	if err := writeOutputs(g, opts); err != nil {

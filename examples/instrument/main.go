@@ -133,7 +133,8 @@ func main() {
 	// and application phases as a timeline, print the headline counters,
 	// and save the full Chrome trace for chrome://tracing / Perfetto.
 	fmt.Println("\nco-allocation and application timeline (derived from trace):")
-	fmt.Print(trace.DeriveTimeline(g.Sim, g.Tracer.Events(), "duroc", "app").Render(96))
+	spans := func(ev trace.Event) bool { return ev.Dur > 0 && (ev.Cat == "duroc" || ev.Cat == "app") }
+	fmt.Print(trace.DeriveTimeline(g.Sim, g.Tracer.Events(), spans).Render(96))
 
 	fmt.Println("\nheadline counters:")
 	for _, cv := range g.Counters.Snapshot() {

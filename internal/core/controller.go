@@ -3,10 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
-	"cogrid/internal/gram"
 	"cogrid/internal/gsi"
 	"cogrid/internal/metrics"
 	"cogrid/internal/rpc"
@@ -56,9 +56,6 @@ type ControllerConfig struct {
 	// GRAM requests "must be submitted sequentially"). Exists for the
 	// ablation study of that design choice.
 	ParallelSubmission bool
-	// Timeline, if set, records per-subjob submission, startup-wait, and
-	// barrier phases (Figure 5).
-	Timeline gram.PhaseRecorder
 	// CancelTimeout bounds each best-effort cancel RPC issued when a
 	// subjob is discarded. A hung or partitioned resource manager must
 	// not pin the cancel daemon for the full GRAM call timeout; a short
@@ -297,13 +294,10 @@ func (c *Controller) orphaned(o Orphan) {
 	}
 }
 
-// record emits a timeline span if a recorder is configured, and mirrors the
-// phase into the trace stream so the Figure 5 timeline is derivable from a
-// trace alone. The span lands at ctx's child named for the phase.
+// record puts one per-subjob phase in the trace, as a span at ctx's child
+// named for the phase: the subjob rows of the Figure 5 timeline are a
+// projection of these (IsPhase, trace.DeriveTimeline).
 func (c *Controller) record(ctx trace.Ctx, actor, phase string, start, end time.Duration) {
-	if c.cfg.Timeline != nil {
-		c.cfg.Timeline.Add(actor, phase, start, end)
-	}
 	// Per-phase 2PC leg latency distribution (submit, startup-wait,
 	// barrier): the histogram counterpart of the Figure 5 timeline spans.
 	c.hists().H("core.2pc." + phase).Record(int64(end - start))
@@ -311,6 +305,15 @@ func (c *Controller) record(ctx trace.Ctx, actor, phase string, start, end time.
 		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
 	}
 }
+
+// phases are the per-subjob phases a controller records: Figure 5's rows.
+var phases = []string{"submit", "startup-wait", "barrier"}
+
+// IsPhase reports whether ev is a per-subjob phase span a controller
+// recorded. It goes by category and name, not by duration: a barrier the
+// last subjob to check in waits zero time at is still a phase, and neither
+// the job-level commit span nor an instant of the same category is one.
+func IsPhase(ev trace.Event) bool { return ev.Cat == "duroc" && slices.Contains(phases, ev.Name) }
 
 // tracer returns the network's tracer (nil-safe no-op when tracing is off).
 func (c *Controller) tracer() *trace.Tracer { return c.host.Network().Tracer() }

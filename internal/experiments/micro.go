@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"cogrid/internal/core"
+	"cogrid/internal/gram"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/metrics"
+	"cogrid/internal/trace"
 )
 
 // --- Figure 2: GRAM submission latency vs process count ---
@@ -95,7 +97,7 @@ type Figure3Result struct {
 // time goes, reproducing the paper's breakdown (initgroups 0.7 s,
 // authentication 0.5 s, misc 0.01 s, fork 0.001 s).
 func Figure3() Figure3Result {
-	g := grid.New(grid.Options{RecordTimeline: true})
+	g := grid.New(grid.Options{Trace: true})
 	g.AddMachine("origin", 64, lrm.Fork)
 	g.RegisterEverywhere("probe", func(p *lrm.Proc) error { return nil })
 	err := g.Sim.Run("client", func() {
@@ -111,11 +113,17 @@ func Figure3() Figure3Result {
 	if err != nil {
 		panic(err)
 	}
-	res := Figure3Result{Phases: g.Timeline.PhaseTotals()}
+	res := Figure3Result{Phases: submissionTimeline(g).PhaseTotals()}
 	for _, d := range res.Phases {
 		res.Total += d
 	}
 	return res
+}
+
+// submissionTimeline projects a traced grid's events onto the phases its
+// gatekeepers and controllers recorded: Figure 3's rows, Figure 5's picture.
+func submissionTimeline(g *grid.Grid) *metrics.Timeline {
+	return trace.DeriveTimeline(g.Sim, g.Tracer.Events(), gram.IsPhase, core.IsPhase)
 }
 
 // Table renders the breakdown largest-first, as the paper's table does.
@@ -446,13 +454,12 @@ func AblationTable(rows []AblationRow) *metrics.Table {
 // GRAM requests (authentication, initgroups, fork), the startup waits, and
 // the barrier intervals ending together at commit.
 func Figure5(subjobs, totalProcs int) string {
-	g := grid.New(grid.Options{RecordTimeline: true})
+	g := grid.New(grid.Options{Trace: true})
 	g.AddMachine("origin", 64, lrm.Fork)
 	g.RegisterEverywhere("app", barrierApp(0))
 	ctrl, err := core.NewController(g.Workstation, core.ControllerConfig{
 		Credential: g.UserCred,
 		Registry:   g.Registry,
-		Timeline:   g.Timeline,
 	})
 	if err != nil {
 		panic(err)
@@ -478,5 +485,5 @@ func Figure5(subjobs, totalProcs int) string {
 	if err != nil {
 		panic(err)
 	}
-	return "Figure 5: timeline of a DUROC submission\n" + g.Timeline.Render(96)
+	return "Figure 5: timeline of a DUROC submission\n" + submissionTimeline(g).Render(96)
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -84,14 +85,6 @@ type ServerConfig struct {
 	AuthCost   gsi.CostModel // zero value replaced by gsi.DefaultCost
 	Cost       CostModel     // zero value replaced by DefaultCost
 	NISAddr    transport.Addr
-	// Timeline, if set, records the phases of each request for the
-	// Figure 3 breakdown and Figure 5 timeline.
-	Timeline PhaseRecorder
-}
-
-// PhaseRecorder receives phase spans from the gatekeeper.
-type PhaseRecorder interface {
-	Add(actor, phase string, start, end time.Duration)
 }
 
 // Server is a gatekeeper bound to one machine.
@@ -145,16 +138,22 @@ func (s *Server) preamble(conn *transport.Conn) (any, error) {
 	return peer, nil
 }
 
+// record puts one phase of a request in the trace, as a span under ctx: the
+// Figure 3 breakdown and the gatekeeper rows of the Figure 5 timeline are
+// projections of these (IsPhase, trace.DeriveTimeline).
 func (s *Server) record(ctx trace.Ctx, actor, phase string, start, end time.Duration) {
-	if s.cfg.Timeline != nil {
-		s.cfg.Timeline.Add(actor, phase, start, end)
-	}
-	// The same phase also lands in the trace stream, so the Figure 3
-	// breakdown is derivable from a trace without a dedicated Timeline.
 	if tr := s.host.Network().Tracer(); tr.Enabled() {
 		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
 	}
 }
+
+// phases are the phases a gatekeeper records: Figure 3's rows.
+var phases = []string{"authentication", "misc", "initgroups", "fork"}
+
+// IsPhase reports whether ev is a phase span a gatekeeper recorded. It goes
+// by category and name, not by duration: a phase that took no virtual time
+// is still one, and an instant of the same category is not.
+func IsPhase(ev trace.Event) bool { return ev.Cat == "gram" && slices.Contains(phases, ev.Name) }
 
 // HandleCall implements rpc.Handler.
 func (s *Server) HandleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {

@@ -7,7 +7,6 @@ import (
 
 	"cogrid/internal/gsi"
 	"cogrid/internal/lrm"
-	"cogrid/internal/metrics"
 	"cogrid/internal/nis"
 	"cogrid/internal/rpc"
 	"cogrid/internal/trace"
@@ -24,14 +23,15 @@ type testbed struct {
 	server   *Server
 	registry *gsi.Registry
 	userCred gsi.Credential
-	timeline *metrics.Timeline
+	tracer   *trace.Tracer
 }
 
 func newTestbed(t *testing.T, mode lrm.Mode) *testbed {
 	t.Helper()
 	sim := vtime.New()
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
-	tb := &testbed{sim: sim, registry: gsi.NewRegistry(), timeline: metrics.NewTimeline(sim)}
+	tb := &testbed{sim: sim, registry: gsi.NewRegistry(), tracer: trace.New(sim)}
+	net.SetTracer(tb.tracer)
 	tb.client = net.AddHost("workstation")
 	origin := net.AddHost("origin")
 	nisHost := net.AddHost("nis1")
@@ -54,7 +54,6 @@ func newTestbed(t *testing.T, mode lrm.Mode) *testbed {
 		Credential: tb.registry.Issue("host/origin"),
 		Registry:   tb.registry,
 		NISAddr:    transport.Addr{Host: "nis1", Service: nis.ServiceName},
-		Timeline:   tb.timeline,
 	})
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
@@ -192,7 +191,7 @@ func TestFigure3Breakdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	totals := tb.timeline.PhaseTotals()
+	totals := trace.DeriveTimeline(tb.sim, tb.tracer.Events(), IsPhase).PhaseTotals()
 	// 500ms compute + message latencies, measured from the server side
 	// (accept to final result frame).
 	if got := totals["authentication"]; got != 503*time.Millisecond {
@@ -419,7 +418,7 @@ func TestEventQueueOverflowIsCounted(t *testing.T) {
 }
 
 // TestUntracedPhaseRecordBuildsNothing: a submit records four phases, and
-// with no tracer attached and no Timeline configured each used to build its
+// with no tracer attached each used to build its
 // span context — a sanitised segment and a path concatenation — for a
 // nil-safe call to throw away.
 func TestUntracedPhaseRecordBuildsNothing(t *testing.T) {

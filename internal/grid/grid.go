@@ -36,9 +36,6 @@ type Options struct {
 	GRAMCost       gram.CostModel
 	LRMCosts       lrm.Costs
 	NISServiceTime time.Duration
-	// RecordTimeline attaches a shared metrics.Timeline to every
-	// gatekeeper (for Figures 3 and 5).
-	RecordTimeline bool
 	// Trace attaches a trace.Tracer and trace.Counters to the network,
 	// capturing structured events from every layer (transport hops, RPC
 	// calls, GRAM state transitions, DUROC commit and barrier phases).
@@ -54,7 +51,6 @@ type Grid struct {
 	NIS         *nis.Server
 	Workstation *transport.Host
 	UserCred    gsi.Credential
-	Timeline    *metrics.Timeline
 	Tracer      *trace.Tracer
 	Counters    *trace.Counters
 	Gauges      *metrics.GaugeSet
@@ -92,9 +88,6 @@ func New(opts Options) *Grid {
 		opts:        opts,
 		machines:    make(map[string]*lrm.Machine),
 		servers:     make(map[string]*gram.Server),
-	}
-	if opts.RecordTimeline {
-		g.Timeline = metrics.NewTimeline(sim)
 	}
 	if opts.Trace {
 		g.Tracer = trace.New(sim)
@@ -142,17 +135,12 @@ func (g *Grid) AddMachine(name string, processors int, mode lrm.Mode) *lrm.Machi
 	}
 	host := g.Net.AddHost(name)
 	machine := lrm.NewMachine(host, processors, lrm.Config{Mode: mode, Costs: g.opts.LRMCosts})
-	var recorder gram.PhaseRecorder
-	if g.Timeline != nil {
-		recorder = g.Timeline
-	}
 	server, err := gram.StartServer(machine, gram.ServerConfig{
 		Credential: g.Registry.Issue("host/" + name),
 		Registry:   g.Registry,
 		AuthCost:   g.opts.AuthCost,
 		Cost:       g.opts.GRAMCost,
 		NISAddr:    g.NISAddr,
-		Timeline:   recorder,
 	})
 	if err != nil {
 		panic(err) // fresh host: cannot fail
@@ -174,17 +162,12 @@ func (g *Grid) RestartMachine(name string) {
 		panic(fmt.Sprintf("grid: restart of unknown machine %q", name))
 	}
 	machine.Host().RestoreCrashed()
-	var recorder gram.PhaseRecorder
-	if g.Timeline != nil {
-		recorder = g.Timeline
-	}
 	server, err := gram.StartServer(machine, gram.ServerConfig{
 		Credential: g.Registry.Issue("host/" + name),
 		Registry:   g.Registry,
 		AuthCost:   g.opts.AuthCost,
 		Cost:       g.opts.GRAMCost,
 		NISAddr:    g.NISAddr,
-		Timeline:   recorder,
 	})
 	if err != nil {
 		panic(err) // restored host has no listeners: cannot fail

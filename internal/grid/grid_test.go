@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/gram"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
+	"cogrid/internal/trace"
 )
 
 func TestNewGridHasWorkstationAndNIS(t *testing.T) {
@@ -93,11 +95,10 @@ func TestMachinesLists(t *testing.T) {
 	}
 }
 
-func TestTimelineRecordingOption(t *testing.T) {
-	g := grid.New(grid.Options{RecordTimeline: true})
-	if g.Timeline == nil {
-		t.Fatal("RecordTimeline did not attach a timeline")
-	}
+// A traced grid needs nothing else to yield the Figure 3 breakdown: the
+// gatekeeper's phases are in the trace.
+func TestTracedGridRecordsPhases(t *testing.T) {
+	g := grid.New(grid.Options{Trace: true})
 	g.AddMachine("m", 4, lrm.Fork)
 	g.RegisterEverywhere("noop", func(p *lrm.Proc) error { return nil })
 	err := g.Sim.Run("client", func() {
@@ -114,8 +115,14 @@ func TestTimelineRecordingOption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	if len(g.Timeline.Spans()) == 0 {
-		t.Fatal("no spans recorded")
+	totals := trace.DeriveTimeline(g.Sim, g.Tracer.Events(), gram.IsPhase).PhaseTotals()
+	for _, phase := range []string{"authentication", "misc", "initgroups", "fork"} {
+		if totals[phase] <= 0 {
+			t.Errorf("phase %q missing from the traced submit: %v", phase, totals)
+		}
+	}
+	if len(totals) != 4 {
+		t.Errorf("phases = %v, want the gatekeeper's four", totals)
 	}
 }
 

@@ -331,30 +331,25 @@ func argMap(args []Arg) map[string]string {
 // itoa formats small integers for Args and span segments.
 func itoa(n int) string { return strconv.Itoa(n) }
 
-// DeriveTimeline reconstructs a metrics.Timeline from span events,
-// demonstrating that the legacy phase-timeline view is a projection of the
-// trace stream: each span event becomes a timeline span with Actor = Thr
-// and Phase = Name. When cats is non-empty only those categories are
-// included (e.g. "gram", "duroc" reproduces the Figure 5 submission
-// timeline without transport noise).
-func DeriveTimeline(sim *vtime.Sim, events []Event, cats ...string) *metrics.Timeline {
-	want := map[string]bool{}
-	for _, c := range cats {
-		want[c] = true
-	}
+// DeriveTimeline projects trace events onto a metrics.Timeline, the
+// renderer of the Figure 5 view: every event that one of picks accepts
+// becomes a timeline span with Actor = Thr (Proc when there is none) and
+// Phase = Name. The layers that record phases say which of their events
+// those are (gram.IsPhase, core.IsPhase); what else belongs on a timeline
+// is the caller's to say.
+func DeriveTimeline(sim *vtime.Sim, events []Event, picks ...func(Event) bool) *metrics.Timeline {
 	tl := metrics.NewTimeline(sim)
 	for _, ev := range events {
-		if ev.Dur <= 0 {
-			continue
+		for _, pick := range picks {
+			if pick(ev) {
+				actor := ev.Thr
+				if actor == "" {
+					actor = ev.Proc
+				}
+				tl.Add(actor, ev.Name, ev.At, ev.At+ev.Dur)
+				break
+			}
 		}
-		if len(want) > 0 && !want[ev.Cat] {
-			continue
-		}
-		actor := ev.Thr
-		if actor == "" {
-			actor = ev.Proc
-		}
-		tl.Add(actor, ev.Name, ev.At, ev.At+ev.Dur)
 	}
 	return tl
 }

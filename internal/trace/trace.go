@@ -41,8 +41,8 @@ type Event struct {
 	At time.Duration
 	// Dur is the span length; zero for instant events.
 	Dur time.Duration
-	// Cat is the emitting layer: "transport", "rpc", "gram", "duroc",
-	// "phase" (PhaseRecorder shim), or an application-chosen category.
+	// Cat is the emitting layer: "transport", "rpc", "gram", "duroc", or an
+	// application-chosen category.
 	Cat string
 	// Name identifies the event within its category, e.g. "hop",
 	// "call:submit", "state:active", "commit".
@@ -270,15 +270,6 @@ func (t *Tracer) SpanAtCtx(ctx Ctx, cat, name, proc, thr, id string, start, end 
 	}
 	t.emit(Event{At: start, Dur: dur, Cat: cat, Name: name, Proc: proc, Thr: thr, ID: id,
 		Req: ctx.Req, Span: ctx.Span}, args)
-}
-
-// Add records a phase span under category "phase", satisfying the
-// gram.PhaseRecorder interface so a Tracer can stand in anywhere a
-// metrics.Timeline was used. The actor becomes the thread track inside a
-// single "timeline" process — one swimlane per actor, the Figure 5 layout —
-// and DeriveTimeline recovers the original (actor, phase) spans. Nil-safe.
-func (t *Tracer) Add(actor, phase string, start, end time.Duration) {
-	t.SpanAt("phase", phase, "timeline", actor, "", start, end)
 }
 
 // Len returns the number of recorded events (0 on a nil tracer).

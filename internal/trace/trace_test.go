@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cogrid/internal/metrics"
 	"cogrid/internal/vtime"
 )
 
@@ -26,7 +28,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Instant("c", "n", "p", "t", "")
 	tr.Span("c", "n", "p", "t", "", 0)
 	tr.SpanAt("c", "n", "p", "t", "", 0, time.Second)
-	tr.Add("actor", "phase", 0, time.Second)
 	if tr.Len() != 0 {
 		t.Error("nil tracer Len() != 0")
 	}
@@ -312,27 +313,30 @@ func TestExportByteDeterminism(t *testing.T) {
 	}
 }
 
-// A Tracer satisfies gram.PhaseRecorder via Add, and DeriveTimeline projects
-// span events back into a metrics.Timeline equivalent to direct recording.
-func TestPhaseRecorderAndDeriveTimeline(t *testing.T) {
+// DeriveTimeline projects the events its picks accept, and only those, into
+// a metrics.Timeline: the actor is the thread track, or the process track
+// where there is none, and a span of no length that is picked is kept.
+func TestDeriveTimeline(t *testing.T) {
 	sim := vtime.New()
 	tr := New(sim)
-	tr.Add("gram", "authentication", 0, 500*time.Millisecond)
-	tr.Add("sj1", "submit", 500*time.Millisecond, 700*time.Millisecond)
-	tl := DeriveTimeline(sim, tr.Events(), "phase")
-	spans := tl.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("derived spans = %d, want 2", len(spans))
+	tr.SpanAt("gram", "authentication", "origin", "gram", "", 0, 500*time.Millisecond)
+	tr.SpanAt("duroc", "submit", "workstation", "sj1", "", 500*time.Millisecond, 700*time.Millisecond)
+	tr.SpanAt("duroc", "barrier", "workstation", "", "", 700*time.Millisecond, 700*time.Millisecond)
+	tr.SpanAt("duroc", "commit", "workstation", "job1", "", 0, 700*time.Millisecond)
+	tr.Instant("duroc", "barrier-enter", "workstation", "sj1", "")
+	named := func(cat string, names ...string) func(Event) bool {
+		return func(ev Event) bool { return ev.Cat == cat && slices.Contains(names, ev.Name) }
 	}
-	if spans[0].Actor != "gram" || spans[0].Phase != "authentication" || spans[0].End != 500*time.Millisecond {
-		t.Errorf("span 0 = %+v", spans[0])
+	spans := DeriveTimeline(sim, tr.Events(), named("gram", "authentication"), named("duroc", "submit", "barrier")).Spans()
+	want := []metrics.Span{
+		{Actor: "gram", Phase: "authentication", Start: 0, End: 500 * time.Millisecond},
+		{Actor: "sj1", Phase: "submit", Start: 500 * time.Millisecond, End: 700 * time.Millisecond},
+		{Actor: "workstation", Phase: "barrier", Start: 700 * time.Millisecond, End: 700 * time.Millisecond},
 	}
-	if spans[1].Actor != "sj1" || spans[1].Phase != "submit" {
-		t.Errorf("span 1 = %+v", spans[1])
+	if !slices.Equal(spans, want) {
+		t.Errorf("derived spans = %+v, want %+v", spans, want)
 	}
-	// Category filter excludes everything else.
-	tr.Instant("other", "noise", "p", "t", "")
-	if got := len(DeriveTimeline(sim, tr.Events(), "phase").Spans()); got != 2 {
-		t.Errorf("filtered spans = %d, want 2", got)
+	if got := DeriveTimeline(sim, tr.Events()).Spans(); len(got) != 0 {
+		t.Errorf("no picks projected %+v", got)
 	}
 }
