@@ -151,71 +151,37 @@ type Summary struct {
 	Stddev float64
 }
 
-// Summarize computes descriptive statistics. An empty sample yields zeros.
-// Callers that need several percentile queries over the same data should
-// build a Sample once instead: Summarize sorts on every call.
+// Summarize computes descriptive statistics, percentiles under the
+// exclusive-interpolation convention the experiment tables are locked to
+// (see percentile). It sorts a copy: xs is neither mutated nor retained. An
+// empty sample yields zeros. For fixed-memory streaming aggregation use
+// Histogram instead.
 func Summarize(xs []float64) Summary {
-	return NewSample(xs).Summary()
-}
-
-// Sample is an immutable set of observations sorted once at construction,
-// so repeated Percentile and Summary queries cost a lookup rather than a
-// fresh copy-and-sort of the raw data. For fixed-memory streaming
-// aggregation use Histogram instead; Sample keeps the exact values and the
-// exclusive-percentile convention the experiment tables are locked to.
-type Sample struct {
-	sorted []float64
-	mean   float64
-	stddev float64
-}
-
-// NewSample copies and sorts xs. The input slice is not retained.
-func NewSample(xs []float64) *Sample {
-	s := &Sample{sorted: append([]float64(nil), xs...)}
-	sort.Float64s(s.sorted)
-	if len(s.sorted) == 0 {
-		return s
-	}
-	sum := 0.0
-	for _, x := range s.sorted {
-		sum += x
-	}
-	s.mean = sum / float64(len(s.sorted))
-	ss := 0.0
-	for _, x := range s.sorted {
-		d := x - s.mean
-		ss += d * d
-	}
-	s.stddev = math.Sqrt(ss / float64(len(s.sorted)))
-	return s
-}
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.sorted) }
-
-// Percentile returns the p-quantile under the exclusive-interpolation
-// convention (see percentile). Zero on an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.sorted) == 0 {
-		return 0
-	}
-	return percentile(s.sorted, p)
-}
-
-// Summary returns the descriptive statistics of the sample.
-func (s *Sample) Summary() Summary {
-	if len(s.sorted) == 0 {
+	if len(xs) == 0 {
 		return Summary{}
 	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	n := float64(len(sorted))
+	sum := 0.0
+	for _, x := range sorted {
+		sum += x
+	}
+	mean := sum / n
+	ss := 0.0
+	for _, x := range sorted {
+		d := x - mean
+		ss += d * d
+	}
 	return Summary{
-		N:      len(s.sorted),
-		Mean:   s.mean,
-		Min:    s.sorted[0],
-		Max:    s.sorted[len(s.sorted)-1],
-		P50:    percentile(s.sorted, 0.50),
-		P95:    percentile(s.sorted, 0.95),
-		P99:    percentile(s.sorted, 0.99),
-		Stddev: s.stddev,
+		N:      len(sorted),
+		Mean:   mean,
+		Min:    sorted[0],
+		Max:    sorted[len(sorted)-1],
+		P50:    percentile(sorted, 0.50),
+		P95:    percentile(sorted, 0.95),
+		P99:    percentile(sorted, 0.99),
+		Stddev: math.Sqrt(ss / n),
 	}
 }
 
@@ -236,15 +202,6 @@ func percentile(sorted []float64, p float64) float64 {
 	lo := int(h) // floor; 1 <= lo <= n-1 here
 	frac := h - float64(lo)
 	return sorted[lo-1]*(1-frac) + sorted[lo]*frac
-}
-
-// DurationsToSeconds converts durations to float64 seconds.
-func DurationsToSeconds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
 }
 
 // Table is an aligned text table for experiment output.

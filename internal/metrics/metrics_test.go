@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,8 +148,8 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEdgeCases(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Errorf("empty summary = %+v", s)
+	if s := Summarize(nil); s != (Summary{}) {
+		t.Errorf("empty summary = %+v, want zeros", s)
 	}
 	s := Summarize([]float64{7})
 	if s.Mean != 7 || s.P50 != 7 || s.P95 != 7 || s.Stddev != 0 {
@@ -225,10 +226,14 @@ func TestSummarizeOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestDurationsToSeconds(t *testing.T) {
-	got := DurationsToSeconds([]time.Duration{time.Second, 250 * time.Millisecond})
-	if got[0] != 1.0 || got[1] != 0.25 {
-		t.Fatalf("got %v", got)
+// Summarize sorts a copy: the caller's slice keeps its order.
+func TestSummarizeLeavesInputAlone(t *testing.T) {
+	xs := []float64{5, 1, 4, 2, 3, 9, 7}
+	if s := Summarize(xs); s.Min != 1 || s.Max != 9 || s.N != len(xs) {
+		t.Fatalf("summary = %+v", s)
+	}
+	if !slices.Equal(xs, []float64{5, 1, 4, 2, 3, 9, 7}) {
+		t.Fatalf("Summarize reordered its input: %v", xs)
 	}
 }
 

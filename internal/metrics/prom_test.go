@@ -136,29 +136,6 @@ func TestGaugeSetConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestSampleMatchesSummarize(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3, 9, 7}
-	s := NewSample(xs)
-	if s.Summary() != Summarize(xs) {
-		t.Fatal("Sample.Summary must equal Summarize")
-	}
-	// Repeated percentile queries reuse the cached sort.
-	if s.Percentile(0) != 1 || s.Percentile(1) != 9 {
-		t.Fatalf("Percentile endpoints wrong: %v %v", s.Percentile(0), s.Percentile(1))
-	}
-	if s.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", s.N(), len(xs))
-	}
-	empty := NewSample(nil)
-	if empty.Percentile(0.5) != 0 || empty.Summary() != (Summary{}) {
-		t.Fatal("empty sample must report zeros")
-	}
-	// The input slice must not be mutated (Summarize's historical contract).
-	if xs[0] != 5 {
-		t.Fatal("NewSample mutated its input")
-	}
-}
-
 // countingWriter counts Write calls: gridsim -metrics-out and benchgrid
 // -metrics-out hand WritePrometheus a bare *os.File, so every call is a
 // write(2).
