@@ -2,6 +2,8 @@ package cogrid
 
 import (
 	"os"
+	"path"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -60,11 +62,86 @@ func codeOf(doc string) string {
 	return code.String()
 }
 
+// binaryFlags reads what each binary of cmd/ defines from its source: the
+// names of its flag.Xxx("name", ...) definitions and, for benchgrid, the
+// values its catalogue gives -fig and -app.
+func binaryFlags(t *testing.T) (flags map[string]map[string]bool, studies map[string]map[string]bool) {
+	flagDef := regexp.MustCompile(`\bflag\.[A-Z][A-Za-z0-9]*\("([^"]+)"`)
+	studyDef := regexp.MustCompile(`\{flag: "(fig|app)", name: "([^"]+)"`)
+	flags = map[string]map[string]bool{}
+	studies = map[string]map[string]bool{"fig": {"all": true, "none": true}, "app": {"all": true, "none": true}}
+	sources, err := filepath.Glob("cmd/*/*.go")
+	if err != nil || len(sources) == 0 {
+		t.Fatalf("no sources under cmd/: %v", err)
+	}
+	for _, src := range sources {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		raw, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin := path.Base(path.Dir(filepath.ToSlash(src)))
+		if flags[bin] == nil {
+			flags[bin] = map[string]bool{}
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(string(raw), -1) {
+			flags[bin][m[1]] = true
+		}
+		if bin == "benchgrid" {
+			for _, m := range studyDef.FindAllStringSubmatch(string(raw), -1) {
+				studies[m[1]][m[2]] = true
+			}
+		}
+	}
+	return flags, studies
+}
+
+// undefinedFlags walks the code of a document a line at a time. A word
+// whose last path element is a binary of cmd/ (`gridsim`, `cmd/gridsim`,
+// `./cmd/gridsim`, `/tmp/gridsim`) starts an invocation, which runs to the
+// end of the line or the next `|`, `;` or `&&`; every -flag in it must be
+// one the binary defines, and a -fig or -app value one benchgrid accepts.
+func undefinedFlags(code string, flags, studies map[string]map[string]bool) (bad []string) {
+	for _, line := range strings.Split(code, "\n") {
+		bin := ""
+		words := strings.Fields(line)
+		for i := 0; i < len(words); i++ {
+			word := strings.TrimRight(words[i], ".,:)")
+			switch {
+			case word == "|" || word == "&&" || strings.HasSuffix(word, ";"):
+				bin = ""
+			case flags[path.Base(word)] != nil:
+				bin = path.Base(word)
+			case bin != "" && len(word) > 1 && word[0] == '-':
+				name, value, hasValue := strings.Cut(strings.TrimLeft(word, "-"), "=")
+				if !flags[bin][name] {
+					bad = append(bad, bin+" "+word)
+					continue
+				}
+				if accepted := studies[name]; bin == "benchgrid" && accepted != nil {
+					if !hasValue && i+1 < len(words) {
+						i++
+						value = strings.TrimRight(words[i], ".,;:)")
+					}
+					if !accepted[value] {
+						bad = append(bad, bin+" -"+name+" "+value)
+					}
+				}
+			}
+		}
+	}
+	return bad
+}
+
 // TestDocsNameOnlyWhatExists: a command a reader can paste must name a
-// binary, package, script or make target that is in the tree.
+// binary, package, script or make target that is in the tree, and give the
+// binary flags it defines.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
-	for _, path := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md", ".claude/skills/verify/SKILL.md"} {
-		raw, err := os.ReadFile(path)
+	flags, studies := binaryFlags(t)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,10 +150,17 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			seen := map[string]bool{}
 			for _, m := range kind.re.FindAllStringSubmatch(code, -1) {
 				if !seen[m[1]] && !kind.exists(m[1]) {
-					t.Errorf("%s names %q, which does not exist", path, m[0])
+					t.Errorf("%s names %q, which does not exist", doc, m[0])
 				}
 				seen[m[1]] = true
 			}
+		}
+		seen := map[string]bool{}
+		for _, use := range undefinedFlags(code, flags, studies) {
+			if !seen[use] {
+				t.Errorf("%s names %q, which is no flag or value that binary defines", doc, use)
+			}
+			seen[use] = true
 		}
 	}
 }

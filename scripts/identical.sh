@@ -20,7 +20,7 @@
 #   dstgrid   -smoke -seeds 200, -smoke -fed-seeds 40 and the
 #             internal/dst/testdata corpus, each as -json lines
 #   benchgrid -fig all -app all -smoke -json, the repository's virtual-time
-#             record (all 19 results), without its wall-clock lines
+#             record (all 18 results), without its wall-clock lines
 #             (msgs_per_sec, ns_per_op, allocs_per_op, bytes_per_op, wall_ns,
 #             ns_per_job, jobs_per_sec); and the -metrics-out exposition
 #   bench     one -child round per workload on seeds 7, 19 and 35: its
