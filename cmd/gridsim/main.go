@@ -59,7 +59,6 @@ import (
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
 	"cogrid/internal/failure"
-	"cogrid/internal/gram"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/trace"
@@ -414,7 +413,7 @@ func runWith(sc Scenario, opts runOptions) error {
 				fmt.Println("  " + ev.String())
 			}
 			fmt.Println("\nsubmission timeline:")
-			fmt.Print(trace.DeriveTimeline(g.Sim, g.Tracer.Events(), gram.IsPhase, core.IsPhase).Render(96))
+			fmt.Print(trace.DeriveTimeline(g.Sim, g.Tracer.Events(), trace.IsPhase).Render(96))
 		}
 	})
 	if err := writeOutputs(g, opts); err != nil {

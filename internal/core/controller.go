@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -296,7 +295,7 @@ func (c *Controller) orphaned(o Orphan) {
 
 // record puts one per-subjob phase in the trace, as a span at ctx's child
 // named for the phase: the subjob rows of the Figure 5 timeline are a
-// projection of these (IsPhase, trace.DeriveTimeline).
+// projection of these (trace.IsPhase knows them by name).
 func (c *Controller) record(ctx trace.Ctx, actor, phase string, start, end time.Duration) {
 	// Per-phase 2PC leg latency distribution (submit, startup-wait,
 	// barrier): the histogram counterpart of the Figure 5 timeline spans.
@@ -305,15 +304,6 @@ func (c *Controller) record(ctx trace.Ctx, actor, phase string, start, end time.
 		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
 	}
 }
-
-// phases are the per-subjob phases a controller records: Figure 5's rows.
-var phases = []string{"submit", "startup-wait", "barrier"}
-
-// IsPhase reports whether ev is a per-subjob phase span a controller
-// recorded. It goes by category and name, not by duration: a barrier the
-// last subjob to check in waits zero time at is still a phase, and neither
-// the job-level commit span nor an instant of the same category is one.
-func IsPhase(ev trace.Event) bool { return ev.Cat == "duroc" && slices.Contains(phases, ev.Name) }
 
 // tracer returns the network's tracer (nil-safe no-op when tracing is off).
 func (c *Controller) tracer() *trace.Tracer { return c.host.Network().Tracer() }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cogrid/internal/core"
-	"cogrid/internal/gram"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/metrics"
@@ -123,7 +122,7 @@ func Figure3() Figure3Result {
 // submissionTimeline projects a traced grid's events onto the phases its
 // gatekeepers and controllers recorded: Figure 3's rows, Figure 5's picture.
 func submissionTimeline(g *grid.Grid) *metrics.Timeline {
-	return trace.DeriveTimeline(g.Sim, g.Tracer.Events(), gram.IsPhase, core.IsPhase)
+	return trace.DeriveTimeline(g.Sim, g.Tracer.Events(), trace.IsPhase)
 }
 
 // Table renders the breakdown largest-first, as the paper's table does.

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -140,20 +139,12 @@ func (s *Server) preamble(conn *transport.Conn) (any, error) {
 
 // record puts one phase of a request in the trace, as a span under ctx: the
 // Figure 3 breakdown and the gatekeeper rows of the Figure 5 timeline are
-// projections of these (IsPhase, trace.DeriveTimeline).
+// projections of these (trace.IsPhase knows them by name).
 func (s *Server) record(ctx trace.Ctx, actor, phase string, start, end time.Duration) {
 	if tr := s.host.Network().Tracer(); tr.Enabled() {
 		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
 	}
 }
-
-// phases are the phases a gatekeeper records: Figure 3's rows.
-var phases = []string{"authentication", "misc", "initgroups", "fork"}
-
-// IsPhase reports whether ev is a phase span a gatekeeper recorded. It goes
-// by category and name, not by duration: a phase that took no virtual time
-// is still one, and an instant of the same category is not.
-func IsPhase(ev trace.Event) bool { return ev.Cat == "gram" && slices.Contains(phases, ev.Name) }
 
 // HandleCall implements rpc.Handler.
 func (s *Server) HandleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {

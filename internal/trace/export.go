@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -332,24 +333,36 @@ func argMap(args []Arg) map[string]string {
 func itoa(n int) string { return strconv.Itoa(n) }
 
 // DeriveTimeline projects trace events onto a metrics.Timeline, the
-// renderer of the Figure 5 view: every event that one of picks accepts
-// becomes a timeline span with Actor = Thr (Proc when there is none) and
-// Phase = Name. The layers that record phases say which of their events
-// those are (gram.IsPhase, core.IsPhase); what else belongs on a timeline
-// is the caller's to say.
-func DeriveTimeline(sim *vtime.Sim, events []Event, picks ...func(Event) bool) *metrics.Timeline {
+// renderer of the Figure 5 view: every event pick accepts becomes a
+// timeline span with Actor = Thr (Proc when there is none) and Phase =
+// Name. IsPhase picks the phases of a submission; what else belongs on a
+// timeline is the caller's to say.
+func DeriveTimeline(sim *vtime.Sim, events []Event, pick func(Event) bool) *metrics.Timeline {
 	tl := metrics.NewTimeline(sim)
 	for _, ev := range events {
-		for _, pick := range picks {
-			if pick(ev) {
-				actor := ev.Thr
-				if actor == "" {
-					actor = ev.Proc
-				}
-				tl.Add(actor, ev.Name, ev.At, ev.At+ev.Dur)
-				break
-			}
+		if !pick(ev) {
+			continue
 		}
+		actor := ev.Thr
+		if actor == "" {
+			actor = ev.Proc
+		}
+		tl.Add(actor, ev.Name, ev.At, ev.At+ev.Dur)
 	}
 	return tl
 }
+
+// phases names, by category, the spans the layers record as the phases of
+// a submission (gram.Server.record, core.Controller.record): the
+// gatekeeper's, which are Figure 3's rows, and the co-allocator's
+// per-subjob ones, which with them make Figure 5.
+var phases = map[string][]string{
+	"gram":  {"authentication", "misc", "initgroups", "fork"},
+	"duroc": {"submit", "startup-wait", "barrier"},
+}
+
+// IsPhase reports whether ev is one of those spans. It goes by category and
+// name, not by duration: the barrier of the last subjob to check in is a
+// phase of no length, and neither the job-level commit span nor an instant
+// of the same category is a phase.
+func IsPhase(ev Event) bool { return slices.Contains(phases[ev.Cat], ev.Name) }

@@ -313,9 +313,10 @@ func TestExportByteDeterminism(t *testing.T) {
 	}
 }
 
-// DeriveTimeline projects the events its picks accept, and only those, into
+// DeriveTimeline projects the events its pick accepts, and only those, into
 // a metrics.Timeline: the actor is the thread track, or the process track
-// where there is none, and a span of no length that is picked is kept.
+// where there is none. IsPhase goes by category and name: a phase of no
+// length is one, the job-level commit span and an instant are not.
 func TestDeriveTimeline(t *testing.T) {
 	sim := vtime.New()
 	tr := New(sim)
@@ -324,10 +325,7 @@ func TestDeriveTimeline(t *testing.T) {
 	tr.SpanAt("duroc", "barrier", "workstation", "", "", 700*time.Millisecond, 700*time.Millisecond)
 	tr.SpanAt("duroc", "commit", "workstation", "job1", "", 0, 700*time.Millisecond)
 	tr.Instant("duroc", "barrier-enter", "workstation", "sj1", "")
-	named := func(cat string, names ...string) func(Event) bool {
-		return func(ev Event) bool { return ev.Cat == cat && slices.Contains(names, ev.Name) }
-	}
-	spans := DeriveTimeline(sim, tr.Events(), named("gram", "authentication"), named("duroc", "submit", "barrier")).Spans()
+	spans := DeriveTimeline(sim, tr.Events(), IsPhase).Spans()
 	want := []metrics.Span{
 		{Actor: "gram", Phase: "authentication", Start: 0, End: 500 * time.Millisecond},
 		{Actor: "sj1", Phase: "submit", Start: 500 * time.Millisecond, End: 700 * time.Millisecond},
@@ -336,7 +334,8 @@ func TestDeriveTimeline(t *testing.T) {
 	if !slices.Equal(spans, want) {
 		t.Errorf("derived spans = %+v, want %+v", spans, want)
 	}
-	if got := DeriveTimeline(sim, tr.Events()).Spans(); len(got) != 0 {
-		t.Errorf("no picks projected %+v", got)
+	instants := func(ev Event) bool { return ev.Name == "barrier-enter" }
+	if got := DeriveTimeline(sim, tr.Events(), instants).Spans(); len(got) != 1 || got[0].Actor != "sj1" {
+		t.Errorf("a pick of its own projected %+v, want the one instant", got)
 	}
 }
