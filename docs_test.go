@@ -108,9 +108,9 @@ func undefinedFlags(code string, flags, studies map[string]map[string]bool) (bad
 		bin := ""
 		words := strings.Fields(line)
 		for i := 0; i < len(words); i++ {
-			word := strings.TrimRight(words[i], ".,:)")
+			word := strings.TrimRight(words[i], ".,;:)")
 			switch {
-			case word == "|" || word == "&&" || strings.HasSuffix(word, ";"):
+			case word == "|" || word == "&&" || strings.HasSuffix(words[i], ";"):
 				bin = ""
 			case flags[path.Base(word)] != nil:
 				bin = path.Base(word)

@@ -418,15 +418,14 @@ type sender struct {
 }
 
 // bind attaches the sender to conn and ships the handshake prologue as its
-// own frame, at setup. Letting it ride on the
-// first data frame (which wire.Encoder.Encode does for a sender that never
-// called EncodePrologue) would be as deterministic — the run token makes
-// the order of sends within a virtual instant a function of the seed — and
-// would save a message each way, two of a one-shot connection's 4.6. It
-// stays because message, byte and timer counts are pinned by every trace
-// and counter table the repository compares across commits: removing the
-// frame is a change of its own, with its own census (DESIGN.md, "Wire
-// format").
+// own frame, at setup. Letting it ride on the first data frame (which
+// wire.Encoder.Encode does for a sender that never called EncodePrologue)
+// would be as deterministic — the run token makes the order of sends within
+// a virtual instant a function of the seed — and would save a message each
+// way, two of a one-shot connection's 4.6. It stays because message, byte
+// and timer counts are pinned by every trace and counter table the
+// repository compares across commits: removing the frame is a change of its
+// own, with its own census (DESIGN.md, "Wire format").
 func (s *sender) bind(conn *transport.Conn) {
 	s.conn = conn
 	buf := wire.GetBuf()
