@@ -1,6 +1,8 @@
 package dst
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -226,5 +228,31 @@ func TestShrinkCleanScenario(t *testing.T) {
 	sr := Shrink(Generate(3, SmokeProfile), RunOptions{}, 50)
 	if len(sr.Violations) != 0 || sr.Runs != 1 {
 		t.Fatalf("expected clean single-run shrink, got %d runs, violations %v", sr.Runs, sr.Violations)
+	}
+}
+
+// TestVerdictsPinned is the harness's cross-commit contract in-tree: the
+// -json lines of the first smoke and federated seeds, and the trace exports
+// behind them, hashed. Whatever assembles the grid and drives the jobs, a
+// scenario's run does not move.
+func TestVerdictsPinned(t *testing.T) {
+	lines, traces := sha256.New(), sha256.New()
+	run := func(seed int64, p Profile) {
+		var a Artifacts
+		rep := RunSeed(seed, p, RunOptions{Artifacts: &a}, 0)
+		fmt.Fprintln(lines, rep.JSON())
+		traces.Write(a.TraceJSONL)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		run(seed, SmokeProfile)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		run(seed, fedProfile())
+	}
+	if got, want := fmt.Sprintf("%x", lines.Sum(nil))[:16], "a57ab3cefcaf1ba4"; got != want {
+		t.Errorf("verdict lines moved: hash %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprintf("%x", traces.Sum(nil))[:16], "92304a71f10b4a17"; got != want {
+		t.Errorf("traces moved: hash %s, want %s", got, want)
 	}
 }
