@@ -344,23 +344,10 @@ func analyzeTrace(path string) error {
 // brokerConfig selects the broker study size: the stock configuration, or
 // a seconds-long smoke setting for CI (make bench-smoke).
 func brokerConfig(seed int64, smoke bool) experiments.BrokerLoadConfig {
-	if !smoke {
-		return experiments.BrokerLoadConfig{Seed: seed}
+	if smoke {
+		return experiments.BrokerSmokeConfig(seed)
 	}
-	return experiments.BrokerLoadConfig{
-		Machines:      3,
-		MachineSize:   16,
-		Sites:         2,
-		ProcsPerSite:  4,
-		Workers:       2,
-		WorkTime:      time.Minute,
-		Requests:      8,
-		Tenants:       2,
-		RatesPerMin:   []float64{4, 12},
-		QueueBounds:   []int{2},
-		ClosedClients: []int{2},
-		Seed:          seed,
-	}
+	return experiments.BrokerLoadConfig{LoadConfig: experiments.LoadConfig{Seed: seed}}
 }
 
 // chaosConfig selects the chaos workload B2 and B7 share: the stock
@@ -370,7 +357,7 @@ func chaosConfig(seed int64, smoke bool) experiments.ChaosConfig {
 	if smoke {
 		return experiments.SLOSmokeConfig(seed).Chaos
 	}
-	return experiments.ChaosConfig{Seed: seed}
+	return experiments.ChaosConfig{LoadConfig: experiments.LoadConfig{Seed: seed}}
 }
 
 // chaosLeakCheck enforces the chaos study's resilience criterion: no row
@@ -393,7 +380,7 @@ func chaosLeakCheck(res experiments.ChaosResult) error {
 // federationConfig selects the federation study size: the stock
 // 1/2/4/8-replica sweep, or just the 1-vs-2 rows for CI (make fed-smoke).
 func federationConfig(seed int64, smoke bool) experiments.FederationLoadConfig {
-	cfg := experiments.FederationLoadConfig{Seed: seed}
+	cfg := experiments.FederationLoadConfig{LoadConfig: experiments.LoadConfig{Seed: seed}}
 	if smoke {
 		cfg.ReplicaCounts = []int{1, 2}
 	}

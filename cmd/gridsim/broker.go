@@ -6,13 +6,8 @@ import (
 	"time"
 
 	"cogrid/internal/broker"
-	"cogrid/internal/core"
-	"cogrid/internal/grid"
-	"cogrid/internal/lrm"
-	"cogrid/internal/mds"
-	"cogrid/internal/trace"
 	"cogrid/internal/transport"
-	"cogrid/internal/vtime"
+	"cogrid/internal/workload"
 )
 
 // runBrokerDemo runs the built-in broker scenario: four batch machines
@@ -28,97 +23,53 @@ func runBrokerDemo(opts runOptions) error {
 		sites        = 2
 		procsPerSite = 8
 	)
-	g := grid.New(grid.Options{Seed: 7, Trace: true})
-	dirHost := g.Net.AddHost("mds0")
-	if _, err := mds.NewServer(dirHost, 0); err != nil {
-		return err
-	}
-	dir := transport.Addr{Host: "mds0", Service: mds.ServiceName}
-	for i := 0; i < machines; i++ {
-		name := fmt.Sprintf("site%02d", i)
-		m := g.AddMachine(name, procs, lrm.Batch)
-		mds.Publish(m, dir, g.Contact(name), 31*time.Second, procsPerSite, procs)
-	}
-	g.RegisterEverywhere("app", func(p *lrm.Proc) error {
-		rt, err := core.Attach(p)
-		if err != nil {
-			return err
-		}
-		defer rt.Close()
-		if _, err := rt.Barrier(true, "", 0); err != nil {
-			return nil
-		}
-		return p.Work(workTime, time.Second)
+	tb := workload.NewTestbed(workload.Spec{
+		Seed:     7,
+		Machines: workload.BatchSites(machines, procs),
+		Counts:   []int{procsPerSite},
+		WorkTime: workTime,
+		Broker:   &broker.Options{QueueBound: 3, Workers: 2, RetryAfter: 15 * time.Second},
 	})
-	b, err := broker.New(g.Net.AddHost("broker0"), core.ControllerConfig{
-		Credential: g.UserCred,
-		Registry:   g.Registry,
-	}, broker.Options{
-		Directory:  dir,
-		QueueBound: 3,
-		Workers:    2,
-		RetryAfter: 15 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
+	g := tb.Grid
 	fmt.Printf("broker demo: %d batch machines x %d procs, broker queue bound 3, 2 workers\n",
 		machines, procs)
 	fmt.Printf("requests: %d sites x %d processes each; tenant-a floods 5, b and c send 1\n\n",
 		sites, procsPerSite)
 
-	type submission struct {
-		tenant string
-		at     time.Duration
+	var (
+		tenants []string
+		load    workload.Load
+	)
+	add := func(tenant string, at time.Duration) {
+		load.Hosts = append(load.Hosts, fmt.Sprintf("%s-%d", tenant, len(tenants)))
+		load.Arrivals = append(load.Arrivals, at)
+		tenants = append(tenants, tenant)
 	}
-	var subs []submission
 	for i := 0; i < 5; i++ {
-		subs = append(subs, submission{"tenant-a", 10*time.Second + time.Duration(i)*100*time.Millisecond})
+		add("tenant-a", 10*time.Second+time.Duration(i)*100*time.Millisecond)
 	}
-	subs = append(subs,
-		submission{"tenant-b", 11 * time.Second},
-		submission{"tenant-c", 12 * time.Second})
+	add("tenant-b", 11*time.Second)
+	add("tenant-c", 12*time.Second)
 
 	var mu sync.Mutex
-	simErr := g.Sim.Run("driver", func() {
-		wg := vtime.NewWaitGroup(g.Sim)
-		wg.Add(len(subs))
-		for i, sub := range subs {
-			i, sub := i, sub
-			host := g.Net.AddHost(fmt.Sprintf("%s-%d", sub.tenant, i))
-			g.Sim.GoDaemon(fmt.Sprintf("driver:%s/%d", sub.tenant, i), func() {
-				defer wg.Done()
-				g.Sim.SleepUntil(sub.at)
-				ctx := trace.NewRequest(host.Name())
-				start := g.Sim.Now()
-				c, err := broker.DialCtx(host, b.Contact(), ctx)
-				if err != nil {
-					mu.Lock()
-					fmt.Printf("%s: dial failed: %v\n", sub.tenant, err)
-					mu.Unlock()
-					return
-				}
-				defer c.Close()
-				reply, rejects, err := c.SubmitWait(broker.Request{
-					Tenant:       sub.tenant,
-					Sites:        sites,
-					ProcsPerSite: procsPerSite,
-					Executable:   "app",
-					Spares:       1,
-				}, 0, 20)
-				g.Tracer.SpanAtCtx(ctx, "client", "request", host.Name(), sub.tenant, "", start, g.Sim.Now())
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					fmt.Printf("t=%-8v %s request %d: FAILED: %v\n", g.Sim.Now(), sub.tenant, i, err)
-					return
-				}
-				fmt.Printf("t=%-8v %s: committed job %s (%d procs, %d attempt(s), %d substitution(s), %d admission reject(s), queued %v)\n",
-					g.Sim.Now(), sub.tenant, reply.JobID, reply.WorldSize,
-					reply.Attempts, reply.Substitutions, rejects, reply.QueueWait)
-			})
+	_, simErr := tb.Run(load, func(i, _ int, host *transport.Host) bool {
+		reply, rejects, _, err := workload.Submit(host, tb.Ring, 0, host.Name(), broker.Request{
+			Tenant:       tenants[i],
+			Sites:        sites,
+			ProcsPerSite: procsPerSite,
+			Executable:   "app",
+			Spares:       1,
+		}, 0, 20, nil)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			fmt.Printf("t=%-8v %s request %d: FAILED: %v\n", g.Sim.Now(), tenants[i], i, err)
+			return false
 		}
-		wg.Wait()
+		fmt.Printf("t=%-8v %s: committed job %s (%d procs, %d attempt(s), %d substitution(s), %d admission reject(s), queued %v)\n",
+			g.Sim.Now(), tenants[i], reply.JobID, reply.WorldSize,
+			reply.Attempts, reply.Substitutions, rejects, reply.QueueWait)
+		return reply.OK()
 	})
 	if err := writeOutputs(g, opts); err != nil {
 		return err

@@ -6,14 +6,9 @@ import (
 	"time"
 
 	"cogrid/internal/broker"
-	"cogrid/internal/core"
 	"cogrid/internal/federation"
-	"cogrid/internal/grid"
-	"cogrid/internal/lrm"
-	"cogrid/internal/mds"
-	"cogrid/internal/trace"
 	"cogrid/internal/transport"
-	"cogrid/internal/vtime"
+	"cogrid/internal/workload"
 )
 
 // runFederationDemo runs the built-in federation scenario: a three-replica
@@ -36,44 +31,15 @@ func runFederationDemo(opts runOptions) error {
 		crashAt      = 45 * time.Second
 		outage       = 2 * time.Minute
 	)
-	g := grid.New(grid.Options{Seed: 7, Trace: true})
-	dirHost := g.Net.AddHost("mds0")
-	if _, err := mds.NewServer(dirHost, 0); err != nil {
-		return err
-	}
-	dir := transport.Addr{Host: "mds0", Service: mds.ServiceName}
-	for i := 0; i < machines; i++ {
-		name := fmt.Sprintf("site%02d", i)
-		m := g.AddMachine(name, procs, lrm.Batch)
-		mds.Publish(m, dir, g.Contact(name), 31*time.Second, procsPerSite, procs)
-	}
-	g.RegisterEverywhere("app", func(p *lrm.Proc) error {
-		rt, err := core.Attach(p)
-		if err != nil {
-			return err
-		}
-		defer rt.Close()
-		if _, err := rt.Barrier(true, "", 0); err != nil {
-			return nil
-		}
-		return p.Work(workTime, time.Second)
+	tb := workload.NewTestbed(workload.Spec{
+		Seed:     7,
+		Machines: workload.BatchSites(machines, procs),
+		Counts:   []int{procsPerSite},
+		WorkTime: workTime,
+		Replicas: replicas,
+		Broker:   &broker.Options{QueueBound: 4, Workers: 2, RetryAfter: 15 * time.Second},
 	})
-	fed, err := federation.New(g.Net, core.ControllerConfig{
-		Credential: g.UserCred,
-		Registry:   g.Registry,
-	}, federation.Options{
-		Replicas:  replicas,
-		Directory: dir,
-		Broker: broker.Options{
-			Directory:  dir,
-			QueueBound: 4,
-			Workers:    2,
-			RetryAfter: 15 * time.Second,
-		},
-	})
-	if err != nil {
-		return err
-	}
+	g, fed := tb.Grid, tb.Fed
 	leader := fed.Replica(replicas - 1) // highest id wins the first election
 	fmt.Printf("federation demo: %d broker replicas over %d batch machines x %d procs\n",
 		replicas, machines, procs)
@@ -81,8 +47,15 @@ func runFederationDemo(opts runOptions) error {
 	fmt.Printf("schedule: leader %s crashes at t=%v, restarts at t=%v\n\n",
 		leader.Name(), crashAt, crashAt+outage)
 
+	// Let the running jobs drain (and, the testbed's part, the peer reaper
+	// settle any entries the crash handed off), so the journal below is final.
+	load := workload.Load{Drain: workTime + time.Minute}
+	for i := 0; i < requests; i++ {
+		load.Hosts = append(load.Hosts, fmt.Sprintf("client%02d", i))
+		load.Arrivals = append(load.Arrivals, 10*time.Second+time.Duration(i)*7*time.Second)
+	}
 	var mu sync.Mutex
-	simErr := g.Sim.Run("driver", func() {
+	load.Before = func() {
 		g.Sim.GoDaemon("demo-crash", func() {
 			g.Sim.SleepUntil(crashAt)
 			mu.Lock()
@@ -98,74 +71,49 @@ func runFederationDemo(opts runOptions) error {
 				g.Sim.Now(), leader.Name())
 			mu.Unlock()
 		})
-		wg := vtime.NewWaitGroup(g.Sim)
-		wg.Add(requests)
-		for i := 0; i < requests; i++ {
-			i := i
-			host := g.Net.AddHost(fmt.Sprintf("client%02d", i))
-			g.Sim.GoDaemon(fmt.Sprintf("driver:client%02d", i), func() {
-				defer wg.Done()
-				g.Sim.SleepUntil(10*time.Second + time.Duration(i)*7*time.Second)
-				ctx := trace.NewRequest(host.Name())
-				start := g.Sim.Now()
-				req := broker.Request{
-					Tenant:       fmt.Sprintf("tenant-%c", 'a'+i%3),
-					Sites:        sites,
-					ProcsPerSite: procsPerSite,
-					Executable:   "app",
-					Spares:       1,
-					Key:          fmt.Sprintf("req%02d", i),
-				}
-				// Client-side failover: walk the ring from the home
-				// replica until one answers. The idempotency key makes
-				// the walk safe — a committed-but-unreplied key is
-				// answered from the replicated journal, not re-allocated.
-				for k := 0; k < replicas; k++ {
-					r := fed.Replica((i + k) % replicas)
-					c, err := broker.DialCtx(host, r.BrokerContact(), ctx)
-					if err != nil {
-						mu.Lock()
-						fmt.Printf("t=%-8v %s: %s unreachable (%v), failing over to %s\n",
-							g.Sim.Now(), req.Key, r.Name(), err,
-							fed.Replica((i+k+1)%replicas).Name())
-						mu.Unlock()
-						continue
-					}
-					reply, rejects, err := c.SubmitWait(req, 0, 20)
-					c.Close()
-					if err != nil {
-						mu.Lock()
-						fmt.Printf("t=%-8v %s: %s died mid-request (%v), failing over\n",
-							g.Sim.Now(), req.Key, r.Name(), err)
-						mu.Unlock()
-						continue
-					}
-					g.Tracer.SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, g.Sim.Now())
-					mu.Lock()
-					if !reply.OK() {
-						fmt.Printf("t=%-8v %s via %s: FAILED: %s\n", g.Sim.Now(), req.Key, r.Name(), reply.Error)
-					} else {
-						via := ""
-						if reply.Hops > 0 {
-							via = fmt.Sprintf(", %d forward(s)", reply.Hops)
-						}
-						fmt.Printf("t=%-8v %s via %s: committed job %s (%d procs, %d reject(s)%s, leader now %s)\n",
-							g.Sim.Now(), req.Key, r.Name(), reply.JobID, reply.WorldSize,
-							rejects, via, r.LeaderName())
-					}
-					mu.Unlock()
+	}
+	_, simErr := tb.Run(load, func(i, _ int, host *transport.Host) bool {
+		req := broker.Request{
+			Tenant:       fmt.Sprintf("tenant-%c", 'a'+i%3),
+			Sites:        sites,
+			ProcsPerSite: procsPerSite,
+			Executable:   "app",
+			Spares:       1,
+			Key:          fmt.Sprintf("req%02d", i),
+		}
+		// The client walks the ring from its home replica until one
+		// answers; the demo only narrates the hops that failed.
+		reply, rejects, failovers, err := workload.Submit(host, tb.Ring, i, host.Name(), req, 0, 20,
+			func(k int, dialed bool, err error) {
+				mu.Lock()
+				defer mu.Unlock()
+				r := fed.Replica((i + k) % replicas)
+				if dialed {
+					fmt.Printf("t=%-8v %s: %s died mid-request (%v), failing over\n",
+						g.Sim.Now(), req.Key, r.Name(), err)
 					return
 				}
-				mu.Lock()
-				fmt.Printf("t=%-8v %s: no replica reachable\n", g.Sim.Now(), req.Key)
-				mu.Unlock()
+				fmt.Printf("t=%-8v %s: %s unreachable (%v), failing over to %s\n",
+					g.Sim.Now(), req.Key, r.Name(), err, fed.Replica((i+k+1)%replicas).Name())
 			})
+		mu.Lock()
+		defer mu.Unlock()
+		r := fed.Replica((i + failovers) % replicas)
+		switch {
+		case err != nil:
+			fmt.Printf("t=%-8v %s: no replica reachable\n", g.Sim.Now(), req.Key)
+		case !reply.OK():
+			fmt.Printf("t=%-8v %s via %s: FAILED: %s\n", g.Sim.Now(), req.Key, r.Name(), reply.Error)
+		default:
+			via := ""
+			if reply.Hops > 0 {
+				via = fmt.Sprintf(", %d forward(s)", reply.Hops)
+			}
+			fmt.Printf("t=%-8v %s via %s: committed job %s (%d procs, %d reject(s)%s, leader now %s)\n",
+				g.Sim.Now(), req.Key, r.Name(), reply.JobID, reply.WorldSize,
+				rejects, via, r.LeaderName())
 		}
-		wg.Wait()
-		// Let the running jobs drain and the peer reaper settle any
-		// entries the crash handed off, so the journal below is final.
-		g.Sim.Sleep(workTime + time.Minute)
-		g.Sim.Sleep(3 * fed.Options().PeerReapInterval)
+		return err == nil && reply.OK()
 	})
 
 	fmt.Println()

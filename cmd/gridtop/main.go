@@ -43,7 +43,7 @@ func main() {
 }
 
 func run(w io.Writer, seed int64, rate float64, step time.Duration, smoke bool, tail int) error {
-	cfg := experiments.SLOConfig{Chaos: experiments.ChaosConfig{Seed: seed}}
+	cfg := experiments.SLOConfig{Chaos: experiments.ChaosConfig{LoadConfig: experiments.LoadConfig{Seed: seed}}}
 	if smoke {
 		cfg = experiments.SLOSmokeConfig(seed)
 	}

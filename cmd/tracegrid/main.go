@@ -49,18 +49,7 @@ func run(analyze string, smoke bool, seed int64, check bool, traceOut, gaugesOut
 	var events []trace.Event
 	switch {
 	case smoke:
-		cfg := experiments.BrokerLoadConfig{
-			Machines:     3,
-			MachineSize:  16,
-			Sites:        2,
-			ProcsPerSite: 4,
-			Workers:      2,
-			WorkTime:     time.Minute,
-			Requests:     8,
-			Tenants:      2,
-			Seed:         seed,
-		}
-		_, g := experiments.BrokerLoadRun(cfg, 12, 2)
+		_, g := experiments.BrokerLoadRun(experiments.BrokerSmokeConfig(seed), 12, 2)
 		events = g.Tracer.Events()
 		if traceOut != "" {
 			if err := writeTo(traceOut, g.Tracer.WriteJSONL); err != nil {

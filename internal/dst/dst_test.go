@@ -252,7 +252,7 @@ func TestVerdictsPinned(t *testing.T) {
 	if got, want := fmt.Sprintf("%x", lines.Sum(nil))[:16], "a57ab3cefcaf1ba4"; got != want {
 		t.Errorf("verdict lines moved: hash %s, want %s", got, want)
 	}
-	if got, want := fmt.Sprintf("%x", traces.Sum(nil))[:16], "92304a71f10b4a17"; got != want {
+	if got, want := fmt.Sprintf("%x", traces.Sum(nil))[:16], "a03ce1ee1e50f29d"; got != want {
 		t.Errorf("traces moved: hash %s, want %s", got, want)
 	}
 }

@@ -322,7 +322,7 @@ func checkMachines(o observations) []Violation {
 	for _, ms := range o.sc.Machines {
 		batch[ms.Name] = ms.Batch
 	}
-	for _, name := range sortedMachines(o.g) {
+	for _, name := range o.g.Machines() {
 		m := o.g.Machine(name)
 		if n := m.LiveJobs(); n != 0 {
 			v = append(v, Violation{

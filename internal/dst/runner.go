@@ -16,11 +16,9 @@ import (
 	"cogrid/internal/gram"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
-	"cogrid/internal/mds"
 	"cogrid/internal/slo"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
-	"cogrid/internal/vtime"
 	"cogrid/internal/workload"
 )
 
@@ -168,66 +166,54 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	}
 	res := RunResult{Scenario: sc, Jobs: len(sc.Jobs)}
 
-	g := grid.New(grid.Options{Seed: sc.Seed, Trace: true})
+	// One testbed serves every driver: the duroc driver's is unbrokered
+	// (machines and application only) and gets a controller and the harness
+	// reaper on the workstation instead.
+	spec := workload.Spec{
+		Seed:           sc.Seed,
+		WorkTime:       sc.WorkTime,
+		BarrierTimeout: 24 * time.Hour,
+		Replicas:       sc.Replicas,
+		Bugs:           opts.Bugs,
+	}
 	for _, ms := range sc.Machines {
 		mode := lrm.Fork
 		if ms.Batch {
 			mode = lrm.Batch
 		}
-		m := g.AddMachine(ms.Name, ms.Procs, mode)
-		if ms.Batch {
-			workload.RegisterExecutable(m, "bg")
-		}
+		spec.Machines = append(spec.Machines, workload.Machine{Name: ms.Name, Procs: ms.Procs, Mode: mode})
 	}
-	g.RegisterEverywhere("app", appExecutable(sc.WorkTime))
-
-	// The submit-side peer a partition cuts the machine off from.
-	peer := "workstation"
-	var b *broker.Broker
-	var fed *federation.Federation
-	var ctrl *core.Controller
-	var rp *reaper
-	if sc.Driver == DriverBroker || sc.Driver == DriverFed {
-		peer = "broker0"
-		if sc.Driver == DriverFed {
-			peer = FedReplicaName(0)
+	brokered := sc.Driver == DriverBroker || sc.Driver == DriverFed
+	if brokered {
+		for _, j := range sc.Jobs {
+			spec.Counts = append(spec.Counts, j.ProcsPerSite)
 		}
-		dirHost := g.Net.AddHost("mds0")
-		if _, err := mds.NewServer(dirHost, 0); err != nil {
-			return RunResult{}, err
-		}
-		dir := transport.Addr{Host: "mds0", Service: mds.ServiceName}
-		for _, ms := range sc.Machines {
-			mds.Publish(g.Machine(ms.Name), dir, g.Contact(ms.Name), 31*time.Second,
-				publishCounts(sc, ms.Procs)...)
-		}
-		ctrlCfg := core.ControllerConfig{
-			Credential: g.UserCred,
-			Registry:   g.Registry,
-			Bugs:       opts.Bugs,
-		}
-		bOpts := broker.Options{
-			Directory:       dir,
+		spec.Broker = &broker.Options{
 			QueueBound:      16,
 			Workers:         3,
 			CacheMaxAge:     45 * time.Second,
 			RefreshInterval: 40 * time.Second,
 			RetryAfter:      15 * time.Second,
 		}
-		var err error
-		if sc.Driver == DriverFed {
-			fed, err = federation.New(g.Net, ctrlCfg, federation.Options{
-				Replicas:  sc.Replicas,
-				Directory: dir,
-				Broker:    bOpts,
-			})
-		} else {
-			b, err = broker.New(g.Net.AddHost("broker0"), ctrlCfg, bOpts)
+	}
+	tb := workload.NewTestbed(spec)
+	g, b, fed := tb.Grid, tb.Broker, tb.Fed
+	for _, ms := range sc.Machines {
+		if ms.Batch {
+			workload.RegisterExecutable(g.Machine(ms.Name), "bg")
 		}
-		if err != nil {
-			return RunResult{}, err
-		}
-	} else {
+	}
+
+	// The submit-side peer a partition cuts the machine off from.
+	peer := "workstation"
+	var ctrl *core.Controller
+	var rp *reaper
+	switch sc.Driver {
+	case DriverBroker:
+		peer = "broker0"
+	case DriverFed:
+		peer = FedReplicaName(0)
+	default:
 		rp = newReaper(g)
 		var err error
 		ctrl, err = core.NewController(g.Workstation, core.ControllerConfig{
@@ -252,25 +238,22 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	engine.Start()
 
 	plan, healBy := materializeFaults(sc.Faults, peer)
-	var maxTime, lastArrival time.Duration
-	for _, j := range sc.Jobs {
-		if j.MaxTime > maxTime {
-			maxTime = j.MaxTime
-		}
-		if j.At > lastArrival {
-			lastArrival = j.At
+	load := workload.Load{
+		Arrivals: make([]time.Duration, len(sc.Jobs)),
+		HealBy:   healBy,
+	}
+	var maxTime time.Duration
+	for i, j := range sc.Jobs {
+		load.Arrivals[i] = j.At
+		maxTime = max(maxTime, j.MaxTime)
+		if brokered {
+			load.Hosts = append(load.Hosts, fmt.Sprintf("client%02d", i))
 		}
 	}
-
-	clientHosts := make([]*transport.Host, len(sc.Jobs))
-	if sc.Driver == DriverBroker || sc.Driver == DriverFed {
-		for i := range sc.Jobs {
-			clientHosts[i] = g.Net.AddHost(fmt.Sprintf("client%02d", i))
-		}
-	}
-
-	var mu sync.Mutex
-	err := g.Sim.Run("dst-driver", func() {
+	// Every committed job's work done, every leaked job's wall limit fired,
+	// and two reap intervals so the reaper observes the healed grid.
+	load.Drain = maxTime + sc.WorkTime + 2*time.Minute
+	load.Before = func() {
 		plan.Apply(g)
 		// Broker-crash faults act on replica processes, not machines, so
 		// the failure plan leaves them to the driver.
@@ -278,7 +261,6 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 			if fs.Kind != "broker-crash" {
 				continue
 			}
-			fs := fs
 			r := fed.Replica(fedReplicaIndex(fs.Target))
 			g.Sim.GoDaemon(fmt.Sprintf("dst-fed-crash:%s", fs.Target), func() {
 				g.Sim.SleepUntil(fs.At)
@@ -297,51 +279,37 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		if rp != nil {
 			g.Sim.GoDaemon("dst-reaper", rp.run)
 		}
-		wg := vtime.NewWaitGroup(g.Sim)
-		wg.Add(len(sc.Jobs))
-		for i, j := range sc.Jobs {
-			i, j := i, j
-			g.Sim.GoDaemon(fmt.Sprintf("dst-job%02d", i), func() {
-				defer wg.Done()
-				g.Sim.SleepUntil(j.At)
-				committed := false
-				switch sc.Driver {
-				case DriverBroker:
-					committed = submitBroker(clientHosts[i], b.Contact(), i, j, "")
-				case DriverFed:
-					// Round-robin across replicas, each request under a
-					// stable idempotency key, so the at-most-once audit can
-					// group every replica's tickets by request.
-					r := fed.Replica(i % sc.Replicas)
-					committed = submitBroker(clientHosts[i], r.BrokerContact(), i, j,
-						fmt.Sprintf("req%02d", i))
-				default:
-					committed = submitDuroc(g, ctrl, i, j, sc.WorkTime)
-				}
-				mu.Lock()
-				if committed {
-					res.Committed++
-				} else {
-					res.Aborted++
-				}
-				mu.Unlock()
-			})
+	}
+	tally, err := tb.Run(load, func(i, _ int, host *transport.Host) bool {
+		j := sc.Jobs[i]
+		if !brokered {
+			return submitDuroc(g, ctrl, i, j, sc.WorkTime)
 		}
-		wg.Wait()
-		// Quiesce: every fault healed, every committed job's work done,
-		// every leaked job's wall limit fired, and two reap intervals so
-		// the reaper observes the healed grid.
-		if now := g.Sim.Now(); now < healBy {
-			g.Sim.SleepUntil(healBy)
+		req := broker.Request{
+			Tenant:         j.Tenant,
+			Sites:          j.Sites,
+			ProcsPerSite:   j.ProcsPerSite,
+			Executable:     "app",
+			Spares:         j.Spares,
+			CommitTimeout:  j.CommitTimeout,
+			StartupTimeout: j.StartupTimeout,
+			MaxTime:        j.MaxTime,
 		}
-		g.Sim.Sleep(maxTime + sc.WorkTime + 2*time.Minute)
+		// A standalone broker is a ring of one. A federated job goes to one
+		// replica, round-robin, and does not walk on: a crashed replica's
+		// requests abort, which is what the scenarios' verdicts record. Its
+		// stable idempotency key lets the at-most-once audit group every
+		// replica's tickets by request.
+		ring := tb.Ring
 		if fed != nil {
-			// Federated hand-off takes longer to settle: a crash must be
-			// declared dead (missed heartbeats), its journal entries handed
-			// off, and the new owner's reap sweeps must reach the machines.
-			g.Sim.Sleep(3 * fed.Options().PeerReapInterval)
+			ring = ring[i%sc.Replicas:][:1]
+			req.Key = fmt.Sprintf("req%02d", i)
 		}
+		budget := j.CommitTimeout + j.StartupTimeout + 3*time.Minute
+		reply, _, _, err := workload.Submit(host, ring, 0, host.Name(), req, budget, 20, nil)
+		return err == nil && reply.OK()
 	})
+	res.Committed, res.Aborted = tally.Completed, tally.Failed
 	res.End = g.Sim.Now()
 	res.Faults = len(sc.Faults)
 
@@ -481,41 +449,6 @@ func sloRules(sc Scenario) []slo.Rule {
 	return rules
 }
 
-// appExecutable is the standard instrumented application: attach to the
-// DUROC runtime, check in at the barrier, compute for workTime.
-func appExecutable(workTime time.Duration) lrm.ExecFunc {
-	return func(p *lrm.Proc) error {
-		rt, err := core.Attach(p)
-		if err != nil {
-			return err
-		}
-		defer rt.Close()
-		if _, err := rt.Barrier(true, "", 24*time.Hour); err != nil {
-			return nil // aborted: exit before doing any work
-		}
-		if workTime > 0 {
-			return p.Work(workTime, time.Second)
-		}
-		return nil
-	}
-}
-
-// publishCounts lists the per-site process counts the MDS forecasts wait
-// times for: every count a broker job might ask for, plus the machine
-// size.
-func publishCounts(sc Scenario, procs int) []int {
-	seen := map[int]bool{procs: true}
-	counts := []int{procs}
-	for _, j := range sc.Jobs {
-		if j.ProcsPerSite > 0 && !seen[j.ProcsPerSite] {
-			seen[j.ProcsPerSite] = true
-			counts = append(counts, j.ProcsPerSite)
-		}
-	}
-	sort.Ints(counts)
-	return counts
-}
-
 // materializeFaults expands fault specs into the paired onset+heal
 // actions of a failure plan, and reports when the last heal lands.
 func materializeFaults(faults []FaultSpec, peer string) (failure.Plan, time.Duration) {
@@ -589,7 +522,7 @@ func submitDuroc(g *grid.Grid, ctrl *core.Controller, i int, j JobSpec, workTime
 		})
 	}
 	var pool []transport.Addr
-	for _, name := range sortedMachines(g) {
+	for _, name := range g.Machines() {
 		if !used[name] {
 			pool = append(pool, g.Contact(name))
 		}
@@ -611,38 +544,4 @@ func submitDuroc(g *grid.Grid, ctrl *core.Controller, i int, j JobSpec, workTime
 	// clock starts after the last job finishes, not the last commit.
 	res.Job.Done().WaitTimeout(j.MaxTime + workTime + 3*time.Minute)
 	return true
-}
-
-// submitBroker drives one co-allocation through a broker endpoint — a
-// standalone broker, or one federation replica (key set).
-func submitBroker(host *transport.Host, addr transport.Addr, i int, j JobSpec, key string) bool {
-	ctx := trace.NewRequest(host.Name())
-	sim := host.Network().Sim()
-	start := sim.Now()
-	c, err := broker.DialCtx(host, addr, ctx)
-	if err != nil {
-		return false
-	}
-	defer c.Close()
-	budget := j.CommitTimeout + j.StartupTimeout + 3*time.Minute
-	reply, _, err := c.SubmitWait(broker.Request{
-		Key:            key,
-		Tenant:         j.Tenant,
-		Sites:          j.Sites,
-		ProcsPerSite:   j.ProcsPerSite,
-		Executable:     "app",
-		Spares:         j.Spares,
-		CommitTimeout:  j.CommitTimeout,
-		StartupTimeout: j.StartupTimeout,
-		MaxTime:        j.MaxTime,
-	}, budget, 20)
-	host.Network().Tracer().SpanAtCtx(ctx, "client", "request", host.Name(), j.Tenant, "", start, sim.Now())
-	return err == nil && reply.OK()
-}
-
-// sortedMachines returns the grid's machine names in deterministic order.
-func sortedMachines(g *grid.Grid) []string {
-	names := g.Machines()
-	sort.Strings(names)
-	return names
 }

@@ -9,22 +9,7 @@ import (
 )
 
 // tinyBrokerConfig keeps the study small enough for the test gate.
-func tinyBrokerConfig() BrokerLoadConfig {
-	return BrokerLoadConfig{
-		Machines:      3,
-		MachineSize:   16,
-		Sites:         2,
-		ProcsPerSite:  4,
-		Workers:       2,
-		WorkTime:      time.Minute,
-		Requests:      8,
-		Tenants:       2,
-		RatesPerMin:   []float64{4, 12},
-		QueueBounds:   []int{2},
-		ClosedClients: []int{2},
-		Seed:          1,
-	}
-}
+func tinyBrokerConfig() BrokerLoadConfig { return BrokerSmokeConfig(1) }
 
 func TestBrokerLoadStudySmoke(t *testing.T) {
 	res := BrokerLoadStudy(tinyBrokerConfig())

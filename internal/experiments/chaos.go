@@ -7,12 +7,12 @@ import (
 	"strings"
 	"time"
 
-	"cogrid/internal/broker"
 	"cogrid/internal/failure"
 	"cogrid/internal/grid"
 	"cogrid/internal/metrics"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
+	"cogrid/internal/workload"
 )
 
 // --- B2: broker resilience under injected faults (chaos study) ---
@@ -21,17 +21,8 @@ import (
 // replayed against a grid where a seeded fraction of the machines
 // suffers one of the paper's Section 2 failure modes mid-run.
 type ChaosConfig struct {
-	Machines     int
-	MachineSize  int
-	Sites        int
-	ProcsPerSite int
-	Spares       int
-	Workers      int
-	// WorkTime is how long each committed application computes.
-	WorkTime time.Duration
-	// Requests arrive open-loop at RatePerMin, spread over Tenants.
-	Requests   int
-	Tenants    int
+	LoadConfig
+	// RatePerMin is the open-loop Poisson arrival rate.
 	RatePerMin float64
 	// FaultRates is the swept per-machine fault probability, one row each.
 	FaultRates []float64
@@ -45,57 +36,17 @@ type ChaosConfig struct {
 	// SubmitBudget is each client's total SubmitWait budget; the broker
 	// sees it as the request deadline and abandons work past it.
 	SubmitBudget time.Duration
-	Seed         int64
 }
 
 func (c *ChaosConfig) fill() {
-	if c.Machines <= 0 {
-		c.Machines = 6
-	}
-	if c.MachineSize <= 0 {
-		c.MachineSize = 32
-	}
-	if c.Sites <= 0 {
-		c.Sites = 2
-	}
-	if c.ProcsPerSite <= 0 {
-		c.ProcsPerSite = 8
-	}
-	if c.Spares == 0 {
-		c.Spares = 2
-	} else if c.Spares < 0 {
-		c.Spares = 0
-	}
-	if c.Workers <= 0 {
-		c.Workers = 3
-	}
-	if c.WorkTime <= 0 {
-		c.WorkTime = 90 * time.Second
-	}
-	if c.Requests <= 0 {
-		c.Requests = 24
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 3
-	}
-	if c.RatePerMin <= 0 {
-		c.RatePerMin = 4
-	}
+	c.LoadConfig.fill(chaosDefaults)
+	c.RatePerMin = or(c.RatePerMin, 4)
 	if len(c.FaultRates) == 0 {
 		c.FaultRates = []float64{0, 0.25, 0.5, 1}
 	}
-	if c.Window <= 0 {
-		c.Window = 5 * time.Minute
-	}
-	if c.MaxTime <= 0 {
-		c.MaxTime = 8 * time.Minute
-	}
-	if c.SubmitBudget <= 0 {
-		c.SubmitBudget = 10 * time.Minute
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Window = or(c.Window, 5*time.Minute)
+	c.MaxTime = or(c.MaxTime, 8*time.Minute)
+	c.SubmitBudget = or(c.SubmitBudget, 10*time.Minute)
 }
 
 // ChaosRow is one fault-rate setting's outcome. Abandoned, orphan, and
@@ -222,52 +173,34 @@ func ChaosRun(cfg ChaosConfig, faultRate float64) (ChaosRow, *grid.Grid) {
 func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (ChaosRow, *grid.Grid) {
 	cfg.fill()
 	seed := cfg.Seed + int64(faultRate*1000)*13
-	blc := BrokerLoadConfig{
-		Machines:     cfg.Machines,
-		MachineSize:  cfg.MachineSize,
-		Sites:        cfg.Sites,
-		ProcsPerSite: cfg.ProcsPerSite,
-		Spares:       cfg.Spares,
-		Workers:      cfg.Workers,
-		WorkTime:     cfg.WorkTime,
-	}
-	blc.fill()
-	g, b := brokerTestbed(blc, 16, seed)
+	tb := cfg.testbed(seed, 0, 16, 20*time.Second)
+	g := tb.Grid
 
 	// The fault plan comes from the same stream as, and after, the arrivals.
 	rng := rand.New(rand.NewSource(seed))
-	l := newOpenLoop(g, rng, cfg.Requests, cfg.RatePerMin)
-	plan := drawPlan(cfg, faultRate, rng, l.arrivals[0])
-	var healBy time.Duration
+	load := workload.Load{
+		Hosts:    clientHosts(cfg.Requests),
+		Arrivals: poisson(rng, cfg.Requests, cfg.RatePerMin),
+		// Every committed or leaked job must have run out: WorkTime for
+		// healthy ones, the MaxTime wall limit for any the faults detached.
+		Drain: cfg.MaxTime + cfg.WorkTime + 2*time.Minute,
+	}
+	plan := drawPlan(cfg, faultRate, rng, load.Arrivals[0])
+	load.Before = func() { plan.Apply(g) }
 	for _, a := range plan {
-		if a.At > healBy {
-			healBy = a.At
-		}
+		load.HealBy = max(load.HealBy, a.At)
 	}
 	if onGrid != nil {
 		onGrid(g)
 	}
-	l.run(func() { plan.Apply(g) }, func(i int, host *transport.Host) bool {
-		reply, ok := chaosSubmit(host, b, broker.Request{
-			Tenant:         fmt.Sprintf("tenant%d", i%cfg.Tenants),
-			Sites:          cfg.Sites,
-			ProcsPerSite:   cfg.ProcsPerSite,
-			Executable:     "app",
-			Spares:         cfg.Spares,
-			CommitTimeout:  3 * time.Minute,
-			StartupTimeout: 2 * time.Minute,
-			MaxTime:        cfg.MaxTime,
-		}, cfg.SubmitBudget)
-		return ok && reply.OK()
-	}, func() {
-		// Every fault must have healed and every committed or leaked job
-		// must have run out (WorkTime for healthy ones, the MaxTime wall
-		// limit for any the faults detached), plus two reap intervals so
-		// the reaper observes the healed grid.
-		if now := g.Sim.Now(); now < healBy {
-			g.Sim.SleepUntil(healBy)
-		}
-		g.Sim.Sleep(cfg.MaxTime + cfg.WorkTime + 2*time.Minute)
+	t := run(tb, load, func(i, _ int, host *transport.Host) bool {
+		req := cfg.request(i)
+		req.CommitTimeout = 3 * time.Minute
+		req.StartupTimeout = 2 * time.Minute
+		req.MaxTime = cfg.MaxTime
+		// One request per host: its name roots the request's causal tree.
+		reply, _, _, err := workload.Submit(host, tb.Ring, 0, host.Name(), req, cfg.SubmitBudget, 50, nil)
+		return err == nil && reply.OK()
 	})
 
 	row := ChaosRow{
@@ -276,10 +209,11 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 		Faults:     countFaultOnsets(plan),
 		FaultKinds: faultKindSummary(plan),
 		FirstFault: firstFaultOnset(plan),
-		Completed:  l.completed,
-		Failed:     l.failed,
+		Completed:  t.Completed,
+		Failed:     t.Failed,
+		P50:        t.P50,
+		P99:        t.P99,
 	}
-	row.P50, row.P99 = l.quantiles()
 	if row.Requests > 0 {
 		row.SuccessRate = float64(row.Completed) / float64(row.Requests)
 	}
@@ -303,23 +237,6 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 		row.LeakedJobs += g.Machine(name).LiveJobs()
 	}
 	return row, g
-}
-
-// chaosSubmit is brokerSubmit with an explicit total budget. The client
-// host's name roots the request's causal tree (one request per host in
-// the chaos study).
-func chaosSubmit(host *transport.Host, b *broker.Broker, req broker.Request, budget time.Duration) (broker.Reply, bool) {
-	ctx := trace.NewRequest(host.Name())
-	sim := host.Network().Sim()
-	start := sim.Now()
-	c, err := broker.DialCtx(host, b.Contact(), ctx)
-	if err != nil {
-		return broker.Reply{}, false
-	}
-	defer c.Close()
-	reply, _, err := c.SubmitWait(req, budget, 50)
-	host.Network().Tracer().SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
-	return reply, err == nil
 }
 
 // firstFaultOnset returns the earliest onset time in the plan (the plan

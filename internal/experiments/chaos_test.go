@@ -9,30 +9,11 @@ import (
 )
 
 // tinyChaosConfig keeps the chaos study small enough for the test gate
-// while still injecting faults at the top rate.
-func tinyChaosConfig() ChaosConfig {
-	return ChaosConfig{
-		Machines:     4,
-		MachineSize:  16,
-		Sites:        2,
-		ProcsPerSite: 4,
-		Spares:       1,
-		Workers:      2,
-		WorkTime:     45 * time.Second,
-		Requests:     6,
-		Tenants:      2,
-		RatePerMin:   4,
-		FaultRates:   []float64{0, 0.75},
-		Window:       2 * time.Minute,
-		MaxTime:      4 * time.Minute,
-		SubmitBudget: 6 * time.Minute,
-		// Seed 3 is chosen so the chaotic row exercises the full orphan
-		// pipeline: a host crash strands committed subjobs, a later
-		// machine-restart brings the gatekeeper back, and the reaper
-		// confirms every cancellation.
-		Seed: 3,
-	}
-}
+// while still injecting faults at the top rate. Seed 3 is chosen so the
+// chaotic row exercises the full orphan pipeline: a host crash strands
+// committed subjobs, a later machine-restart brings the gatekeeper back,
+// and the reaper confirms every cancellation.
+func tinyChaosConfig() ChaosConfig { return SLOSmokeConfig(3).Chaos }
 
 func TestChaosStudySmoke(t *testing.T) {
 	res := ChaosStudy(tinyChaosConfig())

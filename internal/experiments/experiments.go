@@ -12,27 +12,14 @@ import (
 	"cogrid/internal/core"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
+	"cogrid/internal/workload"
 )
 
-// barrierApp returns the standard instrumented executable: attach, report
-// successful startup, pass the barrier, run for workTime, exit. The
-// barrier timeout is generous: experiments with batch queues legitimately
+// barrierApp is the testbed's application with the barrier timeout every
+// study uses: generous, since experiments with batch queues legitimately
 // keep processes waiting for hours.
 func barrierApp(workTime time.Duration) lrm.ExecFunc {
-	return func(p *lrm.Proc) error {
-		rt, err := core.Attach(p)
-		if err != nil {
-			return err
-		}
-		defer rt.Close()
-		if _, err := rt.Barrier(true, "", 24*time.Hour); err != nil {
-			return nil // aborted: exit before irreversible initialization
-		}
-		if workTime > 0 {
-			return p.Work(workTime, time.Second)
-		}
-		return nil
-	}
+	return workload.App(workTime, 24*time.Hour)
 }
 
 // newController builds a DUROC controller on the grid's workstation.

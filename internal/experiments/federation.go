@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
-	"cogrid/internal/broker"
-	"cogrid/internal/core"
-	"cogrid/internal/federation"
 	"cogrid/internal/grid"
 	"cogrid/internal/metrics"
-	"cogrid/internal/trace"
 	"cogrid/internal/transport"
+	"cogrid/internal/workload"
 )
 
 // --- B6: federated broker scaling — throughput and tail latency vs
@@ -24,25 +22,13 @@ import (
 // single-worker broker so the control plane — not the machines — is the
 // bottleneck the extra replicas relieve.
 type FederationLoadConfig struct {
+	// LoadConfig's Workers is per replica; keep it small so a lone replica
+	// saturates and the sweep shows the federation scaling.
+	LoadConfig
 	// ReplicaCounts are the peer-group sizes swept, one row each.
 	ReplicaCounts []int
-	Machines      int
-	MachineSize   int
-	Sites         int
-	ProcsPerSite  int
-	Spares        int
-	// Workers is the broker worker count per replica; keep it small so a
-	// lone replica saturates and the sweep shows the federation scaling.
-	Workers int
-	// WorkTime is how long each committed application holds its
-	// processors.
-	WorkTime time.Duration
 	// QueueBound is each replica's admission bound.
 	QueueBound int
-	// Requests is the open-loop request count per row.
-	Requests int
-	// Tenants spreads requests round-robin over tenant identities.
-	Tenants int
 	// RatePerMin is the Poisson arrival rate offered to the whole group.
 	RatePerMin float64
 	// Outage is how long the crashed replica stays down. Rows with two or
@@ -50,54 +36,16 @@ type FederationLoadConfig struct {
 	// arrival schedule; the single-replica row runs crash-free (killing
 	// the only broker would measure the outage, not the scaling).
 	Outage time.Duration
-	Seed   int64
 }
 
 func (c *FederationLoadConfig) fill() {
+	c.LoadConfig.fill(federationDefaults)
 	if len(c.ReplicaCounts) == 0 {
 		c.ReplicaCounts = []int{1, 2, 4, 8}
 	}
-	if c.Machines <= 0 {
-		c.Machines = 8
-	}
-	if c.MachineSize <= 0 {
-		c.MachineSize = 32
-	}
-	if c.Sites <= 0 {
-		c.Sites = 2
-	}
-	if c.ProcsPerSite <= 0 {
-		c.ProcsPerSite = 4
-	}
-	if c.Spares < 0 {
-		c.Spares = 0
-	} else if c.Spares == 0 {
-		c.Spares = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.WorkTime <= 0 {
-		c.WorkTime = 2 * time.Minute
-	}
-	if c.QueueBound <= 0 {
-		c.QueueBound = 4
-	}
-	if c.Requests <= 0 {
-		c.Requests = 40
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 3
-	}
-	if c.RatePerMin <= 0 {
-		c.RatePerMin = 10
-	}
-	if c.Outage <= 0 {
-		c.Outage = 90 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.QueueBound = or(c.QueueBound, 4)
+	c.RatePerMin = or(c.RatePerMin, 10)
+	c.Outage = or(c.Outage, 90*time.Second)
 }
 
 // FederationLoadRow is one replica count's aggregate outcome. Elections,
@@ -160,88 +108,58 @@ func FederationLoadStudy(cfg FederationLoadConfig) FederationLoadResult {
 	return res
 }
 
-// fedTestbed assembles one run: a traced grid, a directory, publishing
-// batch machines, the instrumented application, and an n-replica
-// federation whose per-replica brokers share one configuration.
-func fedTestbed(cfg FederationLoadConfig, n int, seed int64) (*grid.Grid, *federation.Federation) {
-	g, dir := publishingGrid(seed, cfg.Machines, cfg.MachineSize, cfg.ProcsPerSite, cfg.WorkTime)
-	fed, err := federation.New(g.Net, core.ControllerConfig{
-		Credential: g.UserCred,
-		Registry:   g.Registry,
-	}, federation.Options{
-		Replicas:  n,
-		Directory: dir,
-		Broker: broker.Options{
-			Directory:       dir,
-			QueueBound:      cfg.QueueBound,
-			Workers:         cfg.Workers,
-			CacheMaxAge:     45 * time.Second,
-			RefreshInterval: 40 * time.Second,
-			RetryAfter:      15 * time.Second,
-		},
-	})
-	if err != nil {
-		panic(err) // fresh hosts: cannot fail
-	}
-	return g, fed
-}
-
 // FederationLoadRun executes one row: Requests Poisson arrivals offered
-// round-robin to an n-replica federation, with replica 0 crashed and
-// restarted mid-run when n >= 2. The returned grid carries the run's full
+// round-robin to an n-replica federation, with the initial leader crashed
+// and restarted mid-run when n >= 2. The returned grid carries the run's full
 // metric registries; two runs with the same config produce byte-identical
 // Prometheus expositions, which TestFederationLoadDeterminism locks in.
 func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *grid.Grid) {
 	cfg.fill()
 	seed := cfg.Seed + int64(n)*1009
-	g, fed := fedTestbed(cfg, n, seed)
-	l := newOpenLoop(g, rand.New(rand.NewSource(seed)), cfg.Requests, cfg.RatePerMin)
-
-	row := FederationLoadRow{Replicas: n, Requests: cfg.Requests}
-	l.run(func() {
-		if n < 2 {
-			return
-		}
+	tb := cfg.testbed(seed, n, cfg.QueueBound, 15*time.Second)
+	g := tb.Grid
+	load := workload.Load{
+		Hosts:    clientHosts(cfg.Requests),
+		Arrivals: poisson(rand.New(rand.NewSource(seed)), cfg.Requests, cfg.RatePerMin),
+		// Let committed jobs run out; the testbed then gives the peer reaper
+		// time to drain any journal entries the crash handed off.
+		Drain: cfg.WorkTime + time.Minute,
+	}
+	if n >= 2 {
 		// Kill the initial leader (the highest id wins the first
 		// election) a third of the way into the arrival schedule: the
 		// survivors elect a new leader, the dead replica's shard hands
 		// off, its journal entries are adopted, and its clients fail
 		// over — the full failure mode the federation exists to mask.
-		crashAt := l.arrivals[len(l.arrivals)/3]
-		leader := fed.Replica(n - 1)
-		g.Sim.GoDaemon("b6-crash", func() {
-			g.Sim.SleepUntil(crashAt)
-			leader.Crash()
-			g.Sim.Sleep(cfg.Outage)
-			if err := leader.Restart(); err != nil {
-				panic(fmt.Sprintf("experiments: restart %s: %v", leader.Name(), err))
-			}
-		})
-	}, func(i int, host *transport.Host) bool {
-		reply, ok, failovers := fedSubmit(g, host, fed, i%n, host.Name(), broker.Request{
-			Tenant:       fmt.Sprintf("tenant%d", i%cfg.Tenants),
-			Sites:        cfg.Sites,
-			ProcsPerSite: cfg.ProcsPerSite,
-			Executable:   "app",
-			Spares:       cfg.Spares,
-			Key:          fmt.Sprintf("req%03d", i),
-		})
-		l.mu.Lock()
-		row.Failovers += failovers
-		l.mu.Unlock()
-		return ok && reply.OK()
-	}, func() {
-		// Let committed jobs run out, then give the peer reaper time to
-		// drain any journal entries the crash handed off.
-		g.Sim.Sleep(cfg.WorkTime + time.Minute)
-		g.Sim.Sleep(3 * fed.Options().PeerReapInterval)
-	})
-
-	row.Completed, row.Failed = l.completed, l.failed
-	row.P50, row.P99 = l.quantiles()
-	if makespan := l.lastDone - l.arrivals[0]; makespan > 0 {
-		row.ThroughputPerMin = float64(row.Completed) / makespan.Minutes()
+		crashAt := load.Arrivals[len(load.Arrivals)/3]
+		leader := tb.Fed.Replica(n - 1)
+		load.Before = func() {
+			g.Sim.GoDaemon("b6-crash", func() {
+				g.Sim.SleepUntil(crashAt)
+				leader.Crash()
+				g.Sim.Sleep(cfg.Outage)
+				if err := leader.Restart(); err != nil {
+					panic(fmt.Sprintf("experiments: restart %s: %v", leader.Name(), err))
+				}
+			})
+		}
 	}
+
+	row := FederationLoadRow{Replicas: n, Requests: cfg.Requests}
+	var mu sync.Mutex
+	t := run(tb, load, func(i, _ int, host *transport.Host) bool {
+		// Keyed, so the client's walk of the ring is safe; a dead target
+		// costs the dial timeout — that tail is part of what is measured.
+		req := cfg.request(i)
+		req.Key = fmt.Sprintf("req%03d", i)
+		reply, _, failovers, err := workload.Submit(host, tb.Ring, i%n, host.Name(), req, 0, 50, nil)
+		mu.Lock()
+		row.Failovers += failovers
+		mu.Unlock()
+		return err == nil && reply.OK()
+	})
+	row.Completed, row.Failed = t.Completed, t.Failed
+	row.P50, row.P99, row.ThroughputPerMin = t.P50, t.P99, t.ThroughputPerMin
 	for _, cv := range g.Counters.Snapshot() {
 		switch {
 		case strings.HasPrefix(cv.Name, "broker.queue.reject@"):
@@ -257,42 +175,6 @@ func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *gri
 		}
 	}
 	return row, g
-}
-
-// fedSubmit performs one keyed submission with client-side failover:
-// starting from the client's home replica, it walks the ring until a
-// replica answers. A dead target costs the dial timeout before the client
-// moves on — that tail is part of what the study measures. The federation
-// idempotency key makes the walk safe: if a replica committed the
-// co-allocation but died before replying, the retried key is answered
-// from the replicated journal, not allocated twice. Returns the reply,
-// whether any replica answered, and how many failovers the walk took.
-func fedSubmit(g *grid.Grid, host *transport.Host, fed *federation.Federation, home int, id string, req broker.Request) (broker.Reply, bool, int) {
-	ctx := trace.NewRequest(id)
-	sim := host.Network().Sim()
-	start := sim.Now()
-	n := len(fed.Replicas())
-	var reply broker.Reply
-	ok := false
-	failovers := 0
-	for k := 0; k < n; k++ {
-		r := fed.Replica((home + k) % n)
-		c, err := broker.DialCtx(host, r.BrokerContact(), ctx)
-		if err != nil {
-			failovers++
-			continue
-		}
-		re, _, err := c.SubmitWait(req, 0, 50)
-		c.Close()
-		if err != nil {
-			failovers++
-			continue
-		}
-		reply, ok = re, true
-		break
-	}
-	host.Network().Tracer().SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
-	return reply, ok, failovers
 }
 
 // Table renders the study.

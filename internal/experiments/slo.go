@@ -50,21 +50,13 @@ func SLOSmokeConfig(seed int64) SLOConfig {
 		seed = 3
 	}
 	return SLOConfig{Chaos: ChaosConfig{
-		Machines:     4,
-		MachineSize:  16,
-		Sites:        2,
-		ProcsPerSite: 4,
-		Spares:       1,
-		Workers:      2,
-		WorkTime:     45 * time.Second,
-		Requests:     6,
-		Tenants:      2,
+		LoadConfig: LoadConfig{Machines: 4, MachineSize: 16, Sites: 2, ProcsPerSite: 4, Spares: 1,
+			Workers: 2, WorkTime: 45 * time.Second, Requests: 6, Tenants: 2, Seed: seed},
 		RatePerMin:   4,
 		FaultRates:   []float64{0, 0.75},
 		Window:       2 * time.Minute,
 		MaxTime:      4 * time.Minute,
 		SubmitBudget: 6 * time.Minute,
-		Seed:         seed,
 	}}
 }
 

@@ -7,6 +7,7 @@ package grid
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"cogrid/internal/flightrec"
@@ -178,12 +179,13 @@ func (g *Grid) RestartMachine(name string) {
 // Machine returns a machine by name, or nil.
 func (g *Grid) Machine(name string) *lrm.Machine { return g.machines[name] }
 
-// Machines returns all machine names in no particular order.
+// Machines returns all machine names, sorted.
 func (g *Grid) Machines() []string {
 	out := make([]string, 0, len(g.machines))
 	for name := range g.machines {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 

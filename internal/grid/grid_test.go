@@ -1,7 +1,6 @@
 package grid_test
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -87,8 +86,7 @@ func TestMachinesLists(t *testing.T) {
 	g := grid.New(grid.Options{})
 	g.AddMachine("b", 4, lrm.Fork)
 	g.AddMachine("a", 4, lrm.Fork)
-	names := g.Machines()
-	sort.Strings(names)
+	names := g.Machines() // sorted, whatever order they were added in
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Machines = %v", names)
 	}
