@@ -922,12 +922,6 @@ func (b *Broker) reapOne(key string, o core.Orphan) bool {
 	return true
 }
 
-// RecordsForTest exposes the cache contents (for tests).
-func (b *Broker) RecordsForTest() []mds.Record {
-	records, _ := b.cache.peek()
-	return records
-}
-
 // CacheView returns the cached directory records and their fetch time
 // without triggering a refresh — what a federation forwarder stamps into
 // Request.ViewAsOf so the serving peer never answers from a staler view.

@@ -47,9 +47,6 @@ type ControllerConfig struct {
 	Credential gsi.Credential
 	Registry   *gsi.Registry
 	AuthCost   gsi.CostModel // zero value replaced by gsi.DefaultCost
-	// DefaultStartupTimeout bounds submission-to-check-in per subjob when
-	// the spec does not override it. Default 10 minutes.
-	DefaultStartupTimeout time.Duration
 	// ParallelSubmission submits subjobs concurrently instead of the
 	// sequential pipeline the paper's DUROC used (Figure 5 shows the
 	// GRAM requests "must be submitted sequentially"). Exists for the
@@ -118,9 +115,6 @@ type Controller struct {
 func NewController(host *transport.Host, cfg ControllerConfig) (*Controller, error) {
 	if cfg.AuthCost == (gsi.CostModel{}) {
 		cfg.AuthCost = gsi.DefaultCost
-	}
-	if cfg.DefaultStartupTimeout == 0 {
-		cfg.DefaultStartupTimeout = 10 * time.Minute
 	}
 	if cfg.CancelTimeout == 0 {
 		cfg.CancelTimeout = 30 * time.Second

@@ -87,7 +87,7 @@ type SubjobSpec struct {
 	// MaxTime is the batch wall-time limit (0 = none).
 	MaxTime time.Duration
 	// StartupTimeout bounds the time from submission to full barrier
-	// check-in; zero uses the controller default. For subjobs bound to an
+	// check-in; zero is 10 minutes. For subjobs bound to an
 	// advance reservation it must cover the wait until the window opens.
 	StartupTimeout time.Duration
 	// ReservationID binds the subjob to an advance reservation on the

@@ -202,6 +202,10 @@ func (j *Job) poke() { j.signal.TrySend(struct{}{}) }
 
 // --- request editing (Section 3.2: add, delete, substitute) ---
 
+// defaultStartupTimeout bounds submission-to-check-in for a subjob whose
+// spec sets no StartupTimeout.
+const defaultStartupTimeout = 10 * time.Minute
+
 // addLocked registers a new subjob and queues it for submission. Caller
 // holds j.mu.
 func (j *Job) addLocked(spec SubjobSpec) (*subjob, error) {
@@ -219,7 +223,7 @@ func (j *Job) addLocked(spec SubjobSpec) (*subjob, error) {
 		return nil, fmt.Errorf("duroc: duplicate subjob label %q", spec.Label)
 	}
 	if spec.StartupTimeout == 0 {
-		spec.StartupTimeout = j.c.cfg.DefaultStartupTimeout
+		spec.StartupTimeout = defaultStartupTimeout
 	}
 	sj := &subjob{
 		spec:     spec,

@@ -212,7 +212,7 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	case DriverBroker:
 		peer = "broker0"
 	case DriverFed:
-		peer = FedReplicaName(0)
+		peer = fedReplicaName(0)
 	default:
 		rp = newReaper(g)
 		var err error

@@ -24,9 +24,9 @@ const (
 	DriverFed = "fed"
 )
 
-// FedReplicaName is the host name of federation replica i, matching the
+// fedReplicaName is the host name of federation replica i, matching the
 // federation package's default naming. Broker-crash faults target these.
-func FedReplicaName(i int) string { return fmt.Sprintf("fed%02d", i) }
+func fedReplicaName(i int) string { return fmt.Sprintf("fed%02d", i) }
 
 // fedReplicaIndex parses a replica host name back to its index; -1 when
 // the name is not a replica.
@@ -391,7 +391,7 @@ func Generate(seed int64, p Profile) Scenario {
 		for i := 0; i < crashes; i++ {
 			s.Faults = append(s.Faults, FaultSpec{
 				Kind:   "broker-crash",
-				Target: FedReplicaName(i),
+				Target: fedReplicaName(i),
 				At:     start + time.Duration(frng.Float64()*float64(p.Window)),
 				Dur:    30*time.Second + time.Duration(frng.Float64()*float64(time.Minute)),
 			})

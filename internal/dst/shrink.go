@@ -87,7 +87,7 @@ func reductions(sc Scenario) []Scenario {
 	// Shrink the replica group, but only while no crash fault names the
 	// replica being dropped — those reductions were already proposed.
 	if sc.Driver == DriverFed && sc.Replicas > 1 {
-		last := FedReplicaName(sc.Replicas - 1)
+		last := fedReplicaName(sc.Replicas - 1)
 		targeted := false
 		for _, f := range sc.Faults {
 			if f.Kind == "broker-crash" && f.Target == last {

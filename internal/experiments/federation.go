@@ -27,25 +27,25 @@ type FederationLoadConfig struct {
 	LoadConfig
 	// ReplicaCounts are the peer-group sizes swept, one row each.
 	ReplicaCounts []int
-	// QueueBound is each replica's admission bound.
-	QueueBound int
-	// RatePerMin is the Poisson arrival rate offered to the whole group.
-	RatePerMin float64
-	// Outage is how long the crashed replica stays down. Rows with two or
-	// more replicas crash the initial leader a third of the way into the
+}
+
+const (
+	// fedQueueBound is each replica's admission bound.
+	fedQueueBound = 4
+	// fedRatePerMin is the Poisson arrival rate offered to the whole group.
+	fedRatePerMin = 10
+	// fedOutage is how long the crashed replica stays down. Rows with two
+	// or more replicas crash the initial leader a third of the way into the
 	// arrival schedule; the single-replica row runs crash-free (killing
 	// the only broker would measure the outage, not the scaling).
-	Outage time.Duration
-}
+	fedOutage = 90 * time.Second
+)
 
 func (c *FederationLoadConfig) fill() {
 	c.LoadConfig.fill(federationDefaults)
 	if len(c.ReplicaCounts) == 0 {
 		c.ReplicaCounts = []int{1, 2, 4, 8}
 	}
-	c.QueueBound = or(c.QueueBound, 4)
-	c.RatePerMin = or(c.RatePerMin, 10)
-	c.Outage = or(c.Outage, 90*time.Second)
 }
 
 // FederationLoadRow is one replica count's aggregate outcome. Elections,
@@ -99,7 +99,7 @@ func FederationLoadStudy(cfg FederationLoadConfig) FederationLoadResult {
 		Workers:      cfg.Workers,
 		Sites:        cfg.Sites,
 		ProcsPerSite: cfg.ProcsPerSite,
-		RatePerMin:   cfg.RatePerMin,
+		RatePerMin:   fedRatePerMin,
 	}
 	for _, n := range cfg.ReplicaCounts {
 		row, _ := FederationLoadRun(cfg, n)
@@ -116,11 +116,11 @@ func FederationLoadStudy(cfg FederationLoadConfig) FederationLoadResult {
 func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *grid.Grid) {
 	cfg.fill()
 	seed := cfg.Seed + int64(n)*1009
-	tb := cfg.testbed(seed, n, cfg.QueueBound, 15*time.Second)
+	tb := cfg.testbed(seed, n, fedQueueBound, 15*time.Second)
 	g := tb.Grid
 	load := workload.Load{
 		Hosts:    clientHosts(cfg.Requests),
-		Arrivals: poisson(rand.New(rand.NewSource(seed)), cfg.Requests, cfg.RatePerMin),
+		Arrivals: poisson(rand.New(rand.NewSource(seed)), cfg.Requests, fedRatePerMin),
 		// Let committed jobs run out; the testbed then gives the peer reaper
 		// time to drain any journal entries the crash handed off.
 		Drain: cfg.WorkTime + time.Minute,
@@ -137,7 +137,7 @@ func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *gri
 			g.Sim.GoDaemon("b6-crash", func() {
 				g.Sim.SleepUntil(crashAt)
 				leader.Crash()
-				g.Sim.Sleep(cfg.Outage)
+				g.Sim.Sleep(fedOutage)
 				if err := leader.Restart(); err != nil {
 					panic(fmt.Sprintf("experiments: restart %s: %v", leader.Name(), err))
 				}

@@ -91,12 +91,12 @@ type SLOResult struct {
 	Rows         []SLORow      `json:"rows"`
 }
 
-// SLORules is the study's objective set, scaled to the chaos workload.
+// sloRules is the study's objective set, scaled to the chaos workload.
 // Unlike the DST rules (which must stay silent across arbitrary random
 // scenarios), these watch user-facing symptoms — request latency and
 // queue depth — whose healthy envelope is known because the workload is
 // fixed.
-func SLORules(cfg ChaosConfig) []slo.Rule {
+func sloRules(cfg ChaosConfig) []slo.Rule {
 	return []slo.Rule{
 		{
 			// Burn rate on the broker's served-request latency: healthy
@@ -143,7 +143,7 @@ func SLORun(cfg SLOConfig, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) 
 		eng = slo.New(slo.Deps{
 			Sim: g.Sim, Tracer: g.Tracer, Counters: g.Counters,
 			Gauges: g.Gauges, Samples: g.Samples, Flight: g.Flight,
-		}, SLORules(cfg.Chaos), slo.Options{EvalInterval: cfg.EvalInterval})
+		}, sloRules(cfg.Chaos), slo.Options{EvalInterval: cfg.EvalInterval})
 		eng.Start()
 	})
 	eng.Stop()

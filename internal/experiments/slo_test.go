@@ -78,7 +78,7 @@ func TestSLOCheckCatches(t *testing.T) {
 func TestSLORulesScale(t *testing.T) {
 	cfg := ChaosConfig{SubmitBudget: 20 * time.Minute}
 	cfg.fill()
-	for _, r := range SLORules(cfg) {
+	for _, r := range sloRules(cfg) {
 		if r.Kind == slo.KindBurnRate && r.Threshold != 10*time.Minute {
 			t.Fatalf("burn threshold does not track the submit budget: %v", r.Threshold)
 		}

@@ -168,18 +168,13 @@ type RandomOptions struct {
 	// this order).
 	CrashProb float64
 	HangProb  float64
-	SlowProb  float64
-	// SlowFactor is the startup multiplier for slow faults (default 20).
-	SlowFactor float64
+	SlowProb  float64 // a slow fault stretches startup 20x
 }
 
 // RandomPlan draws a deterministic fault plan from the grid's seeded
 // random source: at most one fault per target machine, uniformly placed
 // in the window.
 func RandomPlan(g *grid.Grid, opts RandomOptions) Plan {
-	if opts.SlowFactor == 0 {
-		opts.SlowFactor = 20
-	}
 	var plan Plan
 	for _, target := range opts.Targets {
 		at := time.Duration(g.Sim.RandFloat64() * float64(opts.Window))
@@ -190,7 +185,7 @@ func RandomPlan(g *grid.Grid, opts RandomOptions) Plan {
 		case roll < opts.CrashProb+opts.HangProb:
 			plan = append(plan, Action{At: at, Kind: HostHang, Target: target})
 		case roll < opts.CrashProb+opts.HangProb+opts.SlowProb:
-			plan = append(plan, Action{At: at, Kind: MachineSlow, Target: target, Factor: opts.SlowFactor})
+			plan = append(plan, Action{At: at, Kind: MachineSlow, Target: target, Factor: 20})
 		}
 	}
 	return plan.Sorted()

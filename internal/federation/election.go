@@ -65,11 +65,11 @@ type ackReply struct{}
 
 // replicaID resolves a replica host name back to its index (-1 unknown).
 func (f *Federation) replicaID(name string) int {
-	if !strings.HasPrefix(name, f.opts.HostPrefix) {
+	if !strings.HasPrefix(name, hostPrefix) {
 		return -1
 	}
 	var id int
-	if _, err := fmt.Sscanf(name[len(f.opts.HostPrefix):], "%d", &id); err != nil {
+	if _, err := fmt.Sscanf(name[len(hostPrefix):], "%d", &id); err != nil {
 		return -1
 	}
 	if id < 0 || id >= f.opts.Replicas {
@@ -96,7 +96,7 @@ func (inc *incarnation) peerCall(peer, method string, req, reply any) error {
 	}
 	ch := vtime.NewChan[outcome](f.sim, fmt.Sprintf("fed-call:%s/g%d>%s", inc.r.name, inc.gen, peer), 1)
 	f.sim.GoDaemon(fmt.Sprintf("fed-call:%s/g%d>%s/%s", inc.r.name, inc.gen, peer, method), func() {
-		conn, err := inc.r.host.DialCtx(transport.Addr{Host: peer, Service: ServiceName},
+		conn, err := inc.r.host.DialCtx(transport.Addr{Host: peer, Service: serviceName},
 			inc.ctx.Child(method+">"+peer))
 		if err != nil {
 			ch.TrySend(outcome{err: err})
@@ -105,10 +105,10 @@ func (inc *incarnation) peerCall(peer, method string, req, reply any) error {
 		c := rpc.NewClient(f.sim, conn)
 		defer c.Close()
 		var body json.RawMessage
-		err = c.Call(method, req, &body, f.opts.ProbeTimeout)
+		err = c.Call(method, req, &body, probeTimeout)
 		ch.TrySend(outcome{body: body, err: err})
 	})
-	out, res := ch.RecvTimeout(f.opts.ProbeTimeout)
+	out, res := ch.RecvTimeout(probeTimeout)
 	if res != vtime.RecvOK {
 		return errPeerTimeout
 	}
@@ -242,10 +242,10 @@ func (inc *incarnation) monitor() {
 			inc.heartbeatRound()
 		case electing:
 			// A takeover election spawned by handleElection is running.
-		case f.sim.Now()-lastBeat > f.opts.LeaseTimeout:
+		case f.sim.Now()-lastBeat > leaseTimeout:
 			inc.runElection()
 		}
-		if inc.stop.WaitTimeout(f.opts.HeartbeatInterval) {
+		if inc.stop.WaitTimeout(heartbeatInterval) {
 			return
 		}
 	}
@@ -324,7 +324,7 @@ func (inc *incarnation) heartbeatRound() {
 			}
 		case inc.live[p]:
 			inc.misses[p]++
-			if inc.misses[p] >= f.opts.DeadBeats {
+			if inc.misses[p] >= deadBeats {
 				inc.live[p] = false
 				dead = append(dead, p)
 			}
@@ -438,7 +438,7 @@ func (inc *incarnation) recomputeShardLocked() ShardMap {
 		Epoch:    inc.epoch,
 		Leader:   inc.r.name,
 		Replicas: names,
-		VNodes:   f.opts.VNodes,
+		VNodes:   defaultVNodes,
 	}
 	inc.shard = m
 	inc.shardRing = m.Ring()
@@ -484,7 +484,7 @@ func (inc *incarnation) publishShardMap(m ShardMap) {
 			return
 		}
 		defer client.Close()
-		if err := client.PutMeta(ShardMapMetaKey, m.JSON()); err != nil {
+		if err := client.PutMeta(shardMapMetaKey, m.JSON()); err != nil {
 			inc.count("shardmap", "publish-error", 1)
 			return
 		}
@@ -501,7 +501,7 @@ func (inc *incarnation) bootstrapShardMap() {
 		return
 	}
 	defer client.Close()
-	meta, err := client.GetMeta(ShardMapMetaKey)
+	meta, err := client.GetMeta(shardMapMetaKey)
 	if err != nil {
 		return
 	}
@@ -519,7 +519,7 @@ func (inc *incarnation) bootstrapShardMap() {
 func (inc *incarnation) pusher() {
 	f := inc.r.fed
 	for {
-		_, res := inc.pushWake.RecvTimeout(f.opts.HeartbeatInterval)
+		_, res := inc.pushWake.RecvTimeout(heartbeatInterval)
 		if res == vtime.RecvClosed || inc.stop.IsSet() {
 			return
 		}

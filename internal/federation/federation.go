@@ -15,26 +15,33 @@ import (
 	"cogrid/internal/vtime"
 )
 
-// ServiceName is the transport service replicas speak the federation
+// serviceName is the transport service replicas speak the federation
 // protocol (heartbeat, election, coordinator, append) on.
-const ServiceName = "fed"
+const serviceName = "fed"
 
-// ShardMapMetaKey is the MDS meta document the leader publishes the
+// shardMapMetaKey is the MDS meta document the leader publishes the
 // current shard map under, so a restarting replica can bootstrap its
 // view before the first heartbeat reaches it.
-const ShardMapMetaKey = "fed/shardmap"
+const shardMapMetaKey = "fed/shardmap"
 
-// Defaults for Options zero values. The intervals sit off the machines'
-// 31-second publish rounds and off whole minutes, so federation
-// maintenance does not pile onto the same virtual instants as directory
-// traffic.
+// The protocol's timing. The intervals sit off the machines' 31-second
+// publish rounds and off whole minutes, so federation maintenance does not
+// pile onto the same virtual instants as directory traffic.
 const (
-	DefaultHeartbeatInterval = 5 * time.Second
-	DefaultLeaseTimeout      = 17 * time.Second
-	DefaultProbeTimeout      = 4 * time.Second
-	DefaultDeadBeats         = 3
-	DefaultMaxHops           = 2
-	DefaultPeerReapInterval  = 40 * time.Second
+	// hostPrefix names replica hosts: fed00, fed01, ...
+	hostPrefix = "fed"
+	// heartbeatInterval paces the leader's rounds; leaseTimeout is how
+	// long a follower tolerates silence before starting an election;
+	// probeTimeout bounds each peer-to-peer protocol call; deadBeats is
+	// how many consecutive missed heartbeats declare a replica dead.
+	heartbeatInterval = 5 * time.Second
+	leaseTimeout      = 17 * time.Second
+	probeTimeout      = 4 * time.Second
+	deadBeats         = 3
+	// maxHops caps broker-to-broker forwards per request.
+	maxHops = 2
+	// defaultPeerReapInterval is Options.PeerReapInterval's zero value.
+	defaultPeerReapInterval = 40 * time.Second
 )
 
 // Options configures a federation.
@@ -47,21 +54,6 @@ type Options struct {
 	// Broker is the per-replica broker configuration; Directory,
 	// ReplicaID, and the federation hooks are overridden per replica.
 	Broker broker.Options
-	// HostPrefix names replica hosts: <prefix>00, <prefix>01, ...
-	// Default "fed".
-	HostPrefix string
-	// HeartbeatInterval paces the leader's rounds; LeaseTimeout is how
-	// long a follower tolerates silence before starting an election;
-	// ProbeTimeout bounds each peer-to-peer protocol call; DeadBeats is
-	// how many consecutive missed heartbeats declare a replica dead.
-	HeartbeatInterval time.Duration
-	LeaseTimeout      time.Duration
-	ProbeTimeout      time.Duration
-	DeadBeats         int
-	// MaxHops caps broker-to-broker forwards per request.
-	MaxHops int
-	// VNodes is the consistent-hash virtual-node count per replica.
-	VNodes int
 	// PeerReapInterval paces each replica's sweep of handed-off journal
 	// entries.
 	PeerReapInterval time.Duration
@@ -71,29 +63,8 @@ func (o *Options) fill() {
 	if o.Replicas <= 0 {
 		o.Replicas = 1
 	}
-	if o.HostPrefix == "" {
-		o.HostPrefix = "fed"
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = DefaultLeaseTimeout
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = DefaultProbeTimeout
-	}
-	if o.DeadBeats <= 0 {
-		o.DeadBeats = DefaultDeadBeats
-	}
-	if o.MaxHops <= 0 {
-		o.MaxHops = DefaultMaxHops
-	}
-	if o.VNodes <= 0 {
-		o.VNodes = DefaultVNodes
-	}
 	if o.PeerReapInterval <= 0 {
-		o.PeerReapInterval = DefaultPeerReapInterval
+		o.PeerReapInterval = defaultPeerReapInterval
 	}
 }
 
@@ -141,7 +112,7 @@ func New(net *transport.Network, ctrlCfg core.ControllerConfig, opts Options) (*
 		Epoch:    1,
 		Leader:   f.replicaName(opts.Replicas - 1),
 		Replicas: f.allNames(),
-		VNodes:   opts.VNodes,
+		VNodes:   defaultVNodes,
 	}
 	for i := 0; i < opts.Replicas; i++ {
 		r := &Replica{
@@ -166,7 +137,7 @@ func New(net *transport.Network, ctrlCfg core.ControllerConfig, opts Options) (*
 }
 
 func (f *Federation) replicaName(i int) string {
-	return fmt.Sprintf("%s%02d", f.opts.HostPrefix, i)
+	return fmt.Sprintf("%s%02d", hostPrefix, i)
 }
 
 // brokerAddr is the broker endpoint of the named replica.
@@ -257,7 +228,7 @@ func (r *Replica) BrokerContact() transport.Addr {
 
 // fedAddr is the replica's federation protocol endpoint.
 func (r *Replica) fedAddr() transport.Addr {
-	return transport.Addr{Host: r.name, Service: ServiceName}
+	return transport.Addr{Host: r.name, Service: serviceName}
 }
 
 // LeaderName reports who this replica currently believes leads ("" while
@@ -342,7 +313,7 @@ func (r *Replica) start(shard ShardMap) error {
 		return fmt.Errorf("federation: replica %s: %v", r.name, err)
 	}
 	inc.b = b
-	l, err := r.host.Listen(ServiceName)
+	l, err := r.host.Listen(serviceName)
 	if err != nil {
 		b.Close()
 		return fmt.Errorf("federation: replica %s: %v", r.name, err)
@@ -358,7 +329,7 @@ func (r *Replica) start(shard ShardMap) error {
 	// Stagger each replica's protocol clock slightly so rounds from
 	// different replicas never share a virtual instant with each other
 	// or with the publishers' rounds.
-	offset := f.opts.HeartbeatInterval + time.Duration(r.id)*37*time.Millisecond
+	offset := heartbeatInterval + time.Duration(r.id)*37*time.Millisecond
 	f.sim.GoDaemon(fmt.Sprintf("fed-mon:%s/g%d", r.name, gen), func() {
 		if inc.stop.WaitTimeout(offset) {
 			return

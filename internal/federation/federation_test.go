@@ -17,7 +17,7 @@ import (
 )
 
 func TestShardRingConsistency(t *testing.T) {
-	m := ShardMap{Version: 1, Replicas: []string{"fed00", "fed01", "fed02", "fed03"}, VNodes: DefaultVNodes}
+	m := ShardMap{Version: 1, Replicas: []string{"fed00", "fed01", "fed02", "fed03"}, VNodes: defaultVNodes}
 	ring := m.Ring()
 	owned := make(map[string]int)
 	owners := make(map[string]string)
@@ -44,7 +44,7 @@ func TestShardRingConsistency(t *testing.T) {
 	}
 	// Consistency: removing one replica only moves the removed replica's
 	// keys.
-	smaller := ShardMap{Version: 2, Replicas: []string{"fed00", "fed01", "fed03"}, VNodes: DefaultVNodes}
+	smaller := ShardMap{Version: 2, Replicas: []string{"fed00", "fed01", "fed03"}, VNodes: defaultVNodes}
 	sring := smaller.Ring()
 	for key, o := range owners {
 		got := sring.Owner(key)

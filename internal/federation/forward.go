@@ -28,7 +28,7 @@ const forwardSubmitMargin = 30 * time.Minute
 // the same key.
 func (inc *incarnation) forward(req broker.Request, ctx trace.Ctx) (broker.Reply, error) {
 	f := inc.r.fed
-	if req.Hops >= f.opts.MaxHops {
+	if req.Hops >= maxHops {
 		return broker.Reply{}, broker.ErrForwardUnavailable
 	}
 	inc.mu.Lock()

@@ -18,10 +18,10 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the number of ring points per replica. Enough that an
+// defaultVNodes is the number of ring points per replica. Enough that an
 // 8-replica ring spreads a dozen machines without pathological skew,
 // small enough that map recomputation is trivial.
-const DefaultVNodes = 64
+const defaultVNodes = 64
 
 // ShardMap is the leader-published assignment of machines to replicas:
 // a consistent-hash ring over the live replica set. Replicas filter
@@ -70,7 +70,7 @@ func (m ShardMap) Ring() *ring {
 	}
 	vnodes := m.VNodes
 	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+		vnodes = defaultVNodes
 	}
 	r := &ring{points: make([]ringPoint, 0, len(m.Replicas)*vnodes)}
 	for _, name := range m.Replicas {

@@ -37,15 +37,10 @@ var (
 	ErrNoSuchJob = errors.New("gram: no such job contact")
 )
 
-// CostModel captures gatekeeper overheads besides authentication and
-// initgroups, which are owned by the gsi and nis packages.
-type CostModel struct {
-	// Misc is request parsing and bookkeeping (Figure 3: 0.01 s).
-	Misc time.Duration
-}
-
-// DefaultCost is the Figure 3 calibration.
-var DefaultCost = CostModel{Misc: 10 * time.Millisecond}
+// miscCost is the gatekeeper's overhead besides authentication and
+// initgroups (owned by the gsi and nis packages): request parsing and
+// bookkeeping, Figure 3's 0.01 s.
+const miscCost = 10 * time.Millisecond
 
 // StateEvent is a job state callback.
 type StateEvent struct {
@@ -82,7 +77,6 @@ type ServerConfig struct {
 	Credential gsi.Credential
 	Registry   *gsi.Registry
 	AuthCost   gsi.CostModel // zero value replaced by gsi.DefaultCost
-	Cost       CostModel     // zero value replaced by DefaultCost
 	NISAddr    transport.Addr
 }
 
@@ -101,9 +95,6 @@ type Server struct {
 func StartServer(machine *lrm.Machine, cfg ServerConfig) (*Server, error) {
 	if cfg.AuthCost == (gsi.CostModel{}) {
 		cfg.AuthCost = gsi.DefaultCost
-	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCost
 	}
 	s := &Server{
 		sim:     machine.Host().Network().Sim(),
@@ -294,7 +285,7 @@ func (s *Server) handleSubmit(sc *rpc.ServerConn, body json.RawMessage) (any, er
 	// Misc: parse and validate the request.
 	miscStart := s.sim.Now()
 	spec, err := ParseJobRSL(args.RSL)
-	s.sim.Sleep(s.cfg.Cost.Misc)
+	s.sim.Sleep(miscCost)
 	s.record(ctx, "gram", "misc", miscStart, s.sim.Now())
 	if err != nil {
 		return nil, err

@@ -29,14 +29,12 @@ const DefaultUser = "user/grid"
 // client and resource, as in Section 4.2), Figure 3 cost models, and a
 // deterministic seed.
 type Options struct {
-	Seed           int64
-	Latency        time.Duration
-	LatencyModel   transport.LatencyModel // overrides Latency when set
-	User           string
-	AuthCost       gsi.CostModel
-	GRAMCost       gram.CostModel
-	LRMCosts       lrm.Costs
-	NISServiceTime time.Duration
+	Seed         int64
+	Latency      time.Duration
+	LatencyModel transport.LatencyModel // overrides Latency when set
+	User         string
+	AuthCost     gsi.CostModel
+	LRMCosts     lrm.Costs
 	// Trace attaches a trace.Tracer and trace.Counters to the network,
 	// capturing structured events from every layer (transport hops, RPC
 	// calls, GRAM state transitions, DUROC commit and barrier phases).
@@ -117,7 +115,7 @@ func New(opts Options) *Grid {
 		})
 	}
 	nisHost := net.AddHost("nis0")
-	srv, err := nis.NewServer(nisHost, opts.NISServiceTime)
+	srv, err := nis.NewServer(nisHost, 0)
 	if err != nil {
 		panic(err) // fresh host: cannot fail
 	}
@@ -140,7 +138,6 @@ func (g *Grid) AddMachine(name string, processors int, mode lrm.Mode) *lrm.Machi
 		Credential: g.Registry.Issue("host/" + name),
 		Registry:   g.Registry,
 		AuthCost:   g.opts.AuthCost,
-		Cost:       g.opts.GRAMCost,
 		NISAddr:    g.NISAddr,
 	})
 	if err != nil {
@@ -167,7 +164,6 @@ func (g *Grid) RestartMachine(name string) {
 		Credential: g.Registry.Issue("host/" + name),
 		Registry:   g.Registry,
 		AuthCost:   g.opts.AuthCost,
-		Cost:       g.opts.GRAMCost,
 		NISAddr:    g.NISAddr,
 	})
 	if err != nil {

@@ -51,7 +51,7 @@ func (m *Machine) schedule() {
 	}
 	// Backfill behind a blocked head, if there is a processor to backfill
 	// onto: a backlogged machine is full on most passes, and then nothing can
-	// start, whatever the shadow time. The scan is bounded: past m.backfill
+	// start, whatever the shadow time. The scan is bounded: past backfillDepth
 	// candidates the pass gives up and leaves the tail queued, keeping each
 	// pass O(depth) instead of O(queue) — across a draining backlog that is
 	// the difference between linear and quadratic work — and it ends when
@@ -61,7 +61,7 @@ func (m *Machine) schedule() {
 		shadow := m.shadowTimeLocked(m.queue[0])
 		kept := m.queue[:1]
 		for i, job := range m.queue[1:] {
-			if avail == 0 || m.backfill >= 0 && i >= m.backfill {
+			if avail == 0 || i >= backfillDepth {
 				kept = append(kept, m.queue[1+i:]...)
 				break
 			}

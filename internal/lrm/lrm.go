@@ -129,7 +129,6 @@ type Machine struct {
 	mode       Mode
 	costs      Costs
 	retire     bool
-	backfill   int
 
 	// Metric handles are resolved once, on the first launch, and cached:
 	// the registry lookup and the per-machine gauge-name concatenation used
@@ -159,11 +158,11 @@ type Machine struct {
 	nextResID    int
 }
 
-// defaultBackfillDepth bounds how many queued jobs one scheduling pass
+// backfillDepth bounds how many queued jobs one scheduling pass
 // considers for backfill behind a blocked head. An unbounded scan is
 // O(queue²) across a draining backlog, which a 10⁵-job queue cannot
 // afford; candidates past the window simply wait for a later pass.
-const defaultBackfillDepth = 256
+const backfillDepth = 256
 
 // Config carries optional machine settings.
 type Config struct {
@@ -174,10 +173,6 @@ type Config struct {
 	// proportional to live work rather than total history. Job() lookups
 	// for retired jobs return ErrNoSuchJob; Stats() keeps the counts.
 	RetireTerminal bool
-	// BackfillDepth overrides how many queued jobs behind a blocked head
-	// each scheduling pass considers for backfill. Zero means
-	// defaultBackfillDepth; negative means unbounded.
-	BackfillDepth int
 }
 
 // NewMachine creates a machine with the given processor count on host.
@@ -185,10 +180,6 @@ func NewMachine(host *transport.Host, processors int, cfg Config) *Machine {
 	costs := cfg.Costs
 	if costs == (Costs{}) {
 		costs = DefaultCosts
-	}
-	backfill := cfg.BackfillDepth
-	if backfill == 0 {
-		backfill = defaultBackfillDepth
 	}
 	return &Machine{
 		sim:          host.Network().Sim(),
@@ -198,7 +189,6 @@ func NewMachine(host *transport.Host, processors int, cfg Config) *Machine {
 		mode:         cfg.Mode,
 		costs:        costs,
 		retire:       cfg.RetireTerminal,
-		backfill:     backfill,
 		execs:        make(map[string]ExecFunc),
 		jobs:         make(map[string]*Job),
 		freeProcs:    processors,

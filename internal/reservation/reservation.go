@@ -28,6 +28,9 @@ var (
 	ErrEmpty        = errors.New("reservation: no participants")
 )
 
+// maxRounds bounds the negotiation.
+const maxRounds = 16
+
 // Participant is one machine's share of a co-reservation.
 type Participant struct {
 	Contact transport.Addr
@@ -40,8 +43,6 @@ type Options struct {
 	Duration time.Duration
 	// Earliest is the earliest acceptable start (0 = now).
 	Earliest time.Duration
-	// MaxRounds bounds negotiation rounds (default 16).
-	MaxRounds int
 	// Backoff is added to the candidate time after a booking race
 	// (default 1 minute).
 	Backoff time.Duration
@@ -66,9 +67,6 @@ func CoReserve(from *transport.Host, cfg gram.ClientConfig, parts []Participant,
 	if len(parts) == 0 {
 		return nil, ErrEmpty
 	}
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 16
-	}
 	if opts.Backoff == 0 {
 		opts.Backoff = time.Minute
 	}
@@ -83,7 +81,7 @@ func CoReserve(from *transport.Host, cfg gram.ClientConfig, parts []Participant,
 	}
 
 	candidate := opts.Earliest
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		// Fixpoint pass: raise the candidate until every machine can
 		// honor it.
 		stable := false
@@ -125,7 +123,7 @@ func CoReserve(from *transport.Host, cfg gram.ClientConfig, parts []Participant,
 		candidate += opts.Backoff
 	}
 	cr.Close()
-	return nil, fmt.Errorf("%w after %d rounds", ErrNoCommonSlot, opts.MaxRounds)
+	return nil, fmt.Errorf("%w after %d rounds", ErrNoCommonSlot, maxRounds)
 }
 
 // Request builds a DUROC request that claims the co-reservation: one

@@ -13,12 +13,12 @@
 //
 // # Determinism
 //
-// Every rule is evaluated at a lagged horizon h = now - Lag rather than
-// at the wake instant. Virtual time only advances when every simulated
+// Every rule is evaluated at a lagged horizon h = now - EvalInterval rather
+// than at the wake instant. Virtual time only advances when every simulated
 // process is blocked, so once the clock passes h the set of gauge deltas
 // and samples stamped at or before h is final: evaluating at h reads
-// settled history, never racing writers. With Lag of at least one eval
-// tick, two same-seed runs therefore produce byte-identical alert logs —
+// settled history, never racing writers. The lag being one eval tick, two
+// same-seed runs therefore produce byte-identical alert logs —
 // the property the DST determinism tests pin down.
 package slo
 
@@ -107,20 +107,15 @@ type Alert struct {
 
 // Options configures the engine. Zero values select the defaults.
 type Options struct {
-	// EvalInterval is the wake cadence (default 5s).
+	// EvalInterval is the wake cadence (default 5s). The evaluation
+	// horizon lags the wake time by the same amount — at least one tick,
+	// which the determinism guarantee needs.
 	EvalInterval time.Duration
-	// Lag is subtracted from the wake time to form the evaluation
-	// horizon (default EvalInterval). Must be >= one tick for the
-	// determinism guarantee; fill enforces the floor.
-	Lag time.Duration
 }
 
 func (o *Options) fill() {
 	if o.EvalInterval <= 0 {
 		o.EvalInterval = 5 * time.Second
-	}
-	if o.Lag < o.EvalInterval {
-		o.Lag = o.EvalInterval
 	}
 }
 
@@ -200,7 +195,7 @@ func (e *Engine) EvaluateAt(h time.Duration) {
 }
 
 func (e *Engine) evaluate(now time.Duration) {
-	e.EvaluateAt(now - e.opts.Lag)
+	e.EvaluateAt(now - e.opts.EvalInterval)
 }
 
 // evalRule evaluates rule i at horizon h and records any edge transition.

@@ -82,7 +82,7 @@ func (m Model) drawSize(rng *rand.Rand) int {
 	if size > m.MaxSize {
 		size = m.MaxSize
 	}
-	if rng.Float64() < m.PowerOfTwoProbOrDefault() {
+	if rng.Float64() < m.powerOfTwoProb() {
 		p := 1
 		for p*2 <= size {
 			p *= 2
@@ -92,8 +92,8 @@ func (m Model) drawSize(rng *rand.Rand) int {
 	return size
 }
 
-// PowerOfTwoProbOrDefault returns the configured probability or 0.75.
-func (m Model) PowerOfTwoProbOrDefault() float64 {
+// powerOfTwoProb returns the configured probability or 0.75.
+func (m Model) powerOfTwoProb() float64 {
 	if m.PowerOfTwoProb == 0 {
 		return 0.75
 	}
@@ -104,16 +104,6 @@ func (m Model) PowerOfTwoProbOrDefault() float64 {
 func (m Model) drawRuntime(rng *rand.Rand) time.Duration {
 	lo, hi := math.Log(float64(m.MinRuntime)), math.Log(float64(m.MaxRuntime))
 	return time.Duration(math.Exp(lo + rng.Float64()*(hi-lo)))
-}
-
-// OfferedLoad is the workload's demand as a fraction of a machine's
-// capacity over the horizon: sum(size_i * runtime_i) / (procs * horizon).
-func OfferedLoad(jobs []Job, procs int, horizon time.Duration) float64 {
-	var work float64
-	for _, j := range jobs {
-		work += float64(j.Size) * j.Runtime.Seconds()
-	}
-	return work / (float64(procs) * horizon.Seconds())
 }
 
 // ForLoad builds a model whose offered load on a machine of the given
@@ -131,7 +121,7 @@ func ForLoad(rho float64, procs int, minRuntime, maxRuntime time.Duration) Model
 	// sum 2^k = procs-1); otherwise it stays continuous
 	// (E = (procs-1)/(L·ln2)).
 	l := math.Log2(float64(procs))
-	p2 := m.PowerOfTwoProbOrDefault()
+	p2 := m.powerOfTwoProb()
 	meanSize := p2*(float64(procs)-1)/l + (1-p2)*(float64(procs)-1)/(l*math.Ln2)
 	lo, hi := math.Log(float64(minRuntime)), math.Log(float64(maxRuntime))
 	meanRuntime := (math.Exp(hi) - math.Exp(lo)) / (hi - lo)
@@ -139,17 +129,17 @@ func ForLoad(rho float64, procs int, minRuntime, maxRuntime time.Duration) Model
 	return m
 }
 
-// EnvRuntime is the environment key carrying a background job's runtime
+// envRuntime is the environment key carrying a background job's runtime
 // in milliseconds.
-const EnvRuntime = "WORKLOAD_RUNTIME_MS"
+const envRuntime = "WORKLOAD_RUNTIME_MS"
 
 // RegisterExecutable installs the background-load executable: each
 // process works for the runtime passed through the environment.
 func RegisterExecutable(m *lrm.Machine, name string) {
 	m.RegisterExecutable(name, func(p *lrm.Proc) error {
-		ms, err := strconv.Atoi(p.Getenv(EnvRuntime))
+		ms, err := strconv.Atoi(p.Getenv(envRuntime))
 		if err != nil {
-			return fmt.Errorf("workload: bad %s: %v", EnvRuntime, err)
+			return fmt.Errorf("workload: bad %s: %v", envRuntime, err)
 		}
 		return p.Work(time.Duration(ms)*time.Millisecond, time.Minute)
 	})
@@ -178,7 +168,7 @@ func Drive(sim *vtime.Sim, m *lrm.Machine, executable string, jobs []Job) {
 				Count:      job.Size,
 				TimeLimit:  job.Limit,
 				Env: map[string]string{
-					EnvRuntime: strconv.Itoa(int(job.Runtime / time.Millisecond)),
+					envRuntime: strconv.Itoa(int(job.Runtime / time.Millisecond)),
 				},
 			})
 		})

@@ -78,7 +78,7 @@ func TestForLoadHitsTargetUtilization(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		const horizon = 30 * 24 * time.Hour
 		jobs := m.Generate(rng, horizon)
-		got := OfferedLoad(jobs, 64, horizon)
+		got := offeredLoad(jobs, 64, horizon)
 		if got < rho*0.8 || got > rho*1.2 {
 			t.Errorf("rho %.1f: offered load = %.3f (want within 20%%)", rho, got)
 		}
@@ -92,8 +92,8 @@ func TestOfferedLoadScalesProperty(t *testing.T) {
 		fast := m
 		fast.MeanInterarrival = m.MeanInterarrival / 2
 		const horizon = 10 * 24 * time.Hour
-		slow := OfferedLoad(m.Generate(rand.New(rand.NewSource(seed)), horizon), 64, horizon)
-		quick2 := OfferedLoad(fast.Generate(rand.New(rand.NewSource(seed)), horizon), 64, horizon)
+		slow := offeredLoad(m.Generate(rand.New(rand.NewSource(seed)), horizon), 64, horizon)
+		quick2 := offeredLoad(fast.Generate(rand.New(rand.NewSource(seed)), horizon), 64, horizon)
 		// Same seed, double rate: roughly double the load.
 		ratio := quick2 / slow
 		return ratio > 1.5 && ratio < 2.6
@@ -152,4 +152,14 @@ func TestRegisterExecutableRejectsBadEnv(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
+}
+
+// offeredLoad is the workload's demand as a fraction of a machine's
+// capacity over the horizon: sum(size_i * runtime_i) / (procs * horizon).
+func offeredLoad(jobs []Job, procs int, horizon time.Duration) float64 {
+	var work float64
+	for _, j := range jobs {
+		work += float64(j.Size) * j.Runtime.Seconds()
+	}
+	return work / (float64(procs) * horizon.Seconds())
 }

@@ -3,7 +3,8 @@
 # tracks per PR: non-test Go lines, packages, exported identifiers, command
 # line flags and option fields. No arguments, no environment variables,
 # offline (go list, go doc -short, grep, awk). Run it at the parent and at
-# the change and quote both totals in CHANGES.md.
+# the change and quote both totals in CHANGES.md; an entry under "unset
+# fields" is a knob nothing turns: make it the constant it defaults to.
 #
 # What is counted, over every package except bench/ and examples/:
 #   lines     physical lines of the package's non-test .go files
@@ -14,6 +15,12 @@
 #   flags     for a main package, its flag.Xxx("name", ...) definitions
 #   fields    the exported fields of every exported struct type whose name
 #             ends in Options or Config
+#   unset     those of them that no code sets: no composite-literal key
+#             (Field:) and no assignment (.Field =) in any .go file of the
+#             repository, tests, examples/ and bench/ included, other than
+#             the non-test files of the defining package. Matching is by
+#             field name: a name two structs share counts as set if either
+#             is, so the list can miss a dead field but never names a live one
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,7 +30,7 @@ list=$(go list -f '{{.ImportPath}} {{.Name}} {{.Dir}} {{join .GoFiles " "}}' ./.
 echo "== non-test Go lines and exported identifiers per package"
 printf '%-32s %7s %9s\n' package lines exported
 total_lines=0 total_exported=0 packages=0
-flags="" fields=""
+flags="" fields="" names=""
 while read -r pkg name dir files; do
     paths=$(for f in $files; do printf '%s/%s ' "$dir" "$f"; done)
     lines=$(cat $paths | wc -l)
@@ -38,14 +45,23 @@ while read -r pkg name dir files; do
             awk '{n += $1} END {print n + 0}')
         exported=$((decls + methods))
     fi
-    structs=$(awk -v pkg="${pkg#cogrid/}" '
-        /^type [A-Z][A-Za-z0-9]* struct \{/ && $2 ~ /(Options|Config)$/ { name = $2; n = 0; next }
-        name != "" && /^}/ { printf "%-40s %3d\n", pkg "." name, n; name = ""; next }
+    # One line per field, "pkg.Struct Field", folded into per-struct counts.
+    found=$(awk -v pkg="${pkg#cogrid/}" '
+        /^type [A-Z][A-Za-z0-9]* struct \{/ && $2 ~ /(Options|Config)$/ { name = $2; next }
+        name != "" && /^}/ { name = ""; next }
         name != "" && match($0, /^\t[A-Z][A-Za-z0-9]*(, *[A-Za-z][A-Za-z0-9]*)*/) {
-            names = substr($0, RSTART, RLENGTH); n += gsub(/,/, ",", names) + 1 }
+            n = split(substr($0, RSTART + 1, RLENGTH - 1), f, /, */)
+            for (i = 1; i <= n; i++) print pkg "." name, f[i] }
     ' $paths)
-    [ -n "$structs" ] && fields="$fields$structs
+    if [ -n "$found" ]; then
+        names="$names$found
 "
+        fields="$fields$(printf '%s\n' "$found" | awk '
+            $1 != last { if (last != "") printf "%-40s %3d\n", last, n; last = $1; n = 0 }
+            { n++ }
+            END { printf "%-40s %3d\n", last, n }')
+"
+    fi
     printf '%-32s %7d %9d\n' "${pkg#cogrid/}" "$lines" "$exported"
     total_lines=$((total_lines + lines))
     total_exported=$((total_exported + exported))
@@ -64,3 +80,28 @@ echo
 echo "== exported fields of exported Options/Config structs"
 printf '%s' "$fields"
 printf '%-40s %3d\n' total "$(printf '%s' "$fields" | awk '{n += $2} END {print n + 0}')"
+
+echo
+echo "== unset fields (exported Options/Config fields with no setter outside their package's non-test files)"
+unset_fields=0
+while read -r owner field; do
+    [ -n "$owner" ] || continue
+    dir=./${owner%.*}
+    setters=$(grep -rlE --include='*.go' \
+        "(^|[^A-Za-z0-9_.])$field:|\\.$field[[:space:]]*[-+*/|&^]?=([^=]|\$)" . || true)
+    set=no
+    for f in $setters; do
+        case $f in
+        "$dir"/*_test.go | "$dir"/*/*) set=yes ;; # its own tests; a package beneath it
+        "$dir"/*) ;;                              # the defining package itself
+        *) set=yes ;;
+        esac
+    done
+    if [ $set = no ]; then
+        printf '%s.%s\n' "$owner" "$field"
+        unset_fields=$((unset_fields + 1))
+    fi
+done <<EOF
+$names
+EOF
+printf '%-40s %3d\n' total "$unset_fields"
