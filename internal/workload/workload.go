@@ -4,6 +4,11 @@
 // biased to powers of two, heavy-tailed log-uniform runtimes, and user
 // wall-limit overestimates. These drive batch machines as background load
 // for the co-allocation-under-load studies.
+//
+// It also holds the foreground half of a run (testbed.go): the one brokered
+// testbed (NewTestbed), the one client (Submit) and the one load loop
+// (Testbed.Run) that the brokered studies, the DST harness and the gridsim
+// demos all build and drive their grids through.
 package workload
 
 import (
