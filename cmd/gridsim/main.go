@@ -63,6 +63,7 @@ import (
 	"cogrid/internal/lrm"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
+	"cogrid/internal/workload"
 )
 
 // Scenario is the JSON file format.
@@ -308,21 +309,7 @@ func runWith(sc Scenario, opts runOptions) error {
 		}
 		g.AddMachine(m.Name, m.Processors, mode)
 	}
-	work := time.Duration(sc.WorkSeconds) * time.Second
-	g.RegisterEverywhere("app", func(p *lrm.Proc) error {
-		rt, err := core.Attach(p)
-		if err != nil {
-			return err
-		}
-		defer rt.Close()
-		if _, err := rt.Barrier(true, "", 0); err != nil {
-			return nil
-		}
-		if work > 0 {
-			return p.Work(work, time.Second)
-		}
-		return nil
-	})
+	g.RegisterEverywhere("app", workload.App(time.Duration(sc.WorkSeconds)*time.Second, 0))
 
 	var plan failure.Plan
 	for _, f := range sc.Faults {

@@ -272,8 +272,8 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 			sim.SleepUntil(load.HealBy)
 		}
 		sim.Sleep(load.Drain)
-		if tb.Fed != nil {
-			sim.Sleep(3 * tb.Fed.Options().PeerReapInterval)
+		if fed := tb.Fed; fed != nil {
+			sim.Sleep(3 * fed.Options().PeerReapInterval)
 		}
 	})
 	s := metrics.Summarize(latencies)
