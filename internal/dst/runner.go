@@ -302,7 +302,8 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		// replica's tickets by request.
 		ring := tb.Ring
 		if fed != nil {
-			ring = ring[i%sc.Replicas:][:1]
+			home := i % sc.Replicas
+			ring = ring[home : home+1]
 			req.Key = fmt.Sprintf("req%02d", i)
 		}
 		budget := j.CommitTimeout + j.StartupTimeout + 3*time.Minute
