@@ -3,8 +3,9 @@
 # tracks per PR: non-test Go lines, packages, exported identifiers, command
 # line flags and option fields. No arguments, no environment variables,
 # offline (go list, go doc -short, grep, awk). Run it at the parent and at
-# the change and quote both totals in CHANGES.md; an entry under "unset
-# fields" is a knob nothing turns: make it the constant it defaults to.
+# the change and quote both totals in CHANGES.md. An entry under "unset
+# fields" is a knob nothing outside its package turns (a smoke setting
+# inside it still may): a candidate for the constant it defaults to.
 #
 # What is counted, over every package except bench/ and examples/:
 #   lines     physical lines of the package's non-test .go files
