@@ -9,6 +9,8 @@
 // path is allocation-free: each component (trace category) owns a fixed
 // circular buffer sized at construction, and recording is a mutex-guarded
 // array write — the same always-on cost profile as metrics.Histogram.Record.
+// A tap may not keep the args slice it is handed, so each slot of a ring
+// owns room for slotArgs args and copies an event's args into it.
 //
 // # Determinism
 //
@@ -92,9 +94,22 @@ func (d Dump) Kind() string {
 	return d.Trigger
 }
 
+// entry is one ring slot. Its ev.Args is the slot's own storage, kept
+// across the events the slot holds in turn.
 type entry struct {
 	ev   trace.Event
 	seen time.Duration
+}
+
+// slotArgs is how many args a slot holds without allocating: what nearly
+// every event carries. A slot handed more grows its storage once.
+const slotArgs = 2
+
+// clear empties the entry, keeping its args storage for the slot's next
+// event.
+func (e *entry) clear() {
+	clear(e.ev.Args)
+	*e = entry{ev: trace.Event{Args: e.ev.Args[:0]}}
 }
 
 // ring is one component's fixed circular deque. All fields are guarded by
@@ -154,29 +169,35 @@ func (r *Recorder) ring(cat string) *ring {
 		return rg
 	}
 	rg = &ring{buf: make([]entry, 2*r.opts.RingCap)}
+	args := make([]trace.Arg, len(rg.buf)*slotArgs)
+	for i := range rg.buf {
+		rg.buf[i].ev.Args = args[i*slotArgs : i*slotArgs : (i+1)*slotArgs]
+	}
 	r.rings[cat] = rg
 	return rg
 }
 
-// Record mirrors one trace event into its component's ring. Nil-safe and
-// allocation-free once the component's ring exists (a component's first
-// event allocates its fixed buffer).
+// Record mirrors one trace event into its component's ring, copying its
+// args (the trace.Tap contract). Nil-safe and allocation-free once the
+// component's ring exists (a component's first event allocates its fixed
+// buffer) for events of up to slotArgs args.
 func (r *Recorder) Record(ev trace.Event) {
 	if r == nil {
 		return
 	}
 	rg := r.ring(ev.Cat)
 	rg.mu.Lock()
-	rg.push(entry{ev: ev, seen: r.sim.Now()}, r.opts.RingCap)
+	rg.push(ev, r.sim.Now(), r.opts.RingCap)
 	rg.mu.Unlock()
 }
 
-// push appends e, evicting at whole-instant granularity so that retained
-// history never depends on same-instant arrival races. Caller holds rg.mu.
-func (rg *ring) push(e entry, cap int) {
-	if e.seen > rg.lastSeen {
+// push appends ev seen at seen, evicting at whole-instant granularity so
+// that retained history never depends on same-instant arrival races.
+// Caller holds rg.mu.
+func (rg *ring) push(ev trace.Event, seen time.Duration, cap int) {
+	if seen > rg.lastSeen {
 		// A new instant begins: everything currently buffered is sealed.
-		rg.lastSeen = e.seen
+		rg.lastSeen = seen
 		rg.sealed = rg.n
 	}
 	if rg.n == len(rg.buf) {
@@ -187,13 +208,16 @@ func (rg *ring) push(e entry, cap int) {
 		if rg.sealed > 0 {
 			rg.dropOldestInstant()
 		} else {
-			rg.buf[rg.head] = entry{}
+			rg.buf[rg.head].clear()
 			rg.head = (rg.head + 1) % len(rg.buf)
 			rg.n--
 			rg.overflows++
 		}
 	}
-	rg.buf[(rg.head+rg.n)%len(rg.buf)] = e
+	e := &rg.buf[(rg.head+rg.n)%len(rg.buf)]
+	args := append(e.ev.Args[:0], ev.Args...)
+	e.ev, e.seen = ev, seen
+	e.ev.Args = args
 	rg.n++
 	// Retention rule: at most cap sealed entries, trimmed oldest-whole-
 	// instant first. Current-instant entries ride in the slack half.
@@ -207,7 +231,7 @@ func (rg *ring) push(e entry, cap int) {
 func (rg *ring) dropOldestInstant() {
 	t0 := rg.buf[rg.head].seen
 	for rg.n > 0 && rg.buf[rg.head].seen == t0 {
-		rg.buf[rg.head] = entry{}
+		rg.buf[rg.head].clear()
 		rg.head = (rg.head + 1) % len(rg.buf)
 		rg.n--
 		if rg.sealed > 0 {
@@ -220,31 +244,31 @@ func (rg *ring) dropOldestInstant() {
 // the whole-instant retention rule so the result does not depend on how
 // many at-instant events raced in before the trigger: the newest pre-at
 // instant B is kept whole, then older whole instants are kept newest-first
-// while the non-B total stays within cap - len(B).
+// while the non-B total stays within cap - len(B). The events' args are
+// copied out of the slots into one array, since the slots are reused.
 func (rg *ring) window(at time.Duration, cap int) []trace.Event {
 	rg.mu.Lock()
-	pre := make([]entry, 0, rg.n)
-	for i := 0; i < rg.n; i++ {
-		e := rg.buf[(rg.head+i)%len(rg.buf)]
-		if e.seen < at {
-			pre = append(pre, e)
-		}
+	defer rg.mu.Unlock()
+	slot := func(i int) *entry { return &rg.buf[(rg.head+i)%len(rg.buf)] }
+	// Seen stamps are monotone, so the entries seen before at are a prefix.
+	n := 0
+	for n < rg.n && slot(n).seen < at {
+		n++
 	}
-	rg.mu.Unlock()
-	if len(pre) == 0 {
+	if n == 0 {
 		return nil
 	}
-	b := pre[len(pre)-1].seen
-	i := len(pre)
-	for i > 0 && pre[i-1].seen == b {
+	b := slot(n - 1).seen
+	i := n
+	for i > 0 && slot(i-1).seen == b {
 		i--
 	}
-	budget := cap - (len(pre) - i)
+	budget := cap - (n - i)
 	j := i
 	for j > 0 {
-		t := pre[j-1].seen
+		t := slot(j - 1).seen
 		k := j
-		for k > 0 && pre[k-1].seen == t {
+		for k > 0 && slot(k-1).seen == t {
 			k--
 		}
 		if i-k > budget {
@@ -252,9 +276,20 @@ func (rg *ring) window(at time.Duration, cap int) []trace.Event {
 		}
 		j = k
 	}
-	out := make([]trace.Event, 0, len(pre)-j)
-	for _, e := range pre[j:] {
-		out = append(out, e.ev)
+	nargs := 0
+	for k := j; k < n; k++ {
+		nargs += len(slot(k).ev.Args)
+	}
+	args := make([]trace.Arg, nargs)
+	out := make([]trace.Event, 0, n-j)
+	for k := j; k < n; k++ {
+		ev := slot(k).ev
+		if m := copy(args, ev.Args); m > 0 {
+			ev.Args, args = args[:m:m], args[m:]
+		} else {
+			ev.Args = nil
+		}
+		out = append(out, ev)
 	}
 	return out
 }

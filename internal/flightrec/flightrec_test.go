@@ -212,6 +212,45 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 }
 
+// The tap half of trace's TestEmitCopiesArgs: the tracer hands a tap one
+// args buffer it refills for every event, and an emitter may rewrite its
+// own slice once the call returns. A dump taken after both still carries
+// what each event was emitted with, for events of more args than a slot
+// holds without growing too.
+func TestDumpKeepsArgsTheEmitterReused(t *testing.T) {
+	sim := vtime.NewSeeded(1)
+	tr := trace.New(sim)
+	rec := New(sim, Options{RingCap: 8})
+	tr.SetTap(rec)
+	err := sim.Run("main", func() {
+		args := []trace.Arg{{Key: "k", Val: "first"}, {Key: "k2", Val: "first"}, {Key: "k3", Val: "first"}}
+		sim.SleepUntil(time.Second)
+		tr.Emit(trace.Event{At: sim.Now(), Cat: "c", Name: "emit", Args: args})
+		tr.Instant("c", "instant", "p", "t", "", args[:1]...)
+		args[0].Val, args[1].Val, args[2].Val = "overwritten", "overwritten", "overwritten"
+		for i := 0; i < 20; i++ { // the tracer refills its tap buffer
+			tr.Instant("other", "filler", "p", "t", "", trace.Arg{Key: "i", Val: fmt.Sprint(i)}, args[0])
+		}
+		sim.SleepUntil(2 * time.Second)
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	d := rec.Trigger("test", "args")
+	var got []string
+	for _, ev := range d.Events {
+		if ev.Cat != "c" {
+			continue
+		}
+		for _, a := range ev.Args {
+			got = append(got, ev.Name+" "+a.Key+"="+a.Val)
+		}
+	}
+	if want := "emit k=first emit k2=first emit k3=first instant k=first"; strings.Join(got, " ") != want {
+		t.Errorf("dump carries %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
 // TestRecordAllocs pins the allocation-free record path: after a
 // component's ring exists, Record never allocates.
 func TestRecordAllocs(t *testing.T) {

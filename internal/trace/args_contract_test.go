@@ -1,22 +1,27 @@
 package trace
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 
 	"cogrid/internal/vtime"
 )
 
-// keepingTap retains what it is handed, the way the flight recorder does.
+// keepingTap retains what it is handed, the way the flight recorder does:
+// the event, and a copy of its args (Tap).
 type keepingTap struct{ seen []Event }
 
-func (k *keepingTap) Record(ev Event) { k.seen = append(k.seen, ev) }
+func (k *keepingTap) Record(ev Event) {
+	ev.Args = slices.Clone(ev.Args)
+	k.seen = append(k.seen, ev)
+}
 
 // An event's args belong to the event from the moment it is emitted: the
 // emitter's variadic slice is a temporary the compiler is free to reuse for
 // the next call (and does, as soon as it does not escape). Whatever the
-// emitter goes on to emit, a tap that retained the event and Events() both
-// still see what was passed.
+// emitter goes on to emit, a tap that retained the event as the Tap
+// contract allows and Events() both still see what was passed.
 func TestTapAndEventsSeeTheArgs(t *testing.T) {
 	sim := vtime.New()
 	tr := New(sim)

@@ -87,15 +87,16 @@ type Analysis struct {
 }
 
 // Analyze groups events by request id and builds each request's causal
-// tree. The input order does not matter; events are re-sorted into the
-// deterministic export order first, so same-seed traces analyze to
-// identical trees.
+// tree. The input order does not matter; events are visited in the
+// deterministic export order, so same-seed traces analyze to identical
+// trees. The input is left as it is: what is sorted is a permutation of
+// its indices, not a copy of the events.
 func Analyze(events []Event) *Analysis {
-	sorted := append([]Event(nil), events...)
-	Sort(sorted)
-	a := &Analysis{Events: len(sorted)}
+	order := exportOrder(len(events), func(i, j uint32) int { return compare(&events[i], &events[j]) })
+	a := &Analysis{Events: len(events)}
 	byReq := map[string]*Tree{}
-	for _, ev := range sorted {
+	for _, i := range order {
+		ev := &events[i]
 		if ev.Req == "" {
 			continue
 		}
@@ -132,7 +133,8 @@ func Analyze(events []Event) *Analysis {
 		}
 		t.Root = t.Nodes["req"]
 	}
-	for _, ev := range sorted {
+	for _, i := range order {
+		ev := &events[i]
 		if ev.Req == "" || ev.Dur > 0 {
 			continue
 		}

@@ -215,15 +215,25 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 }
 
 // WriteJSONL writes the tracer's events as JSONL in deterministic order,
-// straight from the event store: the sorted copy Events makes is not built.
+// straight from the event store: each event is resolved as it is written,
+// and the sorted copy Events makes is not built.
 // Nil-safe.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	n, at := t.snapshot()
-	order := exportOrder(n, at)
-	return writeJSONL(w, n, func(i int) *Event { return at(order[i]) })
+	v := t.snapshot()
+	order := exportOrder(v.n, v.compare)
+	var ev Event
+	var args []Arg
+	return writeJSONL(w, v.n, func(i int) *Event {
+		r := v.rec(order[i])
+		if int(r.nargs) > cap(args) {
+			args = make([]Arg, r.nargs)
+		}
+		ev = v.event(r, args[:r.nargs])
+		return &ev
+	})
 }
 
 // chromeEvent is one entry of the Chrome trace_event format (the JSON Array

@@ -115,9 +115,15 @@ func ParseCtx(s string) Ctx {
 }
 
 // Tap observes every event the tracer records, synchronously on the
-// emitting goroutine. A tap must be cheap and must not call back into the
-// tracer. The flight recorder is the canonical tap: it mirrors the live
-// event stream into bounded ring buffers without growing the trace.
+// emitting goroutine and with the tracer's lock held. A tap must be cheap
+// and must not call back into the tracer. The flight recorder is the
+// canonical tap: it mirrors the live event stream into bounded ring buffers
+// without growing the trace.
+//
+// What a tap may keep of the event it is handed: everything but the
+// backing array of its Args. The strings never change, but the tracer
+// hands every call the same argument buffer and refills it for the next
+// event, so a tap that keeps an event's args keeps a copy of them.
 type Tap interface {
 	Record(Event)
 }
@@ -128,24 +134,13 @@ type Tracer struct {
 	sim *vtime.Sim
 	tap atomic.Pointer[Tap]
 	mu  sync.Mutex
-	// Events are kept in fixed-size chunks: a trace only grows, and one
-	// slice regrown by append would copy (and leave for the collector)
-	// several times the final trace along the way.
-	chunks [][]Event
-	// args is the unused rest of the current chunk of argument storage.
-	// Every recorded event's Args is a slice of such a chunk, copied from
-	// what the emitter passed: an emitter's variadic slice then never
-	// outlives the call and can stay on its stack.
-	args []Arg
+	// The recorded events, pointer-free (store.go). An emitter's variadic
+	// args slice is read into the store and not kept, so it never outlives
+	// the call and can stay on the emitter's stack.
+	store store
+	// tapArgs is the buffer a tap is handed an event's args in.
+	tapArgs []Arg
 }
-
-// chunkSize is the capacity of one chunk of a tracer's event store, and
-// argChunkSize that of one chunk of its argument storage.
-const (
-	chunkShift   = 10
-	chunkSize    = 1 << chunkShift
-	argChunkSize = 1 << 10
-)
 
 // New creates a tracer stamping events with sim's virtual clock.
 func New(sim *vtime.Sim) *Tracer { return &Tracer{sim: sim} }
@@ -176,37 +171,29 @@ func (t *Tracer) SetTap(tap Tap) {
 	t.tap.Store(&tap)
 }
 
-// Emit records ev as given, except that the recorded event carries its own
-// copy of ev.Args. Nil-safe.
+// Emit records ev as given; the tracer keeps no reference to ev.Args.
+// Nil-safe.
 func (t *Tracer) Emit(ev Event) {
 	if t != nil {
 		t.emit(ev, ev.Args)
 	}
 }
 
-// emit records ev with a copy of args as its Args. The helpers below pass
-// their variadic slice here beside the event, not inside it, so that the
-// slice itself does not escape: only what it holds is copied.
+// emit records ev with args as its Args. The helpers below pass their
+// variadic slice here beside the event, not inside it, so that the slice
+// itself does not escape: only what it holds is read.
 func (t *Tracer) emit(ev Event, args []Arg) {
 	t.mu.Lock()
-	if n := len(args); n > 0 {
-		if n > len(t.args) {
-			t.args = make([]Arg, max(n, argChunkSize))
-		}
-		ev.Args = t.args[:n:n]
-		copy(ev.Args, args)
-		t.args = t.args[n:]
-	}
-	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == chunkSize {
-		t.chunks = append(t.chunks, make([]Event, 0, chunkSize))
-		last++
-	}
-	t.chunks[last] = append(t.chunks[last], ev)
-	t.mu.Unlock()
+	t.store.add(&ev, args)
 	if tap := t.tap.Load(); tap != nil {
+		ev.Args = nil
+		if len(args) > 0 {
+			t.tapArgs = append(t.tapArgs[:0], args...)
+			ev.Args = t.tapArgs
+		}
 		(*tap).Record(ev)
 	}
+	t.mu.Unlock()
 }
 
 // Instant records an instant event stamped now. Nil-safe.
@@ -279,36 +266,31 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lenLocked()
+	return t.store.n
 }
 
-func (t *Tracer) lenLocked() int {
-	if len(t.chunks) == 0 {
-		return 0
-	}
-	return (len(t.chunks)-1)*chunkSize + len(t.chunks[len(t.chunks)-1])
-}
-
-// snapshot returns the events recorded so far, in emission order, as an
-// accessor that stays valid while the tracer keeps recording.
-func (t *Tracer) snapshot() (n int, at func(i uint32) *Event) {
+// snapshot returns the events recorded so far, in emission order, as a
+// view that stays valid while the tracer keeps recording.
+func (t *Tracer) snapshot() view {
 	t.mu.Lock()
-	n = t.lenLocked()
-	chunks := append([][]Event(nil), t.chunks...)
-	t.mu.Unlock()
-	return n, func(i uint32) *Event { return &chunks[i>>chunkShift][i&(chunkSize-1)] }
+	defer t.mu.Unlock()
+	return t.store.view()
 }
 
 // Events returns a copy of the recorded events in the deterministic export
-// order. Returns nil on a nil tracer.
+// order. Returns nil on a nil tracer. The strings are the tracer's own;
+// the Args of all the events share one backing array, each cut to length.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	n, at := t.snapshot()
-	out := make([]Event, n)
-	for i, j := range exportOrder(n, at) {
-		out[i] = *at(j)
+	v := t.snapshot()
+	out := make([]Event, v.n)
+	args := make([]Arg, v.nargs)
+	for i, j := range exportOrder(v.n, v.compare) {
+		r := v.rec(j)
+		out[i] = v.event(r, args[:r.nargs:r.nargs])
+		args = args[r.nargs:]
 	}
 	return out
 }
@@ -318,29 +300,40 @@ func (t *Tracer) Events() []Event {
 // finally argument content. Emission order is itself a function of the seed
 // (one run token serialises the simulated processes); the sort gives events
 // from any source — a tracer, a merged set of flight-recorder rings, a file
-// — one defined order, because each event's content is deterministic.
+// — one defined order, because each event's content is deterministic. It
+// sorts in place: beside events, it allocates only the 4-byte-per-event
+// permutation.
 func Sort(events []Event) {
-	order := exportOrder(len(events), func(i uint32) *Event { return &events[i] })
-	if slices.IsSorted(order) {
-		return // the identity: already in order
+	order := exportOrder(len(events), func(i, j uint32) int { return compare(&events[i], &events[j]) })
+	// Move each cycle of the permutation once, marking a done position by
+	// making it a fixed point.
+	for i := range order {
+		if order[i] == uint32(i) {
+			continue
+		}
+		ev := events[i]
+		j := uint32(i)
+		for order[j] != uint32(i) {
+			k := order[j]
+			events[j] = events[k]
+			order[j] = j
+			j = k
+		}
+		events[j] = ev
+		order[j] = j
 	}
-	sorted := make([]Event, len(events))
-	for i, j := range order {
-		sorted[i] = events[j]
-	}
-	copy(events, sorted)
 }
 
-// exportOrder returns the permutation that puts the n events at(0..n-1)
-// into export order, equal events keeping their relative position. Sorting
-// indices instead of the events moves 4 bytes per step where an Event is
-// 152 with pointers in it.
-func exportOrder(n int, at func(i uint32) *Event) []uint32 {
+// exportOrder returns the permutation that puts n events into export
+// order, where cmp compares the events at two indices; equal events keep
+// their relative position. Sorting indices instead of the events moves 4
+// bytes per step where an Event is 152 with pointers in it.
+func exportOrder(n int, cmp func(i, j uint32) int) []uint32 {
 	order := make([]uint32, n)
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	slices.SortStableFunc(order, func(i, j uint32) int { return compare(at(i), at(j)) })
+	slices.SortStableFunc(order, cmp)
 	return order
 }
 
