@@ -29,19 +29,23 @@ type record struct {
 // argRef is one stored argument: the ids of its key and its value.
 type argRef struct{ key, val uint32 }
 
-// Chunk capacities: records (chunkSize, 56 KiB a chunk), argument pairs
-// (32 KiB) and table strings (16 KiB of string headers).
+// Chunk capacities: records (chunkSize, 112 KiB a chunk), argument pairs
+// (64 KiB) and table strings (64 KiB of string headers). A chunk is one
+// allocation, so they are large: the store of a 160 000-event trace with
+// 100 000 distinct strings is about 130 of them.
 const (
-	chunkShift   = 10
+	chunkShift   = 11
 	chunkSize    = 1 << chunkShift
-	argShift     = 12
+	argShift     = 13
 	argChunkSize = 1 << argShift
-	strShift     = 10
+	strShift     = 12
 	strChunkSize = 1 << strShift
 )
 
 // store is the tracer's events in emission order. It is guarded by the
-// tracer's lock.
+// tracer's lock, except that a copy of it is a snapshot readers may use
+// unlocked while the store keeps growing: chunks are only ever written
+// past what the copy reads.
 type store struct {
 	recs  []*[chunkSize]record
 	n     int
@@ -75,45 +79,22 @@ func (s *store) add(ev *Event, args []Arg) {
 	s.n++
 }
 
-// view returns the events stored so far. It stays valid while the store
-// keeps growing: chunks are only ever appended to, past what a view reads.
-func (s *store) view() view {
-	return view{recs: s.recs, n: s.n, args: s.args, nargs: s.nargs, strs: s.strs.chunks}
-}
+func (s *store) rec(i uint32) *record { return &s.recs[i>>chunkShift][i&(chunkSize-1)] }
 
-// view is a read-only snapshot of a store.
-type view struct {
-	recs  []*[chunkSize]record
-	n     int
-	args  []*[argChunkSize]argRef
-	nargs int
-	strs  []*[strChunkSize]string
-}
-
-func (v *view) rec(i uint32) *record { return &v.recs[i>>chunkShift][i&(chunkSize-1)] }
-
-func (v *view) arg(i uint32) argRef { return v.args[i>>argShift][i&(argChunkSize-1)] }
-
-// str resolves a string id; id 0 is "" even before the table has a chunk.
-func (v *view) str(id uint32) string {
-	if id == 0 {
-		return ""
-	}
-	return v.strs[id>>strShift][id&(strChunkSize-1)]
-}
+func (s *store) arg(i uint32) argRef { return s.args[i>>argShift][i&(argChunkSize-1)] }
 
 // event resolves r into an Event whose Args are written to args, which
 // must have length r.nargs; no args leave Args nil.
-func (v *view) event(r *record, args []Arg) Event {
+func (s *store) event(r *record, args []Arg) Event {
 	ev := Event{
 		At: time.Duration(r.at), Dur: time.Duration(r.dur),
-		Cat: v.str(r.cat), Name: v.str(r.name), Proc: v.str(r.proc), Thr: v.str(r.thr),
-		ID: v.str(r.id), Req: v.str(r.req), Span: v.str(r.span),
+		Cat: s.strs.str(r.cat), Name: s.strs.str(r.name), Proc: s.strs.str(r.proc), Thr: s.strs.str(r.thr),
+		ID: s.strs.str(r.id), Req: s.strs.str(r.req), Span: s.strs.str(r.span),
 	}
 	if r.nargs > 0 {
 		for k := range args {
-			a := v.arg(r.argOff + uint32(k))
-			args[k] = Arg{Key: v.str(a.key), Val: v.str(a.val)}
+			a := s.arg(r.argOff + uint32(k))
+			args[k] = Arg{Key: s.strs.str(a.key), Val: s.strs.str(a.val)}
 		}
 		ev.Args = args
 	}
@@ -122,52 +103,52 @@ func (v *view) event(r *record, args []Arg) Event {
 
 // compare is compare(a, b *Event) on the stored events i and j. Equal ids
 // are equal strings, so only differing ones are resolved and compared.
-func (v *view) compare(i, j uint32) int {
-	a, b := v.rec(i), v.rec(j)
+func (s *store) compare(i, j uint32) int {
+	a, b := s.rec(i), s.rec(j)
 	if c := cmp.Compare(a.at, b.at); c != 0 {
 		return c
 	}
-	if c := v.compareStr(a.proc, b.proc); c != 0 {
+	if c := s.compareStr(a.proc, b.proc); c != 0 {
 		return c
 	}
-	if c := v.compareStr(a.thr, b.thr); c != 0 {
+	if c := s.compareStr(a.thr, b.thr); c != 0 {
 		return c
 	}
-	if c := v.compareStr(a.cat, b.cat); c != 0 {
+	if c := s.compareStr(a.cat, b.cat); c != 0 {
 		return c
 	}
-	if c := v.compareStr(a.name, b.name); c != 0 {
+	if c := s.compareStr(a.name, b.name); c != 0 {
 		return c
 	}
-	if c := v.compareStr(a.id, b.id); c != 0 {
+	if c := s.compareStr(a.id, b.id); c != 0 {
 		return c
 	}
-	if c := v.compareStr(a.req, b.req); c != 0 {
+	if c := s.compareStr(a.req, b.req); c != 0 {
 		return c
 	}
-	if c := v.compareStr(a.span, b.span); c != 0 {
+	if c := s.compareStr(a.span, b.span); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.dur, b.dur); c != 0 {
 		return c
 	}
 	for k := uint32(0); k < a.nargs && k < b.nargs; k++ {
-		x, y := v.arg(a.argOff+k), v.arg(b.argOff+k)
-		if c := v.compareStr(x.key, y.key); c != 0 {
+		x, y := s.arg(a.argOff+k), s.arg(b.argOff+k)
+		if c := s.compareStr(x.key, y.key); c != 0 {
 			return c
 		}
-		if c := v.compareStr(x.val, y.val); c != 0 {
+		if c := s.compareStr(x.val, y.val); c != 0 {
 			return c
 		}
 	}
 	return cmp.Compare(a.nargs, b.nargs)
 }
 
-func (v *view) compareStr(a, b uint32) int {
+func (s *store) compareStr(a, b uint32) int {
 	if a == b {
 		return 0
 	}
-	return strings.Compare(v.str(a), v.str(b))
+	return strings.Compare(s.strs.str(a), s.strs.str(b))
 }
 
 // strtab holds each distinct string once and names it by a uint32 id, ids
@@ -179,7 +160,7 @@ func (v *view) compareStr(a, b uint32) int {
 // finding it there costs no hashing. Only what front misses is hashed, once,
 // into index: open addressing over slots that hold a string's hash in
 // their upper half and its id in the lower, zero marking an empty slot.
-// Neither has pointers but front's strings.
+// The index holds no pointers; front holds the strings it caches.
 type strtab struct {
 	chunks []*[strChunkSize]string
 	n      uint32 // ids in use, "" included
@@ -267,4 +248,10 @@ func (t *strtab) grow() {
 	t.index = index
 }
 
-func (t *strtab) str(id uint32) string { return t.chunks[id>>strShift][id&(strChunkSize-1)] }
+// str resolves an id; id 0 is "" even before the table has a chunk.
+func (t *strtab) str(id uint32) string {
+	if id == 0 {
+		return ""
+	}
+	return t.chunks[id>>strShift][id&(strChunkSize-1)]
+}

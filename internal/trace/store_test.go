@@ -3,11 +3,13 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -152,6 +154,61 @@ func TestStoreEquivalence(t *testing.T) {
 		if a, b := Analyze(got), Analyze(emitted); !reflect.DeepEqual(a, b) || a.Report() != Analyze(want).Report() {
 			t.Fatalf("seed %d: Analyze depends on where its events came from", seed)
 		}
+	}
+}
+
+// Emitters on several goroutines share the store, the string table and
+// the tap's buffers while readers snapshot it; run under -race.
+func TestConcurrentEmitAndRead(t *testing.T) {
+	tr := New(vtime.New())
+	tap := &lockedTap{}
+	tr.SetTap(tap)
+	const emitters, each = 4, chunkSize
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				v := fmt.Sprintf("g%d-%d", g, i)
+				tr.Instant("c", "n", fmt.Sprintf("p%d", g), "t", v, Arg{Key: "v", Val: v})
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for tr.Len() < emitters*each {
+			_ = tr.Events()
+			if err := tr.WriteJSONL(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	events := tr.Events()
+	if len(events) != emitters*each || tap.n != emitters*each {
+		t.Fatalf("%d events stored, %d tapped, want %d", len(events), tap.n, emitters*each)
+	}
+	for _, ev := range events {
+		if len(ev.Args) != 1 || ev.Args[0].Val != ev.ID {
+			t.Fatalf("event %s carries %v", ev.ID, ev.Args)
+		}
+	}
+}
+
+// lockedTap checks each event's args on arrival, from any goroutine.
+type lockedTap struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (l *lockedTap) Record(ev Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(ev.Args) == 1 && ev.Args[0].Val == ev.ID {
+		l.n++
 	}
 }
 

@@ -115,15 +115,14 @@ func ParseCtx(s string) Ctx {
 }
 
 // Tap observes every event the tracer records, synchronously on the
-// emitting goroutine and with the tracer's lock held. A tap must be cheap
-// and must not call back into the tracer. The flight recorder is the
-// canonical tap: it mirrors the live event stream into bounded ring buffers
-// without growing the trace.
+// emitting goroutine. A tap must be cheap and must not call back into the
+// tracer. The flight recorder is the canonical tap: it mirrors the live
+// event stream into bounded ring buffers without growing the trace.
 //
 // What a tap may keep of the event it is handed: everything but the
-// backing array of its Args. The strings never change, but the tracer
-// hands every call the same argument buffer and refills it for the next
-// event, so a tap that keeps an event's args keeps a copy of them.
+// backing array of its Args. The strings never change, but the args come
+// in a buffer the tracer reuses for other events once Record returns, so a
+// tap that keeps an event's args keeps a copy of them.
 type Tap interface {
 	Record(Event)
 }
@@ -138,9 +137,10 @@ type Tracer struct {
 	// args slice is read into the store and not kept, so it never outlives
 	// the call and can stay on the emitter's stack.
 	store store
-	// tapArgs is the buffer a tap is handed an event's args in.
-	tapArgs []Arg
 }
+
+// tapArgs recycles the buffers a tap is handed an event's args in.
+var tapArgs = sync.Pool{New: func() any { return new([]Arg) }}
 
 // New creates a tracer stamping events with sim's virtual clock.
 func New(sim *vtime.Sim) *Tracer { return &Tracer{sim: sim} }
@@ -185,15 +185,21 @@ func (t *Tracer) Emit(ev Event) {
 func (t *Tracer) emit(ev Event, args []Arg) {
 	t.mu.Lock()
 	t.store.add(&ev, args)
-	if tap := t.tap.Load(); tap != nil {
-		ev.Args = nil
-		if len(args) > 0 {
-			t.tapArgs = append(t.tapArgs[:0], args...)
-			ev.Args = t.tapArgs
-		}
-		(*tap).Record(ev)
-	}
 	t.mu.Unlock()
+	tap := t.tap.Load()
+	if tap == nil {
+		return
+	}
+	if len(args) == 0 {
+		ev.Args = nil
+		(*tap).Record(ev)
+		return
+	}
+	buf := tapArgs.Get().(*[]Arg)
+	*buf = append((*buf)[:0], args...)
+	ev.Args = *buf
+	(*tap).Record(ev)
+	tapArgs.Put(buf)
 }
 
 // Instant records an instant event stamped now. Nil-safe.
@@ -270,11 +276,11 @@ func (t *Tracer) Len() int {
 }
 
 // snapshot returns the events recorded so far, in emission order, as a
-// view that stays valid while the tracer keeps recording.
-func (t *Tracer) snapshot() view {
+// copy of the store that stays valid while the tracer keeps recording.
+func (t *Tracer) snapshot() store {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.store.view()
+	return t.store
 }
 
 // Events returns a copy of the recorded events in the deterministic export
