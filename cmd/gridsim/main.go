@@ -98,20 +98,6 @@ type FaultSpec struct {
 	Factor    float64 `json:"factor"`
 }
 
-var faultKinds = map[string]failure.Kind{
-	"host-crash":      failure.HostCrash,
-	"host-hang":       failure.HostHang,
-	"host-restore":    failure.HostRestore,
-	"machine-slow":    failure.MachineSlow,
-	"machine-down":    failure.MachineDown,
-	"machine-up":      failure.MachineUp,
-	"partition":       failure.Partition,
-	"heal":            failure.Heal,
-	"revoke-user":     failure.RevokeUser,
-	"reinstate-user":  failure.ReinstateUser,
-	"machine-restart": failure.MachineRestart,
-}
-
 func main() {
 	file := flag.String("f", "", "scenario file (JSON)")
 	demo := flag.Bool("demo", false, "run the built-in demo scenario")
@@ -313,8 +299,12 @@ func runWith(sc Scenario, opts runOptions) error {
 
 	var plan failure.Plan
 	for _, f := range sc.Faults {
-		kind, ok := faultKinds[f.Kind]
-		if !ok {
+		// A kind is spelled as failure.Kind names it.
+		kind := failure.Kind(0)
+		for kind.String() != f.Kind && kind.String() != "invalid" {
+			kind++
+		}
+		if kind.String() == "invalid" {
 			return fmt.Errorf("unknown fault kind %q", f.Kind)
 		}
 		plan = append(plan, failure.Action{

@@ -77,3 +77,16 @@ func TestScenarioValidation(t *testing.T) {
 		t.Fatal("bad pool address accepted")
 	}
 }
+
+// The scenario format spells a fault kind as failure.Kind names it: every
+// kind the package comment lists schedules (on no machine, so a no-op).
+func TestEveryDocumentedFaultKindParses(t *testing.T) {
+	for _, kind := range []string{"host-crash", "host-hang", "host-restore", "machine-slow", "machine-down",
+		"machine-up", "partition", "heal", "revoke-user", "reinstate-user", "machine-restart"} {
+		sc := demoScenario()
+		sc.Faults = []FaultSpec{{AtSeconds: 1, Kind: kind, Target: "nowhere", Target2: "nowhere"}}
+		if err := run(sc); err != nil && strings.Contains(err.Error(), "unknown fault kind") {
+			t.Errorf("%s: %v", kind, err)
+		}
+	}
+}

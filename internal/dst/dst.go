@@ -73,7 +73,7 @@ func (r SeedReport) Text() string {
 		for _, v := range r.Shrunk.Violations {
 			fmt.Fprintf(&b, "    %s\n", v)
 		}
-		fmt.Fprintf(&b, "  replay: %s\n", r.Shrunk.Replay())
+		fmt.Fprintf(&b, "  replay: %s\n", r.Shrunk.replay())
 		fmt.Fprintf(&b, "  replay (unshrunk): dstgrid -seed %d\n", r.Seed)
 	}
 	return b.String()

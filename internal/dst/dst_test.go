@@ -8,8 +8,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cogrid/internal/core"
+	"cogrid/internal/workload"
 )
 
 // TestCorpusClean replays every regression scenario in testdata/. Each
@@ -192,13 +194,13 @@ func TestInjectedDoubleCommitCaughtAndShrunk(t *testing.T) {
 	if len(sr.Scenario.Jobs) > len(sc.Jobs) || len(sr.Scenario.Faults) > len(sc.Faults) {
 		t.Fatalf("shrinker grew the scenario: %s", sr.Scenario.JSON())
 	}
-	if !strings.HasPrefix(sr.Replay(), "dstgrid -scenario '{") {
-		t.Fatalf("bad replay line: %s", sr.Replay())
+	if !strings.HasPrefix(sr.replay(), "dstgrid -scenario '{") {
+		t.Fatalf("bad replay line: %s", sr.replay())
 	}
 
 	// The replay line's scenario must reproduce on its own: parse it back
 	// out of the one-liner and re-run.
-	js := strings.TrimSuffix(strings.TrimPrefix(sr.Replay(), "dstgrid -scenario '"), "'")
+	js := strings.TrimSuffix(strings.TrimPrefix(sr.replay(), "dstgrid -scenario '"), "'")
 	minimal, err := ParseScenario([]byte(js))
 	if err != nil {
 		t.Fatalf("replay line does not parse: %v", err)
@@ -254,5 +256,55 @@ func TestVerdictsPinned(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%x", traces.Sum(nil))[:16], "a03ce1ee1e50f29d"; got != want {
 		t.Errorf("traces moved: hash %s, want %s", got, want)
+	}
+}
+
+// TestOverlappingFaultsRejected: two faults on one target whose windows
+// overlap are refused before anything runs. Replayed, the second crash of
+// m00 below made the first heal restart a machine the second heal had
+// already restarted, and the harness panicked ("service gram already
+// listening"); an inner hang's heal ends an outer hang early.
+func TestOverlappingFaultsRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "orphan-reap.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ParseScenario(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := sc.Faults[0] // crash m00 at 87.19 s for 49.69 s
+	inner := workload.Fault{Kind: "crash", Target: "m00", At: crash.At + 10*time.Second, Dur: 10 * time.Second}
+	for _, c := range []struct {
+		name   string
+		faults []workload.Fault
+		ok     bool
+	}{
+		{"crash inside a crash", []workload.Fault{crash, inner}, false},
+		{"hang inside a hang", []workload.Fault{{Kind: "hang", Target: "m01", At: time.Minute, Dur: time.Minute},
+			{Kind: "hang", Target: "m01", At: 90 * time.Second, Dur: 10 * time.Second}}, false},
+		{"one heals as the next starts", []workload.Fault{crash,
+			{Kind: "down", Target: "m00", At: crash.At + crash.Dur, Dur: time.Second}}, false},
+		{"two revocations", []workload.Fault{{Kind: "revoke", At: time.Minute, Dur: time.Minute},
+			{Kind: "revoke", At: 100 * time.Second, Dur: time.Minute}}, false},
+		{"one after the other", []workload.Fault{crash,
+			{Kind: "crash", Target: "m00", At: crash.At + crash.Dur + time.Second, Dur: 10 * time.Second}}, true},
+		{"one each on two machines", []workload.Fault{crash, {Kind: "hang", Target: "m01", At: crash.At, Dur: crash.Dur}}, true},
+	} {
+		sc.Faults = c.faults
+		err := sc.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v", c.name, err)
+		}
+		if _, perr := ParseScenario([]byte(sc.JSON())); (perr == nil) != c.ok {
+			t.Errorf("%s: ParseScenario() = %v", c.name, perr)
+		}
+		res, rerr := Run(sc, RunOptions{})
+		if (rerr == nil) != c.ok {
+			t.Errorf("%s: Run() = %v", c.name, rerr)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%s: violation: %s", c.name, v)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"cogrid/internal/agent"
 	"cogrid/internal/broker"
 	"cogrid/internal/core"
-	"cogrid/internal/failure"
 	"cogrid/internal/federation"
 	"cogrid/internal/gram"
 	"cogrid/internal/grid"
@@ -204,16 +203,9 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		}
 	}
 
-	// The submit-side peer a partition cuts the machine off from.
-	peer := "workstation"
 	var ctrl *core.Controller
 	var rp *reaper
-	switch sc.Driver {
-	case DriverBroker:
-		peer = "broker0"
-	case DriverFed:
-		peer = fedReplicaName(0)
-	default:
+	if !brokered {
 		rp = newReaper(g)
 		var err error
 		ctrl, err = core.NewController(g.Workstation, core.ControllerConfig{
@@ -237,10 +229,9 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	}, sloRules(sc), slo.Options{EvalInterval: 10 * time.Second})
 	engine.Start()
 
-	plan, healBy := materializeFaults(sc.Faults, peer)
 	load := workload.Load{
 		Arrivals: make([]time.Duration, len(sc.Jobs)),
-		HealBy:   healBy,
+		Faults:   sc.Faults,
 	}
 	var maxTime time.Duration
 	for i, j := range sc.Jobs {
@@ -254,23 +245,6 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	// and two reap intervals so the reaper observes the healed grid.
 	load.Drain = maxTime + sc.WorkTime + 2*time.Minute
 	load.Before = func() {
-		plan.Apply(g)
-		// Broker-crash faults act on replica processes, not machines, so
-		// the failure plan leaves them to the driver.
-		for _, fs := range sc.Faults {
-			if fs.Kind != "broker-crash" {
-				continue
-			}
-			r := fed.Replica(fedReplicaIndex(fs.Target))
-			g.Sim.GoDaemon(fmt.Sprintf("dst-fed-crash:%s", fs.Target), func() {
-				g.Sim.SleepUntil(fs.At)
-				r.Crash()
-				g.Sim.Sleep(fs.Dur)
-				if err := r.Restart(); err != nil {
-					panic(fmt.Sprintf("dst: replica %s restart: %v", fs.Target, err))
-				}
-			})
-		}
 		for _, bg := range sc.Background {
 			workload.Drive(g.Sim, g.Machine(bg.Machine), "bg", []workload.Job{{
 				At: bg.At, Size: bg.Size, Runtime: bg.Runtime, Limit: bg.Limit,
@@ -448,54 +422,6 @@ func sloRules(sc Scenario) []slo.Rule {
 		})
 	}
 	return rules
-}
-
-// materializeFaults expands fault specs into the paired onset+heal
-// actions of a failure plan, and reports when the last heal lands.
-func materializeFaults(faults []FaultSpec, peer string) (failure.Plan, time.Duration) {
-	var plan failure.Plan
-	var healBy time.Duration
-	for _, f := range faults {
-		end := f.At + f.Dur
-		if end > healBy {
-			healBy = end
-		}
-		switch f.Kind {
-		case "hang":
-			plan = append(plan,
-				failure.Action{At: f.At, Kind: failure.HostHang, Target: f.Target},
-				failure.Action{At: end, Kind: failure.HostRestore, Target: f.Target})
-		case "slow":
-			factor := f.Factor
-			if factor < 1 {
-				factor = 10
-			}
-			plan = append(plan,
-				failure.Action{At: f.At, Kind: failure.MachineSlow, Target: f.Target, Factor: factor},
-				failure.Action{At: end, Kind: failure.MachineSlow, Target: f.Target, Factor: 1})
-		case "partition":
-			plan = append(plan,
-				failure.Action{At: f.At, Kind: failure.Partition, Target: peer, Target2: f.Target},
-				failure.Action{At: end, Kind: failure.Heal, Target: peer, Target2: f.Target})
-		case "down":
-			plan = append(plan,
-				failure.Action{At: f.At, Kind: failure.MachineDown, Target: f.Target},
-				failure.Action{At: end, Kind: failure.MachineUp, Target: f.Target})
-		case "crash":
-			plan = append(plan,
-				failure.Action{At: f.At, Kind: failure.HostCrash, Target: f.Target},
-				failure.Action{At: end, Kind: failure.MachineRestart, Target: f.Target})
-		case "revoke":
-			plan = append(plan,
-				failure.Action{At: f.At, Kind: failure.RevokeUser, Target: grid.DefaultUser},
-				failure.Action{At: end, Kind: failure.ReinstateUser, Target: grid.DefaultUser})
-		case "broker-crash":
-			// Replica processes are not grid machines; the driver crashes
-			// and restarts them directly. Only the heal horizon above
-			// matters here.
-		}
-	}
-	return plan.Sorted(), healBy
 }
 
 // submitDuroc drives one co-allocation through the substitution agent.

@@ -25,18 +25,9 @@ const (
 )
 
 // fedReplicaName is the host name of federation replica i, matching the
-// federation package's default naming. Broker-crash faults target these.
+// federation package's default naming. Broker-crash faults target these
+// names exactly.
 func fedReplicaName(i int) string { return fmt.Sprintf("fed%02d", i) }
-
-// fedReplicaIndex parses a replica host name back to its index; -1 when
-// the name is not a replica.
-func fedReplicaIndex(name string) int {
-	var i int
-	if n, err := fmt.Sscanf(name, "fed%02d", &i); n != 1 || err != nil {
-		return -1
-	}
-	return i
-}
 
 // MachineSpec is one machine in the scenario's grid.
 type MachineSpec struct {
@@ -71,23 +62,6 @@ type JobSpec struct {
 	MaxTime        time.Duration `json:"max_time"`
 }
 
-// FaultSpec is one injected fault, always paired with the action that
-// heals it Dur later (crashes heal via machine restart). Every fault
-// healing inside the run is what entitles the zero-leak invariants.
-type FaultSpec struct {
-	// Kind is one of "hang", "slow", "partition", "down", "crash",
-	// "revoke", "broker-crash".
-	Kind string `json:"kind"`
-	// Target is the machine name; "broker-crash" targets a federation
-	// replica ("fedNN") instead, and "revoke" targets the grid user and
-	// leaves it empty.
-	Target string        `json:"target,omitempty"`
-	At     time.Duration `json:"at"`
-	Dur    time.Duration `json:"dur"`
-	// Factor is the slowdown multiple for "slow".
-	Factor float64 `json:"factor,omitempty"`
-}
-
 // BackgroundJob is one competing single-machine batch job.
 type BackgroundJob struct {
 	Machine string        `json:"machine"`
@@ -113,7 +87,9 @@ type Scenario struct {
 	WorkTime   time.Duration   `json:"work_time"`
 	Jobs       []JobSpec       `json:"jobs"`
 	Background []BackgroundJob `json:"background,omitempty"`
-	Faults     []FaultSpec     `json:"faults,omitempty"`
+	// Faults is the fault schedule (workload.Fault); no two faults on one
+	// target overlap.
+	Faults []workload.Fault `json:"faults,omitempty"`
 }
 
 // Validate rejects scenarios the runner cannot execute.
@@ -147,6 +123,9 @@ func (s Scenario) Validate() error {
 			if len(j.Subjobs) == 0 {
 				return fmt.Errorf("dst: job %d has no subjobs", i)
 			}
+			if j.CommitTimeout <= 0 { // the agent would wait for a commit forever
+				return fmt.Errorf("dst: job %d has non-positive commit_timeout", i)
+			}
 			for _, sj := range j.Subjobs {
 				if _, ok := byName[sj.Machine]; !ok {
 					return fmt.Errorf("dst: job %d references unknown machine %s", i, sj.Machine)
@@ -166,25 +145,37 @@ func (s Scenario) Validate() error {
 			}
 		}
 	}
-	for _, f := range s.Faults {
-		switch f.Kind {
-		case "hang", "slow", "partition", "down", "crash":
-			if _, ok := byName[f.Target]; !ok {
-				return fmt.Errorf("dst: fault %s targets unknown machine %q", f.Kind, f.Target)
-			}
-		case "broker-crash":
+	for i, f := range s.Faults {
+		switch {
+		case f.Kind == "revoke":
+		case f.Kind == "broker-crash":
 			if s.Driver != DriverFed {
 				return fmt.Errorf("dst: broker-crash fault needs the fed driver")
 			}
-			if i := fedReplicaIndex(f.Target); i < 0 || i >= s.Replicas {
+			known := false
+			for r := 0; r < s.Replicas; r++ {
+				known = known || f.Target == fedReplicaName(r)
+			}
+			if !known {
 				return fmt.Errorf("dst: broker-crash targets unknown replica %q", f.Target)
 			}
-		case "revoke":
-		default:
+		case f.Onset() < 0:
 			return fmt.Errorf("dst: unknown fault kind %q", f.Kind)
+		default: // a machine fault
+			if _, ok := byName[f.Target]; !ok {
+				return fmt.Errorf("dst: fault %s targets unknown machine %q", f.Kind, f.Target)
+			}
 		}
 		if f.Dur <= 0 {
 			return fmt.Errorf("dst: fault %s has non-positive duration", f.Kind)
+		}
+		// Windows that touch overlap too: a heal and an onset at one instant
+		// apply in list order, not window order.
+		for _, e := range s.Faults[:i] {
+			if e.Target == f.Target && f.At <= e.At+e.Dur && e.At <= f.At+f.Dur {
+				return fmt.Errorf("dst: %s fault at %v overlaps the %s fault at %v on the same target %q",
+					f.Kind, f.At, e.Kind, e.At, f.Target)
+			}
 		}
 	}
 	for _, b := range s.Background {
@@ -276,7 +267,8 @@ var DefaultProfile = Profile{
 
 var subjobTypes = []string{"required", "required", "interactive", "interactive", "optional"}
 
-var faultKinds = []string{"hang", "slow", "partition", "down", "crash"}
+// machineFaults are the fault kinds Generate draws for a machine.
+var machineFaults = []string{"hang", "slow", "partition", "down", "crash"}
 
 // Generate draws a scenario from the seed. All randomness is consumed
 // here, up front: the run itself is RNG-free apart from the kernel's
@@ -359,8 +351,8 @@ func Generate(seed int64, p Profile) Scenario {
 		if rng.Float64() >= p.FaultProb {
 			continue
 		}
-		f := FaultSpec{
-			Kind:   faultKinds[rng.Intn(len(faultKinds))],
+		f := workload.Fault{
+			Kind:   machineFaults[rng.Intn(len(machineFaults))],
 			Target: m.Name,
 			At:     start + time.Duration(rng.Float64()*float64(p.Window)),
 			Dur:    20*time.Second + time.Duration(rng.Float64()*float64(time.Minute)),
@@ -371,7 +363,7 @@ func Generate(seed int64, p Profile) Scenario {
 		s.Faults = append(s.Faults, f)
 	}
 	if rng.Float64() < p.FaultProb/2 {
-		s.Faults = append(s.Faults, FaultSpec{
+		s.Faults = append(s.Faults, workload.Fault{
 			Kind: "revoke",
 			At:   start + time.Duration(rng.Float64()*float64(p.Window)),
 			Dur:  20*time.Second + time.Duration(rng.Float64()*float64(40*time.Second)),
@@ -389,7 +381,7 @@ func Generate(seed int64, p Profile) Scenario {
 		// inherit the dead replicas' journal entries.
 		crashes := frng.Intn(s.Replicas)
 		for i := 0; i < crashes; i++ {
-			s.Faults = append(s.Faults, FaultSpec{
+			s.Faults = append(s.Faults, workload.Fault{
 				Kind:   "broker-crash",
 				Target: fedReplicaName(i),
 				At:     start + time.Duration(frng.Float64()*float64(p.Window)),

@@ -1,6 +1,10 @@
 package dst
 
-import "time"
+import (
+	"time"
+
+	"cogrid/internal/workload"
+)
 
 // DefaultShrinkBudget caps how many re-runs a shrink may spend.
 const DefaultShrinkBudget = 200
@@ -16,8 +20,8 @@ type ShrinkResult struct {
 	Runs int `json:"runs"`
 }
 
-// Replay renders the minimal reproduction as a one-liner.
-func (r ShrinkResult) Replay() string {
+// replay renders the minimal reproduction as a one-liner.
+func (r ShrinkResult) replay() string {
 	return "dstgrid -scenario '" + r.Scenario.JSON() + "'"
 }
 
@@ -205,6 +209,6 @@ func clone(sc Scenario) Scenario {
 		c.Jobs[i].Subjobs = append([]SubjobSpec(nil), j.Subjobs...)
 	}
 	c.Background = append([]BackgroundJob(nil), sc.Background...)
-	c.Faults = append([]FaultSpec(nil), sc.Faults...)
+	c.Faults = append([]workload.Fault(nil), sc.Faults...)
 	return c
 }

@@ -105,60 +105,42 @@ func ChaosStudy(cfg ChaosConfig) ChaosResult {
 	return res
 }
 
-// drawPlan draws one fault plan from rng: each machine suffers at most
-// one fault with probability faultRate — hang, overload, partition from
-// the broker, resource-manager outage, or crash — paired with the action
-// that later heals it, plus (at the same probability) one grid-wide
-// credential revocation window. Crashes pair with MachineRestart so the
-// machine comes back reachable and the reaper can drain it. Every fault
-// heals inside the run, which is what entitles the zero-leak assertion.
-func drawPlan(cfg ChaosConfig, faultRate float64, rng *rand.Rand, start time.Duration) failure.Plan {
-	var plan failure.Plan
+// drawFaults draws one fault list from rng: each machine suffers at most
+// one fault with probability faultRate — a silent hang (failures surface
+// only as lack of progress), a 25x startup overload, a partition from the
+// broker, a resource-manager outage (submissions error out), or a crash
+// followed by a reboot with the LRM job table intact — plus (at the same
+// probability) one grid-wide credential revocation: the broker's own
+// credential, so submissions and reap dials are rejected until it is
+// reinstated. Every fault heals inside the run, which is what entitles the
+// zero-leak assertion.
+func drawFaults(cfg ChaosConfig, faultRate float64, rng *rand.Rand, start time.Duration) []workload.Fault {
+	var faults []workload.Fault
 	for i := 0; i < cfg.Machines; i++ {
 		if rng.Float64() >= faultRate {
 			continue
 		}
-		name := fmt.Sprintf("site%02d", i)
-		at := start + time.Duration(rng.Float64()*float64(cfg.Window))
-		dur := 30*time.Second + time.Duration(rng.Float64()*float64(90*time.Second))
-		switch rng.Intn(5) {
-		case 0: // silent hang: failures surface only as lack of progress
-			plan = append(plan,
-				failure.Action{At: at, Kind: failure.HostHang, Target: name},
-				failure.Action{At: at + dur, Kind: failure.HostRestore, Target: name})
-		case 1: // overload: startup slows 25x, then recovers
-			plan = append(plan,
-				failure.Action{At: at, Kind: failure.MachineSlow, Target: name, Factor: 25},
-				failure.Action{At: at + dur, Kind: failure.MachineSlow, Target: name, Factor: 1})
-		case 2: // partition between broker and site, later healed
-			plan = append(plan,
-				failure.Action{At: at, Kind: failure.Partition, Target: "broker0", Target2: name},
-				failure.Action{At: at + dur, Kind: failure.Heal, Target: "broker0", Target2: name})
-		case 3: // resource manager outage: submissions error out (detectable)
-			plan = append(plan,
-				failure.Action{At: at, Kind: failure.MachineDown, Target: name},
-				failure.Action{At: at + dur, Kind: failure.MachineUp, Target: name})
-		case 4: // crash, then reboot with the LRM job table intact
-			plan = append(plan,
-				failure.Action{At: at, Kind: failure.HostCrash, Target: name},
-				failure.Action{At: at + dur, Kind: failure.MachineRestart, Target: name})
+		f := workload.Fault{
+			Target: fmt.Sprintf("site%02d", i),
+			At:     start + time.Duration(rng.Float64()*float64(cfg.Window)),
+			Dur:    30*time.Second + time.Duration(rng.Float64()*float64(90*time.Second)),
 		}
+		f.Kind = [...]string{"hang", "slow", "partition", "down", "crash"}[rng.Intn(5)]
+		if f.Kind == "slow" {
+			f.Factor = 25
+		}
+		faults = append(faults, f)
 	}
 	if rng.Float64() < faultRate {
-		// One grid-wide authentication outage: the broker's own credential
-		// is revoked, so submissions and reap dials are rejected until it
-		// is reinstated.
 		at := start + time.Duration(rng.Float64()*float64(cfg.Window))
 		dur := 30*time.Second + time.Duration(rng.Float64()*float64(60*time.Second))
-		plan = append(plan,
-			failure.Action{At: at, Kind: failure.RevokeUser, Target: grid.DefaultUser},
-			failure.Action{At: at + dur, Kind: failure.ReinstateUser, Target: grid.DefaultUser})
+		faults = append(faults, workload.Fault{Kind: "revoke", At: at, Dur: dur})
 	}
-	return plan.Sorted()
+	return faults
 }
 
-// ChaosRun executes one chaos row: pre-drawn Poisson arrivals and a
-// pre-drawn fault plan (the run itself is RNG-free), then a quiescence
+// ChaosRun executes one chaos row: pre-drawn Poisson arrivals and
+// pre-drawn faults (the run itself is RNG-free), then a quiescence
 // window long enough for every fault to heal, every wall-time limit to
 // fire, and the orphan reaper to drain. The returned grid carries the
 // run's Tracer and Counters; two same-seed runs export byte-identical
@@ -176,7 +158,7 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 	tb := cfg.testbed(seed, 0, 16, 20*time.Second)
 	g := tb.Grid
 
-	// The fault plan comes from the same stream as, and after, the arrivals.
+	// The faults come from the same stream as, and after, the arrivals.
 	rng := rand.New(rand.NewSource(seed))
 	load := workload.Load{
 		Hosts:    clientHosts(cfg.Requests),
@@ -185,11 +167,7 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 		// healthy ones, the MaxTime wall limit for any the faults detached.
 		Drain: cfg.MaxTime + cfg.WorkTime + 2*time.Minute,
 	}
-	plan := drawPlan(cfg, faultRate, rng, load.Arrivals[0])
-	load.Before = func() { plan.Apply(g) }
-	for _, a := range plan {
-		load.HealBy = max(load.HealBy, a.At)
-	}
+	load.Faults = drawFaults(cfg, faultRate, rng, load.Arrivals[0])
 	if onGrid != nil {
 		onGrid(g)
 	}
@@ -204,16 +182,27 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 	})
 
 	row := ChaosRow{
-		FaultRate:  faultRate,
-		Requests:   cfg.Requests,
-		Faults:     countFaultOnsets(plan),
-		FaultKinds: faultKindSummary(plan),
-		FirstFault: firstFaultOnset(plan),
-		Completed:  t.Completed,
-		Failed:     t.Failed,
-		P50:        t.P50,
-		P99:        t.P99,
+		FaultRate: faultRate,
+		Requests:  cfg.Requests,
+		Faults:    len(load.Faults),
+		Completed: t.Completed,
+		Failed:    t.Failed,
+		P50:       t.P50,
+		P99:       t.P99,
 	}
+	onsets := map[failure.Kind]int{}
+	for i, f := range load.Faults {
+		onsets[f.Onset()]++
+		if i == 0 || f.At < row.FirstFault {
+			row.FirstFault = f.At
+		}
+	}
+	var kinds []string
+	for k, n := range onsets {
+		kinds = append(kinds, fmt.Sprintf("%s:%d", k, n))
+	}
+	sort.Strings(kinds)
+	row.FaultKinds = strings.Join(kinds, " ")
 	if row.Requests > 0 {
 		row.SuccessRate = float64(row.Completed) / float64(row.Requests)
 	}
@@ -237,67 +226,6 @@ func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (Chao
 		row.LeakedJobs += g.Machine(name).LiveJobs()
 	}
 	return row, g
-}
-
-// firstFaultOnset returns the earliest onset time in the plan (the plan
-// is sorted, but healing actions of an earlier fault can precede a later
-// onset, so scan for the first real onset). Zero when the plan is empty.
-func firstFaultOnset(plan failure.Plan) time.Duration {
-	for _, a := range plan {
-		switch a.Kind {
-		case failure.HostHang, failure.MachineDown, failure.Partition,
-			failure.HostCrash, failure.RevokeUser:
-			return a.At
-		case failure.MachineSlow:
-			if a.Factor > 1 {
-				return a.At
-			}
-		}
-	}
-	return 0
-}
-
-// countFaultOnsets counts fault injections (healing actions excluded).
-func countFaultOnsets(plan failure.Plan) int {
-	n := 0
-	for _, a := range plan {
-		switch a.Kind {
-		case failure.HostHang, failure.MachineDown, failure.Partition,
-			failure.HostCrash, failure.RevokeUser:
-			n++
-		case failure.MachineSlow:
-			if a.Factor > 1 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// faultKindSummary renders the plan's onset kinds as "kind:count ...".
-func faultKindSummary(plan failure.Plan) string {
-	counts := map[string]int{}
-	for _, a := range plan {
-		switch a.Kind {
-		case failure.HostHang, failure.MachineDown, failure.Partition,
-			failure.HostCrash, failure.RevokeUser:
-			counts[a.Kind.String()]++
-		case failure.MachineSlow:
-			if a.Factor > 1 {
-				counts[a.Kind.String()]++
-			}
-		}
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, counts[k]))
-	}
-	return strings.Join(parts, " ")
 }
 
 // Table renders the study.

@@ -131,18 +131,12 @@ func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *gri
 		// survivors elect a new leader, the dead replica's shard hands
 		// off, its journal entries are adopted, and its clients fail
 		// over — the full failure mode the federation exists to mask.
-		crashAt := load.Arrivals[len(load.Arrivals)/3]
-		leader := tb.Fed.Replica(n - 1)
-		load.Before = func() {
-			g.Sim.GoDaemon("b6-crash", func() {
-				g.Sim.SleepUntil(crashAt)
-				leader.Crash()
-				g.Sim.Sleep(fedOutage)
-				if err := leader.Restart(); err != nil {
-					panic(fmt.Sprintf("experiments: restart %s: %v", leader.Name(), err))
-				}
-			})
-		}
+		load.Faults = []workload.Fault{{
+			Kind:   "broker-crash",
+			Target: tb.Fed.Replica(n - 1).Name(),
+			At:     load.Arrivals[len(load.Arrivals)/3],
+			Dur:    fedOutage,
+		}}
 	}
 
 	row := FederationLoadRow{Replicas: n, Requests: cfg.Requests}

@@ -242,14 +242,13 @@ func (m *Machine) RegisterExecutable(name string, fn ExecFunc) {
 }
 
 // SetSlowFactor scales process startup time; the "system was overloaded
-// with other work" failure mode from the paper's Section 2 scenario.
+// with other work" failure mode from the paper's Section 2 scenario. The
+// factor is held to [1, 1e9]: far past any overload, a larger one would
+// overflow the startup time it scales.
 func (m *Machine) SetSlowFactor(f float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if f < 1 {
-		f = 1
-	}
-	m.slowFactor = f
+	m.slowFactor = min(max(f, 1), 1e9)
 }
 
 // SetDown marks the machine's resource manager down (submissions fail) or

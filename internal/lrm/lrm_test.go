@@ -202,6 +202,28 @@ func TestSlowFactorStretchesStartup(t *testing.T) {
 	}
 }
 
+// A factor far past any overload is held to 1e9 instead of overflowing the
+// startup time into a negative timeout, which panicked the process.
+func TestSlowFactorIsBounded(t *testing.T) {
+	sim, m := newMachine(8, Fork)
+	m.RegisterExecutable("noop", func(p *Proc) error { return nil })
+	m.SetSlowFactor(2.3e15)
+	err := sim.Run("main", func() {
+		job, err := m.Submit(JobSpec{Executable: "noop", Count: 1})
+		if err != nil {
+			t.Errorf("Submit: %v", err)
+			return
+		}
+		if job.Done().WaitTimeout(24 * time.Hour) {
+			t.Errorf("a job slowed 1e9 times finished at %v", sim.Now())
+		}
+		job.Cancel()
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
 func TestBatchFCFSQueueing(t *testing.T) {
 	sim, m := newMachine(4, Batch)
 	registerWork(m, 10*time.Second)

@@ -60,7 +60,6 @@ type Spec struct {
 // the broker contacts in replica order (a lone broker is a ring of one).
 type Testbed struct {
 	Grid   *grid.Grid
-	Dir    transport.Addr
 	Ring   []transport.Addr
 	Broker *broker.Broker         // the lone broker; nil when federated
 	Fed    *federation.Federation // nil unless Spec.Replicas > 0
@@ -72,16 +71,17 @@ type Testbed struct {
 func NewTestbed(spec Spec) *Testbed {
 	g := grid.New(grid.Options{Seed: spec.Seed, Trace: true})
 	tb := &Testbed{Grid: g}
+	var dir transport.Addr
 	if spec.Broker != nil {
 		if _, err := mds.NewServer(g.Net.AddHost("mds0"), 0); err != nil {
 			panic(err) // fresh host: cannot fail
 		}
-		tb.Dir = transport.Addr{Host: "mds0", Service: mds.ServiceName}
+		dir = transport.Addr{Host: "mds0", Service: mds.ServiceName}
 	}
 	for _, m := range spec.Machines {
 		machine := g.AddMachine(m.Name, m.Procs, m.Mode)
 		if spec.Broker != nil {
-			mds.Publish(machine, tb.Dir, g.Contact(m.Name), 31*time.Second, publishCounts(spec.Counts, m.Procs)...)
+			mds.Publish(machine, dir, g.Contact(m.Name), 31*time.Second, publishCounts(spec.Counts, m.Procs)...)
 		}
 	}
 	g.RegisterEverywhere("app", App(spec.WorkTime, spec.BarrierTimeout))
@@ -90,7 +90,7 @@ func NewTestbed(spec Spec) *Testbed {
 	}
 	ctrl := core.ControllerConfig{Credential: g.UserCred, Registry: g.Registry, Bugs: spec.Bugs}
 	opts := *spec.Broker
-	opts.Directory = tb.Dir
+	opts.Directory = dir
 	if spec.Replicas == 0 {
 		b, err := broker.New(g.Net.AddHost("broker0"), ctrl, opts)
 		if err != nil {
@@ -99,7 +99,7 @@ func NewTestbed(spec Spec) *Testbed {
 		tb.Broker, tb.Ring = b, []transport.Addr{b.Contact()}
 		return tb
 	}
-	fed, err := federation.New(g.Net, ctrl, federation.Options{Replicas: spec.Replicas, Directory: tb.Dir, Broker: opts})
+	fed, err := federation.New(g.Net, ctrl, federation.Options{Replicas: spec.Replicas, Directory: dir, Broker: opts})
 	if err != nil {
 		panic(err) // fresh hosts: cannot fail
 	}
@@ -202,14 +202,17 @@ type Load struct {
 	// PerClient above 1 closes the loop: each client resubmits the instant
 	// its previous request finishes.
 	PerClient int
-	// Before, when set, goes first inside the driver process: fault plans,
-	// crash daemons, background load.
+	// Faults are injected into the run (see Fault), scheduled first thing
+	// inside the driver process.
+	Faults []Fault
+	// Before, when set, runs inside the driver process once the faults are
+	// scheduled: background load, harness daemons, narration.
 	Before func()
-	// HealBy is when the last injected fault has healed, and Drain how long
-	// after that (and after the last reply) the committed and the detached
-	// jobs need to run out: the work time plus any wall-time limit, plus a
-	// margin for final callbacks and two reap intervals.
-	HealBy, Drain time.Duration
+	// Drain is how long after the last fault has healed and the last reply
+	// arrived the committed and the detached jobs need to run out: the work
+	// time plus any wall-time limit, plus a margin for final callbacks and
+	// two reap intervals.
+	Drain time.Duration
 }
 
 // Tally is what the clients of one run observed.
@@ -224,11 +227,12 @@ type Tally struct {
 
 // Run plays load to the end of the simulation: op(i, k, host) is client
 // i's k-th request and reports whether it committed. Once every client has
-// its answers the grid quiesces before Run returns — to HealBy, then Drain,
-// then three peer-reap intervals when federated so handed-off journal
-// entries settle: ending at the instant the last reply arrives would race
-// shutdown against in-flight callback delivery and make counter totals
-// depend on goroutine interleaving. The error is the kernel's (a deadlock).
+// its answers the grid quiesces before Run returns — until the last fault
+// has healed, then Drain, then three peer-reap intervals when federated so
+// handed-off journal entries settle: ending at the instant the last reply
+// arrives would race shutdown against in-flight callback delivery and make
+// counter totals depend on goroutine interleaving. The error is the
+// kernel's (a deadlock).
 func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) (Tally, error) {
 	sim := tb.Grid.Sim
 	hosts := make([]*transport.Host, len(load.Arrivals))
@@ -242,6 +246,7 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 		lastDone  time.Duration
 	)
 	err := sim.Run("driver", func() {
+		healBy := tb.schedule(load.Faults)
 		if load.Before != nil {
 			load.Before()
 		}
@@ -268,9 +273,7 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 			})
 		}
 		wg.Wait()
-		if sim.Now() < load.HealBy {
-			sim.SleepUntil(load.HealBy)
-		}
+		sim.SleepUntil(healBy)
 		sim.Sleep(load.Drain)
 		if fed := tb.Fed; fed != nil {
 			sim.Sleep(3 * fed.Options().PeerReapInterval)
