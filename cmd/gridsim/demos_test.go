@@ -16,7 +16,7 @@ func TestBrokeredDemosPinned(t *testing.T) {
 		trace, metrics string
 	}{
 		{"broker", runBrokerDemo, "eb7ee73d63f79cfd", "da226581c9b64986"},
-		{"federation", runFederationDemo, "333784ccbd3a9666", "d205cd57732920bc"},
+		{"federation", runFederationDemo, "1b61d2659e0ead6f", "f04ddd19ce80723a"},
 		{"chaos", runChaosDemo, "d6c7681f5f25ade5", "45ffd222308684b7"},
 	} {
 		t.Run(d.name, func(t *testing.T) {
