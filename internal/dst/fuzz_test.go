@@ -32,10 +32,10 @@ func FuzzCoAllocate(f *testing.F) {
 }
 
 // FuzzScenario holds the replay format to its contract: ParseScenario never
-// panics, an accepted scenario survives JSON() and a second parse unchanged
-// in its replay form, and one within SmokeProfile's bounds runs without panicking. Seeded from
-// the regression corpus and a scenario Validate refuses (two overlapping
-// crashes of one machine). Run with
+// panics, an accepted scenario survives JSON() and a second parse with its
+// replay form unchanged, and one within SmokeProfile's bounds runs without
+// panicking. Seeded from the regression corpus and a scenario Validate
+// refuses (two overlapping crashes of one machine). Run with
 //
 //	go test ./internal/dst -fuzz FuzzScenario
 func FuzzScenario(f *testing.F) {
