@@ -135,11 +135,70 @@ func undefinedFlags(code string, flags, studies map[string]map[string]bool) (bad
 	return bad
 }
 
+var (
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	// runArg is a `go test -run` pattern, quoted or not.
+	runArg = regexp.MustCompile(`-run[= ]+['"]?([^\s'"]+)`)
+)
+
+// testFuncs reads the names of the repository's Test and Fuzz functions
+// from its _test.go files.
+func testFuncs(t *testing.T) map[string]bool {
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(p)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return err
+	})
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no tests found: %v", err)
+	}
+	return names
+}
+
+// unknownTests returns the Test and Fuzz names in code that name no test.
+// Inside a -run pattern a name may be a prefix of one, as go test reads it.
+func unknownTests(code string, tests map[string]bool) (bad []string) {
+	prefixOfOne := func(name string) bool {
+		for test := range tests {
+			if strings.HasPrefix(test, name) {
+				return true
+			}
+		}
+		return false
+	}
+	var rest strings.Builder
+	last := 0
+	for _, m := range runArg.FindAllStringSubmatchIndex(code, -1) {
+		for _, name := range testName.FindAllString(code[m[2]:m[3]], -1) {
+			if !prefixOfOne(name) {
+				bad = append(bad, "-run "+name)
+			}
+		}
+		rest.WriteString(code[last:m[2]])
+		last = m[3]
+	}
+	rest.WriteString(code[last:])
+	for _, name := range testName.FindAllString(rest.String(), -1) {
+		if !tests[name] {
+			bad = append(bad, name)
+		}
+	}
+	return bad
+}
+
 // TestDocsNameOnlyWhatExists: a command a reader can paste must name a
 // binary, package, script or make target that is in the tree, and give the
-// binary flags it defines.
+// binary flags it defines; and a test a document cites must be one.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	flags, studies := binaryFlags(t)
+	tests := testFuncs(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -161,6 +220,12 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s names %q, which is no flag or value that binary defines", doc, use)
 			}
 			seen[use] = true
+		}
+		for _, name := range unknownTests(code, tests) {
+			if !seen[name] {
+				t.Errorf("%s names %q, which is no test in the repository", doc, name)
+			}
+			seen[name] = true
 		}
 	}
 }

@@ -262,15 +262,20 @@ type Reply struct {
 func (r Reply) OK() bool { return r.Accepted && r.Error == "" }
 
 // ticket is one admitted request waiting for, or being driven by, a
-// worker.
+// worker. Its call is answered by its task, which the worker readies with
+// the terminal reply.
 type ticket struct {
 	id         int
 	req        Request
 	ctx        trace.Ctx // causal span context: adopted from the client, else rooted at corr
 	enqueuedAt time.Duration
-	done       *vtime.Event
+	call       *rpc.Call
 	reply      Reply
+	task       vtime.Task
 }
+
+// RunTask sends the ticket's reply.
+func (t *ticket) RunTask() { t.call.Reply(t.reply, nil) }
 
 // Broker is a running broker service.
 type Broker struct {
@@ -342,7 +347,7 @@ func New(host *transport.Host, ctrlCfg core.ControllerConfig, opts Options) (*Br
 	// The cache starts its refresh daemon immediately, so it is created
 	// only after every fallible construction step has passed.
 	b.cache = newCache(host, opts.ReplicaID, opts.Directory, opts.CacheMaxAge, opts.RefreshInterval, opts.RefreshOffset)
-	b.server = rpc.Serve(sim, l, rpc.HandlerFuncs{Call: b.handleCall}, nil)
+	b.server = rpc.Serve(sim, l, (*endpoint)(b), nil)
 	sim.GoDaemon("broker-dispatch:"+host.Name(), b.dispatcher)
 	for i := 0; i < opts.Workers; i++ {
 		sim.GoDaemon(fmt.Sprintf("broker-worker%d:%s", i, host.Name()), b.worker)
@@ -401,19 +406,27 @@ func (b *Broker) count(object, verb string, delta int64) {
 	b.counters().Add(trace.Key("broker", object, verb, b.opts.ReplicaID), delta)
 }
 
-func (b *Broker) handleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
+// endpoint is the Broker as an rpc.Handler.
+type endpoint Broker
+
+func (e *endpoint) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
+	b := (*Broker)(e)
 	switch method {
 	case "submit":
 		var req Request
 		if err := rpc.Decode(body, &req); err != nil {
-			return nil, err
+			call.Reply(nil, err)
+			return
 		}
-		return b.submit(req, sc.Ctx)
+		b.submit(req, call)
 	case "stats":
-		return b.stats(), nil
+		call.Reply(b.stats(), nil)
+	default:
+		call.Reply(nil, fmt.Errorf("broker: unknown method %s", method))
 	}
-	return nil, fmt.Errorf("broker: unknown method %s", method)
 }
+
+func (e *endpoint) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
 
 // Stats is a point-in-time snapshot served to clients.
 type Stats struct {
@@ -439,19 +452,21 @@ func (b *Broker) stats() Stats {
 	}
 }
 
-// submit is the blocking server side of one request: admission control,
-// then wait for the worker-driven outcome. It runs in the per-connection
-// RPC loop, so each connection has at most one request in flight — the
-// many-clients concurrency lives in the many connections. ctx is the
-// client's propagated span context; when absent a fresh request tree is
-// rooted at the ticket's correlation id, so every admitted request has a
-// causal tree either way.
-func (b *Broker) submit(req Request, ctx trace.Ctx) (Reply, error) {
+// submit is the server side of one request: admission control, then — for
+// an admitted request — a ticket that keeps the call until a worker has
+// driven it to its outcome. Nothing waits here, so one connection may have
+// several requests in flight. The call's span context is the client's
+// propagated one; when absent a fresh request tree is rooted at the
+// ticket's correlation id, so every admitted request has a causal tree
+// either way.
+func (b *Broker) submit(req Request, call *rpc.Call) {
 	if req.Sites <= 0 || req.ProcsPerSite <= 0 {
-		return Reply{}, fmt.Errorf("broker: need sites > 0 and procs_per_site > 0")
+		call.Reply(nil, fmt.Errorf("broker: need sites > 0 and procs_per_site > 0"))
+		return
 	}
 	if req.Executable == "" {
-		return Reply{}, fmt.Errorf("broker: missing executable")
+		call.Reply(nil, fmt.Errorf("broker: missing executable"))
+		return
 	}
 	if req.Tenant == "" {
 		req.Tenant = "anonymous"
@@ -466,19 +481,21 @@ func (b *Broker) submit(req Request, ctx trace.Ctx) (Reply, error) {
 		b.mu.Unlock()
 		b.count("queue", "reject", 1)
 		b.counters().Add(trace.Key("broker", "tenant", "reject", req.Tenant), 1)
-		b.tracer().InstantCtx(ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
+		b.tracer().InstantCtx(call.Ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
 			trace.Arg{Key: "depth", Val: strconv.Itoa(depth)},
 			trace.Arg{Key: "retry_after", Val: b.opts.RetryAfter.String()})
-		return Reply{Accepted: false, RetryAfter: b.opts.RetryAfter}, nil
+		call.Reply(Reply{Accepted: false, RetryAfter: b.opts.RetryAfter}, nil)
+		return
 	}
 	b.nextID++
 	t := &ticket{
 		id:         b.nextID,
 		req:        req,
-		ctx:        ctx,
+		ctx:        call.Ctx,
 		enqueuedAt: b.sim.Now(),
-		done:       vtime.NewEvent(b.sim, fmt.Sprintf("broker-ticket:%d", b.nextID)),
+		call:       call,
 	}
+	t.task.Init(b.sim, t)
 	if !t.ctx.Valid() {
 		t.ctx = trace.NewRequest(b.corr(t))
 	}
@@ -495,9 +512,6 @@ func (b *Broker) submit(req Request, ctx trace.Ctx) (Reply, error) {
 	b.tracer().InstantCtx(t.ctx, "broker", "enqueue", b.host.Name(), req.Tenant, b.corr(t),
 		trace.Arg{Key: "depth", Val: strconv.Itoa(depth)})
 	b.wake.TrySend(struct{}{})
-
-	t.done.Wait()
-	return t.reply, nil
 }
 
 // corr is the correlation ID tying one ticket's queue-wait, attempts, and
@@ -695,8 +709,11 @@ func (b *Broker) serve(t *ticket) {
 		}
 		b.opts.OnTicket(ev)
 	}
+	// The reply goes out from the ticket's task, queued behind whatever is
+	// already runnable, not from here: sent inline it would overtake the
+	// sends queued in between.
 	t.reply = reply
-	t.done.Set()
+	t.task.Ready()
 }
 
 // countFaults rolls each failed subjob's reason into a per-fault-class

@@ -523,3 +523,78 @@ func TestBrokerCachePerOriginStaleness(t *testing.T) {
 		t.Errorf("broker.cache.hit@broker0 = %d, want 0 (all lookups carried origins)", got)
 	}
 }
+
+// TestTwoSubmitsOnOneConnection: one connection to the broker may carry
+// several requests at once. Two submits outstanding on one Client, with one
+// worker, are both admitted and both counted in the queue depth (their
+// enqueue instants say 1 and 2), and each is answered when its own
+// co-allocation ends: one round trip plus the broker-side Elapsed after it
+// was sent, the second a whole co-allocation after the first.
+func TestTwoSubmitsOnOneConnection(t *testing.T) {
+	r := newRig(t, 4, 32, broker.Options{Workers: 1})
+	var replies [2]broker.Reply
+	var answered [2]time.Duration
+	var sent, rtt time.Duration
+	err := r.g.Sim.Run("main", func() {
+		r.g.Sim.Sleep(10 * time.Second) // the directory has every machine
+		c, err := broker.Dial(r.g.Net.AddHost("t0"), r.b.Contact())
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		defer c.Close()
+		start := r.g.Sim.Now()
+		if _, err := c.Stats(); err != nil {
+			t.Errorf("Stats: %v", err)
+			return
+		}
+		rtt = r.g.Sim.Now() - start
+		wg := vtime.NewWaitGroup(r.g.Sim)
+		wg.Add(len(replies))
+		sent = r.g.Sim.Now()
+		for i := range replies {
+			r.g.Sim.Go(fmt.Sprintf("submit%d", i), func() {
+				defer wg.Done()
+				reply, err := c.Submit(broker.Request{
+					Tenant:       fmt.Sprintf("tenant%d", i),
+					Sites:        2,
+					ProcsPerSite: 8,
+					Executable:   "app",
+				}, 0)
+				if err != nil {
+					t.Errorf("Submit %d: %v", i, err)
+				}
+				replies[i], answered[i] = reply, r.g.Sim.Now()
+			})
+		}
+		wg.Wait()
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	var depths []string
+	for _, ev := range r.g.Tracer.Events() {
+		if ev.Cat == "broker" && ev.Name == "enqueue" {
+			for _, arg := range ev.Args {
+				if arg.Key == "depth" {
+					depths = append(depths, arg.Val)
+				}
+			}
+		}
+	}
+	if fmt.Sprint(depths) != "[1 2]" {
+		t.Errorf("enqueue depths %v, want [1 2]: both requests admitted and queued at once", depths)
+	}
+	for i, reply := range replies {
+		if !reply.OK() {
+			t.Errorf("request %d: %+v, want committed", i, reply)
+		}
+		if want := sent + rtt + reply.Elapsed; answered[i] != want {
+			t.Errorf("request %d answered at %v, want %v: when its own co-allocation ended", i, answered[i], want)
+		}
+	}
+	if first, second := replies[0], replies[1]; first.QueueWait != 0 || second.QueueWait < first.Elapsed {
+		t.Errorf("queue waits %v and %v: the second request should have waited out the first's %v",
+			first.QueueWait, second.QueueWait, first.Elapsed)
+	}
+}

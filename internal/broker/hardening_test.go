@@ -74,9 +74,9 @@ type saturatedBroker struct {
 	rejects    int
 }
 
-func (s *saturatedBroker) HandleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
+func (s *saturatedBroker) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
 	s.rejects++
-	return broker.Reply{Accepted: false, RetryAfter: s.retryAfter}, nil
+	call.Reply(broker.Reply{Accepted: false, RetryAfter: s.retryAfter}, nil)
 }
 
 func (s *saturatedBroker) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}

@@ -129,7 +129,7 @@ func NewController(host *transport.Host, cfg ControllerConfig) (*Controller, err
 	if err != nil {
 		return nil, err
 	}
-	c.server = rpc.ServeTasks(c.sim, l, c)
+	c.server = rpc.Serve(c.sim, l, c, nil)
 	return c, nil
 }
 
@@ -234,7 +234,7 @@ func (c *Controller) SubmitRSL(src string) (*Job, error) {
 
 // --- barrier service ---
 
-// ServeCall implements rpc.TaskHandler for the barrier service. The checkin
+// ServeCall implements rpc.Handler for the barrier service. The checkin
 // call is answered at the commit decision — this is the application-visible
 // barrier of the two-phase commit — and until then it waits as a record in
 // its subjob, not as a process.
@@ -270,7 +270,7 @@ func (c *Controller) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 	j.checkin(args, ctx, call)
 }
 
-// HandleNotify implements rpc.TaskHandler; the barrier service has no
+// HandleNotify implements rpc.Handler; the barrier service has no
 // notifications.
 func (c *Controller) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
 

@@ -7,13 +7,15 @@ import (
 )
 
 // What a co-allocation costs the kernel in processes, counted. A 4 × 4 job
-// from submission to completion spawns 33, each accounted for: the 16
-// application processes, duroc-engine, and per subjob the gatekeeper's
-// connection (GSI handshake and initgroups are waits in mid-function, so it
-// keeps its process), gram-watch, duroc-monitor and duroc-close. None of
-// the 16 barrier check-ins, 4 initgroups lookups and 4 GRAM clients owns a
-// process at either end: no rpc-demux, rpc-accept or gram-client-events at
-// all, and no rpc-conn for the duroc or nis services — with those it was 81.
+// from submission to completion spawns 37, each accounted for: the 16
+// application processes, duroc-engine, and per subjob five — the
+// gatekeeper's rpc-preamble (the GSI handshake, a wait in mid-function;
+// the connection is a task once it is over), gram-submit (misc, initgroups
+// and fork: the one GRAM call that waits in mid-function), gram-watch,
+// duroc-monitor and duroc-close. None of the 16 barrier check-ins, 4
+// initgroups lookups and 4 GRAM clients owns a process at either end, and
+// no connection does: no rpc-demux, rpc-accept, gram-client-events or
+// rpc-conn at all — with those it was 81.
 func TestCoallocationSpawnsNoProcessPerCheckin(t *testing.T) {
 	machines := []string{"m1", "m2", "m3", "m4"}
 	rig := newRig(t, machines...)
@@ -32,7 +34,7 @@ func TestCoallocationSpawnsNoProcessPerCheckin(t *testing.T) {
 			t.Errorf("Commit: %v", err)
 		}
 		job.Done().Wait()
-		if got, want := rig.g.Sim.Spawned()-spawned, int64(16+1+4*4); got != want {
+		if got, want := rig.g.Sim.Spawned()-spawned, int64(16+1+4*5); got != want {
 			t.Errorf("a 4 × 4 co-allocation spawned %d processes, want %d", got, want)
 		}
 	})

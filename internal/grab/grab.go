@@ -115,7 +115,7 @@ func NewBroker(host *transport.Host, cfg Config) (*Broker, error) {
 	if err != nil {
 		return nil, err
 	}
-	rpc.ServeTasks(b.sim, l, b)
+	rpc.Serve(b.sim, l, b, nil)
 	return b, nil
 }
 
@@ -354,7 +354,7 @@ func (b *Broker) release(alloc *allocation) core.Config {
 	return cfg
 }
 
-// ServeCall implements rpc.TaskHandler for the barrier service: a check-in
+// ServeCall implements rpc.Handler for the barrier service: a check-in
 // is answered at once when there is nothing to wait for, and otherwise waits
 // for the transaction's outcome as a record in the allocation.
 func (b *Broker) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
@@ -403,5 +403,5 @@ func (b *Broker) ServeCall(call *rpc.Call, method string, body json.RawMessage) 
 	alloc.progress.TrySend(struct{}{})
 }
 
-// HandleNotify implements rpc.TaskHandler; the barrier has no notifications.
+// HandleNotify implements rpc.Handler; the barrier has no notifications.
 func (b *Broker) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/gsi"
@@ -86,9 +85,6 @@ type Server struct {
 	host    *transport.Host
 	machine *lrm.Machine
 	cfg     ServerConfig
-
-	mu   sync.Mutex
-	jobs map[string]*lrm.Job
 }
 
 // StartServer starts a gatekeeper for machine.
@@ -101,13 +97,12 @@ func StartServer(machine *lrm.Machine, cfg ServerConfig) (*Server, error) {
 		host:    machine.Host(),
 		machine: machine,
 		cfg:     cfg,
-		jobs:    make(map[string]*lrm.Job),
 	}
 	l, err := machine.Host().Listen(ServiceName)
 	if err != nil {
 		return nil, err
 	}
-	rpc.Serve(s.sim, l, s, s.preamble)
+	rpc.Serve(s.sim, l, (*gatekeeper)(s), s.preamble)
 	return s, nil
 }
 
@@ -137,11 +132,28 @@ func (s *Server) record(ctx trace.Ctx, actor, phase string, start, end time.Dura
 	}
 }
 
-// HandleCall implements rpc.Handler.
-func (s *Server) HandleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
+// gatekeeper is the Server as an rpc.Handler.
+type gatekeeper Server
+
+// ServeCall answers every method in the connection's step but submit, which
+// waits in mid-call — the misc sleep, the NIS initgroups call, the LRM
+// submit — and so runs in a process of its own that replies when it is done.
+func (g *gatekeeper) ServeCall(call *rpc.Call, method string, body json.RawMessage) {
+	s := (*Server)(g)
+	if method == "submit" {
+		s.sim.GoDaemon("gram-submit", func() { call.Reply(s.submit(call, body)) })
+		return
+	}
+	call.Reply(s.answer(method, body))
+}
+
+// HandleNotify implements rpc.Handler; GRAM has no inbound notifications.
+func (g *gatekeeper) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
+
+// answer serves a method that needs no wait: a question about, or an order
+// to, the machine or one of its jobs.
+func (s *Server) answer(method string, body json.RawMessage) (any, error) {
 	switch method {
-	case "submit":
-		return s.handleSubmit(sc, body)
 	case "cancel":
 		var args contactArgs
 		if err := rpc.Decode(body, &args); err != nil {
@@ -246,22 +258,14 @@ type slotArgs struct {
 	NotBefore time.Duration `json:"not_before"`
 }
 
-// HandleNotify implements rpc.Handler; GRAM has no inbound notifications.
-func (s *Server) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
-
+// lookup resolves a job contact this gatekeeper issued. A contact is the
+// gatekeeper's address and the LRM job id (see submit), so the machine's
+// job table is the only one: a gatekeeper restarted after a host crash
+// still resolves the contacts its predecessor issued, and a committed-but-
+// lost job on a rebooted machine can still be cancelled.
 func (s *Server) lookup(contact string) (*lrm.Job, error) {
-	s.mu.Lock()
-	job, ok := s.jobs[contact]
-	s.mu.Unlock()
-	if ok {
-		return job, nil
-	}
-	// The contact embeds its LRM job id, so a gatekeeper restarted after
-	// a host crash — empty contact table, but the machine's job state
-	// intact — still resolves contacts its predecessor issued. Without
-	// this, a committed-but-lost job on a rebooted machine could never be
-	// cancelled again.
-	if id, ok := strings.CutPrefix(contact, s.Contact().String()+"/"); ok {
+	rest, ours := strings.CutPrefix(contact, s.host.Name())
+	if id, ok := strings.CutPrefix(rest, ":"+ServiceName+"/"); ours && ok {
 		if job, err := s.machine.Job(id); err == nil {
 			return job, nil
 		}
@@ -269,14 +273,13 @@ func (s *Server) lookup(contact string) (*lrm.Job, error) {
 	return nil, ErrNoSuchJob
 }
 
-// handleSubmit runs the gatekeeper pipeline: misc parsing, initgroups,
-// submission to the local manager. It runs after the preamble's
-// authentication, in the per-connection loop.
-func (s *Server) handleSubmit(sc *rpc.ServerConn, body json.RawMessage) (any, error) {
+// submit runs the gatekeeper pipeline after the preamble's authentication:
+// misc parsing, initgroups, submission to the local manager. It waits in
+// mid-call, so it runs in a process spawned for the call (see ServeCall).
+func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
+	sc := call.Conn()
 	user, _ := sc.Meta.(string)
-	// Capture the serve context now: sc.Ctx is rebound per call, but the
-	// watch daemon below outlives this one.
-	ctx := sc.Ctx
+	ctx := call.Ctx
 	var args submitArgs
 	if err := rpc.Decode(body, &args); err != nil {
 		return nil, err
@@ -307,11 +310,9 @@ func (s *Server) handleSubmit(sc *rpc.ServerConn, body json.RawMessage) (any, er
 	}
 
 	// The contact is derived from the LRM job id (not a per-server
-	// counter) so it stays resolvable across gatekeeper restarts.
-	contact := fmt.Sprintf("%s/%s", s.Contact(), job.ID())
-	s.mu.Lock()
-	s.jobs[contact] = job
-	s.mu.Unlock()
+	// counter) so it stays resolvable across gatekeeper restarts: it is the
+	// gatekeeper's address, a slash and the id, which lookup takes apart.
+	contact := s.host.Name() + ":" + ServiceName + "/" + job.ID()
 
 	net := s.host.Network()
 	net.Counters().Add(trace.Key("gram", "job", "submit", s.host.Name()), 1)

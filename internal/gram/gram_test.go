@@ -446,3 +446,98 @@ func TestUntracedPhaseRecordBuildsNothing(t *testing.T) {
 		t.Errorf("the same record with a tracer attached emitted %+v", evs)
 	}
 }
+
+// TestContactsResolveThroughTheMachine: the gatekeeper keeps no job table of
+// its own. A contact is its address and the LRM job id, resolved through the
+// machine's table, so after 100 submits the first and the last contact still
+// answer status and cancel, while a contact of another gatekeeper, or one
+// with an id the machine never issued, is ErrNoSuchJob.
+func TestContactsResolveThroughTheMachine(t *testing.T) {
+	tb := newTestbed(t, lrm.Fork)
+	err := tb.sim.Run("main", func() {
+		c := tb.dial(t)
+		defer c.Close()
+		var contacts []string
+		for i := 0; i < 100; i++ {
+			contact, err := c.Submit(`&(executable=forever)(count=1)`)
+			if err != nil {
+				t.Errorf("Submit %d: %v", i, err)
+				return
+			}
+			contacts = append(contacts, contact)
+		}
+		for _, contact := range []string{contacts[0], contacts[99]} {
+			if state, _, err := c.Status(contact); err != nil || state != lrm.StateActive {
+				t.Errorf("Status(%s) = %v, %v; want ACTIVE", contact, state, err)
+			}
+			if err := c.Cancel(contact); err != nil {
+				t.Errorf("Cancel(%s): %v", contact, err)
+			}
+			if state, _, err := c.Status(contact); err != nil || state != lrm.StateCancelled {
+				t.Errorf("Status(%s) after Cancel = %v, %v; want CANCELLED", contact, state, err)
+			}
+		}
+		id := strings.TrimPrefix(contacts[0], tb.server.Contact().String()+"/")
+		for _, contact := range []string{
+			"elsewhere:gram/" + id,
+			"origin2:gram/" + id,
+			"origin:nis/" + id,
+			tb.server.Contact().String() + "/origin/job101",
+		} {
+			if _, _, err := c.Status(contact); err == nil || err.Error() != ErrNoSuchJob.Error() {
+				t.Errorf("Status(%s) = %v, want %v", contact, err, ErrNoSuchJob)
+			}
+			if err := c.Cancel(contact); err == nil || err.Error() != ErrNoSuchJob.Error() {
+				t.Errorf("Cancel(%s) = %v, want %v", contact, err, ErrNoSuchJob)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestSubmitQueuedAtHandshakeEndIsServed: the process that runs a
+// connection's preamble hands the connection to its task by running the
+// task's first step itself. Here a client on the gatekeeper's own host
+// (zero latency) sends its submit the instant its side of the GSI handshake
+// is over, to a gatekeeper that takes a millisecond longer to finish
+// accepting: the submit's frames are queued before the preamble returns.
+// They are served, and the job's state callbacks arrive.
+func TestSubmitQueuedAtHandshakeEndIsServed(t *testing.T) {
+	tb := newTestbed(t, lrm.Fork)
+	s := tb.server
+	l, err := s.host.Listen("gram-slow")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	rpc.Serve(tb.sim, l, (*gatekeeper)(s), func(conn *transport.Conn) (any, error) {
+		peer, err := s.preamble(conn)
+		tb.sim.Sleep(time.Millisecond)
+		return peer, err
+	})
+	err = tb.sim.Run("main", func() {
+		c, err := Dial(s.host, transport.Addr{Host: s.host.Name(), Service: "gram-slow"}, ClientConfig{
+			Credential: tb.userCred,
+			Registry:   tb.registry,
+		})
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		defer c.Close()
+		contact, err := c.Submit(`&(executable=work)(count=2)`)
+		if err != nil {
+			t.Errorf("Submit: %v", err)
+			return
+		}
+		for _, want := range []lrm.JobState{lrm.StateActive, lrm.StateDone} {
+			if ev, ok := waitForState(c, want); !ok || ev.Contact != contact {
+				t.Errorf("callback %v for %s: got %+v (stream open: %v)", want, contact, ev, ok)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}

@@ -93,11 +93,11 @@ func NewServer(host *transport.Host, ttl time.Duration) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	rpc.ServeTasks(s.sim, l, (*handler)(s))
+	rpc.Serve(s.sim, l, (*handler)(s), nil)
 	return s, nil
 }
 
-// handler is the directory as an rpc.TaskHandler: no method waits for
+// handler is the directory as an rpc.Handler: no method waits for
 // anything, so every call is answered in the step that reads it.
 type handler Server
 

@@ -63,7 +63,7 @@ func NewServer(host *transport.Host, serviceTime time.Duration) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	rpc.ServeTasks(s.sim, l, (*handler)(s))
+	rpc.Serve(s.sim, l, (*handler)(s), nil)
 	return s, nil
 }
 
@@ -74,7 +74,7 @@ func (s *Server) AddUser(user string, groups ...string) {
 	s.groups[user] = append([]string(nil), groups...)
 }
 
-// handler is the daemon as an rpc.TaskHandler.
+// handler is the daemon as an rpc.Handler.
 type handler Server
 
 // ServeCall starts one lookup: its only wait is the service time, so the

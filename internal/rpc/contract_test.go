@@ -70,11 +70,16 @@ func (e *contractEnv) callers(c *Client, n int, timeout time.Duration) (results 
 	return results, at
 }
 
-// stall is a handler whose every call outlasts the run.
-var stall = HandlerFuncs{Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
-	sc.sim.Sleep(time.Hour)
-	return nil, nil
-}}
+// stall is a handler whose every call outlasts the run: kept, never
+// answered.
+var stall = keeper{new([]*Call)}
+
+// callFunc is a Handler made of its ServeCall alone.
+type callFunc func(call *Call, method string, body json.RawMessage)
+
+func (f callFunc) ServeCall(call *Call, method string, body json.RawMessage) { f(call, method, body) }
+
+func (callFunc) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {}
 
 // TestClientServerContract pins what an rpc connection promises its two
 // ends — matching, loss accounting, failure, ordering — and how many kernel
@@ -131,10 +136,9 @@ func TestClientServerContract(t *testing.T) {
 		{
 			name: "late reply after a timeout is dropped, counted and traced under the call's id",
 			client: func(e *contractEnv) {
-				e.serve(HandlerFuncs{Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
-					sc.sim.Sleep(5 * time.Second)
-					return "late", nil
-				}})
+				e.serve(callFunc(func(call *Call, method string, body json.RawMessage) {
+					replyAfter(e.sim, 5*time.Second, call, "late")
+				}))
 				c := e.dial()
 				if err := c.Call("slow", nil, nil, time.Second); err != ErrTimeout {
 					e.t.Errorf("Call = %v, want ErrTimeout", err)
@@ -283,8 +287,10 @@ func TestClientServerContract(t *testing.T) {
 			client: func(e *contractEnv) {
 				pushed := vtime.NewChan[error](e.sim, "pushed", 1)
 				e.serve(HandlerFuncs{NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
-					sc.sim.Sleep(5 * time.Second)
-					pushed.Send(sc.Notify("late", nil))
+					e.sim.GoDaemon("push", func() {
+						e.sim.Sleep(5 * time.Second)
+						pushed.Send(sc.Notify("late", nil))
+					})
 				}})
 				c := e.dial()
 				c.Notify("poke", nil)

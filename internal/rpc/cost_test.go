@@ -11,8 +11,8 @@ import (
 	"cogrid/internal/vtime"
 )
 
-// echoTasks is a TaskHandler that answers every call with its own body, in
-// the step that reads it, and every notification with one of its own.
+// echoTasks is a Handler that answers every call with its own body, in the
+// step that reads it, and every notification with one of its own.
 type echoTasks struct{}
 
 func (echoTasks) ServeCall(call *Call, method string, body json.RawMessage) {
@@ -25,35 +25,26 @@ func (echoTasks) HandleNotify(sc *ServerConn, method string, body json.RawMessag
 
 // What a call costs the kernel, counted (internal/transport's
 // TestRoundTripCosts has the two timers and four delivery steps underneath).
-// Nothing on the way owns a process unless the handler may block: against a
-// TaskHandler, connecting spawns nothing and a lone caller dispatches the
-// whole round trip itself — four delivery steps, the server connection's
-// step and the demux step run on its own stack while it waits, and the
-// grant it ends with is its own, so no goroutine switch happens at all. A
-// Handler's connection is a process: the same call switches into it and
-// back. (With a process for the demux and one per connection end the call
-// cost three switches and every connection two spawns.)
+// Nothing on the way owns a process unless something blocks: connecting
+// spawns nothing, and a lone caller dispatches the whole round trip itself —
+// four delivery steps, the server connection's step and the demux step run
+// on its own stack while it waits, and the grant it ends with is its own, so
+// no goroutine switch happens at all. A preamble blocks, so a connection
+// that has one spawns a process to run it, once: the calls after it cost
+// what they cost without. (With a process per connection end the call cost
+// three switches and every connection two spawns; with a process per
+// connection behind a blocking handler, two switches and one spawn.)
 func TestCallCosts(t *testing.T) {
 	for _, tc := range []struct {
-		name                    string
-		serve                   func(t *testing.T, l *transport.Listener, e *contractEnv)
-		connSpawns              int64
-		handoffs, timers, steps int64
+		name       string
+		preamble   Preamble
+		connSpawns int64
 	}{
+		{name: "Handler"},
 		{
-			name:     "TaskHandler",
-			serve:    func(t *testing.T, l *transport.Listener, e *contractEnv) { ServeTasks(e.sim, l, echoTasks{}) },
-			handoffs: 0, timers: 2, steps: 6,
-		},
-		{
-			name: "Handler",
-			serve: func(t *testing.T, l *transport.Listener, e *contractEnv) {
-				Serve(e.sim, l, HandlerFuncs{Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
-					return body, nil
-				}}, nil)
-			},
-			connSpawns: 1, // rpc-conn
-			handoffs:   2, timers: 2, steps: 5,
+			name:       "Preamble",
+			preamble:   func(conn *transport.Conn) (any, error) { return "admitted", nil },
+			connSpawns: 1, // rpc-preamble
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,7 +56,7 @@ func TestCallCosts(t *testing.T) {
 					t.Fatalf("Listen: %v", err)
 				}
 				spawned := sim.Spawned()
-				tc.serve(t, l, e)
+				Serve(sim, l, echoTasks{}, tc.preamble)
 				c := e.dial()
 				sim.Sleep(5 * ms) // accepted, both prologues delivered
 				if got := sim.Spawned() - spawned; got != tc.connSpawns {
@@ -80,9 +71,8 @@ func TestCallCosts(t *testing.T) {
 				if err := c.Call("echo", "ping", &reply, time.Minute); err != nil || reply != "ping" {
 					t.Errorf("echo = %q, %v", reply, err)
 				}
-				if h, s, f, r := sim.Handoffs()-handoffs, sim.Spawned()-spawned, sim.TimersFired()-timers, sim.TasksRun()-steps; h != tc.handoffs || s != 0 || f != tc.timers || r != tc.steps {
-					t.Errorf("one call: %d hand-offs, %d spawns, %d timers, %d task steps; want %d, 0, %d, %d",
-						h, s, f, r, tc.handoffs, tc.timers, tc.steps)
+				if h, s, f, r := sim.Handoffs()-handoffs, sim.Spawned()-spawned, sim.TimersFired()-timers, sim.TasksRun()-steps; h != 0 || s != 0 || f != 2 || r != 6 {
+					t.Errorf("one call: %d hand-offs, %d spawns, %d timers, %d task steps; want 0, 0, 2, 6", h, s, f, r)
 				}
 				c.Close()
 			})
@@ -108,11 +98,11 @@ func allocated(runs int, f func()) (allocs, bytes float64) {
 // TestOneShotExchangeCosts prices the unit the barrier repeats 64 times per
 // co-allocation, and every layer above rpc about as often: dial, NewClient,
 // one call, Close — both ends of the connection, the frames and the reply's
-// decoding included — against a TaskHandler on an unobserved network; and
-// one more call on a connection that is already there. The client is one
-// allocation (it was seven: the reply map, the notification queue and three
-// name strings were the rest), the wait for the reply none (a channel and
-// its ring were two, 592 bytes), and an end of the pair 504 bytes (672).
+// decoding included — on an unobserved network; and one more call on a
+// connection that is already there. The client is one allocation (it was
+// seven: the reply map, the notification queue and three name strings were
+// the rest), the wait for the reply none (a channel and its ring were two,
+// 592 bytes), and an end of the pair 504 bytes (672).
 // What the kernel is asked to do has not changed with any of that.
 func TestOneShotExchangeCosts(t *testing.T) {
 	sim, a, b := newPair(t)
@@ -122,7 +112,7 @@ func TestOneShotExchangeCosts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Listen: %v", err)
 		}
-		ServeTasks(sim, l, echoTasks{})
+		Serve(sim, l, echoTasks{}, nil)
 		var reply string
 		call := func(c *Client) {
 			if err := c.Call("status", "ping", &reply, time.Minute); err != nil || reply != "ping" {
@@ -169,11 +159,11 @@ func TestOneShotExchangeCosts(t *testing.T) {
 	}
 }
 
-// A connection a TaskHandler serves does not wait for one call's reply
-// before it reads the next frame: calls the handler keeps are answered in
-// whatever order it answers them, each to its own caller, and whoever sends
-// the reply — here a process that has nothing to do with the connection —
-// may do so at any later time. One call has one reply.
+// A connection does not wait for one call's reply before it reads the next
+// frame: calls the handler keeps are answered in whatever order it answers
+// them, each to its own caller, and whoever sends the reply — here a process
+// that has nothing to do with the connection — may do so at any later time.
+// One call has one reply.
 func TestTaskHandlerRepliesLaterAndOutOfOrder(t *testing.T) {
 	sim, a, b := newPair(t)
 	e := &contractEnv{t: t, sim: sim, a: a, b: b}
@@ -182,7 +172,7 @@ func TestTaskHandlerRepliesLaterAndOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	ServeTasks(sim, l, keeper{&kept})
+	Serve(sim, l, keeper{&kept}, nil)
 	err = sim.Run("client", func() {
 		c := e.dial()
 		var released time.Duration
@@ -227,8 +217,8 @@ func (keeper) HandleNotify(sc *ServerConn, method string, body json.RawMessage) 
 
 // What a task-served connection does differently from a process, said out
 // loud: a reply to a client that has gone is sent nowhere and fails nothing
-// (there is no process to end), and a handler that blocks is a bug the
-// kernel names.
+// (there is no process to end), and a handler that blocks instead of
+// spawning a process for the call is a bug the kernel names.
 func TestTaskHandlerEdges(t *testing.T) {
 	t.Run("reply after the client has gone", func(t *testing.T) {
 		sim, a, b := newPair(t)
@@ -238,7 +228,7 @@ func TestTaskHandlerEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Listen: %v", err)
 		}
-		ServeTasks(sim, l, keeper{&kept})
+		Serve(sim, l, keeper{&kept}, nil)
 		err = sim.Run("client", func() {
 			c := e.dial()
 			if err := c.Call("wait", nil, nil, time.Second); err != ErrTimeout {
@@ -273,7 +263,7 @@ func TestTaskHandlerEdges(t *testing.T) {
 			t.Fatalf("Listen: %v", err)
 		}
 		var recovered string
-		ServeTasks(sim, l, sleeper{sim: sim, recovered: &recovered})
+		Serve(sim, l, sleeper{sim: sim, recovered: &recovered}, nil)
 		err = sim.Run("client", func() {
 			c := e.dial()
 			c.Call("sleep", nil, nil, time.Second)

@@ -117,8 +117,10 @@ func TestServerPushAfterClientGoneIsHarmless(t *testing.T) {
 	Serve(sim, l, HandlerFuncs{
 		NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
 			// Reply long after the client hung up.
-			sim.Sleep(5 * time.Second)
-			pushed.Send(sc.Notify("late", nil))
+			sim.GoDaemon("push", func() {
+				sim.Sleep(5 * time.Second)
+				pushed.Send(sc.Notify("late", nil))
+			})
 		},
 	}, nil)
 	err = sim.Run("client", func() {

@@ -11,21 +11,21 @@
 // ParseWire (on the pointer received into); see marshalBody and Decode.
 //
 // Nothing here owns a process unless something blocks. The receive side of
-// a Client and a Server's listener each belong to a kernel task embedded in
-// their owner (vtime.Task): readied by an arrival exactly where a process
-// parked in Recv or Accept would have been woken, its step handles every
-// frame (or connection) that has arrived and registers for the next. What a
-// server's connections get depends on the shape of its handler. A Handler
-// (Serve) may block in the middle of a call — a handshake, a sleep, a call
-// of its own — so each of its connections is a process ("rpc-conn:…"),
-// which also serialises that connection's calls: the next frame is read
-// when the reply has been sent. A TaskHandler (ServeTasks) never blocks: it
-// is handed each call as a *Call, a value it answers now or keeps and
-// answers later, from any process or task, with Call.Reply; its connections
-// are served by a task each, which reads the next frame without waiting for
-// the previous call's reply. Decoding, the serve span, the latency
+// a Client, a Server's listener and every connection a Server accepts each
+// belong to a kernel task embedded in their owner (vtime.Task): readied by
+// an arrival exactly where a process parked in Recv or Accept would have
+// been woken, its step handles every frame (or connection) that has arrived
+// and registers for the next. A Handler never blocks: it is handed each call
+// as a *Call, a value it answers now or keeps and answers later, from any
+// process or task, with Call.Reply, and the connection reads its next frame
+// without waiting for that reply. A call whose answer must wait in
+// mid-function — a sleep, a call of its own — gets a process for that call
+// only, which the handler spawns and which replies when it is done. A
+// preamble (a handshake) blocks too, so it runs in a process the accept
+// step spawns; once it has accepted the connection, that process runs the
+// connection's first step and exits. Decoding, the serve span, the latency
 // histogram and the reply frame are one code path (ServerConn.handle,
-// Call.Reply) under both.
+// Call.Reply).
 package rpc
 
 import (
@@ -410,8 +410,8 @@ func (c *Client) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 // and ServerConn each own one.
 type sender struct {
 	conn *transport.Conn
-	// mu guards enc: concurrent senders (callers of one Client; a
-	// ServerConn's serve loop and its handlers' notification daemons) share
+	// mu guards enc: concurrent senders (callers of one Client; whoever
+	// replies to a ServerConn's calls and pushes its notifications) share
 	// the direction's encoder.
 	mu  sync.Mutex
 	enc wire.Encoder
@@ -523,23 +523,12 @@ type ServerConn struct {
 	// hServe receives every call's virtual handler time. Nil without a
 	// registry.
 	hServe *metrics.Histogram
-	// gone is set when a Handler's reply could not be sent: the client has
-	// closed, and the connection's process stops reading.
-	gone bool
-	// task serves the connection when the handler is a TaskHandler.
+	// task reads the connection's frames (see connTask).
 	task vtime.Task
 
 	// Meta carries the preamble's result, e.g. the authenticated identity
 	// established by a GSI handshake.
 	Meta any
-	// Ctx is the causal span context of the call a Handler is currently
-	// handling (the caller's context extended with a "serve" segment). It is
-	// set by the connection's process immediately before each HandleCall,
-	// which runs synchronously there, so handlers may read it to parent
-	// their own spans. Outside a call it holds the connection's base context
-	// — and so it does throughout on a connection a TaskHandler serves,
-	// whose calls overlap: there the context travels in the Call.
-	Ctx trace.Ctx
 }
 
 // RemoteAddr returns the client's address.
@@ -573,22 +562,15 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 // Close closes the connection.
 func (sc *ServerConn) Close() { sc.conn.Close() }
 
-// Handler processes inbound calls and notifications and may block while it
-// does. HandleCall runs synchronously in the connection's process: its
-// execution time (e.g. a simulated initgroups lookup) delays only that
-// connection, and the connection's next frame waits for it.
+// Handler processes a connection's inbound calls and notifications without
+// ever blocking: both methods run in the connection's task step, where a
+// kernel call that would block panics ("would block outside a simulated
+// process"). ServeCall answers through the Call — before it returns, or by
+// keeping the Call and replying when whatever the answer waits for has
+// happened: a barrier's release, a timer, or the end of a process the
+// handler spawned for a call that must wait in mid-function (GRAM's submit).
+// body is valid after ServeCall returns.
 type Handler interface {
-	HandleCall(sc *ServerConn, method string, body json.RawMessage) (any, error)
-	HandleNotify(sc *ServerConn, method string, body json.RawMessage)
-}
-
-// TaskHandler processes inbound calls and notifications without ever
-// blocking: both methods run as part of a kernel task step, where a kernel
-// call that would block panics ("would block outside a simulated process").
-// ServeCall answers through the Call — before it returns, or by keeping the
-// Call and replying when whatever the answer waits for (a barrier's release,
-// a timer) has happened. body is valid after ServeCall returns.
-type TaskHandler interface {
 	ServeCall(call *Call, method string, body json.RawMessage)
 	HandleNotify(sc *ServerConn, method string, body json.RawMessage)
 }
@@ -611,10 +593,7 @@ type Call struct {
 // virtual time; the serve span and latency end here. If the client has gone
 // meanwhile the reply goes nowhere and nothing fails. A call has one reply:
 // a second is a bug in the handler, and panics.
-func (c *Call) Reply(result any, err error) { c.reply(result, err) }
-
-// reply is Reply, reporting whether the client is still there to send to.
-func (c *Call) reply(result any, err error) bool {
+func (c *Call) Reply(result any, err error) {
 	if c.replied {
 		panic("rpc: second Reply to one " + c.method + " call")
 	}
@@ -643,45 +622,38 @@ func (c *Call) reply(result any, err error) bool {
 			trace.Arg{Key: "outcome", Val: outcome})
 	}
 	conn.Network().Counters().AddKey("rpc", "serve", outcome, host, 1)
-	return sc.out.sendFrame(&reply, buf) != ErrClosed
+	// The one error is ErrClosed: the client has gone, and is owed nothing.
+	_ = sc.out.sendFrame(&reply, buf)
 }
 
+// Conn returns the connection the call came in on: where the handler finds
+// the preamble's Meta, and pushes notifications that outlive the call.
+func (c *Call) Conn() *ServerConn { return c.sc }
+
 // Preamble runs on each new server connection before any envelope is
-// processed (e.g. the server side of a GSI handshake). Returning an error
-// rejects the connection; the returned value is stored in ServerConn.Meta.
-// It blocks, so only a Handler's connections — processes — can have one.
+// processed (e.g. the server side of a GSI handshake), in a process of the
+// connection's own: it may block. Returning an error rejects the
+// connection; the returned value is stored in ServerConn.Meta.
 type Preamble func(conn *transport.Conn) (any, error)
 
-// Server accepts connections on a listener and dispatches envelopes to a
-// Handler or a TaskHandler.
+// Server accepts connections on a listener and dispatches their envelopes
+// to a Handler.
 type Server struct {
 	sim      *vtime.Sim
 	listener *transport.Listener
-	handler  Handler     // nil when tasks is set
-	tasks    TaskHandler // nil when handler is set
+	handler  Handler
 	preamble Preamble
-	// accept starts whatever serves a connection — a process or a task — for
-	// every connection that has arrived (see acceptor).
+	// accept starts serving every connection that has arrived (see
+	// acceptor).
 	accept vtime.Task
 }
 
-// Serve starts accepting on l, running preamble (optional) then the
-// envelope loop for each connection in a process of its own. It returns
-// immediately.
+// Serve starts accepting on l and returns immediately. Every connection is
+// served by a task; one with a preamble (optional) is admitted by a process
+// first.
 func Serve(sim *vtime.Sim, l *transport.Listener, handler Handler, preamble Preamble) *Server {
-	return (&Server{sim: sim, listener: l, handler: handler, preamble: preamble}).start()
-}
-
-// ServeTasks starts accepting on l for a handler that never blocks: no
-// connection gets a process. There is no preamble to pass — a preamble
-// blocks — so a service that authenticates its connections first is a
-// Handler's.
-func ServeTasks(sim *vtime.Sim, l *transport.Listener, handler TaskHandler) *Server {
-	return (&Server{sim: sim, listener: l, tasks: handler}).start()
-}
-
-func (s *Server) start() *Server {
-	s.accept.Init(s.sim, (*acceptor)(s))
+	s := &Server{sim: sim, listener: l, handler: handler, preamble: preamble}
+	s.accept.Init(sim, (*acceptor)(s))
 	s.accept.Ready()
 	return s
 }
@@ -701,12 +673,12 @@ func (a *acceptor) RunTask() {
 		conn, err := s.listener.TryAccept()
 		switch err {
 		case nil:
-			sc := &ServerConn{sim: s.sim, srv: s, conn: conn, Ctx: conn.Ctx()}
-			if s.tasks != nil {
-				sc.task.Init(s.sim, (*connTask)(sc))
+			sc := &ServerConn{sim: s.sim, srv: s, conn: conn}
+			sc.task.Init(s.sim, (*connTask)(sc))
+			if s.preamble == nil {
 				sc.task.Ready()
 			} else {
-				s.sim.GoDaemon("rpc-conn:"+conn.RemoteAddr().String(), sc.serve)
+				s.sim.GoDaemon("rpc-preamble", sc.admit)
 			}
 		case transport.ErrWouldBlock:
 			s.listener.ReadyOnArrival(&s.accept)
@@ -717,36 +689,29 @@ func (a *acceptor) RunTask() {
 	}
 }
 
+// admit is the process a connection with a preamble starts as. It runs the
+// preamble and, once that has accepted the connection, the connection's
+// first task step — frames that arrived meanwhile are handled there — and
+// exits; a rejected connection is closed, and no step of it ever runs.
+func (sc *ServerConn) admit() {
+	meta, err := sc.srv.preamble(sc.conn)
+	if err != nil {
+		sc.conn.Close()
+		return
+	}
+	sc.Meta = meta
+	(*connTask)(sc).RunTask()
+}
+
 // open starts the envelope exchange: this direction's prologue goes out.
 func (sc *ServerConn) open() {
 	sc.out.bind(sc.conn)
 	sc.hServe = sc.conn.Network().Hists().H("rpc.serve.latency")
 }
 
-// serve is a Handler's connection: a process that runs the preamble, then
-// reads a frame, handles it to the reply, and reads the next.
-func (sc *ServerConn) serve() {
-	if preamble := sc.srv.preamble; preamble != nil {
-		meta, err := preamble(sc.conn)
-		if err != nil {
-			sc.conn.Close()
-			return
-		}
-		sc.Meta = meta
-	}
-	sc.open()
-	for !sc.gone {
-		raw, err := sc.conn.Recv()
-		if err != nil {
-			return
-		}
-		sc.handle(raw)
-	}
-}
-
-// connTask is a TaskHandler's connection as a task body. Its first step
-// opens the exchange — where the connection's process would have, not in
-// the accept step that readied it.
+// connTask is a connection as a task body. Its first step opens the
+// exchange — where a process serving the connection would have, not in the
+// accept step that readied it.
 type connTask ServerConn
 
 func (t *connTask) RunTask() {
@@ -764,7 +729,6 @@ func (sc *ServerConn) handle(raw []byte) {
 		sc.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", sc.conn.LocalAddr().Host, 1)
 		return
 	}
-	s := sc.srv
 	switch env.Kind {
 	case wire.KindCall:
 		// The envelope's span context parents the serve span under the
@@ -773,38 +737,28 @@ func (sc *ServerConn) handle(raw []byte) {
 		if !ctx.Valid() {
 			ctx = sc.conn.Ctx()
 		}
-		call := Call{Ctx: ctx.Child("serve"), sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
-		if s.tasks != nil {
-			kept := call // the handler may keep it; a Handler's call stays on the stack
-			s.tasks.ServeCall(&kept, env.Method, env.Body)
-			return
-		}
-		sc.Ctx = call.Ctx
-		result, err := s.handler.HandleCall(sc, env.Method, env.Body)
-		sc.Ctx = sc.conn.Ctx()
-		sc.gone = !call.reply(result, err)
+		call := &Call{Ctx: ctx.Child("serve"), sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
+		sc.srv.handler.ServeCall(call, env.Method, env.Body)
 	case wire.KindNotify:
-		if s.tasks != nil {
-			s.tasks.HandleNotify(sc, env.Method, env.Body)
-		} else {
-			s.handler.HandleNotify(sc, env.Method, env.Body)
-		}
+		sc.srv.handler.HandleNotify(sc, env.Method, env.Body)
 	}
 }
 
-// HandlerFuncs adapts plain functions to the Handler interface. Nil fields
-// reject calls with an error / ignore notifications.
+// HandlerFuncs adapts plain functions that answer at once to the Handler
+// interface: Call runs in the connection's task step, and what it returns is
+// the reply. Nil fields reject calls with an error / ignore notifications.
 type HandlerFuncs struct {
 	Call       func(sc *ServerConn, method string, body json.RawMessage) (any, error)
 	NotifyFunc func(sc *ServerConn, method string, body json.RawMessage)
 }
 
-// HandleCall implements Handler.
-func (h HandlerFuncs) HandleCall(sc *ServerConn, method string, body json.RawMessage) (any, error) {
+// ServeCall implements Handler.
+func (h HandlerFuncs) ServeCall(call *Call, method string, body json.RawMessage) {
 	if h.Call == nil {
-		return nil, fmt.Errorf("rpc: no handler for %s", method)
+		call.Reply(nil, fmt.Errorf("rpc: no handler for %s", method))
+		return
 	}
-	return h.Call(sc, method, body)
+	call.Reply(h.Call(call.sc, method, body))
 }
 
 // HandleNotify implements Handler.

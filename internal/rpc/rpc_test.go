@@ -20,39 +20,56 @@ type echoReply struct {
 	Text string `json:"text"`
 }
 
-// startEcho serves an "echo" method on host b with an optional simulated
-// service time, plus a "boom" method that always errors and a "poke"
-// notification that triggers a server->client notification.
+// startEcho serves echoServer on host b.
 func startEcho(t *testing.T, sim *vtime.Sim, host *transport.Host) *Server {
 	t.Helper()
 	l, err := host.Listen("echo")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	h := HandlerFuncs{
-		Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
-			switch method {
-			case "echo":
-				var args echoArgs
-				if err := Decode(body, &args); err != nil {
-					return nil, err
-				}
-				if args.Delay > 0 {
-					sim.Sleep(time.Duration(args.Delay) * time.Millisecond)
-				}
-				return echoReply{Text: args.Text}, nil
-			case "boom":
-				return nil, fmt.Errorf("kaboom")
-			}
-			return nil, fmt.Errorf("unknown method %s", method)
-		},
-		NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
-			if method == "poke" {
-				sc.Notify("poked", echoReply{Text: "back"})
-			}
-		},
+	return Serve(sim, l, echoServer{sim}, nil)
+}
+
+// echoServer serves an "echo" method with an optional simulated service
+// time, plus a "boom" method that always errors and a "poke" notification
+// that triggers a server->client notification. An echo with a service time
+// waits in mid-call, so it is answered from a process of its own.
+type echoServer struct{ sim *vtime.Sim }
+
+func (e echoServer) ServeCall(call *Call, method string, body json.RawMessage) {
+	switch method {
+	case "echo":
+		var args echoArgs
+		if err := Decode(body, &args); err != nil {
+			call.Reply(nil, err)
+			return
+		}
+		replyAfter(e.sim, time.Duration(args.Delay)*time.Millisecond, call, echoReply{Text: args.Text})
+	case "boom":
+		call.Reply(nil, fmt.Errorf("kaboom"))
+	default:
+		call.Reply(nil, fmt.Errorf("unknown method %s", method))
 	}
-	return Serve(sim, l, h, nil)
+}
+
+func (echoServer) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {
+	if method == "poke" {
+		sc.Notify("poked", echoReply{Text: "back"})
+	}
+}
+
+// replyAfter answers call with result d from now: at once if d is zero,
+// else from a process spawned for the call — the shape of every call that
+// waits in mid-function.
+func replyAfter(sim *vtime.Sim, d time.Duration, call *Call, result any) {
+	if d == 0 {
+		call.Reply(result, nil)
+		return
+	}
+	sim.GoDaemon("reply-after", func() {
+		sim.Sleep(d)
+		call.Reply(result, nil)
+	})
 }
 
 // frame encodes env the way a test puts an envelope on the wire by hand.
@@ -228,13 +245,21 @@ func TestNotificationsBothDirections(t *testing.T) {
 	}
 }
 
+// A preamble that rejects the connection closes it, and no step of the
+// connection's task runs: the call that was already queued when the
+// preamble decided is never handled.
 func TestPreambleRejectsConnection(t *testing.T) {
 	sim, a, b := newPair(t)
 	l, err := b.Listen("guarded")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	Serve(sim, l, HandlerFuncs{}, func(conn *transport.Conn) (any, error) {
+	served := 0
+	Serve(sim, l, HandlerFuncs{
+		Call:       func(sc *ServerConn, method string, body json.RawMessage) (any, error) { served++; return nil, nil },
+		NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) { served++ },
+	}, func(conn *transport.Conn) (any, error) {
+		sim.Sleep(10 * ms) // the client's call is queued by now
 		return nil, fmt.Errorf("denied")
 	})
 	err = sim.Run("client", func() {
@@ -251,6 +276,9 @@ func TestPreambleRejectsConnection(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+	if served != 0 {
+		t.Errorf("the rejected connection's handler ran %d time(s), want 0", served)
 	}
 }
 
@@ -299,10 +327,10 @@ func TestConcurrentCallsOverSeparateConnections(t *testing.T) {
 	}
 }
 
-func TestCallsOnOneConnectionSerialize(t *testing.T) {
-	// HandleCall runs synchronously in the per-connection loop, so two
-	// calls pipelined on one connection serialize their service times —
-	// the behaviour GRAM's gatekeeper exhibits per connection.
+// A connection reads its next frame without waiting for the previous call's
+// reply: two calls pipelined on one connection, each kept by the handler and
+// answered later through its own Call, overlap their service times.
+func TestCallsOnOneConnectionOverlap(t *testing.T) {
 	sim, a, b := newPair(t)
 	startEcho(t, sim, b)
 	err := sim.Run("client", func() {
@@ -325,8 +353,8 @@ func TestCallsOnOneConnectionSerialize(t *testing.T) {
 			})
 		}
 		wg.Wait()
-		if took := sim.Now() - start; took != 402*time.Millisecond {
-			t.Errorf("two pipelined calls took %v, want 402ms", took)
+		if took := sim.Now() - start; took != 202*time.Millisecond {
+			t.Errorf("two pipelined calls took %v, want 202ms (not 402ms: one after the other)", took)
 		}
 	})
 	if err != nil {
