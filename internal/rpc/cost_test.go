@@ -29,20 +29,28 @@ func (echoTasks) HandleNotify(sc *ServerConn, method string, body json.RawMessag
 // spawns nothing, and a lone caller dispatches the whole round trip itself —
 // four delivery steps, the server connection's step and the demux step run
 // on its own stack while it waits, and the grant it ends with is its own, so
-// no goroutine switch happens at all. A preamble blocks, so a connection
-// that has one spawns a process to run it, once: the calls after it cost
-// what they cost without. (With a process per connection end the call cost
-// three switches and every connection two spawns; with a process per
-// connection behind a blocking handler, two switches and one spawn.)
+// no goroutine switch happens at all. That holds for a handler that answers
+// through its Call (TaskHandler) and for functions adapted by HandlerFuncs
+// (Handler) alike. A preamble blocks, so a connection that has one spawns a
+// process to run it, once: the calls after it cost what they cost without.
+// (With a process per connection end the call cost three switches and every
+// connection two spawns; with a process per connection behind a blocking
+// handler, two switches and one spawn.)
 func TestCallCosts(t *testing.T) {
+	echoFuncs := HandlerFuncs{Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
+		return body, nil
+	}}
 	for _, tc := range []struct {
 		name       string
+		handler    Handler
 		preamble   Preamble
 		connSpawns int64
 	}{
-		{name: "Handler"},
+		{name: "TaskHandler", handler: echoTasks{}},
+		{name: "Handler", handler: echoFuncs},
 		{
 			name:       "Preamble",
+			handler:    echoTasks{},
 			preamble:   func(conn *transport.Conn) (any, error) { return "admitted", nil },
 			connSpawns: 1, // rpc-preamble
 		},
@@ -56,7 +64,7 @@ func TestCallCosts(t *testing.T) {
 					t.Fatalf("Listen: %v", err)
 				}
 				spawned := sim.Spawned()
-				Serve(sim, l, echoTasks{}, tc.preamble)
+				Serve(sim, l, tc.handler, tc.preamble)
 				c := e.dial()
 				sim.Sleep(5 * ms) // accepted, both prologues delivered
 				if got := sim.Spawned() - spawned; got != tc.connSpawns {
