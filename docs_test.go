@@ -1,6 +1,9 @@
 package cogrid
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path"
 	"path/filepath"
@@ -193,12 +196,76 @@ func unknownTests(code string, tests map[string]bool) (bad []string) {
 	return bad
 }
 
+// qualified is a package-qualified exported name, `core.Config`: group 1 is
+// the package, group 2 the name.
+var qualified = regexp.MustCompile(`\b([a-z][a-z0-9_]*)\.([A-Z]\w*)`)
+
+// declared reads the top-level funcs, types, vars and consts of the
+// non-test files of internal/pkg; a method is not one.
+func declared(t *testing.T, pkg string) map[string]bool {
+	sources, err := filepath.Glob("internal/" + pkg + "/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, src := range sources {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, src, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// undeclared returns the `pkg.Name` uses in code, pkg a package under
+// internal/, whose Name that package does not declare at top level.
+func undeclared(t *testing.T, code string, decls map[string]map[string]bool) (bad []string) {
+	for _, m := range qualified.FindAllStringSubmatch(code, -1) {
+		pkg, name := m[1], m[2]
+		if !isDir("internal/" + pkg) {
+			continue
+		}
+		if decls[pkg] == nil {
+			decls[pkg] = declared(t, pkg)
+		}
+		if !decls[pkg][name] {
+			bad = append(bad, m[0])
+		}
+	}
+	return bad
+}
+
 // TestDocsNameOnlyWhatExists: a command a reader can paste must name a
 // binary, package, script or make target that is in the tree, and give the
-// binary flags it defines; and a test a document cites must be one.
+// binary flags it defines; a test a document cites must be one; and a
+// `pkg.Name` must be declared at the top level of internal/pkg.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	flags, studies := binaryFlags(t)
 	tests := testFuncs(t)
+	decls := map[string]map[string]bool{}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -224,6 +291,12 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, name := range unknownTests(code, tests) {
 			if !seen[name] {
 				t.Errorf("%s names %q, which is no test in the repository", doc, name)
+			}
+			seen[name] = true
+		}
+		for _, name := range undeclared(t, code, decls) {
+			if !seen[name] {
+				t.Errorf("%s names %q, which that package does not declare", doc, name)
 			}
 			seen[name] = true
 		}

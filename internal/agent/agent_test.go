@@ -3,6 +3,8 @@ package agent_test
 import (
 	"errors"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,6 +88,158 @@ func TestAtomicStrategyFailsOnAnyFailure(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestAtomicAllOrNothing pins what the atomic strategy promises when the
+// allocation cannot complete: it gives up in bounded time, says why, answers
+// every process already at the barrier with an abort, and leaves nothing
+// held once its cancels have landed.
+func TestAtomicAllOrNothing(t *testing.T) {
+	type rig struct {
+		g    *grid.Grid
+		ctrl *core.Controller
+
+		mu                 sync.Mutex
+		proceeded, aborted int
+	}
+	cases := []struct {
+		name     string
+		mode     lrm.Mode
+		machines []string
+		agent    func(t *testing.T, r *rig)
+	}{
+		{
+			// The failure mode that motivated DUROC: a slow machine stalls the
+			// whole transaction until the timeout aborts everything.
+			name:     "a slow machine times the allocation out",
+			machines: []string{"m1", "slow"},
+			agent: func(t *testing.T, r *rig) {
+				r.g.Machine("slow").SetSlowFactor(10000)
+				start := r.g.Sim.Now()
+				_, err := agent.Atomic(r.ctrl, core.Request{Subjobs: []core.SubjobSpec{
+					spec(r.g, "m1", 4), spec(r.g, "slow", 4),
+				}}, time.Minute)
+				if !errors.Is(err, core.ErrCommitTimeout) {
+					t.Errorf("Atomic = %v, want ErrCommitTimeout", err)
+				}
+				if took := r.g.Sim.Now() - start; took > 2*time.Minute {
+					t.Errorf("abort took %v", took)
+				}
+			},
+		},
+		{
+			name:     "an application's failed-startup report is in the error",
+			machines: []string{"m1", "m2"},
+			agent: func(t *testing.T, r *rig) {
+				bad := spec(r.g, "m2", 2)
+				bad.Executable = "badstart"
+				_, err := agent.Atomic(r.ctrl, core.Request{Subjobs: []core.SubjobSpec{spec(r.g, "m1", 4), bad}}, 0)
+				if !errors.Is(err, core.ErrAborted) || !strings.Contains(err.Error(), "insufficient disk space") {
+					t.Errorf("Atomic = %v, want ErrAborted with the application's report", err)
+				}
+			},
+		},
+		{
+			// m1 and m2 check in before the dead machine's failure is known:
+			// their processes must be released with an abort.
+			name:     "a down machine aborts the processes at the barrier",
+			machines: []string{"m1", "m2", "dead"},
+			agent: func(t *testing.T, r *rig) {
+				r.g.Machine("dead").SetDown(true)
+				_, err := agent.Atomic(r.ctrl, core.Request{Subjobs: []core.SubjobSpec{
+					spec(r.g, "m1", 4), spec(r.g, "m2", 4), spec(r.g, "dead", 4),
+				}}, 0)
+				if !errors.Is(err, core.ErrAborted) || !strings.Contains(err.Error(), `"dead"`) {
+					t.Errorf("Atomic = %v, want ErrAborted naming subjob \"dead\"", err)
+				}
+				r.g.Sim.Sleep(5 * time.Second) // let the aborts arrive
+				r.mu.Lock()
+				defer r.mu.Unlock()
+				if r.proceeded != 0 || r.aborted != 8 {
+					t.Errorf("%d processes proceeded and %d saw the abort, want 0 and 8", r.proceeded, r.aborted)
+				}
+			},
+		},
+		{
+			// The slow machine's processes are still starting at the abort,
+			// so only its cancel frees them. Batch machines account their
+			// processors observably.
+			name:     "a failed attempt leaves nothing held after a retry",
+			mode:     lrm.Batch,
+			machines: []string{"w1", "w2", "slow", "bad", "spare"},
+			agent: func(t *testing.T, r *rig) {
+				r.g.Machine("slow").SetSlowFactor(10000)
+				bad := spec(r.g, "bad", 4)
+				bad.Executable = "badstart"
+				if _, err := agent.Atomic(r.ctrl, core.Request{Subjobs: []core.SubjobSpec{
+					spec(r.g, "w1", 4), spec(r.g, "w2", 4), spec(r.g, "slow", 4), bad,
+				}}, 0); !errors.Is(err, core.ErrAborted) {
+					t.Errorf("first attempt: Atomic = %v, want ErrAborted", err)
+				}
+				res, err := agent.Atomic(r.ctrl, core.Request{Subjobs: []core.SubjobSpec{
+					spec(r.g, "w1", 4), spec(r.g, "w2", 4), spec(r.g, "spare", 4),
+				}}, 0)
+				if err != nil {
+					t.Fatalf("retry: Atomic = %v", err)
+				}
+				res.Job.Done().Wait()
+				r.g.Sim.Sleep(time.Minute) // every cancel has landed
+				for _, name := range r.g.Machines() {
+					m := r.g.Machine(name)
+					if m.LiveJobs() != 0 || m.FreeProcessors() != m.Processors() {
+						t.Errorf("%s: %d live jobs, %d of %d processors free", name, m.LiveJobs(), m.FreeProcessors(), m.Processors())
+					}
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &rig{g: grid.New(grid.Options{})}
+			for _, name := range tc.machines {
+				r.g.AddMachine(name, 64, tc.mode)
+			}
+			r.g.RegisterEverywhere("app", func(p *lrm.Proc) error {
+				rt, err := core.Attach(p)
+				if err != nil {
+					return err
+				}
+				defer rt.Close()
+				_, err = rt.Barrier(true, "", 0)
+				r.mu.Lock()
+				if err != nil {
+					r.aborted++
+				} else {
+					r.proceeded++
+				}
+				r.mu.Unlock()
+				if err != nil {
+					return nil
+				}
+				return p.Work(time.Second, time.Second)
+			})
+			r.g.RegisterEverywhere("badstart", func(p *lrm.Proc) error {
+				rt, err := core.Attach(p)
+				if err != nil {
+					return err
+				}
+				defer rt.Close()
+				rt.Barrier(false, "insufficient disk space", 0)
+				return nil
+			})
+			ctrl, err := core.NewController(r.g.Workstation, core.ControllerConfig{
+				Credential: r.g.UserCred,
+				Registry:   r.g.Registry,
+			})
+			if err != nil {
+				t.Fatalf("NewController: %v", err)
+			}
+			r.ctrl = ctrl
+			if err := r.g.Sim.Run("agent", func() { tc.agent(t, r) }); err != nil {
+				t.Fatalf("sim: %v", err)
+			}
+		})
 	}
 }
 

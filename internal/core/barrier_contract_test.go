@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -272,5 +273,48 @@ func TestBarrierContract(t *testing.T) {
 				t.Fatalf("sim: %v", err)
 			}
 		})
+	}
+}
+
+// An abort answers the waiting processes in request order, then rank order
+// — not in the order of the maps that hold them, which made the sequence of
+// replies differ from run to run. Here a required subjob's processes exit
+// before the barrier and take the whole co-allocation with them.
+func TestAbortAnswersInRequestThenRankOrder(t *testing.T) {
+	rig := newRig(t, "m1", "m2", "m3")
+	rig.g.RegisterEverywhere("idle", func(p *lrm.Proc) error { return p.Sleep(time.Hour) })
+	rig.g.RegisterEverywhere("exits", func(p *lrm.Proc) error { return p.Sleep(time.Minute) })
+	var p *players
+	err := rig.g.Sim.Run("agent", func() {
+		specs := []core.SubjobSpec{rig.spec("m1", 4, core.Required), rig.spec("m2", 3, core.Required), rig.spec("m3", 2, core.Required)}
+		specs[0].Executable, specs[1].Executable, specs[2].Executable = "idle", "idle", "exits"
+		job, err := rig.ctrl.Submit(core.Request{Subjobs: specs})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		rig.g.Sim.Sleep(30 * time.Second)
+		p = newPlayers(rig, job.ID())
+		for _, who := range []struct {
+			m    string
+			rank int
+		}{{"m2", 1}, {"m1", 3}, {"m2", 0}, {"m1", 1}, {"m1", 0}} {
+			p.checkin(who.m, who.rank, time.Hour)
+			rig.g.Sim.Sleep(time.Millisecond)
+		}
+		if _, err := job.Commit(0); !errors.Is(err, core.ErrAborted) {
+			t.Errorf("Commit = %v, want ErrAborted: m3's processes exited before the barrier", err)
+		}
+		p.wg.Wait()
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if got, want := p.order(), []string{"m1/0", "m1/1", "m1/3", "m2/0", "m2/1"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("answers came back as %v, want %v", got, want)
+	}
+	for _, a := range p.answers {
+		if a.Err != nil || a.Reply.Proceed || a.Reply.Reason == "" || a.At != p.answers[0].At {
+			t.Errorf("answer to %s = %+v, %v at %v", a.Who, a.Reply, a.Err, a.At)
+		}
 	}
 }

@@ -7,9 +7,9 @@ import "cogrid/internal/wire"
 // (rpc picks that form for any type with AppendWire/ParseWire): the reply
 // carries the whole address book to every rank, so on a 64-process
 // co-allocation it is over nine tenths of all body bytes (DESIGN.md, "Wire
-// format"). GRAB's broker speaks the same pair, which is what lets one
-// application runtime serve both co-allocators. The json tags are the form
-// a JSON-codec peer, or a foreign client, sees.
+// format"). The controller's barrier service is the one server of the pair,
+// and every proceed reply it sends comes from one release, below. The json
+// tags are the form a JSON-codec peer, or a foreign client, sees.
 
 // CheckinArgs is one process's arrival at the co-allocation barrier.
 type CheckinArgs struct {
@@ -27,7 +27,7 @@ type CheckinReply struct {
 	Reason  string `json:"reason,omitempty"`
 	Config  Config `json:"config"`
 
-	// shared, on a reply built by Release.Reply, is the release's encoding
+	// shared, on a reply built by release.reply, is the release's encoding
 	// of Config's rank-independent fields.
 	shared []byte
 }
@@ -127,25 +127,25 @@ func (p *CheckinReply) ParseWire(src []byte) error {
 	return nil
 }
 
-// Release is one commit decision in the form every rank's reply shares:
+// release is one commit decision in the form every rank's reply shares:
 // the committed configuration and the encoding of its rank-independent
 // fields, built once. A commit answers WorldSize processes with a reply of
 // O(WorldSize) bytes each; encoding the address book per reply would make
 // the release quadratic in work as well as in bytes.
-type Release struct {
+type release struct {
 	cfg    Config
 	shared []byte // immutable
 }
 
-// NewRelease encodes cfg (whose MySubjob and MyRank are ignored) for
+// newRelease encodes cfg (whose MySubjob and MyRank are ignored) for
 // release. cfg's slices must not change afterwards.
-func NewRelease(cfg Config) *Release {
-	return &Release{cfg: cfg, shared: appendShared(nil, &cfg)}
+func newRelease(cfg Config) *release {
+	return &release{cfg: cfg, shared: appendShared(nil, &cfg)}
 }
 
-// Reply returns the proceed reply for the process at subjob index
+// reply returns the proceed reply for the process at subjob index
 // mySubjob and global rank myRank (-1 each for a late joiner).
-func (r *Release) Reply(mySubjob, myRank int) CheckinReply {
+func (r *release) reply(mySubjob, myRank int) CheckinReply {
 	p := CheckinReply{Proceed: true, Config: r.cfg, shared: r.shared}
 	p.Config.MySubjob, p.Config.MyRank = mySubjob, myRank
 	return p

@@ -313,9 +313,9 @@ func (e Event) String() string {
 // Config is the configuration information delivered to each process when
 // the barrier releases (Section 3.3). Its two lists, the subjob labels and
 // the address book, are read through methods, because a Config holds them
-// in the form it got them. One built here (the controller's at commit,
-// GRAB's) or decoded from JSON holds []string. One received in the typed
-// check-in reply holds the lists' encoding where the reply's frame left it
+// in the form it got them. One the controller builds at commit, or one
+// decoded from JSON, holds []string. One received in the typed check-in
+// reply holds the lists' encoding where the reply's frame left it
 // and decodes what is asked for, when it is asked: each of the 64 processes
 // of an 8 × 8 co-allocation is sent all 64 addresses and reads one, or
 // none. Such a Config keeps its frame alive (about 2.5 KB for 64 processes)
@@ -394,13 +394,13 @@ func (c Config) AddressBook() []string { return c.book.all() }
 // false when the address book has no such rank.
 func (c Config) Address(rank int) (addr string, ok bool) { return c.book.at(rank) }
 
-// SetSubjobLabels makes labels the Config's subjob labels; the Config keeps
+// setSubjobLabels makes labels the Config's subjob labels; the Config keeps
 // the slice, which must not change afterwards.
-func (c *Config) SetSubjobLabels(labels []string) { c.labels = stringList{built: labels} }
+func (c *Config) setSubjobLabels(labels []string) { c.labels = stringList{built: labels} }
 
-// SetAddressBook makes book the Config's address book; the Config keeps the
+// setAddressBook makes book the Config's address book; the Config keeps the
 // slice, which must not change afterwards.
-func (c *Config) SetAddressBook(book []string) { c.book = stringList{built: book} }
+func (c *Config) setAddressBook(book []string) { c.book = stringList{built: book} }
 
 // configJSON is Config as a JSON-codec peer or a foreign client sees it,
 // field for field what it was when the lists were fields.
@@ -429,8 +429,8 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*c = Config{NSubjobs: j.NSubjobs, SubjobSizes: j.SubjobSizes, WorldSize: j.WorldSize, MySubjob: j.MySubjob, MyRank: j.MyRank}
-	c.SetSubjobLabels(j.SubjobLabels)
-	c.SetAddressBook(j.AddressBook)
+	c.setSubjobLabels(j.SubjobLabels)
+	c.setAddressBook(j.AddressBook)
 	return nil
 }
 

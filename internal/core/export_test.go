@@ -5,6 +5,16 @@ import "cogrid/internal/trace"
 // SharedWire exposes the release-encoded region a reply appends.
 func SharedWire(r CheckinReply) []byte { return r.shared }
 
+// NewRelease and its Reply expose the commit decision's encode-once form.
+var NewRelease = newRelease
+
+func (r *release) Reply(mySubjob, myRank int) CheckinReply { return r.reply(mySubjob, myRank) }
+
+// SetSubjobLabels and SetAddressBook build a Config's lists as a commit does.
+func (c *Config) SetSubjobLabels(labels []string) { c.setSubjobLabels(labels) }
+
+func (c *Config) SetAddressBook(book []string) { c.setAddressBook(book) }
+
 // Waiters counts the barrier waiters the job still holds.
 func (j *Job) Waiters() int {
 	j.mu.Lock()

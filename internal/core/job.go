@@ -61,7 +61,7 @@ type procCheckin struct {
 // verdict is what ends a barrier wait: the release all ranks share plus
 // this rank's place in it, or the abort reason when rel is nil.
 type verdict struct {
-	rel              *Release
+	rel              *release
 	mySubjob, myRank int
 	reason           string
 }
@@ -70,7 +70,7 @@ func (v verdict) reply() CheckinReply {
 	if v.rel == nil {
 		return CheckinReply{Proceed: false, Reason: v.reason}
 	}
-	return v.rel.Reply(v.mySubjob, v.myRank)
+	return v.rel.reply(v.mySubjob, v.myRank)
 }
 
 // decide records the verdict and readies the waiter's answer — in the
@@ -103,7 +103,7 @@ type Job struct {
 	released   bool
 	terminated bool
 	termReason string
-	release    *Release // set with released
+	release    *release // set with released
 	releaseAt  time.Duration
 	waits      []time.Duration
 
@@ -795,7 +795,7 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 	if j.released {
 		// Late joiner from an optional subjob: proceed immediately with
 		// the committed configuration.
-		reply := j.release.Reply(j.committedIndexLocked(sj), -1)
+		reply := j.release.reply(j.committedIndexLocked(sj), -1)
 		j.mu.Unlock()
 		call.Reply(reply, nil)
 		return
@@ -968,11 +968,11 @@ func (j *Job) releaseLocked() Config {
 			book = append(book, ci.addr)
 		}
 	}
-	cfg.SetSubjobLabels(labels)
-	cfg.SetAddressBook(book)
+	cfg.setSubjobLabels(labels)
+	cfg.setAddressBook(book)
 	// One encoding of the configuration serves every reply below and every
 	// late joiner after.
-	rel := NewRelease(cfg)
+	rel := newRelease(cfg)
 	j.release = rel
 	j.released = true
 	j.releaseAt = now

@@ -16,7 +16,7 @@ const (
 	// substitution agent — the paper's Section 3 path.
 	DriverDuroc = "duroc"
 	// DriverBroker submits through the multi-tenant broker service —
-	// the full GRAB/DUROC/broker stack.
+	// the full broker → DUROC → GRAM stack.
 	DriverBroker = "broker"
 	// DriverFed submits through a federation of broker replicas —
 	// sharded ownership, leader election, forwarding, and peer hand-off

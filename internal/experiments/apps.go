@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
 	"cogrid/internal/failure"
-	"cogrid/internal/grab"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/metrics"
@@ -131,50 +129,44 @@ func a1Grid(startup time.Duration, poolSize int, bad map[string]bool, seed int64
 	return g
 }
 
-// atomicTrial runs the GRAB strategy with restart-and-replace: on each
-// failure the named machine is dropped for the next full attempt.
+// atomicTrial runs the GRAB strategy, agent.Atomic, with
+// restart-and-replace: on each failure the failed machine is dropped for the
+// next full attempt.
 func atomicTrial(n int, startup time.Duration, poolSize int, bad map[string]bool, seed int64) (elapsed time.Duration, restarts int, ok bool) {
 	g := a1Grid(startup, poolSize, bad, seed)
-	broker, err := grab.NewBroker(g.Workstation, grab.Config{
-		Credential:     g.UserCred,
-		Registry:       g.Registry,
-		StartupTimeout: 4*startup + time.Hour,
-	})
-	if err != nil {
-		panic(err)
-	}
+	ctrl := newController(g)
+	timeout := 4*startup + time.Hour
 	simErr := g.Sim.Run("agent", func() {
 		excluded := make(map[string]bool)
 		for attempt := 0; attempt <= poolSize-n; attempt++ {
 			var req core.Request
-			picked := 0
-			for i := 0; i < poolSize && picked < n; i++ {
+			for i := 0; i < poolSize && len(req.Subjobs) < n; i++ {
 				name := machineName(i)
 				if excluded[name] {
 					continue
 				}
 				req.Subjobs = append(req.Subjobs, core.SubjobSpec{
 					Label: name, Contact: g.Contact(name), Count: 64, Executable: "sim",
+					StartupTimeout: timeout,
 				})
-				picked++
 			}
-			if picked < n {
+			if len(req.Subjobs) < n {
 				return // pool exhausted
 			}
-			alloc, err := broker.Allocate(req)
+			res, err := agent.Atomic(ctrl, req, timeout)
 			if err == nil {
-				alloc.Close()
 				elapsed = g.Sim.Now()
 				ok = true
+				res.Job.Kill() // the measurement ends at successful start
 				return
 			}
 			restarts++
-			// The error names the failed subjob (machine); exclude it.
-			if name, found := extractSubjob(err.Error()); found {
-				excluded[name] = true
-			} else {
+			// The first failed subjob (machine) is the one to exclude.
+			name, found := firstFailed(res.Job)
+			if !found {
 				return
 			}
+			excluded[name] = true
 		}
 	})
 	if simErr != nil {
@@ -183,18 +175,17 @@ func atomicTrial(n int, startup time.Duration, poolSize int, bad map[string]bool
 	return elapsed, restarts, ok
 }
 
-// extractSubjob pulls the quoted subjob label from a GRAB failure message.
-func extractSubjob(msg string) (string, bool) {
-	i := strings.Index(msg, `subjob "`)
-	if i < 0 {
+// firstFailed returns the label of the first subjob job reported failed.
+func firstFailed(job *core.Job) (string, bool) {
+	if job == nil {
 		return "", false
 	}
-	rest := msg[i+len(`subjob "`):]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return "", false
+	for _, ev := range job.History() {
+		if ev.Kind == core.EvSubjobFailed {
+			return ev.Label, true
+		}
 	}
-	return rest[:j], true
+	return "", false
 }
 
 // interactiveTrial runs the DUROC substitution strategy over the same bad
