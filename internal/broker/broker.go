@@ -584,8 +584,10 @@ func (b *Broker) serve(t *ticket) {
 	// Admission wait: enqueue-to-worker-pickup latency under fair queueing.
 	b.hists().H("broker.admission.wait").Record(int64(dequeuedAt - t.enqueuedAt))
 	b.count("queue", "dequeue", 1)
-	b.tracer().SpanAtCtx(t.ctx.Child("queue-wait"), "broker", "queue-wait", b.host.Name(), req.Tenant, b.corr(t),
-		t.enqueuedAt, dequeuedAt)
+	if tr := b.tracer(); tr.Enabled() {
+		tr.SpanAtCtx(t.ctx.Child("queue-wait"), "broker", "queue-wait", b.host.Name(), req.Tenant, b.corr(t),
+			t.enqueuedAt, dequeuedAt)
+	}
 
 	var reply Reply
 	reply.Accepted = true

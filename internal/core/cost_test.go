@@ -45,3 +45,19 @@ func TestCoallocationSpawnsNoProcessPerCheckin(t *testing.T) {
 		t.Errorf("%d processes passed the barrier, want 16", n)
 	}
 }
+
+// The name of every co-allocated process's application listener is built
+// on untraced runs too, so it is one allocation: the string itself. It is
+// in the barrier's address book on the wire, so its bytes are pinned.
+func TestAppServiceNameIsOneAllocation(t *testing.T) {
+	const want = "app.ws_duroc_coalloc17.sj3.5"
+	if got := core.AppService("ws:duroc/coalloc17", "sj3", 5); got != want {
+		t.Errorf("AppService = %q, want %q", got, want)
+	}
+	if got := core.AppService("job1", "m1", 1234); got != "app.job1.m1.1234" {
+		t.Errorf("AppService = %q, want app.job1.m1.1234", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { core.AppService("ws:duroc/coalloc17", "sj3", 5) }); allocs != 1 {
+		t.Errorf("AppService allocates %v times, want 1", allocs)
+	}
+}

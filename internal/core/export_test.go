@@ -2,6 +2,9 @@ package core
 
 import "cogrid/internal/trace"
 
+// AppService exposes the name of a process's application listener.
+var AppService = appService
+
 // SharedWire exposes the release-encoded region a reply appends.
 func SharedWire(r CheckinReply) []byte { return r.shared }
 

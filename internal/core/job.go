@@ -889,8 +889,10 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 	deadline := j.c.sim.Now() + timeout
 	commitStart := j.c.sim.Now()
 	finish := func(outcome string) {
-		j.c.tracer().SpanCtx(j.ctx.Child("commit"), "duroc", "commit", j.c.host.Name(), j.id, "", commitStart,
-			trace.Arg{Key: "outcome", Val: outcome})
+		if tr := j.c.tracer(); tr.Enabled() {
+			tr.SpanCtx(j.ctx.Child("commit"), "duroc", "commit", j.c.host.Name(), j.id, "", commitStart,
+				trace.Arg{Key: "outcome", Val: outcome})
+		}
 		j.c.counters().AddKey("duroc", "commit", outcome, j.c.host.Name(), 1)
 	}
 	j.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"cogrid/internal/lrm"
@@ -61,8 +62,7 @@ func Attach(p *lrm.Proc) (*Runtime, error) {
 			rt.ctx = ctx.Child("rank" + strconv.Itoa(p.Rank))
 		}
 	}
-	service := fmt.Sprintf("app.%s.%s.%d", sanitize(jobID), subjob, p.Rank)
-	l, err := p.Host().Listen(service)
+	l, err := p.Host().Listen(appService(jobID, subjob, p.Rank))
 	if err != nil {
 		return nil, fmt.Errorf("duroc: open application listener: %w", err)
 	}
@@ -70,17 +70,28 @@ func Attach(p *lrm.Proc) (*Runtime, error) {
 	return rt, nil
 }
 
-// sanitize makes a job ID usable inside a service name.
-func sanitize(s string) string {
-	out := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+// appService names a process's application listener,
+// "app.<job>.<subjob>.<rank>" with the job ID's ':' and '/' made '_' so it
+// is usable inside a service name, in one allocation: it is built for every
+// co-allocated process, traced or not.
+func appService(jobID, subjob string, rank int) string {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(rank), 10)
+	var b strings.Builder
+	b.Grow(len("app.") + len(jobID) + 1 + len(subjob) + 1 + len(digits))
+	b.WriteString("app.")
+	for i := 0; i < len(jobID); i++ {
+		c := jobID[i]
 		if c == ':' || c == '/' {
 			c = '_'
 		}
-		out[i] = c
+		b.WriteByte(c)
 	}
-	return string(out)
+	b.WriteByte('.')
+	b.WriteString(subjob)
+	b.WriteByte('.')
+	b.Write(digits)
+	return b.String()
 }
 
 // Proc returns the underlying process context.

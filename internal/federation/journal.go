@@ -87,6 +87,12 @@ func supersedes(a, b Entry) bool {
 type journal struct {
 	mu      sync.Mutex
 	entries map[string]Entry
+	// open indexes the keys whose stored entry is StateOpen. Closed and
+	// reaped entries stay in entries for merge monotonicity, so the
+	// per-event queries (openOwnedBy, allocKeysForJob) walk this index
+	// instead: their cost follows the open entries, not the journal's
+	// whole history. putLocked keeps it in step with entries.
+	open map[string]struct{}
 	// log is the leader-ordered broadcast stream: every update the
 	// leader accepts, in acceptance order. Followers receive log
 	// suffixes piggybacked on heartbeats.
@@ -102,8 +108,20 @@ type journal struct {
 func newJournal() *journal {
 	return &journal{
 		entries: make(map[string]Entry),
+		open:    make(map[string]struct{}),
 		nextSeq: 1,
 		logged:  make(map[string]int),
+	}
+}
+
+// putLocked stores e under its key and keeps the open index in step with
+// its state. Every write to entries goes through here. Caller holds j.mu.
+func (j *journal) putLocked(e Entry) {
+	j.entries[e.Key] = e
+	if e.State == StateOpen {
+		j.open[e.Key] = struct{}{}
+	} else {
+		delete(j.open, e.Key)
 	}
 }
 
@@ -123,7 +141,7 @@ func (j *journal) upsert(key string, now time.Duration, mutate func(Entry) Entry
 	next.Rev = cur.Rev + 1
 	next.Seq = cur.Seq
 	next.At = now
-	j.entries[key] = next
+	j.putLocked(next)
 	j.unacked = append(j.unacked, next)
 }
 
@@ -149,12 +167,12 @@ func (j *journal) mergeLocked(e Entry) bool {
 		e.Seq = cur.Seq
 	}
 	if !ok || supersedes(e, cur) {
-		j.entries[e.Key] = e
+		j.putLocked(e)
 		return true
 	}
 	if e.Seq > cur.Seq {
 		cur.Seq = e.Seq
-		j.entries[e.Key] = cur
+		j.putLocked(cur)
 	}
 	return false
 }
@@ -199,7 +217,7 @@ func (j *journal) acceptLocked(e Entry) {
 	}
 	e.Seq = j.nextSeq
 	j.nextSeq++
-	j.entries[e.Key] = e
+	j.putLocked(e)
 	j.logged[e.Key] = e.Rev
 	j.log = append(j.log, e)
 }
@@ -256,7 +274,7 @@ func (j *journal) becomeLeader() {
 		e := j.entries[k]
 		e.Seq = j.nextSeq
 		j.nextSeq++
-		j.entries[k] = e
+		j.putLocked(e)
 		j.logged[k] = e.Rev
 		j.log = append(j.log, e)
 	}
@@ -288,7 +306,8 @@ func (j *journal) pending() []Entry {
 	return out
 }
 
-// snapshot returns every entry sorted by key.
+// snapshot returns every entry sorted by key: the whole history, for the
+// merged audit journal. The per-event queries below use the open index.
 func (j *journal) snapshot() []Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -303,23 +322,30 @@ func (j *journal) snapshot() []Entry {
 // openOwnedBy returns open entries owned by the given replica, sorted by
 // key.
 func (j *journal) openOwnedBy(owner string) []Entry {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	var out []Entry
-	for _, e := range j.snapshot() {
-		if e.State == StateOpen && e.Owner == owner {
+	for k := range j.open {
+		if e := j.entries[k]; e.Owner == owner {
 			out = append(out, e)
 		}
 	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
 	return out
 }
 
-// allocKeysForJob lists open alloc entries belonging to a DUROC job id.
+// allocKeysForJob lists open alloc entries belonging to a DUROC job id,
+// sorted.
 func (j *journal) allocKeysForJob(job string) []string {
 	prefix := "a/" + job + "/"
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	var out []string
-	for _, e := range j.snapshot() {
-		if e.State == StateOpen && strings.HasPrefix(e.Key, prefix) {
-			out = append(out, e.Key)
+	for k := range j.open {
+		if strings.HasPrefix(k, prefix) {
+			out = append(out, k)
 		}
 	}
+	sort.Strings(out)
 	return out
 }

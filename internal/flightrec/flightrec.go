@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -240,35 +241,35 @@ func (rg *ring) dropOldestInstant() {
 	}
 }
 
-// window returns the retained events seen strictly before at, re-applying
-// the whole-instant retention rule so the result does not depend on how
-// many at-instant events raced in before the trigger: the newest pre-at
-// instant B is kept whole, then older whole instants are kept newest-first
-// while the non-B total stays within cap - len(B). The events' args are
-// copied out of the slots into one array, since the slots are reused.
-func (rg *ring) window(at time.Duration, cap int) []trace.Event {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	slot := func(i int) *entry { return &rg.buf[(rg.head+i)%len(rg.buf)] }
+// slot returns the i-th live entry from the oldest. Caller holds rg.mu.
+func (rg *ring) slot(i int) *entry { return &rg.buf[(rg.head+i)%len(rg.buf)] }
+
+// window returns the slot range [lo, hi) of the retained events seen
+// strictly before at, re-applying the whole-instant retention rule so the
+// result does not depend on how many at-instant events raced in before the
+// trigger: the newest pre-at instant B is kept whole, then older whole
+// instants are kept newest-first while the non-B total stays within
+// cap - len(B). Caller holds rg.mu.
+func (rg *ring) window(at time.Duration, cap int) (lo, hi int) {
 	// Seen stamps are monotone, so the entries seen before at are a prefix.
 	n := 0
-	for n < rg.n && slot(n).seen < at {
+	for n < rg.n && rg.slot(n).seen < at {
 		n++
 	}
 	if n == 0 {
-		return nil
+		return 0, 0
 	}
-	b := slot(n - 1).seen
+	b := rg.slot(n - 1).seen
 	i := n
-	for i > 0 && slot(i-1).seen == b {
+	for i > 0 && rg.slot(i-1).seen == b {
 		i--
 	}
 	budget := cap - (n - i)
 	j := i
 	for j > 0 {
-		t := slot(j - 1).seen
+		t := rg.slot(j - 1).seen
 		k := j
-		for k > 0 && slot(k-1).seen == t {
+		for k > 0 && rg.slot(k-1).seen == t {
 			k--
 		}
 		if i-k > budget {
@@ -276,62 +277,84 @@ func (rg *ring) window(at time.Duration, cap int) []trace.Event {
 		}
 		j = k
 	}
-	nargs := 0
-	for k := j; k < n; k++ {
-		nargs += len(slot(k).ev.Args)
-	}
-	args := make([]trace.Arg, nargs)
-	out := make([]trace.Event, 0, n-j)
-	for k := j; k < n; k++ {
-		ev := slot(k).ev
-		if m := copy(args, ev.Args); m > 0 {
-			ev.Args, args = args[:m:m], args[m:]
-		} else {
-			ev.Args = nil
-		}
-		out = append(out, ev)
-	}
-	return out
+	return j, n
 }
 
 // Snapshot returns every component's retained events seen strictly before
 // at, in deterministic trace order. Nil-safe.
+//
+// It measures before it copies: every ring is locked while its window is
+// sized and stays locked until the window is copied, so the result takes
+// one events array and one args array (the slots' args are reused, so
+// they are copied out). Rings are locked in category order, which keeps
+// concurrent snapshots from deadlocking.
 func (r *Recorder) Snapshot(at time.Duration) []trace.Event {
 	if r == nil {
 		return nil
 	}
+	type win struct {
+		cat    string
+		rg     *ring
+		lo, hi int
+	}
 	r.rmu.RLock()
-	rings := make([]*ring, 0, len(r.rings))
-	for _, rg := range r.rings {
-		rings = append(rings, rg)
+	wins := make([]win, 0, len(r.rings))
+	for cat, rg := range r.rings {
+		wins = append(wins, win{cat: cat, rg: rg})
 	}
 	r.rmu.RUnlock()
+	slices.SortFunc(wins, func(a, b win) int { return strings.Compare(a.cat, b.cat) })
+	nevents, nargs := 0, 0
+	for i := range wins {
+		w := &wins[i]
+		w.rg.mu.Lock()
+		w.lo, w.hi = w.rg.window(at, r.opts.RingCap)
+		nevents += w.hi - w.lo
+		for k := w.lo; k < w.hi; k++ {
+			nargs += len(w.rg.slot(k).ev.Args)
+		}
+	}
 	var out []trace.Event
-	for _, rg := range rings {
-		out = append(out, rg.window(at, r.opts.RingCap)...)
+	if nevents > 0 {
+		out = make([]trace.Event, 0, nevents)
+	}
+	args := make([]trace.Arg, nargs)
+	for _, w := range wins {
+		for k := w.lo; k < w.hi; k++ {
+			ev := w.rg.slot(k).ev
+			if m := copy(args, ev.Args); m > 0 {
+				ev.Args, args = args[:m:m], args[m:]
+			} else {
+				ev.Args = nil
+			}
+			out = append(out, ev)
+		}
+		w.rg.mu.Unlock()
 	}
 	trace.Sort(out)
 	return out
 }
 
 // Trigger freezes the black box: it snapshots every ring as of now and
-// retains the dump (up to MaxDumps). Returns the dump. Nil-safe.
+// retains the dump, up to MaxDumps, and returns it. Retention is decided
+// first: a trigger beyond MaxDumps counts into flightrec.dump.skip and
+// copies nothing, returning a Dump with At, Trigger and Detail set and no
+// Events. Nil-safe.
 func (r *Recorder) Trigger(trigger, detail string) Dump {
 	if r == nil {
 		return Dump{}
 	}
-	at := r.sim.Now()
-	d := Dump{At: at, Trigger: trigger, Detail: detail, Events: r.Snapshot(at)}
-	kind := d.Kind()
+	d := Dump{At: r.sim.Now(), Trigger: trigger, Detail: detail}
 	r.dmu.Lock()
-	if len(r.dumps) < r.opts.MaxDumps {
-		r.dumps = append(r.dumps, d)
-		r.ctrs.Add(trace.Key("flightrec", "dump", kind, ""), 1)
-	} else {
+	defer r.dmu.Unlock()
+	if len(r.dumps) >= r.opts.MaxDumps {
 		r.skipped++
 		r.ctrs.Add(trace.Key("flightrec", "dump", "skip", ""), 1)
+		return d
 	}
-	r.dmu.Unlock()
+	d.Events = r.Snapshot(d.At)
+	r.dumps = append(r.dumps, d)
+	r.ctrs.Add(trace.Key("flightrec", "dump", d.Kind(), ""), 1)
 	return d
 }
 

@@ -3,7 +3,9 @@ package flightrec
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -276,4 +278,71 @@ func BenchmarkRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec.Record(ev)
 	}
+}
+
+// A trigger beyond MaxDumps is counted and copies nothing: with a full
+// 512-event ring, a snapshot would be about 80 KB the recorder then drops.
+func TestSkippedTriggerCopiesNothing(t *testing.T) {
+	sim := vtime.NewSeeded(1)
+	ctrs := trace.NewCounters()
+	rec := New(sim, Options{MaxDumps: 2})
+	rec.SetCounters(ctrs)
+	err := sim.Run("main", func() {
+		for i := 1; i <= 600; i++ {
+			sim.SleepUntil(time.Duration(i) * time.Millisecond)
+			rec.Record(trace.Event{At: sim.Now(), Cat: "c", Name: "e", Args: []trace.Arg{{Key: "i", Val: "v"}}})
+		}
+		sim.Sleep(time.Second)
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	for _, detail := range []string{"one", "two"} {
+		if d := rec.Trigger("orphan", detail); len(d.Events) != 512 {
+			t.Fatalf("kept dump %s holds %d events, want 512", detail, len(d.Events))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := rec.Trigger("orphan", "three")
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<10 {
+		t.Errorf("a skipped trigger allocated %d bytes, want under 1 KB", b)
+	}
+	if d.Events != nil || d.At != sim.Now() || d.Trigger != "orphan" || d.Detail != "three" {
+		t.Errorf("skipped trigger returned At %v, Trigger %q, Detail %q and %d events, want At, Trigger and Detail and no events",
+			d.At, d.Trigger, d.Detail, len(d.Events))
+	}
+	if rec.Skipped() != 1 || ctrs.Get("flightrec.dump.skip") != 1 || len(rec.Dumps()) != 2 {
+		t.Errorf("skipped %d, skip counter %d, dumps %d; want 1, 1, 2", rec.Skipped(), ctrs.Get("flightrec.dump.skip"), len(rec.Dumps()))
+	}
+}
+
+// A snapshot holds every ring's lock at once, taken in category order:
+// snapshots racing each other and the record path must neither race nor
+// deadlock (run with -race).
+func TestConcurrentSnapshotsAndRecords(t *testing.T) {
+	sim := vtime.NewSeeded(1)
+	rec := New(sim, Options{RingCap: 16})
+	cats := []string{"a", "b", "c"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rec.Record(trace.Event{Cat: cats[(g+i)%len(cats)], Name: "e", Args: []trace.Arg{{Key: "g", Val: "v"}}})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := Validate(rec.Snapshot(time.Second)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
