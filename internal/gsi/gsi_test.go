@@ -93,9 +93,7 @@ func TestRevokedClientRejected(t *testing.T) {
 	c, s := runHandshake(t, func(reg *Registry, client, server *Credential) {
 		reg.Revoke("user/alice")
 	})
-	if c.err == nil {
-		t.Error("client handshake succeeded with revoked credential")
-	}
+	wantRejected(t, c.err, ErrRevoked)
 	if !errors.Is(s.err, ErrRevoked) {
 		t.Errorf("server error = %v, want ErrRevoked", s.err)
 	}
@@ -105,9 +103,7 @@ func TestUnknownClientRejected(t *testing.T) {
 	c, s := runHandshake(t, func(reg *Registry, client, server *Credential) {
 		*client = Credential{Name: "user/mallory", secret: []byte("guess")}
 	})
-	if c.err == nil {
-		t.Error("client handshake succeeded with unknown principal")
-	}
+	wantRejected(t, c.err, ErrUnknownPrincipal)
 	if !errors.Is(s.err, ErrUnknownPrincipal) {
 		t.Errorf("server error = %v, want ErrUnknownPrincipal", s.err)
 	}
@@ -145,11 +141,60 @@ func TestRevokedServerRefusesToServe(t *testing.T) {
 	c, s := runHandshake(t, func(reg *Registry, client, server *Credential) {
 		reg.Revoke("host/b")
 	})
-	if c.err == nil {
-		t.Error("client handshake succeeded against revoked server")
-	}
+	wantRejected(t, c.err, ErrRevoked)
 	if !errors.Is(s.err, ErrRevoked) {
 		t.Errorf("server error = %v, want ErrRevoked", s.err)
+	}
+}
+
+// wantRejected checks the client's side of an early rejection: the server's
+// gsi-result arrived where a challenge was expected, and the client reports
+// the server's reason.
+func wantRejected(t *testing.T, err, reason error) {
+	t.Helper()
+	if want := "gsi: rejected by peer: " + reason.Error(); err == nil || err.Error() != want {
+		t.Errorf("client error = %v, want %q", err, want)
+	}
+}
+
+// TestResultKindWhereChallengeExpected: a frame that carries a challenge's
+// keys but the kind gsi-result is a rejection, with the reason it carries
+// (none), not a challenge.
+func TestResultKindWhereChallengeExpected(t *testing.T) {
+	sim := vtime.New()
+	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
+	a, b := net.AddHost("a"), net.AddHost("b")
+	reg := NewRegistry()
+	cred := reg.Issue("user/alice")
+	reg.Issue("host/b")
+	l, err := b.Listen("gk")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	sim.GoDaemon("server", func() {
+		conn, ok := l.Accept()
+		if !ok {
+			return
+		}
+		if _, err := conn.RecvTimeout(time.Minute); err != nil {
+			return
+		}
+		conn.Send([]byte(`{"kind":"gsi-result","server":"host/b","nonce_s":"00","proof_s":"00"}`))
+	})
+	var got error
+	err = sim.Run("client", func() {
+		conn, err := a.Dial(transport.Addr{Host: "b", Service: "gk"})
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		_, got = ClientHandshake(sim, conn, cred, reg, DefaultCost)
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if want := "gsi: rejected by peer: "; got == nil || got.Error() != want {
+		t.Errorf("client error = %v, want %q", got, want)
 	}
 }
 
