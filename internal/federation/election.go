@@ -85,40 +85,42 @@ var errPeerTimeout = fmt.Errorf("fed: peer call timed out")
 // probe timeout end to end — including connection establishment, since
 // dialing a dead peer costs the transport's full SYN-retry window, far
 // longer than a heartbeat round can afford to stall. The dial and call
-// run in a helper process that hands the raw result back over a
-// channel; on timeout the helper is abandoned (its TrySend lands in the
-// buffer unread) and the caller records a miss.
-func (inc *incarnation) peerCall(peer, method string, req, reply any) error {
+// run in a helper process that decodes the reply, once and through
+// rpc.Decode, into a value of its own and hands it back over a channel; on
+// timeout the helper is abandoned (its TrySend lands in the buffer unread)
+// and the caller records a miss.
+func peerCall[R any](inc *incarnation, peer, method string, req any) (R, error) {
 	f := inc.r.fed
-	type outcome struct {
-		body json.RawMessage
-		err  error
-	}
-	ch := vtime.NewChan[outcome](f.sim, fmt.Sprintf("fed-call:%s/g%d>%s", inc.r.name, inc.gen, peer), 1)
+	ch := vtime.NewChan[peerOutcome[R]](f.sim, fmt.Sprintf("fed-call:%s/g%d>%s", inc.r.name, inc.gen, peer), 1)
 	f.sim.GoDaemon(fmt.Sprintf("fed-call:%s/g%d>%s/%s", inc.r.name, inc.gen, peer, method), func() {
+		var out peerOutcome[R]
 		conn, err := inc.r.host.DialCtx(transport.Addr{Host: peer, Service: serviceName},
 			inc.ctx.Child(method+">"+peer))
 		if err != nil {
-			ch.TrySend(outcome{err: err})
+			out.err = err
+			ch.TrySend(out)
 			return
 		}
 		c := rpc.NewClient(f.sim, conn)
 		defer c.Close()
-		var body json.RawMessage
-		err = c.Call(method, req, &body, probeTimeout)
-		ch.TrySend(outcome{body: body, err: err})
+		out.err = c.Call(method, req, &out.reply, probeTimeout)
+		ch.TrySend(out)
 	})
 	out, res := ch.RecvTimeout(probeTimeout)
 	if res != vtime.RecvOK {
-		return errPeerTimeout
+		out.err = errPeerTimeout
 	}
 	if out.err != nil {
-		return out.err
+		var none R
+		return none, out.err
 	}
-	if reply == nil || len(out.body) == 0 {
-		return nil
-	}
-	return json.Unmarshal(out.body, reply)
+	return out.reply, nil
+}
+
+// peerOutcome is what a peerCall helper hands back.
+type peerOutcome[R any] struct {
+	reply R
+	err   error
 }
 
 // handleCall serves the federation protocol endpoint.
@@ -282,8 +284,7 @@ func (inc *incarnation) heartbeatRound() {
 				From: inc.r.name, Epoch: epoch, Shard: shard,
 				UpdStart: acked[p], Updates: updates,
 			}
-			var reply heartbeatReply
-			err := inc.peerCall(f.replicaName(p), "heartbeat", req, &reply)
+			reply, err := peerCall[heartbeatReply](inc, f.replicaName(p), "heartbeat", req)
 			results[p] = beat{ok: err == nil, reply: reply}
 		})
 	}
@@ -369,8 +370,7 @@ func (inc *incarnation) runElection() {
 
 	higherAlive := false
 	for p := inc.r.id + 1; p < f.opts.Replicas; p++ {
-		var reply ackReply
-		if inc.peerCall(f.replicaName(p), "election", electionMsg{From: inc.r.name, ID: inc.r.id}, &reply) == nil {
+		if _, err := peerCall[ackReply](inc, f.replicaName(p), "election", electionMsg{From: inc.r.name, ID: inc.r.id}); err == nil {
 			higherAlive = true
 			break
 		}
@@ -417,8 +417,7 @@ func (inc *incarnation) runElection() {
 		if p == inc.r.id {
 			continue
 		}
-		var reply ackReply
-		inc.peerCall(f.replicaName(p), "coordinator", coordMsg{From: inc.r.name, Epoch: epoch, Shard: shard}, &reply)
+		peerCall[ackReply](inc, f.replicaName(p), "coordinator", coordMsg{From: inc.r.name, Epoch: epoch, Shard: shard})
 	}
 	inc.publishShardMap(shard)
 }
@@ -552,8 +551,8 @@ func (inc *incarnation) pusher() {
 		if leader < 0 {
 			continue // no leader known; the next wake retries
 		}
-		var reply appendReply
-		if err := inc.peerCall(f.replicaName(leader), "append", appendMsg{From: inc.r.name, Entries: pending}, &reply); err != nil {
+		reply, err := peerCall[appendReply](inc, f.replicaName(leader), "append", appendMsg{From: inc.r.name, Entries: pending})
+		if err != nil {
 			inc.count("push", "error", 1)
 			continue // heartbeat exchange repairs
 		}

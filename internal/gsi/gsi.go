@@ -12,6 +12,7 @@
 package gsi
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -19,11 +20,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
+	"cogrid/internal/wire"
 )
 
 // Errors returned by handshakes.
@@ -243,15 +246,22 @@ func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	return hello.Client, nil
 }
 
-func sendJSON(conn *transport.Conn, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return conn.Send(raw)
+// Every handshake frame has a hand-written JSON codec, in exactly
+// encoding/json's bytes (see internal/wire's JSONReader): AppendJSON on the
+// value sent, ParseJSON on the pointer received into.
+
+func sendJSON(conn *transport.Conn, v interface{ AppendJSON(dst []byte) []byte }) error {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = v.AppendJSON((*buf)[:0])
+	return conn.Send(*buf)
 }
 
-func recvJSON(conn *transport.Conn, v any) error {
+// resultPrefix starts every gsi-result frame AppendJSON writes, and no
+// frame of another kind that ParseJSON accepts.
+var resultPrefix = []byte(`{"kind":"gsi-result"`)
+
+func recvJSON(conn *transport.Conn, v interface{ ParseJSON(src []byte) bool }) error {
 	raw, err := conn.RecvTimeout(HandshakeTimeout)
 	if err != nil {
 		if err == transport.ErrRecvTimeout {
@@ -259,13 +269,119 @@ func recvJSON(conn *transport.Conn, v any) error {
 		}
 		return err
 	}
+	_, wantResult := v.(*resultMsg)
+	if v.ParseJSON(raw) && (wantResult || !bytes.HasPrefix(raw, resultPrefix)) {
+		return nil
+	}
 	// A gsi-result frame can arrive where another kind was expected when
 	// the server rejects early; surface it as a protocol-level rejection.
-	var probe resultMsg
-	if json.Unmarshal(raw, &probe) == nil && probe.Kind == "gsi-result" && !probe.OK {
-		if _, isResult := v.(*resultMsg); !isResult {
+	if !wantResult {
+		var probe resultMsg
+		if json.Unmarshal(raw, &probe) == nil && probe.Kind == "gsi-result" && !probe.OK {
 			return fmt.Errorf("gsi: rejected by peer: %s", probe.Error)
 		}
 	}
 	return json.Unmarshal(raw, v)
+}
+
+func (m helloMsg) AppendJSON(dst []byte) []byte {
+	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
+	dst = wire.AppendJSONString(append(dst, `,"client":`...), m.Client)
+	dst = wire.AppendJSONString(append(dst, `,"nonce_c":`...), m.NonceC)
+	return append(dst, '}')
+}
+
+func (m *helloMsg) ParseJSON(src []byte) bool {
+	r := wire.NewJSONReader(src)
+	r.Open('{')
+	r.Key("kind")
+	kind := r.String()
+	r.Key("client")
+	client := r.String()
+	r.Key("nonce_c")
+	nonce := r.String()
+	r.Close('}')
+	if !r.Done() {
+		return false
+	}
+	*m = helloMsg{Kind: kind, Client: client, NonceC: nonce}
+	return true
+}
+
+func (m challengeMsg) AppendJSON(dst []byte) []byte {
+	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
+	dst = wire.AppendJSONString(append(dst, `,"server":`...), m.Server)
+	dst = wire.AppendJSONString(append(dst, `,"nonce_s":`...), m.NonceS)
+	dst = wire.AppendJSONString(append(dst, `,"proof_s":`...), m.ProofS)
+	return append(dst, '}')
+}
+
+func (m *challengeMsg) ParseJSON(src []byte) bool {
+	r := wire.NewJSONReader(src)
+	r.Open('{')
+	r.Key("kind")
+	kind := r.String()
+	r.Key("server")
+	server := r.String()
+	r.Key("nonce_s")
+	nonce := r.String()
+	r.Key("proof_s")
+	proof := r.String()
+	r.Close('}')
+	if !r.Done() {
+		return false
+	}
+	*m = challengeMsg{Kind: kind, Server: server, NonceS: nonce, ProofS: proof}
+	return true
+}
+
+func (m responseMsg) AppendJSON(dst []byte) []byte {
+	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
+	dst = wire.AppendJSONString(append(dst, `,"proof_c":`...), m.ProofC)
+	return append(dst, '}')
+}
+
+func (m *responseMsg) ParseJSON(src []byte) bool {
+	r := wire.NewJSONReader(src)
+	r.Open('{')
+	r.Key("kind")
+	kind := r.String()
+	r.Key("proof_c")
+	proof := r.String()
+	r.Close('}')
+	if !r.Done() {
+		return false
+	}
+	*m = responseMsg{Kind: kind, ProofC: proof}
+	return true
+}
+
+func (m resultMsg) AppendJSON(dst []byte) []byte {
+	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
+	dst = strconv.AppendBool(append(dst, `,"ok":`...), m.OK)
+	if m.Error != "" {
+		dst = wire.AppendJSONString(append(dst, `,"error":`...), m.Error)
+	}
+	return append(dst, '}')
+}
+
+// ParseJSON keeps the error m already holds when the frame has none, as
+// json.Unmarshal would.
+func (m *resultMsg) ParseJSON(src []byte) bool {
+	r := wire.NewJSONReader(src)
+	c := *m
+	r.Open('{')
+	r.Key("kind")
+	c.Kind = r.String()
+	r.Key("ok")
+	c.OK = r.Bool()
+	if r.Has("error") {
+		c.Error = r.String()
+	}
+	r.Close('}')
+	if !r.Done() {
+		return false
+	}
+	*m = c
+	return true
 }

@@ -138,7 +138,7 @@ func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 		if err := rpc.Decode(body, &f); err != nil {
 			return nil, err
 		}
-		return s.query(f), nil
+		return recordList(s.query(f)), nil
 	case "putmeta":
 		var m Meta
 		if err := rpc.Decode(body, &m); err != nil {
@@ -235,7 +235,7 @@ func (c *Client) Unregister(name string) error {
 
 // Query returns records matching the filter.
 func (c *Client) Query(f Filter) ([]Record, error) {
-	var out []Record
+	var out recordList
 	err := c.rpcc.Call("query", f, &out, CallTimeout)
 	return out, err
 }

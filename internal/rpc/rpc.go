@@ -6,9 +6,11 @@
 // and may flow in either direction, which is how GRAM delivers asynchronous
 // job-state callbacks to a connected client.
 //
-// Bodies are JSON unless the message type opts into the typed binary form
-// of internal/wire by implementing AppendWire (on the value sent) and
-// ParseWire (on the pointer received into); see marshalBody and Decode.
+// Bodies are JSON. A message type opts into one of two faster forms by
+// implementing two methods: AppendWire (on the value sent) and ParseWire (on
+// the pointer received into) for the typed binary form of internal/wire, or
+// AppendJSON and ParseJSON for hand-written JSON in exactly encoding/json's
+// bytes; see marshalBody and Decode.
 //
 // Nothing here owns a process unless something blocks. The receive side of
 // a Client, a Server's listener and every connection a Server accepts each
@@ -447,15 +449,30 @@ type wireParser interface {
 	ParseWire(src []byte) error
 }
 
+// jsonAppender and jsonParser are how a message type keeps JSON bodies but
+// writes and reads them by hand: AppendJSON appends exactly json.Marshal's
+// bytes for the value, and ParseJSON reads exactly what AppendJSON writes,
+// declining anything else (it reports false and leaves the target as it
+// was). A type implements both or neither.
+type jsonAppender interface {
+	AppendJSON(dst []byte) []byte
+}
+
+type jsonParser interface {
+	ParseJSON(src []byte) bool
+}
+
 // marshalBody appends the body encoding of v to dst: the typed form behind
-// wire.BodyMarker when v has one, JSON otherwise. The choice depends on v's
-// type alone.
+// wire.BodyMarker when v has one, JSON otherwise, by hand when v can. The
+// choice depends on v's type alone.
 func marshalBody(dst []byte, v any) ([]byte, error) {
-	if v == nil {
+	switch w := v.(type) {
+	case nil:
 		return dst, nil
-	}
-	if w, ok := v.(wireAppender); ok {
+	case wireAppender:
 		return w.AppendWire(append(dst, wire.BodyMarker)), nil
+	case jsonAppender:
+		return w.AppendJSON(dst), nil
 	}
 	js, err := json.Marshal(v)
 	if err != nil {
@@ -466,12 +483,17 @@ func marshalBody(dst []byte, v any) ([]byte, error) {
 
 // Decode unmarshals a received body into v, tolerating an empty body. The
 // first byte says which form arrived, whatever the sender's type was: a
-// typed receiver still decodes the JSON a foreign client sent it.
+// typed receiver still decodes the JSON a foreign client sent it. JSON goes
+// to v's ParseJSON when it has one, and to encoding/json when it has none or
+// it declines.
 func Decode(body json.RawMessage, v any) error {
 	if len(body) == 0 {
 		return nil
 	}
 	if body[0] != wire.BodyMarker {
+		if p, ok := v.(jsonParser); ok && p.ParseJSON(body) {
+			return nil
+		}
 		return json.Unmarshal(body, v)
 	}
 	p, ok := v.(wireParser)
