@@ -3,6 +3,7 @@ package rpc
 import (
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -100,5 +101,57 @@ func TestTypedBodyInterop(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+}
+
+// jsonMsg opts into hand-written JSON the way a production message does:
+// AppendJSON on the value, ParseJSON on the pointer. parsed records that
+// ParseJSON, not encoding/json, filled it.
+type jsonMsg struct {
+	Text   string `json:"text"`
+	N      int    `json:"n"`
+	parsed bool
+}
+
+func (m jsonMsg) AppendJSON(dst []byte) []byte {
+	dst = wire.AppendJSONString(wire.AppendJSONKey(append(dst, '{'), "text"), m.Text)
+	return append(strconv.AppendInt(wire.AppendJSONKey(dst, "n"), int64(m.N), 10), '}')
+}
+
+func (m *jsonMsg) ParseJSON(src []byte) bool {
+	r := wire.NewJSONReader(src)
+	r.Open('{')
+	r.Key("text")
+	text := r.String()
+	r.Key("n")
+	n := r.Int()
+	r.Close('}')
+	if !r.Done() {
+		return false
+	}
+	*m = jsonMsg{Text: text, N: n, parsed: true}
+	return true
+}
+
+// TestJSONBodyDispatch: a value with AppendJSON is sent in its own bytes,
+// which are json.Marshal's, and read back by ParseJSON; a body ParseJSON
+// declines — the same object with its keys the other way round — still
+// decodes, through encoding/json.
+func TestJSONBodyDispatch(t *testing.T) {
+	msg := jsonMsg{Text: "&(count=1)", N: -3}
+	body, err := marshalBody(nil, msg)
+	if want, _ := json.Marshal(msg); err != nil || string(body) != string(want) {
+		t.Fatalf("marshalBody = %s, %v; want json.Marshal's %s", body, err, want)
+	}
+	var got jsonMsg
+	if err := Decode(body, &got); err != nil || got != (jsonMsg{Text: msg.Text, N: msg.N, parsed: true}) {
+		t.Errorf("Decode(%s) = %+v, %v; want it read by ParseJSON", body, got, err)
+	}
+	got = jsonMsg{}
+	if err := Decode([]byte(`{"n":-3,"text":"&(count=1)"}`), &got); err != nil || got != (jsonMsg{Text: msg.Text, N: msg.N}) {
+		t.Errorf("Decode of reordered keys = %+v, %v; want encoding/json's reading", got, err)
+	}
+	if err := Decode([]byte(`{"text":"x","n":`), &got); err == nil {
+		t.Error("Decode of a truncated body succeeded")
 	}
 }

@@ -303,7 +303,7 @@ func (r *JSONReader) Strings() []string {
 // escaped finishes a string whose first escape is at src[i], the string's
 // text having started at src[start]: its bytes are built anew.
 func (r *JSONReader) escaped(start, i int) string {
-	buf := append([]byte(nil), r.src[start:i]...)
+	buf := append(make([]byte, 0, len(r.src)-start), r.src[start:i]...)
 	for i < len(r.src) {
 		b := r.src[i]
 		if b == '"' {

@@ -15,9 +15,9 @@
 # runs `rounds` `-child <workload> -seed <s>` rounds, s = seed ..
 # seed+rounds-1, at GOMAXPROCS=1, as the benchmark's own rounds run. It
 # prints each round's result line, then the top 25 entries by cumulative CPU
-# time and the top 25 functions by bytes allocated, over every round's
-# profile merged: one round is about 130 CPU samples, too few to rank
-# anything under 5 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof and the
+# time, the share of CPU spent in encoding/json, and the top 25 functions
+# by bytes allocated, over every round's profile merged: one round is about
+# 130 CPU samples, too few to rank anything under 5 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof and the
 # binary in a temporary directory whose name is the last line, for
 # `go tool pprof -list`, `-peek` and `-sample_index=alloc_objects` (name
 # every round's file to merge them there too).
@@ -30,7 +30,7 @@
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,29p' "$0" >&2
+    sed -n '2,30p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -81,6 +81,14 @@ done
 echo
 echo "== CPU, top 25 by cumulative time, $rounds round(s) merged"
 go tool pprof -top -cum -nodecount=25 "$tmp/bench" "$tmp"/cpu-*.pprof 2>/dev/null | sed -n '/flat%/,$p'
+echo
+# The share of CPU samples with an encoding/json frame anywhere on the stack
+# (pprof's -focus): what reflection-driven JSON costs, callers' bodies and
+# GSI frames alike.
+json=$(go tool pprof -top -focus='^encoding/json\.' -nodefraction=0 -nodecount=1000000 \
+    "$tmp/bench" "$tmp"/cpu-*.pprof 2>/dev/null |
+    sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*\)% of .*/\1/p')
+echo "encoding/json: ${json:-0} % of CPU over $rounds rounds"
 echo
 echo "== bytes allocated, top 25 functions, $rounds round(s) merged"
 go tool pprof -sample_index=alloc_space -top -nodecount=25 "$tmp/bench" "$tmp"/allocs-*.pprof 2>/dev/null | sed -n '/flat%/,$p'

@@ -46,8 +46,9 @@ echo "== fed smoke (federated invariants + replica scaling check)"
 go run ./cmd/dstgrid -fed-seeds 40 -smoke >/dev/null
 go run ./cmd/benchgrid -fig none -app federation -smoke >/dev/null
 
-echo "== fuzz seeds (envelope codec, typed check-in bodies, trace JSONL, flight-recorder dumps, DST scenarios)"
-go test -run Fuzz ./internal/wire ./internal/core ./internal/trace ./internal/flightrec ./internal/dst >/dev/null
+echo "== fuzz seeds (envelope codec and JSON primitives, typed check-in bodies, hand-written JSON bodies, GSI frames, RSL, timer wheel, trace JSONL, flight-recorder dumps, DST scenarios)"
+go test -run Fuzz ./internal/wire ./internal/core ./internal/mds ./internal/gram ./internal/nis ./internal/broker \
+    ./internal/federation ./internal/gsi ./internal/rsl ./internal/vtime ./internal/trace ./internal/flightrec ./internal/dst >/dev/null
 
 echo "== slo smoke (zero false positives + bounded detection lag gate)"
 go run ./cmd/benchgrid -fig none -app slo -smoke >/dev/null
