@@ -1,151 +1,47 @@
 package broker
 
-import (
-	"strconv"
-	"time"
-
-	"cogrid/internal/wire"
-)
+import "cogrid/internal/wire"
 
 // A submission and its reply are written and read by hand, in exactly
-// encoding/json's bytes (see internal/wire's JSONReader and rpc.Decode).
-
-// appendInt appends an int field, or nothing for an omitempty zero.
-func appendInt(dst []byte, key string, n int64, omitEmpty bool) []byte {
-	if omitEmpty && n == 0 {
-		return dst
-	}
-	return strconv.AppendInt(wire.AppendJSONKey(dst, key), n, 10)
-}
-
-// appendString appends a string field, or nothing for an omitempty "".
-func appendString(dst []byte, key, s string, omitEmpty bool) []byte {
-	if omitEmpty && s == "" {
-		return dst
-	}
-	return wire.AppendJSONString(wire.AppendJSONKey(dst, key), s)
-}
+// encoding/json's bytes (see wire.JSON).
 
 // AppendJSON appends req as json.Marshal writes it.
-func (req Request) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = appendString(dst, "tenant", req.Tenant, false)
-	dst = appendInt(dst, "sites", int64(req.Sites), false)
-	dst = appendInt(dst, "procs_per_site", int64(req.ProcsPerSite), false)
-	dst = appendString(dst, "executable", req.Executable, false)
-	dst = appendInt(dst, "spares", int64(req.Spares), true)
-	dst = appendInt(dst, "commit_timeout", int64(req.CommitTimeout), true)
-	dst = appendInt(dst, "startup_timeout", int64(req.StartupTimeout), true)
-	dst = appendInt(dst, "max_time", int64(req.MaxTime), true)
-	dst = appendInt(dst, "deadline", int64(req.Deadline), true)
-	dst = appendString(dst, "key", req.Key, true)
-	dst = appendString(dst, "origin", req.Origin, true)
-	dst = appendInt(dst, "hops", int64(req.Hops), true)
-	dst = appendInt(dst, "view_as_of", int64(req.ViewAsOf), true)
-	return append(dst, '}')
-}
+func (req Request) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &req, (*Request).json) }
 
 // ParseJSON reads what AppendJSON writes into req, as json.Unmarshal would.
-func (req *Request) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	c := *req
-	r.Open('{')
-	r.Key("tenant")
-	c.Tenant = r.String()
-	r.Key("sites")
-	c.Sites = r.Int()
-	r.Key("procs_per_site")
-	c.ProcsPerSite = r.Int()
-	r.Key("executable")
-	c.Executable = r.String()
-	if r.Has("spares") {
-		c.Spares = r.Int()
-	}
-	if r.Has("commit_timeout") {
-		c.CommitTimeout = time.Duration(r.Int())
-	}
-	if r.Has("startup_timeout") {
-		c.StartupTimeout = time.Duration(r.Int())
-	}
-	if r.Has("max_time") {
-		c.MaxTime = time.Duration(r.Int())
-	}
-	if r.Has("deadline") {
-		c.Deadline = time.Duration(r.Int())
-	}
-	if r.Has("key") {
-		c.Key = r.String()
-	}
-	if r.Has("origin") {
-		c.Origin = r.String()
-	}
-	if r.Has("hops") {
-		c.Hops = r.Int()
-	}
-	if r.Has("view_as_of") {
-		c.ViewAsOf = time.Duration(r.Int())
-	}
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*req = c
-	return true
+func (req *Request) ParseJSON(src []byte) bool { return wire.ParseJSON(src, req, (*Request).json) }
+
+func (req *Request) json(j *wire.JSON) {
+	j.String("tenant", &req.Tenant)
+	j.Int("sites", &req.Sites)
+	j.Int("procs_per_site", &req.ProcsPerSite)
+	j.String("executable", &req.Executable)
+	j.Int("spares,omitempty", &req.Spares)
+	j.Duration("commit_timeout,omitempty", &req.CommitTimeout)
+	j.Duration("startup_timeout,omitempty", &req.StartupTimeout)
+	j.Duration("max_time,omitempty", &req.MaxTime)
+	j.Duration("deadline,omitempty", &req.Deadline)
+	j.String("key,omitempty", &req.Key)
+	j.String("origin,omitempty", &req.Origin)
+	j.Int("hops,omitempty", &req.Hops)
+	j.Duration("view_as_of,omitempty", &req.ViewAsOf)
 }
 
 // AppendJSON appends rep as json.Marshal writes it.
-func (rep Reply) AppendJSON(dst []byte) []byte {
-	dst = strconv.AppendBool(append(dst, `{"accepted":`...), rep.Accepted)
-	dst = appendInt(dst, "retry_after", int64(rep.RetryAfter), true)
-	dst = appendString(dst, "job_id", rep.JobID, true)
-	dst = appendInt(dst, "attempts", int64(rep.Attempts), true)
-	dst = appendInt(dst, "substitutions", int64(rep.Substitutions), true)
-	dst = appendInt(dst, "world_size", int64(rep.WorldSize), true)
-	dst = appendInt(dst, "queue_wait", int64(rep.QueueWait), true)
-	dst = appendInt(dst, "elapsed", int64(rep.Elapsed), true)
-	dst = appendInt(dst, "hops", int64(rep.Hops), true)
-	dst = appendString(dst, "error", rep.Error, true)
-	return append(dst, '}')
-}
+func (rep Reply) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &rep, (*Reply).json) }
 
 // ParseJSON reads what AppendJSON writes into rep, as json.Unmarshal would.
-func (rep *Reply) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	c := *rep
-	r.Open('{')
-	r.Key("accepted")
-	c.Accepted = r.Bool()
-	if r.Has("retry_after") {
-		c.RetryAfter = time.Duration(r.Int())
-	}
-	if r.Has("job_id") {
-		c.JobID = r.String()
-	}
-	if r.Has("attempts") {
-		c.Attempts = r.Int()
-	}
-	if r.Has("substitutions") {
-		c.Substitutions = r.Int()
-	}
-	if r.Has("world_size") {
-		c.WorldSize = r.Int()
-	}
-	if r.Has("queue_wait") {
-		c.QueueWait = time.Duration(r.Int())
-	}
-	if r.Has("elapsed") {
-		c.Elapsed = time.Duration(r.Int())
-	}
-	if r.Has("hops") {
-		c.Hops = r.Int()
-	}
-	if r.Has("error") {
-		c.Error = r.String()
-	}
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*rep = c
-	return true
+func (rep *Reply) ParseJSON(src []byte) bool { return wire.ParseJSON(src, rep, (*Reply).json) }
+
+func (rep *Reply) json(j *wire.JSON) {
+	j.Bool("accepted", &rep.Accepted)
+	j.Duration("retry_after,omitempty", &rep.RetryAfter)
+	j.String("job_id,omitempty", &rep.JobID)
+	j.Int("attempts,omitempty", &rep.Attempts)
+	j.Int("substitutions,omitempty", &rep.Substitutions)
+	j.Int("world_size,omitempty", &rep.WorldSize)
+	j.Duration("queue_wait,omitempty", &rep.QueueWait)
+	j.Duration("elapsed,omitempty", &rep.Elapsed)
+	j.Int("hops,omitempty", &rep.Hops)
+	j.String("error,omitempty", &rep.Error)
 }

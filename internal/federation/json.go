@@ -1,270 +1,75 @@
 package federation
 
-import (
-	"strconv"
-	"time"
-
-	"cogrid/internal/wire"
-)
+import "cogrid/internal/wire"
 
 // Heartbeats and journal appends, each way, are written and read by hand,
-// in exactly encoding/json's bytes (see internal/wire's JSONReader and
-// rpc.Decode). A parser declines a target that already holds a list, whose
-// array json.Unmarshal would reuse.
+// in exactly encoding/json's bytes (see wire.JSON).
 
-// appendInt appends an int field, or nothing for an omitempty zero.
-func appendInt(dst []byte, key string, n int64, omitEmpty bool) []byte {
-	if omitEmpty && n == 0 {
-		return dst
-	}
-	return strconv.AppendInt(wire.AppendJSONKey(dst, key), n, 10)
+func (m *ShardMap) json(j *wire.JSON) {
+	j.Int("version", &m.Version)
+	j.Int("epoch", &m.Epoch)
+	j.String("leader", &m.Leader)
+	j.Strings("replicas", &m.Replicas)
+	j.Int("vnodes", &m.VNodes)
 }
 
-// appendString appends a string field, or nothing for an omitempty "".
-func appendString(dst []byte, key, s string, omitEmpty bool) []byte {
-	if omitEmpty && s == "" {
-		return dst
-	}
-	return wire.AppendJSONString(wire.AppendJSONKey(dst, key), s)
-}
-
-func (m ShardMap) appendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = appendInt(dst, "version", int64(m.Version), false)
-	dst = appendInt(dst, "epoch", int64(m.Epoch), false)
-	dst = appendString(dst, "leader", m.Leader, false)
-	dst = wire.AppendJSONStrings(wire.AppendJSONKey(dst, "replicas"), m.Replicas)
-	dst = appendInt(dst, "vnodes", int64(m.VNodes), false)
-	return append(dst, '}')
-}
-
-// readJSON reads every field of a map, so a target it merges into does not
-// show through.
-func (m *ShardMap) readJSON(r *wire.JSONReader) {
-	r.Open('{')
-	r.Key("version")
-	m.Version = r.Int()
-	r.Key("epoch")
-	m.Epoch = r.Int()
-	r.Key("leader")
-	m.Leader = r.String()
-	r.Key("replicas")
-	m.Replicas = r.Strings()
-	r.Key("vnodes")
-	m.VNodes = r.Int()
-	r.Close('}')
-}
-
-func (e *Entry) appendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = appendString(dst, "key", e.Key, false)
-	dst = appendString(dst, "kind", e.Kind, false)
-	dst = appendString(dst, "origin", e.Origin, false)
-	dst = appendString(dst, "owner", e.Owner, false)
-	dst = appendString(dst, "req_key", e.ReqKey, true)
-	dst = appendString(dst, "job_id", e.JobID, true)
-	if e.Committed {
-		dst = append(wire.AppendJSONKey(dst, "committed"), "true"...)
-	}
-	dst = appendString(dst, "rm", e.RM, true)
-	dst = appendString(dst, "contact", e.Contact, true)
-	dst = appendString(dst, "state", e.State, false)
-	dst = appendInt(dst, "rev", int64(e.Rev), false)
-	dst = appendInt(dst, "seq", int64(e.Seq), true)
-	dst = appendInt(dst, "at", int64(e.At), false)
-	dst = appendInt(dst, "handoff_at", int64(e.HandoffAt), true)
-	return append(dst, '}')
-}
-
-// readJSON reads an entry into e, which is zero: a list element.
-func (e *Entry) readJSON(r *wire.JSONReader) {
-	r.Open('{')
-	r.Key("key")
-	e.Key = r.String()
-	r.Key("kind")
-	e.Kind = r.String()
-	r.Key("origin")
-	e.Origin = r.String()
-	r.Key("owner")
-	e.Owner = r.String()
-	if r.Has("req_key") {
-		e.ReqKey = r.String()
-	}
-	if r.Has("job_id") {
-		e.JobID = r.String()
-	}
-	if r.Has("committed") {
-		e.Committed = r.Bool()
-	}
-	if r.Has("rm") {
-		e.RM = r.String()
-	}
-	if r.Has("contact") {
-		e.Contact = r.String()
-	}
-	r.Key("state")
-	e.State = r.String()
-	r.Key("rev")
-	e.Rev = r.Int()
-	if r.Has("seq") {
-		e.Seq = r.Int()
-	}
-	r.Key("at")
-	e.At = time.Duration(r.Int())
-	if r.Has("handoff_at") {
-		e.HandoffAt = time.Duration(r.Int())
-	}
-	r.Close('}')
-}
-
-// appendEntries appends list as json.Marshal writes a []Entry.
-func appendEntries(dst []byte, list []Entry) []byte {
-	if list == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i := range list {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = list[i].appendJSON(dst)
-	}
-	return append(dst, ']')
-}
-
-// readEntries reads what appendEntries writes, as json.Unmarshal reads it
-// into a nil []Entry.
-func readEntries(r *wire.JSONReader) []Entry {
-	if r.Null() {
-		return nil
-	}
-	list := []Entry{}
-	r.Open('[')
-	for r.More(']') {
-		list = append(list, Entry{})
-		list[len(list)-1].readJSON(r)
-	}
-	r.Close(']')
-	return list
+func (e *Entry) json(j *wire.JSON) {
+	j.String("key", &e.Key)
+	j.String("kind", &e.Kind)
+	j.String("origin", &e.Origin)
+	j.String("owner", &e.Owner)
+	j.String("req_key,omitempty", &e.ReqKey)
+	j.String("job_id,omitempty", &e.JobID)
+	j.Bool("committed,omitempty", &e.Committed)
+	j.String("rm,omitempty", &e.RM)
+	j.String("contact,omitempty", &e.Contact)
+	j.String("state", &e.State)
+	j.Int("rev", &e.Rev)
+	j.Int("seq,omitempty", &e.Seq)
+	j.Duration("at", &e.At)
+	j.Duration("handoff_at,omitempty", &e.HandoffAt)
 }
 
 func (m heartbeatMsg) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = appendString(dst, "from", m.From, false)
-	dst = appendInt(dst, "epoch", int64(m.Epoch), false)
-	dst = m.Shard.appendJSON(wire.AppendJSONKey(dst, "shard"))
-	dst = appendInt(dst, "upd_start", int64(m.UpdStart), false)
-	if len(m.Updates) > 0 {
-		dst = appendEntries(wire.AppendJSONKey(dst, "updates"), m.Updates)
-	}
-	return append(dst, '}')
+	return wire.AppendJSON(dst, &m, (*heartbeatMsg).json)
 }
-
 func (m *heartbeatMsg) ParseJSON(src []byte) bool {
-	if m.Shard.Replicas != nil || m.Updates != nil {
-		return false
-	}
-	r := wire.NewJSONReader(src)
-	c := *m
-	r.Open('{')
-	r.Key("from")
-	c.From = r.String()
-	r.Key("epoch")
-	c.Epoch = r.Int()
-	r.Key("shard")
-	c.Shard.readJSON(&r)
-	r.Key("upd_start")
-	c.UpdStart = r.Int()
-	if r.Has("updates") {
-		c.Updates = readEntries(&r)
-	}
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*m = c
-	return true
+	return wire.ParseJSON(src, m, (*heartbeatMsg).json)
 }
 
-func (rep heartbeatReply) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = appendInt(dst, "ack", int64(rep.Ack), false)
-	dst = appendInt(dst, "epoch", int64(rep.Epoch), false)
-	if len(rep.Updates) > 0 {
-		dst = appendEntries(wire.AppendJSONKey(dst, "updates"), rep.Updates)
-	}
-	return append(dst, '}')
+func (m *heartbeatMsg) json(j *wire.JSON) {
+	j.String("from", &m.From)
+	j.Int("epoch", &m.Epoch)
+	wire.JSONObject(j, "shard", &m.Shard, (*ShardMap).json)
+	j.Int("upd_start", &m.UpdStart)
+	wire.JSONList(j, "updates,omitempty", &m.Updates, (*Entry).json)
 }
 
-func (rep *heartbeatReply) ParseJSON(src []byte) bool {
-	if rep.Updates != nil {
-		return false
-	}
-	r := wire.NewJSONReader(src)
-	c := *rep
-	r.Open('{')
-	r.Key("ack")
-	c.Ack = r.Int()
-	r.Key("epoch")
-	c.Epoch = r.Int()
-	if r.Has("updates") {
-		c.Updates = readEntries(&r)
-	}
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*rep = c
-	return true
+func (r heartbeatReply) AppendJSON(dst []byte) []byte {
+	return wire.AppendJSON(dst, &r, (*heartbeatReply).json)
+}
+func (r *heartbeatReply) ParseJSON(src []byte) bool {
+	return wire.ParseJSON(src, r, (*heartbeatReply).json)
 }
 
-func (m appendMsg) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = appendString(dst, "from", m.From, false)
-	dst = appendEntries(wire.AppendJSONKey(dst, "entries"), m.Entries)
-	return append(dst, '}')
+func (r *heartbeatReply) json(j *wire.JSON) {
+	j.Int("ack", &r.Ack)
+	j.Int("epoch", &r.Epoch)
+	wire.JSONList(j, "updates,omitempty", &r.Updates, (*Entry).json)
 }
 
-func (m *appendMsg) ParseJSON(src []byte) bool {
-	if m.Entries != nil {
-		return false
-	}
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("from")
-	from := r.String()
-	r.Key("entries")
-	entries := readEntries(&r)
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*m = appendMsg{From: from, Entries: entries}
-	return true
+func (m appendMsg) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &m, (*appendMsg).json) }
+func (m *appendMsg) ParseJSON(src []byte) bool   { return wire.ParseJSON(src, m, (*appendMsg).json) }
+
+func (m *appendMsg) json(j *wire.JSON) {
+	j.String("from", &m.From)
+	wire.JSONList(j, "entries", &m.Entries, (*Entry).json)
 }
 
-func (rep appendReply) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	if len(rep.Entries) > 0 {
-		dst = appendEntries(wire.AppendJSONKey(dst, "entries"), rep.Entries)
-	}
-	return append(dst, '}')
+func (r appendReply) AppendJSON(dst []byte) []byte {
+	return wire.AppendJSON(dst, &r, (*appendReply).json)
 }
-
-func (rep *appendReply) ParseJSON(src []byte) bool {
-	if rep.Entries != nil {
-		return false
-	}
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	var entries []Entry
-	if r.Has("entries") {
-		entries = readEntries(&r)
-	}
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	rep.Entries = entries
-	return true
+func (r *appendReply) ParseJSON(src []byte) bool { return wire.ParseJSON(src, r, (*appendReply).json) }
+func (r *appendReply) json(j *wire.JSON) {
+	wire.JSONList(j, "entries,omitempty", &r.Entries, (*Entry).json)
 }

@@ -1,81 +1,35 @@
 package gram
 
-import (
-	"strconv"
-	"time"
-
-	"cogrid/internal/lrm"
-	"cogrid/internal/wire"
-)
+import "cogrid/internal/wire"
 
 // A submit and its reply, and every job-state callback, are written and
-// read by hand, in exactly encoding/json's bytes (see internal/wire's
-// JSONReader and rpc.Decode).
+// read by hand, in exactly encoding/json's bytes (see wire.JSON).
 
 // AppendJSON appends ev as json.Marshal writes it.
 func (ev StateEvent) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = wire.AppendJSONString(wire.AppendJSONKey(dst, "contact"), ev.Contact)
-	dst = strconv.AppendInt(wire.AppendJSONKey(dst, "state"), int64(ev.State), 10)
-	if ev.Reason != "" {
-		dst = wire.AppendJSONString(wire.AppendJSONKey(dst, "reason"), ev.Reason)
-	}
-	dst = strconv.AppendInt(wire.AppendJSONKey(dst, "at"), int64(ev.At), 10)
-	return append(dst, '}')
+	return wire.AppendJSON(dst, &ev, (*StateEvent).json)
 }
 
 // ParseJSON reads what AppendJSON writes into ev, as json.Unmarshal would.
 func (ev *StateEvent) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	c := *ev
-	r.Open('{')
-	r.Key("contact")
-	c.Contact = r.String()
-	r.Key("state")
-	c.State = lrm.JobState(r.Int())
-	if r.Has("reason") {
-		c.Reason = r.String()
-	}
-	r.Key("at")
-	c.At = time.Duration(r.Int())
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*ev = c
-	return true
+	return wire.ParseJSON(src, ev, (*StateEvent).json)
+}
+
+func (ev *StateEvent) json(j *wire.JSON) {
+	j.String("contact", &ev.Contact)
+	j.Int("state", (*int)(&ev.State))
+	j.String("reason,omitempty", &ev.Reason)
+	j.Duration("at", &ev.At)
 }
 
 func (a submitArgs) AppendJSON(dst []byte) []byte {
-	return append(wire.AppendJSONString(append(dst, `{"rsl":`...), a.RSL), '}')
+	return wire.AppendJSON(dst, &a, (*submitArgs).json)
 }
+func (a *submitArgs) ParseJSON(src []byte) bool { return wire.ParseJSON(src, a, (*submitArgs).json) }
+func (a *submitArgs) json(j *wire.JSON)         { j.String("rsl", &a.RSL) }
 
-func (a *submitArgs) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("rsl")
-	rsl := r.String()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	a.RSL = rsl
-	return true
+func (r submitReply) AppendJSON(dst []byte) []byte {
+	return wire.AppendJSON(dst, &r, (*submitReply).json)
 }
-
-func (rep submitReply) AppendJSON(dst []byte) []byte {
-	return append(wire.AppendJSONString(append(dst, `{"job_contact":`...), rep.JobContact), '}')
-}
-
-func (rep *submitReply) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("job_contact")
-	contact := r.String()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	rep.JobContact = contact
-	return true
-}
+func (r *submitReply) ParseJSON(src []byte) bool { return wire.ParseJSON(src, r, (*submitReply).json) }
+func (r *submitReply) json(j *wire.JSON)         { j.String("job_contact", &r.JobContact) }

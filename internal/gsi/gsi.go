@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -246,9 +245,9 @@ func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	return hello.Client, nil
 }
 
-// Every handshake frame has a hand-written JSON codec, in exactly
-// encoding/json's bytes (see internal/wire's JSONReader): AppendJSON on the
-// value sent, ParseJSON on the pointer received into.
+// Every handshake frame is written and read by hand, in exactly
+// encoding/json's bytes (see wire.JSON): AppendJSON on the value sent,
+// ParseJSON on the pointer received into.
 
 func sendJSON(conn *transport.Conn, v interface{ AppendJSON(dst []byte) []byte }) error {
 	buf := wire.GetBuf()
@@ -284,104 +283,44 @@ func recvJSON(conn *transport.Conn, v interface{ ParseJSON(src []byte) bool }) e
 	return json.Unmarshal(raw, v)
 }
 
-func (m helloMsg) AppendJSON(dst []byte) []byte {
-	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
-	dst = wire.AppendJSONString(append(dst, `,"client":`...), m.Client)
-	dst = wire.AppendJSONString(append(dst, `,"nonce_c":`...), m.NonceC)
-	return append(dst, '}')
-}
+func (m helloMsg) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &m, (*helloMsg).json) }
+func (m *helloMsg) ParseJSON(src []byte) bool   { return wire.ParseJSON(src, m, (*helloMsg).json) }
 
-func (m *helloMsg) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("kind")
-	kind := r.String()
-	r.Key("client")
-	client := r.String()
-	r.Key("nonce_c")
-	nonce := r.String()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*m = helloMsg{Kind: kind, Client: client, NonceC: nonce}
-	return true
+func (m *helloMsg) json(j *wire.JSON) {
+	j.String("kind", &m.Kind)
+	j.String("client", &m.Client)
+	j.String("nonce_c", &m.NonceC)
 }
 
 func (m challengeMsg) AppendJSON(dst []byte) []byte {
-	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
-	dst = wire.AppendJSONString(append(dst, `,"server":`...), m.Server)
-	dst = wire.AppendJSONString(append(dst, `,"nonce_s":`...), m.NonceS)
-	dst = wire.AppendJSONString(append(dst, `,"proof_s":`...), m.ProofS)
-	return append(dst, '}')
+	return wire.AppendJSON(dst, &m, (*challengeMsg).json)
+}
+func (m *challengeMsg) ParseJSON(src []byte) bool {
+	return wire.ParseJSON(src, m, (*challengeMsg).json)
 }
 
-func (m *challengeMsg) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("kind")
-	kind := r.String()
-	r.Key("server")
-	server := r.String()
-	r.Key("nonce_s")
-	nonce := r.String()
-	r.Key("proof_s")
-	proof := r.String()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*m = challengeMsg{Kind: kind, Server: server, NonceS: nonce, ProofS: proof}
-	return true
+func (m *challengeMsg) json(j *wire.JSON) {
+	j.String("kind", &m.Kind)
+	j.String("server", &m.Server)
+	j.String("nonce_s", &m.NonceS)
+	j.String("proof_s", &m.ProofS)
 }
 
 func (m responseMsg) AppendJSON(dst []byte) []byte {
-	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
-	dst = wire.AppendJSONString(append(dst, `,"proof_c":`...), m.ProofC)
-	return append(dst, '}')
+	return wire.AppendJSON(dst, &m, (*responseMsg).json)
+}
+func (m *responseMsg) ParseJSON(src []byte) bool { return wire.ParseJSON(src, m, (*responseMsg).json) }
+
+func (m *responseMsg) json(j *wire.JSON) {
+	j.String("kind", &m.Kind)
+	j.String("proof_c", &m.ProofC)
 }
 
-func (m *responseMsg) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("kind")
-	kind := r.String()
-	r.Key("proof_c")
-	proof := r.String()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*m = responseMsg{Kind: kind, ProofC: proof}
-	return true
-}
+func (m resultMsg) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &m, (*resultMsg).json) }
+func (m *resultMsg) ParseJSON(src []byte) bool   { return wire.ParseJSON(src, m, (*resultMsg).json) }
 
-func (m resultMsg) AppendJSON(dst []byte) []byte {
-	dst = wire.AppendJSONString(append(dst, `{"kind":`...), m.Kind)
-	dst = strconv.AppendBool(append(dst, `,"ok":`...), m.OK)
-	if m.Error != "" {
-		dst = wire.AppendJSONString(append(dst, `,"error":`...), m.Error)
-	}
-	return append(dst, '}')
-}
-
-// ParseJSON keeps the error m already holds when the frame has none, as
-// json.Unmarshal would.
-func (m *resultMsg) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	c := *m
-	r.Open('{')
-	r.Key("kind")
-	c.Kind = r.String()
-	r.Key("ok")
-	c.OK = r.Bool()
-	if r.Has("error") {
-		c.Error = r.String()
-	}
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*m = c
-	return true
+func (m *resultMsg) json(j *wire.JSON) {
+	j.String("kind", &m.Kind)
+	j.Bool("ok", &m.OK)
+	j.String("error,omitempty", &m.Error)
 }

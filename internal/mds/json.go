@@ -1,194 +1,49 @@
 package mds
 
-import (
-	"bytes"
-	"slices"
-	"strconv"
-	"time"
+import "cogrid/internal/wire"
 
-	"cogrid/internal/wire"
-)
-
-// The directory's hot bodies — a published Record, a query's Filter and
-// its reply — are written and read by hand, in exactly encoding/json's
-// bytes (see internal/wire's JSONReader and rpc.Decode).
+// A published Record, a query's Filter and the query's reply are written
+// and read by hand, in exactly encoding/json's bytes (see wire.JSON).
 
 // AppendJSON appends rec as json.Marshal writes it.
-func (rec Record) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = wire.AppendJSONString(wire.AppendJSONKey(dst, "name"), rec.Name)
-	dst = wire.AppendJSONString(wire.AppendJSONKey(dst, "contact"), rec.Contact)
-	dst = strconv.AppendInt(wire.AppendJSONKey(dst, "processors"), int64(rec.Processors), 10)
-	dst = wire.AppendJSONString(wire.AppendJSONKey(dst, "mode"), rec.Mode)
-	dst = strconv.AppendInt(wire.AppendJSONKey(dst, "free_processors"), int64(rec.FreeProcessors), 10)
-	dst = strconv.AppendInt(wire.AppendJSONKey(dst, "running_jobs"), int64(rec.RunningJobs), 10)
-	dst = strconv.AppendInt(wire.AppendJSONKey(dst, "queued_jobs"), int64(rec.QueuedJobs), 10)
-	if len(rec.ForecastWait) > 0 {
-		dst = appendForecast(wire.AppendJSONKey(dst, "forecast_wait"), rec.ForecastWait)
-	}
-	dst = strconv.AppendInt(wire.AppendJSONKey(dst, "updated_at"), int64(rec.UpdatedAt), 10)
-	return append(dst, '}')
-}
+func (rec Record) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &rec, (*Record).json) }
 
-// appendForecast writes the map with its keys in encoding/json's order: as
-// strings, so "16" sorts before "4".
-func appendForecast(dst []byte, m map[int]time.Duration) []byte {
-	var stack [16]int
-	keys := stack[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b int) int {
-		var x, y [20]byte
-		return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
-	})
-	dst = append(dst, '{')
-	for i, k := range keys {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(strconv.AppendInt(append(dst, '"'), int64(k), 10), '"', ':')
-		dst = strconv.AppendInt(dst, int64(m[k]), 10)
-	}
-	return append(dst, '}')
-}
+// ParseJSON reads what AppendJSON writes into rec, as json.Unmarshal would.
+func (rec *Record) ParseJSON(src []byte) bool { return wire.ParseJSON(src, rec, (*Record).json) }
 
-// ParseJSON reads what AppendJSON writes into rec, as json.Unmarshal would:
-// the forecasts merge into a map rec already has.
-func (rec *Record) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	c := *rec
-	forecast := c.readJSON(&r)
-	if !r.Done() {
-		return false
-	}
-	if c.ForecastWait == nil {
-		c.ForecastWait = forecast
-	} else {
-		for n, d := range forecast {
-			c.ForecastWait[n] = d
-		}
-	}
-	*rec = c
-	return true
-}
-
-// readJSON reads a record's fields into rec, except that it returns the
-// forecasts, if present, for the caller to merge.
-func (rec *Record) readJSON(r *wire.JSONReader) (forecast map[int]time.Duration) {
-	r.Open('{')
-	r.Key("name")
-	rec.Name = r.String()
-	r.Key("contact")
-	rec.Contact = r.String()
-	r.Key("processors")
-	rec.Processors = r.Int()
-	r.Key("mode")
-	rec.Mode = r.String()
-	r.Key("free_processors")
-	rec.FreeProcessors = r.Int()
-	r.Key("running_jobs")
-	rec.RunningJobs = r.Int()
-	r.Key("queued_jobs")
-	rec.QueuedJobs = r.Int()
-	if r.Has("forecast_wait") {
-		forecast = make(map[int]time.Duration)
-		r.Open('{')
-		for r.More('}') {
-			n := r.IntKey()
-			forecast[n] = time.Duration(r.Int())
-		}
-		r.Close('}')
-	}
-	r.Key("updated_at")
-	rec.UpdatedAt = time.Duration(r.Int())
-	r.Close('}')
-	return forecast
+func (rec *Record) json(j *wire.JSON) {
+	j.String("name", &rec.Name)
+	j.String("contact", &rec.Contact)
+	j.Int("processors", &rec.Processors)
+	j.String("mode", &rec.Mode)
+	j.Int("free_processors", &rec.FreeProcessors)
+	j.Int("running_jobs", &rec.RunningJobs)
+	j.Int("queued_jobs", &rec.QueuedJobs)
+	j.DurationMap("forecast_wait,omitempty", &rec.ForecastWait)
+	j.Duration("updated_at", &rec.UpdatedAt)
 }
 
 // AppendJSON appends f as json.Marshal writes it.
-func (f Filter) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	if f.MinProcessors != 0 {
-		dst = strconv.AppendInt(wire.AppendJSONKey(dst, "min_processors"), int64(f.MinProcessors), 10)
-	}
-	if f.MinFree != 0 {
-		dst = strconv.AppendInt(wire.AppendJSONKey(dst, "min_free"), int64(f.MinFree), 10)
-	}
-	if f.Mode != "" {
-		dst = wire.AppendJSONString(wire.AppendJSONKey(dst, "mode"), f.Mode)
-	}
-	if f.MaxAge != 0 {
-		dst = strconv.AppendInt(wire.AppendJSONKey(dst, "max_age"), int64(f.MaxAge), 10)
-	}
-	return append(dst, '}')
-}
+func (f Filter) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &f, (*Filter).json) }
 
 // ParseJSON reads what AppendJSON writes into f, as json.Unmarshal would.
-func (f *Filter) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	c := *f
-	r.Open('{')
-	if r.Has("min_processors") {
-		c.MinProcessors = r.Int()
-	}
-	if r.Has("min_free") {
-		c.MinFree = r.Int()
-	}
-	if r.Has("mode") {
-		c.Mode = r.String()
-	}
-	if r.Has("max_age") {
-		c.MaxAge = time.Duration(r.Int())
-	}
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*f = c
-	return true
+func (f *Filter) ParseJSON(src []byte) bool { return wire.ParseJSON(src, f, (*Filter).json) }
+
+func (f *Filter) json(j *wire.JSON) {
+	j.Int("min_processors,omitempty", &f.MinProcessors)
+	j.Int("min_free,omitempty", &f.MinFree)
+	j.String("mode,omitempty", &f.Mode)
+	j.Duration("max_age,omitempty", &f.MaxAge)
 }
 
 // recordList is a query's reply: the whole matching directory, every
 // record with its forecasts.
 type recordList []Record
 
-// AppendJSON appends l as json.Marshal writes it.
 func (l recordList) AppendJSON(dst []byte) []byte {
-	if l == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, rec := range l {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = rec.AppendJSON(dst)
-	}
-	return append(dst, ']')
+	return wire.AppendJSONList(dst, l, (*Record).json)
 }
 
-// ParseJSON reads what AppendJSON writes into l. It declines a list l
-// already holds, whose elements json.Unmarshal would decode into in place.
 func (l *recordList) ParseJSON(src []byte) bool {
-	if *l != nil {
-		return false
-	}
-	r := wire.NewJSONReader(src)
-	if r.Null() {
-		return r.Done()
-	}
-	list := recordList{}
-	r.Open('[')
-	for r.More(']') {
-		var rec Record
-		rec.ForecastWait = rec.readJSON(&r)
-		list = append(list, rec)
-	}
-	r.Close(']')
-	if !r.Done() {
-		return false
-	}
-	*l = list
-	return true
+	return wire.ParseJSONList(src, (*[]Record)(l), (*Record).json)
 }

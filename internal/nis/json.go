@@ -3,44 +3,16 @@ package nis
 import "cogrid/internal/wire"
 
 // An initgroups call and its reply are written and read by hand, in
-// exactly encoding/json's bytes (see internal/wire's JSONReader and
-// rpc.Decode).
+// exactly encoding/json's bytes (see wire.JSON).
 
 func (a lookupArgs) AppendJSON(dst []byte) []byte {
-	return append(wire.AppendJSONString(append(dst, `{"user":`...), a.User), '}')
+	return wire.AppendJSON(dst, &a, (*lookupArgs).json)
 }
+func (a *lookupArgs) ParseJSON(src []byte) bool { return wire.ParseJSON(src, a, (*lookupArgs).json) }
+func (a *lookupArgs) json(j *wire.JSON)         { j.String("user", &a.User) }
 
-func (a *lookupArgs) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("user")
-	user := r.String()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	a.User = user
-	return true
+func (r lookupReply) AppendJSON(dst []byte) []byte {
+	return wire.AppendJSON(dst, &r, (*lookupReply).json)
 }
-
-func (rep lookupReply) AppendJSON(dst []byte) []byte {
-	return append(wire.AppendJSONStrings(append(dst, `{"groups":`...), rep.Groups), '}')
-}
-
-// ParseJSON declines a reply that already holds a list, whose array
-// json.Unmarshal would reuse.
-func (rep *lookupReply) ParseJSON(src []byte) bool {
-	if rep.Groups != nil {
-		return false
-	}
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("groups")
-	groups := r.Strings()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	rep.Groups = groups
-	return true
-}
+func (r *lookupReply) ParseJSON(src []byte) bool { return wire.ParseJSON(src, r, (*lookupReply).json) }
+func (r *lookupReply) json(j *wire.JSON)         { j.Strings("groups", &r.Groups) }

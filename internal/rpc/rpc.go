@@ -449,19 +449,6 @@ type wireParser interface {
 	ParseWire(src []byte) error
 }
 
-// jsonAppender and jsonParser are how a message type keeps JSON bodies but
-// writes and reads them by hand: AppendJSON appends exactly json.Marshal's
-// bytes for the value, and ParseJSON reads exactly what AppendJSON writes,
-// declining anything else (it reports false and leaves the target as it
-// was). A type implements both or neither.
-type jsonAppender interface {
-	AppendJSON(dst []byte) []byte
-}
-
-type jsonParser interface {
-	ParseJSON(src []byte) bool
-}
-
 // marshalBody appends the body encoding of v to dst: the typed form behind
 // wire.BodyMarker when v has one, JSON otherwise, by hand when v can. The
 // choice depends on v's type alone.
@@ -471,7 +458,7 @@ func marshalBody(dst []byte, v any) ([]byte, error) {
 		return dst, nil
 	case wireAppender:
 		return w.AppendWire(append(dst, wire.BodyMarker)), nil
-	case jsonAppender:
+	case interface{ AppendJSON(dst []byte) []byte }: // exactly json.Marshal's bytes
 		return w.AppendJSON(dst), nil
 	}
 	js, err := json.Marshal(v)
@@ -485,13 +472,14 @@ func marshalBody(dst []byte, v any) ([]byte, error) {
 // first byte says which form arrived, whatever the sender's type was: a
 // typed receiver still decodes the JSON a foreign client sent it. JSON goes
 // to v's ParseJSON when it has one, and to encoding/json when it has none or
-// it declines.
+// it declines: ParseJSON reads exactly what AppendJSON writes and nothing
+// else, and leaves v as it was when it declines.
 func Decode(body json.RawMessage, v any) error {
 	if len(body) == 0 {
 		return nil
 	}
 	if body[0] != wire.BodyMarker {
-		if p, ok := v.(jsonParser); ok && p.ParseJSON(body) {
+		if p, ok := v.(interface{ ParseJSON(src []byte) bool }); ok && p.ParseJSON(body) {
 			return nil
 		}
 		return json.Unmarshal(body, v)

@@ -3,7 +3,6 @@ package rpc
 import (
 	"encoding/json"
 	"errors"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -113,24 +112,16 @@ type jsonMsg struct {
 	parsed bool
 }
 
-func (m jsonMsg) AppendJSON(dst []byte) []byte {
-	dst = wire.AppendJSONString(wire.AppendJSONKey(append(dst, '{'), "text"), m.Text)
-	return append(strconv.AppendInt(wire.AppendJSONKey(dst, "n"), int64(m.N), 10), '}')
-}
+func (m jsonMsg) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &m, (*jsonMsg).json) }
 
 func (m *jsonMsg) ParseJSON(src []byte) bool {
-	r := wire.NewJSONReader(src)
-	r.Open('{')
-	r.Key("text")
-	text := r.String()
-	r.Key("n")
-	n := r.Int()
-	r.Close('}')
-	if !r.Done() {
-		return false
-	}
-	*m = jsonMsg{Text: text, N: n, parsed: true}
-	return true
+	m.parsed = wire.ParseJSON(src, m, (*jsonMsg).json)
+	return m.parsed
+}
+
+func (m *jsonMsg) json(j *wire.JSON) {
+	j.String("text", &m.Text)
+	j.Int("n", &m.N)
 }
 
 // TestJSONBodyDispatch: a value with AppendJSON is sent in its own bytes,

@@ -1,138 +1,360 @@
 package wire
 
 import (
+	"bytes"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
 	"unicode/utf8"
 )
 
-// JSON bodies without reflection. A message type on a hot path may write
-// its JSON by hand, with AppendJSONKey, AppendJSONString and strconv, in
-// exactly the bytes encoding/json's Marshal writes for it, and read it back
-// with a JSONReader. The reader accepts only that writer's grammar: no
-// whitespace, keys in struct order, an omitempty field present or absent,
-// canonical integers, strings escaped exactly as Marshal escapes them.
-// Anything else it declines, and the caller falls back to encoding/json, so
-// a hand-written parser built on it agrees with json.Unmarshal or gives up.
+// JSON writes or reads a message's fields in one pass: JSON bodies without
+// reflection. A message type on a hot path lists its fields once, in struct
+// order, in a function of one JSON call per field.
+// Each call visits one field: key is the field's JSON key, with ",omitempty"
+// where its struct tag has it, and p points at the field; JSONObject visits a
+// struct-valued field and JSONList a list of structs. AppendJSON runs the
+// function to write exactly encoding/json's bytes for the message, and
+// ParseJSON to read them back. The reader accepts only that writer's
+// grammar: no whitespace, keys in struct order, an omitempty field present
+// or absent, canonical integers, strings escaped exactly as Marshal escapes
+// them. Anything else it declines, and the caller falls back to
+// encoding/json: ParseJSON agrees with json.Unmarshal or gives up.
+type JSON struct {
+	writing bool
+	out     []byte // writing
+	in      jsonReader
+}
 
-// jsonSafe[b] says Marshal writes the ASCII byte b as itself in a string:
-// it escapes control bytes, '"' and '\\', and, for HTML, '<', '>' and '&'.
-var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
-	for b := range safe {
-		safe[b] = b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+// AppendJSON appends *v as json.Marshal writes it: an object whose fields
+// the function fields visits.
+func AppendJSON[T any](dst []byte, v *T, fields func(*T, *JSON)) []byte {
+	j := JSON{writing: true, out: append(dst, '{')}
+	fields(v, &j)
+	return append(j.out, '}')
+}
+
+// ParseJSON reads what AppendJSON writes into *v, as json.Unmarshal would,
+// and reports whether it did. It reads into a copy of *v and keeps the copy
+// only if the whole of src was read: a field the input leaves out keeps its
+// value, as with json.Unmarshal, and a declined src leaves *v untouched.
+func ParseJSON[T any](src []byte, v *T, fields func(*T, *JSON)) bool {
+	j := JSON{in: jsonReader{src: src}} // the first key reads the '{'
+	c := *v
+	fields(&c, &j)
+	if !j.in.closed() {
+		return false
 	}
-	return safe
-}()
+	*v = c
+	return true
+}
+
+// AppendJSONList and ParseJSONList are AppendJSON and ParseJSON for a list
+// of objects. ParseJSONList declines a list *p already holds, whose array
+// json.Unmarshal would reuse.
+func AppendJSONList[T any](dst []byte, l []T, fields func(*T, *JSON)) []byte {
+	j := JSON{writing: true, out: dst}
+	objects(&j, &l, fields)
+	return j.out
+}
+
+func ParseJSONList[T any](src []byte, p *[]T, fields func(*T, *JSON)) bool {
+	j := JSON{in: jsonReader{src: src}}
+	l := *p
+	objects(&j, &l, fields)
+	if !j.in.done() {
+		return false
+	}
+	*p = l
+	return true
+}
+
+// JSONObject visits a field that holds a struct, whose fields the function
+// fields visits. encoding/json never omits a struct, so key has no
+// ",omitempty".
+func JSONObject[T any](j *JSON, key string, v *T, fields func(*T, *JSON)) {
+	if j.field(key, false) {
+		j.delim('{')
+		fields(v, j)
+		j.delim('}')
+	}
+}
+
+// JSONList visits a field that holds a list of structs. Reading, it
+// declines a list the target already holds.
+func JSONList[T any](j *JSON, key string, p *[]T, fields func(*T, *JSON)) {
+	if j.field(key, len(*p) == 0) {
+		objects(j, p, fields)
+	}
+}
+
+// DurationMap visits a field that holds a map from integers to durations.
+// encoding/json writes the keys as quoted decimals in string order ("16"
+// before "4"). Reading, it declines a map the target already holds, into
+// which json.Unmarshal would merge.
+func (j *JSON) DurationMap(key string, p *map[int]time.Duration) {
+	if !j.field(key, len(*p) == 0) || j.null(*p == nil) {
+		return
+	}
+	j.delim('{')
+	if j.writing {
+		var stack [16]int
+		keys := stack[:0]
+		for k := range *p {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b int) int {
+			var x, y [20]byte
+			return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
+		})
+		for i, k := range keys {
+			j.out = append(strconv.AppendInt(append(j.comma(i), '"'), int64(k), 10), '"', ':')
+			j.out = strconv.AppendInt(j.out, int64((*p)[k]), 10)
+		}
+	} else {
+		m := make(map[int]time.Duration)
+		for j.in.more('}') {
+			j.in.byte('"')
+			k := j.in.int()
+			j.in.byte('"')
+			j.in.byte(':')
+			m[int(k)] = time.Duration(j.in.int())
+		}
+		*p = m
+	}
+	j.delim('}')
+}
+
+// String visits a string field.
+func (j *JSON) String(key string, p *string) {
+	switch {
+	case !j.field(key, *p == ""):
+	case j.writing:
+		j.out = appendJSONString(j.out, *p)
+	default:
+		*p = j.in.string()
+	}
+}
+
+// Int visits an int field.
+func (j *JSON) Int(key string, p *int) {
+	if n, read := j.int(key, int64(*p)); read {
+		*p = int(n)
+		j.in.bad = j.in.bad || int64(*p) != n // beyond this platform's int
+	}
+}
+
+// Duration visits a time.Duration field, which encoding/json writes as its
+// count of nanoseconds.
+func (j *JSON) Duration(key string, p *time.Duration) {
+	if n, read := j.int(key, int64(*p)); read {
+		*p = time.Duration(n)
+	}
+}
+
+// int visits an integer field holding n. Reading, it returns what it read,
+// and read true if the field was there.
+func (j *JSON) int(key string, n int64) (_ int64, read bool) {
+	if !j.field(key, n == 0) {
+		return 0, false
+	}
+	if j.writing {
+		j.out = strconv.AppendInt(j.out, n, 10)
+		return 0, false
+	}
+	return j.in.int(), true
+}
+
+// Bool visits a bool field.
+func (j *JSON) Bool(key string, p *bool) {
+	if !j.field(key, !*p) {
+		return
+	}
+	switch {
+	case j.writing:
+		j.out = strconv.AppendBool(j.out, *p)
+	case j.in.literal("true"):
+		*p = true
+	case j.in.literal("false"):
+		*p = false
+	default:
+		j.in.bad = true
+	}
+}
+
+// Strings visits a []string field. Reading, it declines a list the target
+// already holds, whose array json.Unmarshal would reuse.
+func (j *JSON) Strings(key string, p *[]string) {
+	if !j.field(key, len(*p) == 0) || j.null(*p == nil) {
+		return
+	}
+	j.delim('[')
+	if j.writing {
+		for i := range *p {
+			j.out = appendJSONString(j.comma(i), (*p)[i])
+		}
+	} else {
+		l := []string{} // [] reads as an empty list, not as nil
+		for j.in.more(']') {
+			l = append(l, j.in.string())
+		}
+		*p = l
+	}
+	j.delim(']')
+}
+
+// field starts a field and reports whether its value follows. Writing, an
+// omitempty field whose value is empty is left out; otherwise the key is
+// written, behind a comma unless it is the object's first. Reading, the key
+// is read if it comes next, and a field that is not omitempty must.
+func (j *JSON) field(key string, empty bool) bool {
+	name, omitEmpty := strings.CutSuffix(key, ",omitempty")
+	switch {
+	case !j.writing:
+		ok := j.in.key(name)
+		if !ok && !omitEmpty {
+			j.in.bad = true
+		}
+		return ok
+	case omitEmpty && empty:
+		return false
+	case j.out[len(j.out)-1] != '{': // no JSON value ends with '{'
+		j.out = append(j.out, ',')
+	}
+	j.out = append(append(append(j.out, '"'), name...), '"', ':')
+	return true
+}
+
+// null takes care of a nil slice or map, which encoding/json writes as
+// null, and reports whether it did: writing, when the value is nil; reading,
+// when null comes next, or when the target already holds a value (isNil
+// false), which the read declines.
+func (j *JSON) null(isNil bool) bool {
+	switch {
+	case j.writing:
+		if isNil {
+			j.out = append(j.out, "null"...)
+		}
+		return isNil
+	case !isNil:
+		j.in.bad = true
+		return true
+	}
+	return j.in.literal("null")
+}
+
+// comma returns the output with a comma appended unless i, the index of
+// the list element or map entry to be written next, is 0.
+func (j *JSON) comma(i int) []byte {
+	if i > 0 {
+		return append(j.out, ',')
+	}
+	return j.out
+}
+
+// delim writes or reads a delimiter: '{', '}', '[' or ']'.
+func (j *JSON) delim(b byte) {
+	if j.writing {
+		j.out = append(j.out, b)
+	} else {
+		j.in.byte(b)
+	}
+}
+
+// objects visits a list of objects. Reading, [] is an empty list, not nil.
+func objects[T any](j *JSON, p *[]T, fields func(*T, *JSON)) {
+	if j.null(*p == nil) {
+		return
+	}
+	j.delim('[')
+	if j.writing {
+		for i := range *p {
+			j.out = j.comma(i)
+			j.delim('{')
+			fields(&(*p)[i], j)
+			j.delim('}')
+		}
+	} else {
+		l := []T{}
+		for j.in.more(']') {
+			l = append(l, *new(T))
+			j.delim('{')
+			fields(&l[len(l)-1], j)
+			j.delim('}')
+		}
+		*p = l
+	}
+	j.delim(']')
+}
 
 const hexDigits = "0123456789abcdef"
 
-// AppendJSONString appends s as encoding/json's Marshal writes a string:
-// '"' and '\\' behind a backslash; \b, \f, \n, \r and \t by name and other
-// control bytes as \u00XX; '<', '>' and '&' as \u003c, \u003e and \u0026;
-// U+2028 and U+2029 as \u2028 and \u2029; each byte of invalid UTF-8
-// as \ufffd.
-func AppendJSONString(dst []byte, s string) []byte {
+// nameEscapes pairs every byte Marshal writes as a backslash and a letter
+// (or itself) with that letter.
+var nameEscapes = map[byte]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+
+// appendJSONString appends s as encoding/json's Marshal writes a string:
+// the bytes in nameEscapes behind a backslash, other control bytes as
+// \u00XX; '<', '>' and '&' as \u003c, \u003e and \u0026; U+2028 and
+// U+2029 as \u2028 and \u2029; and each byte of invalid UTF-8 as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			if jsonSafe[b] {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(append(dst, s[start:i]...), `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-		default:
+		if plain(c, size) {
 			i += size
 			continue
+		}
+		dst = append(dst, s[start:i]...)
+		if e, ok := nameEscapes[byte(c)]; ok && c < utf8.RuneSelf {
+			dst = append(dst, '\\', e)
+		} else { // c is U+FFFD for a byte of invalid UTF-8
+			dst = append(dst, '\\', 'u', hexDigits[c>>12], hexDigits[c>>8&0xF], hexDigits[c>>4&0xF], hexDigits[c&0xF])
 		}
 		i += size
 		start = i
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return append(append(dst, s[start:]...), '"')
 }
 
-// AppendJSONStrings appends list as Marshal writes a []string: null when
-// it is nil.
-func AppendJSONStrings(dst []byte, list []string) []byte {
-	if list == nil {
-		return append(dst, "null"...)
+// plain reports whether Marshal writes the character c, size bytes of
+// UTF-8 (c is utf8.RuneError and size 1 for a byte of invalid UTF-8), as
+// itself in a string: not a control byte, '"' or '\\', not '<', '>' or '&'
+// (escaped for HTML), not U+2028 or U+2029, and valid.
+func plain(c rune, size int) bool {
+	if c < utf8.RuneSelf {
+		return c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
-	dst = append(dst, '[')
-	for i, s := range list {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendJSONString(dst, s)
-	}
-	return append(dst, ']')
+	return c != 0x2028 && c != 0x2029 && (c != utf8.RuneError || size > 1)
 }
 
-// AppendJSONKey appends an object key and its colon, behind a comma unless
-// the key is the object's first: dst then ends with the opening brace,
-// which no JSON value ends with. key must need no escaping.
-func AppendJSONKey(dst []byte, key string) []byte {
-	if len(dst) > 0 && dst[len(dst)-1] != '{' {
-		dst = append(dst, ',')
-	}
-	dst = append(dst, '"')
-	dst = append(dst, key...)
-	return append(dst, '"', ':')
-}
-
-// JSONReader reads JSON in the grammar described above, front to back. The
-// first read that finds anything else latches a failure: every later read
-// returns a zero value and Done reports false, so a parser reads all its
-// fields and checks once.
-//
-// Every string without escapes is a substring of one copy of the input,
-// made at the first such string read, as with Reader.
-type JSONReader struct {
+// jsonReader reads JSON in the grammar above, front to back. The first read
+// that finds anything else latches a failure: every later read returns a
+// zero value and done reports false, so a parser reads all its fields and
+// checks once. Every string without escapes is a substring of one copy of
+// the input, made at the first such string read, as with Reader.
+type jsonReader struct {
 	src []byte
 	off int
 	str string
 	bad bool
 }
 
-// NewJSONReader reads src.
-func NewJSONReader(src []byte) JSONReader { return JSONReader{src: src} }
+// done reports whether every read succeeded and nothing remains unread.
+func (r *jsonReader) done() bool { return !r.bad && r.off == len(r.src) }
 
-// Done reports whether every read succeeded and nothing remains unread.
-func (r *JSONReader) Done() bool { return !r.bad && r.off == len(r.src) }
+// closed reports whether every read succeeded and all that remains is the
+// '}' that closes the object.
+func (r *jsonReader) closed() bool { return !r.bad && r.off == len(r.src)-1 && r.src[r.off] == '}' }
 
-// Open reads the delimiter that opens an object ('{') or an array ('[').
-func (r *JSONReader) Open(delim byte) { r.byte(delim) }
-
-// Close reads the delimiter that closes an object ('}') or an array (']').
-func (r *JSONReader) Close(delim byte) { r.byte(delim) }
-
-func (r *JSONReader) byte(b byte) {
+// byte reads the byte b.
+func (r *jsonReader) byte(b byte) {
 	if r.bad || r.off >= len(r.src) || r.src[r.off] != b {
 		r.bad = true
 		return
@@ -140,10 +362,10 @@ func (r *JSONReader) byte(b byte) {
 	r.off++
 }
 
-// More reports whether another element of the array or map being read
+// more reports whether another element of the list or map being read
 // follows, reading the comma before any but the first; close is the
-// delimiter that ends it, which More leaves for Close.
-func (r *JSONReader) More(close byte) bool {
+// delimiter that ends the list or map, which more leaves unread.
+func (r *jsonReader) more(close byte) bool {
 	if r.bad || r.off == 0 || r.off >= len(r.src) {
 		r.bad = true
 		return false
@@ -157,52 +379,28 @@ func (r *JSONReader) More(close byte) bool {
 	return !r.bad
 }
 
-// Has reads the object key key and its colon if they come next, behind a
-// comma unless the key is the object's first, and reports whether they
-// did: how a parser reads an omitempty field.
-func (r *JSONReader) Has(key string) bool {
-	if r.bad || r.off == 0 {
-		return false
+// key reads the object key name and its colon if they come next, behind a
+// comma unless the key is the object's first, and reports whether they did.
+// At the start of the input it reads the '{' that opens the object first.
+func (r *jsonReader) key(name string) bool {
+	if r.off == 0 {
+		r.byte('{')
 	}
 	i := r.off
-	if r.src[i-1] != '{' {
-		if i >= len(r.src) || r.src[i] != ',' {
-			return false
-		}
+	if !r.bad && r.src[i-1] != '{' && i < len(r.src) && r.src[i] == ',' {
 		i++
 	}
-	end := i + len(key) + 3
-	if end > len(r.src) || r.src[i] != '"' || string(r.src[i+1:end-2]) != key || r.src[end-2] != '"' || r.src[end-1] != ':' {
+	end := i + len(name) + 3
+	if r.bad || (i == r.off && r.src[i-1] != '{') || end > len(r.src) ||
+		r.src[i] != '"' || string(r.src[i+1:end-2]) != name || r.src[end-2] != '"' || r.src[end-1] != ':' {
 		return false
 	}
 	r.off = end
 	return true
 }
 
-// Key reads the object key key and its colon, which must come next.
-func (r *JSONReader) Key(key string) {
-	if !r.Has(key) {
-		r.bad = true
-	}
-}
-
-// Bool reads true or false.
-func (r *JSONReader) Bool() bool {
-	switch {
-	case r.literal("true"):
-		return true
-	case r.literal("false"):
-		return false
-	}
-	r.bad = true
-	return false
-}
-
-// Null reads null if it comes next, and reports whether it did: how a
-// parser reads a nil slice or map.
-func (r *JSONReader) Null() bool { return r.literal("null") }
-
-func (r *JSONReader) literal(lit string) bool {
+// literal reads lit if it comes next, and reports whether it did.
+func (r *jsonReader) literal(lit string) bool {
 	if r.bad || len(r.src)-r.off < len(lit) || string(r.src[r.off:r.off+len(lit)]) != lit {
 		return false
 	}
@@ -210,12 +408,9 @@ func (r *JSONReader) literal(lit string) bool {
 	return true
 }
 
-// Int reads an integer as strconv writes it: no plus sign, no leading zero,
-// no "-0", no fraction or exponent, and within int's range.
-func (r *JSONReader) Int() int {
-	if r.bad {
-		return 0
-	}
+// int reads an integer as strconv writes it: no plus sign, no leading zero,
+// no "-0", no fraction or exponent, and within int64's range.
+func (r *jsonReader) int() int64 {
 	i := r.off
 	neg := i < len(r.src) && r.src[i] == '-'
 	if neg {
@@ -223,179 +418,91 @@ func (r *JSONReader) Int() int {
 	}
 	start := i
 	var u uint64
-	for ; i < len(r.src) && '0' <= r.src[i] && r.src[i] <= '9'; i++ {
-		u = u*10 + uint64(r.src[i]-'0')
-		if i-start == 19 { // 20 digits: beyond any int64, and u may have wrapped
-			r.bad = true
-			return 0
-		}
+	for ; i < len(r.src) && '0' <= r.src[i] && r.src[i] <= '9' && i-start < 19; i++ {
+		u = u*10 + uint64(r.src[i]-'0') // 19 digits do not wrap
 	}
 	digits := i - start
-	if digits == 0 || (r.src[start] == '0' && (digits > 1 || neg)) ||
-		(!neg && u > math.MaxInt) || (neg && u > -math.MinInt) {
+	if r.bad || digits == 0 || (r.src[start] == '0' && (digits > 1 || neg)) || (i < len(r.src) && '0' <= r.src[i] && r.src[i] <= '9') ||
+		(!neg && u > math.MaxInt64) || (neg && u > -math.MinInt64) {
 		r.bad = true
 		return 0
 	}
 	r.off = i
 	if neg {
-		return int(-u)
+		return int64(-u)
 	}
-	return int(u)
+	return int64(u)
 }
 
-// IntKey reads a map key that holds an integer, quoted as encoding/json
-// writes the keys of a map with integer keys, and its colon.
-func (r *JSONReader) IntKey() int {
+// string reads a string. Its bytes are the input's until an escape, and
+// built anew from there.
+func (r *jsonReader) string() string {
 	r.byte('"')
-	n := r.Int()
-	r.byte('"')
-	r.byte(':')
-	return n
-}
-
-// String reads a string.
-func (r *JSONReader) String() string {
-	r.byte('"')
-	if r.bad {
-		return ""
-	}
 	start := r.off
-	for i := start; i < len(r.src); {
-		switch b := r.src[i]; {
-		case b == '"':
+	var buf []byte
+	for i := start; !r.bad && i < len(r.src); {
+		c, size := rune(r.src[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRune(r.src[i:])
+		}
+		switch {
+		case c == '"':
 			r.off = i + 1
-			if i == start {
+			switch {
+			case buf != nil:
+				return string(buf)
+			case i == start:
 				return ""
-			}
-			if r.str == "" {
+			case r.str == "":
 				r.str = string(r.src)
 			}
 			return r.str[start:i]
-		case b == '\\':
-			return r.escaped(start, i)
-		}
-		n := plainRune(r.src[i:])
-		if n == 0 {
-			break
-		}
-		i += n
-	}
-	r.bad = true
-	return ""
-}
-
-// Strings reads what AppendJSONStrings writes: null is a nil list, and []
-// an empty one that is not nil, as json.Unmarshal reads them into a nil
-// []string.
-func (r *JSONReader) Strings() []string {
-	if r.Null() {
-		return nil
-	}
-	list := []string{}
-	r.Open('[')
-	for r.More(']') {
-		list = append(list, r.String())
-	}
-	r.Close(']')
-	return list
-}
-
-// escaped finishes a string whose first escape is at src[i], the string's
-// text having started at src[start]: its bytes are built anew.
-func (r *JSONReader) escaped(start, i int) string {
-	buf := append(make([]byte, 0, len(r.src)-start), r.src[start:i]...)
-	for i < len(r.src) {
-		b := r.src[i]
-		if b == '"' {
-			r.off = i + 1
-			return string(buf)
-		}
-		if b != '\\' {
-			n := plainRune(r.src[i:])
-			if n == 0 {
-				break
+		case c == '\\':
+			if buf == nil {
+				buf = append(make([]byte, 0, len(r.src)-start), r.src[start:i]...)
 			}
-			buf = append(buf, r.src[i:i+n]...)
-			i += n
-			continue
+			c, size = unescape(r.src[i+1:])
+			r.bad = c < 0
+			buf = utf8.AppendRune(buf, c)
+		case !plain(c, size):
+			r.bad = true
+		case buf != nil:
+			buf = append(buf, r.src[i:i+size]...)
 		}
-		if i+1 >= len(r.src) {
-			break
-		}
-		c := rune(-1)
-		switch r.src[i+1] {
-		case '"', '\\':
-			c = rune(r.src[i+1])
-		case 'b':
-			c = '\b'
-		case 'f':
-			c = '\f'
-		case 'n':
-			c = '\n'
-		case 'r':
-			c = '\r'
-		case 't':
-			c = '\t'
-		case 'u':
-			c = escapedRune(r.src[i+2:])
-		}
-		if c < 0 {
-			break
-		}
-		buf = utf8.AppendRune(buf, c)
-		if r.src[i+1] == 'u' {
-			i += 6
-		} else {
-			i += 2
-		}
+		i += size
 	}
 	r.bad = true
 	return ""
 }
 
-// escapedRune decodes the four hex digits of a \u escape, or returns -1
-// unless Marshal writes the rune that way: a control byte without a short
-// name, '<', '>', '&', U+2028, U+2029, or U+FFFD for invalid UTF-8.
-func escapedRune(hex []byte) rune {
-	if len(hex) < 4 {
-		return -1
+// unescape decodes the escape behind a backslash at the start of p, and
+// returns the rune and the escape's length with the backslash, or -1
+// unless Marshal writes the rune that way.
+func unescape(p []byte) (rune, int) {
+	if len(p) > 0 && p[0] != 'u' {
+		for c, e := range nameEscapes {
+			if e == p[0] {
+				return rune(c), 2
+			}
+		}
+		return -1, 0
+	}
+	if len(p) < 5 {
+		return -1, 0
 	}
 	c := rune(0)
-	for _, h := range hex[:4] {
+	for _, h := range p[1:5] {
 		switch {
 		case '0' <= h && h <= '9':
 			c = c<<4 | rune(h-'0')
 		case 'a' <= h && h <= 'f':
 			c = c<<4 | rune(h-'a'+10)
 		default:
-			return -1
+			return -1, 0
 		}
 	}
-	switch c {
-	case '\b', '\f', '\n', '\r', '\t':
-		return -1
-	case '<', '>', '&', '\u2028', '\u2029', utf8.RuneError:
-		return c
+	if _, named := nameEscapes[byte(c)]; (named && c < utf8.RuneSelf) || plain(c, 1) {
+		return -1, 0 // Marshal writes it by name, or as itself
 	}
-	if c < 0x20 {
-		return c
-	}
-	return -1
-}
-
-// plainRune returns the length of the character at the start of p if
-// Marshal writes it as itself in a string, or 0: a safe ASCII byte, or
-// valid UTF-8 other than U+2028 and U+2029.
-func plainRune(p []byte) int {
-	if p[0] < utf8.RuneSelf {
-		if jsonSafe[p[0]] {
-			return 1
-		}
-		return 0
-	}
-	c, size := utf8.DecodeRune(p)
-	if (c == utf8.RuneError && size == 1) || c == '\u2028' || c == '\u2029' {
-		return 0
-	}
-	return size
+	return c, 6
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // jsonStringSeeds are the strings where encoding/json's escaping has a
@@ -27,10 +28,59 @@ var jsonStringSeeds = []string{
 		`(&(resourceManagerContact=m02:gram)(count=8)(executable=a1)(environment=(DUROC_TRACE "r1/s2")))`,
 }
 
-// FuzzJSONString holds the string, integer and list primitives to
-// encoding/json. AppendJSONString writes json.Marshal's bytes; the reader
-// takes them back as json.Unmarshal does; and on arbitrary input each read
-// either declines or agrees with json.Unmarshal, and never panics.
+// sample has a field of every kind JSON visits.
+type sample struct {
+	S  string                `json:"s"`
+	L  []string              `json:"l"`
+	N  int                   `json:"n,omitempty"`
+	D  time.Duration         `json:"d,omitempty"`
+	B  bool                  `json:"b,omitempty"`
+	M  map[int]time.Duration `json:"m,omitempty"`
+	In *inner                `json:"-"`
+	O  inner                 `json:"o"`
+	OL []inner               `json:"ol,omitempty"`
+	_  struct{}              `json:"-"`
+}
+
+type inner struct {
+	X string `json:"x,omitempty"`
+}
+
+func (v *sample) json(j *JSON) {
+	j.String("s", &v.S)
+	j.Strings("l", &v.L)
+	j.Int("n,omitempty", &v.N)
+	j.Duration("d,omitempty", &v.D)
+	j.Bool("b,omitempty", &v.B)
+	j.DurationMap("m,omitempty", &v.M)
+	JSONObject(j, "o", &v.O, (*inner).json)
+	JSONList(j, "ol,omitempty", &v.OL, (*inner).json)
+}
+
+func (v *inner) json(j *JSON) { j.String("x,omitempty", &v.X) }
+
+// agree checks that ParseJSON either declines src, leaving the target
+// alone, or reads what json.Unmarshal reads from it into a zero sample.
+func agree(t *testing.T, src []byte) {
+	t.Helper()
+	var got, want sample
+	if !ParseJSON(src, &got, (*sample).json) {
+		if !reflect.DeepEqual(got, sample{}) {
+			t.Fatalf("declined %q but left %+v", src, got)
+		}
+		return
+	}
+	if err := json.Unmarshal(src, &want); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %q as %+v; json.Unmarshal: %+v, %v", src, got, want, err)
+	}
+}
+
+// FuzzJSONString holds the primitives under every codec to encoding/json:
+// AppendJSON writes json.Marshal's bytes for a value whose string fields
+// are the input and whose integer fields are taken from it; ParseJSON
+// takes them back as json.Unmarshal does; and on arbitrary input, alone or
+// as one field's value, ParseJSON declines or agrees with json.Unmarshal,
+// and never panics.
 func FuzzJSONString(f *testing.F) {
 	for _, s := range jsonStringSeeds {
 		f.Add(s)
@@ -39,75 +89,57 @@ func FuzzJSONString(f *testing.F) {
 		`"\u003c"`, `"\/"`, `"\ud800"`, `"a` + "\x01" + `"`, `"\u00e9"`, `"\u2028"`, `"\u0008"`,
 		"0", "-0", "01", "1.5", "1e3", "-", "9223372036854775807", "-9223372036854775808",
 		"9223372036854775808", "-9223372036854775809", "12345678901234567890",
-		`null`, `[]`, `["a","b"]`, `[ "a"]`, `["a",]`, `[,"a"]`, `"`, `"\`, `"\u12`,
+		`null`, `[]`, `["a","b"]`, `[ "a"]`, `["a",]`, `[,"a"]`, `"`, `"\`, `"\u12`, `{"2":1,"10":2}`, `{}`,
+		`{"s":"x","l":null,"o":{}}`, `{"s":"x","l":[],"m":{"-1":0},"o":{"x":"y"},"ol":[{},{"x":""}]}`,
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		want, err := json.Marshal(s)
+		n := int64(len(s))*-7 + 3
+		v := sample{S: s, L: []string{s, "", s + "x"}, N: int(n), D: time.Duration(-n), B: n%2 == 0,
+			M: map[int]time.Duration{int(n): time.Duration(n), 2: 1, 10: -1}, O: inner{X: s}, OL: []inner{{X: s}, {}}}
+		want, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendJSONString(nil, s); string(got) != string(want) {
-			t.Fatalf("AppendJSONString(%q) = %s, json.Marshal = %s", s, got, want)
+		if got := AppendJSON(nil, &v, (*sample).json); string(got) != string(want) {
+			t.Fatalf("AppendJSON = %s\njson.Marshal = %s", got, want)
 		}
-		var back string
-		if err := json.Unmarshal(want, &back); err != nil {
+		var back, ref sample
+		if err := json.Unmarshal(want, &ref); err != nil {
 			t.Fatal(err)
 		}
-		r := NewJSONReader(want)
-		if got := r.String(); !r.Done() || got != back {
-			t.Fatalf("String(%s) = %q (done %t), json.Unmarshal = %q", want, got, r.Done(), back)
-		}
-		list := []string{s, "", s + "x"}
-		want, _ = json.Marshal(list)
-		if got := AppendJSONStrings(nil, list); string(got) != string(want) {
-			t.Fatalf("AppendJSONStrings = %s, json.Marshal = %s", got, want)
+		if !ParseJSON(want, &back, (*sample).json) || !reflect.DeepEqual(back, ref) {
+			t.Fatalf("ParseJSON(%s) = %+v, json.Unmarshal = %+v", want, back, ref)
 		}
 
-		raw := []byte(s)
-		agree(t, raw, func(r *JSONReader) string { return r.String() })
-		agree(t, raw, func(r *JSONReader) int { return r.Int() })
-		agree(t, raw, func(r *JSONReader) bool { return r.Bool() })
-		agree(t, raw, func(r *JSONReader) []string { return r.Strings() })
+		agree(t, []byte(s))
+		for _, field := range []string{`"s"`, `"l"`, `"n"`, `"d"`, `"b"`, `"m"`, `"o"`, `"ol"`} {
+			agree(t, []byte(`{"s":"","l":null,`+field+`:`+s+`,"o":{}}`))
+		}
 	})
 }
 
-// agree checks that read either declines raw or reads what json.Unmarshal
-// reads from it into a zero T.
-func agree[T any](t *testing.T, raw []byte, read func(*JSONReader) T) {
-	t.Helper()
-	r := NewJSONReader(raw)
-	got := read(&r)
-	if !r.Done() {
-		return
-	}
-	var want T
-	if err := json.Unmarshal(raw, &want); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("read %q as %#v; json.Unmarshal: %#v, %v", raw, got, want, err)
-	}
+// read parses src into a struct of one int and one omitempty string.
+func read(src string) (obj, bool) {
+	var o obj
+	return o, ParseJSON([]byte(src), &o, (*obj).json)
 }
 
-// TestJSONReaderDeclines lists input that json.Unmarshal accepts, or
-// would read into a struct, but that Marshal never writes: each is
-// declined, so the caller falls back.
-func TestJSONReaderDeclines(t *testing.T) {
-	type obj struct {
-		A int    `json:"a"`
-		B string `json:"b,omitempty"`
-	}
-	read := func(src string) (obj, bool) {
-		r := NewJSONReader([]byte(src))
-		var o obj
-		r.Open('{')
-		r.Key("a")
-		o.A = r.Int()
-		if r.Has("b") {
-			o.B = r.String()
-		}
-		r.Close('}')
-		return o, r.Done()
-	}
+type obj struct {
+	A int    `json:"a"`
+	B string `json:"b,omitempty"`
+}
+
+func (o *obj) json(j *JSON) {
+	j.Int("a", &o.A)
+	j.String("b,omitempty", &o.B)
+}
+
+// TestJSONDeclines lists input that json.Unmarshal accepts, or would read
+// into the struct, but that Marshal never writes: each is declined, so the
+// caller falls back.
+func TestJSONDeclines(t *testing.T) {
 	for _, src := range []string{`{"a":1}`, `{"a":-12,"b":"x"}`, `{"a":0,"b":"\u0026"}`} {
 		got, ok := read(src)
 		var want obj
@@ -132,36 +164,45 @@ func TestJSONReaderDeclines(t *testing.T) {
 // one past it.
 func TestJSONIntRange(t *testing.T) {
 	for _, n := range []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64} {
-		src := strconv.AppendInt(nil, n, 10)
-		r := NewJSONReader(src)
-		if got := r.Int(); !r.Done() || int64(got) != n {
-			t.Errorf("Int(%s) = %d (done %t)", src, got, r.Done())
+		src := `{"a":` + strconv.FormatInt(n, 10) + `}`
+		if got, ok := read(src); !ok || int64(got.A) != n {
+			t.Errorf("%s: read %d (ok %t)", src, got.A, ok)
 		}
 	}
-	for _, src := range []string{"9223372036854775808", "-9223372036854775809", "99999999999999999999"} {
-		r := NewJSONReader([]byte(src))
-		if got := r.Int(); r.Done() {
-			t.Errorf("Int(%s) = %d, want a decline", src, got)
+	for _, n := range []string{"9223372036854775808", "-9223372036854775809", "99999999999999999999"} {
+		if got, ok := read(`{"a":` + n + `}`); ok {
+			t.Errorf("%s: read %d, want a decline", n, got.A)
 		}
 	}
 }
 
-// TestJSONReaderOneCopy: the strings of one input share one copy of it, so
-// an object of three plain strings costs one allocation.
-func TestJSONReaderOneCopy(t *testing.T) {
-	src := []byte(`{"kind":"gsi-hello","client":"user/alice","nonce_c":"0000002a0000001b"}`)
+type frame struct {
+	Kind   string `json:"kind"`
+	Client string `json:"client"`
+	Nonce  string `json:"nonce_c"`
+}
+
+func (f *frame) json(j *JSON) {
+	j.String("kind", &f.Kind)
+	j.String("client", &f.Client)
+	j.String("nonce_c", &f.Nonce)
+}
+
+// TestJSONAllocations: the visitor costs nothing of its own. Writing into a
+// buffer with room allocates nothing, and reading three strings allocates
+// once: the copy of the input they are substrings of.
+func TestJSONAllocations(t *testing.T) {
+	f := frame{Kind: "gsi-hello", Client: "user/alice", Nonce: "0000002a0000001b"}
+	buf := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() { buf = AppendJSON(buf[:0], &f, (*frame).json) }); allocs != 0 {
+		t.Errorf("AppendJSON cost %v allocations, want 0", allocs)
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		r := NewJSONReader(src)
-		r.Open('{')
-		for _, k := range []string{"kind", "client", "nonce_c"} {
-			r.Key(k)
-			_ = r.String()
-		}
-		r.Close('}')
-		if !r.Done() {
-			t.Fatal("declined")
+		var back frame
+		if !ParseJSON(buf, &back, (*frame).json) || back != f {
+			t.Fatalf("read %+v", back)
 		}
 	}); allocs != 1 {
-		t.Errorf("three strings cost %v allocations, want 1", allocs)
+		t.Errorf("ParseJSON of three strings cost %v allocations, want 1", allocs)
 	}
 }
