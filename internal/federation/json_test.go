@@ -135,8 +135,8 @@ type rawBody string
 func (b rawBody) AppendJSON(dst []byte) []byte { return append(dst, b...) }
 
 // TestPeerCallDecodesOnce: a peer's reply is decoded once, by the hand-written
-// codec where it applies, and a body that is not valid JSON is an error, not
-// a zero reply.
+// codec where it applies, and a body that does not decode is an error with a
+// zero reply, not a half-filled one.
 func TestPeerCallDecodesOnce(t *testing.T) {
 	sim := vtime.New()
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
@@ -147,7 +147,7 @@ func TestPeerCallDecodesOnce(t *testing.T) {
 	}
 	rpc.Serve(sim, l, rpc.HandlerFuncs{Call: func(_ *rpc.ServerConn, method string, _ json.RawMessage) (any, error) {
 		if method == "bad" {
-			return rawBody(`{"ack":1,`), nil
+			return rawBody(`{"ack":"one","epoch":5}`), nil // json.Unmarshal fills epoch, then fails
 		}
 		return heartbeatReply{Ack: 4, Epoch: 2, Updates: []Entry{{Key: "t/1", Kind: "ticket", State: StateOpen, Rev: 1}}}, nil
 	}}, nil)
