@@ -245,10 +245,8 @@ func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	return hello.Client, nil
 }
 
-// Every handshake frame is written and read by hand, in exactly
-// encoding/json's bytes (see wire.JSON): AppendJSON on the value sent,
-// ParseJSON on the pointer received into.
-
+// sendJSON and recvJSON carry the handshake frames, each written and read
+// by hand in exactly encoding/json's bytes (see wire.JSON).
 func sendJSON(conn *transport.Conn, v interface{ AppendJSON(dst []byte) []byte }) error {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)

@@ -110,7 +110,10 @@ func (j *JSON) DurationMap(key string, p *map[int]time.Duration) {
 			return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
 		})
 		for i, k := range keys {
-			j.out = append(strconv.AppendInt(append(j.comma(i), '"'), int64(k), 10), '"', ':')
+			if i > 0 {
+				j.out = append(j.out, ',')
+			}
+			j.out = append(strconv.AppendInt(append(j.out, '"'), int64(k), 10), '"', ':')
 			j.out = strconv.AppendInt(j.out, int64((*p)[k]), 10)
 		}
 	} else {
@@ -192,8 +195,11 @@ func (j *JSON) Strings(key string, p *[]string) {
 	}
 	j.delim('[')
 	if j.writing {
-		for i := range *p {
-			j.out = appendJSONString(j.comma(i), (*p)[i])
+		for i, s := range *p {
+			if i > 0 {
+				j.out = append(j.out, ',')
+			}
+			j.out = appendJSONString(j.out, s)
 		}
 	} else {
 		l := []string{} // [] reads as an empty list, not as nil
@@ -245,15 +251,6 @@ func (j *JSON) null(isNil bool) bool {
 	return j.in.literal("null")
 }
 
-// comma returns the output with a comma appended unless i, the index of
-// the list element or map entry to be written next, is 0.
-func (j *JSON) comma(i int) []byte {
-	if i > 0 {
-		return append(j.out, ',')
-	}
-	return j.out
-}
-
 // delim writes or reads a delimiter: '{', '}', '[' or ']'.
 func (j *JSON) delim(b byte) {
 	if j.writing {
@@ -271,7 +268,9 @@ func objects[T any](j *JSON, p *[]T, fields func(*T, *JSON)) {
 	j.delim('[')
 	if j.writing {
 		for i := range *p {
-			j.out = j.comma(i)
+			if i > 0 {
+				j.out = append(j.out, ',')
+			}
 			j.delim('{')
 			fields(&(*p)[i], j)
 			j.delim('}')
@@ -314,7 +313,7 @@ func appendJSONString(dst []byte, s string) []byte {
 		dst = append(dst, s[start:i]...)
 		if e, ok := nameEscapes[byte(c)]; ok && c < utf8.RuneSelf {
 			dst = append(dst, '\\', e)
-		} else { // c is U+FFFD for a byte of invalid UTF-8
+		} else { // a control byte, '<', '>', '&', U+2028, U+2029, or U+FFFD for a byte of invalid UTF-8
 			dst = append(dst, '\\', 'u', hexDigits[c>>12], hexDigits[c>>8&0xF], hexDigits[c>>4&0xF], hexDigits[c&0xF])
 		}
 		i += size
@@ -386,13 +385,18 @@ func (r *jsonReader) key(name string) bool {
 	if r.off == 0 {
 		r.byte('{')
 	}
+	if r.bad {
+		return false
+	}
 	i := r.off
-	if !r.bad && r.src[i-1] != '{' && i < len(r.src) && r.src[i] == ',' {
+	if r.src[i-1] != '{' { // not the object's first key
+		if i >= len(r.src) || r.src[i] != ',' {
+			return false
+		}
 		i++
 	}
 	end := i + len(name) + 3
-	if r.bad || (i == r.off && r.src[i-1] != '{') || end > len(r.src) ||
-		r.src[i] != '"' || string(r.src[i+1:end-2]) != name || r.src[end-2] != '"' || r.src[end-1] != ':' {
+	if end > len(r.src) || r.src[i] != '"' || string(r.src[i+1:end-2]) != name || r.src[end-2] != '"' || r.src[end-1] != ':' {
 		return false
 	}
 	r.off = end
