@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -767,9 +768,13 @@ func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.
 		return agent.Result{}, fmt.Errorf("%w: %d of %d sites available",
 			ErrNoCandidates, len(candidates), req.Sites)
 	}
+	// The job keeps what it is given for its whole life, so it gets copies:
+	// the request and the records are views of received frames (see
+	// internal/wire), which one executable or address would keep alive.
 	creq := core.Request{}
+	executable := strings.Clone(req.Executable)
 	for i := 0; i < req.Sites; i++ {
-		contact, err := transport.ParseAddr(candidates[i].Contact)
+		contact, err := transport.ParseAddr(strings.Clone(candidates[i].Contact))
 		if err != nil {
 			finish("bad-contact")
 			return agent.Result{}, fmt.Errorf("broker: record %q: %v", candidates[i].Name, err)
@@ -778,7 +783,7 @@ func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.
 			Label:          fmt.Sprintf("req%d.%d/%s", t.id, attempt, candidates[i].Name),
 			Contact:        contact,
 			Count:          req.ProcsPerSite,
-			Executable:     req.Executable,
+			Executable:     executable,
 			Type:           core.Interactive,
 			MaxTime:        req.MaxTime,
 			StartupTimeout: req.StartupTimeout,
@@ -786,7 +791,7 @@ func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.
 	}
 	var pool []transport.Addr
 	for _, rec := range candidates[req.Sites:] {
-		contact, err := transport.ParseAddr(rec.Contact)
+		contact, err := transport.ParseAddr(strings.Clone(rec.Contact))
 		if err != nil {
 			continue
 		}

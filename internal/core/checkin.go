@@ -100,10 +100,8 @@ func appendShared(dst []byte, cfg *Config) []byte {
 // a truncated or over-long body fails here, before anything is used. The
 // two lists themselves are not decoded. Config keeps them as sub-slices of
 // src and decodes on demand, which is sound because src is a delivered
-// message: the transport gives each one its own buffer (Conn.SendCtx copies
-// the payload) and nothing writes to it afterwards. A caller that parses a
-// buffer it goes on to reuse must hand in a copy. A proceed reply costs one
-// allocation, the subjob sizes, however long its address book is.
+// message (see transport.Conn.Send). A proceed reply costs one allocation,
+// the subjob sizes, however long its address book is.
 func (p *CheckinReply) ParseWire(src []byte) error {
 	r := wire.NewReader(src)
 	*p = CheckinReply{Proceed: r.Uvarint() != 0, Reason: r.String()}

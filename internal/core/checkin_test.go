@@ -33,8 +33,8 @@ func wideConfig(n, m int) core.Config {
 }
 
 // eagerParse is CheckinReply.ParseWire as it was while Config's lists were
-// fields: everything decoded on arrival, every label and address a
-// substring of one copy of the body. It is the oracle the parser that
+// fields: everything decoded on arrival, every label and address a view
+// of the body. It is the oracle the parser that
 // validates now and decodes on demand is compared with.
 func eagerParse(p *core.CheckinReply, src []byte) error {
 	r := wire.NewReader(src)

@@ -374,8 +374,8 @@ func (l *stringList) appendWire(dst []byte) []byte {
 }
 
 // SubjobLabels gives each committed subjob's label. The caller must not
-// modify the list. On a received Config every call decodes it afresh (two
-// allocations); SubjobLabel reads one.
+// modify the list. On a received Config every call decodes it afresh (one
+// allocation, the slice of views of the frame); SubjobLabel reads one.
 func (c Config) SubjobLabels() []string { return c.labels.all() }
 
 // SubjobLabel returns the label of the i-th committed subjob; ok is false
@@ -385,8 +385,8 @@ func (c Config) SubjobLabel(i int) (label string, ok bool) { return c.labels.at(
 // AddressBook holds each process's listener address, indexed by global
 // rank: ranks are assigned subjob-major in committed order. The caller
 // must not modify the list. On a received Config every call decodes it
-// afresh (two allocations, however long the book); a process that wants
-// one peer's address asks Address.
+// afresh (one allocation, the slice of views of the frame, however long
+// the book); a process that wants one peer's address asks Address.
 func (c Config) AddressBook() []string { return c.book.all() }
 
 // Address returns the listener address of the process with the given

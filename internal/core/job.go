@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -429,7 +430,7 @@ func (j *Job) submitSubjob(sj *subjob) {
 		return
 	}
 	sj.client = client
-	sj.contact = contact
+	sj.contact = strings.Clone(contact) // kept for the job's life: not a view of the reply frame
 	sj.status = SJSubmitted
 	sj.submittedAt = c.sim.Now()
 	j.mu.Unlock()
@@ -800,7 +801,9 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 		call.Reply(reply, nil)
 		return
 	}
-	ci := &procCheckin{rank: args.Rank, addr: args.Addr, at: j.c.sim.Now(), call: call}
+	// The record outlives the message: it keeps a copy of the address, not a
+	// view that would keep the whole check-in frame alive (internal/wire).
+	ci := &procCheckin{rank: args.Rank, addr: strings.Clone(args.Addr), at: j.c.sim.Now(), call: call}
 	ci.answer.Init(j.c.sim, ci)
 	sj.checkins[args.Rank] = ci
 	if tr := j.c.tracer(); tr.Enabled() {

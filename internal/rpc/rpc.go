@@ -350,7 +350,7 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	}
 	var callCtx trace.Ctx
 	if ctx.Valid() {
-		callCtx = ctx.Child("call:" + method + "#" + strconv.FormatUint(id, 10))
+		callCtx = ctx.Child("call:", method, "#", strconv.FormatUint(id, 10))
 	}
 	tr := c.conn.Network().Tracer()
 	host := c.conn.LocalAddr().Host
@@ -427,14 +427,12 @@ type sender struct {
 // way, two of a one-shot connection's 4.6. It stays because message, byte
 // and timer counts are pinned by every trace and counter table the
 // repository compares across commits: removing the frame is a change of its
-// own, with its own census (DESIGN.md, "Wire format").
+// own, with its own census (DESIGN.md, "Wire format"). Every prologue is
+// the same bytes, so one frame serves every connection end, uncopied.
 func (s *sender) bind(conn *transport.Conn) {
 	s.conn = conn
-	buf := wire.GetBuf()
-	*buf = s.enc.EncodePrologue((*buf)[:0])
 	// A connection that is already closed fails the first real send too.
-	_ = conn.SendCtx(*buf, trace.Ctx{})
-	wire.PutBuf(buf)
+	_ = conn.SendShared(s.enc.EncodePrologue(), trace.Ctx{})
 }
 
 // wireAppender and wireParser are how a message type opts into the typed
@@ -743,15 +741,30 @@ func (sc *ServerConn) handle(raw []byte) {
 	case wire.KindCall:
 		// The envelope's span context parents the serve span under the
 		// caller's call span.
-		ctx := envCtx(&env)
-		if !ctx.Valid() {
-			ctx = sc.conn.Ctx()
+		var ctx trace.Ctx
+		if env.Req != "" {
+			ctx = serveCtx(&env)
+		} else {
+			ctx = sc.conn.Ctx().Child("serve")
 		}
-		call := &Call{Ctx: ctx.Child("serve"), sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
+		call := &Call{Ctx: ctx, sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
 		sc.srv.handler.ServeCall(call, env.Method, env.Body)
 	case wire.KindNotify:
 		sc.srv.handler.HandleNotify(sc, env.Method, env.Body)
 	}
+}
+
+// serveCtx is env's span context extended with a "serve" segment, as
+// Ctx.Child makes it, in one new string that holds the request id too: a
+// handler may keep its Call (the barrier keeps each check-in until the
+// commit), which must not keep the frame alive through a view of it.
+func serveCtx(env *wire.Envelope) trace.Ctx {
+	seg := "/serve"
+	if env.Span == "" {
+		seg = "serve"
+	}
+	s := env.Req + env.Span + seg
+	return trace.Ctx{Req: s[:len(env.Req)], Span: s[len(env.Req):]}
 }
 
 // HandlerFuncs adapts plain functions that answer at once to the Handler

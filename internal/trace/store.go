@@ -40,6 +40,7 @@ const (
 	argChunkSize = 1 << argShift
 	strShift     = 12
 	strChunkSize = 1 << strShift
+	strBlockSize = 16 << 10
 )
 
 // store is the tracer's events in emission order. It is guarded by the
@@ -167,6 +168,7 @@ type strtab struct {
 	index  []uint64
 	seed   maphash.Seed
 	front  *[frontSize]frontEntry
+	block  []byte // where keep cuts its copies
 }
 
 type frontEntry struct {
@@ -208,7 +210,10 @@ func (t *strtab) init() {
 	t.n = 1 // ""
 }
 
-// lookup finds s in the index, adding it if it is not there.
+// lookup finds s in the index, adding a copy of it if it is not there: s
+// may be a view of a received frame (internal/wire), which the table, kept
+// for the whole run, must not keep alive. front keeps s itself, since it
+// is bounded.
 func (t *strtab) lookup(s string) uint32 {
 	h := uint32(maphash.String(t.seed, s))
 	mask := uint32(len(t.index) - 1)
@@ -222,13 +227,24 @@ func (t *strtab) lookup(s string) uint32 {
 	if id&(strChunkSize-1) == 0 {
 		t.chunks = append(t.chunks, new([strChunkSize]string))
 	}
-	t.chunks[id>>strShift][id&(strChunkSize-1)] = s
+	t.chunks[id>>strShift][id&(strChunkSize-1)] = t.keep(s)
 	t.n++
 	t.index[i] = uint64(h)<<32 | uint64(id)
 	if 2*t.n > uint32(len(t.index)) {
 		t.grow()
 	}
 	return id
+}
+
+// keep returns a copy of s, which is not empty, that the table owns, cut
+// from a block of at least strBlockSize bytes: one allocation per block
+// rather than per string. Nothing writes to a byte once handed out.
+func (t *strtab) keep(s string) string {
+	if len(s) > cap(t.block)-len(t.block) {
+		t.block = make([]byte, 0, max(strBlockSize, len(s)))
+	}
+	t.block = append(t.block, s...)
+	return unsafe.String(&t.block[len(t.block)-len(s)], len(s))
 }
 
 // grow doubles the index, placing each entry by the hash it holds.

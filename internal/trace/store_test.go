@@ -70,6 +70,20 @@ func TestInternOnce(t *testing.T) {
 	}
 }
 
+// The table keeps a copy of what it first sees: a string a caller passes
+// may be a view of a large buffer, a received frame, which the table must
+// not keep alive for the rest of the run.
+func TestInternCopiesFirstSight(t *testing.T) {
+	var tab strtab
+	buf := strings.Repeat("x", 64<<10) + "hop-to-m7"
+	s := buf[64<<10:]
+	stored := tab.str(tab.intern(s))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(buf)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(stored))); stored != s || lo <= p && p < lo+uintptr(len(buf)) {
+		t.Errorf("interning a substring of a %d-byte buffer stored %q inside that buffer", len(buf), stored)
+	}
+}
+
 // randomEvents draws n events meant to find where the store and its
 // readers part from a plain slice: empty fields, duplicate arg keys,
 // control and non-ASCII bytes, many events per instant, emission out of

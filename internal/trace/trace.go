@@ -84,16 +84,31 @@ func NewRequest(id string) Ctx { return Ctx{Req: id, Span: "req"} }
 // Valid reports whether the context belongs to a request tree.
 func (c Ctx) Valid() bool { return c.Req != "" }
 
-// Child derives the context for a sub-span named seg. Deriving from the
-// zero Ctx yields the zero Ctx, so untraced paths propagate nothing.
-func (c Ctx) Child(seg string) Ctx {
+// Child derives the context for a sub-span named by the concatenation of
+// parts, which costs one allocation however many parts there are. Deriving
+// from the zero Ctx yields the zero Ctx, so untraced paths propagate
+// nothing.
+func (c Ctx) Child(parts ...string) Ctx {
 	if c.Req == "" {
 		return Ctx{}
 	}
-	if c.Span == "" {
-		return Ctx{Req: c.Req, Span: seg}
+	if c.Span == "" && len(parts) == 1 {
+		return Ctx{Req: c.Req, Span: parts[0]}
 	}
-	return Ctx{Req: c.Req, Span: c.Span + "/" + seg}
+	n := len(c.Span) + 1
+	for _, p := range parts {
+		n += len(p)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	if c.Span != "" {
+		sb.WriteString(c.Span)
+		sb.WriteByte('/')
+	}
+	for _, p := range parts {
+		sb.WriteString(p)
+	}
+	return Ctx{Req: c.Req, Span: sb.String()}
 }
 
 // Seg sanitizes s for use as a span path segment: "/" is the path

@@ -10,6 +10,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -420,11 +421,8 @@ func (h *Host) Listen(service string) (*Listener, error) {
 	if _, exists := h.listeners[service]; exists {
 		return nil, fmt.Errorf("transport: service %q already listening on %s", service, h.name)
 	}
-	l := &Listener{
-		host:    h,
-		service: service,
-		accept:  vtime.NewChan[*Conn](h.net.sim, "accept:"+h.name+":"+service, 64),
-	}
+	l := &Listener{host: h, service: service}
+	l.accept.Init(h.net.sim, (*acceptQueue)(l), 64)
 	h.listeners[service] = l
 	return l, nil
 }
@@ -530,10 +528,15 @@ func (h *Host) traceFailedDial(to Addr, ctx trace.Ctx, start time.Duration, outc
 type Listener struct {
 	host    *Host
 	service string
-	accept  *vtime.Chan[*Conn]
+	accept  vtime.Chan[*Conn]
 	mu      sync.Mutex
 	closed  bool
 }
+
+// acceptQueue names a listener's accept queue for deadlock reports.
+type acceptQueue Listener
+
+func (q *acceptQueue) String() string { return "accept:" + q.host.name + ":" + q.service }
 
 // Addr returns the listener's address.
 func (l *Listener) Addr() Addr { return Addr{Host: l.host.name, Service: l.service} }
@@ -917,6 +920,11 @@ func (c *Conn) RemoteAddr() Addr { return c.remote }
 // Send transmits payload to the peer. It fails if the connection is closed
 // or the local host is down; a partition or remote failure silently drops
 // the message instead (the peer sees lack of progress, not an error).
+//
+// The peer receives a copy of payload, so the caller may reuse payload at
+// once. What Recv delivers is the receiver's, and nothing writes to it
+// afterwards: a receiver may decode it into views of its bytes (see
+// internal/wire).
 func (c *Conn) Send(payload []byte) error { return c.SendCtx(payload, c.ctx) }
 
 // SendCtx is Send carrying the causal context of this message: the hop
@@ -924,6 +932,13 @@ func (c *Conn) Send(payload []byte) error { return c.SendCtx(payload, c.ctx) }
 // request's tree. A zero context falls back to the connection's base
 // context.
 func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
+	return c.SendShared(bytes.Clone(payload), ctx)
+}
+
+// SendShared is SendCtx without the copy, for bytes that nobody writes
+// again (a frame every connection sends alike): the peer receives payload
+// itself.
+func (c *Conn) SendShared(payload []byte, ctx trace.Ctx) error {
 	if !ctx.Valid() {
 		ctx = c.ctx
 	}
@@ -953,19 +968,17 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	c.hBytes.Record(int64(len(payload)))
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
 	// One hop span per send, covering the wire time to the peer.
 	c.traceHop(ctx, len(payload), now, now+oneWay)
 	c.mu.Lock()
-	ok := c.enqueueLocked(outMsg{pendingMsg: pendingMsg{buf, now, ctx}, deliverAt: now + oneWay})
+	ok := c.enqueueLocked(outMsg{pendingMsg: pendingMsg{payload, now, ctx}, deliverAt: now + oneWay})
 	c.mu.Unlock()
 	if !ok {
 		// The delivery queue is saturated (extreme overload) or the send
 		// raced with a close. Either way the message is lost here, and the
 		// loss must be accounted: everything above already counted it as
 		// sent, so silence would leave send-minus-recv unexplained.
-		c.dropped(len(buf), "sendq-full", ctx)
+		c.dropped(len(payload), "sendq-full", ctx)
 	}
 	return nil
 }
@@ -1004,7 +1017,8 @@ func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 }
 
 // Recv blocks until a message arrives. It returns ErrClosed once the
-// connection is closed and drained.
+// connection is closed and drained. The message is the receiver's, and
+// nothing writes to it (see Send); so are those of RecvTimeout and TryRecv.
 func (c *Conn) Recv() ([]byte, error) {
 	b, ok := c.in.Recv()
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/trace"
 	"cogrid/internal/vtime"
 )
 
@@ -111,6 +112,49 @@ func TestSendRecvLatencyAndOrder(t *testing.T) {
 		}
 		sim.Sleep(10 * time.Millisecond) // keep the connection open for delivery
 		conn.Close()
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
+// A delivered payload is the receiver's. Send copies what it is given, so
+// whatever the sender writes into its buffer afterwards does not arrive;
+// SendShared hands over bytes that nobody writes again as they are, and
+// every connection it is used on delivers those same bytes.
+func TestSendPayloadOwnership(t *testing.T) {
+	sim, _, a, b := testNet(t)
+	l, err := b.Listen("svc")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	shared := []byte("one frame for every connection")
+	err = sim.Run("client", func() {
+		for i := 0; i < 2; i++ {
+			conn, err := a.Dial(l.Addr())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			peer, ok := l.Accept()
+			if !ok {
+				t.Fatal("Accept: listener closed")
+			}
+			buf := []byte("as sent")
+			if err := conn.Send(buf); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			copy(buf, "written")
+			if err := conn.SendShared(shared, trace.Ctx{}); err != nil {
+				t.Fatalf("SendShared: %v", err)
+			}
+			if got, err := peer.Recv(); err != nil || string(got) != "as sent" {
+				t.Errorf("connection %d: Send delivered %q, %v; want the payload as it was at the send", i, got, err)
+			}
+			if got, err := peer.Recv(); err != nil || len(got) != len(shared) || &got[0] != &shared[0] {
+				t.Errorf("connection %d: SendShared delivered %q, %v; want the sender's bytes themselves", i, got, err)
+			}
+			conn.Close()
+		}
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)

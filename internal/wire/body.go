@@ -39,18 +39,17 @@ func AppendStrings(dst []byte, list []string) []byte {
 // and Done reports ErrFrame, so a parser reads all its fields and checks
 // once.
 //
-// Every string a Reader returns is a substring of one copy of the body,
-// made at the first non-empty string read, so any one of them keeps the
-// whole copy alive. A list is not copied at all: StringList hands back its
-// encoding where it lies.
+// Nothing a Reader returns is a copy: a string is a view of the body and a
+// list (StringList) is its encoding where it lies, so any one of them keeps
+// the body's frame alive (see the package comment).
 type Reader struct {
 	src []byte
 	off int
-	str string
 	bad bool
 }
 
-// NewReader reads the body src, which must not include the marker byte.
+// NewReader reads the body src, which must not include the marker byte and
+// which nothing may write to while what the Reader returns is in use.
 func NewReader(src []byte) Reader { return Reader{src: src} }
 
 // Uvarint reads a VLQ integer.
@@ -94,13 +93,7 @@ func (r *Reader) Len() int {
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	l := r.Len()
-	if l == 0 {
-		return ""
-	}
-	if r.str == "" {
-		r.str = string(r.src)
-	}
-	s := r.str[r.off : r.off+l]
+	s := view(r.src[r.off : r.off+l])
 	r.off += l
 	return s
 }
@@ -193,15 +186,15 @@ func (l StringList) At(i int) (s string, ok bool) {
 	}
 }
 
-// All decodes the whole list; an empty list is nil. Every string is a
-// substring of one copy of the encoding, so n strings cost that copy and
-// the slice, and any one of them keeps the copy alive.
+// All decodes the whole list; an empty list is nil. Every string is a view
+// of the list's encoding, so n strings cost the slice, and any one of them
+// keeps the encoding alive.
 func (l StringList) All() []string {
 	n, off := l.count()
 	if n == 0 {
 		return nil
 	}
-	all := string(l)
+	all := view(l)
 	list := make([]string, n)
 	for i := range list {
 		from, to, ok := l.next(off)

@@ -116,17 +116,25 @@ func (e *Encoder) Encode(dst []byte, env *Envelope) []byte {
 	return append(dst, byte(crc>>8), byte(crc))
 }
 
-// EncodePrologue appends the handshake prologue as a standalone
-// CRC-framed message and marks it sent, so subsequent Encode calls emit
-// bare frames. Connection-oriented senders use this at setup (rpc's
-// sender.bind says why it has stayed its own message).
-func (e *Encoder) EncodePrologue(dst []byte) []byte {
-	start := len(dst)
+// EncodePrologue marks the handshake prologue sent, so subsequent Encode
+// calls emit bare frames, and returns it as a standalone CRC-framed
+// message. Connection-oriented senders use this at setup (rpc's
+// sender.bind says why it has stayed its own message). Every prologue is
+// the same bytes, so every caller gets the same frame: nothing may write to
+// it, and it can be sent without a copy.
+func (e *Encoder) EncodePrologue() []byte {
 	e.wrotePrologue = true
-	dst = appendPrologue(dst)
-	crc := CRC16(dst[start:])
-	return append(dst, byte(crc>>8), byte(crc))
+	return prologueFrame
 }
+
+// prologueFrame is the standalone prologue, full to capacity so that an
+// append to it copies.
+var prologueFrame = func() []byte {
+	b := appendPrologue(nil)
+	crc := CRC16(b)
+	b = append(b, byte(crc>>8), byte(crc))
+	return b[:len(b):len(b)]
+}()
 
 // appendPrologue appends the raw handshake prologue: version, dictionary
 // length, dictionary hash.
@@ -143,10 +151,10 @@ func appendPrologue(dst []byte) []byte {
 // appears, and its loss costs nothing but the validation.
 type Decoder struct{}
 
-// Decode parses one received frame into env. env.Body aliases frame's
-// storage — valid for as long as the caller keeps frame alive, which the
-// receive path does (each delivered message owns its buffer). Any error
-// leaves env zeroed.
+// Decode parses one received frame into env. env.Body and every string but
+// a dictionary method are views of frame, not copies (see the package
+// comment): frame must be a delivered payload, or a buffer the caller will
+// not write again. Any error leaves env zeroed.
 func (d *Decoder) Decode(frame []byte, env *Envelope) error {
 	*env = Envelope{}
 	if err := decode(frame, env); err != nil {
@@ -228,7 +236,7 @@ func decode(frame []byte, env *Envelope) error {
 		if !ok {
 			return ErrFrame
 		}
-		env.Method = string(f)
+		env.Method = view(f)
 		buf = rest
 	}
 	if flags&flagError != 0 {
@@ -236,7 +244,7 @@ func decode(frame []byte, env *Envelope) error {
 		if !ok {
 			return ErrFrame
 		}
-		env.Error = string(f)
+		env.Error = view(f)
 		buf = rest
 	}
 	if flags&flagCtx != 0 {
@@ -248,7 +256,7 @@ func decode(frame []byte, env *Envelope) error {
 		if !ok {
 			return ErrFrame
 		}
-		env.Req, env.Span = string(req), string(span)
+		env.Req, env.Span = view(req), view(span)
 		buf = rest2
 	}
 	if flags&flagBody != 0 {

@@ -6,9 +6,11 @@ import (
 )
 
 // FuzzWireEnvelope drives the decoder with arbitrary bytes and, whenever
-// they decode, re-encodes and re-decodes to prove the codec is a
-// round-trip fixpoint. The seed corpus holds valid frames (each with and
-// without prologue), JSON text, and classic parser traps.
+// they decode, checks that every decoded string but a dictionary method,
+// and the body, lie inside the input frame, then re-encodes and re-decodes
+// to prove the codec is a round-trip fixpoint. The seed corpus holds valid
+// frames (each with and without prologue), JSON text, and classic parser
+// traps.
 func FuzzWireEnvelope(f *testing.F) {
 	for _, env := range sampleEnvelopes() {
 		env := env
@@ -27,6 +29,7 @@ func FuzzWireEnvelope(f *testing.F) {
 	f.Add(append([]byte{magicFrame, flagBody | byte(KindCall)}, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)) // huge body length
 	f.Add(sealed(magicFrame, KindCall|flagID|flagDictMethod, 5))                               // an id, then the method id missing
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data) // inside writes to it
 		var dec Decoder
 		var env Envelope
 		if err := dec.Decode(data, &env); err != nil {
@@ -37,6 +40,13 @@ func FuzzWireEnvelope(f *testing.F) {
 		}
 		if env.Kind == 0 {
 			return // a standalone prologue: validated, carries no envelope
+		}
+		method := env.Method
+		if _, inDict := methodID(method); inDict {
+			method = "" // the table's string, or a view of an inline name
+		}
+		if !inside(data, method, env.Error, env.Req, env.Span) || !inside(data, env.Body) {
+			t.Fatalf("a decoded field is not a view of the frame: %+v", env)
 		}
 		// Whatever decoded must survive a round trip bit for bit.
 		var enc Encoder

@@ -37,7 +37,8 @@ func AppendJSON[T any](dst []byte, v *T, fields func(*T, *JSON)) []byte {
 }
 
 // ParseJSON reads what AppendJSON writes into *v, as json.Unmarshal would,
-// and reports whether it did. It reads into a copy of *v and keeps the copy
+// and reports whether it did. Every string it reads without escapes is a
+// view of src (see the package comment). It reads into a copy of *v and keeps the copy
 // only if the whole of src was read: a field the input leaves out keeps its
 // value, as with json.Unmarshal, and a declined src leaves *v untouched.
 func ParseJSON[T any](src []byte, v *T, fields func(*T, *JSON)) bool {
@@ -336,12 +337,11 @@ func plain(c rune, size int) bool {
 // jsonReader reads JSON in the grammar above, front to back. The first read
 // that finds anything else latches a failure: every later read returns a
 // zero value and done reports false, so a parser reads all its fields and
-// checks once. Every string without escapes is a substring of one copy of
-// the input, made at the first such string read, as with Reader.
+// checks once. Every string without escapes is a view of the input, as
+// with Reader.
 type jsonReader struct {
 	src []byte
 	off int
-	str string
 	bad bool
 }
 
@@ -438,8 +438,8 @@ func (r *jsonReader) int() int64 {
 	return int64(u)
 }
 
-// string reads a string. Its bytes are the input's until an escape, and
-// built anew from there.
+// string reads a string: a view of the input, or, once an escape turns
+// up, a view of a buffer built anew from there, which nothing else holds.
 func (r *jsonReader) string() string {
 	r.byte('"')
 	start := r.off
@@ -452,15 +452,10 @@ func (r *jsonReader) string() string {
 		switch {
 		case c == '"':
 			r.off = i + 1
-			switch {
-			case buf != nil:
-				return string(buf)
-			case i == start:
-				return ""
-			case r.str == "":
-				r.str = string(r.src)
+			if buf != nil {
+				return view(buf)
 			}
-			return r.str[start:i]
+			return view(r.src[start:i])
 		case c == '\\':
 			if buf == nil {
 				buf = append(make([]byte, 0, len(r.src)-start), r.src[start:i]...)

@@ -8,7 +8,17 @@
 // survive a lossy transport — every frame carries its own method
 // (dictionary ID or inline name) and a trailing CRC, so a dropped frame
 // never desynchronizes the decoder.
+//
+// Decoding copies nothing. What Decoder.Decode, NewReader, ParseJSON and
+// ParseJSONList read is a delivered payload (transport.Conn.Recv): it is
+// the receiver's, and nothing writes to it. So every string and Body they
+// return is a view of it, and the frame is the only buffer a received
+// message needs; a caller that decodes a buffer it will write again passes
+// a copy. A view keeps its whole frame alive, so whoever keeps a decoded
+// string past its message copies it (strings.Clone) where it keeps it.
 package wire
+
+import "unsafe"
 
 // VLQ integers: 7 value bits per byte, least-significant group first, high
 // bit set on every byte except the last. Identical to encoding/binary's
@@ -64,4 +74,14 @@ func cutBytes(buf []byte) (field, rest []byte, ok bool) {
 		return nil, nil, false
 	}
 	return buf[n : n+int(l)], buf[n+int(l):], true
+}
+
+// view returns b as a string that shares b's bytes, which is sound because
+// nothing writes to a decoded frame (see the package comment). It is the
+// package's one use of unsafe. An empty b is "", which pins no frame.
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }

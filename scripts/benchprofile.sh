@@ -15,9 +15,17 @@
 # runs `rounds` `-child <workload> -seed <s>` rounds, s = seed ..
 # seed+rounds-1, at GOMAXPROCS=1, as the benchmark's own rounds run. It
 # prints each round's result line, then the top 25 entries by cumulative CPU
-# time, the share of CPU spent in encoding/json, and the top 25 functions
-# by bytes allocated, over every round's profile merged: one round is about
-# 130 CPU samples, too few to rank anything under 5 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof and the
+# time, the share of CPU spent in encoding/json, the top 25 functions by
+# bytes allocated, and two per-layer tables, CPU time and allocated objects,
+# over every round's profile merged: one round is about 130 CPU samples, too
+# few to rank anything under 5 %.
+#
+# The per-layer rule: each sample is charged whole to the innermost frame of
+# its stack whose function is in a package cogrid/internal/<pkg>, and that
+# <pkg> is its layer; a sample with no such frame (the collector, the
+# scheduler, the benchmark's own driver) is charged to runtime/GC. So a
+# layer's row is its self cost plus what it spends in the standard library,
+# and each table sums to 100 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof and the
 # binary in a temporary directory whose name is the last line, for
 # `go tool pprof -list`, `-peek` and `-sample_index=alloc_objects` (name
 # every round's file to merge them there too).
@@ -30,7 +38,7 @@
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,30p' "$0" >&2
+    sed -n '2,38p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -92,5 +100,46 @@ echo "encoding/json: ${json:-0} % of CPU over $rounds rounds"
 echo
 echo "== bytes allocated, top 25 functions, $rounds round(s) merged"
 go tool pprof -sample_index=alloc_space -top -nodecount=25 "$tmp/bench" "$tmp"/allocs-*.pprof 2>/dev/null | sed -n '/flat%/,$p'
+echo
+# layers <sample index> <unit> <profile>...: the per-layer table of the
+# merged profiles, by the rule in the header. pprof -traces prints each
+# distinct stack as a separator line, an optional "bytes:" tag line, the
+# sample value with the innermost frame, and the frames around it, one a line.
+layers() {
+    index=$1 unit=$2
+    shift 2
+    go tool pprof -sample_index="$index" -traces "$tmp/bench" "$@" 2>/dev/null | awk -v unit="$unit" '
+    function charge() {
+        if (v != "") {
+            share[layer == "" ? "runtime/GC" : layer] += v
+            total += v
+        }
+        v = ""; layer = ""
+    }
+    function value(s) { # pprof prints a time with its unit; charge milliseconds
+        if (s ~ /ms$/) return s + 0
+        if (s ~ /(us|µs)$/) return s / 1000
+        if (s ~ /ns$/) return s / 1e6
+        if (s ~ /s$/) return s * 1000
+        return s + 0
+    }
+    /^-+\+-+$/ { charge(); top = 1; next }
+    $1 == "bytes:" { next }
+    top { v = value($1); $1 = ""; top = 0 }
+    layer == "" && v != "" {
+        sub(/^ +/, "")
+        if (match($0, /^cogrid\/internal\/[^.\/]+/)) layer = substr($0, 17, RLENGTH - 16)
+    }
+    END {
+        charge()
+        for (l in share) printf "%-14s %6.1f %%  %12.0f %s\n", l, 100 * share[l] / total, share[l], unit
+        printf "%-14s %6.1f %%  %12.0f %s\n", "(total)", 100, total, unit
+    }' | sort -k2,2nr
+}
+echo "== CPU by layer, $rounds round(s) merged (innermost cogrid/internal/<pkg> frame, else runtime/GC)"
+layers cpu ms "$tmp"/cpu-*.pprof
+echo
+echo "== allocated objects by layer, $rounds round(s) merged (same rule)"
+layers alloc_objects objects "$tmp"/allocs-*.pprof
 echo
 echo "$tmp"
