@@ -49,7 +49,8 @@ func (a CheckinArgs) AppendWire(dst []byte) []byte {
 	return wire.AppendString(dst, a.Addr)
 }
 
-// ParseWire decodes a body written by AppendWire.
+// ParseWire decodes a body written by AppendWire. Its strings are views
+// of src, as every decoded string is (see transport.Conn.Send).
 func (a *CheckinArgs) ParseWire(src []byte) error {
 	r := wire.NewReader(src)
 	*a = CheckinArgs{

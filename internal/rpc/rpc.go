@@ -471,7 +471,9 @@ func marshalBody(dst []byte, v any) ([]byte, error) {
 // typed receiver still decodes the JSON a foreign client sent it. JSON goes
 // to v's ParseJSON when it has one, and to encoding/json when it has none or
 // it declines: ParseJSON reads exactly what AppendJSON writes and nothing
-// else, and leaves v as it was when it declines.
+// else, and leaves v as it was when it declines. What ParseWire and
+// ParseJSON read is views of body (see internal/wire), so body must be a
+// delivered frame's, or a copy its caller never writes again.
 func Decode(body json.RawMessage, v any) error {
 	if len(body) == 0 {
 		return nil

@@ -38,9 +38,10 @@ func AppendJSON[T any](dst []byte, v *T, fields func(*T, *JSON)) []byte {
 
 // ParseJSON reads what AppendJSON writes into *v, as json.Unmarshal would,
 // and reports whether it did. Every string it reads without escapes is a
-// view of src (see the package comment). It reads into a copy of *v and keeps the copy
-// only if the whole of src was read: a field the input leaves out keeps its
-// value, as with json.Unmarshal, and a declined src leaves *v untouched.
+// view of src (see the package comment). It reads into a copy of *v and
+// keeps the copy only if the whole of src was read: a field the input
+// leaves out keeps its value, as with json.Unmarshal, and a declined src
+// leaves *v untouched.
 func ParseJSON[T any](src []byte, v *T, fields func(*T, *JSON)) bool {
 	j := JSON{in: jsonReader{src: src}} // the first key reads the '{'
 	c := *v
