@@ -133,19 +133,23 @@ func TestSendPayloadOwnership(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			conn, err := a.Dial(l.Addr())
 			if err != nil {
-				t.Fatalf("Dial: %v", err)
+				t.Errorf("Dial: %v", err)
+				return
 			}
 			peer, ok := l.Accept()
 			if !ok {
-				t.Fatal("Accept: listener closed")
+				t.Error("Accept: listener closed")
+				return
 			}
 			buf := []byte("as sent")
 			if err := conn.Send(buf); err != nil {
-				t.Fatalf("Send: %v", err)
+				t.Errorf("Send: %v", err)
+				return
 			}
 			copy(buf, "written")
 			if err := conn.SendShared(shared, trace.Ctx{}); err != nil {
-				t.Fatalf("SendShared: %v", err)
+				t.Errorf("SendShared: %v", err)
+				return
 			}
 			if got, err := peer.Recv(); err != nil || string(got) != "as sent" {
 				t.Errorf("connection %d: Send delivered %q, %v; want the payload as it was at the send", i, got, err)

@@ -23,7 +23,7 @@
 # The per-layer rule: each sample is charged whole to the innermost frame of
 # its stack whose function is in a package cogrid/internal/<pkg>, and that
 # <pkg> is its layer; a sample with no such frame (the collector, the
-# scheduler, the benchmark's own driver) is charged to runtime/GC. So a
+# scheduler, the benchmark's own main package) is charged to runtime/GC. So a
 # layer's row is its self cost plus what it spends in the standard library,
 # and each table sums to 100 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof and the
 # binary in a temporary directory whose name is the last line, for
@@ -38,7 +38,7 @@
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,38p' "$0" >&2
+    sed -n '2,37p' "$0" >&2
     exit 2
 fi
 workload=$1
