@@ -72,6 +72,11 @@ func (s *store) add(ev *Event, args []Arg) {
 		s.args[len(s.args)-1][k] = argRef{s.strs.intern(a.Key), s.strs.intern(a.Val)}
 		s.nargs++
 	}
+	// What the emitter goes on to keep of the event (a flight recorder's
+	// ring) shares the table's strings rather than holding a second copy,
+	// or a view of a received frame.
+	ev.Cat, ev.Name, ev.Proc, ev.Thr = s.strs.str(r.cat), s.strs.str(r.name), s.strs.str(r.proc), s.strs.str(r.thr)
+	ev.ID, ev.Req, ev.Span = s.strs.str(r.id), s.strs.str(r.req), s.strs.str(r.span)
 	k := s.n & (chunkSize - 1)
 	if k == 0 {
 		s.recs = append(s.recs, new([chunkSize]record))

@@ -72,15 +72,26 @@ func TestInternOnce(t *testing.T) {
 
 // The table keeps a copy of what it first sees: a string a caller passes
 // may be a view of a large buffer, a received frame, which the table must
-// not keep alive for the rest of the run.
+// not keep alive for the rest of the run. A tap that keeps the event (the
+// flight recorder) is handed the table's strings, not the caller's.
 func TestInternCopiesFirstSight(t *testing.T) {
-	var tab strtab
 	buf := strings.Repeat("x", 64<<10) + "hop-to-m7"
 	s := buf[64<<10:]
-	stored := tab.str(tab.intern(s))
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(buf)))
-	if p := uintptr(unsafe.Pointer(unsafe.StringData(stored))); stored != s || lo <= p && p < lo+uintptr(len(buf)) {
+	outside := func(kept string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(kept)))
+		return kept == s && (p < lo || p >= lo+uintptr(len(buf)))
+	}
+	var tab strtab
+	if stored := tab.str(tab.intern(s)); !outside(stored) {
 		t.Errorf("interning a substring of a %d-byte buffer stored %q inside that buffer", len(buf), stored)
+	}
+	tr := New(vtime.New())
+	tap := &keepingTap{}
+	tr.SetTap(tap)
+	tr.InstantCtx(Ctx{Req: "r", Span: s}, "c", "n", "p", "t", "")
+	if kept := tap.seen[0].Span; !outside(kept) {
+		t.Errorf("a tap kept %q inside the %d-byte buffer the emitter's span path was cut from", kept, len(buf))
 	}
 }
 
