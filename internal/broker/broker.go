@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,7 +37,6 @@ import (
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
 	"cogrid/internal/flightrec"
-	"cogrid/internal/gram"
 	"cogrid/internal/mds"
 	"cogrid/internal/metrics"
 	"cogrid/internal/rpc"
@@ -59,19 +57,12 @@ const (
 	DefaultRefreshOffset   = 5 * time.Second
 	DefaultRetryAfter      = 30 * time.Second
 	DefaultCommitTimeout   = 30 * time.Minute
-	// DefaultReapInterval paces the orphan reaper's retry sweeps. Off
-	// the minute boundary so sweeps don't pile onto publisher rounds.
-	DefaultReapInterval = 45 * time.Second
 )
 
 // watchdogGrace is how far past its commit budget one attempt may run
 // before the per-attempt watchdog aborts it: the margin within which the
 // substitution agent's own timeout is expected to fire first.
 const watchdogGrace = 30 * time.Second
-
-// reapCancelTimeout bounds each reap-sweep cancel RPC, so one still-hung
-// resource manager delays, but cannot stall, a sweep.
-const reapCancelTimeout = 30 * time.Second
 
 // Options configures a broker.
 type Options struct {
@@ -96,10 +87,6 @@ type Options struct {
 	// RetryAfter is the hint returned with admission rejections.
 	// Default DefaultRetryAfter.
 	RetryAfter time.Duration
-	// ReapInterval paces the orphan reaper: how often unconfirmed
-	// subjob cancellations are retried at their resource managers.
-	// Default DefaultReapInterval.
-	ReapInterval time.Duration
 	// Retry is the per-failure-class policy. Zero value replaced by
 	// DefaultRetryPolicy().
 	Retry RetryPolicy
@@ -127,12 +114,6 @@ type Options struct {
 	// worker pickup, close at terminal reply) — the federation's journal
 	// feed. Must not block.
 	OnTicket func(ev TicketEvent)
-	// OnOrphan, when set, is called for every orphan recorded (in
-	// addition to the broker's own reaper taking it). Must not block.
-	OnOrphan func(o core.Orphan)
-	// OnReap, when set, is called with the orphan's job/subjob key after
-	// the broker's own reaper confirms its cancellation. Must not block.
-	OnReap func(key string)
 }
 
 // TicketEvent is one ticket lifecycle transition offered to
@@ -175,9 +156,6 @@ func (o *Options) fill() {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = DefaultRetryAfter
-	}
-	if o.ReapInterval <= 0 {
-		o.ReapInterval = DefaultReapInterval
 	}
 	if o.Retry.MaxAttempts == 0 {
 		o.Retry = DefaultRetryPolicy()
@@ -280,11 +258,10 @@ func (t *ticket) RunTask() { t.call.Reply(t.reply, nil) }
 
 // Broker is a running broker service.
 type Broker struct {
-	sim     *vtime.Sim
-	host    *transport.Host
-	ctrl    *core.Controller
-	ctrlCfg core.ControllerConfig // kept for reap-sweep redials
-	opts    Options
+	sim  *vtime.Sim
+	host *transport.Host
+	ctrl *core.Controller
+	opts Options
 
 	cache  *cache
 	server *rpc.Server
@@ -295,20 +272,17 @@ type Broker struct {
 	ringPos int
 	queued  int // total tickets waiting for a worker
 	nextID  int
-	orphans map[string]core.Orphan // unconfirmed cancels awaiting reap
 
 	wake     *vtime.Chan[struct{}] // kicks the dispatcher on enqueue
 	ready    *vtime.Chan[struct{}] // a worker announcing it is idle
 	dispatch *vtime.Chan[*ticket]  // rendezvous: dispatcher -> idle worker
-	reapStop *vtime.Event          // halts the orphan reaper
 }
 
 // New starts a broker on host: a DUROC controller for its own use, the
-// broker RPC endpoint, the cache refresh daemon, the dispatcher, the
-// worker pool, and the orphan reaper. The controller submits with
-// ctrlCfg's credential; subjobs whose cancellation the controller cannot
-// confirm are handed to the reaper, which retries them until their
-// resource managers answer.
+// broker RPC endpoint, the cache refresh daemon, the dispatcher and the
+// worker pool. The controller submits with ctrlCfg's credential and
+// re-cancels the subjobs whose cancellation it could not confirm; the
+// broker accounts for them in front of ctrlCfg's own OnOrphan and OnReap.
 func New(host *transport.Host, ctrlCfg core.ControllerConfig, opts Options) (*Broker, error) {
 	opts.fill()
 	opts.fillHost(host)
@@ -316,21 +290,23 @@ func New(host *transport.Host, ctrlCfg core.ControllerConfig, opts Options) (*Br
 	b := &Broker{
 		sim:      sim,
 		host:     host,
-		ctrlCfg:  ctrlCfg,
 		opts:     opts,
 		queues:   make(map[string][]*ticket),
-		orphans:  make(map[string]core.Orphan),
 		wake:     vtime.NewChan[struct{}](sim, "broker-wake:"+host.Name(), 1),
 		ready:    vtime.NewChan[struct{}](sim, "broker-ready:"+host.Name(), 0),
 		dispatch: vtime.NewChan[*ticket](sim, "broker-dispatch:"+host.Name(), 0),
-		reapStop: vtime.NewEvent(sim, "broker-reap-stop:"+host.Name()),
 	}
-	ctrlCfg.OnOrphan = b.addOrphan
-	if opts.OnOrphan != nil {
-		hook := opts.OnOrphan
-		ctrlCfg.OnOrphan = func(o core.Orphan) {
-			b.addOrphan(o)
-			hook(o)
+	onOrphan, onReap := ctrlCfg.OnOrphan, ctrlCfg.OnReap
+	ctrlCfg.OnOrphan = func(o core.Orphan) {
+		b.orphaned(o)
+		if onOrphan != nil {
+			onOrphan(o)
+		}
+	}
+	ctrlCfg.OnReap = func(key string, err error) {
+		b.reaped(key, err)
+		if onReap != nil {
+			onReap(key, err)
 		}
 	}
 	ctrl, err := core.NewController(host, ctrlCfg)
@@ -353,7 +329,6 @@ func New(host *transport.Host, ctrlCfg core.ControllerConfig, opts Options) (*Br
 	for i := 0; i < opts.Workers; i++ {
 		sim.GoDaemon(fmt.Sprintf("broker-worker%d:%s", i, host.Name()), b.worker)
 	}
-	sim.GoDaemon("broker-reaper:"+host.Name(), b.reaper)
 	return b, nil
 }
 
@@ -372,26 +347,18 @@ func (b *Broker) QueueDepth() int {
 	return b.queued
 }
 
-// Close stops accepting connections and halts the cache refresh and
-// orphan-reap daemons. In-flight requests run to completion. The DUROC
-// controller (and its barrier listener) deliberately stays up: committed
-// computations outlive their broker replies and still need the barrier
-// endpoint and cancel paths — the construction-time listener leak lived
-// in New's error path, which tears the controller down itself. Orphans
-// still pending when Close is called are abandoned; drain them first via
-// OrphansPending if that matters.
+// Close stops accepting connections, halts the cache refresh and stops
+// the controller's orphan retries. In-flight requests run to completion.
+// The DUROC controller (and its barrier listener) deliberately stays up:
+// committed computations outlive their broker replies and still need the
+// barrier endpoint and cancel paths — the construction-time listener leak
+// lived in New's error path, which tears the controller down itself.
+// Orphans still pending when Close is called are abandoned; drain them
+// first via Controller().OrphansPending if that matters.
 func (b *Broker) Close() {
 	b.server.Close()
 	b.cache.stopRefresh()
-	b.reapStop.Set()
-}
-
-// OrphansPending reports how many unconfirmed cancellations await a
-// successful reap. Zero after quiescence means no subjob leaked.
-func (b *Broker) OrphansPending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.orphans)
+	b.ctrl.StopReaping()
 }
 
 func (b *Broker) tracer() *trace.Tracer          { return b.host.Network().Tracer() }
@@ -739,7 +706,7 @@ func (b *Broker) countFaults(job *core.Job) {
 // deadline and a watchdog that aborts the attempt if it wedges past that
 // budget (a lost resource manager mid-2PC shows up only as lack of
 // progress; the abort discards the subjobs, whose unconfirmed cancels
-// then flow to the orphan reaper).
+// then become the controller's orphans).
 func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.Result, error) {
 	req := t.req
 	start := b.sim.Now()
@@ -850,100 +817,27 @@ func attemptSettled(job *core.Job) bool {
 	return false
 }
 
-// addOrphan receives a subjob whose cancel the controller could not
-// confirm and queues it for the reaper.
-func (b *Broker) addOrphan(o core.Orphan) {
+// orphaned accounts for a subjob whose cancel the controller could not
+// confirm; the controller retries it.
+func (b *Broker) orphaned(o core.Orphan) {
 	key := o.Job + "/" + o.Subjob
-	b.mu.Lock()
-	_, known := b.orphans[key]
-	b.orphans[key] = o
-	b.mu.Unlock()
-	if !known {
-		// Gauge tracks distinct unreaped orphans; a re-recorded key (the
-		// same subjob orphaned again before its reap) must not double-count.
-		b.gauges().G("broker.orphans@" + b.opts.ReplicaID).Add(1)
-		b.flight().Trigger("orphan", b.opts.ReplicaID+" "+key)
-	}
+	b.gauges().G("broker.orphans@" + b.opts.ReplicaID).Add(1)
+	b.flight().Trigger("orphan", b.opts.ReplicaID+" "+key)
 	b.count("orphan", "record", 1)
-	// The event args must not depend on the orphan set's size: concurrent
-	// cancel daemons record at the same instant in nondeterministic order,
-	// and a running count would leak that order into the trace.
 	b.tracer().InstantCtx(o.Ctx, "broker", "orphan", b.host.Name(), key, "",
 		trace.Arg{Key: "rm", Val: o.RM.String()},
 		trace.Arg{Key: "reason", Val: o.Reason})
 }
 
-// reaper retries the cancellation of every orphaned subjob until its
-// resource manager confirms — the guarantee that a committed-but-lost
-// subjob stops holding processors as soon as the fault that hid it
-// heals.
-func (b *Broker) reaper() {
-	for {
-		if b.reapStop.WaitTimeout(b.opts.ReapInterval) {
-			return
-		}
-		b.reapPending()
-	}
-}
-
-// reapPending sweeps the orphan set once. Orphans are recorded by
-// concurrent cancel daemons in nondeterministic order, so the sweep
-// walks a sorted snapshot to keep reap timing (and the trace) identical
-// across same-seed runs.
-func (b *Broker) reapPending() {
-	b.mu.Lock()
-	keys := make([]string, 0, len(b.orphans))
-	for k := range b.orphans {
-		keys = append(keys, k)
-	}
-	b.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.mu.Lock()
-		o, ok := b.orphans[k]
-		b.mu.Unlock()
-		if !ok || !b.reapOne(k, o) {
-			continue
-		}
-		b.mu.Lock()
-		delete(b.orphans, k)
-		b.mu.Unlock()
-		b.gauges().G("broker.orphans@" + b.opts.ReplicaID).Add(-1)
-		b.count("orphan", "reaped", 1)
-		if b.opts.OnReap != nil {
-			b.opts.OnReap(k)
-		}
-	}
-}
-
-// reapOne re-dials the orphan's resource manager and re-issues the
-// cancel. Cancellation is idempotent at the LRM — cancelling a job that
-// already finished, failed, or was cancelled by the earlier attempt
-// whose acknowledgment was lost is a no-op — so confirmation here is
-// always safe.
-func (b *Broker) reapOne(key string, o core.Orphan) bool {
-	start := b.sim.Now()
-	// Reap traffic parents under the leaked subjob's own span context, so
-	// an orphaned request's tree shows its cleanup too.
-	ctx := o.Ctx.Child("reap")
-	client, err := gram.Dial(b.host, o.RM, gram.ClientConfig{
-		Credential: b.ctrlCfg.Credential,
-		Registry:   b.ctrlCfg.Registry,
-		AuthCost:   b.ctrlCfg.AuthCost,
-		Ctx:        ctx,
-	})
+// reaped accounts for one re-cancel of an orphan: confirmed, or to be
+// retried at the controller's next sweep.
+func (b *Broker) reaped(key string, err error) {
 	if err != nil {
 		b.count("reap", "retry", 1)
-		return false
+		return
 	}
-	defer client.Close()
-	if err := client.CancelTimeout(o.JobContact, reapCancelTimeout); err != nil {
-		b.count("reap", "retry", 1)
-		return false
-	}
-	b.tracer().SpanAtCtx(ctx, "broker", "reap", b.host.Name(), key, "", start, b.sim.Now(),
-		trace.Arg{Key: "rm", Val: o.RM.String()})
-	return true
+	b.gauges().G("broker.orphans@" + b.opts.ReplicaID).Add(-1)
+	b.count("orphan", "reaped", 1)
 }
 
 // CacheView returns the cached directory records and their fetch time

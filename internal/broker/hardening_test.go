@@ -203,8 +203,9 @@ func TestOrphanReapedAfterHangHeals(t *testing.T) {
 	// One batch machine, fully occupied: the broker's subjob queues behind
 	// the occupant. The machine then hangs, the attempt times out, and the
 	// abort-time cancel cannot be confirmed — an orphan. When the machine
-	// is restored, the reaper must land the cancel and the queued job must
-	// die without ever holding processors.
+	// is restored, the controller's 45 s orphan sweep (at 270 s, after the
+	// heal at 250 s) must land the cancel and the queued job must die
+	// without ever holding processors.
 	g := grid.New(grid.Options{Seed: 1, Trace: true})
 	dirHost := g.Net.AddHost("mds0")
 	if _, err := mds.NewServer(dirHost, 0); err != nil {
@@ -229,9 +230,8 @@ func TestOrphanReapedAfterHangHeals(t *testing.T) {
 		Credential: g.UserCred,
 		Registry:   g.Registry,
 	}, broker.Options{
-		Directory:    dir,
-		Workers:      1,
-		ReapInterval: 30 * time.Second,
+		Directory: dir,
+		Workers:   1,
 		Retry: broker.RetryPolicy{
 			MaxAttempts: 1,
 			Default:     broker.ClassDecision{Retry: false},
@@ -285,7 +285,7 @@ func TestOrphanReapedAfterHangHeals(t *testing.T) {
 	if got := c.Get(trace.Key("broker", "orphan", "reaped", "broker0")); got != 1 {
 		t.Errorf("broker.orphan.reaped = %d, want 1", got)
 	}
-	if got := b.OrphansPending(); got != 0 {
+	if got := b.Controller().OrphansPending(); got != 0 {
 		t.Errorf("OrphansPending = %d, want 0", got)
 	}
 	if got := m.LiveJobs(); got != 0 {

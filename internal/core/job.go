@@ -344,8 +344,8 @@ func (j *Job) discardLocked(sj *subjob, status SubjobStatus, reason string) {
 // cancelRemote issues a best-effort cancel for a discarded subjob's LRM
 // job. A cancel that cannot be confirmed — the resource manager crashed,
 // hung, or partitioned away mid-2PC — is recorded as an orphan: the
-// remote job may still hold processors, and the contact must be retried
-// by whoever owns reaping (ControllerConfig.OnOrphan).
+// remote job may still hold processors, and the controller re-cancels it
+// until the resource manager answers (Controller.reap).
 func (j *Job) cancelRemote(client *gram.Client, spec SubjobSpec, contact string, ctx trace.Ctx) {
 	err := client.CancelTimeout(contact, j.c.cfg.CancelTimeout)
 	if err == nil {
@@ -401,12 +401,7 @@ func (j *Job) engine() {
 func (j *Job) submitSubjob(sj *subjob) {
 	c := j.c
 	start := c.sim.Now()
-	client, err := gram.Dial(c.host, sj.spec.Contact, gram.ClientConfig{
-		Credential: c.cfg.Credential,
-		Registry:   c.cfg.Registry,
-		AuthCost:   c.cfg.AuthCost,
-		Ctx:        sj.ctx,
-	})
+	client, err := c.dial(sj.spec.Contact, sj.ctx)
 	if err != nil {
 		j.subjobFailed(sj, fmt.Sprintf("submit: %v", err))
 		return

@@ -3,16 +3,13 @@ package dst
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/agent"
 	"cogrid/internal/broker"
 	"cogrid/internal/core"
 	"cogrid/internal/federation"
-	"cogrid/internal/gram"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/slo"
@@ -73,89 +70,6 @@ type RunResult struct {
 // OK reports whether the run held every invariant.
 func (r RunResult) OK() bool { return len(r.Violations) == 0 }
 
-// reapInterval paces the duroc-driver harness reaper; the broker driver
-// uses the broker's own.
-const reapInterval = 20 * time.Second
-
-// reaper is the duroc driver's stand-in for the broker's orphan reaper:
-// it retries unconfirmed subjob cancels until the resource manager
-// answers, so the no-leaked-processors invariant is checkable in both
-// driver modes.
-type reaper struct {
-	g  *grid.Grid
-	mu sync.Mutex
-	// orphans is swept in sorted key order: concurrent cancel daemons
-	// record in nondeterministic order and the sweep must not leak it.
-	orphans  map[string]core.Orphan
-	recorded int64
-	reaped   int64
-}
-
-func newReaper(g *grid.Grid) *reaper {
-	return &reaper{g: g, orphans: make(map[string]core.Orphan)}
-}
-
-func (r *reaper) add(o core.Orphan) {
-	key := o.Job + "/" + o.Subjob
-	r.mu.Lock()
-	_, known := r.orphans[key]
-	r.orphans[key] = o
-	if !known {
-		r.recorded++
-	}
-	r.mu.Unlock()
-	r.g.Counters.Add(trace.Key("dst", "orphan", "record", "workstation"), 1)
-}
-
-func (r *reaper) run() {
-	for {
-		r.g.Sim.Sleep(reapInterval)
-		r.sweep()
-	}
-}
-
-func (r *reaper) sweep() {
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.orphans))
-	for k := range r.orphans {
-		keys = append(keys, k)
-	}
-	r.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		r.mu.Lock()
-		o, ok := r.orphans[k]
-		r.mu.Unlock()
-		if !ok || !r.reapOne(o) {
-			continue
-		}
-		r.mu.Lock()
-		delete(r.orphans, k)
-		r.reaped++
-		r.mu.Unlock()
-		r.g.Counters.Add(trace.Key("dst", "orphan", "reaped", "workstation"), 1)
-	}
-}
-
-func (r *reaper) reapOne(o core.Orphan) bool {
-	cfg := r.g.ClientConfig()
-	cfg.Ctx = o.Ctx.Child("reap")
-	client, err := gram.Dial(r.g.Workstation, o.RM, cfg)
-	if err != nil {
-		return false
-	}
-	defer client.Close()
-	// Cancellation is idempotent at the LRM, so re-cancelling a job the
-	// earlier, unacknowledged attempt already killed is a safe no-op.
-	return client.CancelTimeout(o.JobContact, 10*time.Second) == nil
-}
-
-func (r *reaper) counts() (recorded, reaped int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recorded, r.reaped
-}
-
 // Run executes one scenario on a fresh grid and checks every protocol
 // invariant against the post-quiescence state. Same scenario, same
 // options → byte-identical RunResult.
@@ -166,8 +80,8 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	res := RunResult{Scenario: sc, Jobs: len(sc.Jobs)}
 
 	// One testbed serves every driver: the duroc driver's is unbrokered
-	// (machines and application only) and gets a controller and the harness
-	// reaper on the workstation instead.
+	// (machines and application only) and gets a controller on the
+	// workstation instead.
 	spec := workload.Spec{
 		Seed:           sc.Seed,
 		WorkTime:       sc.WorkTime,
@@ -204,15 +118,12 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	}
 
 	var ctrl *core.Controller
-	var rp *reaper
 	if !brokered {
-		rp = newReaper(g)
 		var err error
 		ctrl, err = core.NewController(g.Workstation, core.ControllerConfig{
 			Credential:    g.UserCred,
 			Registry:      g.Registry,
 			CancelTimeout: 15 * time.Second,
-			OnOrphan:      rp.add,
 			Bugs:          opts.Bugs,
 		})
 		if err != nil {
@@ -242,16 +153,13 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		}
 	}
 	// Every committed job's work done, every leaked job's wall limit fired,
-	// and two reap intervals so the reaper observes the healed grid.
+	// and two of the controller's 45 s orphan sweeps past the healed grid.
 	load.Drain = maxTime + sc.WorkTime + 2*time.Minute
 	load.Before = func() {
 		for _, bg := range sc.Background {
 			workload.Drive(g.Sim, g.Machine(bg.Machine), "bg", []workload.Job{{
 				At: bg.At, Size: bg.Size, Runtime: bg.Runtime, Limit: bg.Limit,
 			}})
-		}
-		if rp != nil {
-			g.Sim.GoDaemon("dst-reaper", rp.run)
 		}
 	}
 	tally, err := tb.Run(load, func(i, _ int, host *transport.Host) bool {
@@ -294,8 +202,7 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	switch sc.Driver {
 	case DriverBroker:
 		jobs = b.Controller().Jobs()
-		recorded = g.Counters.Get(trace.Key("broker", "orphan", "record", "broker0"))
-		reaped = g.Counters.Get(trace.Key("broker", "orphan", "reaped", "broker0"))
+		recorded, reaped = orphanCounts(g, "broker0")
 	case DriverFed:
 		// Audit every incarnation of every replica: a crashed process's
 		// jobs still owe the 2PC safety invariants for everything they did
@@ -330,7 +237,7 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		}
 	default:
 		jobs = ctrl.Jobs()
-		recorded, reaped = rp.counts()
+		recorded, reaped = orphanCounts(g, g.Workstation.Name())
 	}
 	res.Orphans = recorded
 
@@ -365,6 +272,13 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// orphanCounts reads the orphans the controller on host recorded and
+// reaped.
+func orphanCounts(g *grid.Grid, host string) (recorded, reaped int64) {
+	return g.Counters.Get(trace.Key("duroc", "orphan", "record", host)),
+		g.Counters.Get(trace.Key("duroc", "orphan", "reaped", host))
 }
 
 // captureArtifacts renders the run's deterministic byte outputs.

@@ -6,17 +6,12 @@ import (
 	"strings"
 	"time"
 
-	"cogrid/internal/gram"
 	"cogrid/internal/mds"
 	"cogrid/internal/rpc"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
 )
-
-// reapCancelTimeout bounds each adopted-entry cancel so a hung LRM does
-// not stall the whole sweep.
-const reapCancelTimeout = 30 * time.Second
 
 // Protocol messages. All four methods run on the "fed" service.
 type heartbeatMsg struct {
@@ -625,18 +620,7 @@ func (inc *incarnation) reapEntry(e Entry) bool {
 		})
 		return true
 	}
-	client, err := gram.Dial(inc.r.host, rm, gram.ClientConfig{
-		Credential: f.ctrlCfg.Credential,
-		Registry:   f.ctrlCfg.Registry,
-		AuthCost:   f.ctrlCfg.AuthCost,
-		Ctx:        inc.ctx.Child("reap:" + e.Key),
-	})
-	if err != nil {
-		inc.count("reap", "retry", 1)
-		return false
-	}
-	defer client.Close()
-	if err := client.CancelTimeout(e.Contact, reapCancelTimeout); err != nil {
+	if err := inc.b.Controller().CancelContact(rm, e.Contact, inc.ctx.Child("reap:"+e.Key)); err != nil {
 		inc.count("reap", "retry", 1)
 		return false
 	}

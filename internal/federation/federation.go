@@ -300,14 +300,14 @@ func (r *Replica) start(shard ShardMap) error {
 
 	ctrlCfg := f.ctrlCfg
 	ctrlCfg.OnAllocation = inc.onAllocation
+	ctrlCfg.OnOrphan = inc.onOrphan
+	ctrlCfg.OnReap = inc.onReap
 	bOpts := f.opts.Broker
 	bOpts.Directory = f.opts.Directory
 	bOpts.ReplicaID = r.name
 	bOpts.CandidateFilter = inc.filterRecords
 	bOpts.Forward = inc.forward
 	bOpts.OnTicket = inc.onTicket
-	bOpts.OnOrphan = inc.onOrphan
-	bOpts.OnReap = inc.onReap
 	b, err := broker.New(r.host, ctrlCfg, bOpts)
 	if err != nil {
 		return fmt.Errorf("federation: replica %s: %v", r.name, err)
@@ -610,7 +610,10 @@ func (inc *incarnation) onOrphan(o core.Orphan) {
 	inc.pushWake.TrySend(struct{}{})
 }
 
-func (inc *incarnation) onReap(key string) {
+func (inc *incarnation) onReap(key string, err error) {
+	if err != nil {
+		return // still pending: the controller's next sweep retries it
+	}
 	inc.jour.upsert("o/"+key, inc.now(), func(e Entry) Entry {
 		if e.Kind == "" {
 			return e
