@@ -16,7 +16,7 @@ import (
 // (trace, counters) follow opts.
 func runChaosDemo(opts runOptions) error {
 	// Seed 3's draw includes host crashes followed by machine restarts,
-	// so the orphan reaper has real work to show.
+	// so the controller's orphan retries have real work to show.
 	cfg := experiments.SLOSmokeConfig(3).Chaos
 	const faultRate = 0.75
 	fmt.Printf("chaos demo: %d batch machines x %d procs, %d broker workers, fault rate %.2f\n",

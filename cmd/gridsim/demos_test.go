@@ -15,9 +15,9 @@ func TestBrokeredDemosPinned(t *testing.T) {
 		run            func(runOptions) error
 		trace, metrics string
 	}{
-		{"broker", runBrokerDemo, "eb7ee73d63f79cfd", "da226581c9b64986"},
-		{"federation", runFederationDemo, "1b61d2659e0ead6f", "f04ddd19ce80723a"},
-		{"chaos", runChaosDemo, "d6c7681f5f25ade5", "45ffd222308684b7"},
+		{"broker", runBrokerDemo, "eb7ee73d63f79cfd", "def13739a7be95af"},
+		{"federation", runFederationDemo, "1b61d2659e0ead6f", "178aac31a0bdc480"},
+		{"chaos", runChaosDemo, "269ae28d650e2635", "1ce19ae05e45fb97"},
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			trace, metrics := sha256.New(), sha256.New()

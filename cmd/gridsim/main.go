@@ -22,8 +22,8 @@
 // admission queue, showing backpressure and round-robin fairness. -chaos
 // runs the built-in chaos scenario: the broker load replayed against a
 // grid where machines crash, hang, and partition mid-run, showing the
-// request deadline, the per-attempt watchdog, and the orphan reaper
-// keeping the grid leak-free. -federation runs the built-in federated
+// request deadline, the per-attempt watchdog, and the controller's orphan
+// retries keeping the grid leak-free. -federation runs the built-in federated
 // broker scenario: a three-replica control plane whose leader crashes
 // mid-run, showing leader election, shard hand-off, journal adoption by
 // the survivors, and client fail-over with idempotency keys.

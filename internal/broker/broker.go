@@ -347,14 +347,13 @@ func (b *Broker) QueueDepth() int {
 	return b.queued
 }
 
-// Close stops accepting connections, halts the cache refresh and stops
-// the controller's orphan retries. In-flight requests run to completion.
-// The DUROC controller (and its barrier listener) deliberately stays up:
-// committed computations outlive their broker replies and still need the
-// barrier endpoint and cancel paths — the construction-time listener leak
-// lived in New's error path, which tears the controller down itself.
-// Orphans still pending when Close is called are abandoned; drain them
-// first via Controller().OrphansPending if that matters.
+// Close stops accepting connections, halts the cache refresh and the
+// controller's orphan retries, abandoning the orphans still pending.
+// In-flight requests run to completion. The DUROC controller (and its
+// barrier listener) deliberately stays up: committed computations outlive
+// their broker replies and still need the barrier endpoint and cancel
+// paths — the construction-time listener leak lived in New's error path,
+// which tears the controller down itself.
 func (b *Broker) Close() {
 	b.server.Close()
 	b.cache.stopRefresh()

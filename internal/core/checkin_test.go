@@ -217,8 +217,11 @@ func FuzzCheckinBody(f *testing.F) {
 }
 
 // allocated reports what one call of f allocates, as counts and bytes
-// averaged over runs.
+// averaged over runs. Like testing.AllocsPerRun it runs with GOMAXPROCS
+// pinned to 1, so the process-wide MemStats it reads see f's allocations
+// and not those of goroutines running beside it.
 func allocated(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f() // warm up
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

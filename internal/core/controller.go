@@ -31,8 +31,8 @@ const (
 	EnvTrace = "DUROC_TRACE"
 )
 
-// reapInterval paces the controller's re-cancels of its orphans. It is off
-// the minute boundary, so sweeps do not pile onto publisher rounds.
+// reapInterval paces the re-cancels of orphans; off the minute boundary,
+// so sweeps do not pile onto publisher rounds.
 const reapInterval = 45 * time.Second
 
 // Bugs injects known-wrong protocol behavior into a controller. It exists
@@ -58,23 +58,20 @@ type ControllerConfig struct {
 	// GRAM requests "must be submitted sequentially"). Exists for the
 	// ablation study of that design choice.
 	ParallelSubmission bool
-	// CancelTimeout bounds each best-effort cancel RPC: the one issued
-	// when a subjob is discarded, and each re-cancel of an orphan. A hung
-	// or partitioned resource manager must not pin the cancel daemon for
-	// the full GRAM call timeout; a short bound converts it into an orphan
-	// report instead. Default 30 s.
+	// CancelTimeout bounds each best-effort cancel RPC, and each re-cancel
+	// of an orphan. A hung or partitioned resource manager must not pin the
+	// cancel daemon for the full GRAM call timeout; a short bound converts
+	// it into an orphan report instead. Default 30 s.
 	CancelTimeout time.Duration
 	// OnOrphan, when set, is told of every subjob whose LRM-side
 	// cancellation could not be confirmed (resource-manager contact lost
-	// mid-2PC): the remote job may still hold processors. The controller
-	// itself re-cancels it every 45 s until the resource manager answers;
-	// the hook is for accounting and journals. The callback runs on the
-	// cancel daemon and must not block.
+	// mid-2PC): the remote job may still hold processors, and the
+	// controller re-cancels it every 45 s until the resource manager
+	// answers. The callback runs on the cancel daemon and must not block.
 	OnOrphan func(Orphan)
-	// OnReap, when set, is called after each re-cancel of an orphan, with
-	// its Job+"/"+Subjob key: err nil means the cancel was confirmed and
-	// the orphan is gone, otherwise it stays pending for the next sweep.
-	// The callback runs on the sweep and must not block.
+	// OnReap, when set, is called after each re-cancel of an orphan with
+	// its Job+"/"+Subjob key and the error (nil: confirmed, the orphan is
+	// gone). The callback runs on the sweep and must not block.
 	OnReap func(key string, err error)
 	// OnAllocation, when set, is called the moment a subjob obtains an
 	// LRM job contact — the earliest point at which remote processors may
@@ -101,8 +98,6 @@ type Orphan struct {
 	JobContact string
 	// Reason is the error the failed cancel returned.
 	Reason string
-	// At is the virtual time the orphan was recorded.
-	At time.Duration
 	// Ctx is the subjob's causal span context: reap attempts parent their
 	// events under the request that leaked the allocation.
 	Ctx trace.Ctx
@@ -121,15 +116,13 @@ type Controller struct {
 	order   []*Job // submission order, for deterministic iteration
 	server  *rpc.Server
 
-	// Orphan retry. orphans holds the unconfirmed cancels by
-	// Job+"/"+Subjob. A sweep is armed (reapTimer) only while some are
-	// pending, on the reapInterval grid that starts at reapFrom: the
-	// construction instant, then the end of the last sweep.
-	orphans     map[string]Orphan
-	reapFrom    time.Duration
-	reapTimer   *vtime.Timer
-	reapRunning bool
-	reapStopped bool
+	// Unconfirmed cancels by Job+"/"+Subjob, nil once retries stop. A
+	// sweep is armed or running (reapTimer set) only while some are
+	// pending, on the reapInterval grid from reapFrom: construction, then
+	// the last sweep's end.
+	orphans   map[string]Orphan
+	reapFrom  time.Duration
+	reapTimer *vtime.Timer
 }
 
 // NewController starts a controller on host, listening for barrier
@@ -142,12 +135,13 @@ func NewController(host *transport.Host, cfg ControllerConfig) (*Controller, err
 		cfg.CancelTimeout = 30 * time.Second
 	}
 	c := &Controller{
-		sim:  host.Network().Sim(),
-		host: host,
-		cfg:  cfg,
-		jobs: make(map[string]*Job),
+		sim:      host.Network().Sim(),
+		host:     host,
+		cfg:      cfg,
+		jobs:     make(map[string]*Job),
+		orphans:  make(map[string]Orphan),
+		reapFrom: host.Network().Sim().Now(),
 	}
-	c.reapFrom = c.sim.Now()
 	l, err := host.Listen(ServiceName)
 	if err != nil {
 		return nil, err
@@ -297,23 +291,18 @@ func (c *Controller) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 // notifications.
 func (c *Controller) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
 
-// orphaned records a failed cancel: the trace instant and counter make
-// the potential processor leak visible, the orphan joins the set the
-// controller re-cancels, and the OnOrphan hook is told. A subjob is
-// cancelled once, so its key is recorded at most once.
+// orphaned records a failed cancel — trace instant, counter, a pending
+// re-cancel, the OnOrphan hook. A subjob is cancelled once, so a key is
+// recorded at most once.
 func (c *Controller) orphaned(o Orphan) {
 	c.tracer().InstantCtx(o.Ctx, "duroc", "orphan", c.host.Name(), o.Job+"/"+o.Subjob, "",
 		trace.Arg{Key: "rm", Val: o.RM.String()},
 		trace.Arg{Key: "reason", Val: o.Reason})
 	c.counters().AddKey("duroc", "orphan", "record", c.host.Name(), 1)
 	c.mu.Lock()
-	if !c.reapStopped {
-		if c.orphans == nil {
-			c.orphans = make(map[string]Orphan)
-		}
+	if c.orphans != nil {
 		c.orphans[o.Job+"/"+o.Subjob] = o
-		if c.reapTimer == nil && !c.reapRunning {
-			// The first grid instant strictly after now.
+		if c.reapTimer == nil { // arm the sweep at the first grid instant after now
 			next := c.reapFrom + (c.sim.Now()-c.reapFrom)/reapInterval*reapInterval + reapInterval
 			c.reapTimer = c.sim.AfterFunc(next-c.sim.Now(), c.reap)
 		}
@@ -324,20 +313,16 @@ func (c *Controller) orphaned(o Orphan) {
 	}
 }
 
-// reap is one sweep: it re-cancels every pending orphan, in key order,
-// and arms the next sweep reapInterval after its end while any remain —
-// the guarantee that a committed-but-lost subjob stops holding processors
-// soon after the fault that hid it heals. Go randomizes map iteration, so
-// the sweep sorts the keys: the order of the re-cancels, and with it their
-// timing and the trace, is then the same in every same-seed run.
+// reap is one sweep: it re-cancels every pending orphan and, while any
+// remain, arms the next one reapInterval after its end.
 func (c *Controller) reap() {
 	c.mu.Lock()
-	c.reapTimer = nil
-	c.reapRunning = true
 	keys := make([]string, 0, len(c.orphans))
 	for k := range c.orphans {
 		keys = append(keys, k)
 	}
+	// Go randomizes map iteration: sorted, the re-cancels' order, and with
+	// it their timing and the trace, is the same in every same-seed run.
 	sort.Strings(keys)
 	due := make([]Orphan, len(keys))
 	for i, k := range keys {
@@ -346,9 +331,7 @@ func (c *Controller) reap() {
 	c.mu.Unlock()
 	for i, o := range due {
 		start := c.sim.Now()
-		// Reap traffic parents under the leaked subjob's own span context,
-		// so an orphaned request's tree shows its cleanup too.
-		ctx := o.Ctx.Child("reap")
+		ctx := o.Ctx.Child("reap") // the cleanup shows in the leaking request's tree
 		err := c.CancelContact(o.RM, o.JobContact, ctx)
 		if err == nil {
 			c.mu.Lock()
@@ -363,22 +346,18 @@ func (c *Controller) reap() {
 		}
 	}
 	c.mu.Lock()
-	c.reapRunning = false
-	c.reapFrom = c.sim.Now()
-	if len(c.orphans) > 0 && !c.reapStopped {
+	defer c.mu.Unlock()
+	c.reapFrom, c.reapTimer = c.sim.Now(), nil
+	if len(c.orphans) > 0 {
 		c.reapTimer = c.sim.AfterFunc(reapInterval, c.reap)
 	}
-	c.mu.Unlock()
 }
 
-// CancelContact dials the GRAM gatekeeper rm with the controller's
-// credential and cancels the LRM job contact there, bounded by
-// CancelTimeout; ctx parents the traffic. Cancellation is idempotent at
-// the LRM — cancelling a job that already finished, failed or was
-// cancelled by an earlier attempt whose acknowledgment was lost is a
-// no-op — so a nil error always means the job holds nothing. The
-// controller's orphan sweep uses it, and so does whoever settles an
-// allocation another process journaled.
+// CancelContact dials the gatekeeper rm with the controller's credential
+// and cancels the LRM job contact there, bounded by CancelTimeout; ctx
+// parents the traffic. Cancelling is idempotent at the LRM, so nil means
+// the job holds nothing. The orphan sweep and a federation replica
+// settling an adopted journal entry both use it.
 func (c *Controller) CancelContact(rm transport.Addr, contact string, ctx trace.Ctx) error {
 	client, err := c.dial(rm, ctx)
 	if err != nil {
@@ -391,35 +370,27 @@ func (c *Controller) CancelContact(rm transport.Addr, contact string, ctx trace.
 // dial opens a GRAM client to rm with the controller's credential.
 func (c *Controller) dial(rm transport.Addr, ctx trace.Ctx) (*gram.Client, error) {
 	return gram.Dial(c.host, rm, gram.ClientConfig{
-		Credential: c.cfg.Credential,
-		Registry:   c.cfg.Registry,
-		AuthCost:   c.cfg.AuthCost,
-		Ctx:        ctx,
+		Credential: c.cfg.Credential, Registry: c.cfg.Registry, AuthCost: c.cfg.AuthCost, Ctx: ctx,
 	})
 }
 
 // OrphansPending reports how many unconfirmed cancels the controller
-// still retries. Zero after quiescence means no subjob it discarded
-// leaked processors.
+// still retries: zero at quiescence means nothing it discarded leaked.
 func (c *Controller) OrphansPending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.orphans)
 }
 
-// StopReaping ends the orphan retries and forgets the orphans still
-// pending; later orphans are recorded and reported but not retried. A
-// broker calls it when it is closed or its process crashes: a dead
-// process's orphans belong to whoever journaled them. A sweep already
-// running finishes.
+// StopReaping ends the orphan retries (a running sweep finishes) and
+// forgets the pending orphans; later ones are reported, not retried. A
+// closed or crashed broker's orphans belong to whoever journaled them.
 func (c *Controller) StopReaping() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reapStopped = true
 	c.orphans = nil
 	if c.reapTimer != nil {
 		c.reapTimer.Stop()
-		c.reapTimer = nil
 	}
 }
 

@@ -358,7 +358,6 @@ func (j *Job) cancelRemote(client *gram.Client, spec SubjobSpec, contact string,
 		RM:         spec.Contact,
 		JobContact: contact,
 		Reason:     err.Error(),
-		At:         j.c.sim.Now(),
 		Ctx:        ctx,
 	})
 }
@@ -628,12 +627,7 @@ func (j *Job) pollReleased(sj *subjob) {
 		return
 	}
 	retry := func() { j.c.sim.AfterFunc(completionGrace, func() { j.pollReleased(sj) }) }
-	client, err := gram.Dial(j.c.host, spec.Contact, gram.ClientConfig{
-		Credential: j.c.cfg.Credential,
-		Registry:   j.c.cfg.Registry,
-		AuthCost:   j.c.cfg.AuthCost,
-		Ctx:        ctx.Child("completion-poll"),
-	})
+	client, err := j.c.dial(spec.Contact, ctx.Child("completion-poll"))
 	if err != nil {
 		retry()
 		return

@@ -202,7 +202,8 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	switch sc.Driver {
 	case DriverBroker:
 		jobs = b.Controller().Jobs()
-		recorded, reaped = orphanCounts(g, "broker0")
+		recorded, reaped = g.Counters.Get(trace.Key("duroc", "orphan", "record", "broker0")),
+			g.Counters.Get(trace.Key("duroc", "orphan", "reaped", "broker0"))
 	case DriverFed:
 		// Audit every incarnation of every replica: a crashed process's
 		// jobs still owe the 2PC safety invariants for everything they did
@@ -237,7 +238,8 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		}
 	default:
 		jobs = ctrl.Jobs()
-		recorded, reaped = orphanCounts(g, g.Workstation.Name())
+		recorded, reaped = g.Counters.Get(trace.Key("duroc", "orphan", "record", "workstation")),
+			g.Counters.Get(trace.Key("duroc", "orphan", "reaped", "workstation"))
 	}
 	res.Orphans = recorded
 
@@ -272,13 +274,6 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// orphanCounts reads the orphans the controller on host recorded and
-// reaped.
-func orphanCounts(g *grid.Grid, host string) (recorded, reaped int64) {
-	return g.Counters.Get(trace.Key("duroc", "orphan", "record", host)),
-		g.Counters.Get(trace.Key("duroc", "orphan", "reaped", host))
 }
 
 // captureArtifacts renders the run's deterministic byte outputs.

@@ -142,7 +142,7 @@ func drawFaults(cfg ChaosConfig, faultRate float64, rng *rand.Rand, start time.D
 // ChaosRun executes one chaos row: pre-drawn Poisson arrivals and
 // pre-drawn faults (the run itself is RNG-free), then a quiescence
 // window long enough for every fault to heal, every wall-time limit to
-// fire, and the orphan reaper to drain. The returned grid carries the
+// fire, and the controller's orphan sweep to drain. The returned grid carries the
 // run's Tracer and Counters; two same-seed runs export byte-identical
 // traces and counter tables.
 func ChaosRun(cfg ChaosConfig, faultRate float64) (ChaosRow, *grid.Grid) {

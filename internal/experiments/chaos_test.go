@@ -12,7 +12,7 @@ import (
 // while still injecting faults at the top rate. Seed 3 is chosen so the
 // chaotic row exercises the full orphan pipeline: a host crash strands
 // committed subjobs, a later machine-restart brings the gatekeeper back,
-// and the reaper confirms every cancellation.
+// and the controller's orphan sweep confirms every cancellation.
 func tinyChaosConfig() ChaosConfig { return SLOSmokeConfig(3).Chaos }
 
 func TestChaosStudySmoke(t *testing.T) {

@@ -49,7 +49,7 @@ func TestBrokeredRowsPinned(t *testing.T) {
 		{"b2 fault rate 0.75",
 			func() (any, *grid.Grid) { return first(ChaosRun(tinyChaosConfig(), 0.75)) },
 			`{"fault_rate":0.75,"faults":3,"fault_kinds":"host-crash:2 host-hang:1","first_fault":71004911444,"requests":6,"completed":6,"failed":0,"abandoned":0,"rejects":0,"retries":0,"watchdog_aborts":0,"orphans_recorded":2,"orphans_reaped":2,"leaked_jobs":0,"success_rate":1,"p50":3192000000,"p99":3192000000}`,
-			"d6c7681f5f25ade5"},
+			"269ae28d650e2635"},
 		{"b6 one replica",
 			func() (any, *grid.Grid) { return first(FederationLoadRun(fedSmokeConfig(), 1)) },
 			`{"replicas":1,"requests":40,"completed":40,"failed":0,"rejects":14,"failovers":0,"forwards":0,"elections":0,"handoffs":0,"crashes":0,"throughput_per_min":6.138766824057828,"p50":27913452892,"p99":124648928843}`,

@@ -43,8 +43,8 @@ func (c *SLOConfig) fill() {
 // `benchgrid -app slo -smoke`, the exposition-completeness test of
 // internal/grid, and `gridtop -smoke`. It mirrors the B2 chaos smoke setting: seeds 0 and 1
 // shift to 3, where the high-fault row exercises the full orphan
-// pipeline (a crash strands committed subjobs and the reaper drains
-// them), so the orphan rule has something real to page about.
+// pipeline (a crash strands committed subjobs and the controller's orphan
+// sweep drains them), so the orphan rule has something real to page about.
 func SLOSmokeConfig(seed int64) SLOConfig {
 	if seed == 0 || seed == 1 {
 		seed = 3

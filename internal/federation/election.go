@@ -603,26 +603,17 @@ func (inc *incarnation) reapAdopted() {
 	}
 }
 
-// reapEntry cancels one adopted allocation at its LRM and marks the
-// journal entry reaped. Failures leave the entry open for the next sweep.
+// reapEntry cancels one adopted allocation at its LRM, through the call
+// the controller's own orphan sweep makes, and marks the journal entry
+// reaped. Failures leave the entry open for the next sweep; an entry whose
+// RM does not parse can never be settled, so it is reaped as it stands.
 func (inc *incarnation) reapEntry(e Entry) bool {
 	f := inc.r.fed
-	rm, err := transport.ParseAddr(e.RM)
-	if err != nil {
-		// Unparseable entries can never be settled; reap them rather
-		// than spinning forever.
-		inc.jour.upsert(e.Key, inc.now(), func(cur Entry) Entry {
-			if cur.State != StateOpen {
-				return cur
-			}
-			cur.State = StateReaped
-			return cur
-		})
-		return true
-	}
-	if err := inc.b.Controller().CancelContact(rm, e.Contact, inc.ctx.Child("reap:"+e.Key)); err != nil {
-		inc.count("reap", "retry", 1)
-		return false
+	if rm, err := transport.ParseAddr(e.RM); err == nil {
+		if err := inc.b.Controller().CancelContact(rm, e.Contact, inc.ctx.Child("reap:"+e.Key)); err != nil {
+			inc.count("reap", "retry", 1)
+			return false
+		}
 	}
 	now := inc.now()
 	inc.jour.upsert(e.Key, now, func(cur Entry) Entry {

@@ -152,7 +152,7 @@ func (g *Grid) AddMachine(name string, processors int, mode lrm.Mode) *lrm.Machi
 // gatekeeper on it. The LRM keeps its job table — a crash severs the
 // network (listeners, live connections), not the simulated scheduler
 // state — so jobs that survived locally stay visible and cancellable,
-// which is what lets an orphan reaper drain a machine after it returns.
+// which lets a controller's orphan sweep drain a machine after it returns.
 // Panics if the machine is unknown.
 func (g *Grid) RestartMachine(name string) {
 	machine, ok := g.machines[name]

@@ -206,12 +206,12 @@ type Load struct {
 	// inside the driver process.
 	Faults []Fault
 	// Before, when set, runs inside the driver process once the faults are
-	// scheduled: background load, harness daemons, narration.
+	// scheduled: background load, narration.
 	Before func()
 	// Drain is how long after the last fault has healed and the last reply
 	// arrived the committed and the detached jobs need to run out: the work
 	// time plus any wall-time limit, plus a margin for final callbacks and
-	// two reap intervals.
+	// two of the controllers' orphan sweeps.
 	Drain time.Duration
 }
 
