@@ -321,8 +321,8 @@ func (c *Controller) reap() {
 	for k := range c.orphans {
 		keys = append(keys, k)
 	}
-	// Go randomizes map iteration: sorted, the re-cancels' order, and with
-	// it their timing and the trace, is the same in every same-seed run.
+	// Go randomizes map iteration; sorted keys make the re-cancels' order,
+	// and so their timing and the trace, the same in every same-seed run.
 	sort.Strings(keys)
 	due := make([]Orphan, len(keys))
 	for i, k := range keys {
