@@ -7,7 +7,7 @@ import (
 )
 
 // runChaosDemo runs the built-in chaos scenario: the smoke-sized B2
-// configuration at its highest fault rate. Machines crash, hang, slow
+// setting at its highest fault rate. Machines crash, hang, slow
 // down, and partition from the broker mid-run while Poisson arrivals keep
 // submitting; the narrative shows how many requests still commit, what
 // the per-attempt watchdog aborted, and — the point of the exercise —
@@ -15,16 +15,12 @@ import (
 // manager, so nothing keeps holding processors. Observability outputs
 // (trace, counters) follow opts.
 func runChaosDemo(opts runOptions) error {
+	const faultRate = 0.75
+	fmt.Println(experiments.ChaosWorkload(true, faultRate))
+
 	// Seed 3's draw includes host crashes followed by machine restarts,
 	// so the controller's orphan retries have real work to show.
-	cfg := experiments.SLOSmokeConfig(3).Chaos
-	const faultRate = 0.75
-	fmt.Printf("chaos demo: %d batch machines x %d procs, %d broker workers, fault rate %.2f\n",
-		cfg.Machines, cfg.MachineSize, cfg.Workers, faultRate)
-	fmt.Printf("requests: %d arrivals (Poisson, %.0f/min) of %d sites x %d processes each\n\n",
-		cfg.Requests, cfg.RatePerMin, cfg.Sites, cfg.ProcsPerSite)
-
-	row, g := experiments.ChaosRun(cfg, faultRate)
+	row, g := experiments.ChaosRun(3, true, faultRate)
 
 	fmt.Printf("faults injected: %d (%s)\n", row.Faults, row.FaultKinds)
 	fmt.Printf("requests:        %d committed, %d failed, %d abandoned at deadline\n",
@@ -43,9 +39,8 @@ func runChaosDemo(opts runOptions) error {
 	if err := writeOutputs(g, opts); err != nil {
 		return err
 	}
-	if row.LeakedJobs != 0 || row.OrphansRecorded != row.OrphansReaped {
-		return fmt.Errorf("chaos demo leaked: %d live jobs, orphans %d/%d",
-			row.LeakedJobs, row.OrphansRecorded, row.OrphansReaped)
+	if bad := (experiments.ChaosResult{Rows: []experiments.ChaosRow{row}}).Check(); len(bad) > 0 {
+		return fmt.Errorf("chaos demo: %s", bad[0])
 	}
 	fmt.Println("\nno leaks: every orphaned subjob was cancelled at its resource manager")
 	return nil

@@ -390,7 +390,7 @@ func runWith(sc Scenario, opts runOptions) error {
 				fmt.Println("  " + ev.String())
 			}
 			fmt.Println("\nsubmission timeline:")
-			fmt.Print(trace.DeriveTimeline(g.Sim, g.Tracer.Events(), trace.IsPhase).Render(96))
+			fmt.Print(trace.DeriveTimeline(g.Tracer.Events(), trace.IsPhase).Render(96))
 		}
 	})
 	if err := writeOutputs(g, opts); err != nil {

@@ -43,17 +43,13 @@ func main() {
 }
 
 func run(w io.Writer, seed int64, rate float64, step time.Duration, smoke bool, tail int) error {
-	cfg := experiments.SLOConfig{Chaos: experiments.ChaosConfig{LoadConfig: experiments.LoadConfig{Seed: seed}}}
-	if smoke {
-		cfg = experiments.SLOSmokeConfig(seed)
-	}
 	if rate < 0 {
 		rate = 1
 		if smoke {
 			rate = 0.75
 		}
 	}
-	row, g, eng := experiments.SLORun(cfg, rate)
+	row, g, eng := experiments.SLORun(seed, smoke, rate)
 	end := g.Sim.Now()
 	if step <= 0 {
 		step = (end / 12).Round(10 * time.Second)
@@ -63,7 +59,7 @@ func run(w io.Writer, seed int64, rate float64, step time.Duration, smoke bool, 
 	}
 
 	fmt.Fprintf(w, "gridtop — chaos replay, seed %d, fault rate %.2f, %d faults (first at %v)\n",
-		cfg.Chaos.Seed, rate, row.Faults, row.FirstFault)
+		experiments.ChaosSeed(seed, smoke), rate, row.Faults, row.FirstFault)
 	fmt.Fprintf(w, "%d requests: %d completed, %d failed; run ends at %v\n\n",
 		row.Requests, row.Completed, row.Failed, end)
 

@@ -4,13 +4,13 @@
 // submission, LRM startup) the end-to-end latency went to, and which
 // subjob gated barrier release.
 //
-// It either reads a JSONL trace exported by `gridsim -trace-jsonl` /
-// `benchgrid` (-analyze FILE, "-" for stdin), or runs the built-in B1
+// It either reads a JSONL trace exported by `gridsim -trace-jsonl` or by
+// its own -trace (-analyze FILE, "-" for stdin), or runs the built-in B1
 // smoke scenario in-process (-smoke) and analyzes its trace directly.
 // With -check it validates the causal-tracing invariants (≥99% request-id
 // coverage, single-rooted request trees, critical-path durations summing
-// exactly to end-to-end latency) and exits non-zero on any violation —
-// the mode `make trace-smoke` runs in CI.
+// exactly to end-to-end latency) and exits 2 on any violation — the mode
+// `make trace-smoke` runs in CI. Any other failure exits 1.
 package main
 
 import (
@@ -35,13 +35,43 @@ func main() {
 		gaugeStep = flag.Duration("gauge-step", 5*time.Second, "sampling cadence for -gauges")
 	)
 	flag.Parse()
-	if err := run(*analyze, *smoke, *seed, *check, *traceOut, *gaugesOut, *gaugeStep); err != nil {
+	err := run(os.Stdout, os.Stdin, *analyze, *smoke, *seed, *check, *traceOut, *gaugesOut, *gaugeStep)
+	if err != nil {
+		if _, ok := err.(violations); ok {
+			fmt.Fprintln(os.Stderr)
+		}
 		fmt.Fprintf(os.Stderr, "tracegrid: %v\n", err)
-		os.Exit(1)
 	}
+	os.Exit(exitCode(err))
 }
 
-func run(analyze string, smoke bool, seed int64, check bool, traceOut, gaugesOut string, gaugeStep time.Duration) error {
+// violations is the error of a -check that found broken invariants, one
+// message each.
+type violations []string
+
+func (v violations) Error() string {
+	s := fmt.Sprintf("%d invariant violation(s):", len(v))
+	for _, p := range v {
+		s += "\n  - " + p
+	}
+	return s
+}
+
+// exitCode is the status run's error exits with: 0 for none, 2 for
+// violations, 1 for anything else.
+func exitCode(err error) int {
+	switch err.(type) {
+	case nil:
+		return 0
+	case violations:
+		return 2
+	}
+	return 1
+}
+
+// run does what the flags ask, printing the report to stdout and reading
+// an "-analyze -" trace from stdin.
+func run(stdout io.Writer, stdin io.Reader, analyze string, smoke bool, seed int64, check bool, traceOut, gaugesOut string, gaugeStep time.Duration) error {
 	if (analyze == "") == !smoke {
 		return fmt.Errorf("exactly one of -analyze FILE or -smoke is required")
 	}
@@ -49,22 +79,22 @@ func run(analyze string, smoke bool, seed int64, check bool, traceOut, gaugesOut
 	var events []trace.Event
 	switch {
 	case smoke:
-		_, g := experiments.BrokerLoadRun(experiments.BrokerSmokeConfig(seed), 12, 2)
+		_, g := experiments.BrokerLoadRun(seed, true, 12, 2)
 		events = g.Tracer.Events()
 		if traceOut != "" {
-			if err := writeTo(traceOut, g.Tracer.WriteJSONL); err != nil {
+			if err := writeTo(stdout, traceOut, g.Tracer.WriteJSONL); err != nil {
 				return fmt.Errorf("write trace: %v", err)
 			}
 		}
 		if gaugesOut != "" {
 			series := g.Gauges.Series(gaugeStep, g.Sim.Now())
-			if err := writeTo(gaugesOut, series.WriteCSV); err != nil {
+			if err := writeTo(stdout, gaugesOut, series.WriteCSV); err != nil {
 				return fmt.Errorf("write gauges: %v", err)
 			}
 		}
 	case analyze == "-":
 		var err error
-		if events, err = trace.ReadJSONL(os.Stdin); err != nil {
+		if events, err = trace.ReadJSONL(stdin); err != nil {
 			return fmt.Errorf("read stdin: %v", err)
 		}
 	default:
@@ -80,24 +110,20 @@ func run(analyze string, smoke bool, seed int64, check bool, traceOut, gaugesOut
 	}
 
 	a := trace.Analyze(events)
-	fmt.Print(a.Report())
+	fmt.Fprint(stdout, a.Report())
 	if check {
 		if problems := a.Check(); len(problems) > 0 {
-			fmt.Fprintf(os.Stderr, "\ntracegrid: %d invariant violation(s):\n", len(problems))
-			for _, p := range problems {
-				fmt.Fprintf(os.Stderr, "  - %s\n", p)
-			}
-			os.Exit(2)
+			return violations(problems)
 		}
-		fmt.Println("\ncheck: ok (coverage, tree shape, critical-path sums)")
+		fmt.Fprintln(stdout, "\ncheck: ok (coverage, tree shape, critical-path sums)")
 	}
 	return nil
 }
 
 // writeTo streams write(w) to a file path, with "-" meaning stdout.
-func writeTo(path string, write func(io.Writer) error) error {
+func writeTo(stdout io.Writer, path string, write func(io.Writer) error) error {
 	if path == "-" {
-		return write(os.Stdout)
+		return write(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {

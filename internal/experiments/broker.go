@@ -16,91 +16,64 @@ import (
 
 // --- B1: broker throughput and latency vs offered load and queue bound ---
 
-// LoadConfig is the shape the brokered studies (B1, B2, B6, and B7 through
-// B2) share: the grid, the request every client submits, and the stream of
-// them. A zero field takes the study's default; negative Spares mean none.
-type LoadConfig struct {
-	Machines     int
-	MachineSize  int
-	Sites        int
-	ProcsPerSite int
-	Spares       int
-	// Workers is the broker's (each replica's) worker count.
-	Workers int
-	// WorkTime is how long each committed application holds its
+// loadSetting is the shape the brokered studies (B1, B2, B6, and B7
+// through B2) share: the grid, the request every client submits, and the
+// stream of them.
+type loadSetting struct {
+	machines, machineSize       int
+	sites, procsPerSite, spares int
+	// workers is the broker's (each replica's) worker count.
+	workers int
+	// workTime is how long each committed application holds its
 	// processors — the resource that saturates first.
-	WorkTime time.Duration
-	// Requests is the request count per row, spread round-robin over
-	// Tenants tenant identities.
-	Requests int
-	Tenants  int
-	Seed     int64
+	workTime time.Duration
+	// requests is the request count per row, spread round-robin over
+	// tenants tenant identities.
+	requests, tenants int
 }
 
-// The studies' stock settings.
-var (
-	brokerLoadDefaults = LoadConfig{Machines: 6, MachineSize: 32, Sites: 2, ProcsPerSite: 8, Spares: 1,
-		Workers: 3, WorkTime: 2 * time.Minute, Requests: 30, Tenants: 3, Seed: 1}
-	chaosDefaults = LoadConfig{Machines: 6, MachineSize: 32, Sites: 2, ProcsPerSite: 8, Spares: 2,
-		Workers: 3, WorkTime: 90 * time.Second, Requests: 24, Tenants: 3, Seed: 1}
-	// B6 keeps each replica a single-worker broker so the control plane —
-	// not the machines — is the bottleneck the extra replicas relieve.
-	federationDefaults = LoadConfig{Machines: 8, MachineSize: 32, Sites: 2, ProcsPerSite: 4, Spares: 1,
-		Workers: 1, WorkTime: 2 * time.Minute, Requests: 40, Tenants: 3, Seed: 1}
-)
-
-// or returns v, or d when v is not positive.
-func or[T int | float64 | time.Duration](v, d T) T {
-	if v <= 0 {
-		return d
+// setting returns full, or small when smoke is set: every study has
+// exactly these two sizes.
+func setting[S any](smoke bool, full, small S) S {
+	if smoke {
+		return small
 	}
-	return v
+	return full
 }
 
-// fill takes every unset field from d.
-func (c *LoadConfig) fill(d LoadConfig) {
-	c.Machines = or(c.Machines, d.Machines)
-	c.MachineSize = or(c.MachineSize, d.MachineSize)
-	c.Sites = or(c.Sites, d.Sites)
-	c.ProcsPerSite = or(c.ProcsPerSite, d.ProcsPerSite)
-	if c.Spares == 0 {
-		c.Spares = d.Spares
+// stockSeed is the seed a study runs at: seed, or the stock seed 1 for 0.
+func stockSeed(seed int64) int64 {
+	if seed == 0 {
+		return 1
 	}
-	c.Spares = max(c.Spares, 0)
-	c.Workers = or(c.Workers, d.Workers)
-	c.WorkTime = or(c.WorkTime, d.WorkTime)
-	c.Requests = or(c.Requests, d.Requests)
-	c.Tenants = or(c.Tenants, d.Tenants)
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
+	return seed
 }
 
 // request is what client i of the stream submits.
-func (c LoadConfig) request(i int) broker.Request {
+func (s loadSetting) request(i int) broker.Request {
 	return broker.Request{
-		Tenant:       fmt.Sprintf("tenant%d", i%c.Tenants),
-		Sites:        c.Sites,
-		ProcsPerSite: c.ProcsPerSite,
+		Tenant:       fmt.Sprintf("tenant%d", i%s.tenants),
+		Sites:        s.sites,
+		ProcsPerSite: s.procsPerSite,
 		Executable:   "app",
-		Spares:       c.Spares,
+		Spares:       s.spares,
 	}
 }
 
-// testbed assembles one run's grid: the configured batch machines behind a
+// testbed assembles one run's grid: the setting's batch machines behind a
 // broker of the given admission bound and retry hint, or behind replicas of
 // them (0: a lone broker0).
-func (c LoadConfig) testbed(seed int64, replicas, queueBound int, retryAfter time.Duration) *workload.Testbed {
+func (s loadSetting) testbed(seed int64, replicas, queueBound int, retryAfter time.Duration) *workload.Testbed {
 	return workload.NewTestbed(workload.Spec{
 		Seed:           seed,
-		Machines:       workload.BatchSites(c.Machines, c.MachineSize),
-		Counts:         []int{c.ProcsPerSite},
-		WorkTime:       c.WorkTime,
+		Machines:       workload.BatchSites(s.machines, s.machineSize),
+		Counts:         []int{s.procsPerSite},
+		WorkTime:       s.workTime,
 		BarrierTimeout: 24 * time.Hour,
 		Replicas:       replicas,
 		Broker: &broker.Options{
 			QueueBound:      queueBound,
-			Workers:         c.Workers,
+			Workers:         s.workers,
 			CacheMaxAge:     45 * time.Second,
 			RefreshInterval: 40 * time.Second,
 			RetryAfter:      retryAfter,
@@ -138,45 +111,42 @@ func run(tb *workload.Testbed, load workload.Load, op func(i, k int, host *trans
 	return t
 }
 
-// BrokerLoadConfig parameterizes the broker load study. Zero values select
-// the stock setting: 6 batch machines of 32 processors serving 2-site,
-// 8-processes-per-site requests through a 3-worker broker.
-type BrokerLoadConfig struct {
-	LoadConfig
-	// RatesPerMin are the open-loop offered loads (Poisson arrivals).
-	RatesPerMin []float64
-	// QueueBounds are the broker admission bounds swept per rate.
-	QueueBounds []int
-	// ClosedClients are closed-loop client counts (each client resubmits
-	// as soon as its previous request finishes, Requests split between
-	// them); closed rows run at the first queue bound.
-	ClosedClients []int
+// brokerSetting is one size of the broker load study: its grid and
+// stream, the open-loop offered loads (Poisson arrivals per minute) swept
+// against the admission queue bounds, and the closed-loop client counts
+// (each client resubmits as soon as its previous request finishes, the
+// requests split between them), which run at the first queue bound.
+type brokerSetting struct {
+	loadSetting
+	ratesPerMin   []float64
+	queueBounds   []int
+	closedClients []int
 }
 
-func (c *BrokerLoadConfig) fill() {
-	c.LoadConfig.fill(brokerLoadDefaults)
-	if len(c.RatesPerMin) == 0 {
-		c.RatesPerMin = []float64{2, 6, 12}
+// B1's two sizes: the stock 6 batch machines of 32 processors serving
+// 2-site, 8-processes-per-site requests through a 3-worker broker, and the
+// seconds-long smoke setting `benchgrid -smoke` and `tracegrid -smoke`
+// share.
+var (
+	brokerFull = brokerSetting{
+		loadSetting: loadSetting{machines: 6, machineSize: 32, sites: 2, procsPerSite: 8, spares: 1,
+			workers: 3, workTime: 2 * time.Minute, requests: 30, tenants: 3},
+		ratesPerMin:   []float64{2, 6, 12},
+		queueBounds:   []int{4, 16},
+		closedClients: []int{2, 6},
 	}
-	if len(c.QueueBounds) == 0 {
-		c.QueueBounds = []int{4, 16}
+	brokerSmoke = brokerSetting{
+		loadSetting: loadSetting{machines: 3, machineSize: 16, sites: 2, procsPerSite: 4, spares: 1,
+			workers: 2, workTime: time.Minute, requests: 8, tenants: 2},
+		ratesPerMin:   []float64{4, 12},
+		queueBounds:   []int{2},
+		closedClients: []int{2},
 	}
-	if len(c.ClosedClients) == 0 {
-		c.ClosedClients = []int{2, 6}
-	}
-}
-
-// BrokerSmokeConfig is the seconds-long B1 setting `benchgrid -smoke`,
-// `benchgrid -metrics-out` and `tracegrid -smoke` share.
-func BrokerSmokeConfig(seed int64) BrokerLoadConfig {
-	return BrokerLoadConfig{
-		LoadConfig: LoadConfig{Machines: 3, MachineSize: 16, Sites: 2, ProcsPerSite: 4,
-			Workers: 2, WorkTime: time.Minute, Requests: 8, Tenants: 2, Seed: seed},
-		RatesPerMin:   []float64{4, 12},
-		QueueBounds:   []int{2},
-		ClosedClients: []int{2},
-	}
-}
+	// brokerExposition is the grid of the one row `benchgrid -metrics-out`
+	// exposes: the smoke grid with 30-second jobs.
+	brokerExposition = loadSetting{machines: 3, machineSize: 16, sites: 2, procsPerSite: 4, spares: 1,
+		workers: 2, workTime: 30 * time.Second, requests: 8, tenants: 2}
+)
 
 // BrokerLoadRow is one load setting's aggregate outcome. Rejects, Retries,
 // CacheHits, and CacheStale are read back from the run's counter registry —
@@ -217,59 +187,71 @@ type BrokerLoadResult struct {
 // exceeds what the machines drain, the bounded queue pushes back and the
 // rejects column — read from the broker.queue.reject counter — goes
 // positive.
-func BrokerLoadStudy(cfg BrokerLoadConfig) BrokerLoadResult {
-	cfg.fill()
+func BrokerLoadStudy(seed int64, smoke bool) BrokerLoadResult {
+	s := setting(smoke, brokerFull, brokerSmoke)
+	seed = stockSeed(seed)
 	res := BrokerLoadResult{
-		Machines:     cfg.Machines,
-		MachineSize:  cfg.MachineSize,
-		Workers:      cfg.Workers,
-		Sites:        cfg.Sites,
-		ProcsPerSite: cfg.ProcsPerSite,
+		Machines:     s.machines,
+		MachineSize:  s.machineSize,
+		Workers:      s.workers,
+		Sites:        s.sites,
+		ProcsPerSite: s.procsPerSite,
 	}
-	for _, bound := range cfg.QueueBounds {
-		for _, rate := range cfg.RatesPerMin {
-			row, _ := BrokerLoadRun(cfg, rate, bound)
+	for _, bound := range s.queueBounds {
+		for _, rate := range s.ratesPerMin {
+			row, _ := brokerOpenRun(s.loadSetting, seed, rate, bound)
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	for _, clients := range cfg.ClosedClients {
-		row, _ := brokerClosedRun(cfg, clients, cfg.QueueBounds[0])
+	for _, clients := range s.closedClients {
+		row, _ := brokerClosedRun(s.loadSetting, seed, clients, s.queueBounds[0])
 		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
 
-// BrokerLoadRun executes one open-loop row: Requests Poisson arrivals at
-// ratePerMin against a broker with the given admission bound. The returned
-// grid carries the run's Tracer and Counters — two runs with the same
-// config produce byte-identical exports, which TestBrokerLoadDeterminism
-// locks in.
-func BrokerLoadRun(cfg BrokerLoadConfig, ratePerMin float64, queueBound int) (BrokerLoadRow, *grid.Grid) {
-	cfg.fill()
-	seed := cfg.Seed + int64(ratePerMin*1000)*31 + int64(queueBound)*7
+// BrokerLoadRun executes one open-loop row of the study at the given size:
+// its requests arrive Poisson at ratePerMin against a broker with the given
+// admission bound. The returned grid carries the run's Tracer and Counters
+// — two runs with the same arguments produce byte-identical exports, which
+// TestBrokerLoadDeterminism locks in.
+func BrokerLoadRun(seed int64, smoke bool, ratePerMin float64, queueBound int) (BrokerLoadRow, *grid.Grid) {
+	return brokerOpenRun(setting(smoke, brokerFull, brokerSmoke).loadSetting, stockSeed(seed), ratePerMin, queueBound)
+}
+
+// ExpositionRun executes the one row `benchgrid -metrics-out` exposes:
+// 30-second jobs on the smoke grid, 8 requests at 6/min against an 8-deep
+// admission queue — well under a second of real time, yet every
+// instrumented layer is touched.
+func ExpositionRun(seed int64) (BrokerLoadRow, *grid.Grid) {
+	return brokerOpenRun(brokerExposition, stockSeed(seed), 6, 8)
+}
+
+// brokerOpenRun executes one open-loop row on s.
+func brokerOpenRun(s loadSetting, seed int64, ratePerMin float64, queueBound int) (BrokerLoadRow, *grid.Grid) {
+	seed += int64(ratePerMin*1000)*31 + int64(queueBound)*7
 	row := BrokerLoadRow{
 		Mode:          "open",
 		OfferedPerMin: ratePerMin,
 		QueueBound:    queueBound,
-		Requests:      cfg.Requests,
+		Requests:      s.requests,
 	}
 	load := workload.Load{
-		Hosts:    clientHosts(cfg.Requests),
-		Arrivals: poisson(rand.New(rand.NewSource(seed)), cfg.Requests, ratePerMin),
+		Hosts:    clientHosts(s.requests),
+		Arrivals: poisson(rand.New(rand.NewSource(seed)), s.requests, ratePerMin),
 	}
-	return brokerLoadRow(cfg, row, seed, load)
+	return brokerLoadRow(s, row, seed, load)
 }
 
 // brokerClosedRun executes one closed-loop row: clients concurrent
 // submitters, each resubmitting the instant its previous request finishes,
-// until cfg.Requests have been issued in total.
-func brokerClosedRun(cfg BrokerLoadConfig, clients, queueBound int) (BrokerLoadRow, *grid.Grid) {
-	cfg.fill()
-	seed := cfg.Seed + int64(clients)*101 + int64(queueBound)*7
+// until s.requests have been issued in total.
+func brokerClosedRun(s loadSetting, seed int64, clients, queueBound int) (BrokerLoadRow, *grid.Grid) {
+	seed += int64(clients)*101 + int64(queueBound)*7
 	load := workload.Load{
 		Hosts:     clientHosts(clients),
 		Arrivals:  make([]time.Duration, clients),
-		PerClient: max(cfg.Requests/clients, 1),
+		PerClient: max(s.requests/clients, 1),
 	}
 	for i := range load.Arrivals {
 		// Stagger starts so no two clients share an instant.
@@ -282,22 +264,22 @@ func brokerClosedRun(cfg BrokerLoadConfig, clients, queueBound int) (BrokerLoadR
 		Requests:   load.PerClient * clients,
 	}
 	// One tenant per client.
-	cfg.Tenants = clients
-	return brokerLoadRow(cfg, row, seed, load)
+	s.tenants = clients
+	return brokerLoadRow(s, row, seed, load)
 }
 
 // brokerLoadRow runs load against a fresh broker testbed and folds the
 // clients' tally and the counter registry into row.
-func brokerLoadRow(cfg BrokerLoadConfig, row BrokerLoadRow, seed int64, load workload.Load) (BrokerLoadRow, *grid.Grid) {
-	tb := cfg.testbed(seed, 0, row.QueueBound, 20*time.Second)
+func brokerLoadRow(s loadSetting, row BrokerLoadRow, seed int64, load workload.Load) (BrokerLoadRow, *grid.Grid) {
+	tb := s.testbed(seed, 0, row.QueueBound, 20*time.Second)
 	// Let the committed jobs run out and their final state callbacks land.
-	load.Drain = cfg.WorkTime + time.Minute
+	load.Drain = s.workTime + time.Minute
 	t := run(tb, load, func(i, k int, host *transport.Host) bool {
 		id := host.Name()
 		if load.PerClient > 0 {
 			id = fmt.Sprintf("%s/r%d", id, k)
 		}
-		reply, _, _, err := workload.Submit(host, tb.Ring, 0, id, cfg.request(i), 0, 50, nil)
+		reply, _, _, err := workload.Submit(host, tb.Ring, 0, id, s.request(i), 0, 50, nil)
 		return err == nil && reply.OK()
 	})
 	g := tb.Grid

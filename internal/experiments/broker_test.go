@@ -8,11 +8,8 @@ import (
 	"cogrid/internal/trace"
 )
 
-// tinyBrokerConfig keeps the study small enough for the test gate.
-func tinyBrokerConfig() BrokerLoadConfig { return BrokerSmokeConfig(1) }
-
 func TestBrokerLoadStudySmoke(t *testing.T) {
-	res := BrokerLoadStudy(tinyBrokerConfig())
+	res := BrokerLoadStudy(1, true)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (2 open + 1 closed)", len(res.Rows))
 	}
@@ -37,8 +34,7 @@ func TestBrokerLoadStudySmoke(t *testing.T) {
 func TestBrokerLoadBackpressureVisible(t *testing.T) {
 	// At the top offered rate with a tiny queue bound, admission rejects
 	// must show up in the counters (the acceptance criterion for B1).
-	cfg := tinyBrokerConfig()
-	row, _ := BrokerLoadRun(cfg, 12, 1)
+	row, _ := BrokerLoadRun(1, true, 12, 1)
 	if row.Rejects == 0 {
 		t.Errorf("rejects = 0 at 12/min with queue bound 1; row = %+v", row)
 	}
@@ -50,9 +46,8 @@ func TestBrokerLoadBackpressureVisible(t *testing.T) {
 func TestBrokerLoadDeterminism(t *testing.T) {
 	// Two same-config runs must agree byte for byte on both the counter
 	// registry and the full trace export.
-	cfg := tinyBrokerConfig()
-	row1, g1 := BrokerLoadRun(cfg, 12, 2)
-	row2, g2 := BrokerLoadRun(cfg, 12, 2)
+	row1, g1 := BrokerLoadRun(1, true, 12, 2)
+	row2, g2 := BrokerLoadRun(1, true, 12, 2)
 	if row1 != row2 {
 		t.Errorf("rows differ:\n  %+v\n  %+v", row1, row2)
 	}
@@ -94,7 +89,7 @@ func TestBrokerLoadCausalInvariants(t *testing.T) {
 	// request tree single-rooted, and every request's critical path
 	// summing exactly to its end-to-end latency. This is the in-process
 	// version of `make trace-smoke`.
-	_, g := BrokerLoadRun(tinyBrokerConfig(), 12, 2)
+	_, g := BrokerLoadRun(1, true, 12, 2)
 	a := trace.Analyze(g.Tracer.Events())
 	if problems := a.Check(); len(problems) > 0 {
 		for _, p := range problems {

@@ -17,36 +17,71 @@ import (
 
 // --- B2: broker resilience under injected faults (chaos study) ---
 
-// ChaosConfig parameterizes the chaos study: B1's open-loop Poisson load
-// replayed against a grid where a seeded fraction of the machines
+// chaosSetting is one size of the chaos study: B1's open-loop Poisson
+// load replayed against a grid where a seeded fraction of the machines
 // suffers one of the paper's Section 2 failure modes mid-run.
-type ChaosConfig struct {
-	LoadConfig
-	// RatePerMin is the open-loop Poisson arrival rate.
-	RatePerMin float64
-	// FaultRates is the swept per-machine fault probability, one row each.
-	FaultRates []float64
-	// Window is the span fault onsets are drawn from (measured from the
+type chaosSetting struct {
+	loadSetting
+	// ratePerMin is the open-loop Poisson arrival rate.
+	ratePerMin float64
+	// faultRates is the swept per-machine fault probability, one row each.
+	faultRates []float64
+	// window is the span fault onsets are drawn from (measured from the
 	// first arrival).
-	Window time.Duration
-	// MaxTime is the per-subjob wall-time limit: the LRM-side bound on how
+	window time.Duration
+	// maxTime is the per-subjob wall-time limit: the LRM-side bound on how
 	// long a committed-but-lost job can hold processors even if every
 	// cancel were lost.
-	MaxTime time.Duration
-	// SubmitBudget is each client's total SubmitWait budget; the broker
+	maxTime time.Duration
+	// submitBudget is each client's total SubmitWait budget; the broker
 	// sees it as the request deadline and abandons work past it.
-	SubmitBudget time.Duration
+	submitBudget time.Duration
 }
 
-func (c *ChaosConfig) fill() {
-	c.LoadConfig.fill(chaosDefaults)
-	c.RatePerMin = or(c.RatePerMin, 4)
-	if len(c.FaultRates) == 0 {
-		c.FaultRates = []float64{0, 0.25, 0.5, 1}
+// B2's two sizes, which B7 runs too: the stock grid, and the seconds-long
+// smoke setting of `benchgrid -smoke`, `gridsim -chaos` and `gridtop
+// -smoke`.
+var (
+	chaosFull = chaosSetting{
+		loadSetting: loadSetting{machines: 6, machineSize: 32, sites: 2, procsPerSite: 8, spares: 2,
+			workers: 3, workTime: 90 * time.Second, requests: 24, tenants: 3},
+		ratePerMin:   4,
+		faultRates:   []float64{0, 0.25, 0.5, 1},
+		window:       5 * time.Minute,
+		maxTime:      8 * time.Minute,
+		submitBudget: 10 * time.Minute,
 	}
-	c.Window = or(c.Window, 5*time.Minute)
-	c.MaxTime = or(c.MaxTime, 8*time.Minute)
-	c.SubmitBudget = or(c.SubmitBudget, 10*time.Minute)
+	chaosSmoke = chaosSetting{
+		loadSetting: loadSetting{machines: 4, machineSize: 16, sites: 2, procsPerSite: 4, spares: 1,
+			workers: 2, workTime: 45 * time.Second, requests: 6, tenants: 2},
+		ratePerMin:   4,
+		faultRates:   []float64{0, 0.75},
+		window:       2 * time.Minute,
+		maxTime:      4 * time.Minute,
+		submitBudget: 6 * time.Minute,
+	}
+)
+
+// ChaosSeed is the seed B2 and B7 run at: seed 0 is the stock seed 1, and
+// the smoke setting shifts seeds 0 and 1 to 3, where the high-fault row
+// exercises the full orphan pipeline (a crash strands committed subjobs and
+// the controller's orphan sweep drains them), so the orphan rule has
+// something real to page about.
+func ChaosSeed(seed int64, smoke bool) int64 {
+	if smoke && (seed == 0 || seed == 1) {
+		return 3
+	}
+	return stockSeed(seed)
+}
+
+// ChaosWorkload describes the chaos workload of the given size at
+// faultRate in the two lines `gridsim -chaos` opens with.
+func ChaosWorkload(smoke bool, faultRate float64) string {
+	s := setting(smoke, chaosFull, chaosSmoke)
+	return fmt.Sprintf("chaos demo: %d batch machines x %d procs, %d broker workers, fault rate %.2f\n"+
+		"requests: %d arrivals (Poisson, %.0f/min) of %d sites x %d processes each\n",
+		s.machines, s.machineSize, s.workers, faultRate,
+		s.requests, s.ratePerMin, s.sites, s.procsPerSite)
 }
 
 // ChaosRow is one fault-rate setting's outcome. Abandoned, orphan, and
@@ -89,20 +124,40 @@ type ChaosResult struct {
 // row records how many requests still commit, how long they take, and —
 // the resilience criterion — that no allocation leaks: every subjob whose
 // cancel was lost mid-2PC is eventually reaped at its resource manager.
-func ChaosStudy(cfg ChaosConfig) ChaosResult {
-	cfg.fill()
+func ChaosStudy(seed int64, smoke bool) ChaosResult {
+	s := setting(smoke, chaosFull, chaosSmoke)
+	seed = ChaosSeed(seed, smoke)
 	res := ChaosResult{
-		Machines:     cfg.Machines,
-		MachineSize:  cfg.MachineSize,
-		Workers:      cfg.Workers,
-		Sites:        cfg.Sites,
-		ProcsPerSite: cfg.ProcsPerSite,
+		Machines:     s.machines,
+		MachineSize:  s.machineSize,
+		Workers:      s.workers,
+		Sites:        s.sites,
+		ProcsPerSite: s.procsPerSite,
 	}
-	for _, rate := range cfg.FaultRates {
-		row, _ := ChaosRun(cfg, rate)
+	for _, rate := range s.faultRates {
+		row, _ := chaosRun(s, seed, rate, nil)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// Check is the study's acceptance gate, its resilience criterion: no row
+// may leave live jobs on any machine after quiescence, and every orphan
+// recorded mid-2PC must have been reaped at its resource manager. Returns
+// one message per violation.
+func (r ChaosResult) Check() []string {
+	var bad []string
+	for _, row := range r.Rows {
+		if row.LeakedJobs != 0 {
+			bad = append(bad, fmt.Sprintf("fault rate %.2f leaked %d jobs after quiescence",
+				row.FaultRate, row.LeakedJobs))
+		}
+		if row.OrphansRecorded != row.OrphansReaped {
+			bad = append(bad, fmt.Sprintf("fault rate %.2f recorded %d orphans but reaped %d",
+				row.FaultRate, row.OrphansRecorded, row.OrphansReaped))
+		}
+	}
+	return bad
 }
 
 // drawFaults draws one fault list from rng: each machine suffers at most
@@ -114,15 +169,15 @@ func ChaosStudy(cfg ChaosConfig) ChaosResult {
 // credential, so submissions and reap dials are rejected until it is
 // reinstated. Every fault heals inside the run, which is what entitles the
 // zero-leak assertion.
-func drawFaults(cfg ChaosConfig, faultRate float64, rng *rand.Rand, start time.Duration) []workload.Fault {
+func drawFaults(s chaosSetting, faultRate float64, rng *rand.Rand, start time.Duration) []workload.Fault {
 	var faults []workload.Fault
-	for i := 0; i < cfg.Machines; i++ {
+	for i := 0; i < s.machines; i++ {
 		if rng.Float64() >= faultRate {
 			continue
 		}
 		f := workload.Fault{
 			Target: fmt.Sprintf("site%02d", i),
-			At:     start + time.Duration(rng.Float64()*float64(cfg.Window)),
+			At:     start + time.Duration(rng.Float64()*float64(s.window)),
 			Dur:    30*time.Second + time.Duration(rng.Float64()*float64(90*time.Second)),
 		}
 		f.Kind = [...]string{"hang", "slow", "partition", "down", "crash"}[rng.Intn(5)]
@@ -132,58 +187,59 @@ func drawFaults(cfg ChaosConfig, faultRate float64, rng *rand.Rand, start time.D
 		faults = append(faults, f)
 	}
 	if rng.Float64() < faultRate {
-		at := start + time.Duration(rng.Float64()*float64(cfg.Window))
+		at := start + time.Duration(rng.Float64()*float64(s.window))
 		dur := 30*time.Second + time.Duration(rng.Float64()*float64(60*time.Second))
 		faults = append(faults, workload.Fault{Kind: "revoke", At: at, Dur: dur})
 	}
 	return faults
 }
 
-// ChaosRun executes one chaos row: pre-drawn Poisson arrivals and
+// ChaosRun executes one chaos row of the study at the given size and
+// seed (ChaosSeed applies): pre-drawn Poisson arrivals and
 // pre-drawn faults (the run itself is RNG-free), then a quiescence
 // window long enough for every fault to heal, every wall-time limit to
 // fire, and the controller's orphan sweep to drain. The returned grid carries the
 // run's Tracer and Counters; two same-seed runs export byte-identical
 // traces and counter tables.
-func ChaosRun(cfg ChaosConfig, faultRate float64) (ChaosRow, *grid.Grid) {
-	return chaosRun(cfg, faultRate, nil)
+func ChaosRun(seed int64, smoke bool, faultRate float64) (ChaosRow, *grid.Grid) {
+	return chaosRun(setting(smoke, chaosFull, chaosSmoke), ChaosSeed(seed, smoke), faultRate, nil)
 }
 
-// chaosRun is ChaosRun with a pre-run hook: onGrid (when non-nil) runs
-// after the testbed is assembled but before the simulation starts, so the
-// SLO study can arm its engine against the same workload B2 uses.
-func chaosRun(cfg ChaosConfig, faultRate float64, onGrid func(*grid.Grid)) (ChaosRow, *grid.Grid) {
-	cfg.fill()
-	seed := cfg.Seed + int64(faultRate*1000)*13
-	tb := cfg.testbed(seed, 0, 16, 20*time.Second)
+// chaosRun is ChaosRun on a setting and a resolved seed, with a pre-run
+// hook: onGrid (when non-nil) runs after the testbed is assembled but
+// before the simulation starts, so the SLO study can arm its engine
+// against the same workload B2 uses.
+func chaosRun(s chaosSetting, seed int64, faultRate float64, onGrid func(*grid.Grid)) (ChaosRow, *grid.Grid) {
+	seed += int64(faultRate*1000) * 13
+	tb := s.testbed(seed, 0, 16, 20*time.Second)
 	g := tb.Grid
 
 	// The faults come from the same stream as, and after, the arrivals.
 	rng := rand.New(rand.NewSource(seed))
 	load := workload.Load{
-		Hosts:    clientHosts(cfg.Requests),
-		Arrivals: poisson(rng, cfg.Requests, cfg.RatePerMin),
-		// Every committed or leaked job must have run out: WorkTime for
-		// healthy ones, the MaxTime wall limit for any the faults detached.
-		Drain: cfg.MaxTime + cfg.WorkTime + 2*time.Minute,
+		Hosts:    clientHosts(s.requests),
+		Arrivals: poisson(rng, s.requests, s.ratePerMin),
+		// Every committed or leaked job must have run out: workTime for
+		// healthy ones, the maxTime wall limit for any the faults detached.
+		Drain: s.maxTime + s.workTime + 2*time.Minute,
 	}
-	load.Faults = drawFaults(cfg, faultRate, rng, load.Arrivals[0])
+	load.Faults = drawFaults(s, faultRate, rng, load.Arrivals[0])
 	if onGrid != nil {
 		onGrid(g)
 	}
 	t := run(tb, load, func(i, _ int, host *transport.Host) bool {
-		req := cfg.request(i)
+		req := s.request(i)
 		req.CommitTimeout = 3 * time.Minute
 		req.StartupTimeout = 2 * time.Minute
-		req.MaxTime = cfg.MaxTime
+		req.MaxTime = s.maxTime
 		// One request per host: its name roots the request's causal tree.
-		reply, _, _, err := workload.Submit(host, tb.Ring, 0, host.Name(), req, cfg.SubmitBudget, 50, nil)
+		reply, _, _, err := workload.Submit(host, tb.Ring, 0, host.Name(), req, s.submitBudget, 50, nil)
 		return err == nil && reply.OK()
 	})
 
 	row := ChaosRow{
 		FaultRate: faultRate,
-		Requests:  cfg.Requests,
+		Requests:  s.requests,
 		Faults:    len(load.Faults),
 		Completed: t.Completed,
 		Failed:    t.Failed,

@@ -16,18 +16,29 @@ import (
 // --- B6: federated broker scaling — throughput and tail latency vs
 // --- replica count under Poisson load with a replica crash ---
 
-// FederationLoadConfig parameterizes the federation scaling study. Zero
-// values select the stock setting: 8 batch machines of 32 processors
-// behind a replica group swept over {1, 2, 4, 8}, each replica a
-// single-worker broker so the control plane — not the machines — is the
-// bottleneck the extra replicas relieve.
-type FederationLoadConfig struct {
-	// LoadConfig's Workers is per replica; keep it small so a lone replica
-	// saturates and the sweep shows the federation scaling.
-	LoadConfig
-	// ReplicaCounts are the peer-group sizes swept, one row each.
-	ReplicaCounts []int
+// fedSetting is one size of the federation scaling study: the grid, and
+// the peer-group sizes swept, one row each.
+type fedSetting struct {
+	loadSetting
+	replicaCounts []int
 }
+
+// B6's two sizes: 8 batch machines of 32 processors behind a replica group
+// swept over {1, 2, 4, 8}, or just the 1-vs-2 rows for CI (make fed-smoke).
+// Each replica is a single-worker broker so the control plane — not the
+// machines — is the bottleneck the extra replicas relieve.
+var (
+	fedFull = fedSetting{
+		loadSetting: loadSetting{machines: 8, machineSize: 32, sites: 2, procsPerSite: 4, spares: 1,
+			workers: 1, workTime: 2 * time.Minute, requests: 40, tenants: 3},
+		replicaCounts: []int{1, 2, 4, 8},
+	}
+	fedSmoke = fedSetting{
+		loadSetting: loadSetting{machines: 8, machineSize: 32, sites: 2, procsPerSite: 4, spares: 1,
+			workers: 1, workTime: 2 * time.Minute, requests: 40, tenants: 3},
+		replicaCounts: []int{1, 2},
+	}
+)
 
 const (
 	// fedQueueBound is each replica's admission bound.
@@ -40,13 +51,6 @@ const (
 	// the only broker would measure the outage, not the scaling).
 	fedOutage = 90 * time.Second
 )
-
-func (c *FederationLoadConfig) fill() {
-	c.LoadConfig.fill(federationDefaults)
-	if len(c.ReplicaCounts) == 0 {
-		c.ReplicaCounts = []int{1, 2, 4, 8}
-	}
-}
 
 // FederationLoadRow is one replica count's aggregate outcome. Elections,
 // Handoffs, Forwards, and Crashes are read back from the run's counter
@@ -91,39 +95,68 @@ type FederationLoadResult struct {
 // exists to survive. Clients fail over to the next replica when their
 // target is down; the shard map forwards requests to their owners; a dead
 // replica's journal entries are handed off and reaped by the survivors.
-func FederationLoadStudy(cfg FederationLoadConfig) FederationLoadResult {
-	cfg.fill()
+func FederationLoadStudy(seed int64, smoke bool) FederationLoadResult {
+	s := setting(smoke, fedFull, fedSmoke)
 	res := FederationLoadResult{
-		Machines:     cfg.Machines,
-		MachineSize:  cfg.MachineSize,
-		Workers:      cfg.Workers,
-		Sites:        cfg.Sites,
-		ProcsPerSite: cfg.ProcsPerSite,
+		Machines:     s.machines,
+		MachineSize:  s.machineSize,
+		Workers:      s.workers,
+		Sites:        s.sites,
+		ProcsPerSite: s.procsPerSite,
 		RatePerMin:   fedRatePerMin,
 	}
-	for _, n := range cfg.ReplicaCounts {
-		row, _ := FederationLoadRun(cfg, n)
+	for _, n := range s.replicaCounts {
+		row, _ := fedRun(s.loadSetting, stockSeed(seed), n)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
 
-// FederationLoadRun executes one row: Requests Poisson arrivals offered
-// round-robin to an n-replica federation, with the initial leader crashed
-// and restarted mid-run when n >= 2. The returned grid carries the run's full
-// metric registries; two runs with the same config produce byte-identical
-// Prometheus expositions, which TestFederationLoadDeterminism locks in.
-func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *grid.Grid) {
-	cfg.fill()
-	seed := cfg.Seed + int64(n)*1009
-	tb := cfg.testbed(seed, n, fedQueueBound, 15*time.Second)
+// Check is the study's acceptance gate: at least one multi-replica row
+// must sustain higher admitted throughput than the single-replica row at
+// no worse p99 — even though the multi-replica rows also absorb a leader
+// crash mid-run. A sweep without a single-replica row has nothing to beat.
+// Returns one message per violation.
+func (r FederationLoadResult) Check() []string {
+	var base *FederationLoadRow
+	for i := range r.Rows {
+		if r.Rows[i].Replicas == 1 {
+			base = &r.Rows[i]
+		}
+	}
+	if base == nil {
+		return nil
+	}
+	for _, row := range r.Rows {
+		if row.Replicas > 1 && row.ThroughputPerMin > base.ThroughputPerMin && row.P99 <= base.P99 {
+			return nil
+		}
+	}
+	return []string{fmt.Sprintf("no multi-replica row beat the single-replica baseline (%.2f/min, p99 %v)",
+		base.ThroughputPerMin, base.P99)}
+}
+
+// FederationLoadRun executes one row of the study at the given size: its
+// requests arrive Poisson, offered round-robin to an n-replica federation,
+// with the initial leader crashed and restarted mid-run when n >= 2. The
+// returned grid carries the run's full metric registries; two runs with the
+// same arguments produce byte-identical Prometheus expositions, which
+// TestFederationLoadDeterminism locks in.
+func FederationLoadRun(seed int64, smoke bool, n int) (FederationLoadRow, *grid.Grid) {
+	return fedRun(setting(smoke, fedFull, fedSmoke).loadSetting, stockSeed(seed), n)
+}
+
+// fedRun executes one row on s.
+func fedRun(s loadSetting, seed int64, n int) (FederationLoadRow, *grid.Grid) {
+	seed += int64(n) * 1009
+	tb := s.testbed(seed, n, fedQueueBound, 15*time.Second)
 	g := tb.Grid
 	load := workload.Load{
-		Hosts:    clientHosts(cfg.Requests),
-		Arrivals: poisson(rand.New(rand.NewSource(seed)), cfg.Requests, fedRatePerMin),
+		Hosts:    clientHosts(s.requests),
+		Arrivals: poisson(rand.New(rand.NewSource(seed)), s.requests, fedRatePerMin),
 		// Let committed jobs run out; the testbed then gives the peer reaper
 		// time to drain any journal entries the crash handed off.
-		Drain: cfg.WorkTime + time.Minute,
+		Drain: s.workTime + time.Minute,
 	}
 	if n >= 2 {
 		// Kill the initial leader (the highest id wins the first
@@ -139,12 +172,12 @@ func FederationLoadRun(cfg FederationLoadConfig, n int) (FederationLoadRow, *gri
 		}}
 	}
 
-	row := FederationLoadRow{Replicas: n, Requests: cfg.Requests}
+	row := FederationLoadRow{Replicas: n, Requests: s.requests}
 	var mu sync.Mutex
 	t := run(tb, load, func(i, _ int, host *transport.Host) bool {
 		// Keyed, so the client's walk of the ring is safe; a dead target
 		// costs the dial timeout — that tail is part of what is measured.
-		req := cfg.request(i)
+		req := s.request(i)
 		req.Key = fmt.Sprintf("req%03d", i)
 		reply, _, failovers, err := workload.Submit(host, tb.Ring, i%n, host.Name(), req, 0, 50, nil)
 		mu.Lock()

@@ -4,13 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 )
-
-// fedSmokeConfig is the seconds-fast B6 setting CI runs: the stock grid
-// with just the one- and two-replica rows.
-func fedSmokeConfig() FederationLoadConfig {
-	return FederationLoadConfig{ReplicaCounts: []int{1, 2}}
-}
 
 // TestFederationScalingBeatsSingleReplica locks the study's acceptance
 // criterion: two replicas sustain higher admitted throughput than one at
@@ -18,7 +13,7 @@ func fedSmokeConfig() FederationLoadConfig {
 // replica crash and restart mid-run, which the single-replica row is
 // spared.
 func TestFederationScalingBeatsSingleReplica(t *testing.T) {
-	res := FederationLoadStudy(fedSmokeConfig())
+	res := FederationLoadStudy(1, true)
 	if len(res.Rows) != 2 {
 		t.Fatalf("expected 2 rows, got %d", len(res.Rows))
 	}
@@ -31,12 +26,8 @@ func TestFederationScalingBeatsSingleReplica(t *testing.T) {
 			t.Errorf("%d replicas: only %d/%d completed", row.Replicas, row.Completed, row.Requests)
 		}
 	}
-	if two.ThroughputPerMin <= one.ThroughputPerMin {
-		t.Errorf("2 replicas did not beat 1: %.3f/min vs %.3f/min",
-			two.ThroughputPerMin, one.ThroughputPerMin)
-	}
-	if two.P99 > one.P99 {
-		t.Errorf("2 replicas worsened p99: %v vs %v", two.P99, one.P99)
+	if bad := res.Check(); len(bad) > 0 {
+		t.Errorf("gate violations: %v", bad)
 	}
 	// The two-replica row must have earned its numbers under failure:
 	// one crash, with the dead replica's journal entries handed off.
@@ -54,14 +45,13 @@ func TestFederationScalingBeatsSingleReplica(t *testing.T) {
 	}
 }
 
-// TestFederationLoadDeterminism: the same config yields an identical row
+// TestFederationLoadDeterminism: the same arguments yields an identical row
 // and a byte-identical Prometheus exposition — elections, hand-offs,
 // failovers and all. This is the observatory's determinism contract
 // extended to the federation series.
 func TestFederationLoadDeterminism(t *testing.T) {
-	cfg := fedSmokeConfig()
-	rowA, gA := FederationLoadRun(cfg, 2)
-	rowB, gB := FederationLoadRun(cfg, 2)
+	rowA, gA := FederationLoadRun(1, true, 2)
+	rowB, gB := FederationLoadRun(1, true, 2)
 	if !reflect.DeepEqual(rowA, rowB) {
 		t.Errorf("rows differ:\n%+v\n%+v", rowA, rowB)
 	}
@@ -86,5 +76,27 @@ func TestFederationLoadDeterminism(t *testing.T) {
 		if !bytes.Contains(a.Bytes(), []byte(want)) {
 			t.Errorf("exposition missing %q:\n%.2000s", want, text)
 		}
+	}
+}
+
+// TestFederationCheckCatches pins that the gate actually rejects a sweep
+// in which no multi-replica row beats the single replica: one with more
+// throughput but a worse p99, one with a better p99 but less throughput.
+// A sweep without a single-replica row has no baseline to miss.
+func TestFederationCheckCatches(t *testing.T) {
+	rows := []FederationLoadRow{
+		{Replicas: 1, ThroughputPerMin: 6, P99: time.Minute},
+		{Replicas: 2, ThroughputPerMin: 7, P99: 2 * time.Minute},
+		{Replicas: 4, ThroughputPerMin: 5, P99: time.Second},
+	}
+	if bad := (FederationLoadResult{Rows: rows}).Check(); len(bad) != 1 {
+		t.Fatalf("want 1 violation (no row beat the baseline), got %v", bad)
+	}
+	if bad := (FederationLoadResult{Rows: rows[1:]}).Check(); len(bad) != 0 {
+		t.Fatalf("sweep without a baseline rejected: %v", bad)
+	}
+	rows[1].P99 = time.Minute
+	if bad := (FederationLoadResult{Rows: rows}).Check(); len(bad) != 0 {
+		t.Fatalf("winning row rejected: %v", bad)
 	}
 }

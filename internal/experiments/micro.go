@@ -121,8 +121,8 @@ func Figure3() Figure3Result {
 
 // submissionTimeline projects a traced grid's events onto the phases its
 // gatekeepers and controllers recorded: Figure 3's rows, Figure 5's picture.
-func submissionTimeline(g *grid.Grid) *metrics.Timeline {
-	return trace.DeriveTimeline(g.Sim, g.Tracer.Events(), trace.IsPhase)
+func submissionTimeline(g *grid.Grid) metrics.Timeline {
+	return trace.DeriveTimeline(g.Tracer.Events(), trace.IsPhase)
 }
 
 // Table renders the breakdown largest-first, as the paper's table does.

@@ -14,77 +14,42 @@ import (
 
 // --- B4: million-scale kernel throughput ---
 
-// ScaleConfig parameterizes the scale study: a Poisson stream of batch
+// scaleSetting is one size of the scale study: a Poisson stream of batch
 // jobs spread round-robin across a fleet of machines, run raw on the
 // kernel (no GRAM/DUROC protocol layers) so the numbers measure timer
 // dispatch, the blocked-process registry, and the batch scheduler — the
-// paths the timing wheel and release index exist for. Zero values select
-// the full-size run: 10⁶ jobs over 10⁴ 32-processor machines.
-type ScaleConfig struct {
-	Jobs        int
-	Machines    int
-	MachineSize int
-	// MaxProcs caps the per-job process count (drawn uniformly from
-	// 1..MaxProcs).
-	MaxProcs int
-	// MinRuntime/MaxRuntime bound the per-process work time (drawn
+// paths the timing wheel and release index exist for.
+type scaleSetting struct {
+	jobs, machines, machineSize int
+	// maxProcs caps the per-job process count (drawn uniformly from
+	// 1..maxProcs).
+	maxProcs int
+	// minRuntime/maxRuntime bound the per-process work time (drawn
 	// uniformly). The wall-time limit is 2× the drawn runtime, so every
 	// running job also carries a passive limit timer, stopped when the
 	// job finishes.
-	MinRuntime time.Duration
-	MaxRuntime time.Duration
-	// MeanInterarrival is the Poisson arrival spacing. The default keeps
+	minRuntime, maxRuntime time.Duration
+	// meanInterarrival is the Poisson arrival spacing. The full size keeps
 	// offered load slightly above fleet capacity, so queues form and the
 	// backfill/release-index paths stay hot for the whole run.
-	MeanInterarrival time.Duration
-	Seed             int64
+	meanInterarrival time.Duration
 }
 
-// ScaleSmokeConfig is the seconds-long slice of B4 that CI runs (make
-// scale-smoke) and that the kernel-equivalence suite of internal/vtime
-// runs once on the reference heap and once on the wheel: 10⁴ jobs over 10²
-// machines, the scale-path differential the protocol-heavy DST scenarios
-// are too small to reach.
-func ScaleSmokeConfig(seed int64) ScaleConfig {
-	return ScaleConfig{
-		Jobs:             10_000,
-		Machines:         100,
-		MachineSize:      32,
-		MeanInterarrival: 200 * time.Millisecond,
-		Seed:             seed,
-	}
-}
-
-func (c *ScaleConfig) fill() {
-	if c.Jobs <= 0 {
-		c.Jobs = 1_000_000
-	}
-	if c.Machines <= 0 {
-		c.Machines = 10_000
-	}
-	if c.MachineSize <= 0 {
-		c.MachineSize = 32
-	}
-	if c.MaxProcs <= 0 {
-		c.MaxProcs = 4
-	}
-	if c.MinRuntime <= 0 {
-		c.MinRuntime = 30 * time.Second
-	}
-	if c.MaxRuntime <= c.MinRuntime {
-		c.MaxRuntime = 10 * time.Minute
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 2 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+// B4's two sizes: the full 10⁶ jobs over 10⁴ 32-processor machines, and
+// the seconds-long slice that CI runs (make scale-smoke) and that the
+// kernel-equivalence suite of internal/vtime runs once on the reference
+// heap and once on the wheel: 10⁴ jobs over 10² machines, the scale-path
+// differential the protocol-heavy DST scenarios are too small to reach.
+var (
+	scaleFull = scaleSetting{jobs: 1_000_000, machines: 10_000, machineSize: 32, maxProcs: 4,
+		minRuntime: 30 * time.Second, maxRuntime: 10 * time.Minute, meanInterarrival: 2 * time.Millisecond}
+	scaleSmoke = scaleSetting{jobs: 10_000, machines: 100, machineSize: 32, maxProcs: 4,
+		minRuntime: 30 * time.Second, maxRuntime: 10 * time.Minute, meanInterarrival: 200 * time.Millisecond}
+)
 
 // ScaleRow is one run's outcome. The virtual-time columns (everything
 // except the wall-clock trio at the end) are deterministic for a fixed
-// config and identical whichever timer store the kernel runs on
+// setting and seed and identical whichever timer store the kernel runs on
 // (VirtualEqual; internal/vtime's equivalence suite checks it).
 type ScaleRow struct {
 	Jobs        int   `json:"jobs"`
@@ -122,31 +87,47 @@ type ScaleResult struct {
 // virtual time.
 const scalePollInterval = 10 * time.Second
 
-// ScaleStudy runs the config: one row.
-func ScaleStudy(cfg ScaleConfig) ScaleResult {
-	cfg.fill()
-	return ScaleResult{Jobs: cfg.Jobs, Machines: cfg.Machines, Rows: []ScaleRow{scaleRun(cfg)}}
+// ScaleStudy runs the study at the given size: one row.
+func ScaleStudy(seed int64, smoke bool) ScaleResult {
+	s := setting(smoke, scaleFull, scaleSmoke)
+	return ScaleResult{Jobs: s.jobs, Machines: s.machines, Rows: []ScaleRow{scaleRun(s, stockSeed(seed))}}
 }
 
-// scaleRun pushes cfg.Jobs batch jobs through the fleet. Arrivals are a
+// Check is the study's acceptance gate: every job is accounted for, with
+// zero failures (wall limits are sized so a correctly scheduled job cannot
+// hit one). Returns one message per violation.
+func (r ScaleResult) Check() []string {
+	var bad []string
+	for _, row := range r.Rows {
+		if got := row.Done + row.Failed; got != int64(r.Jobs) {
+			bad = append(bad, fmt.Sprintf("accounted for %d of %d jobs", got, r.Jobs))
+		}
+		if row.Failed != 0 {
+			bad = append(bad, fmt.Sprintf("%d jobs failed", row.Failed))
+		}
+	}
+	return bad
+}
+
+// scaleRun pushes s.jobs batch jobs through the fleet. Arrivals are a
 // chained passive timer — each firing submits one job and schedules the
 // next — so the stream itself rides the timer engine, alongside every
 // wall-limit timer, process-startup wait, and work sleep the jobs generate.
-func scaleRun(cfg ScaleConfig) ScaleRow {
+func scaleRun(s scaleSetting, seed int64) ScaleRow {
 	row := ScaleRow{
-		Jobs:        cfg.Jobs,
-		Machines:    cfg.Machines,
-		MachineSize: cfg.MachineSize,
+		Jobs:        s.jobs,
+		Machines:    s.machines,
+		MachineSize: s.machineSize,
 	}
-	sim := vtime.NewSeeded(cfg.Seed)
+	sim := vtime.NewSeeded(seed)
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
 	hists := metrics.NewHistogramSet()
 	net.SetHists(hists)
 
-	machines := make([]*lrm.Machine, cfg.Machines)
+	machines := make([]*lrm.Machine, s.machines)
 	for i := range machines {
 		host := net.AddHost(fmt.Sprintf("m%05d", i))
-		machines[i] = lrm.NewMachine(host, cfg.MachineSize, lrm.Config{
+		machines[i] = lrm.NewMachine(host, s.machineSize, lrm.Config{
 			Mode:  lrm.Batch,
 			Costs: lrm.Costs{Fork: time.Millisecond, ProcStartup: time.Second},
 			// Terminal jobs leave the table immediately: memory stays
@@ -164,15 +145,15 @@ func scaleRun(cfg ScaleConfig) ScaleRow {
 		})
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	runtimeSpan := int64(cfg.MaxRuntime - cfg.MinRuntime)
+	rng := rand.New(rand.NewSource(seed))
+	runtimeSpan := int64(s.maxRuntime - s.minRuntime)
 	var arrive func(i int)
 	arrive = func(i int) {
 		m := machines[i%len(machines)]
-		runtime := cfg.MinRuntime + time.Duration(rng.Int63n(runtimeSpan))
+		runtime := s.minRuntime + time.Duration(rng.Int63n(runtimeSpan))
 		_, err := m.Submit(lrm.JobSpec{
 			Executable: "work",
-			Count:      1 + rng.Intn(cfg.MaxProcs),
+			Count:      1 + rng.Intn(s.maxProcs),
 			Env:        map[string]string{"runtime": runtime.String()},
 			TimeLimit:  2 * runtime,
 		})
@@ -181,8 +162,8 @@ func scaleRun(cfg ScaleConfig) ScaleRow {
 			// cannot fail; a failure here is a harness bug worth crashing on.
 			panic(fmt.Sprintf("scale: submit job %d: %v", i, err))
 		}
-		if next := i + 1; next < cfg.Jobs {
-			gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
+		if next := i + 1; next < s.jobs {
+			gap := time.Duration(rng.ExpFloat64() * float64(s.meanInterarrival))
 			sim.AfterFuncPassive(gap, func() { arrive(next) })
 		}
 	}
@@ -197,7 +178,7 @@ func scaleRun(cfg ScaleConfig) ScaleRow {
 				done += st.Done
 				failed += st.Failed
 			}
-			if done+failed >= int64(cfg.Jobs) {
+			if done+failed >= int64(s.jobs) {
 				row.Done, row.Failed = done, failed
 				row.VirtualEnd = sim.Now()
 				return
@@ -215,11 +196,9 @@ func scaleRun(cfg ScaleConfig) ScaleRow {
 		row.MeanWait = time.Duration(h.Mean())
 		row.P99Wait = time.Duration(h.Quantile(0.99))
 	}
-	if cfg.Jobs > 0 {
-		row.NsPerJob = float64(row.Wall.Nanoseconds()) / float64(cfg.Jobs)
-	}
-	if s := row.Wall.Seconds(); s > 0 {
-		row.JobsPerSec = float64(cfg.Jobs) / s
+	row.NsPerJob = float64(row.Wall.Nanoseconds()) / float64(s.jobs)
+	if sec := row.Wall.Seconds(); sec > 0 {
+		row.JobsPerSec = float64(s.jobs) / sec
 	}
 	return row
 }

@@ -12,53 +12,31 @@ import (
 
 // --- B7: SLO detection latency under injected faults ---
 
-// SLOConfig parameterizes the detection-latency study: B2's chaos
-// workload with the SLO engine armed, measuring how long (in virtual
-// time) the observability plane takes to notice each fault plan.
-type SLOConfig struct {
-	Chaos ChaosConfig
-	// EvalInterval is the engine's evaluation cadence; the evaluation
+// sloSetting is one size of the detection-latency study: B2's chaos
+// workload with the SLO engine armed, measuring how long (in virtual time)
+// the observability plane takes to notice each fault plan.
+type sloSetting struct {
+	chaos chaosSetting
+	// faultRates is the swept per-machine fault probability, one row each.
+	faultRates []float64
+	// evalInterval is the engine's evaluation cadence; the evaluation
 	// horizon lags wall time by the same amount, so it is a floor on any
 	// achievable detection lag.
-	EvalInterval time.Duration
-	// DetectBudget bounds the acceptable lag from the first fault onset
-	// to the first alert fire on a faulted row.
-	DetectBudget time.Duration
+	evalInterval time.Duration
+	// detectBudget bounds the acceptable lag from the first fault onset to
+	// the first alert fire on a faulted row.
+	detectBudget time.Duration
 }
 
-func (c *SLOConfig) fill() {
-	if len(c.Chaos.FaultRates) == 0 {
-		c.Chaos.FaultRates = []float64{0, 0.5, 1}
-	}
-	c.Chaos.fill()
-	if c.EvalInterval <= 0 {
-		c.EvalInterval = 15 * time.Second
-	}
-	if c.DetectBudget <= 0 {
-		c.DetectBudget = 5 * time.Minute
-	}
-}
-
-// SLOSmokeConfig is the seconds-long CI configuration shared by
-// `benchgrid -app slo -smoke`, the exposition-completeness test of
-// internal/grid, and `gridtop -smoke`. It mirrors the B2 chaos smoke setting: seeds 0 and 1
-// shift to 3, where the high-fault row exercises the full orphan
-// pipeline (a crash strands committed subjobs and the controller's orphan
-// sweep drains them), so the orphan rule has something real to page about.
-func SLOSmokeConfig(seed int64) SLOConfig {
-	if seed == 0 || seed == 1 {
-		seed = 3
-	}
-	return SLOConfig{Chaos: ChaosConfig{
-		LoadConfig: LoadConfig{Machines: 4, MachineSize: 16, Sites: 2, ProcsPerSite: 4, Spares: 1,
-			Workers: 2, WorkTime: 45 * time.Second, Requests: 6, Tenants: 2, Seed: seed},
-		RatePerMin:   4,
-		FaultRates:   []float64{0, 0.75},
-		Window:       2 * time.Minute,
-		MaxTime:      4 * time.Minute,
-		SubmitBudget: 6 * time.Minute,
-	}}
-}
+// B7's two sizes, on B2's: the smoke one is what `benchgrid -app slo
+// -smoke`, the exposition-completeness test of internal/grid and `gridtop
+// -smoke` run, at the seed ChaosSeed shifts.
+var (
+	sloFull = sloSetting{chaos: chaosFull, faultRates: []float64{0, 0.5, 1},
+		evalInterval: 15 * time.Second, detectBudget: 5 * time.Minute}
+	sloSmoke = sloSetting{chaos: chaosSmoke, faultRates: []float64{0, 0.75},
+		evalInterval: 15 * time.Second, detectBudget: 5 * time.Minute}
+)
 
 // SLORow is one fault-rate setting's outcome. Alerts/Resolves count the
 // engine's edge transitions; Dumps counts every black box the flight
@@ -96,7 +74,7 @@ type SLOResult struct {
 // scenarios), these watch user-facing symptoms — request latency and
 // queue depth — whose healthy envelope is known because the workload is
 // fixed.
-func sloRules(cfg ChaosConfig) []slo.Rule {
+func sloRules(s chaosSetting) []slo.Rule {
 	return []slo.Rule{
 		{
 			// Burn rate on the broker's served-request latency: healthy
@@ -105,8 +83,8 @@ func sloRules(cfg ChaosConfig) []slo.Rule {
 			// clients are feeling the fault.
 			Name: "broker-latency-burn", Kind: slo.KindBurnRate, Severity: "page",
 			Metric:    "broker.request.latency@broker0",
-			Threshold: cfg.SubmitBudget / 2, Budget: 0.25,
-			Window: cfg.SubmitBudget, MinCount: 3,
+			Threshold: s.submitBudget / 2, Budget: 0.25,
+			Window: s.submitBudget, MinCount: 3,
 		},
 		{
 			// Sustained deep queue: the broker's admission bound is 16; a
@@ -132,18 +110,23 @@ func sloRules(cfg ChaosConfig) []slo.Rule {
 	}
 }
 
-// SLORun executes one row: the B2 chaos workload with the engine armed
-// before the first arrival. The returned grid and engine carry the run's
+// SLORun executes one row of the study at the given size and seed
+// (ChaosSeed applies): the B2 chaos workload with the engine armed before
+// the first arrival. The returned grid and engine carry the run's
 // full observability state (alert log, dumps, gauges, histograms) for
 // callers that render it — gridtop replays exactly this run.
-func SLORun(cfg SLOConfig, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) {
-	cfg.fill()
+func SLORun(seed int64, smoke bool, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) {
+	return sloRun(setting(smoke, sloFull, sloSmoke), ChaosSeed(seed, smoke), faultRate)
+}
+
+// sloRun executes one row on s.
+func sloRun(s sloSetting, seed int64, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) {
 	var eng *slo.Engine
-	crow, g := chaosRun(cfg.Chaos, faultRate, func(g *grid.Grid) {
+	crow, g := chaosRun(s.chaos, seed, faultRate, func(g *grid.Grid) {
 		eng = slo.New(slo.Deps{
 			Sim: g.Sim, Tracer: g.Tracer, Counters: g.Counters,
 			Gauges: g.Gauges, Samples: g.Samples, Flight: g.Flight,
-		}, sloRules(cfg.Chaos), slo.Options{EvalInterval: cfg.EvalInterval})
+		}, sloRules(s.chaos), slo.Options{EvalInterval: s.evalInterval})
 		eng.Start()
 	})
 	eng.Stop()
@@ -184,17 +167,18 @@ func SLORun(cfg SLOConfig, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) 
 	return row, g, eng
 }
 
-// SLOStudy sweeps the fault rate.
-func SLOStudy(cfg SLOConfig) SLOResult {
-	cfg.fill()
+// SLOStudy sweeps the fault rate at the given size.
+func SLOStudy(seed int64, smoke bool) SLOResult {
+	s := setting(smoke, sloFull, sloSmoke)
+	seed = ChaosSeed(seed, smoke)
 	res := SLOResult{
-		Machines:     cfg.Chaos.Machines,
-		Workers:      cfg.Chaos.Workers,
-		EvalInterval: cfg.EvalInterval,
-		DetectBudget: cfg.DetectBudget,
+		Machines:     s.chaos.machines,
+		Workers:      s.chaos.workers,
+		EvalInterval: s.evalInterval,
+		DetectBudget: s.detectBudget,
 	}
-	for _, rate := range cfg.Chaos.FaultRates {
-		row, _, _ := SLORun(cfg, rate)
+	for _, rate := range s.faultRates {
+		row, _, _ := sloRun(s, seed, rate)
 		res.Rows = append(res.Rows, row)
 	}
 	return res

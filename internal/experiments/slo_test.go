@@ -9,13 +9,11 @@ import (
 	"cogrid/internal/slo"
 )
 
-func sloSmokeConfig() SLOConfig { return SLOSmokeConfig(3) }
-
 // sloArtifacts runs the faulted smoke row and serializes its observable
 // outputs: the alert log plus every flight-recorder dump.
 func sloArtifacts(t *testing.T) []byte {
 	t.Helper()
-	row, g, eng := SLORun(sloSmokeConfig(), 0.75)
+	row, g, eng := SLORun(3, true, 0.75)
 	if row.Alerts == 0 {
 		t.Fatal("faulted smoke row fired no alerts")
 	}
@@ -45,7 +43,7 @@ func TestSLOArtifactsDeterministic(t *testing.T) {
 // TestSLOStudySmokeGate runs the full smoke sweep through the acceptance
 // gate: fault-free row silent, faulted row detected within budget.
 func TestSLOStudySmokeGate(t *testing.T) {
-	res := SLOStudy(sloSmokeConfig())
+	res := SLOStudy(3, true)
 	if bad := res.Check(); len(bad) > 0 {
 		t.Fatalf("gate violations: %v", bad)
 	}
@@ -74,11 +72,11 @@ func TestSLOCheckCatches(t *testing.T) {
 }
 
 // TestSLORulesScale pins that the rule thresholds derive from the
-// workload configuration rather than hard-coding the stock numbers.
+// workload setting rather than hard-coding the stock numbers.
 func TestSLORulesScale(t *testing.T) {
-	cfg := ChaosConfig{SubmitBudget: 20 * time.Minute}
-	cfg.fill()
-	for _, r := range sloRules(cfg) {
+	s := chaosFull
+	s.submitBudget = 20 * time.Minute
+	for _, r := range sloRules(s) {
 		if r.Kind == slo.KindBurnRate && r.Threshold != 10*time.Minute {
 			t.Fatalf("burn threshold does not track the submit budget: %v", r.Threshold)
 		}

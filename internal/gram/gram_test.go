@@ -191,7 +191,7 @@ func TestFigure3Breakdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	totals := trace.DeriveTimeline(tb.sim, tb.tracer.Events(), trace.IsPhase).PhaseTotals()
+	totals := trace.DeriveTimeline(tb.tracer.Events(), trace.IsPhase).PhaseTotals()
 	// 500ms compute + message latencies, measured from the server side
 	// (accept to final result frame).
 	if got := totals["authentication"]; got != 503*time.Millisecond {

@@ -112,7 +112,7 @@ func TestTracedGridRecordsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	totals := trace.DeriveTimeline(g.Sim, g.Tracer.Events(), trace.IsPhase).PhaseTotals()
+	totals := trace.DeriveTimeline(g.Tracer.Events(), trace.IsPhase).PhaseTotals()
 	for _, phase := range []string{"authentication", "misc", "initgroups", "fork"} {
 		if totals[phase] <= 0 {
 			t.Errorf("phase %q missing from the traced submit: %v", phase, totals)

@@ -90,7 +90,7 @@ func parseExposition(t *testing.T, text string) (plain, histograms map[string]in
 // drop counters, alert counters, the active-alert and drop gauges and the
 // flight-recorder dump counters are all live in the registries.
 func TestWriteMetricsExposesEveryRegistry(t *testing.T) {
-	_, g, _ := experiments.SLORun(experiments.SLOSmokeConfig(1), 0.75)
+	_, g, _ := experiments.SLORun(1, true, 0.75)
 	var buf bytes.Buffer
 	if err := g.WriteMetrics(&buf); err != nil {
 		t.Fatalf("write metrics: %v", err)

@@ -6,12 +6,10 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
-
-	"cogrid/internal/vtime"
 )
 
 // Span is one timed phase of one actor.
@@ -25,48 +23,13 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() time.Duration { return s.End - s.Start }
 
-// Timeline collects spans in virtual time.
-type Timeline struct {
-	sim   *vtime.Sim
-	mu    sync.Mutex
-	spans []Span
-}
-
-// NewTimeline creates an empty timeline on sim.
-func NewTimeline(sim *vtime.Sim) *Timeline { return &Timeline{sim: sim} }
-
-// Start opens a span now; the returned func closes it.
-func (t *Timeline) Start(actor, phase string) func() {
-	start := t.sim.Now()
-	return func() { t.Add(actor, phase, start, t.sim.Now()) }
-}
-
-// Add records a completed span. Spans may arrive in any order, but a
-// negative-duration span (end < start) is a caller bug — virtual time never
-// runs backwards — and Add panics rather than silently corrupting the
-// rendered window.
-func (t *Timeline) Add(actor, phase string, start, end time.Duration) {
-	if end < start {
-		panic(fmt.Sprintf("metrics: negative-duration span %s %s: start %v > end %v", actor, phase, start, end))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = append(t.spans, Span{Actor: actor, Phase: phase, Start: start, End: end})
-}
-
-// Spans returns a copy of the recorded spans in insertion order.
-func (t *Timeline) Spans() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
+// Timeline is a set of spans in virtual time, in any order.
+type Timeline []Span
 
 // PhaseTotals sums span durations by phase name.
-func (t *Timeline) PhaseTotals() map[string]time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t Timeline) PhaseTotals() map[string]time.Duration {
 	out := make(map[string]time.Duration)
-	for _, s := range t.spans {
+	for _, s := range t {
 		out[s.Phase] += s.Duration()
 	}
 	return out
@@ -74,8 +37,8 @@ func (t *Timeline) PhaseTotals() map[string]time.Duration {
 
 // Render draws the timeline as a text Gantt chart, one row per span,
 // ordered by start time, scaled to width columns.
-func (t *Timeline) Render(width int) string {
-	spans := t.Spans()
+func (t Timeline) Render(width int) string {
+	spans := slices.Clone(t)
 	if len(spans) == 0 {
 		return "(empty timeline)\n"
 	}

@@ -7,42 +7,14 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"cogrid/internal/vtime"
 )
 
-func TestTimelineStartStop(t *testing.T) {
-	sim := vtime.New()
-	tl := NewTimeline(sim)
-	err := sim.Run("main", func() {
-		stop := tl.Start("subjob0", "auth")
-		sim.Sleep(500 * time.Millisecond)
-		stop()
-		stop2 := tl.Start("subjob0", "fork")
-		sim.Sleep(time.Millisecond)
-		stop2()
-	})
-	if err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-	spans := tl.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
-	}
-	if spans[0].Phase != "auth" || spans[0].Duration() != 500*time.Millisecond {
-		t.Errorf("span 0 = %+v", spans[0])
-	}
-	if spans[1].Start != 500*time.Millisecond || spans[1].Duration() != time.Millisecond {
-		t.Errorf("span 1 = %+v", spans[1])
-	}
-}
-
 func TestTimelinePhaseTotals(t *testing.T) {
-	sim := vtime.New()
-	tl := NewTimeline(sim)
-	tl.Add("a", "auth", 0, time.Second)
-	tl.Add("b", "auth", time.Second, 3*time.Second)
-	tl.Add("a", "fork", 0, 10*time.Millisecond)
+	tl := Timeline{
+		{Actor: "a", Phase: "auth", Start: 0, End: time.Second},
+		{Actor: "b", Phase: "auth", Start: time.Second, End: 3 * time.Second},
+		{Actor: "a", Phase: "fork", Start: 0, End: 10 * time.Millisecond},
+	}
 	totals := tl.PhaseTotals()
 	if totals["auth"] != 3*time.Second {
 		t.Errorf("auth total = %v, want 3s", totals["auth"])
@@ -53,10 +25,10 @@ func TestTimelinePhaseTotals(t *testing.T) {
 }
 
 func TestTimelineRender(t *testing.T) {
-	sim := vtime.New()
-	tl := NewTimeline(sim)
-	tl.Add("sj0", "gsi", 0, 500*time.Millisecond)
-	tl.Add("sj0", "initgroups", 500*time.Millisecond, 1200*time.Millisecond)
+	tl := Timeline{
+		{Actor: "sj0", Phase: "gsi", Start: 0, End: 500 * time.Millisecond},
+		{Actor: "sj0", Phase: "initgroups", Start: 500 * time.Millisecond, End: 1200 * time.Millisecond},
+	}
 	out := tl.Render(40)
 	if !strings.Contains(out, "sj0 gsi") || !strings.Contains(out, "sj0 initgroups") {
 		t.Fatalf("render missing rows:\n%s", out)
@@ -78,35 +50,38 @@ func TestTimelineRender(t *testing.T) {
 }
 
 func TestTimelineRenderEmpty(t *testing.T) {
-	tl := NewTimeline(vtime.New())
-	if out := tl.Render(40); !strings.Contains(out, "empty") {
+	if out := Timeline(nil).Render(40); !strings.Contains(out, "empty") {
 		t.Fatalf("empty render = %q", out)
 	}
 }
 
-// Regression: spans added out of chronological order must render sorted by
+// Regression: spans out of chronological order must render sorted by
 // start time with every bar inside the window — a span ending exactly at the
 // window edge used to spill past the right border once zero-length bars were
 // widened before clamping.
 func TestTimelineRenderOutOfOrderSpans(t *testing.T) {
 	const width = 40
-	sim := vtime.New()
-	tl := NewTimeline(sim)
-	// Deliberately out of order, with the last-added span first in time and
-	// a zero-length span exactly at the right edge of the window.
-	tl.Add("c", "late", 900*time.Millisecond, time.Second)
-	tl.Add("b", "edge", time.Second, time.Second)
-	tl.Add("a", "early", 0, 300*time.Millisecond)
+	// Deliberately out of order, with the last span first in time and a
+	// zero-length span exactly at the right edge of the window.
+	tl := Timeline{
+		{Actor: "c", Phase: "late", Start: 900 * time.Millisecond, End: time.Second},
+		{Actor: "b", Phase: "edge", Start: time.Second, End: time.Second},
+		{Actor: "a", Phase: "early", Start: 0, End: 300 * time.Millisecond},
+	}
 	out := tl.Render(width)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("render has %d lines, want 4:\n%s", len(lines), out)
 	}
-	// Rows sorted by start time regardless of Add order.
+	// Rows sorted by start time regardless of slice order, which Render
+	// leaves alone.
 	for i, want := range []string{"a early", "c late", "b edge"} {
 		if !strings.HasPrefix(lines[i+1], want) {
 			t.Errorf("row %d = %q, want prefix %q", i+1, lines[i+1], want)
 		}
+	}
+	if tl[0].Actor != "c" {
+		t.Errorf("Render reordered the timeline: %+v", tl)
 	}
 	// Every bar stays within the |...| window.
 	for _, line := range lines[1:] {
@@ -119,18 +94,6 @@ func TestTimelineRenderOutOfOrderSpans(t *testing.T) {
 			t.Errorf("row has no visible bar: %q", line)
 		}
 	}
-}
-
-// A negative-duration span is a caller bug: Add must panic rather than
-// silently corrupting the rendered window.
-func TestTimelineAddNegativeDurationPanics(t *testing.T) {
-	tl := NewTimeline(vtime.New())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add(end < start) did not panic")
-		}
-	}()
-	tl.Add("a", "backwards", time.Second, 500*time.Millisecond)
 }
 
 func TestSummarize(t *testing.T) {

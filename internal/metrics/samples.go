@@ -126,19 +126,3 @@ func (w SampleWindow) Count() int { return len(w.values) }
 func (w SampleWindow) CountAbove(v int64) int {
 	return len(w.values) - sort.Search(len(w.values), func(i int) bool { return w.values[i] > v })
 }
-
-// Quantile returns the exact-rank q-quantile (0 <= q <= 1) of the window,
-// or 0 on an empty window.
-func (w SampleWindow) Quantile(q float64) int64 {
-	if len(w.values) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(q * float64(len(w.values)-1))
-	return w.values[i]
-}

@@ -32,12 +32,6 @@ func TestSampleLogWindow(t *testing.T) {
 	if got := w.CountAbove(500); got != 2 {
 		t.Fatalf("count above 500: %d", got)
 	}
-	if got := w.Quantile(0); got != 400 {
-		t.Fatalf("q0: %d", got)
-	}
-	if got := w.Quantile(1); got != 700 {
-		t.Fatalf("q1: %d", got)
-	}
 	// Empty window and boundary exclusivity: (7s, 7s] holds nothing.
 	if got := l.Window(7*time.Second, 7*time.Second).Count(); got != 0 {
 		t.Fatalf("empty window: %d", got)
@@ -52,7 +46,7 @@ func TestSampleLogNilSafe(t *testing.T) {
 		t.Fatal("nil set must be inert")
 	}
 	w := l.Window(0, time.Hour)
-	if w.Count() != 0 || w.Quantile(0.5) != 0 || w.CountAbove(0) != 0 {
+	if w.Count() != 0 || w.CountAbove(0) != 0 {
 		t.Fatal("nil log window must be empty")
 	}
 }

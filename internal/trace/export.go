@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cogrid/internal/metrics"
-	"cogrid/internal/vtime"
 )
 
 // jsonlEvent is the JSONL wire form: virtual times in integer nanoseconds.
@@ -346,9 +345,11 @@ func itoa(n int) string { return strconv.Itoa(n) }
 // renderer of the Figure 5 view: every event pick accepts becomes a
 // timeline span with Actor = Thr (Proc when there is none) and Phase =
 // Name. IsPhase picks the phases of a submission; what else belongs on a
-// timeline is the caller's to say.
-func DeriveTimeline(sim *vtime.Sim, events []Event, pick func(Event) bool) *metrics.Timeline {
-	tl := metrics.NewTimeline(sim)
+// timeline is the caller's to say. A picked event of negative duration is
+// a recorder bug — virtual time never runs backwards — and DeriveTimeline
+// panics rather than silently corrupting the rendered window.
+func DeriveTimeline(events []Event, pick func(Event) bool) metrics.Timeline {
+	var tl metrics.Timeline
 	for _, ev := range events {
 		if !pick(ev) {
 			continue
@@ -357,7 +358,10 @@ func DeriveTimeline(sim *vtime.Sim, events []Event, pick func(Event) bool) *metr
 		if actor == "" {
 			actor = ev.Proc
 		}
-		tl.Add(actor, ev.Name, ev.At, ev.At+ev.Dur)
+		if ev.Dur < 0 {
+			panic(fmt.Sprintf("trace: negative-duration span %s %s: %v", actor, ev.Name, ev.Dur))
+		}
+		tl = append(tl, metrics.Span{Actor: actor, Phase: ev.Name, Start: ev.At, End: ev.At + ev.Dur})
 	}
 	return tl
 }

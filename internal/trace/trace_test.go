@@ -325,8 +325,8 @@ func TestDeriveTimeline(t *testing.T) {
 	tr.SpanAt("duroc", "barrier", "workstation", "", "", 700*time.Millisecond, 700*time.Millisecond)
 	tr.SpanAt("duroc", "commit", "workstation", "job1", "", 0, 700*time.Millisecond)
 	tr.Instant("duroc", "barrier-enter", "workstation", "sj1", "")
-	spans := DeriveTimeline(sim, tr.Events(), IsPhase).Spans()
-	want := []metrics.Span{
+	spans := DeriveTimeline(tr.Events(), IsPhase)
+	want := metrics.Timeline{
 		{Actor: "gram", Phase: "authentication", Start: 0, End: 500 * time.Millisecond},
 		{Actor: "sj1", Phase: "submit", Start: 500 * time.Millisecond, End: 700 * time.Millisecond},
 		{Actor: "workstation", Phase: "barrier", Start: 700 * time.Millisecond, End: 700 * time.Millisecond},
@@ -335,7 +335,19 @@ func TestDeriveTimeline(t *testing.T) {
 		t.Errorf("derived spans = %+v, want %+v", spans, want)
 	}
 	instants := func(ev Event) bool { return ev.Name == "barrier-enter" }
-	if got := DeriveTimeline(sim, tr.Events(), instants).Spans(); len(got) != 1 || got[0].Actor != "sj1" {
+	if got := DeriveTimeline(tr.Events(), instants); len(got) != 1 || got[0].Actor != "sj1" {
 		t.Errorf("a pick of its own projected %+v, want the one instant", got)
 	}
+}
+
+// A negative-duration span is a recorder bug: DeriveTimeline must panic
+// rather than silently corrupting the rendered window.
+func TestDeriveTimelineNegativeDurationPanics(t *testing.T) {
+	events := []Event{{Cat: "gram", Name: "fork", Thr: "a", At: time.Second, Dur: -500 * time.Millisecond}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DeriveTimeline of a negative-duration event did not panic")
+		}
+	}()
+	DeriveTimeline(events, IsPhase)
 }

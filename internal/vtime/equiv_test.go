@@ -168,7 +168,7 @@ func TestKernelEquivalenceScaleSmoke(t *testing.T) {
 	rows := make(map[string]experiments.ScaleRow)
 	for _, engine := range []string{heap, wheel} {
 		onEngine(engine, func() {
-			res := experiments.ScaleStudy(experiments.ScaleSmokeConfig(1))
+			res := experiments.ScaleStudy(1, true)
 			rows[engine] = res.Rows[0]
 		})
 		if row := rows[engine]; row.Done != int64(row.Jobs) || row.Failed != 0 {
