@@ -483,7 +483,10 @@ func (b *Broker) submit(req Request, call *rpc.Call) {
 
 // corr is the correlation ID tying one ticket's queue-wait, attempts, and
 // request span together.
-func (b *Broker) corr(t *ticket) string { return b.opts.ReplicaID + "#req" + strconv.Itoa(t.id) }
+func (b *Broker) corr(t *ticket) string {
+	tr := b.tracer()
+	return tr.Concat(b.opts.ReplicaID, "#req", tr.Itoa(t.id))
+}
 
 // dispatcher pops tickets in per-tenant round-robin order and hands each
 // to an idle worker. A ticket leaves the queue only once a worker has
@@ -552,7 +555,7 @@ func (b *Broker) serve(t *ticket) {
 	b.hists().H("broker.admission.wait").Record(int64(dequeuedAt - t.enqueuedAt))
 	b.count("queue", "dequeue", 1)
 	if tr := b.tracer(); tr.Enabled() {
-		tr.SpanAtCtx(t.ctx.Child("queue-wait"), "broker", "queue-wait", b.host.Name(), req.Tenant, b.corr(t),
+		tr.SpanAtCtx(tr.Child(t.ctx, "queue-wait"), "broker", "queue-wait", b.host.Name(), req.Tenant, b.corr(t),
 			t.enqueuedAt, dequeuedAt)
 	}
 
@@ -722,11 +725,12 @@ func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.
 	// determinism must not depend on concurrent draw order from the
 	// kernel's shared RNG.
 	candidates := agent.SelectByForecast(records, req.ProcsPerSite, want, 0, nil)
-	attemptCtx := t.ctx.Child("attempt" + strconv.Itoa(attempt))
+	tr := b.tracer()
+	attemptCtx := tr.Child(t.ctx, "attempt", tr.Itoa(attempt))
 	finish := func(outcome string) {
 		b.hists().H("broker.attempt.latency").Record(int64(b.sim.Now() - start))
-		b.tracer().SpanCtx(attemptCtx, "broker", "attempt", b.host.Name(), req.Tenant, b.corr(t), start,
-			trace.Arg{Key: "n", Val: strconv.Itoa(attempt)},
+		tr.SpanCtx(attemptCtx, "broker", "attempt", b.host.Name(), req.Tenant, b.corr(t), start,
+			trace.Arg{Key: "n", Val: tr.Itoa(attempt)},
 			trace.Arg{Key: "outcome", Val: outcome})
 	}
 	if len(candidates) < req.Sites {

@@ -402,7 +402,7 @@ func (c *Controller) record(ctx trace.Ctx, actor, phase string, start, end time.
 	// barrier): the histogram counterpart of the Figure 5 timeline spans.
 	c.hists().H("core.2pc." + phase).Record(int64(end - start))
 	if tr := c.tracer(); tr.Enabled() {
-		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
+		tr.SpanAtCtx(tr.Child(ctx, trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
 	}
 }
 

@@ -229,7 +229,7 @@ func (j *Job) addLocked(spec SubjobSpec) (*subjob, error) {
 	sj := &subjob{
 		spec:     spec,
 		status:   SJQueued,
-		ctx:      j.ctx.Child("sj:" + trace.Seg(spec.Label)),
+		ctx:      j.c.tracer().Child(j.ctx, "sj:", trace.Seg(spec.Label)),
 		checkins: make(map[int]*procCheckin),
 		queuedAt: j.c.sim.Now(),
 	}
@@ -882,7 +882,7 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 	commitStart := j.c.sim.Now()
 	finish := func(outcome string) {
 		if tr := j.c.tracer(); tr.Enabled() {
-			tr.SpanCtx(j.ctx.Child("commit"), "duroc", "commit", j.c.host.Name(), j.id, "", commitStart,
+			tr.SpanCtx(tr.Child(j.ctx, "commit"), "duroc", "commit", j.c.host.Name(), j.id, "", commitStart,
 				trace.Arg{Key: "outcome", Val: outcome})
 		}
 		j.c.counters().AddKey("duroc", "commit", outcome, j.c.host.Name(), 1)

@@ -59,7 +59,8 @@ func Attach(p *lrm.Proc) (*Runtime, error) {
 	// own child span so per-process barrier traffic is distinguishable.
 	if enc := p.Getenv(EnvTrace); enc != "" {
 		if ctx := trace.ParseCtx(enc); ctx.Valid() {
-			rt.ctx = ctx.Child("rank" + strconv.Itoa(p.Rank))
+			tr := p.Host().Network().Tracer()
+			rt.ctx = tr.Child(ctx, "rank", tr.Itoa(p.Rank))
 		}
 	}
 	l, err := p.Host().Listen(appService(jobID, subjob, p.Rank))

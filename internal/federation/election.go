@@ -90,7 +90,7 @@ func peerCall[R any](inc *incarnation, peer, method string, req any) (R, error) 
 	f.sim.GoDaemon(fmt.Sprintf("fed-call:%s/g%d>%s/%s", inc.r.name, inc.gen, peer, method), func() {
 		var out peerOutcome[R]
 		conn, err := inc.r.host.DialCtx(transport.Addr{Host: peer, Service: serviceName},
-			inc.ctx.Child(method+">"+peer))
+			inc.r.host.Network().Tracer().Child(inc.ctx, method, ">", peer))
 		if err != nil {
 			out.err = err
 			ch.TrySend(out)

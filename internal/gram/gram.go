@@ -128,7 +128,7 @@ func (s *Server) preamble(conn *transport.Conn) (any, error) {
 // projections of these (trace.IsPhase knows them by name).
 func (s *Server) record(ctx trace.Ctx, actor, phase string, start, end time.Duration) {
 	if tr := s.host.Network().Tracer(); tr.Enabled() {
-		tr.SpanAtCtx(ctx.Child(trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
+		tr.SpanAtCtx(tr.Child(ctx, trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
 	}
 }
 
@@ -280,6 +280,7 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 	sc := call.Conn()
 	user, _ := sc.Meta.(string)
 	ctx := call.Ctx
+	net := s.host.Network()
 	var args submitArgs
 	if err := rpc.Decode(body, &args); err != nil {
 		return nil, err
@@ -296,7 +297,7 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 
 	// initgroups: resolve the authenticated user's groups via NIS.
 	igStart := s.sim.Now()
-	if _, err := nis.InitgroupsCtx(s.host, s.cfg.NISAddr, user, gsi.HandshakeTimeout, ctx.Child("nis")); err != nil {
+	if _, err := nis.InitgroupsCtx(s.host, s.cfg.NISAddr, user, gsi.HandshakeTimeout, net.Tracer().Child(ctx, "nis")); err != nil {
 		return nil, fmt.Errorf("gram: initgroups for %s: %w", user, err)
 	}
 	s.record(ctx, "gram", "initgroups", igStart, s.sim.Now())
@@ -314,12 +315,11 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 	// gatekeeper's address, a slash and the id, which lookup takes apart.
 	contact := s.host.Name() + ":" + ServiceName + "/" + job.ID()
 
-	net := s.host.Network()
 	net.Counters().Add(trace.Key("gram", "job", "submit", s.host.Name()), 1)
 
 	// Push every state transition back to the submitter as a callback,
 	// parented to the submit that created the job.
-	jobCtx := ctx.Child("job")
+	jobCtx := net.Tracer().Child(ctx, "job")
 	s.sim.GoDaemon("gram-watch:"+contact, func() {
 		for {
 			state, ok := job.Events().Recv()
@@ -328,7 +328,7 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 			}
 			reason := job.Reason()
 			if tr := net.Tracer(); tr.Enabled() {
-				tr.InstantCtx(jobCtx, "gram", "state:"+state.String(), s.host.Name(), contact, "",
+				tr.InstantCtx(jobCtx, "gram", stateEvent(state), s.host.Name(), contact, "",
 					trace.Arg{Key: "reason", Val: reason})
 			}
 			net.Counters().AddKey("gram", "state", state.String(), s.host.Name(), 1)
@@ -341,6 +341,21 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 		}
 	})
 	return submitReply{JobContact: contact}, nil
+}
+
+// stateEvents are the names of the trace events of a job's transitions,
+// indexed by state.
+var stateEvents = [...]string{
+	lrm.StatePending: "state:PENDING", lrm.StateActive: "state:ACTIVE", lrm.StateDone: "state:DONE",
+	lrm.StateFailed: "state:FAILED", lrm.StateCancelled: "state:CANCELLED", lrm.StateSuspended: "state:SUSPENDED",
+}
+
+// stateEvent is "state:" + state.String().
+func stateEvent(state lrm.JobState) string {
+	if int(state) >= 0 && int(state) < len(stateEvents) {
+		return stateEvents[state]
+	}
+	return "state:" + state.String()
 }
 
 // ParseJobRSL converts a single-subjob RSL conjunction into an lrm.JobSpec.

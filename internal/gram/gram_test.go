@@ -541,3 +541,13 @@ func TestSubmitQueuedAtHandshakeEndIsServed(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 }
+
+// The trace event of a job's transition is named from a table indexed by
+// state: the same name "state:" + String() gives, out-of-range states too.
+func TestStateEventNames(t *testing.T) {
+	for s := lrm.JobState(-1); s <= lrm.StateSuspended+1; s++ {
+		if got, want := stateEvent(s), "state:"+s.String(); got != want {
+			t.Errorf("stateEvent(%d) = %q, want %q", s, got, want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
 )
@@ -305,3 +306,54 @@ func (s sleeper) ServeCall(call *Call, method string, body json.RawMessage) {
 }
 
 func (sleeper) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {}
+
+// TestCallAllocs prices one call on an established connection under a valid
+// request context, both ends included. Untraced, the span path still rides
+// the envelope: the call's path, its id's digits and the serve context are
+// built as new strings, as they always were. Traced, every string the call
+// puts in the trace or on the wire — the span paths, "call:echo" and
+// "serve:echo", the correlation id and the hops' byte counts — comes from
+// the tracer's string table, copied into it once: a repeated call
+// allocates no string at all, and costs fewer allocations than the
+// untraced one.
+func TestCallAllocs(t *testing.T) {
+	measure := func(sim *vtime.Sim, a, b *transport.Host) (allocs float64) {
+		e := &contractEnv{t: t, sim: sim, a: a, b: b}
+		err := sim.Run("client", func() {
+			e.serve(echoTasks{})
+			c := e.dial()
+			ctx := trace.NewRequest("r1")
+			var reply string
+			call := func() {
+				if err := c.CallCtx(ctx, "echo", "ping", &reply, time.Minute); err != nil || reply != "ping" {
+					t.Fatalf("echo = %q, %v", reply, err)
+				}
+			}
+			for i := 0; i < 200; i++ { // ids past 99, which strconv has ready-made
+				call()
+			}
+			allocs = testing.AllocsPerRun(100, call)
+			c.Close()
+		})
+		if err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		return allocs
+	}
+	sim, a, b := newPair(t)
+	untraced := measure(sim, a, b)
+	sim, _, _, a, b = newTracedPair(t)
+	traced := measure(sim, a, b)
+	t.Logf("one call: %.0f allocations untraced, %.0f traced", untraced, traced)
+	if raceEnabled {
+		return
+	}
+	if untraced > 12 {
+		t.Errorf("an untraced call under a request context: %.0f allocations, want <= 12", untraced)
+	}
+	// The three strings an untraced call builds are the difference.
+	if traced > untraced-3 {
+		t.Errorf("a repeated traced call: %.0f allocations, want <= %.0f (the untraced call's, less its three strings)",
+			traced, untraced-3)
+	}
+}

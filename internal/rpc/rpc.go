@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -202,9 +201,10 @@ func (c *Client) RemoteAddr() transport.Addr { return c.conn.RemoteAddr() }
 
 // corrID builds the correlation identifier shared by the client call span,
 // the server handler span, and any dropped-reply event for one call: the
-// connection-pair flow plus the per-connection call id.
-func corrID(conn *transport.Conn, id uint64) string {
-	return conn.Flow() + "#" + strconv.FormatUint(id, 10)
+// connection-pair flow plus the per-connection call id, from tr's string
+// table.
+func corrID(tr *trace.Tracer, conn *transport.Conn, id uint64) string {
+	return tr.Concat(conn.Flow(), "#", tr.Itoa(int(id)))
 }
 
 // drain hands frame every message that has arrived on conn and then
@@ -261,7 +261,7 @@ func (c *Client) dispatch(raw []byte) {
 			// dropped — but it still appears in the trace, correlated with
 			// the timed-out call by ID.
 			if tr.Enabled() {
-				tr.InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
+				tr.InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(tr, c.conn, env.ID))
 			}
 			c.conn.Network().Counters().AddKey("rpc", "reply", "drop", host, 1)
 		}
@@ -277,7 +277,7 @@ func (c *Client) dispatch(raw []byte) {
 			return
 		}
 		if tr.Enabled() {
-			tr.InstantCtx(envCtx(&env), "rpc", "notify:"+env.Method, host, c.conn.Flow(), "")
+			tr.InstantCtx(envCtx(&env), "rpc", tr.Concat("notify:", env.Method), host, c.conn.Flow(), "")
 		}
 		c.conn.Network().Counters().AddKey("rpc", "notify", "recv", host, 1)
 	}
@@ -348,18 +348,18 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	if !ctx.Valid() {
 		ctx = c.conn.Ctx()
 	}
+	tr := c.conn.Network().Tracer()
 	var callCtx trace.Ctx
 	if ctx.Valid() {
-		callCtx = ctx.Child("call:", method, "#", strconv.FormatUint(id, 10))
+		callCtx = tr.Child(ctx, "call:", method, "#", tr.Itoa(int(id)))
 	}
-	tr := c.conn.Network().Tracer()
 	host := c.conn.LocalAddr().Host
 	start := tr.Now()
 	startV := c.sim.Now()
 	finish := func(outcome string) {
 		c.hCall.Record(int64(c.sim.Now() - startV))
 		if tr.Enabled() {
-			tr.SpanCtx(callCtx, "rpc", "call:"+method, host, c.conn.Flow(), corrID(c.conn, id), start,
+			tr.SpanCtx(callCtx, "rpc", tr.Concat("call:", method), host, c.conn.Flow(), corrID(tr, c.conn, id), start,
 				trace.Arg{Key: "outcome", Val: outcome})
 		}
 		c.conn.Network().Counters().AddKey("rpc", "call", outcome, host, 1)
@@ -563,7 +563,7 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 	}
 	host := sc.conn.LocalAddr().Host
 	if tr := sc.conn.Network().Tracer(); tr.Enabled() {
-		tr.InstantCtx(ctx, "rpc", "notify:"+method, host, sc.conn.Flow(), "")
+		tr.InstantCtx(ctx, "rpc", tr.Concat("notify:", method), host, sc.conn.Flow(), "")
 	}
 	sc.conn.Network().Counters().AddKey("rpc", "notify", "send", host, 1)
 	return nil
@@ -628,7 +628,7 @@ func (c *Call) Reply(result any, err error) {
 	// correlation ID, so client and server sides of one RPC line up in the
 	// trace.
 	if tr := conn.Network().Tracer(); tr.Enabled() {
-		tr.SpanCtx(c.Ctx, "rpc", "serve:"+c.method, host, conn.Flow(), corrID(conn, c.id), c.start,
+		tr.SpanCtx(c.Ctx, "rpc", tr.Concat("serve:", c.method), host, conn.Flow(), corrID(tr, conn, c.id), c.start,
 			trace.Arg{Key: "outcome", Val: outcome})
 	}
 	conn.Network().Counters().AddKey("rpc", "serve", outcome, host, 1)
@@ -743,11 +743,12 @@ func (sc *ServerConn) handle(raw []byte) {
 	case wire.KindCall:
 		// The envelope's span context parents the serve span under the
 		// caller's call span.
+		tr := sc.conn.Network().Tracer()
 		var ctx trace.Ctx
 		if env.Req != "" {
-			ctx = serveCtx(&env)
+			ctx = serveCtx(tr, &env)
 		} else {
-			ctx = sc.conn.Ctx().Child("serve")
+			ctx = tr.Child(sc.conn.Ctx(), "serve")
 		}
 		call := &Call{Ctx: ctx, sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
 		sc.srv.handler.ServeCall(call, env.Method, env.Body)
@@ -757,10 +758,14 @@ func (sc *ServerConn) handle(raw []byte) {
 }
 
 // serveCtx is env's span context extended with a "serve" segment, as
-// Ctx.Child makes it, in one new string that holds the request id too: a
-// handler may keep its Call (the barrier keeps each check-in until the
-// commit), which must not keep the frame alive through a view of it.
-func serveCtx(env *wire.Envelope) trace.Ctx {
+// Ctx.Child makes it: from tr's string table, or else in one new string
+// that holds the request id too. A handler may keep its Call (the barrier
+// keeps each check-in until the commit), which must not keep the frame
+// alive through a view of it.
+func serveCtx(tr *trace.Tracer, env *wire.Envelope) trace.Ctx {
+	if tr.Enabled() {
+		return trace.Ctx{Req: tr.Concat(env.Req), Span: tr.Child(envCtx(env), "serve").Span}
+	}
 	seg := "/serve"
 	if env.Span == "" {
 		seg = "serve"

@@ -46,11 +46,11 @@ const jsonlFlushAt = 48 * 1024
 // Encoding appends into a pooled buffer — no per-event allocation — and the
 // output is parseable by ReadJSONL; field order matches jsonlEvent.
 func WriteJSONL(w io.Writer, events []Event) error {
-	return writeJSONL(w, len(events), func(i int) *Event { return &events[i] })
+	return writeJSONL(w, len(events), func(buf []byte, i int) []byte { return appendJSONLEvent(buf, &events[i]) })
 }
 
-// writeJSONL encodes the n events at(0..n-1) in that order.
-func writeJSONL(w io.Writer, n int, at func(i int) *Event) error {
+// writeJSONL writes n events in order, appendAt appending the i-th.
+func writeJSONL(w io.Writer, n int, appendAt func(buf []byte, i int) []byte) error {
 	bp := jsonlBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	defer func() {
@@ -58,7 +58,7 @@ func writeJSONL(w io.Writer, n int, at func(i int) *Event) error {
 		jsonlBufPool.Put(bp)
 	}()
 	for i := 0; i < n; i++ {
-		buf = appendJSONLEvent(buf, at(i))
+		buf = appendAt(buf, i)
 		if len(buf) >= jsonlFlushAt {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -93,35 +93,43 @@ func appendJSONLEvent(buf []byte, ev *Event) []byte {
 	buf = appendOptField(buf, "id", ev.ID)
 	buf = appendOptField(buf, "req", ev.Req)
 	buf = appendOptField(buf, "span", ev.Span)
-	if len(ev.Args) > 0 {
-		buf = append(buf, `,"args":{`...)
-		// Keys in sorted order, matching encoding/json map output. Arg
-		// lists are tiny (≤ ~3), so an index selection sort avoids
-		// allocating a scratch slice.
-		emitted := 0
-		prev := ""
-		for emitted < len(ev.Args) {
-			next := -1
-			for i, a := range ev.Args {
-				if (emitted == 0 || a.Key > prev) && (next < 0 || a.Key < ev.Args[next].Key) {
-					next = i
-				}
-			}
-			if next < 0 {
-				break // duplicate keys: emit each distinct key once
-			}
-			if emitted > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(buf, ev.Args[next].Key)
+	buf = appendArgs(buf, len(ev.Args), func(k int) string { return ev.Args[k].Key },
+		func(buf []byte, k int) []byte {
+			buf = appendJSONString(buf, ev.Args[k].Key)
 			buf = append(buf, ':')
-			buf = appendJSONString(buf, ev.Args[next].Val)
-			prev = ev.Args[next].Key
-			emitted++
-		}
-		buf = append(buf, '}')
-	}
+			return appendJSONString(buf, ev.Args[k].Val)
+		})
 	return append(buf, '}', '\n')
+}
+
+// appendArgs appends the "args" member of an event with n args, if it has
+// any: key(k) is the k-th one's key, and pair appends it as a member. Keys
+// are written in sorted order, as encoding/json writes a map, and each
+// distinct key once, with its first value. Arg lists are tiny (≤ ~3), so an
+// index selection sort avoids allocating a scratch slice.
+func appendArgs(buf []byte, n int, key func(k int) string, pair func(buf []byte, k int) []byte) []byte {
+	if n == 0 {
+		return buf
+	}
+	buf = append(buf, `,"args":{`...)
+	prev := ""
+	for emitted := 0; emitted < n; emitted++ {
+		next, least := -1, ""
+		for k := 0; k < n; k++ {
+			if c := key(k); (emitted == 0 || c > prev) && (next < 0 || c < least) {
+				next, least = k, c
+			}
+		}
+		if next < 0 {
+			break // duplicate keys: emit each distinct key once
+		}
+		if emitted > 0 {
+			buf = append(buf, ',')
+		}
+		buf = pair(buf, next)
+		prev = least
+	}
+	return append(buf, '}')
 }
 
 func appendOptField(buf []byte, key, val string) []byte {
@@ -135,6 +143,16 @@ func appendOptField(buf []byte, key, val string) []byte {
 }
 
 const hexDigits = "0123456789abcdef"
+
+// needsEscape reports whether appendJSONString would escape a byte of s.
+func needsEscape(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' {
+			return true
+		}
+	}
+	return false
+}
 
 // appendJSONString appends s as a JSON string literal. Escaping follows
 // RFC 8259 (quote, backslash, and control characters; UTF-8 passes
@@ -214,25 +232,16 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 }
 
 // WriteJSONL writes the tracer's events as JSONL in deterministic order,
-// straight from the event store: each event is resolved as it is written,
-// and the sorted copy Events makes is not built.
+// straight from the event store: each record is encoded from its string
+// ids, and neither an Event nor the sorted copy Events makes is built.
 // Nil-safe.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
 	v := t.snapshot()
-	order := exportOrder(v.n, v.compare)
-	var ev Event
-	var args []Arg
-	return writeJSONL(w, v.n, func(i int) *Event {
-		r := v.rec(order[i])
-		if int(r.nargs) > cap(args) {
-			args = make([]Arg, r.nargs)
-		}
-		ev = v.event(r, args[:r.nargs])
-		return &ev
-	})
+	keys := v.order()
+	return writeJSONL(w, len(keys), func(buf []byte, i int) []byte { return v.appendJSONL(buf, v.rec(keys[i].i)) })
 }
 
 // chromeEvent is one entry of the Chrome trace_event format (the JSON Array

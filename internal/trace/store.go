@@ -3,6 +3,8 @@ package trace
 import (
 	"cmp"
 	"hash/maphash"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 	"unsafe"
@@ -30,9 +32,9 @@ type record struct {
 type argRef struct{ key, val uint32 }
 
 // Chunk capacities: records (chunkSize, 112 KiB a chunk), argument pairs
-// (64 KiB) and table strings (64 KiB of string headers). A chunk is one
-// allocation, so they are large: the store of a 160 000-event trace with
-// 100 000 distinct strings is about 130 of them.
+// (64 KiB) and table strings (64 KiB of string headers and 4 KiB of escape
+// flags). A chunk is one allocation, so they are large: the store of a
+// 160 000-event trace with 100 000 distinct strings is about 130 of them.
 const (
 	chunkShift   = 11
 	chunkSize    = 1 << chunkShift
@@ -107,6 +109,58 @@ func (s *store) event(r *record, args []Arg) Event {
 	return ev
 }
 
+// appendJSONL is appendJSONLEvent on a stored event, encoded from its ids.
+func (s *store) appendJSONL(buf []byte, r *record) []byte {
+	t := &s.strs
+	buf = append(buf, `{"at":`...)
+	buf = strconv.AppendInt(buf, r.at, 10)
+	if r.dur != 0 {
+		buf = append(buf, `,"dur":`...)
+		buf = strconv.AppendInt(buf, r.dur, 10)
+	}
+	buf = append(buf, `,"cat":`...)
+	buf = t.appendJSON(buf, r.cat)
+	buf = append(buf, `,"name":`...)
+	buf = t.appendJSON(buf, r.name)
+	for _, f := range [...]struct {
+		member string
+		id     uint32
+	}{{`,"proc":`, r.proc}, {`,"thr":`, r.thr}, {`,"id":`, r.id}, {`,"req":`, r.req}, {`,"span":`, r.span}} {
+		if f.id != 0 {
+			buf = t.appendJSON(append(buf, f.member...), f.id)
+		}
+	}
+	buf = appendArgs(buf, int(r.nargs), func(k int) string { return t.str(s.arg(r.argOff + uint32(k)).key) },
+		func(buf []byte, k int) []byte {
+			a := s.arg(r.argOff + uint32(k))
+			return t.appendJSON(append(t.appendJSON(buf, a.key), ':'), a.val)
+		})
+	return append(buf, '}', '\n')
+}
+
+// sortKey is a stored event's place in the export sort: its time, which
+// decides most comparisons without reaching the record, and its index.
+type sortKey struct {
+	at int64
+	i  uint32
+}
+
+// order returns the stored events' keys in export order. Events that
+// compare equal are equal in every field, so the sort need not be stable.
+func (s *store) order() []sortKey {
+	keys := make([]sortKey, s.n)
+	for i := range keys {
+		keys[i] = sortKey{s.rec(uint32(i)).at, uint32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return s.compare(a.i, b.i)
+	})
+	return keys
+}
+
 // compare is compare(a, b *Event) on the stored events i and j. Equal ids
 // are equal strings, so only differing ones are resolved and compared.
 func (s *store) compare(i, j uint32) int {
@@ -158,7 +212,9 @@ func (s *store) compareStr(a, b uint32) int {
 }
 
 // strtab holds each distinct string once and names it by a uint32 id, ids
-// counting up in the order strings are first seen; id 0 is "".
+// counting up in the order strings are first seen; id 0 is "". Beside each
+// string it keeps whether JSON needs it escaped, decided once when the
+// string enters.
 //
 // A lookup first tries front, a small cache indexed by where the string's
 // bytes are, not by what they are: an emitter passes the same string value
@@ -168,12 +224,18 @@ func (s *store) compareStr(a, b uint32) int {
 // their upper half and its id in the lower, zero marking an empty slot.
 // The index holds no pointers; front holds the strings it caches.
 type strtab struct {
-	chunks []*[strChunkSize]string
-	n      uint32 // ids in use, "" included
-	index  []uint64
-	seed   maphash.Seed
-	front  *[frontSize]frontEntry
-	block  []byte // where keep cuts its copies
+	chunks  []*strChunk
+	n       uint32 // ids in use, "" included
+	index   []uint64
+	seed    maphash.Seed
+	front   *[frontSize]frontEntry
+	block   []byte // where keep cuts its copies
+	scratch []byte // where build assembles its parts
+}
+
+type strChunk struct {
+	s   [strChunkSize]string
+	esc [strChunkSize]bool // s needs escaping in a JSON string
 }
 
 type frontEntry struct {
@@ -195,10 +257,7 @@ func (t *strtab) intern(s string) uint32 {
 	if t.front == nil {
 		t.init()
 	}
-	// Fibonacci hashing of the address spreads the allocator's aligned
-	// addresses over the cache.
-	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(s))))
-	f := &t.front[(p*0x9E3779B97F4A7C15)>>(64-frontShift)]
+	f := t.frontOf(s)
 	if f.s == s {
 		return f.id
 	}
@@ -207,11 +266,46 @@ func (t *strtab) intern(s string) uint32 {
 	return id
 }
 
+// frontOf is s's entry in the front cache. Fibonacci hashing of the
+// address spreads the allocator's aligned addresses over the cache.
+func (t *strtab) frontOf(s string) *frontEntry {
+	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(s))))
+	return &t.front[(p*0x9E3779B97F4A7C15)>>(64-frontShift)]
+}
+
+// build returns the table's copy of prefix, sep and parts concatenated,
+// assembled in scratch, so that only a string the table has not seen is
+// copied, once. The front cache learns the copy's address, which the
+// caller's events will intern it by.
+func (t *strtab) build(prefix, sep string, parts []string) string {
+	b := append(append(t.scratch[:0], prefix...), sep...)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	t.scratch = b
+	return t.internBuilt(b)
+}
+
+// internBuilt is build's last step, for bytes assembled in scratch.
+func (t *strtab) internBuilt(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if t.front == nil {
+		t.init()
+	}
+	id := t.lookup(unsafe.String(&b[0], len(b)))
+	s := t.str(id)
+	f := t.frontOf(s)
+	f.s, f.id = s, id
+	return s
+}
+
 func (t *strtab) init() {
 	t.front = new([frontSize]frontEntry)
 	t.index = make([]uint64, indexMin)
 	t.seed = maphash.MakeSeed()
-	t.chunks = []*[strChunkSize]string{new([strChunkSize]string)}
+	t.chunks = []*strChunk{new(strChunk)}
 	t.n = 1 // ""
 }
 
@@ -230,9 +324,10 @@ func (t *strtab) lookup(s string) uint32 {
 	}
 	id := t.n
 	if id&(strChunkSize-1) == 0 {
-		t.chunks = append(t.chunks, new([strChunkSize]string))
+		t.chunks = append(t.chunks, new(strChunk))
 	}
-	t.chunks[id>>strShift][id&(strChunkSize-1)] = t.keep(s)
+	c, k := t.chunks[id>>strShift], id&(strChunkSize-1)
+	c.s[k], c.esc[k] = t.keep(s), needsEscape(s)
 	t.n++
 	t.index[i] = uint64(h)<<32 | uint64(id)
 	if 2*t.n > uint32(len(t.index)) {
@@ -274,5 +369,20 @@ func (t *strtab) str(id uint32) string {
 	if id == 0 {
 		return ""
 	}
-	return t.chunks[id>>strShift][id&(strChunkSize-1)]
+	return t.chunks[id>>strShift].s[id&(strChunkSize-1)]
+}
+
+// appendJSON appends the string id names as a JSON string literal: one
+// copy when it needs no escaping, as most do.
+func (t *strtab) appendJSON(buf []byte, id uint32) []byte {
+	if id == 0 {
+		return append(buf, '"', '"')
+	}
+	c, k := t.chunks[id>>strShift], id&(strChunkSize-1)
+	if c.esc[k] {
+		return appendJSONString(buf, c.s[k])
+	}
+	buf = append(buf, '"')
+	buf = append(buf, c.s[k]...)
+	return append(buf, '"')
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -341,5 +342,57 @@ func TestAnalyzeCopiesNothing(t *testing.T) {
 	}
 	if p := a.Check(); len(p) != 0 || len(a.RequestTrees()) != 100 {
 		t.Fatalf("analysis of the synthetic trace: %d request trees, problems %v", len(a.RequestTrees()), p)
+	}
+}
+
+// Concat, Itoa and Child build what +, strconv.Itoa and Ctx.Child build,
+// with a tracer or without one. With one, the result is the string table's
+// copy: a string seen before costs no allocation and comes back at the same
+// address, and one seen first is copied, so it keeps no part alive.
+func TestTableBuiltStrings(t *testing.T) {
+	tr := New(vtime.New())
+	var nilTracer *Tracer
+	parts := [][]string{nil, {""}, {"hop"}, {"call:", "submit", "#", "17"}, {"", "a", "", "b\n\""}}
+	for _, p := range parts {
+		want := strings.Join(p, "")
+		if got := tr.Concat(p...); got != want {
+			t.Errorf("Concat(%q) = %q, want %q", p, got, want)
+		}
+		if got := nilTracer.Concat(p...); got != want {
+			t.Errorf("nil Concat(%q) = %q, want %q", p, got, want)
+		}
+		for _, c := range []Ctx{{}, {Req: "r"}, NewRequest("r"), {Req: "r", Span: "req/x"}} {
+			want := c.Child(p...)
+			if got := tr.Child(c, p...); got != want {
+				t.Errorf("Child(%+v, %q) = %+v, want %+v", c, p, got, want)
+			}
+			if got := nilTracer.Child(c, p...); got != want {
+				t.Errorf("nil Child(%+v, %q) = %+v, want %+v", c, p, got, want)
+			}
+		}
+	}
+	for _, n := range []int{-12, 0, 7, 99, 100, 65535, 1 << 40} {
+		if got, want := tr.Itoa(n), strconv.Itoa(n); got != want || nilTracer.Itoa(n) != want {
+			t.Errorf("Itoa(%d) = %q and %q without a tracer, want %q", n, got, nilTracer.Itoa(n), want)
+		}
+	}
+
+	buf := strings.Repeat("x", 64<<10) + "call:submit"
+	method := buf[64<<10+len("call:"):]
+	first := tr.Concat("call:", method)
+	lo, p := uintptr(unsafe.Pointer(unsafe.StringData(buf))), uintptr(unsafe.Pointer(unsafe.StringData(first)))
+	if p >= lo && p < lo+uintptr(len(buf)) {
+		t.Error("Concat returned a view of its part")
+	}
+	ctx := NewRequest("r1")
+	span := tr.Child(ctx, "call:", method, "#", tr.Itoa(250)).Span
+	if allocs := testing.AllocsPerRun(100, func() {
+		if s := tr.Concat("call:", method); unsafe.StringData(s) != unsafe.StringData(first) {
+			t.Fatal("the same string came back at another address")
+		}
+		tr.Child(ctx, "call:", method, "#", tr.Itoa(250))
+		tr.InstantCtx(Ctx{Req: ctx.Req, Span: span}, "rpc", first, "a", "a->b", "")
+	}); allocs != 0 {
+		t.Errorf("strings the table has, and an event that carries them: %v allocations, want 0", allocs)
 	}
 }

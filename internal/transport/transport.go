@@ -508,7 +508,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	}
 	if tr := n.Tracer(); tr.Enabled() {
 		names := client.names()
-		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, names.to, names.flow, dialStart,
+		tr.SpanCtx(tr.Child(ctx, "dial"), "transport", "dial", h.name, names.to, names.flow, dialStart,
 			trace.Arg{Key: "outcome", Val: "ok"})
 	}
 	return client, nil
@@ -519,7 +519,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 // take them.
 func (h *Host) traceFailedDial(to Addr, ctx trace.Ctx, start time.Duration, outcome string) {
 	if tr := h.net.Tracer(); tr.Enabled() {
-		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", start,
+		tr.SpanCtx(tr.Child(ctx, "dial"), "transport", "dial", h.name, to.String(), "", start,
 			trace.Arg{Key: "outcome", Val: outcome})
 	}
 }
@@ -885,7 +885,7 @@ func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
 	c.peer.host.count(hostRecv, len(payload))
 	if tr := c.net.Tracer(); tr.Enabled() {
 		tr.InstantCtx(m.ctx, "transport", "recv", c.remote.Host, c.peer.names().dir, c.Flow(),
-			trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))})
+			trace.Arg{Key: "bytes", Val: tr.Itoa(len(payload))})
 	}
 }
 
@@ -906,7 +906,7 @@ func (c *Conn) dropped(size int, reason string, ctx trace.Ctx) {
 	}
 	if tr := c.net.Tracer(); tr.Enabled() {
 		tr.InstantCtx(ctx, "transport", "drop", c.local.Host, c.names().dir, c.Flow(),
-			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
+			trace.Arg{Key: "bytes", Val: tr.Itoa(size)},
 			trace.Arg{Key: "reason", Val: reason})
 	}
 }
@@ -1010,8 +1010,8 @@ func (c *Conn) enqueueLocked(m outMsg) bool {
 // strings are built only if a tracer is there to take them.
 func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 	if tr := c.net.Tracer(); tr.Enabled() {
-		tr.SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.names().dir, c.Flow(), start, end,
-			trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
+		tr.SpanAtCtx(tr.Child(ctx, "hop"), "transport", "hop", c.local.Host, c.names().dir, c.Flow(), start, end,
+			trace.Arg{Key: "bytes", Val: tr.Itoa(size)},
 			trace.Arg{Key: "to", Val: c.names().to})
 	}
 }

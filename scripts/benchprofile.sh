@@ -8,37 +8,45 @@
 #   scripts/benchprofile.sh <workload> [seed=7] [rounds=1]
 #
 # <workload> is one of the benchmark's five (BENCHMARK.json), or "layers".
-# The script generates a copy of bench/main.go in which the child's round
-# (the runChild call) runs between pprof.StartCPUProfile and a heap profile
-# written after a collection, builds ./bench with that copy laid over the
-# original (go build -overlay; the working tree is read, not written), and
+# The script profiles the timed window of a round and nothing else: a
+# generated copy of bench/workloads.go starts the CPU profile when the round
+# opens its window (round.begin) and stops it when the window closes
+# (round.end), writing an allocation profile at both points; what a round
+# does after its window (the traced round's analysis and checks) is in
+# neither. A "layers" child has no timed window, so a generated copy of
+# bench/main.go profiles its whole run instead. The script builds ./bench with
+# the copies laid over the originals (go build -overlay, with one added file
+# holding the profiling helpers; the working tree is read, not written), and
 # runs `rounds` `-child <workload> -seed <s>` rounds, s = seed ..
 # seed+rounds-1, at GOMAXPROCS=1, as the benchmark's own rounds run. It
 # prints each round's result line, then the top 25 entries by cumulative CPU
 # time, the share of CPU spent in encoding/json, the top 25 functions by
 # bytes allocated, and two per-layer tables, CPU time and allocated objects,
-# over every round's profile merged: one round is about 130 CPU samples, too
-# few to rank anything under 5 %.
+# over every round's profile merged (allocations net of the profile taken
+# when the window opened, pprof -base): one round is about 130 CPU samples,
+# too few to rank anything under 5 %.
 #
 # The per-layer rule: each sample is charged whole to the innermost frame of
 # its stack whose function is in a package cogrid/internal/<pkg>, and that
 # <pkg> is its layer; a sample with no such frame (the collector, the
 # scheduler, the benchmark's own main package) is charged to runtime/GC. So a
 # layer's row is its self cost plus what it spends in the standard library,
-# and each table sums to 100 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof and the
-# binary in a temporary directory whose name is the last line, for
-# `go tool pprof -list`, `-peek` and `-sample_index=alloc_objects` (name
-# every round's file to merge them there too).
+# and each table sums to 100 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof,
+# allocs-begin-<s>.pprof and the binary in a temporary directory whose name
+# is the last line, for `go tool pprof -list`, `-peek` and
+# `-sample_index=alloc_objects` (name every round's file to merge them, and
+# pass the allocs-begin files as -base).
 #
-# The copy is made by replacing two anchor lines of bench/main.go, the
-# import block's opening and the runChild call; if either is no longer there
-# exactly once the script stops and says so, since a profile of something
-# else would be worse than none. Profiling slows the round a little: read
-# shares from it, and take wall-clock numbers from benchpair.sh.
+# The copies are made by replacing three anchor lines: the opening lines of
+# round.begin and round.end in bench/workloads.go, and the runChild call in
+# bench/main.go. If any is no longer there exactly once the script stops and
+# says so, since a profile of something else would be worse than none.
+# Profiling slows the round a little: read shares from it, and take
+# wall-clock numbers from benchpair.sh.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,37p' "$0" >&2
+    sed -n '2,45p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -49,34 +57,63 @@ cd "$(dirname "$0")/.."
 root=$(pwd)
 tmp=$(mktemp -d)
 
-awk -v dir="$tmp" '
-$0 == "import (" {
-    print; print "\t\"runtime\""; print "\t\"runtime/pprof\""
-    imports++; next
-}
-$0 == "\t\trunChild(*child, *seed, *traced, time.Unix(0, *spawned))" {
-    print "\t\tcpu, err := os.Create(fmt.Sprintf(\"" dir "/cpu-%d.pprof\", *seed))"
-    print "\t\tmust(err)"
-    print "\t\tmust(pprof.StartCPUProfile(cpu))"
-    print
-    print "\t\tpprof.StopCPUProfile()"
-    print "\t\tmust(cpu.Close())"
-    print "\t\truntime.GC() // the allocation profile is complete up to the last collection"
-    print "\t\tallocs, err := os.Create(fmt.Sprintf(\"" dir "/allocs-%d.pprof\", *seed))"
-    print "\t\tmust(err)"
-    print "\t\tmust(pprof.Lookup(\"allocs\").WriteTo(allocs, 0))"
-    print "\t\tmust(allocs.Close())"
-    calls++; next
-}
-{ print }
-END {
-    if (imports != 1 || calls != 1) {
-        print "benchprofile: bench/main.go no longer has its anchor lines exactly once (import block opening: " imports+0 ", runChild call: " calls+0 "); update scripts/benchprofile.sh" > "/dev/stderr"
-        exit 1
+# anchor <from> <to> <line> <replacement>...: <to> is <from> with the one
+# line equal to <line> replaced by the replacement lines.
+anchor() {
+    from=$1 to=$2 line=$3
+    shift 3
+    printf '%s\n' "$@" >"$tmp/replacement"
+    awk -v line="$line" -v rep="$tmp/replacement" '
+    $0 == line { while ((getline r < rep) > 0) print r; close(rep); found++; next }
+    { print }
+    END { exit found == 1 ? 0 : 1 }' "$from" >"$to" || {
+        echo "benchprofile: bench/ no longer has the line \"$line\" exactly once; update scripts/benchprofile.sh" >&2
+        rm -rf "$tmp"
+        exit 2
     }
-}' bench/main.go >"$tmp/main.go" || { rm -rf "$tmp"; exit 2; }
+}
+anchor bench/workloads.go "$tmp/begin.go" 'func (r *round) begin() {' 'func (r *round) begin() {' '	defer profileStart(r.Seed)'
+anchor "$tmp/begin.go" "$tmp/workloads.go" 'func (r *round) end() {' 'func (r *round) end() {' '	defer profileStop(r.Seed)'
+anchor bench/main.go "$tmp/main.go" '		runChild(*child, *seed, *traced, time.Unix(0, *spawned))' \
+    '		if *child == "layers" {' '			profileStart(*seed)' '			defer profileStop(*seed)' '		}' \
+    '		runChild(*child, *seed, *traced, time.Unix(0, *spawned))'
+cat >"$tmp/profile.go" <<EOF
+package main
 
-printf '{"Replace": {"%s/bench/main.go": "%s/main.go"}}\n' "$root" "$tmp" >"$tmp/overlay.json"
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
+)
+
+var profileCPU *os.File
+
+func profileStart(seed int64) {
+	profileAllocs(fmt.Sprintf("$tmp/allocs-begin-%d.pprof", seed))
+	f, err := os.Create(fmt.Sprintf("$tmp/cpu-%d.pprof", seed))
+	must(err)
+	must(pprof.StartCPUProfile(f))
+	profileCPU = f
+}
+
+func profileStop(seed int64) {
+	pprof.StopCPUProfile()
+	must(profileCPU.Close())
+	profileAllocs(fmt.Sprintf("$tmp/allocs-%d.pprof", seed))
+}
+
+func profileAllocs(path string) {
+	runtime.GC() // the allocation profile is complete up to the last collection
+	f, err := os.Create(path)
+	must(err)
+	must(pprof.Lookup("allocs").WriteTo(f, 0))
+	must(f.Close())
+}
+EOF
+printf '{"Replace": {"%s/bench/%s": "%s/%s", "%s/bench/%s": "%s/%s", "%s/bench/%s": "%s/%s"}}\n' \
+    "$root" main.go "$tmp" main.go "$root" workloads.go "$tmp" workloads.go "$root" zz_profile.go "$tmp" profile.go \
+    >"$tmp/overlay.json"
 go build -overlay "$tmp/overlay.json" -o "$tmp/bench" ./bench
 
 last=$((seed + rounds - 1))
@@ -98,17 +135,21 @@ json=$(go tool pprof -top -focus='^encoding/json\.' -nodefraction=0 -nodecount=1
     sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*\)% of .*/\1/p')
 echo "encoding/json: ${json:-0} % of CPU over $rounds rounds"
 echo
+# The allocation tables count what each window allocated: the profile
+# written at its close, less the one written at its opening.
+base=$(for f in "$tmp"/allocs-begin-*.pprof; do printf ' -base %s' "$f"; done)
 echo "== bytes allocated, top 25 functions, $rounds round(s) merged"
-go tool pprof -sample_index=alloc_space -top -nodecount=25 "$tmp/bench" "$tmp"/allocs-*.pprof 2>/dev/null | sed -n '/flat%/,$p'
+go tool pprof -sample_index=alloc_space -top -nodecount=25 $base "$tmp/bench" "$tmp"/allocs-[0-9]*.pprof 2>/dev/null |
+    sed -n '/flat%/,$p'
 echo
-# layers <sample index> <unit> <profile>...: the per-layer table of the
+# layers <sample index> <unit> <pprof flags> <profile>...: the per-layer table of the
 # merged profiles, by the rule in the header. pprof -traces prints each
 # distinct stack as a separator line, an optional "bytes:" tag line, the
 # sample value with the innermost frame, and the frames around it, one a line.
 layers() {
-    index=$1 unit=$2
-    shift 2
-    go tool pprof -sample_index="$index" -traces "$tmp/bench" "$@" 2>/dev/null | awk -v unit="$unit" '
+    index=$1 unit=$2 flags=$3
+    shift 3
+    go tool pprof -sample_index="$index" -traces $flags "$tmp/bench" "$@" 2>/dev/null | awk -v unit="$unit" '
     function charge() {
         if (v != "") {
             share[layer == "" ? "runtime/GC" : layer] += v
@@ -137,9 +178,9 @@ layers() {
     }' | sort -k2,2nr
 }
 echo "== CPU by layer, $rounds round(s) merged (innermost cogrid/internal/<pkg> frame, else runtime/GC)"
-layers cpu ms "$tmp"/cpu-*.pprof
+layers cpu ms "" "$tmp"/cpu-*.pprof
 echo
 echo "== allocated objects by layer, $rounds round(s) merged (same rule)"
-layers alloc_objects objects "$tmp"/allocs-*.pprof
+layers alloc_objects objects "$base" "$tmp"/allocs-[0-9]*.pprof
 echo
 echo "$tmp"
