@@ -328,7 +328,7 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 			}
 			reason := job.Reason()
 			if tr := net.Tracer(); tr.Enabled() {
-				tr.InstantCtx(jobCtx, "gram", stateEvent(state), s.host.Name(), contact, "",
+				tr.InstantCtx(jobCtx, "gram", stateEvents[state], s.host.Name(), contact, "",
 					trace.Arg{Key: "reason", Val: reason})
 			}
 			net.Counters().AddKey("gram", "state", state.String(), s.host.Name(), 1)
@@ -343,20 +343,8 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 	return submitReply{JobContact: contact}, nil
 }
 
-// stateEvents are the names of the trace events of a job's transitions,
-// indexed by state.
-var stateEvents = [...]string{
-	lrm.StatePending: "state:PENDING", lrm.StateActive: "state:ACTIVE", lrm.StateDone: "state:DONE",
-	lrm.StateFailed: "state:FAILED", lrm.StateCancelled: "state:CANCELLED", lrm.StateSuspended: "state:SUSPENDED",
-}
-
-// stateEvent is "state:" + state.String().
-func stateEvent(state lrm.JobState) string {
-	if int(state) >= 0 && int(state) < len(stateEvents) {
-		return stateEvents[state]
-	}
-	return "state:" + state.String()
-}
+// stateEvents names a job's transitions in the trace, indexed by state.
+var stateEvents = [...]string{"state:PENDING", "state:ACTIVE", "state:DONE", "state:FAILED", "state:CANCELLED", "state:SUSPENDED"}
 
 // ParseJobRSL converts a single-subjob RSL conjunction into an lrm.JobSpec.
 // Recognized attributes: executable (required), count (required),

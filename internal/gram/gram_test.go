@@ -543,11 +543,14 @@ func TestSubmitQueuedAtHandshakeEndIsServed(t *testing.T) {
 }
 
 // The trace event of a job's transition is named from a table indexed by
-// state: the same name "state:" + String() gives, out-of-range states too.
+// state, with the name "state:" + String() gives.
 func TestStateEventNames(t *testing.T) {
-	for s := lrm.JobState(-1); s <= lrm.StateSuspended+1; s++ {
-		if got, want := stateEvent(s), "state:"+s.String(); got != want {
-			t.Errorf("stateEvent(%d) = %q, want %q", s, got, want)
+	if len(stateEvents) != int(lrm.StateSuspended)+1 {
+		t.Fatalf("%d state event names for %d states", len(stateEvents), lrm.StateSuspended+1)
+	}
+	for s, name := range stateEvents {
+		if want := "state:" + lrm.JobState(s).String(); name != want {
+			t.Errorf("stateEvents[%d] = %q, want %q", s, name, want)
 		}
 	}
 }

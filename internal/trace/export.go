@@ -75,71 +75,57 @@ func writeJSONL(w io.Writer, n int, appendAt func(buf []byte, i int) []byte) err
 	return nil
 }
 
-// appendJSONLEvent appends one event as a JSON object plus newline,
-// mirroring jsonlEvent's field order and omitempty semantics.
+// appendJSONLEvent appends one event as a JSON object plus newline.
 func appendJSONLEvent(buf []byte, ev *Event) []byte {
-	buf = append(buf, `{"at":`...)
-	buf = strconv.AppendInt(buf, int64(ev.At), 10)
-	if ev.Dur != 0 {
-		buf = append(buf, `,"dur":`...)
-		buf = strconv.AppendInt(buf, int64(ev.Dur), 10)
-	}
-	buf = append(buf, `,"cat":`...)
-	buf = appendJSONString(buf, ev.Cat)
-	buf = append(buf, `,"name":`...)
-	buf = appendJSONString(buf, ev.Name)
-	buf = appendOptField(buf, "proc", ev.Proc)
-	buf = appendOptField(buf, "thr", ev.Thr)
-	buf = appendOptField(buf, "id", ev.ID)
-	buf = appendOptField(buf, "req", ev.Req)
-	buf = appendOptField(buf, "span", ev.Span)
-	buf = appendArgs(buf, len(ev.Args), func(k int) string { return ev.Args[k].Key },
-		func(buf []byte, k int) []byte {
-			buf = appendJSONString(buf, ev.Args[k].Key)
-			buf = append(buf, ':')
-			return appendJSONString(buf, ev.Args[k].Val)
-		})
-	return append(buf, '}', '\n')
+	return appendJSONL(buf, int64(ev.At), int64(ev.Dur), &[7]string{ev.Cat, ev.Name, ev.Proc, ev.Thr, ev.ID, ev.Req, ev.Span},
+		len(ev.Args), func(k int) (string, string) { return ev.Args[k].Key, ev.Args[k].Val },
+		func(s string) string { return s }, appendJSONString)
 }
 
-// appendArgs appends the "args" member of an event with n args, if it has
-// any: key(k) is the k-th one's key, and pair appends it as a member. Keys
-// are written in sorted order, as encoding/json writes a map, and each
-// distinct key once, with its first value. Arg lists are tiny (≤ ~3), so an
-// index selection sort avoids allocating a scratch slice.
-func appendArgs(buf []byte, n int, key func(k int) string, pair func(buf []byte, k int) []byte) []byte {
-	if n == 0 {
-		return buf
+// appendJSONL appends one event as a JSON object plus newline, mirroring
+// jsonlEvent's field order and omitempty semantics. The event's Cat, Name,
+// Proc, Thr, ID, Req and Span are f, and arg(k) is its k-th arg's key and
+// value, each a string or a string-table id (the zero S is ""): text
+// resolves one, and json appends it as a JSON string. Arg keys are written
+// in sorted order, as encoding/json writes a map, and each distinct key
+// once, with its first value; arg lists are tiny (≤ ~3), so an index
+// selection sort avoids allocating a scratch slice.
+func appendJSONL[S comparable](buf []byte, at, dur int64, f *[7]S, nargs int, arg func(k int) (key, val S),
+	text func(S) string, json func([]byte, S) []byte) []byte {
+	buf = strconv.AppendInt(append(buf, `{"at":`...), at, 10)
+	if dur != 0 {
+		buf = strconv.AppendInt(append(buf, `,"dur":`...), dur, 10)
 	}
-	buf = append(buf, `,"args":{`...)
-	prev := ""
-	for emitted := 0; emitted < n; emitted++ {
-		next, least := -1, ""
-		for k := 0; k < n; k++ {
-			if c := key(k); (emitted == 0 || c > prev) && (next < 0 || c < least) {
-				next, least = k, c
+	var empty S
+	for i, member := range [...]string{`,"cat":`, `,"name":`, `,"proc":`, `,"thr":`, `,"id":`, `,"req":`, `,"span":`} {
+		if i < 2 || f[i] != empty {
+			buf = json(append(buf, member...), f[i])
+		}
+	}
+	if nargs > 0 {
+		buf = append(buf, `,"args":{`...)
+		prev := ""
+		for emitted := 0; emitted < nargs; emitted++ {
+			next, least := -1, ""
+			for k := 0; k < nargs; k++ {
+				key, _ := arg(k)
+				if c := text(key); (emitted == 0 || c > prev) && (next < 0 || c < least) {
+					next, least = k, c
+				}
 			}
+			if next < 0 {
+				break // duplicate keys: emit each distinct key once
+			}
+			if emitted > 0 {
+				buf = append(buf, ',')
+			}
+			key, val := arg(next)
+			buf = json(append(json(buf, key), ':'), val)
+			prev = least
 		}
-		if next < 0 {
-			break // duplicate keys: emit each distinct key once
-		}
-		if emitted > 0 {
-			buf = append(buf, ',')
-		}
-		buf = pair(buf, next)
-		prev = least
+		buf = append(buf, '}')
 	}
-	return append(buf, '}')
-}
-
-func appendOptField(buf []byte, key, val string) []byte {
-	if val == "" {
-		return buf
-	}
-	buf = append(buf, ',', '"')
-	buf = append(buf, key...)
-	buf = append(buf, '"', ':')
-	return appendJSONString(buf, val)
+	return append(buf, '}', '\n')
 }
 
 const hexDigits = "0123456789abcdef"

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"hash/maphash"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 	"unsafe"
@@ -111,31 +110,11 @@ func (s *store) event(r *record, args []Arg) Event {
 
 // appendJSONL is appendJSONLEvent on a stored event, encoded from its ids.
 func (s *store) appendJSONL(buf []byte, r *record) []byte {
-	t := &s.strs
-	buf = append(buf, `{"at":`...)
-	buf = strconv.AppendInt(buf, r.at, 10)
-	if r.dur != 0 {
-		buf = append(buf, `,"dur":`...)
-		buf = strconv.AppendInt(buf, r.dur, 10)
-	}
-	buf = append(buf, `,"cat":`...)
-	buf = t.appendJSON(buf, r.cat)
-	buf = append(buf, `,"name":`...)
-	buf = t.appendJSON(buf, r.name)
-	for _, f := range [...]struct {
-		member string
-		id     uint32
-	}{{`,"proc":`, r.proc}, {`,"thr":`, r.thr}, {`,"id":`, r.id}, {`,"req":`, r.req}, {`,"span":`, r.span}} {
-		if f.id != 0 {
-			buf = t.appendJSON(append(buf, f.member...), f.id)
-		}
-	}
-	buf = appendArgs(buf, int(r.nargs), func(k int) string { return t.str(s.arg(r.argOff + uint32(k)).key) },
-		func(buf []byte, k int) []byte {
+	return appendJSONL(buf, r.at, r.dur, &[7]uint32{r.cat, r.name, r.proc, r.thr, r.id, r.req, r.span},
+		int(r.nargs), func(k int) (uint32, uint32) {
 			a := s.arg(r.argOff + uint32(k))
-			return t.appendJSON(append(t.appendJSON(buf, a.key), ':'), a.val)
-		})
-	return append(buf, '}', '\n')
+			return a.key, a.val
+		}, s.strs.str, s.strs.appendJSON)
 }
 
 // sortKey is a stored event's place in the export sort: its time, which

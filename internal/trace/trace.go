@@ -139,16 +139,12 @@ func (t *Tracer) Itoa(n int) string {
 
 // Child is c.Child(parts...), the span path built by Concat.
 func (t *Tracer) Child(c Ctx, parts ...string) Ctx {
-	if t == nil || c.Req == "" {
+	if t == nil || c.Req == "" || c.Span == "" {
 		return c.Child(parts...)
-	}
-	sep := "/"
-	if c.Span == "" {
-		sep = ""
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Ctx{Req: c.Req, Span: t.store.strs.build(c.Span, sep, parts)}
+	return Ctx{Req: c.Req, Span: t.store.strs.build(c.Span, "/", parts)}
 }
 
 // Seg sanitizes s for use as a span path segment: "/" is the path
