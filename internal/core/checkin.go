@@ -8,8 +8,9 @@ import "cogrid/internal/wire"
 // carries the whole address book to every rank, so on a 64-process
 // co-allocation it is over nine tenths of all body bytes (DESIGN.md, "Wire
 // format"). The controller's barrier service is the one server of the pair,
-// and every proceed reply it sends comes from one release, below. The json
-// tags are the form a JSON-codec peer, or a foreign client, sees.
+// and every proceed reply it sends comes from one release, below, whose
+// encoding every rank's frame shares (AppendWireShared). The json tags are
+// the form a JSON-codec peer, or a foreign client, sees.
 
 // CheckinArgs is one process's arrival at the co-allocation barrier.
 type CheckinArgs struct {
@@ -29,7 +30,7 @@ type CheckinReply struct {
 
 	// shared, on a reply built by release.reply, is the release's encoding
 	// of Config's rank-independent fields.
-	shared []byte
+	shared *wire.Shared
 }
 
 func bit(b bool) uint64 {
@@ -49,10 +50,11 @@ func (a CheckinArgs) AppendWire(dst []byte) []byte {
 	return wire.AppendString(dst, a.Addr)
 }
 
-// ParseWire decodes a body written by AppendWire. Its strings are views
-// of src, as every decoded string is (see transport.Conn.Send).
-func (a *CheckinArgs) ParseWire(src []byte) error {
-	r := wire.NewReader(src)
+// ParseWire decodes a body written by AppendWire, received as head
+// followed by shared (see wire.NewReader). Its strings are views of them,
+// as every decoded string is (see transport.Conn.Send).
+func (a *CheckinArgs) ParseWire(head, shared []byte) error {
+	r := wire.NewReader(head, shared)
 	*a = CheckinArgs{
 		Job:    r.String(),
 		Subjob: r.String(),
@@ -73,14 +75,26 @@ func (a *CheckinArgs) ParseWire(src []byte) error {
 // (appendShared). A reply that was itself parsed appends its lists as the
 // bytes it kept.
 func (p CheckinReply) AppendWire(dst []byte) []byte {
+	dst, sh := p.AppendWireShared(dst)
+	if sh != nil {
+		return append(dst, sh.Bytes()...)
+	}
+	return dst
+}
+
+// AppendWireShared is AppendWire for a reply built by release.reply that
+// stops at the fields every rank shares and returns them, encoded and
+// checksummed once per release: rpc sends them beside each rank's frame,
+// uncopied. Any other reply is appended whole, and sh is nil.
+func (p CheckinReply) AppendWireShared(dst []byte) (_ []byte, sh *wire.Shared) {
 	dst = wire.AppendUvarint(dst, bit(p.Proceed))
 	dst = wire.AppendString(dst, p.Reason)
 	dst = wire.AppendVarint(dst, int64(p.Config.MySubjob))
 	dst = wire.AppendVarint(dst, int64(p.Config.MyRank))
 	if p.shared != nil {
-		return append(dst, p.shared...)
+		return dst, p.shared
 	}
-	return appendShared(dst, &p.Config)
+	return appendShared(dst, &p.Config), nil
 }
 
 // appendShared appends Config's rank-independent fields: subjob count,
@@ -96,15 +110,18 @@ func appendShared(dst []byte, cfg *Config) []byte {
 	return cfg.book.appendWire(dst)
 }
 
-// ParseWire decodes a body written by AppendWire, and validates all of it:
-// every length prefix of the labels and of the address book is walked, so
-// a truncated or over-long body fails here, before anything is used. The
+// ParseWire decodes a body written by AppendWire, received as head
+// followed by shared (see wire.NewReader): sent by AppendWireShared, the
+// per-rank fields are in head and the rest in shared. It validates all of
+// it: every length prefix of the labels and of the address book is walked,
+// so a truncated or over-long body fails here, before anything is used. The
 // two lists themselves are not decoded. Config keeps them as sub-slices of
-// src and decodes on demand, which is sound because src is a delivered
-// message (see transport.Conn.Send). A proceed reply costs one allocation,
-// the subjob sizes, however long its address book is.
-func (p *CheckinReply) ParseWire(src []byte) error {
-	r := wire.NewReader(src)
+// the part they arrived in, the release's shared part when there is one, and
+// decodes on demand, which is sound because that is a delivered message (see
+// transport.Conn.Send). A proceed reply costs one allocation, the subjob
+// sizes, however long its address book is.
+func (p *CheckinReply) ParseWire(head, shared []byte) error {
+	r := wire.NewReader(head, shared)
 	*p = CheckinReply{Proceed: r.Uvarint() != 0, Reason: r.String()}
 	cfg := &p.Config
 	cfg.MySubjob = r.Int()
@@ -128,24 +145,25 @@ func (p *CheckinReply) ParseWire(src []byte) error {
 
 // release is one commit decision in the form every rank's reply shares:
 // the committed configuration and the encoding of its rank-independent
-// fields, built once. A commit answers WorldSize processes with a reply of
-// O(WorldSize) bytes each; encoding the address book per reply would make
-// the release quadratic in work as well as in bytes.
+// fields, built and checksummed once. A commit answers WorldSize processes,
+// each with a reply of O(WorldSize) bytes; every one of them goes out as a
+// frame of its own per-rank fields beside this one encoding, so the release
+// is linear in work and in bytes allocated.
 type release struct {
 	cfg    Config
-	shared []byte // immutable
+	shared wire.Shared
 }
 
 // newRelease encodes cfg (whose MySubjob and MyRank are ignored) for
 // release. cfg's slices must not change afterwards.
 func newRelease(cfg Config) *release {
-	return &release{cfg: cfg, shared: appendShared(nil, &cfg)}
+	return &release{cfg: cfg, shared: wire.NewShared(appendShared(nil, &cfg))}
 }
 
 // reply returns the proceed reply for the process at subjob index
 // mySubjob and global rank myRank (-1 each for a late joiner).
 func (r *release) reply(mySubjob, myRank int) CheckinReply {
-	p := CheckinReply{Proceed: true, Config: r.cfg, shared: r.shared}
+	p := CheckinReply{Proceed: true, Config: r.cfg, shared: &r.shared}
 	p.Config.MySubjob, p.Config.MyRank = mySubjob, myRank
 	return p
 }

@@ -5,14 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
 
 	"cogrid/internal/core"
 	"cogrid/internal/lrm"
+	"cogrid/internal/rpc"
+	"cogrid/internal/transport"
+	"cogrid/internal/vtime"
 	"cogrid/internal/wire"
 )
 
@@ -37,7 +42,7 @@ func wideConfig(n, m int) core.Config {
 // of the body. It is the oracle the parser that
 // validates now and decodes on demand is compared with.
 func eagerParse(p *core.CheckinReply, src []byte) error {
-	r := wire.NewReader(src)
+	r := wire.NewReader(src, nil)
 	strs := func() []string {
 		n := r.Len()
 		if n == 0 {
@@ -121,14 +126,14 @@ func sameReply(a, b core.CheckinReply) bool {
 func TestCheckinBodyRoundTrip(t *testing.T) {
 	for _, a := range sampleArgs() {
 		var got core.CheckinArgs
-		if err := got.ParseWire(a.AppendWire(nil)); err != nil || got != a {
+		if err := got.ParseWire(a.AppendWire(nil), nil); err != nil || got != a {
 			t.Errorf("args %+v came back as %+v, %v", a, got, err)
 		}
 	}
 	for _, p := range sampleReplies() {
 		body := p.AppendWire(nil)
 		var got core.CheckinReply
-		if err := got.ParseWire(body); err != nil || !sameReply(got, p) {
+		if err := got.ParseWire(body, nil); err != nil || !sameReply(got, p) {
 			t.Errorf("reply %+v came back as %+v, %v", p, got, err)
 		}
 		// The encode-once form and the encode-per-reply form are the same
@@ -138,7 +143,7 @@ func TestCheckinBodyRoundTrip(t *testing.T) {
 			t.Errorf("reply %+v: shared and unshared encodings differ", p)
 		}
 		for n := 0; n < len(body); n++ {
-			if err := got.ParseWire(body[:n]); !errors.Is(err, wire.ErrFrame) {
+			if err := got.ParseWire(body[:n], nil); !errors.Is(err, wire.ErrFrame) {
 				t.Fatalf("reply truncated to %d of %d bytes: err = %v, want ErrFrame", n, len(body), err)
 			}
 		}
@@ -148,7 +153,7 @@ func TestCheckinBodyRoundTrip(t *testing.T) {
 	// sizes count of 2⁴⁰.
 	hostile := wire.AppendUvarint([]byte{1, 0, 0, 0, 0}, 1<<40)
 	var got core.CheckinReply
-	if err := got.ParseWire(hostile); !errors.Is(err, wire.ErrFrame) {
+	if err := got.ParseWire(hostile, nil); !errors.Is(err, wire.ErrFrame) {
 		t.Errorf("over-long count: err = %v, want ErrFrame", err)
 	}
 }
@@ -178,7 +183,7 @@ func FuzzCheckinBody(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 4, 2, 1, 'a', 9, 'b', 'c'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p, eager core.CheckinReply
-		err, eagerErr := p.ParseWire(data), eagerParse(&eager, data)
+		err, eagerErr := p.ParseWire(data, nil), eagerParse(&eager, data)
 		if (err == nil) != (eagerErr == nil) {
 			t.Fatalf("reply parse: %v, eager parse: %v", err, eagerErr)
 		}
@@ -195,7 +200,7 @@ func FuzzCheckinBody(f *testing.F) {
 			}
 			body := p.AppendWire(nil)
 			var again core.CheckinReply
-			if err := again.ParseWire(body); err != nil || !sameReply(again, p) {
+			if err := again.ParseWire(body, nil); err != nil || !sameReply(again, p) {
 				t.Fatalf("reply not a round-trip fixpoint: %+v then %+v, %v", p, again, err)
 			}
 			if !bytes.Equal(again.AppendWire(nil), body) {
@@ -203,13 +208,13 @@ func FuzzCheckinBody(f *testing.F) {
 			}
 		}
 		var a core.CheckinArgs
-		if err := a.ParseWire(data); err != nil {
+		if err := a.ParseWire(data, nil); err != nil {
 			if !errors.Is(err, wire.ErrFrame) || a != (core.CheckinArgs{}) {
 				t.Fatalf("args parse: err %v, left %+v", err, a)
 			}
 		} else {
 			var again core.CheckinArgs
-			if err := again.ParseWire(a.AppendWire(nil)); err != nil || again != a {
+			if err := again.ParseWire(a.AppendWire(nil), nil); err != nil || again != a {
 				t.Fatalf("args not a round-trip fixpoint: %+v then %+v, %v", a, again, err)
 			}
 		}
@@ -243,7 +248,7 @@ func TestCheckinReplyParseAllocs(t *testing.T) {
 	var p core.CheckinReply
 	parse := func(body []byte) func() {
 		return func() {
-			if err := p.ParseWire(body); err != nil {
+			if err := p.ParseWire(body, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -277,6 +282,72 @@ func TestCheckinReplyParseAllocs(t *testing.T) {
 	}
 }
 
+// TestCheckinReplySendAllocs holds the send side of a release to a constant
+// as well: answering one rank's check-in, through rpc and across a
+// connection to the reply read at the far end, costs the same allocations
+// and bytes for an 8 × 8 release as for an 8 × 128 one. Each rank's frame
+// is its own per-rank fields and checksum, sent beside the release's one
+// encoding; it used to be a copy of the whole encoding, about 40 KB more
+// for the longer book.
+func TestCheckinReplySendAllocs(t *testing.T) {
+	sim := vtime.New()
+	// Messages arrive in the instant they are sent: every call's timeout
+	// goes into one slot of the kernel's timer wheel, which grows alike in
+	// both measurements once each starts an hour after the last.
+	net := transport.New(sim, transport.UniformLatency(0))
+	client, server := net.AddHost("ws"), net.AddHost("ctrl")
+	releases := []func(mySubjob, myRank int) core.CheckinReply{
+		core.NewRelease(wideConfig(8, 8)).Reply,
+		core.NewRelease(wideConfig(8, 128)).Reply,
+	}
+	answer := releases[0]
+	l, err := server.Listen("barrier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc.Serve(sim, l, rpc.HandlerFuncs{Call: func(*rpc.ServerConn, string, json.RawMessage) (any, error) {
+		return answer(3, 27), nil
+	}}, nil)
+	err = sim.Run("rank", func() {
+		conn, err := client.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rpc.NewClient(sim, conn)
+		defer c.Close()
+		args := core.CheckinArgs{Job: "j", Subjob: "site3", Rank: 3, OK: true, Addr: "machine03:app.j.site3.3"}
+		var reply core.CheckinReply
+		call := func() {
+			if err := c.Call("checkin", args, &reply, time.Minute); err != nil || reply.Config.MyRank != 27 {
+				t.Fatalf("checkin = %+v, %v", reply, err)
+			}
+		}
+		// No collection empties the buffer pools halfway through one of the
+		// two measurements.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for _, answer = range releases { // buffer pools, timer entries, run queue
+			allocated(100, call)
+		}
+		var allocs, size [2]float64
+		for i, rel := range releases {
+			answer = rel
+			sim.Sleep(time.Hour)
+			allocs[i], size[i] = allocated(200, call)
+		}
+		t.Logf("answering one rank: %.2f allocations and %.0f bytes (8 × 8), %.2f and %.0f (8 × 128)",
+			allocs[0], size[0], allocs[1], size[1])
+		// The same, but for the odd allocation the process makes beside the
+		// calls: a copy of the longer book per frame would be 40 KB a call.
+		if (math.Round(allocs[1]) != math.Round(allocs[0]) || math.Abs(size[1]-size[0]) > 8) && !raceEnabled {
+			t.Errorf("answering one rank of an 8 × 128 release costs %v allocations and %v bytes, of an 8 × 8 one %v and %v: want the same",
+				allocs[1], size[1], allocs[0], size[0])
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
 // BenchmarkReleaseEveryRankReadsAll is the workload on the other side of
 // decoding on demand: all 64 ranks of a release parse their reply and then
 // read the whole address book, which eager decoding had ready. The two
@@ -304,7 +375,7 @@ func BenchmarkReleaseEveryRankReadsAll(b *testing.B) {
 		}
 	}
 	b.Run("eager", run(eagerParse))
-	b.Run("on-demand", run((*core.CheckinReply).ParseWire))
+	b.Run("on-demand", run(func(p *core.CheckinReply, body []byte) error { return p.ParseWire(body, nil) }))
 }
 
 var benchSink int
@@ -312,7 +383,10 @@ var benchSink int
 // TestReleaseEncodesOnce answers the sixteen check-ins of a 4 × 4 job at
 // the controller's barrier service and requires every reply to append the
 // very same bytes — one backing array, so the commit encoded its address
-// book once, not sixteen times.
+// book once, not sixteen times. Then it runs a 4 × 4 job whose processes
+// check in over the network, and requires what every one of them received
+// to reference one backing array too: each rank's frame was sent beside
+// the release's encoding, not with a copy of it.
 func TestReleaseEncodesOnce(t *testing.T) {
 	machines := []string{"m1", "m2", "m3", "m4"}
 	rig := newRig(t, machines...)
@@ -344,9 +418,31 @@ func TestReleaseEncodesOnce(t *testing.T) {
 		}
 		rig.g.Sim.Sleep(time.Second)
 		job.Kill()
+
+		req = core.Request{}
+		for _, m := range machines {
+			req.Subjobs = append(req.Subjobs, rig.spec(m, 4, core.Required))
+		}
+		if job, err = rig.ctrl.Submit(req); err != nil {
+			t.Errorf("Submit: %v", err)
+			return
+		}
+		if _, err := job.Commit(0); err != nil {
+			t.Errorf("Commit: %v", err)
+		}
+		job.Done().Wait()
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+	if len(rig.proceeded) != 16 {
+		t.Fatalf("%d processes proceeded, want 16", len(rig.proceeded))
+	}
+	delivered := core.AddressBookWire(rig.proceeded[0])
+	for _, cfg := range rig.proceeded {
+		if book := core.AddressBookWire(cfg); len(book) == 0 || len(book) != len(delivered) || &book[0] != &delivered[0] {
+			t.Fatalf("rank %d received an address book of its own", cfg.MyRank)
+		}
 	}
 	if len(replies) != 16 {
 		t.Fatalf("%d replies, want 16", len(replies))
@@ -439,7 +535,7 @@ func TestConfigJSONForm(t *testing.T) {
 		t.Errorf("empty proceed reply as JSON: %s, %v\nwant %s", js, err, want)
 	}
 	var parsed core.CheckinReply
-	if err := parsed.ParseWire(core.CheckinReply{Proceed: true}.AppendWire(nil)); err != nil {
+	if err := parsed.ParseWire(core.CheckinReply{Proceed: true}.AppendWire(nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	if js, err := json.Marshal(parsed); err != nil || string(js) != want {

@@ -315,12 +315,12 @@ func (e Event) String() string {
 // the address book, are read through methods, because a Config holds them
 // in the form it got them. One the controller builds at commit, or one
 // decoded from JSON, holds []string. One received in the typed check-in
-// reply holds the lists' encoding where the reply's frame left it
-// and decodes what is asked for, when it is asked: each of the 64 processes
-// of an 8 × 8 co-allocation is sent all 64 addresses and reads one, or
-// none. Such a Config keeps its frame alive (about 2.5 KB for 64 processes)
-// for as long as it is kept, and needs nothing else: the connection it came
-// over may close.
+// reply holds the lists' encoding where the reply left it, in the release's
+// shared part, and decodes what is asked for, when it is asked: each of the
+// 64 processes of an 8 × 8 co-allocation is sent all 64 addresses and reads
+// one, or none. Such a Config keeps that shared part alive (about 2.5 KB for
+// 64 processes, one array for all of them) for as long as it is kept, and
+// needs nothing else: the connection it came over may close.
 type Config struct {
 	// NSubjobs is the number of subjobs in the committed configuration.
 	NSubjobs int
@@ -343,7 +343,7 @@ type Config struct {
 type stringList struct {
 	built []string
 	// recv is the list as CheckinReply.ParseWire validated it: a read-only
-	// sub-slice of the reply's frame.
+	// sub-slice of the part of the reply it arrived in.
 	recv wire.StringList
 }
 

@@ -6,7 +6,16 @@ import "cogrid/internal/trace"
 var AppService = appService
 
 // SharedWire exposes the release-encoded region a reply appends.
-func SharedWire(r CheckinReply) []byte { return r.shared }
+func SharedWire(r CheckinReply) []byte {
+	if r.shared == nil {
+		return nil
+	}
+	return r.shared.Bytes()
+}
+
+// AddressBookWire exposes a received Config's address book as the bytes it
+// arrived in.
+func AddressBookWire(c Config) []byte { return c.book.recv }
 
 // NewRelease and its Reply expose the commit decision's encode-once form.
 var NewRelease = newRelease

@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -246,5 +248,92 @@ func TestShutdownWakesCallersInCallOrder(t *testing.T) {
 		if len(resumed) != callers {
 			t.Fatalf("run %d: %d of %d callers resumed", run, len(resumed), callers)
 		}
+	}
+}
+
+// releaseReply is a typed reply whose end every receiver of one release is
+// sent alike, as the barrier's check-in reply is: its rank, then a shared
+// address book.
+type releaseReply struct {
+	Rank   int
+	Book   wire.StringList
+	shared *wire.Shared
+}
+
+func (r releaseReply) AppendWireShared(dst []byte) ([]byte, *wire.Shared) {
+	return wire.AppendVarint(dst, int64(r.Rank)), r.shared
+}
+
+func (r *releaseReply) ParseWire(head, shared []byte) error {
+	rd := wire.NewReader(head, shared)
+	r.Rank, r.Book = rd.Int(), rd.StringList()
+	return rd.Done()
+}
+
+// A shared body is checked by every receiver, over every byte of its
+// frame. Four ranks are released with frames that share one address book;
+// one rank's copy of the book is corrupted in flight. That rank's client
+// drops its reply, counts one decode error and times out, and the other
+// three read theirs, each list a view of the one book that was sent.
+func TestCorruptSharedBodyDropsOnlyItsReply(t *testing.T) {
+	const ranks, corrupt = 4, 2
+	sim, _, ctrs, a, b := newTracedPair(t)
+	e := &contractEnv{t: t, sim: sim, ctrs: ctrs, a: a, b: b}
+	book := wire.AppendStrings(nil, []string{"a:app.0", "a:app.1", "a:app.2", "a:app.3"})
+	good := wire.NewShared(book)
+	// The corrupted rank is sent a copy of the book, checksummed as it was
+	// sent and changed once it is on its way.
+	copied := bytes.Clone(book)
+	bad := wire.NewShared(copied)
+	calls := make([]*Call, ranks)
+	arrived := 0
+	e.serve(callFunc(func(call *Call, method string, body json.RawMessage) {
+		var rank int
+		if err := Decode(body, &rank); err != nil {
+			t.Errorf("check-in body: %v", err)
+		}
+		calls[rank] = call
+		if arrived++; arrived < ranks {
+			return
+		}
+		for rank, call := range calls {
+			sh := &good
+			if rank == corrupt {
+				sh = &bad
+			}
+			call.Reply(releaseReply{Rank: rank, shared: sh}, nil)
+		}
+		copied[len(copied)/2] ^= 0x20
+	}))
+	replies := make([]releaseReply, ranks)
+	errs := make([]error, ranks)
+	err := sim.Run("ranks", func() {
+		wg := vtime.NewWaitGroup(sim)
+		wg.Add(ranks)
+		for rank := 0; rank < ranks; rank++ {
+			sim.Go(fmt.Sprintf("rank%d", rank), func() {
+				defer wg.Done()
+				errs[rank] = e.dial().Call("checkin", rank, &replies[rank], time.Second)
+			})
+		}
+		wg.Wait()
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	for rank, err := range errs {
+		if rank == corrupt {
+			if err != ErrTimeout {
+				t.Errorf("rank %d, sent a corrupt book: %v, want ErrTimeout", rank, err)
+			}
+			continue
+		}
+		r := replies[rank]
+		if err != nil || r.Rank != rank || len(r.Book) != len(book) || &r.Book[0] != &book[0] {
+			t.Errorf("rank %d: %v, rank %d, book %q; want its rank and a view of the book sent", rank, err, r.Rank, r.Book.All())
+		}
+	}
+	if got := e.counter("frame", "decode-error", "a"); got != 1 {
+		t.Errorf("rpc.frame.decode-error@a = %d, want 1", got)
 	}
 }

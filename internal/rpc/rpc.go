@@ -10,7 +10,10 @@
 // implementing two methods: AppendWire (on the value sent) and ParseWire (on
 // the pointer received into) for the typed binary form of internal/wire, or
 // AppendJSON and ParseJSON for hand-written JSON in exactly encoding/json's
-// bytes; see marshalBody and Decode.
+// bytes; see marshalBody and Decode. A typed body that many receivers are
+// sent alike ends in a wire.Shared, which its type hands over with
+// AppendWireShared instead of AppendWire; the frame then goes out in two
+// parts, and the shared one uncopied.
 //
 // Nothing here owns a process unless something blocks. The receive side of
 // a Client, a Server's listener and every connection a Server accepts each
@@ -207,16 +210,16 @@ func corrID(tr *trace.Tracer, conn *transport.Conn, id uint64) string {
 	return tr.Concat(conn.Flow(), "#", tr.Itoa(int(id)))
 }
 
-// drain hands frame every message that has arrived on conn and then
-// registers waiter for the next arrival: the step of a task that owns a
-// connection's receive side. It reports true once the connection is closed
-// and drained, when there is nothing left to wait for.
-func drain(conn *transport.Conn, waiter *vtime.Task, frame func(raw []byte)) (closed bool) {
+// drain hands frame every message that has arrived on conn, in its own and
+// shared parts, and then registers waiter for the next arrival: the step of
+// a task that owns a connection's receive side. It reports true once the
+// connection is closed and drained, when there is nothing left to wait for.
+func drain(conn *transport.Conn, waiter *vtime.Task, frame func(own, shared []byte)) (closed bool) {
 	for {
-		raw, err := conn.TryRecv()
+		own, shared, err := conn.TryRecv()
 		switch err {
 		case nil:
-			frame(raw)
+			frame(own, shared)
 		case transport.ErrWouldBlock:
 			conn.ReadyOnArrival(waiter)
 			return false
@@ -237,9 +240,9 @@ func (d *demuxer) RunTask() {
 }
 
 // dispatch routes one received frame.
-func (c *Client) dispatch(raw []byte) {
+func (c *Client) dispatch(own, shared []byte) {
 	var env wire.Envelope
-	if c.dec.Decode(raw, &env) != nil {
+	if c.dec.DecodeParts(own, shared, &env) != nil {
 		// Malformed frame (truncated, corrupted, bad CRC): drop, but
 		// count the drop so codec trouble is visible.
 		c.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", c.conn.LocalAddr().Host, 1)
@@ -266,7 +269,7 @@ func (c *Client) dispatch(raw []byte) {
 			c.conn.Network().Counters().AddKey("rpc", "reply", "drop", host, 1)
 		}
 	case wire.KindNotify:
-		if !c.notifications.TrySend(Notification{Method: env.Method, Body: env.Body, Ctx: envCtx(&env)}) {
+		if !c.notifications.TrySend(Notification{Method: env.Method, Body: wholeBody(&env), Ctx: envCtx(&env)}) {
 			// Nobody is draining the queue, or the client has shut down: the
 			// notification is lost here, and the loss is on the record.
 			if tr.Enabled() {
@@ -392,7 +395,7 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	if reply == nil {
 		return nil
 	}
-	return Decode(slot.env.Body, reply)
+	return decodeParts(slot.env.Body, slot.env.Shared, reply)
 }
 
 // Notify sends a one-way message under the connection's base context.
@@ -432,38 +435,52 @@ type sender struct {
 func (s *sender) bind(conn *transport.Conn) {
 	s.conn = conn
 	// A connection that is already closed fails the first real send too.
-	_ = conn.SendShared(s.enc.EncodePrologue(), trace.Ctx{})
+	_ = conn.SendShared(s.enc.EncodePrologue(), nil, trace.Ctx{})
 }
 
-// wireAppender and wireParser are how a message type opts into the typed
-// body form: AppendWire on the value sent, ParseWire on the pointer
-// received into (the marker byte is not theirs to write or read). A type
-// implements both or neither; nothing is registered anywhere.
+// wireAppender, wireSharer and wireParser are how a message type opts into
+// the typed body form: AppendWire or AppendWireShared on the value sent,
+// ParseWire on the pointer received into (the marker byte is not theirs to
+// write or read). A type that sends implements one of the first two, and
+// ParseWire; nothing is registered anywhere.
 type wireAppender interface {
 	AppendWire(dst []byte) []byte
 }
 
+// wireSharer is a typed body whose end many receivers are sent alike:
+// AppendWireShared appends the start, this receiver's, and returns the end,
+// or appends the whole body and returns nil.
+type wireSharer interface {
+	AppendWireShared(dst []byte) ([]byte, *wire.Shared)
+}
+
+// wireParser reads a typed body received as head followed by shared (see
+// wire.NewReader).
 type wireParser interface {
-	ParseWire(src []byte) error
+	ParseWire(head, shared []byte) error
 }
 
 // marshalBody appends the body encoding of v to dst: the typed form behind
-// wire.BodyMarker when v has one, JSON otherwise, by hand when v can. The
-// choice depends on v's type alone.
-func marshalBody(dst []byte, v any) ([]byte, error) {
+// wire.BodyMarker when v has one, JSON otherwise, by hand when v can. A typed
+// body may end in a part it shares with other frames, which is not appended
+// but returned. The choice depends on v's type alone.
+func marshalBody(dst []byte, v any) ([]byte, *wire.Shared, error) {
 	switch w := v.(type) {
 	case nil:
-		return dst, nil
+		return dst, nil, nil
+	case wireSharer:
+		dst, sh := w.AppendWireShared(append(dst, wire.BodyMarker))
+		return dst, sh, nil
 	case wireAppender:
-		return w.AppendWire(append(dst, wire.BodyMarker)), nil
+		return w.AppendWire(append(dst, wire.BodyMarker)), nil, nil
 	case interface{ AppendJSON(dst []byte) []byte }: // exactly json.Marshal's bytes
-		return w.AppendJSON(dst), nil
+		return w.AppendJSON(dst), nil, nil
 	}
 	js, err := json.Marshal(v)
 	if err != nil {
-		return dst, err
+		return dst, nil, err
 	}
-	return append(dst, js...), nil
+	return append(dst, js...), nil, nil
 }
 
 // Decode unmarshals a received body into v, tolerating an empty body. The
@@ -474,7 +491,16 @@ func marshalBody(dst []byte, v any) ([]byte, error) {
 // else, and leaves v as it was when it declines. What ParseWire and
 // ParseJSON read is views of body (see internal/wire), so body must be a
 // delivered frame's, or a copy its caller never writes again.
-func Decode(body json.RawMessage, v any) error {
+func Decode(body json.RawMessage, v any) error { return decodeParts(body, nil, v) }
+
+// decodeParts is Decode for a body received as body followed by shared
+// (wire.Envelope.Shared). Only a typed body is read in its parts; anything
+// else gets them joined, in a copy.
+func decodeParts(body, shared []byte, v any) error {
+	p, typed := v.(wireParser)
+	if len(shared) != 0 && (!typed || len(body) == 0 || body[0] != wire.BodyMarker) {
+		body, shared = append(body[:len(body):len(body)], shared...), nil
+	}
 	if len(body) == 0 {
 		return nil
 	}
@@ -484,36 +510,50 @@ func Decode(body json.RawMessage, v any) error {
 		}
 		return json.Unmarshal(body, v)
 	}
-	p, ok := v.(wireParser)
-	if !ok {
+	if !typed {
 		return fmt.Errorf("rpc: typed body received for %T, which has no ParseWire", v)
 	}
-	return p.ParseWire(body[1:])
+	return p.ParseWire(body[1:], shared)
+}
+
+// wholeBody returns env's body whole: a copy when it arrived in parts.
+func wholeBody(env *wire.Envelope) []byte {
+	if len(env.Shared) == 0 {
+		return env.Body
+	}
+	return append(env.Body[:len(env.Body):len(env.Body)], env.Shared...)
 }
 
 // send marshals arg as env's body and puts the envelope on the wire.
 func (s *sender) send(env *wire.Envelope, arg any) error {
 	buf := wire.GetBuf()
-	body, err := marshalBody(*buf, arg)
+	body, sh, err := marshalBody(*buf, arg)
 	if err != nil {
 		wire.PutBuf(buf)
 		return fmt.Errorf("rpc: marshal %s: %w", env.Method, err)
 	}
 	*buf = body
-	return s.sendFrame(env, buf)
+	return s.sendFrame(env, buf, sh)
 }
 
 // sendFrame sends env with the contents of the pooled buffer buf as its
-// body, and recycles buf. The frame is encoded behind the body in
-// the same buffer and the transport copies what it sends, so the
-// steady-state send path allocates nothing of its own.
-func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte) error {
+// body, followed by sh's bytes if sh is not nil, and recycles buf. The
+// transport is handed one new slice per frame and nothing else: a copy of
+// the frame, which is encoded behind the body in the same buffer, or the
+// frame's own part (wire.Encoder.EncodeShared) beside sh's bytes, which
+// every frame that ends in them shares uncopied.
+func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte, sh *wire.Shared) error {
 	defer wire.PutBuf(buf)
 	env.Body = *buf
 	ctx := envCtx(env)
 	s.mu.Lock()
-	*buf = s.enc.Encode(*buf, env)
-	err := s.conn.SendCtx((*buf)[len(env.Body):], ctx)
+	var err error
+	if sh != nil {
+		err = s.conn.SendShared(s.enc.EncodeShared(env, sh), sh.Bytes(), ctx)
+	} else {
+		*buf = s.enc.Encode(*buf, env)
+		err = s.conn.SendCtx((*buf)[len(env.Body):], ctx)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return ErrClosed
@@ -614,14 +654,15 @@ func (c *Call) Reply(result any, err error) {
 	reply := wire.Envelope{ID: c.id, Kind: wire.KindReply, Req: c.Ctx.Req, Span: c.Ctx.Span}
 	outcome := "ok"
 	buf := wire.GetBuf()
+	var sh *wire.Shared
 	if err != nil {
 		reply.Error = err.Error()
 		outcome = "error"
-	} else if body, merr := marshalBody(*buf, result); merr != nil {
+	} else if body, shared, merr := marshalBody(*buf, result); merr != nil {
 		reply.Error = "rpc: marshal reply: " + merr.Error()
 		outcome = "error"
 	} else {
-		*buf = body
+		*buf, sh = body, shared
 	}
 	host := conn.LocalAddr().Host
 	// The serve span covers handler execution and shares the call's
@@ -633,7 +674,7 @@ func (c *Call) Reply(result any, err error) {
 	}
 	conn.Network().Counters().AddKey("rpc", "serve", outcome, host, 1)
 	// The one error is ErrClosed: the client has gone, and is owed nothing.
-	_ = sc.out.sendFrame(&reply, buf)
+	_ = sc.out.sendFrame(&reply, buf, sh)
 }
 
 // Conn returns the connection the call came in on: where the handler finds
@@ -733,9 +774,9 @@ func (t *connTask) RunTask() {
 }
 
 // handle dispatches one received frame.
-func (sc *ServerConn) handle(raw []byte) {
+func (sc *ServerConn) handle(own, shared []byte) {
 	var env wire.Envelope
-	if sc.dec.Decode(raw, &env) != nil {
+	if sc.dec.DecodeParts(own, shared, &env) != nil {
 		sc.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", sc.conn.LocalAddr().Host, 1)
 		return
 	}
@@ -751,9 +792,9 @@ func (sc *ServerConn) handle(raw []byte) {
 			ctx = tr.Child(sc.conn.Ctx(), "serve")
 		}
 		call := &Call{Ctx: ctx, sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
-		sc.srv.handler.ServeCall(call, env.Method, env.Body)
+		sc.srv.handler.ServeCall(call, env.Method, wholeBody(&env))
 	case wire.KindNotify:
-		sc.srv.handler.HandleNotify(sc, env.Method, env.Body)
+		sc.srv.handler.HandleNotify(sc, env.Method, wholeBody(&env))
 	}
 }
 

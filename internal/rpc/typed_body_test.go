@@ -22,8 +22,8 @@ func (m typedMsg) AppendWire(dst []byte) []byte {
 	return wire.AppendVarint(wire.AppendString(dst, m.Text), int64(m.N))
 }
 
-func (m *typedMsg) ParseWire(src []byte) error {
-	r := wire.NewReader(src)
+func (m *typedMsg) ParseWire(head, shared []byte) error {
+	r := wire.NewReader(head, shared)
 	*m = typedMsg{Text: r.String(), N: r.Int()}
 	return r.Done()
 }
@@ -130,7 +130,7 @@ func (m *jsonMsg) json(j *wire.JSON) {
 // decodes, through encoding/json.
 func TestJSONBodyDispatch(t *testing.T) {
 	msg := jsonMsg{Text: "&(count=1)", N: -3}
-	body, err := marshalBody(nil, msg)
+	body, _, err := marshalBody(nil, msg)
 	if want, _ := json.Marshal(msg); err != nil || string(body) != string(want) {
 		t.Fatalf("marshalBody = %s, %v; want json.Marshal's %s", body, err, want)
 	}

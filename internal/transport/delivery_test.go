@@ -461,7 +461,7 @@ type taskEcho struct {
 
 func (e *taskEcho) RunTask() {
 	for {
-		msg, err := e.conn.TryRecv()
+		msg, _, err := e.conn.TryRecv()
 		switch err {
 		case nil:
 			e.conn.Send(msg)
@@ -495,7 +495,7 @@ func TestTaskOwnsReceiveSide(t *testing.T) {
 			t.Errorf("Dial: %v", err)
 			return
 		}
-		if _, err := conn.TryRecv(); err != ErrWouldBlock {
+		if _, _, err := conn.TryRecv(); err != ErrWouldBlock {
 			t.Errorf("TryRecv on an idle connection = %v, want ErrWouldBlock", err)
 		}
 		handoffs := sim.Handoffs()
@@ -514,7 +514,7 @@ func TestTaskOwnsReceiveSide(t *testing.T) {
 		if len(srv.conns) != 1 || !srv.conns[0].closed || !srv.closed {
 			t.Errorf("after both closes: %d connection(s), server saw the listener close: %v", len(srv.conns), srv.closed)
 		}
-		if _, err := conn.TryRecv(); err != ErrClosed {
+		if _, _, err := conn.TryRecv(); err != ErrClosed {
 			t.Errorf("TryRecv on a closed connection = %v, want ErrClosed", err)
 		}
 		if _, err := l.TryAccept(); err != ErrClosed {

@@ -592,10 +592,19 @@ func (l *Listener) close(deregister bool) {
 	l.accept.Close()
 }
 
-// pendingMsg is one sent payload on its way to the peer.
+// msg is one message's bytes: the part sent for it alone and the part it
+// shares with other messages, if any (see SendShared).
+type msg struct {
+	own, shared []byte
+}
+
+// size is the message's length, both parts.
+func (m msg) size() int { return len(m.own) + len(m.shared) }
+
+// pendingMsg is one sent message on its way to the peer.
 type pendingMsg struct {
-	payload []byte
-	sentAt  time.Duration
+	msg
+	sentAt time.Duration
 	// ctx is the causal context of the send, stamped on the matching recv
 	// or drop event at the far end of the wire.
 	ctx trace.Ctx
@@ -628,7 +637,7 @@ type Conn struct {
 	estSeq uint64 // establishment order; failure sweeps close in this order
 	local  Addr
 	remote Addr
-	in     vtime.Chan[[]byte]
+	in     vtime.Chan[msg]
 	peer   *Conn
 
 	// est is the establishment time and server marks the accepting end;
@@ -868,24 +877,24 @@ func (d *deliverer) RunTask() {
 // deliverOne lands one payload in the peer's inbox (or accounts for its
 // loss), recording per-message delay, counters, and the recv trace event.
 func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
-	payload := m.payload
+	size := m.size()
 	if !deliverable {
-		c.dropped(len(payload), "in-flight", m.ctx)
+		c.dropped(size, "in-flight", m.ctx)
 		return
 	}
-	if !c.peer.in.TrySend(payload) { // inbox overflow drops, like UDP under DoS
-		c.dropped(len(payload), "overflow", m.ctx)
+	if !c.peer.in.TrySend(m.msg) { // inbox overflow drops, like UDP under DoS
+		c.dropped(size, "overflow", m.ctx)
 		return
 	}
 	// Enqueue-to-delivery virtual delay: wire latency plus any FIFO
 	// backlog behind earlier messages on this connection.
 	c.hDelay.Record(int64(c.net.sim.Now() - m.sentAt))
 	c.peer.stats.add(ctrRecv, 1)
-	c.peer.stats.add(ctrRecvBytes, int64(len(payload)))
-	c.peer.host.count(hostRecv, len(payload))
+	c.peer.stats.add(ctrRecvBytes, int64(size))
+	c.peer.host.count(hostRecv, size)
 	if tr := c.net.Tracer(); tr.Enabled() {
 		tr.InstantCtx(m.ctx, "transport", "recv", c.remote.Host, c.peer.names().dir, c.Flow(),
-			trace.Arg{Key: "bytes", Val: tr.Itoa(len(payload))})
+			trace.Arg{Key: "bytes", Val: tr.Itoa(size)})
 	}
 }
 
@@ -922,7 +931,7 @@ func (c *Conn) RemoteAddr() Addr { return c.remote }
 // the message instead (the peer sees lack of progress, not an error).
 //
 // The peer receives a copy of payload, so the caller may reuse payload at
-// once. What Recv delivers is the receiver's, and nothing writes to it
+// once. What the peer receives is its own, and nothing writes to it
 // afterwards: a receiver may decode it into views of its bytes (see
 // internal/wire).
 func (c *Conn) Send(payload []byte) error { return c.SendCtx(payload, c.ctx) }
@@ -932,13 +941,17 @@ func (c *Conn) Send(payload []byte) error { return c.SendCtx(payload, c.ctx) }
 // request's tree. A zero context falls back to the connection's base
 // context.
 func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
-	return c.SendShared(bytes.Clone(payload), ctx)
+	return c.SendShared(bytes.Clone(payload), nil, ctx)
 }
 
-// SendShared is SendCtx without the copy, for bytes that nobody writes
-// again (a frame every connection sends alike): the peer receives payload
-// itself.
-func (c *Conn) SendShared(payload []byte, ctx trace.Ctx) error {
+// SendShared is SendCtx without the copy: the peer receives own and shared
+// themselves, which nobody writes again. own is this message's alone; shared
+// is a part many messages carry alike (a body every rank of a release is
+// sent), or nil. The message is both parts: its length is theirs together
+// in every counter, span and drop, and the peer receives them together
+// (TryRecv). How they make one payload is the two ends' codec's business
+// (internal/wire's DecodeParts).
+func (c *Conn) SendShared(own, shared []byte, ctx trace.Ctx) error {
 	if !ctx.Valid() {
 		ctx = c.ctx
 	}
@@ -956,29 +969,31 @@ func (c *Conn) SendShared(payload []byte, ctx trace.Ctx) error {
 	if !localUp {
 		return ErrHostDown
 	}
+	m := msg{own, shared}
+	size := m.size()
 	if !n.deliverable(c.local.Host, c.remote.Host) {
-		c.dropped(len(payload), "unreachable", ctx)
+		c.dropped(size, "unreachable", ctx)
 		return nil // silently dropped
 	}
 	n.msgs.Add(1)
-	n.bytes.Add(int64(len(payload)))
+	n.bytes.Add(int64(size))
 	c.stats.add(ctrSend, 1)
-	c.stats.add(ctrSendBytes, int64(len(payload)))
-	c.host.count(hostSend, len(payload))
-	c.hBytes.Record(int64(len(payload)))
+	c.stats.add(ctrSendBytes, int64(size))
+	c.host.count(hostSend, size)
+	c.hBytes.Record(int64(size))
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
 	// One hop span per send, covering the wire time to the peer.
-	c.traceHop(ctx, len(payload), now, now+oneWay)
+	c.traceHop(ctx, size, now, now+oneWay)
 	c.mu.Lock()
-	ok := c.enqueueLocked(outMsg{pendingMsg: pendingMsg{payload, now, ctx}, deliverAt: now + oneWay})
+	ok := c.enqueueLocked(outMsg{pendingMsg: pendingMsg{m, now, ctx}, deliverAt: now + oneWay})
 	c.mu.Unlock()
 	if !ok {
 		// The delivery queue is saturated (extreme overload) or the send
 		// raced with a close. Either way the message is lost here, and the
 		// loss must be accounted: everything above already counted it as
 		// sent, so silence would leave send-minus-recv unexplained.
-		c.dropped(len(payload), "sendq-full", ctx)
+		c.dropped(size, "sendq-full", ctx)
 	}
 	return nil
 }
@@ -1019,20 +1034,22 @@ func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 // Recv blocks until a message arrives. It returns ErrClosed once the
 // connection is closed and drained. The message is the receiver's, and
 // nothing writes to it (see Send); so are those of RecvTimeout and TryRecv.
+// Recv and RecvTimeout read messages sent whole: one sent with a shared
+// part (SendShared) is read with TryRecv, and panics here.
 func (c *Conn) Recv() ([]byte, error) {
-	b, ok := c.in.Recv()
+	m, ok := c.in.Recv()
 	if !ok {
 		return nil, ErrClosed
 	}
-	return b, nil
+	return m.whole(), nil
 }
 
 // RecvTimeout blocks until a message arrives or d of virtual time elapses.
 func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
-	b, res := c.in.RecvTimeout(d)
+	m, res := c.in.RecvTimeout(d)
 	switch res {
 	case vtime.RecvOK:
-		return b, nil
+		return m.whole(), nil
 	case vtime.RecvClosed:
 		return nil, ErrClosed
 	default:
@@ -1040,12 +1057,21 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 	}
 }
 
-// TryRecv is Recv for a task step, which cannot wait: it returns
-// ErrWouldBlock when no message has arrived and ErrClosed once the
-// connection is closed and drained.
-func (c *Conn) TryRecv() ([]byte, error) {
-	b, res := c.in.RecvTimeout(0)
-	return b, tryResult(res)
+// whole returns a message sent without a shared part.
+func (m msg) whole() []byte {
+	if m.shared != nil {
+		panic("transport: a message sent with a shared part is read with TryRecv")
+	}
+	return m.own
+}
+
+// TryRecv is Recv for a task step, which cannot wait, and for messages in
+// parts: it returns a message's own and shared parts as SendShared sent
+// them (shared nil for one sent whole), ErrWouldBlock when no message has
+// arrived and ErrClosed once the connection is closed and drained.
+func (c *Conn) TryRecv() (own, shared []byte, err error) {
+	m, res := c.in.RecvTimeout(0)
+	return m.own, m.shared, tryResult(res)
 }
 
 // ReadyOnArrival readies t once, when the next message arrives or the

@@ -121,9 +121,11 @@ func TestSendRecvLatencyAndOrder(t *testing.T) {
 // A delivered payload is the receiver's. Send copies what it is given, so
 // whatever the sender writes into its buffer afterwards does not arrive;
 // SendShared hands over bytes that nobody writes again as they are, and
-// every connection it is used on delivers those same bytes.
+// every connection it is used on delivers those same bytes: a message's own
+// part, and its shared part, the one array every connection delivers. The
+// network counts a message in parts at its whole length.
 func TestSendPayloadOwnership(t *testing.T) {
-	sim, _, a, b := testNet(t)
+	sim, n, a, b := testNet(t)
 	l, err := b.Listen("svc")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -147,15 +149,21 @@ func TestSendPayloadOwnership(t *testing.T) {
 				return
 			}
 			copy(buf, "written")
-			if err := conn.SendShared(shared, trace.Ctx{}); err != nil {
+			own := []byte("own")
+			msgs0, bytes0 := n.Messages(), n.Bytes()
+			if err := conn.SendShared(own, shared, trace.Ctx{}); err != nil {
 				t.Errorf("SendShared: %v", err)
 				return
+			}
+			if dm, db := n.Messages()-msgs0, n.Bytes()-bytes0; dm != 1 || db != int64(len(own)+len(shared)) {
+				t.Errorf("connection %d: SendShared counted %d messages of %d bytes, want 1 of %d", i, dm, db, len(own)+len(shared))
 			}
 			if got, err := peer.Recv(); err != nil || string(got) != "as sent" {
 				t.Errorf("connection %d: Send delivered %q, %v; want the payload as it was at the send", i, got, err)
 			}
-			if got, err := peer.Recv(); err != nil || len(got) != len(shared) || &got[0] != &shared[0] {
-				t.Errorf("connection %d: SendShared delivered %q, %v; want the sender's bytes themselves", i, got, err)
+			gotOwn, gotShared, err := peer.TryRecv()
+			if err != nil || &gotOwn[0] != &own[0] || len(gotShared) != len(shared) || &gotShared[0] != &shared[0] {
+				t.Errorf("connection %d: SendShared delivered %q and %q, %v; want the sender's bytes themselves", i, gotOwn, gotShared, err)
 			}
 			conn.Close()
 		}

@@ -41,23 +41,35 @@ func AppendStrings(dst []byte, list []string) []byte {
 //
 // Nothing a Reader returns is a copy: a string is a view of the body and a
 // list (StringList) is its encoding where it lies, so any one of them keeps
-// the body's frame alive (see the package comment).
+// the part of the frame it lies in alive (see the package comment).
 type Reader struct {
-	src []byte
-	off int
-	bad bool
+	src  []byte // the part being read
+	off  int
+	bad  bool
+	next []byte // the shared part, once src is used up
 }
 
-// NewReader reads the body src, which must not include the marker byte and
-// which nothing may write to while what the Reader returns is in use.
-func NewReader(src []byte) Reader { return Reader{src: src} }
+// NewReader reads the body head followed by shared, without its marker
+// byte: a body received whole (shared nil), or one that runs on into its
+// frame's shared part (Envelope.Shared). Every field lies inside one of the
+// two, and nothing may write either while what the Reader returns is in use.
+func NewReader(head, shared []byte) Reader { return Reader{src: head, next: shared} }
+
+// rest returns the unread rest of the part being read, having entered the
+// shared part if the head is used up.
+func (r *Reader) rest() []byte {
+	if r.off == len(r.src) && r.next != nil {
+		r.src, r.off, r.next = r.next, 0, nil
+	}
+	return r.src[r.off:]
+}
 
 // Uvarint reads a VLQ integer.
 func (r *Reader) Uvarint() uint64 {
 	if r.bad {
 		return 0
 	}
-	x, n := Uvarint(r.src[r.off:])
+	x, n := Uvarint(r.rest())
 	if n == 0 {
 		r.bad = true
 		return 0
@@ -83,7 +95,7 @@ func (r *Reader) Int() int {
 // here, before a caller sizes an allocation by it.
 func (r *Reader) Len() int {
 	n := r.Uvarint()
-	if n > uint64(len(r.src)-r.off) {
+	if n > uint64(len(r.src)-r.off+len(r.next)) {
 		r.bad = true
 		return 0
 	}
@@ -93,6 +105,10 @@ func (r *Reader) Len() int {
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	l := r.Len()
+	if l > len(r.src)-r.off {
+		r.bad = true
+		return ""
+	}
 	s := view(r.src[r.off : r.off+l])
 	r.off += l
 	return s
@@ -103,6 +119,7 @@ func (r *Reader) String() string {
 // list fails here, and returns the list's encoding as a sub-slice of the
 // body (nil once the Reader has failed). It allocates nothing.
 func (r *Reader) StringList() StringList {
+	r.rest()
 	start := r.off
 	src := StringList(r.src)
 	for n := r.Len(); n > 0; n-- {
@@ -209,7 +226,7 @@ func (l StringList) All() []string {
 
 // Done reports ErrFrame if any read failed or bytes remain unread.
 func (r *Reader) Done() error {
-	if r.bad || r.off != len(r.src) {
+	if r.bad || r.off != len(r.src) || len(r.next) != 0 {
 		return ErrFrame
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -42,7 +43,7 @@ func TestBodyPrimitivesRoundTrip(t *testing.T) {
 		buf = AppendStrings(buf, l)
 	}
 	buf = AppendString(buf, "tail")
-	r := NewReader(buf)
+	r := NewReader(buf, nil)
 	for _, x := range ints {
 		if got := r.Int(); int64(got) != x {
 			t.Errorf("Int = %d, want %d", got, x)
@@ -78,15 +79,58 @@ func TestBodyPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReaderAcrossParts: a body may come in two parts, a head and the
+// shared part its frame ran on into. Cut at any field boundary, it reads as
+// it reads whole, each list a view of the part it lies in; cut inside a
+// field, or with bytes left in either part, it is malformed.
+func TestReaderAcrossParts(t *testing.T) {
+	var body []byte
+	cuts := []int{0}
+	for _, field := range []func([]byte) []byte{
+		func(b []byte) []byte { return AppendVarint(b, -1) },
+		func(b []byte) []byte { return AppendString(b, "reason") },
+		func(b []byte) []byte { return AppendVarint(b, 300) },
+		func(b []byte) []byte { return AppendStrings(b, []string{"m1:app.0", "m2:app.1"}) },
+		func(b []byte) []byte { return AppendString(b, "tail") },
+	} {
+		body = field(body)
+		cuts = append(cuts, len(body))
+	}
+	read := func(head, shared []byte) (int, string, int, StringList, string, error) {
+		r := NewReader(head, shared)
+		a, s, b, l, tail := r.Int(), r.String(), r.Int(), r.StringList(), r.String()
+		return a, s, b, l, tail, r.Done()
+	}
+	for cut := 0; cut <= len(body); cut++ {
+		head, shared := body[:cut:cut], body[cut:]
+		a, s, b, l, tail, err := read(head, shared)
+		if !slices.Contains(cuts, cut) {
+			if err == nil && cut != 0 {
+				t.Errorf("cut inside a field at %d: read %d %q %d %q %q", cut, a, s, b, l.All(), tail)
+			}
+			continue
+		}
+		if err != nil || a != -1 || s != "reason" || b != 300 || !reflect.DeepEqual(l.All(), []string{"m1:app.0", "m2:app.1"}) || tail != "tail" {
+			t.Errorf("cut at %d: %v, read %d %q %d %q %q", cut, err, a, s, b, l.All(), tail)
+		}
+		if list := []byte(l); cut <= cuts[3] && !inside(shared, list) || cut > cuts[3] && !inside(head, list) {
+			t.Errorf("cut at %d: the list is not a view of the part it lies in", cut)
+		}
+	}
+	if _, _, _, _, _, err := read(body, []byte{0}); err == nil {
+		t.Error("a byte left in the shared part read as nothing")
+	}
+}
+
 func TestReaderRejectsMalformed(t *testing.T) {
 	good := AppendStrings(AppendString(nil, "reason"), []string{"a", "bc"})
 	for n := 0; n < len(good); n++ {
-		r := NewReader(good[:n])
+		r := NewReader(good[:n], nil)
 		if _, list := r.String(), r.StringList(); list != nil || r.Done() != ErrFrame {
 			t.Errorf("truncation to %d of %d bytes accepted", n, len(good))
 		}
 	}
-	r := NewReader(append(append([]byte(nil), good...), 0))
+	r := NewReader(append(append([]byte(nil), good...), 0), nil)
 	_, _ = r.String(), r.StringList()
 	if r.Done() != ErrFrame {
 		t.Error("trailing byte accepted")
@@ -95,7 +139,7 @@ func TestReaderRejectsMalformed(t *testing.T) {
 	// hostile 2³⁰ is not walked, and a list cut from it by hand decodes to
 	// nothing instead of sizing a 16 GB slice.
 	huge := append(AppendUvarint(nil, 1<<30), make([]byte, 64)...)
-	r = NewReader(huge)
+	r = NewReader(huge, nil)
 	if r.StringList() != nil || r.Done() != ErrFrame {
 		t.Error("over-long count accepted")
 	}
@@ -105,7 +149,7 @@ func TestReaderRejectsMalformed(t *testing.T) {
 	// A length that overruns inside the list: the second string claims nine
 	// bytes of the three that remain.
 	overrun := StringList{2, 1, 'a', 9, 'b', 'c', 'd'}
-	rr := NewReader(overrun)
+	rr := NewReader(overrun, nil)
 	if rr.StringList() != nil || rr.Done() != ErrFrame {
 		t.Error("overrunning length accepted")
 	}
@@ -131,7 +175,7 @@ func TestReaderStringsShareOneCopy(t *testing.T) {
 	}
 	body := AppendStrings(nil, book)
 	if allocs := testing.AllocsPerRun(100, func() {
-		r := NewReader(body)
+		r := NewReader(body, nil)
 		if len(r.StringList().All()) != len(book) || r.Done() != nil {
 			t.Fatal("parse failed")
 		}
@@ -140,7 +184,7 @@ func TestReaderStringsShareOneCopy(t *testing.T) {
 	}
 	var list StringList
 	if allocs := testing.AllocsPerRun(100, func() {
-		r := NewReader(body)
+		r := NewReader(body, nil)
 		if list = r.StringList(); list.Len() != len(book) || r.Done() != nil {
 			t.Fatal("walk failed")
 		}

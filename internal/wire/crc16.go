@@ -38,9 +38,11 @@ func buildCRCTables() *[8][256]uint16 {
 }
 
 // CRC16 returns the CCITT-FALSE checksum of data.
-func CRC16(data []byte) uint16 {
+func CRC16(data []byte) uint16 { return crcUpdate(0xFFFF, data) }
+
+// crcUpdate runs the checksum register crc over data.
+func crcUpdate(crc uint16, data []byte) uint16 {
 	t := crcTables
-	crc := uint16(0xFFFF)
 	for len(data) >= 8 {
 		// The 16-bit register only reaches the first two of the eight bytes.
 		crc = t[7][data[0]^byte(crc>>8)] ^ t[6][data[1]^byte(crc)] ^
@@ -54,13 +56,36 @@ func CRC16(data []byte) uint16 {
 	return crc
 }
 
-// checkCRC verifies a frame's trailing checksum and returns the frame body
-// without it.
-func checkCRC(frame []byte) (body []byte, ok bool) {
-	if len(frame) < 2 {
-		return nil, false
+// The register is linear: running it from r over n bytes ends at the run
+// from zero over the same bytes plus r·x^(8n), modulo the polynomial. So
+// the checksum of a head followed by a body checksummed once is two
+// multiplications away from the head's (Shared.after).
+
+// crcMul returns a·b modulo the CRC polynomial, over GF(2).
+func crcMul(a, b uint16) uint16 {
+	var p uint16
+	for bit := 15; bit >= 0; bit-- {
+		if p&0x8000 != 0 {
+			p = p<<1 ^ crcPoly
+		} else {
+			p <<= 1
+		}
+		if b>>bit&1 != 0 {
+			p ^= a
+		}
 	}
-	body = frame[:len(frame)-2]
-	want := uint16(frame[len(frame)-2])<<8 | uint16(frame[len(frame)-1])
-	return body, CRC16(body) == want
+	return p
+}
+
+// crcShift returns x^(8n) modulo the CRC polynomial: what running the
+// register over n zero bytes multiplies it by.
+func crcShift(n int) uint16 {
+	r, sq := uint16(1), uint16(1<<8) // x^0, x^8
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			r = crcMul(r, sq)
+		}
+		sq = crcMul(sq, sq)
+	}
+	return r
 }

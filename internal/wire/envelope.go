@@ -51,7 +51,35 @@ type Envelope struct {
 	Req    string // causal span context: request ID
 	Span   string // causal span context: span path
 	Body   []byte
+	// Shared is the rest of a body that runs on into the shared part of a
+	// frame received in parts (DecodeParts): the body is Body followed by
+	// Shared. Encode writes the two one after the other.
+	Shared []byte
 }
+
+// Shared is the end of a body that many frames carry alike (a barrier
+// release's configuration, sent to every rank), checksummed once. A frame
+// whose body ends in it is sent in two parts (EncodeShared): its own bytes,
+// and these, which cross the network uncopied. Nothing writes them once
+// NewShared has them.
+type Shared struct {
+	b     []byte
+	crc   uint16 // the checksum register run from zero over b
+	shift uint16 // x^(8·len(b)) modulo the polynomial
+}
+
+// NewShared checksums b, which is the Shared's from then on: nothing may
+// write it afterwards.
+func NewShared(b []byte) Shared {
+	return Shared{b: b, crc: crcUpdate(0, b), shift: crcShift(len(b))}
+}
+
+// Bytes returns the shared bytes, which nobody may write.
+func (s *Shared) Bytes() []byte { return s.b }
+
+// after returns the checksum of a head followed by s's bytes from crc, the
+// head's own checksum (see crcMul).
+func (s *Shared) after(crc uint16) uint16 { return crcMul(crc, s.shift) ^ s.crc }
 
 // Encoder encodes envelope frames for one direction of one
 // connection. Its only state is whether the handshake prologue has been
@@ -67,6 +95,31 @@ type Encoder struct {
 // trailing CRC16 covers prologue and frame alike.
 func (e *Encoder) Encode(dst []byte, env *Envelope) []byte {
 	start := len(dst)
+	dst = append(e.appendHead(dst, env, len(env.Shared)), env.Shared...)
+	crc := CRC16(dst[start:])
+	return append(dst, byte(crc>>8), byte(crc))
+}
+
+// EncodeShared encodes env as Encode would with sh's bytes in place of
+// env.Shared, and returns the frame without them: its own part, one
+// allocation of its exact size. The frame is that part with sh's bytes
+// before its last two, the checksum, which sh's precomputed checksum
+// computes without reading them again.
+func (e *Encoder) EncodeShared(env *Envelope, sh *Shared) []byte {
+	buf := GetBuf()
+	head := e.appendHead(*buf, env, len(sh.b))
+	own := make([]byte, len(head)+2)
+	copy(own, head)
+	crc := sh.after(CRC16(head))
+	own[len(head)], own[len(head)+1] = byte(crc>>8), byte(crc)
+	*buf = head
+	PutBuf(buf)
+	return own
+}
+
+// appendHead appends env's frame, without its checksum, up to the end of
+// env.Body, for a body that goes on for shared more bytes.
+func (e *Encoder) appendHead(dst []byte, env *Envelope, shared int) []byte {
 	if !e.wrotePrologue {
 		e.wrotePrologue = true
 		dst = appendPrologue(dst)
@@ -90,7 +143,7 @@ func (e *Encoder) Encode(dst []byte, env *Envelope) []byte {
 	if env.Req != "" || env.Span != "" {
 		flags |= flagCtx
 	}
-	if len(env.Body) != 0 {
+	if len(env.Body)+shared != 0 {
 		flags |= flagBody
 	}
 	dst = append(dst, magicFrame, flags)
@@ -110,10 +163,10 @@ func (e *Encoder) Encode(dst []byte, env *Envelope) []byte {
 		dst = AppendString(dst, env.Span)
 	}
 	if flags&flagBody != 0 {
-		dst = appendBytes(dst, env.Body)
+		dst = AppendUvarint(dst, uint64(len(env.Body)+shared))
+		dst = append(dst, env.Body...)
 	}
-	crc := CRC16(dst[start:])
-	return append(dst, byte(crc>>8), byte(crc))
+	return dst
 }
 
 // EncodePrologue marks the handshake prologue sent, so subsequent Encode
@@ -155,45 +208,86 @@ type Decoder struct{}
 // a dictionary method are views of frame, not copies (see the package
 // comment): frame must be a delivered payload, or a buffer the caller will
 // not write again. Any error leaves env zeroed.
-func (d *Decoder) Decode(frame []byte, env *Envelope) error {
+func (d *Decoder) Decode(frame []byte, env *Envelope) error { return d.DecodeParts(frame, nil, env) }
+
+// DecodeParts is Decode for a frame received in two parts (EncodeShared):
+// own, which is the frame but for shared, and shared, which goes just
+// before own's last two bytes, the checksum. The checksum is verified over
+// every byte of both. Every field lies inside one part, except that the
+// body may run on from own into shared: env.Body is then its bytes in own,
+// and env.Shared the rest. Every view is of the part it lies in.
+func (d *Decoder) DecodeParts(own, shared []byte, env *Envelope) error {
+	n := len(own) - 2
+	if n < 0 {
+		*env = Envelope{}
+		if len(own)+len(shared) == 0 {
+			return ErrFrame
+		}
+		return ErrCRC
+	}
+	return decodeParts(own[:n], shared, own[n:], env)
+}
+
+// decodeParts decodes the frame head ‖ shared ‖ tail, whose last two bytes,
+// tail's, are its checksum.
+func decodeParts(head, shared, tail []byte, env *Envelope) error {
 	*env = Envelope{}
-	if err := decode(frame, env); err != nil {
+	t := len(tail) - 2
+	if crcUpdate(crcUpdate(CRC16(head), shared), tail[:t]) != uint16(tail[t])<<8|uint16(tail[t+1]) {
+		return ErrCRC
+	}
+	if err := decode(head, &parts{p: [2][]byte{shared, tail[:t]}}, env); err != nil {
 		*env = Envelope{}
 		return err
 	}
 	return nil
 }
 
-// decode is Decode into a zeroed env, which an error exit may leave partly
-// filled.
-func decode(frame []byte, env *Envelope) error {
-	if len(frame) == 0 {
-		return ErrFrame
+// parts are the parts of a frame after its head, checksum excluded: the
+// shared part and the tail.
+type parts struct {
+	p  [2][]byte
+	in int // how many have been entered
+}
+
+// more returns buf, the unread rest of the part being read, or once that is
+// used up the next part that is not.
+func (ps *parts) more(buf []byte) []byte {
+	for len(buf) == 0 && ps.in < len(ps.p) {
+		buf = ps.p[ps.in]
+		ps.in++
 	}
-	buf, ok := checkCRC(frame)
-	if !ok {
-		return ErrCRC
-	}
-	if len(buf) >= 2 && buf[0] == magicPrologue {
+	return buf
+}
+
+// decode parses a frame that starts with buf and goes on in ps into a
+// zeroed env, which an error exit may leave partly filled. A field lies
+// inside one part, except the body, which may run on from the head into the
+// shared part.
+func decode(buf []byte, ps *parts, env *Envelope) error {
+	if buf = ps.more(buf); len(buf) >= 2 && buf[0] == magicPrologue {
 		if buf[1] != 'g' {
 			return ErrFrame
 		}
-		buf = buf[2:]
+		buf = ps.more(buf[2:])
 		v, n := Uvarint(buf)
 		if n == 0 {
 			return ErrFrame
 		}
-		buf = buf[n:]
+		buf = ps.more(buf[n:])
 		if v != Version {
 			return ErrVersion
 		}
 		dictLen, n := Uvarint(buf)
-		if n == 0 || len(buf) < n+4 {
+		if n == 0 {
 			return ErrFrame
 		}
-		buf = buf[n:]
+		buf = ps.more(buf[n:])
+		if len(buf) < 4 {
+			return ErrFrame
+		}
 		hash := uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3])
-		buf = buf[4:]
+		buf = ps.more(buf[4:])
 		if dictLen != uint64(DictLen()) || hash != DictHash() {
 			return ErrDict
 		}
@@ -207,7 +301,7 @@ func decode(frame []byte, env *Envelope) error {
 		return ErrFrame
 	}
 	flags := buf[1]
-	buf = buf[2:]
+	buf = ps.more(buf[2:])
 	kind := flags & flagKindMask
 	if kind == 0 || flags&flagDictMethod != 0 && flags&flagInlineMethod != 0 {
 		return ErrFrame
@@ -218,14 +312,14 @@ func decode(frame []byte, env *Envelope) error {
 			return ErrFrame
 		}
 		env.ID = id
-		buf = buf[n:]
+		buf = ps.more(buf[n:])
 	}
 	if flags&flagDictMethod != 0 {
 		id, n := Uvarint(buf)
 		if n == 0 {
 			return ErrFrame
 		}
-		buf = buf[n:]
+		buf = ps.more(buf[n:])
 		name, ok := methodName(id)
 		if !ok {
 			return ErrFrame
@@ -237,7 +331,7 @@ func decode(frame []byte, env *Envelope) error {
 			return ErrFrame
 		}
 		env.Method = view(f)
-		buf = rest
+		buf = ps.more(rest)
 	}
 	if flags&flagError != 0 {
 		f, rest, ok := cutBytes(buf)
@@ -245,27 +339,38 @@ func decode(frame []byte, env *Envelope) error {
 			return ErrFrame
 		}
 		env.Error = view(f)
-		buf = rest
+		buf = ps.more(rest)
 	}
 	if flags&flagCtx != 0 {
 		req, rest, ok := cutBytes(buf)
 		if !ok {
 			return ErrFrame
 		}
-		span, rest2, ok := cutBytes(rest)
+		span, rest, ok := cutBytes(ps.more(rest))
 		if !ok {
 			return ErrFrame
 		}
 		env.Req, env.Span = view(req), view(span)
-		buf = rest2
+		buf = ps.more(rest)
 	}
 	if flags&flagBody != 0 {
-		f, rest, ok := cutBytes(buf)
-		if !ok {
+		l, n := Uvarint(buf)
+		if n == 0 {
 			return ErrFrame
 		}
-		env.Body = f
-		buf = rest
+		buf = ps.more(buf[n:])
+		if l <= uint64(len(buf)) {
+			env.Body = buf[:l]
+			buf = buf[l:]
+		} else if shared := ps.p[0]; ps.in == 0 && l-uint64(len(buf)) <= uint64(len(shared)) {
+			// The body runs on from the head into the shared part.
+			rest := l - uint64(len(buf))
+			env.Body, env.Shared = buf, shared[:rest]
+			buf, ps.in = shared[rest:], 1
+		} else {
+			return ErrFrame
+		}
+		buf = ps.more(buf)
 	}
 	if len(buf) != 0 {
 		return ErrFrame
@@ -275,8 +380,10 @@ func decode(frame []byte, env *Envelope) error {
 }
 
 // bufPool recycles envelope encode buffers: Encode appends into a pooled
-// slice, the transport copies the frame onto the wire, and the buffer
-// returns to the pool — the steady-state encode path allocates nothing.
+// slice, the transport's SendCtx copies the frame onto the wire (or
+// EncodeShared copies its head into the frame's own part), and the buffer
+// returns to the pool; the steady-state encode path allocates nothing of
+// its own.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // GetBuf returns a pooled, empty encode buffer.

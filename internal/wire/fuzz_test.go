@@ -2,15 +2,19 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // FuzzWireEnvelope drives the decoder with arbitrary bytes and, whenever
 // they decode, checks that every decoded string but a dictionary method,
 // and the body, lie inside the input frame, then re-encodes and re-decodes
-// to prove the codec is a round-trip fixpoint. The seed corpus holds valid
-// frames (each with and without prologue), JSON text, and classic parser
-// traps.
+// to prove the codec is a round-trip fixpoint. A frame that decodes is
+// decoded again in three parts, head, shared and tail, cut at every pair of
+// field boundaries: the envelope is the same, every view lies inside one
+// part, and a flipped byte in any part fails the checksum. The seed corpus
+// holds valid frames (each with and without prologue), JSON text, and
+// classic parser traps.
 func FuzzWireEnvelope(f *testing.F) {
 	for _, env := range sampleEnvelopes() {
 		env := env
@@ -47,6 +51,30 @@ func FuzzWireEnvelope(f *testing.F) {
 		}
 		if !inside(data, method, env.Error, env.Req, env.Span) || !inside(data, env.Body) {
 			t.Fatalf("a decoded field is not a view of the frame: %+v", env)
+		}
+		starts := fieldStarts(data)
+		for i, cut := range starts {
+			for _, cut2 := range starts[i:] {
+				parts := [3][]byte{data[:cut], data[cut:cut2], data[cut2:]}
+				var inParts Envelope
+				if err := decodeParts(parts[0], parts[1], parts[2], &inParts); err != nil || !envEqual(env, inParts) {
+					t.Fatalf("cut at %d and %d: %v, %+v; want %+v", cut, cut2, err, inParts, env)
+				}
+				if !insideOne(parts, method, inParts.Error, inParts.Req, inParts.Span) || !insideOne(parts, inParts.Body) {
+					t.Fatalf("cut at %d and %d: a decoded field is not a view of one part: %+v", cut, cut2, inParts)
+				}
+				for _, part := range parts {
+					if len(part) == 0 {
+						continue
+					}
+					part[len(part)/2] ^= 0xFF
+					err := decodeParts(parts[0], parts[1], parts[2], &inParts)
+					part[len(part)/2] ^= 0xFF
+					if !errors.Is(err, ErrCRC) {
+						t.Fatalf("cut at %d and %d: a flipped byte decoded with %v, want ErrCRC", cut, cut2, err)
+					}
+				}
+			}
 		}
 		// Whatever decoded must survive a round trip bit for bit.
 		var enc Encoder

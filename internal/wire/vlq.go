@@ -9,13 +9,17 @@
 // (dictionary ID or inline name) and a trailing CRC, so a dropped frame
 // never desynchronizes the decoder.
 //
-// Decoding copies nothing. What Decoder.Decode, NewReader, ParseJSON and
-// ParseJSONList read is a delivered payload (transport.Conn.Recv): it is
-// the receiver's, and nothing writes to it. So every string and Body they
-// return is a view of it, and the frame is the only buffer a received
-// message needs; a caller that decodes a buffer it will write again passes
-// a copy. A view keeps its whole frame alive, so whoever keeps a decoded
-// string past its message copies it (strings.Clone) where it keeps it.
+// Decoding copies nothing. What Decoder.Decode and DecodeParts, NewReader,
+// ParseJSON and ParseJSONList read is a delivered payload
+// (transport.Conn.TryRecv), and nothing writes to it: not the receiver, not
+// the sender, and not the other receivers of a part many frames share
+// (Shared). So every string and Body they return is a view of the part it
+// lies in, and the parts are the only buffers a received message needs; a
+// caller that decodes a buffer it will write again passes a copy. A view
+// keeps its whole part alive: a view of a frame's own part keeps that frame,
+// and a view of a shared part keeps the one array every receiver shares.
+// Whoever keeps a decoded string past its message copies it (strings.Clone)
+// where it keeps it.
 package wire
 
 import "unsafe"
@@ -58,12 +62,6 @@ func Uvarint(buf []byte) (x uint64, n int) {
 		shift += 7
 	}
 	return 0, 0 // truncated
-}
-
-// appendBytes appends a length-prefixed byte slice.
-func appendBytes(dst []byte, b []byte) []byte {
-	dst = AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
 }
 
 // cutBytes splits a length-prefixed field from the front of buf, returning

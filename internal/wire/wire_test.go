@@ -24,7 +24,7 @@ func sampleEnvelopes() []Envelope {
 func envEqual(a, b Envelope) bool {
 	return a.Kind == b.Kind && a.ID == b.ID && a.Method == b.Method &&
 		a.Error == b.Error && a.Req == b.Req && a.Span == b.Span &&
-		bytes.Equal(a.Body, b.Body)
+		bytes.Equal(a.Body, b.Body) && bytes.Equal(a.Shared, b.Shared)
 }
 
 // inside reports whether every byte of each field lies in frame: whether

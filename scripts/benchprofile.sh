@@ -21,10 +21,10 @@
 # seed+rounds-1, at GOMAXPROCS=1, as the benchmark's own rounds run. It
 # prints each round's result line, then the top 25 entries by cumulative CPU
 # time, the share of CPU spent in encoding/json, the top 25 functions by
-# bytes allocated, and two per-layer tables, CPU time and allocated objects,
-# over every round's profile merged (allocations net of the profile taken
-# when the window opened, pprof -base): one round is about 130 CPU samples,
-# too few to rank anything under 5 %.
+# bytes allocated, and three per-layer tables, CPU time, allocated objects
+# and allocated bytes, over every round's profile merged (allocations net of
+# the profile taken when the window opened, pprof -base): one round is about
+# 130 CPU samples, too few to rank anything under 5 %.
 #
 # The per-layer rule: each sample is charged whole to the innermost frame of
 # its stack whose function is in a package cogrid/internal/<pkg>, and that
@@ -33,9 +33,9 @@
 # layer's row is its self cost plus what it spends in the standard library,
 # and each table sums to 100 %. It leaves cpu-<s>.pprof, allocs-<s>.pprof,
 # allocs-begin-<s>.pprof and the binary in a temporary directory whose name
-# is the last line, for `go tool pprof -list`, `-peek` and
-# `-sample_index=alloc_objects` (name every round's file to merge them, and
-# pass the allocs-begin files as -base).
+# is the last line, for `go tool pprof -list`, `-peek`,
+# `-sample_index=alloc_objects` and `-sample_index=alloc_space` (name every
+# round's file to merge them, and pass the allocs-begin files as -base).
 #
 # The copies are made by replacing three anchor lines: the opening lines of
 # round.begin and round.end in bench/workloads.go, and the runChild call in
@@ -46,7 +46,7 @@
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,45p' "$0" >&2
+    sed -n '2,46p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -157,7 +157,11 @@ layers() {
         }
         v = ""; layer = ""
     }
-    function value(s) { # pprof prints a time with its unit; charge milliseconds
+    function value(s) { # pprof prints a time or a size with its unit; charge milliseconds or MB
+        if (s ~ /GB$/) return s * 1024
+        if (s ~ /MB$/) return s + 0
+        if (s ~ /kB$/) return s / 1024
+        if (s ~ /[0-9]B$/) return s / 1048576
         if (s ~ /ms$/) return s + 0
         if (s ~ /(us|µs)$/) return s / 1000
         if (s ~ /ns$/) return s / 1e6
@@ -173,8 +177,9 @@ layers() {
     }
     END {
         charge()
-        for (l in share) printf "%-14s %6.1f %%  %12.0f %s\n", l, 100 * share[l] / total, share[l], unit
-        printf "%-14s %6.1f %%  %12.0f %s\n", "(total)", 100, total, unit
+        f = unit == "MB" ? "%-14s %6.1f %%  %12.1f %s\n" : "%-14s %6.1f %%  %12.0f %s\n"
+        for (l in share) printf f, l, 100 * share[l] / total, share[l], unit
+        printf f, "(total)", 100, total, unit
     }' | sort -k2,2nr
 }
 echo "== CPU by layer, $rounds round(s) merged (innermost cogrid/internal/<pkg> frame, else runtime/GC)"
@@ -182,5 +187,8 @@ layers cpu ms "" "$tmp"/cpu-*.pprof
 echo
 echo "== allocated objects by layer, $rounds round(s) merged (same rule)"
 layers alloc_objects objects "$base" "$tmp"/allocs-[0-9]*.pprof
+echo
+echo "== allocated bytes by layer, $rounds round(s) merged (same rule)"
+layers alloc_space MB "$base" "$tmp"/allocs-[0-9]*.pprof
 echo
 echo "$tmp"
