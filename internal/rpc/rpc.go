@@ -497,9 +497,10 @@ func Decode(body json.RawMessage, v any) error { return decodeParts(body, nil, v
 // (wire.Envelope.Shared). Only a typed body is read in its parts; anything
 // else gets them joined, in a copy.
 func decodeParts(body, shared []byte, v any) error {
-	p, typed := v.(wireParser)
-	if len(shared) != 0 && (!typed || len(body) == 0 || body[0] != wire.BodyMarker) {
-		body, shared = append(body[:len(body):len(body)], shared...), nil
+	if len(shared) != 0 {
+		if _, typed := v.(wireParser); !typed || len(body) == 0 || body[0] != wire.BodyMarker {
+			body, shared = append(body[:len(body):len(body)], shared...), nil
+		}
 	}
 	if len(body) == 0 {
 		return nil
@@ -510,7 +511,8 @@ func decodeParts(body, shared []byte, v any) error {
 		}
 		return json.Unmarshal(body, v)
 	}
-	if !typed {
+	p, ok := v.(wireParser)
+	if !ok {
 		return fmt.Errorf("rpc: typed body received for %T, which has no ParseWire", v)
 	}
 	return p.ParseWire(body[1:], shared)
