@@ -1034,8 +1034,8 @@ func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 // Recv blocks until a message arrives. It returns ErrClosed once the
 // connection is closed and drained. The message is the receiver's, and
 // nothing writes to it (see Send); so are those of RecvTimeout and TryRecv.
-// Recv and RecvTimeout read messages sent whole: one sent with a shared
-// part (SendShared) is read with TryRecv, and panics here.
+// Recv and RecvTimeout read messages sent whole, and panic on one sent with
+// a shared part (SendShared), which TryRecv reads.
 func (c *Conn) Recv() ([]byte, error) {
 	m, ok := c.in.Recv()
 	if !ok {

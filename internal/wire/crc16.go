@@ -58,8 +58,8 @@ func crcUpdate(crc uint16, data []byte) uint16 {
 
 // The register is linear: running it from r over n bytes ends at the run
 // from zero over the same bytes plus r·x^(8n), modulo the polynomial. So
-// the checksum of a head followed by a body checksummed once is two
-// multiplications away from the head's (Shared.after).
+// the checksum of a head followed by a body checksummed once is one
+// multiplication and one exclusive or away from the head's (Shared.after).
 
 // crcMul returns a·b modulo the CRC polynomial, over GF(2).
 func crcMul(a, b uint16) uint16 {
