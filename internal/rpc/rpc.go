@@ -269,7 +269,7 @@ func (c *Client) dispatch(own, shared []byte) {
 			c.conn.Network().Counters().AddKey("rpc", "reply", "drop", host, 1)
 		}
 	case wire.KindNotify:
-		if !c.notifications.TrySend(Notification{Method: env.Method, Body: wholeBody(&env), Ctx: envCtx(&env)}) {
+		if !c.notifications.TrySend(Notification{Method: env.Method, Body: joined(env.Body, env.Shared), Ctx: envCtx(&env)}) {
 			// Nobody is draining the queue, or the client has shut down: the
 			// notification is lost here, and the loss is on the record.
 			if tr.Enabled() {
@@ -499,7 +499,7 @@ func Decode(body json.RawMessage, v any) error { return decodeParts(body, nil, v
 func decodeParts(body, shared []byte, v any) error {
 	if len(shared) != 0 {
 		if _, typed := v.(wireParser); !typed || len(body) == 0 || body[0] != wire.BodyMarker {
-			body, shared = append(body[:len(body):len(body)], shared...), nil
+			body, shared = joined(body, shared), nil
 		}
 	}
 	if len(body) == 0 {
@@ -518,12 +518,13 @@ func decodeParts(body, shared []byte, v any) error {
 	return p.ParseWire(body[1:], shared)
 }
 
-// wholeBody returns env's body whole: a copy when it arrived in parts.
-func wholeBody(env *wire.Envelope) []byte {
-	if len(env.Shared) == 0 {
-		return env.Body
+// joined returns body followed by shared: body itself when shared is empty,
+// a copy otherwise.
+func joined(body, shared []byte) []byte {
+	if len(shared) == 0 {
+		return body
 	}
-	return append(env.Body[:len(env.Body):len(env.Body)], env.Shared...)
+	return append(body[:len(body):len(body)], shared...)
 }
 
 // send marshals arg as env's body and puts the envelope on the wire.
@@ -794,9 +795,9 @@ func (sc *ServerConn) handle(own, shared []byte) {
 			ctx = tr.Child(sc.conn.Ctx(), "serve")
 		}
 		call := &Call{Ctx: ctx, sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
-		sc.srv.handler.ServeCall(call, env.Method, wholeBody(&env))
+		sc.srv.handler.ServeCall(call, env.Method, joined(env.Body, env.Shared))
 	case wire.KindNotify:
-		sc.srv.handler.HandleNotify(sc, env.Method, wholeBody(&env))
+		sc.srv.handler.HandleNotify(sc, env.Method, joined(env.Body, env.Shared))
 	}
 }
 
