@@ -4,10 +4,10 @@ import "cogrid/internal/wire"
 
 // The barrier's wire protocol: one "checkin" call per process, answered at
 // the commit decision. It is the one message pair with a typed binary body
-// (rpc picks that form for any type with AppendWire/ParseWire): the reply
-// carries the whole address book to every rank, so on a 64-process
-// co-allocation it is over nine tenths of all body bytes (DESIGN.md, "Wire
-// format"). The controller's barrier service is the one server of the pair,
+// (rpc picks that form for any type with AppendWire, or a reply type with
+// AppendWireShared, and ParseWire): the reply carries the whole address book
+// to every rank, so on a 64-process co-allocation it is over nine tenths of
+// all body bytes (DESIGN.md, "Wire format"). The controller's barrier service is the one server of the pair,
 // and every proceed reply it sends comes from one release, below, whose
 // encoding every rank's frame shares (AppendWireShared). The json tags are
 // the form a JSON-codec peer, or a foreign client, sees.
@@ -70,22 +70,13 @@ func (a *CheckinArgs) ParseWire(head, shared []byte) error {
 	return nil
 }
 
-// AppendWire appends the typed body: proceed, reason, the receiver's own
-// MySubjob and MyRank, then the fields every rank of a release shares
-// (appendShared). A reply that was itself parsed appends its lists as the
-// bytes it kept.
-func (p CheckinReply) AppendWire(dst []byte) []byte {
-	dst, sh := p.AppendWireShared(dst)
-	if sh != nil {
-		return append(dst, sh.Bytes()...)
-	}
-	return dst
-}
-
-// AppendWireShared is AppendWire for a reply built by release.reply that
-// stops at the fields every rank shares and returns them, encoded and
-// checksummed once per release: rpc sends them beside each rank's frame,
-// uncopied. Any other reply is appended whole, and sh is nil.
+// AppendWireShared appends the typed body: proceed, reason, the receiver's
+// own MySubjob and MyRank, then the fields every rank of a release shares
+// (appendShared). A reply built by release.reply stops before those and
+// returns them, encoded and checksummed once per release: rpc sends them
+// beside each rank's frame, uncopied. Any other reply is appended whole,
+// and sh is nil; one that was itself parsed appends its lists as the bytes
+// it kept.
 func (p CheckinReply) AppendWireShared(dst []byte) (_ []byte, sh *wire.Shared) {
 	dst = wire.AppendUvarint(dst, bit(p.Proceed))
 	dst = wire.AppendString(dst, p.Reason)
@@ -110,9 +101,9 @@ func appendShared(dst []byte, cfg *Config) []byte {
 	return cfg.book.appendWire(dst)
 }
 
-// ParseWire decodes a body written by AppendWire, received as head
-// followed by shared (see wire.NewReader): sent by AppendWireShared, the
-// per-rank fields are in head and the rest in shared. It validates all of
+// ParseWire decodes a body written by AppendWireShared, received as head
+// followed by shared (see wire.NewReader): from a release, the per-rank
+// fields are in head and the rest in shared. It validates all of
 // it: every length prefix of the labels and of the address book is walked,
 // so a truncated or over-long body fails here, before anything is used. The
 // two lists themselves are not decoded. Config keeps them as sub-slices of

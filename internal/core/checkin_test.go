@@ -118,6 +118,16 @@ func sameConfig(a, b core.Config) bool {
 	return true
 }
 
+// replyWire is a reply's whole typed body, as a receiver gets it: what
+// AppendWireShared appends, then the shared part it returns.
+func replyWire(p core.CheckinReply) []byte {
+	body, sh := p.AppendWireShared(nil)
+	if sh != nil {
+		body = append(body, sh.Bytes()...)
+	}
+	return body
+}
+
 // sameReply compares what a receiver can see of two replies.
 func sameReply(a, b core.CheckinReply) bool {
 	return a.Proceed == b.Proceed && a.Reason == b.Reason && sameConfig(a.Config, b.Config)
@@ -131,7 +141,7 @@ func TestCheckinBodyRoundTrip(t *testing.T) {
 		}
 	}
 	for _, p := range sampleReplies() {
-		body := p.AppendWire(nil)
+		body := replyWire(p)
 		var got core.CheckinReply
 		if err := got.ParseWire(body, nil); err != nil || !sameReply(got, p) {
 			t.Errorf("reply %+v came back as %+v, %v", p, got, err)
@@ -139,7 +149,7 @@ func TestCheckinBodyRoundTrip(t *testing.T) {
 		// The encode-once form and the encode-per-reply form are the same
 		// bytes: a receiver cannot tell which one the sender used.
 		plain := core.CheckinReply{Proceed: p.Proceed, Reason: p.Reason, Config: p.Config}
-		if !bytes.Equal(body, plain.AppendWire(nil)) {
+		if !bytes.Equal(body, replyWire(plain)) {
 			t.Errorf("reply %+v: shared and unshared encodings differ", p)
 		}
 		for n := 0; n < len(body); n++ {
@@ -168,7 +178,7 @@ func FuzzCheckinBody(f *testing.F) {
 		f.Add(a.AppendWire(nil))
 	}
 	for _, p := range sampleReplies() {
-		body := p.AppendWire(nil)
+		body := replyWire(p)
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 	}
@@ -198,12 +208,12 @@ func FuzzCheckinBody(f *testing.F) {
 			if !sameReply(p, eager) {
 				t.Fatalf("reply reads as %+v, eager decoding found %+v", p, eager)
 			}
-			body := p.AppendWire(nil)
+			body := replyWire(p)
 			var again core.CheckinReply
 			if err := again.ParseWire(body, nil); err != nil || !sameReply(again, p) {
 				t.Fatalf("reply not a round-trip fixpoint: %+v then %+v, %v", p, again, err)
 			}
-			if !bytes.Equal(again.AppendWire(nil), body) {
+			if !bytes.Equal(replyWire(again), body) {
 				t.Fatalf("reply %+v: a second Append of what the first one wrote differs", p)
 			}
 		}
@@ -243,8 +253,8 @@ func allocated(runs int, f func()) (allocs, bytes float64) {
 // book one copy and one slice. Sixty-four of these parses run per
 // co-allocation, and none of its processes reads more than a few addresses.
 func TestCheckinReplyParseAllocs(t *testing.T) {
-	body := core.NewRelease(wideConfig(8, 8)).Reply(3, 27).AppendWire(nil)
-	long := core.NewRelease(wideConfig(8, 128)).Reply(3, 27).AppendWire(nil)
+	body := replyWire(core.NewRelease(wideConfig(8, 8)).Reply(3, 27))
+	long := replyWire(core.NewRelease(wideConfig(8, 128)).Reply(3, 27))
 	var p core.CheckinReply
 	parse := func(body []byte) func() {
 		return func() {
@@ -356,7 +366,7 @@ func BenchmarkReleaseEveryRankReadsAll(b *testing.B) {
 	rel := core.NewRelease(wideConfig(8, 8))
 	var bodies [][]byte
 	for rank := 0; rank < 64; rank++ {
-		bodies = append(bodies, rel.Reply(rank/8, rank).AppendWire(nil))
+		bodies = append(bodies, replyWire(rel.Reply(rank/8, rank)))
 	}
 	run := func(parse func(*core.CheckinReply, []byte) error) func(*testing.B) {
 		return func(b *testing.B) {
@@ -457,7 +467,7 @@ func TestReleaseEncodesOnce(t *testing.T) {
 		if len(shared) != len(first) || &shared[0] != &first[0] {
 			t.Fatalf("rank %d's reply has its own encoding of the configuration", p.Config.MyRank)
 		}
-		if body := p.AppendWire(nil); !bytes.HasSuffix(body, first) {
+		if body := replyWire(p); !bytes.HasSuffix(body, first) {
 			t.Errorf("rank %d's body does not end in the shared region", p.Config.MyRank)
 		}
 		ranks[p.Config.MyRank] = true
@@ -535,7 +545,7 @@ func TestConfigJSONForm(t *testing.T) {
 		t.Errorf("empty proceed reply as JSON: %s, %v\nwant %s", js, err, want)
 	}
 	var parsed core.CheckinReply
-	if err := parsed.ParseWire(core.CheckinReply{Proceed: true}.AppendWire(nil), nil); err != nil {
+	if err := parsed.ParseWire(replyWire(core.CheckinReply{Proceed: true}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if js, err := json.Marshal(parsed); err != nil || string(js) != want {

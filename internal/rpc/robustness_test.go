@@ -337,29 +337,3 @@ func TestCorruptSharedBodyDropsOnlyItsReply(t *testing.T) {
 		t.Errorf("rpc.frame.decode-error@a = %d, want 1", got)
 	}
 }
-
-// A call may be sent in parts too: marshalBody offers any message its
-// shared form. A handler is handed one body, so the server joins the parts
-// for it, in a copy, and the body reads as the whole typed body it is.
-func TestCallInPartsReachesHandlerWhole(t *testing.T) {
-	sim, _, ctrs, a, b := newTracedPair(t)
-	e := &contractEnv{t: t, sim: sim, ctrs: ctrs, a: a, b: b}
-	book := wire.AppendStrings(nil, []string{"a:app.0", "a:app.1"})
-	sh := wire.NewShared(book)
-	e.serve(callFunc(func(call *Call, method string, body json.RawMessage) {
-		var got releaseReply
-		if err := Decode(body, &got); err != nil || got.Rank != 1 || !bytes.Equal(got.Book, book) {
-			t.Errorf("handler read %d %q, %v; want rank 1 and the book", got.Rank, got.Book.All(), err)
-		}
-		call.Reply(got.Rank, nil)
-	}))
-	err := sim.Run("caller", func() {
-		var rank int
-		if err := e.dial().Call("checkin", releaseReply{Rank: 1, shared: &sh}, &rank, time.Second); err != nil || rank != 1 {
-			t.Errorf("Call = %d, %v", rank, err)
-		}
-	})
-	if err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-}

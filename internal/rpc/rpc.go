@@ -10,10 +10,10 @@
 // implementing two methods: AppendWire (on the value sent) and ParseWire (on
 // the pointer received into) for the typed binary form of internal/wire, or
 // AppendJSON and ParseJSON for hand-written JSON in exactly encoding/json's
-// bytes; see marshalBody and Decode. A typed body that many receivers are
+// bytes; see marshalBody and Decode. A typed reply that many callers are
 // sent alike ends in a wire.Shared, which its type hands over with
 // AppendWireShared instead of AppendWire; the frame then goes out in two
-// parts, and the shared one uncopied.
+// parts, and the shared one uncopied (Call.Reply).
 //
 // Nothing here owns a process unless something blocks. The receive side of
 // a Client, a Server's listener and every connection a Server accepts each
@@ -242,9 +242,10 @@ func (d *demuxer) RunTask() {
 // dispatch routes one received frame.
 func (c *Client) dispatch(own, shared []byte) {
 	var env wire.Envelope
-	if c.dec.DecodeParts(own, shared, &env) != nil {
-		// Malformed frame (truncated, corrupted, bad CRC): drop, but
-		// count the drop so codec trouble is visible.
+	if c.dec.DecodeParts(own, shared, &env) != nil || len(shared) != 0 && env.Kind != wire.KindReply {
+		// Malformed frame (truncated, corrupted, bad CRC, or in parts, which
+		// only a reply is sent in: Call.Reply): drop, but count the drop so
+		// codec trouble is visible.
 		c.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", c.conn.LocalAddr().Host, 1)
 		return
 	}
@@ -269,7 +270,7 @@ func (c *Client) dispatch(own, shared []byte) {
 			c.conn.Network().Counters().AddKey("rpc", "reply", "drop", host, 1)
 		}
 	case wire.KindNotify:
-		if !c.notifications.TrySend(Notification{Method: env.Method, Body: joined(env.Body, env.Shared), Ctx: envCtx(&env)}) {
+		if !c.notifications.TrySend(Notification{Method: env.Method, Body: env.Body, Ctx: envCtx(&env)}) {
 			// Nobody is draining the queue, or the client has shut down: the
 			// notification is lost here, and the loss is on the record.
 			if tr.Enabled() {
@@ -438,18 +439,19 @@ func (s *sender) bind(conn *transport.Conn) {
 	_ = conn.SendShared(s.enc.EncodePrologue(), nil, trace.Ctx{})
 }
 
-// wireAppender, wireSharer and wireParser are how a message type opts into
-// the typed body form: AppendWire or AppendWireShared on the value sent,
-// ParseWire on the pointer received into (the marker byte is not theirs to
-// write or read). A type that sends implements one of the first two, and
-// ParseWire; nothing is registered anywhere.
+// wireAppender and wireParser are how a message type opts into the typed
+// body form: AppendWire on the value sent, ParseWire on the pointer received
+// into (the marker byte is not theirs to write or read). A type implements
+// both or neither; nothing is registered anywhere. A reply type may send with
+// AppendWireShared instead of AppendWire (wireSharer).
 type wireAppender interface {
 	AppendWire(dst []byte) []byte
 }
 
-// wireSharer is a typed body whose end many receivers are sent alike:
-// AppendWireShared appends the start, this receiver's, and returns the end,
-// or appends the whole body and returns nil.
+// wireSharer is a typed reply whose end many callers are sent alike:
+// AppendWireShared appends the start, this caller's, and returns the end,
+// or appends the whole body and returns nil. Call.Reply, and nothing else,
+// sends a body in parts.
 type wireSharer interface {
 	AppendWireShared(dst []byte) ([]byte, *wire.Shared)
 }
@@ -461,26 +463,22 @@ type wireParser interface {
 }
 
 // marshalBody appends the body encoding of v to dst: the typed form behind
-// wire.BodyMarker when v has one, JSON otherwise, by hand when v can. A typed
-// body may end in a part it shares with other frames, which is not appended
-// but returned. The choice depends on v's type alone.
-func marshalBody(dst []byte, v any) ([]byte, *wire.Shared, error) {
+// wire.BodyMarker when v has one, JSON otherwise, by hand when v can. The
+// choice depends on v's type alone.
+func marshalBody(dst []byte, v any) ([]byte, error) {
 	switch w := v.(type) {
 	case nil:
-		return dst, nil, nil
-	case wireSharer:
-		dst, sh := w.AppendWireShared(append(dst, wire.BodyMarker))
-		return dst, sh, nil
+		return dst, nil
 	case wireAppender:
-		return w.AppendWire(append(dst, wire.BodyMarker)), nil, nil
+		return w.AppendWire(append(dst, wire.BodyMarker)), nil
 	case interface{ AppendJSON(dst []byte) []byte }: // exactly json.Marshal's bytes
-		return w.AppendJSON(dst), nil, nil
+		return w.AppendJSON(dst), nil
 	}
 	js, err := json.Marshal(v)
 	if err != nil {
-		return dst, nil, err
+		return dst, err
 	}
-	return append(dst, js...), nil, nil
+	return append(dst, js...), nil
 }
 
 // Decode unmarshals a received body into v, tolerating an empty body. The
@@ -494,14 +492,9 @@ func marshalBody(dst []byte, v any) ([]byte, *wire.Shared, error) {
 func Decode(body json.RawMessage, v any) error { return decodeParts(body, nil, v) }
 
 // decodeParts is Decode for a body received as body followed by shared
-// (wire.Envelope.Shared). Only a typed body is read in its parts; anything
-// else gets them joined, in a copy.
+// (wire.Envelope.Shared), as a reply sent in parts is; such a body is typed
+// (Call.Reply).
 func decodeParts(body, shared []byte, v any) error {
-	if len(shared) != 0 {
-		if _, typed := v.(wireParser); !typed || len(body) == 0 || body[0] != wire.BodyMarker {
-			body, shared = joined(body, shared), nil
-		}
-	}
 	if len(body) == 0 {
 		return nil
 	}
@@ -518,45 +511,35 @@ func decodeParts(body, shared []byte, v any) error {
 	return p.ParseWire(body[1:], shared)
 }
 
-// joined returns body followed by shared: body itself when shared is empty,
-// a copy otherwise.
-func joined(body, shared []byte) []byte {
-	if len(shared) == 0 {
-		return body
-	}
-	return append(body[:len(body):len(body)], shared...)
-}
-
 // send marshals arg as env's body and puts the envelope on the wire.
 func (s *sender) send(env *wire.Envelope, arg any) error {
 	buf := wire.GetBuf()
-	body, sh, err := marshalBody(*buf, arg)
+	body, err := marshalBody(*buf, arg)
 	if err != nil {
 		wire.PutBuf(buf)
 		return fmt.Errorf("rpc: marshal %s: %w", env.Method, err)
 	}
 	*buf = body
-	return s.sendFrame(env, buf, sh)
+	return s.sendFrame(env, buf, nil)
 }
+
+// noShared is the shared part of a frame sent whole: none.
+var noShared = wire.NewShared(nil)
 
 // sendFrame sends env with the contents of the pooled buffer buf as its
 // body, followed by sh's bytes if sh is not nil, and recycles buf. The
-// transport is handed one new slice per frame and nothing else: a copy of
-// the frame, which is encoded behind the body in the same buffer, or the
-// frame's own part (wire.Encoder.EncodeShared) beside sh's bytes, which
-// every frame that ends in them shares uncopied.
+// transport is handed one new slice per frame and nothing else: the frame's
+// own part (wire.Encoder.EncodeShared), beside sh's bytes, which every frame
+// that ends in them shares uncopied.
 func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte, sh *wire.Shared) error {
 	defer wire.PutBuf(buf)
+	if sh == nil {
+		sh = &noShared
+	}
 	env.Body = *buf
 	ctx := envCtx(env)
 	s.mu.Lock()
-	var err error
-	if sh != nil {
-		err = s.conn.SendShared(s.enc.EncodeShared(env, sh), sh.Bytes(), ctx)
-	} else {
-		*buf = s.enc.Encode(*buf, env)
-		err = s.conn.SendCtx((*buf)[len(env.Body):], ctx)
-	}
+	err := s.conn.SendShared(s.enc.EncodeShared(env, sh), sh.Part(), ctx)
 	s.mu.Unlock()
 	if err != nil {
 		return ErrClosed
@@ -661,11 +644,13 @@ func (c *Call) Reply(result any, err error) {
 	if err != nil {
 		reply.Error = err.Error()
 		outcome = "error"
-	} else if body, shared, merr := marshalBody(*buf, result); merr != nil {
+	} else if w, ok := result.(wireSharer); ok {
+		*buf, sh = w.AppendWireShared(append(*buf, wire.BodyMarker))
+	} else if body, merr := marshalBody(*buf, result); merr != nil {
 		reply.Error = "rpc: marshal reply: " + merr.Error()
 		outcome = "error"
 	} else {
-		*buf, sh = body, shared
+		*buf = body
 	}
 	host := conn.LocalAddr().Host
 	// The serve span covers handler execution and shares the call's
@@ -776,10 +761,11 @@ func (t *connTask) RunTask() {
 	drain(sc.conn, &sc.task, sc.handle)
 }
 
-// handle dispatches one received frame.
+// handle dispatches one received frame. Calls and notifications are sent
+// whole: one in parts is malformed.
 func (sc *ServerConn) handle(own, shared []byte) {
 	var env wire.Envelope
-	if sc.dec.DecodeParts(own, shared, &env) != nil {
+	if len(shared) != 0 || sc.dec.Decode(own, &env) != nil {
 		sc.conn.Network().Counters().AddKey("rpc", "frame", "decode-error", sc.conn.LocalAddr().Host, 1)
 		return
 	}
@@ -795,9 +781,9 @@ func (sc *ServerConn) handle(own, shared []byte) {
 			ctx = tr.Child(sc.conn.Ctx(), "serve")
 		}
 		call := &Call{Ctx: ctx, sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
-		sc.srv.handler.ServeCall(call, env.Method, joined(env.Body, env.Shared))
+		sc.srv.handler.ServeCall(call, env.Method, env.Body)
 	case wire.KindNotify:
-		sc.srv.handler.HandleNotify(sc, env.Method, joined(env.Body, env.Shared))
+		sc.srv.handler.HandleNotify(sc, env.Method, env.Body)
 	}
 }
 

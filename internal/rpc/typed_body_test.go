@@ -130,7 +130,7 @@ func (m *jsonMsg) json(j *wire.JSON) {
 // decodes, through encoding/json.
 func TestJSONBodyDispatch(t *testing.T) {
 	msg := jsonMsg{Text: "&(count=1)", N: -3}
-	body, _, err := marshalBody(nil, msg)
+	body, err := marshalBody(nil, msg)
 	if want, _ := json.Marshal(msg); err != nil || string(body) != string(want) {
 		t.Fatalf("marshalBody = %s, %v; want json.Marshal's %s", body, err, want)
 	}

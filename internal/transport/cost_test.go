@@ -142,6 +142,19 @@ func TestConnSize(t *testing.T) {
 	}
 }
 
+// TestQueuedMessageSize pins what a message costs while it waits: a slot of
+// the peer's inbox ring and an entry of the delivery pipeline are as large
+// as they were when a message was one slice, though it may now come in two
+// parts.
+func TestQueuedMessageSize(t *testing.T) {
+	if size := unsafe.Sizeof(msg{}); size > 24 {
+		t.Errorf("msg is %d bytes, want <= 24", size)
+	}
+	if size := unsafe.Sizeof(outMsg{}); size > 80 {
+		t.Errorf("outMsg is %d bytes, want <= 80", size)
+	}
+}
+
 // BenchmarkTracedDialRoundTripClose is a short connection's whole life with
 // every observer attached: dial, one request and its echo, close.
 func BenchmarkTracedDialRoundTripClose(b *testing.B) {

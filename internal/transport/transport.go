@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"cogrid/internal/flightrec"
 	"cogrid/internal/metrics"
@@ -592,14 +593,37 @@ func (l *Listener) close(deregister bool) {
 	l.accept.Close()
 }
 
-// msg is one message's bytes: the part sent for it alone and the part it
-// shares with other messages, if any (see SendShared).
+// msg is one message's bytes: the part sent for it alone, own, and the part
+// it shares with other messages, if any (see SendShared). Nothing appends to
+// a message, so own is kept without its capacity, and a queued message is
+// three words, as the one slice a message was before it could come in parts:
+// a delivery pipeline's entry and an inbox's ring slot cost no more.
 type msg struct {
-	own, shared []byte
+	own    *byte
+	n      int
+	shared *[]byte
+}
+
+func newMsg(own []byte, shared *[]byte) msg {
+	return msg{unsafe.SliceData(own), len(own), shared}
+}
+
+// parts returns the message's own and shared parts (shared nil for one sent
+// whole).
+func (m msg) parts() (own, shared []byte) {
+	if m.shared != nil {
+		shared = *m.shared
+	}
+	return unsafe.Slice(m.own, m.n), shared
 }
 
 // size is the message's length, both parts.
-func (m msg) size() int { return len(m.own) + len(m.shared) }
+func (m msg) size() int {
+	if m.shared == nil {
+		return m.n
+	}
+	return m.n + len(*m.shared)
+}
 
 // pendingMsg is one sent message on its way to the peer.
 type pendingMsg struct {
@@ -944,14 +968,15 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	return c.SendShared(bytes.Clone(payload), nil, ctx)
 }
 
-// SendShared is SendCtx without the copy: the peer receives own and shared
-// themselves, which nobody writes again. own is this message's alone; shared
-// is a part many messages carry alike (a body every rank of a release is
-// sent), or nil. The message is both parts: its length is theirs together
-// in every counter, span and drop, and the peer receives them together
-// (TryRecv). How they make one payload is the two ends' codec's business
-// (internal/wire's DecodeParts).
-func (c *Conn) SendShared(own, shared []byte, ctx trace.Ctx) error {
+// SendShared is SendCtx without the copy: the peer receives own and
+// *shared themselves, which nobody writes again. own is this message's
+// alone; shared points at a part many messages carry alike (a body every
+// rank of a release is sent), kept where the sender keeps it, or is nil:
+// a queued message holds the pointer, not a slice of its own. The message
+// is both parts: its length is theirs together in every counter, span and
+// drop, and the peer receives them together (TryRecv). How they make one
+// payload is the two ends' codec's business (internal/wire's DecodeParts).
+func (c *Conn) SendShared(own []byte, shared *[]byte, ctx trace.Ctx) error {
 	if !ctx.Valid() {
 		ctx = c.ctx
 	}
@@ -969,7 +994,7 @@ func (c *Conn) SendShared(own, shared []byte, ctx trace.Ctx) error {
 	if !localUp {
 		return ErrHostDown
 	}
-	m := msg{own, shared}
+	m := newMsg(own, shared)
 	size := m.size()
 	if !n.deliverable(c.local.Host, c.remote.Host) {
 		c.dropped(size, "unreachable", ctx)
@@ -1059,19 +1084,21 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 
 // whole returns a message sent without a shared part.
 func (m msg) whole() []byte {
-	if m.shared != nil {
+	own, shared := m.parts()
+	if len(shared) != 0 {
 		panic("transport: a message sent with a shared part is read with TryRecv")
 	}
-	return m.own
+	return own
 }
 
 // TryRecv is Recv for a task step, which cannot wait, and for messages in
 // parts: it returns a message's own and shared parts as SendShared sent
-// them (shared nil for one sent whole), ErrWouldBlock when no message has
+// them (shared empty for one sent whole), ErrWouldBlock when no message has
 // arrived and ErrClosed once the connection is closed and drained.
 func (c *Conn) TryRecv() (own, shared []byte, err error) {
 	m, res := c.in.RecvTimeout(0)
-	return m.own, m.shared, tryResult(res)
+	own, shared = m.parts()
+	return own, shared, tryResult(res)
 }
 
 // ReadyOnArrival readies t once, when the next message arrives or the

@@ -151,7 +151,7 @@ func TestSendPayloadOwnership(t *testing.T) {
 			copy(buf, "written")
 			own := []byte("own")
 			msgs0, bytes0 := n.Messages(), n.Bytes()
-			if err := conn.SendShared(own, shared, trace.Ctx{}); err != nil {
+			if err := conn.SendShared(own, &shared, trace.Ctx{}); err != nil {
 				t.Errorf("SendShared: %v", err)
 				return
 			}

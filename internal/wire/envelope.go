@@ -77,6 +77,11 @@ func NewShared(b []byte) Shared {
 // Bytes returns the shared bytes, which nobody may write.
 func (s *Shared) Bytes() []byte { return s.b }
 
+// Part returns where the shared bytes are kept: what a message in parts
+// hands the transport (transport.Conn.SendShared), which queues a pointer to
+// them for every receiver.
+func (s *Shared) Part() *[]byte { return &s.b }
+
 // after returns the checksum of a head followed by s's bytes from crc, the
 // head's own checksum (see crcMul).
 func (s *Shared) after(crc uint16) uint16 { return crcMul(crc, s.shift) ^ s.crc }
