@@ -608,8 +608,8 @@ func newMsg(own []byte, shared *[]byte) msg {
 	return msg{unsafe.SliceData(own), len(own), shared}
 }
 
-// parts returns the message's own and shared parts (shared nil for one sent
-// whole).
+// parts returns the message's own and shared parts (shared empty for one
+// sent whole).
 func (m msg) parts() (own, shared []byte) {
 	if m.shared != nil {
 		shared = *m.shared
@@ -619,10 +619,8 @@ func (m msg) parts() (own, shared []byte) {
 
 // size is the message's length, both parts.
 func (m msg) size() int {
-	if m.shared == nil {
-		return m.n
-	}
-	return m.n + len(*m.shared)
+	own, shared := m.parts()
+	return len(own) + len(shared)
 }
 
 // pendingMsg is one sent message on its way to the peer.

@@ -384,11 +384,10 @@ func decode(buf []byte, ps *parts, env *Envelope) error {
 	return nil
 }
 
-// bufPool recycles envelope encode buffers: Encode appends into a pooled
-// slice, the transport's SendCtx copies the frame onto the wire (or
-// EncodeShared copies its head into the frame's own part), and the buffer
-// returns to the pool; the steady-state encode path allocates nothing of
-// its own.
+// bufPool recycles encode buffers: a body and a frame's head are appended
+// into pooled slices, EncodeShared copies the head into the frame's own
+// part, which is what goes on the wire, and the buffers return to the pool;
+// the steady-state encode path allocates nothing but that part.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // GetBuf returns a pooled, empty encode buffer.
