@@ -40,12 +40,15 @@
 //	  "pool": ["spare:gram"],               // substitution pool
 //	  "drop_unreplaceable": true,
 //	  "work_seconds": 60,                   // app run time after release
-//	  "faults": [{"at_seconds": 10, "kind": "host-crash", "target": "m2"}]
+//	  "faults": [{"kind": "crash", "target": "m2", "at": 10000000000}]
 //	}
 //
-// Fault kinds: host-crash, host-hang, host-restore, machine-slow (with
-// "factor"), machine-down, machine-up, partition/heal (with "target2"),
-// revoke-user, reinstate-user, machine-restart.
+// A fault is a workload.Fault, as in DST's replay form: "at" and "dur" are
+// virtual nanoseconds, and a fault whose "dur" is 0 or absent never heals.
+// Fault kinds: hang, slow (with "factor"), partition (with "target2", the
+// workstation when absent), down, crash, revoke, broker-crash (refused: a
+// scenario has no federation). A fault list that workload.CheckFaults
+// refuses is an error.
 package main
 
 import (
@@ -58,7 +61,6 @@ import (
 
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
-	"cogrid/internal/failure"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/trace"
@@ -68,15 +70,15 @@ import (
 
 // Scenario is the JSON file format.
 type Scenario struct {
-	Seed              int64         `json:"seed"`
-	Machines          []MachineSpec `json:"machines"`
-	Request           string        `json:"request"`
-	Strategy          string        `json:"strategy"`
-	Pool              []string      `json:"pool"`
-	DropUnreplaceable bool          `json:"drop_unreplaceable"`
-	WorkSeconds       int           `json:"work_seconds"`
-	Faults            []FaultSpec   `json:"faults"`
-	TimeoutSeconds    int           `json:"timeout_seconds"`
+	Seed              int64            `json:"seed"`
+	Machines          []MachineSpec    `json:"machines"`
+	Request           string           `json:"request"`
+	Strategy          string           `json:"strategy"`
+	Pool              []string         `json:"pool"`
+	DropUnreplaceable bool             `json:"drop_unreplaceable"`
+	WorkSeconds       int              `json:"work_seconds"`
+	Faults            []workload.Fault `json:"faults"`
+	TimeoutSeconds    int              `json:"timeout_seconds"`
 	// Timeline renders the Figure 5-style submission timeline and the
 	// co-allocation event history after the run.
 	Timeline bool `json:"timeline"`
@@ -87,15 +89,6 @@ type MachineSpec struct {
 	Name       string `json:"name"`
 	Processors int    `json:"processors"`
 	Mode       string `json:"mode"`
-}
-
-// FaultSpec describes one scheduled fault.
-type FaultSpec struct {
-	AtSeconds float64 `json:"at_seconds"`
-	Kind      string  `json:"kind"`
-	Target    string  `json:"target"`
-	Target2   string  `json:"target2"`
-	Factor    float64 `json:"factor"`
 }
 
 func main() {
@@ -219,9 +212,9 @@ func demoScenario() Scenario {
 		Pool:              []string{"spare-a:gram"},
 		DropUnreplaceable: true,
 		WorkSeconds:       30,
-		Faults: []FaultSpec{
-			{AtSeconds: 3, Kind: "host-crash", Target: "ncsa-o2k"},
-			{AtSeconds: 0, Kind: "machine-slow", Target: "sdsc-sp2", Factor: 100},
+		Faults: []workload.Fault{
+			{Kind: "crash", Target: "ncsa-o2k", At: 3 * time.Second},
+			{Kind: "slow", Target: "sdsc-sp2", Factor: 100},
 		},
 	}
 }
@@ -297,27 +290,15 @@ func runWith(sc Scenario, opts runOptions) error {
 	}
 	g.RegisterEverywhere("app", workload.App(time.Duration(sc.WorkSeconds)*time.Second, 0))
 
-	var plan failure.Plan
-	for _, f := range sc.Faults {
-		// A kind is spelled as failure.Kind names it.
-		kind := failure.Kind(0)
-		for kind.String() != f.Kind && kind.String() != "invalid" {
-			kind++
-		}
-		if kind.String() == "invalid" {
-			return fmt.Errorf("unknown fault kind %q", f.Kind)
-		}
-		plan = append(plan, failure.Action{
-			At:      time.Duration(f.AtSeconds * float64(time.Second)),
-			Kind:    kind,
-			Target:  f.Target,
-			Target2: f.Target2,
-			Factor:  f.Factor,
-		})
+	if _, err := (&workload.Testbed{Grid: g}).Schedule(sc.Faults); err != nil {
+		return err
 	}
-	plan.Apply(g)
-	for _, a := range plan.Sorted() {
-		fmt.Println("fault scheduled:", a)
+	for _, f := range sc.Faults {
+		b, err := json.Marshal(f)
+		if err != nil {
+			return err
+		}
+		fmt.Println("fault scheduled:", string(b))
 	}
 
 	req, err := core.ParseRequest(sc.Request)

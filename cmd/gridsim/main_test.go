@@ -2,10 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"cogrid/internal/workload"
 )
 
 func loadScenario(t *testing.T, name string) Scenario {
@@ -57,7 +64,7 @@ func TestAtomicFailureScenarioFailsCleanly(t *testing.T) {
 
 func TestScenarioValidation(t *testing.T) {
 	sc := demoScenario()
-	sc.Faults = append(sc.Faults, FaultSpec{Kind: "meteor-strike", Target: "x"})
+	sc.Faults = append(sc.Faults, workload.Fault{Kind: "meteor-strike", Target: "x"})
 	if err := run(sc); err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
 		t.Fatalf("unknown fault kind accepted: %v", err)
 	}
@@ -78,15 +85,46 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// The scenario format spells a fault kind as failure.Kind names it: every
-// kind the package comment lists schedules (on no machine, so a no-op).
-func TestEveryDocumentedFaultKindParses(t *testing.T) {
-	for _, kind := range []string{"host-crash", "host-hang", "host-restore", "machine-slow", "machine-down",
-		"machine-up", "partition", "heal", "revoke-user", "reinstate-user", "machine-restart"} {
-		sc := demoScenario()
-		sc.Faults = []FaultSpec{{AtSeconds: 1, Kind: kind, Target: "nowhere", Target2: "nowhere"}}
-		if err := run(sc); err != nil && strings.Contains(err.Error(), "unknown fault kind") {
-			t.Errorf("%s: %v", kind, err)
+// TestBadFaultListIsAnError: a fault list workload.CheckFaults refuses
+// stops the scenario before it runs. Each of these once panicked, was
+// accepted without a word, or was clamped to a different factor than the
+// testbed uses.
+func TestBadFaultListIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		faults []workload.Fault
+	}{
+		{"a restart of a live machine, in the old spelling", []workload.Fault{{Kind: "machine-restart", Target: "m1", At: time.Second}}},
+		{"a crash of no machine", []workload.Fault{{Kind: "crash", Target: "nosuch", At: time.Second}}},
+		{"a negative time", []workload.Fault{{Kind: "crash", Target: "m1", At: -5 * time.Second}}},
+		{"a negative slowdown", []workload.Fault{{Kind: "slow", Target: "m1", Factor: -3}}},
+		{"overlapping crashes", []workload.Fault{{Kind: "crash", Target: "m1", At: time.Second, Dur: time.Minute},
+			{Kind: "crash", Target: "m1", At: 2 * time.Second, Dur: time.Second}}},
+		{"one partition both ways", []workload.Fault{{Kind: "partition", Target: "m1", Target2: "m2", At: time.Second, Dur: time.Minute},
+			{Kind: "partition", Target: "m2", Target2: "m1", At: 2 * time.Second, Dur: time.Minute}}},
+	} {
+		sc := loadScenario(t, "atomic-failure.json")
+		sc.Faults = c.faults
+		if err := run(sc); err == nil || strings.Contains(err.Error(), "co-allocation failed") {
+			t.Errorf("%s: run() = %v, want the fault list refused", c.name, err)
 		}
+	}
+}
+
+// TestPackageCommentListsEveryFaultKind holds the package comment's list of
+// fault kinds to the validator's, in its order.
+func TestPackageCommentListsEveryFaultKind(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Join(strings.Fields(f.Doc.Text()), " ")
+	m := regexp.MustCompile(`Fault kinds: ([^.]*)\.`).FindStringSubmatch(doc)
+	if m == nil {
+		t.Fatal("the package comment lists no fault kinds")
+	}
+	kinds := strings.Split(regexp.MustCompile(` \([^)]*\)`).ReplaceAllString(m[1], ""), ", ")
+	if !slices.Equal(kinds, workload.FaultKinds) {
+		t.Errorf("the package comment lists %q, the validator %q", kinds, workload.FaultKinds)
 	}
 }

@@ -6,14 +6,23 @@ import (
 	"time"
 
 	"cogrid/internal/core"
-	"cogrid/internal/failure"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
+	"cogrid/internal/workload"
 )
 
-// These integration tests drive DUROC through the failure package's fault
-// plans, covering the paper's full failure-visibility matrix: error
-// reports (crash, app failure), and lack of progress (hang, partition).
+// These integration tests drive DUROC through injected faults, covering the
+// paper's full failure-visibility matrix: error reports (crash, app
+// failure), and lack of progress (hang, partition).
+
+// schedule injects faults into g through workload.Testbed.Schedule, as
+// every harness does.
+func schedule(t *testing.T, g *grid.Grid, faults ...workload.Fault) {
+	t.Helper()
+	if _, err := (&workload.Testbed{Grid: g}).Schedule(faults); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestRequiredFailurePostCommitKillsComputation(t *testing.T) {
 	// "Failure or timeout of a required resource causes the entire
@@ -65,9 +74,7 @@ func TestHungMachineSurfacesAsTimeoutNotError(t *testing.T) {
 	// A hang produces no error report — only lack of progress, caught by
 	// the subjob startup timeout.
 	rig := newRig(t, "m1", "hangs")
-	failure.Plan{
-		{At: 2 * time.Second, Kind: failure.HostHang, Target: "hangs"},
-	}.Apply(rig.g)
+	schedule(t, rig.g, workload.Fault{Kind: "hang", Target: "hangs", At: 2 * time.Second})
 	err := rig.g.Sim.Run("agent", func() {
 		specs := []core.SubjobSpec{
 			rig.spec("m1", 2, core.Required),
@@ -110,10 +117,8 @@ func TestPartitionDuringBarrierRecovers(t *testing.T) {
 	// A transient partition between the controller and a machine during
 	// startup delays check-in; once healed, the co-allocation completes.
 	rig := newRig(t, "m1", "m2")
-	failure.Plan{
-		{At: 100 * time.Millisecond, Kind: failure.Partition, Target: "workstation", Target2: "m2"},
-		{At: 20 * time.Second, Kind: failure.Heal, Target: "workstation", Target2: "m2"},
-	}.Apply(rig.g)
+	schedule(t, rig.g, workload.Fault{Kind: "partition", Target: "m2", Target2: "workstation",
+		At: 100 * time.Millisecond, Dur: 20*time.Second - 100*time.Millisecond})
 	err := rig.g.Sim.Run("agent", func() {
 		specs := []core.SubjobSpec{
 			rig.spec("m1", 2, core.Required),
@@ -174,14 +179,25 @@ func TestSeededFaultPlanEndToEnd(t *testing.T) {
 	// must either commit a full-size world or fail cleanly — never hang.
 	for seed := int64(1); seed <= 5; seed++ {
 		rig := newRig(t, "w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7")
-		plan := failure.RandomPlan(rig.g, failure.RandomOptions{
-			Targets:   []string{"w0", "w1", "w2", "w3"},
-			Window:    10 * time.Second,
-			CrashProb: 0.3,
-			HangProb:  0.2,
-			SlowProb:  0.2,
-		})
-		plan.Apply(rig.g)
+		// At most one fault on each of w0..w3, at a uniform instant of the
+		// first 10 s, drawn from the kernel's seeded source: a crash (30 %),
+		// a hang (20 %) or a 20x slowdown (20 %), none of which heals.
+		var faults []workload.Fault
+		for _, name := range []string{"w0", "w1", "w2", "w3"} {
+			f := workload.Fault{Target: name, At: time.Duration(rig.g.Sim.RandFloat64() * float64(10*time.Second))}
+			switch roll := rig.g.Sim.RandFloat64(); {
+			case roll < 0.3:
+				f.Kind = "crash"
+			case roll < 0.3+0.2:
+				f.Kind = "hang"
+			case roll < 0.3+0.2+0.2:
+				f.Kind, f.Factor = "slow", 20
+			default:
+				continue
+			}
+			faults = append(faults, f)
+		}
+		schedule(t, rig.g, faults...)
 		err := rig.g.Sim.Run("agent", func() {
 			var req core.Request
 			for _, name := range []string{"w0", "w1", "w2", "w3"} {

@@ -263,7 +263,8 @@ func TestVerdictsPinned(t *testing.T) {
 // overlap are refused before anything runs. Replayed, the second crash of
 // m00 below made the first heal restart a machine the second heal had
 // already restarted, and the harness panicked ("service gram already
-// listening"); an inner hang's heal ends an outer hang early.
+// listening"); an inner hang's heal ends an outer hang early, and the heal
+// of a partition ends the same cut named the other way round.
 func TestOverlappingFaultsRejected(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "orphan-reap.json"))
 	if err != nil {
@@ -285,6 +286,8 @@ func TestOverlappingFaultsRejected(t *testing.T) {
 			{Kind: "hang", Target: "m01", At: 90 * time.Second, Dur: 10 * time.Second}}, false},
 		{"one heals as the next starts", []workload.Fault{crash,
 			{Kind: "down", Target: "m00", At: crash.At + crash.Dur, Dur: time.Second}}, false},
+		{"one partition both ways", []workload.Fault{{Kind: "partition", Target: "m00", Target2: "m01", At: time.Minute, Dur: time.Minute},
+			{Kind: "partition", Target: "m01", Target2: "m00", At: 90 * time.Second, Dur: 10 * time.Second}}, false},
 		{"two revocations", []workload.Fault{{Kind: "revoke", At: time.Minute, Dur: time.Minute},
 			{Kind: "revoke", At: 100 * time.Second, Dur: time.Minute}}, false},
 		{"one after the other", []workload.Fault{crash,

@@ -34,8 +34,9 @@ func FuzzCoAllocate(f *testing.F) {
 // FuzzScenario holds the replay format to its contract: ParseScenario never
 // panics, an accepted scenario survives JSON() and a second parse with its
 // replay form unchanged, and one within SmokeProfile's bounds runs without
-// panicking. Seeded from the regression corpus and a scenario Validate
-// refuses (two overlapping crashes of one machine). Run with
+// panicking. Seeded from the regression corpus and two scenarios Validate
+// refuses (two overlapping crashes of one machine; one partition cut both
+// ways at once). Run with
 //
 //	go test ./internal/dst -fuzz FuzzScenario
 func FuzzScenario(f *testing.F) {
@@ -55,6 +56,11 @@ func FuzzScenario(f *testing.F) {
 		`"commit_timeout":142783008359,"startup_timeout":78376071083,"max_time":240000000000}],` +
 		`"faults":[{"kind":"crash","target":"m00","at":87194465143,"dur":49688579736},` +
 		`{"kind":"crash","target":"m00","at":97194465143,"dur":10000000000}]}`))
+	f.Add([]byte(`{"seed":48,"driver":"duroc","machines":[{"name":"m00","procs":8,"batch":true},{"name":"m01","procs":8}],` +
+		`"work_time":36370934937,"jobs":[{"at":39972341825,"subjobs":[{"machine":"m00","count":2,"type":"required"}],` +
+		`"commit_timeout":142783008359,"startup_timeout":78376071083,"max_time":240000000000}],` +
+		`"faults":[{"kind":"partition","target":"m00","target2":"m01","at":37194465143,"dur":49688579736},` +
+		`{"kind":"partition","target":"m01","target2":"m00","at":47194465143,"dur":10000000000}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := ParseScenario(data)
 		if err != nil {

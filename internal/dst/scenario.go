@@ -87,8 +87,8 @@ type Scenario struct {
 	WorkTime   time.Duration   `json:"work_time"`
 	Jobs       []JobSpec       `json:"jobs"`
 	Background []BackgroundJob `json:"background,omitempty"`
-	// Faults is the fault schedule (workload.Fault); no two faults on one
-	// target overlap.
+	// Faults is the fault schedule, checked by workload.CheckFaults; every
+	// fault heals.
 	Faults []workload.Fault `json:"faults,omitempty"`
 }
 
@@ -145,38 +145,31 @@ func (s Scenario) Validate() error {
 			}
 		}
 	}
-	for i, f := range s.Faults {
-		switch {
-		case f.Kind == "revoke":
-		case f.Kind == "broker-crash":
-			if s.Driver != DriverFed {
-				return fmt.Errorf("dst: broker-crash fault needs the fed driver")
-			}
-			known := false
-			for r := 0; r < s.Replicas; r++ {
-				known = known || f.Target == fedReplicaName(r)
-			}
-			if !known {
-				return fmt.Errorf("dst: broker-crash targets unknown replica %q", f.Target)
-			}
-		case f.Onset() < 0:
-			return fmt.Errorf("dst: unknown fault kind %q", f.Kind)
-		default: // a machine fault
-			if _, ok := byName[f.Target]; !ok {
-				return fmt.Errorf("dst: fault %s targets unknown machine %q", f.Kind, f.Target)
-			}
+	// DST's own rules: every fault heals inside the run, and a replica is
+	// named as the federation names it; the rest is workload.CheckFaults,
+	// against the front host the driver's testbed has (Ring[0]'s, or the
+	// workstation when unbrokered).
+	var machines, replicas []string
+	for _, m := range s.Machines {
+		machines = append(machines, m.Name)
+	}
+	front := "workstation"
+	switch s.Driver {
+	case DriverBroker:
+		front = "broker0"
+	case DriverFed:
+		for r := 0; r < s.Replicas; r++ {
+			replicas = append(replicas, fedReplicaName(r))
 		}
+		front = replicas[0]
+	}
+	for _, f := range s.Faults {
 		if f.Dur <= 0 {
 			return fmt.Errorf("dst: fault %s has non-positive duration", f.Kind)
 		}
-		// Windows that touch overlap too: a heal and an onset at one instant
-		// apply in list order, not window order.
-		for _, e := range s.Faults[:i] {
-			if e.Target == f.Target && f.At <= e.At+e.Dur && e.At <= f.At+f.Dur {
-				return fmt.Errorf("dst: %s fault at %v overlaps the %s fault at %v on the same target %q",
-					f.Kind, f.At, e.Kind, e.At, f.Target)
-			}
-		}
+	}
+	if err := workload.CheckFaults(s.Faults, front, machines, replicas); err != nil {
+		return fmt.Errorf("dst: %v", err)
 	}
 	for _, b := range s.Background {
 		m, ok := byName[b.Machine]

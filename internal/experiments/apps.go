@@ -7,11 +7,11 @@ import (
 
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
-	"cogrid/internal/failure"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/metrics"
 	"cogrid/internal/transport"
+	"cogrid/internal/workload"
 )
 
 // --- A1: atomic restarts vs interactive transactions (Section 4.3) ---
@@ -305,13 +305,16 @@ func BigRun(seed int64) BigRunResult {
 		return p.Work(10*time.Minute, time.Minute)
 	})
 
-	// Failure plan: sc07 crashes during startup (machine failure); the
+	// Faults: sc07 crashes during startup (machine failure); the
 	// workstation's link to sc09 partitions (network failure) so its
-	// subjob times out silently.
-	failure.Plan{
-		{At: 20 * time.Second, Kind: failure.HostCrash, Target: "sc07"},
-		{At: 1 * time.Second, Kind: failure.Partition, Target: "workstation", Target2: "sc09"},
-	}.Apply(g)
+	// subjob times out silently. Neither heals.
+	faults := []workload.Fault{
+		{Kind: "crash", Target: "sc07", At: 20 * time.Second},
+		{Kind: "partition", Target: "sc09", At: 1 * time.Second},
+	}
+	if _, err := (&workload.Testbed{Grid: g}).Schedule(faults); err != nil {
+		panic(err) // fixed faults on machines built above: cannot fail
+	}
 
 	ctrl := newController(g)
 	var req core.Request

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"cogrid/internal/failure"
 	"cogrid/internal/grid"
 	"cogrid/internal/metrics"
 	"cogrid/internal/trace"
@@ -246,9 +245,9 @@ func chaosRun(s chaosSetting, seed int64, faultRate float64, onGrid func(*grid.G
 		P50:       t.P50,
 		P99:       t.P99,
 	}
-	onsets := map[failure.Kind]int{}
+	onsets := map[string]int{}
 	for i, f := range load.Faults {
-		onsets[f.Onset()]++
+		onsets[f.Kind]++
 		if i == 0 || f.At < row.FirstFault {
 			row.FirstFault = f.At
 		}

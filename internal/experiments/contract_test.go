@@ -48,7 +48,7 @@ func TestBrokeredRowsPinned(t *testing.T) {
 			"5848b74b5f357332"},
 		{"b2 fault rate 0.75",
 			func() (any, *grid.Grid) { return first(ChaosRun(3, true, 0.75)) },
-			`{"fault_rate":0.75,"faults":3,"fault_kinds":"host-crash:2 host-hang:1","first_fault":71004911444,"requests":6,"completed":6,"failed":0,"abandoned":0,"rejects":0,"retries":0,"watchdog_aborts":0,"orphans_recorded":2,"orphans_reaped":2,"leaked_jobs":0,"success_rate":1,"p50":3192000000,"p99":3192000000}`,
+			`{"fault_rate":0.75,"faults":3,"fault_kinds":"crash:2 hang:1","first_fault":71004911444,"requests":6,"completed":6,"failed":0,"abandoned":0,"rejects":0,"retries":0,"watchdog_aborts":0,"orphans_recorded":2,"orphans_reaped":2,"leaked_jobs":0,"success_rate":1,"p50":3192000000,"p99":3192000000}`,
 			"269ae28d650e2635"},
 		{"b6 one replica",
 			func() (any, *grid.Grid) { return first(FederationLoadRun(1, true, 1)) },

@@ -8,7 +8,6 @@ import (
 
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
-	"cogrid/internal/failure"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/transport"
@@ -16,7 +15,7 @@ import (
 )
 
 // TestSoakRandomGridsNeverWedge is the repository's chaos net: random
-// topologies, random fault plans, random background load, both
+// topologies, random fault lists, random background load, both
 // co-allocation strategies. Every run must terminate — commit, clean
 // failure, or timeout — without a kernel deadlock, which the virtual-time
 // kernel would report as an error.
@@ -52,14 +51,28 @@ func soakOnce(t *testing.T, seed int64) {
 	}
 	g.RegisterEverywhere("app", barrierApp(time.Minute))
 
-	plan := failure.RandomPlan(g, failure.RandomOptions{
-		Targets:   names[:nMachines/2+1],
-		Window:    time.Minute,
-		CrashProb: 0.25,
-		HangProb:  0.15,
-		SlowProb:  0.2,
-	})
-	plan.Apply(g)
+	// At most one fault on each of the first half of the machines, at a
+	// uniform instant of the first minute, drawn from the kernel's seeded
+	// source: a crash (25 %), a hang (15 %) or a 20x slowdown (20 %), none
+	// of which heals.
+	var faults []workload.Fault
+	for _, name := range names[:nMachines/2+1] {
+		f := workload.Fault{Target: name, At: time.Duration(g.Sim.RandFloat64() * float64(time.Minute))}
+		switch roll := g.Sim.RandFloat64(); {
+		case roll < 0.25:
+			f.Kind = "crash"
+		case roll < 0.25+0.15:
+			f.Kind = "hang"
+		case roll < 0.25+0.15+0.2:
+			f.Kind, f.Factor = "slow", 20
+		default:
+			continue
+		}
+		faults = append(faults, f)
+	}
+	if _, err := (&workload.Testbed{Grid: g}).Schedule(faults); err != nil {
+		t.Fatal(err)
+	}
 
 	ctrl := newController(g)
 	err := g.Sim.Run("agent", func() {

@@ -4,12 +4,12 @@
 // paper's Section 2 identifies as the defining difficulty of
 // co-allocation.
 //
-// A Plan is a deterministic schedule of actions applied to a grid;
-// RandomPlan draws one from seeded distributions for stress experiments.
+// A Plan is a deterministic schedule of actions applied to a grid. It is
+// what workload.Testbed.Schedule compiles a list of workload.Fault into;
+// the harnesses outside bench/ name faults only as workload.Fault.
 package failure
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -47,34 +47,6 @@ const (
 	MachineRestart
 )
 
-func (k Kind) String() string {
-	switch k {
-	case HostCrash:
-		return "host-crash"
-	case HostHang:
-		return "host-hang"
-	case HostRestore:
-		return "host-restore"
-	case MachineSlow:
-		return "machine-slow"
-	case MachineDown:
-		return "machine-down"
-	case MachineUp:
-		return "machine-up"
-	case Partition:
-		return "partition"
-	case Heal:
-		return "heal"
-	case RevokeUser:
-		return "revoke-user"
-	case ReinstateUser:
-		return "reinstate-user"
-	case MachineRestart:
-		return "machine-restart"
-	}
-	return "invalid"
-}
-
 // Action is one scheduled fault.
 type Action struct {
 	At      time.Duration
@@ -82,17 +54,6 @@ type Action struct {
 	Target  string
 	Target2 string  // second endpoint for Partition/Heal
 	Factor  float64 // slowdown factor for MachineSlow
-}
-
-func (a Action) String() string {
-	switch a.Kind {
-	case Partition, Heal:
-		return fmt.Sprintf("t=%v %s %s<->%s", a.At, a.Kind, a.Target, a.Target2)
-	case MachineSlow:
-		return fmt.Sprintf("t=%v %s %s x%.1f", a.At, a.Kind, a.Target, a.Factor)
-	default:
-		return fmt.Sprintf("t=%v %s %s", a.At, a.Kind, a.Target)
-	}
 }
 
 // Plan is a schedule of faults.
@@ -155,38 +116,4 @@ func (p Plan) Sorted() Plan {
 	out := append(Plan(nil), p...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
-}
-
-// RandomOptions parameterizes RandomPlan.
-type RandomOptions struct {
-	// Targets are the machine names faults may hit.
-	Targets []string
-	// Window is the time span faults are drawn from.
-	Window time.Duration
-	// CrashProb, HangProb, SlowProb are per-target probabilities of each
-	// fault (independent draws; at most one fault per target, checked in
-	// this order).
-	CrashProb float64
-	HangProb  float64
-	SlowProb  float64 // a slow fault stretches startup 20x
-}
-
-// RandomPlan draws a deterministic fault plan from the grid's seeded
-// random source: at most one fault per target machine, uniformly placed
-// in the window.
-func RandomPlan(g *grid.Grid, opts RandomOptions) Plan {
-	var plan Plan
-	for _, target := range opts.Targets {
-		at := time.Duration(g.Sim.RandFloat64() * float64(opts.Window))
-		roll := g.Sim.RandFloat64()
-		switch {
-		case roll < opts.CrashProb:
-			plan = append(plan, Action{At: at, Kind: HostCrash, Target: target})
-		case roll < opts.CrashProb+opts.HangProb:
-			plan = append(plan, Action{At: at, Kind: HostHang, Target: target})
-		case roll < opts.CrashProb+opts.HangProb+opts.SlowProb:
-			plan = append(plan, Action{At: at, Kind: MachineSlow, Target: target, Factor: 20})
-		}
-	}
-	return plan.Sorted()
 }

@@ -1,7 +1,6 @@
 package failure_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -88,52 +87,5 @@ func TestSortedOrdersByTime(t *testing.T) {
 	// Original untouched.
 	if p[0].Target != "c" {
 		t.Fatal("Sorted mutated the plan")
-	}
-}
-
-func TestRandomPlanDeterministicPerSeed(t *testing.T) {
-	mk := func(seed int64) failure.Plan {
-		g := grid.New(grid.Options{Seed: seed})
-		targets := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-		return failure.RandomPlan(g, failure.RandomOptions{
-			Targets:   targets,
-			Window:    time.Hour,
-			CrashProb: 0.3,
-			HangProb:  0.2,
-			SlowProb:  0.2,
-		})
-	}
-	p1, p2 := mk(42), mk(42)
-	if len(p1) != len(p2) {
-		t.Fatalf("same seed, different plan lengths: %d vs %d", len(p1), len(p2))
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("same seed diverged at %d: %v vs %v", i, p1[i], p2[i])
-		}
-	}
-	p3 := mk(43)
-	same := len(p1) == len(p3)
-	if same {
-		for i := range p1 {
-			if p1[i] != p3[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same && len(p1) > 0 {
-		t.Error("different seeds produced identical plans")
-	}
-}
-
-func TestActionString(t *testing.T) {
-	a := failure.Action{At: time.Second, Kind: failure.Partition, Target: "a", Target2: "b"}
-	if !strings.Contains(a.String(), "a<->b") {
-		t.Errorf("String = %q", a.String())
-	}
-	s := failure.Action{At: time.Second, Kind: failure.MachineSlow, Target: "m", Factor: 2.5}
-	if !strings.Contains(s.String(), "x2.5") {
-		t.Errorf("String = %q", s.String())
 	}
 }

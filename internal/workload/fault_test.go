@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,11 +83,12 @@ func replicaState(tb *Testbed, _, _ string) string {
 	return "dead"
 }
 
-// TestEveryFaultKind schedules each fault kind alone on an unbrokered, a
-// lone-broker and a 2-replica testbed, as each applies, and probes what it
-// strikes a second before At, at At, late in the window and at At+Dur: the
-// onset lands at At and lasts, the heal lands at At+Dur, and Run returns no
-// earlier than the heal plus Drain.
+// TestEveryFaultKind schedules each kind of FaultKinds alone on an
+// unbrokered, a lone-broker and a 2-replica testbed, as each applies, and
+// probes what it strikes a second before At, at At, late in the window and
+// at At+Dur: the onset lands at At and lasts, the heal lands at At+Dur, and
+// Run returns no earlier than the heal plus Drain. A kind without a probe
+// fails. A partition is probed from its Target2, the front host when empty.
 func TestEveryFaultKind(t *testing.T) {
 	const (
 		at, dur, drain = 40 * time.Second, time.Minute, 5 * time.Second
@@ -100,17 +102,20 @@ func TestEveryFaultKind(t *testing.T) {
 		{"broker", "broker0", smallSpec(0)},
 		{"replicas", "fed00", smallSpec(2)},
 	}
-	kinds := []struct {
+	type kindCase struct {
 		fault   Fault
 		fedOnly bool
 		probe   func(tb *Testbed, front, target string) string
 		want    [3]string // before At, from At on, at At+Dur
-	}{
+	}
+	kinds := []kindCase{
 		{Fault{Kind: "hang", Target: machine}, false, hostState,
 			[3]string{"up", "down", "up"}},
 		{Fault{Kind: "slow", Target: machine, Factor: 25}, false, startupFactor,
 			[3]string{"x1", "x25", "x1"}},
 		{Fault{Kind: "partition", Target: machine}, false, partitioned,
+			[3]string{"connected", "partitioned from FRONT", "connected"}},
+		{Fault{Kind: "partition", Target: machine, Target2: "site00"}, false, partitioned,
 			[3]string{"connected", "partitioned from FRONT", "connected"}},
 		{Fault{Kind: "down", Target: machine}, false, resourceManager,
 			[3]string{"accepting", "down", "accepting"}},
@@ -121,12 +126,21 @@ func TestEveryFaultKind(t *testing.T) {
 		{Fault{Kind: "broker-crash", Target: "fed01"}, true, replicaState,
 			[3]string{"alive", "dead", "alive"}},
 	}
+	for _, kind := range FaultKinds {
+		if !slices.ContainsFunc(kinds, func(k kindCase) bool { return k.fault.Kind == kind }) {
+			t.Errorf("fault kind %q has no probe", kind)
+		}
+	}
 	for _, bed := range testbeds {
 		for _, k := range kinds {
 			if k.fedOnly && bed.spec.Replicas == 0 {
 				continue
 			}
-			t.Run(bed.name+"/"+k.fault.Kind, func(t *testing.T) {
+			name, front := bed.name+"/"+k.fault.Kind, bed.front
+			if k.fault.Target2 != "" {
+				name, front = name+"-target2", k.fault.Target2
+			}
+			t.Run(name, func(t *testing.T) {
 				tb := NewTestbed(bed.spec)
 				m := tb.Grid.Machine(machine)
 				m.RegisterExecutable("exit", func(*lrm.Proc) error { return nil })
@@ -144,7 +158,7 @@ func TestEveryFaultKind(t *testing.T) {
 						// Late, not last: a slowed startup takes 19 s to measure.
 						for i, when := range []time.Duration{at - time.Second, at, at + dur - 20*time.Second, at + dur} {
 							sim.SleepUntil(when)
-							got[i] = k.probe(tb, bed.front, machine)
+							got[i] = k.probe(tb, front, machine)
 						}
 					})
 				}
@@ -153,7 +167,7 @@ func TestEveryFaultKind(t *testing.T) {
 				}
 				want := [4]string{k.want[0], k.want[1], k.want[1], k.want[2]}
 				for i := range want {
-					want[i] = strings.ReplaceAll(want[i], "FRONT", bed.front)
+					want[i] = strings.ReplaceAll(want[i], "FRONT", front)
 				}
 				if got != want {
 					t.Errorf("before At, at At, late in the window, at At+Dur: got %q, want %q", got, want)
@@ -163,5 +177,50 @@ func TestEveryFaultKind(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBadFaultListIsAnError: every fault list CheckFaults refuses is Run's
+// error before anything is scheduled, never a panic (two overlapping
+// crashes of one machine restarted it twice) or a silent no-op (a crash of
+// no machine); the lists beside them pass.
+func TestBadFaultListIsAnError(t *testing.T) {
+	crash := Fault{Kind: "crash", Target: "site01", At: 10 * time.Second, Dur: 20 * time.Second}
+	for _, c := range []struct {
+		name   string
+		faults []Fault
+		ok     bool
+	}{
+		{"an unknown kind", []Fault{{Kind: "machine-restart", Target: "site01", At: time.Second}}, false},
+		{"a crash of no machine", []Fault{{Kind: "crash", Target: "nosuch", At: time.Second}}, false},
+		{"a negative time", []Fault{{Kind: "crash", Target: "site01", At: -5 * time.Second}}, false},
+		{"a negative duration", []Fault{{Kind: "hang", Target: "site01", At: time.Second, Dur: -time.Second}}, false},
+		{"a slowdown below 0", []Fault{{Kind: "slow", Target: "site01", Factor: -3}}, false},
+		{"a slowdown below 1", []Fault{{Kind: "slow", Target: "site01", Factor: 0.5}}, false},
+		{"a revocation with a target", []Fault{{Kind: "revoke", Target: "site01"}}, false},
+		{"a broker crash with no federation", []Fault{{Kind: "broker-crash", Target: "fed00", At: time.Second}}, false},
+		{"a target2 on a crash", []Fault{{Kind: "crash", Target: "site01", Target2: "site00"}}, false},
+		{"a partition from itself", []Fault{{Kind: "partition", Target: "site01", Target2: "site01"}}, false},
+		{"a partition from no host", []Fault{{Kind: "partition", Target: "site01", Target2: "nosuch"}}, false},
+		{"overlapping crashes", []Fault{crash, {Kind: "crash", Target: "site01", At: 15 * time.Second, Dur: time.Second}}, false},
+		{"a down as the crash heals", []Fault{crash, {Kind: "down", Target: "site01", At: 30 * time.Second, Dur: time.Second}}, false},
+		{"a crash after one that never heals", []Fault{{Kind: "crash", Target: "site01", At: time.Second},
+			{Kind: "crash", Target: "site01", At: time.Hour, Dur: time.Second}}, false},
+		{"one partition both ways", []Fault{{Kind: "partition", Target: "site00", Target2: "site01", At: time.Second, Dur: time.Minute},
+			{Kind: "partition", Target: "site01", Target2: "site00", At: 30 * time.Second, Dur: time.Minute}}, false},
+		{"one partition from the front host, named and not", []Fault{{Kind: "partition", Target: "site01", At: time.Second, Dur: time.Minute},
+			{Kind: "partition", Target: "workstation", Target2: "site01", At: 30 * time.Second, Dur: time.Minute}}, false},
+		{"one crash after the other", []Fault{crash, {Kind: "crash", Target: "site01", At: 31 * time.Second, Dur: time.Second}}, true},
+		{"a crash and a hang on two machines", []Fault{crash, {Kind: "hang", Target: "site00", At: 10 * time.Second, Dur: 20 * time.Second}}, true},
+		{"a partition beside a crash of one end", []Fault{crash, {Kind: "partition", Target: "site01", Target2: "site00", At: 10 * time.Second}}, true},
+		{"two partitions from one machine", []Fault{{Kind: "partition", Target: "site01", At: time.Second},
+			{Kind: "partition", Target: "site01", Target2: "site00", At: time.Second}}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tb := NewTestbed(Spec{Seed: 5, Machines: BatchSites(2, 8)})
+			if _, err := tb.Run(Load{Faults: c.faults}, nil); (err == nil) != c.ok {
+				t.Errorf("Run() = %v", err)
+			}
+		})
 	}
 }

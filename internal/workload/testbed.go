@@ -203,7 +203,7 @@ type Load struct {
 	// its previous request finishes.
 	PerClient int
 	// Faults are injected into the run (see Fault), scheduled first thing
-	// inside the driver process.
+	// inside the driver process; a list Schedule refuses is Run's error.
 	Faults []Fault
 	// Before, when set, runs inside the driver process once the faults are
 	// scheduled: background load, narration.
@@ -231,8 +231,8 @@ type Tally struct {
 // has healed, then Drain, then three peer-reap intervals when federated so
 // handed-off journal entries settle: ending at the instant the last reply
 // arrives would race shutdown against in-flight callback delivery and make
-// counter totals depend on goroutine interleaving. The error is the
-// kernel's (a deadlock).
+// counter totals depend on goroutine interleaving. The error is the fault
+// list's or the kernel's (a deadlock).
 func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) (Tally, error) {
 	sim := tb.Grid.Sim
 	hosts := make([]*transport.Host, len(load.Arrivals))
@@ -244,9 +244,13 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 		t         Tally
 		latencies []float64 // seconds, completed requests only
 		lastDone  time.Duration
+		faultErr  error
 	)
 	err := sim.Run("driver", func() {
-		healBy := tb.schedule(load.Faults)
+		var healBy time.Duration
+		if healBy, faultErr = tb.Schedule(load.Faults); faultErr != nil {
+			return
+		}
 		if load.Before != nil {
 			load.Before()
 		}
@@ -279,6 +283,9 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 			sim.Sleep(3 * fed.Options().PeerReapInterval)
 		}
 	})
+	if faultErr != nil {
+		return Tally{}, faultErr
+	}
 	s := metrics.Summarize(latencies)
 	t.P50 = time.Duration(s.P50 * float64(time.Second))
 	t.P99 = time.Duration(s.P99 * float64(time.Second))
