@@ -213,8 +213,8 @@ func demoScenario() Scenario {
 		DropUnreplaceable: true,
 		WorkSeconds:       30,
 		Faults: []workload.Fault{
-			{Kind: "crash", Target: "ncsa-o2k", At: 3 * time.Second},
 			{Kind: "slow", Target: "sdsc-sp2", Factor: 100},
+			{Kind: "crash", Target: "ncsa-o2k", At: 3 * time.Second},
 		},
 	}
 }

@@ -12,17 +12,13 @@ import (
 )
 
 // Fault is one injected fault, the one fault value every harness schedules
-// (Testbed.Schedule): Kind strikes Target at At and heals Dur later, inside
-// the run, which is what entitles the zero-leak checks at quiescence — or
-// never, when Dur is 0. "hang", "slow" (startup Factor times slower; 0
-// means 10), "down" and "crash" (healed by a restart that keeps the LRM job
-// table) strike a machine; "partition" cuts Target from Target2, each a
-// machine, a federation replica or the front host (Ring[0]'s, or the
-// workstation when unbrokered), an empty Target2 meaning the front host;
-// "revoke" strikes the grid user's credential and has no Target;
-// "broker-crash" crashes a federation replica and restarts it. Two faults
-// on one target, or two partitions of one pair of hosts, must not overlap:
-// the first heal would end both.
+// (Testbed.Schedule): Kind strikes Target at At and heals Dur later, or
+// never when Dur is 0. "hang", "slow" (startup Factor times slower; 0 means
+// 10), "down" and "crash" (healed by a restart that keeps the LRM job
+// table) strike a machine; "partition" cuts Target from Target2, empty for
+// the front host (Ring[0]'s, or the workstation when unbrokered); "revoke"
+// strikes the grid user's credential and has no Target; "broker-crash"
+// crashes a federation replica and restarts it. CheckFaults holds the rules.
 type Fault struct {
 	Kind    string        `json:"kind"`
 	Target  string        `json:"target,omitempty"`
@@ -32,8 +28,8 @@ type Fault struct {
 	Factor  float64       `json:"factor,omitempty"`
 }
 
-// FaultKinds are the kinds CheckFaults accepts. A kind not named otherwise
-// below strikes a machine.
+// FaultKinds are the kinds CheckFaults accepts; one its switch does not
+// name strikes a machine.
 var FaultKinds = []string{"hang", "slow", "partition", "down", "crash", "revoke", "broker-crash"}
 
 // faultActions pairs each kind a failure plan injects with the action that
@@ -49,11 +45,13 @@ var faultActions = map[string][2]failure.Kind{
 
 // CheckFaults is the one rule set a fault list passes before it is
 // scheduled on a testbed of these machines, federation replicas and front
-// host: a kind from FaultKinds, a target that exists for it, At and Dur not
-// negative, a slow Factor of 0 or at least 1, and no two faults overlapping
-// on one target, or on one unordered pair of hosts for partitions. Windows
-// that touch overlap too: a heal and an onset at one instant apply in list
-// order, not window order.
+// host: a kind from FaultKinds; a target that exists for it (a machine, a
+// replica for broker-crash, none for revoke, two different hosts of the
+// three sorts for a partition, and a Target2 only there); At and Dur not
+// negative; a slow Factor of 0 or at least 1; and no two faults overlapping
+// on one target, or on one unordered pair of hosts for partitions, since
+// the first heal would end both. Windows that touch overlap too: a heal and
+// an onset at one instant apply in list order, not window order.
 func CheckFaults(faults []Fault, front string, machines, replicas []string) error {
 	keys := make([][2]string, len(faults))
 	for i, f := range faults {
