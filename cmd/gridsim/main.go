@@ -52,6 +52,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -174,7 +175,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := json.Unmarshal(raw, &sc); err != nil {
+		if sc, err = parseScenario(raw); err != nil {
 			fatal(fmt.Errorf("%s: %v", scenarioPath, err))
 		}
 	default:
@@ -187,6 +188,17 @@ func main() {
 	if err := runWith(sc, opts); err != nil {
 		fatal(err)
 	}
+}
+
+// parseScenario decodes the scenario file format. A field the format does
+// not have is an error, not a default: a fault in the old spelling
+// ("at_seconds") would otherwise strike at 0.
+func parseScenario(raw []byte) (Scenario, error) {
+	var sc Scenario
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&sc)
+	return sc, err
 }
 
 func fatal(err error) {

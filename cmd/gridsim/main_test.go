@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"go/parser"
 	"go/token"
 	"os"
@@ -21,8 +20,8 @@ func loadScenario(t *testing.T, name string) Scenario {
 	if err != nil {
 		t.Fatalf("read %s: %v", name, err)
 	}
-	var sc Scenario
-	if err := json.Unmarshal(raw, &sc); err != nil {
+	sc, err := parseScenario(raw)
+	if err != nil {
 		t.Fatalf("parse %s: %v", name, err)
 	}
 	return sc
@@ -86,9 +85,10 @@ func TestScenarioValidation(t *testing.T) {
 }
 
 // TestBadFaultListIsAnError: a fault list workload.CheckFaults refuses
-// stops the scenario before it runs. Each of these once panicked, was
-// accepted without a word, or was clamped to a different factor than the
-// testbed uses.
+// stops the scenario before it runs. Scheduled, a restart of a live machine
+// or a second crash inside the first panics, a crash of no machine does
+// nothing, and a negative factor is clamped to 1 by the LRM but to 10 by
+// the testbed. A file in the old spelling does not parse.
 func TestBadFaultListIsAnError(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -109,11 +109,16 @@ func TestBadFaultListIsAnError(t *testing.T) {
 			t.Errorf("%s: run() = %v, want the fault list refused", c.name, err)
 		}
 	}
+	// "partition" kept its name; its old "at_seconds" must not parse as 0.
+	if _, err := parseScenario([]byte(`{"faults":[{"at_seconds":10,"kind":"partition","target":"m2"}]}`)); err == nil {
+		t.Error("a fault in the old spelling parsed")
+	}
 }
 
-// TestPackageCommentListsEveryFaultKind holds the package comment's list of
-// fault kinds to the validator's, in its order.
-func TestPackageCommentListsEveryFaultKind(t *testing.T) {
+// TestEveryDocumentedFaultKindParses holds the package comment's list of
+// fault kinds to the validator's, workload.FaultKinds, in its order, and
+// runs each kind it lists: none is an unknown kind.
+func TestEveryDocumentedFaultKindParses(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +131,12 @@ func TestPackageCommentListsEveryFaultKind(t *testing.T) {
 	kinds := strings.Split(regexp.MustCompile(` \([^)]*\)`).ReplaceAllString(m[1], ""), ", ")
 	if !slices.Equal(kinds, workload.FaultKinds) {
 		t.Errorf("the package comment lists %q, the validator %q", kinds, workload.FaultKinds)
+	}
+	for _, kind := range kinds {
+		sc := demoScenario()
+		sc.Faults = []workload.Fault{{Kind: kind, Target: "anl-sp2", At: time.Second}}
+		if err := run(sc); err != nil && strings.Contains(err.Error(), "unknown fault kind") {
+			t.Errorf("%s: %v", kind, err)
+		}
 	}
 }
