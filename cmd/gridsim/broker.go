@@ -36,10 +36,9 @@ func runBrokerDemo(opts runOptions) error {
 	fmt.Printf("requests: %d sites x %d processes each; tenant-a floods 5, b and c send 1\n\n",
 		sites, procsPerSite)
 
-	var (
-		tenants []string
-		load    workload.Load
-	)
+	var tenants []string
+	// Let the committed jobs run out and their final state callbacks land.
+	load := workload.Load{Drain: workTime + time.Minute}
 	add := func(tenant string, at time.Duration) {
 		load.Hosts = append(load.Hosts, fmt.Sprintf("%s-%d", tenant, len(tenants)))
 		load.Arrivals = append(load.Arrivals, at)
@@ -74,5 +73,8 @@ func runBrokerDemo(opts runOptions) error {
 	if err := writeOutputs(g, opts); err != nil {
 		return err
 	}
-	return simErr
+	if simErr != nil {
+		return simErr
+	}
+	return audit(tb)
 }

@@ -8,14 +8,15 @@ import (
 
 // The brokered demos' contract: each one's JSONL trace and Prometheus
 // exposition, hashed. However the demo's grid is assembled and its requests
-// are driven, what it emits does not move.
+// are driven, what it emits does not move. Each run ends with its audit, so
+// a nil error also means Testbed.Audit found nothing.
 func TestBrokeredDemosPinned(t *testing.T) {
 	for _, d := range []struct {
 		name           string
 		run            func(runOptions) error
 		trace, metrics string
 	}{
-		{"broker", runBrokerDemo, "eb7ee73d63f79cfd", "def13739a7be95af"},
+		{"broker", runBrokerDemo, "e4b1b00f4f2abbf9", "34d43b637f964387"},
 		{"federation", runFederationDemo, "1b61d2659e0ead6f", "178aac31a0bdc480"},
 		{"chaos", runChaosDemo, "269ae28d650e2635", "1ce19ae05e45fb97"},
 	} {

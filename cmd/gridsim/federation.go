@@ -135,5 +135,8 @@ func runFederationDemo(opts runOptions) error {
 	if err := writeOutputs(g, opts); err != nil {
 		return err
 	}
-	return simErr
+	if simErr != nil {
+		return simErr
+	}
+	return audit(tb)
 }

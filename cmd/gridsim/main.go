@@ -54,6 +54,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -302,7 +303,8 @@ func runWith(sc Scenario, opts runOptions) error {
 	}
 	g.RegisterEverywhere("app", workload.App(time.Duration(sc.WorkSeconds)*time.Second, 0))
 
-	if _, err := (&workload.Testbed{Grid: g}).Schedule(sc.Faults); err != nil {
+	tb := &workload.Testbed{Grid: g}
+	if _, err := tb.Schedule(sc.Faults); err != nil {
 		return err
 	}
 	for _, f := range sc.Faults {
@@ -323,8 +325,9 @@ func runWith(sc Scenario, opts runOptions) error {
 		}
 	}
 	ctrlCfg := core.ControllerConfig{
-		Credential: g.UserCred,
-		Registry:   g.Registry,
+		Credential:    g.UserCred,
+		Registry:      g.Registry,
+		CancelTimeout: 30 * time.Second,
 	}
 	ctrl, err := core.NewController(g.Workstation, ctrlCfg)
 	if err != nil {
@@ -360,6 +363,9 @@ func runWith(sc Scenario, opts runOptions) error {
 		}
 		if err != nil {
 			runErr = fmt.Errorf("co-allocation failed at t=%v: %v", g.Sim.Now(), err)
+			// The abort's cancels are still on their way to the machines;
+			// give each its full timeout before the run ends.
+			g.Sim.Sleep(ctrlCfg.CancelTimeout)
 			return
 		}
 		fmt.Printf("\ncommitted at t=%v: %d subjobs, %d processes",
@@ -392,5 +398,15 @@ func runWith(sc Scenario, opts runOptions) error {
 	if simErr != nil {
 		return simErr
 	}
-	return runErr
+	return errors.Join(runErr, audit(tb, ctrl))
+}
+
+// audit ends every run but a deadlocked one: nil, or an error naming the
+// first violation workload.Testbed.Audit finds in the quiesced grid.
+func audit(tb *workload.Testbed, ctrls ...*core.Controller) error {
+	v := tb.Audit(nil, ctrls...)
+	if len(v) == 0 {
+		return nil
+	}
+	return fmt.Errorf("audit: %v (%d violation(s) in all)", v[0], len(v))
 }

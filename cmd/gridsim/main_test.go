@@ -51,13 +51,17 @@ func TestBatchQueueScenarioRuns(t *testing.T) {
 	}
 }
 
+// TestAtomicFailureScenarioFailsCleanly: the run fails with the
+// co-allocation's error alone. The audit that follows is clean: the abort's
+// cancels reached every machine before the run ended, so none still runs a
+// job.
 func TestAtomicFailureScenarioFailsCleanly(t *testing.T) {
 	err := run(loadScenario(t, "atomic-failure.json"))
 	if err == nil {
 		t.Fatal("atomic scenario with a dead machine succeeded")
 	}
-	if !strings.Contains(err.Error(), "co-allocation failed") {
-		t.Fatalf("error = %v", err)
+	if !strings.HasPrefix(err.Error(), "co-allocation failed") || strings.Contains(err.Error(), "audit:") {
+		t.Fatalf("error = %v, want the co-allocation's alone", err)
 	}
 }
 

@@ -4,11 +4,13 @@
 // co-allocation workload, competing background load, and a fault
 // schedule of hangs, overloads, partitions, outages, crashes, and
 // credential revocations — which runs on the virtual-time kernel, so the
-// execution is reproducible bit-for-bit. After every run a library of
-// protocol invariants audits the final state: 2PC safety (unanimous
-// votes before the commit decision, no execution after an abort), the
-// required-failure abort rule, orphan reaping, leaked jobs, processor
-// conservation, and causal-trace well-formedness. A violation is
+// execution is reproducible bit-for-bit. After every run the testbed's
+// audit (workload.Testbed.Audit, which every study and demo ends with too)
+// checks the final state: 2PC safety (unanimous votes before the commit
+// decision, no execution after an abort), the required-failure abort rule,
+// orphan reaping, leaked jobs, processor conservation, causal-trace
+// well-formedness and the SLO plane; a deadlock is DST's own "kernel"
+// verdict. A violation is
 // shrunk — greedily dropping faults, jobs, subjobs, and background
 // load — to a minimal scenario whose JSON form replays the bug as a
 // one-liner and joins the regression corpus in testdata/.

@@ -9,7 +9,6 @@ import (
 	"cogrid/internal/agent"
 	"cogrid/internal/broker"
 	"cogrid/internal/core"
-	"cogrid/internal/federation"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
 	"cogrid/internal/slo"
@@ -46,13 +45,13 @@ const artifactGaugeStep = 15 * time.Second
 
 // RunResult is one scenario execution plus its invariant verdict.
 type RunResult struct {
-	Scenario   Scenario    `json:"scenario"`
-	Violations []Violation `json:"violations,omitempty"`
-	Jobs       int         `json:"jobs"`
-	Committed  int         `json:"committed"`
-	Aborted    int         `json:"aborted"`
-	Faults     int         `json:"faults"`
-	Orphans    int64       `json:"orphans"`
+	Scenario   Scenario             `json:"scenario"`
+	Violations []workload.Violation `json:"violations,omitempty"`
+	Jobs       int                  `json:"jobs"`
+	Committed  int                  `json:"committed"`
+	Aborted    int                  `json:"aborted"`
+	Faults     int                  `json:"faults"`
+	Orphans    int64                `json:"orphans"`
 	// Elections, Handoffs, and Forwards summarize the federation's
 	// activity across all replicas (fed driver only): election wins,
 	// journal entries handed off from dead replicas, and forwarded
@@ -110,7 +109,7 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 		}
 	}
 	tb := workload.NewTestbed(spec)
-	g, b, fed := tb.Grid, tb.Broker, tb.Fed
+	g, fed := tb.Grid, tb.Fed
 	for _, ms := range sc.Machines {
 		if ms.Batch {
 			workload.RegisterExecutable(g.Machine(ms.Name), "bg")
@@ -196,34 +195,7 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	res.End = g.Sim.Now()
 	res.Faults = len(sc.Faults)
 
-	var jobs []*core.Job
-	var fedEntries []federation.Entry
-	var recorded, reaped int64
-	switch sc.Driver {
-	case DriverBroker:
-		jobs = b.Controller().Jobs()
-		recorded, reaped = g.Counters.Get(trace.Key("duroc", "orphan", "record", "broker0")),
-			g.Counters.Get(trace.Key("duroc", "orphan", "reaped", "broker0"))
-	case DriverFed:
-		// Audit every incarnation of every replica: a crashed process's
-		// jobs still owe the 2PC safety invariants for everything they did
-		// before dying.
-		for _, r := range fed.Replicas() {
-			for _, rb := range r.Brokers() {
-				jobs = append(jobs, rb.Controller().Jobs()...)
-			}
-		}
-		fedEntries = fed.MergedJournal()
-		// Orphan accounting lives in the replicated journal here: a dead
-		// replica's orphans are reaped by peers, not by their recorder.
-		for _, e := range fedEntries {
-			if e.Kind == federation.KindOrphan {
-				recorded++
-				if e.State != federation.StateOpen {
-					reaped++
-				}
-			}
-		}
+	if fed != nil {
 		for _, cv := range g.Counters.Snapshot() {
 			switch {
 			case strings.HasPrefix(cv.Name, "fed.election.win@"):
@@ -236,32 +208,20 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 				res.Forwards += cv.Value
 			}
 		}
-	default:
-		jobs = ctrl.Jobs()
-		recorded, reaped = g.Counters.Get(trace.Key("duroc", "orphan", "record", "workstation")),
-			g.Counters.Get(trace.Key("duroc", "orphan", "reaped", "workstation"))
 	}
-	res.Orphans = recorded
+	res.Orphans, _ = tb.Orphans(ctrl)
 
 	engine.Stop()
-	alerts := engine.Alerts()
-	dumps := g.Flight.Dumps()
 	res.Alerts = engine.Fires()
-	res.Dumps = len(dumps)
-
-	res.Violations = checkInvariants(observations{
-		sc:          sc,
-		g:           g,
-		jobs:        jobs,
-		fedEntries:  fedEntries,
-		deadlock:    err,
-		recorded:    recorded,
-		reaped:      reaped,
-		bugs:        opts.Bugs,
-		alerts:      alerts,
-		dumps:       dumps,
-		dumpSkipped: g.Flight.Skipped(),
-	})
+	res.Dumps = len(g.Flight.Dumps())
+	if err != nil {
+		// A deadlocked kernel means some protocol participant is stuck
+		// forever; the post-run state is mid-flight, so report only the
+		// deadlock.
+		res.Violations = []workload.Violation{{Invariant: "kernel", Detail: err.Error()}}
+	} else {
+		res.Violations = tb.Audit(engine, ctrl)
+	}
 	if len(res.Violations) > 0 {
 		// Freeze the black box for the failing run: the dump is for the
 		// human replaying the shrunk scenario, so it is taken after the

@@ -15,7 +15,7 @@ type ShrinkResult struct {
 	// invariant.
 	Scenario Scenario `json:"scenario"`
 	// Violations are the surviving scenario's violations.
-	Violations []Violation `json:"violations"`
+	Violations []workload.Violation `json:"violations"`
 	// Runs counts scenario executions spent shrinking.
 	Runs int `json:"runs"`
 }
@@ -37,7 +37,7 @@ func Shrink(sc Scenario, opts RunOptions, budget int) ShrinkResult {
 		budget = DefaultShrinkBudget
 	}
 	res := ShrinkResult{Scenario: sc}
-	fails := func(c Scenario) []Violation {
+	fails := func(c Scenario) []workload.Violation {
 		if res.Runs >= budget {
 			return nil
 		}

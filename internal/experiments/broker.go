@@ -9,6 +9,7 @@ import (
 	"cogrid/internal/broker"
 	"cogrid/internal/grid"
 	"cogrid/internal/metrics"
+	"cogrid/internal/slo"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/workload"
@@ -102,13 +103,19 @@ func clientHosts(n int) []string {
 	return hosts
 }
 
-// run plays load on tb; a kernel error (a deadlock) ends the study.
-func run(tb *workload.Testbed, load workload.Load, op func(i, k int, host *transport.Host) bool) workload.Tally {
+// run plays load on tb and audits the quiesced testbed, with eng, the
+// run's SLO engine, stopped first when there is one; a kernel error (a
+// deadlock) ends the study.
+func run(tb *workload.Testbed, load workload.Load, eng *slo.Engine,
+	op func(i, k int, host *transport.Host) bool) (workload.Tally, []workload.Violation) {
 	t, err := tb.Run(load, op)
 	if err != nil {
 		panic(err)
 	}
-	return t
+	if eng != nil {
+		eng.Stop()
+	}
+	return t, tb.Audit(eng)
 }
 
 // brokerSetting is one size of the broker load study: its grid and
@@ -150,7 +157,8 @@ var (
 
 // BrokerLoadRow is one load setting's aggregate outcome. Rejects, Retries,
 // CacheHits, and CacheStale are read back from the run's counter registry —
-// the same numbers `gridsim -counters` prints.
+// the same numbers `gridsim -counters` prints. Violations is the run's
+// audit (workload.Testbed.Audit), as in every brokered study's rows.
 type BrokerLoadRow struct {
 	Mode             string        `json:"mode"` // "open" or "closed"
 	OfferedPerMin    float64       `json:"offered_per_min,omitempty"`
@@ -166,6 +174,8 @@ type BrokerLoadRow struct {
 	ThroughputPerMin float64       `json:"throughput_per_min"`
 	P50              time.Duration `json:"p50"`
 	P99              time.Duration `json:"p99"`
+
+	Violations []workload.Violation `json:"violations,omitempty"`
 }
 
 // BrokerLoadResult is the B1 study.
@@ -208,6 +218,20 @@ func BrokerLoadStudy(seed int64, smoke bool) BrokerLoadResult {
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// Check is the study's acceptance gate: every row's audit is clean.
+// Returns one message per violation.
+func (r BrokerLoadResult) Check() []string {
+	var bad []string
+	for _, row := range r.Rows {
+		id := fmt.Sprintf("closed %d clients", row.Clients)
+		if row.Mode == "open" {
+			id = fmt.Sprintf("open %.1f/min", row.OfferedPerMin)
+		}
+		bad = append(bad, audited(fmt.Sprintf("%s, qbound %d", id, row.QueueBound), row.Violations)...)
+	}
+	return bad
 }
 
 // BrokerLoadRun executes one open-loop row of the study at the given size:
@@ -274,7 +298,7 @@ func brokerLoadRow(s loadSetting, row BrokerLoadRow, seed int64, load workload.L
 	tb := s.testbed(seed, 0, row.QueueBound, 20*time.Second)
 	// Let the committed jobs run out and their final state callbacks land.
 	load.Drain = s.workTime + time.Minute
-	t := run(tb, load, func(i, k int, host *transport.Host) bool {
+	t, violations := run(tb, load, nil, func(i, k int, host *transport.Host) bool {
 		id := host.Name()
 		if load.PerClient > 0 {
 			id = fmt.Sprintf("%s/r%d", id, k)
@@ -285,6 +309,7 @@ func brokerLoadRow(s loadSetting, row BrokerLoadRow, seed int64, load workload.L
 	g := tb.Grid
 	row.Completed, row.Failed = t.Completed, t.Failed
 	row.P50, row.P99, row.ThroughputPerMin = t.P50, t.P99, t.ThroughputPerMin
+	row.Violations = violations
 	row.Rejects = g.Counters.Get(trace.Key("broker", "queue", "reject", "broker0"))
 	row.CacheHits = g.Counters.Get(trace.Key("broker", "cache", "hit", "broker0"))
 	row.CacheStale = g.Counters.Get(trace.Key("broker", "cache", "stale", "broker0"))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func TestBrokerLoadDeterminism(t *testing.T) {
 	// registry and the full trace export.
 	row1, g1 := BrokerLoadRun(1, true, 12, 2)
 	row2, g2 := BrokerLoadRun(1, true, 12, 2)
-	if row1 != row2 {
+	if !reflect.DeepEqual(row1, row2) {
 		t.Errorf("rows differ:\n  %+v\n  %+v", row1, row2)
 	}
 	if c1, c2 := g1.Counters.String(), g2.Counters.String(); c1 != c2 {

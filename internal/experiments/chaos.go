@@ -9,6 +9,7 @@ import (
 
 	"cogrid/internal/grid"
 	"cogrid/internal/metrics"
+	"cogrid/internal/slo"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/workload"
@@ -85,8 +86,8 @@ func ChaosWorkload(smoke bool, faultRate float64) string {
 
 // ChaosRow is one fault-rate setting's outcome. Abandoned, orphan, and
 // fault-class columns are read from the run's counter registry; LeakedJobs
-// is the machine-side ground truth — non-terminal LRM jobs surviving
-// quiescence, which must be zero when every orphan was reaped.
+// counts the non-terminal LRM jobs surviving quiescence. Violations is the
+// run's audit (workload.Testbed.Audit), which holds those to zero.
 type ChaosRow struct {
 	FaultRate       float64       `json:"fault_rate"`
 	Faults          int           `json:"faults"`
@@ -106,6 +107,8 @@ type ChaosRow struct {
 	SuccessRate     float64       `json:"success_rate"`
 	P50             time.Duration `json:"p50"`
 	P99             time.Duration `json:"p99"`
+
+	Violations []workload.Violation `json:"violations,omitempty"`
 }
 
 // ChaosResult is the B2 study.
@@ -140,21 +143,14 @@ func ChaosStudy(seed int64, smoke bool) ChaosResult {
 	return res
 }
 
-// Check is the study's acceptance gate, its resilience criterion: no row
-// may leave live jobs on any machine after quiescence, and every orphan
-// recorded mid-2PC must have been reaped at its resource manager. Returns
-// one message per violation.
+// Check is the study's acceptance gate, its resilience criterion: every
+// row's audit is clean — above all no live job or held processor on any
+// machine after quiescence, and every orphan recorded mid-2PC reaped at its
+// resource manager. Returns one message per violation.
 func (r ChaosResult) Check() []string {
 	var bad []string
 	for _, row := range r.Rows {
-		if row.LeakedJobs != 0 {
-			bad = append(bad, fmt.Sprintf("fault rate %.2f leaked %d jobs after quiescence",
-				row.FaultRate, row.LeakedJobs))
-		}
-		if row.OrphansRecorded != row.OrphansReaped {
-			bad = append(bad, fmt.Sprintf("fault rate %.2f recorded %d orphans but reaped %d",
-				row.FaultRate, row.OrphansRecorded, row.OrphansReaped))
-		}
+		bad = append(bad, audited(fmt.Sprintf("fault rate %.2f", row.FaultRate), row.Violations)...)
 	}
 	return bad
 }
@@ -205,10 +201,10 @@ func ChaosRun(seed int64, smoke bool, faultRate float64) (ChaosRow, *grid.Grid) 
 }
 
 // chaosRun is ChaosRun on a setting and a resolved seed, with a pre-run
-// hook: onGrid (when non-nil) runs after the testbed is assembled but
-// before the simulation starts, so the SLO study can arm its engine
-// against the same workload B2 uses.
-func chaosRun(s chaosSetting, seed int64, faultRate float64, onGrid func(*grid.Grid)) (ChaosRow, *grid.Grid) {
+// hook: arm (when non-nil) runs after the testbed is assembled but before
+// the simulation starts, so the SLO study can arm its engine against the
+// same workload B2 uses; the audit then checks the engine too.
+func chaosRun(s chaosSetting, seed int64, faultRate float64, arm func(*grid.Grid) *slo.Engine) (ChaosRow, *grid.Grid) {
 	seed += int64(faultRate*1000) * 13
 	tb := s.testbed(seed, 0, 16, 20*time.Second)
 	g := tb.Grid
@@ -223,10 +219,11 @@ func chaosRun(s chaosSetting, seed int64, faultRate float64, onGrid func(*grid.G
 		Drain: s.maxTime + s.workTime + 2*time.Minute,
 	}
 	load.Faults = drawFaults(s, faultRate, rng, load.Arrivals[0])
-	if onGrid != nil {
-		onGrid(g)
+	var eng *slo.Engine
+	if arm != nil {
+		eng = arm(g)
 	}
-	t := run(tb, load, func(i, _ int, host *transport.Host) bool {
+	t, violations := run(tb, load, eng, func(i, _ int, host *transport.Host) bool {
 		req := s.request(i)
 		req.CommitTimeout = 3 * time.Minute
 		req.StartupTimeout = 2 * time.Minute
@@ -244,6 +241,8 @@ func chaosRun(s chaosSetting, seed int64, faultRate float64, onGrid func(*grid.G
 		Failed:    t.Failed,
 		P50:       t.P50,
 		P99:       t.P99,
+
+		Violations: violations,
 	}
 	onsets := map[string]int{}
 	for i, f := range load.Faults {

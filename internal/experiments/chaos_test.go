@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"cogrid/internal/trace"
+	"cogrid/internal/workload"
 )
 
 // The chaos tests run the smoke setting, small enough for the test gate
@@ -54,7 +56,7 @@ func TestChaosDeterminism(t *testing.T) {
 	// watchdog, and reaping included.
 	row1, g1 := ChaosRun(3, true, 0.75)
 	row2, g2 := ChaosRun(3, true, 0.75)
-	if row1 != row2 {
+	if !reflect.DeepEqual(row1, row2) {
 		t.Errorf("rows differ:\n  %+v\n  %+v", row1, row2)
 	}
 	if c1, c2 := g1.Counters.String(), g2.Counters.String(); c1 != c2 {
@@ -89,17 +91,22 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosCheckCatches pins that the gate actually rejects bad rows: a
-// leaked job and an orphan never reaped, each reported on its own.
+// TestChaosCheckCatches pins that the gate is the audit: a row carrying a
+// violation fails Check, each violation reported on its own and naming its
+// row, and a clean row passes whatever its leaked_jobs and orphan columns
+// read, since the audit, not they, is the rule.
 func TestChaosCheckCatches(t *testing.T) {
 	res := ChaosResult{Rows: []ChaosRow{
-		{FaultRate: 0, Requests: 6, Completed: 6},
-		{FaultRate: 0.5, LeakedJobs: 1, OrphansRecorded: 2, OrphansReaped: 2},
-		{FaultRate: 1, OrphansRecorded: 3, OrphansReaped: 2},
+		{FaultRate: 0, Requests: 6, Completed: 6, LeakedJobs: 1, OrphansRecorded: 3, OrphansReaped: 2},
+		{FaultRate: 0.5, Violations: []workload.Violation{
+			{Invariant: "leaked-jobs", Detail: "machine site01 still runs 1 jobs at quiescence"},
+			{Invariant: "orphan-reap", Detail: "3 orphans recorded but 2 reaped"},
+		}},
 	}}
 	bad := res.Check()
-	if len(bad) != 2 || !strings.Contains(bad[0], "leaked 1 jobs") || !strings.Contains(bad[1], "recorded 3 orphans but reaped 2") {
-		t.Fatalf("want 2 violations (leak, unreaped orphan), got %v", bad)
+	if len(bad) != 2 || !strings.HasPrefix(bad[0], "fault rate 0.50: leaked-jobs:") ||
+		!strings.HasPrefix(bad[1], "fault rate 0.50: orphan-reap:") {
+		t.Fatalf("want 2 violations (leak, unreaped orphan) of the 0.50 row, got %v", bad)
 	}
 	if bad := (ChaosResult{Rows: res.Rows[:1]}).Check(); len(bad) != 0 {
 		t.Fatalf("clean row rejected: %v", bad)

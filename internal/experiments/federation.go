@@ -73,6 +73,8 @@ type FederationLoadRow struct {
 	ThroughputPerMin float64       `json:"throughput_per_min"`
 	P50              time.Duration `json:"p50"`
 	P99              time.Duration `json:"p99"`
+
+	Violations []workload.Violation `json:"violations,omitempty"`
 }
 
 // FederationLoadResult is the B6 study.
@@ -112,28 +114,30 @@ func FederationLoadStudy(seed int64, smoke bool) FederationLoadResult {
 	return res
 }
 
-// Check is the study's acceptance gate: at least one multi-replica row
-// must sustain higher admitted throughput than the single-replica row at
-// no worse p99 — even though the multi-replica rows also absorb a leader
-// crash mid-run. A sweep without a single-replica row has nothing to beat.
-// Returns one message per violation.
+// Check is the study's acceptance gate: every row's audit is clean, and at
+// least one multi-replica row sustains higher admitted throughput than the
+// single-replica row at no worse p99 — even though the multi-replica rows
+// also absorb a leader crash mid-run. A sweep without a single-replica row
+// has nothing to beat. Returns one message per violation.
 func (r FederationLoadResult) Check() []string {
+	var bad []string
 	var base *FederationLoadRow
-	for i := range r.Rows {
-		if r.Rows[i].Replicas == 1 {
+	for i, row := range r.Rows {
+		bad = append(bad, audited(fmt.Sprintf("%d replicas", row.Replicas), row.Violations)...)
+		if row.Replicas == 1 {
 			base = &r.Rows[i]
 		}
 	}
 	if base == nil {
-		return nil
+		return bad
 	}
 	for _, row := range r.Rows {
 		if row.Replicas > 1 && row.ThroughputPerMin > base.ThroughputPerMin && row.P99 <= base.P99 {
-			return nil
+			return bad
 		}
 	}
-	return []string{fmt.Sprintf("no multi-replica row beat the single-replica baseline (%.2f/min, p99 %v)",
-		base.ThroughputPerMin, base.P99)}
+	return append(bad, fmt.Sprintf("no multi-replica row beat the single-replica baseline (%.2f/min, p99 %v)",
+		base.ThroughputPerMin, base.P99))
 }
 
 // FederationLoadRun executes one row of the study at the given size: its
@@ -174,7 +178,7 @@ func fedRun(s loadSetting, seed int64, n int) (FederationLoadRow, *grid.Grid) {
 
 	row := FederationLoadRow{Replicas: n, Requests: s.requests}
 	var mu sync.Mutex
-	t := run(tb, load, func(i, _ int, host *transport.Host) bool {
+	t, violations := run(tb, load, nil, func(i, _ int, host *transport.Host) bool {
 		// Keyed, so the client's walk of the ring is safe; a dead target
 		// costs the dial timeout — that tail is part of what is measured.
 		req := s.request(i)
@@ -187,6 +191,7 @@ func fedRun(s loadSetting, seed int64, n int) (FederationLoadRow, *grid.Grid) {
 	})
 	row.Completed, row.Failed = t.Completed, t.Failed
 	row.P50, row.P99, row.ThroughputPerMin = t.P50, t.P99, t.ThroughputPerMin
+	row.Violations = violations
 	for _, cv := range g.Counters.Snapshot() {
 		switch {
 		case strings.HasPrefix(cv.Name, "broker.queue.reject@"):

@@ -8,6 +8,7 @@ import (
 	"cogrid/internal/grid"
 	"cogrid/internal/metrics"
 	"cogrid/internal/slo"
+	"cogrid/internal/workload"
 )
 
 // --- B7: SLO detection latency under injected faults ---
@@ -41,7 +42,10 @@ var (
 // SLORow is one fault-rate setting's outcome. Alerts/Resolves count the
 // engine's edge transitions; Dumps counts every black box the flight
 // recorder froze (SLO fires plus watchdog, orphan, and crash triggers);
-// DetectionLag is first-alert-fire minus first-fault-onset.
+// DetectionLag is first-alert-fire minus first-fault-onset. Violations is
+// the run's audit with the engine (workload.Testbed.Audit), whose SLO half
+// holds fault-free rows silent, one slo dump to each fire and every dump
+// well-formed.
 type SLORow struct {
 	FaultRate    float64       `json:"fault_rate"`
 	Faults       int           `json:"faults"`
@@ -58,6 +62,8 @@ type SLORow struct {
 	DumpErrors   int           `json:"dump_errors"`
 	Detected     bool          `json:"detected"`
 	DetectionLag time.Duration `json:"detection_lag,omitempty"`
+
+	Violations []workload.Violation `json:"violations,omitempty"`
 }
 
 // SLOResult is the B7 study.
@@ -122,14 +128,14 @@ func SLORun(seed int64, smoke bool, faultRate float64) (SLORow, *grid.Grid, *slo
 // sloRun executes one row on s.
 func sloRun(s sloSetting, seed int64, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) {
 	var eng *slo.Engine
-	crow, g := chaosRun(s.chaos, seed, faultRate, func(g *grid.Grid) {
+	crow, g := chaosRun(s.chaos, seed, faultRate, func(g *grid.Grid) *slo.Engine {
 		eng = slo.New(slo.Deps{
 			Sim: g.Sim, Tracer: g.Tracer, Counters: g.Counters,
 			Gauges: g.Gauges, Samples: g.Samples, Flight: g.Flight,
 		}, sloRules(s.chaos), slo.Options{EvalInterval: s.evalInterval})
 		eng.Start()
+		return eng
 	})
-	eng.Stop()
 
 	row := SLORow{
 		FaultRate:  crow.FaultRate,
@@ -138,6 +144,7 @@ func sloRun(s sloSetting, seed int64, faultRate float64) (SLORow, *grid.Grid, *s
 		Requests:   crow.Requests,
 		Completed:  crow.Completed,
 		Failed:     crow.Failed,
+		Violations: crow.Violations,
 	}
 	alerts := eng.Alerts()
 	for _, a := range alerts {
@@ -184,40 +191,22 @@ func SLOStudy(seed int64, smoke bool) SLOResult {
 	return res
 }
 
-// Check is the study's acceptance gate: fault-free rows are completely
-// silent (no alerts, no dumps), every faulted row detects its plan
-// within the budget, each fire froze exactly one black box, and every
-// retained dump validates. Returns one message per violation.
+// Check is the study's acceptance gate: every row's audit is clean, and
+// every faulted row detects its plan within the budget. Returns one message
+// per violation.
 func (r SLOResult) Check() []string {
 	var bad []string
 	for _, row := range r.Rows {
 		id := fmt.Sprintf("rate %.2f", row.FaultRate)
-		if row.DumpErrors > 0 {
-			bad = append(bad, fmt.Sprintf("%s: %d flight dumps failed validation", id, row.DumpErrors))
-		}
-		if row.DumpSkipped == 0 && row.SLODumps != row.Alerts {
-			bad = append(bad, fmt.Sprintf("%s: %d alert fires but %d slo dumps", id, row.Alerts, row.SLODumps))
-		}
-		if row.Faults == 0 {
-			if row.Alerts > 0 {
-				bad = append(bad, fmt.Sprintf("%s: fault-free row fired %d alerts (first: %s)",
-					id, row.Alerts, row.FirstRule))
-			}
-			if row.Dumps > 0 || row.DumpSkipped > 0 {
-				bad = append(bad, fmt.Sprintf("%s: fault-free row froze %d black boxes",
-					id, row.Dumps+int(row.DumpSkipped)))
-			}
-			continue
-		}
-		if !row.Detected {
+		bad = append(bad, audited(id, row.Violations)...)
+		switch {
+		case row.Faults == 0:
+		case !row.Detected:
 			bad = append(bad, fmt.Sprintf("%s: %d faults injected but no alert fired", id, row.Faults))
-			continue
-		}
-		if row.DetectionLag < 0 {
+		case row.DetectionLag < 0:
 			bad = append(bad, fmt.Sprintf("%s: alert %s fired %v before the first fault",
 				id, row.FirstRule, -row.DetectionLag))
-		}
-		if row.DetectionLag > r.DetectBudget {
+		case row.DetectionLag > r.DetectBudget:
 			bad = append(bad, fmt.Sprintf("%s: detection lag %v exceeds budget %v",
 				id, row.DetectionLag, r.DetectBudget))
 		}

@@ -7,6 +7,7 @@ import (
 
 	"cogrid/internal/flightrec"
 	"cogrid/internal/slo"
+	"cogrid/internal/workload"
 )
 
 // sloArtifacts runs the faulted smoke row and serializes its observable
@@ -55,19 +56,30 @@ func TestSLOStudySmokeGate(t *testing.T) {
 	}
 }
 
-// TestSLOCheckCatches pins that the gate actually rejects bad rows.
+// TestSLOCheckCatches pins that the gate rejects bad rows: a row carrying a
+// violation of the audit's SLO half (a fault-free row that fired, a fire
+// without its dump) and a faulted row that detected late or not at all.
 func TestSLOCheckCatches(t *testing.T) {
 	res := SLOResult{DetectBudget: time.Minute, Rows: []SLORow{
-		{FaultRate: 0, Faults: 0, Alerts: 1, SLODumps: 1, FirstRule: "x"},
+		{FaultRate: 0, Alerts: 1, FirstRule: "x", Violations: []workload.Violation{
+			{Invariant: "slo-false-positive", Detail: "fault-free scenario fired 1 alerts (first: x )"}}},
 		{FaultRate: 1, Faults: 2},
 		{FaultRate: 1, Faults: 2, Alerts: 1, SLODumps: 1, Detected: true,
 			DetectionLag: 2 * time.Minute},
 		{FaultRate: 1, Faults: 2, Alerts: 2, SLODumps: 1, Detected: true,
-			DetectionLag: time.Second},
+			DetectionLag: time.Second, Violations: []workload.Violation{
+				{Invariant: "slo-dump", Detail: "2 alert fires but 1 slo dumps"}}},
 	}}
 	bad := res.Check()
 	if len(bad) != 4 {
 		t.Fatalf("want 4 violations (false positive, undetected, slow, dump mismatch), got %v", bad)
+	}
+	clean := SLOResult{DetectBudget: time.Minute, Rows: []SLORow{
+		{FaultRate: 0},
+		{FaultRate: 1, Faults: 2, Alerts: 1, Detected: true, DetectionLag: time.Second},
+	}}
+	if bad := clean.Check(); len(bad) != 0 {
+		t.Fatalf("clean rows rejected: %v", bad)
 	}
 }
 

@@ -1,4 +1,4 @@
-package dst
+package workload
 
 import (
 	"fmt"
@@ -8,17 +8,19 @@ import (
 	"cogrid/internal/core"
 	"cogrid/internal/federation"
 	"cogrid/internal/flightrec"
-	"cogrid/internal/grid"
+	"cogrid/internal/lrm"
 	"cogrid/internal/slo"
 	"cogrid/internal/trace"
 )
 
 // Violation is one broken protocol invariant.
 type Violation struct {
-	// Invariant names the rule: "kernel", "commit-votes",
-	// "single-decision", "required-abort", "abort-no-exec",
-	// "job-quiescence", "leaked-jobs", "processor-conservation",
-	// "orphan-reap", "at-most-once", "handoff-reap", "trace".
+	// Invariant names the rule: "commit-votes", "single-decision",
+	// "required-abort", "abort-no-exec", "job-quiescence", "leaked-jobs",
+	// "processor-conservation", "orphan-reap", "at-most-once",
+	// "handoff-reap", "trace", "slo-false-positive", "slo-dump",
+	// "flight-dump"; or "kernel", a deadlocked run, which a harness reports
+	// instead of auditing its mid-flight state.
 	Invariant string `json:"invariant"`
 	// Job is the co-allocation id, when the violation is per-job.
 	Job    string `json:"job,omitempty"`
@@ -32,65 +34,98 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Invariant, v.Detail)
 }
 
-// observations is everything the checker audits after a run: the grid
-// (machines, counters, tracer), every job the controller accepted with
-// its full event history, the orphan ledger, and the kernel verdict.
-type observations struct {
-	sc   Scenario
-	g    *grid.Grid
-	jobs []*core.Job
-	// fedEntries is the federation's merged replicated journal (fed
-	// driver only), already sorted by key.
-	fedEntries []federation.Entry
-	deadlock   error
-	recorded   int64
-	reaped     int64
-	// bugs mirrors RunOptions.Bugs: a deliberately-broken protocol can
-	// legitimately orphan and alert on a fault-free scenario, so the
-	// no-false-positive checks stand down for self-test runs.
-	bugs core.Bugs
-	// alerts is the SLO engine's full alert log; dumps the flight
-	// recorder's retained dumps; dumpSkipped the triggers beyond its
-	// retention bound.
-	alerts      []slo.Alert
-	dumps       []flightrec.Dump
-	dumpSkipped int64
-}
-
-// checkInvariants runs the whole library. The order of violations is
-// deterministic: per-job checks walk jobs in submission order, machine
-// checks walk names sorted.
-func checkInvariants(o observations) []Violation {
+// Audit checks the paper's promises against the testbed once its run has
+// quiesced: 2PC safety and the subjob-type rules for every job any
+// co-allocator accepted, no job or processor left on a machine, every
+// orphan reaped, the federation's journal settled, a well-formed causal
+// trace and, when eng is the run's SLO engine, the observability plane
+// itself (nil leaves it unchecked). ctrls are the controllers the harness
+// owns beside the testbed's brokers; nil ones are skipped. The order is
+// deterministic: jobs in submission order, the lone broker's, then every
+// replica's, then ctrls', and machines by name.
+func (tb *Testbed) Audit(eng *slo.Engine, ctrls ...*core.Controller) []Violation {
 	var v []Violation
-	if o.deadlock != nil {
-		// A deadlocked kernel means some protocol participant is stuck
-		// forever; the post-run state below is mid-flight, so report only
-		// the deadlock.
-		return append(v, Violation{Invariant: "kernel", Detail: o.deadlock.Error()})
-	}
-	for _, j := range o.jobs {
+	for _, j := range tb.jobs(ctrls) {
 		v = append(v, checkJob(j)...)
 	}
-	v = append(v, checkMachines(o)...)
-	if o.recorded != o.reaped {
+	v = append(v, tb.checkMachines()...)
+	if recorded, reaped := tb.Orphans(ctrls...); recorded != reaped {
 		v = append(v, Violation{
 			Invariant: "orphan-reap",
-			Detail:    fmt.Sprintf("%d orphans recorded but %d reaped", o.recorded, o.reaped),
+			Detail:    fmt.Sprintf("%d orphans recorded but %d reaped", recorded, reaped),
 		})
 	}
-	if o.sc.Driver == DriverFed {
-		v = append(v, checkFederation(o)...)
+	if tb.Fed != nil {
+		v = append(v, checkFederation(tb.Fed.MergedJournal())...)
 	}
-	v = append(v, checkTrace(o)...)
-	v = append(v, checkSLO(o)...)
+	v = append(v, tb.checkTrace()...)
+	if eng != nil {
+		v = append(v, tb.checkSLO(eng)...)
+	}
 	return v
+}
+
+// jobs is every job the run's co-allocators accepted: the lone broker's,
+// every incarnation of every replica's — a crashed process's jobs still owe
+// the 2PC safety invariants for everything they did before dying — and
+// ctrls'.
+func (tb *Testbed) jobs(ctrls []*core.Controller) []*core.Job {
+	var jobs []*core.Job
+	if tb.Broker != nil {
+		jobs = tb.Broker.Controller().Jobs()
+	}
+	if tb.Fed != nil {
+		for _, r := range tb.Fed.Replicas() {
+			for _, rb := range r.Brokers() {
+				jobs = append(jobs, rb.Controller().Jobs()...)
+			}
+		}
+	}
+	for _, c := range ctrls {
+		if c != nil {
+			jobs = append(jobs, c.Jobs()...)
+		}
+	}
+	return jobs
+}
+
+// Orphans is the run's orphan ledger: the orphans recorded and reaped by
+// the lone broker's controller and ctrls, read from their duroc.orphan
+// counters, plus a federation's, read from its replicated journal — a dead
+// replica's orphans are reaped by its peers, not by their recorder.
+func (tb *Testbed) Orphans(ctrls ...*core.Controller) (recorded, reaped int64) {
+	counters := tb.Grid.Counters
+	count := func(c *core.Controller) {
+		if c != nil {
+			host := c.Contact().Host
+			recorded += counters.Get(trace.Key("duroc", "orphan", "record", host))
+			reaped += counters.Get(trace.Key("duroc", "orphan", "reaped", host))
+		}
+	}
+	if tb.Broker != nil {
+		count(tb.Broker.Controller())
+	}
+	for _, c := range ctrls {
+		count(c)
+	}
+	if tb.Fed != nil {
+		for _, e := range tb.Fed.MergedJournal() {
+			if e.Kind == federation.KindOrphan {
+				recorded++
+				if e.State != federation.StateOpen {
+					reaped++
+				}
+			}
+		}
+	}
+	return recorded, reaped
 }
 
 // checkSLO audits the observability plane itself.
 //
-// slo-false-positive: a fault-free scenario (with a correct protocol)
-// must fire zero alerts and trigger zero dumps — the DST rules only watch
-// signals a healthy run cannot move.
+// slo-false-positive: a run without faults (with a correct protocol) must
+// fire zero alerts and trigger zero dumps — the rules only watch signals a
+// healthy run cannot move.
 //
 // slo-dump: every SLO fire freezes exactly one black box, so the count of
 // slo-kind dumps equals the count of fire transitions (checkable only
@@ -98,26 +133,24 @@ func checkInvariants(o observations) []Violation {
 //
 // flight-dump: every retained dump's events satisfy the windowed trace
 // well-formedness rules.
-func checkSLO(o observations) []Violation {
+func (tb *Testbed) checkSLO(eng *slo.Engine) []Violation {
 	var v []Violation
-	fires := 0
-	for _, a := range o.alerts {
-		if a.State == "fire" {
-			fires++
-		}
-	}
-	if len(o.sc.Faults) == 0 && o.bugs == (core.Bugs{}) {
+	alerts, dumps, skipped := eng.Alerts(), tb.Grid.Flight.Dumps(), tb.Grid.Flight.Skipped()
+	fires := eng.Fires()
+	// A deliberately broken protocol can legitimately orphan and alert on
+	// a fault-free run, so the no-false-positive rule stands down for it.
+	if !tb.faulted && tb.bugs == (core.Bugs{}) {
 		if fires > 0 {
 			v = append(v, Violation{
 				Invariant: "slo-false-positive",
 				Detail: fmt.Sprintf("fault-free scenario fired %d alerts (first: %s %s)",
-					fires, o.alerts[0].Rule, o.alerts[0].Detail),
+					fires, alerts[0].Rule, alerts[0].Detail),
 			})
 		}
-		if n := len(o.dumps) + int(o.dumpSkipped); n > 0 {
+		if n := len(dumps) + int(skipped); n > 0 {
 			first := "(all beyond retention)"
-			if len(o.dumps) > 0 {
-				first = o.dumps[0].Trigger
+			if len(dumps) > 0 {
+				first = dumps[0].Trigger
 			}
 			v = append(v, Violation{
 				Invariant: "slo-false-positive",
@@ -125,9 +158,9 @@ func checkSLO(o observations) []Violation {
 			})
 		}
 	}
-	if o.dumpSkipped == 0 {
+	if skipped == 0 {
 		sloDumps := 0
-		for _, d := range o.dumps {
+		for _, d := range dumps {
 			if d.Kind() == "slo" {
 				sloDumps++
 			}
@@ -139,7 +172,7 @@ func checkSLO(o observations) []Violation {
 			})
 		}
 	}
-	for _, d := range o.dumps {
+	for _, d := range dumps {
 		if err := flightrec.Validate(d.Events); err != nil {
 			v = append(v, Violation{
 				Invariant: "flight-dump",
@@ -160,10 +193,10 @@ func checkSLO(o observations) []Violation {
 // ticket is a 2PC stuck mid-flight; an open allocation or orphan is a
 // machine-side job nobody settled — a dead replica's duty that no peer
 // picked up.
-func checkFederation(o observations) []Violation {
+func checkFederation(entries []federation.Entry) []Violation {
 	var v []Violation
 	committed := map[string][]string{}
-	for _, e := range o.fedEntries {
+	for _, e := range entries {
 		if e.Kind == federation.KindTicket && e.Committed && e.ReqKey != "" {
 			committed[e.ReqKey] = append(committed[e.ReqKey], e.Key)
 		}
@@ -181,7 +214,7 @@ func checkFederation(o observations) []Violation {
 			})
 		}
 	}
-	for _, e := range o.fedEntries {
+	for _, e := range entries {
 		if e.State == federation.StateOpen {
 			v = append(v, Violation{
 				Invariant: "handoff-reap",
@@ -316,21 +349,20 @@ func checkJob(j *core.Job) []Violation {
 	return v
 }
 
-func checkMachines(o observations) []Violation {
+// checkMachines: no machine runs a job at quiescence, and every batch
+// machine has all its processors free again.
+func (tb *Testbed) checkMachines() []Violation {
 	var v []Violation
-	batch := map[string]bool{}
-	for _, ms := range o.sc.Machines {
-		batch[ms.Name] = ms.Batch
-	}
-	for _, name := range o.g.Machines() {
-		m := o.g.Machine(name)
+	g := tb.Grid
+	for _, name := range g.Machines() {
+		m := g.Machine(name)
 		if n := m.LiveJobs(); n != 0 {
 			v = append(v, Violation{
 				Invariant: "leaked-jobs",
 				Detail:    fmt.Sprintf("machine %s still runs %d jobs at quiescence", name, n),
 			})
 		}
-		if batch[name] {
+		if m.Mode() == lrm.Batch {
 			if free, total := m.FreeProcessors(), m.Processors(); free != total {
 				v = append(v, Violation{
 					Invariant: "processor-conservation",
@@ -342,8 +374,8 @@ func checkMachines(o observations) []Violation {
 	return v
 }
 
-func checkTrace(o observations) []Violation {
-	events := o.g.Tracer.Events()
+func (tb *Testbed) checkTrace() []Violation {
+	events := tb.Grid.Tracer.Events()
 	trace.Sort(events)
 	var v []Violation
 	for _, problem := range trace.Analyze(events).Check() {

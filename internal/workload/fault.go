@@ -126,6 +126,7 @@ func (tb *Testbed) Schedule(faults []Fault) (healBy time.Duration, err error) {
 	if err := CheckFaults(faults, front, tb.Grid.Machines(), replicas); err != nil {
 		return 0, err
 	}
+	tb.faulted = tb.faulted || len(faults) > 0
 	var plan failure.Plan
 	for _, f := range faults {
 		healBy = max(healBy, f.At+f.Dur)

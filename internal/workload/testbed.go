@@ -63,6 +63,10 @@ type Testbed struct {
 	Ring   []transport.Addr
 	Broker *broker.Broker         // the lone broker; nil when federated
 	Fed    *federation.Federation // nil unless Spec.Replicas > 0
+	// bugs is Spec.Bugs, and faulted whether Schedule set a fault going:
+	// without either, Audit owes the SLO plane silence.
+	bugs    core.Bugs
+	faulted bool
 }
 
 // NewTestbed assembles the grid every brokered run uses: traced, a
@@ -70,7 +74,7 @@ type Testbed struct {
 // the barrier application as "app", and broker0 or a federation.
 func NewTestbed(spec Spec) *Testbed {
 	g := grid.New(grid.Options{Seed: spec.Seed, Trace: true})
-	tb := &Testbed{Grid: g}
+	tb := &Testbed{Grid: g, bugs: spec.Bugs}
 	var dir transport.Addr
 	if spec.Broker != nil {
 		if _, err := mds.NewServer(g.Net.AddHost("mds0"), 0); err != nil {

@@ -10,8 +10,8 @@
 # Usage:
 #   scripts/benchpair.sh <parent> <change> [pairs=10] [seed=7]
 #
-# <parent> and <change> are commits (anything `git worktree add` accepts).
-# Each is checked out into its own git worktree under a temporary
+# <parent> and <change> are commits (anything `git archive` accepts).
+# Each is exported (git archive) into its own directory under a temporary
 # directory, so the working tree is not touched and uncommitted changes are
 # not measured. After the pairs, one more pair runs on a seed the pairs did
 # not use (seed+12): a claim has to hold there too. Every invocation runs
@@ -33,19 +33,18 @@ rerun_seed=$((seed + 12))
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 cleanup() {
-    for side in parent change; do
-        git worktree remove --force "$tmp/$side" >/dev/null 2>&1 || true
-    done
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
 
 for side in parent change; do
     eval "rev=\$$side"
-    git worktree add --detach "$tmp/$side" "$rev" >/dev/null 2>&1 ||
+    mkdir "$tmp/$side"
+    git rev-parse -q --verify "$rev^{commit}" >/dev/null &&
+        git archive "$rev" | tar -x -C "$tmp/$side" ||
         { echo "benchpair: cannot check out $rev" >&2; exit 2; }
     (cd "$tmp/$side" && go build -o "$tmp/bench-$side" ./bench)
-    echo "built $side = $(git -C "$tmp/$side" log -1 --format='%h %s' | cut -c1-72)" >&2
+    echo "built $side = $(git log -1 --format='%h %s' "$rev" | cut -c1-72)" >&2
 done
 
 # run <side> <seed> <tag>: one benchmark invocation, from that side's own

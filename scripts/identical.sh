@@ -7,10 +7,10 @@
 # Usage:
 #   scripts/identical.sh <parent> <change>
 #
-# <parent> and <change> are commits (anything `git worktree add` accepts).
-# Each is checked out into its own git worktree under a temporary directory,
-# so the working tree is not touched and uncommitted changes are not
-# compared. Every artifact is written under that temporary directory too.
+# <parent> and <change> are commits (anything `git archive` accepts).
+# Each is exported (git archive) into its own directory under a temporary
+# directory, so the working tree is not touched and uncommitted changes are
+# not compared. Every artifact is written under that temporary directory too.
 #
 # The artifact set:
 #   gridsim   figure1, atomic-failure, batch-queue (cmd/gridsim/testdata),
@@ -43,23 +43,22 @@ change=$2
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 cleanup() {
-    for side in parent change; do
-        git worktree remove --force "$tmp/$side" >/dev/null 2>&1 || true
-    done
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
 
 for side in parent change; do
     eval "rev=\$$side"
-    git worktree add --detach "$tmp/$side" "$rev" >/dev/null 2>&1 ||
+    mkdir "$tmp/$side"
+    git rev-parse -q --verify "$rev^{commit}" >/dev/null &&
+        git archive "$rev" | tar -x -C "$tmp/$side" ||
         { echo "identical: cannot check out $rev" >&2; exit 2; }
     for bin in gridsim dstgrid benchgrid; do
         (cd "$tmp/$side" && go build -o "$tmp/$side-$bin" "./cmd/$bin")
     done
     (cd "$tmp/$side" && go build -o "$tmp/$side-bench" ./bench)
     mkdir "$tmp/out-$side"
-    echo "built $side = $(git -C "$tmp/$side" log -1 --format='%h %s' | cut -c1-72)" >&2
+    echo "built $side = $(git log -1 --format='%h %s' "$rev" | cut -c1-72)" >&2
 done
 
 # sim <side> <name> <gridsim arguments...>: one gridsim run, five files.
