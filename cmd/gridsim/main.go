@@ -404,9 +404,8 @@ func runWith(sc Scenario, opts runOptions) error {
 // audit ends every run but a deadlocked one: nil, or an error naming the
 // first violation workload.Testbed.Audit finds in the quiesced grid.
 func audit(tb *workload.Testbed, ctrls ...*core.Controller) error {
-	v := tb.Audit(nil, ctrls...)
-	if len(v) == 0 {
-		return nil
+	if bad := workload.Gate("audit", tb.Audit(nil, ctrls...)); len(bad) > 0 {
+		return fmt.Errorf("%s (%d violation(s) in all)", bad[0], len(bad))
 	}
-	return fmt.Errorf("audit: %v (%d violation(s) in all)", v[0], len(v))
+	return nil
 }

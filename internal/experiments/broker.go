@@ -103,9 +103,8 @@ func clientHosts(n int) []string {
 	return hosts
 }
 
-// run plays load on tb and audits the quiesced testbed, with eng, the
-// run's SLO engine, stopped first when there is one; a kernel error (a
-// deadlock) ends the study.
+// run plays load on tb, stops eng, the run's SLO engine if any, and audits
+// the testbed (Testbed.Audit); a kernel error (a deadlock) ends the study.
 func run(tb *workload.Testbed, load workload.Load, eng *slo.Engine,
 	op func(i, k int, host *transport.Host) bool) (workload.Tally, []workload.Violation) {
 	t, err := tb.Run(load, op)
@@ -158,24 +157,23 @@ var (
 // BrokerLoadRow is one load setting's aggregate outcome. Rejects, Retries,
 // CacheHits, and CacheStale are read back from the run's counter registry —
 // the same numbers `gridsim -counters` prints. Violations is the run's
-// audit (workload.Testbed.Audit), as in every brokered study's rows.
+// audit, as in every brokered study's rows.
 type BrokerLoadRow struct {
-	Mode             string        `json:"mode"` // "open" or "closed"
-	OfferedPerMin    float64       `json:"offered_per_min,omitempty"`
-	Clients          int           `json:"clients,omitempty"`
-	QueueBound       int           `json:"queue_bound"`
-	Requests         int           `json:"requests"`
-	Completed        int           `json:"completed"`
-	Failed           int           `json:"failed"`
-	Rejects          int64         `json:"rejects"`
-	Retries          int64         `json:"retries"`
-	CacheHits        int64         `json:"cache_hits"`
-	CacheStale       int64         `json:"cache_stale"`
-	ThroughputPerMin float64       `json:"throughput_per_min"`
-	P50              time.Duration `json:"p50"`
-	P99              time.Duration `json:"p99"`
-
-	Violations []workload.Violation `json:"violations,omitempty"`
+	Mode             string               `json:"mode"` // "open" or "closed"
+	OfferedPerMin    float64              `json:"offered_per_min,omitempty"`
+	Clients          int                  `json:"clients,omitempty"`
+	QueueBound       int                  `json:"queue_bound"`
+	Requests         int                  `json:"requests"`
+	Completed        int                  `json:"completed"`
+	Failed           int                  `json:"failed"`
+	Rejects          int64                `json:"rejects"`
+	Retries          int64                `json:"retries"`
+	CacheHits        int64                `json:"cache_hits"`
+	CacheStale       int64                `json:"cache_stale"`
+	ThroughputPerMin float64              `json:"throughput_per_min"`
+	P50              time.Duration        `json:"p50"`
+	P99              time.Duration        `json:"p99"`
+	Violations       []workload.Violation `json:"violations,omitempty"`
 }
 
 // BrokerLoadResult is the B1 study.
@@ -222,14 +220,9 @@ func BrokerLoadStudy(seed int64, smoke bool) BrokerLoadResult {
 
 // Check is the study's acceptance gate: every row's audit is clean.
 // Returns one message per violation.
-func (r BrokerLoadResult) Check() []string {
-	var bad []string
-	for _, row := range r.Rows {
-		id := fmt.Sprintf("closed %d clients", row.Clients)
-		if row.Mode == "open" {
-			id = fmt.Sprintf("open %.1f/min", row.OfferedPerMin)
-		}
-		bad = append(bad, audited(fmt.Sprintf("%s, qbound %d", id, row.QueueBound), row.Violations)...)
+func (r BrokerLoadResult) Check() (bad []string) {
+	for i, row := range r.Rows {
+		bad = append(bad, workload.Gate(fmt.Sprintf("row %d (%s, qbound %d)", i, row.Mode, row.QueueBound), row.Violations)...)
 	}
 	return bad
 }

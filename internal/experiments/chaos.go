@@ -86,29 +86,27 @@ func ChaosWorkload(smoke bool, faultRate float64) string {
 
 // ChaosRow is one fault-rate setting's outcome. Abandoned, orphan, and
 // fault-class columns are read from the run's counter registry; LeakedJobs
-// counts the non-terminal LRM jobs surviving quiescence. Violations is the
-// run's audit (workload.Testbed.Audit), which holds those to zero.
+// counts the non-terminal LRM jobs surviving quiescence.
 type ChaosRow struct {
-	FaultRate       float64       `json:"fault_rate"`
-	Faults          int           `json:"faults"`
-	FaultKinds      string        `json:"fault_kinds,omitempty"`
-	FirstFault      time.Duration `json:"first_fault,omitempty"`
-	Requests        int           `json:"requests"`
-	Completed       int           `json:"completed"`
-	Failed          int           `json:"failed"`
-	Abandoned       int64         `json:"abandoned"`
-	Rejects         int64         `json:"rejects"`
-	Retries         int64         `json:"retries"`
-	WatchdogAborts  int64         `json:"watchdog_aborts"`
-	FaultClasses    string        `json:"fault_classes,omitempty"`
-	OrphansRecorded int64         `json:"orphans_recorded"`
-	OrphansReaped   int64         `json:"orphans_reaped"`
-	LeakedJobs      int           `json:"leaked_jobs"`
-	SuccessRate     float64       `json:"success_rate"`
-	P50             time.Duration `json:"p50"`
-	P99             time.Duration `json:"p99"`
-
-	Violations []workload.Violation `json:"violations,omitempty"`
+	FaultRate       float64              `json:"fault_rate"`
+	Faults          int                  `json:"faults"`
+	FaultKinds      string               `json:"fault_kinds,omitempty"`
+	FirstFault      time.Duration        `json:"first_fault,omitempty"`
+	Requests        int                  `json:"requests"`
+	Completed       int                  `json:"completed"`
+	Failed          int                  `json:"failed"`
+	Abandoned       int64                `json:"abandoned"`
+	Rejects         int64                `json:"rejects"`
+	Retries         int64                `json:"retries"`
+	WatchdogAborts  int64                `json:"watchdog_aborts"`
+	FaultClasses    string               `json:"fault_classes,omitempty"`
+	OrphansRecorded int64                `json:"orphans_recorded"`
+	OrphansReaped   int64                `json:"orphans_reaped"`
+	LeakedJobs      int                  `json:"leaked_jobs"`
+	SuccessRate     float64              `json:"success_rate"`
+	P50             time.Duration        `json:"p50"`
+	P99             time.Duration        `json:"p99"`
+	Violations      []workload.Violation `json:"violations,omitempty"`
 }
 
 // ChaosResult is the B2 study.
@@ -137,7 +135,7 @@ func ChaosStudy(seed int64, smoke bool) ChaosResult {
 		ProcsPerSite: s.procsPerSite,
 	}
 	for _, rate := range s.faultRates {
-		row, _ := chaosRun(s, seed, rate, nil)
+		row, _, _ := chaosRun(s, seed, rate, 0)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
@@ -147,10 +145,9 @@ func ChaosStudy(seed int64, smoke bool) ChaosResult {
 // row's audit is clean — above all no live job or held processor on any
 // machine after quiescence, and every orphan recorded mid-2PC reaped at its
 // resource manager. Returns one message per violation.
-func (r ChaosResult) Check() []string {
-	var bad []string
+func (r ChaosResult) Check() (bad []string) {
 	for _, row := range r.Rows {
-		bad = append(bad, audited(fmt.Sprintf("fault rate %.2f", row.FaultRate), row.Violations)...)
+		bad = append(bad, workload.Gate(fmt.Sprintf("fault rate %.2f", row.FaultRate), row.Violations)...)
 	}
 	return bad
 }
@@ -197,14 +194,14 @@ func drawFaults(s chaosSetting, faultRate float64, rng *rand.Rand, start time.Du
 // run's Tracer and Counters; two same-seed runs export byte-identical
 // traces and counter tables.
 func ChaosRun(seed int64, smoke bool, faultRate float64) (ChaosRow, *grid.Grid) {
-	return chaosRun(setting(smoke, chaosFull, chaosSmoke), ChaosSeed(seed, smoke), faultRate, nil)
+	row, g, _ := chaosRun(setting(smoke, chaosFull, chaosSmoke), ChaosSeed(seed, smoke), faultRate, 0)
+	return row, g
 }
 
-// chaosRun is ChaosRun on a setting and a resolved seed, with a pre-run
-// hook: arm (when non-nil) runs after the testbed is assembled but before
-// the simulation starts, so the SLO study can arm its engine against the
-// same workload B2 uses; the audit then checks the engine too.
-func chaosRun(s chaosSetting, seed int64, faultRate float64, arm func(*grid.Grid) *slo.Engine) (ChaosRow, *grid.Grid) {
+// chaosRun is ChaosRun on a setting and a resolved seed. An eval above 0
+// arms the SLO study's engine (sloRules) before the first arrival,
+// evaluating every eval; the audit then checks it too.
+func chaosRun(s chaosSetting, seed int64, faultRate float64, eval time.Duration) (ChaosRow, *grid.Grid, *slo.Engine) {
 	seed += int64(faultRate*1000) * 13
 	tb := s.testbed(seed, 0, 16, 20*time.Second)
 	g := tb.Grid
@@ -220,8 +217,10 @@ func chaosRun(s chaosSetting, seed int64, faultRate float64, arm func(*grid.Grid
 	}
 	load.Faults = drawFaults(s, faultRate, rng, load.Arrivals[0])
 	var eng *slo.Engine
-	if arm != nil {
-		eng = arm(g)
+	if eval > 0 {
+		eng = slo.New(slo.Deps{Sim: g.Sim, Tracer: g.Tracer, Counters: g.Counters,
+			Gauges: g.Gauges, Samples: g.Samples, Flight: g.Flight}, sloRules(s), slo.Options{EvalInterval: eval})
+		eng.Start()
 	}
 	t, violations := run(tb, load, eng, func(i, _ int, host *transport.Host) bool {
 		req := s.request(i)
@@ -234,14 +233,13 @@ func chaosRun(s chaosSetting, seed int64, faultRate float64, arm func(*grid.Grid
 	})
 
 	row := ChaosRow{
-		FaultRate: faultRate,
-		Requests:  s.requests,
-		Faults:    len(load.Faults),
-		Completed: t.Completed,
-		Failed:    t.Failed,
-		P50:       t.P50,
-		P99:       t.P99,
-
+		FaultRate:  faultRate,
+		Requests:   s.requests,
+		Faults:     len(load.Faults),
+		Completed:  t.Completed,
+		Failed:     t.Failed,
+		P50:        t.P50,
+		P99:        t.P99,
 		Violations: violations,
 	}
 	onsets := map[string]int{}
@@ -279,7 +277,7 @@ func chaosRun(s chaosSetting, seed int64, faultRate float64, arm func(*grid.Grid
 	for _, name := range g.Machines() {
 		row.LeakedJobs += g.Machine(name).LiveJobs()
 	}
-	return row, g
+	return row, g, eng
 }
 
 // Table renders the study.

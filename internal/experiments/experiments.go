@@ -47,16 +47,6 @@ func splitProcs(total, m int) []int {
 	return out
 }
 
-// audited is a row's audit as gate messages, one per violation, each
-// naming the row by id.
-func audited(id string, violations []workload.Violation) []string {
-	var bad []string
-	for _, v := range violations {
-		bad = append(bad, fmt.Sprintf("%s: %v", id, v))
-	}
-	return bad
-}
-
 // seconds formats a duration as seconds with millisecond precision.
 func seconds(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())

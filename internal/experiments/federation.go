@@ -70,11 +70,10 @@ type FederationLoadRow struct {
 	Crashes   int64 `json:"crashes"`
 	// ThroughputPerMin is committed co-allocations per virtual minute of
 	// makespan — the admitted throughput the replica group sustained.
-	ThroughputPerMin float64       `json:"throughput_per_min"`
-	P50              time.Duration `json:"p50"`
-	P99              time.Duration `json:"p99"`
-
-	Violations []workload.Violation `json:"violations,omitempty"`
+	ThroughputPerMin float64              `json:"throughput_per_min"`
+	P50              time.Duration        `json:"p50"`
+	P99              time.Duration        `json:"p99"`
+	Violations       []workload.Violation `json:"violations,omitempty"`
 }
 
 // FederationLoadResult is the B6 study.
@@ -123,7 +122,7 @@ func (r FederationLoadResult) Check() []string {
 	var bad []string
 	var base *FederationLoadRow
 	for i, row := range r.Rows {
-		bad = append(bad, audited(fmt.Sprintf("%d replicas", row.Replicas), row.Violations)...)
+		bad = append(bad, workload.Gate(fmt.Sprintf("%d replicas", row.Replicas), row.Violations)...)
 		if row.Replicas == 1 {
 			base = &r.Rows[i]
 		}

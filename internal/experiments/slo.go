@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cogrid/internal/flightrec"
 	"cogrid/internal/grid"
 	"cogrid/internal/metrics"
 	"cogrid/internal/slo"
@@ -42,28 +41,25 @@ var (
 // SLORow is one fault-rate setting's outcome. Alerts/Resolves count the
 // engine's edge transitions; Dumps counts every black box the flight
 // recorder froze (SLO fires plus watchdog, orphan, and crash triggers);
-// DetectionLag is first-alert-fire minus first-fault-onset. Violations is
-// the run's audit with the engine (workload.Testbed.Audit), whose SLO half
-// holds fault-free rows silent, one slo dump to each fire and every dump
-// well-formed.
+// DetectionLag is first-alert-fire minus first-fault-onset; DumpErrors
+// counts the audit's flight-dump violations.
 type SLORow struct {
-	FaultRate    float64       `json:"fault_rate"`
-	Faults       int           `json:"faults"`
-	FirstFault   time.Duration `json:"first_fault,omitempty"`
-	Requests     int           `json:"requests"`
-	Completed    int           `json:"completed"`
-	Failed       int           `json:"failed"`
-	Alerts       int           `json:"alerts"`
-	Resolves     int           `json:"resolves"`
-	FirstRule    string        `json:"first_rule,omitempty"`
-	Dumps        int           `json:"dumps"`
-	SLODumps     int           `json:"slo_dumps"`
-	DumpSkipped  int64         `json:"dump_skipped,omitempty"`
-	DumpErrors   int           `json:"dump_errors"`
-	Detected     bool          `json:"detected"`
-	DetectionLag time.Duration `json:"detection_lag,omitempty"`
-
-	Violations []workload.Violation `json:"violations,omitempty"`
+	FaultRate    float64              `json:"fault_rate"`
+	Faults       int                  `json:"faults"`
+	FirstFault   time.Duration        `json:"first_fault,omitempty"`
+	Requests     int                  `json:"requests"`
+	Completed    int                  `json:"completed"`
+	Failed       int                  `json:"failed"`
+	Alerts       int                  `json:"alerts"`
+	Resolves     int                  `json:"resolves"`
+	FirstRule    string               `json:"first_rule,omitempty"`
+	Dumps        int                  `json:"dumps"`
+	SLODumps     int                  `json:"slo_dumps"`
+	DumpSkipped  int64                `json:"dump_skipped,omitempty"`
+	DumpErrors   int                  `json:"dump_errors"`
+	Detected     bool                 `json:"detected"`
+	DetectionLag time.Duration        `json:"detection_lag,omitempty"`
+	Violations   []workload.Violation `json:"violations,omitempty"`
 }
 
 // SLOResult is the B7 study.
@@ -127,15 +123,7 @@ func SLORun(seed int64, smoke bool, faultRate float64) (SLORow, *grid.Grid, *slo
 
 // sloRun executes one row on s.
 func sloRun(s sloSetting, seed int64, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) {
-	var eng *slo.Engine
-	crow, g := chaosRun(s.chaos, seed, faultRate, func(g *grid.Grid) *slo.Engine {
-		eng = slo.New(slo.Deps{
-			Sim: g.Sim, Tracer: g.Tracer, Counters: g.Counters,
-			Gauges: g.Gauges, Samples: g.Samples, Flight: g.Flight,
-		}, sloRules(s.chaos), slo.Options{EvalInterval: s.evalInterval})
-		eng.Start()
-		return eng
-	})
+	crow, g, eng := chaosRun(s.chaos, seed, faultRate, s.evalInterval)
 
 	row := SLORow{
 		FaultRate:  crow.FaultRate,
@@ -167,7 +155,9 @@ func sloRun(s sloSetting, seed int64, faultRate float64) (SLORow, *grid.Grid, *s
 		if d.Kind() == "slo" {
 			row.SLODumps++
 		}
-		if err := flightrec.Validate(d.Events); err != nil {
+	}
+	for _, v := range row.Violations {
+		if v.Invariant == "flight-dump" {
 			row.DumpErrors++
 		}
 	}
@@ -198,7 +188,7 @@ func (r SLOResult) Check() []string {
 	var bad []string
 	for _, row := range r.Rows {
 		id := fmt.Sprintf("rate %.2f", row.FaultRate)
-		bad = append(bad, audited(id, row.Violations)...)
+		bad = append(bad, workload.Gate(id, row.Violations)...)
 		switch {
 		case row.Faults == 0:
 		case !row.Detected:

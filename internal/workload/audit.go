@@ -44,25 +44,43 @@ func (v Violation) String() string {
 // deterministic: jobs in submission order, the lone broker's, then every
 // replica's, then ctrls', and machines by name.
 func (tb *Testbed) Audit(eng *slo.Engine, ctrls ...*core.Controller) []Violation {
-	var v []Violation
+	var r report
 	for _, j := range tb.jobs(ctrls) {
-		v = append(v, checkJob(j)...)
+		r.checkJob(j)
 	}
-	v = append(v, tb.checkMachines()...)
+	r.checkMachines(tb)
 	if recorded, reaped := tb.Orphans(ctrls...); recorded != reaped {
-		v = append(v, Violation{
-			Invariant: "orphan-reap",
-			Detail:    fmt.Sprintf("%d orphans recorded but %d reaped", recorded, reaped),
-		})
+		r.add("orphan-reap", "", "%d orphans recorded but %d reaped", recorded, reaped)
 	}
 	if tb.Fed != nil {
-		v = append(v, checkFederation(tb.Fed.MergedJournal())...)
+		r.checkFederation(tb.Fed.MergedJournal())
 	}
-	v = append(v, tb.checkTrace()...)
+	events := tb.Grid.Tracer.Events()
+	trace.Sort(events)
+	for _, problem := range trace.Analyze(events).Check() {
+		r.add("trace", "", "%s", problem)
+	}
 	if eng != nil {
-		v = append(v, tb.checkSLO(eng)...)
+		r.checkSLO(tb, eng)
 	}
-	return v
+	return r
+}
+
+// Gate renders violations as gate messages, one each, naming the run they
+// were found in by id: what the studies' Checks and gridsim report.
+func Gate(id string, violations []Violation) []string {
+	var bad []string
+	for _, v := range violations {
+		bad = append(bad, fmt.Sprintf("%s: %v", id, v))
+	}
+	return bad
+}
+
+// report collects one audit's violations in the order they are found.
+type report []Violation
+
+func (r *report) add(invariant, job, format string, args ...any) {
+	*r = append(*r, Violation{Invariant: invariant, Job: job, Detail: fmt.Sprintf(format, args...)})
 }
 
 // jobs is every job the run's co-allocators accepted: the lone broker's,
@@ -133,29 +151,22 @@ func (tb *Testbed) Orphans(ctrls ...*core.Controller) (recorded, reaped int64) {
 //
 // flight-dump: every retained dump's events satisfy the windowed trace
 // well-formedness rules.
-func (tb *Testbed) checkSLO(eng *slo.Engine) []Violation {
-	var v []Violation
+func (r *report) checkSLO(tb *Testbed, eng *slo.Engine) {
 	alerts, dumps, skipped := eng.Alerts(), tb.Grid.Flight.Dumps(), tb.Grid.Flight.Skipped()
 	fires := eng.Fires()
 	// A deliberately broken protocol can legitimately orphan and alert on
 	// a fault-free run, so the no-false-positive rule stands down for it.
 	if !tb.faulted && tb.bugs == (core.Bugs{}) {
 		if fires > 0 {
-			v = append(v, Violation{
-				Invariant: "slo-false-positive",
-				Detail: fmt.Sprintf("fault-free scenario fired %d alerts (first: %s %s)",
-					fires, alerts[0].Rule, alerts[0].Detail),
-			})
+			r.add("slo-false-positive", "", "fault-free scenario fired %d alerts (first: %s %s)",
+				fires, alerts[0].Rule, alerts[0].Detail)
 		}
 		if n := len(dumps) + int(skipped); n > 0 {
 			first := "(all beyond retention)"
 			if len(dumps) > 0 {
 				first = dumps[0].Trigger
 			}
-			v = append(v, Violation{
-				Invariant: "slo-false-positive",
-				Detail:    fmt.Sprintf("fault-free scenario triggered %d flight-recorder dumps (first: %s)", n, first),
-			})
+			r.add("slo-false-positive", "", "fault-free scenario triggered %d flight-recorder dumps (first: %s)", n, first)
 		}
 	}
 	if skipped == 0 {
@@ -166,21 +177,14 @@ func (tb *Testbed) checkSLO(eng *slo.Engine) []Violation {
 			}
 		}
 		if sloDumps != fires {
-			v = append(v, Violation{
-				Invariant: "slo-dump",
-				Detail:    fmt.Sprintf("%d alert fires but %d slo dumps", fires, sloDumps),
-			})
+			r.add("slo-dump", "", "%d alert fires but %d slo dumps", fires, sloDumps)
 		}
 	}
 	for _, d := range dumps {
 		if err := flightrec.Validate(d.Events); err != nil {
-			v = append(v, Violation{
-				Invariant: "flight-dump",
-				Detail:    fmt.Sprintf("dump %s at %v: %v", d.Trigger, d.At, err),
-			})
+			r.add("flight-dump", "", "dump %s at %v: %v", d.Trigger, d.At, err)
 		}
 	}
-	return v
 }
 
 // checkFederation audits the replicated journal after a federated run.
@@ -193,8 +197,7 @@ func (tb *Testbed) checkSLO(eng *slo.Engine) []Violation {
 // ticket is a 2PC stuck mid-flight; an open allocation or orphan is a
 // machine-side job nobody settled — a dead replica's duty that no peer
 // picked up.
-func checkFederation(entries []federation.Entry) []Violation {
-	var v []Violation
+func (r *report) checkFederation(entries []federation.Entry) {
 	committed := map[string][]string{}
 	for _, e := range entries {
 		if e.Kind == federation.KindTicket && e.Committed && e.ReqKey != "" {
@@ -208,22 +211,15 @@ func checkFederation(entries []federation.Entry) []Violation {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if tickets := committed[k]; len(tickets) > 1 {
-			v = append(v, Violation{
-				Invariant: "at-most-once",
-				Detail:    fmt.Sprintf("request key %s committed by %d tickets: %v", k, len(tickets), tickets),
-			})
+			r.add("at-most-once", "", "request key %s committed by %d tickets: %v", k, len(tickets), tickets)
 		}
 	}
 	for _, e := range entries {
 		if e.State == federation.StateOpen {
-			v = append(v, Violation{
-				Invariant: "handoff-reap",
-				Detail: fmt.Sprintf("journal entry %s (%s from %s, owner %s) still open at quiescence",
-					e.Key, e.Kind, e.Origin, e.Owner),
-			})
+			r.add("handoff-reap", "", "journal entry %s (%s from %s, owner %s) still open at quiescence",
+				e.Key, e.Kind, e.Origin, e.Owner)
 		}
 	}
-	return v
 }
 
 // jobView is a job's history digested for the per-job checks.
@@ -232,8 +228,6 @@ type jobView struct {
 	committed   bool
 	abortedAt   time.Duration
 	aborted     bool
-	doneAt      time.Duration
-	done        bool
 	// checkedIn and failed record the first EvCheckedIn / EvSubjobFailed
 	// per subjob label.
 	checkedIn map[string]time.Duration
@@ -255,10 +249,6 @@ func digest(hist []core.Event) jobView {
 			if !w.aborted {
 				w.aborted, w.abortedAt = true, ev.At
 			}
-		case core.EvDone:
-			if !w.done {
-				w.done, w.doneAt = true, ev.At
-			}
 		case core.EvCheckedIn:
 			if _, ok := w.checkedIn[ev.Label]; !ok {
 				w.checkedIn[ev.Label] = ev.At
@@ -272,11 +262,8 @@ func digest(hist []core.Event) jobView {
 	return w
 }
 
-func checkJob(j *core.Job) []Violation {
-	var v []Violation
-	bad := func(invariant, format string, args ...any) {
-		v = append(v, Violation{Invariant: invariant, Job: j.ID(), Detail: fmt.Sprintf(format, args...)})
-	}
+func (r *report) checkJob(j *core.Job) {
+	bad := func(invariant, format string, args ...any) { r.add(invariant, j.ID(), format, args...) }
 	hist := j.History()
 	status := j.Status()
 	w := digest(hist)
@@ -346,40 +333,18 @@ func checkJob(j *core.Job) []Violation {
 	if !j.Done().IsSet() {
 		bad("job-quiescence", "job still live at quiescence")
 	}
-	return v
 }
 
 // checkMachines: no machine runs a job at quiescence, and every batch
 // machine has all its processors free again.
-func (tb *Testbed) checkMachines() []Violation {
-	var v []Violation
-	g := tb.Grid
-	for _, name := range g.Machines() {
-		m := g.Machine(name)
+func (r *report) checkMachines(tb *Testbed) {
+	for _, name := range tb.Grid.Machines() {
+		m := tb.Grid.Machine(name)
 		if n := m.LiveJobs(); n != 0 {
-			v = append(v, Violation{
-				Invariant: "leaked-jobs",
-				Detail:    fmt.Sprintf("machine %s still runs %d jobs at quiescence", name, n),
-			})
+			r.add("leaked-jobs", "", "machine %s still runs %d jobs at quiescence", name, n)
 		}
-		if m.Mode() == lrm.Batch {
-			if free, total := m.FreeProcessors(), m.Processors(); free != total {
-				v = append(v, Violation{
-					Invariant: "processor-conservation",
-					Detail:    fmt.Sprintf("machine %s has %d of %d processors free at quiescence", name, free, total),
-				})
-			}
+		if free, total := m.FreeProcessors(), m.Processors(); m.Mode() == lrm.Batch && free != total {
+			r.add("processor-conservation", "", "machine %s has %d of %d processors free at quiescence", name, free, total)
 		}
 	}
-	return v
-}
-
-func (tb *Testbed) checkTrace() []Violation {
-	events := tb.Grid.Tracer.Events()
-	trace.Sort(events)
-	var v []Violation
-	for _, problem := range trace.Analyze(events).Check() {
-		v = append(v, Violation{Invariant: "trace", Detail: problem})
-	}
-	return v
 }
