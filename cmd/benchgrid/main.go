@@ -17,8 +17,9 @@
 // Prometheus exposition. The causal critical-path report of a JSONL trace
 // is `tracegrid -analyze`'s.
 //
-// Four studies carry an acceptance gate (chaos, federation, slo and
-// scale; each result's Check method says what it enforces). In text mode
+// Five studies carry an acceptance gate (broker, chaos, federation, slo
+// and scale; each result's Check method says what it enforces, and the
+// first four include every row's invariant audit). In text mode
 // a study whose gate fails is still printed and benchgrid exits 1; with
 // -json it prints nothing and exits 2, as for any unusable command line.
 package main
