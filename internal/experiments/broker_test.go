@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"cogrid/internal/trace"
+	"cogrid/internal/workload"
 )
 
 func TestBrokerLoadStudySmoke(t *testing.T) {
@@ -29,6 +31,15 @@ func TestBrokerLoadStudySmoke(t *testing.T) {
 	}
 	if tbl := res.Table().String(); tbl == "" {
 		t.Errorf("empty table")
+	}
+	// The gate is every row's audit: clean here, and a row carrying a
+	// violation fails it.
+	if bad := res.Check(); len(bad) > 0 {
+		t.Errorf("gate violations: %v", bad)
+	}
+	res.Rows[1].Violations = []workload.Violation{{Invariant: "leaked-jobs", Detail: "machine site00 still runs 1 jobs at quiescence"}}
+	if bad := res.Check(); len(bad) != 1 || !strings.HasPrefix(bad[0], "row 1 (open, qbound 2): leaked-jobs:") {
+		t.Errorf("a row's violation: Check() = %v", bad)
 	}
 }
 

@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"cogrid/internal/workload"
 )
 
 // TestFederationScalingBeatsSingleReplica locks the study's acceptance
@@ -98,5 +101,9 @@ func TestFederationCheckCatches(t *testing.T) {
 	rows[1].P99 = time.Minute
 	if bad := (FederationLoadResult{Rows: rows}).Check(); len(bad) != 0 {
 		t.Fatalf("winning row rejected: %v", bad)
+	}
+	rows[2].Violations = []workload.Violation{{Invariant: "handoff-reap", Detail: "journal entry a/x still open at quiescence"}}
+	if bad := (FederationLoadResult{Rows: rows}).Check(); len(bad) != 1 || !strings.HasPrefix(bad[0], "4 replicas: handoff-reap:") {
+		t.Fatalf("want the 4-replica row's audit violation, got %v", bad)
 	}
 }
