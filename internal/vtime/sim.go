@@ -37,10 +37,16 @@
 // this package's test files as the reference scheduler: the kernel
 // equivalence suite runs every scenario on both and compares the bytes.
 //
-// Processes may use plain sync.Mutex for instantaneous critical sections,
-// but must never block on ordinary Go channels or hold a mutex across a
-// kernel blocking call; doing so breaks runnable accounting, and a task
-// that needs the mutex would be running on the stack that holds it.
+// The run token is the only lock simulated state needs. Setup — the code
+// on the caller's goroutine that builds the world and spawns its first
+// processes — owns all of it until [Sim.Wait]: nothing runs before Wait
+// grants the token for the first time. From then on every process and task
+// runs under the token, and the kernel's channel handoffs order each one
+// after the last. Readers on the caller's goroutine come after Wait
+// returns, which orders them after the run. So state touched only by
+// setup, processes, tasks and those readers needs no mutex and no atomic,
+// and the race detector checks the rule. A process must never block on
+// ordinary Go channels or locks: doing so breaks runnable accounting.
 //
 // If every live non-daemon process is blocked and no timers are pending,
 // the simulation has deadlocked: the kernel records a *DeadlockError
@@ -53,7 +59,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -67,11 +72,12 @@ type Sim struct {
 	started   bool   // at least one non-daemon process was spawned
 	completed bool   // all non-daemon processes exited, or deadlock detected
 	over      bool   // completed, and the last daemon that was still runnable has had its turn: done is closed
+	waited    bool   // Wait has made the first grant of the run token
 
 	// Deterministic cooperative scheduling: at most one simulated process
-	// executes at a time, selected in FIFO wake order. running marks the
-	// run token as held and cur is the process holding it (nil while a
-	// dispatcher holds it, see passLocked); runq holds the processes and
+	// executes at a time, selected in FIFO wake order. cur is the process
+	// holding the run token (nil while a dispatcher holds it, see
+	// passLocked, and before Wait); runq holds the processes and
 	// tasks that are ready but waiting their turn (runqHead is the pop
 	// index, reset when the queue drains). Without this serialization two
 	// processes woken at the same virtual instant race, and the winner —
@@ -79,7 +85,6 @@ type Sim struct {
 	// instead of the seed. With it, "the calling process" of any blocking
 	// primitive is cur, so a process blocks on its own descriptor and
 	// allocates nothing.
-	running  bool
 	cur      *proc
 	runq     []runnable
 	runqHead int
@@ -93,16 +98,10 @@ type Sim struct {
 	done       chan struct{}
 	deadlock   *DeadlockError
 
-	// nowA mirrors now so that Now() never takes the kernel lock: the
-	// clock is frozen whenever the reader is runnable, so a relaxed
-	// atomic read is exact for simulated processes.
-	nowA atomic.Int64
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng *rand.Rand
 
 	stats       KernelStats
-	timersFired atomic.Int64
+	timersFired int64
 	batchWhen   time.Duration // virtual instant of the open dispatch batch
 	batchCount  int64         // timers dispatched at batchWhen so far
 
@@ -113,8 +112,8 @@ type Sim struct {
 // of a latency histogram: vtime cannot import the metrics package (metrics
 // builds on vtime), so callers inject recorders — *metrics.Histogram
 // satisfies this interface — via SetStats. Implementations are invoked with
-// the kernel lock held and therefore must not block or call back into the
-// Sim; an atomic-only histogram qualifies.
+// the kernel lock held, by whoever holds the run token, and therefore must
+// not block or call back into the Sim; they need no lock of their own.
 type Recorder interface {
 	Record(v int64)
 }
@@ -148,7 +147,7 @@ func (s *Sim) SetStats(ks KernelStats) {
 
 // TimersFired returns the total number of timer callbacks dispatched so
 // far — the kernel's event throughput counter.
-func (s *Sim) TimersFired() int64 { return s.timersFired.Load() }
+func (s *Sim) TimersFired() int64 { return s.counter(&s.timersFired) }
 
 // Spawned returns how many processes have been started (Go, GoDaemon and
 // fired AfterFunc callbacks).
@@ -204,16 +203,10 @@ func NewSeeded(seed int64) *Sim {
 var newTimerQueue = func() timerQueue { return newTimerWheel() }
 
 // Now returns the current virtual time, measured from the start of the
-// simulation. It is lock-free: for a simulated process the clock cannot
-// move while the caller is runnable, so the value is exact.
-func (s *Sim) Now() time.Duration { return time.Duration(s.nowA.Load()) }
-
-// setNowLocked advances the clock and its lock-free mirror. Must be called
-// with s.mu held.
-func (s *Sim) setNowLocked(t time.Duration) {
-	s.now = t
-	s.nowA.Store(int64(t))
-}
+// simulation. It takes no lock: the clock moves only while the dispatcher
+// holds the run token, so for setup, a process, a task or a reader after
+// Wait the value is exact.
+func (s *Sim) Now() time.Duration { return s.now }
 
 // Go spawns fn as a simulated process. The simulation is complete when all
 // non-daemon processes have returned.
@@ -337,9 +330,11 @@ func (s *Sim) releaseFreeLocked() {
 	s.freeProcs = nil
 }
 
-// Wait blocks the calling (real) goroutine until the simulation completes:
-// every non-daemon process has exited, or a deadlock was detected. It
-// returns the *DeadlockError in the latter case. Daemons that were queued
+// Wait starts the run and blocks the calling (real) goroutine until the
+// simulation completes: every non-daemon process has exited, or a deadlock
+// was detected. It returns the *DeadlockError in the latter case. Nothing
+// spawned or readied during setup runs before Wait: its first call grants
+// the run token, in the order everything was queued. Daemons that were queued
 // for the run token at that moment run first, one after another, each until
 // it exits or tries to wait — the first that waits keeps the token for good
 // — so whatever a run emits has been emitted when Wait returns. At least one
@@ -349,6 +344,10 @@ func (s *Sim) Wait() error {
 	if !s.started {
 		s.mu.Unlock()
 		panic("vtime: Wait called before any process was spawned")
+	}
+	if !s.waited {
+		s.waited = true
+		s.passLocked(nil)
 	}
 	s.mu.Unlock()
 	<-s.done
@@ -506,36 +505,20 @@ func (t *Task) claimLocked() {
 	t.pending = true
 }
 
-// --- random helpers (safe for concurrent use by processes) ---
+// --- random helpers ---
 
 // RandFloat64 returns a pseudo-random float64 in [0,1).
-func (s *Sim) RandFloat64() float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.Float64()
-}
+func (s *Sim) RandFloat64() float64 { return s.rng.Float64() }
 
 // RandIntn returns a pseudo-random int in [0,n).
-func (s *Sim) RandIntn(n int) int {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.Intn(n)
-}
+func (s *Sim) RandIntn(n int) int { return s.rng.Intn(n) }
 
 // RandNorm returns a normally distributed float64 with mean 0 and
 // standard deviation 1.
-func (s *Sim) RandNorm() float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.NormFloat64()
-}
+func (s *Sim) RandNorm() float64 { return s.rng.NormFloat64() }
 
 // RandExp returns an exponentially distributed float64 with rate 1.
-func (s *Sim) RandExp() float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.ExpFloat64()
-}
+func (s *Sim) RandExp() float64 { return s.rng.ExpFloat64() }
 
 // --- kernel internals ---
 
@@ -587,14 +570,12 @@ type runnable struct {
 // readyLocked queues r for the run token, FIFO behind whatever is already
 // runnable. A parked process resumes only when it is actually its turn,
 // which is what makes wake order (and therefore the whole run)
-// deterministic. The token is free only before the first process exists;
-// a process readied then takes it at once, a task waits for that process.
-// Must be called with s.mu held.
+// deterministic. Readying never grants the token: Wait makes the first
+// grant, and from then on the token is held — by a process, or by the
+// dispatcher passing it on — until the run is over. Must be called with
+// s.mu held.
 func (s *Sim) readyLocked(r runnable) {
 	s.runq = append(s.runq, r)
-	if !s.running && r.p != nil {
-		s.passLocked(nil)
-	}
 }
 
 // passLocked gives up the run token on behalf of self — the process that
@@ -606,13 +587,10 @@ func (s *Sim) readyLocked(r runnable) {
 // alone: what it made runnable runs before the next one is popped. Must be
 // called with s.mu held, which it releases around each task step.
 func (s *Sim) passLocked(self *proc) {
-	s.running, s.cur = true, nil
+	s.cur = nil
 	for {
 		for s.runqHead == len(s.runq) {
-			// Before the first non-daemon process (alive == 0) daemons
-			// parking is idle setup, not deadlock: the clock stays at zero.
-			if s.completed || s.alive == 0 || !s.fireNextLocked() {
-				s.running = false
+			if s.completed || !s.fireNextLocked() {
 				if s.completed {
 					s.endLocked()
 				}
@@ -744,7 +722,7 @@ func (s *Sim) fireNextLocked() bool {
 			continue
 		}
 		if entry.when > s.now {
-			s.setNowLocked(entry.when)
+			s.now = entry.when
 		}
 		// Dispatch batches are keyed by the clock value at fire time: a
 		// woken process that blocks again at the same instant continues
@@ -767,7 +745,7 @@ func (s *Sim) fireLocked(entry *timerEntry) {
 	entry.fired = true
 	s.liveTimers--
 	s.batchCount++
-	s.timersFired.Add(1)
+	s.timersFired++
 	if s.stats.TimerLead != nil {
 		s.stats.TimerLead.Record(int64(entry.when - entry.born))
 	}

@@ -273,6 +273,36 @@ func TestWaitBeforeSpawnPanics(t *testing.T) {
 	New().Wait()
 }
 
+// TestNothingRunsBeforeWait pins the rule that makes the run token the only
+// lock: setup owns every field until Wait makes the first grant. The fields
+// below are plain, so under -race a process that ran during setup is a
+// reported data race as well as a failed assertion.
+func TestNothingRunsBeforeWait(t *testing.T) {
+	s := New()
+	daemonRan, firstRan := false, false
+	s.GoDaemon("daemon", func() { daemonRan = true })
+	s.Go("first", func() {
+		firstRan = true
+		s.Sleep(time.Second)
+	})
+	time.Sleep(10 * time.Millisecond) // real time in which a granted process would run
+	if daemonRan || firstRan {
+		t.Fatalf("before Wait: daemon ran %v, first ran %v", daemonRan, firstRan)
+	}
+	daemonRan, firstRan = false, false
+	secondAt := time.Duration(-1)
+	s.Go("second", func() { secondAt = s.Now() })
+	if err := s.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if !daemonRan || !firstRan {
+		t.Fatalf("after Wait: daemon ran %v, first ran %v", daemonRan, firstRan)
+	}
+	if secondAt != 0 {
+		t.Fatalf("second process started at %v, want 0 (-1: never ran)", secondAt)
+	}
+}
+
 func TestSleepUntil(t *testing.T) {
 	s := New()
 	err := s.Run("main", func() {

@@ -156,29 +156,21 @@ func TestThousandsOfProcsSettle(t *testing.T) {
 	}
 	s := New()
 	const n = 5000
-	var count atomic.Int64
-	wg := NewWaitGroup(s)
-	wg.Add(n)
-	// Spawn from inside a simulated process: while the spawner is
-	// runnable the clock cannot advance, so every sleep is relative to
-	// t=0. Spawning from the real test goroutine would race with the
-	// clock.
-	err := s.Run("main", func() {
-		for i := 0; i < n; i++ {
-			d := time.Duration(i%100) * time.Millisecond
-			s.Go("p", func() {
-				s.Sleep(d)
-				count.Add(1)
-				wg.Done()
-			})
-		}
-		wg.Wait()
-	})
-	if err != nil {
+	count := 0
+	// Spawn from setup: nothing runs before Wait, so the clock is at zero
+	// until every process exists and every sleep is relative to t=0.
+	for i := 0; i < n; i++ {
+		d := time.Duration(i%100) * time.Millisecond
+		s.Go("p", func() {
+			s.Sleep(d)
+			count++
+		})
+	}
+	if err := s.Wait(); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	if count.Load() != n {
-		t.Fatalf("only %d of %d procs ran", count.Load(), n)
+	if count != n {
+		t.Fatalf("only %d of %d procs ran", count, n)
 	}
 	if s.Now() != 99*time.Millisecond {
 		t.Fatalf("clock = %v, want 99ms", s.Now())
