@@ -8,6 +8,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -299,6 +300,72 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s names %q, which that package does not declare", doc, name)
 			}
 			seen[name] = true
+		}
+	}
+}
+
+// TestRunTokenIsTheOnlyLock: simulated state is guarded by vtime's run token
+// alone (the rule is stated in vtime's package comment, and go test -race
+// checks it). Outside internal/vtime, a non-test file under internal/, cmd/
+// or examples/ uses package sync only for a package-level sync.Pool, and
+// does not import sync/atomic.
+func TestRunTokenIsTheOnlyLock(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				if err == nil && p == filepath.Join("internal", "vtime") {
+					return filepath.SkipDir
+				}
+				return err
+			}
+			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return nil
+			}
+			file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			syncName := ""
+			for _, imp := range file.Imports {
+				switch path, _ := strconv.Unquote(imp.Path.Value); path {
+				case "sync/atomic":
+					t.Errorf("%s: imports sync/atomic", fset.Position(imp.Pos()))
+				case "sync":
+					syncName = path
+					if imp.Name != nil {
+						syncName = imp.Name.Name
+					}
+				}
+			}
+			if syncName == "" {
+				return nil
+			}
+			pools := map[*ast.SelectorExpr]bool{}
+			for _, decl := range file.Decls {
+				if g, ok := decl.(*ast.GenDecl); ok && g.Tok == token.VAR {
+					ast.Inspect(g, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+							pools[sel] = true
+						}
+						return true
+					})
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || pools[sel] {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == syncName {
+					t.Errorf("%s: %s.%s beside the run token", fset.Position(sel.Pos()), syncName, sel.Sel.Name)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

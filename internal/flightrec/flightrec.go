@@ -7,8 +7,8 @@
 // The recorder attaches to the tracer as a trace.Tap, so it sees every
 // event every layer emits without any layer knowing it exists. The record
 // path is allocation-free: each component (trace category) owns a fixed
-// circular buffer sized at construction, and recording is a mutex-guarded
-// array write — the same always-on cost profile as metrics.Histogram.Record.
+// circular buffer sized at construction, and recording is an array write —
+// the same always-on cost profile as metrics.Histogram.Record.
 // A tap may not keep the args slice it is handed, so each slot of a ring
 // owns room for slotArgs args and copies an event's args into it.
 //
@@ -19,8 +19,8 @@
 // and their events arrive in racy order. The recorder therefore never
 // lets the racy part of the stream influence what it retains:
 //
-//   - Every entry is stamped with the virtual time it was seen, captured
-//     under the ring lock, so each ring's entries are monotone in seen-time.
+//   - Every entry is stamped with the virtual time it was seen, so each
+//     ring's entries are monotone in seen-time.
 //   - Eviction only ever drops the oldest *whole instant* of a ring, and
 //     only counts entries from *sealed* instants (instants strictly older
 //     than the newest seen time) against the ring's retention capacity.
@@ -44,7 +44,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/trace"
@@ -113,10 +112,9 @@ func (e *entry) clear() {
 	*e = entry{ev: trace.Event{Args: e.ev.Args[:0]}}
 }
 
-// ring is one component's fixed circular deque. All fields are guarded by
-// mu; seen stamps are taken under mu so entries are monotone in seen.
+// ring is one component's fixed circular deque, its entries monotone in
+// seen.
 type ring struct {
-	mu   sync.Mutex
 	buf  []entry // fixed at 2*cap
 	head int     // index of oldest entry
 	n    int     // live entries
@@ -133,10 +131,8 @@ type Recorder struct {
 	sim  *vtime.Sim
 	opts Options
 
-	rmu   sync.RWMutex
 	rings map[string]*ring
 
-	dmu     sync.Mutex
 	dumps   []Dump
 	skipped int64 // triggers beyond MaxDumps
 
@@ -158,18 +154,10 @@ func (r *Recorder) SetCounters(c *trace.Counters) {
 }
 
 func (r *Recorder) ring(cat string) *ring {
-	r.rmu.RLock()
-	rg, ok := r.rings[cat]
-	r.rmu.RUnlock()
-	if ok {
+	if rg, ok := r.rings[cat]; ok {
 		return rg
 	}
-	r.rmu.Lock()
-	defer r.rmu.Unlock()
-	if rg, ok = r.rings[cat]; ok {
-		return rg
-	}
-	rg = &ring{buf: make([]entry, 2*r.opts.RingCap)}
+	rg := &ring{buf: make([]entry, 2*r.opts.RingCap)}
 	args := make([]trace.Arg, len(rg.buf)*slotArgs)
 	for i := range rg.buf {
 		rg.buf[i].ev.Args = args[i*slotArgs : i*slotArgs : (i+1)*slotArgs]
@@ -186,15 +174,11 @@ func (r *Recorder) Record(ev trace.Event) {
 	if r == nil {
 		return
 	}
-	rg := r.ring(ev.Cat)
-	rg.mu.Lock()
-	rg.push(ev, r.sim.Now(), r.opts.RingCap)
-	rg.mu.Unlock()
+	r.ring(ev.Cat).push(ev, r.sim.Now(), r.opts.RingCap)
 }
 
 // push appends ev seen at seen, evicting at whole-instant granularity so
 // that retained history never depends on same-instant arrival races.
-// Caller holds rg.mu.
 func (rg *ring) push(ev trace.Event, seen time.Duration, cap int) {
 	if seen > rg.lastSeen {
 		// A new instant begins: everything currently buffered is sealed.
@@ -228,7 +212,7 @@ func (rg *ring) push(ev trace.Event, seen time.Duration, cap int) {
 }
 
 // dropOldestInstant evicts every entry of the oldest seen-instant. The
-// oldest instant is sealed whenever sealed > 0. Caller holds rg.mu.
+// oldest instant is sealed whenever sealed > 0.
 func (rg *ring) dropOldestInstant() {
 	t0 := rg.buf[rg.head].seen
 	for rg.n > 0 && rg.buf[rg.head].seen == t0 {
@@ -241,7 +225,7 @@ func (rg *ring) dropOldestInstant() {
 	}
 }
 
-// slot returns the i-th live entry from the oldest. Caller holds rg.mu.
+// slot returns the i-th live entry from the oldest.
 func (rg *ring) slot(i int) *entry { return &rg.buf[(rg.head+i)%len(rg.buf)] }
 
 // window returns the slot range [lo, hi) of the retained events seen
@@ -249,7 +233,7 @@ func (rg *ring) slot(i int) *entry { return &rg.buf[(rg.head+i)%len(rg.buf)] }
 // result does not depend on how many at-instant events raced in before the
 // trigger: the newest pre-at instant B is kept whole, then older whole
 // instants are kept newest-first while the non-B total stays within
-// cap - len(B). Caller holds rg.mu.
+// cap - len(B).
 func (rg *ring) window(at time.Duration, cap int) (lo, hi int) {
 	// Seen stamps are monotone, so the entries seen before at are a prefix.
 	n := 0
@@ -283,11 +267,9 @@ func (rg *ring) window(at time.Duration, cap int) (lo, hi int) {
 // Snapshot returns every component's retained events seen strictly before
 // at, in deterministic trace order. Nil-safe.
 //
-// It measures before it copies: every ring is locked while its window is
-// sized and stays locked until the window is copied, so the result takes
-// one events array and one args array (the slots' args are reused, so
-// they are copied out). Rings are locked in category order, which keeps
-// concurrent snapshots from deadlocking.
+// It measures before it copies, so the result takes one events array and
+// one args array (the slots' args are reused, so they are copied out).
+// Rings are read in category order.
 func (r *Recorder) Snapshot(at time.Duration) []trace.Event {
 	if r == nil {
 		return nil
@@ -297,17 +279,14 @@ func (r *Recorder) Snapshot(at time.Duration) []trace.Event {
 		rg     *ring
 		lo, hi int
 	}
-	r.rmu.RLock()
 	wins := make([]win, 0, len(r.rings))
 	for cat, rg := range r.rings {
 		wins = append(wins, win{cat: cat, rg: rg})
 	}
-	r.rmu.RUnlock()
 	slices.SortFunc(wins, func(a, b win) int { return strings.Compare(a.cat, b.cat) })
 	nevents, nargs := 0, 0
 	for i := range wins {
 		w := &wins[i]
-		w.rg.mu.Lock()
 		w.lo, w.hi = w.rg.window(at, r.opts.RingCap)
 		nevents += w.hi - w.lo
 		for k := w.lo; k < w.hi; k++ {
@@ -329,7 +308,6 @@ func (r *Recorder) Snapshot(at time.Duration) []trace.Event {
 			}
 			out = append(out, ev)
 		}
-		w.rg.mu.Unlock()
 	}
 	trace.Sort(out)
 	return out
@@ -345,8 +323,6 @@ func (r *Recorder) Trigger(trigger, detail string) Dump {
 		return Dump{}
 	}
 	d := Dump{At: r.sim.Now(), Trigger: trigger, Detail: detail}
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
 	if len(r.dumps) >= r.opts.MaxDumps {
 		r.skipped++
 		r.ctrs.Add(trace.Key("flightrec", "dump", "skip", ""), 1)
@@ -364,10 +340,7 @@ func (r *Recorder) Dumps() []Dump {
 	if r == nil {
 		return nil
 	}
-	r.dmu.Lock()
-	out := make([]Dump, len(r.dumps))
-	copy(out, r.dumps)
-	r.dmu.Unlock()
+	out := slices.Clone(r.dumps)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].At != out[j].At {
 			return out[i].At < out[j].At
@@ -385,8 +358,6 @@ func (r *Recorder) Skipped() int64 {
 	if r == nil {
 		return 0
 	}
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
 	return r.skipped
 }
 
@@ -397,13 +368,9 @@ func (r *Recorder) Overflows() int64 {
 	if r == nil {
 		return 0
 	}
-	r.rmu.RLock()
-	defer r.rmu.RUnlock()
 	var n int64
 	for _, rg := range r.rings {
-		rg.mu.Lock()
 		n += rg.overflows
-		rg.mu.Unlock()
 	}
 	return n
 }

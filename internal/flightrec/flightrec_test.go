@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +16,9 @@ import (
 // simulated processes all emitting into category "cat" (plus a second
 // category) at every whole second up to instants, then triggers a dump at
 // the final instant + 1s. Within each instant the real-time arrival order
-// of events is racy; the dump must not depend on it.
+// of events is racy; the dump must not depend on it. Process 0 also takes
+// a snapshot at every instant, between other processes' records, and each
+// must be valid.
 func raceDump(t *testing.T, seed int64, procs, instants, ringCap int) []byte {
 	t.Helper()
 	sim := vtime.NewSeeded(seed)
@@ -36,6 +37,9 @@ func raceDump(t *testing.T, seed int64, procs, instants, ringCap int) []byte {
 					tr.Instant("cat", fmt.Sprintf("ev-%02d-%02d", i, p), "host", "thr", "")
 					if p == 0 {
 						tr.Instant("other", fmt.Sprintf("o-%02d", i), "host", "thr", "")
+						if err := Validate(rec.Snapshot(sim.Now())); err != nil {
+							t.Errorf("snapshot at %v: %v", sim.Now(), err)
+						}
 					}
 				}
 			})
@@ -316,33 +320,4 @@ func TestSkippedTriggerCopiesNothing(t *testing.T) {
 	if rec.Skipped() != 1 || ctrs.Get("flightrec.dump.skip") != 1 || len(rec.Dumps()) != 2 {
 		t.Errorf("skipped %d, skip counter %d, dumps %d; want 1, 1, 2", rec.Skipped(), ctrs.Get("flightrec.dump.skip"), len(rec.Dumps()))
 	}
-}
-
-// A snapshot holds every ring's lock at once, taken in category order:
-// snapshots racing each other and the record path must neither race nor
-// deadlock (run with -race).
-func TestConcurrentSnapshotsAndRecords(t *testing.T) {
-	sim := vtime.NewSeeded(1)
-	rec := New(sim, Options{RingCap: 16})
-	cats := []string{"a", "b", "c"}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				rec.Record(trace.Event{Cat: cats[(g+i)%len(cats)], Name: "e", Args: []trace.Arg{{Key: "g", Val: "v"}}})
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := Validate(rec.Snapshot(time.Second)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/vtime"
@@ -28,7 +27,6 @@ import (
 // nothing.
 type GaugeSet struct {
 	sim    *vtime.Sim
-	mu     sync.Mutex
 	gauges map[string]*Gauge
 }
 
@@ -44,8 +42,6 @@ func (s *GaugeSet) G(name string) *Gauge {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	g := s.gauges[name]
 	if g == nil {
 		g = &Gauge{sim: s.sim}
@@ -59,8 +55,6 @@ func (s *GaugeSet) Names() []string {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	names := make([]string, 0, len(s.gauges))
 	for n := range s.gauges {
 		names = append(names, n)
@@ -81,7 +75,6 @@ func (s *GaugeSet) Names() []string {
 // instant.
 type Gauge struct {
 	sim     *vtime.Sim
-	mu      sync.Mutex
 	entries []gaugeEntry
 }
 
@@ -96,13 +89,11 @@ func (g *Gauge) Add(d float64) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
 	var cum float64
 	if n := len(g.entries); n > 0 {
 		cum = g.entries[n-1].cum
 	}
 	g.entries = append(g.entries, gaugeEntry{at: g.sim.Now(), cum: cum + d})
-	g.mu.Unlock()
 }
 
 // Value returns the gauge value at virtual time t: the sum of all deltas
@@ -119,12 +110,6 @@ func (g *Gauge) Value(t time.Duration) float64 {
 // stamped <= t. O(log n), allocation-free — cheap enough to sample gauges
 // at a fine cadence over a million-job run.
 func (g *Gauge) at(t time.Duration) float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.atLocked(t)
-}
-
-func (g *Gauge) atLocked(t time.Duration) float64 {
 	// First entry with at > t; the value is the prefix sum just before it.
 	i := sort.Search(len(g.entries), func(i int) bool { return g.entries[i].at > t })
 	if i == 0 {
@@ -141,9 +126,7 @@ func (g *Gauge) DeltaBetween(from, to time.Duration) float64 {
 	if g == nil {
 		return 0
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.atLocked(to) - g.atLocked(from)
+	return g.at(to) - g.at(from)
 }
 
 // Series is a fixed-cadence resampling of a gauge set: Values[i][j] is

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Histogram is a fixed-memory, log-bucketed (HDR-style) histogram of
@@ -17,21 +15,21 @@ import (
 // 1/histSubCount (3.125%). The full int64 range fits in histBuckets
 // buckets of 8 bytes each (~15 KiB), allocated once.
 //
-// Record is allocation-free and lock-free: one atomic add into the bucket
-// array plus atomic count/sum/min/max maintenance, safe for concurrent
-// writers (TestHistogramRecordAllocs and BenchmarkHistogramRecord prove
-// 0 allocs/op). Merge and all queries are also safe concurrently with
-// writers; queries see a near-point-in-time view.
+// Record is allocation-free: one add into the bucket array plus the
+// count/sum/min/max updates (TestHistogramRecordAllocs and
+// BenchmarkHistogramRecord prove 0 allocs/op). Like all simulated state it
+// is guarded by vtime's run token alone: it is written by processes, tasks
+// and the kernel's probes, and read by them or after Sim.Wait.
 //
 // All methods are nil-safe: a nil *Histogram records nothing and reports
 // zeros, so call sites never need a guard — the same convention as
 // trace.Counter and Gauge.
 type Histogram struct {
-	counts [histBuckets]atomic.Uint64
-	count  atomic.Int64
-	sum    atomic.Int64
-	min    atomic.Int64
-	max    atomic.Int64
+	counts [histBuckets]uint64
+	count  int64
+	sum    int64
+	min    int64
+	max    int64
 }
 
 const (
@@ -48,9 +46,7 @@ const (
 
 // NewHistogram creates an empty histogram.
 func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	return h
+	return &Histogram{min: math.MaxInt64}
 }
 
 // bucketIndex maps a non-negative value to its bucket.
@@ -84,29 +80,11 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	atomicMin(&h.min, v)
-	atomicMax(&h.max, v)
-}
-
-func atomicMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	h.counts[bucketIndex(v)]++
+	h.count++
+	h.sum += v
+	h.min = min(h.min, v)
+	h.max = max(h.max, v)
 }
 
 // Count returns the number of recorded samples.
@@ -114,7 +92,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.count
 }
 
 // Sum returns the sum of recorded samples.
@@ -122,7 +100,7 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	return h.sum
 }
 
 // Mean returns the exact sample mean (0 when empty).
@@ -136,18 +114,18 @@ func (h *Histogram) Mean() float64 {
 
 // Min returns the smallest recorded sample (0 when empty).
 func (h *Histogram) Min() int64 {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
-	return h.min.Load()
+	return h.min
 }
 
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
-	return h.max.Load()
+	return h.max
 }
 
 // Quantile answers an exact-rank percentile query: it locates the sample
@@ -169,24 +147,14 @@ func (h *Histogram) Quantile(p float64) int64 {
 		rank = n
 	}
 	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
+	for i, c := range &h.counts {
 		seen += int64(c)
-		if seen >= rank {
+		if c != 0 && seen >= rank {
 			_, high := bucketBounds(i)
-			if min := h.min.Load(); high < min {
-				high = min
-			}
-			if max := h.max.Load(); high > max {
-				high = max
-			}
-			return high
+			return min(max(high, h.min), h.max)
 		}
 	}
-	return h.Max() // racing writers: fall back to the observed maximum
+	return h.max // unreachable: the counts sum to n
 }
 
 // Merge folds every sample recorded in o into h. Merging is deterministic:
@@ -197,21 +165,16 @@ func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return
 	}
-	var added, sum int64
-	for i := 0; i < histBuckets; i++ {
-		if c := o.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-			added += int64(c)
-		}
-	}
-	if added == 0 {
+	if o.count == 0 {
 		return
 	}
-	sum = o.sum.Load()
-	h.count.Add(added)
-	h.sum.Add(sum)
-	atomicMin(&h.min, o.min.Load())
-	atomicMax(&h.max, o.max.Load())
+	for i, c := range &o.counts {
+		h.counts[i] += c
+	}
+	h.count += o.count
+	h.sum += o.sum
+	h.min = min(h.min, o.min)
+	h.max = max(h.max, o.max)
 }
 
 // HistogramBucket is one non-empty bucket of a snapshot: Count samples
@@ -229,8 +192,8 @@ func (h *Histogram) Buckets() []HistogramBucket {
 		return nil
 	}
 	var out []HistogramBucket
-	for i := 0; i < histBuckets; i++ {
-		if c := h.counts[i].Load(); c != 0 {
+	for i, c := range &h.counts {
+		if c != 0 {
 			low, high := bucketBounds(i)
 			out = append(out, HistogramBucket{Low: low, High: high, Count: c})
 		}
@@ -240,13 +203,12 @@ func (h *Histogram) Buckets() []HistogramBucket {
 
 // HistogramSet is a registry of named histograms, the distribution
 // counterpart of trace.Counters: layers look their histogram up once (or
-// per event — the lookup is one read-locked map access) and Record on the
-// returned handle. Names follow the layer.object.noun convention, with
+// per event — the lookup is one map access) and Record on the returned
+// handle. Names follow the layer.object.noun convention, with
 // latency-valued histograms recording virtual nanoseconds. A nil
 // *HistogramSet is a valid no-op registry.
 type HistogramSet struct {
-	mu sync.RWMutex
-	m  map[string]*Histogram
+	m map[string]*Histogram
 }
 
 // NewHistogramSet creates an empty registry.
@@ -260,19 +222,11 @@ func (s *HistogramSet) H(name string) *Histogram {
 	if s == nil {
 		return nil
 	}
-	s.mu.RLock()
 	h, ok := s.m[name]
-	s.mu.RUnlock()
-	if ok {
-		return h
+	if !ok {
+		h = NewHistogram()
+		s.m[name] = h
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h, ok = s.m[name]; ok {
-		return h
-	}
-	h = NewHistogram()
-	s.m[name] = h
 	return h
 }
 
@@ -281,12 +235,10 @@ func (s *HistogramSet) Names() []string {
 	if s == nil {
 		return nil
 	}
-	s.mu.RLock()
 	names := make([]string, 0, len(s.m))
 	for n := range s.m {
 		names = append(names, n)
 	}
-	s.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"cogrid/internal/vtime"
@@ -17,13 +16,12 @@ import (
 // horizon are deterministic for same-seed runs even though samples from
 // one instant arrive in racy real-time order. The SLO engine evaluates
 // burn rates exclusively against these logs (and gauge delta logs), never
-// against live cumulative atomics.
+// against live cumulative totals.
 
 // SampleLogSet is a registry of named sample logs sharing one virtual
 // clock. All methods are nil-safe.
 type SampleLogSet struct {
 	sim  *vtime.Sim
-	mu   sync.Mutex
 	logs map[string]*SampleLog
 }
 
@@ -38,8 +36,6 @@ func (s *SampleLogSet) L(name string) *SampleLog {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	l := s.logs[name]
 	if l == nil {
 		l = &SampleLog{sim: s.sim}
@@ -53,8 +49,6 @@ func (s *SampleLogSet) Names() []string {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	names := make([]string, 0, len(s.logs))
 	for n := range s.logs {
 		names = append(names, n)
@@ -66,7 +60,6 @@ func (s *SampleLogSet) Names() []string {
 // SampleLog is one timestamped observation stream.
 type SampleLog struct {
 	sim     *vtime.Sim
-	mu      sync.Mutex
 	samples []timedSample
 }
 
@@ -80,9 +73,7 @@ func (l *SampleLog) Record(v int64) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	l.samples = append(l.samples, timedSample{at: l.sim.Now(), v: v})
-	l.mu.Unlock()
 }
 
 // Count returns the number of recorded samples. Nil-safe.
@@ -90,8 +81,6 @@ func (l *SampleLog) Count() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.samples)
 }
 
@@ -102,14 +91,12 @@ func (l *SampleLog) Window(from, to time.Duration) SampleWindow {
 	if l == nil {
 		return SampleWindow{}
 	}
-	l.mu.Lock()
 	var vals []int64
 	for _, s := range l.samples {
 		if s.at > from && s.at <= to {
 			vals = append(vals, s.v)
 		}
 	}
-	l.mu.Unlock()
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	return SampleWindow{values: vals}
 }

@@ -4,23 +4,21 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"cogrid/internal/metrics"
 )
 
 // Counter is a handle to one named counter. Callers on hot paths should
 // obtain the handle once with Counters.C and keep it: Add is a single
-// atomic operation. A nil *Counter is a valid no-op.
+// addition. A nil *Counter is a valid no-op.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increments the counter. Nil-safe.
 func (c *Counter) Add(delta int64) {
 	if c != nil {
-		c.v.Add(delta)
+		c.v += delta
 	}
 }
 
@@ -29,23 +27,22 @@ func (c *Counter) Load() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Counters is a registry of named monotonic counters. Names follow the
 // layer.object.verb convention with an optional @scope suffix naming the
-// host, service, or connection the count belongs to — see Key. The registry
-// lookup takes a read lock; the increment itself is atomic, so cached
-// handles make counting lock-free on the hot path. A nil *Counters is a
-// valid no-op registry.
+// host, service, or connection the count belongs to — see Key. A lookup is
+// a map read, so cached handles make counting one addition on the hot path.
+// Like every simulated structure it is guarded by the run token alone (see
+// package vtime). A nil *Counters is a valid no-op registry.
 //
 // Counters come in two kinds. A plain counter is registered under its name
 // (C, Add, AddKey). A counter that exists once per connection end — tens of
 // thousands a run, read only when the run is exported — belongs to a Family
 // and has no name until Snapshot renders one.
 type Counters struct {
-	mu sync.RWMutex
-	m  map[string]*Counter
+	m map[string]*Counter
 	// byKey indexes the same handles by the parts of their Key name, for
 	// AddKey.
 	byKey    map[keyParts]*Counter
@@ -76,19 +73,11 @@ func (c *Counters) C(name string) *Counter {
 	if c == nil {
 		return nil
 	}
-	c.mu.RLock()
 	h, ok := c.m[name]
-	c.mu.RUnlock()
-	if ok {
-		return h
+	if !ok {
+		h = &Counter{}
+		c.m[name] = h
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if h, ok = c.m[name]; ok {
-		return h
-	}
-	h = &Counter{}
-	c.m[name] = h
 	return h
 }
 
@@ -111,14 +100,10 @@ func (c *Counters) AddKey(layer, object, verb, scope string, delta int64) {
 		return
 	}
 	k := keyParts{layer, object, verb, scope}
-	c.mu.RLock()
 	h := c.byKey[k]
-	c.mu.RUnlock()
 	if h == nil {
 		h = c.C(Key(layer, object, verb, scope))
-		c.mu.Lock()
 		c.byKey[k] = h
-		c.mu.Unlock()
 	}
 	h.Add(delta)
 }
@@ -136,8 +121,7 @@ type Family struct {
 	// verb+"@", since '@' ends the verb in a name ("recv@" < "recvbytes@").
 	byName []int
 
-	mu      sync.Mutex
-	members []member // append-only; an entry never changes once appended
+	members []member
 }
 
 type member struct {
@@ -154,8 +138,6 @@ func (c *Counters) Family(layer, object string, verbs ...string) *Family {
 		return nil
 	}
 	prefix := layer + "." + object + "."
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, f := range c.families {
 		if f.prefix == prefix {
 			return f
@@ -186,9 +168,7 @@ func (f *Family) Member(scope fmt.Stringer, ctrs []Counter) {
 	if len(ctrs) != len(f.verbs) {
 		panic(fmt.Sprintf("trace: a member of family %s brings %d counters for %d verbs", f.prefix, len(ctrs), len(f.verbs)))
 	}
-	f.mu.Lock()
 	f.members = append(f.members, member{scope, ctrs})
-	f.mu.Unlock()
 }
 
 // scoped is one member under its rendered scope.
@@ -197,22 +177,15 @@ type scoped struct {
 	ctrs  []Counter
 }
 
-// snapshot returns the members so far; the entries are never written again.
-func (f *Family) snapshot() []member {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.members
-}
-
 // mergeInto merges the members' counters into the sorted slice out: every
 // scope is rendered and the scopes sorted once, then each verb contributes
 // one run that is already in name order, members with equal scopes summed
 // into one entry. The names of a run — Key(layer, object, verb, scope) each
 // — are cut from one string built for the whole run. dup reports that a
 // name in a run was already in out.
-func (f *Family) mergeInto(out []CounterValue, members []member) (merged []CounterValue, dup bool) {
-	byScope := make([]scoped, len(members))
-	for i, m := range members {
+func (f *Family) mergeInto(out []CounterValue) (merged []CounterValue, dup bool) {
+	byScope := make([]scoped, len(f.members))
+	for i, m := range f.members {
 		byScope[i] = scoped{m.scope.String(), m.ctrs}
 	}
 	slices.SortFunc(byScope, func(a, b scoped) int { return strings.Compare(a.scope, b.scope) })
@@ -286,7 +259,7 @@ func (f *Family) get(name string) int64 {
 		return 0
 	}
 	var total int64
-	for _, m := range f.snapshot() {
+	for _, m := range f.members {
 		if m.scope.String() == scope {
 			total += m.ctrs[v].Load()
 		}
@@ -301,11 +274,8 @@ func (c *Counters) Get(name string) int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
 	total := c.m[name].Load()
-	families := c.families
-	c.mu.RUnlock()
-	for _, f := range families {
+	for _, f := range c.families {
 		total += f.get(name)
 	}
 	return total
@@ -325,25 +295,20 @@ func (c *Counters) Snapshot() []CounterValue {
 	if c == nil {
 		return nil
 	}
-	c.mu.RLock()
-	families := c.families
-	members := make([][]member, len(families))
 	size := len(c.m)
-	for i, f := range families {
-		members[i] = f.snapshot()
-		size += len(members[i]) * len(f.verbs)
+	for _, f := range c.families {
+		size += len(f.members) * len(f.verbs)
 	}
 	out := make([]CounterValue, 0, size)
 	for name, h := range c.m {
-		out = append(out, CounterValue{Name: name, Value: h.Load()})
+		out = append(out, CounterValue{Name: name, Value: h.v})
 	}
-	c.mu.RUnlock()
 	slices.SortFunc(out, func(a, b CounterValue) int { return strings.Compare(a.Name, b.Name) })
 
 	dups := false
-	for i, f := range families {
+	for _, f := range c.families {
 		var dup bool
-		out, dup = f.mergeInto(out, members[i])
+		out, dup = f.mergeInto(out)
 		dups = dups || dup
 	}
 	if dups {

@@ -225,7 +225,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	v := t.snapshot()
+	v := t.store
 	keys := v.order()
 	return writeJSONL(w, len(keys), func(buf []byte, i int) []byte { return v.appendJSONL(buf, v.rec(keys[i].i)) })
 }

@@ -44,10 +44,9 @@ const (
 	strBlockSize = 16 << 10
 )
 
-// store is the tracer's events in emission order. It is guarded by the
-// tracer's lock, except that a copy of it is a snapshot readers may use
-// unlocked while the store keeps growing: chunks are only ever written
-// past what the copy reads.
+// store is the tracer's events in emission order. A copy of it is a
+// snapshot that stays valid while the store keeps growing: chunks are only
+// ever written past what the copy reads.
 type store struct {
 	recs  []*[chunkSize]record
 	n     int

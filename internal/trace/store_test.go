@@ -3,14 +3,12 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -138,7 +136,9 @@ func randomEvents(rng *rand.Rand, n int) []Event {
 
 // Every way out of the store gives what the same events give as a plain
 // slice put in order by Sort: Events(), Tracer.WriteJSONL, Analyze — and
-// the tap sees each event as emitted.
+// the tap sees each event as emitted. Events read mid-way, one past the
+// first chunk, are the events emitted so far, and stay so while the store
+// grows.
 func TestStoreEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -146,12 +146,21 @@ func TestStoreEquivalence(t *testing.T) {
 		tr := New(vtime.New())
 		tap := &keepingTap{}
 		tr.SetTap(tap)
+		var mid []Event
 		for i, ev := range emitted {
 			if i%2 == 0 {
 				tr.Emit(ev)
 			} else {
 				tr.SpanAtCtx(Ctx{Req: ev.Req, Span: ev.Span}, ev.Cat, ev.Name, ev.Proc, ev.Thr, ev.ID, ev.At, ev.At+ev.Dur, ev.Args...)
 			}
+			if i == chunkSize {
+				mid = tr.Events()
+			}
+		}
+		wantMid := slices.Clone(emitted[:chunkSize+1])
+		Sort(wantMid)
+		if !reflect.DeepEqual(mid, wantMid) {
+			t.Fatalf("seed %d: Events() after %d emits is not those events in order", seed, chunkSize+1)
 		}
 		if !reflect.DeepEqual(tap.seen, emitted) {
 			t.Fatalf("seed %d: the tap saw other events than were emitted", seed)
@@ -180,61 +189,6 @@ func TestStoreEquivalence(t *testing.T) {
 		if a, b := Analyze(got), Analyze(emitted); !reflect.DeepEqual(a, b) || a.Report() != Analyze(want).Report() {
 			t.Fatalf("seed %d: Analyze depends on where its events came from", seed)
 		}
-	}
-}
-
-// Emitters on several goroutines share the store, the string table and
-// the tap's buffers while readers snapshot it; run under -race.
-func TestConcurrentEmitAndRead(t *testing.T) {
-	tr := New(vtime.New())
-	tap := &lockedTap{}
-	tr.SetTap(tap)
-	const emitters, each = 4, chunkSize
-	var wg sync.WaitGroup
-	for g := 0; g < emitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				v := fmt.Sprintf("g%d-%d", g, i)
-				tr.Instant("c", "n", fmt.Sprintf("p%d", g), "t", v, Arg{Key: "v", Val: v})
-			}
-		}(g)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for tr.Len() < emitters*each {
-			_ = tr.Events()
-			if err := tr.WriteJSONL(io.Discard); err != nil {
-				t.Error(err)
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	events := tr.Events()
-	if len(events) != emitters*each || tap.n != emitters*each {
-		t.Fatalf("%d events stored, %d tapped, want %d", len(events), tap.n, emitters*each)
-	}
-	for _, ev := range events {
-		if len(ev.Args) != 1 || ev.Args[0].Val != ev.ID {
-			t.Fatalf("event %s carries %v", ev.ID, ev.Args)
-		}
-	}
-}
-
-// lockedTap checks each event's args on arrival, from any goroutine.
-type lockedTap struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (l *lockedTap) Record(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(ev.Args) == 1 && ev.Args[0].Val == ev.ID {
-		l.n++
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package trace provides the observability substrate for the co-allocation
 // stack: a deterministic, virtual-time-stamped structured event layer and a
-// lock-cheap counter registry.
+// counter registry.
 //
 // Every layer of the stack emits typed events through a shared *Tracer —
 // transport message hops, RPC call/reply pairs, GRAM job state transitions,
@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cogrid/internal/vtime"
@@ -120,8 +119,6 @@ func (t *Tracer) Concat(parts ...string) string {
 	if t == nil {
 		return strings.Join(parts, "")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.store.strs.build("", "", parts)
 }
 
@@ -130,8 +127,6 @@ func (t *Tracer) Itoa(n int) string {
 	if t == nil {
 		return strconv.Itoa(n)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	tab := &t.store.strs
 	tab.scratch = strconv.AppendInt(tab.scratch[:0], int64(n), 10)
 	return tab.internBuilt(tab.scratch)
@@ -142,8 +137,6 @@ func (t *Tracer) Child(c Ctx, parts ...string) Ctx {
 	if t == nil || c.Req == "" || c.Span == "" {
 		return c.Child(parts...)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return Ctx{Req: c.Req, Span: t.store.strs.build(c.Span, "/", parts)}
 }
 
@@ -182,8 +175,7 @@ type Tap interface {
 // create with New. A nil *Tracer is a valid no-op tracer.
 type Tracer struct {
 	sim *vtime.Sim
-	tap atomic.Pointer[Tap]
-	mu  sync.Mutex
+	tap Tap
 	// The recorded events, pointer-free (store.go). An emitter's variadic
 	// args slice is read into the store and not kept, so it never outlives
 	// the call and can stay on the emitter's stack.
@@ -212,14 +204,9 @@ func (t *Tracer) Now() time.Duration {
 // SetTap installs tap to observe every subsequent event; nil detaches.
 // Nil-safe on a nil tracer.
 func (t *Tracer) SetTap(tap Tap) {
-	if t == nil {
-		return
+	if t != nil {
+		t.tap = tap
 	}
-	if tap == nil {
-		t.tap.Store(nil)
-		return
-	}
-	t.tap.Store(&tap)
 }
 
 // Emit records ev as given; the tracer keeps no reference to ev.Args.
@@ -234,22 +221,19 @@ func (t *Tracer) Emit(ev Event) {
 // variadic slice here beside the event, not inside it, so that the slice
 // itself does not escape: only what it holds is read.
 func (t *Tracer) emit(ev Event, args []Arg) {
-	t.mu.Lock()
 	t.store.add(&ev, args)
-	t.mu.Unlock()
-	tap := t.tap.Load()
-	if tap == nil {
+	if t.tap == nil {
 		return
 	}
 	if len(args) == 0 {
 		ev.Args = nil
-		(*tap).Record(ev)
+		t.tap.Record(ev)
 		return
 	}
 	buf := tapArgs.Get().(*[]Arg)
 	*buf = append((*buf)[:0], args...)
 	ev.Args = *buf
-	(*tap).Record(ev)
+	t.tap.Record(ev)
 	tapArgs.Put(buf)
 }
 
@@ -321,17 +305,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.store.n
-}
-
-// snapshot returns the events recorded so far, in emission order, as a
-// copy of the store that stays valid while the tracer keeps recording.
-func (t *Tracer) snapshot() store {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.store
 }
 
 // Events returns a copy of the recorded events in the deterministic export
@@ -341,7 +315,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	v := t.snapshot()
+	v := t.store
 	out := make([]Event, v.n)
 	args := make([]Arg, v.nargs)
 	for i, k := range v.order() {
