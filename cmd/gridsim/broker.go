@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cogrid/internal/broker"
@@ -50,7 +49,6 @@ func runBrokerDemo(opts runOptions) error {
 	add("tenant-b", 11*time.Second)
 	add("tenant-c", 12*time.Second)
 
-	var mu sync.Mutex
 	_, simErr := tb.Run(load, func(i, _ int, host *transport.Host) bool {
 		reply, rejects, _, err := workload.Submit(host, tb.Ring, 0, host.Name(), broker.Request{
 			Tenant:       tenants[i],
@@ -59,8 +57,6 @@ func runBrokerDemo(opts runOptions) error {
 			Executable:   "app",
 			Spares:       1,
 		}, 0, 20, nil)
-		mu.Lock()
-		defer mu.Unlock()
 		if err != nil {
 			fmt.Printf("t=%-8v %s request %d: FAILED: %v\n", g.Sim.Now(), tenants[i], i, err)
 			return false

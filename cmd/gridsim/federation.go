@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cogrid/internal/broker"
@@ -57,20 +56,15 @@ func runFederationDemo(opts runOptions) error {
 		load.Hosts = append(load.Hosts, fmt.Sprintf("client%02d", i))
 		load.Arrivals = append(load.Arrivals, 10*time.Second+time.Duration(i)*7*time.Second)
 	}
-	var mu sync.Mutex
 	load.Before = func() {
 		// The testbed crashes and restarts the leader; this only narrates,
 		// woken just after each.
 		g.Sim.GoDaemon("demo-narration", func() {
 			g.Sim.SleepUntil(crashAt)
-			mu.Lock()
 			fmt.Printf("t=%-8v !! crashing %s (current leader)\n", g.Sim.Now(), leader.Name())
-			mu.Unlock()
 			g.Sim.SleepUntil(crashAt + outage)
-			mu.Lock()
 			fmt.Printf("t=%-8v !! %s restarted; it rejoins as a follower and re-bootstraps the shard map\n",
 				g.Sim.Now(), leader.Name())
-			mu.Unlock()
 		})
 	}
 	_, simErr := tb.Run(load, func(i, _ int, host *transport.Host) bool {
@@ -86,8 +80,6 @@ func runFederationDemo(opts runOptions) error {
 		// answers; the demo only narrates the hops that failed.
 		reply, rejects, failovers, err := workload.Submit(host, tb.Ring, i, host.Name(), req, 0, 20,
 			func(k int, dialed bool, err error) {
-				mu.Lock()
-				defer mu.Unlock()
 				r := fed.Replica((i + k) % replicas)
 				if dialed {
 					fmt.Printf("t=%-8v %s: %s died mid-request (%v), failing over\n",
@@ -97,8 +89,6 @@ func runFederationDemo(opts runOptions) error {
 				fmt.Printf("t=%-8v %s: %s unreachable (%v), failing over to %s\n",
 					g.Sim.Now(), req.Key, r.Name(), err, fed.Replica((i+k+1)%replicas).Name())
 			})
-		mu.Lock()
-		defer mu.Unlock()
 		r := fed.Replica((i + failovers) % replicas)
 		switch {
 		case err != nil:

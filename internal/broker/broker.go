@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/agent"
@@ -266,7 +265,6 @@ type Broker struct {
 	cache  *cache
 	server *rpc.Server
 
-	mu      sync.Mutex
 	queues  map[string][]*ticket // per-tenant FIFO
 	ring    []string             // tenant round-robin order (first arrival)
 	ringPos int
@@ -342,8 +340,6 @@ func (b *Broker) Controller() *core.Controller { return b.ctrl }
 
 // QueueDepth returns the number of requests waiting for a worker.
 func (b *Broker) QueueDepth() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.queued
 }
 
@@ -407,8 +403,6 @@ type Stats struct {
 
 func (b *Broker) stats() Stats {
 	records, age := b.cache.peek()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return Stats{
 		QueueDepth: b.queued,
 		QueueBound: b.opts.QueueBound,
@@ -442,10 +436,8 @@ func (b *Broker) submit(req Request, call *rpc.Call) {
 		req.CommitTimeout = DefaultCommitTimeout
 	}
 
-	b.mu.Lock()
 	if b.queued >= b.opts.QueueBound {
 		depth := b.queued
-		b.mu.Unlock()
 		b.count("queue", "reject", 1)
 		b.counters().Add(trace.Key("broker", "tenant", "reject", req.Tenant), 1)
 		b.tracer().InstantCtx(call.Ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
@@ -472,7 +464,6 @@ func (b *Broker) submit(req Request, call *rpc.Call) {
 	b.queues[req.Tenant] = append(b.queues[req.Tenant], t)
 	b.queued++
 	depth := b.queued
-	b.mu.Unlock()
 
 	b.count("queue", "enqueue", 1)
 	b.gauges().G("broker.queue_depth@" + b.opts.ReplicaID).Add(1)
@@ -510,8 +501,6 @@ func (b *Broker) dispatcher() {
 // requests. The ring preserves first-arrival tenant order, making the
 // schedule deterministic.
 func (b *Broker) pop() *ticket {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	n := len(b.ring)
 	for i := 0; i < n; i++ {
 		tenant := b.ring[(b.ringPos+i)%n]

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"cogrid/internal/mds"
@@ -39,7 +38,6 @@ type cache struct {
 	// merge under a single child node.
 	ctx trace.Ctx
 
-	mu        sync.Mutex
 	records   []mds.Record
 	fetchedAt time.Duration
 	have      bool
@@ -95,11 +93,9 @@ func (c *cache) refresh() {
 		c.count("refresh-error", c.replica, 1)
 		return
 	}
-	c.mu.Lock()
 	c.records = records
 	c.fetchedAt = c.sim.Now()
 	c.have = true
-	c.mu.Unlock()
 	c.count("refresh", c.replica, 1)
 	c.host.Network().Tracer().SpanCtx(c.ctx, "broker", "cache-refresh", c.host.Name(), "cache", "", start,
 		trace.Arg{Key: "records", Val: strconv.Itoa(len(records))})
@@ -114,20 +110,13 @@ func (c *cache) get(origin string, asOf time.Duration) []mds.Record {
 	if origin == "" {
 		origin = c.replica
 	}
-	c.mu.Lock()
-	fresh := c.have && c.sim.Now()-c.fetchedAt <= c.maxAge && c.fetchedAt >= asOf
-	records := c.records
-	c.mu.Unlock()
-	if fresh {
+	if c.have && c.sim.Now()-c.fetchedAt <= c.maxAge && c.fetchedAt >= asOf {
 		c.count("hit", origin, 1)
-		return records
+		return c.records
 	}
 	c.count("stale", origin, 1)
 	c.refresh()
-	c.mu.Lock()
-	records = c.records
-	c.mu.Unlock()
-	return records
+	return c.records
 }
 
 // peek returns the cached records, their age, and the fetch time without
@@ -139,8 +128,6 @@ func (c *cache) peek() ([]mds.Record, time.Duration) {
 
 // view returns the cached records with their fetch time and age.
 func (c *cache) view() ([]mds.Record, time.Duration, time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.have {
 		return nil, 0, 0
 	}

@@ -589,9 +589,7 @@ func TestConfigOutlivesItsConnection(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rig.mu.Lock()
 		kept = append(kept, cfg)
-		rig.mu.Unlock()
 		if cfg.MyRank != 0 {
 			// Every other rank tells rank 0 a thousand things, over the host pair
 			// (and, from m1, the very host) the release arrived on.
@@ -670,9 +668,7 @@ func staggeredRig(t *testing.T, machines ...string) *testRig {
 			return err
 		}
 		if _, err := rt.Barrier(true, "", 0); err != nil {
-			rig.mu.Lock()
 			rig.abortMsgs = append(rig.abortMsgs, err.Error())
-			rig.mu.Unlock()
 			return nil
 		}
 		return p.Work(time.Second, time.Second)

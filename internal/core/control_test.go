@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +15,6 @@ func TestCollectiveSuspendResume(t *testing.T) {
 	for _, name := range []string{"m1", "m2"} {
 		g.AddMachine(name, 16, lrm.Fork)
 	}
-	var mu sync.Mutex
 	var finished []time.Duration
 	g.RegisterEverywhere("tensec", func(p *lrm.Proc) error {
 		rt, err := core.Attach(p)
@@ -30,9 +28,7 @@ func TestCollectiveSuspendResume(t *testing.T) {
 		if err := p.Work(10*time.Second, time.Second); err != nil {
 			return err
 		}
-		mu.Lock()
 		finished = append(finished, p.Sim().Now())
-		mu.Unlock()
 		return nil
 	})
 	ctrl, err := core.NewController(g.Workstation, core.ControllerConfig{
@@ -78,8 +74,6 @@ func TestCollectiveSuspendResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if len(finished) != 4 {
 		t.Fatalf("%d processes finished, want 4", len(finished))
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cogrid/internal/gram"
@@ -110,7 +109,6 @@ type Controller struct {
 	host *transport.Host
 	cfg  ControllerConfig
 
-	mu      sync.Mutex
 	nextJob int
 	jobs    map[string]*Job
 	order   []*Job // submission order, for deterministic iteration
@@ -154,12 +152,10 @@ func NewController(host *transport.Host, cfg ControllerConfig) (*Controller, err
 // service. A closed controller cannot accept further check-ins, so call
 // it only when the computations are done with the co-allocator.
 func (c *Controller) Close() {
-	c.mu.Lock()
 	jobs := make([]*Job, 0, len(c.jobs))
 	for _, j := range c.jobs {
 		jobs = append(jobs, j)
 	}
-	c.mu.Unlock()
 	for _, j := range jobs {
 		if !j.done.IsSet() {
 			j.Abort("controller closed")
@@ -181,8 +177,6 @@ func (c *Controller) Sim() *vtime.Sim { return c.sim }
 // submission order — the post-run audit surface the simulation-testing
 // harness checks protocol invariants against.
 func (c *Controller) Jobs() []*Job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]*Job(nil), c.order...)
 }
 
@@ -198,10 +192,8 @@ func (c *Controller) Submit(req Request) (*Job, error) {
 // zero context roots a fresh tree at the job id, so directly submitted
 // jobs still trace causally.
 func (c *Controller) SubmitCtx(req Request, ctx trace.Ctx) (*Job, error) {
-	c.mu.Lock()
 	c.nextJob++
 	id := fmt.Sprintf("%s/coalloc%d", c.host.Name(), c.nextJob)
-	c.mu.Unlock()
 	if !ctx.Valid() {
 		ctx = trace.NewRequest(id)
 	}
@@ -216,23 +208,17 @@ func (c *Controller) SubmitCtx(req Request, ctx trace.Ctx) (*Job, error) {
 		signal:  vtime.NewChan[struct{}](c.sim, "duroc-signal:"+id, 1),
 		done:    vtime.NewEvent(c.sim, "duroc-done:"+id),
 	}
-	j.mu.Lock()
 	for _, spec := range req.Subjobs {
-		if _, err := j.addLocked(spec); err != nil {
-			j.mu.Unlock()
+		if _, err := j.add(spec); err != nil {
 			return nil, err
 		}
 	}
 	if len(j.subjobs) == 0 {
-		j.mu.Unlock()
 		return nil, fmt.Errorf("duroc: empty request")
 	}
-	j.mu.Unlock()
 
-	c.mu.Lock()
 	c.jobs[id] = j
 	c.order = append(c.order, j)
-	c.mu.Unlock()
 	// Outstanding 2PC transactions gauge: one per live co-allocation,
 	// decremented when the job finishes (committed-and-done or aborted).
 	c.gauges().G("duroc.outstanding@" + c.host.Name()).Add(1)
@@ -277,9 +263,7 @@ type replier interface {
 // checkin routes one process's arrival to its co-allocation. ctx is the
 // call's span context.
 func (c *Controller) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
-	c.mu.Lock()
 	j := c.jobs[args.Job]
-	c.mu.Unlock()
 	if j == nil {
 		call.Reply(CheckinReply{Proceed: false, Reason: "unknown co-allocation " + args.Job}, nil)
 		return
@@ -299,7 +283,6 @@ func (c *Controller) orphaned(o Orphan) {
 		trace.Arg{Key: "rm", Val: o.RM.String()},
 		trace.Arg{Key: "reason", Val: o.Reason})
 	c.counters().AddKey("duroc", "orphan", "record", c.host.Name(), 1)
-	c.mu.Lock()
 	if c.orphans != nil {
 		c.orphans[o.Job+"/"+o.Subjob] = o
 		if c.reapTimer == nil { // arm the sweep at the first grid instant after now
@@ -307,7 +290,6 @@ func (c *Controller) orphaned(o Orphan) {
 			c.reapTimer = c.sim.AfterFunc(next-c.sim.Now(), c.reap)
 		}
 	}
-	c.mu.Unlock()
 	if c.cfg.OnOrphan != nil {
 		c.cfg.OnOrphan(o)
 	}
@@ -316,7 +298,6 @@ func (c *Controller) orphaned(o Orphan) {
 // reap is one sweep: it re-cancels every pending orphan and, while any
 // remain, arms the next one reapInterval after its end.
 func (c *Controller) reap() {
-	c.mu.Lock()
 	keys := make([]string, 0, len(c.orphans))
 	for k := range c.orphans {
 		keys = append(keys, k)
@@ -328,15 +309,12 @@ func (c *Controller) reap() {
 	for i, k := range keys {
 		due[i] = c.orphans[k]
 	}
-	c.mu.Unlock()
 	for i, o := range due {
 		start := c.sim.Now()
 		ctx := o.Ctx.Child("reap") // the cleanup shows in the leaking request's tree
 		err := c.CancelContact(o.RM, o.JobContact, ctx)
 		if err == nil {
-			c.mu.Lock()
 			delete(c.orphans, keys[i])
-			c.mu.Unlock()
 			c.counters().AddKey("duroc", "orphan", "reaped", c.host.Name(), 1)
 			c.tracer().SpanAtCtx(ctx, "duroc", "reap", c.host.Name(), keys[i], "", start, c.sim.Now(),
 				trace.Arg{Key: "rm", Val: o.RM.String()})
@@ -345,8 +323,6 @@ func (c *Controller) reap() {
 			c.cfg.OnReap(keys[i], err)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.reapFrom, c.reapTimer = c.sim.Now(), nil
 	if len(c.orphans) > 0 {
 		c.reapTimer = c.sim.AfterFunc(reapInterval, c.reap)
@@ -377,8 +353,6 @@ func (c *Controller) dial(rm transport.Addr, ctx trace.Ctx) (*gram.Client, error
 // OrphansPending reports how many unconfirmed cancels the controller
 // still retries: zero at quiescence means nothing it discarded leaked.
 func (c *Controller) OrphansPending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.orphans)
 }
 
@@ -386,8 +360,6 @@ func (c *Controller) OrphansPending() int {
 // forgets the pending orphans; later ones are reported, not retried. A
 // closed or crashed broker's orphans belong to whoever journaled them.
 func (c *Controller) StopReaping() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.orphans = nil
 	if c.reapTimer != nil {
 		c.reapTimer.Stop()

@@ -3,7 +3,6 @@ package core_test
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +17,6 @@ type testRig struct {
 	g    *grid.Grid
 	ctrl *core.Controller
 
-	mu        sync.Mutex
 	proceeded []core.Config // config seen by each proceeding process
 	abortMsgs []string
 }
@@ -42,16 +40,12 @@ func newRig(t *testing.T, machines ...string) *testRig {
 		cfg, err := rt.Barrier(true, "", 0)
 		if err != nil {
 			if errors.Is(err, core.ErrBarrierAbort) {
-				rig.mu.Lock()
 				rig.abortMsgs = append(rig.abortMsgs, err.Error())
-				rig.mu.Unlock()
 				return nil // aborted before irreversible initialization
 			}
 			return err
 		}
-		rig.mu.Lock()
 		rig.proceeded = append(rig.proceeded, *cfg)
-		rig.mu.Unlock()
 		return p.Work(time.Second, time.Second)
 	})
 	g.RegisterEverywhere("badstart", func(p *lrm.Proc) error {
@@ -85,8 +79,6 @@ func (r *testRig) spec(machine string, count int, typ core.SubjobType) core.Subj
 }
 
 func (r *testRig) proceededCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.proceeded)
 }
 
@@ -146,8 +138,6 @@ func TestConfigRanksAndAddressBook(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	rig.mu.Lock()
-	defer rig.mu.Unlock()
 	if len(rig.proceeded) != 5 {
 		t.Fatalf("%d proceeded, want 5", len(rig.proceeded))
 	}
@@ -435,8 +425,6 @@ func TestAbortReleasesBarrierWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	rig.mu.Lock()
-	defer rig.mu.Unlock()
 	if len(rig.abortMsgs) != 4 {
 		t.Fatalf("%d processes saw barrier abort, want 4", len(rig.abortMsgs))
 	}

@@ -29,8 +29,6 @@ func (c *Config) SetAddressBook(book []string) { c.setAddressBook(book) }
 
 // Waiters counts the barrier waiters the job still holds.
 func (j *Job) Waiters() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	n := 0
 	for _, sj := range j.subjobs {
 		n += len(sj.checkins)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/gram"
@@ -37,7 +36,7 @@ type subjob struct {
 
 // takeWaiters removes and returns the subjob's barrier waiters in
 // local-rank order: whoever answers them does so in an order that does not
-// depend on map iteration. Caller holds the job's mu.
+// depend on map iteration.
 func (sj *subjob) takeWaiters() []*procCheckin {
 	ranks := make([]*procCheckin, 0, len(sj.checkins))
 	for _, ci := range sj.checkins {
@@ -95,7 +94,6 @@ type Job struct {
 	// co-allocation (a fresh root when none was supplied).
 	ctx trace.Ctx
 
-	mu       sync.Mutex
 	subjobs  []*subjob
 	byLabel  map[string]*subjob
 	nextAuto int
@@ -128,8 +126,6 @@ func (j *Job) Done() *vtime.Event { return j.done }
 
 // Err returns the termination reason, or "" if none.
 func (j *Job) Err() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.termReason
 }
 
@@ -143,8 +139,6 @@ type SubjobInfo struct {
 
 // Status snapshots all subjobs in request order.
 func (j *Job) Status() []SubjobInfo {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	out := make([]SubjobInfo, len(j.subjobs))
 	for i, sj := range j.subjobs {
 		out[i] = SubjobInfo{Spec: sj.spec, Status: sj.status, Reason: sj.reason, Contact: sj.contact}
@@ -155,8 +149,6 @@ func (j *Job) Status() []SubjobInfo {
 // BarrierWaits returns, after release, each process's time spent in the
 // co-allocation barrier (Figure 4's "Avg. barrier wait" data).
 func (j *Job) BarrierWaits() []time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return append([]time.Duration(nil), j.waits...)
 }
 
@@ -169,9 +161,7 @@ func (j *Job) emit(kind EventKind, sj *subjob, reason string) {
 		ev.Label = sj.spec.Label
 		ev.Type = sj.spec.Type
 	}
-	j.mu.Lock()
 	j.history = append(j.history, ev)
-	j.mu.Unlock()
 	if tr := j.c.tracer(); tr.Enabled() {
 		var args []trace.Arg
 		if ev.Label != "" {
@@ -193,8 +183,6 @@ func (j *Job) emit(kind EventKind, sj *subjob, reason string) {
 // History returns every event emitted so far, in order — the monitoring
 // record an agent or operator consults after the fact.
 func (j *Job) History() []Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return append([]Event(nil), j.history...)
 }
 
@@ -207,9 +195,8 @@ func (j *Job) poke() { j.signal.TrySend(struct{}{}) }
 // spec sets no StartupTimeout.
 const defaultStartupTimeout = 10 * time.Minute
 
-// addLocked registers a new subjob and queues it for submission. Caller
-// holds j.mu.
-func (j *Job) addLocked(spec SubjobSpec) (*subjob, error) {
+// add registers a new subjob and queues it for submission.
+func (j *Job) add(spec SubjobSpec) (*subjob, error) {
 	if spec.Count <= 0 {
 		return nil, fmt.Errorf("duroc: subjob %q: count must be positive", spec.Label)
 	}
@@ -243,17 +230,15 @@ func (j *Job) addLocked(spec SubjobSpec) (*subjob, error) {
 // (for required and interactive subjobs) and, for optional subjobs, any
 // time before termination.
 func (j *Job) Add(spec SubjobSpec) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.terminated {
 		return ErrAborted
 	}
 	if j.released && spec.Type != Optional {
 		return ErrCommitted
 	}
-	_, err := j.addLocked(spec)
+	_, err := j.add(spec)
 	if err == nil {
-		j.pokeLocked()
+		j.poke()
 	}
 	return err
 }
@@ -261,44 +246,36 @@ func (j *Job) Add(spec SubjobSpec) error {
 // Delete removes a subjob from the request, cancelling any resources it
 // holds. Its barrier waiters are released with an abort.
 func (j *Job) Delete(label string) error {
-	j.mu.Lock()
 	if j.terminated {
-		j.mu.Unlock()
 		return ErrAborted
 	}
 	if j.released {
-		j.mu.Unlock()
 		return ErrCommitted
 	}
 	sj, ok := j.byLabel[label]
 	if !ok || sj.status == SJDeleted {
-		j.mu.Unlock()
 		return ErrNoSuchSubjob
 	}
-	j.editOutLocked(sj, "deleted by agent")
-	j.pokeLocked()
-	j.mu.Unlock()
+	j.editOut(sj, "deleted by agent")
+	j.poke()
 	return nil
 }
 
-// editOutLocked removes a subjob from the request: live subjobs are
+// editOut removes a subjob from the request: live subjobs are
 // discarded (resources cancelled, barrier waiters aborted); already-failed
 // subjobs are simply marked deleted so they no longer block commitment.
-// Caller holds j.mu.
-func (j *Job) editOutLocked(sj *subjob, reason string) {
+func (j *Job) editOut(sj *subjob, reason string) {
 	if sj.status == SJFailed {
 		sj.status = SJDeleted
 		sj.reason = reason + " (after failure: " + sj.reason + ")"
 		return
 	}
-	j.discardLocked(sj, SJDeleted, reason)
+	j.discard(sj, SJDeleted, reason)
 }
 
 // Substitute replaces a subjob with a different resource specification, as
 // one edit.
 func (j *Job) Substitute(label string, spec SubjobSpec) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.terminated {
 		return ErrAborted
 	}
@@ -309,17 +286,17 @@ func (j *Job) Substitute(label string, spec SubjobSpec) error {
 	if !ok || sj.status == SJDeleted {
 		return ErrNoSuchSubjob
 	}
-	j.editOutLocked(sj, "substituted by agent")
-	if _, err := j.addLocked(spec); err != nil {
+	j.editOut(sj, "substituted by agent")
+	if _, err := j.add(spec); err != nil {
 		return err
 	}
-	j.pokeLocked()
+	j.poke()
 	return nil
 }
 
-// discardLocked cancels a subjob's resources and releases its barrier
-// waiters with an abort. Caller holds j.mu.
-func (j *Job) discardLocked(sj *subjob, status SubjobStatus, reason string) {
+// discard cancels a subjob's resources and releases its barrier
+// waiters with an abort.
+func (j *Job) discard(sj *subjob, status SubjobStatus, reason string) {
 	if sj.status.terminal() {
 		return
 	}
@@ -362,10 +339,6 @@ func (j *Job) cancelRemote(client *gram.Client, spec SubjobSpec, contact string,
 	})
 }
 
-func (j *Job) pokeLocked() {
-	j.signal.TrySend(struct{}{})
-}
-
 // --- submission engine ---
 
 // engine submits queued subjobs sequentially. The sequential structure is
@@ -379,10 +352,7 @@ func (j *Job) engine() {
 		if !ok {
 			return
 		}
-		j.mu.Lock()
-		skip := sj.status != SJQueued || j.terminated
-		j.mu.Unlock()
-		if skip {
+		if sj.status != SJQueued || j.terminated {
 			continue
 		}
 		if j.c.cfg.ParallelSubmission {
@@ -413,12 +383,10 @@ func (j *Job) submitSubjob(sj *subjob) {
 		return
 	}
 
-	j.mu.Lock()
 	if sj.status != SJQueued || j.terminated {
 		// Deleted or aborted while we were submitting: undo. The undo is
 		// subject to the same lost-contact risk as any discard, so an
 		// unconfirmed cancel is recorded as an orphan here too.
-		j.mu.Unlock()
 		j.cancelRemote(client, sj.spec, contact, sj.ctx)
 		client.Close()
 		return
@@ -427,7 +395,6 @@ func (j *Job) submitSubjob(sj *subjob) {
 	sj.contact = strings.Clone(contact) // kept for the job's life: not a view of the reply frame
 	sj.status = SJSubmitted
 	sj.submittedAt = c.sim.Now()
-	j.mu.Unlock()
 	if c.cfg.OnAllocation != nil {
 		c.cfg.OnAllocation(j.id, sj.spec.Label, sj.spec.Contact, contact)
 	}
@@ -436,10 +403,7 @@ func (j *Job) submitSubjob(sj *subjob) {
 
 	// Startup timeout: submission to full check-in.
 	c.sim.AfterFunc(sj.spec.StartupTimeout, func() {
-		j.mu.Lock()
-		pending := !sj.status.terminal() && sj.status != SJCheckedIn && sj.status != SJReleased && !j.released
-		j.mu.Unlock()
-		if pending {
+		if !sj.status.terminal() && sj.status != SJCheckedIn && sj.status != SJReleased && !j.released {
 			j.subjobFailed(sj, "startup timeout after "+sj.spec.StartupTimeout.String())
 		}
 	})
@@ -492,27 +456,21 @@ func (j *Job) monitorSubjob(sj *subjob, client *gram.Client) {
 		if !ok {
 			// Connection lost: if the subjob is still in flight this is a
 			// resource failure with error-report semantics.
-			j.mu.Lock()
-			inFlight := !sj.status.terminal() && sj.status != SJDone
-			j.mu.Unlock()
-			if inFlight {
+			if !sj.status.terminal() && sj.status != SJDone {
 				j.subjobFailed(sj, "lost contact with resource manager")
 			}
 			return
 		}
 		switch ev.State {
 		case lrm.StateActive:
-			j.mu.Lock()
 			if sj.status == SJSubmitted {
 				sj.status = SJActive
 			}
-			j.mu.Unlock()
 			j.emit(EvActive, sj, "")
 			j.poke()
 		case lrm.StateFailed:
 			j.subjobFailed(sj, "resource manager reported failure: "+ev.Reason)
 		case lrm.StateDone:
-			j.mu.Lock()
 			released := sj.status == SJReleased
 			// A fully checked-in optional subjob is part of the released
 			// configuration and must finish through subjobDone like any
@@ -525,7 +483,6 @@ func (j *Job) monitorSubjob(sj *subjob, client *gram.Client) {
 			if lateOptional {
 				sj.status = SJDone
 			}
-			j.mu.Unlock()
 			switch {
 			case released:
 				j.subjobDone(sj)
@@ -544,16 +501,13 @@ func (j *Job) monitorSubjob(sj *subjob, client *gram.Client) {
 
 // subjobFailed applies the Section 3.2 failure semantics for sj's type.
 func (j *Job) subjobFailed(sj *subjob, reason string) {
-	j.mu.Lock()
 	if sj.status.terminal() || j.terminated {
-		j.mu.Unlock()
 		return
 	}
 	wasReleased := sj.status == SJReleased
-	j.discardLocked(sj, SJFailed, reason)
+	j.discard(sj, SJFailed, reason)
 	typ := sj.spec.Type
-	j.pokeLocked()
-	j.mu.Unlock()
+	j.poke()
 
 	j.emit(EvSubjobFailed, sj, reason)
 	if typ == Required {
@@ -569,9 +523,7 @@ func (j *Job) subjobFailed(sj *subjob, reason string) {
 
 // subjobDone marks a released subjob finished.
 func (j *Job) subjobDone(sj *subjob) {
-	j.mu.Lock()
 	if sj.status != SJReleased {
-		j.mu.Unlock()
 		return
 	}
 	sj.status = SJDone
@@ -580,7 +532,6 @@ func (j *Job) subjobDone(sj *subjob) {
 		sj.client = nil
 		j.c.sim.GoDaemon("duroc-close:"+j.id+"/"+sj.spec.Label, client.Close)
 	}
-	j.mu.Unlock()
 	j.emit(EvSubjobDone, sj, "")
 	j.checkAllDone()
 }
@@ -600,8 +551,6 @@ const completionGrace = 30 * time.Second
 // for the authoritative verdict. Subjobs without a limit are unbounded by
 // contract and cannot be supervised this way.
 func (j *Job) superviseReleased() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	for _, sj := range j.subjobs {
 		if sj.status == SJReleased && sj.spec.MaxTime > 0 {
 			sj := sj
@@ -617,23 +566,17 @@ func (j *Job) superviseReleased() {
 // callback becomes subjobDone and a lost FAILED becomes the usual failure
 // semantics.
 func (j *Job) pollReleased(sj *subjob) {
-	j.mu.Lock()
-	overdue := sj.status == SJReleased
-	spec := sj.spec
-	contact := sj.contact
-	ctx := sj.ctx
-	j.mu.Unlock()
-	if !overdue {
+	if sj.status != SJReleased {
 		return
 	}
 	retry := func() { j.c.sim.AfterFunc(completionGrace, func() { j.pollReleased(sj) }) }
-	client, err := j.c.dial(spec.Contact, ctx.Child("completion-poll"))
+	client, err := j.c.dial(sj.spec.Contact, sj.ctx.Child("completion-poll"))
 	if err != nil {
 		retry()
 		return
 	}
 	defer client.Close()
-	state, reason, err := client.Status(contact)
+	state, reason, err := client.Status(sj.contact)
 	if err != nil {
 		retry()
 		return
@@ -655,50 +598,41 @@ func (j *Job) pollReleased(sj *subjob) {
 
 // checkAllDone completes the job once every released subjob has finished.
 func (j *Job) checkAllDone() {
-	j.mu.Lock()
 	if !j.released || j.terminated {
-		j.mu.Unlock()
 		return
 	}
 	for _, sj := range j.subjobs {
 		if sj.status == SJReleased {
-			j.mu.Unlock()
 			return
 		}
 	}
 	j.terminated = true
-	j.mu.Unlock()
 	j.emit(EvDone, nil, "")
 	j.finish()
 }
 
 // terminate aborts or kills the whole co-allocation.
 func (j *Job) terminate(reason string) {
-	j.mu.Lock()
 	if j.terminated {
-		j.mu.Unlock()
 		return
 	}
 	j.terminated = true
 	j.termReason = reason
 	for _, sj := range j.subjobs {
 		if !sj.status.terminal() {
-			j.discardLocked(sj, SJFailed, reason)
+			j.discard(sj, SJFailed, reason)
 		}
 	}
-	j.pokeLocked()
-	j.mu.Unlock()
+	j.poke()
 	j.emit(EvAborted, nil, reason)
 	j.finish()
 }
 
 // finish closes the job's channels and sets done.
 func (j *Job) finish() {
-	j.mu.Lock()
 	if !j.queue.IsClosed() {
 		j.queue.Close()
 	}
-	j.mu.Unlock()
 	j.events.Close()
 	j.c.gauges().G("duroc.outstanding@" + j.c.host.Name()).Add(-1)
 	j.done.Set()
@@ -727,9 +661,7 @@ func (j *Job) Suspend() error { return j.signalAll((*gram.Client).Suspend) }
 func (j *Job) Resume() error { return j.signalAll((*gram.Client).Resume) }
 
 func (j *Job) signalAll(op func(*gram.Client, string) error) error {
-	j.mu.Lock()
 	if !j.released {
-		j.mu.Unlock()
 		return ErrNotCommitted
 	}
 	type target struct {
@@ -742,7 +674,6 @@ func (j *Job) signalAll(op func(*gram.Client, string) error) error {
 			targets = append(targets, target{client: sj.client, contact: sj.contact})
 		}
 	}
-	j.mu.Unlock()
 	var firstErr error
 	for _, t := range targets {
 		if err := op(t.client, t.contact); err != nil && firstErr == nil {
@@ -760,10 +691,8 @@ func (j *Job) signalAll(op func(*gram.Client, string) error) error {
 // context (zero when the process attached without one); barrier instants
 // land under it.
 func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
-	j.mu.Lock()
 	sj, ok := j.byLabel[args.Subjob]
 	if !ok {
-		j.mu.Unlock()
 		call.Reply(CheckinReply{Proceed: false, Reason: "unknown subjob " + args.Subjob}, nil)
 		return
 	}
@@ -772,12 +701,10 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 		if reason == "" {
 			reason = sj.reason
 		}
-		j.mu.Unlock()
 		call.Reply(CheckinReply{Proceed: false, Reason: reason}, nil)
 		return
 	}
 	if !args.OK {
-		j.mu.Unlock()
 		j.subjobFailed(sj, fmt.Sprintf("process %d reported unsuccessful startup: %s", args.Rank, args.Msg))
 		call.Reply(CheckinReply{Proceed: false, Reason: "startup rejected: " + args.Msg}, nil)
 		return
@@ -785,8 +712,7 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 	if j.released {
 		// Late joiner from an optional subjob: proceed immediately with
 		// the committed configuration.
-		reply := j.release.reply(j.committedIndexLocked(sj), -1)
-		j.mu.Unlock()
+		reply := j.release.reply(j.committedIndex(sj), -1)
 		call.Reply(reply, nil)
 		return
 	}
@@ -809,16 +735,15 @@ func (j *Job) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 		sj.checkedInAt = j.c.sim.Now()
 		j.c.record(sj.ctx, sj.spec.Label, "startup-wait", sj.submittedAt, sj.checkedInAt)
 	}
-	j.mu.Unlock()
 	if full {
 		j.emit(EvCheckedIn, sj, "")
 		j.poke()
 	}
 }
 
-// committedIndexLocked returns sj's index within the committed
-// configuration, or -1. Caller holds j.mu.
-func (j *Job) committedIndexLocked(sj *subjob) int {
+// committedIndex returns sj's index within the committed
+// configuration, or -1.
+func (j *Job) committedIndex(sj *subjob) int {
 	for i, label := range j.release.cfg.SubjobLabels() {
 		if label == sj.spec.Label {
 			return i
@@ -837,12 +762,6 @@ type CommitReadiness struct {
 
 // Readiness reports whether the request could commit now.
 func (j *Job) Readiness() CommitReadiness {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.readinessLocked()
-}
-
-func (j *Job) readinessLocked() CommitReadiness {
 	r := CommitReadiness{Ready: true}
 	for _, sj := range j.subjobs {
 		if sj.spec.Type == Optional || sj.status == SJDeleted {
@@ -887,33 +806,24 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 		}
 		j.c.counters().AddKey("duroc", "commit", outcome, j.c.host.Name(), 1)
 	}
-	j.mu.Lock()
 	j.committing = true
-	j.mu.Unlock()
 	for {
-		j.mu.Lock()
 		if j.terminated {
-			reason := j.termReason
-			j.mu.Unlock()
 			finish("aborted")
-			return Config{}, fmt.Errorf("%w: %s", ErrAborted, reason)
+			return Config{}, fmt.Errorf("%w: %s", ErrAborted, j.termReason)
 		}
 		if j.released {
-			cfg := j.release.cfg
-			j.mu.Unlock()
 			finish("ok")
-			return cfg, nil
+			return j.release.cfg, nil
 		}
-		r := j.readinessLocked()
+		r := j.Readiness()
 		if r.Ready {
-			cfg := j.releaseLocked()
-			j.mu.Unlock()
+			cfg := j.releaseAll()
 			j.emit(EvCommitted, nil, "")
 			j.superviseReleased()
 			finish("ok")
 			return cfg, nil
 		}
-		j.mu.Unlock()
 		if timeout == 0 {
 			j.signal.Recv()
 			continue
@@ -931,9 +841,9 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 	}
 }
 
-// releaseLocked computes the committed configuration and releases every
-// waiting process. Caller holds j.mu.
-func (j *Job) releaseLocked() Config {
+// releaseAll computes the committed configuration and releases every
+// waiting process.
+func (j *Job) releaseAll() Config {
 	now := j.c.sim.Now()
 	cfg := Config{}
 	var committed []*subjob

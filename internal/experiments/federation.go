@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/grid"
@@ -176,16 +175,13 @@ func fedRun(s loadSetting, seed int64, n int) (FederationLoadRow, *grid.Grid) {
 	}
 
 	row := FederationLoadRow{Replicas: n, Requests: s.requests}
-	var mu sync.Mutex
 	t, violations := run(tb, load, nil, func(i, _ int, host *transport.Host) bool {
 		// Keyed, so the client's walk of the ring is safe; a dead target
 		// costs the dial timeout — that tail is part of what is measured.
 		req := s.request(i)
 		req.Key = fmt.Sprintf("req%03d", i)
 		reply, _, failovers, err := workload.Submit(host, tb.Ring, i%n, host.Name(), req, 0, 50, nil)
-		mu.Lock()
 		row.Failovers += failovers
-		mu.Unlock()
 		return err == nil && reply.OK()
 	})
 	row.Completed, row.Failed = t.Completed, t.Failed

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cogrid/internal/core"
@@ -39,7 +38,6 @@ func CoReservationStudy(seed int64) CoReservationResult {
 	mustReserve(g, "sp3", 48, 90*time.Minute, time.Hour)
 	res := CoReservationResult{Machines: len(names)}
 
-	var mu sync.Mutex
 	var releases []time.Duration
 	g.RegisterEverywhere("synced", func(p *lrm.Proc) error {
 		rt, err := core.Attach(p)
@@ -50,9 +48,7 @@ func CoReservationStudy(seed int64) CoReservationResult {
 		if _, err := rt.Barrier(true, "", 0); err != nil {
 			return nil
 		}
-		mu.Lock()
 		releases = append(releases, p.Sim().Now())
-		mu.Unlock()
 		return p.Work(time.Minute, time.Second)
 	})
 	ctrl := newController(g)
@@ -83,9 +79,7 @@ func CoReservationStudy(seed int64) CoReservationResult {
 	if err != nil {
 		panic(err)
 	}
-	mu.Lock()
 	res.Releases = append(res.Releases, releases...)
-	mu.Unlock()
 	if len(res.Releases) > 0 {
 		minAt, maxAt := res.Releases[0], res.Releases[0]
 		for _, at := range res.Releases {

@@ -152,22 +152,18 @@ func (inc *incarnation) handleCall(sc *rpc.ServerConn, method string, body json.
 func (inc *incarnation) handleHeartbeat(req heartbeatMsg) (any, error) {
 	f := inc.r.fed
 	fromID := f.replicaID(req.From)
-	inc.mu.Lock()
 	if req.Epoch < inc.epoch ||
 		(req.Epoch == inc.epoch && inc.leader == inc.r.id && fromID < inc.r.id) {
 		// Stale leadership: reject with our epoch so the sender steps
 		// down. Equal-epoch splits (possible after concurrent elections
 		// during a partition) resolve to the higher id, matching the
 		// bully protocol's order.
-		epoch := inc.epoch
-		inc.mu.Unlock()
-		return heartbeatReply{Ack: -1, Epoch: epoch}, nil
+		return heartbeatReply{Ack: -1, Epoch: inc.epoch}, nil
 	}
 	inc.leader = fromID
 	inc.epoch = req.Epoch
 	inc.lastBeat = f.sim.Now()
 	inc.electing = false
-	inc.mu.Unlock()
 	inc.adoptShard(req.Shard)
 	inc.jour.applyBroadcast(req.Updates)
 	inc.count("heartbeat", "recv", 1)
@@ -182,10 +178,7 @@ func (inc *incarnation) handleElection(req electionMsg) (any, error) {
 	// A lower id is probing for live higher replicas. Answering suppresses
 	// its candidacy; per the bully protocol we then ensure a leader
 	// emerges at or above our own id.
-	inc.mu.Lock()
-	takeover := inc.leader != inc.r.id && !inc.electing
-	inc.mu.Unlock()
-	if takeover {
+	if inc.leader != inc.r.id && !inc.electing {
 		inc.sim().GoDaemon(fmt.Sprintf("fed-elect:%s/g%d", inc.r.name, inc.gen), inc.runElection)
 	}
 	return ackReply{}, nil
@@ -194,24 +187,19 @@ func (inc *incarnation) handleElection(req electionMsg) (any, error) {
 func (inc *incarnation) handleCoordinator(req coordMsg) (any, error) {
 	f := inc.r.fed
 	fromID := f.replicaID(req.From)
-	inc.mu.Lock()
 	if req.Epoch >= inc.epoch {
 		inc.epoch = req.Epoch
 		inc.leader = fromID
 		inc.electing = false
 		inc.lastBeat = f.sim.Now()
 	}
-	inc.mu.Unlock()
 	inc.adoptShard(req.Shard)
 	inc.count("coordinator", "recv", 1)
 	return ackReply{}, nil
 }
 
 func (inc *incarnation) handleAppend(req appendMsg) (any, error) {
-	inc.mu.Lock()
-	isLeader := inc.leader == inc.r.id
-	inc.mu.Unlock()
-	if !isLeader {
+	if inc.leader != inc.r.id {
 		return nil, fmt.Errorf("fed: %s is not leader", inc.r.name)
 	}
 	seqd := make([]Entry, 0, len(req.Entries))
@@ -231,9 +219,7 @@ func (inc *incarnation) handleAppend(req appendMsg) (any, error) {
 func (inc *incarnation) monitor() {
 	f := inc.r.fed
 	for {
-		inc.mu.Lock()
 		leader, electing, lastBeat := inc.leader, inc.electing, inc.lastBeat
-		inc.mu.Unlock()
 		switch {
 		case leader == inc.r.id:
 			inc.heartbeatRound()
@@ -254,11 +240,9 @@ func (inc *incarnation) monitor() {
 func (inc *incarnation) heartbeatRound() {
 	f := inc.r.fed
 	n := f.opts.Replicas
-	inc.mu.Lock()
 	epoch := inc.epoch
 	shard := inc.shard
 	acked := append([]int(nil), inc.acked...)
-	inc.mu.Unlock()
 
 	type beat struct {
 		ok    bool
@@ -285,10 +269,8 @@ func (inc *incarnation) heartbeatRound() {
 	}
 	wg.Wait()
 
-	inc.mu.Lock()
 	if inc.leader != inc.r.id || inc.epoch != epoch {
 		// Deposed while the round was in flight.
-		inc.mu.Unlock()
 		return
 	}
 	var dead []int
@@ -303,7 +285,6 @@ func (inc *incarnation) heartbeatRound() {
 			// A peer with a newer epoch: this leadership is stale.
 			inc.leader = -1
 			inc.lastBeat = f.sim.Now()
-			inc.mu.Unlock()
 			inc.count("leader", "stepdown", 1)
 			return
 		case res.ok:
@@ -329,12 +310,11 @@ func (inc *incarnation) heartbeatRound() {
 	var newShard ShardMap
 	reshard := rejoined || len(dead) > 0
 	if reshard {
-		newShard = inc.recomputeShardLocked()
+		newShard = inc.recomputeShard()
 		for _, p := range dead {
-			inc.handoffLocked(f.replicaName(p))
+			inc.handoff(f.replicaName(p))
 		}
 	}
-	inc.mu.Unlock()
 
 	inc.count("heartbeat", "round", 1)
 	for _, p := range dead {
@@ -352,14 +332,11 @@ func (inc *incarnation) heartbeatRound() {
 // means this replica wins the group.
 func (inc *incarnation) runElection() {
 	f := inc.r.fed
-	inc.mu.Lock()
 	if inc.electing || inc.leader == inc.r.id {
-		inc.mu.Unlock()
 		return
 	}
 	inc.electing = true
 	startEpoch := inc.epoch
-	inc.mu.Unlock()
 	start := f.sim.Now()
 	inc.count("election", "start", 1)
 
@@ -371,21 +348,17 @@ func (inc *incarnation) runElection() {
 		}
 	}
 	if higherAlive {
-		inc.mu.Lock()
 		inc.electing = false
 		// Renew the lease: the higher replica's own election (or its
 		// existing heartbeats) will claim the group.
 		inc.lastBeat = f.sim.Now()
-		inc.mu.Unlock()
 		inc.count("election", "yield", 1)
 		return
 	}
 
-	inc.mu.Lock()
 	if inc.epoch != startEpoch || inc.leader == inc.r.id {
 		// A coordinator announcement landed while we probed.
 		inc.electing = false
-		inc.mu.Unlock()
 		return
 	}
 	inc.epoch = startEpoch + 1
@@ -398,9 +371,8 @@ func (inc *incarnation) runElection() {
 		inc.misses[i] = 0
 		inc.acked[i] = 0
 	}
-	shard := inc.recomputeShardLocked()
+	shard := inc.recomputeShard()
 	epoch := inc.epoch
-	inc.mu.Unlock()
 
 	f.hists().H("fed.election.latency").Record(int64(f.sim.Now() - start))
 	inc.count("election", "win", 1)
@@ -417,9 +389,9 @@ func (inc *incarnation) runElection() {
 	inc.publishShardMap(shard)
 }
 
-// recomputeShardLocked rebuilds the shard map over the currently-live
-// replica view. Caller holds inc.mu.
-func (inc *incarnation) recomputeShardLocked() ShardMap {
+// recomputeShard rebuilds the shard map over the currently-live
+// replica view.
+func (inc *incarnation) recomputeShard() ShardMap {
 	f := inc.r.fed
 	var names []string
 	for p := 0; p < f.opts.Replicas; p++ {
@@ -439,12 +411,12 @@ func (inc *incarnation) recomputeShardLocked() ShardMap {
 	return m
 }
 
-// handoffLocked reassigns a dead replica's open journal entries: its
+// handoff reassigns a dead replica's open journal entries: its
 // in-flight tickets close (the process driving them is gone), its live
 // allocations and unconfirmed cancels pass to the ring successor, whose
-// reaper settles them against the LRMs. Caller holds inc.mu with the
-// shard map already recomputed without the dead replica.
-func (inc *incarnation) handoffLocked(dead string) {
+// reaper settles them against the LRMs. The caller has already recomputed
+// the shard map without the dead replica.
+func (inc *incarnation) handoff(dead string) {
 	now := inc.now()
 	ring := inc.shardRing
 	for _, e := range inc.jour.openOwnedBy(dead) {
@@ -536,9 +508,7 @@ func (inc *incarnation) pusher() {
 		if len(pending) == 0 {
 			continue
 		}
-		inc.mu.Lock()
 		leader := inc.leader
-		inc.mu.Unlock()
 		if leader == inc.r.id {
 			inc.jour.leaderFlush()
 			continue
@@ -574,10 +544,7 @@ func (inc *incarnation) peerReaper() {
 func (inc *incarnation) reapAdopted() {
 	reaped := 0
 	for _, e := range inc.jour.openOwnedBy(inc.r.name) {
-		inc.mu.Lock()
-		mine := inc.created[e.Key]
-		inc.mu.Unlock()
-		if mine {
+		if inc.created[e.Key] {
 			continue
 		}
 		switch e.Kind {

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cogrid/internal/broker"
@@ -88,7 +87,6 @@ type Replica struct {
 	name string
 	host *transport.Host
 
-	mu      sync.Mutex
 	alive   bool
 	inc     *incarnation
 	gen     int
@@ -174,9 +172,7 @@ func (f *Federation) hists() *metrics.HistogramSet { return f.net.Hists() }
 func (f *Federation) MergedJournal() []Entry {
 	merged := newJournal()
 	for _, r := range f.replicas {
-		r.mu.Lock()
 		inc := r.inc
-		r.mu.Unlock()
 		if inc == nil {
 			continue
 		}
@@ -198,15 +194,11 @@ func (r *Replica) Host() *transport.Host { return r.host }
 
 // Alive reports whether the replica process is up.
 func (r *Replica) Alive() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.alive
 }
 
 // Broker returns the current incarnation's broker (nil while crashed).
 func (r *Replica) Broker() *broker.Broker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.inc == nil {
 		return nil
 	}
@@ -216,8 +208,6 @@ func (r *Replica) Broker() *broker.Broker {
 // Brokers returns every incarnation's broker, oldest first — the audit
 // surface for per-job invariants across crashes.
 func (r *Replica) Brokers() []*broker.Broker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]*broker.Broker(nil), r.brokers...)
 }
 
@@ -234,14 +224,10 @@ func (r *Replica) fedAddr() transport.Addr {
 // LeaderName reports who this replica currently believes leads ("" while
 // crashed or unknown).
 func (r *Replica) LeaderName() string {
-	r.mu.Lock()
 	inc := r.inc
-	r.mu.Unlock()
 	if inc == nil {
 		return ""
 	}
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
 	if inc.leader < 0 {
 		return ""
 	}
@@ -251,9 +237,7 @@ func (r *Replica) LeaderName() string {
 // ShardMapView returns the replica's current shard map (zero while
 // crashed).
 func (r *Replica) ShardMapView() ShardMap {
-	r.mu.Lock()
 	inc := r.inc
-	r.mu.Unlock()
 	if inc == nil {
 		return ShardMap{}
 	}
@@ -264,10 +248,8 @@ func (r *Replica) ShardMapView() ShardMap {
 // protocol endpoint, and the maintenance daemons.
 func (r *Replica) start(shard ShardMap) error {
 	f := r.fed
-	r.mu.Lock()
 	r.gen++
 	gen := r.gen
-	r.mu.Unlock()
 	inc := &incarnation{
 		r:   r,
 		gen: gen,
@@ -320,11 +302,9 @@ func (r *Replica) start(shard ShardMap) error {
 	}
 	inc.server = rpc.Serve(f.sim, l, rpc.HandlerFuncs{Call: inc.handleCall}, nil)
 
-	r.mu.Lock()
 	r.alive = true
 	r.inc = inc
 	r.brokers = append(r.brokers, b)
-	r.mu.Unlock()
 
 	// Stagger each replica's protocol clock slightly so rounds from
 	// different replicas never share a virtual instant with each other
@@ -351,15 +331,12 @@ func (r *Replica) start(shard ShardMap) error {
 // driving is torn down locally (the process is gone; only what the
 // journal already replicated survives for peers to act on).
 func (r *Replica) Crash() {
-	r.mu.Lock()
 	if !r.alive {
-		r.mu.Unlock()
 		return
 	}
 	r.alive = false
 	inc := r.inc
 	r.inc = nil
-	r.mu.Unlock()
 
 	inc.stop.Set()
 	inc.pushWake.Close()
@@ -384,20 +361,15 @@ func (r *Replica) Crash() {
 // unknown leader, shard map bootstrapped from the directory and repaired
 // by the next heartbeat that reaches it.
 func (r *Replica) Restart() error {
-	r.mu.Lock()
 	if r.alive {
-		r.mu.Unlock()
 		return nil
 	}
-	r.mu.Unlock()
 	r.host.RestoreCrashed()
 	if err := r.start(ShardMap{}); err != nil {
 		return err
 	}
 	f := r.fed
-	r.mu.Lock()
 	inc := r.inc
-	r.mu.Unlock()
 	f.counters().Add(trace.Key("fed", "replica", "restart", r.name), 1)
 	f.gauges().G("fed.live_replicas").Add(1)
 	f.tracer().InstantCtx(inc.ctx, "fed", "restart", r.name, r.name, "")
@@ -415,7 +387,6 @@ type incarnation struct {
 	pushWake *vtime.Chan[struct{}]
 	jour     *journal
 
-	mu        sync.Mutex
 	leader    int // replica id, -1 unknown
 	epoch     int
 	lastBeat  time.Duration
@@ -444,8 +415,6 @@ func (inc *incarnation) count(object, verb string, delta int64) {
 }
 
 func (inc *incarnation) shardMap() ShardMap {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
 	return inc.shard
 }
 
@@ -454,8 +423,6 @@ func (inc *incarnation) adoptShard(m ShardMap) {
 	if m.Version == 0 {
 		return
 	}
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
 	if m.Version <= inc.shard.Version {
 		return
 	}
@@ -466,9 +433,7 @@ func (inc *incarnation) adoptShard(m ShardMap) {
 // filterRecords keeps the directory records this replica's shard owns.
 // With no shard map yet (bootstrap), selection is unrestricted.
 func (inc *incarnation) filterRecords(records []mds.Record) []mds.Record {
-	inc.mu.Lock()
 	ring := inc.shardRing
-	inc.mu.Unlock()
 	if ring == nil {
 		return records
 	}
@@ -484,9 +449,7 @@ func (inc *incarnation) filterRecords(records []mds.Record) []mds.Record {
 // --- journal feed hooks (run on broker/controller paths) ---
 
 func (inc *incarnation) markCreated(key string) {
-	inc.mu.Lock()
 	inc.created[key] = true
-	inc.mu.Unlock()
 }
 
 func (inc *incarnation) onTicket(ev broker.TicketEvent) {

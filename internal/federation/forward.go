@@ -31,10 +31,8 @@ func (inc *incarnation) forward(req broker.Request, ctx trace.Ctx) (broker.Reply
 	if req.Hops >= maxHops {
 		return broker.Reply{}, broker.ErrForwardUnavailable
 	}
-	inc.mu.Lock()
 	shard := inc.shard
 	ring := inc.shardRing
-	inc.mu.Unlock()
 	if ring == nil || len(shard.Replicas) < 2 {
 		return broker.Reply{}, broker.ErrForwardUnavailable
 	}

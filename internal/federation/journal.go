@@ -3,7 +3,6 @@ package federation
 import (
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -85,13 +84,12 @@ func supersedes(a, b Entry) bool {
 // push them to the leader; an entry leaves unacked once it is observed
 // back with a leader-assigned sequence number.
 type journal struct {
-	mu      sync.Mutex
 	entries map[string]Entry
 	// open indexes the keys whose stored entry is StateOpen. Closed and
 	// reaped entries stay in entries for merge monotonicity, so the
 	// per-event queries (openOwnedBy, allocKeysForJob) walk this index
 	// instead: their cost follows the open entries, not the journal's
-	// whole history. putLocked keeps it in step with entries.
+	// whole history. put keeps it in step with entries.
 	open map[string]struct{}
 	// log is the leader-ordered broadcast stream: every update the
 	// leader accepts, in acceptance order. Followers receive log
@@ -114,9 +112,9 @@ func newJournal() *journal {
 	}
 }
 
-// putLocked stores e under its key and keeps the open index in step with
-// its state. Every write to entries goes through here. Caller holds j.mu.
-func (j *journal) putLocked(e Entry) {
+// put stores e under its key and keeps the open index in step with
+// its state. Every write to entries goes through here.
+func (j *journal) put(e Entry) {
 	j.entries[e.Key] = e
 	if e.State == StateOpen {
 		j.open[e.Key] = struct{}{}
@@ -130,8 +128,6 @@ func (j *journal) putLocked(e Entry) {
 // receives the current copy (zero Entry if absent) and returns the new
 // one; returning the input unchanged cancels the mutation.
 func (j *journal) upsert(key string, now time.Duration, mutate func(Entry) Entry) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	cur := j.entries[key]
 	next := mutate(cur)
 	if next == cur {
@@ -141,14 +137,12 @@ func (j *journal) upsert(key string, now time.Duration, mutate func(Entry) Entry
 	next.Rev = cur.Rev + 1
 	next.Seq = cur.Seq
 	next.At = now
-	j.putLocked(next)
+	j.put(next)
 	j.unacked = append(j.unacked, next)
 }
 
 // get returns the stored copy of key.
 func (j *journal) get(key string) (Entry, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	e, ok := j.entries[key]
 	return e, ok
 }
@@ -156,23 +150,17 @@ func (j *journal) get(key string) (Entry, bool) {
 // merge folds a remote copy in, keeping the more advanced revision and
 // the maximum sequence number. Reports whether the stored entry changed.
 func (j *journal) merge(e Entry) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.mergeLocked(e)
-}
-
-func (j *journal) mergeLocked(e Entry) bool {
 	cur, ok := j.entries[e.Key]
 	if ok && e.Seq < cur.Seq {
 		e.Seq = cur.Seq
 	}
 	if !ok || supersedes(e, cur) {
-		j.putLocked(e)
+		j.put(e)
 		return true
 	}
 	if e.Seq > cur.Seq {
 		cur.Seq = e.Seq
-		j.putLocked(cur)
+		j.put(cur)
 	}
 	return false
 }
@@ -181,10 +169,8 @@ func (j *journal) mergeLocked(e Entry) bool {
 // entries the leader has demonstrably sequenced (stored copy at or past
 // the buffered revision, with a sequence number).
 func (j *journal) applyBroadcast(updates []Entry) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	for _, e := range updates {
-		j.mergeLocked(e)
+		j.merge(e)
 	}
 	kept := j.unacked[:0]
 	for _, u := range j.unacked {
@@ -201,12 +187,6 @@ func (j *journal) applyBroadcast(updates []Entry) {
 // only). Revisions already in the log are dropped, so duplicate pushes
 // of the same copy are ordered exactly once.
 func (j *journal) leaderAccept(e Entry) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.acceptLocked(e)
-}
-
-func (j *journal) acceptLocked(e Entry) {
 	cur, ok := j.entries[e.Key]
 	if ok && supersedes(cur, e) {
 		// A newer copy is already stored; order that one instead.
@@ -217,7 +197,7 @@ func (j *journal) acceptLocked(e Entry) {
 	}
 	e.Seq = j.nextSeq
 	j.nextSeq++
-	j.putLocked(e)
+	j.put(e)
 	j.logged[e.Key] = e.Rev
 	j.log = append(j.log, e)
 }
@@ -225,11 +205,9 @@ func (j *journal) acceptLocked(e Entry) {
 // leaderFlush sequences this replica's own buffered mutations into the
 // log (leader only) and clears the buffer.
 func (j *journal) leaderFlush() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	sortBatch(j.unacked)
 	for _, u := range j.unacked {
-		j.acceptLocked(u)
+		j.leaderAccept(u)
 	}
 	j.unacked = j.unacked[:0]
 }
@@ -254,8 +232,6 @@ func sortBatch(batch []Entry) {
 // re-broadcast is safe). Entries are ordered by known sequence then key,
 // and re-sequenced densely.
 func (j *journal) becomeLeader() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	keys := make([]string, 0, len(j.entries))
 	for k := range j.entries {
 		keys = append(keys, k)
@@ -274,7 +250,7 @@ func (j *journal) becomeLeader() {
 		e := j.entries[k]
 		e.Seq = j.nextSeq
 		j.nextSeq++
-		j.putLocked(e)
+		j.put(e)
 		j.logged[k] = e.Rev
 		j.log = append(j.log, e)
 	}
@@ -286,8 +262,6 @@ func (j *journal) becomeLeader() {
 // logSuffix returns the broadcast log from offset on, with the current
 // log length.
 func (j *journal) logSuffix(from int) ([]Entry, int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if from < 0 || from > len(j.log) {
 		from = 0
 	}
@@ -298,8 +272,6 @@ func (j *journal) logSuffix(from int) ([]Entry, int) {
 
 // pending snapshots the unacked local updates in deterministic order.
 func (j *journal) pending() []Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	out := make([]Entry, len(j.unacked))
 	copy(out, j.unacked)
 	sortBatch(out)
@@ -309,8 +281,6 @@ func (j *journal) pending() []Entry {
 // snapshot returns every entry sorted by key: the whole history, for the
 // merged audit journal. The per-event queries below use the open index.
 func (j *journal) snapshot() []Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	out := make([]Entry, 0, len(j.entries))
 	for _, e := range j.entries {
 		out = append(out, e)
@@ -322,8 +292,6 @@ func (j *journal) snapshot() []Entry {
 // openOwnedBy returns open entries owned by the given replica, sorted by
 // key.
 func (j *journal) openOwnedBy(owner string) []Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var out []Entry
 	for k := range j.open {
 		if e := j.entries[k]; e.Owner == owner {
@@ -338,8 +306,6 @@ func (j *journal) openOwnedBy(owner string) []Entry {
 // sorted.
 func (j *journal) allocKeysForJob(job string) []string {
 	prefix := "a/" + job + "/"
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var out []string
 	for k := range j.open {
 		if strings.HasPrefix(k, prefix) {

@@ -107,8 +107,9 @@ func New(opts Options) *Grid {
 		// is always armed without any layer opting in.
 		g.Tracer.SetTap(g.Flight)
 		// Kernel probes: timer lead times and dispatch batch sizes land in
-		// the same registry as the layer histograms. Histogram recording is
-		// atomic-only, so it is safe under the kernel lock.
+		// the same registry as the layer histograms. Recording neither
+		// blocks nor calls back into the kernel, so it is safe under the
+		// kernel lock.
 		sim.SetStats(vtime.KernelStats{
 			TimerLead:     g.Hists.H("vtime.timer.lead"),
 			DispatchBatch: g.Hists.H("vtime.dispatch.batch"),

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"cogrid/internal/transport"
@@ -61,7 +60,6 @@ type Credential struct {
 
 // Registry is the trust database shared by all parties (the simulated CA).
 type Registry struct {
-	mu      sync.Mutex
 	nextID  uint64
 	secrets map[string][]byte
 	revoked map[string]bool
@@ -75,8 +73,6 @@ func NewRegistry() *Registry {
 // Issue creates and registers a credential for name. Issuing for an
 // existing name replaces the old secret.
 func (r *Registry) Issue(name string) Credential {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nextID++
 	secret := make([]byte, 16)
 	binary.BigEndian.PutUint64(secret, r.nextID)
@@ -90,21 +86,15 @@ func (r *Registry) Issue(name string) Credential {
 // Revoke marks a principal's credential invalid; handshakes involving it
 // fail with ErrRevoked. Used for auth-failure injection.
 func (r *Registry) Revoke(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.revoked[name] = true
 }
 
 // Reinstate clears a revocation.
 func (r *Registry) Reinstate(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	delete(r.revoked, name)
 }
 
 func (r *Registry) lookup(name string) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.revoked[name] {
 		return nil, ErrRevoked
 	}

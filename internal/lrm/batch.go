@@ -16,15 +16,15 @@ func limitOf(j *Job) time.Duration {
 	return defaultLimit
 }
 
-// availableLocked returns processors available to the batch queue now:
+// available returns processors available to the batch queue now:
 // free processors minus active reservation carve-outs. Machines with no
 // reservations — the common case for pure batch load — skip the carve-out
 // walk and the clock read entirely.
-func (m *Machine) availableLocked() int {
+func (m *Machine) available() int {
 	if len(m.reservations) == 0 {
 		return m.freeProcs
 	}
-	avail := m.freeProcs - m.reservedAtLocked(m.sim.Now())
+	avail := m.freeProcs - m.reservedAt(m.sim.Now())
 	if avail < 0 {
 		avail = 0
 	}
@@ -39,10 +39,9 @@ func (m *Machine) schedule() {
 	if m.mode != Batch {
 		return
 	}
-	m.mu.Lock()
 	toLaunch := m.launchScratch[:0]
 	// FCFS: start head jobs while they fit.
-	for len(m.queue) > 0 && m.queue[0].spec.Count <= m.availableLocked() {
+	for len(m.queue) > 0 && m.queue[0].spec.Count <= m.available() {
 		job := m.queue[0]
 		m.queue = m.queue[1:]
 		m.freeProcs -= job.spec.Count
@@ -56,9 +55,9 @@ func (m *Machine) schedule() {
 	// pass O(depth) instead of O(queue) — across a draining backlog that is
 	// the difference between linear and quadratic work — and it ends when
 	// the last processor is taken.
-	if avail := m.availableLocked(); len(m.queue) > 1 && avail > 0 {
+	if avail := m.available(); len(m.queue) > 1 && avail > 0 {
 		now := m.sim.Now()
-		shadow := m.shadowTimeLocked(m.queue[0])
+		shadow := m.shadowTime(m.queue[0])
 		kept := m.queue[:1]
 		for i, job := range m.queue[1:] {
 			if avail == 0 || i >= backfillDepth {
@@ -77,23 +76,19 @@ func (m *Machine) schedule() {
 		m.queue = kept
 	}
 	if len(toLaunch) == 0 {
-		m.mu.Unlock()
 		return
 	}
-	m.launchScratch = nil // off the machine while m.mu is released around the launches
-	m.mu.Unlock()
+	m.launchScratch = nil // off the machine: a launch may schedule again
 	for _, job := range toLaunch {
 		m.launch(job)
 	}
 	clear(toLaunch)
-	m.mu.Lock()
 	m.launchScratch = toLaunch
-	m.mu.Unlock()
 }
 
 // runningAdd records a batch job's expected end for shadow-time
 // computation, both in the ground-truth map and the incremental release
-// index. Caller holds m.mu.
+// index.
 func (m *Machine) runningAdd(job *Job) {
 	if m.running == nil {
 		m.running = make(map[*Job]time.Duration)
@@ -101,22 +96,21 @@ func (m *Machine) runningAdd(job *Job) {
 	end := m.sim.Now() + limitOf(job)
 	m.running[job] = end
 	m.releases.note(job, end)
-	m.compactReleasesLocked()
+	m.compactReleases()
 }
 
-// shadowTimeLocked computes the earliest time the given head job could
+// shadowTime computes the earliest time the given head job could
 // start, assuming running jobs end at their wall-time limits. The release
 // index yields expected ends in ascending order, so the walk stops as soon
 // as enough capacity accumulates — no per-pass sort of the running set.
-// Caller holds m.mu.
-func (m *Machine) shadowTimeLocked(head *Job) time.Duration {
-	avail := m.availableLocked()
+func (m *Machine) shadowTime(head *Job) time.Duration {
+	avail := m.available()
 	if head.spec.Count <= avail {
 		return m.sim.Now()
 	}
 	// Cannot determine (should not happen for admissible jobs): no backfill.
 	shadow := m.sim.Now() + defaultLimit
-	m.ascendReleasesLocked(func(at time.Duration, procs int) bool {
+	m.ascendReleases(func(at time.Duration, procs int) bool {
 		avail += procs
 		if head.spec.Count <= avail {
 			shadow = at
@@ -155,13 +149,11 @@ type QueueInfo struct {
 
 // QueueInfo snapshots the batch queue.
 func (m *Machine) QueueInfo() QueueInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	now := m.sim.Now()
 	info := QueueInfo{
 		Machine:        m.name,
 		Processors:     m.processors,
-		FreeProcessors: m.availableLocked(),
+		FreeProcessors: m.available(),
 		RunningJobs:    len(m.running),
 	}
 	for job := range m.running {
@@ -185,8 +177,6 @@ func (m *Machine) QueueInfo() QueueInfo {
 // their full wall-time limits and FCFS order. This is the queue-time
 // forecast a local manager can publish (Section 2.2, [9, 26]).
 func (m *Machine) EstimateWait(count int) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if count > m.processors {
 		return defaultLimit
 	}
@@ -195,7 +185,7 @@ func (m *Machine) EstimateWait(count int) time.Duration {
 	// clamping past-due ends to now preserves the order) into a reusable
 	// scratch buffer, so a forecast allocates nothing in steady state.
 	rels := m.estScratch[:0]
-	m.ascendReleasesLocked(func(at time.Duration, procs int) bool {
+	m.ascendReleases(func(at time.Duration, procs int) bool {
 		if at < now {
 			at = now
 		}
@@ -203,7 +193,7 @@ func (m *Machine) EstimateWait(count int) time.Duration {
 		return true
 	})
 	m.estScratch = rels
-	avail := m.availableLocked()
+	avail := m.available()
 	t := now
 	startOne := func(need int, limit time.Duration) time.Duration {
 		sort.Slice(rels, func(i, j int) bool { return rels[i].at < rels[j].at })

@@ -18,7 +18,7 @@ import "time"
 // and — since a machine whose queue never backs up, or one exactly full
 // after every pass, never ascends, while every entry pins its job — in one
 // sweep whenever they have come to outnumber the live ones
-// (compactReleasesLocked). The property test in scale_test.go drives random
+// (compactReleases). The property test in scale_test.go drives random
 // start/finish interleavings and checks every consultation against a naive
 // recompute from m.running.
 
@@ -99,28 +99,28 @@ func releaseLess(a, b releaseEntry) bool {
 	return a.seq < b.seq
 }
 
-// liveLocked reports whether e still stands for a running job's expected
-// end. Caller holds m.mu.
-func (m *Machine) liveLocked(e releaseEntry) bool {
+// live reports whether e still stands for a running job's expected
+// end.
+func (m *Machine) live(e releaseEntry) bool {
 	end, running := m.running[e.job]
 	return running && end == e.at
 }
 
-// compactReleasesLocked bounds the index by the running set: once the
+// compactReleases bounds the index by the running set: once the
 // entries number more than twice the running jobs and 16, it drops every
 // stale one — the entries an ascent would drop — in place, and restores the
 // heap over the rest. (at, seq) orders entries totally, so what an ascent
 // visits, and in what order, does not depend on how the heap is laid out.
 // Each sweep removes more entries than it keeps, so a start still costs
-// O(log R) amortised; nothing is allocated. Caller holds m.mu.
-func (m *Machine) compactReleasesLocked() {
+// O(log R) amortised; nothing is allocated.
+func (m *Machine) compactReleases() {
 	h := m.releases.h
 	if len(h) <= 2*len(m.running)+16 {
 		return
 	}
 	live := h[:0]
 	for _, e := range h {
-		if m.liveLocked(e) {
+		if m.live(e) {
 			live = append(live, e)
 		}
 	}
@@ -131,19 +131,18 @@ func (m *Machine) compactReleasesLocked() {
 	}
 }
 
-// ascendReleasesLocked visits live releases in ascending (end, push) order
+// ascendReleases visits live releases in ascending (end, push) order
 // until fn returns false. Visited live entries are re-filed with their
 // original sequence numbers (so revisits keep the same order); stale
 // entries — job finished, no longer in m.running — are dropped for good.
-// Caller holds m.mu.
-func (m *Machine) ascendReleasesLocked(fn func(at time.Duration, procs int) bool) {
+func (m *Machine) ascendReleases(fn func(at time.Duration, procs int) bool) {
 	visited := m.relScratch[:0]
 	for {
 		e, ok := m.releases.pop()
 		if !ok {
 			break
 		}
-		if !m.liveLocked(e) {
+		if !m.live(e) {
 			continue
 		}
 		visited = append(visited, e)

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"cogrid/internal/metrics"
@@ -133,12 +132,11 @@ type Machine struct {
 	// Metric handles are resolved once, on the first launch, and cached:
 	// the registry lookup and the per-machine gauge-name concatenation used
 	// to run once per job, which is measurable garbage at 10⁶ jobs.
-	metricsOnce sync.Once
-	queueWait   *metrics.Histogram
-	service     *metrics.Histogram
-	busy        *metrics.Gauge
+	metricsResolved bool
+	queueWait       *metrics.Histogram
+	service         *metrics.Histogram
+	busy            *metrics.Gauge
 
-	mu            sync.Mutex
 	execs         map[string]ExecFunc
 	jobs          map[string]*Job
 	nextJobID     int
@@ -200,12 +198,14 @@ func NewMachine(host *transport.Host, processors int, cfg Config) *Machine {
 // metricHandles resolves the machine's metric handles on first use. Both
 // registries are nil-safe, so the cached handles may legitimately be nil.
 func (m *Machine) metricHandles() {
-	m.metricsOnce.Do(func() {
-		net := m.host.Network()
-		m.queueWait = net.Hists().H("lrm.queue.wait")
-		m.service = net.Hists().H("lrm.job.service")
-		m.busy = net.Gauges().G("lrm.busy@" + m.host.Name())
-	})
+	if m.metricsResolved {
+		return
+	}
+	m.metricsResolved = true
+	net := m.host.Network()
+	m.queueWait = net.Hists().H("lrm.queue.wait")
+	m.service = net.Hists().H("lrm.job.service")
+	m.busy = net.Gauges().G("lrm.busy@" + m.host.Name())
 }
 
 // Stats is a machine's cumulative job accounting.
@@ -217,8 +217,6 @@ type Stats struct {
 // Stats returns cumulative terminal-job counts. Unlike the jobs table,
 // these survive RetireTerminal.
 func (m *Machine) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return Stats{Done: m.doneJobs, Failed: m.failedJobs}
 }
 
@@ -236,8 +234,6 @@ func (m *Machine) Mode() Mode { return m.mode }
 
 // RegisterExecutable installs a named application executable.
 func (m *Machine) RegisterExecutable(name string, fn ExecFunc) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.execs[name] = fn
 }
 
@@ -246,35 +242,23 @@ func (m *Machine) RegisterExecutable(name string, fn ExecFunc) {
 // factor is held to [1, 1e9]: far past any overload, a larger one would
 // overflow the startup time it scales.
 func (m *Machine) SetSlowFactor(f float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.slowFactor = min(max(f, 1), 1e9)
 }
 
 // SetDown marks the machine's resource manager down (submissions fail) or
 // back up.
 func (m *Machine) SetDown(down bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.down = down
 }
 
 // LiveJobs counts jobs that have not reached a terminal state — the
 // machine-side ground truth a chaos run checks against zero after
 // quiescence: any survivor is a leaked allocation whose cancel never
-// landed. Job states are read outside m.mu (each Job has its own lock,
-// taken by completion paths that also take m.mu), so the count is a
-// snapshot, exact once the machine is quiescent.
+// landed.
 func (m *Machine) LiveJobs() int {
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
 	live := 0
-	for _, j := range jobs {
-		if !j.State().Terminal() {
+	for _, j := range m.jobs {
+		if !j.state.Terminal() {
 			live++
 		}
 	}
@@ -288,8 +272,6 @@ func (m *Machine) LiveJobs() int {
 // the allocate/release accounting double-counted somewhere, which is the
 // processor-conservation invariant the simulation-testing harness checks.
 func (m *Machine) FreeProcessors() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.mode == Fork {
 		return m.processors
 	}
@@ -316,7 +298,6 @@ type Job struct {
 	id      string
 	spec    JobSpec
 
-	mu        sync.Mutex
 	state     JobState
 	reason    string
 	liveProcs int
@@ -359,15 +340,11 @@ func (j *Job) Spec() JobSpec { return j.spec }
 
 // State returns the current state.
 func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.state
 }
 
 // Reason describes why the job reached a terminal state.
 func (j *Job) Reason() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.reason
 }
 
@@ -385,9 +362,7 @@ func (j *Job) KillEvent() *vtime.Event { return &j.kill }
 // setState transitions the job, delivering the event. Terminal states
 // close the event stream, interrupt the job's processes and set done.
 func (j *Job) setState(s JobState, reason string) {
-	j.mu.Lock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
 	j.state = s
@@ -395,7 +370,6 @@ func (j *Job) setState(s JobState, reason string) {
 		j.reason = reason
 	}
 	interrupt := j.interrupt
-	j.mu.Unlock()
 	j.events.TrySend(s)
 	if s.Terminal() {
 		j.events.Close()
@@ -421,15 +395,12 @@ func (j *Job) Resume() error {
 // processes, which from then on wait on a new event, named by what will set
 // it next.
 func (j *Job) turn(from, to JobState, verb, next string) error {
-	j.mu.Lock()
 	if j.state != from {
 		state := j.state
-		j.mu.Unlock()
 		return fmt.Errorf("lrm: cannot %s job in state %v", verb, state)
 	}
 	interrupt := j.interrupt
 	j.interrupt = vtime.NewEvent(j.machine.sim, next)
-	j.mu.Unlock()
 	j.setState(to, "")
 	interrupt.Set()
 	return nil
@@ -439,8 +410,6 @@ func (j *Job) turn(from, to JobState, verb, next string) error {
 // whether the job is suspended: whether that event will mean resume or kill,
 // or suspend or kill.
 func (j *Job) phase() (interrupt *vtime.Event, suspended bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.interrupt, j.state == StateSuspended
 }
 
@@ -453,32 +422,25 @@ func (j *Job) Cancel() {
 // Submit submits a job. In fork mode it returns once processes are
 // created; in batch mode it returns with the job queued.
 func (m *Machine) Submit(spec JobSpec) (*Job, error) {
-	m.mu.Lock()
 	if m.down {
-		m.mu.Unlock()
 		return nil, ErrMachineDown
 	}
 	if spec.Count <= 0 {
-		m.mu.Unlock()
 		return nil, ErrBadCount
 	}
 	if _, ok := m.execs[spec.Executable]; !ok {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownExecutable, spec.Executable)
 	}
 	if m.mode == Batch && spec.Count > m.processors {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, spec.Count, m.processors)
 	}
 	var res *Reservation
 	if spec.ReservationID != "" {
 		res = m.reservations[spec.ReservationID]
 		if res == nil {
-			m.mu.Unlock()
 			return nil, fmt.Errorf("lrm: unknown reservation %q", spec.ReservationID)
 		}
 		if res.Count < spec.Count {
-			m.mu.Unlock()
 			return nil, fmt.Errorf("lrm: reservation %q holds %d processors, job needs %d",
 				spec.ReservationID, res.Count, spec.Count)
 		}
@@ -499,7 +461,6 @@ func (m *Machine) Submit(spec JobSpec) (*Job, error) {
 	job.firstInterrupt.Init(m.sim, signalName("interrupt"))
 	job.interrupt = &job.firstInterrupt
 	m.jobs[job.id] = job
-	m.mu.Unlock()
 
 	switch {
 	case res != nil:
@@ -508,9 +469,7 @@ func (m *Machine) Submit(spec JobSpec) (*Job, error) {
 		m.sim.Sleep(m.costs.Fork)
 		m.launch(job)
 	default:
-		m.mu.Lock()
 		m.queue = append(m.queue, job)
-		m.mu.Unlock()
 		m.schedule()
 	}
 	return job, nil
@@ -518,8 +477,6 @@ func (m *Machine) Submit(spec JobSpec) (*Job, error) {
 
 // Job returns a submitted job by ID.
 func (m *Machine) Job(id string) (*Job, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
 		return nil, ErrNoSuchJob
@@ -530,14 +487,10 @@ func (m *Machine) Job(id string) (*Job, error) {
 // launch transitions a job to Active and spawns its processes. In batch
 // mode the caller has already debited freeProcs.
 func (m *Machine) launch(job *Job) {
-	m.mu.Lock()
 	fn := m.execs[job.spec.Executable]
 	slow := m.slowFactor
-	m.mu.Unlock()
 
-	job.mu.Lock()
 	if job.state.Terminal() { // cancelled while queued
-		job.mu.Unlock()
 		return
 	}
 	job.liveProcs = job.spec.Count
@@ -552,7 +505,6 @@ func (m *Machine) launch(job *Job) {
 			m.finishJob(job, StateFailed, "wall-time limit exceeded")
 		})
 	}
-	job.mu.Unlock()
 	m.metricHandles()
 	// Queue service wait: accept-to-launch latency. In fork mode this is
 	// the fork cost; in batch mode it includes FCFS/backfill queueing.
@@ -588,7 +540,6 @@ func (m *Machine) launch(job *Job) {
 
 // procExit accounts for one process finishing.
 func (m *Machine) procExit(job *Job, err error) {
-	job.mu.Lock()
 	job.liveProcs--
 	if err != nil && err != ErrKilled {
 		job.failed = true
@@ -599,7 +550,6 @@ func (m *Machine) procExit(job *Job, err error) {
 	last := job.liveProcs == 0
 	failed := job.failed
 	reason := job.reason
-	job.mu.Unlock()
 	if err != nil && err != ErrKilled {
 		// One process failing fails the job and kills its siblings —
 		// LoadLeveler/LSF semantics at the single-resource level.
@@ -617,9 +567,7 @@ func (m *Machine) procExit(job *Job, err error) {
 
 // finishJob drives a job to a terminal state once, releasing processors.
 func (m *Machine) finishJob(job *Job, state JobState, reason string) {
-	job.mu.Lock()
 	if job.state.Terminal() {
-		job.mu.Unlock()
 		return
 	}
 	wasPending := job.state == StatePending
@@ -630,7 +578,6 @@ func (m *Machine) finishJob(job *Job, state JobState, reason string) {
 		job.limit.Stop()
 		job.limit = nil
 	}
-	job.mu.Unlock()
 
 	if release {
 		m.metricHandles()
@@ -639,20 +586,17 @@ func (m *Machine) finishJob(job *Job, state JobState, reason string) {
 	}
 
 	if wasPending {
-		m.mu.Lock()
 		for i, q := range m.queue {
 			if q == job {
 				m.queue = append(m.queue[:i], m.queue[i+1:]...)
 				break
 			}
 		}
-		m.mu.Unlock()
 	}
 	job.setState(state, reason)
 	if release {
 		m.busy.Add(-float64(job.spec.Count))
 	}
-	m.mu.Lock()
 	if state == StateDone {
 		m.doneJobs++
 	} else {
@@ -661,14 +605,11 @@ func (m *Machine) finishJob(job *Job, state JobState, reason string) {
 	if m.retire {
 		delete(m.jobs, job.id)
 	}
-	m.mu.Unlock()
 	if release && m.mode == Batch && job.startRes == nil {
-		m.mu.Lock()
 		m.freeProcs += job.spec.Count
 		// The release index entry goes stale here and is dropped lazily
 		// the next time it surfaces during an ascent.
 		delete(m.running, job)
-		m.mu.Unlock()
 		m.schedule()
 	}
 }

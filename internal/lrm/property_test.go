@@ -3,7 +3,6 @@ package lrm
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,13 +22,11 @@ func TestBatchSchedulerCapacityInvariant(t *testing.T) {
 		m := NewMachine(host, procs, Config{Mode: Batch})
 		rng := rand.New(rand.NewSource(seed))
 
-		var mu sync.Mutex
 		running := 0
 		peak := 0
 		ok := true
 		m.RegisterExecutable("job", func(p *Proc) error {
 			if p.Rank == 0 {
-				mu.Lock()
 				running += p.Count
 				if running > procs {
 					ok = false
@@ -37,11 +34,8 @@ func TestBatchSchedulerCapacityInvariant(t *testing.T) {
 				if running > peak {
 					peak = running
 				}
-				mu.Unlock()
 				defer func() {
-					mu.Lock()
 					running -= p.Count
-					mu.Unlock()
 				}()
 			}
 			return p.Work(time.Duration(1+rng.Intn(30))*time.Second, time.Second)
@@ -72,8 +66,6 @@ func TestBatchSchedulerCapacityInvariant(t *testing.T) {
 				return false
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		return ok && peak <= procs
 	}
 	cfg := &quick.Config{

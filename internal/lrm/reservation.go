@@ -29,9 +29,8 @@ var (
 	ErrPastStart           = errors.New("lrm: reservation start is in the past")
 )
 
-// reservedAtLocked sums reservation carve-outs active at time t. Caller
-// holds m.mu.
-func (m *Machine) reservedAtLocked(t time.Duration) int {
+// reservedAt sums reservation carve-outs active at time t.
+func (m *Machine) reservedAt(t time.Duration) int {
 	total := 0
 	for _, r := range m.reservations {
 		if r.Start <= t && t < r.End {
@@ -45,8 +44,6 @@ func (m *Machine) reservedAtLocked(t time.Duration) int {
 // the window would oversubscribe the machine against existing
 // reservations.
 func (m *Machine) Reserve(count int, start, duration time.Duration) (*Reservation, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.down {
 		return nil, ErrMachineDown
 	}
@@ -69,7 +66,7 @@ func (m *Machine) Reserve(count int, start, duration time.Duration) (*Reservatio
 		}
 	}
 	for _, p := range points {
-		if m.reservedAtLocked(p)+count > m.processors {
+		if m.reservedAt(p)+count > m.processors {
 			return nil, ErrReservationConflict
 		}
 	}
@@ -86,15 +83,11 @@ func (m *Machine) Reserve(count int, start, duration time.Duration) (*Reservatio
 
 // CancelReservation releases a reservation.
 func (m *Machine) CancelReservation(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	delete(m.reservations, id)
 }
 
 // Reservations lists current reservations sorted by start time.
 func (m *Machine) Reservations() []*Reservation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]*Reservation, 0, len(m.reservations))
 	for _, r := range m.reservations {
 		out = append(out, r)
@@ -108,8 +101,6 @@ func (m *Machine) Reservations() []*Reservation {
 // reservations. The best-effort batch queue is not consulted: reservations
 // preempt it by construction.
 func (m *Machine) EarliestSlot(count int, duration, notBefore time.Duration) (time.Duration, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if count <= 0 {
 		return 0, ErrBadCount
 	}
@@ -128,16 +119,16 @@ func (m *Machine) EarliestSlot(count int, duration, notBefore time.Duration) (ti
 	}
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 	for _, start := range candidates {
-		if m.windowFitsLocked(count, start, start+duration) {
+		if m.windowFits(count, start, start+duration) {
 			return start, nil
 		}
 	}
 	return 0, ErrReservationConflict
 }
 
-// windowFitsLocked reports whether count processors are free of
-// reservations throughout [start, end). Caller holds m.mu.
-func (m *Machine) windowFitsLocked(count int, start, end time.Duration) bool {
+// windowFits reports whether count processors are free of
+// reservations throughout [start, end).
+func (m *Machine) windowFits(count int, start, end time.Duration) bool {
 	points := []time.Duration{start}
 	for _, r := range m.reservations {
 		if r.Start > start && r.Start < end {
@@ -145,7 +136,7 @@ func (m *Machine) windowFitsLocked(count int, start, end time.Duration) bool {
 		}
 	}
 	for _, p := range points {
-		if m.reservedAtLocked(p)+count > m.processors {
+		if m.reservedAt(p)+count > m.processors {
 			return false
 		}
 	}

@@ -12,11 +12,11 @@ import (
 	"cogrid/internal/vtime"
 )
 
-// naiveShadowLocked is the pre-index shadow-time computation: copy the
+// naiveShadow is the pre-index shadow-time computation: copy the
 // running map, sort by expected end, accumulate. It is the oracle the
 // incremental release index must agree with. Caller holds m.mu.
-func naiveShadowLocked(m *Machine, need int) time.Duration {
-	avail := m.availableLocked()
+func naiveShadow(m *Machine, need int) time.Duration {
+	avail := m.available()
 	if need <= avail {
 		return m.sim.Now()
 	}
@@ -38,9 +38,9 @@ func naiveShadowLocked(m *Machine, need int) time.Duration {
 	return m.sim.Now() + defaultLimit
 }
 
-// naiveAscendLocked lists live releases sorted by (at) from the running
+// naiveAscend lists live releases sorted by (at) from the running
 // map, for comparing the index's ascent order. Caller holds m.mu.
-func naiveAscendLocked(m *Machine) []relPoint {
+func naiveAscend(m *Machine) []relPoint {
 	out := make([]relPoint, 0, len(m.running))
 	for job, end := range m.running {
 		out = append(out, relPoint{at: end, procs: job.spec.Count})
@@ -66,17 +66,15 @@ func TestReleaseIndexMatchesNaiveRecompute(t *testing.T) {
 			err := sim.Run("driver", func() {
 				var active []*Job
 				check := func() {
-					m.mu.Lock()
-					defer m.mu.Unlock()
 					// Ascent order: same (at, procs) sequence as sorting the
 					// running map. Ties in at may permute, so compare as
 					// multisets bucketed by at.
 					var got []relPoint
-					m.ascendReleasesLocked(func(at time.Duration, procs int) bool {
+					m.ascendReleases(func(at time.Duration, procs int) bool {
 						got = append(got, relPoint{at: at, procs: procs})
 						return true
 					})
-					want := naiveAscendLocked(m)
+					want := naiveAscend(m)
 					if len(got) != len(want) {
 						t.Fatalf("ascent visited %d releases, naive has %d", len(got), len(want))
 					}
@@ -99,7 +97,7 @@ func TestReleaseIndexMatchesNaiveRecompute(t *testing.T) {
 					}
 					// Shadow times agree for every request size that matters.
 					for _, need := range []int{1, 32, 256, 512} {
-						if g, w := m.shadowTimeIndexLocked(need), naiveShadowLocked(m, need); g != w {
+						if g, w := m.shadowTimeIndex(need), naiveShadow(m, need); g != w {
 							t.Fatalf("shadow(need=%d) index=%v naive=%v", need, g, w)
 						}
 					}
@@ -113,7 +111,6 @@ func TestReleaseIndexMatchesNaiveRecompute(t *testing.T) {
 					switch {
 					case rng.Intn(3) > 0 && len(m.running) < 64:
 						// Start: mimic the scheduler's bookkeeping.
-						m.mu.Lock()
 						m.nextJobID++
 						job := &Job{
 							machine: m,
@@ -121,7 +118,6 @@ func TestReleaseIndexMatchesNaiveRecompute(t *testing.T) {
 							spec:    JobSpec{Count: 1 + rng.Intn(64), TimeLimit: time.Duration(rng.Intn(3600)) * time.Second},
 						}
 						m.runningAdd(job)
-						m.mu.Unlock()
 						active = append(active, job)
 					case len(active) > 0:
 						// Finish: the same delete finishJob performs.
@@ -129,9 +125,7 @@ func TestReleaseIndexMatchesNaiveRecompute(t *testing.T) {
 						job := active[i]
 						active[i] = active[len(active)-1]
 						active = active[:len(active)-1]
-						m.mu.Lock()
 						delete(m.running, job)
-						m.mu.Unlock()
 					}
 					check()
 					if rng.Intn(4) == 0 {
@@ -146,16 +140,16 @@ func TestReleaseIndexMatchesNaiveRecompute(t *testing.T) {
 	}
 }
 
-// shadowTimeIndexLocked is shadowTimeLocked generalized to a raw request
+// shadowTimeIndex is shadowTime generalized to a raw request
 // size, so the property test can probe sizes without fabricating head
 // jobs. Caller holds m.mu.
-func (m *Machine) shadowTimeIndexLocked(need int) time.Duration {
-	avail := m.availableLocked()
+func (m *Machine) shadowTimeIndex(need int) time.Duration {
+	avail := m.available()
 	if need <= avail {
 		return m.sim.Now()
 	}
 	shadow := m.sim.Now() + defaultLimit
-	m.ascendReleasesLocked(func(at time.Duration, procs int) bool {
+	m.ascendReleases(func(at time.Duration, procs int) bool {
 		avail += procs
 		if need <= avail {
 			shadow = at
@@ -220,7 +214,6 @@ func TestBatchStress(t *testing.T) {
 		t.Fatalf("FreeProcessors = %d after quiescence, want %d", free, m.Processors())
 	}
 	// RetireTerminal bounds the job table.
-	m.mu.Lock()
 	tableLen := len(m.jobs)
 	idxLen := m.releases.len()
 	// Lazy deletion may leave entries that went stale after the final
@@ -232,7 +225,6 @@ func TestBatchStress(t *testing.T) {
 			stale++
 		}
 	}
-	m.mu.Unlock()
 	if tableLen != 0 {
 		t.Fatalf("job table holds %d entries after retirement", tableLen)
 	}
@@ -296,9 +288,7 @@ func TestReleaseIndexStaysBounded(t *testing.T) {
 				runtime.SetFinalizer(job, func(*Job) { close(collected) })
 			}
 			job.Done().Wait()
-			m.mu.Lock()
 			peak = max(peak, m.releases.len())
-			m.mu.Unlock()
 		}
 	})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cogrid/internal/lrm"
@@ -72,7 +71,6 @@ type Server struct {
 	sim *vtime.Sim
 	ttl time.Duration
 
-	mu      sync.Mutex
 	records map[string]Record
 	meta    map[string]Meta
 }
@@ -118,9 +116,7 @@ func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 			return nil, fmt.Errorf("mds: record without name")
 		}
 		rec.UpdatedAt = s.sim.Now()
-		s.mu.Lock()
 		s.records[rec.Name] = rec
-		s.mu.Unlock()
 		return nil, nil
 	case "unregister":
 		var args struct {
@@ -129,9 +125,7 @@ func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 		if err := rpc.Decode(body, &args); err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
 		delete(s.records, args.Name)
-		s.mu.Unlock()
 		return nil, nil
 	case "query":
 		var f Filter
@@ -148,9 +142,7 @@ func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 			return nil, fmt.Errorf("mds: meta without key")
 		}
 		m.UpdatedAt = s.sim.Now()
-		s.mu.Lock()
 		s.meta[m.Key] = m
-		s.mu.Unlock()
 		return nil, nil
 	case "getmeta":
 		var args struct {
@@ -159,9 +151,7 @@ func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 		if err := rpc.Decode(body, &args); err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
 		m, ok := s.meta[args.Key]
-		s.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("mds: no meta %q", args.Key)
 		}
@@ -176,8 +166,6 @@ func (s *Server) query(f Filter) []Record {
 		maxAge = s.ttl
 	}
 	now := s.sim.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []Record
 	for _, rec := range s.records {
 		if now-rec.UpdatedAt > maxAge {

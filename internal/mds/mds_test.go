@@ -1,7 +1,6 @@
 package mds_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -117,7 +116,6 @@ func TestTTLExpiryRacesConcurrentPublishes(t *testing.T) {
 		at    time.Duration
 		names map[string]time.Duration // name -> record age at query time
 	}
-	var mu sync.Mutex
 	var obs []observation
 
 	const horizon = 5 * time.Minute
@@ -150,9 +148,7 @@ func TestTTLExpiryRacesConcurrentPublishes(t *testing.T) {
 				for _, rec := range recs {
 					o.names[rec.Name] = g.Sim.Now() - rec.UpdatedAt
 				}
-				mu.Lock()
 				obs = append(obs, o)
-				mu.Unlock()
 			}
 		})
 	}
@@ -168,8 +164,6 @@ func TestTTLExpiryRacesConcurrentPublishes(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	if len(obs) < 20 {
 		t.Fatalf("only %d observations", len(obs))
 	}

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"cogrid/internal/core"
@@ -67,7 +66,6 @@ type Comm struct {
 	// OpTimeout bounds blocking receives; DefaultOpTimeout if unset.
 	OpTimeout time.Duration
 
-	mu        sync.Mutex
 	conns     map[int]*transport.Conn
 	queues    map[msgKey]*vtime.Chan[[]byte]
 	finalized bool
@@ -157,8 +155,6 @@ func (c *Comm) readLoop(conn *transport.Conn) {
 
 // queue returns (creating on demand) the receive queue for (from, tag).
 func (c *Comm) queue(from, tag int) *vtime.Chan[[]byte] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	key := msgKey{from: from, tag: tag}
 	q, ok := c.queues[key]
 	if !ok {
@@ -170,28 +166,21 @@ func (c *Comm) queue(from, tag int) *vtime.Chan[[]byte] {
 
 // connTo returns (dialing on demand) the connection to a peer rank.
 func (c *Comm) connTo(rank int) (*transport.Conn, error) {
-	c.mu.Lock()
 	if c.finalized {
-		c.mu.Unlock()
 		return nil, ErrFinalized
 	}
 	if conn, ok := c.conns[rank]; ok {
-		c.mu.Unlock()
 		return conn, nil
 	}
-	c.mu.Unlock()
 	conn, err := c.rt.DialRank(rank)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
 	if existing, ok := c.conns[rank]; ok {
-		c.mu.Unlock()
 		conn.Close()
 		return existing, nil
 	}
 	c.conns[rank] = conn
-	c.mu.Unlock()
 	return conn, nil
 }
 
@@ -469,9 +458,7 @@ func (c *Comm) SendRecv(partner int, data []byte) ([]byte, error) {
 // Finalize tears down the communicator: connections close and pending
 // receives fail.
 func (c *Comm) Finalize() {
-	c.mu.Lock()
 	if c.finalized {
-		c.mu.Unlock()
 		return
 	}
 	c.finalized = true
@@ -479,7 +466,6 @@ func (c *Comm) Finalize() {
 	for _, conn := range c.conns {
 		conns = append(conns, conn)
 	}
-	c.mu.Unlock()
 	for _, conn := range conns {
 		conn.Close()
 	}

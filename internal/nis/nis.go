@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"cogrid/internal/rpc"
@@ -44,7 +43,6 @@ type Server struct {
 	sim         *vtime.Sim
 	serviceTime time.Duration
 
-	mu     sync.Mutex
 	groups map[string][]string
 }
 
@@ -69,8 +67,6 @@ func NewServer(host *transport.Host, serviceTime time.Duration) (*Server, error)
 
 // AddUser registers a user's group list.
 func (s *Server) AddUser(user string, groups ...string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.groups[user] = append([]string(nil), groups...)
 }
 
@@ -106,9 +102,7 @@ type lookup struct {
 // RunTask answers the lookup, its service time over.
 func (l *lookup) RunTask() {
 	s := l.server
-	s.mu.Lock()
 	groups, ok := s.groups[l.args.User]
-	s.mu.Unlock()
 	if !ok {
 		l.call.Reply(nil, ErrNoSuchUser)
 		return

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"cogrid/internal/lrm"
@@ -27,7 +26,6 @@ import (
 // History records observed runtimes by category and predicts new ones
 // from category means.
 type History struct {
-	mu   sync.Mutex
 	byCt map[string][]float64
 }
 
@@ -48,16 +46,12 @@ func Category(executable string, count int) string {
 
 // Observe records a completed job's runtime.
 func (h *History) Observe(category string, runtime time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.byCt[category] = append(h.byCt[category], runtime.Seconds())
 }
 
 // Predict returns the mean runtime of the category and the sample count.
 // With no history it returns (0, 0).
 func (h *History) Predict(category string) (time.Duration, int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	xs := h.byCt[category]
 	if len(xs) == 0 {
 		return 0, 0
@@ -72,8 +66,6 @@ func (h *History) Predict(category string) (time.Duration, int) {
 // PredictUpper returns a mean-plus-k-standard-errors upper bound, the
 // conservative estimate used for admission decisions.
 func (h *History) PredictUpper(category string, k float64) (time.Duration, int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	xs := h.byCt[category]
 	n := len(xs)
 	if n == 0 {

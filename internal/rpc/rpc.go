@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"cogrid/internal/metrics"
@@ -93,7 +92,6 @@ type Client struct {
 	conn *transport.Conn
 	out  sender
 
-	mu     sync.Mutex
 	nextID uint64
 	// first is the slot of the first outstanding call, and firstTaken says a
 	// caller holds it: from its call to its return, so past the reply, which
@@ -118,8 +116,8 @@ type Client struct {
 
 // pendingCall is one call's reply slot. Whoever ends the wait — the demux
 // step with the reply, shutdown with closed — first takes the slot out of
-// the pending set under Client.mu (take), so exactly one of them writes it,
-// and then sets done; the caller reads it once done is set. A caller whose
+// the pending set (take), so exactly one of them writes it, and then sets
+// done; the caller reads it once done is set. A caller whose
 // wait times out takes the slot itself, and a reply that finds no slot is
 // late.
 type pendingCall struct {
@@ -153,7 +151,7 @@ func NewClient(sim *vtime.Sim, conn *transport.Conn) *Client {
 	return c
 }
 
-// await registers a reply slot for call id. Caller holds c.mu.
+// await registers a reply slot for call id.
 func (c *Client) await(id uint64) *pendingCall {
 	p := &c.first
 	if c.firstTaken {
@@ -171,7 +169,7 @@ func (c *Client) await(id uint64) *pendingCall {
 
 // take removes call id's slot from the pending set and returns it, or nil if
 // the call is no longer waited for: it was answered, it timed out, or the
-// client shut down. Caller holds c.mu.
+// client shut down.
 func (c *Client) take(id uint64) *pendingCall {
 	p := &c.first
 	if p.id != id || id == 0 { // no call has id 0, which a free slot holds
@@ -188,10 +186,8 @@ func (c *Client) take(id uint64) *pendingCall {
 // for the next call, and has let go of the reply's frame.
 func (c *Client) release(p *pendingCall) {
 	if p == &c.first {
-		c.mu.Lock()
 		*p = pendingCall{}
 		c.firstTaken = false
-		c.mu.Unlock()
 	}
 }
 
@@ -253,9 +249,7 @@ func (c *Client) dispatch(own, shared []byte) {
 	host := c.conn.LocalAddr().Host
 	switch env.Kind {
 	case wire.KindReply:
-		c.mu.Lock()
 		p := c.take(env.ID)
-		c.mu.Unlock()
 		if p != nil {
 			p.env = env
 			p.done.Set()
@@ -288,9 +282,7 @@ func (c *Client) dispatch(own, shared []byte) {
 }
 
 func (c *Client) shutdown() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	// A closed client registers no further call.
@@ -311,7 +303,6 @@ func (c *Client) shutdown() {
 		p.id = 0
 	}
 	c.overflow = nil
-	c.mu.Unlock()
 	for _, p := range waiting {
 		p.closed = true
 		p.done.Set()
@@ -338,15 +329,12 @@ func (c *Client) Call(method string, arg, reply any, timeout time.Duration) erro
 // handler span (and everything below it) lands in the same request tree.
 // A zero ctx falls back to the connection's base context.
 func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout time.Duration) error {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	c.nextID++
 	id := c.nextID
 	slot := c.await(id)
-	c.mu.Unlock()
 	defer c.release(slot)
 
 	if !ctx.Valid() {
@@ -371,16 +359,12 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 
 	env := wire.Envelope{ID: id, Kind: wire.KindCall, Method: method, Req: callCtx.Req, Span: callCtx.Span}
 	if err := c.out.send(&env, arg); err != nil {
-		c.mu.Lock()
 		c.take(id)
-		c.mu.Unlock()
 		finish("closed")
 		return err
 	}
 	if !slot.done.WaitTimeout(timeout) {
-		c.mu.Lock()
 		c.take(id)
-		c.mu.Unlock()
 		finish("timeout")
 		return ErrTimeout
 	}
@@ -416,10 +400,9 @@ func (c *Client) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 // and ServerConn each own one.
 type sender struct {
 	conn *transport.Conn
-	// mu guards enc: concurrent senders (callers of one Client; whoever
-	// replies to a ServerConn's calls and pushes its notifications) share
-	// the direction's encoder.
-	mu  sync.Mutex
+	// enc is the direction's encoder, which every sender on it shares:
+	// the callers of one Client, or whoever replies to a ServerConn's calls
+	// and pushes its notifications.
 	enc wire.Encoder
 }
 
@@ -538,9 +521,7 @@ func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte, sh *wire.Shared) err
 	}
 	env.Body = *buf
 	ctx := envCtx(env)
-	s.mu.Lock()
 	err := s.conn.SendShared(s.enc.EncodeShared(env, sh), sh.Part(), ctx)
-	s.mu.Unlock()
 	if err != nil {
 		return ErrClosed
 	}

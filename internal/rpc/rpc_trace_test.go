@@ -41,9 +41,7 @@ func TestTimedOutCallCorrelatesLateReplyAsDropped(t *testing.T) {
 			t.Errorf("Call = %v, want ErrTimeout", err)
 		}
 		sim.Sleep(10 * time.Second) // let the late reply arrive and be dropped
-		c.mu.Lock()
 		leaked, held := len(c.overflow), c.firstTaken || c.first.id != 0
-		c.mu.Unlock()
 		if leaked != 0 || held {
 			t.Errorf("after the timeout %d reply slots are pending and the client's own is held: %v; want none", leaked, held)
 		}

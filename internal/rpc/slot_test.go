@@ -68,8 +68,6 @@ func (e *contractEnv) script(play func(s *scripted)) {
 // in the Client, and how many calls wait in the overflow map (-1: there is
 // no map).
 func slotState(c *Client) (firstTaken bool, overflow int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.overflow == nil {
 		return c.firstTaken, -1
 	}
@@ -187,11 +185,9 @@ func TestReplySlotContract(t *testing.T) {
 				if taken, overflow := slotState(c); !taken || overflow != 2 {
 					e.t.Errorf("three calls outstanding: slot taken %v, overflow %d; want taken and 2", taken, overflow)
 				}
-				c.mu.Lock()
 				if c.first.id != 3 {
 					e.t.Errorf("the slot in the Client holds call %d, want 3", c.first.id)
 				}
-				c.mu.Unlock()
 				c.Close()
 				wg.Wait()
 				if fmt.Sprint(resumed) != "[1 0 2]" {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/flightrec"
@@ -145,7 +144,6 @@ type Engine struct {
 	opts  Options
 	stop  *vtime.Event
 
-	mu     sync.Mutex
 	states []ruleState
 	alerts []Alert
 	evals  int64
@@ -186,8 +184,6 @@ func (e *Engine) EvaluateAt(h time.Duration) {
 	if h < 0 {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.evals++
 	for i := range e.rules {
 		e.evalRule(i, h)
@@ -199,7 +195,6 @@ func (e *Engine) evaluate(now time.Duration) {
 }
 
 // evalRule evaluates rule i at horizon h and records any edge transition.
-// Caller holds e.mu.
 func (e *Engine) evalRule(i int, h time.Duration) {
 	r := e.rules[i]
 	st := &e.states[i]
@@ -297,8 +292,6 @@ func compare(v float64, op string, bound float64) bool {
 // Alerts returns a copy of the alert log in firing order — deterministic
 // because only the single engine daemon appends.
 func (e *Engine) Alerts() []Alert {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]Alert, len(e.alerts))
 	copy(out, e.alerts)
 	return out
@@ -306,8 +299,6 @@ func (e *Engine) Alerts() []Alert {
 
 // Fires returns how many fire transitions were recorded.
 func (e *Engine) Fires() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := 0
 	for _, a := range e.alerts {
 		if a.State == "fire" {
@@ -319,8 +310,6 @@ func (e *Engine) Fires() int {
 
 // ActiveCount returns how many rules are currently breaching.
 func (e *Engine) ActiveCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := 0
 	for _, st := range e.states {
 		if st.active {
@@ -333,8 +322,6 @@ func (e *Engine) ActiveCount() int {
 // ActiveRules returns the names of currently-breaching rules, in rule
 // declaration order.
 func (e *Engine) ActiveRules() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var out []string
 	for i, st := range e.states {
 		if st.active {

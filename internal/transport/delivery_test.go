@@ -398,10 +398,8 @@ func TestPipelineStorageBoundedWhenNeverIdle(t *testing.T) {
 				peak, storage := 0, 0
 				for i := 0; i < sends; i++ {
 					conn.Send([]byte{byte(i)})
-					conn.mu.Lock()
 					peak = max(peak, len(conn.out)-conn.outHead)
 					storage = max(storage, cap(conn.out))
-					conn.mu.Unlock()
 					sim.Sleep(gap)
 				}
 				if peak < inFlight || peak >= maxInFlight {

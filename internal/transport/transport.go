@@ -16,8 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -81,7 +79,6 @@ func (u UniformLatency) Latency(from, to string) time.Duration {
 // symmetric; missing pairs fall back to Default.
 type MatrixLatency struct {
 	Default time.Duration
-	mu      sync.Mutex
 	pairs   map[[2]string]time.Duration
 }
 
@@ -92,8 +89,6 @@ func NewMatrixLatency(def time.Duration) *MatrixLatency {
 
 // Set assigns the symmetric latency between hosts a and b.
 func (m *MatrixLatency) Set(a, b string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.pairs[pairKey(a, b)] = d
 }
 
@@ -102,8 +97,6 @@ func (m *MatrixLatency) Latency(from, to string) time.Duration {
 	if from == to {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d, ok := m.pairs[pairKey(from, to)]; ok {
 		return d
 	}
@@ -131,23 +124,22 @@ type Network struct {
 	sim     *vtime.Sim
 	latency LatencyModel
 
-	mu         sync.Mutex
 	hosts      map[string]*Host
 	partitions map[[2]string]bool
 	connSeq    uint64 // establishment order, for deterministic failure sweeps
 
-	msgs  atomic.Int64
-	bytes atomic.Int64
+	msgs  int64
+	bytes int64
 
-	tracer   atomic.Pointer[trace.Tracer]
-	counters atomic.Pointer[trace.Counters]
+	tracer   *trace.Tracer
+	counters *trace.Counters
 	// connFamily is the attached registry's family of per-connection
 	// counters, which every new connection end joins.
-	connFamily atomic.Pointer[trace.Family]
-	gauges     atomic.Pointer[metrics.GaugeSet]
-	hists      atomic.Pointer[metrics.HistogramSet]
-	samples    atomic.Pointer[metrics.SampleLogSet]
-	flight     atomic.Pointer[flightrec.Recorder]
+	connFamily *trace.Family
+	gauges     *metrics.GaugeSet
+	hists      *metrics.HistogramSet
+	samples    *metrics.SampleLogSet
+	flight     *flightrec.Recorder
 }
 
 // New creates a network on sim with the given latency model.
@@ -164,74 +156,72 @@ func New(sim *vtime.Sim, latency LatencyModel) *Network {
 func (n *Network) Sim() *vtime.Sim { return n.sim }
 
 // Messages returns the total number of payload messages sent.
-func (n *Network) Messages() int64 { return n.msgs.Load() }
+func (n *Network) Messages() int64 { return n.msgs }
 
 // Bytes returns the total payload bytes sent.
-func (n *Network) Bytes() int64 { return n.bytes.Load() }
+func (n *Network) Bytes() int64 { return n.bytes }
 
 // SetTracer attaches a tracer to the network. Every layer above (rpc, gram,
 // duroc) reads the tracer from here, so one attachment instruments the
 // whole stack. A nil tracer (the default) disables tracing.
-func (n *Network) SetTracer(t *trace.Tracer) { n.tracer.Store(t) }
+func (n *Network) SetTracer(t *trace.Tracer) { n.tracer = t }
 
 // Tracer returns the attached tracer, or nil (which is itself a valid
 // no-op tracer).
-func (n *Network) Tracer() *trace.Tracer { return n.tracer.Load() }
+func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 
 // SetCounters attaches a counter registry. With a registry attached the
 // network maintains per-host and per-connection message, byte, and drop
 // counters; without one those paths cost nothing.
 func (n *Network) SetCounters(c *trace.Counters) {
-	n.connFamily.Store(c.Family("transport", "conn", connVerbs[:]...))
-	n.counters.Store(c)
+	n.connFamily = c.Family("transport", "conn", connVerbs[:]...)
+	n.counters = c
 }
 
 // Counters returns the attached registry, or nil.
-func (n *Network) Counters() *trace.Counters { return n.counters.Load() }
+func (n *Network) Counters() *trace.Counters { return n.counters }
 
 // SetGauges attaches a gauge registry. Layers above read it from here (as
 // with Tracer and Counters) to record virtual-time level indicators such
 // as queue depth and busy processors. A nil set (the default) disables
 // gauges.
-func (n *Network) SetGauges(g *metrics.GaugeSet) { n.gauges.Store(g) }
+func (n *Network) SetGauges(g *metrics.GaugeSet) { n.gauges = g }
 
 // Gauges returns the attached gauge registry, or nil (which is itself a
 // valid no-op registry).
-func (n *Network) Gauges() *metrics.GaugeSet { return n.gauges.Load() }
+func (n *Network) Gauges() *metrics.GaugeSet { return n.gauges }
 
 // SetHists attaches a histogram registry. As with Tracer/Counters/Gauges,
 // every layer above reads it from here, so one attachment threads latency
 // histograms through the whole stack. A nil set (the default) disables
 // them; recording into a nil histogram is a no-op.
-func (n *Network) SetHists(h *metrics.HistogramSet) { n.hists.Store(h) }
+func (n *Network) SetHists(h *metrics.HistogramSet) { n.hists = h }
 
 // Hists returns the attached histogram registry, or nil (which is itself a
 // valid no-op registry).
-func (n *Network) Hists() *metrics.HistogramSet { return n.hists.Load() }
+func (n *Network) Hists() *metrics.HistogramSet { return n.hists }
 
 // SetSamples attaches a sample-log registry: timestamped observation
 // streams the SLO engine queries over sliding windows. As with the other
 // registries, layers above read it from here. Nil disables it.
-func (n *Network) SetSamples(s *metrics.SampleLogSet) { n.samples.Store(s) }
+func (n *Network) SetSamples(s *metrics.SampleLogSet) { n.samples = s }
 
 // Samples returns the attached sample-log registry, or nil (which is
 // itself a valid no-op registry).
-func (n *Network) Samples() *metrics.SampleLogSet { return n.samples.Load() }
+func (n *Network) Samples() *metrics.SampleLogSet { return n.samples }
 
 // SetFlightRec attaches the flight recorder so any layer can freeze the
 // black box at a trigger point (watchdog abort, orphan record, replica
 // crash). Nil (the default) disables triggers.
-func (n *Network) SetFlightRec(r *flightrec.Recorder) { n.flight.Store(r) }
+func (n *Network) SetFlightRec(r *flightrec.Recorder) { n.flight = r }
 
 // FlightRec returns the attached flight recorder, or nil (which is itself
 // a valid no-op recorder).
-func (n *Network) FlightRec() *flightrec.Recorder { return n.flight.Load() }
+func (n *Network) FlightRec() *flightrec.Recorder { return n.flight }
 
 // AddHost registers a host by name. Adding an existing name returns the
 // existing host.
 func (n *Network) AddHost(name string) *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if h, ok := n.hosts[name]; ok {
 		return h
 	}
@@ -247,38 +237,28 @@ func (n *Network) AddHost(name string) *Host {
 
 // Host returns the named host, or nil if it was never added.
 func (n *Network) Host(name string) *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.hosts[name]
 }
 
 // Partition severs connectivity between hosts a and b: packets in either
 // direction are silently dropped and new dials time out.
 func (n *Network) Partition(a, b string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.partitions[pairKey(a, b)] = true
 }
 
 // Heal restores connectivity between hosts a and b.
 func (n *Network) Heal(a, b string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	delete(n.partitions, pairKey(a, b))
 }
 
 // Partitioned reports whether hosts a and b are partitioned.
 func (n *Network) Partitioned(a, b string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.partitions[pairKey(a, b)]
 }
 
 // deliverable reports whether a packet sent now from one host would reach
 // the other, considering partitions and remote failure state.
 func (n *Network) deliverable(from, to string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.partitions[pairKey(from, to)] {
 		return false
 	}
@@ -297,7 +277,7 @@ type Host struct {
 
 	// counted caches the handles of the host's message and byte counters,
 	// the pair for each verb resolved by the host's first message that way.
-	counted [len(hostVerbs)]atomic.Pointer[hostCounters]
+	counted [len(hostVerbs)]hostCounters
 }
 
 // The per-host counters' verbs: a send counts against the sender's host, a
@@ -326,14 +306,13 @@ func (h *Host) count(verb, size int) {
 	if ctrs == nil {
 		return
 	}
-	hc := h.counted[verb].Load()
-	if hc == nil || hc.reg != ctrs {
-		hc = &hostCounters{
+	hc := &h.counted[verb]
+	if hc.reg != ctrs {
+		*hc = hostCounters{
 			reg:   ctrs,
 			msgs:  ctrs.C(trace.Key("transport", "msgs", hostVerbs[verb], h.name)),
 			bytes: ctrs.C(trace.Key("transport", "bytes", hostVerbs[verb], h.name)),
 		}
-		h.counted[verb].Store(hc) // a racing resolver stores equal handles
 	}
 	hc.msgs.Add(1)
 	hc.bytes.Add(int64(size))
@@ -347,8 +326,6 @@ func (h *Host) Network() *Network { return h.net }
 
 // Up reports whether the host is neither crashed nor hung.
 func (h *Host) Up() bool {
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
 	return h.state == hostUp
 }
 
@@ -359,15 +336,12 @@ func (h *Host) Crash() { h.fail(hostCrashed) }
 // Hang fails the host silently: connections stay open but all traffic to
 // and from it is dropped, so peers observe only lack of progress.
 func (h *Host) Hang() {
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
 	if h.state == hostUp {
 		h.state = hostHung
 	}
 }
 
 func (h *Host) fail(to hostState) {
-	h.net.mu.Lock()
 	h.state = to
 	conns := make([]*Conn, 0, len(h.conns))
 	for c := range h.conns {
@@ -379,7 +353,6 @@ func (h *Host) fail(to hostState) {
 		listeners = append(listeners, l)
 	}
 	h.listeners = make(map[string]*Listener)
-	h.net.mu.Unlock()
 	// Close in establishment order, not map order: every Close wakes the
 	// connection's blocked peers, and the wake sequence must be a function
 	// of the seed, not of map iteration.
@@ -397,8 +370,6 @@ func (h *Host) fail(to hostState) {
 // listeners and connections are gone; re-create services explicitly after
 // RestoreCrashed.
 func (h *Host) Restore() {
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
 	if h.state == hostHung {
 		h.state = hostUp
 	}
@@ -407,15 +378,11 @@ func (h *Host) Restore() {
 // RestoreCrashed boots a crashed host back up with no listeners or
 // connections.
 func (h *Host) RestoreCrashed() {
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
 	h.state = hostUp
 }
 
 // Listen registers a service listener on the host.
 func (h *Host) Listen(service string) (*Listener, error) {
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
 	if h.state != hostUp {
 		return nil, ErrHostDown
 	}
@@ -444,12 +411,9 @@ func (h *Host) Dial(to Addr) (*Conn, error) { return h.DialCtx(to, trace.Ctx{}) 
 // identifier (see newConnPair).
 func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	n := h.net
-	n.mu.Lock()
 	if h.state != hostUp {
-		n.mu.Unlock()
 		return nil, ErrHostDown
 	}
-	n.mu.Unlock()
 
 	oneWay := n.latency.Latency(h.name, to.Host)
 	dialStart := n.sim.Now()
@@ -472,13 +436,11 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	}
 	n.sim.Sleep(oneWay) // SYN
 
-	n.mu.Lock()
-	// Re-check the local host under the same lock that registers the conn
-	// pair: the host may have crashed or hung during the SYN sleep, and its
-	// sweep already ran. Registering now would attach live connections to a
+	// Re-check the local host before registering the conn pair: the host
+	// may have crashed or hung during the SYN sleep, and its sweep already
+	// ran. Registering now would attach live connections to a
 	// swept host — they would never be closed by a later failure.
 	if h.state != hostUp {
-		n.mu.Unlock()
 		h.traceFailedDial(to, ctx, dialStart, "local-down")
 		return nil, ErrHostDown
 	}
@@ -494,7 +456,6 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 		h.conns[client] = struct{}{}
 		remote.conns[server] = struct{}{}
 	}
-	n.mu.Unlock()
 
 	n.sim.Sleep(oneWay) // SYN-ACK
 	if refused {
@@ -530,7 +491,6 @@ type Listener struct {
 	host    *Host
 	service string
 	accept  vtime.Chan[*Conn]
-	mu      sync.Mutex
 	closed  bool
 }
 
@@ -576,19 +536,14 @@ func tryResult(res vtime.RecvResult) error {
 func (l *Listener) Close() { l.close(true) }
 
 func (l *Listener) close(deregister bool) {
-	l.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
 		return
 	}
 	l.closed = true
-	l.mu.Unlock()
 	if deregister {
-		l.host.net.mu.Lock()
 		if l.host.listeners[l.service] == l {
 			delete(l.host.listeners, l.service)
 		}
-		l.host.net.mu.Unlock()
 	}
 	l.accept.Close()
 }
@@ -667,7 +622,7 @@ type Conn struct {
 	// built when something first asks for them.
 	est    time.Duration
 	server bool
-	named  atomic.Pointer[connNames]
+	named  *connNames
 	// ctx is the base causal context the connection was dialed under;
 	// both ends share it. Context-less sends inherit it.
 	ctx trace.Ctx
@@ -677,12 +632,10 @@ type Conn struct {
 	// bound cardinality), nil when no registry is attached.
 	hBytes, hDelay *metrics.Histogram
 
-	mu sync.Mutex
-
-	// The delivery pipeline, guarded by mu: out[outHead:] is in flight,
-	// delivering says the deliver task is armed or queued (so a send only
-	// appends), sealed that the FIN is in (or the peer's has arrived) and
-	// nothing more may enter. closed, the end's own, shares their word.
+	// The delivery pipeline: out[outHead:] is in flight, delivering says
+	// the deliver task is armed or queued (so a send only appends), sealed
+	// that the FIN is in (or the peer's has arrived) and nothing more may
+	// enter. closed, the end's own, shares their word.
 	out        []outMsg
 	outHead    int
 	closed     bool
@@ -764,8 +717,8 @@ type connNames struct{ flow, dir, to string }
 // simultaneous dials differ, keeping flows (and the correlation IDs layered
 // on them) unique per connection.
 func (c *Conn) names() *connNames {
-	if n := c.named.Load(); n != nil {
-		return n
+	if c.named != nil {
+		return c.named
 	}
 	client, server := c.local, c.remote
 	if c.server {
@@ -786,13 +739,12 @@ func (c *Conn) names() *connNames {
 	}
 	all := sb.String()
 	toAt := len(c.local.Host) + len(c.local.Service) + 3
-	n := &connNames{
+	c.named = &connNames{
 		flow: all[dl:],
 		dir:  all[:dl],
 		to:   all[toAt : dl-len(t)-1],
 	}
-	c.named.Store(n) // a racing builder stores an equal value
-	return n
+	return c.named
 }
 
 // fnv1a folds s into the 32-bit FNV-1a hash h (hash/fnv's New32a, without
@@ -832,7 +784,7 @@ func (c *Conn) Ctx() trace.Ctx { return c.ctx }
 
 // newConnPair builds both ends of a connection from a client on host from
 // to service on host to in one allocation, and both ends' counters, if a
-// registry is attached, in another. Caller holds n.mu.
+// registry is attached, in another.
 func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server *Conn) {
 	n := from.net
 	pair := new([2]Conn)
@@ -840,7 +792,7 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 	client.host, client.local = from, Addr{from.name, "client"}
 	server.host, server.local, server.server = to, Addr{to.name, service}, true
 	client.remote, server.remote = server.local, client.local
-	fam, hs := n.connFamily.Load(), n.Hists()
+	fam, hs := n.connFamily, n.hists
 	var stats *[2]connStats
 	if fam != nil {
 		stats = new([2]connStats)
@@ -873,21 +825,17 @@ func (d *deliverer) RunTask() {
 	c := (*Conn)(d)
 	now := c.net.sim.Now()
 	for {
-		c.mu.Lock()
 		if c.outHead == len(c.out) {
 			c.out, c.outHead, c.delivering = c.out[:0], 0, false
-			c.mu.Unlock()
 			return
 		}
 		if at := c.out[c.outHead].deliverAt; at > now {
-			c.mu.Unlock()
 			c.deliver.At(at)
 			return
 		}
 		m := c.out[c.outHead]
 		c.out[c.outHead] = outMsg{}
 		c.outHead++
-		c.mu.Unlock()
 		if m.fin {
 			c.peer.shut(false) // the peer's receive side closes
 			continue           // nothing is behind a FIN
@@ -978,17 +926,12 @@ func (c *Conn) SendShared(own []byte, shared *[]byte, ctx trace.Ctx) error {
 	if !ctx.Valid() {
 		ctx = c.ctx
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed {
 		return ErrClosed
 	}
 	n := c.net
-	n.mu.Lock()
 	h := n.hosts[c.local.Host]
 	localUp := h != nil && h.state == hostUp
-	n.mu.Unlock()
 	if !localUp {
 		return ErrHostDown
 	}
@@ -998,8 +941,8 @@ func (c *Conn) SendShared(own []byte, shared *[]byte, ctx trace.Ctx) error {
 		c.dropped(size, "unreachable", ctx)
 		return nil // silently dropped
 	}
-	n.msgs.Add(1)
-	n.bytes.Add(int64(size))
+	n.msgs++
+	n.bytes += int64(size)
 	c.stats.add(ctrSend, 1)
 	c.stats.add(ctrSendBytes, int64(size))
 	c.host.count(hostSend, size)
@@ -1008,9 +951,7 @@ func (c *Conn) SendShared(own []byte, shared *[]byte, ctx trace.Ctx) error {
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
 	// One hop span per send, covering the wire time to the peer.
 	c.traceHop(ctx, size, now, now+oneWay)
-	c.mu.Lock()
-	ok := c.enqueueLocked(outMsg{pendingMsg: pendingMsg{m, now, ctx}, deliverAt: now + oneWay})
-	c.mu.Unlock()
+	ok := c.enqueue(outMsg{pendingMsg: pendingMsg{m, now, ctx}, deliverAt: now + oneWay})
 	if !ok {
 		// The delivery queue is saturated (extreme overload) or the send
 		// raced with a close. Either way the message is lost here, and the
@@ -1021,11 +962,11 @@ func (c *Conn) SendShared(own []byte, shared *[]byte, ctx trace.Ctx) error {
 	return nil
 }
 
-// enqueueLocked places m in the delivery pipeline and, if the pipeline was
+// enqueue places m in the delivery pipeline and, if the pipeline was
 // idle, readies the deliver task: it runs when the sender next blocks,
 // never inside the send. Returns false when the pipeline is saturated or
-// sealed. Caller holds c.mu.
-func (c *Conn) enqueueLocked(m outMsg) bool {
+// sealed.
+func (c *Conn) enqueue(m outMsg) bool {
 	if c.sealed || !m.fin && len(c.out)-c.outHead >= maxInFlight {
 		return false
 	}
@@ -1112,23 +1053,19 @@ func (c *Conn) Close() { c.shut(true) }
 // shut closes this end, once. A close of the end's own making (fin) lets
 // what it has sent drain to the peer and sends a FIN after it.
 func (c *Conn) shut(fin bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
 	c.closed = true
 	n := c.net
-	n.mu.Lock()
 	if h := n.hosts[c.local.Host]; h != nil {
 		delete(h.conns, c)
 	}
-	n.mu.Unlock()
 	c.in.Close()
 	if fin {
 		// Exempt from the pipeline's bound: the peer observes ErrClosed even
 		// when the close finds the pipeline saturated, never a hang.
-		c.enqueueLocked(outMsg{deliverAt: n.sim.Now() + n.latency.Latency(c.local.Host, c.remote.Host), fin: true})
+		c.enqueue(outMsg{deliverAt: n.sim.Now() + n.latency.Latency(c.local.Host, c.remote.Host), fin: true})
 	}
 	c.sealed = true
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cogrid/internal/broker"
@@ -244,7 +243,6 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 		hosts[i] = tb.Grid.Net.AddHost(name)
 	}
 	var (
-		mu        sync.Mutex
 		t         Tally
 		latencies []float64 // seconds, completed requests only
 		lastDone  time.Duration
@@ -268,7 +266,6 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 					issued := sim.Now()
 					ok := op(i, k, hosts[i])
 					done := sim.Now()
-					mu.Lock()
 					if ok {
 						t.Completed++
 						latencies = append(latencies, (done - issued).Seconds())
@@ -276,7 +273,6 @@ func (tb *Testbed) Run(load Load, op func(i, k int, host *transport.Host) bool) 
 					} else {
 						t.Failed++
 					}
-					mu.Unlock()
 				}
 			})
 		}
