@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -100,7 +99,6 @@ func TestAtomicAllOrNothing(t *testing.T) {
 		g    *grid.Grid
 		ctrl *core.Controller
 
-		mu                 sync.Mutex
 		proceeded, aborted int
 	}
 	cases := []struct {
@@ -154,8 +152,6 @@ func TestAtomicAllOrNothing(t *testing.T) {
 					t.Errorf("Atomic = %v, want ErrAborted naming subjob \"dead\"", err)
 				}
 				r.g.Sim.Sleep(5 * time.Second) // let the aborts arrive
-				r.mu.Lock()
-				defer r.mu.Unlock()
 				if r.proceeded != 0 || r.aborted != 8 {
 					t.Errorf("%d processes proceeded and %d saw the abort, want 0 and 8", r.proceeded, r.aborted)
 				}
@@ -207,13 +203,11 @@ func TestAtomicAllOrNothing(t *testing.T) {
 				}
 				defer rt.Close()
 				_, err = rt.Barrier(true, "", 0)
-				r.mu.Lock()
 				if err != nil {
 					r.aborted++
 				} else {
 					r.proceeded++
 				}
-				r.mu.Unlock()
 				if err != nil {
 					return nil
 				}

@@ -2,7 +2,6 @@ package broker_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -299,7 +298,6 @@ func TestBrokerRoundRobinFairness(t *testing.T) {
 		tenant string
 		doneAt time.Duration
 	}
-	var mu sync.Mutex
 	var results []result
 	err := r.g.Sim.Run("main", func() {
 		wg := vtime.NewWaitGroup(r.g.Sim)
@@ -319,9 +317,7 @@ func TestBrokerRoundRobinFairness(t *testing.T) {
 				if !reply.OK() {
 					t.Errorf("%s: reply not ok: %+v", tenant, reply)
 				}
-				mu.Lock()
 				results = append(results, result{tenant: tenant, doneAt: r.g.Sim.Now()})
-				mu.Unlock()
 			})
 		}
 		base := 10 * time.Second

@@ -2,7 +2,6 @@ package mpig_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +20,6 @@ func TestPeerCrashSurfacesAsRecvError(t *testing.T) {
 	for _, name := range []string{"alive", "doomed"} {
 		g.AddMachine(name, 8, lrm.Fork)
 	}
-	var mu sync.Mutex
 	var recvErr error
 	g.RegisterEverywhere("mpi", func(p *lrm.Proc) error {
 		comm, err := mpig.Init(p)
@@ -36,9 +34,7 @@ func TestPeerCrashSurfacesAsRecvError(t *testing.T) {
 			return nil
 		}
 		_, err = comm.Recv(1, 5) // rank 1 lives on the doomed machine
-		mu.Lock()
 		recvErr = err
-		mu.Unlock()
 		return nil
 	})
 	ctrl, err := core.NewController(g.Workstation, core.ControllerConfig{
@@ -68,8 +64,6 @@ func TestPeerCrashSurfacesAsRecvError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if recvErr == nil {
 		t.Fatal("surviving rank's Recv returned nil after peer crash")
 	}

@@ -3,7 +3,6 @@ package mpig_test
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 func launch(t *testing.T, machines []string, procsPer int, body func(c *mpig.Comm) error) []error {
 	t.Helper()
 	g := grid.New(grid.Options{})
-	var mu sync.Mutex
 	var errs []error
 	for _, name := range machines {
 		g.AddMachine(name, 64, lrm.Fork)
@@ -26,16 +24,12 @@ func launch(t *testing.T, machines []string, procsPer int, body func(c *mpig.Com
 	g.RegisterEverywhere("mpi", func(p *lrm.Proc) error {
 		comm, err := mpig.Init(p)
 		if err != nil {
-			mu.Lock()
 			errs = append(errs, fmt.Errorf("init: %w", err))
-			mu.Unlock()
 			return nil
 		}
 		defer comm.Finalize()
 		if err := body(comm); err != nil {
-			mu.Lock()
 			errs = append(errs, fmt.Errorf("rank %d: %w", comm.Rank(), err))
-			mu.Unlock()
 		}
 		return nil
 	})
@@ -71,8 +65,6 @@ func launch(t *testing.T, machines []string, procsPer int, body func(c *mpig.Com
 	if simErr != nil {
 		t.Fatalf("sim: %v", simErr)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	return errs
 }
 
@@ -84,7 +76,6 @@ func noErrors(t *testing.T, errs []error) {
 }
 
 func TestWorldFormation(t *testing.T) {
-	var mu sync.Mutex
 	ranks := map[int]int{}
 	errs := launch(t, []string{"m1", "m2", "m3"}, 4, func(c *mpig.Comm) error {
 		if c.Size() != 12 {
@@ -93,9 +84,7 @@ func TestWorldFormation(t *testing.T) {
 		if c.Subjob() < 0 || c.Subjob() > 2 {
 			return fmt.Errorf("subjob = %d", c.Subjob())
 		}
-		mu.Lock()
 		ranks[c.Rank()]++
-		mu.Unlock()
 		return nil
 	})
 	noErrors(t, errs)
@@ -168,7 +157,6 @@ func TestMessageOrderingPreserved(t *testing.T) {
 }
 
 func TestBarrierSynchronizes(t *testing.T) {
-	var mu sync.Mutex
 	var after []time.Duration
 	errs := launch(t, []string{"m1", "m2"}, 2, func(c *mpig.Comm) error {
 		// Rank 0 dawdles; everyone must leave the barrier only after it
@@ -181,14 +169,10 @@ func TestBarrierSynchronizes(t *testing.T) {
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		mu.Lock()
 		after = append(after, c.Proc().Sim().Now())
-		mu.Unlock()
 		return nil
 	})
 	noErrors(t, errs)
-	mu.Lock()
-	defer mu.Unlock()
 	if len(after) != 4 {
 		t.Fatalf("%d ranks passed the barrier", len(after))
 	}

@@ -2,7 +2,6 @@ package reservation_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -99,7 +98,6 @@ func TestCoReserveEmptyParticipants(t *testing.T) {
 
 func TestCoReservationClaimedThroughDUROC(t *testing.T) {
 	g, ctrl := newRig(t)
-	var mu sync.Mutex
 	var startTimes []time.Duration
 	g.RegisterEverywhere("synced", func(p *lrm.Proc) error {
 		rt, err := core.Attach(p)
@@ -110,9 +108,7 @@ func TestCoReservationClaimedThroughDUROC(t *testing.T) {
 		if _, err := rt.Barrier(true, "", 0); err != nil {
 			return nil
 		}
-		mu.Lock()
 		startTimes = append(startTimes, p.Sim().Now())
-		mu.Unlock()
 		return p.Work(time.Minute, time.Second)
 	})
 	err := g.Sim.Run("agent", func() {
@@ -146,8 +142,6 @@ func TestCoReservationClaimedThroughDUROC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if len(startTimes) != 32 {
 		t.Fatalf("%d processes released, want 32", len(startTimes))
 	}
