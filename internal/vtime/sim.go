@@ -334,11 +334,12 @@ func (s *Sim) releaseFreeLocked() {
 // simulation completes: every non-daemon process has exited, or a deadlock
 // was detected. It returns the *DeadlockError in the latter case. Nothing
 // spawned or readied during setup runs before Wait: its first call grants
-// the run token, in the order everything was queued. Daemons that were queued
-// for the run token at that moment run first, one after another, each until
-// it exits or tries to wait — the first that waits keeps the token for good
-// — so whatever a run emits has been emitted when Wait returns. At least one
-// non-daemon process must have been spawned before calling Wait.
+// the run token, in the order everything was queued. Daemons that were
+// queued for the token when the run completed run before Wait returns, one
+// after another, each until it exits or tries to wait — the first that
+// waits keeps the token for good — so whatever a run emits has been
+// emitted when Wait returns. At least one non-daemon process must have
+// been spawned before calling Wait.
 func (s *Sim) Wait() error {
 	s.mu.Lock()
 	if !s.started {
