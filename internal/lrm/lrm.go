@@ -396,8 +396,7 @@ func (j *Job) Resume() error {
 // it next.
 func (j *Job) turn(from, to JobState, verb, next string) error {
 	if j.state != from {
-		state := j.state
-		return fmt.Errorf("lrm: cannot %s job in state %v", verb, state)
+		return fmt.Errorf("lrm: cannot %s job in state %v", verb, j.state)
 	}
 	interrupt := j.interrupt
 	j.interrupt = vtime.NewEvent(j.machine.sim, next)
