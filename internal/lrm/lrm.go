@@ -319,6 +319,10 @@ type Job struct {
 	// the first is firstInterrupt, so only a suspension allocates.
 	interrupt      *vtime.Event
 	firstInterrupt vtime.Event
+	// firstEvents are the event stream's first slots: a job sends two states
+	// (active, then terminal), four if suspended and resumed once, so a
+	// stream nobody drains still allocates nothing.
+	firstEvents [4]JobState
 }
 
 // signalName names one of a job's embedded events. A constant of this type
@@ -456,7 +460,7 @@ func (m *Machine) Submit(spec JobSpec) (*Job, error) {
 	}
 	job.kill.Init(m.sim, signalName("kill"))
 	job.done.Init(m.sim, signalName("done"))
-	job.events.Init(m.sim, (*jobEvents)(job), 16)
+	job.events.InitFirst(m.sim, (*jobEvents)(job), 16, job.firstEvents[:])
 	job.firstInterrupt.Init(m.sim, signalName("interrupt"))
 	job.interrupt = &job.firstInterrupt
 	m.jobs[job.id] = job

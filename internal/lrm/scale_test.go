@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
@@ -262,6 +263,49 @@ func TestFullMachineSubmitAllocations(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestBatchJobLifeAllocations prices a batch job's whole life on an idle
+// machine that retires what has finished: submitted, run to Done, and its
+// event stream read by nobody: 8 allocations. The stream's first slots are
+// in the job, so the two states it sends allocate nothing; they grew the
+// stream's ring before, a ninth.
+func TestBatchJobLifeAllocations(t *testing.T) {
+	sim := vtime.New()
+	host := transport.New(sim, transport.UniformLatency(time.Millisecond)).AddHost("origin")
+	m := NewMachine(host, 4, Config{Mode: Batch, RetireTerminal: true})
+	registerWork(m, time.Second)
+	err := sim.Run("driver", func() {
+		life := func() {
+			job, err := m.Submit(JobSpec{Executable: "work", Count: 1, TimeLimit: time.Minute})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			job.Done().Wait()
+			if job.State() != StateDone {
+				t.Fatalf("job ended %v, want DONE", job.State())
+			}
+		}
+		for i := 0; i < 100; i++ { // timer entries, run queue, the job table's buckets
+			life()
+		}
+		allocs := testing.AllocsPerRun(200, life)
+		t.Logf("a batch job's life: %v allocations", allocs)
+		if allocs > 8 {
+			t.Errorf("a batch job submitted and run to Done: %v allocations, want <= 8", allocs)
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestJobSize pins what a job costs before it runs: its event stream's
+// first slots fit in the 512-byte size class a job took without them.
+func TestJobSize(t *testing.T) {
+	if size := unsafe.Sizeof(Job{}); size > 512 {
+		t.Errorf("Job is %d bytes, want <= 512", size)
 	}
 }
 

@@ -56,10 +56,11 @@ func TestObservedConnectionAllocs(t *testing.T) {
 	ctx := trace.NewRequest("r1")
 	tr, ctrs := observedEcho(t, func(sim *vtime.Sim, a *Host) {
 		// Dial and close: the pair, its two ends' counters (one allocation, and
-		// two slice appends in the registry), the client end's names for the
-		// dial span (one string, one struct) and the delivery queue the FIN
-		// goes into; the span's context comes from the tracer's string table.
-		// It was 47: each end concatenated
+		// two slice appends in the registry) and the pair's names for the dial
+		// span (one string, one two-entry struct); the FIN goes into the
+		// pipeline's first slot, in the pair, and the span's context comes
+		// from the tracer's string table. It was 5 while the FIN grew a queue
+		// of its own, and 47 before that: each end concatenated
 		// its directional name and from it five counter names, two allocations
 		// apiece, and registered five separately allocated counters in the
 		// registry's map; the flow was hashed through a hash.Hash32.
@@ -93,8 +94,8 @@ func TestObservedConnectionAllocs(t *testing.T) {
 	})
 	t.Logf("dial+close %.0f allocs, request/reply %.0f allocs, %d events, %d counter lines",
 		dialClose, roundTrip, tr.Len(), len(ctrs.Snapshot()))
-	if dialClose > 5 {
-		t.Errorf("dial + close with observers attached: %.0f allocations, want <= 5", dialClose)
+	if dialClose > 4 {
+		t.Errorf("dial + close with observers attached: %.0f allocations, want <= 4", dialClose)
 	}
 	if roundTrip > 2 {
 		t.Errorf("traced, counted request/reply: %.0f allocations, want <= 2", roundTrip)
@@ -135,10 +136,14 @@ func TestUntracedFailedDialBuildsNothing(t *testing.T) {
 }
 
 // TestConnSize pins what every connection end costs before it has sent
-// anything: a pair is one allocation of two of these.
+// anything: a pair is one allocation of two of these and their first queue
+// slots, which stays in the 1 536-byte size class.
 func TestConnSize(t *testing.T) {
 	if size := unsafe.Sizeof(Conn{}); size > 512 {
 		t.Errorf("Conn is %d bytes, want <= 512", size)
+	}
+	if size := unsafe.Sizeof(connPair{}); size > 1536 {
+		t.Errorf("a connection pair is %d bytes, want <= 1536", size)
 	}
 }
 

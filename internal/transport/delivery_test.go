@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -418,6 +419,68 @@ func TestPipelineStorageBoundedWhenNeverIdle(t *testing.T) {
 				t.Errorf("received %d of %d", received, sends)
 			}
 		})
+	}
+}
+
+// A connection pair holds each end's first two pipeline entries and first
+// four inbox slots. An end that has more in flight, or an inbox that holds
+// more unread, moves to the heap; a pipeline that never drains slides within
+// its two. Either way each message arrives once, in order, as it was sent.
+func TestFirstSlotsSpillInOrder(t *testing.T) {
+	sim, _, a, b := testNet(t) // 1 ms one way
+	l, err := b.Listen("svc")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 1+7*i) }
+	// expect reads n messages from conn and checks each against payload(i).
+	expect := func(who string, conn *Conn, n int) {
+		for i := 0; i < n; i++ {
+			got, err := conn.Recv()
+			if err != nil || !bytes.Equal(got, payload(i)) {
+				t.Errorf("%s: message %d = %q, %v; want %q", who, i, got, err, payload(i))
+			}
+		}
+	}
+	const burst, stream = 8, 12
+	sim.GoDaemon("server", func() {
+		conn, ok := l.Accept()
+		if !ok {
+			return
+		}
+		sim.Sleep(50 * ms) // the burst waits in the inbox, eight deep
+		if n := conn.in.Len(); n != burst {
+			t.Errorf("server inbox holds %d unread, want %d", n, burst)
+		}
+		expect("server", conn, burst)
+		for i := 0; i < stream; i++ { // never more than two in flight: 1 ms one way, one send every 0.6 ms
+			conn.Send(payload(i))
+			if cap(conn.out) != 2 {
+				t.Errorf("send %d: the server's pipeline has %d slots, want its first 2", i, cap(conn.out))
+			}
+			sim.Sleep(600 * time.Microsecond)
+		}
+	})
+	err = sim.Run("client", func() {
+		conn, err := a.Dial(Addr{"b", "svc"})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		for i := 0; i < burst; i++ {
+			conn.Send(payload(i))
+		}
+		if n := len(conn.out) - conn.outHead; n != burst {
+			t.Errorf("%d messages in flight after the burst, want %d", n, burst)
+		}
+		sim.Sleep(100 * ms) // the stream waits in the inbox, twelve deep
+		if n := conn.in.Len(); n != stream {
+			t.Errorf("client inbox holds %d unread, want %d", n, stream)
+		}
+		expect("client", conn, stream)
+		conn.Close()
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
 	}
 }
 

@@ -619,7 +619,7 @@ type Conn struct {
 
 	// est is the establishment time and server marks the accepting end;
 	// with ctx they determine the connection's names (see names), which are
-	// built when something first asks for them.
+	// built for both ends when something first asks for either's.
 	est    time.Duration
 	server bool
 	named  *connNames
@@ -635,7 +635,8 @@ type Conn struct {
 	// The delivery pipeline: out[outHead:] is in flight, delivering says
 	// the deliver task is armed or queued (so a send only appends), sealed
 	// that the FIN is in (or the peer's has arrived) and nothing more may
-	// enter. closed, the end's own, shares their word.
+	// enter. closed, the end's own, shares their word. out starts in the
+	// pair's storage (connPair), as does in's buffer.
 	out        []outMsg
 	outHead    int
 	closed     bool
@@ -710,27 +711,30 @@ func writeDir(sb *strings.Builder, from Addr, arrow string, to Addr, ts []byte) 
 // counters; to is the remote address, a hop span's "to" argument.
 type connNames struct{ flow, dir, to string }
 
-// names builds the end's names on first use, all three in one string. Two
-// dials between the same host pair in the same microsecond would collide on
-// the flow, so when a dial carries a causal context a short hash of it
-// (FNV-1a over request, NUL, span) is appended — the contexts of
-// simultaneous dials differ, keeping flows (and the correlation IDs layered
-// on them) unique per connection.
+// names builds the pair's names on first use, both ends' in one string and
+// one two-entry struct. Two dials between the same host pair in the same
+// microsecond would collide on the flow, so when a dial carries a causal
+// context a short hash of it (FNV-1a over request, NUL, span) is appended —
+// the contexts of simultaneous dials differ, keeping flows (and the
+// correlation IDs layered on them) unique per connection.
 func (c *Conn) names() *connNames {
 	if c.named != nil {
 		return c.named
 	}
-	client, server := c.local, c.remote
+	client := c
 	if c.server {
-		client, server = server, client
+		client = c.peer
 	}
+	ends := [2]*Conn{client, client.peer}
 	var ts [20]byte
 	t := strconv.AppendInt(ts[:0], int64(c.est/time.Microsecond), 10)
 	var sb strings.Builder
-	dl := dirLen(c.local, c.remote, t)
-	sb.Grow(2*dl + 9) // dir, flow, "~" and eight hex digits
-	writeDir(&sb, c.local, "->", c.remote, t)
-	writeDir(&sb, client, "=>", server, t)
+	dl := dirLen(client.local, client.remote, t) // either end's dir, and the flow before its hash
+	sb.Grow(3*dl + 9)                            // two dirs, flow, "~" and eight hex digits
+	for _, e := range ends {
+		writeDir(&sb, e.local, "->", e.remote, t)
+	}
+	writeDir(&sb, client.local, "=>", client.remote, t)
 	if c.ctx.Valid() {
 		h := fnv1a(fnv1a(fnv1a(fnvOffset32, c.ctx.Req), "\x00"), c.ctx.Span)
 		var hex [8]byte
@@ -738,11 +742,12 @@ func (c *Conn) names() *connNames {
 		sb.Write(strconv.AppendUint(hex[:0], uint64(h), 16))
 	}
 	all := sb.String()
-	toAt := len(c.local.Host) + len(c.local.Service) + 3
-	c.named = &connNames{
-		flow: all[dl:],
-		dir:  all[:dl],
-		to:   all[toAt : dl-len(t)-1],
+	named := new([2]connNames)
+	for i, e := range ends {
+		dir := all[i*dl : (i+1)*dl]
+		toAt := len(e.local.Host) + len(e.local.Service) + 3
+		named[i] = connNames{flow: all[2*dl:], dir: dir, to: dir[toAt : dl-len(t)-1]}
+		e.named = &named[i]
 	}
 	return c.named
 }
@@ -782,13 +787,23 @@ func (c *Conn) Network() *Network { return c.net }
 // (zero for context-less dials). Both ends share it.
 func (c *Conn) Ctx() trace.Ctx { return c.ctx }
 
+// connPair is a connection in one allocation: both ends, and the first
+// slots of each end's delivery pipeline and inbox, so that a short exchange
+// queues nothing on the heap. A longer queue moves to the heap and leaves
+// these slots empty.
+type connPair struct {
+	ends [2]Conn
+	out  [2][2]outMsg
+	in   [2][4]msg
+}
+
 // newConnPair builds both ends of a connection from a client on host from
 // to service on host to in one allocation, and both ends' counters, if a
 // registry is attached, in another.
 func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server *Conn) {
 	n := from.net
-	pair := new([2]Conn)
-	client, server = &pair[0], &pair[1]
+	pair := new(connPair)
+	client, server = &pair.ends[0], &pair.ends[1]
 	client.host, client.local = from, Addr{from.name, "client"}
 	server.host, server.local, server.server = to, Addr{to.name, service}, true
 	client.remote, server.remote = server.local, client.local
@@ -797,11 +812,12 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 	if fam != nil {
 		stats = new([2]connStats)
 	}
-	for i := range pair {
-		c := &pair[i]
+	for i := range pair.ends {
+		c := &pair.ends[i]
 		n.connSeq++
 		c.net, c.estSeq, c.est, c.ctx = n, n.connSeq, n.sim.Now(), ctx
-		c.in.Init(n.sim, (*inbox)(c), 4096)
+		c.out = pair.out[i][:0]
+		c.in.InitFirst(n.sim, (*inbox)(c), 4096, pair.in[i][:])
 		c.deliver.Init(n.sim, (*deliverer)(c))
 		if stats != nil {
 			c.stats = &stats[i]
@@ -977,7 +993,11 @@ func (c *Conn) enqueue(m outMsg) bool {
 		clear(c.out[n:])
 		c.out, c.outHead = c.out[:n], 0
 	}
-	c.out = append(c.out, m)
+	out := append(c.out, m)
+	if len(c.out) == cap(c.out) {
+		clear(c.out) // moved: the pair's first slots keep no payload alive
+	}
+	c.out = out
 	if !c.delivering {
 		c.delivering = true
 		c.deliver.Ready()

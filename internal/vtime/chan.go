@@ -31,7 +31,8 @@ func (r RecvResult) String() string {
 
 // ring is a FIFO of values on a circular buffer whose size is a power of
 // two and grows by doubling, so steady-state push and pop neither allocate
-// nor move anything.
+// nor move anything. Its first buffer may be storage its channel's owner
+// holds (Chan.InitFirst); growing leaves nothing behind in it.
 type ring[T any] struct {
 	buf  []T
 	head int
@@ -46,6 +47,7 @@ func (r *ring[T]) push(v T) {
 		for i := range r.buf {
 			grown[i] = *r.at(i)
 		}
+		clear(r.buf)
 		r.buf, r.head = grown, 0
 	}
 	r.n++
@@ -110,6 +112,19 @@ func (c *Chan[T]) Init(s *Sim, owner fmt.Stringer, capacity int) {
 	c.s, c.owner, c.cap = s, owner, capacity
 }
 
+// InitFirst is Init with the buffer's first slots in first, storage the
+// owner already holds (an array beside the channel in the same struct): the
+// first len(first) buffered values cost no allocation, and a channel that
+// outgrows them grows on the heap as any other. len(first) must be a power
+// of two no greater than capacity.
+func (c *Chan[T]) InitFirst(s *Sim, owner fmt.Stringer, capacity int, first []T) {
+	if n := len(first); n == 0 || n&(n-1) != 0 || n > capacity {
+		panic(fmt.Sprintf("vtime: %d first slots for a channel of capacity %d, want a power of two no greater", n, capacity))
+	}
+	c.Init(s, owner, capacity)
+	c.buf.buf = first
+}
+
 // String returns the channel's name.
 func (c *Chan[T]) String() string {
 	if c.owner != nil {
@@ -136,7 +151,7 @@ func (c *Chan[T]) Send(v T) {
 		return
 	}
 	p := s.curLocked("Chan.Send")
-	c.buf.push(v)
+	c.push(&c.buf, v)
 	c.arrivedLocked()
 	s.blockLocked(p, &c.sendq, waitSend, c, -1)
 	s.mu.Unlock()
@@ -150,16 +165,27 @@ func (c *Chan[T]) Send(v T) {
 // buffers it; it reports false if the channel can take v neither way.
 func (c *Chan[T]) offerLocked(v T) bool {
 	if w := c.recvq.head; w != nil {
-		c.handed.push(v)
+		c.push(&c.handed, v)
 		c.s.wakeLocked(w, wsDelivered)
 		return true
 	}
 	if c.buf.n < c.cap {
-		c.buf.push(v)
+		c.push(&c.buf, v)
 		c.arrivedLocked()
 		return true
 	}
 	return false
+}
+
+// push appends v to r, the buffer or the hand-off ring. A ring without
+// storage takes the other's while both are empty: a receiver waits only on
+// an empty buffer, so the two are seldom in use at once, and one growth (or
+// the owner's first slots) serves both.
+func (c *Chan[T]) push(r *ring[T], v T) {
+	if r.buf == nil && c.buf.n+c.handed.n == 0 {
+		c.buf, c.handed = c.handed, c.buf
+	}
+	r.push(v)
 }
 
 // ReadyOnArrival registers t as the channel's task waiter — the

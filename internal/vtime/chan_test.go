@@ -1,6 +1,10 @@
 package vtime
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -402,5 +406,170 @@ func TestChanTimeoutExactnessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chanScript drives a channel of capacity 8, seeded with four first slots
+// or not, through every way its storage is used, and returns what each
+// operation saw, in order: it fills the first slots, wraps inside them,
+// grows past them, blocks senders beyond the capacity, hands values to
+// receivers woken in one instant (buffering one more before they resume),
+// and closes with senders blocked, whose values the close truncates.
+func chanScript(t *testing.T, seeded bool) []string {
+	t.Helper()
+	s := New()
+	var ch Chan[int]
+	if seeded {
+		ch.InitFirst(s, label("script"), 8, make([]int, 4))
+	} else {
+		ch.Init(s, label("script"), 8)
+	}
+	var log []string
+	note := func(format string, args ...any) {
+		log = append(log, s.Now().String()+" "+fmt.Sprintf(format, args...))
+	}
+	trySend := func(from, to int) {
+		for v := from; v <= to; v++ {
+			note("trysend %d %t len %d", v, ch.TrySend(v), ch.Len())
+		}
+	}
+	recv := func(who string) {
+		v, ok := ch.Recv()
+		note("%s recv %d %t", who, v, ok)
+	}
+	sender := func(v int) {
+		s.Go("sender", func() {
+			defer func() {
+				if r := recover(); r != nil {
+					note("sender %d: %v", v, r)
+				}
+			}()
+			ch.Send(v)
+			note("sent %d", v)
+		})
+	}
+	err := s.Run("main", func() {
+		trySend(1, 4) // the first slots, full
+		recv("main")
+		recv("main")
+		trySend(5, 6)  // wraps inside them
+		trySend(7, 11) // grows past them to the capacity; 11 does not fit
+		sender(11)
+		sender(12)
+		s.Sleep(time.Second) // both block, their values beyond the capacity
+		for range 10 {       // wakes both senders on the way
+			recv("main")
+		}
+		s.Sleep(time.Second)
+		for _, who := range []string{"r0", "r1", "r2"} {
+			s.Go(who, func() { recv(who) })
+		}
+		s.Sleep(time.Second) // three receivers wait
+		trySend(13, 16)      // three handed over, 16 buffered before they resume
+		s.Sleep(time.Second)
+		recv("main")
+		trySend(17, 24)
+		sender(25)
+		sender(26)
+		s.Sleep(time.Second)
+		ch.Close() // the blocked senders panic; their values go
+		s.Sleep(time.Second)
+		for ok := true; ok; {
+			var v int
+			v, ok = ch.Recv()
+			note("drain %d %t", v, ok)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return log
+}
+
+// TestChanFirstSlotsChangeNothing: first slots are storage and nothing else.
+// A seeded channel and an unseeded one, driven alike, see alike.
+func TestChanFirstSlotsChangeNothing(t *testing.T) {
+	seeded, plain := chanScript(t, true), chanScript(t, false)
+	if !slices.Equal(seeded, plain) {
+		t.Fatalf("seeded and unseeded channels differ:\nseeded:\n%s\nunseeded:\n%s",
+			strings.Join(seeded, "\n"), strings.Join(plain, "\n"))
+	}
+	// And what they both saw is a channel's FIFO: every value is received
+	// once, in order, but 25 and 26, whose senders the close refused.
+	var got []int
+	for _, line := range plain {
+		f := strings.Fields(line) // "<at> <who> recv <v> <ok>" or "<at> drain <v> <ok>"
+		if f[len(f)-1] == "true" && (f[1] == "drain" || len(f) == 5 && f[2] == "recv") {
+			v, _ := strconv.Atoi(f[len(f)-2])
+			got = append(got, v)
+		}
+	}
+	var want []int
+	for v := 1; v <= 24; v++ {
+		want = append(want, v)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("received %v, want 1..24 in order\n%s", got, strings.Join(plain, "\n"))
+	}
+	for _, v := range []int{25, 26} {
+		if !slices.Contains(plain, fmt.Sprintf("5s sender %d: vtime: send on closed channel script", v)) {
+			t.Errorf("sender %d did not panic at the close\n%s", v, strings.Join(plain, "\n"))
+		}
+	}
+}
+
+// TestChanFirstSlotsAllocateNothing pins that a new channel's first
+// len(first) sends and receives take no storage but its owner's; without
+// first slots, the first send grows the ring.
+func TestChanFirstSlotsAllocateNothing(t *testing.T) {
+	type owner struct {
+		ch    Chan[int]
+		first [4]int
+	}
+	s := New()
+	err := s.Run("main", func() {
+		for _, seeded := range []bool{true, false} {
+			owners := make([]owner, 101) // AllocsPerRun calls once more than it counts
+			for i := range owners {
+				if o := &owners[i]; seeded {
+					o.ch.InitFirst(s, nil, 16, o.first[:])
+				} else {
+					o.ch.Init(s, nil, 16)
+				}
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				ch := &owners[next].ch
+				next++
+				for v := range 4 {
+					ch.TrySend(v)
+				}
+				for range 4 {
+					ch.TryRecv()
+				}
+			})
+			if want := map[bool]float64{true: 0, false: 1}[seeded]; allocs != want {
+				t.Errorf("seeded %t: 4 sends and 4 receives on a new channel allocated %v times, want %v", seeded, allocs, want)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestChanFirstSlotsBadLength: first slots that are not a power of two, or
+// more than the capacity, are a bug the channel names at once.
+func TestChanFirstSlotsBadLength(t *testing.T) {
+	for _, tc := range []struct{ n, capacity int }{{0, 4}, {3, 4}, {6, 8}, {8, 4}, {1, 0}} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "first slots") {
+					t.Errorf("%d first slots, capacity %d: recovered %q, want a panic", tc.n, tc.capacity, r)
+				}
+			}()
+			var ch Chan[int]
+			ch.InitFirst(New(), nil, tc.capacity, make([]int, tc.n))
+		}()
 	}
 }

@@ -21,10 +21,14 @@
 # seed+rounds-1, at GOMAXPROCS=1, as the benchmark's own rounds run. It
 # prints each round's result line, then the top 25 entries by cumulative CPU
 # time, the share of CPU spent in encoding/json, the top 25 functions by
-# bytes allocated, and three per-layer tables, CPU time, allocated objects
-# and allocated bytes, over every round's profile merged (allocations net of
-# the profile taken when the window opened, pprof -base): one round is about
-# 130 CPU samples, too few to rank anything under 5 %.
+# bytes allocated and the top 25 by objects allocated, and three per-layer
+# tables, CPU time, allocated objects and allocated bytes, over every round's
+# profile merged (allocations net of the profile taken when the window
+# opened, pprof -base): one round is about 130 CPU samples, too few to rank
+# anything under 5 %. Allocations are sampled one per 4 KiB allocated
+# (runtime.MemProfileRate, set when the binary starts), not the runtime's
+# default one per 512 KiB, so one round ranks a site of 1 % of the objects;
+# the finer sampling slows the round further.
 #
 # The per-layer rule: each sample is charged whole to the innermost frame of
 # its stack whose function is in a package cogrid/internal/<pkg>, and that
@@ -41,12 +45,12 @@
 # round.begin and round.end in bench/workloads.go, and the runChild call in
 # bench/main.go. If any is no longer there exactly once the script stops and
 # says so, since a profile of something else would be worse than none.
-# Profiling slows the round a little: read shares from it, and take
+# Profiling slows the round: read shares from it, and take
 # wall-clock numbers from benchpair.sh.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,46p' "$0" >&2
+    sed -n '2,49p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -88,6 +92,10 @@ import (
 )
 
 var profileCPU *os.File
+
+// Sample allocations finely enough to rank small sites; set before main
+// runs, so that every allocation is sampled at the one rate.
+func init() { runtime.MemProfileRate = 4096 }
 
 func profileStart(seed int64) {
 	profileAllocs(fmt.Sprintf("$tmp/allocs-begin-%d.pprof", seed))
@@ -140,6 +148,10 @@ echo
 base=$(for f in "$tmp"/allocs-begin-*.pprof; do printf ' -base %s' "$f"; done)
 echo "== bytes allocated, top 25 functions, $rounds round(s) merged"
 go tool pprof -sample_index=alloc_space -top -nodecount=25 $base "$tmp/bench" "$tmp"/allocs-[0-9]*.pprof 2>/dev/null |
+    sed -n '/flat%/,$p'
+echo
+echo "== objects allocated, top 25 functions, $rounds round(s) merged"
+go tool pprof -sample_index=alloc_objects -top -nodecount=25 $base "$tmp/bench" "$tmp"/allocs-[0-9]*.pprof 2>/dev/null |
     sed -n '/flat%/,$p'
 echo
 # layers <sample index> <unit> <pprof flags> <profile>...: the per-layer table of the

@@ -1,5 +1,6 @@
 #!/bin/sh
-# check.sh — the full verification gate: vet, build, tests, race tests.
+# check.sh — the full verification gate: vet, build, tests, race tests,
+# the examples and the smoke runs of the study drivers.
 #
 # Usage:
 #   scripts/check.sh          # everything, including the full -race run
@@ -32,6 +33,22 @@ go test -shuffle=on $short ./...
 
 echo "== go test -race -shuffle=on $short ./..."
 go test -race -shuffle=on $short ./...
+
+# The programs under examples/ are the library's first users and nothing
+# else runs them: each is built and run, in a scratch directory that takes
+# what it writes (instrument's trace), and must exit 0.
+echo "== examples (every program under examples/ exits 0)"
+examples=$(mktemp -d)
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    go build -o "$examples/$name" "./$dir"
+    if ! (cd "$examples" && "./$name" >/dev/null); then
+        echo "FAIL: examples/$name exited non-zero" >&2
+        rm -rf "$examples"
+        exit 1
+    fi
+done
+rm -rf "$examples"
 
 echo "== chaos smoke (leak check)"
 go run ./cmd/benchgrid -fig none -app chaos -smoke >/dev/null
