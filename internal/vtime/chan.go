@@ -112,11 +112,12 @@ func (c *Chan[T]) Init(s *Sim, owner fmt.Stringer, capacity int) {
 	c.s, c.owner, c.cap = s, owner, capacity
 }
 
-// InitFirst is Init with the buffer's first slots in first, storage the
-// owner already holds (an array beside the channel in the same struct): the
-// first len(first) buffered values cost no allocation, and a channel that
-// outgrows them grows on the heap as any other. len(first) must be a power
-// of two no greater than capacity.
+// InitFirst is Init with the channel's first slots in first, storage the
+// owner already holds (an array beside the channel in the same struct): up
+// to len(first) values waiting in the channel, buffered or handed to woken
+// receivers, cost no allocation, and a channel that outgrows them grows on
+// the heap as any other. len(first) must be a power of two no greater than
+// capacity.
 func (c *Chan[T]) InitFirst(s *Sim, owner fmt.Stringer, capacity int, first []T) {
 	if n := len(first); n == 0 || n&(n-1) != 0 || n > capacity {
 		panic(fmt.Sprintf("vtime: %d first slots for a channel of capacity %d, want a power of two no greater", n, capacity))
