@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -203,5 +204,66 @@ func TestSameInstantDialsShareCounterLines(t *testing.T) {
 	}
 	if lines != len(want) {
 		t.Errorf("%d per-connection lines for two same-instant connections, want %d:\n%s", lines, len(want), ctrs)
+	}
+}
+
+// Both ends of a pair are named at once, in one string, by whichever end
+// is asked first: each end's directional name is its own, the flow is the
+// pair's, and a hop's "to" is the far end's address.
+func TestPairNames(t *testing.T) {
+	for _, serverFirst := range []bool{false, true} {
+		t.Run(fmt.Sprint("server first ", serverFirst), func(t *testing.T) {
+			sim, net, a, b := testNet(t)
+			l, err := b.Listen("svc")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			var server *Conn
+			sim.GoDaemon("server", func() { server, _ = l.Accept() })
+			tr := trace.New(sim)
+			err = sim.Run("client", func() {
+				client, err := a.DialCtx(Addr{"b", "svc"}, trace.NewRequest("r"))
+				if err != nil {
+					t.Fatalf("Dial: %v", err)
+				}
+				sim.Sleep(5 * time.Millisecond) // accepted; nothing has asked for a name
+				net.SetTracer(tr)
+				first, second := client, server
+				if serverFirst {
+					first, second = server, client
+				}
+				first.Send([]byte("one"))
+				second.Send([]byte("two"))
+				sim.Sleep(5 * time.Millisecond)
+				if client.Flow() != server.Flow() || !strings.HasPrefix(client.Flow(), "a:client=>b:svc@1000~") {
+					t.Errorf("flows %q and %q, want one a:client=>b:svc@1000~<hash>", client.Flow(), server.Flow())
+				}
+				client.Close()
+			})
+			if err != nil {
+				t.Fatalf("sim: %v", err)
+			}
+			const out, in = "a:client->b:svc@1000", "b:svc->a:client@1000"
+			want := map[string]string{ // proc/name -> thread, and a hop's "to"
+				"a/hop": out + " to b:svc", "b/recv": in,
+				"b/hop": in + " to a:client", "a/recv": out,
+			}
+			for _, ev := range tr.Events() {
+				got := ev.Thr
+				for _, arg := range ev.Args {
+					if arg.Key == "to" {
+						got += " to " + arg.Val
+					}
+				}
+				key := ev.Proc + "/" + ev.Name
+				if w, ok := want[key]; !ok || got != w || !strings.HasPrefix(ev.ID, "a:client=>b:svc@1000~") {
+					t.Errorf("%s: thread %q, flow %q; want %q and the pair's flow", key, got, ev.ID, w)
+				}
+				delete(want, key)
+			}
+			if len(want) != 0 {
+				t.Errorf("no event for %v", want)
+			}
+		})
 	}
 }
