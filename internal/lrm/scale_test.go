@@ -276,7 +276,7 @@ func TestBatchJobLifeAllocations(t *testing.T) {
 	host := transport.New(sim, transport.UniformLatency(time.Millisecond)).AddHost("origin")
 	m := NewMachine(host, 4, Config{Mode: Batch, RetireTerminal: true})
 	registerWork(m, time.Second)
-	err := sim.Run("driver", func() {
+	err := sim.Run("submitter", func() {
 		life := func() {
 			job, err := m.Submit(JobSpec{Executable: "work", Count: 1, TimeLimit: time.Minute})
 			if err != nil {

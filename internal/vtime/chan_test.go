@@ -548,7 +548,11 @@ func TestChanFirstSlotsAllocateNothing(t *testing.T) {
 					ch.TryRecv()
 				}
 			})
-			if want := map[bool]float64{true: 0, false: 1}[seeded]; allocs != want {
+			want := 0.0
+			if !seeded {
+				want = 1
+			}
+			if allocs != want {
 				t.Errorf("seeded %t: 4 sends and 4 receives on a new channel allocated %v times, want %v", seeded, allocs, want)
 			}
 		}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the full verification gate: vet, build, tests, race tests,
-# the examples and the smoke runs of the study drivers.
+# the examples and the smoke runs of the study binaries.
 #
 # Usage:
 #   scripts/check.sh          # everything, including the full -race run
