@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cogrid/internal/core"
+	"cogrid/internal/transport"
 )
 
 // What a co-allocation costs the kernel in processes, counted. A 4 × 4 job
@@ -46,18 +47,35 @@ func TestCoallocationSpawnsNoProcessPerCheckin(t *testing.T) {
 	}
 }
 
-// The name of every co-allocated process's application listener is built
-// on untraced runs too, so it is one allocation: the string itself. It is
+// The address of every co-allocated process's application listener is
+// built on untraced runs too, so it and the listener's service name, cut
+// from it, are one allocation together: the string itself. The address is
 // in the barrier's address book on the wire, so its bytes are pinned.
 func TestAppServiceNameIsOneAllocation(t *testing.T) {
-	const want = "app.ws_duroc_coalloc17.sj3.5"
-	if got := core.AppService("ws:duroc/coalloc17", "sj3", 5); got != want {
-		t.Errorf("AppService = %q, want %q", got, want)
+	for _, c := range []struct {
+		host, job, subjob string
+		rank              int
+		want              string
+	}{
+		{"ws", "ws:duroc/coalloc17", "sj3", 5, "ws:app.ws_duroc_coalloc17.sj3.5"},
+		{"m1", "job1", "m1", 1234, "m1:app.job1.m1.1234"},
+	} {
+		addr := core.AppAddr(c.host, c.job, c.subjob, c.rank)
+		if addr != c.want {
+			t.Errorf("AppAddr = %q, want %q", addr, c.want)
+		}
+		if service := addr[len(c.host)+1:]; (transport.Addr{Host: c.host, Service: service}).String() != addr {
+			t.Errorf("service %q of %q does not render back to the address", service, addr)
+		}
 	}
-	if got := core.AppService("job1", "m1", 1234); got != "app.job1.m1.1234" {
-		t.Errorf("AppService = %q, want app.job1.m1.1234", got)
+	var service string
+	if allocs := testing.AllocsPerRun(100, func() {
+		addr := core.AppAddr("ws", "ws:duroc/coalloc17", "sj3", 5)
+		service = addr[len("ws")+1:]
+	}); allocs != 1 {
+		t.Errorf("address and service name allocate %v times, want 1", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { core.AppService("ws:duroc/coalloc17", "sj3", 5) }); allocs != 1 {
-		t.Errorf("AppService allocates %v times, want 1", allocs)
+	if service != "app.ws_duroc_coalloc17.sj3.5" {
+		t.Errorf("service = %q, want app.ws_duroc_coalloc17.sj3.5", service)
 	}
 }

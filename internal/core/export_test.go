@@ -2,8 +2,9 @@ package core
 
 import "cogrid/internal/trace"
 
-// AppService exposes the name of a process's application listener.
-var AppService = appService
+// AppAddr exposes the address of a process's application listener, whose
+// tail after the host and ':' is the listener's service name.
+var AppAddr = appAddr
 
 // SharedWire exposes the release-encoded region a reply appends.
 func SharedWire(r CheckinReply) []byte {

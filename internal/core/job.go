@@ -414,39 +414,50 @@ func (j *Job) submitSubjob(sj *subjob) {
 }
 
 // subjobRSL builds the GRAM request for one subjob, injecting the DUROC
-// environment the application runtime attaches to.
+// environment the application runtime attaches to. It writes exactly what
+// the rsl printer writes for the conjunction
+//
+//	&(executable=E)(count=N)[(maxTime=M)][(reservationID=R)]
+//	 (environment=(EnvContact C EnvJob J EnvSubjob S [EnvTrace T]))
+//
+// into a stack buffer, so the returned string is its one allocation.
 func (j *Job) subjobRSL(sj *subjob) string {
-	node := rsl.Conj(
-		[2]string{"executable", sj.spec.Executable},
-		[2]string{"count", strconv.Itoa(sj.spec.Count)},
-	)
+	var stack [512]byte
+	b := append(stack[:0], "&(executable="...)
+	b = rsl.AppendLiteral(b, sj.spec.Executable)
+	// Decimal integers are bare literals: digits and '-' are token bytes.
+	b = append(b, ")(count="...)
+	b = strconv.AppendInt(b, int64(sj.spec.Count), 10)
 	if sj.spec.MaxTime > 0 {
-		node.Children = append(node.Children, &rsl.Relation{
-			Attribute: "maxTime", Op: rsl.OpEq,
-			Value: rsl.Literal(strconv.Itoa(int(sj.spec.MaxTime / time.Minute))),
-		})
+		b = append(b, ")(maxTime="...)
+		b = strconv.AppendInt(b, int64(int(sj.spec.MaxTime/time.Minute)), 10)
 	}
 	if sj.spec.ReservationID != "" {
-		node.Children = append(node.Children, &rsl.Relation{
-			Attribute: "reservationID", Op: rsl.OpEq,
-			Value: rsl.Literal(sj.spec.ReservationID),
-		})
+		b = append(b, ")(reservationID="...)
+		b = rsl.AppendLiteral(b, sj.spec.ReservationID)
 	}
-	env := rsl.Seq{
-		rsl.Literal(EnvContact), rsl.Literal(j.c.Contact().String()),
-		rsl.Literal(EnvJob), rsl.Literal(j.id),
-		rsl.Literal(EnvSubjob), rsl.Literal(sj.spec.Label),
-	}
+	b = append(b, ")(environment=("...)
+	b = rsl.AppendLiteral(b, EnvContact)
+	b = append(b, ' ')
+	b = rsl.AppendLiteral(b, j.c.host.Name(), ":", ServiceName)
+	b = append(b, ' ')
+	b = rsl.AppendLiteral(b, EnvJob)
+	b = append(b, ' ')
+	b = rsl.AppendLiteral(b, j.id)
+	b = append(b, ' ')
+	b = rsl.AppendLiteral(b, EnvSubjob)
+	b = append(b, ' ')
+	b = rsl.AppendLiteral(b, sj.spec.Label)
 	if sj.ctx.Valid() {
 		// Thread the causal span context through the environment so the
 		// application runtime's barrier check-in joins this request's tree.
-		env = append(env, rsl.Literal(EnvTrace), rsl.Literal(sj.ctx.String()))
+		b = append(b, ' ')
+		b = rsl.AppendLiteral(b, EnvTrace)
+		b = append(b, ' ')
+		b = rsl.AppendLiteral(b, sj.ctx.Req, "|", sj.ctx.Span)
 	}
-	node.Children = append(node.Children, &rsl.Relation{
-		Attribute: "environment", Op: rsl.OpEq,
-		Value: env,
-	})
-	return node.String()
+	b = append(b, "))"...)
+	return string(b)
 }
 
 // monitorSubjob consumes GRAM callbacks for one subjob.
@@ -760,34 +771,71 @@ type CommitReadiness struct {
 	CheckedIn []string
 }
 
-// Readiness reports whether the request could commit now.
+// Readiness reports whether the request could commit now, and what it
+// waits for. Its three lists share one allocation.
 func (j *Job) Readiness() CommitReadiness {
-	r := CommitReadiness{Ready: true}
+	n := j.readinessCounts()
+	r := CommitReadiness{Ready: j.ready()}
+	if n[0]+n[1]+n[2] == 0 {
+		return r
+	}
+	labels := make([]string, n[0]+n[1]+n[2])
+	lists := [3][]string{labels[:0:n[0]], labels[n[0] : n[0] : n[0]+n[1]], labels[n[0]+n[1] : n[0]+n[1]]}
 	for _, sj := range j.subjobs {
-		if sj.spec.Type == Optional || sj.status == SJDeleted {
-			continue
-		}
-		switch sj.status {
-		case SJCheckedIn:
-			r.CheckedIn = append(r.CheckedIn, sj.spec.Label)
-		case SJFailed:
-			r.Failed = append(r.Failed, sj.spec.Label)
-			r.Ready = false
-		default:
-			r.Waiting = append(r.Waiting, sj.spec.Label)
-			r.Ready = false
+		if k := readinessSlot(sj); k >= 0 {
+			lists[k] = append(lists[k], sj.spec.Label)
 		}
 	}
-	if len(r.CheckedIn) == 0 {
-		r.Ready = false
+	// An empty list stays nil, as callers print it.
+	if n[0] > 0 {
+		r.CheckedIn = lists[0]
 	}
-	if j.c.cfg.Bugs.DoubleCommit && len(r.CheckedIn) > 0 {
+	if n[1] > 0 {
+		r.Failed = lists[1]
+	}
+	if n[2] > 0 {
+		r.Waiting = lists[2]
+	}
+	return r
+}
+
+// readinessSlot places a subjob in Readiness's lists: 0 checked in, 1
+// failed, 2 waiting, -1 in none (optional or deleted).
+func readinessSlot(sj *subjob) int {
+	if sj.spec.Type == Optional || sj.status == SJDeleted {
+		return -1
+	}
+	switch sj.status {
+	case SJCheckedIn:
+		return 0
+	case SJFailed:
+		return 1
+	}
+	return 2
+}
+
+// readinessCounts counts the subjobs in each of readinessSlot's lists.
+func (j *Job) readinessCounts() (n [3]int) {
+	for _, sj := range j.subjobs {
+		if k := readinessSlot(sj); k >= 0 {
+			n[k]++
+		}
+	}
+	return n
+}
+
+// ready is Readiness().Ready without the lists, for Commit to read on
+// every wake: every required and interactive subjob that is not deleted
+// has checked in, and at least one has.
+func (j *Job) ready() bool {
+	n := j.readinessCounts()
+	if j.c.cfg.Bugs.DoubleCommit {
 		// Injected 2PC bug (see core.Bugs): one vote is treated as
 		// unanimity, so the commit decision lands while non-optional
 		// participants are still waiting or failed.
-		r.Ready = true
+		return n[0] > 0
 	}
-	return r
+	return n[0] > 0 && n[1]+n[2] == 0
 }
 
 // Commit waits until every required and interactive subjob has fully
@@ -816,8 +864,7 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 			finish("ok")
 			return j.release.cfg, nil
 		}
-		r := j.Readiness()
-		if r.Ready {
+		if j.ready() {
 			cfg := j.releaseAll()
 			j.emit(EvCommitted, nil, "")
 			j.superviseReleased()

@@ -35,6 +35,7 @@ type Runtime struct {
 	subjob   string
 	ctx      trace.Ctx
 	listener *transport.Listener
+	addr     string // the listener's address, rendered once by Attach
 	config   *Config
 }
 
@@ -63,7 +64,9 @@ func Attach(p *lrm.Proc) (*Runtime, error) {
 			rt.ctx = tr.Child(ctx, "rank", tr.Itoa(p.Rank))
 		}
 	}
-	l, err := p.Host().Listen(appService(jobID, subjob, p.Rank))
+	host := p.Host().Name()
+	rt.addr = appAddr(host, jobID, subjob, p.Rank)
+	l, err := p.Host().Listen(rt.addr[len(host)+1:])
 	if err != nil {
 		return nil, fmt.Errorf("duroc: open application listener: %w", err)
 	}
@@ -71,16 +74,19 @@ func Attach(p *lrm.Proc) (*Runtime, error) {
 	return rt, nil
 }
 
-// appService names a process's application listener,
-// "app.<job>.<subjob>.<rank>" with the job ID's ':' and '/' made '_' so it
-// is usable inside a service name, in one allocation: it is built for every
-// co-allocated process, traced or not.
-func appService(jobID, subjob string, rank int) string {
+// appAddr is a process's application listener address as the barrier's
+// address book lists it, "<host>:app.<job>.<subjob>.<rank>", with the job
+// ID's ':' and '/' made '_' so the service name after the first ':' is
+// usable as one. Listener name and check-in address are that one string
+// and its tail: one allocation for every co-allocated process, traced or
+// not.
+func appAddr(host, jobID, subjob string, rank int) string {
 	var num [20]byte
 	digits := strconv.AppendInt(num[:0], int64(rank), 10)
 	var b strings.Builder
-	b.Grow(len("app.") + len(jobID) + 1 + len(subjob) + 1 + len(digits))
-	b.WriteString("app.")
+	b.Grow(len(host) + len(":app.") + len(jobID) + 1 + len(subjob) + 1 + len(digits))
+	b.WriteString(host)
+	b.WriteString(":app.")
 	for i := 0; i < len(jobID); i++ {
 		c := jobID[i]
 		if c == ':' || c == '/' {
@@ -133,7 +139,7 @@ func (rt *Runtime) Barrier(ok bool, msg string, timeout time.Duration) (*Config,
 		Rank:   rt.proc.Rank,
 		OK:     ok,
 		Msg:    msg,
-		Addr:   rt.Addr().String(),
+		Addr:   rt.addr,
 	}, &reply, timeout)
 	if err == rpc.ErrTimeout {
 		return nil, ErrBarrierTimeout

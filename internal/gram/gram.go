@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -359,30 +360,32 @@ func ParseJobRSL(src string) (lrm.JobSpec, error) {
 	return JobSpecFromNode(node)
 }
 
-// JobSpecFromNode converts a parsed conjunction into an lrm.JobSpec.
+// JobSpecFromNode converts a parsed conjunction into an lrm.JobSpec. It
+// flattens the conjunction once and reads every attribute from that map.
 func JobSpecFromNode(node rsl.Node) (lrm.JobSpec, error) {
 	spec := lrm.JobSpec{}
-	exe, ok, err := rsl.GetString(node, "executable", nil)
+	attrs := rsl.Attributes(node)
+	exe, ok, err := attrString(attrs, "executable")
 	if err != nil || !ok {
 		return spec, fmt.Errorf("%w: missing executable (%v)", ErrBadRSL, err)
 	}
 	spec.Executable = exe
-	count, ok, err := rsl.GetInt(node, "count", nil)
+	count, ok, err := attrInt(attrs, "count", "count")
 	if err != nil || !ok {
 		return spec, fmt.Errorf("%w: missing or bad count (%v)", ErrBadRSL, err)
 	}
 	spec.Count = count
-	if minutes, ok, err := rsl.GetInt(node, "maxTime", nil); err != nil {
+	if minutes, ok, err := attrInt(attrs, "maxtime", "maxTime"); err != nil {
 		return spec, fmt.Errorf("%w: bad maxTime (%v)", ErrBadRSL, err)
 	} else if ok {
 		spec.TimeLimit = time.Duration(minutes) * time.Minute
 	}
-	if resID, ok, err := rsl.GetString(node, "reservationID", nil); err != nil {
+	if resID, ok, err := attrString(attrs, "reservationid"); err != nil {
 		return spec, fmt.Errorf("%w: bad reservationID (%v)", ErrBadRSL, err)
 	} else if ok {
 		spec.ReservationID = resID
 	}
-	if env, ok := rsl.Attributes(node)["environment"]; ok {
+	if env, ok := attrs["environment"]; ok {
 		seq, isSeq := env.(rsl.Seq)
 		if !isSeq || len(seq)%2 != 0 {
 			return spec, fmt.Errorf("%w: environment must be a sequence of name value pairs", ErrBadRSL)
@@ -401,4 +404,29 @@ func JobSpecFromNode(node rsl.Node) (lrm.JobSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// attrString is rsl.GetString over a flattened conjunction: key is the
+// attribute's lowercased name.
+func attrString(attrs map[string]rsl.Value, key string) (s string, ok bool, err error) {
+	v, present := attrs[key]
+	if !present {
+		return "", false, nil
+	}
+	s, err = rsl.Eval(v, nil)
+	return s, true, err
+}
+
+// attrInt is rsl.GetInt over a flattened conjunction; name is the
+// attribute as its errors spell it.
+func attrInt(attrs map[string]rsl.Value, key, name string) (i int, ok bool, err error) {
+	s, ok, err := attrString(attrs, key)
+	if !ok || err != nil {
+		return 0, ok, err
+	}
+	i, err = strconv.Atoi(s)
+	if err != nil {
+		return 0, true, fmt.Errorf("rsl: attribute %s: %w", name, err)
+	}
+	return i, true, nil
 }

@@ -105,12 +105,59 @@ func (r *Registry) lookup(name string) ([]byte, error) {
 	return s, nil
 }
 
-// proof computes HMAC-SHA256(secret, nonce || name).
-func proof(secret []byte, nonce, name string) string {
-	mac := hmac.New(sha256.New, secret)
-	mac.Write([]byte(nonce))
-	mac.Write([]byte(name))
-	return hex.EncodeToString(mac.Sum(nil))
+// proofInput bounds the nonce and name a proof hashes on the stack; the
+// handshake's are 16 bytes and a principal name.
+const proofInput = 192
+
+// proof writes HMAC-SHA256(secret, nonce || name) into dst as lowercase
+// hex. The MAC is the two hashes of RFC 2104 over stack buffers: a key of
+// at most one SHA-256 block and inputs of at most proofInput bytes
+// allocate nothing; anything longer goes through crypto/hmac.
+func proof(dst *[2 * sha256.Size]byte, secret []byte, nonce, name string) {
+	var sum [sha256.Size]byte
+	if len(secret) > sha256.BlockSize || len(nonce)+len(name) > proofInput {
+		mac := hmac.New(sha256.New, secret)
+		mac.Write([]byte(nonce))
+		mac.Write([]byte(name))
+		copy(sum[:], mac.Sum(nil))
+	} else {
+		var inner [sha256.BlockSize + proofInput]byte
+		var outer [sha256.BlockSize + sha256.Size]byte
+		copy(inner[:], secret)
+		copy(outer[:], secret)
+		for i := 0; i < sha256.BlockSize; i++ {
+			inner[i] ^= 0x36
+			outer[i] ^= 0x5c
+		}
+		n := sha256.BlockSize + copy(inner[sha256.BlockSize:], nonce)
+		n += copy(inner[n:], name)
+		sum = sha256.Sum256(inner[:n])
+		copy(outer[sha256.BlockSize:], sum[:])
+		sum = sha256.Sum256(outer[:])
+	}
+	hex.Encode(dst[:], sum[:])
+}
+
+// proofString is proof as the string a frame carries.
+func proofString(secret []byte, nonce, name string) string {
+	var hexed [2 * sha256.Size]byte
+	proof(&hexed, secret, nonce, name)
+	return string(hexed[:])
+}
+
+// proofValid reports, in time independent of where they differ, whether
+// got is HMAC-SHA256(secret, nonce || name) in lowercase hex.
+func proofValid(got string, secret []byte, nonce, name string) bool {
+	var want [2 * sha256.Size]byte
+	proof(&want, secret, nonce, name)
+	if len(got) != len(want) {
+		return false
+	}
+	var diff byte
+	for i := range want {
+		diff |= got[i] ^ want[i]
+	}
+	return diff == 0
 }
 
 type helloMsg struct {
@@ -140,8 +187,22 @@ type resultMsg struct {
 // HandshakeTimeout bounds each message wait within a handshake.
 const HandshakeTimeout = 60 * time.Second
 
+// nonce draws two 31-bit values and writes each as eight lowercase hex
+// digits, high one first.
 func nonce(sim *vtime.Sim) string {
-	return fmt.Sprintf("%08x%08x", sim.RandIntn(1<<31), sim.RandIntn(1<<31))
+	var b [16]byte
+	putHex8(b[:8], uint32(sim.RandIntn(1<<31)))
+	putHex8(b[8:], uint32(sim.RandIntn(1<<31)))
+	return string(b[:])
+}
+
+// putHex8 writes v as eight zero-padded lowercase hex digits.
+func putHex8(dst []byte, v uint32) {
+	const digits = "0123456789abcdef"
+	for i := 7; i >= 0; i-- {
+		dst[i] = digits[v&0xf]
+		v >>= 4
+	}
 }
 
 // ClientHandshake authenticates cred to the peer on conn and verifies the
@@ -164,10 +225,10 @@ func ClientHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 		return "", err
 	}
 	sim.Sleep(cost.ClientCompute)
-	if !hmac.Equal([]byte(ch.ProofS), []byte(proof(serverSecret, nc, ch.Server))) {
+	if !proofValid(ch.ProofS, serverSecret, nc, ch.Server) {
 		return "", ErrBadProof
 	}
-	pc := proof(cred.secret, ch.NonceS, cred.Name)
+	pc := proofString(cred.secret, ch.NonceS, cred.Name)
 	if err := sendJSON(conn, responseMsg{Kind: "gsi-response", ProofC: pc}); err != nil {
 		return "", err
 	}
@@ -213,7 +274,7 @@ func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 		Kind:   "gsi-challenge",
 		Server: cred.Name,
 		NonceS: ns,
-		ProofS: proof(cred.secret, hello.NonceC, cred.Name),
+		ProofS: proofString(cred.secret, hello.NonceC, cred.Name),
 	}
 	if err := sendJSON(conn, ch); err != nil {
 		return "", err
@@ -225,7 +286,7 @@ func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	if resp.Kind != "gsi-response" {
 		return "", ErrProtocol
 	}
-	if !hmac.Equal([]byte(resp.ProofC), []byte(proof(clientSecret, ns, hello.Client))) {
+	if !proofValid(resp.ProofC, clientSecret, ns, hello.Client) {
 		sendJSON(conn, resultMsg{Kind: "gsi-result", OK: false, Error: ErrBadProof.Error()})
 		return "", ErrBadProof
 	}

@@ -248,10 +248,15 @@ func (c *Client) Close() { c.rpcc.Close() }
 // RecordFor builds a directory record from a machine's current state,
 // forecasting waits for the given process counts.
 func RecordFor(m *lrm.Machine, contact transport.Addr, forecastCounts ...int) Record {
+	return recordFor(m, contact.String(), forecastCounts)
+}
+
+// recordFor is RecordFor with the contact already rendered.
+func recordFor(m *lrm.Machine, contact string, forecastCounts []int) Record {
 	info := m.QueueInfo()
 	rec := Record{
 		Name:           m.Name(),
-		Contact:        contact.String(),
+		Contact:        contact,
 		Processors:     info.Processors,
 		Mode:           m.Mode().String(),
 		FreeProcessors: info.FreeProcessors,
@@ -277,11 +282,13 @@ func Publish(m *lrm.Machine, dir transport.Addr, contact transport.Addr, interva
 	// its own causal tree, with every round's traffic under one child span
 	// (rounds are sequential, so their intervals merge cleanly).
 	ctx := trace.NewRequest("mds-publish@" + m.Name()).Child("round")
+	// The contact is the same every round: render it once.
+	rendered := contact.String()
 	sim.GoDaemon("mds-publish:"+m.Name(), func() {
 		for {
 			client, err := DialCtx(m.Host(), dir, ctx)
 			if err == nil {
-				client.Register(RecordFor(m, contact, forecastCounts...))
+				client.Register(recordFor(m, rendered, forecastCounts))
 				client.Close()
 			}
 			if stopped.WaitTimeout(interval) {

@@ -140,6 +140,38 @@ func (l Literal) String() string {
 	return s
 }
 
+// AppendLiteral appends to dst the literal whose text is parts joined, as
+// Literal.String prints it: bare when every byte is a token byte and the
+// first is not '*', else quoted with each '"' doubled. Quoting is byte by
+// byte, so the parts are written in place and never joined.
+func AppendLiteral(dst []byte, parts ...string) []byte {
+	bare, first := true, true
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			if !isTokenChar(p[i]) || first && p[i] == '*' {
+				bare = false
+			}
+			first = false
+		}
+	}
+	if bare && !first {
+		for _, p := range parts {
+			dst = append(dst, p...)
+		}
+		return dst
+	}
+	dst = append(dst, '"')
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			if p[i] == '"' {
+				dst = append(dst, '"')
+			}
+			dst = append(dst, p[i])
+		}
+	}
+	return append(dst, '"')
+}
+
 // VarRef is a $(NAME) substitution reference.
 type VarRef string
 

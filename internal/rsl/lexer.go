@@ -166,9 +166,17 @@ func (l *lexer) next() (token, error) {
 }
 
 // lexString scans a double-quoted literal; embedded quotes are doubled.
+// A literal with no doubled quote is a substring of the source, not a copy.
 func (l *lexer) lexString() (token, error) {
 	start := l.pos
 	l.pos++ // opening quote
+	if end := strings.IndexByte(l.src[l.pos:], '"'); end >= 0 {
+		end += l.pos
+		if end+1 >= len(l.src) || l.src[end+1] != '"' {
+			l.pos = end + 1
+			return token{kind: tokString, text: l.src[start+1 : end], pos: start}, nil
+		}
+	}
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]

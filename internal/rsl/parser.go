@@ -64,7 +64,8 @@ func (p *parser) parseBoolean(op BoolOp) (Node, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	b := &Boolean{Op: op}
+	// A subjob's conjunction has three to five relations.
+	b := &Boolean{Op: op, Children: make([]Node, 0, 8)}
 	for p.tok.kind == tokLParen {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -131,6 +132,10 @@ func (p *parser) parseValue() (Value, error) {
 			v, err := p.parseValue()
 			if err != nil {
 				return nil, err
+			}
+			if seq == nil {
+				// A subjob's environment is three or four name-value pairs.
+				seq = make(Seq, 0, 8)
 			}
 			seq = append(seq, v)
 		}
