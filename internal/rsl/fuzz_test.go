@@ -1,6 +1,8 @@
 package rsl
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -83,11 +85,19 @@ func FuzzRSL(f *testing.F) {
 		"&(a=1)\x00",
 		"&(a=\xff\xfe)",
 		`&(count=-0x7fffffffffffffff)`,
+		// doubled quotes at the start, at the end, and nothing else
+		`&(s="""x")`,
+		`&(s="x""")`,
+		`&(s="""")`,
+		`&(s="""""")`,
+		`&(s=("""" "a""b" "" x))`,
+		`&(s="""`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		checkLexStrings(t, src)
 		node, err := Parse(src)
 		if err != nil {
 			if _, isSyntax := err.(*SyntaxError); !isSyntax {
@@ -105,7 +115,123 @@ func FuzzRSL(f *testing.F) {
 		if !Equal(node, again) {
 			t.Fatalf("round trip of %q changed the tree: %q", src, node.String())
 		}
+		checkAppendLiteral(t, node)
 	})
+}
+
+// checkAppendLiteral holds AppendLiteral to Literal.String on every
+// literal of a parsed tree, whole and split in two parts at every byte.
+func checkAppendLiteral(t *testing.T, n Node) {
+	t.Helper()
+	var value func(v Value)
+	value = func(v Value) {
+		switch v := v.(type) {
+		case Literal:
+			want := v.String()
+			if got := string(AppendLiteral(nil, string(v))); got != want {
+				t.Fatalf("AppendLiteral(%q) = %s, Literal.String %s", string(v), got, want)
+			}
+			for k := 0; k <= len(v); k++ {
+				if got := string(AppendLiteral([]byte("x"), string(v[:k]), string(v[k:]))); got != "x"+want {
+					t.Fatalf("AppendLiteral(%q, %q) = %s, Literal.String %s", v[:k], v[k:], got, want)
+				}
+			}
+		case Seq:
+			for _, item := range v {
+				value(item)
+			}
+		}
+	}
+	switch n := n.(type) {
+	case *Relation:
+		value(n.Value)
+	case *Boolean:
+		for _, c := range n.Children {
+			checkAppendLiteral(t, c)
+		}
+	}
+}
+
+// oldLexString is lexString as it was before literals became substrings
+// of the source: every quoted literal copied through a strings.Builder.
+func (l *lexer) oldLexString() (token, error) {
+	start := l.pos
+	l.pos++ // opening quote
+	var sb strings.Builder
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		if c == '"' {
+			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '"' {
+				sb.WriteByte('"')
+				l.pos += 2
+				continue
+			}
+			l.pos++
+			return token{kind: tokString, text: sb.String(), pos: start}, nil
+		}
+		sb.WriteByte(c)
+		l.pos++
+	}
+	return token{}, errAt(start, "unterminated string")
+}
+
+// checkLexStrings lexes src and holds every quoted literal, and the error
+// of an unterminated one, to oldLexString's from the same offset.
+func checkLexStrings(t *testing.T, src string) {
+	t.Helper()
+	l := lexer{src: src}
+	for {
+		before := l
+		tok, err := l.next()
+		if err != nil || tok.kind == tokString {
+			old := lexer{src: src, pos: tok.pos}
+			if err != nil {
+				old.pos = err.(*SyntaxError).Pos
+			}
+			if old.pos >= len(src) || src[old.pos] != '"' {
+				if err != nil {
+					return // an error of another kind
+				}
+				t.Fatalf("string token of %q at %d does not start with a quote", src, old.pos)
+			}
+			want, wantErr := old.oldLexString()
+			if (err != nil) != (wantErr != nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("lexing %q from %d: error %v, old lexer %v", src, before.pos, err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if tok != want || l.pos != old.pos {
+				t.Fatalf("lexing %q: %+v ending at %d, old lexer %+v ending at %d", src, tok, l.pos, want, old.pos)
+			}
+		}
+		if tok.kind == tokEOF {
+			return
+		}
+	}
+}
+
+// Property: quoted literals lex as the copying lexer lexed them, and
+// AppendLiteral prints every parsed literal as Literal.String does.
+func TestLexStringAndAppendLiteralProperty(t *testing.T) {
+	alphabet := []byte(`"a *()&|=`)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, rng.Intn(12))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		src := `&(s=` + string(b) + `)`
+		checkLexStrings(t, src)
+		if node, err := Parse(src); err == nil {
+			checkAppendLiteral(t, node)
+		}
+	}
+	for _, lit := range []string{"", "*", "*a", "a*", `"`, `""`, `a"b`, "a b", "é", "\xff", "x|y", "a\x00"} {
+		if got, want := string(AppendLiteral(nil, lit)), Literal(lit).String(); got != want {
+			t.Errorf("AppendLiteral(%q) = %s, Literal.String %s", lit, got, want)
+		}
+	}
 }
 
 // A grab bag of strange-but-valid inputs, ensuring the lexer's token

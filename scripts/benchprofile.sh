@@ -28,7 +28,11 @@
 # anything under 5 %. Allocations are sampled one per 4 KiB allocated
 # (runtime.MemProfileRate, set when the binary starts), not the runtime's
 # default one per 512 KiB, so one round ranks a site of 1 % of the objects;
-# the finer sampling slows the round further.
+# the finer sampling slows the round further. The allocated-objects table
+# ends with allocations per op: each layer's share times the rounds' mean of
+# mallocs / ops, read from the result lines above, so the column sums to the
+# end-to-end allocs_per_op a -child round reports (a "layers" child prints
+# no such line and gets no column).
 #
 # The per-layer rule: each sample is charged whole to the innermost frame of
 # its stack whose function is in a package cogrid/internal/<pkg>, and that
@@ -50,7 +54,7 @@
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,49p' "$0" >&2
+    sed -n '2,53p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -128,9 +132,16 @@ last=$((seed + rounds - 1))
 echo "== $rounds -child round(s) of $workload, seeds $seed..$last, GOMAXPROCS=1"
 s=$seed
 while [ "$s" -le "$last" ]; do
-    GOMAXPROCS=1 "$tmp/bench" -child "$workload" -seed "$s"
+    GOMAXPROCS=1 "$tmp/bench" -child "$workload" -seed "$s" >"$tmp/result-$s.txt"
+    cat "$tmp/result-$s.txt"
     s=$((s + 1))
 done
+# The rounds' mean of mallocs / ops from their result lines; empty for a
+# "layers" child, whose output has no such line.
+per_op=$(cat "$tmp"/result-*.txt | awk '
+    match($0, /"mallocs":[0-9]+/) { m = substr($0, RSTART + 10, RLENGTH - 10)
+        if (match($0, /"ops":[0-9]+/) && (o = substr($0, RSTART + 6, RLENGTH - 6)) > 0) { sum += m / o; n++ } }
+    END { if (n > 0) printf "%.2f", sum / n }')
 echo
 echo "== CPU, top 25 by cumulative time, $rounds round(s) merged"
 go tool pprof -top -cum -nodecount=25 "$tmp/bench" "$tmp"/cpu-*.pprof 2>/dev/null | sed -n '/flat%/,$p'
@@ -154,14 +165,16 @@ echo "== objects allocated, top 25 functions, $rounds round(s) merged"
 go tool pprof -sample_index=alloc_objects -top -nodecount=25 $base "$tmp/bench" "$tmp"/allocs-[0-9]*.pprof 2>/dev/null |
     sed -n '/flat%/,$p'
 echo
-# layers <sample index> <unit> <pprof flags> <profile>...: the per-layer table of the
-# merged profiles, by the rule in the header. pprof -traces prints each
-# distinct stack as a separator line, an optional "bytes:" tag line, the
-# sample value with the innermost frame, and the frames around it, one a line.
+# layers <sample index> <unit> <per op> <pprof flags> <profile>...: the
+# per-layer table of the merged profiles, by the rule in the header, with a
+# last column of each layer's share of <per op> when that is not empty.
+# pprof -traces prints each distinct stack as a separator line, an optional
+# "bytes:" tag line, the sample value with the innermost frame, and the
+# frames around it, one a line.
 layers() {
-    index=$1 unit=$2 flags=$3
-    shift 3
-    go tool pprof -sample_index="$index" -traces $flags "$tmp/bench" "$@" 2>/dev/null | awk -v unit="$unit" '
+    index=$1 unit=$2 perop=$3 flags=$4
+    shift 4
+    go tool pprof -sample_index="$index" -traces $flags "$tmp/bench" "$@" 2>/dev/null | awk -v unit="$unit" -v perop="$perop" '
     function charge() {
         if (v != "") {
             share[layer == "" ? "runtime/GC" : layer] += v
@@ -189,18 +202,24 @@ layers() {
     }
     END {
         charge()
-        f = unit == "MB" ? "%-14s %6.1f %%  %12.1f %s\n" : "%-14s %6.1f %%  %12.0f %s\n"
-        for (l in share) printf f, l, 100 * share[l] / total, share[l], unit
+        f = unit == "MB" ? "%-14s %6.1f %%  %12.1f %s" : "%-14s %6.1f %%  %12.0f %s"
+        for (l in share) {
+            printf f, l, 100 * share[l] / total, share[l], unit
+            if (perop != "") printf "  %9.1f /op", perop * share[l] / total
+            printf "\n"
+        }
         printf f, "(total)", 100, total, unit
+        if (perop != "") printf "  %9.1f /op", perop
+        printf "\n"
     }' | sort -k2,2nr
 }
 echo "== CPU by layer, $rounds round(s) merged (innermost cogrid/internal/<pkg> frame, else runtime/GC)"
-layers cpu ms "" "$tmp"/cpu-*.pprof
+layers cpu ms "" "" "$tmp"/cpu-*.pprof
 echo
-echo "== allocated objects by layer, $rounds round(s) merged (same rule)"
-layers alloc_objects objects "$base" "$tmp"/allocs-[0-9]*.pprof
+echo "== allocated objects by layer, $rounds round(s) merged (same rule; /op: share x the rounds' mean mallocs/ops)"
+layers alloc_objects objects "$per_op" "$base" "$tmp"/allocs-[0-9]*.pprof
 echo
 echo "== allocated bytes by layer, $rounds round(s) merged (same rule)"
-layers alloc_space MB "$base" "$tmp"/allocs-[0-9]*.pprof
+layers alloc_space MB "" "$base" "$tmp"/allocs-[0-9]*.pprof
 echo
 echo "$tmp"
