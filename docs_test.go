@@ -306,17 +306,14 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 
 // TestRunTokenIsTheOnlyLock: simulated state is guarded by vtime's run token
 // alone (the rule is stated in vtime's package comment, and go test -race
-// checks it). Outside internal/vtime, a non-test file under internal/, cmd/
-// or examples/ uses package sync only for a package-level sync.Pool, and
-// does not import sync/atomic.
+// checks it). A non-test file under internal/, cmd/ or examples/ — the
+// kernel's own included — uses package sync only for a package-level
+// sync.Pool, and does not import sync/atomic.
 func TestRunTokenIsTheOnlyLock(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, root := range []string{"internal", "cmd", "examples"} {
 		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 			if err != nil || d.IsDir() {
-				if err == nil && p == filepath.Join("internal", "vtime") {
-					return filepath.SkipDir
-				}
 				return err
 			}
 			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {

@@ -103,7 +103,7 @@ func WithSubstitution(ctrl *core.Controller, req core.Request, opts SubstituteOp
 	}
 	poolNext := 0
 	for {
-		if job.Readiness().Ready {
+		if job.Ready() {
 			cfg, err := job.Commit(commitSlice)
 			if err == nil {
 				res.Config = cfg

@@ -194,14 +194,14 @@ func TestReadiness(t *testing.T) {
 			if got := j.Readiness(); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, DoubleCommit %v: Readiness %+v, want %+v", c.name, double, got, want)
 			}
-			if got := j.ready(); got != want.Ready {
-				t.Errorf("%s, DoubleCommit %v: ready %v, want %v", c.name, double, got, want.Ready)
+			if got := j.Ready(); got != want.Ready {
+				t.Errorf("%s, DoubleCommit %v: Ready %v, want %v", c.name, double, got, want.Ready)
 			}
 		}
 	}
 }
 
-// Readiness and ready agree with the old Readiness on every job of up to
+// Readiness and Ready agree with the old Readiness on every job of up to
 // three subjobs, each of every type and status, with and without
 // Bugs.DoubleCommit; the lists do not share capacity.
 func TestReadinessEqualsOldReadiness(t *testing.T) {
@@ -224,8 +224,8 @@ func TestReadinessEqualsOldReadiness(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("types %v statuses %v DoubleCommit %v: Readiness %+v, old %+v", ts, ss, double, got, want)
 				}
-				if j.ready() != want.Ready {
-					t.Fatalf("types %v statuses %v DoubleCommit %v: ready %v, old %v", ts, ss, double, j.ready(), want.Ready)
+				if j.Ready() != want.Ready {
+					t.Fatalf("types %v statuses %v DoubleCommit %v: Ready %v, old %v", ts, ss, double, j.Ready(), want.Ready)
 				}
 				for _, l := range [][]string{got.Waiting, got.Failed, got.CheckedIn} {
 					if len(l) != cap(l) {
@@ -237,14 +237,14 @@ func TestReadinessEqualsOldReadiness(t *testing.T) {
 	}
 }
 
-// Commit reads readiness on every wake without allocating; Readiness's
-// lists are one allocation.
+// Commit and agent.WithSubstitution read Ready on every wake, which
+// allocates nothing; Readiness's lists are one allocation.
 func TestReadinessAllocations(t *testing.T) {
 	types := []SubjobType{Required, Interactive, Optional, Required}
 	statuses := []SubjobStatus{SJCheckedIn, SJActive, SJQueued, SJFailed}
 	j := readinessJob(false, types, statuses)
-	if n := testing.AllocsPerRun(100, func() { j.ready() }); n != 0 {
-		t.Errorf("ready allocates %v times, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { j.Ready() }); n != 0 {
+		t.Errorf("Ready allocates %v times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { j.Readiness() }); n != 1 {
 		t.Errorf("Readiness allocates %v times, want 1", n)

@@ -775,7 +775,7 @@ type CommitReadiness struct {
 // waits for. Its three lists share one allocation.
 func (j *Job) Readiness() CommitReadiness {
 	n := j.readinessCounts()
-	r := CommitReadiness{Ready: j.ready()}
+	r := CommitReadiness{Ready: j.Ready()}
 	if n[0]+n[1]+n[2] == 0 {
 		return r
 	}
@@ -824,10 +824,10 @@ func (j *Job) readinessCounts() (n [3]int) {
 	return n
 }
 
-// ready is Readiness().Ready without the lists, for Commit to read on
-// every wake: every required and interactive subjob that is not deleted
-// has checked in, and at least one has.
-func (j *Job) ready() bool {
+// Ready is Readiness().Ready without the lists, for a commit loop to read
+// on every wake: every required and interactive subjob that is not deleted
+// has checked in, and at least one has. It allocates nothing.
+func (j *Job) Ready() bool {
 	n := j.readinessCounts()
 	if j.c.cfg.Bugs.DoubleCommit {
 		// Injected 2PC bug (see core.Bugs): one vote is treated as
@@ -864,7 +864,7 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 			finish("ok")
 			return j.release.cfg, nil
 		}
-		if j.ready() {
+		if j.Ready() {
 			cfg := j.releaseAll()
 			j.emit(EvCommitted, nil, "")
 			j.superviseReleased()

@@ -108,8 +108,8 @@ func New(opts Options) *Grid {
 		g.Tracer.SetTap(g.Flight)
 		// Kernel probes: timer lead times and dispatch batch sizes land in
 		// the same registry as the layer histograms. Recording neither
-		// blocks nor calls back into the kernel, so it is safe under the
-		// kernel lock.
+		// blocks nor calls back into the kernel, so the dispatcher may
+		// record in the middle of a dispatch.
 		sim.SetStats(vtime.KernelStats{
 			TimerLead:     g.Hists.H("vtime.timer.lead"),
 			DispatchBatch: g.Hists.H("vtime.dispatch.batch"),

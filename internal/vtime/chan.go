@@ -139,40 +139,36 @@ func (c *Chan[T]) String() string {
 // channels.
 func (c *Chan[T]) Send(v T) {
 	s := c.s
-	s.mu.Lock()
 	if s.completed {
-		s.abandonLocked()
+		s.abandon()
 	}
 	if c.closed {
-		s.mu.Unlock()
 		panic("vtime: send on closed channel " + c.String())
 	}
-	if c.offerLocked(v) {
-		s.mu.Unlock()
+	if c.offer(v) {
 		return
 	}
-	p := s.curLocked("Chan.Send")
+	p := s.caller("Chan.Send")
 	c.push(&c.buf, v)
-	c.arrivedLocked()
-	s.blockLocked(p, &c.sendq, waitSend, c, -1)
-	s.mu.Unlock()
+	c.arrived()
+	s.block(p, &c.sendq, waitSend, c, -1)
 	<-p.grant
 	if p.state == wsClosed {
 		panic("vtime: send on closed channel " + c.String())
 	}
 }
 
-// offerLocked hands v to the longest-waiting receiver or, failing that,
+// offer hands v to the longest-waiting receiver or, failing that,
 // buffers it; it reports false if the channel can take v neither way.
-func (c *Chan[T]) offerLocked(v T) bool {
+func (c *Chan[T]) offer(v T) bool {
 	if w := c.recvq.head; w != nil {
 		c.push(&c.handed, v)
-		c.s.wakeLocked(w, wsDelivered)
+		c.s.wake(w, wsDelivered)
 		return true
 	}
 	if c.buf.n < c.cap {
 		c.push(&c.buf, v)
-		c.arrivedLocked()
+		c.arrived()
 		return true
 	}
 	return false
@@ -199,34 +195,29 @@ func (c *Chan[T]) push(r *ring[T], v T) {
 // goes to the process. The channel has one such slot, and from registration
 // until its step starts t counts as armed: a second registration panics.
 func (c *Chan[T]) ReadyOnArrival(t *Task) {
-	s := c.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if c.arrival != nil {
 		panic("vtime: a task is already waiting for an arrival on channel " + c.String())
 	}
-	t.claimLocked()
+	t.claim()
 	c.arrival = t
 	if c.buf.n > 0 || c.closed {
-		c.arrivedLocked()
+		c.arrived()
 	}
 }
 
-// arrivedLocked readies the task waiter, if any: the channel has just gained
+// arrived readies the task waiter, if any: the channel has just gained
 // a value or been closed.
-func (c *Chan[T]) arrivedLocked() {
+func (c *Chan[T]) arrived() {
 	if t := c.arrival; t != nil {
 		c.arrival = nil
-		c.s.readyLocked(runnable{e: &t.entry})
+		c.s.ready(runnable{e: &t.entry})
 	}
 }
 
 // TrySend delivers v without blocking; it reports whether the value was
 // accepted. TrySend on a closed channel returns false.
 func (c *Chan[T]) TrySend(v T) bool {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return !c.closed && c.offerLocked(v)
+	return !c.closed && c.offer(v)
 }
 
 // Recv receives a value, blocking in virtual time until one is available.
@@ -249,38 +240,30 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, res RecvResult) {
 // recv implements Recv (d < 0 means no timeout) and RecvTimeout.
 func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 	s := c.s
-	s.mu.Lock()
 	if s.completed {
-		s.abandonLocked()
+		s.abandon()
 	}
 	if c.buf.n > 0 {
 		// Buffered, or (rendezvous) straight from a blocked sender. Either
 		// way the first blocked sender's value is now within cap.
 		v = c.buf.pop()
 		if w := c.sendq.head; w != nil {
-			s.wakeLocked(w, wsDelivered)
+			s.wake(w, wsDelivered)
 		}
-		s.mu.Unlock()
 		return v, RecvOK
 	}
 	if c.closed {
-		s.mu.Unlock()
 		return v, RecvClosed
 	}
 	if d == 0 {
-		s.mu.Unlock()
 		return v, RecvTimedOut
 	}
-	p := s.curLocked("Chan.Recv")
-	s.blockLocked(p, &c.recvq, waitRecv, c, d)
-	s.mu.Unlock()
+	p := s.caller("Chan.Recv")
+	s.block(p, &c.recvq, waitRecv, c, d)
 	<-p.grant
 	switch p.state {
 	case wsDelivered:
-		s.mu.Lock()
-		v = c.handed.pop()
-		s.mu.Unlock()
-		return v, RecvOK
+		return c.handed.pop(), RecvOK
 	case wsClosed:
 		return v, RecvClosed
 	default:
@@ -299,32 +282,21 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 // blocked senders panic, as with Go channels. Closing twice panics.
 func (c *Chan[T]) Close() {
 	s := c.s
-	s.mu.Lock()
 	if c.closed {
-		s.mu.Unlock()
 		panic("vtime: close of closed channel " + c.String())
 	}
 	c.closed = true
-	s.wakeAllLocked(&c.recvq, wsClosed)
-	s.wakeAllLocked(&c.sendq, wsClosed)
-	c.arrivedLocked()
+	s.wakeAll(&c.recvq, wsClosed)
+	s.wakeAll(&c.sendq, wsClosed)
+	c.arrived()
 	c.buf.truncate(c.cap) // the blocked senders' values go with them
-	s.mu.Unlock()
 }
 
 // IsClosed reports whether the channel has been closed.
-func (c *Chan[T]) IsClosed() bool {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.closed
-}
+func (c *Chan[T]) IsClosed() bool { return c.closed }
 
 // Len returns the number of buffered values.
-func (c *Chan[T]) Len() int {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return min(c.buf.n, c.cap)
-}
+func (c *Chan[T]) Len() int { return min(c.buf.n, c.cap) }
 
 // Cap returns the buffer capacity.
 func (c *Chan[T]) Cap() int { return c.cap }

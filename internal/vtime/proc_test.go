@@ -79,9 +79,7 @@ func TestBlockingDoesNotAllocate(t *testing.T) {
 			f.s.Sleep(step)
 			f.gate.Set()
 		}, func(f *fixture) {
-			f.s.mu.Lock()
 			f.gate.set = false
-			f.s.mu.Unlock()
 			f.ping.Send(1)
 			if !f.gate.WaitTimeout(3 * step) {
 				panic("event not set in time")
@@ -400,10 +398,7 @@ func TestIdleDescriptorLetsGoOfWhatItWaitedOn(t *testing.T) {
 					o.inbox.Close()
 				}()
 				s.Sleep(time.Millisecond) // it has exited: its descriptor is free, and kept
-				s.mu.Lock()
-				idle := len(s.freeProcs)
-				s.mu.Unlock()
-				if idle != 1 {
+				if idle := len(s.freeProcs); idle != 1 {
 					t.Errorf("%d descriptors on the free list, want the waiter's", idle)
 				}
 				for i := 0; i < 50; i++ {

@@ -45,7 +45,9 @@
 // after the last. Readers on the caller's goroutine come after Wait
 // returns, which orders them after the run. So state touched only by
 // setup, processes, tasks and those readers needs no mutex and no atomic,
-// and the race detector checks the rule. A process must never block on
+// and the race detector checks the rule. The kernel keeps it too: it takes
+// no lock of its own, and a process that blocks or exits is done with the
+// Sim when it passes the token on. A process must never block on
 // ordinary Go channels or locks: doing so breaks runnable accounting.
 //
 // If every live non-daemon process is blocked and no timers are pending,
@@ -58,14 +60,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Sim is a discrete-event simulation kernel. Create one with New or
 // NewSeeded; a zero Sim is not usable.
 type Sim struct {
-	mu        sync.Mutex
 	now       time.Duration
 	seq       uint64 // tiebreaker for timers scheduled at the same instant
 	alive     int    // non-daemon processes that have not exited
@@ -77,7 +77,7 @@ type Sim struct {
 	// Deterministic cooperative scheduling: at most one simulated process
 	// executes at a time, selected in FIFO wake order. cur is the process
 	// holding the run token (nil while a dispatcher holds it, see
-	// passLocked, and before Wait); runq holds the processes and
+	// pass, and before Wait); runq holds the processes and
 	// tasks that are ready but waiting their turn (runqHead is the pop
 	// index, reset when the queue drains). Without this serialization two
 	// processes woken at the same virtual instant race, and the winner —
@@ -111,9 +111,9 @@ type Sim struct {
 // Recorder consumes one non-negative int64 sample. It is the kernel's view
 // of a latency histogram: vtime cannot import the metrics package (metrics
 // builds on vtime), so callers inject recorders — *metrics.Histogram
-// satisfies this interface — via SetStats. Implementations are invoked with
-// the kernel lock held, by whoever holds the run token, and therefore must
-// not block or call back into the Sim; they need no lock of their own.
+// satisfies this interface — via SetStats. Implementations are invoked by
+// whoever holds the run token, in the middle of a dispatch, and therefore
+// must not block or call back into the Sim; they need no lock of their own.
 type Recorder interface {
 	Record(v int64)
 }
@@ -123,50 +123,35 @@ type Recorder interface {
 type KernelStats struct {
 	// TimerLead receives, for every timer that fires, its virtual lead time
 	// in nanoseconds: how far ahead of the then-current clock it was set.
-	// Fired timers are the deterministic population — whether a timeout
-	// timer is even created can depend on real goroutine interleaving
-	// within one virtual instant (a waiter may take a fast path and never
-	// block), but a timer that fires exists and fires in every schedule.
+	// Cancelled timers are not recorded.
 	TimerLead Recorder
 	// DispatchBatch receives, for every virtual instant at which at least
-	// one timer fired, the number of timer callbacks dispatched at that
-	// instant. Batches are keyed by the virtual clock, not by scheduler
-	// invocation, so the recorded multiset is deterministic for a fixed
-	// seed even though real goroutine interleaving varies run to run.
+	// one timer fired, the number of timers fired at that instant. The
+	// batch closes when the clock moves on or the run completes.
 	DispatchBatch Recorder
 }
 
 // SetStats installs kernel probes. Call it during setup, before processes
-// are spawned; recorders must be safe for use under the kernel lock (see
+// are spawned; recorders must not block or call back into the Sim (see
 // Recorder).
-func (s *Sim) SetStats(ks KernelStats) {
-	s.mu.Lock()
-	s.stats = ks
-	s.mu.Unlock()
-}
+func (s *Sim) SetStats(ks KernelStats) { s.stats = ks }
 
 // TimersFired returns the total number of timer callbacks dispatched so
 // far — the kernel's event throughput counter.
-func (s *Sim) TimersFired() int64 { return s.counter(&s.timersFired) }
+func (s *Sim) TimersFired() int64 { return s.timersFired }
 
 // Spawned returns how many processes have been started (Go, GoDaemon and
 // fired AfterFunc callbacks).
-func (s *Sim) Spawned() int64 { return s.counter(&s.spawned) }
+func (s *Sim) Spawned() int64 { return s.spawned }
 
 // Handoffs returns how many times the run token was granted to a process on
 // another goroutine than the one giving it up — the goroutine switches the
 // run has cost. A process that dispatches its own wake-up is not one.
-func (s *Sim) Handoffs() int64 { return s.counter(&s.handoffs) }
+func (s *Sim) Handoffs() int64 { return s.handoffs }
 
 // TasksRun returns how many task steps have run (AfterFuncPassive callbacks
 // included).
-func (s *Sim) TasksRun() int64 { return s.counter(&s.tasksRun) }
-
-func (s *Sim) counter(c *int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return *c
-}
+func (s *Sim) TasksRun() int64 { return s.tasksRun }
 
 // DeadlockError reports that every live process was blocked with no pending
 // timers. Blocked lists a human-readable description of each blocked
@@ -203,9 +188,9 @@ func NewSeeded(seed int64) *Sim {
 var newTimerQueue = func() timerQueue { return newTimerWheel() }
 
 // Now returns the current virtual time, measured from the start of the
-// simulation. It takes no lock: the clock moves only while the dispatcher
-// holds the run token, so for setup, a process, a task or a reader after
-// Wait the value is exact.
+// simulation. The clock moves only while the dispatcher holds the run
+// token, so for setup, a process, a task or a reader after Wait the value
+// is exact.
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Go spawns fn as a simulated process. The simulation is complete when all
@@ -219,9 +204,9 @@ func (s *Sim) Go(name string, fn func()) { s.spawn(name, fn, false) }
 // is abandoned when it next tries to wait (see Wait).
 func (s *Sim) GoDaemon(name string, fn func()) { s.spawn(name, fn, true) }
 
+// spawn is Go and GoDaemon: ignored once the run has completed, and a
+// non-daemon keeps the run alive until it exits.
 func (s *Sim) spawn(name string, fn func(), daemon bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.completed {
 		return
 	}
@@ -229,14 +214,13 @@ func (s *Sim) spawn(name string, fn func(), daemon bool) {
 		s.alive++
 		s.started = true
 	}
-	s.spawnLocked(name, fn, daemon)
+	s.startProc(name, fn, daemon)
 }
 
-// spawnLocked starts fn as a process on a recycled or fresh descriptor and
+// startProc starts fn as a process on a recycled or fresh descriptor and
 // queues it for the run token. A recycled descriptor brings its goroutine,
-// parked in procLoop with the stack the previous process grew. Must be
-// called with s.mu held.
-func (s *Sim) spawnLocked(name string, fn func(), daemon bool) {
+// parked in procLoop with the stack the previous process grew.
+func (s *Sim) startProc(name string, fn func(), daemon bool) {
 	p := popFree(&s.freeProcs)
 	if p == nil {
 		p = &proc{grant: make(chan struct{}, 1)}
@@ -244,7 +228,7 @@ func (s *Sim) spawnLocked(name string, fn func(), daemon bool) {
 	}
 	p.name, p.daemon, p.fn = name, daemon, fn
 	s.spawned++
-	s.readyLocked(runnable{p: p})
+	s.ready(runnable{p: p})
 }
 
 // procLoop is the goroutine behind descriptor p: it runs the processes
@@ -267,63 +251,68 @@ func (s *Sim) runProc(p *proc) (returned bool) {
 	return true
 }
 
-func (s *Sim) procExit(p *proc, recycle bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// procExit retires the process on p, which returned or (returned false)
+// left by runtime.Goexit or a panic, and passes the run token on. The
+// grant hands every field of the Sim to the next holder, so everything the
+// exit does to the descriptor is done first, and after pass this goroutine
+// touches nothing of the Sim: procLoop reads only p.grant, which is never
+// reassigned.
+func (s *Sim) procExit(p *proc, returned bool) {
 	p.fn = nil
-	// Nothing refers to an exited process but cancelled timer entries, and
-	// those are never dereferenced: the descriptor can serve the next spawn
-	// — even one made by a task this goroutine is about to run as the
-	// dispatcher, whose grant then waits in the channel for procLoop.
-	if recycle {
-		s.freeProcs = append(s.freeProcs, p)
-	}
 	if !p.daemon {
 		s.alive--
 		if s.alive == 0 && !s.completed {
-			s.flushBatchLocked()
-			s.completeLocked()
+			s.flushBatch()
+			s.complete()
 		}
 	}
-	s.passLocked(p)
-	if s.completed {
-		s.releaseFreeLocked() // a daemon that outlived the run
+	switch {
+	case !returned:
+		// procLoop unwinds with the process: the descriptor is dropped.
+	case s.completed:
+		close(p.grant) // nothing spawns any more: procLoop returns
+	default:
+		// Nothing refers to an exited process but cancelled timer entries,
+		// and those are never dereferenced: the descriptor can serve the
+		// next spawn — even one made by a task this goroutine is about to
+		// run as the dispatcher, whose grant then waits in the channel for
+		// procLoop. If the run completes before then, complete closes it.
+		s.freeProcs = append(s.freeProcs, p)
 	}
+	s.pass(p)
 }
 
-// completeLocked ends the simulation: from here on a daemon that tries to
+// complete ends the simulation: from here on a daemon that tries to
 // wait is abandoned instead, timers stay unfired and queued steps unrun.
 // Daemons already queued for the run token still get their turn, one after
 // another, for as long as each exits instead of waiting; Wait returns when
-// that is over (endLocked). Must be called with s.mu held.
-func (s *Sim) completeLocked() {
+// that is over (end).
+func (s *Sim) complete() {
 	s.completed = true
-	s.releaseFreeLocked()
+	s.releaseFree()
 }
 
-// endLocked lets Wait return: the run has completed and the run token has
-// nowhere left to go, so nothing it emits is still to come. Must be called
-// with s.mu held.
-func (s *Sim) endLocked() {
+// end lets Wait return: the run has completed and the run token has
+// nowhere left to go, so nothing it emits is still to come.
+func (s *Sim) end() {
 	if !s.over {
 		s.over = true
 		close(s.done)
 	}
 }
 
-// abandonLocked parks the calling daemon for good: it outlived the run and
+// abandon parks the calling daemon for good: it outlived the run and
 // has just tried to wait. The run token stays with it — nothing queued behind
-// it is granted — so this is also where the run is over. Called with s.mu
-// held; does not return.
-func (s *Sim) abandonLocked() {
-	s.endLocked()
-	s.mu.Unlock()
+// it is granted — so this is also where the run is over. It does not
+// return.
+func (s *Sim) abandon() {
+	s.end()
 	select {}
 }
 
-// releaseFreeLocked lets the goroutines parked behind free descriptors
+// releaseFree lets the goroutines parked behind free descriptors
 // exit; nothing spawns once the simulation has completed.
-func (s *Sim) releaseFreeLocked() {
+func (s *Sim) releaseFree() {
 	for _, p := range s.freeProcs {
 		close(p.grant)
 	}
@@ -341,19 +330,14 @@ func (s *Sim) releaseFreeLocked() {
 // emitted when Wait returns. At least one non-daemon process must have
 // been spawned before calling Wait.
 func (s *Sim) Wait() error {
-	s.mu.Lock()
 	if !s.started {
-		s.mu.Unlock()
 		panic("vtime: Wait called before any process was spawned")
 	}
 	if !s.waited {
 		s.waited = true
-		s.passLocked(nil)
+		s.pass(nil)
 	}
-	s.mu.Unlock()
 	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.deadlock != nil {
 		return s.deadlock
 	}
@@ -370,17 +354,14 @@ func (s *Sim) Run(name string, fn func()) error {
 // Sleep suspends the calling process for d of virtual time. A non-positive
 // d returns immediately.
 func (s *Sim) Sleep(d time.Duration) {
-	s.mu.Lock()
 	if s.completed {
-		s.abandonLocked()
+		s.abandon()
 	}
 	if d <= 0 {
-		s.mu.Unlock()
 		return
 	}
-	p := s.curLocked("Sleep")
-	s.blockLocked(p, nil, waitSleep, nil, d)
-	s.mu.Unlock()
+	p := s.caller("Sleep")
+	s.block(p, nil, waitSleep, nil, d)
 	<-p.grant
 }
 
@@ -400,21 +381,15 @@ type Timer struct {
 
 // Stop cancels the timer. It reports whether the callback was prevented
 // from running.
-func (t *Timer) Stop() bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.s.cancelTimerLocked(t.t)
-}
+func (t *Timer) Stop() bool { return t.s.cancelTimer(t.t) }
 
 // Reset reschedules the timer to fire after d from the current virtual
 // instant, whether or not it has already fired or been stopped. It reports
 // whether the timer was still pending (and was therefore cancelled) at the
 // time of the call, with the same meaning as Stop's return value.
 func (t *Timer) Reset(d time.Duration) bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	was := t.s.cancelTimerLocked(t.t)
-	t.t = t.s.pushTimerLocked(&timerEntry{fn: t.fn, passive: t.t.passive}, t.s.now+d)
+	was := t.s.cancelTimer(t.t)
+	t.t = t.s.pushTimer(&timerEntry{fn: t.fn, passive: t.t.passive}, t.s.now+d)
 	return was
 }
 
@@ -439,10 +414,8 @@ func (s *Sim) AfterFuncPassive(d time.Duration, fn func()) *Timer {
 }
 
 func (s *Sim) afterFunc(d time.Duration, fn func(), passive bool) *Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	entry := &timerEntry{fn: fn, passive: passive}
-	return &Timer{s: s, t: s.pushTimerLocked(entry, s.now+d), fn: fn}
+	return &Timer{s: s, t: s.pushTimer(entry, s.now+d), fn: fn}
 }
 
 // Runner is the body of a Task.
@@ -454,7 +427,7 @@ type Runner interface {
 
 // Task is a unit of simulated work that needs no stack of its own: each
 // step runs to completion on the stack of the process that is dispatching
-// (see passLocked), in exactly the place a process woken at the same moment
+// (see pass), in exactly the place a process woken at the same moment
 // would have run. It is meant to be embedded in its owner, which implements
 // Runner; arming and running it allocate nothing. A task is armed, ready or
 // waiting for an arrival ([Chan.ReadyOnArrival]) at most once at a time:
@@ -481,27 +454,22 @@ func (t *Task) Init(s *Sim, run Runner) {
 // with every other timer; a when that has passed means now.
 func (t *Task) At(when time.Duration) {
 	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t.claimLocked()
+	t.claim()
 	t.entry.fired = false
-	s.pushTimerLocked(&t.entry, max(when, s.now))
+	s.pushTimer(&t.entry, max(when, s.now))
 }
 
 // Ready queues the task to run at the current instant, behind everything
 // already runnable — the run-queue slot a process woken now would take. It
 // never runs the step inside the call.
 func (t *Task) Ready() {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t.claimLocked()
-	s.readyLocked(runnable{e: &t.entry})
+	t.claim()
+	t.s.ready(runnable{e: &t.entry})
 }
 
-func (t *Task) claimLocked() {
+func (t *Task) claim() {
 	if t.pending {
-		panic("vtime: task armed while already armed or queued") // every caller unlocks on the way out
+		panic("vtime: task armed while already armed or queued")
 	}
 	t.pending = true
 }
@@ -523,26 +491,23 @@ func (s *Sim) RandExp() float64 { return s.rng.ExpFloat64() }
 
 // --- kernel internals ---
 
-// curLocked returns the descriptor of the calling process: the holder of
+// caller returns the descriptor of the calling process: the holder of
 // the run token. A call that would block from anywhere else — a task step
 // (cur is nil while a dispatcher holds the token), or a goroutine the kernel
-// never spawned — has no descriptor to block on. Must be called with s.mu
-// held.
-func (s *Sim) curLocked(op string) *proc {
+// never spawned — has no descriptor to block on.
+func (s *Sim) caller(op string) *proc {
 	if s.cur == nil {
-		s.mu.Unlock()
 		panic("vtime: " + op + " would block outside a simulated process (passive callback or foreign goroutine)")
 	}
 	return s.cur
 }
 
-// blockLocked marks p, the calling process, blocked: on wait queue q if
+// block marks p, the calling process, blocked: on wait queue q if
 // there is one, with a timeout timer if d >= 0. It then passes the run
-// token on, which may run tasks, advance the clock as far as p's own timeout
-// and release s.mu in between. Must be called with s.mu held; the caller
-// must subsequently release s.mu and park on p.grant, after which p.state
-// holds the outcome.
-func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, on fmt.Stringer, d time.Duration) {
+// token on, which may run tasks and advance the clock as far as p's own
+// timeout. The caller must then park on p.grant, after which p.state holds
+// the outcome.
+func (s *Sim) block(p *proc, q *procQueue, kind waitKind, on fmt.Stringer, d time.Duration) {
 	p.wait = waitInfo{kind: kind, on: on, since: s.now}
 	p.state = wsWaiting
 	if d >= 0 {
@@ -552,13 +517,13 @@ func (s *Sim) blockLocked(p *proc, q *procQueue, kind waitKind, on fmt.Stringer,
 			e = new(timerEntry)
 		}
 		e.proc = p
-		p.timer = s.pushTimerLocked(e, s.now+d)
+		p.timer = s.pushTimer(e, s.now+d)
 	}
 	if p.waitq = q; q != nil {
 		q.push(p, waitLink)
 	}
 	s.blocked.push(p, blockedLink)
-	s.passLocked(p)
+	s.pass(p)
 }
 
 // runnable is one entry of the run queue: a process, or the timer entry of
@@ -568,32 +533,30 @@ type runnable struct {
 	e *timerEntry
 }
 
-// readyLocked queues r for the run token, FIFO behind whatever is already
+// ready queues r for the run token, FIFO behind whatever is already
 // runnable. A parked process resumes only when it is actually its turn,
 // which is what makes wake order (and therefore the whole run)
 // deterministic. Readying never grants the token: Wait makes the first
 // grant, and from then on the token is held — by a process, or by the
-// dispatcher passing it on — until the run is over. Must be called with
-// s.mu held.
-func (s *Sim) readyLocked(r runnable) {
+// dispatcher passing it on — until the run is over.
+func (s *Sim) ready(r runnable) {
 	s.runq = append(s.runq, r)
 }
 
-// passLocked gives up the run token on behalf of self — the process that
+// pass gives up the run token on behalf of self — the process that
 // just blocked or exited, nil for a goroutine the kernel does not own — and
 // makes the caller the dispatcher: it runs queued tasks on its own stack,
 // and while nothing is queued advances the clock and fires the next timer,
 // until it has granted the token to a process (possibly self: the grant
 // waits in the channel) or there is nothing left to do. Each timer fires
-// alone: what it made runnable runs before the next one is popped. Must be
-// called with s.mu held, which it releases around each task step.
-func (s *Sim) passLocked(self *proc) {
+// alone: what it made runnable runs before the next one is popped.
+func (s *Sim) pass(self *proc) {
 	s.cur = nil
 	for {
 		for s.runqHead == len(s.runq) {
-			if s.completed || !s.fireNextLocked() {
+			if s.completed || !s.fireNext() {
 				if s.completed {
-					s.endLocked()
+					s.end()
 				}
 				return
 			}
@@ -619,27 +582,24 @@ func (s *Sim) passLocked(self *proc) {
 		if t != nil {
 			t.pending = false
 		}
-		s.mu.Unlock()
 		if t != nil {
 			t.run.RunTask()
 		} else {
 			next.e.fn() // a passive callback
 		}
-		s.mu.Lock()
 	}
 }
 
-// wakeLocked ends blocked process p's wait with outcome state: it leaves
+// wake ends blocked process p's wait with outcome state: it leaves
 // its wait queue and the blocked list, its timeout is cancelled, and it
 // queues for the run token. It also lets go of what it waited on: a
 // descriptor outlives its process on the free list, and would keep that
-// object — and whatever embeds it — reachable until its next wait. Must be
-// called with s.mu held.
-func (s *Sim) wakeLocked(p *proc, state int) {
+// object — and whatever embeds it — reachable until its next wait.
+func (s *Sim) wake(p *proc, state int) {
 	p.state = state
 	p.wait.on = nil
 	if p.timer != nil {
-		s.cancelTimerLocked(p.timer)
+		s.cancelTimer(p.timer)
 		p.timer = nil
 	}
 	if p.waitq != nil {
@@ -647,13 +607,13 @@ func (s *Sim) wakeLocked(p *proc, state int) {
 		p.waitq = nil
 	}
 	s.blocked.remove(p, blockedLink)
-	s.readyLocked(runnable{p: p})
+	s.ready(runnable{p: p})
 }
 
-// wakeAllLocked wakes every process on q, longest-waiting first.
-func (s *Sim) wakeAllLocked(q *procQueue, state int) {
+// wakeAll wakes every process on q, longest-waiting first.
+func (s *Sim) wakeAll(q *procQueue, state int) {
 	for q.head != nil {
-		s.wakeLocked(q.head, state)
+		s.wake(q.head, state)
 	}
 }
 
@@ -668,9 +628,8 @@ func popFree[T any](free *[]*T) *T {
 	return x
 }
 
-// pushTimerLocked schedules entry at virtual time when. Must be called with
-// s.mu held.
-func (s *Sim) pushTimerLocked(entry *timerEntry, when time.Duration) *timerEntry {
+// pushTimer schedules entry at virtual time when.
+func (s *Sim) pushTimer(entry *timerEntry, when time.Duration) *timerEntry {
 	s.seq++
 	entry.when, entry.born, entry.seq = when, s.now, s.seq
 	s.timers.push(entry)
@@ -678,24 +637,23 @@ func (s *Sim) pushTimerLocked(entry *timerEntry, when time.Duration) *timerEntry
 	return entry
 }
 
-// recycleLocked returns a popped sleep or timeout entry to the free list.
+// recycle returns a popped sleep or timeout entry to the free list.
 // Popping is the only moment that is safe: until then a lazily-cancelled
 // entry is still filed in the queue, and handing it to a new wait would let
 // the old filing fire the new one. Entries behind a Timer handle are never
-// reused. Must be called with s.mu held.
-func (s *Sim) recycleLocked(entry *timerEntry) {
+// reused.
+func (s *Sim) recycle(entry *timerEntry) {
 	if entry.proc != nil {
 		*entry = timerEntry{}
 		s.freeTimers = append(s.freeTimers, entry)
 	}
 }
 
-// cancelTimerLocked marks entry cancelled, keeping the live-timer count
+// cancelTimer marks entry cancelled, keeping the live-timer count
 // exact for deadlock detection. The entry itself is discarded lazily when
 // the queue pops it — which may be long after, so it lets go of its
-// callback now. Reports whether the entry was still pending. Must be called
-// with s.mu held.
-func (s *Sim) cancelTimerLocked(entry *timerEntry) bool {
+// callback now. Reports whether the entry was still pending.
+func (s *Sim) cancelTimer(entry *timerEntry) bool {
 	if entry.cancelled || entry.fired {
 		return false
 	}
@@ -705,13 +663,13 @@ func (s *Sim) cancelTimerLocked(entry *timerEntry) bool {
 	return true
 }
 
-// fireNextLocked advances virtual time to the earliest pending timer and
+// fireNext advances virtual time to the earliest pending timer and
 // fires it; it reports false, having ended the run, if there is none. Must
-// be called with s.mu held and nothing runnable.
-func (s *Sim) fireNextLocked() bool {
+// be called with nothing runnable.
+func (s *Sim) fireNext() bool {
 	for {
 		if s.liveTimers == 0 {
-			s.reportDeadlockLocked()
+			s.reportDeadlock()
 			return false
 		}
 		entry := s.timers.pop()
@@ -719,30 +677,28 @@ func (s *Sim) fireNextLocked() bool {
 			panic("vtime: timer queue empty with live timers pending")
 		}
 		if entry.cancelled {
-			s.recycleLocked(entry)
+			s.recycle(entry)
 			continue
 		}
 		if entry.when > s.now {
 			s.now = entry.when
 		}
-		// Dispatch batches are keyed by the clock value at fire time: a
-		// woken process that blocks again at the same instant continues
-		// the open batch, keeping the statistic independent of where the
-		// scheduler happened to pause.
+		// The open dispatch batch counts the timers fired at batchWhen; the
+		// first timer of a later instant records it and opens the next.
 		if s.batchCount > 0 && s.now != s.batchWhen {
-			s.flushBatchLocked()
+			s.flushBatch()
 		}
 		s.batchWhen = s.now
-		s.fireLocked(entry)
+		s.fire(entry)
 		return true
 	}
 }
 
-// fireLocked dispatches one timer under the kernel lock: a sleep or timeout
+// fire dispatches one timer: a sleep or timeout
 // entry wakes its process (a live entry means the process is still in the
 // wait that pushed it, since every other wake cancels it), a task's entry
 // readies the task, an AfterFunc entry spawns its callback as a daemon.
-func (s *Sim) fireLocked(entry *timerEntry) {
+func (s *Sim) fire(entry *timerEntry) {
 	entry.fired = true
 	s.liveTimers--
 	s.batchCount++
@@ -752,33 +708,32 @@ func (s *Sim) fireLocked(entry *timerEntry) {
 	}
 	switch p := entry.proc; {
 	case p != nil:
-		s.recycleLocked(entry)
+		s.recycle(entry)
 		p.timer = nil
-		s.wakeLocked(p, wsTimedOut)
+		s.wake(p, wsTimedOut)
 	case entry.task != nil || entry.passive:
-		s.readyLocked(runnable{e: entry})
+		s.ready(runnable{e: entry})
 	default:
-		s.spawnLocked("afterfunc", entry.fn, true)
+		s.startProc("afterfunc", entry.fn, true)
 	}
 }
 
-// flushBatchLocked records and resets the open dispatch batch. Must be
-// called with s.mu held.
-func (s *Sim) flushBatchLocked() {
+// flushBatch records and resets the open dispatch batch.
+func (s *Sim) flushBatch() {
 	if s.batchCount > 0 && s.stats.DispatchBatch != nil {
 		s.stats.DispatchBatch.Record(s.batchCount)
 	}
 	s.batchCount = 0
 }
 
-func (s *Sim) reportDeadlockLocked() {
-	s.flushBatchLocked()
+func (s *Sim) reportDeadlock() {
+	s.flushBatch()
 	var blocked []string
 	for p := s.blocked.head; p != nil; p = p.links[blockedLink].next {
 		blocked = append(blocked, p.name+": "+p.wait.describe())
 	}
 	s.deadlock = &DeadlockError{Now: s.now, Blocked: blocked}
-	s.completeLocked()
+	s.complete()
 }
 
 // --- processes ---
@@ -787,8 +742,8 @@ func (s *Sim) reportDeadlockLocked() {
 // process blocks on, it blocks on this: its wait record, the outcome, its
 // timeout timer and its place in a wait queue all live here, and grant is
 // the channel it parks on. That is sound because every field is written
-// under s.mu by whoever holds the run token, and between blocking and being
-// granted the token again the process itself runs no code.
+// by whoever holds the run token, and between blocking and being granted the
+// token again the process itself runs no code.
 type proc struct {
 	name   string
 	daemon bool

@@ -20,28 +20,20 @@ func NewWaitGroup(s *Sim) *WaitGroup { return &WaitGroup{s: s} }
 // reaches zero, all blocked Wait calls are released. A negative counter
 // panics.
 func (wg *WaitGroup) Add(delta int) {
-	s := wg.s
-	s.mu.Lock()
 	wg.count += delta
 	if wg.count < 0 {
-		s.mu.Unlock()
 		panic("vtime: negative WaitGroup counter")
 	}
 	if wg.count == 0 {
-		s.wakeAllLocked(&wg.waiters, wsDelivered)
+		wg.s.wakeAll(&wg.waiters, wsDelivered)
 	}
-	s.mu.Unlock()
 }
 
 // Done decrements the counter by one.
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Count returns the current counter value.
-func (wg *WaitGroup) Count() int {
-	wg.s.mu.Lock()
-	defer wg.s.mu.Unlock()
-	return wg.count
-}
+func (wg *WaitGroup) Count() int { return wg.count }
 
 // Wait blocks in virtual time until the counter is zero.
 func (wg *WaitGroup) Wait() { wg.wait(-1) }
@@ -57,24 +49,20 @@ func (wg *WaitGroup) WaitTimeout(d time.Duration) bool {
 
 func (wg *WaitGroup) wait(d time.Duration) bool {
 	s := wg.s
-	s.mu.Lock()
 	if s.completed {
-		s.abandonLocked()
+		s.abandon()
 	}
 	if done := wg.count == 0; done || d == 0 {
-		s.mu.Unlock()
 		return done
 	}
-	return s.waitLocked(&wg.waiters, "WaitGroup.Wait", waitWaitGroup, nil, d)
+	return s.parkOn(&wg.waiters, "WaitGroup.Wait", waitWaitGroup, nil, d)
 }
 
-// waitLocked blocks the calling process on q until a release wakes it
-// (true) or, if d >= 0, d elapses (false). Called with s.mu held; returns
-// with it released.
-func (s *Sim) waitLocked(q *procQueue, op string, kind waitKind, on fmt.Stringer, d time.Duration) bool {
-	p := s.curLocked(op)
-	s.blockLocked(p, q, kind, on, d)
-	s.mu.Unlock()
+// parkOn blocks the calling process on q and parks it until a release
+// wakes it (true) or, if d >= 0, d elapses (false).
+func (s *Sim) parkOn(q *procQueue, op string, kind waitKind, on fmt.Stringer, d time.Duration) bool {
+	p := s.caller(op)
+	s.block(p, q, kind, on, d)
 	<-p.grant
 	return p.state == wsDelivered
 }
@@ -128,22 +116,15 @@ func (e *Event) String() string {
 // Set sets the event, releasing all current and future Wait calls. Setting
 // an already-set event is a no-op.
 func (e *Event) Set() {
-	s := e.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e.set {
 		return
 	}
 	e.set = true
-	s.wakeAllLocked(&e.waiters, wsDelivered)
+	e.s.wakeAll(&e.waiters, wsDelivered)
 }
 
 // IsSet reports whether the event has been set.
-func (e *Event) IsSet() bool {
-	e.s.mu.Lock()
-	defer e.s.mu.Unlock()
-	return e.set
-}
+func (e *Event) IsSet() bool { return e.set }
 
 // Wait blocks in virtual time until the event is set.
 func (e *Event) Wait() { e.wait(-1) }
@@ -159,13 +140,11 @@ func (e *Event) WaitTimeout(d time.Duration) bool {
 
 func (e *Event) wait(d time.Duration) bool {
 	s := e.s
-	s.mu.Lock()
 	if s.completed {
-		s.abandonLocked()
+		s.abandon()
 	}
 	if set := e.set; set || d == 0 {
-		s.mu.Unlock()
 		return set
 	}
-	return s.waitLocked(&e.waiters, "Event.Wait", waitEvent, e, d)
+	return s.parkOn(&e.waiters, "Event.Wait", waitEvent, e, d)
 }

@@ -56,11 +56,13 @@ go run ./cmd/benchgrid -fig none -app chaos -smoke >/dev/null
 echo "== trace smoke (causal-tracing invariants)"
 go run ./cmd/tracegrid -smoke -check >/dev/null
 
-echo "== dst smoke (protocol invariants over 200 random scenarios)"
-go run ./cmd/dstgrid -seeds 200 -smoke >/dev/null
+# The two dstgrid smokes run under the race detector: whole grids, daemons
+# that outlive their run included, checked against the run-token rule.
+echo "== dst smoke (protocol invariants over 200 random scenarios, -race)"
+go run -race ./cmd/dstgrid -seeds 200 -smoke >/dev/null
 
-echo "== fed smoke (federated invariants + replica scaling check)"
-go run ./cmd/dstgrid -fed-seeds 40 -smoke >/dev/null
+echo "== fed smoke (federated invariants + replica scaling check, dstgrid -race)"
+go run -race ./cmd/dstgrid -fed-seeds 40 -smoke >/dev/null
 go run ./cmd/benchgrid -fig none -app federation -smoke >/dev/null
 
 echo "== fuzz seeds (envelope codec and JSON primitives, typed check-in bodies, hand-written JSON bodies, GSI frames, RSL, timer wheel, trace JSONL, flight-recorder dumps, DST scenarios)"
