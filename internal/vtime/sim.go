@@ -578,11 +578,8 @@ func (s *Sim) pass(self *proc) {
 			continue // only processes outlive the run
 		}
 		s.tasksRun++
-		t := next.e.task
-		if t != nil {
+		if t := next.e.task; t != nil {
 			t.pending = false
-		}
-		if t != nil {
 			t.run.RunTask()
 		} else {
 			next.e.fn() // a passive callback
