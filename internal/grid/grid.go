@@ -213,14 +213,18 @@ func (g *Grid) Dial(machine string) (*gram.Client, error) {
 }
 
 // WriteMetrics writes every counter, gauge, and histogram the run
-// collected in Prometheus text format. Gauges are sampled at the current
-// virtual time. The output is deterministic for a fixed seed; without
-// Options.Trace all registries are empty and the exposition is too.
+// collected in Prometheus text format. The counters are streamed from the
+// registry (trace.Counters.Export), never collected into one sorted list.
+// Gauges are sampled at the current virtual time. The output is
+// deterministic for a fixed seed; without Options.Trace all registries are
+// empty and the exposition is too.
 func (g *Grid) WriteMetrics(w io.Writer) error {
+	plain, fams := g.Counters.Export()
 	return metrics.WritePrometheus(w, metrics.PromSnapshot{
-		Counters: g.Counters.Snapshot(),
-		Gauges:   g.Gauges,
-		GaugeAt:  g.Sim.Now(),
-		Hists:    g.Hists,
+		Counters:        plain,
+		CounterFamilies: fams,
+		Gauges:          g.Gauges,
+		GaugeAt:         g.Sim.Now(),
+		Hists:           g.Hists,
 	})
 }

@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
 	"cogrid/internal/experiments"
+	"cogrid/internal/grid"
+	"cogrid/internal/trace"
 )
 
 // promSample is one parsed exposition line: sanitized family name plus
@@ -127,6 +131,46 @@ func TestWriteMetricsExposesEveryRegistry(t *testing.T) {
 	}
 	if err := diffCounts(expectedHists, hists); err != nil {
 		t.Errorf("histogram exposition mismatch: %v", err)
+	}
+}
+
+// connScope is a connection end's scope as the transport renders one.
+type connScope int
+
+func (c connScope) AppendScope(dst []byte) []byte {
+	dst = append(dst, "site"...)
+	dst = strconv.AppendInt(dst, int64(c%24), 10)
+	dst = append(dst, ":client->broker0:duroc@"...)
+	return strconv.AppendInt(dst, 1_000_000+int64(c)*37, 10)
+}
+
+// WriteMetrics streams the per-connection counters: what it allocates does
+// not grow with the connection ends it writes. (Through a sorted snapshot
+// it was a name and a row per counter, and a family name per distinct
+// connection direction and dial time.)
+func TestWriteMetricsAllocationsDoNotGrowWithMembers(t *testing.T) {
+	allocs := func(members int) float64 {
+		g := grid.New(grid.Options{Trace: true})
+		g.Counters.Add("rpc.call.ok@m1", 3)
+		fam := g.Counters.Family("transport", "conn") // the network's family
+		for i := 0; i < members; i++ {
+			ctrs := make([]trace.Counter, 5)
+			ctrs[i%5].Add(int64(i))
+			fam.Member(connScope(i), ctrs)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := g.WriteMetrics(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10_000), allocs(20_000)
+	t.Logf("WriteMetrics: %v allocations with 10 000 members, %v with 20 000", small, large)
+	if large > small {
+		t.Errorf("WriteMetrics allocates %v times with 20 000 members, %v with 10 000: the count grows with the members", large, small)
+	}
+	if small > 40 {
+		t.Errorf("WriteMetrics allocates %v times, want at most 40", small)
 	}
 }
 

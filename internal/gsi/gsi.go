@@ -213,8 +213,8 @@ func ClientHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	if err := sendJSON(conn, helloMsg{Kind: "gsi-hello", Client: cred.Name, NonceC: nc}); err != nil {
 		return "", err
 	}
-	var ch challengeMsg
-	if err := recvJSON(conn, &ch); err != nil {
+	ch, err := recvJSON[challengeMsg](conn)
+	if err != nil {
 		return "", err
 	}
 	if ch.Kind != "gsi-challenge" {
@@ -232,8 +232,8 @@ func ClientHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	if err := sendJSON(conn, responseMsg{Kind: "gsi-response", ProofC: pc}); err != nil {
 		return "", err
 	}
-	var res resultMsg
-	if err := recvJSON(conn, &res); err != nil {
+	res, err := recvJSON[resultMsg](conn)
+	if err != nil {
 		return "", err
 	}
 	if res.Kind != "gsi-result" {
@@ -250,8 +250,8 @@ func ClientHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 // authenticated client name. The configured ServerCompute cost is charged
 // before the server's proof is produced.
 func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg *Registry, cost CostModel) (string, error) {
-	var hello helloMsg
-	if err := recvJSON(conn, &hello); err != nil {
+	hello, err := recvJSON[helloMsg](conn)
+	if err != nil {
 		return "", err
 	}
 	if hello.Kind != "gsi-hello" {
@@ -279,8 +279,8 @@ func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	if err := sendJSON(conn, ch); err != nil {
 		return "", err
 	}
-	var resp responseMsg
-	if err := recvJSON(conn, &resp); err != nil {
+	resp, err := recvJSON[responseMsg](conn)
+	if err != nil {
 		return "", err
 	}
 	if resp.Kind != "gsi-response" {
@@ -296,9 +296,17 @@ func ServerHandshake(sim *vtime.Sim, conn *transport.Conn, cred Credential, reg 
 	return hello.Client, nil
 }
 
-// sendJSON and recvJSON carry the handshake frames, each written and read
-// by hand in exactly encoding/json's bytes (see wire.JSON).
-func sendJSON(conn *transport.Conn, v interface{ AppendJSON(dst []byte) []byte }) error {
+// frame is a handshake frame type: it appends itself in exactly
+// encoding/json's bytes and parses what it appends into a fresh value (see
+// wire.JSON). Both take and return the frame by value, so the frames a
+// handshake sends and receives stay on its stack.
+type frame[T any] interface {
+	AppendJSON(dst []byte) []byte
+	parse(src []byte) (T, bool)
+}
+
+// sendJSON and recvJSON carry the handshake frames.
+func sendJSON[T frame[T]](conn *transport.Conn, v T) error {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	*buf = v.AppendJSON((*buf)[:0])
@@ -306,34 +314,39 @@ func sendJSON(conn *transport.Conn, v interface{ AppendJSON(dst []byte) []byte }
 }
 
 // resultPrefix starts every gsi-result frame AppendJSON writes, and no
-// frame of another kind that ParseJSON accepts.
+// frame of another kind that parse accepts.
 var resultPrefix = []byte(`{"kind":"gsi-result"`)
 
-func recvJSON(conn *transport.Conn, v interface{ ParseJSON(src []byte) bool }) error {
+func recvJSON[T frame[T]](conn *transport.Conn) (T, error) {
+	var v T
 	raw, err := conn.RecvTimeout(HandshakeTimeout)
 	if err != nil {
 		if err == transport.ErrRecvTimeout {
-			return ErrTimeout
+			return v, ErrTimeout
 		}
-		return err
+		return v, err
 	}
-	_, wantResult := v.(*resultMsg)
-	if v.ParseJSON(raw) && (wantResult || !bytes.HasPrefix(raw, resultPrefix)) {
-		return nil
+	_, wantResult := any(v).(resultMsg)
+	if m, ok := v.parse(raw); ok && (wantResult || !bytes.HasPrefix(raw, resultPrefix)) {
+		return m, nil
 	}
 	// A gsi-result frame can arrive where another kind was expected when
 	// the server rejects early; surface it as a protocol-level rejection.
 	if !wantResult {
 		var probe resultMsg
 		if json.Unmarshal(raw, &probe) == nil && probe.Kind == "gsi-result" && !probe.OK {
-			return fmt.Errorf("gsi: rejected by peer: %s", probe.Error)
+			return v, fmt.Errorf("gsi: rejected by peer: %s", probe.Error)
 		}
 	}
-	return json.Unmarshal(raw, v)
+	p := new(T)
+	err = json.Unmarshal(raw, p)
+	return *p, err
 }
 
 func (m helloMsg) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &m, (*helloMsg).json) }
-func (m *helloMsg) ParseJSON(src []byte) bool   { return wire.ParseJSON(src, m, (*helloMsg).json) }
+func (helloMsg) parse(src []byte) (m helloMsg, ok bool) {
+	return m, wire.ParseJSON(src, &m, (*helloMsg).json)
+}
 
 func (m *helloMsg) json(j *wire.JSON) {
 	j.String("kind", &m.Kind)
@@ -344,8 +357,8 @@ func (m *helloMsg) json(j *wire.JSON) {
 func (m challengeMsg) AppendJSON(dst []byte) []byte {
 	return wire.AppendJSON(dst, &m, (*challengeMsg).json)
 }
-func (m *challengeMsg) ParseJSON(src []byte) bool {
-	return wire.ParseJSON(src, m, (*challengeMsg).json)
+func (challengeMsg) parse(src []byte) (m challengeMsg, ok bool) {
+	return m, wire.ParseJSON(src, &m, (*challengeMsg).json)
 }
 
 func (m *challengeMsg) json(j *wire.JSON) {
@@ -358,7 +371,9 @@ func (m *challengeMsg) json(j *wire.JSON) {
 func (m responseMsg) AppendJSON(dst []byte) []byte {
 	return wire.AppendJSON(dst, &m, (*responseMsg).json)
 }
-func (m *responseMsg) ParseJSON(src []byte) bool { return wire.ParseJSON(src, m, (*responseMsg).json) }
+func (responseMsg) parse(src []byte) (m responseMsg, ok bool) {
+	return m, wire.ParseJSON(src, &m, (*responseMsg).json)
+}
 
 func (m *responseMsg) json(j *wire.JSON) {
 	j.String("kind", &m.Kind)
@@ -366,7 +381,9 @@ func (m *responseMsg) json(j *wire.JSON) {
 }
 
 func (m resultMsg) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &m, (*resultMsg).json) }
-func (m *resultMsg) ParseJSON(src []byte) bool   { return wire.ParseJSON(src, m, (*resultMsg).json) }
+func (resultMsg) parse(src []byte) (m resultMsg, ok bool) {
+	return m, wire.ParseJSON(src, &m, (*resultMsg).json)
+}
 
 func (m *resultMsg) json(j *wire.JSON) {
 	j.String("kind", &m.Kind)

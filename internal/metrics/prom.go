@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -18,11 +17,20 @@ import (
 
 // NamedValue is one counter sample handed to WritePrometheus. The metrics
 // package cannot import trace (trace imports metrics), so trace declares its
-// snapshot entry, trace.CounterValue, as this type: a
-// trace.Counters.Snapshot() is handed over as it is.
+// snapshot entry, trace.CounterValue, as this type.
 type NamedValue struct {
 	Name  string
 	Value int64
+}
+
+// CounterFamily is a family of counters over verbs and members, as
+// trace.Family keeps them: the counter of verb v and member m is named
+// Heads[v], then '@' and Scopes[m] when that is not empty, and holds
+// Values[m*len(Heads)+v]. No string holds a whole name.
+type CounterFamily struct {
+	Heads  []string
+	Scopes []string
+	Values []int64
 }
 
 // PromSnapshot bundles the registries for one exposition write. Any field
@@ -30,10 +38,14 @@ type NamedValue struct {
 type PromSnapshot struct {
 	// Prefix is prepended to every metric name; defaults to "cogrid_".
 	Prefix string
-	// Counters are monotonic counter samples, typically a trace.Counters
-	// snapshot (sorted by name, so samples with one base name are adjacent
-	// and the base is sanitized once for all of them).
+	// Counters are monotonic counter samples in any order: a
+	// trace.Counters.Snapshot, or the plain counters of
+	// trace.Counters.Export.
 	Counters []NamedValue
+	// CounterFamilies are more counters, named in parts
+	// (trace.Counters.Export). A name given more than once, in Counters or
+	// in a family, is one counter: the exposition shows the sum.
+	CounterFamilies []CounterFamily
 	// Gauges are sampled at virtual time GaugeAt (normally Sim.Now() at
 	// end of run).
 	Gauges  *GaugeSet
@@ -120,45 +132,16 @@ func (p *promWriter) labels(scope, le string) {
 // WritePrometheus writes snap in Prometheus text format. Dotted metric
 // names become underscore-separated; a trailing "@scope" suffix (the
 // trace.Key convention) becomes a scope="..." label so per-host counters
-// stay one family with bounded name cardinality.
+// stay one family with bounded name cardinality. Counters are listed by
+// family, by scope within a family, and — where two names share both, as
+// a.b@s and a_b@s do — by name.
 func WritePrometheus(w io.Writer, snap PromSnapshot) error {
 	prefix := snap.Prefix
 	if prefix == "" {
 		prefix = "cogrid_"
 	}
 	p := promWriter{w: w, buf: make([]byte, 0, promFlushAt+4096)} // room for the line that crosses the mark
-
-	// Counters: group rows by sanitized family name so each # TYPE header
-	// is emitted once with its scoped samples contiguous beneath it.
-	type promRow struct {
-		family string
-		scope  string
-		value  int64
-	}
-	rows := make([]promRow, len(snap.Counters))
-	var lastBase, family string
-	for i, cv := range snap.Counters {
-		base, scope := splitScope(cv.Name)
-		if i == 0 || base != lastBase {
-			lastBase, family = base, promName(prefix, base)
-		}
-		rows[i] = promRow{family: family, scope: scope, value: cv.Value}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].family != rows[j].family {
-			return rows[i].family < rows[j].family
-		}
-		return rows[i].scope < rows[j].scope
-	})
-	for i, r := range rows {
-		if i == 0 || rows[i-1].family != r.family {
-			p.str("# TYPE ", r.family, " counter")
-			p.endLine()
-		}
-		p.sample(r.family, "", r.scope, "")
-		p.int(r.value)
-		p.endLine()
-	}
+	p.counters(prefix, snap.Counters, snap.CounterFamilies)
 
 	// Gauges, sampled at one fixed virtual instant.
 	for _, name := range snap.Gauges.Names() {
@@ -214,13 +197,19 @@ func promName(prefix, s string) string {
 	var sb strings.Builder
 	sb.Grow(len(prefix) + len(s))
 	sb.WriteString(prefix)
+	writePromName(&sb, s)
+	return sb.String()
+}
+
+// writePromName writes s sanitized: each rune that may not appear in a
+// Prometheus metric name becomes one '_'.
+func writePromName(sb *strings.Builder, s string) {
 	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
-			sb.WriteRune(r)
+			sb.WriteByte(byte(r))
 		default:
 			sb.WriteByte('_')
 		}
 	}
-	return sb.String()
 }

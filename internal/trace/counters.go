@@ -40,7 +40,7 @@ func (c *Counter) Load() int64 {
 // Counters come in two kinds. A plain counter is registered under its name
 // (C, Add, AddKey). A counter that exists once per connection end — tens of
 // thousands a run, read only when the run is exported — belongs to a Family
-// and has no name until Snapshot renders one.
+// and has no name until Snapshot renders one; Export hands it over without one.
 type Counters struct {
 	m map[string]*Counter
 	// byKey indexes the same handles by the parts of their Key name, for
@@ -110,23 +110,35 @@ func (c *Counters) AddKey(layer, object, verb, scope string, delta int64) {
 
 // Family is the set of counters Key(layer, object, verb, scope) over a
 // fixed list of verbs and any number of scopes: one member per scope, each
-// member one Counter per verb. Joining costs the member a slice append —
-// no name is built, nothing enters a map, no counter is allocated — because
-// the member brings its own counters and a scope that is rendered only when
-// somebody reads the registry. A nil *Family is a valid no-op.
+// member one Counter per verb. Joining costs the member a place in a chunk
+// — no name is built, nothing enters a map, no counter is allocated, and no
+// member already there is copied — because the member brings its own
+// counters and a scope that is rendered only when somebody reads the
+// registry. A nil *Family is a valid no-op.
 type Family struct {
 	prefix string   // "layer.object."
 	verbs  []string // in the caller's order: the order of a member's counters
+	heads  []string // prefix+verb for each verb: its names up to the '@'
 	// byName lists the verb indices in the order their names sort: by
 	// verb+"@", since '@' ends the verb in a name ("recv@" < "recvbytes@").
 	byName []int
 
-	members []member
+	// chunks hold the members in join order, memberChunk to a chunk; a
+	// chunk, once made, is never moved or grown.
+	chunks [][]member
 }
 
+const memberChunk = 1024
+
 type member struct {
-	scope fmt.Stringer
+	scope Scope
 	ctrs  []Counter
+}
+
+// A Scope renders a family member's scope: AppendScope appends it to dst
+// and returns the extended slice, as the strconv Append functions do.
+type Scope interface {
+	AppendScope(dst []byte) []byte
 }
 
 // Family returns the family of layer.object counters over verbs, creating
@@ -143,11 +155,12 @@ func (c *Counters) Family(layer, object string, verbs ...string) *Family {
 			return f
 		}
 	}
-	f := &Family{prefix: prefix, verbs: slices.Clone(verbs), byName: make([]int, len(verbs))}
+	f := &Family{prefix: prefix, verbs: slices.Clone(verbs), heads: make([]string, len(verbs)), byName: make([]int, len(verbs))}
 	for i, v := range verbs {
 		if strings.Contains(v, "@") || slices.Index(verbs, v) != i {
 			panic(fmt.Sprintf("trace: family %s has an unusable verb list %q", prefix, verbs))
 		}
+		f.heads[i] = prefix + v
 		f.byName[i] = i
 	}
 	slices.SortFunc(f.byName, func(a, b int) int { return strings.Compare(verbs[a]+"@", verbs[b]+"@") })
@@ -156,60 +169,95 @@ func (c *Counters) Family(layer, object string, verbs ...string) *Family {
 }
 
 // Member adds a member: ctrs[i] counts the family's i-th verb under the
-// scope that scope.String() renders when the registry is read. The member's
-// counters exist, at their current values, from this call on. The caller
-// keeps counting through &ctrs[i] and must leave what scope renders
+// scope that scope.AppendScope renders when the registry is read. The
+// member's counters exist, at their current values, from this call on. The
+// caller keeps counting through &ctrs[i] and must leave what scope renders
 // unchanged; members whose scopes render equal are reported as one counter
 // per verb holding their sum, as if they had shared a name. Nil-safe.
-func (f *Family) Member(scope fmt.Stringer, ctrs []Counter) {
+func (f *Family) Member(scope Scope, ctrs []Counter) {
 	if f == nil {
 		return
 	}
 	if len(ctrs) != len(f.verbs) {
 		panic(fmt.Sprintf("trace: a member of family %s brings %d counters for %d verbs", f.prefix, len(ctrs), len(f.verbs)))
 	}
-	f.members = append(f.members, member{scope, ctrs})
+	n := len(f.chunks)
+	if n == 0 || len(f.chunks[n-1]) == memberChunk {
+		f.chunks = append(f.chunks, make([]member, 0, memberChunk))
+		n++
+	}
+	f.chunks[n-1] = append(f.chunks[n-1], member{scope, ctrs})
 }
 
-// scoped is one member under its rendered scope.
-type scoped struct {
-	scope string
-	ctrs  []Counter
+// read renders every member's scope and copies its counts, in join order:
+// member i's scope is scopes[i], its count for verb v vals[i*len(verbs)+v].
+// Each scope is rendered twice — once to measure them all, once into one
+// string of exactly that length that every scope is cut from — so a read
+// allocates the same few times however many members there are. The counts
+// are copied member after member because a reader goes through them once
+// per verb.
+func (f *Family) read() (scopes []string, vals []int64) {
+	var buf []byte
+	size, n := 0, 0
+	for _, chunk := range f.chunks {
+		for i := range chunk {
+			buf = chunk[i].scope.AppendScope(buf[:0])
+			size += len(buf)
+		}
+		n += len(chunk)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	scopes = make([]string, 0, n)
+	vals = make([]int64, 0, n*len(f.verbs))
+	for _, chunk := range f.chunks {
+		for _, m := range chunk {
+			buf = m.scope.AppendScope(buf[:0])
+			at := all.Len()
+			all.Write(buf)
+			scopes = append(scopes, all.String()[at:])
+			for i := range m.ctrs {
+				vals = append(vals, m.ctrs[i].Load())
+			}
+		}
+	}
+	return scopes, vals
 }
 
-// mergeInto merges the members' counters into the sorted slice out: every
-// scope is rendered and the scopes sorted once, then each verb contributes
+// mergeInto merges the members' counters into the sorted slice out: the
+// members are read and sorted by scope once, then each verb contributes
 // one run that is already in name order, members with equal scopes summed
 // into one entry. The names of a run — Key(layer, object, verb, scope) each
 // — are cut from one string built for the whole run. dup reports that a
 // name in a run was already in out.
 func (f *Family) mergeInto(out []CounterValue) (merged []CounterValue, dup bool) {
-	byScope := make([]scoped, len(f.members))
-	for i, m := range f.members {
-		byScope[i] = scoped{m.scope.String(), m.ctrs}
+	scopes, vals := f.read()
+	byScope := make([]int32, len(scopes))
+	for i := range byScope {
+		byScope[i] = int32(i)
 	}
-	slices.SortFunc(byScope, func(a, b scoped) int { return strings.Compare(a.scope, b.scope) })
+	slices.SortFunc(byScope, func(a, b int32) int { return strings.Compare(scopes[a], scopes[b]) })
 	distinct, scopeBytes := 0, 0
 	for i, m := range byScope {
-		if i == 0 || m.scope != byScope[i-1].scope {
+		if i == 0 || scopes[m] != scopes[byScope[i-1]] {
 			distinct++
-			scopeBytes += len(m.scope)
+			scopeBytes += len(scopes[m])
 		}
 	}
+	nv := len(f.verbs)
 	run := make([]CounterValue, 0, distinct)
 	for _, v := range f.byName {
-		verb := f.verbs[v]
+		head := f.heads[v]
 		var names strings.Builder
-		names.Grow(distinct*(len(f.prefix)+len(verb)+1) + scopeBytes)
+		names.Grow(distinct*(len(head)+1) + scopeBytes)
 		run = run[:0]
 		for i := 0; i < len(byScope); {
-			scope, sum := byScope[i].scope, int64(0)
-			for ; i < len(byScope) && byScope[i].scope == scope; i++ {
-				sum += byScope[i].ctrs[v].Load()
+			scope, sum := scopes[byScope[i]], int64(0)
+			for ; i < len(byScope) && scopes[byScope[i]] == scope; i++ {
+				sum += vals[int(byScope[i])*nv+v]
 			}
 			at := names.Len()
-			names.WriteString(f.prefix)
-			names.WriteString(verb)
+			names.WriteString(head)
 			if scope != "" {
 				names.WriteByte('@')
 				names.WriteString(scope)
@@ -259,9 +307,12 @@ func (f *Family) get(name string) int64 {
 		return 0
 	}
 	var total int64
-	for _, m := range f.members {
-		if m.scope.String() == scope {
-			total += m.ctrs[v].Load()
+	var buf []byte
+	for _, chunk := range f.chunks {
+		for _, m := range chunk {
+			if buf = m.scope.AppendScope(buf[:0]); string(buf) == scope {
+				total += m.ctrs[v].Load()
+			}
 		}
 	}
 	return total
@@ -282,8 +333,9 @@ func (c *Counters) Get(name string) int64 {
 }
 
 // CounterValue is one snapshot entry: Name and Value. It is the exposition
-// writer's sample type, so a snapshot is handed to metrics.WritePrometheus
-// as it is.
+// writer's sample type, metrics.NamedValue, so a snapshot can be written as
+// metrics.PromSnapshot.Counters; Export hands its plain counters over as
+// these too.
 type CounterValue = metrics.NamedValue
 
 // Snapshot returns every counter sorted by name — the deterministic dump
@@ -297,7 +349,9 @@ func (c *Counters) Snapshot() []CounterValue {
 	}
 	size := len(c.m)
 	for _, f := range c.families {
-		size += len(f.members) * len(f.verbs)
+		for _, chunk := range f.chunks {
+			size += len(chunk) * len(f.verbs)
+		}
 	}
 	out := make([]CounterValue, 0, size)
 	for name, h := range c.m {
@@ -326,6 +380,26 @@ func (c *Counters) Snapshot() []CounterValue {
 		out = out[:w]
 	}
 	return out
+}
+
+// Export returns every counter the way metrics.WritePrometheus takes them
+// (metrics.PromSnapshot's Counters and CounterFamilies): the plain counters
+// in no particular order, and each family as its verbs' names, its
+// members' rendered scopes and their counts. No name is built. Written,
+// they are what Snapshot would write. Returns nils on a nil registry.
+func (c *Counters) Export() (plain []CounterValue, fams []metrics.CounterFamily) {
+	if c == nil {
+		return nil, nil
+	}
+	plain = make([]CounterValue, 0, len(c.m))
+	for name, h := range c.m {
+		plain = append(plain, CounterValue{Name: name, Value: h.v})
+	}
+	for _, f := range c.families {
+		scopes, vals := f.read()
+		fams = append(fams, metrics.CounterFamily{Heads: f.heads, Scopes: scopes, Values: vals})
+	}
+	return plain, fams
 }
 
 // String renders the snapshot as an aligned two-column table.

@@ -13,7 +13,7 @@ import (
 // scopeName is a member's scope in the tests: a string that renders itself.
 type scopeName string
 
-func (s scopeName) String() string { return string(s) }
+func (s scopeName) AppendScope(dst []byte) []byte { return append(dst, s...) }
 
 // TestFamilySnapshotEqualsEagerRegistry builds the same counts twice, once
 // the way every counter used to be registered — C(Key(...)), one name, one
@@ -190,6 +190,18 @@ func TestSpanAllocs(t *testing.T) {
 // leaves behind: 23 400 connection ends in a five-verb family rendering
 // 13 000 distinct scopes (65 000 lines) beside 3 000 plain counters.
 func BenchmarkCountersSnapshot(b *testing.B) {
+	cs := benchRegistry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := len(cs.Snapshot()); n != 68_000 {
+			b.Fatalf("%d lines", n)
+		}
+	}
+}
+
+// benchRegistry is the registry BenchmarkCountersSnapshot reads.
+func benchRegistry() *Counters {
 	cs := NewCounters()
 	fam := cs.Family("transport", "conn", "send", "sendbytes", "recv", "recvbytes", "drop")
 	for i := 0; i < 23_400; i++ {
@@ -201,11 +213,5 @@ func BenchmarkCountersSnapshot(b *testing.B) {
 	for i := 0; i < 3_000; i++ {
 		cs.Add(Key("transport", "msgs", []string{"send", "recv"}[i%2], fmt.Sprintf("host%04d", i/2)), int64(i))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n := len(cs.Snapshot()); n != 68_000 {
-			b.Fatalf("%d lines", n)
-		}
-	}
+	return cs
 }

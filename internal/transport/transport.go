@@ -660,7 +660,7 @@ var connVerbs = [numConnCtrs]string{"send", "sendbytes", "recv", "recvbytes", "d
 
 // connStats is the part of a connection end the counter registry keeps: its
 // counters, and the facts its directional name is rendered from on the day
-// somebody reads the registry (see trace.Family). Two ends whose names
+// somebody reads the registry (see trace.Family and trace.Scope). Two ends whose names
 // render equal — same direction, same dial microsecond — share one line per
 // verb there.
 type connStats struct {
@@ -676,32 +676,29 @@ func (s *connStats) add(verb int, delta int64) {
 	}
 }
 
-// String renders the end's directional name, connNames.dir.
-func (s *connStats) String() string {
-	var sb strings.Builder
+// AppendScope appends the end's directional name, connNames.dir: the scope
+// its counters are read under (trace.Scope).
+func (s *connStats) AppendScope(dst []byte) []byte {
 	var ts [20]byte
-	t := strconv.AppendInt(ts[:0], int64(s.est/time.Microsecond), 10)
-	sb.Grow(dirLen(s.local, s.remote, t))
-	writeDir(&sb, s.local, "->", s.remote, t)
-	return sb.String()
+	return appendDir(dst, s.local, "->", s.remote, strconv.AppendInt(ts[:0], int64(s.est/time.Microsecond), 10))
 }
 
-// dirLen is the length of what writeDir writes with a two-byte arrow.
+// dirLen is the length of what appendDir appends with a two-byte arrow.
 func dirLen(from, to Addr, ts []byte) int {
 	return len(from.Host) + len(from.Service) + len(to.Host) + len(to.Service) + len(ts) + 5
 }
 
-// writeDir writes from<arrow>to@ts.
-func writeDir(sb *strings.Builder, from Addr, arrow string, to Addr, ts []byte) {
-	sb.WriteString(from.Host)
-	sb.WriteByte(':')
-	sb.WriteString(from.Service)
-	sb.WriteString(arrow)
-	sb.WriteString(to.Host)
-	sb.WriteByte(':')
-	sb.WriteString(to.Service)
-	sb.WriteByte('@')
-	sb.Write(ts)
+// appendDir appends from<arrow>to@ts.
+func appendDir(dst []byte, from Addr, arrow string, to Addr, ts []byte) []byte {
+	dst = append(dst, from.Host...)
+	dst = append(dst, ':')
+	dst = append(dst, from.Service...)
+	dst = append(dst, arrow...)
+	dst = append(dst, to.Host...)
+	dst = append(dst, ':')
+	dst = append(dst, to.Service...)
+	dst = append(dst, '@')
+	return append(dst, ts...)
 }
 
 // connNames are the strings that identify a connection end to tracing and
@@ -731,10 +728,11 @@ func (c *Conn) names() *connNames {
 	var sb strings.Builder
 	dl := dirLen(client.local, client.remote, t) // either end's dir, and the flow before its hash
 	sb.Grow(3*dl + 9)                            // two dirs, flow, "~" and eight hex digits
+	var dir [128]byte                            // on the stack: sb copies what is appended to it
 	for _, e := range ends {
-		writeDir(&sb, e.local, "->", e.remote, t)
+		sb.Write(appendDir(dir[:0], e.local, "->", e.remote, t))
 	}
-	writeDir(&sb, client.local, "=>", client.remote, t)
+	sb.Write(appendDir(dir[:0], client.local, "=>", client.remote, t))
 	if c.ctx.Valid() {
 		h := fnv1a(fnv1a(fnv1a(fnvOffset32, c.ctx.Req), "\x00"), c.ctx.Span)
 		var hex [8]byte
