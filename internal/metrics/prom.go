@@ -26,7 +26,8 @@ type NamedValue struct {
 // CounterFamily is a family of counters over verbs and members, as
 // trace.Family keeps them: the counter of verb v and member m is named
 // Heads[v], then '@' and Scopes[m] when that is not empty, and holds
-// Values[m*len(Heads)+v]. No string holds a whole name.
+// Values[m*len(Heads)+v]. No string holds a whole name. A Head has no '@',
+// so a name splits in its scope or not at all.
 type CounterFamily struct {
 	Heads  []string
 	Scopes []string

@@ -232,9 +232,6 @@ type famOrder struct {
 	f     *CounterFamily
 	keys  []memberKey // the members, sorted
 	heads []string    // each verb's Head, sanitized
-	// bare holds each verb's counter for a member with the empty scope,
-	// whose name is the Head alone, split where the Head splits.
-	bare []promRow
 }
 
 // memberKey is member m of the family, its scope's last '@' (-1 for none)
@@ -254,10 +251,13 @@ func orderFamily(f *CounterFamily) *famOrder {
 	if len(f.Values) != len(f.Scopes)*nv {
 		panic(fmt.Sprintf("metrics: a counter family of %d verbs and %d members has %d values", nv, len(f.Scopes), len(f.Values)))
 	}
-	o := &famOrder{f: f, keys: make([]memberKey, len(f.Scopes)), heads: make([]string, nv), bare: make([]promRow, nv)}
+	o := &famOrder{f: f, keys: make([]memberKey, len(f.Scopes)), heads: make([]string, nv)}
 	size := 0
 	for _, h := range f.Heads {
-		size += 2 * utf8.RuneCountInString(h)
+		if strings.Contains(h, "@") {
+			panic(fmt.Sprintf("metrics: counter family head %q has an '@'", h))
+		}
+		size += utf8.RuneCountInString(h)
 	}
 	for m, s := range f.Scopes {
 		at := strings.LastIndexByte(s, '@')
@@ -268,15 +268,10 @@ func orderFamily(f *CounterFamily) *famOrder {
 	}
 	var all strings.Builder
 	all.Grow(size)
-	cut := func(s string) string {
-		at := all.Len()
-		writePromName(&all, s)
-		return all.String()[at:]
-	}
 	for v, h := range f.Heads {
-		o.heads[v] = cut(h)
-		base, scope := splitScope(h)
-		o.bare[v] = promRow{fam1: cut(base), scope: scope, head: h}
+		at := all.Len()
+		writePromName(&all, h)
+		o.heads[v] = all.String()[at:]
 	}
 	for i := range o.keys {
 		if k := &o.keys[i]; k.at >= 0 {
@@ -302,10 +297,7 @@ func orderFamily(f *CounterFamily) *famOrder {
 // row is verb v's counter of the i-th member in order.
 func (o *famOrder) row(v, i int) promRow {
 	k := o.keys[i]
-	r := o.bare[v]
-	if s := o.f.Scopes[k.m]; s != "" {
-		r = promRow{fam1: o.heads[v], fam2: k.tail, scope: s[k.at+1:], head: o.f.Heads[v], tail: s}
-	}
-	r.value = o.f.Values[int(k.m)*len(o.f.Heads)+v]
-	return r
+	s := o.f.Scopes[k.m]
+	return promRow{fam1: o.heads[v], fam2: k.tail, scope: s[k.at+1:], head: o.f.Heads[v], tail: s,
+		value: o.f.Values[int(k.m)*len(o.f.Heads)+v]}
 }

@@ -143,13 +143,17 @@ type Scope interface {
 
 // Family returns the family of layer.object counters over verbs, creating
 // it on first use; the verbs of a later call are ignored. Returns nil on a
-// nil registry. A verb list that repeats a verb or has '@' in one panics:
-// the names would not be unique.
+// nil registry. A verb list that repeats a verb panics, since the names
+// would not be unique, and so does an '@' in the layer, the object or a
+// verb, since a name would not end in its scope.
 func (c *Counters) Family(layer, object string, verbs ...string) *Family {
 	if c == nil {
 		return nil
 	}
 	prefix := layer + "." + object + "."
+	if strings.Contains(prefix, "@") {
+		panic(fmt.Sprintf("trace: family %s has an '@' in its name", prefix))
+	}
 	for _, f := range c.families {
 		if f.prefix == prefix {
 			return f

@@ -105,14 +105,17 @@ func TestFamilySnapshotEqualsEagerRegistry(t *testing.T) {
 }
 
 func TestFamilyRejectsAmbiguousVerbs(t *testing.T) {
-	for _, verbs := range [][]string{{"a", "a"}, {"a@b"}} {
+	for _, c := range []struct {
+		layer string
+		verbs []string
+	}{{"l", []string{"a", "a"}}, {"l", []string{"a@b"}}, {"l@x", []string{"a"}}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Family(%q) did not panic", verbs)
+					t.Errorf("Family(%q, \"o\", %q) did not panic", c.layer, c.verbs)
 				}
 			}()
-			NewCounters().Family("l", "o", verbs...)
+			NewCounters().Family(c.layer, "o", c.verbs...)
 		}()
 	}
 	defer func() {
