@@ -65,7 +65,7 @@ echo "== fed smoke (federated invariants + replica scaling check, dstgrid -race)
 go run -race ./cmd/dstgrid -fed-seeds 40 -smoke >/dev/null
 go run ./cmd/benchgrid -fig none -app federation -smoke >/dev/null
 
-echo "== fuzz seeds (envelope codec and JSON primitives, typed check-in bodies, hand-written JSON bodies, GSI frames, RSL, timer wheel, trace JSONL, flight-recorder dumps, DST scenarios)"
+echo "== fuzz seeds (envelope codec and JSON primitives, typed check-in bodies, hand-written JSON bodies, GSI frames, RSL, timer wheel, trace JSONL, the streamed counter exposition against the snapshot path, flight-recorder dumps, DST scenarios)"
 go test -run Fuzz ./internal/wire ./internal/core ./internal/mds ./internal/gram ./internal/nis ./internal/broker \
     ./internal/federation ./internal/gsi ./internal/rsl ./internal/vtime ./internal/trace ./internal/flightrec ./internal/dst >/dev/null
 
