@@ -660,9 +660,9 @@ var connVerbs = [numConnCtrs]string{"send", "sendbytes", "recv", "recvbytes", "d
 
 // connStats is the part of a connection end the counter registry keeps: its
 // counters, and the facts its directional name is rendered from on the day
-// somebody reads the registry (see trace.Family and trace.Scope). Two ends whose names
-// render equal — same direction, same dial microsecond — share one line per
-// verb there.
+// somebody reads the registry (see trace.Family and trace.Scope). Two ends
+// whose names render equal — same direction, same dial microsecond — share
+// one line per verb there.
 type connStats struct {
 	local, remote Addr
 	est           time.Duration
