@@ -147,7 +147,9 @@ func (c connScope) AppendScope(dst []byte) []byte {
 // WriteMetrics streams the per-connection counters: what it allocates does
 // not grow with the connection ends it writes. (Through a sorted snapshot
 // it was a name and a row per counter, and a family name per distinct
-// connection direction and dial time.)
+// connection direction and dial time; scopes rendered into 64 KiB blocks
+// would add five or six here.) The count itself moves by one or two between
+// runs, hence the slack.
 func TestWriteMetricsAllocationsDoNotGrowWithMembers(t *testing.T) {
 	allocs := func(members int) float64 {
 		g := grid.New(grid.Options{Trace: true})
@@ -166,7 +168,7 @@ func TestWriteMetricsAllocationsDoNotGrowWithMembers(t *testing.T) {
 	}
 	small, large := allocs(10_000), allocs(20_000)
 	t.Logf("WriteMetrics: %v allocations with 10 000 members, %v with 20 000", small, large)
-	if large > small {
+	if large > small+2 {
 		t.Errorf("WriteMetrics allocates %v times with 20 000 members, %v with 10 000: the count grows with the members", large, small)
 	}
 	if small > 40 {
