@@ -263,7 +263,7 @@ func recon(p *lrm.Proc) error {
 		}
 		net.Tracer().Span("app", "reconstruct", p.Host().Name(), "recon", "", reconStart,
 			trace.Arg{Key: "seq", Val: strconv.Itoa(m.Seq)})
-		net.Counters().Add(trace.Key("app", "frames", "recon", p.Host().Name()), 1)
+		net.Counters().AddKey("app", "frames", "recon", p.Host().Name(), 1)
 		back, err := rt.DialRank(0)
 		if err != nil {
 			return err

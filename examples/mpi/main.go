@@ -1,7 +1,9 @@
 // Mpi runs a grid-spanning MPI job the MPICH-G way (paper Section 4.3):
 // the application only calls mpig.Init — all DUROC calls are hidden in
 // the library — and computes a distributed dot product across three
-// machines with point-to-point halo exchanges and an AllReduce.
+// machines: rank 0 Scatters the index ranges, ranks exchange halos point to
+// point and partial sums pairwise with SendRecv, and an AllReduce and an
+// AllGather must agree on the total.
 package main
 
 import (
@@ -55,6 +57,9 @@ func main() {
 		fmt.Printf("MPI world: %d ranks over %d machines, formed at t=%v\n",
 			cfg.WorldSize, cfg.NSubjobs, g.Sim.Now())
 		job.Done().Wait()
+		if reason := job.Err(); reason != "" {
+			log.Fatalf("job failed: %s", reason)
+		}
 		fmt.Printf("job complete at t=%v\n", g.Sim.Now())
 		g.Sim.Sleep(time.Second)
 	})
@@ -63,9 +68,10 @@ func main() {
 	}
 }
 
-// dotProduct: each rank owns a slice of two synthetic vectors, computes
-// its partial dot product, verifies neighbor connectivity with a halo
-// exchange, and AllReduces the total.
+// dotProduct: each rank owns a slice of two synthetic vectors, given to it
+// by rank 0, computes its partial dot product, verifies neighbor
+// connectivity with a halo exchange, swaps partials with its pair partner,
+// and AllReduces and AllGathers the partials.
 func dotProduct(p *lrm.Proc) error {
 	comm, err := mpig.Init(p)
 	if err != nil {
@@ -74,12 +80,28 @@ func dotProduct(p *lrm.Proc) error {
 	defer comm.Finalize()
 
 	rank, size := comm.Rank(), comm.Size()
-	chunk := vectorLen / size
-	lo := rank * chunk
-	hi := lo + chunk
-	if rank == size-1 {
-		hi = vectorLen
+	// Rank 0 decides every rank's [lo, hi) and scatters it.
+	var ranges [][]byte
+	if rank == 0 {
+		chunk := vectorLen / size
+		for r := 0; r < size; r++ {
+			bounds := [2]int{r * chunk, (r + 1) * chunk}
+			if r == size-1 {
+				bounds[1] = vectorLen
+			}
+			part, _ := json.Marshal(bounds)
+			ranges = append(ranges, part)
+		}
 	}
+	mine, err := comm.Scatter(0, ranges)
+	if err != nil {
+		return err
+	}
+	var bounds [2]int
+	if err := json.Unmarshal(mine, &bounds); err != nil {
+		return err
+	}
+	lo, hi := bounds[0], bounds[1]
 	var partial int64
 	for i := lo; i < hi; i++ {
 		a := int64(i%97 + 1)
@@ -110,9 +132,39 @@ func dotProduct(p *lrm.Proc) error {
 		}
 	}
 
+	// Pairwise exchange: ranks 2k and 2k+1 swap partial sums in one call.
+	mineJSON, _ := json.Marshal(partial)
+	partner := rank ^ 1
+	var partnerPartial int64 = -1
+	if partner < size {
+		got, err := comm.SendRecv(partner, mineJSON)
+		if err != nil {
+			return err
+		}
+		json.Unmarshal(got, &partnerPartial)
+	}
+
 	total, err := comm.AllReduceInt(partial, func(a, b int64) int64 { return a + b })
 	if err != nil {
 		return err
+	}
+	// Every rank sees every partial: they must sum to the AllReduce total,
+	// and the partner's must be the one SendRecv delivered.
+	all, err := comm.AllGather(mineJSON)
+	if err != nil {
+		return err
+	}
+	var sum int64
+	for r, raw := range all {
+		var v int64
+		json.Unmarshal(raw, &v)
+		sum += v
+		if r == partner && v != partnerPartial {
+			return fmt.Errorf("rank %d: SendRecv got %d from rank %d, AllGather %d", rank, partnerPartial, r, v)
+		}
+	}
+	if sum != total {
+		return fmt.Errorf("rank %d: AllGather sums to %d, AllReduce %d", rank, sum, total)
 	}
 	if rank == 0 {
 		// Check against a serial computation.

@@ -13,6 +13,13 @@ import (
 	"cogrid/internal/lrm"
 )
 
+// The request in the paper's RSL: a multirequest (+) of one conjunction (&)
+// per subjob, each naming its machine's gatekeeper contact.
+const request = `+(&(resourceManagerContact=mercury:gram)(count=2)(executable=hello)
+   (subjobStartType=required)(label=mercury))
+  (&(resourceManagerContact=venus:gram)(count=2)(executable=hello)
+   (subjobStartType=required)(label=venus))`
+
 func main() {
 	// A grid is a simulated network with a client workstation, a NIS
 	// server, and GRAM-fronted machines.
@@ -66,10 +73,7 @@ func main() {
 	}
 
 	err = g.Sim.Run("agent", func() {
-		job, err := ctrl.Submit(core.Request{Subjobs: []core.SubjobSpec{
-			{Label: "mercury", Contact: g.Contact("mercury"), Count: 2, Executable: "hello", Type: core.Required},
-			{Label: "venus", Contact: g.Contact("venus"), Count: 2, Executable: "hello", Type: core.Required},
-		}})
+		job, err := ctrl.SubmitRSL(request)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,12 +15,12 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"cogrid/internal/core"
 	"cogrid/internal/mds"
-	"cogrid/internal/predict"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
@@ -264,7 +264,7 @@ func SelectByForecast(records []mds.Record, count, k int, sigma float64, gauss f
 		if !ok {
 			wait = 365 * 24 * time.Hour
 		}
-		scoredRecs = append(scoredRecs, scored{rec: rec, wait: predict.Noisy(wait, sigma, gauss)})
+		scoredRecs = append(scoredRecs, scored{rec: rec, wait: noisy(wait, sigma, gauss)})
 	}
 	sort.SliceStable(scoredRecs, func(i, j int) bool { return scoredRecs[i].wait < scoredRecs[j].wait })
 	if k > len(scoredRecs) {
@@ -275,4 +275,15 @@ func SelectByForecast(records []mds.Record, count, k int, sigma float64, gauss f
 		out[i] = scoredRecs[i].rec
 	}
 	return out
+}
+
+// noisy wraps a true wait with multiplicative log-normal noise of the
+// given sigma, modeling forecast quality in the Section 2.2 experiments:
+// sigma 0 is a perfect oracle, large sigma is uninformed guessing.
+func noisy(trueWait time.Duration, sigma float64, gauss func() float64) time.Duration {
+	if sigma <= 0 {
+		return trueWait
+	}
+	factor := math.Exp(gauss() * sigma)
+	return time.Duration(float64(trueWait) * factor)
 }

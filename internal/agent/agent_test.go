@@ -441,9 +441,9 @@ func TestOverProvisionCancelsSurplusAtLRM(t *testing.T) {
 				continue
 			}
 			info := g.Machine(name).QueueInfo()
-			if info.RunningJobs != 0 || len(info.QueuedJobs) != 0 {
+			if info.RunningJobs != 0 || info.QueuedJobs != 0 {
 				t.Errorf("%s: surplus subjob leaked at the LRM: %d running, %d queued",
-					name, info.RunningJobs, len(info.QueuedJobs))
+					name, info.RunningJobs, info.QueuedJobs)
 			}
 			if info.FreeProcessors != info.Processors {
 				t.Errorf("%s: %d of %d processors still held after cancellation",

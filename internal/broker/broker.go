@@ -338,11 +338,6 @@ func (b *Broker) Contact() transport.Addr {
 // Controller exposes the broker's DUROC controller (for tests).
 func (b *Broker) Controller() *core.Controller { return b.ctrl }
 
-// QueueDepth returns the number of requests waiting for a worker.
-func (b *Broker) QueueDepth() int {
-	return b.queued
-}
-
 // Close stops accepting connections, halts the cache refresh and the
 // controller's orphan retries, abandoning the orphans still pending.
 // In-flight requests run to completion. The DUROC controller (and its
@@ -366,7 +361,7 @@ func (b *Broker) flight() *flightrec.Recorder    { return b.host.Network().Fligh
 // count increments broker.object.verb@<replica-id> (the host name
 // outside federations).
 func (b *Broker) count(object, verb string, delta int64) {
-	b.counters().Add(trace.Key("broker", object, verb, b.opts.ReplicaID), delta)
+	b.counters().AddKey("broker", object, verb, b.opts.ReplicaID, delta)
 }
 
 // endpoint is the Broker as an rpc.Handler.
@@ -439,7 +434,7 @@ func (b *Broker) submit(req Request, call *rpc.Call) {
 	if b.queued >= b.opts.QueueBound {
 		depth := b.queued
 		b.count("queue", "reject", 1)
-		b.counters().Add(trace.Key("broker", "tenant", "reject", req.Tenant), 1)
+		b.counters().AddKey("broker", "tenant", "reject", req.Tenant, 1)
 		b.tracer().InstantCtx(call.Ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
 			trace.Arg{Key: "depth", Val: strconv.Itoa(depth)},
 			trace.Arg{Key: "retry_after", Val: b.opts.RetryAfter.String()})
@@ -650,7 +645,7 @@ func (b *Broker) serve(t *ticket) {
 		outcome = "fail"
 	}
 	b.count("request", outcome, 1)
-	b.counters().Add(trace.Key("broker", "tenant", outcome, req.Tenant), 1)
+	b.counters().AddKey("broker", "tenant", outcome, req.Tenant, 1)
 	b.tracer().SpanAtCtx(t.ctx, "broker", "request", b.host.Name(), req.Tenant, b.corr(t),
 		t.enqueuedAt, b.sim.Now(),
 		trace.Arg{Key: "outcome", Val: outcome},

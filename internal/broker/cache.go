@@ -135,5 +135,5 @@ func (c *cache) view() ([]mds.Record, time.Duration, time.Duration) {
 }
 
 func (c *cache) count(verb, scope string, delta int64) {
-	c.host.Network().Counters().Add(trace.Key("broker", "cache", verb, scope), delta)
+	c.host.Network().Counters().AddKey("broker", "cache", verb, scope, delta)
 }

@@ -349,7 +349,7 @@ func (r *Replica) Crash() {
 		}
 	}
 	f := r.fed
-	f.counters().Add(trace.Key("fed", "replica", "crash", r.name), 1)
+	f.counters().AddKey("fed", "replica", "crash", r.name, 1)
 	f.gauges().G("fed.live_replicas").Add(-1)
 	f.tracer().InstantCtx(inc.ctx, "fed", "crash", r.name, r.name, "")
 	// Black-box the moments before the crash: the handoff and re-election
@@ -370,7 +370,7 @@ func (r *Replica) Restart() error {
 	}
 	f := r.fed
 	inc := r.inc
-	f.counters().Add(trace.Key("fed", "replica", "restart", r.name), 1)
+	f.counters().AddKey("fed", "replica", "restart", r.name, 1)
 	f.gauges().G("fed.live_replicas").Add(1)
 	f.tracer().InstantCtx(inc.ctx, "fed", "restart", r.name, r.name, "")
 	return nil
@@ -411,7 +411,7 @@ func (inc *incarnation) now() time.Duration {
 }
 
 func (inc *incarnation) count(object, verb string, delta int64) {
-	inc.r.fed.counters().Add(trace.Key("fed", object, verb, inc.r.name), delta)
+	inc.r.fed.counters().AddKey("fed", object, verb, inc.r.name, delta)
 }
 
 func (inc *incarnation) shardMap() ShardMap {

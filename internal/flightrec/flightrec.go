@@ -325,12 +325,12 @@ func (r *Recorder) Trigger(trigger, detail string) Dump {
 	d := Dump{At: r.sim.Now(), Trigger: trigger, Detail: detail}
 	if len(r.dumps) >= r.opts.MaxDumps {
 		r.skipped++
-		r.ctrs.Add(trace.Key("flightrec", "dump", "skip", ""), 1)
+		r.ctrs.AddKey("flightrec", "dump", "skip", "", 1)
 		return d
 	}
 	d.Events = r.Snapshot(d.At)
 	r.dumps = append(r.dumps, d)
-	r.ctrs.Add(trace.Key("flightrec", "dump", d.Kind(), ""), 1)
+	r.ctrs.AddKey("flightrec", "dump", d.Kind(), "", 1)
 	return d
 }
 

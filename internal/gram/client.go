@@ -20,7 +20,6 @@ const CallTimeout = 5 * time.Minute
 type Client struct {
 	from   *transport.Host
 	rpcc   *rpc.Client
-	peer   string
 	events *vtime.Chan[StateEvent]
 	// pump turns the notifications that have arrived into typed state events
 	// (see pumper).
@@ -49,7 +48,7 @@ func Dial(from *transport.Host, contact transport.Addr, cfg ClientConfig) (*Clie
 	if err != nil {
 		return nil, fmt.Errorf("gram: dial %s: %w", contact, err)
 	}
-	peer, err := gsi.ClientHandshake(sim, conn, cfg.Credential, cfg.Registry, cfg.AuthCost)
+	_, err = gsi.ClientHandshake(sim, conn, cfg.Credential, cfg.Registry, cfg.AuthCost)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("gram: authenticate to %s: %w", contact, err)
@@ -57,7 +56,6 @@ func Dial(from *transport.Host, contact transport.Addr, cfg ClientConfig) (*Clie
 	c := &Client{
 		from:   from,
 		rpcc:   rpc.NewClient(sim, conn),
-		peer:   peer,
 		events: vtime.NewChan[StateEvent](sim, "gram-events:"+contact.String(), 64),
 	}
 	c.pump.Init(sim, (*pumper)(c))
@@ -106,9 +104,6 @@ func (c *Client) callback(n rpc.Notification) {
 	}
 	net.Counters().AddKey("gram", "event", "drop", c.from.Name(), 1)
 }
-
-// Peer returns the authenticated gatekeeper identity.
-func (c *Client) Peer() string { return c.peer }
 
 // Events returns the job-state callback stream for this connection. The
 // channel closes when the connection does.
@@ -160,25 +155,6 @@ func (c *Client) Status(contact string) (lrm.JobState, string, error) {
 		return 0, "", err
 	}
 	return reply.State, reply.Reason, nil
-}
-
-// QueueInfo fetches the machine's published scheduler state.
-func (c *Client) QueueInfo() (lrm.QueueInfo, error) {
-	var reply lrm.QueueInfo
-	err := c.rpcc.Call("queueinfo", nil, &reply, CallTimeout)
-	return reply, err
-}
-
-// EstimateWait fetches the machine's queue-wait forecast for a job of the
-// given size.
-func (c *Client) EstimateWait(count int) (time.Duration, error) {
-	var reply struct {
-		Wait time.Duration `json:"wait"`
-	}
-	err := c.rpcc.Call("estimatewait", struct {
-		Count int `json:"count"`
-	}{Count: count}, &reply, CallTimeout)
-	return reply.Wait, err
 }
 
 // Reservation is a remotely held advance reservation.

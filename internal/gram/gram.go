@@ -192,18 +192,6 @@ func (s *Server) answer(method string, body json.RawMessage) (any, error) {
 			return nil, job.Resume()
 		}
 		return nil, fmt.Errorf("gram: unknown signal %q", args.Signal)
-	case "queueinfo":
-		return s.machine.QueueInfo(), nil
-	case "estimatewait":
-		var args struct {
-			Count int `json:"count"`
-		}
-		if err := rpc.Decode(body, &args); err != nil {
-			return nil, err
-		}
-		return struct {
-			Wait time.Duration `json:"wait"`
-		}{Wait: s.machine.EstimateWait(args.Count)}, nil
 	case "reserve":
 		var args reserveArgs
 		if err := rpc.Decode(body, &args); err != nil {
@@ -316,7 +304,7 @@ func (s *Server) submit(call *rpc.Call, body json.RawMessage) (any, error) {
 	// gatekeeper's address, a slash and the id, which lookup takes apart.
 	contact := s.host.Name() + ":" + ServiceName + "/" + job.ID()
 
-	net.Counters().Add(trace.Key("gram", "job", "submit", s.host.Name()), 1)
+	net.Counters().AddKey("gram", "job", "submit", s.host.Name(), 1)
 
 	// Push every state transition back to the submitter as a callback,
 	// parented to the submit that created the job.

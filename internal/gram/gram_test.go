@@ -296,37 +296,6 @@ func TestRevokedUserCannotDial(t *testing.T) {
 	}
 }
 
-func TestQueueInfoAndEstimateWait(t *testing.T) {
-	tb := newTestbed(t, lrm.Batch)
-	err := tb.sim.Run("main", func() {
-		c := tb.dial(t)
-		defer c.Close()
-		if _, err := c.Submit(`&(executable=forever)(count=64)(maxTime=30)`); err != nil {
-			t.Errorf("Submit: %v", err)
-			return
-		}
-		info, err := c.QueueInfo()
-		if err != nil {
-			t.Errorf("QueueInfo: %v", err)
-			return
-		}
-		if info.Machine != "origin" || info.RunningJobs != 1 || info.FreeProcessors != 0 {
-			t.Errorf("QueueInfo = %+v", info)
-		}
-		wait, err := c.EstimateWait(64)
-		if err != nil {
-			t.Errorf("EstimateWait: %v", err)
-			return
-		}
-		if wait <= 0 || wait > 30*time.Minute {
-			t.Errorf("EstimateWait = %v, want within (0, 30m]", wait)
-		}
-	})
-	if err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-}
-
 func TestGatekeeperCrashFailsSubmit(t *testing.T) {
 	tb := newTestbed(t, lrm.Fork)
 	err := tb.sim.Run("main", func() {

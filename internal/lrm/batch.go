@@ -121,55 +121,24 @@ func (m *Machine) shadowTime(head *Job) time.Duration {
 	return shadow
 }
 
-// QueuedJob summarizes one waiting job for information services.
-type QueuedJob struct {
-	Count     int           `json:"count"`
-	TimeLimit time.Duration `json:"time_limit"`
-}
-
-// RunningJob summarizes one active job for information services and
-// queue-wait predictors.
-type RunningJob struct {
-	Count     int           `json:"count"`
-	Elapsed   time.Duration `json:"elapsed"`
-	TimeLimit time.Duration `json:"time_limit"`
-}
-
 // QueueInfo is the scheduler state a resource manager publishes — the
 // "information about the current queue contents and scheduling policy" of
-// Section 2.2.
+// Section 2.2, as counts.
 type QueueInfo struct {
-	Machine        string       `json:"machine"`
-	Processors     int          `json:"processors"`
-	FreeProcessors int          `json:"free_processors"`
-	RunningJobs    int          `json:"running_jobs"`
-	Running        []RunningJob `json:"running,omitempty"`
-	QueuedJobs     []QueuedJob  `json:"queued,omitempty"`
+	Processors     int
+	FreeProcessors int
+	RunningJobs    int
+	QueuedJobs     int
 }
 
-// QueueInfo snapshots the batch queue.
+// QueueInfo reports the batch queue's counts.
 func (m *Machine) QueueInfo() QueueInfo {
-	now := m.sim.Now()
-	info := QueueInfo{
-		Machine:        m.name,
+	return QueueInfo{
 		Processors:     m.processors,
 		FreeProcessors: m.available(),
 		RunningJobs:    len(m.running),
+		QueuedJobs:     len(m.queue),
 	}
-	for job := range m.running {
-		info.Running = append(info.Running, RunningJob{
-			Count:     job.spec.Count,
-			Elapsed:   now - job.startAt,
-			TimeLimit: job.spec.TimeLimit,
-		})
-	}
-	sort.Slice(info.Running, func(i, j int) bool {
-		return info.Running[i].Elapsed > info.Running[j].Elapsed
-	})
-	for _, j := range m.queue {
-		info.QueuedJobs = append(info.QueuedJobs, QueuedJob{Count: j.spec.Count, TimeLimit: j.spec.TimeLimit})
-	}
-	return info
 }
 
 // EstimateWait predicts how long a newly submitted job of the given size

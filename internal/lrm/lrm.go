@@ -360,9 +360,6 @@ func (j *Job) Events() *vtime.Chan[JobState] { return &j.events }
 // Done returns an event set when the job reaches a terminal state.
 func (j *Job) Done() *vtime.Event { return &j.done }
 
-// KillEvent returns the event processes watch for cancellation.
-func (j *Job) KillEvent() *vtime.Event { return &j.kill }
-
 // setState transitions the job, delivering the event. Terminal states
 // close the event stream, interrupt the job's processes and set done.
 func (j *Job) setState(s JobState, reason string) {

@@ -359,7 +359,7 @@ func TestQueueInfoAndEstimateWait(t *testing.T) {
 		m.Submit(JobSpec{Executable: "work", Count: 4, TimeLimit: 100 * time.Second})
 		m.Submit(JobSpec{Executable: "work", Count: 2, TimeLimit: 50 * time.Second})
 		info := m.QueueInfo()
-		if info.RunningJobs != 1 || len(info.QueuedJobs) != 1 || info.FreeProcessors != 0 {
+		if info.RunningJobs != 1 || info.QueuedJobs != 1 || info.FreeProcessors != 0 {
 			t.Errorf("QueueInfo = %+v", info)
 		}
 		// New 4-proc job: waits for running (100s) then queued (50s).

@@ -44,9 +44,6 @@ func (p *Proc) Getenv(key string) string {
 // Killed reports whether the job has been killed.
 func (p *Proc) Killed() bool { return p.job.kill.IsSet() }
 
-// KillEvent returns the job's kill event for custom waits.
-func (p *Proc) KillEvent() *vtime.Event { return &p.job.kill }
-
 // Sleep blocks for d of virtual time, returning ErrKilled early if the job
 // is killed.
 func (p *Proc) Sleep(d time.Duration) error {
@@ -54,19 +51,6 @@ func (p *Proc) Sleep(d time.Duration) error {
 		return ErrKilled
 	}
 	return nil
-}
-
-// Suspended reports whether the job is currently suspended.
-func (p *Proc) Suspended() bool {
-	_, suspended := p.job.phase()
-	return suspended
-}
-
-// PauseWhileSuspended blocks while the job is suspended, returning
-// ErrKilled if it is killed in the meantime.
-func (p *Proc) PauseWhileSuspended() error {
-	_, err := p.running()
-	return err
 }
 
 // running blocks while the job is suspended and returns the event that will

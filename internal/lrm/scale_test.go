@@ -257,7 +257,7 @@ func TestFullMachineSubmitAllocations(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("%v allocations per submission to a full machine, want 2: the job and its id", allocs)
 		}
-		if free, queued := m.FreeProcessors(), len(m.QueueInfo().QueuedJobs); free != 0 || queued != 799 {
+		if free, queued := m.FreeProcessors(), m.QueueInfo().QueuedJobs; free != 0 || queued != 799 {
 			t.Errorf("%d processors free and %d jobs queued, want 0 and 799", free, queued)
 		}
 	})

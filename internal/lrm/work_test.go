@@ -21,7 +21,7 @@ func stepWork(p *Proc, total, step time.Duration) error {
 		step = total
 	}
 	for total > 0 {
-		if err := p.PauseWhileSuspended(); err != nil {
+		if _, err := p.running(); err != nil {
 			return err
 		}
 		d := step

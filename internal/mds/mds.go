@@ -118,15 +118,6 @@ func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 		rec.UpdatedAt = s.sim.Now()
 		s.records[rec.Name] = rec
 		return nil, nil
-	case "unregister":
-		var args struct {
-			Name string `json:"name"`
-		}
-		if err := rpc.Decode(body, &args); err != nil {
-			return nil, err
-		}
-		delete(s.records, args.Name)
-		return nil, nil
 	case "query":
 		var f Filter
 		if err := rpc.Decode(body, &f); err != nil {
@@ -214,13 +205,6 @@ func (c *Client) Register(rec Record) error {
 	return c.rpcc.Call("register", rec, nil, CallTimeout)
 }
 
-// Unregister removes a record by name.
-func (c *Client) Unregister(name string) error {
-	return c.rpcc.Call("unregister", struct {
-		Name string `json:"name"`
-	}{Name: name}, nil, CallTimeout)
-}
-
 // Query returns records matching the filter.
 func (c *Client) Query(f Filter) ([]Record, error) {
 	var out recordList
@@ -261,7 +245,7 @@ func recordFor(m *lrm.Machine, contact string, forecastCounts []int) Record {
 		Mode:           m.Mode().String(),
 		FreeProcessors: info.FreeProcessors,
 		RunningJobs:    info.RunningJobs,
-		QueuedJobs:     len(info.QueuedJobs),
+		QueuedJobs:     info.QueuedJobs,
 	}
 	if len(forecastCounts) > 0 {
 		rec.ForecastWait = make(map[int]time.Duration, len(forecastCounts))

@@ -54,13 +54,6 @@ func TestRegisterAndQuery(t *testing.T) {
 		if err != nil || len(free) != 2 {
 			t.Errorf("Query free = %v, %v", free, err)
 		}
-		if err := c.Unregister("sp2"); err != nil {
-			t.Errorf("Unregister: %v", err)
-		}
-		after, _ := c.Query(mds.Filter{})
-		if len(after) != 2 {
-			t.Errorf("after unregister: %d records", len(after))
-		}
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
@@ -218,12 +211,16 @@ func TestRecordForAndPublish(t *testing.T) {
 		return p.Work(time.Hour, time.Second)
 	})
 	err := g.Sim.Run("main", func() {
-		if _, err := m.Submit(lrm.JobSpec{Executable: "work", Count: 32, TimeLimit: 2 * time.Hour}); err != nil {
-			t.Errorf("Submit: %v", err)
-			return
+		// The first job fills the machine; the second waits behind it.
+		for _, count := range []int{32, 16} {
+			if _, err := m.Submit(lrm.JobSpec{Executable: "work", Count: count, TimeLimit: 2 * time.Hour}); err != nil {
+				t.Errorf("Submit %d: %v", count, err)
+				return
+			}
 		}
 		rec := mds.RecordFor(m, g.Contact("batch1"), 1, 32)
-		if rec.Name != "batch1" || rec.Processors != 32 || rec.RunningJobs != 1 {
+		if rec.Name != "batch1" || rec.Processors != 32 || rec.FreeProcessors != 0 ||
+			rec.RunningJobs != 1 || rec.QueuedJobs != 1 {
 			t.Errorf("RecordFor = %+v", rec)
 		}
 		if rec.ForecastWait[32] <= 0 {
@@ -242,7 +239,7 @@ func TestRecordForAndPublish(t *testing.T) {
 			t.Errorf("Query after publish = %v, %v", recs, err)
 			return
 		}
-		if recs[0].Name != "batch1" || recs[0].ForecastWait[32] <= 0 {
+		if recs[0].Name != "batch1" || recs[0].QueuedJobs != 1 || recs[0].ForecastWait[32] <= 0 {
 			t.Errorf("published record = %+v", recs[0])
 		}
 		stop()

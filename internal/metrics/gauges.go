@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -179,26 +178,4 @@ func (se Series) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the series as a single deterministic JSON object.
-func (se Series) WriteJSON(w io.Writer) error {
-	type sample struct {
-		TSec   float64   `json:"t_sec"`
-		Values []float64 `json:"values"`
-	}
-	out := struct {
-		StepSec float64  `json:"step_sec"`
-		Names   []string `json:"names"`
-		Samples []sample `json:"samples"`
-	}{StepSec: se.Step.Seconds(), Names: se.Names}
-	for i, t := range se.Times {
-		out.Samples = append(out.Samples, sample{TSec: t.Seconds(), Values: se.Values[i]})
-	}
-	raw, err := json.Marshal(out)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(raw, '\n'))
-	return err
 }

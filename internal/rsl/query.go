@@ -157,11 +157,6 @@ func Conj(pairs ...[2]string) *Boolean {
 	return b
 }
 
-// MultiOf builds a multirequest from subjob specifications.
-func MultiOf(children ...Node) *Boolean {
-	return &Boolean{Op: Multi, Children: children}
-}
-
 // WithAttribute returns a copy of a conjunction with attr set to value,
 // replacing an existing = relation for it if present.
 func WithAttribute(n Node, attr, value string) (Node, error) {

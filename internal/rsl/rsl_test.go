@@ -310,7 +310,7 @@ func TestTreeRoundTripProperty(t *testing.T) {
 		if len(b.Children) == 0 {
 			b.Children = append(b.Children, &Relation{Attribute: "count", Op: OpEq, Value: Literal("1")})
 		}
-		multi := MultiOf(b, b)
+		multi := &Boolean{Op: Multi, Children: []Node{b, b}}
 		reparsed, err := Parse(multi.String())
 		return err == nil && Equal(multi, reparsed)
 	}

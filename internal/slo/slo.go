@@ -233,7 +233,7 @@ func (e *Engine) evalRule(i int, h time.Duration) {
 	}
 	al := Alert{At: h, Rule: r.Name, Severity: r.Severity, State: state, Value: value, Detail: detail}
 	e.alerts = append(e.alerts, al)
-	e.deps.Counters.Add(trace.Key("slo", "alert", state, r.Name), 1)
+	e.deps.Counters.AddKey("slo", "alert", state, r.Name, 1)
 	if breach {
 		e.deps.Gauges.G("slo.alerts.active").Add(1)
 	} else {
@@ -308,17 +308,6 @@ func (e *Engine) Fires() int {
 	return n
 }
 
-// ActiveCount returns how many rules are currently breaching.
-func (e *Engine) ActiveCount() int {
-	n := 0
-	for _, st := range e.states {
-		if st.active {
-			n++
-		}
-	}
-	return n
-}
-
 // ActiveRules returns the names of currently-breaching rules, in rule
 // declaration order.
 func (e *Engine) ActiveRules() []string {
@@ -330,9 +319,6 @@ func (e *Engine) ActiveRules() []string {
 	}
 	return out
 }
-
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
 
 // WriteLog writes the alert log as JSONL, one alert per line, in firing
 // order — byte-identical across same-seed runs.

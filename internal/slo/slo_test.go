@@ -293,7 +293,7 @@ func TestStringAndActiveRules(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 	e.Stop()
-	if e.ActiveCount() != 1 || e.String() != "a" {
-		t.Fatalf("active=%d string=%q", e.ActiveCount(), e.String())
+	if active := e.ActiveRules(); len(active) != 1 || e.String() != "a" {
+		t.Fatalf("active=%q string=%q", active, e.String())
 	}
 }

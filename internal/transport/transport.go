@@ -891,8 +891,8 @@ func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
 func (c *Conn) dropped(size int, reason string, ctx trace.Ctx) {
 	c.stats.add(ctrDrop, 1)
 	if ctrs := c.net.Counters(); ctrs != nil {
-		ctrs.Add(trace.Key("transport", "msgs", "drop", c.local.Host), 1)
-		ctrs.Add(trace.Key("transport", "drop", reason, c.local.Host), 1)
+		ctrs.AddKey("transport", "msgs", "drop", c.local.Host, 1)
+		ctrs.AddKey("transport", "drop", reason, c.local.Host, 1)
 	}
 	if reason != "conn-closed" {
 		c.net.Gauges().G("transport.drops").Add(1)

@@ -297,6 +297,3 @@ func (c *Chan[T]) IsClosed() bool { return c.closed }
 
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return min(c.buf.n, c.cap) }
-
-// Cap returns the buffer capacity.
-func (c *Chan[T]) Cap() int { return c.cap }

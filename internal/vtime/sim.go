@@ -486,9 +486,6 @@ func (s *Sim) RandIntn(n int) int { return s.rng.Intn(n) }
 // standard deviation 1.
 func (s *Sim) RandNorm() float64 { return s.rng.NormFloat64() }
 
-// RandExp returns an exponentially distributed float64 with rate 1.
-func (s *Sim) RandExp() float64 { return s.rng.ExpFloat64() }
-
 // --- kernel internals ---
 
 // caller returns the descriptor of the calling process: the holder of

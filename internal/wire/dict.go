@@ -15,6 +15,11 @@ import "hash/fnv"
 // the transport drops messages under partitions and overload, and a
 // dictionary built from frames that may never arrive would desynchronize.
 // Inline names keep every frame independently decodable.
+//
+// A retired entry names a method that no service answers any more. It
+// keeps its slot: removing it would renumber every method after it and
+// change the prologue's length and hash, and with them the bytes of every
+// connection.
 var builtin = []string{
 	"append",            // federation: journal replication
 	"cancel",            // gram: job cancellation
@@ -23,21 +28,21 @@ var builtin = []string{
 	"coordinator",       // federation: bully election victory
 	"earliestslot",      // gram: reservation slot probe
 	"election",          // federation: bully election round
-	"estimatewait",      // gram: queue-wait forecast
+	"estimatewait",      // retired: was gram's queue-wait forecast
 	"getmeta",           // mds: metadata fetch
 	"heartbeat",         // federation: leader lease + shard map
 	"initgroups",        // nis: group lookup
 	"job-state",         // gram: asynchronous state callback
 	"putmeta",           // mds: metadata publish
 	"query",             // mds: resource discovery
-	"queueinfo",         // gram: LRM queue introspection
+	"queueinfo",         // retired: was gram's LRM queue introspection
 	"register",          // mds: resource registration
 	"reserve",           // gram: advance reservation
 	"signal",            // gram: suspend/resume
 	"stats",             // broker: service statistics
 	"status",            // gram: job status poll
 	"submit",            // gram + broker: the hot path
-	"unregister",        // mds: resource removal
+	"unregister",        // retired: was mds's resource removal
 }
 
 var builtinID = func() map[string]uint32 {

@@ -123,7 +123,7 @@ func TestDriveSubmitsAndRuns(t *testing.T) {
 		// Let everything drain; the 16-wide job runs after the first.
 		sim.SleepUntil(time.Hour)
 		info = m.QueueInfo()
-		if info.RunningJobs != 0 || len(info.QueuedJobs) != 0 {
+		if info.RunningJobs != 0 || info.QueuedJobs != 0 {
 			t.Errorf("at t=1h queue not drained: %+v", info)
 		}
 	})

@@ -22,6 +22,14 @@
 #             the non-test files of the defining package. Matching is by
 #             field name: a name two structs share counts as set if either
 #             is, so the list can miss a dead field but never names a live one
+#   dead      exported functions and methods no non-test code names: each
+#             func declared in a non-test file under internal/ whose name
+#             has no whole-word use, beyond its declaration, in any non-test
+#             .go file of the repository, comment lines removed. A textual
+#             match: a name two declarations share counts as used, so the
+#             list can miss a dead name. Methods the standard library calls
+#             through an interface (MarshalJSON, String, Error, ...) are
+#             left out. A report, not a gate
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -106,3 +114,28 @@ done <<EOF
 $names
 EOF
 printf '%-40s %3d\n' total "$unset_fields"
+
+echo
+echo "== exported functions and methods no non-test code names"
+# One pass over every non-test .go file: a file under internal/ contributes
+# its func declarations, and every file its words outside comment lines.
+dead=$(awk '
+    FNR == 1 { pkg = FILENAME; sub(/^\.\//, "", pkg); sub(/\/[^\/]*$/, "", pkg) }
+    /^[[:space:]]*\/\// { next }
+    pkg ~ /^internal\// && match($0, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/) {
+        name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name); sub(/^\(.*\) /, "", name)
+        decls[name]++; where[name] = pkg
+    }
+    {
+        n = split($0, w, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) if (w[i] != "") uses[w[i]]++
+    }
+    END {
+        split("MarshalJSON UnmarshalJSON MarshalText UnmarshalText String Error Unwrap Is Format GoString Len Less Swap Push Pop Read Write Close", skip, " ")
+        for (i in skip) iface[skip[i]] = 1
+        for (name in decls)
+            if (decls[name] == 1 && uses[name] == 1 && !(name in iface))
+                printf "%-32s %s\n", where[name], name
+    }' $(find . -name '*.go' ! -name '*_test.go' | sort) | sort)
+[ -z "$dead" ] || printf '%s\n' "$dead"
+printf '%-32s %3d\n' total "$(printf '%s' "$dead" | grep -c . || true)"
