@@ -53,10 +53,14 @@ const (
 	DefaultWorkers         = 4
 	DefaultCacheMaxAge     = 2 * time.Minute
 	DefaultRefreshInterval = time.Minute
-	DefaultRefreshOffset   = 5 * time.Second
 	DefaultRetryAfter      = 30 * time.Second
 	DefaultCommitTimeout   = 30 * time.Minute
 )
+
+// refreshOffset delays the cache's first background refresh, keeping it off
+// the t=0 instant where every publisher's initial registration is still in
+// flight.
+const refreshOffset = 5 * time.Second
 
 // watchdogGrace is how far past its commit budget one attempt may run
 // before the per-attempt watchdog aborts it: the margin within which the
@@ -79,10 +83,6 @@ type Options struct {
 	// RefreshInterval is the periodic background refresh. Default
 	// DefaultRefreshInterval.
 	RefreshInterval time.Duration
-	// RefreshOffset delays the first background refresh, keeping it off
-	// the t=0 instant where every publisher's initial registration is
-	// still in flight. Default DefaultRefreshOffset.
-	RefreshOffset time.Duration
 	// RetryAfter is the hint returned with admission rejections.
 	// Default DefaultRetryAfter.
 	RetryAfter time.Duration
@@ -149,9 +149,6 @@ func (o *Options) fill() {
 	}
 	if o.RefreshInterval <= 0 {
 		o.RefreshInterval = DefaultRefreshInterval
-	}
-	if o.RefreshOffset <= 0 {
-		o.RefreshOffset = DefaultRefreshOffset
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = DefaultRetryAfter
@@ -321,7 +318,7 @@ func New(host *transport.Host, ctrlCfg core.ControllerConfig, opts Options) (*Br
 	}
 	// The cache starts its refresh daemon immediately, so it is created
 	// only after every fallible construction step has passed.
-	b.cache = newCache(host, opts.ReplicaID, opts.Directory, opts.CacheMaxAge, opts.RefreshInterval, opts.RefreshOffset)
+	b.cache = newCache(host, opts.ReplicaID, opts.Directory, opts.CacheMaxAge, opts.RefreshInterval)
 	b.server = rpc.Serve(sim, l, (*endpoint)(b), nil)
 	sim.GoDaemon("broker-dispatch:"+host.Name(), b.dispatcher)
 	for i := 0; i < opts.Workers; i++ {
@@ -383,8 +380,6 @@ func (e *endpoint) ServeCall(call *rpc.Call, method string, body json.RawMessage
 		call.Reply(nil, fmt.Errorf("broker: unknown method %s", method))
 	}
 }
-
-func (e *endpoint) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
 
 // Stats is a point-in-time snapshot served to clients.
 type Stats struct {

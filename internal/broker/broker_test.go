@@ -355,7 +355,6 @@ func TestBrokerCacheHitAndStaleCounters(t *testing.T) {
 		Workers:         1,
 		CacheMaxAge:     10 * time.Second,
 		RefreshInterval: time.Hour, // background refresh effectively off
-		RefreshOffset:   5 * time.Second,
 	})
 	err := r.g.Sim.Run("main", func() {
 		host := r.g.Net.AddHost("t0")
@@ -473,7 +472,6 @@ func TestBrokerCachePerOriginStaleness(t *testing.T) {
 		Workers:         3,
 		CacheMaxAge:     time.Hour, // age alone never forces a refresh
 		RefreshInterval: time.Hour,
-		RefreshOffset:   5 * time.Second,
 	})
 	const origins = 3
 	err := r.g.Sim.Run("main", func() {

@@ -43,7 +43,7 @@ type cache struct {
 	have      bool
 }
 
-func newCache(host *transport.Host, replica string, dir transport.Addr, maxAge, interval, offset time.Duration) *cache {
+func newCache(host *transport.Host, replica string, dir transport.Addr, maxAge, interval time.Duration) *cache {
 	sim := host.Network().Sim()
 	if replica == "" {
 		replica = host.Name()
@@ -62,7 +62,7 @@ func newCache(host *transport.Host, replica string, dir transport.Addr, maxAge, 
 		// The offset keeps periodic refreshes off the instants where
 		// publishers re-register, so a refresh never races a register
 		// at the directory within one virtual instant.
-		if c.stop.WaitTimeout(offset) {
+		if c.stop.WaitTimeout(refreshOffset) {
 			return
 		}
 		for {

@@ -79,8 +79,6 @@ func (s *saturatedBroker) ServeCall(call *rpc.Call, method string, body json.Raw
 	call.Reply(broker.Reply{Accepted: false, RetryAfter: s.retryAfter}, nil)
 }
 
-func (s *saturatedBroker) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
-
 func TestSubmitWaitTotalBudget(t *testing.T) {
 	g := grid.New(grid.Options{Seed: 1})
 	srvHost := g.Net.AddHost("fake0")

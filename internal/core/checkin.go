@@ -1,6 +1,10 @@
 package core
 
-import "cogrid/internal/wire"
+import (
+	"encoding/binary"
+
+	"cogrid/internal/wire"
+)
 
 // The barrier's wire protocol: one "checkin" call per process, answered at
 // the commit decision. It is the one message pair with a typed binary body
@@ -45,7 +49,7 @@ func (a CheckinArgs) AppendWire(dst []byte) []byte {
 	dst = wire.AppendString(dst, a.Job)
 	dst = wire.AppendString(dst, a.Subjob)
 	dst = wire.AppendVarint(dst, int64(a.Rank))
-	dst = wire.AppendUvarint(dst, bit(a.OK))
+	dst = binary.AppendUvarint(dst, bit(a.OK))
 	dst = wire.AppendString(dst, a.Msg)
 	return wire.AppendString(dst, a.Addr)
 }
@@ -78,7 +82,7 @@ func (a *CheckinArgs) ParseWire(head, shared []byte) error {
 // and sh is nil; one that was itself parsed appends its lists as the bytes
 // it kept.
 func (p CheckinReply) AppendWireShared(dst []byte) (_ []byte, sh *wire.Shared) {
-	dst = wire.AppendUvarint(dst, bit(p.Proceed))
+	dst = binary.AppendUvarint(dst, bit(p.Proceed))
 	dst = wire.AppendString(dst, p.Reason)
 	dst = wire.AppendVarint(dst, int64(p.Config.MySubjob))
 	dst = wire.AppendVarint(dst, int64(p.Config.MyRank))
@@ -92,7 +96,7 @@ func (p CheckinReply) AppendWireShared(dst []byte) (_ []byte, sh *wire.Shared) {
 // sizes, labels, world size, address book.
 func appendShared(dst []byte, cfg *Config) []byte {
 	dst = wire.AppendVarint(dst, int64(cfg.NSubjobs))
-	dst = wire.AppendUvarint(dst, uint64(len(cfg.SubjobSizes)))
+	dst = binary.AppendUvarint(dst, uint64(len(cfg.SubjobSizes)))
 	for _, n := range cfg.SubjobSizes {
 		dst = wire.AppendVarint(dst, int64(n))
 	}

@@ -271,10 +271,6 @@ func (c *Controller) checkin(args CheckinArgs, ctx trace.Ctx, call replier) {
 	j.checkin(args, ctx, call)
 }
 
-// HandleNotify implements rpc.Handler; the barrier service has no
-// notifications.
-func (c *Controller) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
-
 // orphaned records a failed cancel — trace instant, counter, a pending
 // re-cancel, the OnOrphan hook. A subjob is cancelled once, so a key is
 // recorded at most once.

@@ -375,12 +375,8 @@ func (l *stringList) appendWire(dst []byte) []byte {
 
 // SubjobLabels gives each committed subjob's label. The caller must not
 // modify the list. On a received Config every call decodes it afresh (one
-// allocation, the slice of views of the frame); SubjobLabel reads one.
+// allocation, the slice of views of the frame).
 func (c Config) SubjobLabels() []string { return c.labels.all() }
-
-// SubjobLabel returns the label of the i-th committed subjob; ok is false
-// when there is none.
-func (c Config) SubjobLabel(i int) (label string, ok bool) { return c.labels.at(i) }
 
 // AddressBook holds each process's listener address, indexed by global
 // rank: ranks are assigned subjob-major in committed order. The caller

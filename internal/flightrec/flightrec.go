@@ -14,21 +14,22 @@
 //
 // # Determinism
 //
-// Two runs with the same seed must produce byte-identical dumps, yet
-// within one virtual instant simulated processes run as real goroutines
-// and their events arrive in racy order. The recorder therefore never
-// lets the racy part of the stream influence what it retains:
+// Two runs with the same seed must produce byte-identical dumps. Under the
+// run token they would with any ring, since the events of one virtual
+// instant arrive in a FIFO order that is a function of the seed. The rules
+// below buy more: what the recorder retains does not depend on the order
+// of same-instant events at all (nothing checks that independence yet).
 //
 //   - Every entry is stamped with the virtual time it was seen, so each
 //     ring's entries are monotone in seen-time.
 //   - Eviction only ever drops the oldest *whole instant* of a ring, and
 //     only counts entries from *sealed* instants (instants strictly older
 //     than the newest seen time) against the ring's retention capacity.
-//     How many events of the current, still-racing instant have arrived is
+//     How many events of the current, still-open instant have arrived is
 //     thus irrelevant to what older history survives.
 //   - A dump taken at trigger time t snapshots only entries seen strictly
 //     before t and re-applies the same whole-instant retention rule, so the
-//     dump is identical whether zero or many same-instant events raced in
+//     dump is identical whether zero or many same-instant events come
 //     ahead of the trigger.
 //
 // The guarantee holds as long as no single component emits more than the
@@ -54,20 +55,17 @@ import (
 type Options struct {
 	// RingCap is the per-component retention capacity in events
 	// (default 512). Each ring physically holds 2x this so the current
-	// instant can race ahead without evicting sealed history.
+	// instant can fill up without evicting sealed history.
 	RingCap int
-	// MaxDumps bounds retained dumps (default 16). The first failures
-	// are the interesting ones, so later triggers beyond the bound are
-	// counted but not kept.
-	MaxDumps int
 }
+
+// maxDumps bounds retained dumps. The first failures are the interesting
+// ones, so later triggers beyond the bound are counted but not kept.
+const maxDumps = 16
 
 func (o *Options) fill() {
 	if o.RingCap <= 0 {
 		o.RingCap = 512
-	}
-	if o.MaxDumps <= 0 {
-		o.MaxDumps = 16
 	}
 }
 
@@ -134,7 +132,7 @@ type Recorder struct {
 	rings map[string]*ring
 
 	dumps   []Dump
-	skipped int64 // triggers beyond MaxDumps
+	skipped int64 // triggers beyond maxDumps
 
 	ctrs *trace.Counters
 }
@@ -146,7 +144,7 @@ func New(sim *vtime.Sim, opts Options) *Recorder {
 }
 
 // SetCounters attaches a counter registry; each trigger then increments
-// flightrec.dump.<kind> (and flightrec.dump.skip when beyond MaxDumps).
+// flightrec.dump.<kind> (and flightrec.dump.skip when beyond maxDumps).
 func (r *Recorder) SetCounters(c *trace.Counters) {
 	if r != nil {
 		r.ctrs = c
@@ -314,8 +312,8 @@ func (r *Recorder) Snapshot(at time.Duration) []trace.Event {
 }
 
 // Trigger freezes the black box: it snapshots every ring as of now and
-// retains the dump, up to MaxDumps, and returns it. Retention is decided
-// first: a trigger beyond MaxDumps counts into flightrec.dump.skip and
+// retains the dump, up to maxDumps, and returns it. Retention is decided
+// first: a trigger beyond maxDumps counts into flightrec.dump.skip and
 // copies nothing, returning a Dump with At, Trigger and Detail set and no
 // Events. Nil-safe.
 func (r *Recorder) Trigger(trigger, detail string) Dump {
@@ -323,7 +321,7 @@ func (r *Recorder) Trigger(trigger, detail string) Dump {
 		return Dump{}
 	}
 	d := Dump{At: r.sim.Now(), Trigger: trigger, Detail: detail}
-	if len(r.dumps) >= r.opts.MaxDumps {
+	if len(r.dumps) >= maxDumps {
 		r.skipped++
 		r.ctrs.AddKey("flightrec", "dump", "skip", "", 1)
 		return d
@@ -353,7 +351,7 @@ func (r *Recorder) Dumps() []Dump {
 	return out
 }
 
-// Skipped returns how many triggers arrived after MaxDumps was reached.
+// Skipped returns how many triggers arrived after maxDumps was reached.
 func (r *Recorder) Skipped() int64 {
 	if r == nil {
 		return 0

@@ -187,13 +187,14 @@ func TestValidateRejects(t *testing.T) {
 func TestMaxDumpsAndCounters(t *testing.T) {
 	sim := vtime.NewSeeded(1)
 	ctrs := trace.NewCounters()
-	rec := New(sim, Options{MaxDumps: 2})
+	rec := New(sim, Options{})
 	rec.SetCounters(ctrs)
-	rec.Trigger("slo:rule-a", "one")
-	rec.Trigger("orphan", "two")
-	rec.Trigger("orphan", "three")
-	if got := len(rec.Dumps()); got != 2 {
-		t.Fatalf("dumps: got %d want 2", got)
+	rec.Trigger("slo:rule-a", "first")
+	for i := 0; i < maxDumps; i++ {
+		rec.Trigger("orphan", fmt.Sprint(i))
+	}
+	if got := len(rec.Dumps()); got != maxDumps {
+		t.Fatalf("dumps: got %d want %d", got, maxDumps)
 	}
 	if rec.Skipped() != 1 {
 		t.Fatalf("skipped: got %d want 1", rec.Skipped())
@@ -201,7 +202,7 @@ func TestMaxDumpsAndCounters(t *testing.T) {
 	if got := ctrs.Get("flightrec.dump.slo"); got != 1 {
 		t.Fatalf("slo dump counter: %d", got)
 	}
-	if got := ctrs.Get("flightrec.dump.orphan"); got != 1 {
+	if got := ctrs.Get("flightrec.dump.orphan"); got != maxDumps-1 {
 		t.Fatalf("orphan dump counter: %d", got)
 	}
 	if got := ctrs.Get("flightrec.dump.skip"); got != 1 {
@@ -284,12 +285,12 @@ func BenchmarkRecord(b *testing.B) {
 	}
 }
 
-// A trigger beyond MaxDumps is counted and copies nothing: with a full
+// A trigger beyond maxDumps is counted and copies nothing: with a full
 // 512-event ring, a snapshot would be about 80 KB the recorder then drops.
 func TestSkippedTriggerCopiesNothing(t *testing.T) {
 	sim := vtime.NewSeeded(1)
 	ctrs := trace.NewCounters()
-	rec := New(sim, Options{MaxDumps: 2})
+	rec := New(sim, Options{})
 	rec.SetCounters(ctrs)
 	err := sim.Run("main", func() {
 		for i := 1; i <= 600; i++ {
@@ -301,23 +302,23 @@ func TestSkippedTriggerCopiesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	for _, detail := range []string{"one", "two"} {
-		if d := rec.Trigger("orphan", detail); len(d.Events) != 512 {
-			t.Fatalf("kept dump %s holds %d events, want 512", detail, len(d.Events))
+	for i := 0; i < maxDumps; i++ {
+		if d := rec.Trigger("orphan", fmt.Sprint(i)); len(d.Events) != 512 {
+			t.Fatalf("kept dump %d holds %d events, want 512", i, len(d.Events))
 		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	d := rec.Trigger("orphan", "three")
+	d := rec.Trigger("orphan", "last")
 	runtime.ReadMemStats(&after)
 	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<10 {
 		t.Errorf("a skipped trigger allocated %d bytes, want under 1 KB", b)
 	}
-	if d.Events != nil || d.At != sim.Now() || d.Trigger != "orphan" || d.Detail != "three" {
+	if d.Events != nil || d.At != sim.Now() || d.Trigger != "orphan" || d.Detail != "last" {
 		t.Errorf("skipped trigger returned At %v, Trigger %q, Detail %q and %d events, want At, Trigger and Detail and no events",
 			d.At, d.Trigger, d.Detail, len(d.Events))
 	}
-	if rec.Skipped() != 1 || ctrs.Get("flightrec.dump.skip") != 1 || len(rec.Dumps()) != 2 {
-		t.Errorf("skipped %d, skip counter %d, dumps %d; want 1, 1, 2", rec.Skipped(), ctrs.Get("flightrec.dump.skip"), len(rec.Dumps()))
+	if rec.Skipped() != 1 || ctrs.Get("flightrec.dump.skip") != 1 || len(rec.Dumps()) != maxDumps {
+		t.Errorf("skipped %d, skip counter %d, dumps %d; want 1, 1, %d", rec.Skipped(), ctrs.Get("flightrec.dump.skip"), len(rec.Dumps()), maxDumps)
 	}
 }

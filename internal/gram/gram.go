@@ -148,9 +148,6 @@ func (g *gatekeeper) ServeCall(call *rpc.Call, method string, body json.RawMessa
 	call.Reply(s.answer(method, body))
 }
 
-// HandleNotify implements rpc.Handler; GRAM has no inbound notifications.
-func (g *gatekeeper) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
-
 // answer serves a method that needs no wait: a question about, or an order
 // to, the machine or one of its jobs.
 func (s *Server) answer(method string, body json.RawMessage) (any, error) {

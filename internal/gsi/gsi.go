@@ -307,9 +307,10 @@ type frame[T any] interface {
 
 // sendJSON and recvJSON carry the handshake frames.
 func sendJSON[T frame[T]](conn *transport.Conn, v T) error {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = v.AppendJSON((*buf)[:0])
+	net := conn.Network()
+	buf := net.GetBuf()
+	defer net.PutBuf(buf)
+	*buf = v.AppendJSON(*buf)
 	return conn.Send(*buf)
 }
 

@@ -139,9 +139,6 @@ func TestProofAllocations(t *testing.T) {
 // hex.EncodeToString, each check converted both strings, and each nonce was
 // fmt.Sprintf's.
 func TestHandshakeAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops the frame buffers the count relies on")
-	}
 	sim := vtime.New()
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
 	a, b := net.AddHost("a"), net.AddHost("b")

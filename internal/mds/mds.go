@@ -103,8 +103,6 @@ func (h *handler) ServeCall(call *rpc.Call, method string, body json.RawMessage)
 	call.Reply((*Server)(h).handleCall(method, body))
 }
 
-func (h *handler) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
-
 func (s *Server) handleCall(method string, body json.RawMessage) (any, error) {
 	switch method {
 	case "register":

@@ -12,14 +12,15 @@ import (
 )
 
 // Gauges are virtual-time level indicators: queue depth, outstanding 2PC
-// transactions, busy processors per machine, unreaped orphans. Because
-// multiple simulated processes may mutate a gauge within one virtual
-// instant — in a real-time order that differs run to run — a gauge does not
-// store its "current value". It stores a delta log of (virtual time,
-// change) pairs; the value at sample time t is the sum of all deltas
-// stamped at or before t. Sums are order-independent within an instant, so
-// resampling the log at any fixed cadence yields byte-identical series for
-// same-seed runs.
+// transactions, busy processors per machine, unreaped orphans. A gauge
+// does not store its "current value". It stores a delta log of (virtual
+// time, change) pairs; the value at sample time t is the sum of all deltas
+// stamped at or before t. Several simulated processes may change a gauge
+// within one virtual instant. Under the run token they do so in a FIFO
+// order that is a function of the seed, so same-seed runs already agree;
+// what the delta log adds is that a sampled series does not depend on that
+// tie order either, since sums within an instant are order-independent.
+// Nothing checks that independence yet.
 
 // GaugeSet is a registry of named gauges sharing one virtual clock. All
 // methods are nil-safe: a nil *GaugeSet (the default everywhere) records

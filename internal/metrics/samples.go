@@ -10,13 +10,15 @@ import (
 // Sample logs are the windowed twin of histograms. A Histogram aggregates
 // forever — perfect for end-of-run quantiles, useless for "p95 over the
 // last two minutes". A SampleLog keeps each observation with its virtual
-// timestamp so any time window can be re-queried after the fact, and —
-// because the multiset of samples stamped at or before a horizon t is
-// final once the virtual clock passes t — windowed queries at a lagged
-// horizon are deterministic for same-seed runs even though samples from
-// one instant arrive in racy real-time order. The SLO engine evaluates
-// burn rates exclusively against these logs (and gauge delta logs), never
-// against live cumulative totals.
+// timestamp so any time window can be re-queried after the fact. The
+// multiset of samples stamped at or before a horizon t is final once the
+// virtual clock passes t, so a windowed query at a lagged horizon does not
+// depend on the order of same-instant samples. Under the run token that
+// order is FIFO and a function of the seed, so same-seed runs agree without
+// the lag; what it still buys is independence from the tie order, which
+// nothing checks yet. The SLO engine evaluates burn rates exclusively
+// against these logs (and gauge delta logs), never against live cumulative
+// totals.
 
 // SampleLogSet is a registry of named sample logs sharing one virtual
 // clock. All methods are nil-safe.

@@ -89,8 +89,6 @@ func (h *handler) ServeCall(call *rpc.Call, method string, body json.RawMessage)
 	l.done.At(l.server.sim.Now() + l.server.serviceTime)
 }
 
-func (h *handler) HandleNotify(sc *rpc.ServerConn, method string, body json.RawMessage) {}
-
 // lookup is one initgroups call being served.
 type lookup struct {
 	server *Server

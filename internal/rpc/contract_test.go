@@ -79,8 +79,6 @@ type callFunc func(call *Call, method string, body json.RawMessage)
 
 func (f callFunc) ServeCall(call *Call, method string, body json.RawMessage) { f(call, method, body) }
 
-func (callFunc) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {}
-
 // TestClientServerContract pins what an rpc connection promises its two
 // ends — matching, loss accounting, failure, ordering — and how many kernel
 // timers a run spends, case by case. The totals are the transport's (one
@@ -216,14 +214,14 @@ func TestClientServerContract(t *testing.T) {
 		{
 			name: "malformed frames are counted and skipped in both directions",
 			client: func(e *contractEnv) {
-				e.serve(HandlerFuncs{
-					Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) { return "fine", nil },
-					NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
+				e.serve(HandlerFuncs{Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
+					if method == "garble" {
 						sc.conn.Send([]byte("\xc7garbage from the server"))
 						sc.conn.Send([]byte(`{"kind":"notify","method":"json"}`))
-						sc.Notify("after", nil)
-					},
-				})
+						sc.NotifyCtx(trace.Ctx{}, "after", nil)
+					}
+					return "fine", nil
+				}})
 				conn, err := e.a.Dial(transport.Addr{Host: "b", Service: "svc"})
 				if err != nil {
 					e.t.Fatalf("Dial: %v", err)
@@ -235,7 +233,9 @@ func TestClientServerContract(t *testing.T) {
 				if err := c.Call("anything", nil, &reply, time.Minute); err != nil || reply != "fine" {
 					e.t.Errorf("Call after garbage = %q, %v", reply, err)
 				}
-				c.Notify("garble", nil)
+				if err := c.Call("garble", nil, nil, time.Minute); err != nil {
+					e.t.Errorf("garble: %v", err)
+				}
 				if n, res := c.Notifications().RecvTimeout(time.Second); res != vtime.RecvOK || n.Method != "after" {
 					e.t.Errorf("notification behind the server's garbage = %+v, %v", n, res)
 				}
@@ -245,23 +245,35 @@ func TestClientServerContract(t *testing.T) {
 				c.Close()
 				e.sim.Sleep(5 * ms)
 			},
-			// dial; garbage+prologue+call; server prologue; reply; notify;
-			// garbage+"after"; FIN; sleep.
+			// dial; garbage+prologue+call; server prologue; reply; the
+			// garble call; garbage+"after"+its reply; FIN; sleep.
 			timers: 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1,
 		},
 		{
 			name: "notifications arrive in send order both ways",
 			client: func(e *contractEnv) {
 				var seen []string
-				e.serve(HandlerFuncs{NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
+				e.serve(HandlerFuncs{Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
 					seen = append(seen, method)
-					sc.Notify("echo:"+method, nil)
+					sc.NotifyCtx(trace.Ctx{}, "echo:"+method, nil)
+					return nil, nil
 				}})
 				c := e.dial()
 				want := []string{"n0", "n1", "n2", "n3", "n4"}
+				// One caller per call, started in order, so that all five
+				// calls go out in one instant, as one process's five
+				// notifications would.
+				wg := vtime.NewWaitGroup(e.sim)
+				wg.Add(len(want))
 				for _, m := range want {
-					c.Notify(m, nil)
+					e.sim.Go("caller-"+m, func() {
+						defer wg.Done()
+						if err := c.Call(m, nil, nil, time.Minute); err != nil {
+							e.t.Errorf("call %s: %v", m, err)
+						}
+					})
 				}
+				wg.Wait()
 				var back []string
 				for range want {
 					n, res := c.Notifications().RecvTimeout(time.Second)
@@ -280,20 +292,23 @@ func TestClientServerContract(t *testing.T) {
 				c.Close()
 				e.sim.Sleep(5 * ms)
 			},
-			timers: 2 + 1 + 1 + 1 + 1 + 1, // dial; prologue+notifies; server prologue; echoes; FIN; sleep
+			timers: 2 + 1 + 1 + 1 + 1 + 1, // dial; prologue+calls; server prologue; echoes+replies; FIN; sleep
 		},
 		{
 			name: "server push after the client is gone is harmless",
 			client: func(e *contractEnv) {
 				pushed := vtime.NewChan[error](e.sim, "pushed", 1)
-				e.serve(HandlerFuncs{NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
+				e.serve(HandlerFuncs{Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
 					e.sim.GoDaemon("push", func() {
 						e.sim.Sleep(5 * time.Second)
-						pushed.Send(sc.Notify("late", nil))
+						pushed.Send(sc.NotifyCtx(trace.Ctx{}, "late", nil))
 					})
+					return nil, nil
 				}})
 				c := e.dial()
-				c.Notify("poke", nil)
+				if err := c.Call("poke", nil, nil, time.Minute); err != nil {
+					e.t.Errorf("poke: %v", err)
+				}
 				e.sim.Sleep(time.Second)
 				c.Close()
 				if err, res := pushed.RecvTimeout(time.Minute); res != vtime.RecvOK || err != ErrClosed {
@@ -301,7 +316,9 @@ func TestClientServerContract(t *testing.T) {
 				}
 				e.sim.Sleep(5 * ms)
 			},
-			timers: 2 + 2 + 1 + 1 + 1 + 1, // dial; prologues (the poke rides with the client's); sleep; FIN; handler sleep; sleep
+			// dial; prologues (the poke call rides with the client's); the
+			// poke's reply; sleep; FIN; handler sleep; sleep.
+			timers: 2 + 2 + 1 + 1 + 1 + 1 + 1,
 		},
 	}
 	for _, tc := range cases {

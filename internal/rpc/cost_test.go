@@ -13,15 +13,11 @@ import (
 )
 
 // echoTasks is a Handler that answers every call with its own body, in the
-// step that reads it, and every notification with one of its own.
+// step that reads it.
 type echoTasks struct{}
 
 func (echoTasks) ServeCall(call *Call, method string, body json.RawMessage) {
 	call.Reply(body, nil)
-}
-
-func (echoTasks) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {
-	sc.Notify("echo:"+method, nil)
 }
 
 // What a call costs the kernel, counted (internal/transport's
@@ -139,7 +135,7 @@ func TestOneShotExchangeCosts(t *testing.T) {
 			sim.Sleep(5 * ms) // the FIN has landed; the server's end is closed
 		}
 		warm := e.dial()
-		for i := 0; i < 10; i++ { // buffer pools, timer entries, run queue
+		for i := 0; i < 10; i++ { // encode buffers, timer entries, run queue
 			exchange()
 			call(warm)
 		}
@@ -226,8 +222,6 @@ func (k keeper) ServeCall(call *Call, method string, body json.RawMessage) {
 	*k.kept = append(*k.kept, call)
 }
 
-func (keeper) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {}
-
 // What a task-served connection does differently from a process, said out
 // loud: a reply to a client that has gone is sent nowhere and fails nothing
 // (there is no process to end), and a handler that blocks instead of
@@ -306,8 +300,6 @@ func (s sleeper) ServeCall(call *Call, method string, body json.RawMessage) {
 	}()
 	call.Reply(nil, nil)
 }
-
-func (sleeper) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {}
 
 // TestCallAllocs prices one call on an established connection under a valid
 // request context, both ends included. Untraced, the span path still rides

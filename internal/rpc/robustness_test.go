@@ -75,9 +75,6 @@ func TestCallAfterCloseFails(t *testing.T) {
 		if err := c.Call("echo", echoArgs{Text: "x"}, nil, time.Minute); err != ErrClosed {
 			t.Errorf("Call after Close = %v, want ErrClosed", err)
 		}
-		if err := c.Notify("poke", nil); err != ErrClosed {
-			t.Errorf("Notify after Close = %v, want ErrClosed", err)
-		}
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
@@ -117,12 +114,13 @@ func TestServerPushAfterClientGoneIsHarmless(t *testing.T) {
 	}
 	pushed := vtime.NewChan[error](sim, "pushed", 1)
 	Serve(sim, l, HandlerFuncs{
-		NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
-			// Reply long after the client hung up.
+		Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
+			// Push long after the client hung up.
 			sim.GoDaemon("push", func() {
 				sim.Sleep(5 * time.Second)
-				pushed.Send(sc.Notify("late", nil))
+				pushed.Send(sc.NotifyCtx(trace.Ctx{}, "late", nil))
 			})
+			return nil, nil
 		},
 	}, nil)
 	err = sim.Run("client", func() {
@@ -132,7 +130,9 @@ func TestServerPushAfterClientGoneIsHarmless(t *testing.T) {
 			return
 		}
 		c := NewClient(sim, conn)
-		c.Notify("poke", nil)
+		if err := c.Call("poke", nil, nil, time.Minute); err != nil {
+			t.Errorf("poke: %v", err)
+		}
 		sim.Sleep(time.Second)
 		c.Close()
 		// The server's late push must not panic or wedge anything; it may
@@ -158,10 +158,11 @@ func TestNotificationBufferOverflowDropsNotBlocks(t *testing.T) {
 	}
 	const flood = 1000 // past the client's 256 buffer
 	Serve(sim, l, HandlerFuncs{
-		NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) {
+		Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) {
 			for i := 0; i < flood; i++ {
-				sc.Notify("spam", nil)
+				sc.NotifyCtx(trace.Ctx{}, "spam", nil)
 			}
+			return nil, nil
 		},
 	}, nil)
 	err = sim.Run("client", func() {
@@ -172,7 +173,9 @@ func TestNotificationBufferOverflowDropsNotBlocks(t *testing.T) {
 		}
 		c := NewClient(sim, conn)
 		defer c.Close()
-		c.Notify("go", nil)
+		if err := c.Call("go", nil, nil, time.Minute); err != nil {
+			t.Errorf("go: %v", err)
+		}
 		sim.Sleep(time.Second)
 		// The client is alive despite the flood; drain what was kept.
 		kept := 0

@@ -2,8 +2,8 @@
 // over simulated transport connections.
 //
 // A connection carries envelopes in the compact binary frame format of
-// internal/wire. Calls expect a matching reply; notifications are one-way
-// and may flow in either direction, which is how GRAM delivers asynchronous
+// internal/wire. Calls expect a matching reply; notifications are one-way,
+// from a server to its client, which is how GRAM delivers asynchronous
 // job-state callbacks to a connected client.
 //
 // Bodies are JSON. A message type opts into one of two faster forms by
@@ -75,8 +75,8 @@ type Notification struct {
 // Decode unmarshals the notification body into v.
 func (n Notification) Decode(v any) error { return Decode(n.Body, v) }
 
-// Client issues calls and notifications over a connection and surfaces
-// remote-initiated notifications. Create with NewClient; the demux task
+// Client issues calls over a connection and surfaces the notifications the
+// server pushes. Create with NewClient; the demux task
 // owns the receive side of the connection.
 //
 // A Client is one allocation and a call on it adds none for the waiting: the
@@ -383,19 +383,6 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	return decodeParts(slot.env.Body, slot.env.Shared, reply)
 }
 
-// Notify sends a one-way message under the connection's base context.
-func (c *Client) Notify(method string, arg any) error {
-	return c.NotifyCtx(trace.Ctx{}, method, arg)
-}
-
-// NotifyCtx sends a one-way message carrying the given causal context.
-func (c *Client) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
-	if !ctx.Valid() {
-		ctx = c.conn.Ctx()
-	}
-	return c.out.send(&wire.Envelope{Kind: wire.KindNotify, Method: method, Req: ctx.Req, Span: ctx.Span}, arg)
-}
-
 // sender is one end's send half: the frame encoder of its direction. Client
 // and ServerConn each own one.
 type sender struct {
@@ -496,10 +483,11 @@ func decodeParts(body, shared []byte, v any) error {
 
 // send marshals arg as env's body and puts the envelope on the wire.
 func (s *sender) send(env *wire.Envelope, arg any) error {
-	buf := wire.GetBuf()
+	net := s.conn.Network()
+	buf := net.GetBuf()
 	body, err := marshalBody(*buf, arg)
 	if err != nil {
-		wire.PutBuf(buf)
+		net.PutBuf(buf)
 		return fmt.Errorf("rpc: marshal %s: %w", env.Method, err)
 	}
 	*buf = body
@@ -509,20 +497,23 @@ func (s *sender) send(env *wire.Envelope, arg any) error {
 // noShared is the shared part of a frame sent whole: none.
 var noShared = wire.NewShared(nil)
 
-// sendFrame sends env with the contents of the pooled buffer buf as its
-// body, followed by sh's bytes if sh is not nil, and recycles buf. The
+// sendFrame sends env with the contents of buf, lent by the connection's
+// Network, as its body, followed by sh's bytes if sh is not nil, and
+// returns buf. The frame's head is written in a second lent buffer. The
 // transport is handed one new slice per frame and nothing else: the frame's
 // own part (wire.Encoder.EncodeShared), beside sh's bytes, which every frame
 // that ends in them shares uncopied.
 func (s *sender) sendFrame(env *wire.Envelope, buf *[]byte, sh *wire.Shared) error {
-	defer wire.PutBuf(buf)
+	net := s.conn.Network()
 	if sh == nil {
 		sh = &noShared
 	}
 	env.Body = *buf
-	ctx := envCtx(env)
-	err := s.conn.SendShared(s.enc.EncodeShared(env, sh), sh.Part(), ctx)
-	if err != nil {
+	head := net.GetBuf()
+	own := s.enc.EncodeShared(head, env, sh)
+	net.PutBuf(head)
+	net.PutBuf(buf)
+	if s.conn.SendShared(own, sh.Part(), envCtx(env)) != nil {
 		return ErrClosed
 	}
 	return nil
@@ -551,15 +542,10 @@ type ServerConn struct {
 // RemoteAddr returns the client's address.
 func (sc *ServerConn) RemoteAddr() transport.Addr { return sc.conn.RemoteAddr() }
 
-// Notify pushes a one-way message to the client under the connection's
-// base causal context.
-func (sc *ServerConn) Notify(method string, arg any) error {
-	return sc.NotifyCtx(trace.Ctx{}, method, arg)
-}
-
-// NotifyCtx pushes a one-way message carrying the given causal context
-// (e.g. an asynchronous job-state callback parented to the submit that
-// registered it).
+// NotifyCtx pushes a one-way message to the client carrying the given
+// causal context (e.g. an asynchronous job-state callback parented to the
+// submit that registered it); a zero ctx falls back to the connection's
+// base context.
 func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 	if !ctx.Valid() {
 		ctx = sc.conn.Ctx()
@@ -579,8 +565,8 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 // Close closes the connection.
 func (sc *ServerConn) Close() { sc.conn.Close() }
 
-// Handler processes a connection's inbound calls and notifications without
-// ever blocking: both methods run in the connection's task step, where a
+// Handler answers a connection's inbound calls without ever blocking:
+// ServeCall runs in the connection's task step, where a
 // kernel call that would block panics ("would block outside a simulated
 // process"). ServeCall answers through the Call — before it returns, or by
 // keeping the Call and replying when whatever the answer waits for has
@@ -589,7 +575,6 @@ func (sc *ServerConn) Close() { sc.conn.Close() }
 // body is valid after ServeCall returns.
 type Handler interface {
 	ServeCall(call *Call, method string, body json.RawMessage)
-	HandleNotify(sc *ServerConn, method string, body json.RawMessage)
 }
 
 // Call is one inbound call between its arrival and its reply.
@@ -620,7 +605,7 @@ func (c *Call) Reply(result any, err error) {
 	sc.hServe.Record(int64(sc.sim.Now() - c.start))
 	reply := wire.Envelope{ID: c.id, Kind: wire.KindReply, Req: c.Ctx.Req, Span: c.Ctx.Span}
 	outcome := "ok"
-	buf := wire.GetBuf()
+	buf := conn.Network().GetBuf()
 	var sh *wire.Shared
 	if err != nil {
 		reply.Error = err.Error()
@@ -742,8 +727,9 @@ func (t *connTask) RunTask() {
 	drain(sc.conn, &sc.task, sc.handle)
 }
 
-// handle dispatches one received frame. Calls and notifications are sent
-// whole: one in parts is malformed.
+// handle dispatches one received frame. A call is sent whole: one in parts
+// is malformed. A server is sent nothing but calls, so a frame of another
+// kind is ignored.
 func (sc *ServerConn) handle(own, shared []byte) {
 	var env wire.Envelope
 	if len(shared) != 0 || sc.dec.Decode(own, &env) != nil {
@@ -763,8 +749,6 @@ func (sc *ServerConn) handle(own, shared []byte) {
 		}
 		call := &Call{Ctx: ctx, sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
 		sc.srv.handler.ServeCall(call, env.Method, env.Body)
-	case wire.KindNotify:
-		sc.srv.handler.HandleNotify(sc, env.Method, env.Body)
 	}
 }
 
@@ -787,10 +771,9 @@ func serveCtx(tr *trace.Tracer, env *wire.Envelope) trace.Ctx {
 
 // HandlerFuncs adapts plain functions that answer at once to the Handler
 // interface: Call runs in the connection's task step, and what it returns is
-// the reply. Nil fields reject calls with an error / ignore notifications.
+// the reply. A nil Call rejects every call with an error.
 type HandlerFuncs struct {
-	Call       func(sc *ServerConn, method string, body json.RawMessage) (any, error)
-	NotifyFunc func(sc *ServerConn, method string, body json.RawMessage)
+	Call func(sc *ServerConn, method string, body json.RawMessage) (any, error)
 }
 
 // ServeCall implements Handler.
@@ -800,11 +783,4 @@ func (h HandlerFuncs) ServeCall(call *Call, method string, body json.RawMessage)
 		return
 	}
 	call.Reply(h.Call(call.sc, method, body))
-}
-
-// HandleNotify implements Handler.
-func (h HandlerFuncs) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {
-	if h.NotifyFunc != nil {
-		h.NotifyFunc(sc, method, body)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
 	"cogrid/internal/wire"
@@ -31,9 +32,10 @@ func startEcho(t *testing.T, sim *vtime.Sim, host *transport.Host) *Server {
 }
 
 // echoServer serves an "echo" method with an optional simulated service
-// time, plus a "boom" method that always errors and a "poke" notification
-// that triggers a server->client notification. An echo with a service time
-// waits in mid-call, so it is answered from a process of its own.
+// time, plus a "boom" method that always errors and a "poke" method that
+// pushes a notification to the client before its reply. An echo with a
+// service time waits in mid-call, so it is answered from a process of its
+// own.
 type echoServer struct{ sim *vtime.Sim }
 
 func (e echoServer) ServeCall(call *Call, method string, body json.RawMessage) {
@@ -47,14 +49,11 @@ func (e echoServer) ServeCall(call *Call, method string, body json.RawMessage) {
 		replyAfter(e.sim, time.Duration(args.Delay)*time.Millisecond, call, echoReply{Text: args.Text})
 	case "boom":
 		call.Reply(nil, fmt.Errorf("kaboom"))
+	case "poke":
+		call.Conn().NotifyCtx(trace.Ctx{}, "poked", echoReply{Text: "back"})
+		call.Reply(nil, nil)
 	default:
 		call.Reply(nil, fmt.Errorf("unknown method %s", method))
-	}
-}
-
-func (echoServer) HandleNotify(sc *ServerConn, method string, body json.RawMessage) {
-	if method == "poke" {
-		sc.Notify("poked", echoReply{Text: "back"})
 	}
 }
 
@@ -213,7 +212,9 @@ func TestServerCrashFailsPendingCall(t *testing.T) {
 	}
 }
 
-func TestNotificationsBothDirections(t *testing.T) {
+// TestServerNotification: a notification the server pushes reaches the
+// client's queue with its method and body.
+func TestServerNotification(t *testing.T) {
 	sim, a, b := newPair(t)
 	startEcho(t, sim, b)
 	err := sim.Run("client", func() {
@@ -224,8 +225,8 @@ func TestNotificationsBothDirections(t *testing.T) {
 		}
 		c := NewClient(sim, conn)
 		defer c.Close()
-		if err := c.Notify("poke", nil); err != nil {
-			t.Errorf("Notify: %v", err)
+		if err := c.Call("poke", nil, nil, time.Minute); err != nil {
+			t.Errorf("poke: %v", err)
 		}
 		n, res := c.Notifications().RecvTimeout(time.Second)
 		if res != vtime.RecvOK {
@@ -256,8 +257,7 @@ func TestPreambleRejectsConnection(t *testing.T) {
 	}
 	served := 0
 	Serve(sim, l, HandlerFuncs{
-		Call:       func(sc *ServerConn, method string, body json.RawMessage) (any, error) { served++; return nil, nil },
-		NotifyFunc: func(sc *ServerConn, method string, body json.RawMessage) { served++ },
+		Call: func(sc *ServerConn, method string, body json.RawMessage) (any, error) { served++; return nil, nil },
 	}, func(conn *transport.Conn) (any, error) {
 		sim.Sleep(10 * ms) // the client's call is queued by now
 		return nil, fmt.Errorf("denied")

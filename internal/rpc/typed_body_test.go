@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/wire"
 )
@@ -51,7 +52,7 @@ func TestTypedBodyInterop(t *testing.T) {
 			if err := Decode(body, &m); err != nil {
 				return nil, err
 			}
-			sc.Notify("seen", m)
+			sc.NotifyCtx(trace.Ctx{}, "seen", m)
 			return typedMsg{Text: m.Text + "!", N: m.N + 1}, nil
 		},
 	}

@@ -17,9 +17,13 @@
 // than at the wake instant. Virtual time only advances when every simulated
 // process is blocked, so once the clock passes h the set of gauge deltas
 // and samples stamped at or before h is final: evaluating at h reads
-// settled history, never racing writers. The lag being one eval tick, two
-// same-seed runs therefore produce byte-identical alert logs —
-// the property the DST determinism tests pin down.
+// settled history, whatever else happens at the wake instant. Two same-seed
+// runs produce byte-identical alert logs — the property the DST
+// determinism tests pin down — and under the run token they would without
+// the lag too, since same-instant events run in a FIFO order that is a
+// function of the seed. What the lag still buys is an alert log that does
+// not depend on that tie order: whether the engine wakes before or after a
+// writer of the same instant. Nothing checks that independence yet.
 package slo
 
 import (
@@ -108,7 +112,7 @@ type Alert struct {
 type Options struct {
 	// EvalInterval is the wake cadence (default 5s). The evaluation
 	// horizon lags the wake time by the same amount — at least one tick,
-	// which the determinism guarantee needs.
+	// which independence from the tie order within an instant needs.
 	EvalInterval time.Duration
 }
 

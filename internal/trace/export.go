@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"cogrid/internal/metrics"
@@ -28,35 +27,21 @@ type jsonlEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// jsonlBufPool recycles encode buffers across WriteJSONL calls, so tracing
-// a long run amortizes to zero allocations per event in steady state
-// (BenchmarkWriteJSONL / TestWriteJSONLAllocs pin this down).
-var jsonlBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 64*1024)
-		return &b
-	},
-}
-
 // jsonlFlushAt bounds buffered bytes before flushing to the writer.
 const jsonlFlushAt = 48 * 1024
 
 // WriteJSONL writes events one JSON object per line. Events must already be
 // in the desired order (Tracer.Events returns the deterministic order).
-// Encoding appends into a pooled buffer — no per-event allocation — and the
-// output is parseable by ReadJSONL; field order matches jsonlEvent.
+// Encoding appends into one buffer the call allocates and flushes whenever
+// it holds jsonlFlushAt bytes — no per-event allocation — and the output is
+// parseable by ReadJSONL; field order matches jsonlEvent.
 func WriteJSONL(w io.Writer, events []Event) error {
 	return writeJSONL(w, len(events), func(buf []byte, i int) []byte { return appendJSONLEvent(buf, &events[i]) })
 }
 
 // writeJSONL writes n events in order, appendAt appending the i-th.
 func writeJSONL(w io.Writer, n int, appendAt func(buf []byte, i int) []byte) error {
-	bp := jsonlBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	defer func() {
-		*bp = buf[:0]
-		jsonlBufPool.Put(bp)
-	}()
+	buf := make([]byte, 0, 64*1024)
 	for i := 0; i < n; i++ {
 		buf = appendAt(buf, i)
 		if len(buf) >= jsonlFlushAt {
@@ -70,7 +55,6 @@ func writeJSONL(w io.Writer, n int, appendAt func(buf []byte, i int) []byte) err
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
-		buf = buf[:0]
 	}
 	return nil
 }

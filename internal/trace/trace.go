@@ -22,7 +22,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"cogrid/internal/vtime"
@@ -180,10 +179,10 @@ type Tracer struct {
 	// args slice is read into the store and not kept, so it never outlives
 	// the call and can stay on the emitter's stack.
 	store store
+	// tapArgs is where the tap is handed an event's args, reused for every
+	// event: a tap copies what it keeps (Tap).
+	tapArgs []Arg
 }
-
-// tapArgs recycles the buffers a tap is handed an event's args in.
-var tapArgs = sync.Pool{New: func() any { return new([]Arg) }}
 
 // New creates a tracer stamping events with sim's virtual clock.
 func New(sim *vtime.Sim) *Tracer { return &Tracer{sim: sim} }
@@ -230,11 +229,9 @@ func (t *Tracer) emit(ev Event, args []Arg) {
 		t.tap.Record(ev)
 		return
 	}
-	buf := tapArgs.Get().(*[]Arg)
-	*buf = append((*buf)[:0], args...)
-	ev.Args = *buf
+	t.tapArgs = append(t.tapArgs[:0], args...)
+	ev.Args = t.tapArgs
 	t.tap.Record(ev)
-	tapArgs.Put(buf)
 }
 
 // Instant records an instant event stamped now. Nil-safe.

@@ -140,6 +140,9 @@ type Network struct {
 	hists      *metrics.HistogramSet
 	samples    *metrics.SampleLogSet
 	flight     *flightrec.Recorder
+
+	// bufs is the free list of encode buffers (GetBuf, PutBuf).
+	bufs []*[]byte
 }
 
 // New creates a network on sim with the given latency model.
@@ -218,6 +221,31 @@ func (n *Network) SetFlightRec(r *flightrec.Recorder) { n.flight = r }
 // FlightRec returns the attached flight recorder, or nil (which is itself
 // a valid no-op recorder).
 func (n *Network) FlightRec() *flightrec.Recorder { return n.flight }
+
+// GetBuf lends an empty encode buffer: where rpc appends a body and the
+// head of its frame, and gsi a handshake frame, before the send copies what
+// goes on the wire. A send never blocks, so every buffer is back (PutBuf)
+// before another process or task runs, and the list holds at most the two
+// one frame borrows: its body and its head.
+func (n *Network) GetBuf() *[]byte {
+	if k := len(n.bufs); k > 0 {
+		b := n.bufs[k-1]
+		n.bufs = n.bufs[:k-1]
+		return b
+	}
+	b := make([]byte, 0, 512)
+	return &b
+}
+
+// PutBuf returns a buffer GetBuf lent. One grown past 64 KiB is dropped, so
+// a single huge body does not keep its capacity for the rest of the run.
+func (n *Network) PutBuf(b *[]byte) {
+	if cap(*b) > 1<<16 {
+		return
+	}
+	*b = (*b)[:0]
+	n.bufs = append(n.bufs, b)
+}
 
 // AddHost registers a host by name. Adding an existing name returns the
 // existing host.

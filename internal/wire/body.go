@@ -1,6 +1,9 @@
 package wire
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Typed bodies. An envelope's body is opaque bytes to the envelope codec;
 // by default the RPC layer fills it with JSON. A message type whose traffic
@@ -15,19 +18,19 @@ const BodyMarker = 0xB0
 // AppendVarint appends x zig-zag encoded, so small magnitudes of either
 // sign (a rank, or the -1 that means "none") take one byte.
 func AppendVarint(dst []byte, x int64) []byte {
-	return AppendUvarint(dst, uint64(x<<1)^uint64(x>>63))
+	return binary.AppendUvarint(dst, uint64(x<<1)^uint64(x>>63))
 }
 
 // AppendString appends a length-prefixed string.
 func AppendString(dst []byte, s string) []byte {
-	dst = AppendUvarint(dst, uint64(len(s)))
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
 // AppendStrings appends a count followed by that many length-prefixed
 // strings.
 func AppendStrings(dst []byte, list []string) []byte {
-	dst = AppendUvarint(dst, uint64(len(list)))
+	dst = binary.AppendUvarint(dst, uint64(len(list)))
 	for _, s := range list {
 		dst = AppendString(dst, s)
 	}
@@ -64,13 +67,13 @@ func (r *Reader) rest() []byte {
 	return r.src[r.off:]
 }
 
-// Uvarint reads a VLQ integer.
+// Uvarint reads an unsigned varint (encoding/binary's).
 func (r *Reader) Uvarint() uint64 {
 	if r.bad {
 		return 0
 	}
-	x, n := Uvarint(r.rest())
-	if n == 0 {
+	x, n := binary.Uvarint(r.rest())
+	if n <= 0 {
 		r.bad = true
 		return 0
 	}
@@ -154,8 +157,8 @@ func (l StringList) Len() int {
 // the bytes that follow cannot hold (every string takes at least one) is
 // none.
 func (l StringList) count() (n, first int) {
-	c, w := Uvarint(l)
-	if w == 0 || c > uint64(len(l)-w) {
+	c, w := binary.Uvarint(l)
+	if w <= 0 || c > uint64(len(l)-w) {
 		return 0, 0
 	}
 	return int(c), w
@@ -177,8 +180,8 @@ func (l StringList) nextLong(off int) (from, to int, ok bool) {
 	if off > len(l) {
 		return 0, 0, false
 	}
-	n, w := Uvarint(l[off:])
-	if w == 0 || n > uint64(len(l)-off-w) {
+	n, w := binary.Uvarint(l[off:])
+	if w <= 0 || n > uint64(len(l)-off-w) {
 		return 0, 0, false
 	}
 	return off + w, off + w + int(n), true

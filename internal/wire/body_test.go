@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -138,7 +139,7 @@ func TestReaderRejectsMalformed(t *testing.T) {
 	// A count that the remaining bytes cannot hold fails at the count: a
 	// hostile 2³⁰ is not walked, and a list cut from it by hand decodes to
 	// nothing instead of sizing a 16 GB slice.
-	huge := append(AppendUvarint(nil, 1<<30), make([]byte, 64)...)
+	huge := append(binary.AppendUvarint(nil, 1<<30), make([]byte, 64)...)
 	r = NewReader(huge, nil)
 	if r.StringList() != nil || r.Done() != ErrFrame {
 		t.Error("over-long count accepted")

@@ -1,8 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
-	"sync"
 )
 
 // Envelope kinds, carried in the low two flag bits of a frame.
@@ -109,16 +109,15 @@ func (e *Encoder) Encode(dst []byte, env *Envelope) []byte {
 // env.Shared, and returns the frame without them: its own part, one
 // allocation of its exact size. The frame is that part with sh's bytes
 // before its last two, the checksum, which sh's precomputed checksum
-// computes without reading them again.
-func (e *Encoder) EncodeShared(env *Envelope, sh *Shared) []byte {
-	buf := GetBuf()
-	head := e.appendHead(*buf, env, len(sh.b))
+// computes without reading them again. The head is written in scratch
+// first, which the caller lends and gets back grown if it had to grow.
+func (e *Encoder) EncodeShared(scratch *[]byte, env *Envelope, sh *Shared) []byte {
+	head := e.appendHead((*scratch)[:0], env, len(sh.b))
+	*scratch = head
 	own := make([]byte, len(head)+2)
 	copy(own, head)
 	crc := sh.after(CRC16(head))
 	own[len(head)], own[len(head)+1] = byte(crc>>8), byte(crc)
-	*buf = head
-	PutBuf(buf)
 	return own
 }
 
@@ -153,10 +152,10 @@ func (e *Encoder) appendHead(dst []byte, env *Envelope, shared int) []byte {
 	}
 	dst = append(dst, magicFrame, flags)
 	if flags&flagID != 0 {
-		dst = AppendUvarint(dst, env.ID)
+		dst = binary.AppendUvarint(dst, env.ID)
 	}
 	if inDict {
-		dst = AppendUvarint(dst, uint64(dictID))
+		dst = binary.AppendUvarint(dst, uint64(dictID))
 	} else if flags&flagInlineMethod != 0 {
 		dst = AppendString(dst, env.Method)
 	}
@@ -168,7 +167,7 @@ func (e *Encoder) appendHead(dst []byte, env *Envelope, shared int) []byte {
 		dst = AppendString(dst, env.Span)
 	}
 	if flags&flagBody != 0 {
-		dst = AppendUvarint(dst, uint64(len(env.Body)+shared))
+		dst = binary.AppendUvarint(dst, uint64(len(env.Body)+shared))
 		dst = append(dst, env.Body...)
 	}
 	return dst
@@ -198,8 +197,8 @@ var prologueFrame = func() []byte {
 // length, dictionary hash.
 func appendPrologue(dst []byte) []byte {
 	dst = append(dst, magicPrologue, 'g')
-	dst = AppendUvarint(dst, Version)
-	dst = AppendUvarint(dst, uint64(DictLen()))
+	dst = binary.AppendUvarint(dst, Version)
+	dst = binary.AppendUvarint(dst, uint64(DictLen()))
 	h := DictHash()
 	return append(dst, byte(h>>24), byte(h>>16), byte(h>>8), byte(h))
 }
@@ -275,16 +274,16 @@ func decode(buf []byte, ps *parts, env *Envelope) error {
 			return ErrFrame
 		}
 		buf = ps.more(buf[2:])
-		v, n := Uvarint(buf)
-		if n == 0 {
+		v, n := binary.Uvarint(buf)
+		if n <= 0 {
 			return ErrFrame
 		}
 		buf = ps.more(buf[n:])
 		if v != Version {
 			return ErrVersion
 		}
-		dictLen, n := Uvarint(buf)
-		if n == 0 {
+		dictLen, n := binary.Uvarint(buf)
+		if n <= 0 {
 			return ErrFrame
 		}
 		buf = ps.more(buf[n:])
@@ -312,16 +311,16 @@ func decode(buf []byte, ps *parts, env *Envelope) error {
 		return ErrFrame
 	}
 	if flags&flagID != 0 {
-		id, n := Uvarint(buf)
-		if n == 0 {
+		id, n := binary.Uvarint(buf)
+		if n <= 0 {
 			return ErrFrame
 		}
 		env.ID = id
 		buf = ps.more(buf[n:])
 	}
 	if flags&flagDictMethod != 0 {
-		id, n := Uvarint(buf)
-		if n == 0 {
+		id, n := binary.Uvarint(buf)
+		if n <= 0 {
 			return ErrFrame
 		}
 		buf = ps.more(buf[n:])
@@ -359,8 +358,8 @@ func decode(buf []byte, ps *parts, env *Envelope) error {
 		buf = ps.more(rest)
 	}
 	if flags&flagBody != 0 {
-		l, n := Uvarint(buf)
-		if n == 0 {
+		l, n := binary.Uvarint(buf)
+		if n <= 0 {
 			return ErrFrame
 		}
 		buf = ps.more(buf[n:])
@@ -384,21 +383,28 @@ func decode(buf []byte, ps *parts, env *Envelope) error {
 	return nil
 }
 
-// bufPool recycles encode buffers: a body and a frame's head are appended
-// into pooled slices, EncodeShared copies the head into the frame's own
-// part, which is what goes on the wire, and the buffers return to the pool;
-// the steady-state encode path allocates nothing but that part.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+// spare is the buffer GetBuf lends and PutBuf takes back.
+var spare *[]byte
 
-// GetBuf returns a pooled, empty encode buffer.
-func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
+// GetBuf returns an empty encode buffer: the spare one, or a new one. Only
+// the benchmark's wire.encode row calls GetBuf and PutBuf, from one
+// goroutine; nothing in a run does, which borrows its encode buffers from
+// its transport.Network.
+func GetBuf() *[]byte {
+	if b := spare; b != nil {
+		spare = nil
+		return b
+	}
+	b := make([]byte, 0, 512)
+	return &b
+}
 
-// PutBuf recycles a buffer obtained from GetBuf. Oversized buffers are
-// dropped so one huge body doesn't pin its capacity in the pool.
+// PutBuf keeps a buffer obtained from GetBuf as the spare. One grown past
+// 64 KiB is dropped, so a single huge body does not keep its capacity.
 func PutBuf(b *[]byte) {
 	if cap(*b) > 1<<16 {
 		return
 	}
 	*b = (*b)[:0]
-	bufPool.Put(b)
+	spare = b
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -49,7 +50,7 @@ func TestEncodeSharedIsEncodeInParts(t *testing.T) {
 				want := whole.Encode(nil, &env)
 				sh := NewShared(body[h:])
 				env.Body = body[:h]
-				own := parts.EncodeShared(&env, &sh)
+				own := parts.EncodeShared(new([]byte), &env, &sh)
 				if cap(own) != len(own) {
 					t.Errorf("head %d + shared %d: own part of %d bytes in %d", h, n, len(own), cap(own))
 				}
@@ -92,7 +93,7 @@ func fieldStarts(frame []byte) []int {
 	starts := []int{0}
 	mark := func() { starts = append(starts, off) }
 	uvarint := func() uint64 {
-		x, n := Uvarint(frame[off:])
+		x, n := binary.Uvarint(frame[off:])
 		off += n
 		return x
 	}

@@ -196,27 +196,6 @@ func TestDecodeErrorLeavesEnvelopeZeroed(t *testing.T) {
 	}
 }
 
-func TestUvarint(t *testing.T) {
-	cases := []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1<<32 - 1, 1 << 32, 1<<64 - 1}
-	for _, want := range cases {
-		buf := AppendUvarint(nil, want)
-		got, n := Uvarint(buf)
-		if n != len(buf) || got != want {
-			t.Errorf("Uvarint(Append(%d)) = %d (n=%d, len=%d)", want, got, n, len(buf))
-		}
-		if _, n := Uvarint(buf[:len(buf)-1]); n != 0 {
-			t.Errorf("truncated varint for %d decoded with n=%d", want, n)
-		}
-	}
-	// Overlong and overflowing encodings must be rejected.
-	if _, n := Uvarint(bytes.Repeat([]byte{0x80}, 11)); n != 0 {
-		t.Error("overlong varint accepted")
-	}
-	if _, n := Uvarint(append(bytes.Repeat([]byte{0xff}, 9), 0x02)); n != 0 {
-		t.Error("overflowing varint accepted")
-	}
-}
-
 func TestCRC16KnownVector(t *testing.T) {
 	// CCITT-FALSE of "123456789" is 0x29B1.
 	if got := CRC16([]byte("123456789")); got != 0x29B1 {
@@ -224,13 +203,15 @@ func TestCRC16KnownVector(t *testing.T) {
 	}
 }
 
-func TestBufPool(t *testing.T) {
+// TestGetBufSpare: the buffer PutBuf keeps is the one GetBuf returns next,
+// emptied.
+func TestGetBufSpare(t *testing.T) {
 	b := GetBuf()
 	*b = append(*b, 1, 2, 3)
 	PutBuf(b)
 	b2 := GetBuf()
-	if len(*b2) != 0 {
-		t.Errorf("pooled buffer not reset: len %d", len(*b2))
+	if b2 != b || len(*b2) != 0 {
+		t.Errorf("GetBuf after PutBuf = %p len %d, want the spare %p emptied", b2, len(*b2), b)
 	}
 	PutBuf(b2)
 }
