@@ -76,8 +76,8 @@ type Notification struct {
 func (n Notification) Decode(v any) error { return Decode(n.Body, v) }
 
 // Client issues calls over a connection and surfaces the notifications the
-// server pushes. Create with NewClient; the demux task
-// owns the receive side of the connection.
+// server pushes. Create with NewClient; the demux task owns the receive side
+// of the connection.
 //
 // A Client is one allocation and a call on it adds none for the waiting: the
 // caller waits on a reply slot (pendingCall), the demux step stores the
@@ -566,13 +566,13 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 func (sc *ServerConn) Close() { sc.conn.Close() }
 
 // Handler answers a connection's inbound calls without ever blocking:
-// ServeCall runs in the connection's task step, where a
-// kernel call that would block panics ("would block outside a simulated
-// process"). ServeCall answers through the Call — before it returns, or by
-// keeping the Call and replying when whatever the answer waits for has
-// happened: a barrier's release, a timer, or the end of a process the
-// handler spawned for a call that must wait in mid-function (GRAM's submit).
-// body is valid after ServeCall returns.
+// ServeCall runs in the connection's task step, where a kernel call that
+// would block panics ("would block outside a simulated process"). It
+// answers through the Call — before it returns, or by keeping the Call and
+// replying when whatever the answer waits for has happened: a barrier's
+// release, a timer, or the end of a process the handler spawned for a call
+// that must wait in mid-function (GRAM's submit). body is valid after
+// ServeCall returns.
 type Handler interface {
 	ServeCall(call *Call, method string, body json.RawMessage)
 }
