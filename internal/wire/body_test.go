@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -156,6 +157,12 @@ func TestReaderRejectsMalformed(t *testing.T) {
 	}
 	if s, ok := overrun.At(1); ok || s != "" {
 		t.Errorf("At past an overrunning length = %q, %v", s, ok)
+	}
+	// A length that is no varint: eleven bytes long, so binary.Uvarint
+	// reports it as a negative count.
+	overlong := StringList(append([]byte{2, 1, 'a'}, append(bytes.Repeat([]byte{0x80}, 10), 1)...))
+	if s, ok := overlong.At(1); ok || s != "" {
+		t.Errorf("At past an overlong length = %q, %v", s, ok)
 	}
 	if s, ok := overrun.At(0); !ok || s != "a" || !reflect.DeepEqual(overrun.All(), []string{"a"}) {
 		t.Errorf("a malformed list is read as far as it is well formed: At(0) = %q, %v, All = %q", s, ok, overrun.All())

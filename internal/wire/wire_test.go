@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"testing"
 )
 
@@ -165,9 +166,15 @@ func sealed(body ...byte) []byte {
 
 // TestDecodeErrorLeavesEnvelopeZeroed: every error exit, including the ones
 // behind fields already parsed, hands back a zero envelope — and a frame
-// that starts with '{' is checksummed like any other.
+// that starts with '{' is checksummed like any other. A varint that runs
+// past ten bytes, or whose tenth byte overflows 64 bits, is malformed at
+// every place a frame has one (binary.Uvarint reports both as a negative
+// count).
 func TestDecodeErrorLeavesEnvelopeZeroed(t *testing.T) {
 	call := KindCall | flagID
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 1)
+	overflow := append(bytes.Repeat([]byte{0xFF}, 9), 2)
+	frame := func(head []byte, varint []byte) []byte { return sealed(slices.Concat(head, varint)...) }
 	cases := []struct {
 		name  string
 		frame []byte
@@ -183,6 +190,13 @@ func TestDecodeErrorLeavesEnvelopeZeroed(t *testing.T) {
 		{"id and method, then context cut short", sealed(magicFrame, call|flagInlineMethod|flagCtx, 5, 1, 'm', 1, 'r', 9), ErrFrame},
 		{"id and method, then body cut short", sealed(magicFrame, call|flagInlineMethod|flagBody, 5, 1, 'm', 9, 'b'), ErrFrame},
 		{"whole envelope, then a trailing byte", sealed(magicFrame, call|flagInlineMethod|flagBody, 5, 1, 'm', 1, 'b', 0), ErrFrame},
+		{"prologue version overlong", frame([]byte{magicPrologue, 'g'}, overlong), ErrFrame},
+		{"prologue dictionary length overflowing", frame([]byte{magicPrologue, 'g', Version}, overflow), ErrFrame},
+		{"id overlong", frame([]byte{magicFrame, call}, overlong), ErrFrame},
+		{"id overflowing", frame([]byte{magicFrame, call}, overflow), ErrFrame},
+		{"id, then dictionary method id overlong", frame([]byte{magicFrame, call | flagDictMethod, 5}, overlong), ErrFrame},
+		{"id, then inline method length overflowing", frame([]byte{magicFrame, call | flagInlineMethod, 5}, overflow), ErrFrame},
+		{"id and method, then body length overlong", frame([]byte{magicFrame, call | flagInlineMethod | flagBody, 5, 1, 'm'}, overlong), ErrFrame},
 	}
 	var dec Decoder
 	for _, tc := range cases {
