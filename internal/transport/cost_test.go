@@ -182,3 +182,26 @@ func BenchmarkTracedDialRoundTripClose(b *testing.B) {
 		b.StopTimer()
 	})
 }
+
+// TestEncodeBufferFreeList: the buffers a Network lends come back empty and
+// are lent again, last returned first, so a frame's body and head reuse the
+// same two; one grown past 64 KiB is not kept.
+func TestEncodeBufferFreeList(t *testing.T) {
+	n := New(vtime.New(), UniformLatency(0))
+	body, head := n.GetBuf(), n.GetBuf()
+	*body = append(*body, "body"...)
+	*head = append(*head, "head"...)
+	n.PutBuf(head)
+	n.PutBuf(body)
+	if b, h := n.GetBuf(), n.GetBuf(); b != body || h != head || len(*b) != 0 || len(*h) != 0 {
+		t.Errorf("lent again %p and %p (len %d, %d), want %p and %p emptied", b, h, len(*b), len(*h), body, head)
+	}
+	huge := make([]byte, 0, 1<<16+1)
+	n.PutBuf(&huge)
+	if b := n.GetBuf(); b == &huge {
+		t.Error("a buffer past 64 KiB was kept")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.PutBuf(n.GetBuf()) }); allocs != 0 {
+		t.Errorf("a lent and returned buffer allocates %v times, want 0", allocs)
+	}
+}
