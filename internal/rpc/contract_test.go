@@ -260,9 +260,8 @@ func TestClientServerContract(t *testing.T) {
 				}})
 				c := e.dial()
 				want := []string{"n0", "n1", "n2", "n3", "n4"}
-				// One caller per call, started in order, so that all five
-				// calls go out in one instant, as one process's five
-				// notifications would.
+				// One caller per call, started in order: all five calls go
+				// out in one instant, in that order.
 				wg := vtime.NewWaitGroup(e.sim)
 				wg.Add(len(want))
 				for _, m := range want {
