@@ -445,7 +445,7 @@ func (b *Broker) submit(req Request, call *rpc.Call) {
 		call:       call,
 	}
 	t.task.Init(b.sim, t)
-	if !t.ctx.Valid() {
+	if !t.ctx.Valid() && b.tracer().Enabled() {
 		t.ctx = trace.NewRequest(b.corr(t))
 	}
 	if _, known := b.queues[req.Tenant]; !known {

@@ -56,7 +56,7 @@ func newCache(host *transport.Host, replica string, dir transport.Addr, maxAge, 
 		maxAge:   maxAge,
 		interval: interval,
 		stop:     vtime.NewEvent(sim, "broker-cache-stop:"+host.Name()),
-		ctx:      trace.NewRequest("cache@" + host.Name()).Child("refresh"),
+		ctx:      host.Network().Tracer().Child(trace.NewRequest("cache@"+host.Name()), "refresh"),
 	}
 	sim.GoDaemon("broker-cache:"+host.Name(), func() {
 		// The offset keeps periodic refreshes off the instants where

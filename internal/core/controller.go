@@ -307,7 +307,7 @@ func (c *Controller) reap() {
 	}
 	for i, o := range due {
 		start := c.sim.Now()
-		ctx := o.Ctx.Child("reap") // the cleanup shows in the leaking request's tree
+		ctx := c.tracer().Child(o.Ctx, "reap") // the cleanup shows in the leaking request's tree
 		err := c.CancelContact(o.RM, o.JobContact, ctx)
 		if err == nil {
 			delete(c.orphans, keys[i])

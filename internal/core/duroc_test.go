@@ -9,6 +9,7 @@ import (
 	"cogrid/internal/core"
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
+	"cogrid/internal/trace"
 )
 
 // testRig is a grid plus a controller and shared bookkeeping for the
@@ -173,6 +174,60 @@ func TestConfigRanksAndAddressBook(t *testing.T) {
 		}
 		if !strings.HasPrefix(cfg.AddressBook()[rank], wantHost+":") {
 			t.Errorf("address book[%d] = %q, want host %s", rank, cfg.AddressBook()[rank], wantHost)
+		}
+	}
+}
+
+// A subjob's request carries the co-allocation's span context to its
+// processes (DUROC_TRACE, from which Attach derives each rank's) on a traced
+// grid only: every process of an untraced co-allocation starts with none in
+// its environment, and every process of the same co-allocation traced
+// starts with its subjob's.
+func TestSubjobContextOnlyWhenTraced(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		g := grid.New(grid.Options{Trace: traced})
+		g.AddMachine("m1", 8, lrm.Fork)
+		g.AddMachine("m2", 8, lrm.Fork)
+		var envs []string
+		g.RegisterEverywhere("app", func(p *lrm.Proc) error {
+			envs = append(envs, p.Getenv(core.EnvTrace))
+			rt, err := core.Attach(p)
+			if err != nil {
+				return err
+			}
+			defer rt.Close()
+			_, err = rt.Barrier(true, "", 0)
+			return err
+		})
+		ctrl, err := core.NewController(g.Workstation, core.ControllerConfig{Credential: g.UserCred, Registry: g.Registry})
+		if err != nil {
+			t.Fatalf("NewController: %v", err)
+		}
+		err = g.Sim.Run("agent", func() {
+			job, err := ctrl.Submit(core.Request{Subjobs: []core.SubjobSpec{
+				{Contact: g.Contact("m1"), Count: 3, Executable: "app", Label: "m1"},
+				{Contact: g.Contact("m2"), Count: 2, Executable: "app", Label: "m2"},
+			}})
+			if err != nil {
+				t.Errorf("Submit: %v", err)
+				return
+			}
+			if _, err := job.Commit(0); err != nil {
+				t.Errorf("Commit: %v", err)
+			}
+			job.Done().Wait()
+		})
+		if err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		if len(envs) != 5 {
+			t.Fatalf("traced %t: %d processes started, want 5", traced, len(envs))
+		}
+		for i, env := range envs {
+			ctx := trace.ParseCtx(env)
+			if traced && (!ctx.Valid() || !strings.Contains(ctx.Span, "/sj:m")) || !traced && env != "" {
+				t.Errorf("traced %t: process %d started with %s=%q", traced, i, core.EnvTrace, env)
+			}
 		}
 	}
 }

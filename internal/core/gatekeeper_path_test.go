@@ -71,7 +71,7 @@ func TestSubjobRSLEqualsPrinter(t *testing.T) {
 		{Label: "x|y", Executable: "a*b", Count: 4, MaxTime: time.Hour, ReservationID: "r1"},
 		{Label: long, Executable: long, Count: 1 << 40, ReservationID: long},
 	}
-	ctxs := []trace.Ctx{{}, trace.NewRequest("r1").Child("sj0"), {Req: `q"q`, Span: "*s|t"}, {Req: long, Span: long}}
+	ctxs := []trace.Ctx{{}, {Req: "r1", Span: "req/sj0"}, {Req: `q"q`, Span: "*s|t"}, {Req: long, Span: long}}
 	for _, j := range jobs {
 		for _, spec := range specs {
 			for _, ctx := range ctxs {

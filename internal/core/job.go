@@ -581,7 +581,7 @@ func (j *Job) pollReleased(sj *subjob) {
 		return
 	}
 	retry := func() { j.c.sim.AfterFunc(completionGrace, func() { j.pollReleased(sj) }) }
-	client, err := j.c.dial(sj.spec.Contact, sj.ctx.Child("completion-poll"))
+	client, err := j.c.dial(sj.spec.Contact, j.c.tracer().Child(sj.ctx, "completion-poll"))
 	if err != nil {
 		retry()
 		return

@@ -42,7 +42,10 @@ type Runtime struct {
 // Attach binds a process to its co-allocation using the environment the
 // controller injected at submission. It also opens the process's
 // application listener, whose address is published through the barrier's
-// address book (Section 3.3's communication mechanism).
+// address book (Section 3.3's communication mechanism). On a traced network
+// that environment holds the subjob's span context (EnvTrace), and the
+// rank's barrier traffic is traced under a child of it; an untraced
+// network's subjobs carry none, and their ranks derive none.
 func Attach(p *lrm.Proc) (*Runtime, error) {
 	contact := p.Getenv(EnvContact)
 	jobID := p.Getenv(EnvJob)
@@ -56,8 +59,9 @@ func Attach(p *lrm.Proc) (*Runtime, error) {
 	}
 	rt := &Runtime{proc: p, contact: addr, jobID: jobID, subjob: subjob}
 	// Rejoin the submitting request's causal tree when the controller
-	// threaded its span context through the environment; each rank gets its
-	// own child span so per-process barrier traffic is distinguishable.
+	// threaded its span context through the environment, as it does on a
+	// traced network only; each rank gets its own child span so
+	// per-process barrier traffic is distinguishable.
 	if enc := p.Getenv(EnvTrace); enc != "" {
 		if ctx := trace.ParseCtx(enc); ctx.Valid() {
 			tr := p.Host().Network().Tracer()

@@ -444,7 +444,7 @@ func (inc *incarnation) handoff(dead string) {
 func (inc *incarnation) publishShardMap(m ShardMap) {
 	f := inc.r.fed
 	inc.sim().GoDaemon(fmt.Sprintf("fed-publish:%s/g%d/v%d", inc.r.name, inc.gen, m.Version), func() {
-		client, err := mds.DialCtx(inc.r.host, f.opts.Directory, inc.ctx.Child("shardmap-publish"))
+		client, err := mds.DialCtx(inc.r.host, f.opts.Directory, f.tracer().Child(inc.ctx, "shardmap-publish"))
 		if err != nil {
 			inc.count("shardmap", "publish-error", 1)
 			return
@@ -462,7 +462,7 @@ func (inc *incarnation) publishShardMap(m ShardMap) {
 // restarted replica's first view until a heartbeat repairs it.
 func (inc *incarnation) bootstrapShardMap() {
 	f := inc.r.fed
-	client, err := mds.DialCtx(inc.r.host, f.opts.Directory, inc.ctx.Child("shardmap-bootstrap"))
+	client, err := mds.DialCtx(inc.r.host, f.opts.Directory, f.tracer().Child(inc.ctx, "shardmap-bootstrap"))
 	if err != nil {
 		return
 	}
@@ -577,7 +577,7 @@ func (inc *incarnation) reapAdopted() {
 func (inc *incarnation) reapEntry(e Entry) bool {
 	f := inc.r.fed
 	if rm, err := transport.ParseAddr(e.RM); err == nil {
-		if err := inc.b.Controller().CancelContact(rm, e.Contact, inc.ctx.Child("reap:"+e.Key)); err != nil {
+		if err := inc.b.Controller().CancelContact(rm, e.Contact, f.tracer().Child(inc.ctx, "reap:", e.Key)); err != nil {
 			inc.count("reap", "retry", 1)
 			return false
 		}

@@ -250,6 +250,7 @@ func (r *Replica) start(shard ShardMap) error {
 	f := r.fed
 	r.gen++
 	gen := r.gen
+	tr := f.tracer()
 	inc := &incarnation{
 		r:   r,
 		gen: gen,
@@ -257,7 +258,7 @@ func (r *Replica) start(shard ShardMap) error {
 		// shard-map publication, adopted reaps) is attributed under a
 		// synthetic per-process request, like the directory publishers'
 		// rounds, so causal-trace coverage accounts for it.
-		ctx:      trace.NewRequest(fmt.Sprintf("fed@%s", r.name)).Child(fmt.Sprintf("g%d", gen)),
+		ctx:      tr.Child(trace.NewRequest("fed@"+r.name), "g", tr.Itoa(gen)),
 		stop:     vtime.NewEvent(f.sim, fmt.Sprintf("fed-stop:%s/g%d", r.name, gen)),
 		pushWake: vtime.NewChan[struct{}](f.sim, fmt.Sprintf("fed-push:%s/g%d", r.name, gen), 1),
 		leader:   f.opts.Replicas - 1,

@@ -402,7 +402,7 @@ func TestUntracedPhaseRecordBuildsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
 	}
-	ctx := trace.NewRequest("r1").Child("submit")
+	ctx := trace.Ctx{Req: "r1", Span: "req/submit"}
 	if allocs := testing.AllocsPerRun(100, func() {
 		server.record(ctx, "origin/job1", "initgroups", time.Second, 2*time.Second)
 	}); allocs != 0 {

@@ -263,7 +263,7 @@ func Publish(m *lrm.Machine, dir transport.Addr, contact transport.Addr, interva
 	// The publisher is a daemon, not part of any client request: it roots
 	// its own causal tree, with every round's traffic under one child span
 	// (rounds are sequential, so their intervals merge cleanly).
-	ctx := trace.NewRequest("mds-publish@" + m.Name()).Child("round")
+	ctx := m.Host().Network().Tracer().Child(trace.NewRequest("mds-publish@"+m.Name()), "round")
 	// The contact is the same every round: render it once.
 	rendered := contact.String()
 	sim.GoDaemon("mds-publish:"+m.Name(), func() {

@@ -10,6 +10,7 @@ import (
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
+	"cogrid/internal/wire"
 )
 
 // echoTasks is a Handler that answers every call with its own body, in the
@@ -17,8 +18,26 @@ import (
 type echoTasks struct{}
 
 func (echoTasks) ServeCall(call *Call, method string, body json.RawMessage) {
-	call.Reply(body, nil)
+	call.Reply(rawBody(body), nil)
 }
+
+// rawBody is a reply body written as given.
+type rawBody []byte
+
+func (b rawBody) AppendJSON(dst []byte) []byte { return append(dst, b...) }
+
+// pingBody is the priced calls' body: written and read by hand, as the
+// production messages are (wire.JSON), so that what a test counts is rpc's
+// and the transport's, and encoding/json — whose own pool of encode states
+// the race detector empties at random — is not on the path.
+type pingBody struct{ Text string }
+
+func (p pingBody) AppendJSON(dst []byte) []byte { return wire.AppendJSON(dst, &p, (*pingBody).json) }
+func (p *pingBody) ParseJSON(src []byte) bool   { return wire.ParseJSON(src, p, (*pingBody).json) }
+func (p *pingBody) json(j *wire.JSON)           { j.String("text", &p.Text) }
+
+// ping is the body every priced call sends.
+var ping = &pingBody{Text: "ping"}
 
 // What a call costs the kernel, counted (internal/transport's
 // TestRoundTripCosts has the two timers and four delivery steps underneath).
@@ -122,10 +141,10 @@ func TestOneShotExchangeCosts(t *testing.T) {
 			t.Fatalf("Listen: %v", err)
 		}
 		Serve(sim, l, echoTasks{}, nil)
-		var reply string
+		var reply pingBody
 		call := func(c *Client) {
-			if err := c.Call("status", "ping", &reply, time.Minute); err != nil || reply != "ping" {
-				t.Fatalf("Call = %q, %v", reply, err)
+			if err := c.Call("status", ping, &reply, time.Minute); err != nil || reply != *ping {
+				t.Fatalf("Call = %+v, %v", reply, err)
 			}
 		}
 		exchange := func() {
@@ -153,13 +172,13 @@ func TestOneShotExchangeCosts(t *testing.T) {
 		}
 		allocs, bytes := allocated(200, exchange)
 		t.Logf("dial + NewClient + call + Close: %.3f allocations, %.0f bytes", allocs, bytes)
-		if (allocs > 13 || bytes > 2700) && !raceEnabled { // 12.6 and 2 663; 18.6 and 2 822–2 857 before
-			t.Errorf("dial + NewClient + call + Close: %.1f allocations and %.0f bytes, want <= 13 and <= 2700", allocs, bytes)
+		if allocs > 9 || bytes > 2600 { // 8.6 and 2 518–2 522, -race too; 12.6 and 2 663 with a string body, 18.6 and 2 822–2 857 before
+			t.Errorf("dial + NewClient + call + Close: %.1f allocations and %.0f bytes, want <= 9 and <= 2600", allocs, bytes)
 		}
 		allocs, bytes = allocated(200, func() { call(warm) })
 		t.Logf("a call on a warm connection: %.3f allocations, %.0f bytes", allocs, bytes)
-		if (allocs > 9.5 || bytes > 400) && !raceEnabled { // 11 and 982 before
-			t.Errorf("a call on a warm connection: %.1f allocations and %.0f bytes, want 9 and <= 400", allocs, bytes)
+		if allocs > 5.5 || bytes > 260 { // 5.03 and 243, -race too; 9 and 390 with a string body, 11 and 982 before
+			t.Errorf("a call on a warm connection: %.1f allocations and %.0f bytes, want 5 and <= 260", allocs, bytes)
 		}
 		warm.Close()
 	})
@@ -302,14 +321,14 @@ func (s sleeper) ServeCall(call *Call, method string, body json.RawMessage) {
 }
 
 // TestCallAllocs prices one call on an established connection under a valid
-// request context, both ends included. Untraced, the span path still rides
-// the envelope: the call's path, its id's digits and the serve context are
-// built as new strings, as they always were. Traced, every string the call
-// puts in the trace or on the wire — the span paths, "call:echo" and
-// "serve:echo", the correlation id and the hops' byte counts — comes from
-// the tracer's string table, copied into it once: a repeated call
-// allocates no string at all, and costs fewer allocations than the
-// untraced one.
+// request context, both ends included. Untraced, the call derives no
+// context: its envelope and its reply carry none, and no span path, id
+// digits or serve context is built (three strings each call at the parent
+// of that change). Traced, every string the call puts in the trace or on
+// the wire — the span paths, "call:echo" and "serve:echo", the correlation
+// id and the hops' byte counts — comes from the tracer's string table,
+// copied into it once: a repeated call allocates no string at all, and
+// costs what the untraced one costs.
 func TestCallAllocs(t *testing.T) {
 	measure := func(sim *vtime.Sim, a, b *transport.Host) (allocs float64) {
 		e := &contractEnv{t: t, sim: sim, a: a, b: b}
@@ -317,10 +336,10 @@ func TestCallAllocs(t *testing.T) {
 			e.serve(echoTasks{})
 			c := e.dial()
 			ctx := trace.NewRequest("r1")
-			var reply string
+			var reply pingBody
 			call := func() {
-				if err := c.CallCtx(ctx, "echo", "ping", &reply, time.Minute); err != nil || reply != "ping" {
-					t.Fatalf("echo = %q, %v", reply, err)
+				if err := c.CallCtx(ctx, "echo", ping, &reply, time.Minute); err != nil || reply != *ping {
+					t.Fatalf("echo = %+v, %v", reply, err)
 				}
 			}
 			for i := 0; i < 200; i++ { // ids past 99, which strconv has ready-made
@@ -339,15 +358,13 @@ func TestCallAllocs(t *testing.T) {
 	sim, _, _, a, b = newTracedPair(t)
 	traced := measure(sim, a, b)
 	t.Logf("one call: %.0f allocations untraced, %.0f traced", untraced, traced)
-	if raceEnabled {
-		return
+	// The frames of the call and the reply, the Call the server hands its
+	// handler, the reply's body value and the timer entry of the caller's
+	// timeout: none of them a string.
+	if untraced != 5 {
+		t.Errorf("an untraced call under a request context: %.0f allocations, want 5", untraced)
 	}
-	if untraced > 12 {
-		t.Errorf("an untraced call under a request context: %.0f allocations, want <= 12", untraced)
-	}
-	// The three strings an untraced call builds are the difference.
-	if traced > untraced-3 {
-		t.Errorf("a repeated traced call: %.0f allocations, want <= %.0f (the untraced call's, less its three strings)",
-			traced, untraced-3)
+	if traced != untraced {
+		t.Errorf("a repeated traced call: %.0f allocations, want the untraced call's %.0f", traced, untraced)
 	}
 }

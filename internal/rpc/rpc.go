@@ -324,10 +324,12 @@ func (c *Client) Call(method string, arg, reply any, timeout time.Duration) erro
 	return c.CallCtx(trace.Ctx{}, method, arg, reply, timeout)
 }
 
-// CallCtx is Call under an explicit causal span context: the call span
-// becomes a child of ctx, and the context rides the envelope so the server
-// handler span (and everything below it) lands in the same request tree.
-// A zero ctx falls back to the connection's base context.
+// CallCtx is Call under an explicit causal span context: on a traced
+// network the call span becomes a child of ctx, and its context rides the
+// envelope so the server handler span (and everything below it) lands in
+// the same request tree. A zero ctx falls back to the connection's base
+// context. An untraced network derives no context, and the envelope and
+// its reply carry none.
 func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout time.Duration) error {
 	if c.closed {
 		return ErrClosed
@@ -342,7 +344,7 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 	}
 	tr := c.conn.Network().Tracer()
 	var callCtx trace.Ctx
-	if ctx.Valid() {
+	if ctx.Valid() && tr.Enabled() { // the id's digits only for a context that is built
 		callCtx = tr.Child(ctx, "call:", method, "#", tr.Itoa(int(id)))
 	}
 	host := c.conn.LocalAddr().Host
@@ -545,9 +547,13 @@ func (sc *ServerConn) RemoteAddr() transport.Addr { return sc.conn.RemoteAddr() 
 // NotifyCtx pushes a one-way message to the client carrying the given
 // causal context (e.g. an asynchronous job-state callback parented to the
 // submit that registered it); a zero ctx falls back to the connection's
-// base context.
+// base context. On an untraced network the message carries none.
 func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
-	if !ctx.Valid() {
+	tr := sc.conn.Network().Tracer()
+	switch {
+	case !tr.Enabled():
+		ctx = trace.Ctx{}
+	case !ctx.Valid():
 		ctx = sc.conn.Ctx()
 	}
 	env := wire.Envelope{Kind: wire.KindNotify, Method: method, Req: ctx.Req, Span: ctx.Span}
@@ -555,7 +561,7 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 		return err
 	}
 	host := sc.conn.LocalAddr().Host
-	if tr := sc.conn.Network().Tracer(); tr.Enabled() {
+	if tr.Enabled() {
 		tr.InstantCtx(ctx, "rpc", tr.Concat("notify:", method), host, sc.conn.Flow(), "")
 	}
 	sc.conn.Network().Counters().AddKey("rpc", "notify", "send", host, 1)
@@ -739,34 +745,20 @@ func (sc *ServerConn) handle(own, shared []byte) {
 	switch env.Kind {
 	case wire.KindCall:
 		// The envelope's span context parents the serve span under the
-		// caller's call span.
+		// caller's call span, in strings from the tracer's table: a handler
+		// may keep its Call (the barrier keeps each check-in until the
+		// commit), which must not keep the frame alive through a view of it.
+		// An untraced network's calls carry none, and derive none.
 		tr := sc.conn.Network().Tracer()
 		var ctx trace.Ctx
-		if env.Req != "" {
-			ctx = serveCtx(tr, &env)
+		if env.Req != "" && tr.Enabled() {
+			ctx = trace.Ctx{Req: tr.Concat(env.Req), Span: tr.Child(envCtx(&env), "serve").Span}
 		} else {
 			ctx = tr.Child(sc.conn.Ctx(), "serve")
 		}
 		call := &Call{Ctx: ctx, sc: sc, id: env.ID, method: env.Method, start: sc.sim.Now()}
 		sc.srv.handler.ServeCall(call, env.Method, env.Body)
 	}
-}
-
-// serveCtx is env's span context extended with a "serve" segment, as
-// Ctx.Child makes it: from tr's string table, or else in one new string
-// that holds the request id too. A handler may keep its Call (the barrier
-// keeps each check-in until the commit), which must not keep the frame
-// alive through a view of it.
-func serveCtx(tr *trace.Tracer, env *wire.Envelope) trace.Ctx {
-	if tr.Enabled() {
-		return trace.Ctx{Req: tr.Concat(env.Req), Span: tr.Child(envCtx(env), "serve").Span}
-	}
-	seg := "/serve"
-	if env.Span == "" {
-		seg = "serve"
-	}
-	s := env.Req + env.Span + seg
-	return trace.Ctx{Req: s[:len(env.Req)], Span: s[len(env.Req):]}
 }
 
 // HandlerFuncs adapts plain functions that answer at once to the Handler

@@ -161,7 +161,7 @@ func New(deps Deps, rules []Rule, opts Options) *Engine {
 		states: make([]ruleState, len(rules))}
 	for i, r := range rules {
 		e.states[i].badSince = -1
-		e.states[i].ctx = trace.NewRequest("slo@" + r.Name).Child("alert")
+		e.states[i].ctx = deps.Tracer.Child(trace.NewRequest("slo@"+r.Name), "alert")
 	}
 	return e
 }

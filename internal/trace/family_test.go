@@ -173,7 +173,7 @@ func mallocsPer(n int, fn func()) float64 {
 // allocates only chunks: one per 1 024 events, one per 1 024 args.
 func TestSpanAllocs(t *testing.T) {
 	tr := New(vtime.New())
-	ctx := NewRequest("r1").Child("hop")
+	ctx := Ctx{Req: "r1", Span: "req/hop"}
 	got := mallocsPer(100_000, func() {
 		tr.SpanAtCtx(ctx, "transport", "hop", "m1", "m1:client->m2:svc@1000", "flow", 0, 1,
 			Arg{Key: "bytes", Val: "128"}, Arg{Key: "to", Val: "m2:svc"})

@@ -299,10 +299,12 @@ func TestAnalyzeCopiesNothing(t *testing.T) {
 	}
 }
 
-// Concat, Itoa and Child build what +, strconv.Itoa and Ctx.Child build,
-// with a tracer or without one. With one, the result is the string table's
-// copy: a string seen before costs no allocation and comes back at the same
-// address, and one seen first is copied, so it keeps no part alive.
+// Concat and Itoa build what + and strconv.Itoa build, with a tracer or
+// without one; Child builds the parent's path, "/" and the parts with one,
+// and without one derives nothing: the zero Ctx, whatever the parent. With a
+// tracer, the result is the string table's copy: a string seen before costs
+// no allocation and comes back at the same address, and one seen first is
+// copied, so it keeps no part alive.
 func TestTableBuiltStrings(t *testing.T) {
 	tr := New(vtime.New())
 	var nilTracer *Tracer
@@ -315,13 +317,18 @@ func TestTableBuiltStrings(t *testing.T) {
 		if got := nilTracer.Concat(p...); got != want {
 			t.Errorf("nil Concat(%q) = %q, want %q", p, got, want)
 		}
-		for _, c := range []Ctx{{}, {Req: "r"}, NewRequest("r"), {Req: "r", Span: "req/x"}} {
-			want := c.Child(p...)
-			if got := tr.Child(c, p...); got != want {
-				t.Errorf("Child(%+v, %q) = %+v, want %+v", c, p, got, want)
+		for _, tc := range []struct{ c, want Ctx }{
+			{Ctx{}, Ctx{}},
+			{Ctx{Span: "req/x"}, Ctx{}},
+			{Ctx{Req: "r"}, Ctx{Req: "r", Span: want}},
+			{NewRequest("r"), Ctx{Req: "r", Span: "req/" + want}},
+			{Ctx{Req: "r", Span: "req/x"}, Ctx{Req: "r", Span: "req/x/" + want}},
+		} {
+			if got := tr.Child(tc.c, p...); got != tc.want {
+				t.Errorf("Child(%+v, %q) = %+v, want %+v", tc.c, p, got, tc.want)
 			}
-			if got := nilTracer.Child(c, p...); got != want {
-				t.Errorf("nil Child(%+v, %q) = %+v, want %+v", c, p, got, want)
+			if got := nilTracer.Child(tc.c, p...); got != (Ctx{}) {
+				t.Errorf("nil Child(%+v, %q) = %+v, want the zero Ctx", tc.c, p, got)
 			}
 		}
 	}

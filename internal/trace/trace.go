@@ -67,10 +67,11 @@ type Event struct {
 }
 
 // Ctx is a propagated span context: the request id plus the causal path of
-// the current span. It is carried through RPC envelopes and transport
-// message metadata so every layer stamps its events into the same request
-// tree. The zero Ctx is "untraced": Child on it stays zero and events keep
-// empty Req/Span.
+// the current span. On a traced network it is carried through RPC envelopes,
+// transport message metadata and a subjob's DUROC_TRACE, so every layer
+// stamps its events into the same request tree. Contexts are derived only by
+// a tracer (Tracer.Child): on an untraced network every derived context is
+// the zero Ctx, "untraced", and nothing carries one.
 type Ctx struct {
 	Req  string
 	Span string
@@ -82,33 +83,6 @@ func NewRequest(id string) Ctx { return Ctx{Req: id, Span: "req"} }
 
 // Valid reports whether the context belongs to a request tree.
 func (c Ctx) Valid() bool { return c.Req != "" }
-
-// Child derives the context for a sub-span named by the concatenation of
-// parts, which costs one allocation however many parts there are. Deriving
-// from the zero Ctx yields the zero Ctx, so untraced paths propagate
-// nothing.
-func (c Ctx) Child(parts ...string) Ctx {
-	if c.Req == "" {
-		return Ctx{}
-	}
-	if c.Span == "" && len(parts) == 1 {
-		return Ctx{Req: c.Req, Span: parts[0]}
-	}
-	n := len(c.Span) + 1
-	for _, p := range parts {
-		n += len(p)
-	}
-	var sb strings.Builder
-	sb.Grow(n)
-	if c.Span != "" {
-		sb.WriteString(c.Span)
-		sb.WriteByte('/')
-	}
-	for _, p := range parts {
-		sb.WriteString(p)
-	}
-	return Ctx{Req: c.Req, Span: sb.String()}
-}
 
 // Concat returns the concatenation of parts. A tracer builds it in its
 // string table and returns the table's own copy, so a string it has seen
@@ -131,12 +105,21 @@ func (t *Tracer) Itoa(n int) string {
 	return tab.internBuilt(tab.scratch)
 }
 
-// Child is c.Child(parts...), the span path built by Concat.
+// Child derives the context for a sub-span of c named by the concatenation
+// of parts: c's path, "/", then the parts, built in the string table as
+// Concat builds its strings (a context with a request but no path takes the
+// parts alone). Deriving from the zero Ctx yields the zero Ctx, and so does
+// a nil tracer, whatever c is: an untraced network derives no context, so
+// none rides its wire.
 func (t *Tracer) Child(c Ctx, parts ...string) Ctx {
-	if t == nil || c.Req == "" || c.Span == "" {
-		return c.Child(parts...)
+	if t == nil || c.Req == "" {
+		return Ctx{}
 	}
-	return Ctx{Req: c.Req, Span: t.store.strs.build(c.Span, "/", parts)}
+	sep := "/"
+	if c.Span == "" {
+		sep = ""
+	}
+	return Ctx{Req: c.Req, Span: t.store.strs.build(c.Span, sep, parts)}
 }
 
 // Seg sanitizes s for use as a span path segment: "/" is the path

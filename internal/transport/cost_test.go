@@ -108,7 +108,7 @@ func TestObservedConnectionAllocs(t *testing.T) {
 // nobody observes allocates nothing now, and the traced one says what it did.
 func TestUntracedFailedDialBuildsNothing(t *testing.T) {
 	sim, net, a, _ := testNet(t)
-	ctx := trace.NewRequest("r1").Child("submit")
+	ctx := trace.Ctx{Req: "r1", Span: "req/submit"}
 	err := sim.Run("main", func() {
 		refused := func() {
 			if _, err := a.DialCtx(Addr{"b", "nobody-listens"}, ctx); err != ErrRefused {

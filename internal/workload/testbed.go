@@ -71,8 +71,13 @@ type Testbed struct {
 // NewTestbed assembles the grid every brokered run uses: traced, a
 // directory on mds0, the machines publishing their load to it every 31 s,
 // the barrier application as "app", and broker0 or a federation.
-func NewTestbed(spec Spec) *Testbed {
-	g := grid.New(grid.Options{Seed: spec.Seed, Trace: true})
+func NewTestbed(spec Spec) *Testbed { return newTestbed(spec, true) }
+
+// newTestbed is NewTestbed observed or not: an untraced testbed is the same
+// grid with no tracer or registry attached, which runs the same virtual
+// course (TestObservingChangesNothingVirtual).
+func newTestbed(spec Spec, traced bool) *Testbed {
+	g := grid.New(grid.Options{Seed: spec.Seed, Trace: traced})
 	tb := &Testbed{Grid: g, bugs: spec.Bugs}
 	var dir transport.Addr
 	if spec.Broker != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"cogrid/internal/broker"
+	"cogrid/internal/core"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 )
@@ -125,6 +127,68 @@ func TestTestbedRunsRepeat(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestObservingChangesNothingVirtual: a brokered grid run traced and the
+// same grid run untraced take the same virtual course — the same timers
+// fired, the same messages, every job's history and every request's
+// latency equal — while the untraced run sends strictly fewer bytes, as its
+// envelopes and subjob requests carry no span context.
+func TestObservingChangesNothingVirtual(t *testing.T) {
+	for _, replicas := range []int{0, 3} {
+		t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) {
+			type run struct {
+				timers, msgs, bytes int64
+				histories           [][]core.Event
+				latencies           map[string]time.Duration
+			}
+			play := func(traced bool) run {
+				tb := newTestbed(smallSpec(replicas), traced)
+				rng := rand.New(rand.NewSource(11))
+				load := Load{Hosts: hosts(6), Drain: 90 * time.Second}
+				at := 10 * time.Second
+				for range load.Hosts {
+					at += time.Duration(rng.ExpFloat64() / 12 * float64(time.Minute))
+					load.Arrivals = append(load.Arrivals, at)
+				}
+				r := run{latencies: map[string]time.Duration{}}
+				sim := tb.Grid.Sim
+				tally, err := tb.Run(load, func(i, k int, host *transport.Host) bool {
+					id := fmt.Sprintf("%s/r%d", host.Name(), k)
+					start := sim.Now()
+					reply, _, _, err := Submit(host, tb.Ring, i, id, request(i, replicas > 0), 0, 50, nil)
+					r.latencies[id] = sim.Now() - start
+					return err == nil && reply.OK()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tally.Completed != len(load.Arrivals) {
+					t.Fatalf("traced %t: %d of %d requests committed", traced, tally.Completed, len(load.Arrivals))
+				}
+				for _, j := range tb.jobs(nil) {
+					r.histories = append(r.histories, j.History())
+				}
+				r.timers, r.msgs, r.bytes = sim.TimersFired(), tb.Grid.Net.Messages(), tb.Grid.Net.Bytes()
+				return r
+			}
+			untraced, traced := play(false), play(true)
+			if untraced.timers != traced.timers || untraced.msgs != traced.msgs {
+				t.Errorf("untraced: %d timers, %d messages; traced: %d and %d",
+					untraced.timers, untraced.msgs, traced.timers, traced.msgs)
+			}
+			if len(traced.histories) == 0 || !reflect.DeepEqual(untraced.histories, traced.histories) {
+				t.Errorf("job histories differ, or there are none: %d jobs untraced, %d traced",
+					len(untraced.histories), len(traced.histories))
+			}
+			if !reflect.DeepEqual(untraced.latencies, traced.latencies) {
+				t.Errorf("request latencies untraced %v, traced %v", untraced.latencies, traced.latencies)
+			}
+			if untraced.bytes >= traced.bytes {
+				t.Errorf("untraced run sent %d bytes, traced %d: want fewer untraced", untraced.bytes, traced.bytes)
+			}
+		})
 	}
 }
 
