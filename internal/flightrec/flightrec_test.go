@@ -3,6 +3,7 @@ package flightrec
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -287,6 +288,13 @@ func BenchmarkRecord(b *testing.B) {
 
 // A trigger beyond maxDumps is counted and copies nothing: with a full
 // 512-event ring, a snapshot would be about 80 KB the recorder then drops.
+// Each of three skipped triggers is measured on its own and the least is
+// held to the bound, because a window can take in what the runtime itself
+// allocates: restarting the world after a stop (ReadMemStats makes one), it
+// now and then starts an OS thread, whose m, g0 and signal goroutine and two
+// profiling stacks are 5 288 bytes in 7 objects on the heap (about 1 window
+// in 1 500; a memory profile at rate 1 of this test in a loop names
+// runtime.allocm under startTheWorldWithSema and nothing of the recorder's).
 func TestSkippedTriggerCopiesNothing(t *testing.T) {
 	sim := vtime.NewSeeded(1)
 	ctrs := trace.NewCounters()
@@ -307,18 +315,22 @@ func TestSkippedTriggerCopiesNothing(t *testing.T) {
 			t.Fatalf("kept dump %d holds %d events, want 512", i, len(d.Events))
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	d := rec.Trigger("orphan", "last")
-	runtime.ReadMemStats(&after)
-	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<10 {
-		t.Errorf("a skipped trigger allocated %d bytes, want under 1 KB", b)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := rec.Trigger("orphan", "last")
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if d.Events != nil || d.At != sim.Now() || d.Trigger != "orphan" || d.Detail != "last" {
+			t.Errorf("skipped trigger returned At %v, Trigger %q, Detail %q and %d events, want At, Trigger and Detail and no events",
+				d.At, d.Trigger, d.Detail, len(d.Events))
+		}
 	}
-	if d.Events != nil || d.At != sim.Now() || d.Trigger != "orphan" || d.Detail != "last" {
-		t.Errorf("skipped trigger returned At %v, Trigger %q, Detail %q and %d events, want At, Trigger and Detail and no events",
-			d.At, d.Trigger, d.Detail, len(d.Events))
+	if least >= 1<<10 {
+		t.Errorf("a skipped trigger allocated %d bytes, want under 1 KB", least)
 	}
-	if rec.Skipped() != 1 || ctrs.Get("flightrec.dump.skip") != 1 || len(rec.Dumps()) != maxDumps {
-		t.Errorf("skipped %d, skip counter %d, dumps %d; want 1, 1, %d", rec.Skipped(), ctrs.Get("flightrec.dump.skip"), len(rec.Dumps()), maxDumps)
+	if rec.Skipped() != 3 || ctrs.Get("flightrec.dump.skip") != 3 || len(rec.Dumps()) != maxDumps {
+		t.Errorf("skipped %d, skip counter %d, dumps %d; want 3, 3, %d", rec.Skipped(), ctrs.Get("flightrec.dump.skip"), len(rec.Dumps()), maxDumps)
 	}
 }

@@ -103,8 +103,17 @@ if [ "${QUICK:-0}" != "1" ]; then
     # drops below the floor, but do not fail the gate — coverage is a
     # trend indicator here, not a merge blocker.
     cover_floor=70
+    # The tests run once more here, and a failure still fails the gate; its
+    # output is kept aside so the failing tests can be named.
     echo "== coverage (report-only floor: ${cover_floor}%)"
-    go test ./... -coverprofile=.cover.out >/dev/null
+    cover_log=$(mktemp)
+    if ! go test ./... -coverprofile=.cover.out >"$cover_log" 2>&1; then
+        echo "FAIL: go test ./... -coverprofile failed:" >&2
+        grep -E '^[[:space:]]*--- FAIL|^FAIL' "$cover_log" >&2 || tail -n 20 "$cover_log" >&2
+        rm -f "$cover_log" .cover.out
+        exit 1
+    fi
+    rm -f "$cover_log"
     total=$(go tool cover -func=.cover.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
     rm -f .cover.out
     echo "total statement coverage: ${total}%"
