@@ -323,8 +323,8 @@ func (s sleeper) ServeCall(call *Call, method string, body json.RawMessage) {
 // TestCallAllocs prices one call on an established connection under a valid
 // request context, both ends included. Untraced, the call derives no
 // context: its envelope and its reply carry none, and no span path, id
-// digits or serve context is built (three strings each call at the parent
-// of that change). Traced, every string the call puts in the trace or on
+// digits or serve context is built (three strings a call while a nil
+// tracer still derived contexts). Traced, every string the call puts in the trace or on
 // the wire — the span paths, "call:echo" and "serve:echo", the correlation
 // id and the hops' byte counts — comes from the tracer's string table,
 // copied into it once: a repeated call allocates no string at all, and
