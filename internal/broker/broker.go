@@ -430,9 +430,11 @@ func (b *Broker) submit(req Request, call *rpc.Call) {
 		depth := b.queued
 		b.count("queue", "reject", 1)
 		b.counters().AddKey("broker", "tenant", "reject", req.Tenant, 1)
-		b.tracer().InstantCtx(call.Ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
-			trace.Arg{Key: "depth", Val: strconv.Itoa(depth)},
-			trace.Arg{Key: "retry_after", Val: b.opts.RetryAfter.String()})
+		if tr := b.tracer(); tr.Enabled() {
+			tr.InstantCtx(call.Ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
+				trace.Arg{Key: "depth", Val: strconv.Itoa(depth)},
+				trace.Arg{Key: "retry_after", Val: b.opts.RetryAfter.String()})
+		}
 		call.Reply(Reply{Accepted: false, RetryAfter: b.opts.RetryAfter}, nil)
 		return
 	}
@@ -457,8 +459,10 @@ func (b *Broker) submit(req Request, call *rpc.Call) {
 
 	b.count("queue", "enqueue", 1)
 	b.gauges().G("broker.queue_depth@" + b.opts.ReplicaID).Add(1)
-	b.tracer().InstantCtx(t.ctx, "broker", "enqueue", b.host.Name(), req.Tenant, b.corr(t),
-		trace.Arg{Key: "depth", Val: strconv.Itoa(depth)})
+	if tr := b.tracer(); tr.Enabled() {
+		tr.InstantCtx(t.ctx, "broker", "enqueue", b.host.Name(), req.Tenant, b.corr(t),
+			trace.Arg{Key: "depth", Val: strconv.Itoa(depth)})
+	}
 	b.wake.TrySend(struct{}{})
 }
 
@@ -610,9 +614,11 @@ func (b *Broker) serve(t *ticket) {
 			abandoned = true
 			break
 		}
-		b.tracer().InstantCtx(t.ctx, "broker", "backoff", b.host.Name(), req.Tenant, b.corr(t),
-			trace.Arg{Key: "class", Val: string(class)},
-			trace.Arg{Key: "backoff", Val: backoff.String()})
+		if tr := b.tracer(); tr.Enabled() {
+			tr.InstantCtx(t.ctx, "broker", "backoff", b.host.Name(), req.Tenant, b.corr(t),
+				trace.Arg{Key: "class", Val: string(class)},
+				trace.Arg{Key: "backoff", Val: backoff.String()})
+		}
 		b.sim.Sleep(backoff)
 		if class == ClassNoCandidates {
 			// A fresh-but-thin cache would fail identically; force a
@@ -622,8 +628,10 @@ func (b *Broker) serve(t *ticket) {
 	}
 	if abandoned {
 		reply.Error = fmt.Sprintf("broker: request abandoned at deadline after %d attempts", reply.Attempts)
-		b.tracer().InstantCtx(t.ctx, "broker", "abandon", b.host.Name(), req.Tenant, b.corr(t),
-			trace.Arg{Key: "attempts", Val: strconv.Itoa(reply.Attempts)})
+		if tr := b.tracer(); tr.Enabled() {
+			tr.InstantCtx(t.ctx, "broker", "abandon", b.host.Name(), req.Tenant, b.corr(t),
+				trace.Arg{Key: "attempts", Val: strconv.Itoa(reply.Attempts)})
+		}
 	}
 
 	reply.Elapsed = b.sim.Now() - t.enqueuedAt
@@ -641,10 +649,12 @@ func (b *Broker) serve(t *ticket) {
 	}
 	b.count("request", outcome, 1)
 	b.counters().AddKey("broker", "tenant", outcome, req.Tenant, 1)
-	b.tracer().SpanAtCtx(t.ctx, "broker", "request", b.host.Name(), req.Tenant, b.corr(t),
-		t.enqueuedAt, b.sim.Now(),
-		trace.Arg{Key: "outcome", Val: outcome},
-		trace.Arg{Key: "attempts", Val: strconv.Itoa(reply.Attempts)})
+	if tr := b.tracer(); tr.Enabled() {
+		tr.SpanAtCtx(t.ctx, "broker", "request", b.host.Name(), req.Tenant, b.corr(t),
+			t.enqueuedAt, b.sim.Now(),
+			trace.Arg{Key: "outcome", Val: outcome},
+			trace.Arg{Key: "attempts", Val: strconv.Itoa(reply.Attempts)})
+	}
 	if b.opts.OnTicket != nil {
 		ev := TicketEvent{
 			Kind:      "close",

@@ -499,8 +499,9 @@ func (m *Machine) launch(job *Job) {
 	if job.spec.TimeLimit > 0 {
 		// finishJob never blocks on kernel primitives, so wall-limit
 		// enforcement is a passive timer instead of a goroutine per running
-		// job; finishJob stops it, so a job that ends early leaves nothing
-		// in the timer queue that holds it.
+		// job: one allocation, the handle holding its entry. finishJob
+		// stops it, which takes it out of the timer queue, so a job that
+		// ends early leaves nothing there.
 		job.limit = m.sim.AfterFuncPassive(job.spec.TimeLimit, func() {
 			m.finishJob(job, StateFailed, "wall-time limit exceeded")
 		})

@@ -268,9 +268,10 @@ func TestFullMachineSubmitAllocations(t *testing.T) {
 
 // TestBatchJobLifeAllocations prices a batch job's whole life on an idle
 // machine that retires what has finished: submitted, run to Done, and its
-// event stream read by nobody: 8 allocations. The stream's first slots are
+// event stream read by nobody: 7 allocations. The stream's first slots are
 // in the job, so the two states it sends allocate nothing; they grew the
-// stream's ring before, a ninth.
+// stream's ring before, a ninth. The wall-limit timer is one allocation,
+// its handle holding its entry; it was two, the eighth.
 func TestBatchJobLifeAllocations(t *testing.T) {
 	sim := vtime.New()
 	host := transport.New(sim, transport.UniformLatency(time.Millisecond)).AddHost("origin")
@@ -292,8 +293,8 @@ func TestBatchJobLifeAllocations(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(200, life)
 		t.Logf("a batch job's life: %v allocations", allocs)
-		if allocs > 8 {
-			t.Errorf("a batch job submitted and run to Done: %v allocations, want <= 8", allocs)
+		if allocs > 7 {
+			t.Errorf("a batch job submitted and run to Done: %v allocations, want <= 7", allocs)
 		}
 	})
 	if err != nil {

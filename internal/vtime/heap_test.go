@@ -24,6 +24,8 @@ func (q *heapQueue) pop() *timerEntry {
 	return heap.Pop(&q.h).(*timerEntry)
 }
 
+func (q *heapQueue) remove(e *timerEntry) { heap.Remove(&q.h, int(e.index)) }
+
 func (q *heapQueue) len() int { return len(q.h) }
 
 type timerHeap []*timerEntry
@@ -35,8 +37,15 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timerEntry)) }
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = int32(i), int32(j)
+}
+func (h *timerHeap) Push(x any) {
+	e := x.(*timerEntry)
+	e.index = int32(len(*h))
+	*h = append(*h, e)
+}
 func (h *timerHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -12,44 +12,59 @@ import (
 // A timeout takes the process off the queue it waited on. Before the
 // descriptor queues, every expired WaitTimeout left a dead waiter on its
 // Event until Set — and a job's kill event is never set on normal
-// completion, so lrm.Proc.Work grew that slice by one per step.
+// completion, so lrm.Proc.Work grew that slice by one per step. And a wait
+// that ends early takes its timeout out of the timer queue: after n day-long
+// timeouts cut short, the queue holds nothing, where it once kept every one
+// filed until the clock reached it.
 func TestTimedOutWaitersAreUnlinked(t *testing.T) {
 	const n = 10000
-	s := New()
-	ev := NewEvent(s, "never-set")
-	wg := NewWaitGroup(s)
-	wg.Add(1)
-	ch := NewChan[int](s, "idle", 0)
-	err := s.Run("main", func() {
-		for i := 0; i < n; i++ {
-			if ev.WaitTimeout(time.Millisecond) {
-				t.Fatal("never-set event reported set")
+	for _, engine := range bothEngines {
+		t.Run(engine, func(t *testing.T) {
+			s := newSimOn(engine, 1)
+			ev := NewEvent(s, "never-set")
+			wg := NewWaitGroup(s)
+			wg.Add(1)
+			ch := NewChan[int](s, "idle", 0)
+			err := s.Run("main", func() {
+				for i := 0; i < n; i++ {
+					if ev.WaitTimeout(time.Millisecond) {
+						t.Fatal("never-set event reported set")
+					}
+					if wg.WaitTimeout(time.Millisecond) {
+						t.Fatal("held WaitGroup reported released")
+					}
+					if _, res := ch.RecvTimeout(time.Millisecond); res != RecvTimedOut {
+						t.Fatalf("idle channel: %v", res)
+					}
+					s.AfterFuncPassive(time.Millisecond, func() { ch.TrySend(i) })
+					if _, res := ch.RecvTimeout(24 * time.Hour); res != RecvOK {
+						t.Fatalf("sent-to channel: %v", res)
+					}
+				}
+				if got := s.timers.len(); got != 0 {
+					t.Errorf("timer queue holds %d entries after %d timeouts ended early, want 0", got, n)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if wg.WaitTimeout(time.Millisecond) {
-				t.Fatal("held WaitGroup reported released")
+			if ev.waiters.head != nil || wg.waiters.head != nil || ch.recvq.head != nil {
+				t.Fatalf("queues not empty after %d timeouts each: event %v, waitgroup %v, chan %v",
+					n, ev.waiters.head != nil, wg.waiters.head != nil, ch.recvq.head != nil)
 			}
-			if _, res := ch.RecvTimeout(time.Millisecond); res != RecvTimedOut {
-				t.Fatalf("idle channel: %v", res)
+			if s.blocked.head != nil {
+				t.Fatal("blocked list not empty after the run")
 			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.waiters.head != nil || wg.waiters.head != nil || ch.recvq.head != nil {
-		t.Fatalf("queues not empty after %d timeouts each: event %v, waitgroup %v, chan %v",
-			n, ev.waiters.head != nil, wg.waiters.head != nil, ch.recvq.head != nil)
-	}
-	if s.blocked.head != nil {
-		t.Fatal("blocked list not empty after the run")
-	}
-	if got := len(s.freeTimers); got != 1 {
-		t.Fatalf("%d timeout entries on the free list, want the 1 that every wait reused", got)
+			if got := s.Now(); got != 4*n*time.Millisecond {
+				t.Errorf("run ended at %v, want %v: a cut-short timeout held the clock", got, 4*n*time.Millisecond)
+			}
+		})
 	}
 }
 
-// Blocking allocates nothing once the process has its descriptor, the
-// timer queue its slot capacity and the free list its entries. op runs
+// Blocking allocates nothing once the process has its descriptor and the
+// timer queue its slot capacity: a timeout is the entry in the descriptor,
+// filed by each wait and taken out when it ends. op runs
 // inside a simulated process; partner, if any, is the daemon it plays
 // against, one round per value received on ping. Neither does starting a
 // process once one has exited: the spawn takes over the descriptor and the
@@ -138,6 +153,10 @@ func TestBlockingDoesNotAllocate(t *testing.T) {
 						tc.op(f)
 					}
 					allocs = testing.AllocsPerRun(200, func() { tc.op(f) })
+					// Every wait has ended, each timeout with it.
+					if n := s.timers.len(); n != 0 {
+						t.Errorf("timer queue holds %d entries between calls, want 0", n)
+					}
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -149,12 +168,12 @@ func TestBlockingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// The hazard of recycling timeout entries: a wait that ends early leaves
-// its entry filed in the timer queue, cancelled, until the clock reaches
-// it. If that entry were handed to the process's next wait, the old filing
-// would fire the new wait. Each worker goes straight from a wait whose
-// entry was just popped (so the free list is not empty) into waits whose
-// cancelled entries are still filed — first a shorter one, then a longer
+// The hazard of reusing a timeout entry: every wait of a process files the
+// one entry in its descriptor, so a wait that ended early and left its
+// filing in the timer queue until the clock reached it would have the old
+// filing fire the next wait. Each worker goes straight from a wait whose
+// entry was just popped into waits that end early, each followed by waits
+// that would outlive the old filing — first a shorter one, then a longer
 // one — and every wake must land on its own deadline.
 func TestDescriptorReuseNoSpuriousWake(t *testing.T) {
 	const ms = time.Millisecond
@@ -173,14 +192,14 @@ func TestDescriptorReuseNoSpuriousWake(t *testing.T) {
 							t.Errorf("worker %d round %d: %s returned after %v, want %v", id, round, what, got, want)
 						}
 					}
-					// Expires: its entry is popped and goes on the free list.
+					// Expires: its entry is popped.
 					start := s.Now()
 					if _, res := idle.RecvTimeout(10*ms + stagger); res != RecvTimedOut {
 						t.Errorf("idle channel: %v", res)
 					}
 					check("RecvTimeout", start, 10*ms+stagger)
 
-					// Ends early at +2ms: the entry stays filed at +5ms, cancelled.
+					// Ends early at +2ms: the entry filed for +5ms leaves the queue.
 					early := NewEvent(s, "early")
 					s.AfterFuncPassive(2*ms, early.Set)
 					start = s.Now()
@@ -189,7 +208,7 @@ func TestDescriptorReuseNoSpuriousWake(t *testing.T) {
 					}
 					check("WaitTimeout(set)", start, 2*ms)
 
-					// Outlives that filing (which pops at +3ms from here).
+					// Outlives that filing's instant (+3ms from here).
 					start = s.Now()
 					if never.WaitTimeout(20 * ms) {
 						t.Errorf("worker %d round %d: never-set event reported set", id, round)
@@ -197,8 +216,8 @@ func TestDescriptorReuseNoSpuriousWake(t *testing.T) {
 					check("WaitTimeout(expired)", start, 20*ms)
 
 					// And the other way round: a long wait ends early, and
-					// short sleeps and a longer timeout run while its entry
-					// is still filed ahead of the clock.
+					// short sleeps and a longer timeout run past the instant
+					// its entry was filed for.
 					early = NewEvent(s, "early-long")
 					s.AfterFuncPassive(ms, early.Set)
 					start = s.Now()

@@ -89,14 +89,12 @@ type Sim struct {
 	runq     []runnable
 	runqHead int
 
-	timers     timerQueue
-	liveTimers int // pending timers that are neither cancelled nor fired
+	timers timerQueue // exactly the pending timers
 
-	blocked    procQueue     // every blocked process in block order, for deadlock reports
-	freeProcs  []*proc       // descriptors of exited processes
-	freeTimers []*timerEntry // popped sleep/timeout entries
-	done       chan struct{}
-	deadlock   *DeadlockError
+	blocked   procQueue // every blocked process in block order, for deadlock reports
+	freeProcs []*proc   // descriptors of exited processes
+	done      chan struct{}
+	deadlock  *DeadlockError
 
 	rng *rand.Rand
 
@@ -221,9 +219,13 @@ func (s *Sim) spawn(name string, fn func(), daemon bool) {
 // queues it for the run token. A recycled descriptor brings its goroutine,
 // parked in procLoop with the stack the previous process grew.
 func (s *Sim) startProc(name string, fn func(), daemon bool) {
-	p := popFree(&s.freeProcs)
-	if p == nil {
+	var p *proc
+	if n := len(s.freeProcs); n > 0 {
+		p = s.freeProcs[n-1]
+		s.freeProcs = s.freeProcs[:n-1]
+	} else {
 		p = &proc{grant: make(chan struct{}, 1)}
+		p.tm.proc = p
 		go s.procLoop(p)
 	}
 	p.name, p.daemon, p.fn = name, daemon, fn
@@ -272,8 +274,8 @@ func (s *Sim) procExit(p *proc, returned bool) {
 	case s.completed:
 		close(p.grant) // nothing spawns any more: procLoop returns
 	default:
-		// Nothing refers to an exited process but cancelled timer entries,
-		// and those are never dereferenced: the descriptor can serve the
+		// Nothing refers to an exited process — its timeout left the timer
+		// queue when its last wait ended — so the descriptor can serve the
 		// next spawn — even one made by a task this goroutine is about to
 		// run as the dispatcher, whose grant then waits in the channel for
 		// procLoop. If the run completes before then, complete closes it.
@@ -372,24 +374,24 @@ func (s *Sim) SleepUntil(t time.Duration) {
 }
 
 // Timer is a handle to a callback scheduled with AfterFunc or
-// AfterFuncPassive.
+// AfterFuncPassive. It embeds its timer entry, so the handle is the timer's
+// one allocation.
 type Timer struct {
-	s  *Sim
-	t  *timerEntry
-	fn func() // a stopped entry has let go of its own copy
+	s *Sim
+	e timerEntry
 }
 
 // Stop cancels the timer. It reports whether the callback was prevented
 // from running.
-func (t *Timer) Stop() bool { return t.s.cancelTimer(t.t) }
+func (t *Timer) Stop() bool { return t.s.cancelTimer(&t.e) }
 
 // Reset reschedules the timer to fire after d from the current virtual
 // instant, whether or not it has already fired or been stopped. It reports
 // whether the timer was still pending (and was therefore cancelled) at the
 // time of the call, with the same meaning as Stop's return value.
 func (t *Timer) Reset(d time.Duration) bool {
-	was := t.s.cancelTimer(t.t)
-	t.t = t.s.pushTimer(&timerEntry{fn: t.fn, passive: t.t.passive}, t.s.now+d)
+	was := t.s.cancelTimer(&t.e)
+	t.s.pushTimer(&t.e, t.s.now+d)
 	return was
 }
 
@@ -414,8 +416,9 @@ func (s *Sim) AfterFuncPassive(d time.Duration, fn func()) *Timer {
 }
 
 func (s *Sim) afterFunc(d time.Duration, fn func(), passive bool) *Timer {
-	entry := &timerEntry{fn: fn, passive: passive}
-	return &Timer{s: s, t: s.pushTimer(entry, s.now+d), fn: fn}
+	t := &Timer{s: s, e: timerEntry{fn: fn, passive: passive}}
+	s.pushTimer(&t.e, s.now+d)
+	return t
 }
 
 // Runner is the body of a Task.
@@ -455,7 +458,6 @@ func (t *Task) Init(s *Sim, run Runner) {
 func (t *Task) At(when time.Duration) {
 	s := t.s
 	t.claim()
-	t.entry.fired = false
 	s.pushTimer(&t.entry, max(when, s.now))
 }
 
@@ -500,7 +502,7 @@ func (s *Sim) caller(op string) *proc {
 }
 
 // block marks p, the calling process, blocked: on wait queue q if
-// there is one, with a timeout timer if d >= 0. It then passes the run
+// there is one, with its timeout entry filed if d >= 0. It then passes the run
 // token on, which may run tasks and advance the clock as far as p's own
 // timeout. The caller must then park on p.grant, after which p.state holds
 // the outcome.
@@ -509,12 +511,7 @@ func (s *Sim) block(p *proc, q *procQueue, kind waitKind, on fmt.Stringer, d tim
 	p.state = wsWaiting
 	if d >= 0 {
 		p.wait.deadline = s.now + d
-		e := popFree(&s.freeTimers)
-		if e == nil {
-			e = new(timerEntry)
-		}
-		e.proc = p
-		p.timer = s.pushTimer(e, s.now+d)
+		s.pushTimer(&p.tm, s.now+d)
 	}
 	if p.waitq = q; q != nil {
 		q.push(p, waitLink)
@@ -592,10 +589,7 @@ func (s *Sim) pass(self *proc) {
 func (s *Sim) wake(p *proc, state int) {
 	p.state = state
 	p.wait.on = nil
-	if p.timer != nil {
-		s.cancelTimer(p.timer)
-		p.timer = nil
-	}
+	s.cancelTimer(&p.tm)
 	if p.waitq != nil {
 		p.waitq.remove(p, waitLink)
 		p.waitq = nil
@@ -611,49 +605,22 @@ func (s *Sim) wakeAll(q *procQueue, state int) {
 	}
 }
 
-// popFree takes the most recently freed item off a free list, or nil.
-func popFree[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	x := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return x
-}
-
-// pushTimer schedules entry at virtual time when.
-func (s *Sim) pushTimer(entry *timerEntry, when time.Duration) *timerEntry {
+// pushTimer files entry, which is not filed, at virtual time when.
+func (s *Sim) pushTimer(entry *timerEntry, when time.Duration) {
 	s.seq++
 	entry.when, entry.born, entry.seq = when, s.now, s.seq
+	entry.filed = true
 	s.timers.push(entry)
-	s.liveTimers++
-	return entry
 }
 
-// recycle returns a popped sleep or timeout entry to the free list.
-// Popping is the only moment that is safe: until then a lazily-cancelled
-// entry is still filed in the queue, and handing it to a new wait would let
-// the old filing fire the new one. Entries behind a Timer handle are never
-// reused.
-func (s *Sim) recycle(entry *timerEntry) {
-	if entry.proc != nil {
-		*entry = timerEntry{}
-		s.freeTimers = append(s.freeTimers, entry)
-	}
-}
-
-// cancelTimer marks entry cancelled, keeping the live-timer count
-// exact for deadlock detection. The entry itself is discarded lazily when
-// the queue pops it — which may be long after, so it lets go of its
-// callback now. Reports whether the entry was still pending.
+// cancelTimer takes entry out of the timer queue if it is filed there, and
+// reports whether it was: whether a pending timer was prevented from firing.
 func (s *Sim) cancelTimer(entry *timerEntry) bool {
-	if entry.cancelled || entry.fired {
+	if !entry.filed {
 		return false
 	}
-	entry.cancelled = true
-	entry.fn = nil
-	s.liveTimers--
+	entry.filed = false
+	s.timers.remove(entry)
 	return true
 }
 
@@ -661,40 +628,30 @@ func (s *Sim) cancelTimer(entry *timerEntry) bool {
 // fires it; it reports false, having ended the run, if there is none. Must
 // be called with nothing runnable.
 func (s *Sim) fireNext() bool {
-	for {
-		if s.liveTimers == 0 {
-			s.reportDeadlock()
-			return false
-		}
-		entry := s.timers.pop()
-		if entry == nil {
-			panic("vtime: timer queue empty with live timers pending")
-		}
-		if entry.cancelled {
-			s.recycle(entry)
-			continue
-		}
-		if entry.when > s.now {
-			s.now = entry.when
-		}
-		// The open dispatch batch counts the timers fired at batchWhen; the
-		// first timer of a later instant records it and opens the next.
-		if s.batchCount > 0 && s.now != s.batchWhen {
-			s.flushBatch()
-		}
-		s.batchWhen = s.now
-		s.fire(entry)
-		return true
+	if s.timers.len() == 0 {
+		s.reportDeadlock()
+		return false
 	}
+	entry := s.timers.pop()
+	entry.filed = false
+	if entry.when > s.now {
+		s.now = entry.when
+	}
+	// The open dispatch batch counts the timers fired at batchWhen; the
+	// first timer of a later instant records it and opens the next.
+	if s.batchCount > 0 && s.now != s.batchWhen {
+		s.flushBatch()
+	}
+	s.batchWhen = s.now
+	s.fire(entry)
+	return true
 }
 
 // fire dispatches one timer: a sleep or timeout
-// entry wakes its process (a live entry means the process is still in the
-// wait that pushed it, since every other wake cancels it), a task's entry
+// entry wakes its process (a filed entry means the process is still in the
+// wait that filed it, since every other wake removes it), a task's entry
 // readies the task, an AfterFunc entry spawns its callback as a daemon.
 func (s *Sim) fire(entry *timerEntry) {
-	entry.fired = true
-	s.liveTimers--
 	s.batchCount++
 	s.timersFired++
 	if s.stats.TimerLead != nil {
@@ -702,8 +659,6 @@ func (s *Sim) fire(entry *timerEntry) {
 	}
 	switch p := entry.proc; {
 	case p != nil:
-		s.recycle(entry)
-		p.timer = nil
 		s.wake(p, wsTimedOut)
 	case entry.task != nil || entry.passive:
 		s.ready(runnable{e: entry})
@@ -734,7 +689,7 @@ func (s *Sim) reportDeadlock() {
 
 // proc is the kernel's descriptor of one simulated process. Whatever the
 // process blocks on, it blocks on this: its wait record, the outcome, its
-// timeout timer and its place in a wait queue all live here, and grant is
+// timeout's timer entry and its place in a wait queue all live here, and grant is
 // the channel it parks on. That is sound because every field is written
 // by whoever holds the run token, and between blocking and being granted the
 // token again the process itself runs no code.
@@ -745,9 +700,9 @@ type proc struct {
 	grant  chan struct{} // capacity 1, made once: receiving from it is holding the run token
 
 	wait  waitInfo
-	state int         // ws*: set to wsWaiting on block, to the outcome by the waker
-	timer *timerEntry // live sleep/timeout entry, nil if none
-	waitq *procQueue  // wait queue p is blocked on, nil if none (Sleep, or not blocked)
+	state int        // ws*: set to wsWaiting on block, to the outcome by the waker
+	tm    timerEntry // the sleep/timeout entry, filed while a wait with a timeout lasts
+	waitq *procQueue // wait queue p is blocked on, nil if none (Sleep, or not blocked)
 	links [2]struct{ next, prev *proc }
 }
 
@@ -835,27 +790,31 @@ func (w *waitInfo) describe() string {
 
 // --- timer entries ---
 
-// timerEntry is one pending timer: a sleep or timeout that wakes proc, the
-// entry embedded in task, or (both nil) a callback fn to run as a step
-// (passive) or to spawn as a daemon.
+// timerEntry is one timer: a sleep or timeout that wakes proc (the entry
+// embedded in its descriptor), the entry embedded in task, or (both nil)
+// the entry embedded in a Timer, whose callback fn runs as a step (passive)
+// or is spawned as a daemon. Being embedded, an entry is filed again and
+// again; filed says whether it is in the timer queue now.
 type timerEntry struct {
-	when      time.Duration
-	born      time.Duration // clock value when the timer was scheduled
-	seq       uint64
-	proc      *proc
-	task      *Task
-	fn        func()
-	passive   bool
-	cancelled bool
-	fired     bool
+	when    time.Duration
+	born    time.Duration // clock value when the timer was scheduled
+	seq     uint64
+	proc    *proc
+	task    *Task
+	fn      func()
+	passive bool
+	filed   bool
+	where   int8  // the queue's record of where it filed the entry
+	index   int32 // and the entry's index there
 }
 
 // timerQueue is the kernel's timer store: the wheel, or in tests the
-// reference heap. It returns entries in exact (when, seq) order, including
-// cancelled entries (the kernel skips those lazily). len counts every
-// stored entry, cancelled included.
+// reference heap. It holds exactly the pending timers: pop returns them in
+// exact (when, seq) order, and remove takes a filed entry out at once,
+// wherever it is.
 type timerQueue interface {
 	push(e *timerEntry)
 	pop() *timerEntry
+	remove(e *timerEntry)
 	len() int
 }

@@ -154,9 +154,9 @@ func TestAfterFuncStopPreventsRun(t *testing.T) {
 	}
 }
 
-// A cancelled entry lets go of its callback at once, so Reset must bring it
-// back from the handle: a stopped or fired timer that is reset runs again,
-// at the new instant, for both kinds of callback.
+// Reset files the entry embedded in the handle again, whatever became of
+// it: a stopped or fired timer that is reset runs again, at the new
+// instant, for both kinds of callback.
 func TestTimerResetRearmsStoppedAndFiredTimers(t *testing.T) {
 	for _, passive := range []bool{false, true} {
 		s := New()

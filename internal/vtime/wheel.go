@@ -25,8 +25,12 @@ import "math/bits"
 // the old level's slot span), so each entry is touched at most
 // wheelLevels+1 times over its life: O(1) amortized.
 //
-// Cancelled entries are discarded lazily when popped, exactly as the
-// reference heap does; the kernel tracks the live count separately.
+// Removal. Every entry records where it is filed (e.where: a level, the
+// due heap or the overflow calendar) and its index there; its slot and
+// epoch follow from e.when. remove swap-removes it from its slot or bucket,
+// or removes it from the due heap at its index, so the wheel holds exactly
+// the pending timers. Order within a slot or bucket does not matter:
+// cascading re-files their entries by (when, seq).
 type timerWheel struct {
 	cursor   int64 // current tick; only advances
 	due      dueHeap
@@ -45,6 +49,11 @@ const (
 	// overflowShift converts a tick index to its overflow epoch: one epoch
 	// spans the whole wheel (64⁵ ticks ≈ 2.4h of virtual time).
 	overflowShift = wheelLevelBits * wheelLevels
+
+	// e.where for an entry that is not in a slot: the due heap or an
+	// overflow bucket.
+	whereDue      = wheelLevels
+	whereOverflow = wheelLevels + 1
 )
 
 func newTimerWheel() *timerWheel { return &timerWheel{} }
@@ -67,6 +76,45 @@ func (w *timerWheel) pop() *timerEntry {
 }
 
 func (w *timerWheel) len() int { return w.count }
+
+// remove takes filed entry e out of the wheel.
+func (w *timerWheel) remove(e *timerEntry) {
+	w.count--
+	t := int64(e.when) >> wheelTickShift
+	switch l := int(e.where); l {
+	case whereDue:
+		w.due.remove(int(e.index))
+	case whereOverflow:
+		epoch := t >> overflowShift
+		if b := swapRemove(w.overflow[epoch], e.index); len(b) > 0 {
+			w.overflow[epoch] = b
+		} else {
+			delete(w.overflow, epoch)
+		}
+	default:
+		idx := (t >> uint(wheelLevelBits*l)) & wheelMask
+		if w.slots[l][idx] = swapRemove(w.slots[l][idx], e.index); len(w.slots[l][idx]) == 0 {
+			w.occupied[l] &^= 1 << uint(idx)
+		}
+	}
+}
+
+// swapRemove removes s[i], moving the last entry into its place.
+func swapRemove(s []*timerEntry, i int32) []*timerEntry {
+	last := int32(len(s) - 1)
+	if i != last {
+		s[i] = s[last]
+		s[i].index = i
+	}
+	s[last] = nil
+	return s[:last]
+}
+
+// file appends e to s, recording where and at which index.
+func file(s []*timerEntry, e *timerEntry, where int8) []*timerEntry {
+	e.where, e.index = where, int32(len(s))
+	return append(s, e)
+}
 
 // place files e by its distance from the cursor: due heap (at or before the
 // cursor's tick), a wheel level, or an overflow bucket. Slot indexes are
@@ -91,7 +139,7 @@ func (w *timerWheel) place(e *timerEntry) {
 		shift := uint(wheelLevelBits * l)
 		if (t>>shift)-(w.cursor>>shift) < wheelSlots {
 			idx := (t >> shift) & wheelMask
-			w.slots[l][idx] = append(w.slots[l][idx], e)
+			w.slots[l][idx] = file(w.slots[l][idx], e, int8(l))
 			w.occupied[l] |= 1 << uint(idx)
 			return
 		}
@@ -100,7 +148,7 @@ func (w *timerWheel) place(e *timerEntry) {
 		w.overflow = make(map[int64][]*timerEntry)
 	}
 	epoch := t >> overflowShift
-	w.overflow[epoch] = append(w.overflow[epoch], e)
+	w.overflow[epoch] = file(w.overflow[epoch], e, whereOverflow)
 }
 
 // advance moves the cursor to the earliest occupied region — the minimal
@@ -174,31 +222,49 @@ func (w *timerWheel) advance() bool {
 
 // dueHeap is a minimal (when, seq) min-heap for entries at or before the
 // cursor's tick. Unlike the reference heap it holds only one tick's worth
-// of entries at a time.
+// of entries at a time. Each entry's index is its position in h.
 type dueHeap struct {
 	h []*timerEntry
 }
 
 func (d *dueHeap) push(e *timerEntry) {
-	d.h = append(d.h, e)
-	i := len(d.h) - 1
+	d.h = file(d.h, e, whereDue)
+	d.up(len(d.h) - 1)
+}
+
+func (d *dueHeap) pop() *timerEntry {
+	top := d.h[0]
+	d.remove(0)
+	return top
+}
+
+// remove takes out the entry at index i.
+func (d *dueHeap) remove(i int) {
+	n := len(d.h) - 1
+	if i != n {
+		d.swap(i, n)
+	}
+	d.h[n] = nil
+	d.h = d.h[:n]
+	if i != n {
+		d.down(i)
+		d.up(i)
+	}
+}
+
+func (d *dueHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !dueLess(d.h[i], d.h[parent]) {
 			break
 		}
-		d.h[i], d.h[parent] = d.h[parent], d.h[i]
+		d.swap(i, parent)
 		i = parent
 	}
 }
 
-func (d *dueHeap) pop() *timerEntry {
-	top := d.h[0]
-	n := len(d.h) - 1
-	d.h[0] = d.h[n]
-	d.h[n] = nil
-	d.h = d.h[:n]
-	i := 0
+func (d *dueHeap) down(i int) {
+	n := len(d.h)
 	for {
 		left := 2*i + 1
 		if left >= n {
@@ -211,10 +277,14 @@ func (d *dueHeap) pop() *timerEntry {
 		if !dueLess(d.h[least], d.h[i]) {
 			break
 		}
-		d.h[i], d.h[least] = d.h[least], d.h[i]
+		d.swap(i, least)
 		i = least
 	}
-	return top
+}
+
+func (d *dueHeap) swap(i, j int) {
+	d.h[i], d.h[j] = d.h[j], d.h[i]
+	d.h[i].index, d.h[j].index = int32(i), int32(j)
 }
 
 func dueLess(a, b *timerEntry) bool {

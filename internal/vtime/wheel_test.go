@@ -199,21 +199,40 @@ func TestWheelFarFutureCancelDoesNotStallClock(t *testing.T) {
 }
 
 // FuzzTimerWheel feeds arbitrary op streams to the wheel with the heap as
-// oracle. Each op consumes three bytes: an opcode and a 16-bit operand
-// that is exponentially scaled so the corpus reaches every wheel level and
-// the overflow calendar.
+// oracle. Each op consumes three bytes: an opcode and a 16-bit operand.
+// A push's operand is exponentially scaled so the corpus reaches every
+// wheel level and the overflow calendar; a remove's picks one of the filed
+// entries, which is taken out of both queues.
 func FuzzTimerWheel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 255, 255, 3, 0, 0})
 	f.Add([]byte{1, 0, 16, 1, 0, 16, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{2, 255, 0, 0, 0, 0, 3, 0, 0, 1, 7, 7})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 3, 3, 3})
+	// Removals from every place (operands 0x30, 0x10, 0x13, 0x19, 0x1f, 0x24
+	// and 0x2a file an entry in the due heap, at levels 0 to 4 and in an
+	// overflow bucket), each the only entry there, so the slot or bucket
+	// empties.
+	for _, operand := range []int{0x30, 0x10, 0x13, 0x19, 0x1f, 0x24, 0x2a} {
+		lo, hi := byte(operand), byte(operand>>8)
+		f.Add([]byte{0, lo, hi, 4, 0, 0, 3, 0, 0})
+		// And from among three in the same place, the middle one.
+		f.Add([]byte{0, lo, hi, 0, lo, hi, 0, lo, hi, 4, 1, 0, 3, 0, 0, 3, 0, 0})
+	}
+	// A removal from a due heap of four after a pop has moved the cursor.
+	f.Add([]byte{0, 0x10, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheel := newTimerWheel()
 		heapq := newHeapQueue()
 		var seq uint64
+		// The filed entries, each one's wheel copy and heap copy.
+		var filed [][2]*timerEntry
+		unfile := func(k int) {
+			filed[k] = filed[len(filed)-1]
+			filed = filed[:len(filed)-1]
+		}
 		now := time.Duration(0)
 		for i := 0; i+2 < len(data); i += 3 {
-			op := data[i] % 4
+			op := data[i] % 5
 			operand := int64(data[i+1]) | int64(data[i+2])<<8
 			switch op {
 			case 0, 1, 2:
@@ -222,8 +241,10 @@ func FuzzTimerWheel(f *testing.F) {
 				shift := uint(operand % 48)
 				when := now + time.Duration((operand>>4)<<shift)
 				seq++
-				wheel.push(&timerEntry{when: when, seq: seq})
-				heapq.push(&timerEntry{when: when, seq: seq})
+				we, he := &timerEntry{when: when, seq: seq}, &timerEntry{when: when, seq: seq}
+				wheel.push(we)
+				heapq.push(he)
+				filed = append(filed, [2]*timerEntry{we, he})
 			case 3:
 				we := wheel.pop()
 				he := heapq.pop()
@@ -238,7 +259,23 @@ func FuzzTimerWheel(f *testing.F) {
 					if we.when > now {
 						now = we.when
 					}
+					for k := range filed {
+						if filed[k][0] == we {
+							unfile(k)
+							break
+						}
+					}
 				}
+			case 4:
+				if len(filed) > 0 {
+					k := int(operand) % len(filed)
+					wheel.remove(filed[k][0])
+					heapq.remove(filed[k][1])
+					unfile(k)
+				}
+			}
+			if wheel.len() != len(filed) || heapq.len() != len(filed) {
+				t.Fatalf("op %d: wheel len %d, heap len %d, %d filed", i, wheel.len(), heapq.len(), len(filed))
 			}
 		}
 		for {
@@ -256,6 +293,106 @@ func FuzzTimerWheel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// remove takes an entry out of whatever place the wheel filed it in — the
+// due heap, a slot at each level, an overflow bucket — and leaves that
+// place as if the entry had never been there: an emptied slot's occupancy
+// bit is clear, an emptied bucket is gone, and a place that keeps entries
+// still delivers them in the heap's order.
+func TestWheelRemoveFromEveryPlace(t *testing.T) {
+	const tick = time.Duration(1) << wheelTickShift
+	places := []struct {
+		name  string
+		where int8
+		when  time.Duration
+	}{
+		{"due", whereDue, 0},
+		{"level0", 0, 3 * tick},
+		{"level1", 1, 3 * 64 * tick},
+		{"level2", 2, 3 * 64 * 64 * tick},
+		{"level3", 3, 3 * 64 * 64 * 64 * tick},
+		{"level4", 4, 3 * 64 * 64 * 64 * 64 * tick},
+		{"overflow", whereOverflow, 3 * 64 * 64 * 64 * 64 * 64 * tick},
+	}
+	for _, pl := range places {
+		for _, n := range []int{1, 3} {
+			for victim := 0; victim < n; victim++ {
+				wheel := newTimerWheel()
+				heapq := newHeapQueue()
+				var ws, hs []*timerEntry
+				for i := 0; i < n; i++ {
+					// Same place, distinct instants, pushed latest first.
+					when := pl.when + time.Duration(n-i)
+					ws = append(ws, &timerEntry{when: when, seq: uint64(i + 1)})
+					hs = append(hs, &timerEntry{when: when, seq: uint64(i + 1)})
+					wheel.push(ws[i])
+					heapq.push(hs[i])
+					if ws[i].where != pl.where {
+						t.Fatalf("%s: entry filed at place %d, want %d", pl.name, ws[i].where, pl.where)
+					}
+				}
+				wheel.remove(ws[victim])
+				heapq.remove(hs[victim])
+				if n == 1 {
+					switch {
+					case pl.where == whereDue && len(wheel.due.h) != 0:
+						t.Errorf("%s: due heap keeps %d entries", pl.name, len(wheel.due.h))
+					case pl.where == whereOverflow && len(wheel.overflow) != 0:
+						t.Errorf("%s: %d overflow buckets left", pl.name, len(wheel.overflow))
+					case pl.where < wheelLevels && wheel.occupied[pl.where] != 0:
+						t.Errorf("%s: occupancy %b left", pl.name, wheel.occupied[pl.where])
+					}
+				}
+				for i := 0; ; i++ {
+					we, he := wheel.pop(), heapq.pop()
+					if (we == nil) != (he == nil) {
+						t.Fatalf("%s, %d entries, removed #%d: pop %d: wheel %v, heap %v", pl.name, n, victim, i, we, he)
+					}
+					if we == nil {
+						break
+					}
+					if we.seq != he.seq || we.seq == uint64(victim+1) {
+						t.Fatalf("%s, %d entries, removed #%d: pop %d: wheel seq %d, heap seq %d",
+							pl.name, n, victim, i, we.seq, he.seq)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A day-long timeout cut short leaves the timer queue at once, on both
+// engines: nothing is filed once the wait is over, and the run ends at
+// the instant the wait did.
+func TestCancelledDayTimeoutLeavesQueue(t *testing.T) {
+	for _, engine := range bothEngines {
+		s := newSimOn(engine, 1)
+		ev := NewEvent(s, "set")
+		err := s.Run("main", func() {
+			s.AfterFuncPassive(time.Second, ev.Set)
+			tm := s.AfterFunc(24*time.Hour, func() { t.Errorf("%s: stopped timer fired", engine) })
+			if n := s.timers.len(); n != 2 {
+				t.Errorf("%s: %d timers filed, want 2", engine, n)
+			}
+			if !ev.WaitTimeout(24 * time.Hour) {
+				t.Errorf("%s: event not set", engine)
+			}
+			if n := s.timers.len(); n != 1 {
+				t.Errorf("%s: %d timers filed after the wait, want the AfterFunc's 1", engine, n)
+			}
+			tm.Stop()
+			if n := s.timers.len(); n != 0 {
+				t.Errorf("%s: %d timers filed after Stop, want 0", engine, n)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Now() != time.Second {
+			t.Errorf("%s: run ended at %v, want 1s", engine, s.Now())
+		}
+	}
 }
 
 // TestWheelLevelBoundaryAliasRegression pins the shrunk reproduction of
