@@ -274,8 +274,8 @@ func (s *Sim) procExit(p *proc, returned bool) {
 	case s.completed:
 		close(p.grant) // nothing spawns any more: procLoop returns
 	default:
-		// Nothing refers to an exited process — its timeout left the timer
-		// queue when its last wait ended — so the descriptor can serve the
+		// Nothing refers to an exited process (its timeout left the timer
+		// queue when its last wait ended), so the descriptor can serve the
 		// next spawn — even one made by a task this goroutine is about to
 		// run as the dispatcher, whose grant then waits in the channel for
 		// procLoop. If the run completes before then, complete closes it.
@@ -502,8 +502,8 @@ func (s *Sim) caller(op string) *proc {
 }
 
 // block marks p, the calling process, blocked: on wait queue q if
-// there is one, with its timeout entry filed if d >= 0. It then passes the run
-// token on, which may run tasks and advance the clock as far as p's own
+// there is one, with its timeout entry filed if d >= 0. It then passes the
+// run token on, which may run tasks and advance the clock as far as p's own
 // timeout. The caller must then park on p.grant, after which p.state holds
 // the outcome.
 func (s *Sim) block(p *proc, q *procQueue, kind waitKind, on fmt.Stringer, d time.Duration) {

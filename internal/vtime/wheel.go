@@ -152,21 +152,29 @@ func (w *timerWheel) place(e *timerEntry) {
 }
 
 // advance moves the cursor to the earliest occupied region — the minimal
-// slot start across all levels, or the minimal overflow epoch if that
-// starts sooner — and cascades its entries down. It reports false when the
-// wheel holds no entries outside the due heap.
+// slot start across all levels and the minimal overflow epoch's start — and
+// cascades down every region that starts there, the coarsest first. It
+// reports false when the wheel holds no entries outside the due heap.
 //
 // Choosing the minimal *start* is sound even though a coarse slot's start
 // underestimates its entries' deadlines: cascading is a pure refinement
 // (entries re-file relative to the new cursor without firing), and the
-// next iteration compares the finer candidates. Ties prefer the finest
-// level, so a due entry is never delayed behind a coarse cascade.
+// next iteration compares the finer candidates. All the regions that start
+// at the new cursor are cascaded together because each may hold entries of
+// the cursor's own tick: one filed at level 2 while the cursor was far, one
+// at level 0 once it was near. Those land in the due heap, which pop drains
+// before it advances again, so it must hold all of them first. A cascade
+// files nothing into a region starting at the cursor (only into the due
+// heap, or into slots that start later), so the starts found before it stay
+// exact.
 func (w *timerWheel) advance() bool {
-	bestLevel := -1
-	var bestStart, bestIdx int64
+	var starts [wheelLevels]int64
+	found := false
+	var best int64
 	for l := 0; l < wheelLevels; l++ {
 		occ := w.occupied[l]
 		if occ == 0 {
+			starts[l] = -1
 			continue
 		}
 		shift := uint(wheelLevelBits * l)
@@ -177,45 +185,48 @@ func (w *timerWheel) advance() bool {
 		// absolute tick order (slots strictly between the old and new
 		// cursor are always empty, so wrap-around is unambiguous).
 		rot := bits.RotateLeft64(occ, -c)
-		i := int64(bits.TrailingZeros64(rot))
-		abs := cl + i
-		start := abs << shift
-		if bestLevel == -1 || start < bestStart {
-			bestLevel, bestStart, bestIdx = l, start, abs&wheelMask
+		starts[l] = (cl + int64(bits.TrailingZeros64(rot))) << shift
+		if !found || starts[l] < best {
+			found, best = true, starts[l]
 		}
 	}
-	if len(w.overflow) > 0 {
-		minEpoch := int64(-1)
-		for epoch := range w.overflow {
-			if minEpoch == -1 || epoch < minEpoch {
-				minEpoch = epoch
-			}
-		}
-		if oStart := minEpoch << overflowShift; bestLevel == -1 || oStart < bestStart {
-			if oStart > w.cursor {
-				w.cursor = oStart
-			}
-			bucket := w.overflow[minEpoch]
-			delete(w.overflow, minEpoch)
-			for i, e := range bucket {
-				w.place(e)
-				bucket[i] = nil
-			}
-			return true
+	minEpoch := int64(-1)
+	for epoch := range w.overflow {
+		if minEpoch == -1 || epoch < minEpoch {
+			minEpoch = epoch
 		}
 	}
-	if bestLevel == -1 {
+	if minEpoch != -1 {
+		if oStart := minEpoch << overflowShift; !found || oStart < best {
+			found, best = true, oStart
+		}
+	}
+	if !found {
 		return false
 	}
-	if bestStart > w.cursor {
-		w.cursor = bestStart
+	if best > w.cursor {
+		w.cursor = best
 	}
-	slot := w.slots[bestLevel][bestIdx]
-	w.slots[bestLevel][bestIdx] = slot[:0]
-	w.occupied[bestLevel] &^= 1 << uint(bestIdx)
-	for i, e := range slot {
-		w.place(e)
-		slot[i] = nil
+	if minEpoch != -1 && minEpoch<<overflowShift == best {
+		bucket := w.overflow[minEpoch]
+		delete(w.overflow, minEpoch)
+		for i, e := range bucket {
+			w.place(e)
+			bucket[i] = nil
+		}
+	}
+	for l := wheelLevels - 1; l >= 0; l-- {
+		if starts[l] != best {
+			continue
+		}
+		idx := (best >> uint(wheelLevelBits*l)) & wheelMask
+		slot := w.slots[l][idx]
+		w.slots[l][idx] = slot[:0]
+		w.occupied[l] &^= 1 << uint(idx)
+		for i, e := range slot {
+			w.place(e)
+			slot[i] = nil
+		}
 	}
 	return true
 }

@@ -215,11 +215,19 @@ func FuzzTimerWheel(f *testing.F) {
 	for _, operand := range []int{0x30, 0x10, 0x13, 0x19, 0x1f, 0x24, 0x2a} {
 		lo, hi := byte(operand), byte(operand>>8)
 		f.Add([]byte{0, lo, hi, 4, 0, 0, 3, 0, 0})
-		// And from among three in the same place, the middle one.
-		f.Add([]byte{0, lo, hi, 0, lo, hi, 0, lo, hi, 4, 1, 0, 3, 0, 0, 3, 0, 0})
+		// And from among three in the same place, the middle one, then the
+		// one moved into its index.
+		f.Add([]byte{0, lo, hi, 0, lo, hi, 0, lo, hi, 4, 1, 0, 4, 1, 0, 3, 0, 0})
 	}
 	// A removal from a due heap of four after a pop has moved the cursor.
 	f.Add([]byte{0, 0x10, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1, 0, 3, 0, 0})
+	// A due-heap removal whose replacement must move up: entries at 36, 51,
+	// 72, 57, 69, 21 and 39 ns (operands 48·12, 48·17, …), the fourth removed.
+	var due []byte
+	for _, v := range []int{12, 17, 24, 19, 23, 7, 13} {
+		due = append(due, 0, byte(48*v), byte(48*v>>8))
+	}
+	f.Add(append(due, 4, 3, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheel := newTimerWheel()
 		heapq := newHeapQueue()
@@ -439,6 +447,39 @@ func TestWheelLevelBoundaryAliasRegression(t *testing.T) {
 		if we.when != he.when || we.seq != he.seq {
 			t.Fatalf("pop %d: wheel (when=%v seq=%d), heap (when=%v seq=%d)",
 				i, we.when, we.seq, he.when, he.seq)
+		}
+	}
+}
+
+// TestWheelSameStartCascadesTogether pins the fuzzer's finding
+// (testdata/fuzz/FuzzTimerWheel/2956d40c11f412e4): an entry filed at level 1
+// while the cursor was far, and a later one of the same tick filed at level
+// 0 once the cursor was one tick short, both in regions that start at that
+// tick. Preferring the finer region on the tie put the later entry in the
+// due heap alone, and pop returned it before the earlier one was cascaded.
+func TestWheelSameStartCascadesTogether(t *testing.T) {
+	const tick = time.Duration(1) << wheelTickShift
+	wheel := newTimerWheel()
+	heapq := newHeapQueue()
+	push := func(when time.Duration, seq uint64) {
+		wheel.push(&timerEntry{when: when, seq: seq})
+		heapq.push(&timerEntry{when: when, seq: seq})
+	}
+	push(128*tick+100, 1) // level 1, the slot starting at tick 128
+	push(127*tick, 2)     // level 1; cascaded to level 0, then popped at tick 127
+	for i := 0; ; i++ {
+		if i == 1 {
+			push(128*tick+200, 3) // level 0, the slot of tick 128
+		}
+		we, he := wheel.pop(), heapq.pop()
+		if (we == nil) != (he == nil) {
+			t.Fatalf("pop %d: wheel %v, heap %v", i, we, he)
+		}
+		if we == nil {
+			break
+		}
+		if we.seq != he.seq {
+			t.Fatalf("pop %d: wheel seq %d, heap seq %d", i, we.seq, he.seq)
 		}
 	}
 }

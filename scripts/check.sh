@@ -69,6 +69,11 @@ echo "== fuzz seeds (envelope codec and JSON primitives, typed check-in bodies, 
 go test -run Fuzz ./internal/wire ./internal/core ./internal/mds ./internal/gram ./internal/nis ./internal/broker \
     ./internal/federation ./internal/gsi ./internal/rsl ./internal/vtime ./internal/trace ./internal/flightrec ./internal/dst >/dev/null
 
+# The timer wheel beyond its seeds: pushes, pops and removals against the
+# reference heap. A finding is kept as a corpus file with its fix.
+echo "== fuzz timer wheel (10 s against the reference heap)"
+go test -run '^$' -fuzz FuzzTimerWheel -fuzztime 10s ./internal/vtime
+
 echo "== slo smoke (zero false positives + bounded detection lag gate)"
 go run ./cmd/benchgrid -fig none -app slo -smoke >/dev/null
 
