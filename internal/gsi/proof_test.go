@@ -135,10 +135,10 @@ func TestProofAllocations(t *testing.T) {
 // measured 10 allocations (the four frames' deliveries and parsed fields,
 // two nonces and the two proofs sent). It was 15 while a wait that ended
 // before its timeout left the timeout's entry filed in the timer queue, so
-// the next wait allocated another, 23 while the frames went through interfaces, each of the eight moving to the
-// heap, and 65 while each proof went through crypto/hmac and
-// hex.EncodeToString, each check converted both strings, and each nonce was
-// fmt.Sprintf's.
+// the next wait allocated another, 23 while the frames went through
+// interfaces, each of the eight moving to the heap, and 65 while each proof
+// went through crypto/hmac and hex.EncodeToString, each check converted
+// both strings, and each nonce was fmt.Sprintf's.
 func TestHandshakeAllocations(t *testing.T) {
 	sim := vtime.New()
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
