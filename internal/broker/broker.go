@@ -271,6 +271,8 @@ type Broker struct {
 	wake     *vtime.Chan[struct{}] // kicks the dispatcher on enqueue
 	ready    *vtime.Chan[struct{}] // a worker announcing it is idle
 	dispatch *vtime.Chan[*ticket]  // rendezvous: dispatcher -> idle worker
+
+	orphanGauge string // broker.orphans@<replica>
 }
 
 // New starts a broker on host: a DUROC controller for its own use, the
@@ -290,6 +292,8 @@ func New(host *transport.Host, ctrlCfg core.ControllerConfig, opts Options) (*Br
 		wake:     vtime.NewChan[struct{}](sim, "broker-wake:"+host.Name(), 1),
 		ready:    vtime.NewChan[struct{}](sim, "broker-ready:"+host.Name(), 0),
 		dispatch: vtime.NewChan[*ticket](sim, "broker-dispatch:"+host.Name(), 0),
+
+		orphanGauge: "broker.orphans@" + opts.ReplicaID,
 	}
 	onOrphan, onReap := ctrlCfg.OnOrphan, ctrlCfg.OnReap
 	ctrlCfg.OnOrphan = func(o core.Orphan) {
@@ -773,11 +777,15 @@ func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.
 					return
 				}
 				b.count("watchdog", "abort", 1)
-				b.tracer().InstantCtx(attemptCtx, "broker", "watchdog-abort", b.host.Name(), req.Tenant, b.corr(t),
-					trace.Arg{Key: "budget", Val: (budget + watchdogGrace).String()})
+				if tr := b.tracer(); tr.Enabled() {
+					tr.InstantCtx(attemptCtx, "broker", "watchdog-abort", b.host.Name(), req.Tenant, b.corr(t),
+						trace.Arg{Key: "budget", Val: (budget + watchdogGrace).String()})
+				}
 				// A hung 2PC attempt is exactly the moment the black box
 				// exists for: freeze the recent past before aborting.
-				b.flight().Trigger("watchdog-abort", b.opts.ReplicaID+" "+b.corr(t))
+				if fr := b.flight(); fr != nil {
+					fr.Trigger("watchdog-abort", b.opts.ReplicaID+" "+b.corr(t))
+				}
 				job.Abort("broker: attempt watchdog fired after " + (budget + watchdogGrace).String())
 			})
 		},
@@ -810,15 +818,26 @@ func attemptSettled(job *core.Job) bool {
 }
 
 // orphaned accounts for a subjob whose cancel the controller could not
-// confirm; the controller retries it.
+// confirm; the controller retries it. The subjob's key and the strings
+// around it are built only for a flight recorder or a tracer to take.
 func (b *Broker) orphaned(o core.Orphan) {
-	key := o.Job + "/" + o.Subjob
-	b.gauges().G("broker.orphans@" + b.opts.ReplicaID).Add(1)
-	b.flight().Trigger("orphan", b.opts.ReplicaID+" "+key)
+	if g := b.gauges(); g != nil {
+		g.G(b.orphanGauge).Add(1)
+	}
+	tr, fr := b.tracer(), b.flight()
+	var key string
+	if tr.Enabled() || fr != nil {
+		key = o.Job + "/" + o.Subjob
+	}
+	if fr != nil {
+		fr.Trigger("orphan", b.opts.ReplicaID+" "+key)
+	}
 	b.count("orphan", "record", 1)
-	b.tracer().InstantCtx(o.Ctx, "broker", "orphan", b.host.Name(), key, "",
-		trace.Arg{Key: "rm", Val: o.RM.String()},
-		trace.Arg{Key: "reason", Val: o.Reason})
+	if tr.Enabled() {
+		tr.InstantCtx(o.Ctx, "broker", "orphan", b.host.Name(), key, "",
+			trace.Arg{Key: "rm", Val: o.RM.String()},
+			trace.Arg{Key: "reason", Val: o.Reason})
+	}
 }
 
 // reaped accounts for one re-cancel of an orphan: confirmed, or to be

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -783,12 +784,21 @@ func TestSubmitValidation(t *testing.T) {
 	_ = rig.g.Sim.Run("noop", func() {})
 }
 
+// TestBarrierWaitsRecorded: barrier waits come in per-subjob blocks
+// (Section 4.2, and EXPERIMENTS.md's Figure 4 notes). The controller submits
+// the subjobs one after another, each a pipeline step k behind the one
+// before, and releases them all at the last check-in: subjob i's processes
+// all wait about k·(M−1−i), alike within a few milliseconds, so the gaps
+// between consecutive blocks agree, and the last subjob waits about 0 ("the
+// shortest wait time is always zero").
 func TestBarrierWaitsRecorded(t *testing.T) {
-	rig := newRig(t, "m1", "m2")
+	const subjobs, procs = 3, 3
+	rig := newRig(t, "m1", "m2", "m3")
 	err := rig.g.Sim.Run("agent", func() {
 		job, err := rig.ctrl.Submit(core.Request{Subjobs: []core.SubjobSpec{
-			rig.spec("m1", 2, core.Required),
-			rig.spec("m2", 2, core.Required),
+			rig.spec("m1", procs, core.Required),
+			rig.spec("m2", procs, core.Required),
+			rig.spec("m3", procs, core.Required),
 		}})
 		if err != nil {
 			t.Errorf("Submit: %v", err)
@@ -798,28 +808,33 @@ func TestBarrierWaitsRecorded(t *testing.T) {
 			t.Errorf("Commit: %v", err)
 			return
 		}
+		// In subjob order, each subjob's processes in local-rank order.
 		waits := job.BarrierWaits()
-		if len(waits) != 4 {
-			t.Fatalf("%d barrier waits, want 4", len(waits))
+		if len(waits) != subjobs*procs {
+			t.Fatalf("%d barrier waits, want %d", len(waits), subjobs*procs)
 		}
-		var minWait, maxWait time.Duration = waits[0], waits[0]
-		for _, w := range waits {
-			if w < minWait {
-				minWait = w
+		var mean [subjobs]time.Duration
+		for i := range subjobs {
+			block := waits[i*procs : (i+1)*procs]
+			lo, hi := slices.Min(block), slices.Max(block)
+			if hi-lo > 10*time.Millisecond {
+				t.Errorf("subjob %d's processes wait %v: %v apart, want within 10ms", i, block, hi-lo)
 			}
-			if w > maxWait {
-				maxWait = w
+			for _, w := range block {
+				mean[i] += w / procs
 			}
 		}
-		// Subjob 2 checks in last and is released immediately: its procs
-		// wait ~0. Subjob 1's procs wait roughly one submission pipeline
-		// step. (Section 4.2: "the shortest wait time is always zero".)
-		if minWait > 10*time.Millisecond {
-			t.Errorf("min barrier wait = %v, want ~0", minWait)
+		if mean[subjobs-1] > 10*time.Millisecond {
+			t.Errorf("the last subjob waits %v, want ~0", mean[subjobs-1])
 		}
-		if maxWait < 500*time.Millisecond {
-			t.Errorf("max barrier wait = %v, want at least one pipeline step", maxWait)
+		first, second := mean[0]-mean[1], mean[1]-mean[2]
+		if first < 500*time.Millisecond || second < 500*time.Millisecond {
+			t.Errorf("blocks %v apart, want at least one pipeline step each", [2]time.Duration{first, second})
 		}
+		if d := max(first-second, second-first); d > second/20 {
+			t.Errorf("the gaps between blocks are %v and %v, want them within 5%%", first, second)
+		}
+		t.Logf("block waits %v, gaps %v and %v", mean, first, second)
 		job.Done().Wait()
 	})
 	if err != nil {

@@ -94,7 +94,7 @@ func TestDeliveryContract(t *testing.T) {
 				before := e.sim.TimersFired()
 				c.Send([]byte("local"))
 				c.Send([]byte("again"))
-				if got := c.peer.in.Len(); got != 0 {
+				if got := c.p.peer.in.Len(); got != 0 {
 					e.t.Errorf("%d message(s) in the peer's inbox when Send returned: delivery ran inside Send", got)
 				}
 				reply, err := c.RecvTimeout(ms) // the server echoes "local" once
@@ -399,8 +399,8 @@ func TestPipelineStorageBoundedWhenNeverIdle(t *testing.T) {
 				peak, storage := 0, 0
 				for i := 0; i < sends; i++ {
 					conn.Send([]byte{byte(i)})
-					peak = max(peak, len(conn.out)-conn.outHead)
-					storage = max(storage, cap(conn.out))
+					peak = max(peak, len(conn.p.out)-conn.p.outHead)
+					storage = max(storage, cap(conn.p.out))
 					sim.Sleep(gap)
 				}
 				if peak < inFlight || peak >= maxInFlight {
@@ -449,14 +449,14 @@ func TestFirstSlotsSpillInOrder(t *testing.T) {
 			return
 		}
 		sim.Sleep(50 * ms) // the burst waits in the inbox, eight deep
-		if n := conn.in.Len(); n != burst {
+		if n := conn.p.in.Len(); n != burst {
 			t.Errorf("server inbox holds %d unread, want %d", n, burst)
 		}
 		expect("server", conn, burst)
 		for i := 0; i < stream; i++ { // never more than two in flight: 1 ms one way, one send every 0.6 ms
 			conn.Send(payload(i))
-			if cap(conn.out) != 2 {
-				t.Errorf("send %d: the server's pipeline has %d slots, want its first 2", i, cap(conn.out))
+			if cap(conn.p.out) != 2 {
+				t.Errorf("send %d: the server's pipeline has %d slots, want its first 2", i, cap(conn.p.out))
 			}
 			sim.Sleep(600 * time.Microsecond)
 		}
@@ -469,11 +469,11 @@ func TestFirstSlotsSpillInOrder(t *testing.T) {
 		for i := 0; i < burst; i++ {
 			conn.Send(payload(i))
 		}
-		if n := len(conn.out) - conn.outHead; n != burst {
+		if n := len(conn.p.out) - conn.p.outHead; n != burst {
 			t.Errorf("%d messages in flight after the burst, want %d", n, burst)
 		}
 		sim.Sleep(100 * ms) // the stream waits in the inbox, twelve deep
-		if n := conn.in.Len(); n != stream {
+		if n := conn.p.in.Len(); n != stream {
 			t.Errorf("client inbox holds %d unread, want %d", n, stream)
 		}
 		expect("client", conn, stream)

@@ -143,6 +143,9 @@ type Network struct {
 
 	// bufs is the free list of encode buffers (GetBuf, PutBuf).
 	bufs []*[]byte
+	// pipes heads the free list of connection pipes, linked through one end
+	// of each (newConnPair, settle).
+	pipes *pipeEnd
 }
 
 // New creates a network on sim with the given latency model.
@@ -630,26 +633,29 @@ const maxInFlight = 4096
 
 // Conn is one end of a reliable, in-order, message-oriented connection.
 //
-// An end owns no process. Messages it has sent wait in out, in send order,
-// and one kernel task (deliver) walks them: readied by the send that finds
-// the pipeline idle, it arms itself for the head's delivery time, and when
-// that fires delivers the head and everything behind it that is also due,
-// then re-arms for the next head or goes idle: timer for timer the schedule
-// of a process looping over "receive from out; sleep until deliverAt; deliver".
+// A Conn is the end's identity: its addresses, its peer, its names, its
+// counters. What moves its messages is a pipe end (pipeEnd), which the
+// network lends it at the dial and takes back once the connection is quiet
+// (see Network.settle); from then on p is nil, and the Conn behaves as the
+// closed, drained end it is. A holder that keeps a Conn past its close — a
+// late reply, a receive step already queued — can therefore never reach
+// the connection the pipe serves next.
 type Conn struct {
 	net    *Network
 	host   *Host  // the local end's host
 	estSeq uint64 // establishment order; failure sweeps close in this order
 	local  Addr
 	remote Addr
-	in     vtime.Chan[msg]
 	peer   *Conn
+	// p is this end of the connection's pipe, nil once it has gone back.
+	p *pipeEnd
 
 	// est is the establishment time and server marks the accepting end;
 	// with ctx they determine the connection's names (see names), which are
 	// built for both ends when something first asks for either's.
 	est    time.Duration
 	server bool
+	closed bool
 	named  *connNames
 	// ctx is the base causal context the connection was dialed under;
 	// both ends share it. Context-less sends inherit it.
@@ -659,18 +665,39 @@ type Conn struct {
 	// Cached histogram handles (shared network-wide, not per-connection, to
 	// bound cardinality), nil when no registry is attached.
 	hBytes, hDelay *metrics.Histogram
+}
 
-	// The delivery pipeline: out[outHead:] is in flight, delivering says
-	// the deliver task is armed or queued (so a send only appends), sealed
-	// that the FIN is in (or the peer's has arrived) and nothing more may
-	// enter. closed, the end's own, shares their word. out starts in the
-	// pair's storage (connPair), as does in's buffer.
+// pipeEnd moves one connection end's messages. An end owns no process.
+// Messages it has sent wait in out, in send order, and one kernel task
+// (deliver) walks them: readied by the send that finds the pipeline idle, it
+// arms itself for the head's delivery time, and when that fires delivers the
+// head and everything behind it that is also due, then re-arms for the next
+// head or goes idle: timer for timer the schedule of a process looping over
+// "receive from out; sleep until deliverAt; deliver". What the peer sent
+// waits in in.
+//
+// A pipe is both ends in one allocation, each with the first slots of its
+// pipeline and its inbox, so that a short exchange queues nothing on the
+// heap; a longer queue moves to the heap and leaves these slots empty. Pipes
+// are lent by the network and come back to it (newConnPair, settle).
+type pipeEnd struct {
+	conn *Conn    // the end this one serves, nil while the pipe is free
+	peer *pipeEnd // the pipe's other end, for good
+	next *pipeEnd // the next free pipe, while this one is on the free list
+	in   vtime.Chan[msg]
+
+	// The delivery pipeline: out[outHead:] is in flight, delivering says the
+	// deliver task is armed or queued (so a send only appends), sealed that
+	// the FIN is in (or the peer's has arrived) and nothing more may enter.
+	// out is non-empty only while delivering.
 	out        []outMsg
 	outHead    int
-	closed     bool
 	delivering bool
 	sealed     bool
 	deliver    vtime.Task
+
+	firstOut [2]outMsg
+	firstIn  [4]msg
 }
 
 // The per-connection counters, transport.conn.<verb>@<dir>: connVerbs[i]
@@ -793,12 +820,12 @@ const fnvOffset32 = 2166136261
 func (c *Conn) String() string { return c.local.String() + "->" + c.remote.String() }
 
 // inbox names a connection's receive channel for deadlock reports.
-type inbox Conn
+type inbox pipeEnd
 
-func (i *inbox) String() string { return "in:" + (*Conn)(i).String() }
+func (i *inbox) String() string { return "in:" + i.conn.String() }
 
-// deliverer is a connection end's task body.
-type deliverer Conn
+// deliverer is a pipe end's task body.
+type deliverer pipeEnd
 
 // Flow returns the connection-pair identifier shared by both ends: the
 // client and server addresses plus the establishment time in microseconds.
@@ -813,38 +840,47 @@ func (c *Conn) Network() *Network { return c.net }
 // (zero for context-less dials). Both ends share it.
 func (c *Conn) Ctx() trace.Ctx { return c.ctx }
 
-// connPair is a connection in one allocation: both ends, and the first
-// slots of each end's delivery pipeline and inbox, so that a short exchange
-// queues nothing on the heap. A longer queue moves to the heap and leaves
-// these slots empty.
-type connPair struct {
-	ends [2]Conn
-	out  [2][2]outMsg
-	in   [2][4]msg
-}
-
 // newConnPair builds both ends of a connection from a client on host from
-// to service on host to in one allocation, and both ends' counters, if a
-// registry is attached, in another.
+// to service on host to, in one allocation: their identities and a pipe from
+// the network's free list, or, while the list is empty, their identities
+// and a new pipe (freshConn). Both ends' counters, if a registry is
+// attached, take another.
 func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server *Conn) {
 	n := from.net
-	pair := new(connPair)
-	client, server = &pair.ends[0], &pair.ends[1]
+	var ends *[2]Conn
+	if e := n.pipes; e != nil {
+		n.pipes, e.next = e.next, nil
+		ends = new([2]Conn)
+		ends[0].p, ends[1].p = e, e.peer
+	} else {
+		f := new(freshConn)
+		ends = &f.ends
+		for i := range f.pipe {
+			e := &f.pipe[i]
+			e.peer = &f.pipe[1-i]
+			e.deliver.Init(n.sim, (*deliverer)(e))
+			ends[i].p = e
+		}
+	}
+	client, server = &ends[0], &ends[1]
 	client.host, client.local = from, Addr{from.name, "client"}
 	server.host, server.local, server.server = to, Addr{to.name, service}, true
 	client.remote, server.remote = server.local, client.local
+	client.peer, server.peer = server, client
 	fam, hs := n.connFamily, n.hists
 	var stats *[2]connStats
 	if fam != nil {
 		stats = new([2]connStats)
 	}
-	for i := range pair.ends {
-		c := &pair.ends[i]
+	for i := range ends {
+		c := &ends[i]
 		n.connSeq++
 		c.net, c.estSeq, c.est, c.ctx = n, n.connSeq, n.sim.Now(), ctx
-		c.out = pair.out[i][:0]
-		c.in.InitFirst(n.sim, (*inbox)(c), 4096, pair.in[i][:])
-		c.deliver.Init(n.sim, (*deliverer)(c))
+		e := c.p
+		e.conn = c
+		e.out = e.firstOut[:0]
+		e.in.InitFirst(n.sim, (*inbox)(e), 4096, e.firstIn[:])
+		e.sealed = false
 		if stats != nil {
 			c.stats = &stats[i]
 			c.stats.local, c.stats.remote, c.stats.est = c.local, c.remote, c.est
@@ -855,29 +891,65 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 			c.hDelay = hs.H("transport.msg.delay")
 		}
 	}
-	client.peer, server.peer = server, client
 	return client, server
 }
+
+// freshConn is a dial's one allocation while the network has no pipe to
+// lend: the two identities and a new pipe, which outlives them on the free
+// list (it keeps their block, 1 536 bytes, alive). A dial makes one
+// allocation either way, and a run makes as many pipes as it has
+// connections open at once.
+type freshConn struct {
+	ends [2]Conn
+	pipe [2]pipeEnd
+}
+
+// settle takes c's pipe back once the connection is quiet: both ends
+// closed, neither with a message in flight or a deliver task pending, both
+// inboxes quiet (vtime.Chan.Quiet). It is called where that can become
+// true: as a deliver task goes idle — having delivered the FIN, the case of
+// every one-shot connection — and as a receive finds its end closed and
+// drained. (A close cannot be the moment: it sends a FIN, or runs inside
+// the step that delivers the peer's.) Nothing of the kernel's refers to the
+// pipe then: its deliver tasks are neither filed nor queued, and a task
+// step returns before the dispatcher moves on. Both ends' identities let go
+// of it, so the connection the pipe serves next is out of their reach.
+func (n *Network) settle(c *Conn) {
+	e := c.p
+	if e == nil || !e.quiet() || !e.peer.quiet() {
+		return
+	}
+	for _, e := range [2]*pipeEnd{e, e.peer} {
+		e.conn.p, e.conn = nil, nil
+		e.out = nil
+	}
+	e.next, n.pipes = n.pipes, e
+}
+
+// quiet reports whether nothing will touch this end of a pipe again.
+func (e *pipeEnd) quiet() bool { return !e.delivering && e.in.Quiet() }
 
 // RunTask is one step of the delivery pipeline: it moves every message that
 // is due from this end's out queue into the peer's inbox, preserving FIFO
 // order — the head's delivery time gates everything behind it, whatever
 // the latency model says now — and arms itself for the next head.
 func (d *deliverer) RunTask() {
-	c := (*Conn)(d)
+	e := (*pipeEnd)(d)
+	c := e.conn
 	now := c.net.sim.Now()
 	for {
-		if c.outHead == len(c.out) {
-			c.out, c.outHead, c.delivering = c.out[:0], 0, false
+		if e.outHead == len(e.out) {
+			e.out, e.outHead, e.delivering = e.out[:0], 0, false
+			c.net.settle(c)
 			return
 		}
-		if at := c.out[c.outHead].deliverAt; at > now {
-			c.deliver.At(at)
+		if at := e.out[e.outHead].deliverAt; at > now {
+			e.deliver.At(at)
 			return
 		}
-		m := c.out[c.outHead]
-		c.out[c.outHead] = outMsg{}
-		c.outHead++
+		m := e.out[e.outHead]
+		e.out[e.outHead] = outMsg{}
+		e.outHead++
 		if m.fin {
 			c.peer.shut(false) // the peer's receive side closes
 			continue           // nothing is behind a FIN
@@ -894,7 +966,7 @@ func (c *Conn) deliverOne(m pendingMsg, deliverable bool) {
 		c.dropped(size, "in-flight", m.ctx)
 		return
 	}
-	if !c.peer.in.TrySend(m.msg) { // inbox overflow drops, like UDP under DoS
+	if !c.p.peer.in.TrySend(m.msg) { // inbox overflow drops, like UDP under DoS
 		c.dropped(size, "overflow", m.ctx)
 		return
 	}
@@ -993,7 +1065,7 @@ func (c *Conn) SendShared(own []byte, shared *[]byte, ctx trace.Ctx) error {
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
 	// One hop span per send, covering the wire time to the peer.
 	c.traceHop(ctx, size, now, now+oneWay)
-	ok := c.enqueue(outMsg{pendingMsg: pendingMsg{m, now, ctx}, deliverAt: now + oneWay})
+	ok := c.p.enqueue(outMsg{pendingMsg: pendingMsg{m, now, ctx}, deliverAt: now + oneWay})
 	if !ok {
 		// The delivery queue is saturated (extreme overload) or the send
 		// raced with a close. Either way the message is lost here, and the
@@ -1008,25 +1080,25 @@ func (c *Conn) SendShared(own []byte, shared *[]byte, ctx trace.Ctx) error {
 // idle, readies the deliver task: it runs when the sender next blocks,
 // never inside the send. Returns false when the pipeline is saturated or
 // sealed.
-func (c *Conn) enqueue(m outMsg) bool {
-	if c.sealed || !m.fin && len(c.out)-c.outHead >= maxInFlight {
+func (e *pipeEnd) enqueue(m outMsg) bool {
+	if e.sealed || !m.fin && len(e.out)-e.outHead >= maxInFlight {
 		return false
 	}
 	// A pipeline that never drains is never rewound: rather than regrow, slide
 	// the tail over a consumed prefix at least as long (storage stays O(in flight)).
-	if h := c.outHead; len(c.out) == cap(c.out) && h >= len(c.out)-h && h > 0 {
-		n := copy(c.out, c.out[h:])
-		clear(c.out[n:])
-		c.out, c.outHead = c.out[:n], 0
+	if h := e.outHead; len(e.out) == cap(e.out) && h >= len(e.out)-h && h > 0 {
+		n := copy(e.out, e.out[h:])
+		clear(e.out[n:])
+		e.out, e.outHead = e.out[:n], 0
 	}
-	out := append(c.out, m)
-	if len(c.out) == cap(c.out) {
-		clear(c.out) // moved: the pair's first slots keep no payload alive
+	out := append(e.out, m)
+	if len(e.out) == cap(e.out) {
+		clear(e.out) // moved: the pipe's first slots keep no payload alive
 	}
-	c.out = out
-	if !c.delivering {
-		c.delivering = true
-		c.deliver.Ready()
+	e.out = out
+	if !e.delivering {
+		e.delivering = true
+		e.deliver.Ready()
 	}
 	return true
 }
@@ -1047,16 +1119,12 @@ func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 // Recv and RecvTimeout read messages sent whole, and panic on one sent with
 // a shared part (SendShared), which TryRecv reads.
 func (c *Conn) Recv() ([]byte, error) {
-	m, ok := c.in.Recv()
-	if !ok {
-		return nil, ErrClosed
-	}
-	return m.whole(), nil
+	return c.RecvTimeout(-1)
 }
 
 // RecvTimeout blocks until a message arrives or d of virtual time elapses.
 func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
-	m, res := c.in.RecvTimeout(d)
+	m, res := c.recv(d)
 	switch res {
 	case vtime.RecvOK:
 		return m.whole(), nil
@@ -1065,6 +1133,31 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 	default:
 		return nil, ErrRecvTimeout
 	}
+}
+
+// recv receives from the end's inbox, waiting up to d (d < 0: for good). An
+// end whose pipe has gone back is closed and drained; one found closed and
+// drained now may be the last thing its pipe waited for. The pipe is read
+// again after the wait: it may have gone back, and out to another
+// connection, meanwhile.
+func (c *Conn) recv(d time.Duration) (msg, vtime.RecvResult) {
+	if c.p == nil {
+		return msg{}, vtime.RecvClosed
+	}
+	var m msg
+	var res vtime.RecvResult
+	if d < 0 {
+		var ok bool
+		if m, ok = c.p.in.Recv(); !ok {
+			res = vtime.RecvClosed
+		}
+	} else {
+		m, res = c.p.in.RecvTimeout(d)
+	}
+	if res == vtime.RecvClosed {
+		c.net.settle(c)
+	}
+	return m, res
 }
 
 // whole returns a message sent without a shared part.
@@ -1081,7 +1174,7 @@ func (m msg) whole() []byte {
 // them (shared empty for one sent whole), ErrWouldBlock when no message has
 // arrived and ErrClosed once the connection is closed and drained.
 func (c *Conn) TryRecv() (own, shared []byte, err error) {
-	m, res := c.in.RecvTimeout(0)
+	m, res := c.recv(0)
 	own, shared = m.parts()
 	return own, shared, tryResult(res)
 }
@@ -1089,15 +1182,23 @@ func (c *Conn) TryRecv() (own, shared []byte, err error) {
 // ReadyOnArrival readies t once, when the next message arrives or the
 // connection closes (see vtime.Chan.ReadyOnArrival): the owner of the
 // receive side is then a task whose step drains what has arrived with
-// TryRecv and registers again, instead of a process parked in Recv.
-func (c *Conn) ReadyOnArrival(t *vtime.Task) { c.in.ReadyOnArrival(t) }
+// TryRecv and registers again, instead of a process parked in Recv. On an
+// end whose pipe has gone back, it readies t at once.
+func (c *Conn) ReadyOnArrival(t *vtime.Task) {
+	if c.p == nil {
+		t.Ready()
+		return
+	}
+	c.p.in.ReadyOnArrival(t)
+}
 
 // Close closes this end immediately and, after one-way latency, the peer's
 // end (the peer drains buffered messages first). Closing twice is a no-op.
 func (c *Conn) Close() { c.shut(true) }
 
 // shut closes this end, once. A close of the end's own making (fin) lets
-// what it has sent drain to the peer and sends a FIN after it.
+// what it has sent drain to the peer and sends a FIN after it. An end that
+// is open has its pipe: a pipe goes back only once both ends are closed.
 func (c *Conn) shut(fin bool) {
 	if c.closed {
 		return
@@ -1107,11 +1208,12 @@ func (c *Conn) shut(fin bool) {
 	if h := n.hosts[c.local.Host]; h != nil {
 		delete(h.conns, c)
 	}
-	c.in.Close()
+	e := c.p
+	e.in.Close()
 	if fin {
 		// Exempt from the pipeline's bound: the peer observes ErrClosed even
 		// when the close finds the pipeline saturated, never a hang.
-		c.enqueue(outMsg{deliverAt: n.sim.Now() + n.latency.Latency(c.local.Host, c.remote.Host), fin: true})
+		e.enqueue(outMsg{deliverAt: n.sim.Now() + n.latency.Latency(c.local.Host, c.remote.Host), fin: true})
 	}
-	c.sealed = true
+	e.sealed = true
 }

@@ -107,9 +107,9 @@ func NewChan[T any](s *Sim, name string, capacity int) *Chan[T] {
 // Init makes the zero Chan embedded in a larger struct usable, with the
 // given buffer capacity. Channels made by the thousand are named only if
 // someone asks: owner's String is called when a deadlock report or a panic
-// needs the name, and not before.
+// needs the name, and not before. Init on a Quiet channel makes it as new.
 func (c *Chan[T]) Init(s *Sim, owner fmt.Stringer, capacity int) {
-	c.s, c.owner, c.cap = s, owner, capacity
+	*c = Chan[T]{s: s, owner: owner, cap: capacity}
 }
 
 // InitFirst is Init with the channel's first slots in first, storage the
@@ -290,6 +290,16 @@ func (c *Chan[T]) Close() {
 	s.wakeAll(&c.sendq, wsClosed)
 	c.arrived()
 	c.buf.truncate(c.cap) // the blocked senders' values go with them
+}
+
+// Quiet reports whether nothing will touch the channel again: it is closed,
+// holds no value (buffered, or handed to a woken receiver that has not
+// resumed), and no process waits to send or receive on it and no task for
+// an arrival. A receiver woken by the close, or by a timeout, that has not
+// resumed yet does not touch it when it does. Its owner may then Init it
+// for a new use.
+func (c *Chan[T]) Quiet() bool {
+	return c.closed && c.buf.n == 0 && c.handed.n == 0 && c.recvq.head == nil && c.sendq.head == nil && c.arrival == nil
 }
 
 // IsClosed reports whether the channel has been closed.

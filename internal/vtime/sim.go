@@ -434,7 +434,9 @@ type Runner interface {
 // would have run. It is meant to be embedded in its owner, which implements
 // Runner; arming and running it allocate nothing. A task is armed, ready or
 // waiting for an arrival ([Chan.ReadyOnArrival]) at most once at a time:
-// its step may re-arm it, nothing else may until the step has started.
+// its step may re-arm it, nothing else may until the step has started. The
+// kernel does not touch a task once its step has returned, so a step that
+// leaves it unarmed may hand the task, and what embeds it, on for reuse.
 //
 // A step that panics unwinds through that process — an unrelated one, already
 // marked blocked or exited — with the run token held for nobody. It must end
@@ -574,7 +576,7 @@ func (s *Sim) pass(self *proc) {
 		s.tasksRun++
 		if t := next.e.task; t != nil {
 			t.pending = false
-			t.run.RunTask()
+			t.run.RunTask() // t is not touched again: see Task
 		} else {
 			next.e.fn() // a passive callback
 		}

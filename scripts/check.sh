@@ -65,14 +65,20 @@ echo "== fed smoke (federated invariants + replica scaling check, dstgrid -race)
 go run -race ./cmd/dstgrid -fed-seeds 40 -smoke >/dev/null
 go run ./cmd/benchgrid -fig none -app federation -smoke >/dev/null
 
-echo "== fuzz seeds (envelope codec and JSON primitives, typed check-in bodies, hand-written JSON bodies, GSI frames, RSL, timer wheel, trace JSONL, the streamed counter exposition against the snapshot path, flight-recorder dumps, DST scenarios)"
+echo "== fuzz seeds (envelope codec and JSON primitives, typed check-in bodies, hand-written JSON bodies, GSI frames, RSL, timer wheel, connection lifecycles, trace JSONL, the streamed counter exposition against the snapshot path, flight-recorder dumps, DST scenarios)"
 go test -run Fuzz ./internal/wire ./internal/core ./internal/mds ./internal/gram ./internal/nis ./internal/broker \
-    ./internal/federation ./internal/gsi ./internal/rsl ./internal/vtime ./internal/trace ./internal/flightrec ./internal/dst >/dev/null
+    ./internal/federation ./internal/gsi ./internal/rsl ./internal/vtime ./internal/transport ./internal/trace ./internal/flightrec ./internal/dst >/dev/null
 
 # The timer wheel beyond its seeds: pushes, pops and removals against the
 # reference heap. A finding is kept as a corpus file with its fix.
 echo "== fuzz timer wheel (10 s against the reference heap)"
 go test -run '^$' -fuzz FuzzTimerWheel -fuzztime 10s ./internal/vtime
+
+# Connection lifecycles beyond their seeds: every message delivered once, in
+# order, or counted as dropped; a pipe back on the network exactly when it
+# is quiet, and out of reach of the ends it served.
+echo "== fuzz connection lifecycles (10 s)"
+go test -run '^$' -fuzz FuzzConnLifecycle -fuzztime 10s ./internal/transport
 
 echo "== slo smoke (zero false positives + bounded detection lag gate)"
 go run ./cmd/benchgrid -fig none -app slo -smoke >/dev/null
