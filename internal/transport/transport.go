@@ -921,7 +921,7 @@ func (n *Network) settle(c *Conn) {
 	}
 	for _, e := range [2]*pipeEnd{e, e.peer} {
 		e.conn.p, e.conn = nil, nil
-		e.out = nil
+		e.out = nil // a pipeline that grew to the heap is not kept while the pipe waits
 	}
 	e.next, n.pipes = n.pipes, e
 }
@@ -1119,11 +1119,18 @@ func (c *Conn) traceHop(ctx trace.Ctx, size int, start, end time.Duration) {
 // Recv and RecvTimeout read messages sent whole, and panic on one sent with
 // a shared part (SendShared), which TryRecv reads.
 func (c *Conn) Recv() ([]byte, error) {
-	return c.RecvTimeout(-1)
+	m, res := c.recv(-1)
+	if res != vtime.RecvOK {
+		return nil, ErrClosed
+	}
+	return m.whole(), nil
 }
 
 // RecvTimeout blocks until a message arrives or d of virtual time elapses.
 func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
+	if d < 0 {
+		panic("transport: negative receive timeout")
+	}
 	m, res := c.recv(d)
 	switch res {
 	case vtime.RecvOK:
@@ -1135,10 +1142,10 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 	}
 }
 
-// recv receives from the end's inbox, waiting up to d (d < 0: for good). An
-// end whose pipe has gone back is closed and drained; one found closed and
-// drained now may be the last thing its pipe waited for. The pipe is read
-// again after the wait: it may have gone back, and out to another
+// recv receives from the end's inbox, waiting up to d (Recv's -1: for
+// good). An end whose pipe has gone back is closed and drained; one found
+// closed and drained now may be the last thing its pipe waited for. The pipe
+// is read again after the wait: it may have gone back, and out to another
 // connection, meanwhile.
 func (c *Conn) recv(d time.Duration) (msg, vtime.RecvResult) {
 	if c.p == nil {
