@@ -31,11 +31,9 @@ type arrivalProbe struct {
 	c    *lifeConn
 	k    int
 	task vtime.Task
-	ran  time.Duration
 }
 
 func (a *arrivalProbe) RunTask() {
-	a.ran = a.life.sim.Now()
 	if a.c.armed[a.k] == a {
 		a.c.armed[a.k] = nil
 	}
@@ -163,7 +161,7 @@ func (life *connLife) arm(c *lifeConn, k int) {
 	if c.armed[k] != nil {
 		return
 	}
-	a := &arrivalProbe{life: life, c: c, k: k, ran: -1}
+	a := &arrivalProbe{life: life, c: c, k: k}
 	a.task.Init(life.sim, a)
 	c.armed[k] = a
 	c.ends[k].ReadyOnArrival(&a.task)
@@ -239,8 +237,8 @@ func (life *connLife) check(step int) {
 			}
 			if p := c.pipe; p.conn == nil && p.peer.conn == nil {
 				for _, e := range [2]*pipeEnd{p, p.peer} {
-					if e.delivering || len(e.out) != 0 || !e.in.IsClosed() || e.in.Len() != 0 {
-						life.t.Fatalf("step %d: conn %d's pipe is on the free list but not quiet", step, c.id)
+					if e.delivering || e.sealed || len(e.out) != 0 || e.in.IsClosed() || e.in.Len() != 0 {
+						life.t.Fatalf("step %d: conn %d's pipe is on the free list but not as new", step, c.id)
 					}
 				}
 			}
@@ -428,13 +426,13 @@ func TestStaleEndAfterReuse(t *testing.T) {
 			answers = append(answers, err)
 			e.Close()
 		}
-		var probe arrivalProbe
-		probe.ran = -1
-		probe.task.Init(sim, runnerFunc(func() { probe.ran = sim.Now() }))
-		c.ReadyOnArrival(&probe.task)
+		ran := time.Duration(-1)
+		var task vtime.Task
+		task.Init(sim, runnerFunc(func() { ran = sim.Now() }))
+		c.ReadyOnArrival(&task)
 		at := sim.Now()
 		sim.Sleep(time.Microsecond)
-		return answers, probe.ran == at
+		return answers, ran == at
 	}
 	err = sim.Run("client", func() {
 		exchange := func() *Conn {

@@ -859,6 +859,7 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 			e := &f.pipe[i]
 			e.peer = &f.pipe[1-i]
 			e.deliver.Init(n.sim, (*deliverer)(e))
+			e.reset(n.sim)
 			ends[i].p = e
 		}
 	}
@@ -876,11 +877,7 @@ func newConnPair(from, to *Host, service string, ctx trace.Ctx) (client, server 
 		c := &ends[i]
 		n.connSeq++
 		c.net, c.estSeq, c.est, c.ctx = n, n.connSeq, n.sim.Now(), ctx
-		e := c.p
-		e.conn = c
-		e.out = e.firstOut[:0]
-		e.in.InitFirst(n.sim, (*inbox)(e), 4096, e.firstIn[:])
-		e.sealed = false
+		c.p.conn = c
 		if stats != nil {
 			c.stats = &stats[i]
 			c.stats.local, c.stats.remote, c.stats.est = c.local, c.remote, c.est
@@ -913,7 +910,9 @@ type freshConn struct {
 // the step that delivers the peer's.) Nothing of the kernel's refers to the
 // pipe then: its deliver tasks are neither filed nor queued, and a task
 // step returns before the dispatcher moves on. Both ends' identities let go
-// of it, so the connection the pipe serves next is out of their reach.
+// of it, so the connection the pipe serves next is out of their reach, and
+// a receiver woken by the close that resumes later does not touch the inbox
+// (vtime.Chan.Quiet), which is therefore made new at once.
 func (n *Network) settle(c *Conn) {
 	e := c.p
 	if e == nil || !e.quiet() || !e.peer.quiet() {
@@ -921,9 +920,18 @@ func (n *Network) settle(c *Conn) {
 	}
 	for _, e := range [2]*pipeEnd{e, e.peer} {
 		e.conn.p, e.conn = nil, nil
-		e.out = nil // a pipeline that grew to the heap is not kept while the pipe waits
+		e.reset(n.sim)
 	}
 	e.next, n.pipes = n.pipes, e
+}
+
+// reset makes a pipe end as new, back at its first slots: a pipeline or an
+// inbox ring that grew to the heap is not kept while the pipe waits to be
+// lent again.
+func (e *pipeEnd) reset(sim *vtime.Sim) {
+	e.out = e.firstOut[:0]
+	e.in.InitFirst(sim, (*inbox)(e), 4096, e.firstIn[:])
+	e.sealed = false
 }
 
 // quiet reports whether nothing will touch this end of a pipe again.
