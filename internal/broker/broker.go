@@ -821,9 +821,7 @@ func attemptSettled(job *core.Job) bool {
 // confirm; the controller retries it. The subjob's key and the strings
 // around it are built only for a flight recorder or a tracer to take.
 func (b *Broker) orphaned(o core.Orphan) {
-	if g := b.gauges(); g != nil {
-		g.G(b.orphanGauge).Add(1)
-	}
+	b.gauges().G(b.orphanGauge).Add(1)
 	tr, fr := b.tracer(), b.flight()
 	var key string
 	if tr.Enabled() || fr != nil {

@@ -577,3 +577,66 @@ func TestChanFirstSlotsBadLength(t *testing.T) {
 		}()
 	}
 }
+
+// A channel is Quiet once nothing will touch it again: closed, nothing
+// buffered, nothing handed to a woken receiver that has not resumed, nobody
+// waiting to send or receive and no arrival task. A receiver woken by the
+// close does not keep it from being quiet: it does not touch the channel
+// when it resumes. Init then makes it as new, with its first slots again.
+func TestChanQuiet(t *testing.T) {
+	s := New()
+	var first [2]int
+	var ch Chan[int]
+	ch.InitFirst(s, nil, 4, first[:])
+	task := newStepTask(s, func() {})
+	var log []string
+	quiet := func(when string, want bool) {
+		if ch.Quiet() != want {
+			t.Errorf("%s: Quiet() = %v, want %v", when, !want, want)
+		}
+	}
+	err := s.Run("main", func() {
+		quiet("open and empty", false)
+		s.Go("receiver", func() {
+			_, ok := ch.Recv()
+			log = append(log, "receiver: "+strconv.FormatBool(ok))
+		})
+		s.Sleep(time.Second)
+		ch.TrySend(1) // handed to the receiver, which has not resumed
+		ch.Close()
+		quiet("a value handed to a woken receiver", false)
+		s.Sleep(time.Second)
+		quiet("closed after the receiver took its value", true)
+
+		ch.Init(s, nil, 4)
+		ch.ReadyOnArrival(&task.Task)
+		ch.TrySend(2)
+		ch.TrySend(3)
+		ch.Close()
+		quiet("closed with two values buffered", false)
+		ch.TryRecv()
+		ch.TryRecv()
+		quiet("closed and drained", true)
+
+		ch.InitFirst(s, nil, 4, first[:])
+		s.Go("waiter", func() {
+			_, ok := ch.Recv()
+			log = append(log, "waiter: "+strconv.FormatBool(ok))
+		})
+		s.Sleep(time.Second)
+		ch.Close()
+		quiet("a receiver woken by the close, not yet resumed", true)
+		ch.InitFirst(s, nil, 4, first[:])
+		quiet("made new", false)
+		if !ch.TrySend(4) || ch.Len() != 1 || ch.IsClosed() {
+			t.Errorf("a channel made new by Init: len %d, closed %v", ch.Len(), ch.IsClosed())
+		}
+		s.Sleep(time.Second)
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if want := []string{"receiver: true", "waiter: false"}; !slices.Equal(log, want) {
+		t.Errorf("log %q, want %q", log, want)
+	}
+}
